@@ -8,9 +8,12 @@ RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal
 # detector to shake out order-dependent leaks and redial races.
 FAULT_PKGS = ./internal/blockserver ./internal/dfs ./internal/faultnet
 
-.PHONY: check vet build test race race-tiers faults master bench bench-net bench-recovery bench-sweep obs swarm bench-swarm
+.PHONY: check fmt vet build test race race-tiers faults master writepath bench bench-gate bench-net bench-recovery bench-sweep obs swarm bench-swarm
 
-check: vet build test race
+check: fmt vet build test race
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -45,9 +48,27 @@ master:
 	$(GO) test -race -count=2 ./internal/master
 	$(GO) test -race -short -count=1 -run 'TestChaosHeartbeatPartition' ./internal/master
 
+# The pooled write and rebuild paths: the codec's dirty-destination
+# invariants (Into forms byte-identical to the allocating ones, every plan
+# output opened by an overwrite) and the store's buffer-lifetime rule
+# (concurrent WriteFiles under delay and a mid-Put cut never recycle a
+# block a Put can still read), race-enabled and repeated.
+writepath:
+	$(GO) test -race -count=2 -run 'TestInto|TestEveryOutputOpensWithAnOverwrite' ./internal/carousel ./internal/codeplan
+	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts' ./internal/blockserver
+
 # Regenerate the coding microbenchmarks and the JSON snapshot.
 bench:
 	$(GO) run ./cmd/codingbench -json
+
+# The gated benchmark is its own module, so `go test ./...` never reaches
+# it: run its unit tests, then a 2-second write_large smoke through the
+# same entry point BENCHMARK.json names. Only the exit status matters — the
+# run checks every byte it writes and that the servers hold exactly n
+# blocks per stripe.
+bench-gate:
+	cd benchmark && $(GO) test .
+	bash benchmark/run.sh --workload write_large --seconds 2 --trace 0
 
 # The multi-core scaling sweep: re-run the coding microbenchmarks and both
 # live-TCP A/Bs at GOMAXPROCS 1, 2, 4, and 8, stamping each JSON result row

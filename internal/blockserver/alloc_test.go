@@ -5,45 +5,147 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"runtime"
 	"testing"
+
+	"carousel/internal/carousel"
 )
 
 // Allocation pins live behind !race: the race detector's instrumentation
 // perturbs allocation counts, and the race suites already exercise the
 // same paths for correctness.
 
-// TestFrameRoundTripAllocs pins the wire framing under the vectored write
-// path: once the buffer pool is warm, a frameWriter flush + readFrame of a
-// block-sized payload must not allocate beyond the ≤2 budget (the pooled
-// payload is recycled each round, and the gather list is rebuilt from the
-// writer's fixed backing array, never grown).
-func TestFrameRoundTripAllocs(t *testing.T) {
-	payload := bytes.Repeat([]byte("f"), 64<<10)
-	var wire bytes.Buffer
-	wire.Grow(len(payload) + 64)
-	var fw frameWriter
-	// Warm the pool and the buffer once.
-	if err := fw.writeFrame(&wire, payload); err != nil {
+// totalAlloc runs f and returns the bytes the process allocated meanwhile.
+// The in-process servers are included: callers subtract what those must
+// retain.
+func totalAlloc(f func()) int64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc - m0.TotalAlloc)
+}
+
+// benchBlock is the benchmark's block size: not a power of two, so a
+// size-classed ingest buffer would show as a third more bytes than stored.
+const benchBlock = 43680
+
+var heapSink []byte
+
+// heapSize is what the runtime charges for one exact-size n-byte slice (its
+// own size classes round 43,680 up to 49,152) — the unit in which the pins
+// below subtract the blocks the in-process servers retain.
+func heapSize(n int) int64 {
+	return totalAlloc(func() { heapSink = make([]byte, n) })
+}
+
+// TestPutIngestIsExactSize pins the server's ingest: a warm Put costs the
+// process one payload-sized allocation — the slice the block map retains —
+// and nothing size-classed or pooled on top of it.
+func TestPutIngestIsExactSize(t *testing.T) {
+	servers, addrs := startServers(t, nil, 1)
+	ctx := context.Background()
+	c, err := Dial(addrs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b, err := readFrame(&wire); err != nil {
+	defer c.Close()
+	payload := bytes.Repeat([]byte("i"), benchBlock)
+	if err := c.Put(ctx, "blk", payload); err != nil {
 		t.Fatal(err)
-	} else {
-		Recycle(b)
 	}
-	n := testing.AllocsPerRun(100, func() {
-		wire.Reset()
-		if err := fw.writeFrame(&wire, payload); err != nil {
-			t.Fatal(err)
+	const rounds = 32
+	got := totalAlloc(func() {
+		for i := 0; i < rounds; i++ {
+			if err := c.Put(ctx, "blk", payload); err != nil {
+				t.Fatal(err)
+			}
 		}
-		b, err := readFrame(&wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Recycle(b)
 	})
-	if n > 2 {
-		t.Errorf("frame round-trip allocates %.1f times per run, want <= 2", n)
+	if per, block := got/rounds, heapSize(benchBlock); per < block || per > block+1024 {
+		t.Errorf("a warm %d-byte Put allocates %d bytes, want one exact-size slice (%d) plus at most 1 KiB", benchBlock, per, block)
+	}
+	if _, stored, _ := servers[0].Stats(); stored != benchBlock {
+		t.Errorf("server holds %d bytes, want %d", stored, benchBlock)
+	}
+}
+
+// TestWriteFileAllocs pins the write path: beyond the n exact-size blocks
+// per stripe the servers must retain, a warm WriteFile of an 8-stripe file
+// allocates at most a tenth of the file's bytes — encode output, padding
+// scratch and wire buffers are all pooled.
+func TestWriteFileAllocs(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startServers(t, code, code.N())
+	store, err := NewStore(code, addrs, benchBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	const stripes = 8
+	data := make([]byte, stripes*code.K()*benchBlock-100) // the last stripe is padded
+	rand.New(rand.NewSource(81)).Read(data)
+	write := func() {
+		if _, err := store.WriteFile(ctx, "f", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // dial, fill the pools
+	write()
+	retained := int64(stripes*code.N()) * heapSize(benchBlock)
+	if extra, limit := totalAlloc(write)-retained, int64(len(data)/10); extra > limit {
+		t.Errorf("a warm WriteFile of %d bytes allocates %d bytes beyond the servers' %d, want at most %d",
+			len(data), extra, retained, limit)
+	}
+	// Per stripe: n blocks on the servers, and some 17 small objects per Put
+	// — spans on both ends of the traced RPC, closures, the block name.
+	if n := testing.AllocsPerRun(5, write); n > 256*stripes {
+		t.Errorf("a warm WriteFile of %d stripes allocates %.0f times, want at most %d", stripes, n, 256*stripes)
+	}
+}
+
+// TestRepairAllocs pins the rebuild path: helper chunks, the regenerated
+// block and the wire buffers are pooled, so beyond the one exact-size block
+// the home server must retain, a warm Repair allocates less than a block.
+func TestRepairAllocs(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startServers(t, code, code.N())
+	store, err := NewStore(code, addrs, benchBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	data := make([]byte, code.K()*benchBlock)
+	rand.New(rand.NewSource(82)).Read(data)
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	repair := func() {
+		if _, err := store.Repair(ctx, "f", 0, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repair() // compile the plan, dial, fill the pools
+	repair()
+	const rounds = 8
+	got := totalAlloc(func() {
+		for i := 0; i < rounds; i++ {
+			repair()
+		}
+	})
+	if extra := got/rounds - heapSize(benchBlock); extra >= benchBlock {
+		t.Errorf("a warm Repair allocates %d bytes beyond the rebuilt block the server keeps, want less than one block (%d)",
+			extra, benchBlock)
 	}
 }
 

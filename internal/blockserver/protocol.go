@@ -37,9 +37,7 @@
 package blockserver
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
@@ -129,59 +127,6 @@ func flushVectored(w io.Writer, bufs *net.Buffers) error {
 	}
 	_, err := bufs.WriteTo(w)
 	return err
-}
-
-// frameWriter assembles length-prefixed, checksummed frames and flushes
-// header plus payload as one vectored write. The header array and the
-// two-entry gather list are persistent fields, so a warm writeFrame
-// allocates nothing: net.Buffers consumes the view slice as it writes
-// (losing capacity at the front), so the view is re-sliced from the fixed
-// backing array on every call instead of being appended in place.
-type frameWriter struct {
-	hdr [8]byte
-	arr [2][]byte   // backing storage for the gather list, never advanced
-	iov net.Buffers // per-flush view into arr, consumed by the write
-}
-
-// writeFrame writes a length-prefixed, checksummed byte string as a single
-// vectored write.
-func (fw *frameWriter) writeFrame(w io.Writer, payload []byte) error {
-	binary.BigEndian.PutUint32(fw.hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(fw.hdr[4:], Checksum(payload))
-	fw.arr[0] = fw.hdr[:]
-	n := 1
-	if len(payload) > 0 {
-		fw.arr[1] = payload
-		n = 2
-	}
-	fw.iov = net.Buffers(fw.arr[:n])
-	return flushVectored(w, &fw.iov)
-}
-
-// readFrame reads a length-prefixed byte string and verifies its checksum.
-// The returned buffer comes from the shared pool: callers either retain it
-// (taking over ownership, as the server's put path does) or hand it back
-// via Recycle once the bytes are consumed.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxPayload {
-		return nil, fmt.Errorf("blockserver: frame of %d bytes exceeds limit", n)
-	}
-	crc := binary.BigEndian.Uint32(hdr[4:])
-	buf := bufpool.Get(int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	if Checksum(buf) != crc {
-		bufpool.Put(buf)
-		return nil, errFrameChecksum
-	}
-	return buf, nil
 }
 
 // Recycle returns a payload obtained from Get, GetRange, or Chunk to the

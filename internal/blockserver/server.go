@@ -1,6 +1,7 @@
 package blockserver
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -94,17 +95,25 @@ func srvRPCCounter(op, st byte) *obs.Counter {
 	return srvRPCCounters[op][st]
 }
 
+// connReadBuf sizes the per-connection read buffer: room for any request
+// preamble (op, name, integer arguments, put frame header), so one read
+// syscall delivers all of it, yet small enough that a block payload — whose
+// reads ask for more than this — bypasses the buffer and lands directly in
+// its destination.
+const connReadBuf = 4 << 10
+
 // connState carries one connection's reusable scratch so a steady-state
 // request/response cycle allocates nothing server-side: the op byte, name
 // bytes, integer arguments, and response header all land in buffers that
 // live as long as the connection.
 type connState struct {
 	conn  net.Conn
-	hdr   [9]byte     // response: status + payload length + payload CRC
-	small [4]byte     // op byte, name length, and integer-argument scratch
-	name  []byte      // name scratch, grown to the largest name seen
-	arr   [2][]byte   // gather-list backing for vectored responses
-	iov   net.Buffers // per-reply view into arr, consumed by the write
+	br    *bufio.Reader // every request byte is read through this
+	hdr   [9]byte       // response: status + payload length + payload CRC
+	small [4]byte       // name length and integer-argument scratch
+	name  []byte        // name scratch, grown to the largest name seen
+	arr   [2][]byte     // gather-list backing for vectored responses
+	iov   net.Buffers   // per-reply view into arr, consumed by the write
 
 	// trace/parent hold the client's span IDs from the latest opTraceCtx
 	// prefix frame; consumed (and cleared) by the next request's handler.
@@ -112,17 +121,10 @@ type connState struct {
 	parent uint64
 }
 
-func (cs *connState) readOp() (byte, error) {
-	if _, err := io.ReadFull(cs.conn, cs.small[:1]); err != nil {
-		return 0, err
-	}
-	return cs.small[0], nil
-}
-
 // readName reads a length-prefixed block name into the connection scratch.
 // The returned slice is only valid until the next request.
 func (cs *connState) readName() ([]byte, error) {
-	if _, err := io.ReadFull(cs.conn, cs.small[:2]); err != nil {
+	if _, err := io.ReadFull(cs.br, cs.small[:2]); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint16(cs.small[:2]))
@@ -133,17 +135,44 @@ func (cs *connState) readName() ([]byte, error) {
 		cs.name = make([]byte, n)
 	}
 	buf := cs.name[:n]
-	if _, err := io.ReadFull(cs.conn, buf); err != nil {
+	if _, err := io.ReadFull(cs.br, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
 func (cs *connState) readU32() (uint32, error) {
-	if _, err := io.ReadFull(cs.conn, cs.small[:4]); err != nil {
+	if _, err := io.ReadFull(cs.br, cs.small[:4]); err != nil {
 		return 0, err
 	}
 	return binary.BigEndian.Uint32(cs.small[:4]), nil
+}
+
+// readPayload reads a put's length-prefixed, checksummed payload and
+// returns it with the frame CRC it verified. The slice is allocated at
+// exactly the payload's size and never pooled: the block map retains it
+// for as long as the block lives, and a handler serving the block it
+// replaces may still be writing the old slice to its socket.
+func (cs *connState) readPayload() ([]byte, uint32, error) {
+	n, err := cs.readU32()
+	if err != nil {
+		return nil, 0, err
+	}
+	if n > maxPayload {
+		return nil, 0, fmt.Errorf("blockserver: frame of %d bytes exceeds limit", n)
+	}
+	crc, err := cs.readU32()
+	if err != nil {
+		return nil, 0, err
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(cs.br, data); err != nil {
+		return nil, 0, err
+	}
+	if Checksum(data) != crc {
+		return nil, 0, errFrameChecksum
+	}
+	return data, crc, nil
 }
 
 // reply records the RPC outcome and sends the response: the status byte
@@ -153,13 +182,19 @@ func (cs *connState) readU32() (uint32, error) {
 // small-header segment. Every handle arm funnels through here so the
 // op/status counter and tx byte count cover all served requests.
 func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
+	return s.replyCRC(cs, op, st, payload, Checksum(payload))
+}
+
+// replyCRC is reply for a payload whose CRC32C the caller already holds —
+// a whole stored block that load has just verified against its ingest CRC.
+func (s *Server) replyCRC(cs *connState, op, st byte, payload []byte, crc uint32) error {
 	srvRPCCounter(op, st).Inc()
 	if st == statusOK {
 		srvBytesTx.Add(int64(len(payload)))
 	}
 	cs.hdr[0] = st
 	binary.BigEndian.PutUint32(cs.hdr[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(cs.hdr[5:9], Checksum(payload))
+	binary.BigEndian.PutUint32(cs.hdr[5:9], crc)
 	cs.arr[0] = cs.hdr[:]
 	n := 1
 	if len(payload) > 0 {
@@ -170,9 +205,10 @@ func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 	return flushVectored(cs.conn, &cs.iov)
 }
 
-// storedBlock is one block at rest: its content plus the CRC32C computed at
-// ingest. Every serving path re-verifies content against the CRC, so bit
-// rot is detected at read time instead of being decoded into garbage.
+// storedBlock is one block at rest: its content plus the CRC32C it arrived
+// under (the put frame's checksum, verified at ingest). Every serving path
+// re-verifies content against the CRC, so bit rot is detected at read time
+// instead of being decoded into garbage.
 type storedBlock struct {
 	data []byte
 	crc  uint32
@@ -322,9 +358,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	srvConnsTotal.Inc()
 	srvConnsOpen.Add(1)
 	defer srvConnsOpen.Add(-1)
-	cs := &connState{conn: conn}
+	cs := &connState{conn: conn, br: bufio.NewReaderSize(conn, connReadBuf)}
 	for {
-		op, err := cs.readOp()
+		op, err := cs.br.ReadByte()
 		if err != nil {
 			return
 		}
@@ -408,14 +444,14 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 	}
 	switch op {
 	case opPut:
-		data, err := readFrame(cs.conn)
+		data, crc, err := cs.readPayload()
 		if err != nil {
 			return err
 		}
 		srvBytesRx.Add(int64(len(data)))
 		s.mu.Lock()
 		prev, existed := s.blocks[string(name)]
-		s.blocks[string(name)] = storedBlock{data: data, crc: Checksum(data)}
+		s.blocks[string(name)] = storedBlock{data: data, crc: crc}
 		s.mu.Unlock()
 		if existed {
 			srvBlockBytes.Add(int64(len(data) - len(prev.data)))
@@ -430,7 +466,7 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 		if st != statusOK {
 			return s.reply(cs, op, st, name)
 		}
-		return s.reply(cs, op, statusOK, b.data)
+		return s.replyCRC(cs, op, statusOK, b.data, b.crc)
 
 	case opRange:
 		off, err := cs.readU32()
@@ -467,15 +503,15 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 			return s.reply(cs, op, st, name)
 		}
 		dsp := spanChild(ctx, "decode")
-		chunk, err := s.code.HelperChunk(int(helper), int(failed), b.data)
+		chunk := bufpool.Get(s.code.HelperChunkSize(len(b.data)))
+		defer bufpool.Put(chunk) // after the reply has fully written it
+		err = s.code.HelperChunkInto(int(helper), int(failed), b.data, chunk)
 		dsp.SetAttr("chunk_bytes", len(chunk))
 		dsp.End()
 		if err != nil {
 			return s.reply(cs, op, statusError, []byte(err.Error()))
 		}
-		err = s.reply(cs, op, statusOK, chunk)
-		bufpool.Put(chunk) // fully written; recycle the scratch
-		return err
+		return s.reply(cs, op, statusOK, chunk)
 
 	case opDelete:
 		s.mu.Lock()

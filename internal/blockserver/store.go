@@ -25,13 +25,13 @@ var (
 	// caller's in-flight fetch.
 	mCacheHitStripes  = obs.Default().Counter("store_cache_hit_stripes_total")
 	mCoalescedStripes = obs.Default().Counter("store_coalesced_stripes_total")
-	mCorruptSources  = obs.Default().Counter("store_corrupt_sources_total")
-	mBytesFetched    = obs.Default().Counter("store_bytes_fetched_total")
-	mReadNS          = obs.Default().Histogram("store_read_ns")
-	mRepairs         = obs.Default().Counter("store_repairs_total")
-	mRepairTraffic   = obs.Default().Counter("store_repair_traffic_bytes_total")
-	mSparePromotions = obs.Default().Counter("store_spare_promotions_total")
-	mRepairNS        = obs.Default().Histogram("store_repair_ns")
+	mCorruptSources   = obs.Default().Counter("store_corrupt_sources_total")
+	mBytesFetched     = obs.Default().Counter("store_bytes_fetched_total")
+	mReadNS           = obs.Default().Histogram("store_read_ns")
+	mRepairs          = obs.Default().Counter("store_repairs_total")
+	mRepairTraffic    = obs.Default().Counter("store_repair_traffic_bytes_total")
+	mSparePromotions  = obs.Default().Counter("store_spare_promotions_total")
+	mRepairNS         = obs.Default().Histogram("store_repair_ns")
 	// Repair stage decomposition: how long one stripe repair spends
 	// fetching helper chunks, combining them, and writing the regenerated
 	// block back — the per-stage signal the recovery engine's A/B reads.
@@ -292,29 +292,41 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 	return stripes, nil
 }
 
-// writeStripe encodes and uploads one stripe. The encode scratch comes
-// from the buffer pool; pooled buffers carry stale bytes, so the padding
-// tail is explicitly cleared before encoding.
+// writeStripe encodes one stripe into n pooled blocks and uploads block i
+// to server i. The shards alias the caller's data — the encode only reads
+// them — except on a short final stripe, which is zero-padded in a pooled
+// scratch. The blocks go back to the pool only after every one of the n
+// Put goroutines has returned, whether it succeeded, retried, failed or
+// was cancelled: until then a Put may still be reading its block.
 func (s *Store) writeStripe(ctx context.Context, name string, st int, data []byte, stripeData int) error {
-	chunk := bufpool.Get(stripeData)
+	k, n := s.code.K(), s.code.N()
 	lo := st * stripeData
-	hi := lo + stripeData
-	if hi > len(data) {
-		hi = len(data)
+	src := data[lo:min(lo+stripeData, len(data))]
+	var pad []byte
+	if len(src) < stripeData {
+		pad = bufpool.Get(stripeData)
+		clear(pad[copy(pad, src):])
+		src = pad
 	}
-	n := copy(chunk, data[lo:hi])
-	clear(chunk[n:])
-	shards := make([][]byte, s.code.K())
+	shards, blocks := make([][]byte, k), make([][]byte, n)
 	for i := range shards {
-		shards[i] = chunk[i*s.blockSize : (i+1)*s.blockSize]
+		shards[i] = src[i*s.blockSize : (i+1)*s.blockSize]
 	}
-	blocks, err := s.code.Encode(shards)
-	bufpool.Put(chunk) // Encode copies its input; the scratch is free again
+	for i := range blocks {
+		blocks[i] = bufpool.Get(s.blockSize)
+	}
+	defer func() {
+		for _, b := range blocks {
+			bufpool.Put(b)
+		}
+	}()
+	err := s.code.EncodeInto(shards, blocks)
+	bufpool.Put(pad) // the encode has read it; nil when the stripe was full
 	if err != nil {
 		return err
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, len(blocks))
+	errs := make([]error, n)
 	for i, b := range blocks {
 		wg.Add(1)
 		go func(i int, b []byte) {
@@ -910,7 +922,11 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	}
 	t1 := time.Now()
 	_, dsp := obs.StartSpan(ctx, "decode")
-	block, err := s.code.RepairBlock(failed, helpers, chunks)
+	// The regenerated block is pooled scratch: the writeback below is
+	// synchronous, so by the time this function returns nothing reads it.
+	block := bufpool.Get(s.blockSize)
+	defer bufpool.Put(block)
+	err = s.code.RepairBlockInto(failed, helpers, chunks, block)
 	dsp.SetAttr("block_bytes", len(block))
 	dsp.End()
 	mRepairDecodeNS.ObserveSince(t1)

@@ -114,17 +114,11 @@ func TestReplyIsSingleVectoredWrite(t *testing.T) {
 // vectored support: the same bytes arrive, just via per-buffer writes.
 func TestFlushVectoredFallback(t *testing.T) {
 	var sink bytes.Buffer
-	var fw frameWriter
-	payload := []byte("fallback-path")
-	if err := fw.writeFrame(&sink, payload); err != nil {
+	bufs := net.Buffers{[]byte("header|"), []byte("fallback-path")}
+	if err := flushVectored(&sink, &bufs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer Recycle(got)
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("round-trip through the fallback path corrupted the frame: %q", got)
+	if got := sink.String(); got != "header|fallback-path" {
+		t.Fatalf("the fallback path wrote %q", got)
 	}
 }

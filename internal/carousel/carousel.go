@@ -311,59 +311,100 @@ func (c *Code) checkBlockSize(size int) error {
 
 // canonicalUnits returns views of a block's units in canonical order.
 func (c *Code) canonicalUnits(i int, block []byte) [][]byte {
-	usize := len(block) / c.units
-	out := make([][]byte, c.units)
-	for u := 0; u < c.units; u++ {
-		pos := c.toStored[i][u]
-		out[u] = block[pos*usize : (pos+1)*usize : (pos+1)*usize]
-	}
-	return out
+	return c.appendCanonicalUnits(make([][]byte, 0, c.units), i, block)
 }
 
-// dataUnits returns views of the k*U data units of k input shards in global
-// data order.
-func (c *Code) dataUnits(data [][]byte) [][]byte {
-	usize := len(data[0]) / c.units
+// appendCanonicalUnits appends views of a block's units, in canonical
+// order, to dst — the allocation-free form the Into entry points build
+// their plan arguments with.
+func (c *Code) appendCanonicalUnits(dst [][]byte, i int, block []byte) [][]byte {
+	usize := len(block) / c.units
+	for u := 0; u < c.units; u++ {
+		pos := c.toStored[i][u]
+		dst = append(dst, block[pos*usize:(pos+1)*usize:(pos+1)*usize])
+	}
+	return dst
+}
+
+// shardSize validates the k data shards of an encode and returns their
+// common size.
+func (c *Code) shardSize(data [][]byte) (int, error) {
+	if len(data) != c.k {
+		return 0, fmt.Errorf("%w: got %d data shards, want %d", ErrBlockCount, len(data), c.k)
+	}
+	size := -1
+	for i, b := range data {
+		if b == nil {
+			return 0, fmt.Errorf("%w: data shard %d is nil", ErrBlockCount, i)
+		}
+		if size == -1 {
+			size = len(b)
+		} else if len(b) != size {
+			return 0, fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
+		}
+	}
+	if err := c.checkBlockSize(size); err != nil {
+		return 0, err
+	}
+	return size, nil
+}
+
+// Encode encodes k equally sized data shards into n freshly allocated
+// blocks of the same size. Shard sizes must be multiples of
+// UnitsPerBlock(). Conceptually the original data is the concatenation of
+// the shards; block i < p stores the byte range DataRange(i) verbatim at
+// its front.
+func (c *Code) Encode(data [][]byte) ([][]byte, error) {
+	size, err := c.shardSize(data)
+	if err != nil {
+		return nil, err
+	}
+	blocks := make([][]byte, c.n)
+	for i := range blocks {
+		blocks[i] = make([]byte, size)
+	}
+	if err := c.EncodeInto(data, blocks); err != nil {
+		return nil, err
+	}
+	return blocks, nil
+}
+
+// EncodeInto is Encode into caller-owned memory: blocks must hold n
+// buffers of the shards' size, none overlapping a shard. The buffers may
+// be dirty (pooled) — every byte of every block is overwritten, because a
+// compiled plan opens each output with COPY, MULSLICE or CLEAR and only
+// then accumulates into it. The shards are only read, so they may alias
+// the caller's file bytes. A malformed destination is reported before
+// anything is written.
+func (c *Code) EncodeInto(data, blocks [][]byte) error {
+	size, err := c.shardSize(data)
+	if err != nil {
+		return err
+	}
+	if len(blocks) != c.n {
+		return fmt.Errorf("%w: got %d destination blocks, want %d", ErrBlockCount, len(blocks), c.n)
+	}
+	for i, b := range blocks {
+		if b == nil {
+			return fmt.Errorf("%w: destination block %d is nil", ErrBlockCount, i)
+		}
+		if len(b) != size {
+			return fmt.Errorf("%w: destination block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
+		}
+	}
+	usize := size / c.units
 	in := make([][]byte, 0, c.k*c.units)
 	for _, shard := range data {
 		for u := 0; u < c.units; u++ {
 			in = append(in, shard[u*usize:(u+1)*usize:(u+1)*usize])
 		}
 	}
-	return in
-}
-
-// Encode encodes k equally sized data shards into n blocks of the same
-// size. Shard sizes must be multiples of UnitsPerBlock(). Conceptually the
-// original data is the concatenation of the shards; block i < p stores the
-// byte range DataRange(i) verbatim at its front.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	if len(data) != c.k {
-		return nil, fmt.Errorf("%w: got %d data shards, want %d", ErrBlockCount, len(data), c.k)
-	}
-	size := -1
-	for i, b := range data {
-		if b == nil {
-			return nil, fmt.Errorf("%w: data shard %d is nil", ErrBlockCount, i)
-		}
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return nil, fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
-	}
-	if err := c.checkBlockSize(size); err != nil {
-		return nil, err
-	}
-	in := c.dataUnits(data)
-	blocks := make([][]byte, c.n)
 	out := make([][]byte, 0, c.n*c.units)
-	for i := range blocks {
-		blocks[i] = make([]byte, size)
-		out = append(out, c.canonicalUnits(i, blocks[i])...)
+	for i, b := range blocks {
+		out = c.appendCanonicalUnits(out, i, b)
 	}
 	c.encPlan.RunParallel(in, out, c.workers)
-	return blocks, nil
+	return nil
 }
 
 // Verify checks that a complete set of n blocks is consistent: re-encoding

@@ -22,117 +22,136 @@ func (c *Code) ReconstructionTraffic(blockSize int) int {
 }
 
 // HelperChunk computes the repair contribution of one helper for the failed
-// block. With an MSR base the helper combines its segments per sub-unit
-// using phi_failed — after undoing the block's reordering, exactly the
-// coefficient permutation of Fig. 4 — and uploads blockSize/alpha bytes.
-// With a Reed-Solomon base (d == k) the chunk is the entire block.
+// block into a freshly allocated chunk. With an MSR base the helper
+// combines its segments per sub-unit using phi_failed — after undoing the
+// block's reordering, exactly the coefficient permutation of Fig. 4 — and
+// uploads blockSize/alpha bytes. With a Reed-Solomon base (d == k) the
+// chunk is the entire block.
 func (c *Code) HelperChunk(helper, failed int, block []byte) ([]byte, error) {
-	if helper < 0 || helper >= c.n {
-		return nil, fmt.Errorf("%w: helper %d out of range [0,%d)", ErrBadHelpers, helper, c.n)
-	}
-	if failed < 0 || failed >= c.n {
-		return nil, fmt.Errorf("%w: failed block %d out of range [0,%d)", ErrBadHelpers, failed, c.n)
-	}
-	if helper == failed {
-		return nil, fmt.Errorf("%w: helper %d is the failed block", ErrBadHelpers, helper)
-	}
-	if err := c.checkBlockSize(len(block)); err != nil {
+	chunk := make([]byte, c.HelperChunkSize(len(block)))
+	if err := c.HelperChunkInto(helper, failed, block, chunk); err != nil {
 		return nil, err
-	}
-	if c.base == nil {
-		out := make([]byte, len(block))
-		copy(out, block)
-		return out, nil
-	}
-	phi, err := c.base.RepairHelperVector(failed)
-	if err != nil {
-		return nil, err
-	}
-	usize := len(block) / c.units
-	canon := c.canonicalUnits(helper, block)
-	chunk := make([]byte, c.expand*usize)
-	// Sub-index t of the expansion is an independent copy of the base MSR
-	// code; combine the alpha segments at each t with phi.
-	for t := 0; t < c.expand; t++ {
-		segs := make([][]byte, c.alpha)
-		for s := 0; s < c.alpha; s++ {
-			segs[s] = canon[s*c.expand+t]
-		}
-		matrix.ApplyRowToUnits(phi, segs, chunk[t*usize:(t+1)*usize])
 	}
 	return chunk, nil
 }
 
-// RepairBlock regenerates the failed block from the d helper chunks, given
-// in the same order as helpers.
+// HelperChunkInto is HelperChunk into caller-owned memory: dst must hold
+// HelperChunkSize(len(block)) bytes, must not overlap block, and may be
+// dirty — every byte is overwritten. A malformed destination is reported
+// before anything is written.
+func (c *Code) HelperChunkInto(helper, failed int, block, dst []byte) error {
+	if helper < 0 || helper >= c.n {
+		return fmt.Errorf("%w: helper %d out of range [0,%d)", ErrBadHelpers, helper, c.n)
+	}
+	if failed < 0 || failed >= c.n {
+		return fmt.Errorf("%w: failed block %d out of range [0,%d)", ErrBadHelpers, failed, c.n)
+	}
+	if helper == failed {
+		return fmt.Errorf("%w: helper %d is the failed block", ErrBadHelpers, helper)
+	}
+	if err := c.checkBlockSize(len(block)); err != nil {
+		return err
+	}
+	if want := c.HelperChunkSize(len(block)); len(dst) != want {
+		return fmt.Errorf("%w: chunk destination has %d bytes, want %d", ErrBlockSizeMismatch, len(dst), want)
+	}
+	if c.base == nil {
+		copy(dst, block)
+		return nil
+	}
+	phi, err := c.base.RepairHelperVector(failed)
+	if err != nil {
+		return err
+	}
+	usize := len(block) / c.units
+	canon := c.canonicalUnits(helper, block)
+	// Sub-index t of the expansion is an independent copy of the base MSR
+	// code; combine the alpha segments at each t with phi.
+	segs := make([][]byte, c.alpha)
+	for t := 0; t < c.expand; t++ {
+		for s := 0; s < c.alpha; s++ {
+			segs[s] = canon[s*c.expand+t]
+		}
+		matrix.ApplyRowToUnits(phi, segs, dst[t*usize:(t+1)*usize])
+	}
+	return nil
+}
+
+// RepairBlock regenerates the failed block, freshly allocated, from the d
+// helper chunks, given in the same order as helpers.
 func (c *Code) RepairBlock(failed int, helpers []int, chunks [][]byte) ([]byte, error) {
-	if err := c.validateHelpers(failed, helpers); err != nil {
+	size := 0
+	if len(chunks) > 0 {
+		size = len(chunks[0]) * c.alpha
+	}
+	block := make([]byte, size)
+	if err := c.RepairBlockInto(failed, helpers, chunks, block); err != nil {
 		return nil, err
 	}
+	return block, nil
+}
+
+// RepairBlockInto is RepairBlock into caller-owned memory: dst must hold
+// one block (alpha chunks' worth of bytes), must not overlap any chunk,
+// and may be dirty — every byte is overwritten. A malformed destination
+// is reported before anything is written.
+func (c *Code) RepairBlockInto(failed int, helpers []int, chunks [][]byte, dst []byte) error {
+	if err := c.validateHelpers(failed, helpers); err != nil {
+		return err
+	}
 	if len(chunks) != c.d {
-		return nil, fmt.Errorf("%w: got %d chunks, want %d", ErrBlockCount, len(chunks), c.d)
+		return fmt.Errorf("%w: got %d chunks, want %d", ErrBlockCount, len(chunks), c.d)
 	}
 	chunkSize := -1
 	for i, ch := range chunks {
 		if ch == nil {
-			return nil, fmt.Errorf("%w: chunk %d is nil", ErrBlockCount, i)
+			return fmt.Errorf("%w: chunk %d is nil", ErrBlockCount, i)
 		}
 		if chunkSize == -1 {
 			chunkSize = len(ch)
 		} else if len(ch) != chunkSize {
-			return nil, fmt.Errorf("%w: chunk %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(ch), chunkSize)
+			return fmt.Errorf("%w: chunk %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(ch), chunkSize)
 		}
-	}
-	if c.base == nil {
-		// Reed-Solomon base: chunks are whole blocks; decode and re-encode
-		// the failed block.
-		return c.repairFromBlocks(failed, helpers, chunks)
 	}
 	blockSize := chunkSize * c.alpha
 	if err := c.checkBlockSize(blockSize); err != nil {
-		return nil, err
+		return err
+	}
+	if len(dst) != blockSize {
+		return fmt.Errorf("%w: block destination has %d bytes, want %d", ErrBlockSizeMismatch, len(dst), blockSize)
+	}
+	if c.base == nil {
+		// Reed-Solomon base: chunks are whole blocks; decode and re-encode
+		// the failed block through the fused rebuild plan (generator rows x
+		// inverse), cached per (failed, helper set).
+		plan, err := c.rebuildPlan(failed, helpers)
+		if err != nil {
+			return err
+		}
+		in := make([][]byte, 0, c.k*c.units)
+		for i, h := range helpers {
+			in = c.appendCanonicalUnits(in, h, chunks[i])
+		}
+		plan.RunParallel(in, c.canonicalUnits(failed, dst), c.workers)
+		return nil
 	}
 	usize := blockSize / c.units
 	comb, err := c.base.RepairCombinerPlan(failed, helpers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	block := make([]byte, blockSize)
-	canon := c.canonicalUnits(failed, block)
+	canon := c.canonicalUnits(failed, dst)
+	in, outs := make([][]byte, c.d), make([][]byte, c.alpha)
 	for t := 0; t < c.expand; t++ {
-		in := make([][]byte, c.d)
 		for j, ch := range chunks {
 			in[j] = ch[t*usize : (t+1)*usize : (t+1)*usize]
 		}
-		outs := make([][]byte, c.alpha)
 		for s := 0; s < c.alpha; s++ {
 			outs[s] = canon[s*c.expand+t]
 		}
 		comb.Run(in, outs)
 	}
-	return block, nil
-}
-
-// repairFromBlocks rebuilds the failed block from k full helper blocks
-// (the d == k path): decode the data units, then apply the failed block's
-// generator rows. The fused rebuild matrix (generator rows x inverse) is
-// compiled to a plan cached per (failed, helper set).
-func (c *Code) repairFromBlocks(failed int, helpers []int, blocks [][]byte) ([]byte, error) {
-	size := len(blocks[0])
-	if err := c.checkBlockSize(size); err != nil {
-		return nil, err
-	}
-	plan, err := c.rebuildPlan(failed, helpers)
-	if err != nil {
-		return nil, err
-	}
-	in := make([][]byte, 0, c.k*c.units)
-	for i, h := range helpers {
-		in = append(in, c.canonicalUnits(h, blocks[i])...)
-	}
-	block := make([]byte, size)
-	plan.RunParallel(in, c.canonicalUnits(failed, block), c.workers)
-	return block, nil
+	return nil
 }
 
 // rebuildPlan returns the cached compiled schedule rebuilding the failed

@@ -19,6 +19,11 @@
 // stripes the chunks over the shared bounded pool in internal/workpool
 // without allocating per-chunk slice headers.
 //
+// Output buffers may be dirty. Every output unit's first scheduled op is a
+// COPY, CLEAR or MULSLICE — an overwrite — and only later ops accumulate
+// into it, so an execution never reads what its destinations held before
+// and callers may hand it recycled (pooled) memory without clearing it.
+//
 // Plans are immutable after Compile and safe for concurrent Run calls.
 package codeplan
 
@@ -194,19 +199,16 @@ func (p *Plan) Ops() []Op {
 	return out
 }
 
-// DstKinds returns, per output unit, how that unit is produced: OpCopy,
-// OpClear, or OpMul for computed units. Used by tests asserting that
-// surviving data units are never recomputed.
+// DstKinds returns, per output unit, the kind of the first op scheduled on
+// it: OpCopy, OpClear, or OpMul for computed units — never OpMulAdd, which
+// is what lets executions run into dirty buffers. Used by tests asserting
+// that invariant, and that surviving data units are never recomputed.
 func (p *Plan) DstKinds() []OpKind {
 	kinds := make([]OpKind, p.numOut)
 	seen := make([]bool, p.numOut)
 	for _, op := range p.ops {
 		if !seen[op.Dst] {
-			k := op.Kind
-			if k == OpMulAdd {
-				k = OpMul
-			}
-			kinds[op.Dst] = k
+			kinds[op.Dst] = op.Kind
 			seen[op.Dst] = true
 		}
 	}
@@ -241,7 +243,8 @@ func (p *Plan) check(in, out [][]byte) int {
 
 // Run executes the plan serially: out = M * in, element-wise across the
 // unit buffers. All buffers must share one length; in and out must not
-// overlap.
+// overlap. out is fully overwritten, whatever it held (see the package
+// comment).
 func (p *Plan) Run(in, out [][]byte) {
 	size := p.check(in, out)
 	t0 := time.Now()

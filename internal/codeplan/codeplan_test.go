@@ -149,6 +149,30 @@ func TestCompileOpKinds(t *testing.T) {
 	}
 }
 
+// TestEveryOutputOpensWithAnOverwrite pins what makes dirty (pooled)
+// destinations safe: every output index is scheduled at least once, and the
+// first op scheduled on it is a COPY, CLEAR or MULSLICE — an overwrite —
+// never an accumulating MULADDSLICE.
+func TestEveryOutputOpensWithAnOverwrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(16), 1+rng.Intn(16)
+		plan := Compile(randomMatrix(rng, rows, cols))
+		scheduled := make([]bool, rows)
+		for _, op := range plan.Ops() {
+			scheduled[op.Dst] = true
+		}
+		for r, kind := range plan.DstKinds() {
+			if !scheduled[r] {
+				t.Fatalf("trial %d (%dx%d): output %d is never written", trial, rows, cols, r)
+			}
+			if kind == OpMulAdd {
+				t.Fatalf("trial %d (%dx%d): output %d opens with %v", trial, rows, cols, r, kind)
+			}
+		}
+	}
+}
+
 // TestIdentityPlanIsAllCopies asserts the identity-elision guarantee at
 // the plan level: compiling an identity matrix yields only COPY ops and
 // zero GF multiplications.

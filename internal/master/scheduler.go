@@ -18,9 +18,9 @@ var (
 	mTasksDone    = obs.Default().Counter("master_tasks_done_total")
 	mTasksFailed  = obs.Default().Counter("master_tasks_failed_total")
 	mRecoverNS    = obs.Default().Histogram("master_task_ns", "class", string(ClassRecover))
-	mScrubNS     = obs.Default().Histogram("master_task_ns", "class", string(ClassScrub))
-	mRecoverWin  = obs.Default().Window("master_task_window_ns", "class", string(ClassRecover))
-	mScrubWin    = obs.Default().Window("master_task_window_ns", "class", string(ClassScrub))
+	mScrubNS      = obs.Default().Histogram("master_task_ns", "class", string(ClassScrub))
+	mRecoverWin   = obs.Default().Window("master_task_window_ns", "class", string(ClassRecover))
+	mScrubWin     = obs.Default().Window("master_task_window_ns", "class", string(ClassScrub))
 	// sloTask tracks task completion against a latency/availability
 	// objective: tasks should finish (without failing) inside the target,
 	// 99% of the time. Failures burn budget alongside slow passes.

@@ -79,8 +79,8 @@ bench-sweep:
 	$(GO) run ./cmd/clusterbench -fig net -json -maxprocs 1,2,4,8
 	$(GO) run ./cmd/clusterbench -fig recovery -json -maxprocs 1,2,4,8
 
-# The tentpole A/B: pipelined pooled ReadFile/WriteFile vs the sequential
-# dial-per-stripe baseline over a live loopback TCP cluster, with
+# The pipeline A/B: ReadFile/WriteFile at the default pipeline depth vs
+# depth 1 (same pooled store) over a live loopback TCP cluster, with
 # -benchmem-style allocation counts; refreshes BENCH_clusterbench.json.
 bench-net:
 	$(GO) run ./cmd/clusterbench -fig net -json

@@ -21,8 +21,8 @@
 // machine's real decoder, measured at startup.
 //
 // -fig net is different in kind: it boots a live 12-server TCP cluster on
-// loopback and A/Bs the pipelined pooled read/write engine against the
-// sequential dial-per-stripe baseline on a -netmb MiB, 16-stripe file
+// loopback and A/Bs the pipelined read/write engine against the same
+// store at pipeline depth 1 on a -netmb MiB, 16-stripe file
 // (never simulated, so it is excluded from -fig all). -fig recovery is its
 // node-repair sibling: one server of the live cluster is declared failed
 // and the parallel recovery engine (Store.RecoverServer) is A/B'd against

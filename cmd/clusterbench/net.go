@@ -27,16 +27,15 @@ type netEntry struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// DialsPerRead counts fresh TCP connections a steady-state operation
-	// opens: zero for the pooled pipeline, one per source per stripe for
-	// the dial-per-stripe baseline.
+	// opens: zero once the pool is warm.
 	DialsPerRead int64 `json:"dials_per_read"`
 }
 
 // figNet is the tentpole A/B on real sockets: the same multi-stripe file is
 // read (and written) through two stores over one live TCP server set —
-// the pre-pipeline baseline (sequential stripes, a fresh dial per RPC,
-// pool disabled) against the pipelined engine (depth-4 stripe pipeline
-// over pooled connections and pooled buffers). Unlike figures 9-11 this is
+// the sequential baseline (one stripe in flight at a time) against the
+// pipelined engine (depth-4 stripe pipeline); both ride the same pooled
+// connections and pooled buffers, so the A/B isolates the pipeline. Unlike figures 9-11 this is
 // not simulated: throughput, allocations, and dial counts come from
 // testing.Benchmark over the loopback cluster. Each case is benchmarked
 // reps times and the fastest rep is reported — scheduler noise only ever
@@ -88,9 +87,8 @@ func figNet(mib, reps int, sweep []int, jsonOut bool) error {
 	data := workload.Text(size, 17)
 
 	variants := []netVariant{
-		{"sequential+dial-per-stripe", "baseline",
-			[]blockserver.StoreOption{blockserver.WithPipelineDepth(1), blockserver.WithPoolSize(0)}},
-		{"pipelined+pooled", "engine", nil},
+		{"sequential", "baseline", []blockserver.StoreOption{blockserver.WithPipelineDepth(1)}},
+		{"pipelined", "engine", nil},
 	}
 	results := make([]netEntry, 0, 2*len(variants)*len(sweep))
 	for _, mp := range sweep {
@@ -213,7 +211,7 @@ func netPass(reps, mp int, code *carousel.Code, addrs []string, blockSize, size 
 	for _, kind := range []string{"read", "write"} {
 		base, eng := speedup[kind+"/baseline"], speedup[kind+"/engine"]
 		if base > 0 {
-			fmt.Printf("%s speedup: %.2fx (pipelined %.0f MB/s vs sequential dial-per-stripe %.0f MB/s)\n",
+			fmt.Printf("%s speedup: %.2fx (pipelined %.0f MB/s vs sequential %.0f MB/s)\n",
 				kind, eng/base, eng, base)
 		}
 	}
@@ -228,6 +226,9 @@ type netSection struct {
 	Reps    int        `json:"reps"`
 	Code    string     `json:"code"`
 	Results []netEntry `json:"results"`
+	// Note labels a section kept for the record (the commit it was
+	// measured at, when its variants no longer exist); a fresh run drops it.
+	Note string `json:"note,omitempty"`
 }
 
 func writeNetJSON(mib, stripes, reps int, results []netEntry) error {

@@ -56,6 +56,8 @@ type recoverySection struct {
 	DelayUS int64           `json:"delay_us"`
 	Code    string          `json:"code"`
 	Results []recoveryEntry `json:"results"`
+	// Note labels a section kept for the record, as netSection.Note does.
+	Note string `json:"note,omitempty"`
 }
 
 type recoveryEntry struct {
@@ -96,12 +98,11 @@ func helperSpread(chunks map[string]int64) (distinct int, maxOverMean float64) {
 // figRecovery is the recovery A/B on real sockets — the repo's Fig. 11
 // reproduction for node repair: one server of a live 12-server loopback
 // cluster is declared failed and every block it held (one per stripe) is
-// regenerated, once through the sequential repair loop (concurrency 1,
-// static first-d helpers — the pre-engine behavior) and once through the
-// parallel recovery engine (depth-bounded pipeline, stripe-rotated
-// helpers). Every server sits behind a faultnet injector adding delay to
-// each response write — the tc-netem-style stand-in for a real datacenter
-// RTT, identical for both variants, without which loopback's ~0 latency
+// regenerated, once through the sequential repair loop (concurrency 1) and
+// once through the parallel recovery engine (depth-bounded pipeline); both
+// rotate helpers with the stripe index. Every server sits behind a
+// faultnet injector adding delay to each response write — the
+// tc-netem-style stand-in for a real datacenter RTT, identical for both variants, without which loopback's ~0 latency
 // would hide exactly the stall the engine exists to overlap. Both variants
 // share the pooled store; the A/B isolates repair scheduling. Reported
 // MB/s is regenerated block bytes per second; best-of-reps as in figNet.
@@ -154,9 +155,8 @@ func figRecovery(mib, reps int, delay time.Duration, sweep []int, jsonOut bool) 
 	data := workload.Text(size, 23)
 
 	variants := []recoveryVariant{
-		{"sequential+static-helpers", "baseline", []blockserver.RecoveryOption{
-			blockserver.WithRecoveryConcurrency(1), blockserver.WithRecoveryStaticHelpers()}},
-		{"parallel+rotated-helpers", "engine", nil},
+		{"sequential", "baseline", []blockserver.RecoveryOption{blockserver.WithRecoveryConcurrency(1)}},
+		{"parallel", "engine", nil},
 	}
 	results := make([]recoveryEntry, 0, len(variants)*len(sweep))
 	for _, mp := range sweep {

@@ -240,7 +240,7 @@ type swarmSection struct {
 // with a small worker pool — the baseline the open-loop rate overloads.
 func swarmCalibrate(code *carousel.Code, addrs []string, blockSize int, names []string, objSize int, seed int64) (float64, error) {
 	st, err := blockserver.NewStore(code, addrs, blockSize,
-		blockserver.WithHedgeDelay(swarmHedge), blockserver.WithCacheDisabled())
+		blockserver.WithHedgeDelay(swarmHedge))
 	if err != nil {
 		return 0, err
 	}
@@ -279,8 +279,6 @@ func swarmPass(code *carousel.Code, addrs []string, blockSize int, names []strin
 	opts := []blockserver.StoreOption{blockserver.WithHedgeDelay(swarmHedge)}
 	if v.cacheMiB > 0 {
 		opts = append(opts, blockserver.WithStripeCache(int64(v.cacheMiB)<<20))
-	} else {
-		opts = append(opts, blockserver.WithCacheDisabled())
 	}
 	st, err := blockserver.NewStore(code, addrs, blockSize, opts...)
 	if err != nil {

@@ -151,7 +151,7 @@ func TestRepairAllocs(t *testing.T) {
 
 // TestPooledGetRangeIntoAllocs pins the scatter-read hot path: a warm
 // GetRangeInto lands the payload in caller memory with no pooled
-// intermediary, so the exchange closure must be the only allocation left.
+// intermediary, and the request is described by value — no closure.
 func TestPooledGetRangeIntoAllocs(t *testing.T) {
 	_, addrs := startServers(t, nil, 1)
 	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
@@ -175,21 +175,21 @@ func TestPooledGetRangeIntoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 2 {
-		t.Errorf("warm GetRangeInto allocates %.1f times per run, want <= 2", n)
+	if n > 1 {
+		t.Errorf("warm GetRangeInto allocates %.1f times per run, want <= 1", n)
 	}
 }
 
-// TestPooledGetRangeAllocs pins the client hot path: a warm pooled
-// GetRange over real TCP — request built in the client scratch, response
-// landing in a pooled buffer — must stay at ≤2 allocations per exchange
-// (the one remaining alloc is the exchange closure).
-func TestPooledGetRangeAllocs(t *testing.T) {
+// TestPooledGetAllocs pins the client's pooled-payload path: a warm Get
+// over real TCP — request built in the client scratch, response landing in
+// a pooled buffer the caller recycles — allocates at most once per
+// exchange.
+func TestPooledGetAllocs(t *testing.T) {
 	_, addrs := startServers(t, nil, 1)
 	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
 	t.Cleanup(pool.Close)
 	ctx := context.Background()
-	payload := bytes.Repeat([]byte("r"), 64<<10)
+	payload := bytes.Repeat([]byte("r"), 4096)
 	c, err := pool.Get(ctx, addrs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -199,19 +199,19 @@ func TestPooledGetRangeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the connection and the buffer pool.
-	warm, err := c.GetRange(ctx, "blk", 0, 4096)
+	warm, err := c.Get(ctx, "blk")
 	if err != nil {
 		t.Fatal(err)
 	}
 	Recycle(warm)
 	n := testing.AllocsPerRun(100, func() {
-		out, err := c.GetRange(ctx, "blk", 128, 4096)
+		out, err := c.Get(ctx, "blk")
 		if err != nil {
 			t.Fatal(err)
 		}
 		Recycle(out)
 	})
-	if n > 2 {
-		t.Errorf("warm pooled GetRange allocates %.1f times per run, want <= 2", n)
+	if n > 1 {
+		t.Errorf("warm pooled Get allocates %.1f times per run, want <= 1", n)
 	}
 }

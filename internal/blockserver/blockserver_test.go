@@ -64,14 +64,14 @@ func TestPutGetRangeDeleteStat(t *testing.T) {
 	if err := c.Verify(ctx, "b1"); err != nil {
 		t.Fatalf("Verify intact block: %v", err)
 	}
-	part, err := c.GetRange(ctx, "b1", 6, 5)
-	if err != nil {
+	part := make([]byte, 5)
+	if err := c.GetRangeInto(ctx, "b1", 6, part); err != nil {
 		t.Fatal(err)
 	}
 	if string(part) != "block" {
-		t.Fatalf("GetRange = %q", part)
+		t.Fatalf("GetRangeInto = %q", part)
 	}
-	if _, err := c.GetRange(ctx, "b1", 10, 100); !errors.Is(err, ErrRemote) {
+	if err := c.GetRangeInto(ctx, "b1", 10, make([]byte, 100)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("out-of-range read: %v, want ErrRemote", err)
 	}
 	if err := c.Delete(ctx, "b1"); err != nil {
@@ -204,7 +204,7 @@ func TestStoreRepairOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(ctx, blockName("f", 0, 2)); err != nil {
+	if err := c.Delete(ctx, BlockName("f", 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -238,8 +238,25 @@ func TestStoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.WriteFile(context.Background(), "f", nil); err == nil {
+	ctx := context.Background()
+	if _, err := store.WriteFile(ctx, "f", nil); err == nil {
 		t.Error("empty file did not error")
+	}
+	// A size names a file WriteFile created, so it is positive; the ones
+	// below arrive from outside (journal, CLI) and must come back as errors
+	// — the last two used to reach make([]byte, negative) and panic.
+	for _, size := range []int{0, -1, -2 * code.K() * code.BlockAlign(), -1 << 40} {
+		if _, stats, err := store.ReadFile(ctx, "f", size); err == nil || stats != nil {
+			t.Errorf("ReadFile(size %d) = stats %v, err %v; want an error and no stats", size, stats, err)
+		}
+		for _, repair := range []bool{false, true} {
+			if _, err := store.Scrub(ctx, "f", size, repair); err == nil {
+				t.Errorf("Scrub(size %d, repair %v) did not error", size, repair)
+			}
+		}
+		if _, err := store.RecoverServer(ctx, 0, []FileSpec{{Name: "f", Size: size}}); err == nil {
+			t.Errorf("RecoverServer(size %d) did not error", size)
+		}
 	}
 }
 

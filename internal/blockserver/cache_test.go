@@ -77,20 +77,20 @@ func TestStoreCacheWarmReadZeroDials(t *testing.T) {
 	}
 }
 
-// TestStoreCacheDisabledMatchesUncached: the explicit-off option keeps the
-// read path byte-identical to the pre-cache store, stats included.
+// TestStoreCacheDisabledMatchesUncached: a store built with no cache
+// option has no cache — the default the fault suites rely on — and its
+// read path reports no cache activity.
 func TestStoreCacheDisabledMatchesUncached(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 4
-	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithCacheDisabled())
+	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
 	if store.Cache() != nil {
-		t.Fatal("WithCacheDisabled left a cache configured")
+		t.Fatal("a store built with no cache option has a cache configured")
 	}
 	ctx := context.Background()
 	size := 2 * 6 * blockSize
@@ -369,6 +369,7 @@ func TestStreamPrefetchServesFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	dialsBefore := store.Pool().DialCounts()
+	hitsBefore := mCacheHitStripes.Value()
 	r, err := stream.NewPrefetchReader(code, blockSize, int64(size), store.Source(ctx, "f"), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -385,5 +386,61 @@ func TestStreamPrefetchServesFromCache(t *testing.T) {
 	}
 	if d := dialDelta(dialsBefore, store.Pool().DialCounts()); len(d) != 0 {
 		t.Errorf("warm streamed read dialed fresh connections: %v, want none", d)
+	}
+	if d := mCacheHitStripes.Value() - hitsBefore; d != 3 {
+		t.Errorf("store_cache_hit_stripes_total moved by %d for a warm 3-stripe streamed read, want 3", d)
+	}
+}
+
+// TestStreamCoalescedMissesAreCounted: concurrent stream readers missing on
+// one cold stripe share a single fetch, and the ones that piggybacked move
+// store_coalesced_stripes_total exactly as ReadFile's would — the stream
+// path used to discard the coalesced verdict.
+func TestStreamCoalescedMissesAreCounted(t *testing.T) {
+	code := mustCode(t)
+	_, addrs, injectors := startFaultServers(t, code, 12)
+	blockSize := code.BlockAlign() * 4
+	store, err := NewStore(code, addrs, blockSize,
+		WithClientOptions(fastOpts()), WithStripeCache(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	ctx := context.Background()
+	size := 6 * blockSize // one stripe
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i * 19)
+	}
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	// Slow every response so the first miss's flight stays open while the
+	// other readers arrive and join it.
+	for _, in := range injectors {
+		in.SetDefault(faultnet.Policy{DelayWrite: 100 * time.Millisecond})
+	}
+	coalescedBefore := mCoalescedStripes.Value()
+	waitersBefore := store.Cache().Stats().CoalescedWaiters
+	const readers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]byte, size)
+			served, err := store.Source(ctx, "f").(stream.StripeSource).ReadStripeInto(0, dst)
+			if err != nil || !served || !bytes.Equal(dst, data) {
+				t.Errorf("streamed stripe read: served %v, err %v, intact %v", served, err, bytes.Equal(dst, data))
+			}
+		}()
+	}
+	wg.Wait()
+	joined := store.Cache().Stats().CoalescedWaiters - waitersBefore
+	if joined == 0 {
+		t.Fatal("no reader joined the in-flight fetch; the test opened no coalescing window")
+	}
+	if d := mCoalescedStripes.Value() - coalescedBefore; d != joined {
+		t.Errorf("store_coalesced_stripes_total moved by %d, want the %d readers that coalesced", d, joined)
 	}
 }

@@ -144,10 +144,10 @@ func (o Options) withDefaults() Options {
 // of desyncing the framing; every operation is an idempotent full
 // exchange, so retries are safe.
 //
-// A steady-state exchange is allocation-free apart from the one closure
-// per call: requests are built in a reused scratch buffer and sent in a
-// single write, response headers land in a persistent array, payloads come
-// from the shared buffer pool (hand them back with Recycle), and the
+// A steady-state exchange is allocation-free: a request is a by-value
+// description built into a reused scratch buffer and sent in a single
+// write, response headers land in a persistent array, payloads come from
+// the shared buffer pool (hand them back with Recycle), and the
 // cancellation watcher is one persistent goroutine armed per call instead
 // of spawned per call.
 type Client struct {
@@ -170,11 +170,10 @@ type Client struct {
 	onDial func()       // pool hook, observed after every successful dial
 	dials  atomic.Int64 // successful dials (read concurrently by pool stats)
 
-	req  []byte      // request scratch: op + name + args (+ put frame header)
-	hdr  [9]byte     // response scratch: status + payload length + payload CRC
-	resp []byte      // payload handoff from the exchange to the caller
-	arr  [2][]byte   // gather-list backing for vectored sends
-	iov  net.Buffers // per-send view into arr, consumed by the write
+	req []byte      // request scratch: op + name + args (+ put frame header)
+	hdr [9]byte     // response scratch: status + payload length + payload CRC
+	arr [2][]byte   // gather-list backing for vectored sends
+	iov net.Buffers // per-send view into arr, consumed by the write
 
 	watch      *watcher
 	watchOn    bool // watcher goroutine currently running
@@ -336,11 +335,24 @@ func (c *Client) stopWatcher() {
 	c.watchOn = false
 }
 
+// request describes one exchange by value, so issuing an RPC allocates
+// nothing: the op, the block name, up to two big-endian integer arguments
+// (a put's are its payload frame header: length and CRC32C), the put body
+// that leaves in the same write, and — for a scatter read — the caller's
+// destination for the OK payload.
+type request struct {
+	op    byte
+	name  string
+	nargs int
+	args  [2]uint32
+	body  []byte
+	dst   []byte
+}
+
 // do runs one idempotent exchange with deadline enforcement, poisoning,
-// and retry. exchange must write the full request and read the full
-// response. The retry loop is inlined (rather than delegated to retry.Do)
-// so the only per-call allocation left is the exchange closure itself.
-func (c *Client) do(ctx context.Context, op byte, exchange func(conn net.Conn) error) error {
+// and retry, and accounts its bytes and outcome. It returns the pooled OK
+// payload (nil for a scatter read, whose payload is in r.dst).
+func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	start := time.Now()
 	// Stage the exchange's trace context: when the context carries a span,
 	// its IDs ride ahead of the request in an opTraceCtx frame (capability
@@ -355,6 +367,7 @@ func (c *Client) do(ctx context.Context, op byte, exchange func(conn net.Conn) e
 		attempts = 1
 	}
 	tried := 0
+	var payload []byte
 	var err error
 	for i := 0; i < attempts; i++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -364,7 +377,7 @@ func (c *Client) do(ctx context.Context, op byte, exchange func(conn net.Conn) e
 			break
 		}
 		tried++
-		err = c.attempt(ctx, exchange)
+		payload, err = c.attempt(ctx, r)
 		if err == nil || !retryable(err) || i == attempts-1 {
 			break
 		}
@@ -375,10 +388,13 @@ func (c *Client) do(ctx context.Context, op byte, exchange func(conn net.Conn) e
 	if tried > 1 {
 		cliRetries.Add(int64(tried - 1))
 	}
-	if err != nil && errors.Is(err, ErrCorrupt) {
+	if err == nil {
+		cliBytesTx.Add(int64(len(r.body)))
+		cliBytesRx.Add(int64(len(payload) + len(r.dst)))
+	} else if errors.Is(err, ErrCorrupt) {
 		cliCorrupt.Inc()
 	}
-	rpcCounter(op, err).Inc()
+	rpcCounter(r.op, err).Inc()
 	elapsed := time.Since(start)
 	if c.lat != nil {
 		c.lat.ObserveDuration(elapsed)
@@ -387,14 +403,22 @@ func (c *Client) do(ctx context.Context, op byte, exchange func(conn net.Conn) e
 		c.ewma.Observe(float64(elapsed))
 	}
 	cliRPCWindow.ObserveDuration(elapsed)
+	return payload, err
+}
+
+// call is do for the exchanges whose OK payload carries nothing the caller
+// reads (it is empty, or already in r.dst).
+func (c *Client) call(ctx context.Context, r request) error {
+	payload, err := c.do(ctx, r)
+	bufpool.Put(payload)
 	return err
 }
 
 // attempt runs a single guarded exchange.
-func (c *Client) attempt(ctx context.Context, exchange func(conn net.Conn) error) error {
+func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 	conn, err := c.ensure(ctx)
 	if err != nil {
-		return classify(err)
+		return nil, classify(err)
 	}
 	deadline := time.Now().Add(c.opts.IOTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -407,8 +431,9 @@ func (c *Client) attempt(ctx context.Context, exchange func(conn net.Conn) error
 		// understands trace-context frames before emitting any.
 		err = c.probeHello(conn)
 	}
+	var payload []byte
 	if err == nil {
-		err = exchange(conn)
+		payload, err = c.exchange(conn, r)
 	}
 	c.disarmWatcher()
 	if err != nil {
@@ -423,10 +448,10 @@ func (c *Client) attempt(ctx context.Context, exchange func(conn net.Conn) error
 		if ctx.Err() != nil {
 			err = errors.Join(classify(ctx.Err()), err)
 		}
-		return classify(err)
+		return nil, classify(err)
 	}
 	conn.SetDeadline(time.Time{})
-	return nil
+	return payload, nil
 }
 
 // probeHello runs one opHello exchange on the connection and records the
@@ -435,13 +460,7 @@ func (c *Client) attempt(ctx context.Context, exchange func(conn net.Conn) error
 // untraced. A transport error is returned for the usual poison/retry
 // machinery; the capability stays unprobed.
 func (c *Client) probeHello(conn net.Conn) error {
-	if err := c.beginRequest(opHello, "trace"); err != nil {
-		return err
-	}
-	if err := c.sendRequest(conn); err != nil {
-		return err
-	}
-	payload, err := c.readResponse(conn)
+	payload, err := c.exchange(conn, request{op: opHello, name: "trace"})
 	switch {
 	case err == nil:
 		c.traceCap = -1
@@ -458,194 +477,78 @@ func (c *Client) probeHello(conn net.Conn) error {
 	}
 }
 
-// beginRequest resets the request scratch to op + length-prefixed name.
-// When a trace context is staged and the peer speaks opTraceCtx, the
-// reply-less trace frame is prepended so it and the request leave in the
-// same write.
-func (c *Client) beginRequest(op byte, name string) error {
-	if len(name) == 0 || len(name) > maxNameLen {
-		return fmt.Errorf("blockserver: invalid name length %d", len(name))
+// exchange is the one place a request is written and its response read.
+// The preamble — op, length-prefixed name, integer arguments — is built in
+// the request scratch; when a trace context is staged and the peer speaks
+// opTraceCtx, the reply-less trace frame is prepended to it. Preamble and
+// body then leave as one vectored write: on TCP a single writev with no
+// intermediate copy, so a block-sized Put costs one syscall and zero
+// payload copies client-side.
+func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
+	if len(r.name) == 0 || len(r.name) > maxNameLen {
+		return nil, fmt.Errorf("blockserver: invalid name length %d", len(r.name))
 	}
 	c.req = c.req[:0]
-	if op != opHello && c.traceID != 0 && c.traceCap == 1 {
+	if r.op != opHello && c.traceID != 0 && c.traceCap == 1 {
 		c.req = append(c.req, opTraceCtx, 0, traceCtxLen)
 		c.req = binary.BigEndian.AppendUint64(c.req, c.traceID)
 		c.req = binary.BigEndian.AppendUint64(c.req, c.traceParent)
 	}
-	c.req = append(c.req, op, byte(len(name)>>8), byte(len(name)))
-	c.req = append(c.req, name...)
-	return nil
-}
-
-// addU32 appends a big-endian integer argument to the request scratch.
-func (c *Client) addU32(v uint32) {
-	c.req = append(c.req, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-// sendRequest flushes the request scratch in a single write.
-func (c *Client) sendRequest(conn net.Conn) error {
-	_, err := conn.Write(c.req)
-	return err
-}
-
-// sendRequestWith flushes the request scratch and a payload as one
-// vectored write: on TCP the preamble (op, name, frame header) and the
-// block body leave in a single writev with no intermediate copy, so a
-// stripe-sized Put costs one syscall and zero payload copies client-side.
-func (c *Client) sendRequestWith(conn net.Conn, payload []byte) error {
-	if len(payload) == 0 {
-		return c.sendRequest(conn)
+	c.req = append(c.req, r.op, byte(len(r.name)>>8), byte(len(r.name)))
+	c.req = append(c.req, r.name...)
+	for _, a := range r.args[:r.nargs] {
+		c.req = binary.BigEndian.AppendUint32(c.req, a)
 	}
-	c.arr[0] = c.req
-	c.arr[1] = payload
-	c.iov = net.Buffers(c.arr[:2])
-	return flushVectored(conn, &c.iov)
+	c.arr[0], c.arr[1] = c.req, r.body
+	n := 1
+	if len(r.body) > 0 {
+		n = 2
+	}
+	c.iov = net.Buffers(c.arr[:n])
+	if err := flushVectored(conn, &c.iov); err != nil {
+		return nil, err
+	}
+	return c.readResponse(conn, r.dst)
 }
 
-// readResponse reads the status byte plus payload frame into the client's
-// persistent header scratch and a pooled payload buffer, and maps non-OK
-// statuses to errors (recycling their payload once rendered).
-func (c *Client) readResponse(conn net.Conn) ([]byte, error) {
+// readResponse reads the status byte plus payload frame and maps non-OK
+// statuses to errors. With dst nil the OK payload is returned in a pooled
+// buffer. With dst set it lands directly there — the scatter half of the
+// zero-copy framing: the socket fills the caller's memory (a stripe slot,
+// typically), no pooled intermediary, no copy — and nil is returned; an OK
+// payload whose length differs from len(dst) is a protocol violation,
+// reported out-of-band so the retry machinery poisons the connection
+// rather than desyncing the stream. Non-OK payloads (error messages,
+// always small) take the pooled route either way and are recycled once
+// rendered.
+func (c *Client) readResponse(conn net.Conn, dst []byte) ([]byte, error) {
 	if _, err := io.ReadFull(conn, c.hdr[:]); err != nil {
 		return nil, err
 	}
+	status := c.hdr[0]
 	n := binary.BigEndian.Uint32(c.hdr[1:5])
 	if n > maxPayload {
 		return nil, fmt.Errorf("blockserver: frame of %d bytes exceeds limit", n)
 	}
 	crc := binary.BigEndian.Uint32(c.hdr[5:9])
-	buf := bufpool.Get(int(n))
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		bufpool.Put(buf)
-		return nil, err
+	scatter := dst != nil && status == statusOK
+	buf := dst
+	if !scatter {
+		buf = bufpool.Get(int(n))
+	} else if int(n) != len(dst) {
+		return nil, fmt.Errorf("blockserver: response of %d bytes for a %d-byte destination", n, len(dst))
 	}
-	if Checksum(buf) != crc {
-		bufpool.Put(buf)
-		return nil, errFrameChecksum
+	_, err := io.ReadFull(conn, buf)
+	if err == nil && Checksum(buf) != crc {
+		err = errFrameChecksum
 	}
-	switch c.hdr[0] {
-	case statusOK:
-		return buf, nil
-	case statusNotFound:
-		bufpool.Put(buf)
-		return nil, ErrNotFound
-	case statusCorrupt:
-		err := fmt.Errorf("%w: %s", ErrCorrupt, buf)
-		bufpool.Put(buf)
-		return nil, err
-	default:
-		err := fmt.Errorf("%w: %s", ErrRemote, buf)
-		bufpool.Put(buf)
-		return nil, err
-	}
-}
-
-// Put stores a block under name.
-func (c *Client) Put(ctx context.Context, name string, data []byte) error {
-	err := c.do(ctx, opPut, func(conn net.Conn) error {
-		if err := c.beginRequest(opPut, name); err != nil {
-			return err
-		}
-		// The payload frame header rides in the request scratch, and the
-		// scratch plus the block body go out as one vectored write.
-		c.addU32(uint32(len(data)))
-		c.addU32(Checksum(data))
-		if err := c.sendRequestWith(conn, data); err != nil {
-			return err
-		}
-		payload, err := c.readResponse(conn)
-		if err != nil {
-			return err
-		}
-		bufpool.Put(payload)
-		return nil
-	})
 	if err == nil {
-		cliBytesTx.Add(int64(len(data)))
-	}
-	return err
-}
-
-// Get fetches a whole block. The returned slice is pool-backed: pass it to
-// Recycle once consumed to keep the read path allocation-free.
-func (c *Client) Get(ctx context.Context, name string) ([]byte, error) {
-	c.resp = nil
-	err := c.do(ctx, opGet, func(conn net.Conn) error {
-		if err := c.beginRequest(opGet, name); err != nil {
-			return err
-		}
-		if err := c.sendRequest(conn); err != nil {
-			return err
-		}
-		payload, err := c.readResponse(conn)
-		if err != nil {
-			return err
-		}
-		c.resp = payload
-		return nil
-	})
-	out := c.resp
-	c.resp = nil
-	cliBytesRx.Add(int64(len(out)))
-	return out, err
-}
-
-// GetRange fetches length bytes starting at off — how a parallel reader
-// pulls only the data prefix of a Carousel block. The returned slice is
-// pool-backed: pass it to Recycle once consumed.
-func (c *Client) GetRange(ctx context.Context, name string, off, length int) ([]byte, error) {
-	c.resp = nil
-	err := c.do(ctx, opRange, func(conn net.Conn) error {
-		if err := c.beginRequest(opRange, name); err != nil {
-			return err
-		}
-		c.addU32(uint32(off))
-		c.addU32(uint32(length))
-		if err := c.sendRequest(conn); err != nil {
-			return err
-		}
-		payload, err := c.readResponse(conn)
-		if err != nil {
-			return err
-		}
-		c.resp = payload
-		return nil
-	})
-	out := c.resp
-	c.resp = nil
-	cliBytesRx.Add(int64(len(out)))
-	return out, err
-}
-
-// readResponseInto reads a response whose OK payload lands directly in
-// dst — the scatter half of the zero-copy framing: the socket fills the
-// caller's buffer (a stripe slot, typically), no pooled intermediary, no
-// copy. The checksum is verified on dst after the read. Non-OK payloads
-// (error messages, always small) still go through the pooled path. An OK
-// payload whose length differs from len(dst) is a protocol violation: the
-// error is out-of-band, so the caller's retry machinery poisons the
-// connection rather than desyncing the stream.
-func (c *Client) readResponseInto(conn net.Conn, dst []byte) error {
-	if _, err := io.ReadFull(conn, c.hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(c.hdr[1:5])
-	if n > maxPayload {
-		return fmt.Errorf("blockserver: frame of %d bytes exceeds limit", n)
-	}
-	crc := binary.BigEndian.Uint32(c.hdr[5:9])
-	if c.hdr[0] != statusOK {
-		buf := bufpool.Get(int(n))
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			bufpool.Put(buf)
-			return err
-		}
-		if Checksum(buf) != crc {
-			bufpool.Put(buf)
-			return errFrameChecksum
-		}
-		var err error
-		switch c.hdr[0] {
+		switch status {
+		case statusOK:
+			if scatter {
+				buf = nil
+			}
+			return buf, nil
 		case statusNotFound:
 			err = ErrNotFound
 		case statusCorrupt:
@@ -653,133 +556,66 @@ func (c *Client) readResponseInto(conn net.Conn, dst []byte) error {
 		default:
 			err = fmt.Errorf("%w: %s", ErrRemote, buf)
 		}
+	}
+	if !scatter {
 		bufpool.Put(buf)
-		return err
 	}
-	if int(n) != len(dst) {
-		return fmt.Errorf("blockserver: response of %d bytes for a %d-byte destination", n, len(dst))
-	}
-	if _, err := io.ReadFull(conn, dst); err != nil {
-		return err
-	}
-	if Checksum(dst) != crc {
-		return errFrameChecksum
-	}
-	return nil
+	return nil, err
+}
+
+// Put stores a block under name.
+func (c *Client) Put(ctx context.Context, name string, data []byte) error {
+	return c.call(ctx, request{op: opPut, name: name, nargs: 2,
+		args: [2]uint32{uint32(len(data)), Checksum(data)}, body: data})
+}
+
+// Get fetches a whole block. The returned slice is pool-backed: pass it to
+// Recycle once consumed to keep the read path allocation-free.
+func (c *Client) Get(ctx context.Context, name string) ([]byte, error) {
+	return c.do(ctx, request{op: opGet, name: name})
 }
 
 // GetRangeInto fetches len(dst) bytes starting at off directly into dst —
-// the zero-copy variant of GetRange for callers that already own the
-// destination (the stripe pipeline scatters each source's range into its
-// slot of the decode buffer). dst is fully overwritten on success; on
-// error its contents are unspecified.
+// how a parallel reader pulls only the data prefix of a Carousel block,
+// scattered straight into its slot of the decode buffer. dst is fully
+// overwritten on success; on error its contents are unspecified.
 func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	err := c.do(ctx, opRange, func(conn net.Conn) error {
-		if err := c.beginRequest(opRange, name); err != nil {
-			return err
-		}
-		c.addU32(uint32(off))
-		c.addU32(uint32(len(dst)))
-		if err := c.sendRequest(conn); err != nil {
-			return err
-		}
-		return c.readResponseInto(conn, dst)
-	})
-	if err == nil {
-		cliBytesRx.Add(int64(len(dst)))
-	}
-	return err
+	return c.call(ctx, request{op: opRange, name: name, nargs: 2,
+		args: [2]uint32{uint32(off), uint32(len(dst))}, dst: dst})
 }
 
 // Chunk asks the server to compute its repair contribution for the failed
 // block index; only blockSize/alpha bytes come back. The returned slice is
 // pool-backed: pass it to Recycle once consumed.
 func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]byte, error) {
-	c.resp = nil
-	err := c.do(ctx, opChunk, func(conn net.Conn) error {
-		if err := c.beginRequest(opChunk, name); err != nil {
-			return err
-		}
-		c.addU32(uint32(helper))
-		c.addU32(uint32(failed))
-		if err := c.sendRequest(conn); err != nil {
-			return err
-		}
-		payload, err := c.readResponse(conn)
-		if err != nil {
-			return err
-		}
-		c.resp = payload
-		return nil
-	})
-	out := c.resp
-	c.resp = nil
-	cliBytesRx.Add(int64(len(out)))
-	return out, err
+	return c.do(ctx, request{op: opChunk, name: name, nargs: 2,
+		args: [2]uint32{uint32(helper), uint32(failed)}})
 }
 
 // Delete removes a block.
 func (c *Client) Delete(ctx context.Context, name string) error {
-	return c.do(ctx, opDelete, func(conn net.Conn) error {
-		if err := c.beginRequest(opDelete, name); err != nil {
-			return err
-		}
-		if err := c.sendRequest(conn); err != nil {
-			return err
-		}
-		payload, err := c.readResponse(conn)
-		if err != nil {
-			return err
-		}
-		bufpool.Put(payload)
-		return nil
-	})
+	return c.call(ctx, request{op: opDelete, name: name})
 }
 
 // Stat returns the size of a block.
 func (c *Client) Stat(ctx context.Context, name string) (int, error) {
-	var size int
-	err := c.do(ctx, opStat, func(conn net.Conn) error {
-		if err := c.beginRequest(opStat, name); err != nil {
-			return err
-		}
-		if err := c.sendRequest(conn); err != nil {
-			return err
-		}
-		payload, err := c.readResponse(conn)
-		if err != nil {
-			return err
-		}
-		if len(payload) != 4 {
-			bufpool.Put(payload)
-			return fmt.Errorf("blockserver: malformed stat response of %d bytes", len(payload))
-		}
-		size = int(binary.BigEndian.Uint32(payload))
-		bufpool.Put(payload)
-		return nil
-	})
-	return size, err
+	payload, err := c.do(ctx, request{op: opStat, name: name})
+	if err != nil {
+		return 0, err
+	}
+	defer bufpool.Put(payload)
+	if len(payload) != 4 {
+		return 0, fmt.Errorf("blockserver: malformed stat response of %d bytes", len(payload))
+	}
+	return int(binary.BigEndian.Uint32(payload)), nil
 }
 
 // Verify asks the server to re-checksum a block in place; it returns nil
 // for an intact block, ErrCorrupt for detected bit rot, ErrNotFound for a
 // missing block. No block content crosses the network.
 func (c *Client) Verify(ctx context.Context, name string) error {
-	return c.do(ctx, opVerify, func(conn net.Conn) error {
-		if err := c.beginRequest(opVerify, name); err != nil {
-			return err
-		}
-		if err := c.sendRequest(conn); err != nil {
-			return err
-		}
-		payload, err := c.readResponse(conn)
-		if err != nil {
-			return err
-		}
-		bufpool.Put(payload)
-		return nil
-	})
+	return c.call(ctx, request{op: opVerify, name: name})
 }

@@ -176,7 +176,7 @@ func TestFaultMatrixRepair(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Delete(ctx, blockName("f", 0, failed)); err != nil {
+			if err := c.Delete(ctx, BlockName("f", 0, failed)); err != nil {
 				t.Fatal(err)
 			}
 			c.Close()
@@ -236,7 +236,7 @@ func TestCorruptBlockDetectedExcludedRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bad = 4
-	if err := servers[bad].CorruptBlock(blockName("f", 0, bad), 3); err != nil {
+	if err := servers[bad].CorruptBlock(BlockName("f", 0, bad), 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,10 +261,10 @@ func TestCorruptBlockDetectedExcludedRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, blockName("f", 0, bad)); !errors.Is(err, ErrCorrupt) {
+	if _, err := c.Get(ctx, BlockName("f", 0, bad)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get of corrupt block: %v, want ErrCorrupt", err)
 	}
-	if err := c.Verify(ctx, blockName("f", 0, bad)); !errors.Is(err, ErrCorrupt) {
+	if err := c.Verify(ctx, BlockName("f", 0, bad)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Verify of corrupt block: %v, want ErrCorrupt", err)
 	}
 	c.Close()
@@ -286,7 +286,7 @@ func TestCorruptBlockDetectedExcludedRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Verify(ctx, blockName("f", 0, bad)); err != nil {
+	if err := c2.Verify(ctx, BlockName("f", 0, bad)); err != nil {
 		t.Fatalf("Verify after scrub repair: %v", err)
 	}
 	c2.Close()

@@ -80,15 +80,34 @@ func TestDegradedReadObservability(t *testing.T) {
 	if stats.TraceID == 0 {
 		t.Fatal("ReadStats carries no trace ID")
 	}
-	spans := obs.DefaultTracer().Spans(stats.TraceID)
+	// The in-process servers record into the same tracer, and a span is
+	// recorded when it ends: a cancelled loser's server.get may still be
+	// finishing its reply after ReadFile has returned, its verify child
+	// already recorded. Poll until no span is waiting for its parent.
+	var spans []obs.SpanRecord
+	var byID map[uint64]obs.SpanRecord
+	names := make(map[string]int)
+	var rootID uint64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		spans = obs.DefaultTracer().Spans(stats.TraceID)
+		byID = make(map[uint64]obs.SpanRecord, len(spans))
+		for _, s := range spans {
+			byID[s.ID] = s
+		}
+		orphans := 0
+		for _, s := range spans {
+			if _, ok := byID[s.Parent]; !ok && s.Parent != 0 {
+				orphans++
+			}
+		}
+		if orphans == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded for the read's trace")
 	}
-	byID := make(map[uint64]obs.SpanRecord, len(spans))
-	names := make(map[string]int)
-	var rootID uint64
 	for _, s := range spans {
-		byID[s.ID] = s
 		names[s.Name]++
 		if s.Name == "store.read" {
 			rootID = s.ID

@@ -31,9 +31,7 @@ var (
 // PoolOptions tunes a connection pool.
 type PoolOptions struct {
 	// PerPeer bounds how many clients a peer keeps, busy plus idle. Zero
-	// means DefaultPerPeer; negative disables pooling entirely — every
-	// checkout builds a fresh client and Put closes it, the dial-per-op
-	// baseline the A/B benchmark measures against.
+	// or negative means DefaultPerPeer.
 	PerPeer int
 	// Client configures every pooled client.
 	Client Options
@@ -59,8 +57,7 @@ type peer struct {
 // back with no connection and simply redials on its next call, mirroring
 // the single-client behavior.
 type Pool struct {
-	opts   PoolOptions
-	pooled bool
+	opts PoolOptions
 
 	mu     sync.Mutex
 	closed bool
@@ -71,10 +68,10 @@ type Pool struct {
 // lazily on first Get, so repair paths can reach spares without
 // re-planning the pool.
 func NewPool(addrs []string, opts PoolOptions) *Pool {
-	if opts.PerPeer == 0 {
+	if opts.PerPeer <= 0 {
 		opts.PerPeer = DefaultPerPeer
 	}
-	p := &Pool{opts: opts, pooled: opts.PerPeer > 0, peers: make(map[string]*peer, len(addrs))}
+	p := &Pool{opts: opts, peers: make(map[string]*peer, len(addrs))}
 	for _, a := range addrs {
 		if _, ok := p.peers[a]; !ok {
 			p.peers[a] = p.newPeer(a)
@@ -84,12 +81,9 @@ func NewPool(addrs []string, opts PoolOptions) *Pool {
 }
 
 func (p *Pool) newPeer(addr string) *peer {
-	pe := &peer{addr: addr}
-	if p.pooled {
-		pe.free = make(chan *Client, p.opts.PerPeer)
-		for i := 0; i < p.opts.PerPeer; i++ {
-			pe.free <- nil
-		}
+	pe := &peer{addr: addr, free: make(chan *Client, p.opts.PerPeer)}
+	for i := 0; i < p.opts.PerPeer; i++ {
+		pe.free <- nil
 	}
 	return pe
 }
@@ -127,10 +121,6 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 		return nil, err
 	}
 	poolCheckouts.Inc()
-	if pe.free == nil { // pooling disabled: fresh client per checkout
-		poolBusy.Add(1)
-		return p.newClient(pe), nil
-	}
 	var c *Client
 	var ok bool
 	select {
@@ -155,8 +145,8 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 	return c, nil
 }
 
-// Put returns a checked-out client. With the pool closed (or pooling
-// disabled) the client is closed instead of parked. Parked clients hold no
+// Put returns a checked-out client. With the pool closed the client is
+// closed instead of parked. Parked clients hold no
 // goroutines — the watcher is stopped and only restarts on the next call —
 // so an idle pool is invisible to goroutine-leak checks.
 func (p *Pool) Put(c *Client) {
@@ -167,7 +157,7 @@ func (p *Pool) Put(c *Client) {
 	c.stopWatcher()
 	p.mu.Lock()
 	pe := p.peers[c.addr]
-	if p.closed || pe == nil || pe.free == nil {
+	if p.closed || pe == nil {
 		p.mu.Unlock()
 		c.Close()
 		return
@@ -216,9 +206,6 @@ func (p *Pool) Close() {
 	}
 	p.closed = true
 	for _, pe := range p.peers {
-		if pe.free == nil {
-			continue
-		}
 		close(pe.free)
 		for c := range pe.free {
 			if c != nil {

@@ -218,22 +218,44 @@ func TestPoolStaleIdleDetected(t *testing.T) {
 	}
 }
 
-// TestPoolDisabledDialsPerCheckout: a negative PerPeer is the dial-per-op
-// baseline — every checkout builds a fresh client, nothing is parked.
-func TestPoolDisabledDialsPerCheckout(t *testing.T) {
+// TestPoolPerPeerDefault: PerPeer has one meaning — zero or negative asks
+// for the default budget, never for an unpooled mode — so sequential
+// checkouts reuse parked connections and concurrent ones stop at
+// DefaultPerPeer.
+func TestPoolPerPeerDefault(t *testing.T) {
 	_, addrs := startServers(t, nil, 1)
-	pool := NewPool(addrs, PoolOptions{PerPeer: -1, Client: fastOpts()})
-	t.Cleanup(pool.Close)
 	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if err := pool.WithClient(ctx, addrs[0], func(c *Client) error {
-			return c.Put(ctx, "b", []byte("x"))
-		}); err != nil {
-			t.Fatal(err)
+	for _, per := range []int{0, -1} {
+		pool := NewPool(addrs, PoolOptions{PerPeer: per, Client: fastOpts()})
+		for i := 0; i < 3*DefaultPerPeer; i++ {
+			if err := pool.WithClient(ctx, addrs[0], func(c *Client) error {
+				return c.Put(ctx, "b", []byte("x"))
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if d := pool.DialCounts()[addrs[0]]; d != 3 {
-		t.Errorf("unpooled dials = %d, want 3 (one per checkout)", d)
+		if d := pool.DialCounts()[addrs[0]]; d > DefaultPerPeer {
+			t.Errorf("PerPeer %d: %d sequential checkouts dialed %d times, want <= %d (parked clients reused)",
+				per, 3*DefaultPerPeer, d, DefaultPerPeer)
+		}
+		held := make([]*Client, DefaultPerPeer)
+		for i := range held {
+			c, err := pool.Get(ctx, addrs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = c
+		}
+		short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+		if c, err := pool.Get(short, addrs[0]); err == nil {
+			t.Errorf("PerPeer %d: checkout %d succeeded, want the budget to stop at DefaultPerPeer", per, DefaultPerPeer+1)
+			pool.Put(c)
+		}
+		cancel()
+		for _, c := range held {
+			pool.Put(c)
+		}
+		pool.Close()
 	}
 }
 

@@ -129,11 +129,11 @@ func flushVectored(w io.Writer, bufs *net.Buffers) error {
 	return err
 }
 
-// Recycle returns a payload obtained from Get, GetRange, or Chunk to the
-// shared buffer pool once the caller has copied or consumed the bytes.
-// Recycling is optional (a forgotten buffer is simply garbage collected)
-// but keeps the steady-state read path allocation-free. The caller must
-// not touch the slice afterwards.
+// Recycle returns a payload obtained from Get or Chunk to the shared
+// buffer pool once the caller has copied or consumed the bytes. Recycling
+// is optional (a forgotten buffer is simply garbage collected) but keeps
+// the steady-state read path allocation-free. The caller must not touch
+// the slice afterwards.
 func Recycle(b []byte) {
 	bufpool.Put(b)
 }

@@ -2,7 +2,6 @@ package blockserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -34,7 +33,6 @@ const DefaultRecoveryConcurrency = 4
 type recoveryConfig struct {
 	concurrency int
 	bandwidth   int64 // bytes/sec; 0 = unthrottled
-	static      bool  // first-d helpers every stripe (the A/B baseline)
 }
 
 // RecoveryOption configures a RecoverServer pass.
@@ -61,14 +59,6 @@ func WithRecoveryBandwidth(bytesPerSec int64) RecoveryOption {
 			c.bandwidth = bytesPerSec
 		}
 	}
-}
-
-// WithRecoveryStaticHelpers disables stripe-rotated helper selection:
-// every stripe contacts survivors in ascending order, so the first d
-// survivors serve every repair — the pre-engine behavior the recovery
-// A/B benchmarks against.
-func WithRecoveryStaticHelpers() RecoveryOption {
-	return func(c *recoveryConfig) { c.static = true }
 }
 
 // FileSpec names one striped file RecoverServer walks: the byte size
@@ -131,13 +121,12 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 
 	// Enumerate: every stripe of every file lost exactly one block to the
 	// failed server.
-	stripeData := s.code.K() * s.blockSize
 	var jobs []repairJob
 	for _, f := range files {
-		if f.Size <= 0 {
-			return nil, fmt.Errorf("blockserver: recover %s: non-positive size %d", f.Name, f.Size)
+		stripes, err := s.stripesOf(f.Name, f.Size)
+		if err != nil {
+			return nil, err
 		}
-		stripes := (f.Size + stripeData - 1) / stripeData
 		for st := 0; st < stripes; st++ {
 			jobs = append(jobs, repairJob{file: f.Name, ref: BlockRef{Stripe: st, Block: failed}})
 		}
@@ -152,14 +141,7 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 	// so plan compilation happens once up front instead of stalling the
 	// pipeline on its first lap around the survivor ring.
 	_, wsp := obs.StartSpan(ctx, "warm")
-	rots := len(jobs)
-	if rots > n-1 {
-		rots = n - 1
-	}
-	if cfg.static {
-		rots = 1
-	}
-	for r := 0; r < rots; r++ {
+	for r := 0; r < min(len(jobs), n-1); r++ {
 		if err := s.code.WarmRepair(failed, rotatedSurvivors(n, failed, r)[:d]); err != nil {
 			wsp.End()
 			return report, fmt.Errorf("blockserver: recover plan warm: %w", err)
@@ -179,27 +161,17 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 		report.HelperChunks[s.addrs[idx]]++
 		mu.Unlock()
 	}
-	outcomes := s.repairMany(ctx, jobs, cfg.concurrency, func(j repairJob) repairOpts {
-		rot := j.ref.Stripe
-		if cfg.static {
-			rot = 0
-		}
-		return repairOpts{rot: rot, throttle: tb, onHelper: onHelper}
-	})
-	for _, o := range outcomes {
-		report.TrafficBytes += int64(o.traffic)
-		if o.err == nil {
-			report.BlocksRepaired++
-			report.BytesRecovered += int64(s.blockSize)
-		}
-	}
+	traffic, repaired, err := s.repairMany(ctx, jobs, cfg.concurrency, repairOpts{throttle: tb, onHelper: onHelper})
+	report.TrafficBytes = traffic
+	report.BlocksRepaired = len(repaired)
+	report.BytesRecovered = int64(len(repaired)) * int64(s.blockSize)
 	mRecoverBlocks.Add(int64(report.BlocksRepaired))
 	mRecoverBytes.Add(report.BytesRecovered)
 	mRecoverTraffic.Add(report.TrafficBytes)
 	sp.SetAttr("blocks_repaired", report.BlocksRepaired).SetAttr("traffic_bytes", report.TrafficBytes)
-	if j, err := firstRepairError(jobs, outcomes); err != nil {
+	if err != nil {
 		sp.SetAttr("error", err.Error())
-		return report, fmt.Errorf("blockserver: recover %s stripe %d: %w", j.file, j.ref.Stripe, err)
+		return report, fmt.Errorf("blockserver: recover %w", err)
 	}
 	return report, nil
 }
@@ -210,79 +182,30 @@ type repairJob struct {
 	ref  BlockRef
 }
 
-// repairOutcome is one job's result slot.
-type repairOutcome struct {
-	traffic int
-	err     error
-}
-
-// repairMany runs block repairs through a depth-bounded pipeline: up to
-// conc repairs are in flight, so one stripe's chunk fetches overlap its
-// neighbors' decode and writeback. The first failure cancels the launch
-// of later jobs (in-flight repairs drain); outcomes align with jobs, and
-// jobs never launched report the cancellation.
-func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, opt func(repairJob) repairOpts) []repairOutcome {
-	if conc < 1 {
-		conc = 1
-	}
-	out := make([]repairOutcome, len(jobs))
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	sem := make(chan struct{}, conc)
-	var wg sync.WaitGroup
-	launched := 0
-	for i := 0; i < len(jobs) && rctx.Err() == nil; i++ {
-		select {
-		case sem <- struct{}{}:
-		case <-rctx.Done():
-		}
-		if rctx.Err() != nil {
-			break
-		}
-		launched++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mRecoverInflight.Add(1)
-			defer mRecoverInflight.Add(-1)
-			j := jobs[i]
-			traffic, err := s.repair(rctx, j.file, j.ref.Stripe, j.ref.Block, opt(j))
-			out[i] = repairOutcome{traffic: traffic, err: err}
-			if err != nil {
-				rcancel() // later repairs are pointless once one failed
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := launched; i < len(jobs); i++ {
-		err := classify(ctx.Err())
-		if err == nil {
-			err = context.Canceled
-		}
-		out[i] = repairOutcome{err: err}
-	}
-	return out
-}
-
-// firstRepairError picks the root-cause failure of a repairMany pass: the
-// first outcome, in job order, that is not a knock-on cancellation —
-// falling back to the first error of any kind.
-func firstRepairError(jobs []repairJob, outcomes []repairOutcome) (repairJob, error) {
-	var firstJob repairJob
-	var firstErr error
-	for i, o := range outcomes {
-		if o.err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstJob, firstErr = jobs[i], o.err
-		}
-		if !errors.Is(o.err, context.Canceled) {
-			return jobs[i], o.err
+// repairMany runs block repairs through the bounded pipeline: up to conc
+// repairs are in flight, so one stripe's chunk fetches overlap its
+// neighbors' decode and writeback, and the first failure cancels the
+// launch of later jobs (in-flight repairs drain). It reports the helper
+// bytes moved, the jobs that completed (in job order), and the root-cause
+// failure naming its job.
+func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro repairOpts) (traffic int64, repaired []repairJob, err error) {
+	moved := make([]int, len(jobs))
+	errs, launched := pipeline(ctx, len(jobs), conc, mRecoverInflight, func(ctx context.Context, i int) (err error) {
+		j := jobs[i]
+		moved[i], err = s.repair(ctx, j.file, j.ref.Stripe, j.ref.Block, ro)
+		return err
+	})
+	for i, j := range jobs[:launched] {
+		traffic += int64(moved[i])
+		if errs[i] == nil {
+			repaired = append(repaired, j)
 		}
 	}
-	return firstJob, firstErr
+	if i, err := pipelineErr(ctx, errs, launched); err != nil {
+		j := jobs[i]
+		return traffic, repaired, fmt.Errorf("%s stripe %d block %d: %w", j.file, j.ref.Stripe, j.ref.Block, err)
+	}
+	return traffic, repaired, nil
 }
 
 // tokenBucket paces recovery traffic to a bytes/sec budget. Charges are

@@ -13,7 +13,7 @@ import (
 )
 
 func TestRotatedSurvivors(t *testing.T) {
-	// rot 0 is ascending order — the pre-rotation static choice.
+	// rot 0 is ascending order.
 	got := rotatedSurvivors(6, 2, 0)
 	want := []int{0, 1, 3, 4, 5}
 	if len(got) != len(want) {
@@ -69,7 +69,7 @@ func deleteServerBlocks(t *testing.T, addr, name string, stripes, failed int) {
 	defer c.Close()
 	ctx := context.Background()
 	for st := 0; st < stripes; st++ {
-		if err := c.Delete(ctx, blockName(name, st, failed)); err != nil {
+		if err := c.Delete(ctx, BlockName(name, st, failed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,13 +152,15 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestRecoverServerStaticHelpers pins the A/B baseline: with rotation
-// disabled every stripe contacts the same first-d survivors, so exactly d
-// helpers appear in the per-helper counts.
-func TestRecoverServerStaticHelpers(t *testing.T) {
+// TestRecoverServerSequentialRotatesHelpers pins what the recovery A/B's
+// baseline now is: concurrency 1 changes only how many repairs are in
+// flight. Helper selection still rotates with the stripe index, so even
+// the sequential pass spreads its chunks over all n-1 survivors instead of
+// the first d.
+func TestRecoverServerSequentialRotatesHelpers(t *testing.T) {
 	code := mustCode(t)
 	blockSize := code.BlockAlign() * 4
-	stripes := 8
+	stripes := 8 // rotations 0..7 of an 11-ring, d = 10 each: every survivor
 	size := stripes * code.K() * blockSize
 	data := make([]byte, size)
 	rand.New(rand.NewSource(52)).Read(data)
@@ -176,24 +178,23 @@ func TestRecoverServerStaticHelpers(t *testing.T) {
 	const failed = 0
 	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
 
-	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}},
-		WithRecoveryConcurrency(1), WithRecoveryStaticHelpers())
+	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}}, WithRecoveryConcurrency(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.BlocksRepaired != stripes {
 		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
 	}
-	if len(rep.HelperChunks) != code.D() {
-		t.Fatalf("static helpers used %d peers, want exactly d=%d: %v",
-			len(rep.HelperChunks), code.D(), rep.HelperChunks)
+	if len(rep.HelperChunks) != code.N()-1 {
+		t.Fatalf("sequential recovery used %d peers, want all %d survivors: %v",
+			len(rep.HelperChunks), code.N()-1, rep.HelperChunks)
 	}
 	got, _, err := store.ReadFile(ctx, "f", size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("data mismatch after static recovery")
+		t.Fatal("data mismatch after sequential recovery")
 	}
 }
 
@@ -329,7 +330,7 @@ func TestScrubParallelRepairs(t *testing.T) {
 	}
 	corrupt := []BlockRef{{Stripe: 0, Block: 2}, {Stripe: 2, Block: 7}, {Stripe: 5, Block: 11}}
 	for _, ref := range corrupt {
-		if err := servers[ref.Block].CorruptBlock(blockName("f", ref.Stripe, ref.Block), 5); err != nil {
+		if err := servers[ref.Block].CorruptBlock(BlockName("f", ref.Stripe, ref.Block), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +340,7 @@ func TestScrubParallelRepairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Delete(ctx, blockName("f", missing.Stripe, missing.Block)); err != nil {
+		if err := c.Delete(ctx, BlockName("f", missing.Stripe, missing.Block)); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()

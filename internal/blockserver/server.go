@@ -222,9 +222,12 @@ type Server struct {
 	code *carousel.Code // may be nil: chunk requests are then rejected
 
 	// tracer records the server-side spans of traced requests; nil means
-	// the process-wide default. Set it (before Start) when several servers
-	// share a process but must expose distinct /debug/traces endpoints.
-	tracer *obs.Tracer
+	// the process-wide default. Set it when several servers share a process
+	// but must expose distinct /debug/traces endpoints. It is an atomic
+	// pointer because request handlers load it while SetTracer may still be
+	// storing it: nothing orders a running server's handlers against a
+	// caller that sets the tracer after Start.
+	tracer atomic.Pointer[obs.Tracer]
 
 	// corruptServes counts requests answered with a corrupt verdict —
 	// per-server bit-rot pressure, piggybacked on control-plane heartbeats.
@@ -250,14 +253,16 @@ func NewServer(code *carousel.Code) *Server {
 }
 
 // SetTracer routes this server's spans to a dedicated tracer instead of
-// the process default. Call before Start; per-node tracers are how an
-// in-process multi-"node" test gives each node its own /debug/traces.
-func (s *Server) SetTracer(t *obs.Tracer) { s.tracer = t }
+// the process default; per-node tracers are how an in-process multi-"node"
+// test gives each node its own /debug/traces. It is safe to call on a
+// running server — requests already being handled may still record to the
+// previous tracer.
+func (s *Server) SetTracer(t *obs.Tracer) { s.tracer.Store(t) }
 
 // tr returns the server's tracer, defaulting to the process-wide one.
 func (s *Server) tr() *obs.Tracer {
-	if s.tracer != nil {
-		return s.tracer
+	if t := s.tracer.Load(); t != nil {
+		return t
 	}
 	return obs.DefaultTracer()
 }

@@ -10,7 +10,6 @@ import (
 	"carousel/internal/bufpool"
 	"carousel/internal/carousel"
 	"carousel/internal/obs"
-	"carousel/internal/reedsolomon"
 	"carousel/internal/stripecache"
 )
 
@@ -85,8 +84,8 @@ type Store struct {
 	client    Options
 	hedge     time.Duration
 	depth     int   // stripes kept in flight by ReadFile/WriteFile
-	poolSize  int   // per-peer connection budget; <=0 disables pooling
 	pool      *Pool // shared by reads, writes, scrub, and repair
+	all       []int // block indexes 0..n-1, the read paths' candidate list
 
 	// cache, when non-nil, serves hot stripes from memory with singleflight
 	// miss coalescing. Nil (the default) keeps the read path byte-identical
@@ -128,13 +127,6 @@ func WithPipelineDepth(d int) StoreOption {
 	}
 }
 
-// WithPoolSize sets the per-peer connection budget. Zero or negative
-// disables pooling entirely — every RPC dials a fresh connection, the
-// pre-pipeline behavior the A/B benchmark uses as its baseline.
-func WithPoolSize(n int) StoreOption {
-	return func(s *Store) { s.poolSize = n }
-}
-
 // WithStripeCache enables the hot-read stripe cache with the given byte
 // budget: decoded stripes are kept in memory (S3-FIFO admission, per-file
 // version invalidation) and N concurrent misses on one stripe coalesce
@@ -149,13 +141,6 @@ func WithStripeCache(bytes int64) StoreOption {
 			s.cache = nil
 		}
 	}
-}
-
-// WithCacheDisabled turns the stripe cache off explicitly — the default,
-// named so call sites constructing A/B variants can say which side they
-// are.
-func WithCacheDisabled() StoreOption {
-	return func(s *Store) { s.cache = nil }
 }
 
 // Cache exposes the store's stripe cache (nil when disabled) for stats
@@ -176,19 +161,16 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 		blockSize: blockSize,
 		hedge:     500 * time.Millisecond,
 		depth:     DefaultPipelineDepth,
-		poolSize:  DefaultPerPeer,
+		all:       make([]int, len(addrs)),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.client = s.client.withDefaults()
-	per := s.poolSize
-	if per <= 0 {
-		per = -1 // pooling disabled: fresh client per checkout
-	}
-	s.pool = NewPool(addrs, PoolOptions{PerPeer: per, Client: s.client})
+	s.pool = NewPool(addrs, PoolOptions{Client: s.client})
 	s.helperChunks = make([]*obs.Counter, len(addrs))
 	for i, a := range addrs {
+		s.all[i] = i
 		s.helperChunks[i] = obs.Default().Counter("store_repair_helper_chunks_total", "peer", a)
 	}
 	mPipelineDepth.Set(int64(s.depth))
@@ -207,16 +189,146 @@ func (s *Store) Pool() *Pool {
 	return s.pool
 }
 
-// blockName keys a block on its server.
-func blockName(file string, stripe, idx int) string {
+// BlockName returns the key under which the Store places block idx of the
+// given stripe on server idx — exported for tools and tests that address
+// blocks directly through a Client.
+func BlockName(file string, stripe, idx int) string {
 	return fmt.Sprintf("%s/%d/%d", file, stripe, idx)
 }
 
-// BlockName returns the key under which the Store places block idx of the
-// given stripe on server idx — for tools and tests that address blocks
-// directly through a Client.
-func BlockName(file string, stripe, idx int) string {
-	return blockName(file, stripe, idx)
+// stripesOf returns how many stripes hold size bytes of the named file.
+// Sizes reach the store from outside the process (the master's journal,
+// carouselctl's arguments), so a non-positive one is refused here instead
+// of becoming a negative slice length downstream.
+func (s *Store) stripesOf(name string, size int) (int, error) {
+	if size <= 0 {
+		return 0, fmt.Errorf("blockserver: %s: non-positive size %d", name, size)
+	}
+	stripeData := s.code.K() * s.blockSize
+	return (size + stripeData - 1) / stripeData, nil
+}
+
+// gather is the one scatter/gather every stripe operation is built from:
+// ask some block holders for a piece and keep the first need that answer.
+// It starts a fetch for each of the first initial candidates and promotes
+// the next unstarted candidate whenever one fails, so a healthy pass costs
+// exactly initial requests. It stops the moment need fetches have
+// succeeded or no longer can (fewer than need candidates have not failed),
+// cancels the context every fetch runs under, and waits for all of them to
+// return. Every started fetch's result reaches each exactly once, on the
+// caller's goroutine: results that arrive before the stop as they land
+// (won reports a success counted toward need), the cancelled rest after
+// the wait (won false) — so no stream's bytes, corruption verdict or pooled
+// buffer is dropped, and when gather returns nothing is still writing into
+// memory a fetch was given. fetch must return once its context is done.
+func gather(ctx context.Context, candidates []int, initial, need int,
+	fetch func(ctx context.Context, idx int) sourceResult,
+	each func(r sourceResult, won bool)) (got, started int, firstErr error) {
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results := make(chan sourceResult, len(candidates))
+	var wg sync.WaitGroup
+	start := func() {
+		idx := candidates[started]
+		started++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results <- fetch(gctx, idx)
+		}()
+	}
+	for started < initial && started < len(candidates) {
+		start()
+	}
+	received, failures := 0, 0
+	for got < need && len(candidates)-failures >= need {
+		r := <-results
+		received++
+		if r.err == nil {
+			got++
+			each(r, true)
+			continue
+		}
+		failures++
+		if firstErr == nil {
+			firstErr = r.err
+		}
+		each(r, false)
+		if started < len(candidates) && len(candidates)-failures >= need {
+			start()
+		}
+	}
+	cancel()
+	wg.Wait()
+	for ; received < started; received++ {
+		each(<-results, false)
+	}
+	return got, started, firstErr
+}
+
+// pipeline is the one bounded stage: it runs fn(ctx, i) for i in [0, n)
+// with at most depth calls in flight (inflight tracks how many), and stops
+// launching at the first failure or when ctx ends; calls already in flight
+// see their context cancelled and are waited for. errs[i] is call i's
+// result for i < launched; later slots never ran.
+func pipeline(ctx context.Context, n, depth int, inflight *obs.Gauge,
+	fn func(ctx context.Context, i int) error) (errs []error, launched int) {
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs = make([]error, n)
+	sem := make(chan struct{}, max(depth, 1))
+	var wg sync.WaitGroup
+	for launched < n {
+		select {
+		case sem <- struct{}{}:
+		case <-pctx.Done():
+		}
+		if pctx.Err() != nil {
+			break
+		}
+		i := launched
+		launched++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			inflight.Add(1)
+			defer inflight.Add(-1)
+			if errs[i] = fn(pctx, i); errs[i] != nil {
+				cancel() // later items are pointless once one failed
+			}
+		}()
+	}
+	wg.Wait()
+	return errs, launched
+}
+
+// pipelineErr picks the failure a pipeline pass reports, and the item it
+// belongs to. A failing item cancels its neighbours, so the lowest-index
+// error is often a knock-on context.Canceled; the root cause is the first
+// error that is not one. Failing that it is the first error of any kind
+// (the caller itself cancelled), and with no error but items unlaunched,
+// the reason the caller's context ended.
+func pipelineErr(ctx context.Context, errs []error, launched int) (int, error) {
+	first := -1
+	for i, err := range errs[:launched] {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			return i, err
+		}
+		if first < 0 {
+			first = i
+		}
+	}
+	if first >= 0 {
+		return first, errs[first]
+	}
+	if launched < len(errs) {
+		return launched, classify(ctx.Err())
+	}
+	return 0, nil
 }
 
 // WriteFile encodes data into stripes and uploads block i of every stripe
@@ -224,8 +336,9 @@ func BlockName(file string, stripe, idx int) string {
 // and upload concurrently, so stripe st+1's GF(2^8) work overlaps stripe
 // st's network round trips. It returns the stripe count.
 func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int, rerr error) {
-	if len(data) == 0 {
-		return 0, errors.New("blockserver: empty file")
+	stripes, err := s.stripesOf(name, len(data))
+	if err != nil {
+		return 0, err
 	}
 	t0 := time.Now()
 	if s.cache != nil {
@@ -238,7 +351,6 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 		defer s.cache.Invalidate(name)
 	}
 	stripeData := s.code.K() * s.blockSize
-	stripes := (len(data) + stripeData - 1) / stripeData
 	ctx, sp := obs.StartSpan(ctx, "store.write")
 	sp.SetAttr("file", name).SetAttr("bytes", len(data)).SetAttr("stripes", stripes)
 	defer func() {
@@ -250,44 +362,11 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 		mWriteWindow.ObserveSince(t0)
 		sloWrite.ObserveSince(t0, rerr)
 	}()
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	sem := make(chan struct{}, s.depth)
-	errs := make([]error, stripes)
-	var wg sync.WaitGroup
-	launched := 0
-	for st := 0; st < stripes && wctx.Err() == nil; st++ {
-		select {
-		case sem <- struct{}{}:
-		case <-wctx.Done():
-		}
-		if wctx.Err() != nil {
-			break
-		}
-		launched++
-		wg.Add(1)
-		go func(st int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mPipelineInflight.Add(1)
-			defer mPipelineInflight.Add(-1)
-			if err := s.writeStripe(wctx, name, st, data, stripeData); err != nil {
-				errs[st] = err
-				wcancel() // no point launching stripes past a failure
-			}
-		}(st)
-	}
-	wg.Wait()
-	for st := range errs {
-		if errs[st] != nil {
-			return 0, fmt.Errorf("blockserver: stripe %d: %w", st, errs[st])
-		}
-	}
-	if launched < stripes {
-		if err := classify(ctx.Err()); err != nil {
-			return 0, err
-		}
-		return 0, context.Canceled
+	errs, launched := pipeline(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+		return s.writeStripe(ctx, name, st, data, stripeData)
+	})
+	if st, err := pipelineErr(ctx, errs, launched); err != nil {
+		return 0, fmt.Errorf("blockserver: stripe %d: %w", st, err)
 	}
 	return stripes, nil
 }
@@ -331,7 +410,7 @@ func (s *Store) writeStripe(ctx context.Context, name string, st int, data []byt
 		wg.Add(1)
 		go func(i int, b []byte) {
 			defer wg.Done()
-			errs[i] = s.put(ctx, s.addrs[i], blockName(name, st, i), b)
+			errs[i] = s.put(ctx, s.addrs[i], BlockName(name, st, i), b)
 		}(i, b)
 	}
 	wg.Wait()
@@ -384,36 +463,13 @@ type ReadStats struct {
 	mu *sync.Mutex
 }
 
-// parallelStripe records a stripe served by the pure parallel path.
-func (rs *ReadStats) parallelStripe() {
+// count bumps one of the per-call tallies above together with its
+// process-wide counter, so the struct and the scrape cannot drift apart.
+func (rs *ReadStats) count(field *int, c *obs.Counter) {
 	rs.mu.Lock()
-	rs.StripesParallel++
+	*field++
 	rs.mu.Unlock()
-	mStripesParallel.Inc()
-}
-
-// fallbackStripe records a stripe that fell back to the any-k decode.
-func (rs *ReadStats) fallbackStripe() {
-	rs.mu.Lock()
-	rs.StripesFallback++
-	rs.mu.Unlock()
-	mStripesFallback.Inc()
-}
-
-// cacheHitStripe records a stripe served from the stripe cache.
-func (rs *ReadStats) cacheHitStripe() {
-	rs.mu.Lock()
-	rs.CacheHits++
-	rs.mu.Unlock()
-	mCacheHitStripes.Inc()
-}
-
-// coalescedStripe records a stripe whose miss joined an in-flight fetch.
-func (rs *ReadStats) coalescedStripe() {
-	rs.mu.Lock()
-	rs.CoalescedStripes++
-	rs.mu.Unlock()
-	mCoalescedStripes.Inc()
+	c.Inc()
 }
 
 // source folds one source stream's outcome into the stats — the single
@@ -422,10 +478,7 @@ func (rs *ReadStats) coalescedStripe() {
 func (rs *ReadStats) source(r sourceResult) {
 	if r.err != nil {
 		if errors.Is(r.err, ErrCorrupt) {
-			rs.mu.Lock()
-			rs.CorruptSources++
-			rs.mu.Unlock()
-			mCorruptSources.Inc()
+			rs.count(&rs.CorruptSources, mCorruptSources)
 		}
 		return
 	}
@@ -455,14 +508,21 @@ func (rs *ReadStats) Path() string {
 // stripe the hedged p-source parallel path runs first; on failure or
 // straggling the stripe is decoded from the fastest k responders. The
 // returned stats report which path served each stripe and how many fresh
-// connections the read cost.
+// connections the read cost; they are nil only when size is refused (a
+// non-positive size names no file WriteFile could have created).
 func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, _ *ReadStats, rerr error) {
+	stripes, err := s.stripesOf(name, size)
+	if err != nil {
+		return nil, nil, err
+	}
 	t0 := time.Now()
 	stripeData := s.code.K() * s.blockSize
-	stripes := (size + stripeData - 1) / stripeData
 	ctx, sp := obs.StartSpan(ctx, "store.read")
 	sp.SetAttr("file", name).SetAttr("size", size).SetAttr("stripes", stripes)
 	defer func() {
+		if rerr != nil {
+			sp.SetAttr("error", rerr.Error())
+		}
 		sp.End()
 		mReadNS.Observe(time.Since(t0).Nanoseconds())
 		mReadWindow.ObserveSince(t0)
@@ -471,49 +531,12 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
 	dialsBefore := s.pool.DialCounts()
 	out := make([]byte, stripes*stripeData)
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	sem := make(chan struct{}, s.depth)
-	errs := make([]error, stripes)
-	var wg sync.WaitGroup
-	launched := 0
-	for st := 0; st < stripes && rctx.Err() == nil; st++ {
-		select {
-		case sem <- struct{}{}:
-		case <-rctx.Done():
-		}
-		if rctx.Err() != nil {
-			break
-		}
-		launched++
-		wg.Add(1)
-		go func(st int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mPipelineInflight.Add(1)
-			defer mPipelineInflight.Add(-1)
-			dst := out[st*stripeData : (st+1)*stripeData]
-			if err := s.readStripeCached(rctx, name, st, dst, stats); err != nil {
-				errs[st] = err
-				rcancel() // later stripes are pointless once one failed
-			}
-		}(st)
-	}
-	wg.Wait()
+	errs, launched := pipeline(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+		return s.readStripeCached(ctx, name, st, out[st*stripeData:(st+1)*stripeData], stats)
+	})
 	stats.Dials = dialDelta(dialsBefore, s.pool.DialCounts())
-	for st := range errs {
-		if errs[st] != nil {
-			sp.SetAttr("error", errs[st].Error())
-			return nil, stats, fmt.Errorf("blockserver: stripe %d: %w", st, errs[st])
-		}
-	}
-	if launched < stripes {
-		err := classify(ctx.Err())
-		if err == nil {
-			err = context.Canceled
-		}
-		sp.SetAttr("error", err.Error())
-		return nil, stats, fmt.Errorf("blockserver: read aborted: %w", err)
+	if st, err := pipelineErr(ctx, errs, launched); err != nil {
+		return nil, stats, fmt.Errorf("blockserver: stripe %d: %w", st, err)
 	}
 	// The verify stage: the per-block CRC verdicts arrived in-band with the
 	// fetches; here the reassembled file is checked for completeness and the
@@ -580,9 +603,9 @@ func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst [
 	case err != nil:
 		return err
 	case hit:
-		stats.cacheHitStripe()
+		stats.count(&stats.CacheHits, mCacheHitStripes)
 	case coalesced:
-		stats.coalescedStripe()
+		stats.count(&stats.CoalescedStripes, mCoalescedStripes)
 	}
 	return nil
 }
@@ -613,137 +636,77 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 	// Phase 1: scatter every data-bearing block's data prefix in parallel,
 	// each directly into its slot of dst (the slots are disjoint, so the
 	// sources need no coordination), bounded by the hedge deadline. The
-	// context bound guarantees every goroutine exits by the deadline — a
-	// checkout blocked on an exhausted pool gives up with it — so the
-	// WaitGroup cannot leak. On failure the fallback below waits for every
-	// scatterer to exit before it overwrites dst.
+	// context bound guarantees every fetch returns by the deadline — a
+	// checkout blocked on an exhausted pool gives up with it. All p of p
+	// are needed, so one bad source is enough to know the pure parallel path
+	// cannot complete: gather stops there instead of waiting for the hedge
+	// deadline, and has waited for every scatterer to exit before the
+	// fallback below overwrites dst.
 	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
 	fsp.SetAttr("mode", "parallel").SetAttr("sources", p)
 	hctx, hcancel := context.WithTimeout(fetchCtx, s.hedge)
-	results := make(chan sourceResult, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := s.pool.Get(hctx, s.addrs[i])
-			if err != nil {
-				results <- sourceResult{idx: i, err: err}
-				return
-			}
-			err = c.GetRangeInto(hctx, blockName(name, st, i), 0, dst[i*per:(i+1)*per])
-			s.pool.Put(c)
-			r := sourceResult{idx: i, err: err}
-			if err == nil {
-				r.bytes = per
-			}
-			results <- r
-		}(i)
-	}
-	ok := 0
-	failed := false
-	for ok < p {
-		r := <-results
-		stats.source(r)
-		if r.err != nil {
-			// One bad source is enough to know the pure parallel path
-			// cannot complete: bail out to the any-k fallback immediately
-			// instead of waiting for the hedge deadline.
-			failed = true
-			break
+	ok, _, _ := gather(hctx, s.all[:p], p, p, func(ctx context.Context, i int) sourceResult {
+		c, err := s.pool.Get(ctx, s.addrs[i])
+		if err != nil {
+			return sourceResult{idx: i, err: err}
 		}
-		// The bytes already landed in dst[r.idx*per:(r.idx+1)*per]: nothing
-		// to copy, nothing to recycle.
-		ok++
-	}
-	hcancel()
-	wg.Wait()
-	// Drain the streams cancelled (or completed) after the decision so
-	// their bytes and corruption verdicts still land in the stats; before
-	// this drain, a corrupt block whose verdict arrived second was
-	// invisible to CorruptSources.
-	for drained := ok + btoi(failed); drained < p; drained++ {
-		r := <-results
+		err = c.GetRangeInto(ctx, BlockName(name, st, i), 0, dst[i*per:(i+1)*per])
+		s.pool.Put(c)
+		return sourceResult{idx: i, bytes: per, err: err}
+	}, func(r sourceResult, _ bool) {
+		// A winner's bytes already sit in dst[r.idx*per:(r.idx+1)*per]:
+		// nothing to copy, nothing to recycle.
 		stats.source(r)
-		Recycle(r.data)
-	}
-	fsp.SetAttr("ok", ok).SetAttr("failed", failed)
+	})
+	hcancel()
+	fsp.SetAttr("ok", ok).SetAttr("failed", ok < p)
 	fsp.End()
-	if !failed {
-		stats.parallelStripe()
+	if ok == p {
+		stats.count(&stats.StripesParallel, mStripesParallel)
 		return nil
 	}
-	stats.fallbackStripe()
+	stats.count(&stats.StripesFallback, mStripesFallback)
 	return s.readStripeAnyKInto(ctx, name, st, dst, stats)
-}
-
-// btoi converts a bool to its 0/1 count.
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // readStripeAnyKInto decodes one stripe from the fastest k responders into
 // dst: whole blocks are requested from all n servers, the first k intact
 // responses win, and every other stream is cancelled (per-source
 // cancellation via the client's deadline watcher — no goroutine leaks).
-// Winning blocks are recycled after the decode, losers as they drain.
+// Winning blocks are recycled after the decode, losers as they drain: a
+// loser's bytes crossed the wire and a loser's corruption verdict is real,
+// so both still land in the stats.
 func (s *Store) readStripeAnyKInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
 	n := s.code.N()
 	k := s.code.K()
 	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
 	fsp.SetAttr("mode", "anyk").SetAttr("sources", n).SetAttr("need", k)
-	fctx, fcancel := context.WithCancel(fetchCtx)
-	defer fcancel()
-	results := make(chan sourceResult, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := s.pool.Get(fctx, s.addrs[i])
-			if err != nil {
-				results <- sourceResult{idx: i, err: err}
-				return
-			}
-			data, err := c.Get(fctx, blockName(name, st, i))
-			s.pool.Put(c)
-			results <- sourceResult{idx: i, data: data, bytes: len(data), err: err}
-		}(i)
-	}
 	blocks := make([][]byte, n)
-	got, failures := 0, 0
-	var firstErr error
-	for got < k && failures <= n-k {
-		r := <-results
-		stats.source(r)
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			failures++
-			continue
+	got, _, firstErr := gather(fetchCtx, s.all, n, k, func(ctx context.Context, i int) sourceResult {
+		c, err := s.pool.Get(ctx, s.addrs[i])
+		if err != nil {
+			return sourceResult{idx: i, err: err}
 		}
-		blocks[r.idx] = r.data
-		got++
-	}
-	// Cancel the losers and wait for every stream to exit before decoding,
-	// then drain their results: a loser's bytes crossed the wire and a
-	// loser's corruption verdict is real, so both belong in the stats.
-	fcancel()
-	wg.Wait()
-	for drained := got + failures; drained < n; drained++ {
-		r := <-results
+		data, err := c.Get(ctx, BlockName(name, st, i))
+		s.pool.Put(c)
+		return sourceResult{idx: i, data: data, bytes: len(data), err: err}
+	}, func(r sourceResult, won bool) {
 		stats.source(r)
-		Recycle(r.data)
-	}
-	fsp.SetAttr("got", got).SetAttr("failures", failures)
+		if won {
+			blocks[r.idx] = r.data
+		} else {
+			Recycle(r.data)
+		}
+	})
+	fsp.SetAttr("got", got)
 	fsp.End()
+	defer recycleAll(blocks)
 	if got < k {
-		for _, b := range blocks {
-			Recycle(b)
+		// A stripe starved because its context ended is a victim, not a
+		// verdict about the blocks: report the context's error, so the
+		// pipeline's root-cause rule can tell it from a real shortage.
+		if err := classify(ctx.Err()); err != nil {
+			return err
 		}
 		return fmt.Errorf("%w: %d of %d blocks readable (first failure: %v)", ErrTooFewSurvivors, got, k, firstErr)
 	}
@@ -751,10 +714,15 @@ func (s *Store) readStripeAnyKInto(ctx context.Context, name string, st int, dst
 	dsp.SetAttr("blocks", got).SetAttr("bytes", k*s.blockSize)
 	err := s.code.ParallelReadInto(blocks, dst)
 	dsp.End()
-	for _, b := range blocks {
+	return err
+}
+
+// recycleAll returns a set of pooled payloads (nil entries allowed) to the
+// buffer pool.
+func recycleAll(bufs [][]byte) {
+	for _, b := range bufs {
 		Recycle(b)
 	}
-	return err
 }
 
 // Repair regenerates block failed of a stripe from d helper chunks
@@ -766,15 +734,11 @@ func (s *Store) readStripeAnyKInto(ctx context.Context, name string, st int, dst
 // spreads chunk load over all n-1 survivors instead of hammering
 // survivors 0..d-1 for every stripe.
 func (s *Store) Repair(ctx context.Context, name string, st, failed int) (trafficBytes int, err error) {
-	return s.repair(ctx, name, st, failed, repairOpts{rot: st})
+	return s.repair(ctx, name, st, failed, repairOpts{})
 }
 
-// repairOpts tunes one stripe repair inside a repair or recovery pass.
+// repairOpts tunes one stripe repair inside a recovery pass.
 type repairOpts struct {
-	// rot rotates the survivor ring before contacting the first d helpers.
-	// Repair passes the stripe index; the recovery engine's static-helper
-	// baseline passes 0 for every stripe.
-	rot int
 	// throttle, when set, paces repair bytes (helper chunks and the
 	// newcomer writeback) so recovery coexists with foreground reads.
 	throttle *tokenBucket
@@ -784,8 +748,7 @@ type repairOpts struct {
 }
 
 // rotatedSurvivors lists the n-1 survivor block indexes starting at
-// rotation rot: rot 0 is ascending order (the static pre-rotation choice);
-// successive rotations shift which d survivors are contacted first, so
+// rotation rot: rot 0 is ascending order; successive rotations shift which d survivors are contacted first, so
 // consecutive stripes walk the ring instead of reusing one prefix.
 func rotatedSurvivors(n, failed, rot int) []int {
 	ring := make([]int, 0, n-1)
@@ -825,72 +788,39 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 		mRepairWindow.ObserveSince(t0)
 		sloRepair.ObserveSince(t0, err)
 	}()
-	n := s.code.N()
 	d := s.code.D()
 	chunkSize := s.code.HelperChunkSize(s.blockSize)
 	_, lsp := obs.StartSpan(ctx, "locate")
-	candidates := rotatedSurvivors(n, failed, ro.rot)
-	lsp.SetAttr("helpers", d).SetAttr("candidates", len(candidates)).SetAttr("rotation", ro.rot)
+	candidates := rotatedSurvivors(s.code.N(), failed, st)
+	lsp.SetAttr("helpers", d).SetAttr("candidates", len(candidates))
 	lsp.End()
 	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
 	fsp.SetAttr("mode", "chunks")
-	fctx, fcancel := context.WithCancel(fetchCtx)
-	defer fcancel()
-	results := make(chan sourceResult, len(candidates))
-	var wg sync.WaitGroup
-	started := 0
-	start := func(i int) {
-		started++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The throttle runs before the hedge clock starts, so a paced
-			// recovery does not misread its own waiting as a straggler.
-			if terr := ro.throttle.Wait(fctx, chunkSize); terr != nil {
-				results <- sourceResult{idx: i, err: terr}
-				return
-			}
-			cctx := fctx
-			if s.hedge > 0 {
-				var cancel context.CancelFunc
-				cctx, cancel = context.WithTimeout(fctx, s.hedge)
-				defer cancel()
-			}
-			c, cerr := s.pool.Get(cctx, s.addrs[i])
-			if cerr != nil {
-				results <- sourceResult{idx: i, err: cerr}
-				return
-			}
-			chunk, cerr := c.Chunk(cctx, blockName(name, st, i), i, failed)
-			s.pool.Put(c)
-			results <- sourceResult{idx: i, data: chunk, bytes: len(chunk), err: cerr}
-		}()
-	}
 	// Contact exactly d helpers up front (the paper's optimal traffic);
-	// promote a spare only when one of them fails, so the healthy-path
-	// network cost stays d chunks.
-	next := 0
-	for next < d {
-		start(candidates[next])
-		next++
-	}
-	received := 0
-	pending := d
-	var helpers []int
-	var chunks [][]byte
-	for pending > 0 && len(helpers) < d {
-		r := <-results
-		received++
-		pending--
-		if r.err != nil {
-			if next < len(candidates) {
-				// A helper failed or straggled: promote a spare.
-				mSparePromotions.Inc()
-				start(candidates[next])
-				next++
-				pending++
-			}
-			continue
+	// gather promotes a spare only when one of them fails or straggles past
+	// the hedge, so the healthy-path network cost stays d chunks and a dead
+	// or slow server cannot stall the repair.
+	helpers := make([]int, 0, d)
+	chunks := make([][]byte, 0, d)
+	got, started, _ := gather(fetchCtx, candidates, d, d, func(ctx context.Context, i int) sourceResult {
+		// The throttle runs before the hedge clock starts, so a paced
+		// recovery does not misread its own waiting as a straggler.
+		if err := ro.throttle.Wait(ctx, chunkSize); err != nil {
+			return sourceResult{idx: i, err: err}
+		}
+		ctx, cancel := context.WithTimeout(ctx, s.hedge)
+		defer cancel()
+		c, err := s.pool.Get(ctx, s.addrs[i])
+		if err != nil {
+			return sourceResult{idx: i, err: err}
+		}
+		chunk, err := c.Chunk(ctx, BlockName(name, st, i), i, failed)
+		s.pool.Put(c)
+		return sourceResult{idx: i, data: chunk, bytes: len(chunk), err: err}
+	}, func(r sourceResult, won bool) {
+		if !won {
+			Recycle(r.data)
+			return
 		}
 		helpers = append(helpers, r.idx)
 		chunks = append(chunks, r.data)
@@ -899,26 +829,14 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 		if ro.onHelper != nil {
 			ro.onHelper(r.idx)
 		}
-	}
-	fcancel()
-	wg.Wait()
-	// Drain the exact number of outstanding results so no pooled chunk
-	// buffer leaks: every started fetch sends exactly once, so after
-	// wg.Wait the remaining started-received results are due — a counted
-	// blocking drain cannot race a late send the way a non-blocking
-	// select could.
-	for ; received < started; received++ {
-		r := <-results
-		Recycle(r.data)
-	}
-	fsp.SetAttr("helpers_responded", len(helpers))
+	})
+	mSparePromotions.Add(int64(started - d))
+	fsp.SetAttr("helpers_responded", got)
 	fsp.End()
 	mRepairFetchNS.Observe(time.Since(t0).Nanoseconds())
-	if len(helpers) < d {
-		for _, c := range chunks {
-			Recycle(c)
-		}
-		return trafficBytes, fmt.Errorf("%w: only %d of %d helpers responded", ErrTooFewSurvivors, len(helpers), d)
+	if got < d {
+		recycleAll(chunks)
+		return trafficBytes, fmt.Errorf("%w: only %d of %d helpers responded", ErrTooFewSurvivors, got, d)
 	}
 	t1 := time.Now()
 	_, dsp := obs.StartSpan(ctx, "decode")
@@ -930,9 +848,7 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	dsp.SetAttr("block_bytes", len(block))
 	dsp.End()
 	mRepairDecodeNS.ObserveSince(t1)
-	for _, c := range chunks {
-		Recycle(c)
-	}
+	recycleAll(chunks)
 	if err != nil {
 		return trafficBytes, err
 	}
@@ -941,7 +857,7 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	}
 	t2 := time.Now()
 	_, psp := obs.StartSpan(ctx, "writeback")
-	err = s.put(ctx, s.addrs[failed], blockName(name, st, failed), block)
+	err = s.put(ctx, s.addrs[failed], BlockName(name, st, failed), block)
 	psp.End()
 	mRepairWritebackNS.ObserveSince(t2)
 	if err != nil {
@@ -991,8 +907,10 @@ type ScrubReport struct {
 // recovery engine's bounded scheduler instead of an inline sequential
 // loop.
 func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (*ScrubReport, error) {
-	stripeData := s.code.K() * s.blockSize
-	stripes := (size + stripeData - 1) / stripeData
+	stripes, err := s.stripesOf(name, size)
+	if err != nil {
+		return nil, err
+	}
 	n := s.code.N()
 	ctx, sp := obs.StartSpan(ctx, "store.scrub")
 	sp.SetAttr("file", name).SetAttr("stripes", stripes)
@@ -1000,47 +918,44 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	rep := &ScrubReport{}
 	// Verify phase: stripe st+1's probes overlap stripe st's. Verdicts land
 	// in a per-stripe slot, so the report below reads them in deterministic
-	// (stripe, block) order no matter how the probes interleaved.
+	// (stripe, block) order no matter how the probes interleaved. A verdict
+	// is data, not a failure of the stage, so the stage only stops early
+	// when the caller's context ends.
 	verdicts := make([][]error, stripes)
-	sem := make(chan struct{}, s.depth)
-	var wg sync.WaitGroup
-	for st := 0; st < stripes; st++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(st int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			v := make([]error, n)
-			var pw sync.WaitGroup
-			for i := 0; i < n; i++ {
-				pw.Add(1)
-				go func(i int) {
-					defer pw.Done()
-					// Probes ride the shared pool: one parked client per peer
-					// serves the whole scrub instead of a dial per probe.
-					v[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
-						return c.Verify(ctx, blockName(name, st, i))
-					})
-				}(i)
-			}
-			pw.Wait()
-			verdicts[st] = v
-		}(st)
+	errs, launched := pipeline(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+		v := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range v {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Probes ride the shared pool: one parked client per peer
+				// serves the whole scrub instead of a dial per probe.
+				v[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
+					return c.Verify(ctx, BlockName(name, st, i))
+				})
+			}()
+		}
+		wg.Wait()
+		verdicts[st] = v
+		return nil
+	})
+	if st, err := pipelineErr(ctx, errs, launched); err != nil {
+		return rep, fmt.Errorf("blockserver: scrub verify stripe %d: %w", st, err)
 	}
-	wg.Wait()
-	var broken []BlockRef
-	for st := 0; st < stripes; st++ {
-		for i, v := range verdicts[st] {
+	var broken []repairJob
+	for st, vs := range verdicts {
+		for i, v := range vs {
 			rep.BlocksChecked++
 			ref := BlockRef{Stripe: st, Block: i}
 			switch {
 			case v == nil:
 			case errors.Is(v, ErrCorrupt):
 				rep.Corrupt = append(rep.Corrupt, ref)
-				broken = append(broken, ref)
+				broken = append(broken, repairJob{file: name, ref: ref})
 			case errors.Is(v, ErrNotFound):
 				rep.Missing = append(rep.Missing, ref)
-				broken = append(broken, ref)
+				broken = append(broken, repairJob{file: name, ref: ref})
 			default:
 				// The overall deadline expiring fails the scrub; one
 				// unreachable server does not — its blocks are recorded
@@ -1056,27 +971,13 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	if !repair || len(broken) == 0 {
 		return rep, nil
 	}
-	jobs := make([]repairJob, len(broken))
-	for i, ref := range broken {
-		jobs[i] = repairJob{file: name, ref: ref}
+	traffic, repaired, err := s.repairMany(ctx, broken, s.depth, repairOpts{})
+	rep.TrafficBytes = int(traffic)
+	for _, j := range repaired {
+		rep.Repaired = append(rep.Repaired, j.ref)
 	}
-	outcomes := s.repairMany(ctx, jobs, s.depth, func(j repairJob) repairOpts {
-		return repairOpts{rot: j.ref.Stripe}
-	})
-	for i, o := range outcomes {
-		rep.TrafficBytes += o.traffic
-		if o.err == nil {
-			rep.Repaired = append(rep.Repaired, broken[i])
-		}
-	}
-	if j, err := firstRepairError(jobs, outcomes); err != nil {
-		return rep, fmt.Errorf("blockserver: scrub repair stripe %d block %d: %w", j.ref.Stripe, j.ref.Block, err)
+	if err != nil {
+		return rep, fmt.Errorf("blockserver: scrub repair %w", err)
 	}
 	return rep, nil
-}
-
-// SplitFile pads data for WriteFile-compatible sizes; exposed for callers
-// that need the padded length up front.
-func SplitFile(data []byte, k, align int) ([][]byte, int, error) {
-	return reedsolomon.Split(data, k, align)
 }

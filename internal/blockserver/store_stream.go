@@ -23,7 +23,7 @@ type storeSink struct {
 }
 
 func (k *storeSink) PutBlock(stripe, block int, data []byte) error {
-	err := k.s.put(k.ctx, k.s.addrs[block], blockName(k.name, stripe, block), data)
+	err := k.s.put(k.ctx, k.s.addrs[block], BlockName(k.name, stripe, block), data)
 	// A streaming write mutates blocks one at a time, so every upload bumps
 	// the file's cache generation — readers overlapping the stream never
 	// see a stale stripe, and the final bump retires anything cached
@@ -63,7 +63,7 @@ func (src *storeSource) StripeBlocks(stripe int) ([][]byte, error) {
 			// Per-block failures leave a nil entry; the decoder works
 			// around up to n-k of them.
 			_ = src.s.pool.WithClient(src.ctx, src.s.addrs[i], func(c *Client) error {
-				data, err := c.Get(src.ctx, blockName(src.name, stripe, i))
+				data, err := c.Get(src.ctx, BlockName(src.name, stripe, i))
 				if err == nil {
 					blocks[i] = data
 				}
@@ -73,9 +73,7 @@ func (src *storeSource) StripeBlocks(stripe int) ([][]byte, error) {
 	}
 	wg.Wait()
 	if err := src.ctx.Err(); err != nil {
-		for _, b := range blocks {
-			Recycle(b)
-		}
+		recycleAll(blocks)
 		return nil, classify(err)
 	}
 	return blocks, nil
@@ -84,32 +82,20 @@ func (src *storeSource) StripeBlocks(stripe int) ([][]byte, error) {
 // RecycleBlocks implements stream.BlockRecycler: fetched blocks go back to
 // the buffer pool once the stripe they belong to is decoded.
 func (src *storeSource) RecycleBlocks(blocks [][]byte) {
-	for _, b := range blocks {
-		Recycle(b)
-	}
+	recycleAll(blocks)
 }
 
 // ReadStripeInto implements stream.StripeSource when the store has a
-// stripe cache: a hit copies the decoded stripe into dst with no network
-// traffic, and a miss runs the store's hedged fetch exactly once per
-// in-flight stripe, populating the cache for the next reader. With the
-// cache disabled it reports (false, nil) and the PrefetchReader falls
-// back to the per-block path unchanged.
+// stripe cache, by the same route ReadFile takes per stripe: a hit copies
+// the decoded stripe into dst with no network traffic, a miss runs the
+// store's hedged fetch exactly once per in-flight stripe and populates the
+// cache for the next reader, and hits and coalesced misses move the same
+// store_* counters. With the cache disabled it reports (false, nil) and
+// the PrefetchReader falls back to the per-block path unchanged.
 func (src *storeSource) ReadStripeInto(stripe int, dst []byte) (bool, error) {
-	c := src.s.cache
-	if c == nil {
+	if src.s.cache == nil {
 		return false, nil
 	}
-	stats := &ReadStats{mu: new(sync.Mutex)}
-	hit, _, err := c.GetOrFetch(src.ctx, src.name, stripe, dst,
-		func(fctx context.Context, out []byte) error {
-			return src.s.readStripeInto(fctx, src.name, stripe, out, stats)
-		})
-	if err != nil {
-		return false, err
-	}
-	if hit {
-		mCacheHitStripes.Inc()
-	}
-	return true, nil
+	err := src.s.readStripeCached(src.ctx, src.name, stripe, dst, &ReadStats{mu: new(sync.Mutex)})
+	return err == nil, err
 }

@@ -128,7 +128,7 @@ func TestWriteFilePooledBlocksOutliveTheirPuts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
-				name := blockName(fmt.Sprintf("file%d", f), st, i)
+				name := BlockName(fmt.Sprintf("file%d", f), st, i)
 				var got []byte
 				err := store.Pool().WithClient(ctx, addrs[i], func(c *Client) (err error) {
 					got, err = c.Get(ctx, name)

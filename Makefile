@@ -1,8 +1,9 @@
 GO ?= go
 
-# Packages whose hot paths share mutable buffers across goroutines; these run
-# under the race detector in addition to the normal suite.
-RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/stream ./internal/master ./internal/stripecache ./internal/workload
+# Packages whose hot paths share mutable buffers across goroutines — or, for
+# the codecs, share the engine's memo of inverses and plans; these run under
+# the race detector in addition to the normal suite.
+RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/lincode ./internal/reedsolomon ./internal/msr ./internal/lrc ./internal/mbr ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/stream ./internal/master ./internal/stripecache ./internal/workload
 
 # Packages on the fault-tolerant block path: run twice under the race
 # detector to shake out order-dependent leaks and redial races.
@@ -31,7 +32,7 @@ race:
 # AVX2 and scalar rungs of the gf256 tier ladder get the same race coverage
 # the default (fastest) tier does.
 race-tiers:
-	GF256_DISABLE=gfni $(GO) test -race ./internal/gf256 ./internal/carousel ./internal/codeplan
+	GF256_DISABLE=gfni $(GO) test -race ./internal/gf256 ./internal/lincode ./internal/carousel ./internal/codeplan
 	GF256_DISABLE=all $(GO) test ./internal/gf256
 
 # Exercise the fault matrix: injected stragglers, partitions, corruption,

@@ -34,15 +34,14 @@ func (k *storeSink) PutBlock(stripe, block int, data []byte) error {
 	return err
 }
 
-// Source returns a stream.BlockSource that fetches whole blocks of the
-// named file over the store's connection pool, one pooled client per
-// server. Blocks whose server is down, whose content is corrupt, or that
-// are simply missing come back nil, so a stream.Reader (or
-// PrefetchReader) on top degrades per stripe through the Carousel
-// parallel read instead of failing the stream. The source implements
-// stream.BlockRecycler, so a PrefetchReader returns the fetched buffers
-// to the pool as soon as each stripe is decoded.
-func (s *Store) Source(ctx context.Context, name string) stream.BlockSource {
+// Source returns a stream.StripeSource over the named file: every stripe a
+// stream.PrefetchReader asks for takes the route ReadFile takes per stripe
+// — the stripe cache when one is configured (a hit costs no network
+// traffic, concurrent misses coalesce), otherwise straight to the hedged
+// p-source fetch with its any-k fallback — and moves the same store_*
+// counters. A dead server therefore degrades a stream exactly as it
+// degrades a ReadFile.
+func (s *Store) Source(ctx context.Context, name string) stream.StripeSource {
 	return &storeSource{s: s, ctx: ctx, name: name}
 }
 
@@ -52,50 +51,6 @@ type storeSource struct {
 	name string
 }
 
-func (src *storeSource) StripeBlocks(stripe int) ([][]byte, error) {
-	n := src.s.code.N()
-	blocks := make([][]byte, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Per-block failures leave a nil entry; the decoder works
-			// around up to n-k of them.
-			_ = src.s.pool.WithClient(src.ctx, src.s.addrs[i], func(c *Client) error {
-				data, err := c.Get(src.ctx, BlockName(src.name, stripe, i))
-				if err == nil {
-					blocks[i] = data
-				}
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-	if err := src.ctx.Err(); err != nil {
-		recycleAll(blocks)
-		return nil, classify(err)
-	}
-	return blocks, nil
-}
-
-// RecycleBlocks implements stream.BlockRecycler: fetched blocks go back to
-// the buffer pool once the stripe they belong to is decoded.
-func (src *storeSource) RecycleBlocks(blocks [][]byte) {
-	recycleAll(blocks)
-}
-
-// ReadStripeInto implements stream.StripeSource when the store has a
-// stripe cache, by the same route ReadFile takes per stripe: a hit copies
-// the decoded stripe into dst with no network traffic, a miss runs the
-// store's hedged fetch exactly once per in-flight stripe and populates the
-// cache for the next reader, and hits and coalesced misses move the same
-// store_* counters. With the cache disabled it reports (false, nil) and
-// the PrefetchReader falls back to the per-block path unchanged.
-func (src *storeSource) ReadStripeInto(stripe int, dst []byte) (bool, error) {
-	if src.s.cache == nil {
-		return false, nil
-	}
-	err := src.s.readStripeCached(src.ctx, src.name, stripe, dst, &ReadStats{mu: new(sync.Mutex)})
-	return err == nil, err
+func (src *storeSource) ReadStripeInto(stripe int, dst []byte) error {
+	return src.s.readStripeCached(src.ctx, src.name, stripe, dst, &ReadStats{mu: new(sync.Mutex)})
 }

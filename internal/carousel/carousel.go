@@ -30,37 +30,47 @@
 package carousel
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"carousel/internal/codeplan"
+	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 	"carousel/internal/msr"
 	"carousel/internal/unitplan"
 )
 
-// Common argument errors.
+// Argument errors: the engine's, shared with every other codec.
 var (
 	// ErrTooFewBlocks is returned when fewer than k blocks are available.
-	ErrTooFewBlocks = errors.New("carousel: fewer than k blocks available")
+	ErrTooFewBlocks = lincode.ErrTooFewBlocks
 
 	// ErrBlockSizeMismatch is returned for inconsistent or misaligned
 	// block sizes.
-	ErrBlockSizeMismatch = errors.New("carousel: bad block size")
+	ErrBlockSizeMismatch = lincode.ErrBlockSizeMismatch
 
 	// ErrBlockCount is returned when the number of blocks does not match
 	// the code parameters.
-	ErrBlockCount = errors.New("carousel: wrong number of blocks")
+	ErrBlockCount = lincode.ErrBlockCount
 
 	// ErrBadHelpers is returned for invalid repair helper sets.
-	ErrBadHelpers = errors.New("carousel: invalid helper set")
+	ErrBadHelpers = lincode.ErrBadHelpers
 )
 
 // Code is an (n, k, d, p) Carousel code. Construct with New; a Code is safe
 // for concurrent use.
+//
+// It is the linear-code engine over the remapped generator with U units
+// per block and the stored-order permutation toStored, so Encode,
+// EncodeInto, Decode and Verify are the engine's: shard and block sizes
+// must be multiples of UnitsPerBlock(); conceptually the original data is
+// the concatenation of the k shards, and block i < p stores the byte range
+// DataRange(i) of it verbatim at its front. What this package adds is what
+// is Carousel's own: the construction, the p-source parallel read and its
+// degraded solver, and repair at the base code's traffic.
 type Code struct {
+	*lincode.Code
+
 	n, k, d, p int
 	alpha      int // segments per block in the base code, d-k+1
 	expand     int // P: units per base symbol
@@ -88,15 +98,12 @@ type Code struct {
 
 	base *msr.Code // repair machinery for d > k; nil when d == k
 
-	// encPlan is the compiled schedule of gen, built once at construction
-	// and replayed by every Encode.
+	// encPlan is the engine's compiled schedule of gen, replayed by every
+	// Encode; held here for the op-count tests that pin Fig. 5's sparsity.
 	encPlan *codeplan.Plan
 
-	mu           sync.Mutex
-	decCache     map[string]*matrix.Matrix
-	decPlans     map[string]*codeplan.Plan // survivor set -> compiled decode schedule
-	rebuildPlans map[string]*codeplan.Plan // failed+helpers -> compiled rebuild schedule
-	readCache    map[string]*readSolver
+	// readSolvers: missing data-bearing blocks + availability -> solver.
+	readSolvers lincode.Memo[*readSolver]
 }
 
 // Option configures a Code at construction.
@@ -133,14 +140,7 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 	if d < k || d >= n {
 		return nil, fmt.Errorf("carousel: d must satisfy k <= d < n, got d=%d", d)
 	}
-	c := &Code{
-		n: n, k: k, d: d, p: p,
-		workers:      runtime.GOMAXPROCS(0),
-		decCache:     make(map[string]*matrix.Matrix),
-		decPlans:     make(map[string]*codeplan.Plan),
-		rebuildPlans: make(map[string]*codeplan.Plan),
-		readCache:    make(map[string]*readSolver),
-	}
+	c := &Code{n: n, k: k, d: d, p: p, workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -184,7 +184,8 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 	if err := c.checkSystematicRows(); err != nil {
 		return nil, err
 	}
-	c.encPlan = codeplan.Compile(c.gen)
+	c.Code = lincode.New(n, k, c.units, c.gen, c.toStored, c.workers)
+	c.encPlan = c.EncodePlan()
 	return c, nil
 }
 
@@ -245,13 +246,6 @@ func (c *Code) checkSystematicRows() error {
 	return nil
 }
 
-// N returns the total number of blocks per stripe.
-func (c *Code) N() int { return c.n }
-
-// K returns the number of original data blocks' worth of content per
-// stripe.
-func (c *Code) K() int { return c.k }
-
 // D returns the number of helpers used to repair one block.
 func (c *Code) D() int { return c.d }
 
@@ -277,10 +271,6 @@ func (c *Code) BlockAlign() int { return c.units }
 // produced this code's unit plan (as opposed to the greedy fallback).
 func (c *Code) Structured() bool { return c.structured }
 
-// GeneratorMatrix returns a copy of the remapped canonical generator, used
-// by the Fig. 5 sparsity analysis.
-func (c *Code) GeneratorMatrix() *matrix.Matrix { return c.gen.Clone() }
-
 // DataBytesPerBlock returns how many bytes of original data the front of
 // block i carries, for the given block size.
 func (c *Code) DataBytesPerBlock(i, blockSize int) int {
@@ -299,268 +289,4 @@ func (c *Code) DataRange(i, blockSize int) (lo, hi int) {
 	}
 	per := c.kUnits * (blockSize / c.units)
 	return i * per, (i + 1) * per
-}
-
-// checkBlockSize validates block size alignment.
-func (c *Code) checkBlockSize(size int) error {
-	if size <= 0 || size%c.units != 0 {
-		return fmt.Errorf("%w: block size %d must be a positive multiple of %d", ErrBlockSizeMismatch, size, c.units)
-	}
-	return nil
-}
-
-// canonicalUnits returns views of a block's units in canonical order.
-func (c *Code) canonicalUnits(i int, block []byte) [][]byte {
-	return c.appendCanonicalUnits(make([][]byte, 0, c.units), i, block)
-}
-
-// appendCanonicalUnits appends views of a block's units, in canonical
-// order, to dst — the allocation-free form the Into entry points build
-// their plan arguments with.
-func (c *Code) appendCanonicalUnits(dst [][]byte, i int, block []byte) [][]byte {
-	usize := len(block) / c.units
-	for u := 0; u < c.units; u++ {
-		pos := c.toStored[i][u]
-		dst = append(dst, block[pos*usize:(pos+1)*usize:(pos+1)*usize])
-	}
-	return dst
-}
-
-// shardSize validates the k data shards of an encode and returns their
-// common size.
-func (c *Code) shardSize(data [][]byte) (int, error) {
-	if len(data) != c.k {
-		return 0, fmt.Errorf("%w: got %d data shards, want %d", ErrBlockCount, len(data), c.k)
-	}
-	size := -1
-	for i, b := range data {
-		if b == nil {
-			return 0, fmt.Errorf("%w: data shard %d is nil", ErrBlockCount, i)
-		}
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return 0, fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
-	}
-	if err := c.checkBlockSize(size); err != nil {
-		return 0, err
-	}
-	return size, nil
-}
-
-// Encode encodes k equally sized data shards into n freshly allocated
-// blocks of the same size. Shard sizes must be multiples of
-// UnitsPerBlock(). Conceptually the original data is the concatenation of
-// the shards; block i < p stores the byte range DataRange(i) verbatim at
-// its front.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	size, err := c.shardSize(data)
-	if err != nil {
-		return nil, err
-	}
-	blocks := make([][]byte, c.n)
-	for i := range blocks {
-		blocks[i] = make([]byte, size)
-	}
-	if err := c.EncodeInto(data, blocks); err != nil {
-		return nil, err
-	}
-	return blocks, nil
-}
-
-// EncodeInto is Encode into caller-owned memory: blocks must hold n
-// buffers of the shards' size, none overlapping a shard. The buffers may
-// be dirty (pooled) — every byte of every block is overwritten, because a
-// compiled plan opens each output with COPY, MULSLICE or CLEAR and only
-// then accumulates into it. The shards are only read, so they may alias
-// the caller's file bytes. A malformed destination is reported before
-// anything is written.
-func (c *Code) EncodeInto(data, blocks [][]byte) error {
-	size, err := c.shardSize(data)
-	if err != nil {
-		return err
-	}
-	if len(blocks) != c.n {
-		return fmt.Errorf("%w: got %d destination blocks, want %d", ErrBlockCount, len(blocks), c.n)
-	}
-	for i, b := range blocks {
-		if b == nil {
-			return fmt.Errorf("%w: destination block %d is nil", ErrBlockCount, i)
-		}
-		if len(b) != size {
-			return fmt.Errorf("%w: destination block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
-	}
-	usize := size / c.units
-	in := make([][]byte, 0, c.k*c.units)
-	for _, shard := range data {
-		for u := 0; u < c.units; u++ {
-			in = append(in, shard[u*usize:(u+1)*usize:(u+1)*usize])
-		}
-	}
-	out := make([][]byte, 0, c.n*c.units)
-	for i, b := range blocks {
-		out = c.appendCanonicalUnits(out, i, b)
-	}
-	c.encPlan.RunParallel(in, out, c.workers)
-	return nil
-}
-
-// Verify checks that a complete set of n blocks is consistent: re-encoding
-// the decoded data must reproduce every block. It returns false when any
-// block is corrupted.
-func (c *Code) Verify(blocks [][]byte) (bool, error) {
-	if len(blocks) != c.n {
-		return false, fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.n)
-	}
-	for i, b := range blocks {
-		if b == nil {
-			return false, fmt.Errorf("%w: block %d is nil", ErrBlockCount, i)
-		}
-	}
-	data, err := c.Decode(blocks)
-	if err != nil {
-		return false, err
-	}
-	expect, err := c.Encode(data)
-	if err != nil {
-		return false, err
-	}
-	for i := range blocks {
-		if !bytesEqual(expect[i], blocks[i]) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Decode recovers the k data shards from any k available blocks. blocks
-// must have length n with nil entries for unavailable blocks.
-func (c *Code) Decode(blocks [][]byte) ([][]byte, error) {
-	present, size, err := c.survey(blocks)
-	if err != nil {
-		return nil, err
-	}
-	if len(present) < c.k {
-		return nil, fmt.Errorf("%w: %d present, need %d", ErrTooFewBlocks, len(present), c.k)
-	}
-	present = present[:c.k]
-	plan, err := c.decodePlan(present)
-	if err != nil {
-		return nil, err
-	}
-	in := make([][]byte, 0, c.k*c.units)
-	for _, idx := range present {
-		in = append(in, c.canonicalUnits(idx, blocks[idx])...)
-	}
-	data := make([][]byte, c.k)
-	out := make([][]byte, 0, c.k*c.units)
-	usize := size / c.units
-	for i := range data {
-		data[i] = make([]byte, size)
-		for u := 0; u < c.units; u++ {
-			out = append(out, data[i][u*usize:(u+1)*usize:(u+1)*usize])
-		}
-	}
-	plan.RunParallel(in, out, c.workers)
-	return data, nil
-}
-
-// survey validates the block slice and returns the present indices and the
-// common block size.
-func (c *Code) survey(blocks [][]byte) (present []int, size int, err error) {
-	if len(blocks) != c.n {
-		return nil, 0, fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.n)
-	}
-	size = -1
-	present = make([]int, 0, c.n)
-	for i, b := range blocks {
-		if b == nil {
-			continue
-		}
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return nil, 0, fmt.Errorf("%w: block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
-		present = append(present, i)
-	}
-	if size == -1 {
-		return nil, 0, fmt.Errorf("%w: no blocks present", ErrTooFewBlocks)
-	}
-	if err := c.checkBlockSize(size); err != nil {
-		return nil, 0, err
-	}
-	return present, size, nil
-}
-
-// decodePlan returns the cached compiled decode schedule for a survivor
-// block set: the kU x kU inverse lowered to COPY/MUL/MULADD ops, so units
-// that survived verbatim are moved rather than recomputed.
-func (c *Code) decodePlan(present []int) (*codeplan.Plan, error) {
-	key := survivorKey(present)
-	c.mu.Lock()
-	if plan, ok := c.decPlans[key]; ok {
-		c.mu.Unlock()
-		return plan, nil
-	}
-	c.mu.Unlock()
-	inv, err := c.decodeMatrix(present)
-	if err != nil {
-		return nil, err
-	}
-	plan := codeplan.Compile(inv)
-	c.mu.Lock()
-	c.decPlans[key] = plan
-	c.mu.Unlock()
-	return plan, nil
-}
-
-func survivorKey(present []int) string {
-	key := make([]byte, len(present))
-	for i, b := range present {
-		key[i] = byte(b)
-	}
-	return string(key)
-}
-
-// decodeMatrix returns the cached kU x kU inverse for a survivor block set.
-func (c *Code) decodeMatrix(present []int) (*matrix.Matrix, error) {
-	key := make([]byte, len(present))
-	for i, b := range present {
-		key[i] = byte(b)
-	}
-	c.mu.Lock()
-	if inv, ok := c.decCache[string(key)]; ok {
-		c.mu.Unlock()
-		return inv, nil
-	}
-	c.mu.Unlock()
-	rows := make([]int, 0, c.k*c.units)
-	for _, b := range present {
-		for u := 0; u < c.units; u++ {
-			rows = append(rows, b*c.units+u)
-		}
-	}
-	inv, err := c.gen.SelectRows(rows).Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("carousel: decode matrix for blocks %v: %w", present, err)
-	}
-	c.mu.Lock()
-	c.decCache[string(key)] = inv
-	c.mu.Unlock()
-	return inv, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"carousel/internal/codeplan"
 	"carousel/internal/gf256"
+	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 )
 
@@ -64,7 +65,7 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 	if len(available) != c.n {
 		return nil, fmt.Errorf("%w: availability vector has %d entries, want %d", ErrBlockCount, len(available), c.n)
 	}
-	if err := c.checkBlockSize(blockSize); err != nil {
+	if err := lincode.CheckSize(blockSize, c.units); err != nil {
 		return nil, err
 	}
 	usize := blockSize / c.units
@@ -120,7 +121,7 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 // VII (plus the parity-unit extension when no spare blocks exist). blocks
 // must have length n with nil entries for unavailable blocks.
 func (c *Code) ParallelRead(blocks [][]byte) ([]byte, error) {
-	_, size, err := c.survey(blocks)
+	_, size, err := lincode.Survey(blocks, c.n, c.units, true)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +139,7 @@ func (c *Code) ParallelRead(blocks [][]byte) ([]byte, error) {
 // no clearing — this is what keeps the pipelined store's steady-state
 // decode allocation-free.
 func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
-	present, size, err := c.survey(blocks)
+	present, size, err := lincode.Survey(blocks, c.n, c.units, true)
 	if err != nil {
 		return err
 	}
@@ -211,14 +212,12 @@ type colCoef struct {
 	coef byte
 }
 
-// degradedSolver returns a cached solver for the given missing
+// degradedSolver returns the memoized solver for the given missing
 // data-bearing blocks: the paper's replacement-block scheme when spare
-// blocks without data exist, the parity-unit extension otherwise.
+// blocks without data exist, the parity-unit extension otherwise. A pattern
+// with no solver is not remembered; its reads take the any-k fallback.
 func (c *Code) degradedSolver(missing []int, available []bool) (*readSolver, error) {
-	key := make([]byte, 0, len(missing)+1+(c.n+7)/8)
-	for _, m := range missing {
-		key = append(key, byte(m))
-	}
+	key := lincode.AppendIndices(make([]byte, 0, len(missing)+1+(c.n+7)/8), missing)
 	key = append(key, 0xff)
 	var bits byte
 	for i := 0; i < c.n; i++ {
@@ -230,21 +229,9 @@ func (c *Code) degradedSolver(missing []int, available []bool) (*readSolver, err
 			bits = 0
 		}
 	}
-	c.mu.Lock()
-	if s, ok := c.readCache[string(key)]; ok {
-		c.mu.Unlock()
-		return s, nil
-	}
-	c.mu.Unlock()
-
-	s, err := c.buildDegradedSolver(missing, available)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.readCache[string(key)] = s
-	c.mu.Unlock()
-	return s, nil
+	return c.readSolvers.Get(key, func() (*readSolver, error) {
+		return c.buildDegradedSolver(missing, available)
+	})
 }
 
 func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver, error) {

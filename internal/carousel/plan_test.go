@@ -20,9 +20,9 @@ func TestDecodePlanSurvivingDataUnitsAreCopies(t *testing.T) {
 			t.Fatalf("New(%d,%d,%d): %v", p.n, p.k, p.d, err)
 		}
 		for _, present := range [][]int{firstK(0, p.k), firstK(1, p.k), firstK(p.n-p.k, p.k)} {
-			plan, err := c.decodePlan(present)
+			plan, err := c.Plan(present, nil)
 			if err != nil {
-				t.Fatalf("decodePlan(%v): %v", present, err)
+				t.Fatalf("Plan(%v): %v", present, err)
 			}
 			kinds := plan.DstKinds()
 			surviving := 0

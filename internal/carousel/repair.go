@@ -3,7 +3,7 @@ package carousel
 import (
 	"fmt"
 
-	"carousel/internal/codeplan"
+	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 )
 
@@ -40,16 +40,10 @@ func (c *Code) HelperChunk(helper, failed int, block []byte) ([]byte, error) {
 // dirty — every byte is overwritten. A malformed destination is reported
 // before anything is written.
 func (c *Code) HelperChunkInto(helper, failed int, block, dst []byte) error {
-	if helper < 0 || helper >= c.n {
-		return fmt.Errorf("%w: helper %d out of range [0,%d)", ErrBadHelpers, helper, c.n)
+	if err := lincode.ValidateHelpers(c.n, 1, failed, []int{helper}); err != nil {
+		return err
 	}
-	if failed < 0 || failed >= c.n {
-		return fmt.Errorf("%w: failed block %d out of range [0,%d)", ErrBadHelpers, failed, c.n)
-	}
-	if helper == failed {
-		return fmt.Errorf("%w: helper %d is the failed block", ErrBadHelpers, helper)
-	}
-	if err := c.checkBlockSize(len(block)); err != nil {
+	if err := lincode.CheckSize(len(block), c.units); err != nil {
 		return err
 	}
 	if want := c.HelperChunkSize(len(block)); len(dst) != want {
@@ -64,7 +58,7 @@ func (c *Code) HelperChunkInto(helper, failed int, block, dst []byte) error {
 		return err
 	}
 	usize := len(block) / c.units
-	canon := c.canonicalUnits(helper, block)
+	canon := c.Units(make([][]byte, 0, c.units), helper, block)
 	// Sub-index t of the expansion is an independent copy of the base MSR
 	// code; combine the alpha segments at each t with phi.
 	segs := make([][]byte, c.alpha)
@@ -96,51 +90,29 @@ func (c *Code) RepairBlock(failed int, helpers []int, chunks [][]byte) ([]byte, 
 // and may be dirty — every byte is overwritten. A malformed destination
 // is reported before anything is written.
 func (c *Code) RepairBlockInto(failed int, helpers []int, chunks [][]byte, dst []byte) error {
-	if err := c.validateHelpers(failed, helpers); err != nil {
-		return err
-	}
-	if len(chunks) != c.d {
-		return fmt.Errorf("%w: got %d chunks, want %d", ErrBlockCount, len(chunks), c.d)
-	}
-	chunkSize := -1
-	for i, ch := range chunks {
-		if ch == nil {
-			return fmt.Errorf("%w: chunk %d is nil", ErrBlockCount, i)
-		}
-		if chunkSize == -1 {
-			chunkSize = len(ch)
-		} else if len(ch) != chunkSize {
-			return fmt.Errorf("%w: chunk %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(ch), chunkSize)
-		}
-	}
-	blockSize := chunkSize * c.alpha
-	if err := c.checkBlockSize(blockSize); err != nil {
-		return err
-	}
-	if len(dst) != blockSize {
-		return fmt.Errorf("%w: block destination has %d bytes, want %d", ErrBlockSizeMismatch, len(dst), blockSize)
-	}
-	if c.base == nil {
-		// Reed-Solomon base: chunks are whole blocks; decode and re-encode
-		// the failed block through the fused rebuild plan (generator rows x
-		// inverse), cached per (failed, helper set).
-		plan, err := c.rebuildPlan(failed, helpers)
-		if err != nil {
-			return err
-		}
-		in := make([][]byte, 0, c.k*c.units)
-		for i, h := range helpers {
-			in = c.appendCanonicalUnits(in, h, chunks[i])
-		}
-		plan.RunParallel(in, c.canonicalUnits(failed, dst), c.workers)
-		return nil
-	}
-	usize := blockSize / c.units
-	comb, err := c.base.RepairCombinerPlan(failed, helpers)
+	// A chunk is 1/alpha of a block, so it must divide into U/alpha units.
+	_, chunkSize, err := lincode.Survey(chunks, c.d, c.expand, false)
 	if err != nil {
 		return err
 	}
-	canon := c.canonicalUnits(failed, dst)
+	if len(dst) != chunkSize*c.alpha {
+		return fmt.Errorf("%w: block destination has %d bytes, want %d", ErrBlockSizeMismatch, len(dst), chunkSize*c.alpha)
+	}
+	if c.base == nil {
+		// Reed-Solomon base: chunks are whole blocks; decode and re-encode
+		// the failed block through the engine's fused rebuild plan
+		// (generator rows x inverse), memoized per (helper set, failed).
+		if err := lincode.ValidateHelpers(c.n, c.d, failed, helpers); err != nil {
+			return err
+		}
+		return c.SolveInto(helpers, chunks, []int{failed}, [][]byte{dst})
+	}
+	comb, err := c.base.RepairCombinerPlan(failed, helpers) // validates the helper set
+	if err != nil {
+		return err
+	}
+	usize := chunkSize / c.expand
+	canon := c.Units(make([][]byte, 0, c.units), failed, dst)
 	in, outs := make([][]byte, c.d), make([][]byte, c.alpha)
 	for t := 0; t < c.expand; t++ {
 		for j, ch := range chunks {
@@ -154,40 +126,11 @@ func (c *Code) RepairBlockInto(failed int, helpers []int, chunks [][]byte, dst [
 	return nil
 }
 
-// rebuildPlan returns the cached compiled schedule rebuilding the failed
-// block's units from the units of the given helper blocks.
-func (c *Code) rebuildPlan(failed int, helpers []int) (*codeplan.Plan, error) {
-	key := make([]byte, 0, len(helpers)+1)
-	key = append(key, byte(failed))
-	for _, h := range helpers {
-		key = append(key, byte(h))
-	}
-	c.mu.Lock()
-	if plan, ok := c.rebuildPlans[string(key)]; ok {
-		c.mu.Unlock()
-		return plan, nil
-	}
-	c.mu.Unlock()
-	inv, err := c.decodeMatrix(append([]int(nil), helpers...))
-	if err != nil {
-		return nil, err
-	}
-	failedRows := make([]int, c.units)
-	for u := 0; u < c.units; u++ {
-		failedRows[u] = failed*c.units + u
-	}
-	plan := codeplan.Compile(c.gen.SelectRows(failedRows).Mul(inv))
-	c.mu.Lock()
-	c.rebuildPlans[string(key)] = plan
-	c.mu.Unlock()
-	return plan, nil
-}
-
 // Repair runs both sides of a reconstruction in one call: helper chunks are
 // computed from blocks (length n, failed entry ignored) and combined into
 // the regenerated block.
 func (c *Code) Repair(failed int, helpers []int, blocks [][]byte) ([]byte, error) {
-	if err := c.validateHelpers(failed, helpers); err != nil {
+	if err := lincode.ValidateHelpers(c.n, c.d, failed, helpers); err != nil {
 		return nil, err
 	}
 	if len(blocks) != c.n {
@@ -212,36 +155,13 @@ func (c *Code) Repair(failed int, helpers []int, blocks [][]byte) ([]byte, error
 // pay plan compilation once up front instead of stalling its pipeline on
 // the first repair of each helper rotation.
 func (c *Code) WarmRepair(failed int, helpers []int) error {
-	if err := c.validateHelpers(failed, helpers); err != nil {
+	if c.base != nil {
+		_, err := c.base.RepairCombinerPlan(failed, helpers)
 		return err
 	}
-	if c.base == nil {
-		_, err := c.rebuildPlan(failed, helpers)
+	if err := lincode.ValidateHelpers(c.n, c.d, failed, helpers); err != nil {
 		return err
 	}
-	_, err := c.base.RepairCombinerPlan(failed, helpers)
+	_, err := c.Plan(helpers, []int{failed})
 	return err
-}
-
-func (c *Code) validateHelpers(failed int, helpers []int) error {
-	if failed < 0 || failed >= c.n {
-		return fmt.Errorf("%w: failed block %d out of range [0,%d)", ErrBadHelpers, failed, c.n)
-	}
-	if len(helpers) != c.d {
-		return fmt.Errorf("%w: got %d helpers, want d=%d", ErrBadHelpers, len(helpers), c.d)
-	}
-	seen := make(map[int]bool, len(helpers))
-	for _, h := range helpers {
-		if h < 0 || h >= c.n {
-			return fmt.Errorf("%w: helper %d out of range [0,%d)", ErrBadHelpers, h, c.n)
-		}
-		if h == failed {
-			return fmt.Errorf("%w: helper %d is the failed block", ErrBadHelpers, h)
-		}
-		if seen[h] {
-			return fmt.Errorf("%w: duplicate helper %d", ErrBadHelpers, h)
-		}
-		seen[h] = true
-	}
-	return nil
 }

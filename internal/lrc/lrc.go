@@ -20,42 +20,48 @@ package lrc
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"carousel/internal/codeplan"
 	"carousel/internal/gf256"
+	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 )
 
-// Common argument errors.
+// Argument errors. All but ErrUndecodable are the engine's, shared with
+// every other codec.
 var (
 	// ErrUndecodable is returned when the surviving blocks cannot
-	// reconstruct the requested data.
+	// reconstruct the requested data. An (n, k) MDS code has no such
+	// error: this is what LRC gives up for local repair.
 	ErrUndecodable = errors.New("lrc: failure pattern is not decodable")
 
 	// ErrBlockCount is returned when the number of provided blocks does
 	// not match the code parameters.
-	ErrBlockCount = errors.New("lrc: wrong number of blocks")
+	ErrBlockCount = lincode.ErrBlockCount
 
-	// ErrBlockSizeMismatch is returned when blocks have different sizes.
-	ErrBlockSizeMismatch = errors.New("lrc: blocks have different sizes")
+	// ErrBlockSizeMismatch is returned when blocks are empty or have
+	// different sizes.
+	ErrBlockSizeMismatch = lincode.ErrBlockSizeMismatch
+
+	// ErrBadHelpers is returned when a repair names a failed block that is
+	// not a block of the code.
+	ErrBadHelpers = lincode.ErrBadHelpers
 )
 
 // Code is an LRC(k, l, g) code. Block layout: indices [0, k) are data
 // blocks (group j holds indices [j*k/l, (j+1)*k/l)), [k, k+l) are the
 // local parities (one per group), and [k+l, k+l+g) are the global
 // parities.
+//
+// It is the linear-code engine over that generator, one unit per block,
+// run serially: Encode is the engine's. Because not every k blocks are
+// independent, Decode and Repair pick the source rows here and hand them
+// to the engine's DecodeFrom / SolveInto.
 type Code struct {
+	*lincode.Code
+
 	k, l, g   int
 	groupSize int
 	gen       *matrix.Matrix // (k+l+g) x k
-
-	// encPlan is gen compiled to an op schedule, replayed by every Encode.
-	encPlan *codeplan.Plan
-
-	mu       sync.Mutex
-	decCache map[string]*matrix.Matrix
-	decPlans map[string]*codeplan.Plan
 }
 
 // New constructs an LRC(k, l, g) code. l must divide k; g >= 1.
@@ -69,11 +75,7 @@ func New(k, l, g int) (*Code, error) {
 	if k+l+g > 256 {
 		return nil, fmt.Errorf("lrc: n=%d exceeds GF(256) capacity", k+l+g)
 	}
-	c := &Code{
-		k: k, l: l, g: g, groupSize: k / l,
-		decCache: make(map[string]*matrix.Matrix),
-		decPlans: make(map[string]*codeplan.Plan),
-	}
+	c := &Code{k: k, l: l, g: g, groupSize: k / l}
 	n := k + l + g
 	gen := matrix.New(n, k)
 	for i := 0; i < k; i++ {
@@ -96,15 +98,9 @@ func New(k, l, g int) (*Code, error) {
 		}
 	}
 	c.gen = gen
-	c.encPlan = codeplan.Compile(gen)
+	c.Code = lincode.New(n, k, 1, gen, nil, 1)
 	return c, nil
 }
-
-// N returns the total number of blocks (k + l + g).
-func (c *Code) N() int { return c.k + c.l + c.g }
-
-// K returns the number of data blocks.
-func (c *Code) K() int { return c.k }
 
 // L returns the number of local groups.
 func (c *Code) L() int { return c.l }
@@ -133,53 +129,14 @@ func (c *Code) Group(idx int) int {
 // StorageOverhead returns n/k.
 func (c *Code) StorageOverhead() float64 { return float64(c.N()) / float64(c.k) }
 
-// Encode encodes k equally sized data blocks into n blocks.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	if len(data) != c.k {
-		return nil, fmt.Errorf("%w: got %d data blocks, want %d", ErrBlockCount, len(data), c.k)
-	}
-	size := -1
-	for i, b := range data {
-		if b == nil {
-			return nil, fmt.Errorf("%w: data block %d is nil", ErrBlockCount, i)
-		}
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return nil, fmt.Errorf("%w: block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
-	}
-	if size == 0 {
-		return nil, fmt.Errorf("%w: empty blocks", ErrBlockSizeMismatch)
-	}
-	out := make([][]byte, c.N())
-	for i := range out {
-		out[i] = make([]byte, size)
-	}
-	c.encPlan.Run(data, out)
-	return out, nil
-}
-
 // IsDecodable reports whether the original data is recoverable from the
 // given availability pattern (length n).
 func (c *Code) IsDecodable(available []bool) bool {
 	if len(available) != c.N() {
 		return false
 	}
-	tracker := matrix.NewRankTracker(c.k)
-	rank := 0
-	for i, ok := range available {
-		if !ok {
-			continue
-		}
-		if tracker.Add(c.gen.Row(i)) {
-			rank++
-			if rank == c.k {
-				return true
-			}
-		}
-	}
-	return false
+	_, err := c.independentRows(available)
+	return err == nil
 }
 
 // Decode recovers the k data blocks from the available blocks (nil entries
@@ -189,78 +146,20 @@ func (c *Code) Decode(blocks [][]byte) ([][]byte, error) {
 	if len(blocks) != c.N() {
 		return nil, fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.N())
 	}
-	size := -1
-	for i, b := range blocks {
-		if b == nil {
-			continue
-		}
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return nil, fmt.Errorf("%w: block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
+	rows, err := c.independentRows(availability(blocks))
+	if err != nil {
+		return nil, err
 	}
-	if size <= 0 {
-		return nil, fmt.Errorf("%w: no blocks present", ErrUndecodable)
-	}
-	// Fast path: all data blocks present.
-	allData := true
-	for i := 0; i < c.k; i++ {
-		if blocks[i] == nil {
-			allData = false
-			break
-		}
-	}
-	if allData {
-		return blocks[:c.k:c.k], nil
-	}
-	// Pick k independent surviving rows.
-	available := make([]bool, c.N())
+	return c.DecodeFrom(blocks, rows)
+}
+
+// availability marks which entries of blocks are present.
+func availability(blocks [][]byte) []bool {
+	available := make([]bool, len(blocks))
 	for i, b := range blocks {
 		available[i] = b != nil
 	}
-	rows, err := c.independentRows(available)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := c.decodePlan(rows)
-	if err != nil {
-		return nil, err
-	}
-	in := make([][]byte, len(rows))
-	for i, r := range rows {
-		in[i] = blocks[r]
-	}
-	out := make([][]byte, c.k)
-	for i := range out {
-		out[i] = make([]byte, size)
-	}
-	plan.Run(in, out)
-	return out, nil
-}
-
-// decodePlan returns the cached compiled decode schedule for the selected
-// survivor rows.
-func (c *Code) decodePlan(rows []int) (*codeplan.Plan, error) {
-	key := make([]byte, len(rows))
-	for i, r := range rows {
-		key[i] = byte(r)
-	}
-	c.mu.Lock()
-	if plan, ok := c.decPlans[string(key)]; ok {
-		c.mu.Unlock()
-		return plan, nil
-	}
-	c.mu.Unlock()
-	inv, err := c.decodeMatrix(rows)
-	if err != nil {
-		return nil, err
-	}
-	plan := codeplan.Compile(inv)
-	c.mu.Lock()
-	c.decPlans[string(key)] = plan
-	c.mu.Unlock()
-	return plan, nil
+	return available
 }
 
 // independentRows selects k available block indices whose generator rows
@@ -282,27 +181,6 @@ func (c *Code) independentRows(available []bool) ([]int, error) {
 	return nil, fmt.Errorf("%w: surviving rank %d of %d", ErrUndecodable, len(rows), c.k)
 }
 
-func (c *Code) decodeMatrix(rows []int) (*matrix.Matrix, error) {
-	key := make([]byte, len(rows))
-	for i, r := range rows {
-		key[i] = byte(r)
-	}
-	c.mu.Lock()
-	if inv, ok := c.decCache[string(key)]; ok {
-		c.mu.Unlock()
-		return inv, nil
-	}
-	c.mu.Unlock()
-	inv, err := c.gen.SelectRows(rows).Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("lrc: decode matrix for rows %v: %w", rows, err)
-	}
-	c.mu.Lock()
-	c.decCache[string(key)] = inv
-	c.mu.Unlock()
-	return inv, nil
-}
-
 // RepairPlan describes how a single lost block is regenerated.
 type RepairPlan struct {
 	// Sources lists the blocks read.
@@ -316,7 +194,7 @@ type RepairPlan struct {
 // a global decode otherwise.
 func (c *Code) PlanRepair(failed int, available []bool) (*RepairPlan, error) {
 	if failed < 0 || failed >= c.N() {
-		return nil, fmt.Errorf("lrc: failed block %d out of range [0,%d)", failed, c.N())
+		return nil, fmt.Errorf("%w: failed block %d out of range [0,%d)", ErrBadHelpers, failed, c.N())
 	}
 	if len(available) != c.N() {
 		return nil, fmt.Errorf("%w: availability vector has %d entries, want %d", ErrBlockCount, len(available), c.N())
@@ -361,33 +239,30 @@ func (c *Code) PlanRepair(failed int, available []bool) (*RepairPlan, error) {
 // Repair regenerates the failed block from the available blocks using the
 // cheapest plan.
 func (c *Code) Repair(failed int, blocks [][]byte) ([]byte, error) {
-	if len(blocks) != c.N() {
-		return nil, fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.N())
-	}
-	available := make([]bool, c.N())
-	for i, b := range blocks {
-		available[i] = b != nil
-	}
-	plan, err := c.PlanRepair(failed, available)
+	plan, err := c.PlanRepair(failed, availability(blocks))
 	if err != nil {
 		return nil, err
 	}
-	size := len(blocks[plan.Sources[0]])
+	_, size, err := lincode.Survey(blocks, c.N(), 1, true)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, size)
 	if plan.Local {
 		// Group members and local parity XOR to zero, so the failed block
 		// is the XOR of the sources.
-		out := make([]byte, size)
 		for _, s := range plan.Sources {
 			gf256.AddSlice(blocks[s], out)
 		}
 		return out, nil
 	}
-	data, err := c.Decode(blocks)
-	if err != nil {
+	in := make([][]byte, len(plan.Sources))
+	for i, s := range plan.Sources {
+		in[i] = blocks[s]
+	}
+	if err := c.SolveInto(plan.Sources, in, []int{failed}, [][]byte{out}); err != nil {
 		return nil, err
 	}
-	out := make([]byte, size)
-	matrix.ApplyRowToUnits(c.gen.Row(failed), data, out)
 	return out, nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"carousel/internal/gf256"
-	"carousel/internal/workpool"
 )
 
 // ErrSingular is returned when an inversion or solve is attempted on a
@@ -515,59 +514,6 @@ func (m *Matrix) ApplyToUnitsDense(in, out [][]byte) {
 			for i, v := range in[c] {
 				dst[i] ^= mt[v]
 			}
-		}
-	}
-}
-
-// ApplyToUnitsParallel is ApplyToUnits with the unit buffers divided into
-// byte ranges striped across the shared bounded worker pool
-// (internal/workpool); at most `workers` byte ranges execute concurrently
-// and no goroutines are spawned beyond the fixed pool. Rows are
-// independent per byte offset, so splitting along the buffer is safe.
-// workers <= 1 falls back to the serial path. New code should prefer
-// compiling the matrix with internal/codeplan; this entry point is kept
-// as a thin shim for API compatibility.
-func (m *Matrix) ApplyToUnitsParallel(in, out [][]byte, workers int) {
-	if workers <= 1 || len(in) == 0 || len(in[0]) < 4096 {
-		m.ApplyToUnits(in, out)
-		return
-	}
-	size := len(in[0])
-	chunk := (size + workers - 1) / workers
-	// Align chunks to 64 bytes to keep the inner loops on full strides.
-	chunk = (chunk + 63) / 64 * 64
-	chunks := (size + chunk - 1) / chunk
-	workpool.Parallel(chunks, workers, func(ci int) {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > size {
-			hi = size
-		}
-		m.applyRange(in, out, lo, hi)
-	})
-}
-
-// applyRange is ApplyToUnits restricted to the byte range [lo, hi) of
-// every buffer, slicing in place so the parallel path allocates nothing
-// per chunk.
-func (m *Matrix) applyRange(in, out [][]byte, lo, hi int) {
-	for r := 0; r < m.rows; r++ {
-		row := m.Row(r)
-		dst := out[r][lo:hi]
-		first := true
-		for c, coef := range row {
-			if coef == 0 {
-				continue
-			}
-			if first {
-				gf256.MulSlice(coef, in[c][lo:hi], dst)
-				first = false
-			} else {
-				gf256.MulAddSlice(coef, in[c][lo:hi], dst)
-			}
-		}
-		if first {
-			clear(dst)
 		}
 	}
 }

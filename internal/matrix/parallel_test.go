@@ -34,36 +34,6 @@ func TestApplyToUnitsDenseMatchesSparse(t *testing.T) {
 	}
 }
 
-func TestApplyToUnitsParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	m := randomMatrix(rng, 12, 6)
-	for _, unit := range []int{100, 4096, 65536 + 17} {
-		in := make([][]byte, 6)
-		for i := range in {
-			in[i] = make([]byte, unit)
-			rng.Read(in[i])
-		}
-		want := make([][]byte, 12)
-		got := make([][]byte, 12)
-		for i := range want {
-			want[i] = make([]byte, unit)
-			got[i] = make([]byte, unit)
-		}
-		m.ApplyToUnits(in, want)
-		for _, workers := range []int{1, 2, 3, 8} {
-			for i := range got {
-				clear(got[i])
-			}
-			m.ApplyToUnitsParallel(in, got, workers)
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("unit %d workers %d: row %d differs", unit, workers, i)
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkApplyToUnitsSparseVsDense(b *testing.B) {
 	// Ablation for the paper's sparsity optimization: the remapped
 	// Carousel generator has mostly-zero rows, so the sparse path should
@@ -102,33 +72,6 @@ func BenchmarkApplyToUnitsSparseVsDense(b *testing.B) {
 			m.ApplyToUnitsDense(in, out)
 		}
 	})
-}
-
-func BenchmarkApplyToUnitsParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(34))
-	m := randomMatrix(rng, 12, 6)
-	const unit = 1 << 20
-	in := make([][]byte, 6)
-	out := make([][]byte, 12)
-	for i := range in {
-		in[i] = make([]byte, unit)
-		rng.Read(in[i])
-	}
-	for i := range out {
-		out[i] = make([]byte, unit)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(benchName(workers), func(b *testing.B) {
-			b.SetBytes(int64(6 * unit))
-			for i := 0; i < b.N; i++ {
-				m.ApplyToUnitsParallel(in, out, workers)
-			}
-		})
-	}
-}
-
-func benchName(w int) string {
-	return "workers=" + string(rune('0'+w))
 }
 
 func TestRankTracker(t *testing.T) {

@@ -17,31 +17,33 @@
 package mbr
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
+	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 )
 
-// Common argument errors.
+// Argument errors: the engine's, shared with every other codec.
 var (
 	// ErrTooFewBlocks is returned when fewer than k blocks are available.
-	ErrTooFewBlocks = errors.New("mbr: fewer than k blocks available")
+	ErrTooFewBlocks = lincode.ErrTooFewBlocks
 
 	// ErrBlockSizeMismatch is returned for inconsistent or misaligned
-	// sizes.
-	ErrBlockSizeMismatch = errors.New("mbr: bad block or message size")
+	// block or message sizes.
+	ErrBlockSizeMismatch = lincode.ErrBlockSizeMismatch
 
 	// ErrBlockCount is returned when counts do not match the parameters.
-	ErrBlockCount = errors.New("mbr: wrong number of blocks")
+	ErrBlockCount = lincode.ErrBlockCount
 
 	// ErrBadHelpers is returned for invalid repair helper sets.
-	ErrBadHelpers = errors.New("mbr: invalid helper set")
+	ErrBadHelpers = lincode.ErrBadHelpers
 )
 
 // Code is an (n, k, d) product-matrix MBR code. Construct with New; safe
-// for concurrent use.
+// for concurrent use. Its message is not k block-sized shards (a block
+// holds more than 1/k of it), so it keeps its own message-shaped Encode and
+// Decode over the reference matrix.ApplyToUnits and borrows only the
+// engine's surveys, memo and helper validation.
 type Code struct {
 	n, k, d int
 	msgLen  int // B = k*d - k*(k-1)/2 message units per stripe
@@ -49,8 +51,7 @@ type Code struct {
 	psi *matrix.Matrix // n x d Vandermonde encoding matrix
 	gen *matrix.Matrix // (n*d) x B generator over message units
 
-	mu       sync.Mutex
-	decCache map[string]*decSolver
+	solvers lincode.Memo[*decSolver] // k present blocks -> row choice + inverse
 }
 
 type decSolver struct {
@@ -69,11 +70,7 @@ func New(n, k, d int) (*Code, error) {
 	if n > 255 {
 		return nil, fmt.Errorf("mbr: n=%d exceeds GF(256) capacity", n)
 	}
-	c := &Code{
-		n: n, k: k, d: d,
-		msgLen:   k*d - k*(k-1)/2,
-		decCache: make(map[string]*decSolver),
-	}
+	c := &Code{n: n, k: k, d: d, msgLen: k*d - k*(k-1)/2}
 	xs := make([]byte, n)
 	for i := range xs {
 		xs[i] = byte(i + 1)
@@ -146,54 +143,41 @@ func (c *Code) StorageOverhead() float64 {
 // Encode encodes a message whose length is a multiple of MessageUnits()
 // into n blocks of Alpha() units each (len(message)/B bytes per unit).
 func (c *Code) Encode(message []byte) ([][]byte, error) {
-	if len(message) == 0 || len(message)%c.msgLen != 0 {
-		return nil, fmt.Errorf("%w: message of %d bytes must be a positive multiple of B=%d",
-			ErrBlockSizeMismatch, len(message), c.msgLen)
+	if err := lincode.CheckSize(len(message), c.msgLen); err != nil {
+		return nil, err
 	}
 	usize := len(message) / c.msgLen
-	in := make([][]byte, c.msgLen)
-	for i := range in {
-		in[i] = message[i*usize : (i+1)*usize]
-	}
 	blocks := make([][]byte, c.n)
 	out := make([][]byte, 0, c.n*c.d)
 	for i := range blocks {
 		blocks[i] = make([]byte, c.d*usize)
-		for s := 0; s < c.d; s++ {
-			out = append(out, blocks[i][s*usize:(s+1)*usize])
-		}
+		out = append(out, split(blocks[i], c.d)...)
 	}
-	c.gen.ApplyToUnits(in, out)
+	c.gen.ApplyToUnits(split(message, c.msgLen), out)
 	return blocks, nil
+}
+
+// split cuts buf into count equal views.
+func split(buf []byte, count int) [][]byte {
+	usize := len(buf) / count
+	out := make([][]byte, count)
+	for i := range out {
+		out[i] = buf[i*usize : (i+1)*usize]
+	}
+	return out
 }
 
 // Decode recovers the message from any k available blocks (nil entries
 // mark missing blocks).
 func (c *Code) Decode(blocks [][]byte) ([]byte, error) {
-	if len(blocks) != c.n {
-		return nil, fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.n)
-	}
-	size := -1
-	present := make([]int, 0, c.n)
-	for i, b := range blocks {
-		if b == nil {
-			continue
-		}
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return nil, fmt.Errorf("%w: block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
-		present = append(present, i)
+	present, size, err := lincode.Survey(blocks, c.n, c.d, true)
+	if err != nil {
+		return nil, err
 	}
 	if len(present) < c.k {
 		return nil, fmt.Errorf("%w: %d present, need %d", ErrTooFewBlocks, len(present), c.k)
 	}
-	if size <= 0 || size%c.d != 0 {
-		return nil, fmt.Errorf("%w: block size %d must be a positive multiple of alpha=%d", ErrBlockSizeMismatch, size, c.d)
-	}
-	present = present[:c.k]
-	solver, err := c.solver(present)
+	solver, err := c.solver(present[:c.k])
 	if err != nil {
 		return nil, err
 	}
@@ -205,68 +189,48 @@ func (c *Code) Decode(blocks [][]byte) ([]byte, error) {
 		in[x] = blocks[b][s*usize : (s+1)*usize]
 	}
 	message := make([]byte, c.msgLen*usize)
-	out := make([][]byte, c.msgLen)
-	for i := range out {
-		out[i] = message[i*usize : (i+1)*usize]
-	}
-	solver.inv.ApplyToUnits(in, out)
+	solver.inv.ApplyToUnits(in, split(message, c.msgLen))
 	return message, nil
 }
 
 // solver picks B independent unit rows among the k present blocks and
-// caches the inverse.
+// memoizes them with the inverse.
 func (c *Code) solver(present []int) (*decSolver, error) {
-	key := make([]byte, len(present))
-	for i, p := range present {
-		key[i] = byte(p)
-	}
-	c.mu.Lock()
-	if s, ok := c.decCache[string(key)]; ok {
-		c.mu.Unlock()
-		return s, nil
-	}
-	c.mu.Unlock()
-	tracker := matrix.NewRankTracker(c.msgLen)
-	rows := make([]int, 0, c.msgLen)
-	for _, b := range present {
-		for s := 0; s < c.d; s++ {
-			row := b*c.d + s
-			if tracker.Add(c.gen.Row(row)) {
-				rows = append(rows, row)
+	var buf [32]byte
+	return c.solvers.Get(lincode.AppendIndices(buf[:0], present), func() (*decSolver, error) {
+		tracker := matrix.NewRankTracker(c.msgLen)
+		rows := make([]int, 0, c.msgLen)
+		for _, b := range present {
+			for s := 0; s < c.d; s++ {
+				row := b*c.d + s
+				if tracker.Add(c.gen.Row(row)) {
+					rows = append(rows, row)
+				}
 			}
 		}
-	}
-	if len(rows) < c.msgLen {
-		return nil, fmt.Errorf("mbr: blocks %v yield rank %d of %d (construction bug)", present, len(rows), c.msgLen)
-	}
-	inv, err := c.gen.SelectRows(rows).Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("mbr: decode matrix: %w", err)
-	}
-	s := &decSolver{rows: rows, inv: inv}
-	c.mu.Lock()
-	c.decCache[string(key)] = s
-	c.mu.Unlock()
-	return s, nil
+		if len(rows) < c.msgLen {
+			return nil, fmt.Errorf("mbr: blocks %v yield rank %d of %d (construction bug)", present, len(rows), c.msgLen)
+		}
+		inv, err := c.gen.SelectRows(rows).Inverse()
+		if err != nil {
+			return nil, fmt.Errorf("mbr: decode matrix: %w", err)
+		}
+		return &decSolver{rows: rows, inv: inv}, nil
+	})
 }
 
 // HelperChunk computes one helper's repair contribution: the single unit
 // psi_helper * M * psi_failed^T = block_helper . psi_failed (an inner
 // product of the helper's d units with the failed block's psi row).
 func (c *Code) HelperChunk(helper, failed int, block []byte) ([]byte, error) {
-	if helper < 0 || helper >= c.n || failed < 0 || failed >= c.n || helper == failed {
-		return nil, fmt.Errorf("%w: helper %d / failed %d", ErrBadHelpers, helper, failed)
+	if err := lincode.ValidateHelpers(c.n, 1, failed, []int{helper}); err != nil {
+		return nil, err
 	}
-	if len(block) == 0 || len(block)%c.d != 0 {
-		return nil, fmt.Errorf("%w: block size %d", ErrBlockSizeMismatch, len(block))
+	if err := lincode.CheckSize(len(block), c.d); err != nil {
+		return nil, err
 	}
-	usize := len(block) / c.d
-	segs := make([][]byte, c.d)
-	for s := range segs {
-		segs[s] = block[s*usize : (s+1)*usize]
-	}
-	out := make([]byte, usize)
-	matrix.ApplyRowToUnits(c.psi.Row(failed), segs, out)
+	out := make([]byte, len(block)/c.d)
+	matrix.ApplyRowToUnits(c.psi.Row(failed), split(block, c.d), out)
 	return out, nil
 }
 
@@ -275,43 +239,25 @@ func (c *Code) HelperChunk(helper, failed int, block []byte) ([]byte, error) {
 // and the result M psi_f^T is the failed block by symmetry of M. Total
 // traffic: d units = exactly one block.
 func (c *Code) RepairBlock(failed int, helpers []int, chunks [][]byte) ([]byte, error) {
-	if err := c.validateHelpers(failed, helpers); err != nil {
+	if err := lincode.ValidateHelpers(c.n, c.d, failed, helpers); err != nil {
 		return nil, err
 	}
-	if len(chunks) != c.d {
-		return nil, fmt.Errorf("%w: got %d chunks, want %d", ErrBlockCount, len(chunks), c.d)
+	_, usize, err := lincode.Survey(chunks, c.d, 1, false)
+	if err != nil {
+		return nil, err
 	}
-	usize := -1
-	for i, ch := range chunks {
-		if ch == nil {
-			return nil, fmt.Errorf("%w: chunk %d is nil", ErrBlockCount, i)
-		}
-		if usize == -1 {
-			usize = len(ch)
-		} else if len(ch) != usize {
-			return nil, fmt.Errorf("%w: chunk %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(ch), usize)
-		}
-	}
-	if usize <= 0 {
-		return nil, fmt.Errorf("%w: empty chunks", ErrBlockSizeMismatch)
-	}
-	psiD := c.psi.SelectRows(helpers)
-	inv, err := psiD.Inverse()
+	inv, err := c.psi.SelectRows(helpers).Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("mbr: helper matrix: %w", err)
 	}
 	block := make([]byte, c.d*usize)
-	out := make([][]byte, c.d)
-	for s := range out {
-		out[s] = block[s*usize : (s+1)*usize]
-	}
-	inv.ApplyToUnits(chunks, out)
+	inv.ApplyToUnits(chunks, split(block, c.d))
 	return block, nil
 }
 
 // Repair runs both repair sides given the full block slice.
 func (c *Code) Repair(failed int, helpers []int, blocks [][]byte) ([]byte, error) {
-	if err := c.validateHelpers(failed, helpers); err != nil {
+	if err := lincode.ValidateHelpers(c.n, c.d, failed, helpers); err != nil {
 		return nil, err
 	}
 	if len(blocks) != c.n {
@@ -336,21 +282,4 @@ func (c *Code) Repair(failed int, helpers []int, blocks [][]byte) ([]byte, error
 // optimum.
 func (c *Code) ReconstructionTraffic(blockSize int) int {
 	return c.d * (blockSize / c.d)
-}
-
-func (c *Code) validateHelpers(failed int, helpers []int) error {
-	if failed < 0 || failed >= c.n {
-		return fmt.Errorf("%w: failed block %d out of range", ErrBadHelpers, failed)
-	}
-	if len(helpers) != c.d {
-		return fmt.Errorf("%w: got %d helpers, want d=%d", ErrBadHelpers, len(helpers), c.d)
-	}
-	seen := make(map[int]bool, len(helpers))
-	for _, h := range helpers {
-		if h < 0 || h >= c.n || h == failed || seen[h] {
-			return fmt.Errorf("%w: bad helper %d", ErrBadHelpers, h)
-		}
-		seen[h] = true
-	}
-	return nil
 }

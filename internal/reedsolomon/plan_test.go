@@ -16,9 +16,9 @@ func TestDecodePlanFullDataPresentIsCopyOnly(t *testing.T) {
 		for i := range present {
 			present[i] = i // all data blocks survive
 		}
-		plan, err := c.decodePlan(present)
+		plan, err := c.Plan(present, nil)
 		if err != nil {
-			t.Fatalf("decodePlan(%v): %v", present, err)
+			t.Fatalf("Plan(%v): %v", present, err)
 		}
 		counts := plan.Counts()
 		if counts.Mul != 0 || counts.MulAdd != 0 || counts.Clear != 0 {
@@ -39,7 +39,7 @@ func TestDecodePlanSurvivingDataBlocksAreCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	present := []int{1, 2, 3, 4, 5, 6} // data block 0 lost, parity 6 in
-	plan, err := c.decodePlan(present)
+	plan, err := c.Plan(present, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

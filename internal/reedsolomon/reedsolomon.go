@@ -12,43 +12,33 @@ package reedsolomon
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"carousel/internal/codeplan"
+	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 )
 
-// Common argument errors.
+// Argument errors: the engine's, shared with every other codec.
 var (
 	// ErrTooFewBlocks is returned when fewer than k blocks are available
 	// for a decode or reconstruction.
-	ErrTooFewBlocks = errors.New("reedsolomon: fewer than k blocks available")
+	ErrTooFewBlocks = lincode.ErrTooFewBlocks
 
-	// ErrBlockSizeMismatch is returned when the provided blocks do not all
-	// have the same length.
-	ErrBlockSizeMismatch = errors.New("reedsolomon: blocks have different sizes")
+	// ErrBlockSizeMismatch is returned when the provided blocks are empty
+	// or do not all have the same length.
+	ErrBlockSizeMismatch = lincode.ErrBlockSizeMismatch
 
 	// ErrBlockCount is returned when the number of provided blocks does not
 	// match the code parameters.
-	ErrBlockCount = errors.New("reedsolomon: wrong number of blocks")
+	ErrBlockCount = lincode.ErrBlockCount
 )
 
-// Code is a systematic (n, k) Reed-Solomon code. It is safe for concurrent
-// use: construction precomputes the generator and all later state is an
-// internally synchronized cache of decode matrices.
+// Code is a systematic (n, k) Reed-Solomon code: the linear-code engine
+// over the extended-Cauchy generator, one unit per block, run serially.
+// Encode, EncodeInto, Decode and Verify are the engine's; the first k
+// blocks of an encoding are copies of the data. It is safe for concurrent
+// use.
 type Code struct {
-	n, k int
-	gen  *matrix.Matrix // n x k, top k rows identity
-
-	// encPlan/parityPlan are the compiled schedules of gen and of its
-	// parity rows, built once and replayed by Encode/EncodeInto.
-	encPlan    *codeplan.Plan
-	parityPlan *codeplan.Plan
-
-	mu           sync.Mutex
-	decCache     map[string]*matrix.Matrix // survivor-set -> inverse
-	decPlans     map[string]*codeplan.Plan // survivor-set -> compiled decode schedule
-	rebuildPlans map[string]*codeplan.Plan // survivor+missing -> compiled rebuild schedule
+	*lincode.Code
 }
 
 // New returns a systematic (n, k) Reed-Solomon code.
@@ -63,299 +53,50 @@ func New(n, k int) (*Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reedsolomon: building generator: %w", err)
 	}
-	return &Code{
-		n: n, k: k, gen: gen,
-		encPlan:      codeplan.Compile(gen),
-		parityPlan:   codeplan.Compile(gen.SubMatrix(k, n, 0, k)),
-		decCache:     make(map[string]*matrix.Matrix),
-		decPlans:     make(map[string]*codeplan.Plan),
-		rebuildPlans: make(map[string]*codeplan.Plan),
-	}, nil
-}
-
-// N returns the total number of blocks per stripe.
-func (c *Code) N() int { return c.n }
-
-// K returns the number of data blocks per stripe.
-func (c *Code) K() int { return c.k }
-
-// GeneratorMatrix returns a copy of the n x k generator matrix.
-func (c *Code) GeneratorMatrix() *matrix.Matrix { return c.gen.Clone() }
-
-// Encode encodes k equally sized data blocks into n blocks. The first k
-// output blocks alias fresh copies of the data blocks; the remaining n-k are
-// parity. The input is not modified.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	if len(data) != c.k {
-		return nil, fmt.Errorf("%w: got %d data blocks, want %d", ErrBlockCount, len(data), c.k)
-	}
-	size, err := uniformSize(data, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, c.n)
-	for i := range out {
-		out[i] = make([]byte, size)
-	}
-	c.encPlan.Run(data, out)
-	return out, nil
-}
-
-// EncodeInto writes parity for the given data blocks into the provided
-// parity slices (len n-k, each the size of a data block). It avoids the
-// allocations of Encode for callers that manage buffers.
-func (c *Code) EncodeInto(data, parity [][]byte) error {
-	if len(data) != c.k {
-		return fmt.Errorf("%w: got %d data blocks, want %d", ErrBlockCount, len(data), c.k)
-	}
-	if len(parity) != c.n-c.k {
-		return fmt.Errorf("%w: got %d parity blocks, want %d", ErrBlockCount, len(parity), c.n-c.k)
-	}
-	size, err := uniformSize(data, false)
-	if err != nil {
-		return err
-	}
-	for i, p := range parity {
-		if len(p) != size {
-			return fmt.Errorf("%w: parity block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(p), size)
-		}
-	}
-	c.parityPlan.Run(data, parity)
-	return nil
+	return &Code{lincode.New(n, k, 1, gen, nil, 1)}, nil
 }
 
 // Reconstruct fills in the missing (nil) entries of blocks, which must have
 // length n. At least k entries must be non-nil. All non-nil blocks must have
 // equal length. On success every entry of blocks is populated.
 func (c *Code) Reconstruct(blocks [][]byte) error {
-	if len(blocks) != c.n {
-		return fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.n)
-	}
-	size, err := uniformSize(blocks, true)
+	present, size, err := lincode.Survey(blocks, c.N(), 1, true)
 	if err != nil {
 		return err
 	}
-	present := make([]int, 0, c.n)
-	missing := make([]int, 0, c.n)
-	for i, b := range blocks {
-		if b != nil {
-			present = append(present, i)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
+	if len(present) == c.N() {
 		return nil
 	}
-	if len(present) < c.k {
-		return fmt.Errorf("%w: %d present, need %d", ErrTooFewBlocks, len(present), c.k)
+	if len(present) < c.K() {
+		return fmt.Errorf("%w: %d present, need %d", ErrTooFewBlocks, len(present), c.K())
 	}
-	present = present[:c.k]
-	plan, err := c.rebuildPlan(present, missing)
-	if err != nil {
+	present = present[:c.K()]
+	in := make([][]byte, 0, c.K())
+	for _, idx := range present {
+		in = append(in, blocks[idx])
+	}
+	var missing []int
+	var out [][]byte
+	for i, b := range blocks {
+		if b == nil {
+			missing = append(missing, i)
+			out = append(out, make([]byte, size))
+		}
+	}
+	if err := c.SolveInto(present, in, missing, out); err != nil {
 		return err
 	}
-	in := make([][]byte, c.k)
-	for i, idx := range present {
-		in[i] = blocks[idx]
-	}
-	out := make([][]byte, len(missing))
 	for i, idx := range missing {
-		blocks[idx] = make([]byte, size)
-		out[i] = blocks[idx]
+		blocks[idx] = out[i]
 	}
-	plan.Run(in, out)
 	return nil
-}
-
-// rebuildPlan returns the cached compiled schedule rebuilding the missing
-// blocks as (generator rows) * inverse * survivors.
-func (c *Code) rebuildPlan(present, missing []int) (*codeplan.Plan, error) {
-	key := make([]byte, 0, len(present)+len(missing)+1)
-	for _, p := range present {
-		key = append(key, byte(p))
-	}
-	key = append(key, 0xff)
-	for _, m := range missing {
-		key = append(key, byte(m))
-	}
-	c.mu.Lock()
-	if plan, ok := c.rebuildPlans[string(key)]; ok {
-		c.mu.Unlock()
-		return plan, nil
-	}
-	c.mu.Unlock()
-	inv, err := c.decodeMatrix(present)
-	if err != nil {
-		return nil, err
-	}
-	plan := codeplan.Compile(c.gen.SelectRows(missing).Mul(inv))
-	c.mu.Lock()
-	c.rebuildPlans[string(key)] = plan
-	c.mu.Unlock()
-	return plan, nil
-}
-
-// Decode returns the k data blocks from any k or more available blocks.
-// blocks must have length n with nil entries for unavailable blocks. The
-// returned slices are freshly allocated except when a data block is present,
-// in which case it is returned as-is.
-func (c *Code) Decode(blocks [][]byte) ([][]byte, error) {
-	if len(blocks) != c.n {
-		return nil, fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.n)
-	}
-	size, err := uniformSize(blocks, true)
-	if err != nil {
-		return nil, err
-	}
-	// Fast path: all data blocks present.
-	allData := true
-	for i := 0; i < c.k; i++ {
-		if blocks[i] == nil {
-			allData = false
-			break
-		}
-	}
-	if allData {
-		return blocks[:c.k:c.k], nil
-	}
-	present := make([]int, 0, c.n)
-	for i, b := range blocks {
-		if b != nil {
-			present = append(present, i)
-		}
-	}
-	if len(present) < c.k {
-		return nil, fmt.Errorf("%w: %d present, need %d", ErrTooFewBlocks, len(present), c.k)
-	}
-	present = present[:c.k]
-	plan, err := c.decodePlan(present)
-	if err != nil {
-		return nil, err
-	}
-	in := make([][]byte, c.k)
-	for i, idx := range present {
-		in[i] = blocks[idx]
-	}
-	out := make([][]byte, c.k)
-	for i := range out {
-		out[i] = make([]byte, size)
-	}
-	plan.Run(in, out)
-	return out, nil
-}
-
-// decodePlan returns the cached compiled decode schedule for a survivor
-// set: surviving data blocks become COPY ops, lost ones MUL/MULADD chains.
-func (c *Code) decodePlan(present []int) (*codeplan.Plan, error) {
-	key := make([]byte, len(present))
-	for i, p := range present {
-		key[i] = byte(p)
-	}
-	c.mu.Lock()
-	if plan, ok := c.decPlans[string(key)]; ok {
-		c.mu.Unlock()
-		return plan, nil
-	}
-	c.mu.Unlock()
-	inv, err := c.decodeMatrix(present)
-	if err != nil {
-		return nil, err
-	}
-	plan := codeplan.Compile(inv)
-	c.mu.Lock()
-	c.decPlans[string(key)] = plan
-	c.mu.Unlock()
-	return plan, nil
-}
-
-// Verify checks that the parity blocks are consistent with the data blocks.
-// All n blocks must be present.
-func (c *Code) Verify(blocks [][]byte) (bool, error) {
-	if len(blocks) != c.n {
-		return false, fmt.Errorf("%w: got %d blocks, want %d", ErrBlockCount, len(blocks), c.n)
-	}
-	if _, err := uniformSize(blocks, false); err != nil {
-		return false, err
-	}
-	expect, err := c.Encode(blocks[:c.k])
-	if err != nil {
-		return false, err
-	}
-	for i := c.k; i < c.n; i++ {
-		if !bytesEqual(expect[i], blocks[i]) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // ReconstructionTraffic returns the number of bytes downloaded to
 // reconstruct one block of the given size: k blocks, per Section IV of the
 // paper.
 func (c *Code) ReconstructionTraffic(blockSize int) int {
-	return c.k * blockSize
-}
-
-// decodeMatrix returns the inverse of the generator rows selected by the
-// sorted survivor set, caching the result.
-func (c *Code) decodeMatrix(present []int) (*matrix.Matrix, error) {
-	key := make([]byte, len(present))
-	for i, p := range present {
-		key[i] = byte(p)
-	}
-	c.mu.Lock()
-	if inv, ok := c.decCache[string(key)]; ok {
-		c.mu.Unlock()
-		return inv, nil
-	}
-	c.mu.Unlock()
-	inv, err := c.gen.SelectRows(present).Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("reedsolomon: decode matrix for %v: %w", present, err)
-	}
-	c.mu.Lock()
-	c.decCache[string(key)] = inv
-	c.mu.Unlock()
-	return inv, nil
-}
-
-// uniformSize returns the common length of the non-nil blocks. When
-// allowNil is false, nil entries are rejected.
-func uniformSize(blocks [][]byte, allowNil bool) (int, error) {
-	size := -1
-	for i, b := range blocks {
-		if b == nil {
-			if !allowNil {
-				return 0, fmt.Errorf("%w: block %d is nil", ErrBlockSizeMismatch, i)
-			}
-			continue
-		}
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return 0, fmt.Errorf("%w: block %d has %d bytes, want %d", ErrBlockSizeMismatch, i, len(b), size)
-		}
-	}
-	if size <= 0 {
-		if size == -1 {
-			return 0, fmt.Errorf("%w: no blocks present", ErrTooFewBlocks)
-		}
-		return 0, fmt.Errorf("%w: empty blocks", ErrBlockSizeMismatch)
-	}
-	return size, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return c.K() * blockSize
 }
 
 // Split divides data into k equally sized shards, padding the last shard

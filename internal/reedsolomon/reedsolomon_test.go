@@ -71,29 +71,34 @@ func TestEncodeInputValidation(t *testing.T) {
 	}
 }
 
+// TestEncodeInto pins the one EncodeInto shape every codec shares: k shards
+// into n caller-owned blocks, dirty on entry, byte-identical to Encode.
 func TestEncodeInto(t *testing.T) {
 	c := mustCode(t, 5, 3)
 	rng := rand.New(rand.NewSource(2))
 	data := randomData(rng, 3, 64)
-	parity := [][]byte{make([]byte, 64), make([]byte, 64)}
-	if err := c.EncodeInto(data, parity); err != nil {
+	blocks := make([][]byte, 5)
+	for i := range blocks {
+		blocks[i] = bytes.Repeat([]byte{0xFF}, 64)
+	}
+	if err := c.EncodeInto(data, blocks); err != nil {
 		t.Fatal(err)
 	}
 	want, err := c.Encode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range parity {
-		if !bytes.Equal(parity[i], want[3+i]) {
-			t.Fatalf("EncodeInto parity %d differs from Encode", i)
+	for i := range blocks {
+		if !bytes.Equal(blocks[i], want[i]) {
+			t.Fatalf("EncodeInto block %d differs from Encode", i)
 		}
 	}
-	if err := c.EncodeInto(data, parity[:1]); !errors.Is(err, ErrBlockCount) {
-		t.Fatalf("short parity: err = %v", err)
+	if err := c.EncodeInto(data, blocks[:4]); !errors.Is(err, ErrBlockCount) {
+		t.Fatalf("n-1 blocks: err = %v", err)
 	}
-	shortParity := [][]byte{make([]byte, 32), make([]byte, 64)}
-	if err := c.EncodeInto(data, shortParity); !errors.Is(err, ErrBlockSizeMismatch) {
-		t.Fatalf("short parity buffer: err = %v", err)
+	blocks[4] = make([]byte, 32)
+	if err := c.EncodeInto(data, blocks); !errors.Is(err, ErrBlockSizeMismatch) {
+		t.Fatalf("short block: err = %v", err)
 	}
 }
 
@@ -301,28 +306,6 @@ func TestSplitValidation(t *testing.T) {
 func TestJoinTooShort(t *testing.T) {
 	if _, err := Join([][]byte{{1, 2}}, 5); err == nil {
 		t.Error("short join did not error")
-	}
-}
-
-func TestDecodeCacheConcurrency(t *testing.T) {
-	c := mustCode(t, 6, 4)
-	rng := rand.New(rand.NewSource(9))
-	data := randomData(rng, 4, 16)
-	blocks, _ := c.Encode(data)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(drop int) {
-			avail := make([][]byte, 6)
-			copy(avail, blocks)
-			avail[drop%6] = nil
-			_, err := c.Decode(avail)
-			done <- err
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -15,24 +15,33 @@ import (
 // keeps the same number of stripes moving.
 const DefaultPrefetchDepth = 4
 
-// StripeSource is an optional BlockSource extension: a source that can
-// serve a whole decoded stripe directly — for example out of a stripe
-// cache, skipping the per-block fetch and the decode — implements it. A
-// PrefetchReader tries it first for every stripe. ReadStripeInto fills
-// dst (k·blockSize bytes, padding included) and reports whether it served
-// the stripe; (false, nil) means "no fast path here, fetch blocks as
-// usual", and an error sinks the stripe.
+// StripeSource serves whole decoded stripes: ReadStripeInto fills dst
+// (k·blockSize bytes, padding included, possibly dirty) with the stripe's
+// original data, or returns the error that sinks the stripe. A block store
+// implements it directly — out of its stripe cache, or by its own hedged
+// fetch and decode — and Decoded adapts any BlockSource.
 type StripeSource interface {
-	ReadStripeInto(stripe int, dst []byte) (bool, error)
+	ReadStripeInto(stripe int, dst []byte) error
 }
 
-// BlockRecycler is an optional BlockSource extension. A source whose
-// stripe blocks come out of a buffer pool implements it so the
-// PrefetchReader can hand the blocks back as soon as a stripe is decoded;
-// sources that retain ownership of their blocks (like MemSink) simply
-// don't implement it and are never called.
-type BlockRecycler interface {
-	RecycleBlocks(blocks [][]byte)
+// Decoded adapts a BlockSource into a StripeSource: a stripe is read by
+// fetching its blocks and running the Carousel parallel read over them, so
+// missing blocks degrade per stripe instead of failing the stream.
+func Decoded(code *carousel.Code, src BlockSource) StripeSource {
+	return decoded{code, src}
+}
+
+type decoded struct {
+	code *carousel.Code
+	src  BlockSource
+}
+
+func (d decoded) ReadStripeInto(stripe int, dst []byte) error {
+	blocks, err := d.src.StripeBlocks(stripe)
+	if err != nil {
+		return err
+	}
+	return d.code.ParallelReadInto(blocks, dst)
 }
 
 // stripeResult is one decoded stripe (or the error that sank it).
@@ -42,8 +51,8 @@ type stripeResult struct {
 }
 
 // PrefetchReader is a pipelined Reader: while the caller consumes stripe
-// st, up to depth later stripes are being fetched from the source and
-// decoded concurrently, so the source's latency hides behind the
+// st, up to depth later stripes are being read from the source
+// concurrently, so the source's latency hides behind the
 // consumer's pace instead of serializing with it. Decoded stripes come out
 // of the shared buffer pool and go back as they are consumed, so a
 // steady-state stream allocates almost nothing.
@@ -64,7 +73,7 @@ type PrefetchReader struct {
 // NewPrefetchReader returns a pipelined streaming decoder for a stream of
 // the given original size. depth bounds how many stripes are fetched and
 // decoded ahead of the consumer; non-positive means DefaultPrefetchDepth.
-func NewPrefetchReader(code *carousel.Code, blockSize int, size int64, src BlockSource, depth int) (*PrefetchReader, error) {
+func NewPrefetchReader(code *carousel.Code, blockSize int, size int64, src StripeSource, depth int) (*PrefetchReader, error) {
 	if blockSize <= 0 || blockSize%code.BlockAlign() != 0 {
 		return nil, fmt.Errorf("stream: block size %d must be a positive multiple of %d", blockSize, code.BlockAlign())
 	}
@@ -82,19 +91,18 @@ func NewPrefetchReader(code *carousel.Code, blockSize int, size int64, src Block
 		queue: make(chan chan stripeResult, depth),
 		quit:  make(chan struct{}),
 	}
-	go dispatch(code, blockSize, size, src, r.queue, r.quit)
+	go dispatch(int64(code.K())*int64(blockSize), size, src, r.queue, r.quit)
 	return r, nil
 }
 
-// dispatch launches one fetch+decode goroutine per stripe, in order. The
+// dispatch launches one read goroutine per stripe of per bytes, in order. The
 // queue's capacity is the pipeline depth: enqueueing the stripe's result
 // slot blocks once depth stripes are outstanding, which is what throttles
 // the prefetch to the consumer's pace. Each worker delivers into its own
 // buffered slot, so workers never block and never leak, even when the
 // reader is closed mid-stream.
-func dispatch(code *carousel.Code, blockSize int, size int64, src BlockSource, queue chan chan stripeResult, quit chan struct{}) {
+func dispatch(per, size int64, src StripeSource, queue chan chan stripeResult, quit chan struct{}) {
 	defer close(queue)
-	per := int64(code.K()) * int64(blockSize)
 	stripes := int((size + per - 1) / per)
 	for st := 0; st < stripes; st++ {
 		slot := make(chan stripeResult, 1)
@@ -104,37 +112,14 @@ func dispatch(code *carousel.Code, blockSize int, size int64, src BlockSource, q
 			return
 		}
 		go func(st int, slot chan<- stripeResult) {
-			// Fast path: a source that can produce the whole decoded stripe
-			// (a cache hit, or a coalesced fetch) delivers straight into a
-			// pooled buffer — the cache copies into it, so recycling the
-			// buffer downstream never races the cache's own entry.
-			if ss, ok := src.(StripeSource); ok {
-				out := bufpool.Get(int(per))
-				served, err := ss.ReadStripeInto(st, out)
-				if err != nil {
-					bufpool.Put(out)
-					slot <- stripeResult{err: fmt.Errorf("stream: fetching stripe %d: %w", st, err)}
-					return
-				}
-				if served {
-					slot <- stripeResult{data: out}
-					return
-				}
-				bufpool.Put(out)
-			}
-			blocks, err := src.StripeBlocks(st)
-			if err != nil {
-				slot <- stripeResult{err: fmt.Errorf("stream: fetching stripe %d: %w", st, err)}
-				return
-			}
+			// The source fills a pooled buffer it does not keep (a cache
+			// copies into it), so recycling the buffer downstream never
+			// races the source's own memory.
 			out := bufpool.Get(int(per))
-			if err := code.ParallelReadInto(blocks, out); err != nil {
+			if err := src.ReadStripeInto(st, out); err != nil {
 				bufpool.Put(out)
-				slot <- stripeResult{err: fmt.Errorf("stream: decoding stripe %d: %w", st, err)}
+				slot <- stripeResult{err: fmt.Errorf("stream: reading stripe %d: %w", st, err)}
 				return
-			}
-			if rec, ok := src.(BlockRecycler); ok {
-				rec.RecycleBlocks(blocks)
 			}
 			slot <- stripeResult{data: out}
 		}(st, slot)

@@ -47,7 +47,7 @@ func TestPrefetchRoundTripVariousSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, depth := range []int{1, 3, 0 /* default */} {
-			r, err := NewPrefetchReader(code, blockSize, int64(size), sink, depth)
+			r, err := NewPrefetchReader(code, blockSize, int64(size), Decoded(code, sink), depth)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestPrefetchReaderToleratesMissingBlocks(t *testing.T) {
 			sink.Drop(st, (st+i*3)%code.N())
 		}
 	}
-	r, err := NewPrefetchReader(code, blockSize, int64(size), sink, 2)
+	r, err := NewPrefetchReader(code, blockSize, int64(size), Decoded(code, sink), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPrefetchReaderEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	r, err := NewPrefetchReader(code, blockSize, int64(size), sink, 4)
+	r, err := NewPrefetchReader(code, blockSize, int64(size), Decoded(code, sink), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPrefetchReaderPropagatesSourceError(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	r, err := NewPrefetchReader(code, blockSize, int64(size), &failingSource{good: sink}, 2)
+	r, err := NewPrefetchReader(code, blockSize, int64(size), Decoded(code, &failingSource{good: sink}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +196,10 @@ func TestPrefetchReaderPropagatesSourceError(t *testing.T) {
 
 func TestPrefetchReaderValidation(t *testing.T) {
 	code := mustCode(t)
-	if _, err := NewPrefetchReader(code, 7, 100, &MemSink{}, 1); err == nil {
+	if _, err := NewPrefetchReader(code, 7, 100, Decoded(code, &MemSink{}), 1); err == nil {
 		t.Error("misaligned block size accepted")
 	}
-	if _, err := NewPrefetchReader(code, code.BlockAlign(), -1, &MemSink{}, 1); err == nil {
+	if _, err := NewPrefetchReader(code, code.BlockAlign(), -1, Decoded(code, &MemSink{}), 1); err == nil {
 		t.Error("negative size accepted")
 	}
 	if _, err := NewPrefetchReader(code, code.BlockAlign(), 100, nil, 1); err == nil {

@@ -1,6 +1,6 @@
 // Package workpool provides the shared, bounded worker pool behind every
-// parallel GF(2^8) hot path in this repository (codeplan execution,
-// matrix.ApplyToUnitsParallel, the stripe pipeline). The pool holds
+// parallel GF(2^8) hot path in this repository (codeplan execution, the
+// stripe pipeline). The pool holds
 // GOMAXPROCS goroutines by default, started lazily on first use and
 // growable via Ensure; callers never spawn goroutines of their own, so
 // total fan-out stays bounded no matter how many codecs or stripes run

@@ -9,7 +9,7 @@ RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal
 # detector to shake out order-dependent leaks and redial races.
 FAULT_PKGS = ./internal/blockserver ./internal/dfs ./internal/faultnet
 
-.PHONY: check fmt vet build test race race-tiers faults master writepath bench bench-gate bench-net bench-recovery bench-sweep obs swarm bench-swarm
+.PHONY: check fmt vet build test race race-tiers faults master writepath series bench bench-gate bench-net bench-recovery bench-sweep obs swarm bench-swarm
 
 check: fmt vet build test race
 
@@ -57,6 +57,13 @@ master:
 writepath:
 	$(GO) test -race -count=2 -run 'TestInto|TestEveryOutputOpensWithAnOverwrite' ./internal/carousel ./internal/codeplan
 	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts' ./internal/blockserver
+
+# The Fig. 6-8 series loop, short: the four parameter points of
+# bench.NewFamily are built and encoded (6a), and a real repair's helper
+# uploads are checked against the analytic traffic (7 panics on a mismatch).
+series:
+	$(GO) run ./cmd/codingbench -fig 6a -ks 2,4 -mb 1 -reps 1
+	$(GO) run ./cmd/codingbench -fig 7 -ks 2,4
 
 # Regenerate the coding microbenchmarks and the JSON snapshot.
 bench:

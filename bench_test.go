@@ -13,10 +13,10 @@ package carousel_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"carousel"
+	"carousel/internal/bench"
 	"carousel/internal/workload"
 )
 
@@ -26,227 +26,107 @@ var benchKs = []int{2, 4, 6}
 
 const benchMB = 1 << 20
 
-type family struct {
-	k    int
-	rs   *carousel.ReedSolomon
-	carK *carousel.Code
-	msr  *carousel.MSR
-	carD *carousel.Code
-}
-
-func newFamily(b *testing.B, k int) *family {
-	b.Helper()
-	n := 2 * k
-	rs, err := carousel.NewReedSolomon(n, k)
-	if err != nil {
-		b.Fatal(err)
+// eachSeries runs fn as one sub-benchmark per (series, k) of the paper's
+// Fig. 6-8 comparison. The four series are parameter points of one code —
+// RS = Carousel(2k,k,k,k), MSR = Carousel(2k,k,2k-1,k) — so fn is written
+// once. computeOnly keeps only the series whose helpers compute (d > k).
+func eachSeries(b *testing.B, computeOnly bool, fn func(b *testing.B, code *carousel.Code, size int, data [][]byte)) {
+	for _, k := range benchKs {
+		f, err := bench.NewFamily(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		size := f.AlignBlockSize(benchMB)
+		data := bench.RandomShards(k, size, int64(k))
+		for _, s := range f {
+			if computeOnly && s.Code.D() == s.Code.K() {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/k=%d", s.Name, k), func(b *testing.B) { fn(b, s.Code, size, data) })
+		}
 	}
-	carK, err := carousel.New(n, k, k, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := carousel.NewMSR(n, k, 2*k-1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	carD, err := carousel.New(n, k, 2*k-1, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &family{k: k, rs: rs, carK: carK, msr: m, carD: carD}
-}
-
-func (f *family) blockSize() int {
-	align := f.carK.BlockAlign() * f.carD.BlockAlign() * f.msr.Alpha()
-	return (benchMB + align - 1) / align * align
-}
-
-func benchShards(k, size int) [][]byte {
-	rng := rand.New(rand.NewSource(int64(k)))
-	out := make([][]byte, k)
-	for i := range out {
-		out[i] = make([]byte, size)
-		rng.Read(out[i])
-	}
-	return out
 }
 
 func BenchmarkFig6aEncode(b *testing.B) {
-	for _, k := range benchKs {
-		f := newFamily(b, k)
-		size := f.blockSize()
-		data := benchShards(k, size)
-		cases := []struct {
-			name string
-			fn   func() error
-		}{
-			{"RS", func() error { _, err := f.rs.Encode(data); return err }},
-			{"Carousel_dk", func() error { _, err := f.carK.Encode(data); return err }},
-			{"MSR", func() error { _, err := f.msr.Encode(data); return err }},
-			{"Carousel_d2k1", func() error { _, err := f.carD.Encode(data); return err }},
+	eachSeries(b, false, func(b *testing.B, code *carousel.Code, size int, data [][]byte) {
+		b.SetBytes(int64(code.K() * size))
+		for i := 0; i < b.N; i++ {
+			if _, err := code.Encode(data); err != nil {
+				b.Fatal(err)
+			}
 		}
-		for _, c := range cases {
-			b.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(b *testing.B) {
-				b.SetBytes(int64(k * size))
-				for i := 0; i < b.N; i++ {
-					if err := c.fn(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
+	})
 }
 
 func BenchmarkFig6bDecode(b *testing.B) {
-	for _, k := range benchKs {
-		f := newFamily(b, k)
-		size := f.blockSize()
-		data := benchShards(k, size)
-		survive := func(blocks [][]byte) [][]byte {
-			avail := make([][]byte, len(blocks))
-			for i := 1; i <= k; i++ {
-				avail[i] = blocks[i]
+	eachSeries(b, false, func(b *testing.B, code *carousel.Code, size int, data [][]byte) {
+		blocks, err := code.Encode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// One data block lost: decode from blocks 1..k.
+		avail := make([][]byte, len(blocks))
+		copy(avail[1:code.K()+1], blocks[1:code.K()+1])
+		b.SetBytes(int64(code.K() * size))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := code.Decode(avail); err != nil {
+				b.Fatal(err)
 			}
-			return avail
 		}
-		rsB, _ := f.rs.Encode(data)
-		ckB, _ := f.carK.Encode(data)
-		msB, _ := f.msr.Encode(data)
-		cdB, _ := f.carD.Encode(data)
-		cases := []struct {
-			name string
-			fn   func() error
-		}{
-			{"RS", func() error { _, err := f.rs.Decode(survive(rsB)); return err }},
-			{"Carousel_dk", func() error { _, err := f.carK.Decode(survive(ckB)); return err }},
-			{"MSR", func() error { _, err := f.msr.Decode(survive(msB)); return err }},
-			{"Carousel_d2k1", func() error { _, err := f.carD.Decode(survive(cdB)); return err }},
-		}
-		for _, c := range cases {
-			b.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(b *testing.B) {
-				b.SetBytes(int64(k * size))
-				for i := 0; i < b.N; i++ {
-					if err := c.fn(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
+	})
 }
 
 // BenchmarkFig7RepairTraffic reports the repair traffic in block units as
 // a custom metric (it is a property of the code, not a timing).
 func BenchmarkFig7RepairTraffic(b *testing.B) {
-	for _, k := range benchKs {
-		f := newFamily(b, k)
-		size := f.blockSize()
-		cases := []struct {
-			name    string
-			traffic int
-		}{
-			{"RS", f.rs.ReconstructionTraffic(size)},
-			{"Carousel_dk", f.carK.ReconstructionTraffic(size)},
-			{"MSR", f.msr.ReconstructionTraffic(size)},
-			{"Carousel_d2k1", f.carD.ReconstructionTraffic(size)},
+	eachSeries(b, false, func(b *testing.B, code *carousel.Code, size int, _ [][]byte) {
+		traffic := code.ReconstructionTraffic(size)
+		for i := 0; i < b.N; i++ {
+			_ = traffic
 		}
-		for _, c := range cases {
-			b.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = c.traffic
-				}
-				b.ReportMetric(float64(c.traffic)/float64(size), "blocks-moved")
-			})
-		}
-	}
-}
-
-func firstHelpers(n, d, failed int) []int {
-	out := make([]int, 0, d)
-	for i := 0; i < n && len(out) < d; i++ {
-		if i != failed {
-			out = append(out, i)
-		}
-	}
-	return out
+		b.ReportMetric(float64(traffic)/float64(size), "blocks-moved")
+	})
 }
 
 func BenchmarkFig8aNewcomer(b *testing.B) {
-	for _, k := range benchKs {
-		f := newFamily(b, k)
-		size := f.blockSize()
-		data := benchShards(k, size)
-
-		rsB, _ := f.rs.Encode(data)
-		b.Run(fmt.Sprintf("RS/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				work := make([][]byte, len(rsB))
-				copy(work, rsB)
-				work[0] = nil
-				if err := f.rs.Reconstruct(work); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-
-		msB, _ := f.msr.Encode(data)
-		msHelpers := firstHelpers(f.msr.N(), f.msr.D(), 0)
-		msChunks := make([][]byte, len(msHelpers))
-		for i, h := range msHelpers {
-			msChunks[i], _ = f.msr.HelperChunk(h, 0, msB[h])
+	eachSeries(b, false, func(b *testing.B, code *carousel.Code, size int, data [][]byte) {
+		blocks, err := code.Encode(data)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("MSR/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if _, err := f.msr.RepairBlock(0, msHelpers, msChunks); err != nil {
-					b.Fatal(err)
-				}
+		helpers := make([]int, code.D())
+		chunks := make([][]byte, code.D())
+		for i := range helpers {
+			helpers[i] = i + 1 // block 0 is the one lost
+			if chunks[i], err = code.HelperChunk(helpers[i], 0, blocks[helpers[i]]); err != nil {
+				b.Fatal(err)
 			}
-		})
-
-		cdB, _ := f.carD.Encode(data)
-		cdHelpers := firstHelpers(f.carD.N(), f.carD.D(), 0)
-		cdChunks := make([][]byte, len(cdHelpers))
-		for i, h := range cdHelpers {
-			cdChunks[i], _ = f.carD.HelperChunk(h, 0, cdB[h])
 		}
-		b.Run(fmt.Sprintf("Carousel_d2k1/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if _, err := f.carD.RepairBlock(0, cdHelpers, cdChunks); err != nil {
-					b.Fatal(err)
-				}
+		b.SetBytes(int64(size))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := code.RepairBlock(0, helpers, chunks); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkFig8bHelper(b *testing.B) {
-	for _, k := range benchKs {
-		f := newFamily(b, k)
-		size := f.blockSize()
-		data := benchShards(k, size)
-		msB, _ := f.msr.Encode(data)
-		b.Run(fmt.Sprintf("MSR/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if _, err := f.msr.HelperChunk(1, 0, msB[1]); err != nil {
-					b.Fatal(err)
-				}
+	eachSeries(b, true, func(b *testing.B, code *carousel.Code, size int, data [][]byte) {
+		blocks, err := code.Encode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(size))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := code.HelperChunk(1, 0, blocks[1]); err != nil {
+				b.Fatal(err)
 			}
-		})
-		cdB, _ := f.carD.Encode(data)
-		b.Run(fmt.Sprintf("Carousel_d2k1/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if _, err := f.carD.HelperChunk(1, 0, cdB[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkFig9WordCount runs the simulated-cluster wordcount job (real
@@ -257,7 +137,7 @@ func BenchmarkFig9WordCount(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs, err := carousel.NewReedSolomon(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // RS(12,6) is the p = k, d = k point
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -288,7 +168,7 @@ func BenchmarkFig9WordCount(b *testing.B) {
 		b.ReportMetric(mapS, "sim-map-s")
 		b.ReportMetric(jobS, "sim-job-s")
 	}
-	b.Run("RS", func(b *testing.B) { run(b, carousel.SchemeRS{Code: rs}) })
+	b.Run("RS", func(b *testing.B) { run(b, carousel.SchemeCarousel{Code: rs}) })
 	b.Run("Carousel_p12", func(b *testing.B) { run(b, carousel.SchemeCarousel{Code: code}) })
 }
 
@@ -300,7 +180,7 @@ func BenchmarkFig11ParallelRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs, err := carousel.NewReedSolomon(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // RS(12,6) is the p = k, d = k point
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,6 +216,6 @@ func BenchmarkFig11ParallelRead(b *testing.B) {
 	b.Run("Replication3x_sequential", func(b *testing.B) {
 		run(b, carousel.SchemeReplication{Copies: 3}, 0)
 	})
-	b.Run("RS_parallel", func(b *testing.B) { run(b, carousel.SchemeRS{Code: rs}, 1) })
+	b.Run("RS_parallel", func(b *testing.B) { run(b, carousel.SchemeCarousel{Code: rs}, 1) })
 	b.Run("Carousel_p10_parallel", func(b *testing.B) { run(b, carousel.SchemeCarousel{Code: code}, 1) })
 }

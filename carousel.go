@@ -19,9 +19,12 @@
 // repairing a lost block from d helpers with the MSR-optimal network
 // traffic of d/(d-k+1) blocks.
 //
-// NewReedSolomon and NewMSR expose the baseline codes; Sim, NewCluster,
-// NewFS, and NewMapReduce expose the evaluation substrate used by the
-// benchmark harnesses in cmd/.
+// The paper's baselines are parameter points of the same code: New(n, k, k,
+// k) is the systematic Reed-Solomon code and New(n, k, d, k) the
+// product-matrix MSR code, block for block. NewReedSolomon and NewMSR
+// expose the base-code packages those points are checked against; Sim,
+// NewCluster, NewFS, and NewMapReduce expose the evaluation substrate used
+// by the benchmark harnesses in cmd/.
 package carousel
 
 import (
@@ -181,9 +184,8 @@ type (
 	Scheme = dfs.Scheme
 	// SchemeReplication stores full replicas.
 	SchemeReplication = dfs.Replication
-	// SchemeRS stores systematic Reed-Solomon stripes.
-	SchemeRS = dfs.RS
-	// SchemeCarousel stores Carousel-coded stripes.
+	// SchemeCarousel stores Carousel-coded stripes; with the code at
+	// p = k, d = k they are systematic Reed-Solomon stripes.
 	SchemeCarousel = dfs.Carousel
 	// ReadResult reports a completed file retrieval.
 	ReadResult = dfs.ReadResult

@@ -57,7 +57,6 @@ import (
 	"carousel/internal/dfs"
 	"carousel/internal/mapreduce"
 	"carousel/internal/obs"
-	"carousel/internal/reedsolomon"
 	"carousel/internal/workload"
 	"carousel/internal/workpool"
 )
@@ -83,7 +82,7 @@ var calib = cluster.NodeSpec{
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 9, 10, 11, deg, tail, net, recovery")
+	fig := flag.String("fig", "all", "figure to regenerate: all, 9, 10, 11, deg, tail, net, recovery, swarm (all = the simulated ones, 9 through tail)")
 	scale := flag.Int("scale", 32, "scale-down factor for data sizes and bandwidths")
 	netMB := flag.Int("netmb", 8, "file size in MiB for the -fig net TCP read/write A/B")
 	netReps := flag.Int("netreps", 3, "benchmark repetitions per -fig net case (fastest wins)")
@@ -189,7 +188,7 @@ func figTail(scale int) error {
 	if err != nil {
 		return err
 	}
-	rs, err := reedsolomon.New(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // the RS(12,6) baseline is the p = k, d = k point
 	if err != nil {
 		return err
 	}
@@ -202,7 +201,7 @@ func figTail(scale int) error {
 		name   string
 		scheme dfs.Scheme
 	}{
-		{"RS(12,6), 6 streams/read", dfs.RS{Code: rs}},
+		{"RS(12,6), 6 streams/read", dfs.Carousel{Code: rs}},
 		{"Carousel(12,6,10,10), 10 streams/read", dfs.Carousel{Code: car}},
 	} {
 		sim := cluster.NewSim()
@@ -275,7 +274,7 @@ func figDegraded(scale int) error {
 	if err != nil {
 		return err
 	}
-	rs, err := reedsolomon.New(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // the RS(12,6) baseline is the p = k, d = k point
 	if err != nil {
 		return err
 	}
@@ -286,7 +285,7 @@ func figDegraded(scale int) error {
 		name   string
 		scheme dfs.Scheme
 	}{
-		{"RS(12,6)", dfs.RS{Code: rs}},
+		{"RS(12,6)", dfs.Carousel{Code: rs}},
 		{"Carousel(12,6,10,12)", dfs.Carousel{Code: car}},
 	} {
 		var times [2]float64
@@ -376,7 +375,7 @@ func fig9(scale int) error {
 	if err != nil {
 		return err
 	}
-	rs, err := reedsolomon.New(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // the RS(12,6) baseline is the p = k, d = k point
 	if err != nil {
 		return err
 	}
@@ -400,7 +399,7 @@ func fig9(scale int) error {
 		scheme dfs.Scheme
 	}
 	schemes := []sch{
-		{"RS", dfs.RS{Code: rs}},
+		{"RS", dfs.Carousel{Code: rs}},
 		{"Carousel", dfs.Carousel{Code: car}},
 	}
 	results := make(map[string]*mapreduce.Result)
@@ -474,14 +473,25 @@ func fig10(scale int) error {
 	return nil
 }
 
-// measureDecodeBW measures the real decode throughput of a codec on this
-// machine, used to charge client decode time in Fig. 11.
-func measureDecodeBW(decode func() int) float64 {
-	secs := bench.MeasureSeconds(2, func() { decode() })
-	if secs <= 0 {
-		return 0
+// measureDecodeBW measures the real throughput of a code's degraded
+// parallel read on this machine — one stripe with data block 0 lost, one
+// block's worth of bytes credited per read — used to charge client decode
+// time in Fig. 11.
+func measureDecodeBW(code *carousel.Code, blockSize int, seed int64) (float64, error) {
+	blocks, err := code.Encode(bench.RandomShards(code.K(), blockSize, seed))
+	if err != nil {
+		return 0, err
 	}
-	return float64(decode()) / secs
+	blocks[0] = nil
+	secs := bench.MeasureSeconds(2, func() {
+		if _, err := code.ParallelRead(blocks); err != nil {
+			panic(err)
+		}
+	})
+	if secs <= 0 {
+		return 0, nil
+	}
+	return float64(blockSize) / secs, nil
 }
 
 func fig11(scale int) error {
@@ -490,7 +500,7 @@ func fig11(scale int) error {
 	if err != nil {
 		return err
 	}
-	rs, err := reedsolomon.New(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // the RS(12,6) baseline is the p = k, d = k point
 	if err != nil {
 		return err
 	}
@@ -500,36 +510,15 @@ func fig11(scale int) error {
 
 	// Real decode throughput of this machine's codecs, for the degraded
 	// cases.
-	probe := bench.RandomShards(6, car.BlockAlign()*13000, 1)
-	carBlocks, err := car.Encode(probe)
+	probe := car.BlockAlign() * 13000
+	carBW, err := measureDecodeBW(car, probe, 1)
 	if err != nil {
 		return err
 	}
-	carBW := measureDecodeBW(func() int {
-		avail := make([][]byte, 12)
-		copy(avail, carBlocks)
-		avail[0] = nil
-		out, err := car.ParallelRead(avail)
-		if err != nil {
-			panic(err)
-		}
-		return len(out) / 6 // bytes of reconstructed output
-	})
-	rsProbe := bench.RandomShards(6, len(probe[0]), 2)
-	rsBlocks, err := rs.Encode(rsProbe)
+	rsBW, err := measureDecodeBW(rs, probe, 2)
 	if err != nil {
 		return err
 	}
-	rsBW := measureDecodeBW(func() int {
-		avail := make([][]byte, 12)
-		copy(avail, rsBlocks)
-		avail[0] = nil
-		out, err := rs.Decode(avail)
-		if err != nil {
-			panic(err)
-		}
-		return len(out[0])
-	})
 	fmt.Printf("measured decoder throughput: RS %.0f MB/s, Carousel %.0f MB/s\n", rsBW/1e6, carBW/1e6)
 
 	type variant struct {
@@ -540,7 +529,7 @@ func fig11(scale int) error {
 	}
 	variants := []variant{
 		{"HDFS 3x replication (sequential get)", dfs.Replication{Copies: 3}, dfs.ReadSequential, 0},
-		{"RS (parallel, k=6 streams)", dfs.RS{Code: rs}, dfs.ReadParallel, rsBW},
+		{"RS (parallel, k=6 streams)", dfs.Carousel{Code: rs}, dfs.ReadParallel, rsBW},
 		{"Carousel (parallel, p=10 streams)", dfs.Carousel{Code: car}, dfs.ReadParallel, carBW},
 	}
 	t := bench.NewTable(os.Stdout, "scheme", "no failure (s)", "one failure (s)")

@@ -19,9 +19,11 @@
 // pass, so one invocation measures the per-core scaling curve. Codes pick
 // up the new GOMAXPROCS because encode/decode concurrency defaults to it.
 //
-// Absolute throughput depends on the machine (the paper used ISA-L on a
-// c4.4xlarge); the comparisons across codes use identical kernels, so the
-// relative shape is what to read.
+// The four series of Figs. 6-8 are four parameter points of one code
+// (bench.NewFamily): RS is Carousel(2k,k,k,k) and MSR is
+// Carousel(2k,k,2k-1,k), so every column runs the same engine with the
+// same number of workers. Absolute throughput depends on the machine (the
+// paper used ISA-L on a c4.4xlarge); the relative shape is what to read.
 package main
 
 import (
@@ -39,7 +41,6 @@ import (
 	"carousel/internal/matrix"
 	"carousel/internal/mbr"
 	"carousel/internal/obs"
-	"carousel/internal/reedsolomon"
 	"carousel/internal/workpool"
 )
 
@@ -267,7 +268,7 @@ func parEncode(ks []int, mb, reps int) error {
 				return err
 			}
 			if data == nil {
-				size = (mb<<20 + c.BlockAlign() - 1) / c.BlockAlign() * c.BlockAlign()
+				size = alignUp(mb<<20, c.BlockAlign())
 				data = bench.RandomShards(k, size, int64(k))
 			}
 			row = append(row, bench.Measure(reps, k*size, func() { mustB(c.Encode(data)) }))
@@ -284,7 +285,7 @@ func parEncode(ks []int, mb, reps int) error {
 // tolerance.
 func lrcComparison(trafficMB int) error {
 	bench.Section(os.Stdout, fmt.Sprintf("Related-work comparison at k=6 (blocks of %d MiB)", trafficMB))
-	rs, err := reedsolomon.New(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6)
 	if err != nil {
 		return err
 	}
@@ -326,13 +327,13 @@ func extFutureWork(ks []int, mb, reps int) error {
 	bench.Section(os.Stdout, fmt.Sprintf("Extension: Carousel degraded recovery, k-block decode vs p-block parallel read (MB/s), blocks of %d MiB", mb))
 	t := bench.NewTable(os.Stdout, "k", "Decode(k blocks)", "ParallelRead(p blocks)")
 	for _, k := range ks {
-		f, err := bench.NewFamily(k)
+		c, err := carousel.New(2*k, k, 2*k-1, 2*k)
 		if err != nil {
 			return err
 		}
-		size := f.AlignBlockSize(mb << 20)
+		size := alignUp(mb<<20, c.BlockAlign())
 		data := bench.RandomShards(k, size, int64(k))
-		blocks, err := f.CarD.Encode(data)
+		blocks, err := c.Encode(data)
 		if err != nil {
 			return err
 		}
@@ -345,13 +346,16 @@ func extFutureWork(ks []int, mb, reps int) error {
 		all := make([][]byte, len(blocks))
 		copy(all, blocks)
 		all[0] = nil
-		dec := bench.Measure(reps, vol, func() { mustB(f.CarD.Decode(kOnly)) })
-		par := bench.Measure(reps, vol, func() { mustB(f.CarD.ParallelRead(all)) })
+		dec := bench.Measure(reps, vol, func() { mustB(c.Decode(kOnly)) })
+		par := bench.Measure(reps, vol, func() { mustB(c.ParallelRead(all)) })
 		t.Row(k, dec, par)
 	}
 	t.Flush()
 	return nil
 }
+
+// alignUp rounds size up to a multiple of align.
+func alignUp(size, align int) int { return (size + align - 1) / align * align }
 
 func parseKs(s string) ([]int, error) {
 	var ks []int
@@ -365,11 +369,12 @@ func parseKs(s string) ([]int, error) {
 	return ks, nil
 }
 
-// fig5 prints the (3,2) RS and (3,2,2,3) Carousel generator matrices and
-// their sparsity, reproducing the comparison of Fig. 5.
+// fig5 prints the (3,2) RS — the (3,2,2,2) point — and (3,2,2,3) Carousel
+// generator matrices and their sparsity, reproducing the comparison of
+// Fig. 5.
 func fig5() error {
 	bench.Section(os.Stdout, "Fig. 5: generator matrices, (3,2) RS vs (3,2,2,3) Carousel")
-	rs, err := reedsolomon.New(3, 2)
+	rs, err := carousel.New(3, 2, 2, 2)
 	if err != nil {
 		return err
 	}
@@ -398,72 +403,57 @@ func fig5() error {
 	return nil
 }
 
-// fig6a measures encoding throughput.
-func fig6a(ks []int, mb, reps int) error {
-	bench.Section(os.Stdout, fmt.Sprintf("Fig. 6a: encoding throughput (MB/s), blocks of %d MiB", mb))
-	t := bench.NewTable(os.Stdout, "k", "RS", "Carousel(d=k)", "MSR(d=2k-1)", "Carousel(d=2k-1)")
+// seriesFigure prints one of Figs. 6-8: a row per k, a column per series
+// of bench.NewFamily(k), each cell measured by cell on that series' code
+// with k shards of one block size that suits all four. computeOnly keeps
+// only the series whose helpers compute (d > k).
+func seriesFigure(ks []int, blockBytes int, computeOnly bool,
+	cell func(s bench.Series, k, size int, data [][]byte) float64) error {
+	var t *bench.Table
 	for _, k := range ks {
 		f, err := bench.NewFamily(k)
 		if err != nil {
 			return err
 		}
-		size := f.AlignBlockSize(mb << 20)
+		size := f.AlignBlockSize(blockBytes)
 		data := bench.RandomShards(k, size, int64(k))
-		vol := k * size
-		rs := record("6a", "RS", k, bench.Measure(reps, vol, func() { mustB(f.RS.Encode(data)) }))
-		ck := record("6a", "Carousel(d=k)", k, bench.Measure(reps, vol, func() { mustB(f.CarK.Encode(data)) }))
-		ms := record("6a", "MSR(d=2k-1)", k, bench.Measure(reps, vol, func() { mustB(f.MSR.Encode(data)) }))
-		cd := record("6a", "Carousel(d=2k-1)", k, bench.Measure(reps, vol, func() { mustB(f.CarD.Encode(data)) }))
-		t.Row(k, rs, ck, ms, cd)
+		headers, row := []string{"k"}, []any{k}
+		for _, s := range f {
+			if computeOnly && s.Code.D() == s.Code.K() {
+				continue
+			}
+			headers = append(headers, s.Name)
+			row = append(row, cell(s, k, size, data))
+		}
+		if t == nil {
+			t = bench.NewTable(os.Stdout, headers...)
+		}
+		t.Row(row...)
 	}
-	t.Flush()
+	if t != nil {
+		t.Flush()
+	}
 	return nil
+}
+
+// fig6a measures encoding throughput.
+func fig6a(ks []int, mb, reps int) error {
+	bench.Section(os.Stdout, fmt.Sprintf("Fig. 6a: encoding throughput (MB/s), blocks of %d MiB", mb))
+	return seriesFigure(ks, mb<<20, false, func(s bench.Series, k, size int, data [][]byte) float64 {
+		return record("6a", s.Name, k, bench.Measure(reps, k*size, func() { mustB(s.Code.Encode(data)) }))
+	})
 }
 
 // fig6b measures decoding throughput with one data block missing: the
 // paper decodes from blocks 2..k+1 (k-1 data blocks and one parity block).
 func fig6b(ks []int, mb, reps int) error {
 	bench.Section(os.Stdout, fmt.Sprintf("Fig. 6b: decoding throughput (MB/s), one data block lost, blocks of %d MiB", mb))
-	t := bench.NewTable(os.Stdout, "k", "RS", "Carousel(d=k)", "MSR(d=2k-1)", "Carousel(d=2k-1)")
-	for _, k := range ks {
-		f, err := bench.NewFamily(k)
-		if err != nil {
-			return err
-		}
-		size := f.AlignBlockSize(mb << 20)
-		data := bench.RandomShards(k, size, int64(k))
-		vol := k * size
-		survive := func(blocks [][]byte) [][]byte {
-			avail := make([][]byte, len(blocks))
-			for i := 1; i <= k; i++ {
-				avail[i] = blocks[i]
-			}
-			return avail
-		}
-		rsBlocks, err := f.RS.Encode(data)
-		if err != nil {
-			return err
-		}
-		ckBlocks, err := f.CarK.Encode(data)
-		if err != nil {
-			return err
-		}
-		msBlocks, err := f.MSR.Encode(data)
-		if err != nil {
-			return err
-		}
-		cdBlocks, err := f.CarD.Encode(data)
-		if err != nil {
-			return err
-		}
-		rs := record("6b", "RS", k, bench.Measure(reps, vol, func() { mustB(f.RS.Decode(survive(rsBlocks))) }))
-		ck := record("6b", "Carousel(d=k)", k, bench.Measure(reps, vol, func() { mustB(f.CarK.Decode(survive(ckBlocks))) }))
-		ms := record("6b", "MSR(d=2k-1)", k, bench.Measure(reps, vol, func() { mustB(f.MSR.Decode(survive(msBlocks))) }))
-		cd := record("6b", "Carousel(d=2k-1)", k, bench.Measure(reps, vol, func() { mustB(f.CarD.Decode(survive(cdBlocks))) }))
-		t.Row(k, rs, ck, ms, cd)
-	}
-	t.Flush()
-	return nil
+	return seriesFigure(ks, mb<<20, false, func(s bench.Series, k, size int, data [][]byte) float64 {
+		blocks := mustB(s.Code.Encode(data))
+		avail := make([][]byte, len(blocks))
+		copy(avail[1:k+1], blocks[1:k+1])
+		return record("6b", s.Name, k, bench.Measure(reps, k*size, func() { mustB(s.Code.Decode(avail)) }))
+	})
 }
 
 // fig7 reports the network traffic to reconstruct block 0, measured by
@@ -471,68 +461,34 @@ func fig6b(ks []int, mb, reps int) error {
 // trafficMB-sized blocks.
 func fig7(ks []int, trafficMB int) error {
 	bench.Section(os.Stdout, fmt.Sprintf("Fig. 7: reconstruction traffic (MB) for %d MiB blocks", trafficMB))
-	t := bench.NewTable(os.Stdout, "k", "RS", "Carousel(d=k)", "MSR(d=2k-1)", "Carousel(d=2k-1)")
-	for _, k := range ks {
-		f, err := bench.NewFamily(k)
-		if err != nil {
-			return err
+	// Verify with a real small repair that measured chunk sizes match the
+	// analytic formula, then report at the requested block size.
+	return seriesFigure(ks, 1<<16, false, func(s bench.Series, _, size int, data [][]byte) float64 {
+		if got, want := repairTraffic(s.Code, data), s.Code.ReconstructionTraffic(size); got != want {
+			panic(fmt.Sprintf("%s: measured traffic %d != analytic %d", s.Name, got, want))
 		}
-		// Verify with a real small repair that measured chunk sizes match
-		// the analytic formula, then report at the requested block size.
-		size := f.AlignBlockSize(1 << 16)
-		data := bench.RandomShards(k, size, int64(k))
-		measured := func(traffic func(int) int, repair func([][]byte) int) float64 {
-			blocks := traffic(size)
-			if got := repair(data); got != blocks {
-				panic(fmt.Sprintf("measured traffic %d != analytic %d", got, blocks))
-			}
-			return float64(traffic(trafficMB<<20)) / 1e6
-		}
-		rs := measured(f.RS.ReconstructionTraffic, func(d [][]byte) int {
-			blocks, _ := f.RS.Encode(d)
-			work := make([][]byte, len(blocks))
-			copy(work, blocks)
-			work[0] = nil
-			n := 0
-			for i := 1; i <= k; i++ {
-				n += len(work[i])
-			}
-			mustE(f.RS.Reconstruct(work))
-			return n
-		})
-		ck := measured(f.CarK.ReconstructionTraffic, func(d [][]byte) int {
-			return carouselRepairTraffic(f.CarK, d)
-		})
-		ms := measured(f.MSR.ReconstructionTraffic, func(d [][]byte) int {
-			blocks, _ := f.MSR.Encode(d)
-			helpers := firstHelpers(f.MSR.N(), f.MSR.D(), 0)
-			n := 0
-			for _, h := range helpers {
-				ch, err := f.MSR.HelperChunk(h, 0, blocks[h])
-				mustE(err)
-				n += len(ch)
-			}
-			return n
-		})
-		cd := measured(f.CarD.ReconstructionTraffic, func(d [][]byte) int {
-			return carouselRepairTraffic(f.CarD, d)
-		})
-		t.Row(k, rs, ck, ms, cd)
-	}
-	t.Flush()
-	return nil
+		return float64(s.Code.ReconstructionTraffic(trafficMB<<20)) / 1e6
+	})
 }
 
-// carouselRepairTraffic runs a real repair of block 0 and returns the
-// bytes the helpers uploaded.
-func carouselRepairTraffic(c *carousel.Code, data [][]byte) int {
-	blocks, err := c.Encode(data)
-	mustE(err)
-	helpers := firstHelpers(c.N(), c.D(), 0)
+// repairChunks encodes data and returns the first d helpers of block 0
+// with the chunks they upload.
+func repairChunks(c *carousel.Code, data [][]byte) (helpers []int, chunks [][]byte) {
+	blocks := mustB(c.Encode(data))
+	helpers = firstHelpers(c.N(), c.D(), 0)
+	chunks = make([][]byte, len(helpers))
+	for i, h := range helpers {
+		chunks[i] = mustB(c.HelperChunk(h, 0, blocks[h]))
+	}
+	return helpers, chunks
+}
+
+// repairTraffic runs the helper side of a real repair of block 0 and
+// returns the bytes the helpers uploaded.
+func repairTraffic(c *carousel.Code, data [][]byte) int {
+	_, chunks := repairChunks(c, data)
 	n := 0
-	for _, h := range helpers {
-		ch, err := c.HelperChunk(h, 0, blocks[h])
-		mustE(err)
+	for _, ch := range chunks {
 		n += len(ch)
 	}
 	return n
@@ -540,78 +496,21 @@ func carouselRepairTraffic(c *carousel.Code, data [][]byte) int {
 
 // fig8a measures the newcomer-side reconstruction time.
 func fig8a(ks []int, mb, reps int) error {
-	bench.Section(os.Stdout, fmt.Sprintf("Fig. 8a: reconstruction time at the newcomer (s), blocks of %d MiB", mb))
-	t := bench.NewTable(os.Stdout, "k", "RS", "Carousel(d=k)", "MSR(d=2k-1)", "Carousel(d=2k-1)")
-	for _, k := range ks {
-		f, err := bench.NewFamily(k)
-		if err != nil {
-			return err
-		}
-		size := f.AlignBlockSize(mb << 20)
-		data := bench.RandomShards(k, size, int64(k))
-
-		rsBlocks, _ := f.RS.Encode(data)
-		rsSec := bench.MeasureSeconds(reps, func() {
-			work := make([][]byte, len(rsBlocks))
-			copy(work, rsBlocks)
-			work[0] = nil
-			mustE(f.RS.Reconstruct(work))
-		})
-		ckSec := carouselNewcomerSeconds(f.CarK, data, reps)
-		msBlocks, _ := f.MSR.Encode(data)
-		msHelpers := firstHelpers(f.MSR.N(), f.MSR.D(), 0)
-		msChunks := make([][]byte, len(msHelpers))
-		for i, h := range msHelpers {
-			msChunks[i], _ = f.MSR.HelperChunk(h, 0, msBlocks[h])
-		}
-		msSec := bench.MeasureSeconds(reps, func() {
-			mustB(f.MSR.RepairBlock(0, msHelpers, msChunks))
-		})
-		cdSec := carouselNewcomerSeconds(f.CarD, data, reps)
-		t.Row(k, rsSec, ckSec, msSec, cdSec)
-	}
-	t.Flush()
-	return nil
-}
-
-func carouselNewcomerSeconds(c *carousel.Code, data [][]byte, reps int) float64 {
-	blocks, err := c.Encode(data)
-	mustE(err)
-	helpers := firstHelpers(c.N(), c.D(), 0)
-	chunks := make([][]byte, len(helpers))
-	for i, h := range helpers {
-		chunks[i], err = c.HelperChunk(h, 0, blocks[h])
-		mustE(err)
-	}
-	return bench.MeasureSeconds(reps, func() {
-		mustB(c.RepairBlock(0, helpers, chunks))
+	bench.Section(os.Stdout, fmt.Sprintf("Fig. 8a: reconstruction time at the newcomer (ms), blocks of %d MiB", mb))
+	return seriesFigure(ks, mb<<20, false, func(s bench.Series, _, _ int, data [][]byte) float64 {
+		helpers, chunks := repairChunks(s.Code, data)
+		return 1e3 * bench.MeasureSeconds(reps, func() { mustB(s.Code.RepairBlock(0, helpers, chunks)) })
 	})
 }
 
-// fig8b measures the helper-side time; RS helpers only send data, so the
-// paper (and this table) shows MSR and Carousel(d=2k-1).
+// fig8b measures the helper-side time; at d = k helpers only send data, so
+// the paper (and this table) shows MSR and Carousel(d=2k-1).
 func fig8b(ks []int, mb, reps int) error {
-	bench.Section(os.Stdout, fmt.Sprintf("Fig. 8b: time at one helper (s), blocks of %d MiB", mb))
-	t := bench.NewTable(os.Stdout, "k", "MSR(d=2k-1)", "Carousel(d=2k-1)")
-	for _, k := range ks {
-		f, err := bench.NewFamily(k)
-		if err != nil {
-			return err
-		}
-		size := f.AlignBlockSize(mb << 20)
-		data := bench.RandomShards(k, size, int64(k))
-		msBlocks, _ := f.MSR.Encode(data)
-		msSec := bench.MeasureSeconds(reps, func() {
-			mustB(f.MSR.HelperChunk(1, 0, msBlocks[1]))
-		})
-		cdBlocks, _ := f.CarD.Encode(data)
-		cdSec := bench.MeasureSeconds(reps, func() {
-			mustB(f.CarD.HelperChunk(1, 0, cdBlocks[1]))
-		})
-		t.Row(k, msSec, cdSec)
-	}
-	t.Flush()
-	return nil
+	bench.Section(os.Stdout, fmt.Sprintf("Fig. 8b: time at one helper (ms), blocks of %d MiB", mb))
+	return seriesFigure(ks, mb<<20, true, func(s bench.Series, _, _ int, data [][]byte) float64 {
+		blocks := mustB(s.Code.Encode(data))
+		return 1e3 * bench.MeasureSeconds(reps, func() { mustB(s.Code.HelperChunk(1, 0, blocks[1])) })
+	})
 }
 
 // firstHelpers returns the first d block indices excluding failed.

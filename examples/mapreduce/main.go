@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := carousel.NewReedSolomon(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // RS(12,6) is the p = k, d = k point
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 		return res
 	}
 
-	rsRes := run("RS(12,6):", carousel.SchemeRS{Code: rs})
+	rsRes := run("RS(12,6):", carousel.SchemeCarousel{Code: rs})
 	carRes := run("Carousel(12,6,10,12):", carousel.SchemeCarousel{Code: code})
 
 	// The computation itself is identical: same word counts either way.

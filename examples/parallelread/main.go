@@ -27,7 +27,7 @@ func main() {
 	if blockSize%code.BlockAlign() != 0 {
 		log.Fatalf("block size %d not aligned to %d", blockSize, code.BlockAlign())
 	}
-	rs, err := carousel.NewReedSolomon(12, 6)
+	rs, err := carousel.New(12, 6, 6, 6) // RS(12,6) is the p = k, d = k point
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func main() {
 	}
 	variants := []variant{
 		{"3x replication, sequential get", carousel.SchemeReplication{Copies: 3}, 0},
-		{"RS(12,6), parallel (6 streams)", carousel.SchemeRS{Code: rs}, 1},
+		{"RS(12,6), parallel (6 streams)", carousel.SchemeCarousel{Code: rs}, 1},
 		{"Carousel(12,6,10,10), parallel (10 streams)", carousel.SchemeCarousel{Code: code}, 1},
 	}
 	for _, withFailure := range []bool{false, true} {

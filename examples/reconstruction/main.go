@@ -1,7 +1,8 @@
 // Reconstruction compares what it costs to regenerate one lost block under
 // Reed-Solomon, product-matrix MSR, and Carousel codes with the same
-// (n=12, k=6) storage overhead — the trade-off of the paper's Fig. 7.
-// Every repair is executed for real and verified against the lost block.
+// (n=12, k=6) storage overhead — the trade-off of the paper's Fig. 7. The
+// three are parameter points of one code. Every repair is executed for
+// real and verified against the lost block.
 package main
 
 import (
@@ -27,63 +28,39 @@ func main() {
 	fmt.Printf("%-28s %-9s %-14s %s\n", "code", "helpers", "traffic", "relative")
 	fmt.Printf("%-28s %-9s %-14s %s\n", "----", "-------", "-------", "--------")
 
-	// Reed-Solomon: k whole blocks.
-	rs, err := carousel.NewReedSolomon(12, 6)
-	if err != nil {
-		log.Fatal(err)
+	// One code, three parameter points: p = k with d = k is systematic
+	// Reed-Solomon (k whole blocks), p = k with d > k is product-matrix MSR
+	// (d chunks of 1/alpha block each), and p = n keeps MSR's optimal
+	// traffic while adding data parallelism 12.
+	for _, pt := range []struct {
+		name string
+		d, p int
+	}{
+		{"RS(12,6)", 6, 6},
+		{"MSR(12,6,10)", 10, 6},
+		{"Carousel(12,6,10,12)", 10, 12},
+	} {
+		code, err := carousel.New(12, 6, pt.d, pt.p)
+		if err != nil {
+			log.Fatal(err)
+		}
+		blocks, err := code.Encode(shards)
+		if err != nil {
+			log.Fatal(err)
+		}
+		helpers := make([]int, pt.d)
+		for i := range helpers {
+			helpers[i] = i + 1
+		}
+		repaired, err := code.Repair(0, helpers, blocks)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !bytes.Equal(repaired, blocks[0]) {
+			log.Fatalf("%s repair mismatch", pt.name)
+		}
+		report(pt.name, pt.d, code.ReconstructionTraffic(blockSize))
 	}
-	rsBlocks, err := rs.Encode(shards)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lost := append([]byte(nil), rsBlocks[0]...)
-	work := make([][]byte, len(rsBlocks))
-	copy(work, rsBlocks)
-	work[0] = nil
-	if err := rs.Reconstruct(work); err != nil {
-		log.Fatal(err)
-	}
-	if !bytes.Equal(work[0], lost) {
-		log.Fatal("RS repair mismatch")
-	}
-	report("RS(12,6)", 6, rs.ReconstructionTraffic(blockSize))
-
-	// MSR: d segments of 1/alpha block each.
-	msr, err := carousel.NewMSR(12, 6, 10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	msrBlocks, err := msr.Encode(shards)
-	if err != nil {
-		log.Fatal(err)
-	}
-	helpers := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	repaired, err := msr.Repair(0, helpers, msrBlocks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !bytes.Equal(repaired, msrBlocks[0]) {
-		log.Fatal("MSR repair mismatch")
-	}
-	report("MSR(12,6,10)", 10, msr.ReconstructionTraffic(blockSize))
-
-	// Carousel: the same optimal traffic as MSR, plus data parallelism 12.
-	car, err := carousel.New(12, 6, 10, 12)
-	if err != nil {
-		log.Fatal(err)
-	}
-	carBlocks, err := car.Encode(shards)
-	if err != nil {
-		log.Fatal(err)
-	}
-	repaired, err = car.Repair(0, helpers, carBlocks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !bytes.Equal(repaired, carBlocks[0]) {
-		log.Fatal("Carousel repair mismatch")
-	}
-	report("Carousel(12,6,10,12)", 10, car.ReconstructionTraffic(blockSize))
 
 	fmt.Println("\nCarousel matches the MSR repair optimum d/(d-k+1) = 2 blocks while also")
 	fmt.Println("letting 12 readers consume original data in parallel (RS and MSR: 6).")

@@ -13,48 +13,52 @@ import (
 	"time"
 
 	"carousel/internal/carousel"
-	"carousel/internal/msr"
-	"carousel/internal/reedsolomon"
 )
 
-// Family bundles the four codes the microbenchmarks compare at one k, with
-// n = 2k: RS, Carousel with d = k, MSR with d = 2k-1, and Carousel with
-// d = 2k-1 (the paper's Fig. 6-8 series).
-type Family struct {
-	K    int
-	RS   *reedsolomon.Code
-	CarK *carousel.Code // Carousel(2k, k, k, 2k)
-	MSR  *msr.Code      // MSR(2k, k, 2k-1)
-	CarD *carousel.Code // Carousel(2k, k, 2k-1, 2k)
+// Series is one column of the paper's Figs. 6-8: a named (n, k, d, p)
+// parameter point of the Carousel code.
+type Series struct {
+	Name string
+	Code *carousel.Code
 }
 
-// NewFamily builds the four codes for one k.
-func NewFamily(k int) (*Family, error) {
+// Family is the four series the microbenchmarks compare at one k, in the
+// figures' column order.
+type Family []Series
+
+// NewFamily builds the Fig. 6-8 series for one k, with n = 2k. The two
+// baselines are the p = k points — Carousel(n, k, k, k) is systematic
+// Reed-Solomon and Carousel(n, k, d, k) is product-matrix MSR, block for
+// block — so all four columns come from one constructor, run on one engine
+// and use the same number of workers.
+func NewFamily(k int) (Family, error) {
 	n := 2 * k
-	rs, err := reedsolomon.New(n, k)
-	if err != nil {
-		return nil, fmt.Errorf("bench: RS(%d,%d): %w", n, k, err)
+	var f Family
+	for _, pt := range []struct {
+		name string
+		d, p int
+	}{
+		{"RS", k, k},
+		{"Carousel(d=k)", k, n},
+		{"MSR(d=2k-1)", n - 1, k},
+		{"Carousel(d=2k-1)", n - 1, n},
+	} {
+		c, err := carousel.New(n, k, pt.d, pt.p)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s = Carousel(%d,%d,%d,%d): %w", pt.name, n, k, pt.d, pt.p, err)
+		}
+		f = append(f, Series{Name: pt.name, Code: c})
 	}
-	carK, err := carousel.New(n, k, k, n)
-	if err != nil {
-		return nil, fmt.Errorf("bench: Carousel(%d,%d,%d,%d): %w", n, k, k, n, err)
-	}
-	m, err := msr.New(n, k, 2*k-1)
-	if err != nil {
-		return nil, fmt.Errorf("bench: MSR(%d,%d,%d): %w", n, k, 2*k-1, err)
-	}
-	carD, err := carousel.New(n, k, 2*k-1, n)
-	if err != nil {
-		return nil, fmt.Errorf("bench: Carousel(%d,%d,%d,%d): %w", n, k, 2*k-1, n, err)
-	}
-	return &Family{K: k, RS: rs, CarK: carK, MSR: m, CarD: carD}, nil
+	return f, nil
 }
 
-// AlignBlockSize rounds size up to a multiple of every code's alignment in
-// the family, so one block size serves all four codes.
-func (f *Family) AlignBlockSize(size int) int {
-	align := lcm(f.CarK.BlockAlign(), f.CarD.BlockAlign())
-	align = lcm(align, f.MSR.Alpha())
+// AlignBlockSize rounds size up to a multiple of every series' alignment,
+// so one block size serves all four codes.
+func (f Family) AlignBlockSize(size int) int {
+	align := 1
+	for _, s := range f {
+		align = lcm(align, s.Code.BlockAlign())
+	}
 	return (size + align - 1) / align * align
 }
 

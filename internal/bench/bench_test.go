@@ -12,14 +12,33 @@ func TestNewFamilyShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if f.RS.N() != 2*k || f.RS.K() != k {
-			t.Fatalf("k=%d: RS shape (%d,%d)", k, f.RS.N(), f.RS.K())
+		n := 2 * k
+		want := []struct {
+			name string
+			d, p int
+		}{
+			{"RS", k, k},
+			{"Carousel(d=k)", k, n},
+			{"MSR(d=2k-1)", n - 1, k},
+			{"Carousel(d=2k-1)", n - 1, n},
 		}
-		if f.MSR.D() != 2*k-1 {
-			t.Fatalf("k=%d: MSR d=%d, want %d", k, f.MSR.D(), 2*k-1)
+		if len(f) != len(want) {
+			t.Fatalf("k=%d: %d series, want %d", k, len(f), len(want))
 		}
-		if f.CarK.P() != 2*k || f.CarD.P() != 2*k {
-			t.Fatalf("k=%d: carousel p mismatch", k)
+		for i, w := range want {
+			c := f[i].Code
+			if f[i].Name != w.name || c.N() != n || c.K() != k || c.D() != w.d || c.P() != w.p {
+				t.Errorf("k=%d: series %d is %q (%d,%d,%d,%d), want %q (%d,%d,%d,%d)",
+					k, i, f[i].Name, c.N(), c.K(), c.D(), c.P(), w.name, n, k, w.d, w.p)
+			}
+		}
+		// The baselines store one unit (RS) or alpha units (MSR) per
+		// block: nothing of the expansion is left at p = k.
+		if u := f[0].Code.UnitsPerBlock(); u != 1 {
+			t.Errorf("k=%d: the RS point has %d units per block, want 1", k, u)
+		}
+		if u, alpha := f[2].Code.UnitsPerBlock(), f[2].Code.Alpha(); u != alpha {
+			t.Errorf("k=%d: the MSR point has %d units per block, want alpha = %d", k, u, alpha)
 		}
 	}
 }
@@ -33,9 +52,9 @@ func TestAlignBlockSize(t *testing.T) {
 	if size < 1<<20 {
 		t.Fatalf("aligned size %d below request", size)
 	}
-	for _, align := range []int{f.CarK.BlockAlign(), f.CarD.BlockAlign(), f.MSR.Alpha()} {
-		if size%align != 0 {
-			t.Fatalf("size %d not aligned to %d", size, align)
+	for _, s := range f {
+		if align := s.Code.BlockAlign(); size%align != 0 {
+			t.Fatalf("size %d not aligned to %s's %d", size, s.Name, align)
 		}
 	}
 }

@@ -5,8 +5,10 @@
 // network traffic accounting.
 //
 // It is the substrate for the paper's cluster experiments: Fig. 9/10 run
-// MapReduce over files stored with Reed-Solomon, Carousel, or replication;
-// Fig. 11 retrieves a file from datanodes whose read throughput is capped.
+// MapReduce over files stored with a Carousel code or replication; Fig. 11
+// retrieves a file from datanodes whose read throughput is capped. The
+// Reed-Solomon baseline of those figures is not a scheme of its own: it is
+// the Carousel code at p = k, d = k.
 // Block content is held in memory (the simulation charges transfer and
 // compute time explicitly), so reads return real bytes and decodes are real
 // decodes.
@@ -18,7 +20,6 @@ import (
 
 	"carousel/internal/carousel"
 	"carousel/internal/cluster"
-	"carousel/internal/reedsolomon"
 )
 
 // Common errors.
@@ -58,16 +59,9 @@ type Replication struct {
 func (r Replication) Name() string { return fmt.Sprintf("%dx-replication", r.Copies) }
 func (Replication) scheme()        {}
 
-// RS stores each stripe of k blocks as n systematic Reed-Solomon blocks.
-type RS struct {
-	Code *reedsolomon.Code
-}
-
-// Name implements Scheme.
-func (r RS) Name() string { return fmt.Sprintf("rs(%d,%d)", r.Code.N(), r.Code.K()) }
-func (RS) scheme()        {}
-
-// Carousel stores each stripe with an (n, k, d, p) Carousel code.
+// Carousel stores each stripe with an (n, k, d, p) Carousel code. The
+// paper's baselines are points of it: (n, k, k, k) is systematic
+// Reed-Solomon, (n, k, d, k) is product-matrix MSR.
 type Carousel struct {
 	Code *carousel.Code
 }
@@ -309,20 +303,12 @@ func (fs *FS) Write(name string, data []byte, blockSize int, scheme Scheme) (*Fi
 			}
 			f.stripes = append(f.stripes, &stripe{blocks: []*block{{content: content, crc: checksum(content), locations: locs}}})
 		}
-	case RS:
-		if err := fs.writeCoded(f, data, blockSize, s.Code.K(), s.Code.N(), func(shards [][]byte) ([][]byte, error) {
-			return s.Code.Encode(shards)
-		}); err != nil {
-			return nil, err
-		}
 	case Carousel:
 		if blockSize%s.Code.BlockAlign() != 0 {
 			return nil, fmt.Errorf("dfs: block size %d is not a multiple of the carousel alignment %d",
 				blockSize, s.Code.BlockAlign())
 		}
-		if err := fs.writeCoded(f, data, blockSize, s.Code.K(), s.Code.N(), func(shards [][]byte) ([][]byte, error) {
-			return s.Code.Encode(shards)
-		}); err != nil {
+		if err := fs.writeCoded(f, data, blockSize, s.Code); err != nil {
 			return nil, err
 		}
 	default:
@@ -334,8 +320,8 @@ func (fs *FS) Write(name string, data []byte, blockSize int, scheme Scheme) (*Fi
 
 // writeCoded splits data into stripes of k blocks, encodes each into n
 // blocks, and places them on distinct nodes.
-func (fs *FS) writeCoded(f *File, data []byte, blockSize, k, n int,
-	encode func([][]byte) ([][]byte, error)) error {
+func (fs *FS) writeCoded(f *File, data []byte, blockSize int, code *carousel.Code) error {
+	k, n := code.K(), code.N()
 	stripeData := k * blockSize
 	f.dataPerStripe = stripeData
 	for off := 0; off < len(data); off += stripeData {
@@ -349,7 +335,7 @@ func (fs *FS) writeCoded(f *File, data []byte, blockSize, k, n int,
 		for i := range shards {
 			shards[i] = chunk[i*blockSize : (i+1)*blockSize]
 		}
-		blocks, err := encode(shards)
+		blocks, err := code.Encode(shards)
 		if err != nil {
 			return err
 		}

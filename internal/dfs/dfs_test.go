@@ -61,6 +61,13 @@ func mustRS(t *testing.T, n, k int) *reedsolomon.Code {
 	return c
 }
 
+// rsPoint is the (n, k) Reed-Solomon baseline as the simulator stores it:
+// the Carousel code at d = k, p = k. mustRS stays as the reference encoder.
+func rsPoint(t *testing.T, n, k int) Carousel {
+	t.Helper()
+	return Carousel{Code: mustCarousel(t, n, k, k, k)}
+}
+
 func mustCarousel(t *testing.T, n, k, d, p int) *carousel.Code {
 	t.Helper()
 	c, err := carousel.New(n, k, d, p)
@@ -132,16 +139,15 @@ func TestWriteValidation(t *testing.T) {
 		t.Errorf("missing file: %v", err)
 	}
 	// Too many blocks for the cluster.
-	if _, err := rig.fs.Write("y", []byte{1}, 1, RS{Code: mustRS(t, 6, 4)}); err == nil {
+	if _, err := rig.fs.Write("y", []byte{1}, 1, rsPoint(t, 6, 4)); err == nil {
 		t.Error("stripe wider than cluster did not error")
 	}
 }
 
 func TestReadRS(t *testing.T) {
 	rig := newRig(t, 12, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-	code := mustRS(t, 12, 6)
 	data := randBytes(6*1000, 3)
-	if _, err := rig.fs.Write("f", data, 1000, RS{Code: code}); err != nil {
+	if _, err := rig.fs.Write("f", data, 1000, rsPoint(t, 12, 6)); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := rig.runRead(t, "f", ReadParallel)
@@ -158,9 +164,8 @@ func TestReadRS(t *testing.T) {
 
 func TestReadRSDegraded(t *testing.T) {
 	rig := newRig(t, 12, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-	code := mustRS(t, 12, 6)
 	data := randBytes(6*1000, 4)
-	if _, err := rig.fs.Write("f", data, 1000, RS{Code: code}); err != nil {
+	if _, err := rig.fs.Write("f", data, 1000, rsPoint(t, 12, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := rig.fs.FailBlock("f", 0, 2); err != nil {
@@ -242,7 +247,7 @@ func TestCarouselFasterThanRSOnCappedDisks(t *testing.T) {
 	}
 	size := 6 * blockSize
 	tCar := read(Carousel{Code: code}, blockSize, size)
-	tRS := read(RS{Code: mustRS(t, 12, 6)}, blockSize, size)
+	tRS := read(rsPoint(t, 12, 6), blockSize, size)
 	if tCar >= tRS {
 		t.Fatalf("carousel (%gs) not faster than RS (%gs)", tCar, tRS)
 	}
@@ -301,7 +306,7 @@ func TestReconstructTrafficRSvsCarousel(t *testing.T) {
 	if want := int64(2 * blockSize); resCar.TrafficBytes != want {
 		t.Fatalf("carousel repair traffic = %d, want %d", resCar.TrafficBytes, want)
 	}
-	resRS := repair(RS{Code: mustRS(t, 12, 6)}, blockSize)
+	resRS := repair(rsPoint(t, 12, 6), blockSize)
 	if want := int64(6 * blockSize); resRS.TrafficBytes != want {
 		t.Fatalf("RS repair traffic = %d, want %d", resRS.TrafficBytes, want)
 	}
@@ -402,7 +407,7 @@ func TestSplitsCoverFileExactly(t *testing.T) {
 		scheme Scheme
 		want   int // expected split count
 	}{
-		{"rs", RS{Code: mustRS(t, 12, 6)}, 6},
+		{"rs", rsPoint(t, 12, 6), 6},
 		{"carousel", Carousel{Code: code}, 12},
 	} {
 		rig := newRig(t, 12, cluster.NodeSpec{})
@@ -446,13 +451,13 @@ func TestDecodeBWChargesTime(t *testing.T) {
 	// decoder: the slow one must take longer.
 	run := func(bw float64) float64 {
 		rig := newRig(t, 12, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-		code := mustRS(t, 12, 6)
+		scheme := rsPoint(t, 12, 6)
 		data := randBytes(6*100_000, 14)
-		if _, err := rig.fs.Write("f", data, 100_000, RS{Code: code}); err != nil {
+		if _, err := rig.fs.Write("f", data, 100_000, scheme); err != nil {
 			t.Fatal(err)
 		}
 		if bw > 0 {
-			rig.fs.DecodeBW[RS{Code: code}.Name()] = bw
+			rig.fs.DecodeBW[scheme.Name()] = bw
 		}
 		if err := rig.fs.FailBlock("f", 0, 0); err != nil {
 			t.Fatal(err)

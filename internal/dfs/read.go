@@ -24,7 +24,7 @@ type ReadMode int
 
 const (
 	// ReadParallel streams from all relevant datanodes concurrently (the
-	// paper's custom download program for RS and Carousel, and HDFS
+	// paper's custom download program for coded files, and HDFS
 	// replication read with one stream per block).
 	ReadParallel ReadMode = iota
 	// ReadSequential fetches block after block, like `hadoop fs -get`.
@@ -76,8 +76,6 @@ func (fs *FS) Read(p *cluster.Proc, client *cluster.Node, name string, mode Read
 	switch s := f.scheme.(type) {
 	case Replication:
 		err = fs.readReplicated(ctx, p, client, f, mode, res)
-	case RS:
-		err = fs.readRS(ctx, p, client, f, s, res)
 	case Carousel:
 		err = fs.readCarousel(ctx, p, client, f, s, res)
 	default:
@@ -150,82 +148,11 @@ func (fs *FS) readReplicated(ctx context.Context, p *cluster.Proc, client *clust
 	return nil
 }
 
-// readRS retrieves an RS-coded file: the k data blocks in parallel, or a
-// degraded read decoding from any k blocks when data blocks are lost.
-func (fs *FS) readRS(ctx context.Context, p *cluster.Proc, client *cluster.Node, f *File, s RS, res *ReadResult) error {
-	_, fsp := obs.StartSpan(ctx, "fetch")
-	defer fsp.End() // no-op after the explicit End below; covers error returns
-	code := s.Code
-	res.Parallelism = code.K()
-	sim := fs.cluster.Sim()
-	wg := sim.NewWaitGroup()
-	var decodeWork int64
-	for si, st := range f.stripes {
-		// Pick k source blocks, preferring data blocks.
-		var sources []int
-		missingData := 0
-		for i := 0; i < code.K(); i++ {
-			if st.available(i) {
-				sources = append(sources, i)
-			} else {
-				missingData++
-			}
-		}
-		for i := code.K(); i < code.N() && len(sources) < code.K(); i++ {
-			if st.available(i) {
-				sources = append(sources, i)
-			}
-		}
-		if len(sources) < code.K() {
-			return fmt.Errorf("%w: %s stripe %d has %d of %d blocks", ErrUnavailable, f.name, si, len(sources), code.K())
-		}
-		si, st := si, st
-		for _, idx := range sources {
-			wg.Add(1)
-			idx := idx
-			src := fs.node(st.blocks[idx].locations[0])
-			sim.Go("read-rs", func(sp *cluster.Proc) {
-				defer wg.Done()
-				cluster.ReadRemote(sp, src, client, float64(f.blockSize))
-			})
-			res.BytesFetched += int64(f.blockSize)
-		}
-		// Assemble (and decode if degraded) once transfers finish; the
-		// decode time is charged after the join below.
-		if missingData == 0 {
-			for i := 0; i < code.K(); i++ {
-				fs.copyStripeData(f, si, i, st.blocks[i].content, res.Data)
-			}
-		} else {
-			avail := make([][]byte, code.N())
-			for _, idx := range sources {
-				avail[idx] = st.blocks[idx].content
-			}
-			shards, err := code.Decode(avail)
-			if err != nil {
-				return fmt.Errorf("dfs: degraded read of %s stripe %d: %w", f.name, si, err)
-			}
-			for i, shard := range shards {
-				fs.copyStripeData(f, si, i, shard, res.Data)
-			}
-			decodeWork += int64(missingData) * int64(f.blockSize)
-		}
-	}
-	wg.Wait(p)
-	fsp.SetAttr("bytes", res.BytesFetched).End()
-	res.DecodeBytes = decodeWork
-	_, dsp := obs.StartSpan(ctx, "decode")
-	dsp.SetAttr("bytes", decodeWork)
-	if sec := fs.decodeSeconds(f.scheme, int(decodeWork)); sec > 0 {
-		client.Compute(p, 0, sec)
-	}
-	dsp.End()
-	return nil
-}
-
 // readCarousel retrieves a Carousel-coded file with the Section VII
 // parallel read: original data from up to p sources, replacement blocks for
-// missing ones, any-k decode as the last resort.
+// missing ones, any-k decode as the last resort. At p = k that is the
+// systematic read of the k data blocks, a lost one replaced by a parity
+// block.
 func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster.Node, f *File, s Carousel, res *ReadResult) error {
 	_, fsp := obs.StartSpan(ctx, "fetch")
 	defer fsp.End()
@@ -319,18 +246,4 @@ func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster
 	}
 	dsp.End()
 	return nil
-}
-
-// copyStripeData copies shard i of stripe si into the output at its file
-// offset, clipping at the file size.
-func (fs *FS) copyStripeData(f *File, si, shard int, data []byte, out []byte) {
-	lo := si*f.dataPerStripe + shard*f.blockSize
-	if lo >= f.size {
-		return
-	}
-	hi := lo + f.blockSize
-	if hi > f.size {
-		hi = f.size
-	}
-	copy(out[lo:hi], data[:hi-lo])
 }

@@ -147,10 +147,9 @@ func TestReadRange(t *testing.T) {
 
 func TestMultiStripeRSFile(t *testing.T) {
 	rig := newRig(t, 12, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-	code := mustRS(t, 12, 6)
 	// Three stripes, last one partially filled.
 	data := randBytes(6*1000*2+2500, 45)
-	if _, err := rig.fs.Write("f", data, 1000, RS{Code: code}); err != nil {
+	if _, err := rig.fs.Write("f", data, 1000, rsPoint(t, 12, 6)); err != nil {
 		t.Fatal(err)
 	}
 	f, _ := rig.fs.File("f")
@@ -284,8 +283,10 @@ func TestAccessorsAndDegradedCost(t *testing.T) {
 	if got := (Replication{Copies: 3}).Name(); got != "3x-replication" {
 		t.Fatalf("replication name %q", got)
 	}
-	if got := (RS{Code: mustRS(t, 12, 6)}).Name(); got != "rs(12,6)" {
-		t.Fatalf("rs name %q", got)
+	// The baseline is named by its parameters, like every other point:
+	// this string is its scheme metric label and its DecodeBW key.
+	if got := rsPoint(t, 12, 6).Name(); got != "carousel(12,6,6,6)" {
+		t.Fatalf("rs point name %q", got)
 	}
 }
 

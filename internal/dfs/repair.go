@@ -28,9 +28,9 @@ type RepairResult struct {
 
 // Reconstruct regenerates block blockIdx of the given stripe onto the
 // newcomer node, using the scheme's repair path: a replica copy for
-// replication, a k-block decode for RS, and the optimal d-helper chunk
-// protocol for Carousel. It must be called from within a simulation
-// process.
+// replication, the d-helper chunk protocol for a coded file (k whole
+// blocks at d = k, the MSR optimum at d > k). It must be called from
+// within a simulation process.
 func (fs *FS) Reconstruct(p *cluster.Proc, name string, stripeIdx, blockIdx int, newcomer *cluster.Node) (*RepairResult, error) {
 	_, sp := obs.StartSpan(context.Background(), "dfs.repair")
 	sp.SetAttr("file", name).SetAttr("stripe", stripeIdx).SetAttr("block", blockIdx)
@@ -59,38 +59,6 @@ func (fs *FS) Reconstruct(p *cluster.Proc, name string, stripeIdx, blockIdx int,
 		res.TrafficBytes = int64(f.blockSize)
 		res.Helpers = 1
 		b.locations = append(b.locations, newcomer.ID)
-		return res, nil
-
-	case RS:
-		code := s.Code
-		var helpers []int
-		for i := 0; i < code.N() && len(helpers) < code.K(); i++ {
-			if i != blockIdx && st.available(i) {
-				helpers = append(helpers, i)
-			}
-		}
-		if len(helpers) < code.K() {
-			return nil, fmt.Errorf("%w: %d helpers of %d", ErrUnavailable, len(helpers), code.K())
-		}
-		fs.parallelFetch(p, f, st, helpers, newcomer, f.blockSize)
-		avail := make([][]byte, code.N())
-		for _, h := range helpers {
-			avail[h] = st.blocks[h].content
-		}
-		work := make([][]byte, code.N())
-		copy(work, avail)
-		if err := code.Reconstruct(work); err != nil {
-			return nil, fmt.Errorf("dfs: RS reconstruction: %w", err)
-		}
-		if sec := fs.decodeSeconds(f.scheme, f.blockSize); sec > 0 {
-			newcomer.Compute(p, 0, sec)
-		}
-		newcomer.WriteLocal(p, float64(f.blockSize))
-		st.blocks[blockIdx].content = work[blockIdx]
-		st.blocks[blockIdx].crc = checksum(work[blockIdx])
-		st.blocks[blockIdx].locations = []int{newcomer.ID}
-		res.TrafficBytes = int64(len(helpers)) * int64(f.blockSize)
-		res.Helpers = len(helpers)
 
 	case Carousel:
 		code := s.Code
@@ -104,9 +72,12 @@ func (fs *FS) Reconstruct(p *cluster.Proc, name string, stripeIdx, blockIdx int,
 			return nil, fmt.Errorf("%w: %d helpers of %d", ErrUnavailable, len(helpers), code.D())
 		}
 		chunkSize := code.HelperChunkSize(f.blockSize)
-		// Helper side: each helper reads its block locally, computes its
-		// chunk (free for the RS base, a small GF combination for MSR),
-		// and uploads chunkSize bytes. All helpers work concurrently.
+		// With an MSR base (d > k) each helper reads its block, combines
+		// it into a chunk and uploads that: store-and-forward, because the
+		// chunk exists only once the block is read. At d = k the chunk is
+		// the block itself, so it streams from the helper's disk to the
+		// newcomer like any remote read. All helpers work concurrently.
+		computes := code.D() > code.K()
 		sim := fs.cluster.Sim()
 		wg := sim.NewWaitGroup()
 		chunks := make([][]byte, len(helpers))
@@ -116,15 +87,19 @@ func (fs *FS) Reconstruct(p *cluster.Proc, name string, stripeIdx, blockIdx int,
 			src := fs.node(st.blocks[h].locations[0])
 			sim.Go("repair-helper", func(sp *cluster.Proc) {
 				defer wg.Done()
-				src.ReadLocal(sp, float64(f.blockSize))
-				if sec := fs.decodeSeconds(f.scheme, chunkSize); sec > 0 && code.D() > code.K() {
-					src.Compute(sp, 0, sec)
-				}
 				ch, err := code.HelperChunk(h, blockIdx, st.blocks[h].content)
 				if err != nil {
 					panic(fmt.Sprintf("dfs: helper chunk: %v", err))
 				}
 				chunks[i] = ch
+				if !computes {
+					cluster.ReadRemote(sp, src, newcomer, float64(chunkSize))
+					return
+				}
+				src.ReadLocal(sp, float64(f.blockSize))
+				if sec := fs.decodeSeconds(f.scheme, chunkSize); sec > 0 {
+					src.Compute(sp, 0, sec)
+				}
 				cluster.SendRemote(sp, src, newcomer, float64(chunkSize))
 			})
 		}
@@ -275,20 +250,4 @@ func (fs *FS) pickNewcomer(st *stripe, failedID int, cursor *int, exclude map[in
 		}
 	}
 	return nil, fmt.Errorf("%w: no eligible newcomer node", ErrUnavailable)
-}
-
-// parallelFetch moves whole blocks from the given indices to dst
-// concurrently.
-func (fs *FS) parallelFetch(p *cluster.Proc, f *File, st *stripe, idx []int, dst *cluster.Node, bytes int) {
-	sim := fs.cluster.Sim()
-	wg := sim.NewWaitGroup()
-	for _, i := range idx {
-		wg.Add(1)
-		src := fs.node(st.blocks[i].locations[0])
-		sim.Go("fetch", func(sp *cluster.Proc) {
-			defer wg.Done()
-			cluster.ReadRemote(sp, src, dst, float64(bytes))
-		})
-	}
-	wg.Wait(p)
 }

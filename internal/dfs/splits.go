@@ -46,11 +46,10 @@ func (dc *DegradedCost) TotalBytes() int {
 //
 //   - replication: a surviving replica serves the range (never degraded
 //     unless all replicas are gone, which is unrecoverable);
-//   - RS: the whole hosting block must be decoded from k surviving
-//     blocks — k full blocks of transfer for one split;
 //   - Carousel: the missing data units live in row classes solvable from
 //     k same-class units of other blocks, so the transfer is k times the
-//     split length — p/k times cheaper than RS's k full blocks.
+//     split length. At p = k (Reed-Solomon) the split is the whole block
+//     and that is k full blocks; at p > k it is p/k times cheaper.
 func (fs *FS) DegradedSplitCost(s Split) (*DegradedCost, error) {
 	f, err := fs.File(s.File)
 	if err != nil {
@@ -80,11 +79,6 @@ func (fs *FS) DegradedSplitCost(s Split) (*DegradedCost, error) {
 			return nil, fmt.Errorf("%w: no surviving replica", ErrUnavailable)
 		}
 		dc.Sources[0] = s.Length
-	case RS:
-		if err := pick(sc.Code.K(), f.blockSize); err != nil {
-			return nil, err
-		}
-		dc.DecodeBytes = f.blockSize
 	case Carousel:
 		if err := pick(sc.Code.K(), s.Length); err != nil {
 			return nil, err
@@ -102,10 +96,9 @@ func (fs *FS) DegradedSplitCost(s Split) (*DegradedCost, error) {
 //     block, each locally readable on every replica holder — the paper's
 //     observation that replication extends data parallelism with the
 //     number of copies;
-//   - RS: k splits per stripe, one per data block (parity blocks hold no
-//     readable data);
 //   - Carousel: p splits per stripe, one per data-bearing block, each
-//     covering that block's DataRange.
+//     covering that block's DataRange — at p = k, one per data block
+//     (parity blocks hold no readable data).
 //
 // Splits over unavailable blocks are returned with Degraded set; the
 // MapReduce engine serves them via DegradedSplitCost.
@@ -141,26 +134,6 @@ func (fs *FS) Splits(name string) ([]Split, error) {
 					Nodes:  append([]int(nil), b.locations...),
 					Offset: base + lo, Length: hi - lo,
 					Degraded: degraded,
-				})
-			}
-		}
-	case RS:
-		k := s.Code.K()
-		for si, st := range f.stripes {
-			for i := 0; i < k; i++ {
-				base := si*f.dataPerStripe + i*f.blockSize
-				if base >= f.size {
-					continue
-				}
-				length := f.blockSize
-				if base+length > f.size {
-					length = f.size - base
-				}
-				out = append(out, Split{
-					File: name, Stripe: si, Block: i,
-					Nodes:  append([]int(nil), st.blocks[i].locations...),
-					Offset: base, Length: length,
-					Degraded: !st.available(i),
 				})
 			}
 		}
@@ -210,9 +183,6 @@ func (fs *FS) SplitData(s Split) ([]byte, error) {
 	switch sc := f.scheme.(type) {
 	case Replication:
 		inBlock := s.Offset - s.Stripe*f.blockSize
-		local = content[inBlock : inBlock+s.Length]
-	case RS:
-		inBlock := s.Offset - s.Stripe*f.dataPerStripe - s.Block*f.blockSize
 		local = content[inBlock : inBlock+s.Length]
 	case Carousel:
 		lo, _ := sc.Code.DataRange(s.Block, f.blockSize)

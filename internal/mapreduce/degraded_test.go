@@ -53,7 +53,7 @@ func TestDegradedSplitStillCountsAllWords(t *testing.T) {
 		return sb.String()
 	}
 	for _, s := range []dfs.Scheme{
-		dfs.RS{Code: mustRS(t, 12, 6)},
+		rsPoint(t, 12, 6),
 		dfs.Carousel{Code: car},
 		dfs.Replication{Copies: 2},
 	} {
@@ -108,7 +108,7 @@ func TestDegradedMapCheaperWithCarousel(t *testing.T) {
 		t.Fatal("no degraded split found")
 		return 0
 	}
-	rsBytes := cost(dfs.RS{Code: mustRS(t, 12, 6)})
+	rsBytes := cost(rsPoint(t, 12, 6))
 	carBytes := cost(dfs.Carousel{Code: car})
 	if rsBytes != 6*blockSize {
 		t.Fatalf("RS degraded transfer = %d, want %d", rsBytes, 6*blockSize)

@@ -9,7 +9,6 @@ import (
 	"carousel/internal/carousel"
 	"carousel/internal/cluster"
 	"carousel/internal/dfs"
-	"carousel/internal/reedsolomon"
 	"carousel/internal/workload"
 )
 
@@ -50,13 +49,11 @@ func mustCarousel(t *testing.T, n, k, d, p int) *carousel.Code {
 	return c
 }
 
-func mustRS(t *testing.T, n, k int) *reedsolomon.Code {
+// rsPoint is the (n, k) Reed-Solomon baseline: the Carousel code at d = k,
+// p = k.
+func rsPoint(t *testing.T, n, k int) dfs.Scheme {
 	t.Helper()
-	c, err := reedsolomon.New(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return dfs.Carousel{Code: mustCarousel(t, n, k, k, k)}
 }
 
 // referenceWordCount computes word counts directly.
@@ -77,7 +74,7 @@ func TestWordCountCorrectAcrossSchemes(t *testing.T) {
 	schemes := []dfs.Scheme{
 		dfs.Replication{Copies: 1},
 		dfs.Replication{Copies: 2},
-		dfs.RS{Code: mustRS(t, 12, 6)},
+		rsPoint(t, 12, 6),
 		dfs.Carousel{Code: car},
 		dfs.Carousel{Code: mustCarousel(t, 12, 6, 10, 8)},
 	}
@@ -147,7 +144,7 @@ func TestMapTaskCountTracksScheme(t *testing.T) {
 	}{
 		{dfs.Replication{Copies: 1}, 6},
 		{dfs.Replication{Copies: 2}, 12},
-		{dfs.RS{Code: mustRS(t, 12, 6)}, 6},
+		{rsPoint(t, 12, 6), 6},
 		{dfs.Carousel{Code: car8}, 8},
 		{dfs.Carousel{Code: car12}, 12},
 	}
@@ -198,7 +195,7 @@ func TestCarouselMapPhaseFasterThanRS(t *testing.T) {
 		}
 		return res
 	}
-	rs := run(dfs.RS{Code: mustRS(t, 12, 6)})
+	rs := run(rsPoint(t, 12, 6))
 	cr := run(dfs.Carousel{Code: car})
 	if cr.AvgMapSeconds >= rs.AvgMapSeconds {
 		t.Fatalf("carousel map %.2fs not faster than RS %.2fs", cr.AvgMapSeconds, rs.AvgMapSeconds)

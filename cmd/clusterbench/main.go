@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	clusterbench [-fig all|9|10|11|deg|tail|net|recovery|swarm] [-scale 32] [-netmb 8] [-netreps 3] [-recmb 8] [-recreps 3] [-maxprocs 1,2,4,8] [-json]
+//	clusterbench [-fig all|9|10|11|deg|tail|swarm] [-scale 32] [-json]
 //
 // -scale divides the data size and every bandwidth by the same factor, so
 // simulated durations equal the full-scale run while the real task logic
@@ -20,34 +20,18 @@
 // Client-side decode time in Fig. 11 is charged at the throughput of this
 // machine's real decoder, measured at startup.
 //
-// -fig net is different in kind: it boots a live 12-server TCP cluster on
-// loopback and A/Bs the pipelined read/write engine against the same
-// store at pipeline depth 1 on a -netmb MiB, 16-stripe file
-// (never simulated, so it is excluded from -fig all). -fig recovery is its
-// node-repair sibling: one server of the live cluster is declared failed
-// and the parallel recovery engine (Store.RecoverServer) is A/B'd against
-// the sequential repair loop on a -recmb MiB file, reporting recovery MB/s
-// and the per-helper chunk spread. -fig swarm is the hot-read benchmark:
-// an open-loop Poisson swarm (hundreds of concurrent clients, seeded
-// Zipf(s≈1.1) object popularity) offers the same load to the store with
-// its stripe cache off and on — plus both again under faultnet straggler
-// injection — reporting reads/s and p50/p99/p999 from scheduled-arrival
-// time. With -json the measurements are also written to
-// BENCH_clusterbench.json (each figure owns a section).
-//
-// -maxprocs sweeps the live-TCP figures across GOMAXPROCS values (e.g.
-// -maxprocs 1,2,4,8): each pass pins GOMAXPROCS, sizes the shared worker
-// pool to match, and contributes one result row per case tagged with a
-// per-row "gomaxprocs" axis in the JSON snapshot.
+// -fig swarm is different in kind (see figSwarm): an open-loop Zipf swarm
+// over a live 12-server TCP cluster on loopback, stripe cache off vs on —
+// never simulated, so not part of -fig all; -json writes its rows to
+// BENCH_clusterbench.json. The live store's read, write and recovery paths
+// are measured by the gated benchmark (bash benchmark/run.sh), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -58,7 +42,6 @@ import (
 	"carousel/internal/mapreduce"
 	"carousel/internal/obs"
 	"carousel/internal/workload"
-	"carousel/internal/workpool"
 )
 
 const (
@@ -81,99 +64,85 @@ var calib = cluster.NodeSpec{
 	ComputeBW:   20 * mb, // Hadoop map-task processing rate
 }
 
+// options carries the parsed flags to the figures.
+type options struct {
+	scale        int
+	jsonOut      bool
+	swarmObjs    int
+	swarmCache   int
+	swarmDur     time.Duration
+	swarmRate    float64
+	swarmClients int
+	swarmSeed    int64
+}
+
+// figure is one -fig value. A live figure runs over real sockets: it is
+// not part of -fig all, and it is the only kind -json writes anything for.
+type figure struct {
+	name string
+	live bool
+	run  func(o options) error
+}
+
+// figures is the one table of known -fig values, in the order -fig all
+// runs the simulated ones.
+var figures = []figure{
+	{"9", false, func(o options) error { return fig9(o.scale) }},
+	{"10", false, func(o options) error { return fig10(o.scale) }},
+	{"11", false, func(o options) error { return fig11(o.scale) }},
+	{"deg", false, func(o options) error { return figDegraded(o.scale) }},
+	{"tail", false, func(o options) error { return figTail(o.scale) }},
+	{"swarm", true, figSwarm},
+}
+
+// selectFigures resolves a -fig value against the table. An unknown value
+// is an error naming the valid ones — never an empty selection, so a
+// recipe that asks for a retired figure fails instead of passing having
+// run nothing — and so is -json with a figure that writes no JSON.
+func selectFigures(name string, jsonOut bool) ([]figure, error) {
+	var sel []figure
+	valid := []string{"all"}
+	for _, f := range figures {
+		valid = append(valid, f.name)
+		if f.name == name || (name == "all" && !f.live) {
+			sel = append(sel, f)
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("unknown -fig %q (valid: %s)", name, strings.Join(valid, " "))
+	}
+	if jsonOut && !sel[0].live {
+		return nil, fmt.Errorf("-json writes only the live figure (swarm); -fig %s is simulated and has no JSON", name)
+	}
+	return sel, nil
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 9, 10, 11, deg, tail, net, recovery, swarm (all = the simulated ones, 9 through tail)")
-	scale := flag.Int("scale", 32, "scale-down factor for data sizes and bandwidths")
-	netMB := flag.Int("netmb", 8, "file size in MiB for the -fig net TCP read/write A/B")
-	netReps := flag.Int("netreps", 3, "benchmark repetitions per -fig net case (fastest wins)")
-	recMB := flag.Int("recmb", 8, "file size in MiB for the -fig recovery TCP A/B")
-	recReps := flag.Int("recreps", 3, "benchmark repetitions per -fig recovery case (fastest wins)")
-	recDelay := flag.Duration("recdelay", 500*time.Microsecond,
-		"emulated network latency per server response write in the -fig recovery A/B (tc-netem stand-in; applied to both variants)")
-	maxprocs := flag.String("maxprocs", "",
-		"comma-separated GOMAXPROCS values to sweep the -fig net/recovery A/Bs over (e.g. 1,2,4,8; default: current GOMAXPROCS only)")
-	swarmObjs := flag.Int("swarmobjs", 256, "object population size for the -fig swarm open-loop Zipf benchmark")
-	swarmCache := flag.Int("swarmcache", 4, "stripe cache budget in MiB for the -fig swarm cache-on variants")
-	swarmDur := flag.Duration("swarmdur", 3*time.Second, "open-loop arrival window per -fig swarm variant")
-	swarmRate := flag.Float64("swarmrate", 0, "offered load in reads/s for -fig swarm (0 = calibrate cache-off capacity and overload it 3x)")
-	swarmClients := flag.Int("swarmclients", 384, "max concurrent in-flight reads per -fig swarm variant (arrivals beyond it are shed)")
-	swarmSeed := flag.Int64("swarmseed", 42, "root seed for the -fig swarm Zipf object sequence and arrival process")
-	jsonOut := flag.Bool("json", false, "with -fig net/recovery/swarm, also write measurements to "+netJSONPath)
+	var o options
+	fig := flag.String("fig", "all", "figure to regenerate: all, 9, 10, 11, deg, tail, swarm (all = the simulated ones, 9 through tail)")
+	flag.IntVar(&o.scale, "scale", 32, "scale-down factor for data sizes and bandwidths")
+	flag.IntVar(&o.swarmObjs, "swarmobjs", 256, "object population size for the -fig swarm open-loop Zipf benchmark")
+	flag.IntVar(&o.swarmCache, "swarmcache", 4, "stripe cache budget in MiB for the -fig swarm cache-on variants")
+	flag.DurationVar(&o.swarmDur, "swarmdur", 3*time.Second, "open-loop arrival window per -fig swarm variant")
+	flag.Float64Var(&o.swarmRate, "swarmrate", 0, "offered load in reads/s for -fig swarm (0 = calibrate cache-off capacity and overload it 3x)")
+	flag.IntVar(&o.swarmClients, "swarmclients", 384, "max concurrent in-flight reads per -fig swarm variant (arrivals beyond it are shed)")
+	flag.Int64Var(&o.swarmSeed, "swarmseed", 42, "root seed for the -fig swarm Zipf object sequence and arrival process")
+	flag.BoolVar(&o.jsonOut, "json", false, "with -fig swarm, also write measurements to "+benchJSONPath)
 	flag.Parse()
-	if *scale < 1 {
+	if o.scale < 1 {
 		obs.SetDefaultLogger(false).Error("scale must be >= 1")
 		os.Exit(1)
 	}
-	sweep, err := parseMaxprocs(*maxprocs)
+	sel, err := selectFigures(*fig, o.jsonOut)
 	if err != nil {
-		obs.SetDefaultLogger(false).Error("bad -maxprocs", "err", err)
+		obs.SetDefaultLogger(false).Error("bad -fig", "err", err)
 		os.Exit(1)
 	}
-	if *fig == "all" || *fig == "9" {
-		if err := fig9(*scale); err != nil {
+	for _, f := range sel {
+		if err := f.run(o); err != nil {
 			fail(err)
 		}
 	}
-	if *fig == "all" || *fig == "10" {
-		if err := fig10(*scale); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == "all" || *fig == "11" {
-		if err := fig11(*scale); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == "all" || *fig == "deg" {
-		if err := figDegraded(*scale); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == "all" || *fig == "tail" {
-		if err := figTail(*scale); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == "net" {
-		if err := figNet(*netMB, *netReps, sweep, *jsonOut); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == "recovery" {
-		if err := figRecovery(*recMB, *recReps, *recDelay, sweep, *jsonOut); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == "swarm" {
-		if err := figSwarm(*swarmObjs, *swarmCache, *swarmDur, *swarmRate, *swarmClients, *swarmSeed, *jsonOut); err != nil {
-			fail(err)
-		}
-	}
-}
-
-// parseMaxprocs parses the -maxprocs sweep list; empty means "just the
-// current GOMAXPROCS" (no sweep).
-func parseMaxprocs(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return []int{runtime.GOMAXPROCS(0)}, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad GOMAXPROCS value %q", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// setMaxProcs pins the runtime's P count and grows the shared worker pool
-// to match, so both the stripe pipeline's decode fan-out and the codec's
-// intra-stripe parallelism see the swept width.
-func setMaxProcs(n int) {
-	runtime.GOMAXPROCS(n)
-	workpool.Ensure(n)
 }
 
 // figTail extends the evaluation with concurrent clients: 20 readers with

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +17,6 @@ import (
 	"carousel/internal/blockserver"
 	"carousel/internal/carousel"
 	"carousel/internal/faultnet"
-	"carousel/internal/obs"
 	"carousel/internal/workload"
 )
 
@@ -26,8 +28,8 @@ import (
 // exponential inter-arrival process, so an overloaded variant queues (and
 // sheds above the client cap) instead of silently slowing the load down,
 // the coordinated-omission trap closed-loop benchmarks fall into.
-// Latency is measured from each request's scheduled arrival, through the
-// existing obs.WindowHistogram quantiles.
+// Latency is measured from each request's scheduled arrival; every
+// completed read's sample is kept, so the percentiles are exact.
 //
 // The offered rate is calibrated once — a short closed-loop probe of the
 // cache-off store, multiplied by swarmOverload — and then held identical
@@ -35,13 +37,9 @@ import (
 // The Zipf object sequence is seeded and drawn single-threaded by the
 // dispatcher, so every variant (and every host) replays the identical
 // request sequence.
-func figSwarm(objs, cacheMiB int, dur time.Duration, rate float64, maxClients int, seed int64, jsonOut bool) error {
-	if objs < 8 {
-		objs = 8
-	}
-	if maxClients < 16 {
-		maxClients = 16
-	}
+func figSwarm(o options) error {
+	objs, maxClients := max(o.swarmObjs, 8), max(o.swarmClients, 16)
+	cacheMiB, dur, rate, seed := o.swarmCache, o.swarmDur, o.swarmRate, o.swarmSeed
 	if dur <= 0 {
 		dur = 3 * time.Second
 	}
@@ -153,22 +151,47 @@ func figSwarm(objs, cacheMiB int, dur time.Duration, rate float64, maxClients in
 			swarmStragglers, swarmStragglerDelay, on.OpsPerS/off.OpsPerS, on.P99MS, off.P99MS)
 	}
 	fmt.Println()
-	if jsonOut {
-		return updateBenchJSON(func(doc *benchDoc) {
-			doc.Swarm = &swarmSection{
-				Objects:    objs,
-				ObjectKiB:  objSize >> 10,
-				ZipfS:      swarmZipfS,
-				Seed:       seed,
-				DurationS:  dur.Seconds(),
-				RatePerS:   rate,
-				MaxClients: maxClients,
-				Code:       "Carousel(12,6,10,10)",
-				Results:    results,
-			}
+	if o.jsonOut {
+		return writeBenchJSON(swarmSection{
+			Objects:    objs,
+			ObjectKiB:  objSize >> 10,
+			ZipfS:      swarmZipfS,
+			Seed:       seed,
+			DurationS:  dur.Seconds(),
+			RatePerS:   rate,
+			MaxClients: maxClients,
+			Code:       "Carousel(12,6,10,10)",
+			Results:    results,
 		})
 	}
 	return nil
+}
+
+// benchJSONPath is the snapshot -fig swarm -json writes (`make bench-swarm`).
+const benchJSONPath = "BENCH_clusterbench.json"
+
+// writeBenchJSON replaces the snapshot with this run's swarm section.
+func writeBenchJSON(sec swarmSection) error {
+	out, err := json.MarshalIndent(map[string]swarmSection{"swarm": sec}, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(benchJSONPath, append(out, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n\n", benchJSONPath)
+	return nil
+}
+
+// quantile returns the nearest-rank q-quantile of an ascending slice: the
+// smallest sample with at least q of the samples at or below it (0 for no
+// samples). It is always one of the samples, never an interpolation.
+func quantile(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 const (
@@ -210,8 +233,8 @@ type swarmEntry struct {
 	Shed    int64   `json:"shed"`
 	OpsPerS float64 `json:"ops_per_s"`
 	MBPerS  float64 `json:"mb_per_s"`
-	// Latency quantiles from the scheduled arrival time (queueing
-	// included), via obs.WindowHistogram.
+	// Nearest-rank latency quantiles over every completed read, from the
+	// scheduled arrival time (queueing included).
 	P50MS  float64 `json:"p50_ms"`
 	P99MS  float64 `json:"p99_ms"`
 	P999MS float64 `json:"p999_ms"`
@@ -223,7 +246,7 @@ type swarmEntry struct {
 	CoalescedWaiters int64   `json:"coalesced_waiters"`
 }
 
-// swarmSection is the swarm benchmark's slot in the sectioned benchDoc.
+// swarmSection is the "swarm" object of BENCH_clusterbench.json.
 type swarmSection struct {
 	Objects    int          `json:"objects"`
 	ObjectKiB  int          `json:"object_kib"`
@@ -288,8 +311,11 @@ func swarmPass(code *carousel.Code, addrs []string, blockSize int, names []strin
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	win := obs.NewWindowHistogram(5*time.Minute, 6)
-	var ops, errs, shed, inflight, peak atomic.Int64
+	// One latency sample (ns) per completed read, under mu; the capacity is
+	// the expected arrivals, capped because -swarmrate is free input.
+	var mu sync.Mutex
+	samples := make([]int64, 0, int(min(rate*dur.Seconds()+1024, 1<<20)))
+	var errs, shed, inflight, peak atomic.Int64
 	tokens := make(chan struct{}, maxClients)
 	// The object sequence is drawn single-threaded here, from the same
 	// seed for every variant: identical request streams, only the engine
@@ -332,8 +358,10 @@ func swarmPass(code *carousel.Code, addrs []string, blockSize int, names []strin
 				errs.Add(1)
 				return
 			}
-			ops.Add(1)
-			win.Observe(time.Since(arrival).Nanoseconds())
+			lat := time.Since(arrival).Nanoseconds()
+			mu.Lock()
+			samples = append(samples, lat)
+			mu.Unlock()
 		}()
 	}
 	// Drain the queue: requests already admitted finish (their latency is
@@ -347,19 +375,20 @@ func swarmPass(code *carousel.Code, addrs []string, blockSize int, names []strin
 		<-done
 	}
 	elapsed := time.Since(start).Seconds()
-	snap := win.Snapshot()
+	slices.Sort(samples)
+	ops := float64(len(samples))
 	e := swarmEntry{
 		Case:        v.name,
 		CacheMiB:    v.cacheMiB,
 		Stragglers:  v.stragglers,
-		Ops:         ops.Load(),
+		Ops:         int64(len(samples)),
 		Errors:      errs.Load(),
 		Shed:        shed.Load(),
-		OpsPerS:     float64(ops.Load()) / elapsed,
-		MBPerS:      float64(ops.Load()) * float64(objSize) / elapsed / 1e6,
-		P50MS:       float64(snap.Quantile(0.50)) / 1e6,
-		P99MS:       float64(snap.Quantile(0.99)) / 1e6,
-		P999MS:      float64(snap.Quantile(0.999)) / 1e6,
+		OpsPerS:     ops / elapsed,
+		MBPerS:      ops * float64(objSize) / elapsed / 1e6,
+		P50MS:       float64(quantile(samples, 0.50)) / 1e6,
+		P99MS:       float64(quantile(samples, 0.99)) / 1e6,
+		P999MS:      float64(quantile(samples, 0.999)) / 1e6,
 		PeakClients: peak.Load(),
 	}
 	if c := st.Cache(); c != nil {

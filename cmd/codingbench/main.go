@@ -65,30 +65,22 @@ func main() {
 		log.Error("bad -maxprocs", "err", err)
 		os.Exit(1)
 	}
-	run := func(name string, fn func([]int, int, int) error) {
-		if *fig != "all" && *fig != name {
-			return
-		}
-		if err := fn(ks, *mb, *reps); err != nil {
-			log.Error("figure failed", "fig", name, "err", err)
-			os.Exit(1)
-		}
+	sel, err := selectFigures(*fig)
+	if err != nil {
+		log.Error("bad -fig", "err", err)
+		os.Exit(1)
 	}
 	for _, mp := range sweep {
 		setMaxProcs(mp)
 		if len(sweep) > 1 {
 			bench.Section(os.Stdout, fmt.Sprintf("GOMAXPROCS = %d", mp))
 		}
-		run("5", func([]int, int, int) error { return fig5() })
-		run("6a", fig6a)
-		run("6b", fig6b)
-		run("7", func(ks []int, _, _ int) error { return fig7(ks, *trafficMB) })
-		run("8a", fig8a)
-		run("8b", fig8b)
-		run("ext", extFutureWork)
-		run("lrc", func(ks []int, _, _ int) error { return lrcComparison(*trafficMB) })
-		run("par", parEncode)
-		run("tol", func([]int, int, int) error { return tolerance() })
+		for _, f := range sel {
+			if err := f.run(ks, *mb, *trafficMB, *reps); err != nil {
+				log.Error("figure failed", "fig", f.name, "err", err)
+				os.Exit(1)
+			}
+		}
 	}
 	if *jsonOut {
 		if err := writeJSON(*mb, *reps); err != nil {
@@ -96,6 +88,45 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// figure is one -fig value.
+type figure struct {
+	name string
+	run  func(ks []int, mb, trafficMB, reps int) error
+}
+
+// figures is the one table of known -fig values, in the order -fig all
+// runs them.
+var figures = []figure{
+	{"5", func([]int, int, int, int) error { return fig5() }},
+	{"6a", func(ks []int, mb, _, reps int) error { return fig6a(ks, mb, reps) }},
+	{"6b", func(ks []int, mb, _, reps int) error { return fig6b(ks, mb, reps) }},
+	{"7", func(ks []int, _, trafficMB, _ int) error { return fig7(ks, trafficMB) }},
+	{"8a", func(ks []int, mb, _, reps int) error { return fig8a(ks, mb, reps) }},
+	{"8b", func(ks []int, mb, _, reps int) error { return fig8b(ks, mb, reps) }},
+	{"ext", func(ks []int, mb, _, reps int) error { return extFutureWork(ks, mb, reps) }},
+	{"lrc", func(_ []int, _, trafficMB, _ int) error { return lrcComparison(trafficMB) }},
+	{"par", func(ks []int, mb, _, reps int) error { return parEncode(ks, mb, reps) }},
+	{"tol", func([]int, int, int, int) error { return tolerance() }},
+}
+
+// selectFigures resolves a -fig value against the table. An unknown value
+// is an error naming the valid ones — never an empty selection, so a
+// recipe that asks for a figure that does not exist fails instead of
+// passing having run nothing.
+func selectFigures(name string) ([]figure, error) {
+	if name == "all" {
+		return figures, nil
+	}
+	valid := []string{"all"}
+	for _, f := range figures {
+		if f.name == name {
+			return []figure{f}, nil
+		}
+		valid = append(valid, f.name)
+	}
+	return nil, fmt.Errorf("unknown -fig %q (valid: %s)", name, strings.Join(valid, " "))
 }
 
 // curMaxProcs is the GOMAXPROCS value of the current sweep pass; record

@@ -23,31 +23,13 @@ var (
 	mThrottleWaitNS  = obs.Default().Counter("store_recover_throttle_wait_ns_total")
 )
 
-// DefaultRecoveryConcurrency is how many stripe repairs RecoverServer
-// keeps in flight when WithRecoveryConcurrency is not given: enough to
-// overlap one stripe's chunk fetches with its neighbors' decode and
-// writeback without flooding the survivor set.
-const DefaultRecoveryConcurrency = 4
-
 // recoveryConfig collects the engine knobs.
 type recoveryConfig struct {
-	concurrency int
-	bandwidth   int64 // bytes/sec; 0 = unthrottled
+	bandwidth int64 // bytes/sec; 0 = unthrottled
 }
 
 // RecoveryOption configures a RecoverServer pass.
 type RecoveryOption func(*recoveryConfig)
-
-// WithRecoveryConcurrency bounds how many stripe repairs are in flight at
-// once (default DefaultRecoveryConcurrency; 1 restores the sequential
-// repair loop).
-func WithRecoveryConcurrency(n int) RecoveryOption {
-	return func(c *recoveryConfig) {
-		if n > 0 {
-			c.concurrency = n
-		}
-	}
-}
 
 // WithRecoveryBandwidth caps recovery traffic (helper chunk fetches plus
 // newcomer writebacks) at roughly bytesPerSec via a token bucket, so a
@@ -88,8 +70,8 @@ type RecoveryReport struct {
 // RecoverServer regenerates every block the failed server held across all
 // stripes of the given files — node-scale recovery on the real TCP path.
 // Block i of every stripe lives on server i, so each stripe of each file
-// contributes exactly one lost block. Repairs run through a depth-bounded
-// pipeline (WithRecoveryConcurrency): one stripe's helper chunk fetches
+// contributes exactly one lost block. Repairs run through the bounded
+// pipeline (stripesInFlight at once): one stripe's helper chunk fetches
 // overlap its neighbors' RepairBlock decode and newcomer writeback, all
 // over the store's shared connection pool and buffer pool. Helper
 // selection rotates with the stripe index so repair load spreads over all
@@ -105,14 +87,13 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 	if failed < 0 || failed >= n {
 		return nil, fmt.Errorf("blockserver: failed server %d out of range [0,%d)", failed, n)
 	}
-	cfg := recoveryConfig{concurrency: DefaultRecoveryConcurrency}
+	var cfg recoveryConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	t0 := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "store.recover")
-	sp.SetAttr("failed", failed).SetAttr("server", s.addrs[failed]).
-		SetAttr("files", len(files)).SetAttr("concurrency", cfg.concurrency)
+	sp.SetAttr("failed", failed).SetAttr("server", s.addrs[failed]).SetAttr("files", len(files))
 	defer func() {
 		sp.End()
 		mRecoverPasses.Inc()
@@ -161,7 +142,7 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 		report.HelperChunks[s.addrs[idx]]++
 		mu.Unlock()
 	}
-	traffic, repaired, err := s.repairMany(ctx, jobs, cfg.concurrency, repairOpts{throttle: tb, onHelper: onHelper})
+	traffic, repaired, err := s.repairMany(ctx, jobs, stripesInFlight, repairOpts{throttle: tb, onHelper: onHelper})
 	report.TrafficBytes = traffic
 	report.BlocksRepaired = len(repaired)
 	report.BytesRecovered = int64(len(repaired)) * int64(s.blockSize)

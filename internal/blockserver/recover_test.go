@@ -152,11 +152,12 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestRecoverServerSequentialRotatesHelpers pins what the recovery A/B's
-// baseline now is: concurrency 1 changes only how many repairs are in
-// flight. Helper selection still rotates with the stripe index, so even
-// the sequential pass spreads its chunks over all n-1 survivors instead of
-// the first d.
+// TestRecoverServerSequentialRotatesHelpers pins that the width of the
+// bounded stage changes only how many repairs are in flight: driven one at
+// a time (repairMany at width 1, the way RecoverServer drives it at
+// stripesInFlight), helper selection still rotates with the stripe index,
+// so the pass spreads its chunks over all n-1 survivors instead of the
+// first d, repairs every block and the file reads back identical.
 func TestRecoverServerSequentialRotatesHelpers(t *testing.T) {
 	code := mustCode(t)
 	blockSize := code.BlockAlign() * 4
@@ -178,16 +179,24 @@ func TestRecoverServerSequentialRotatesHelpers(t *testing.T) {
 	const failed = 0
 	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
 
-	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}}, WithRecoveryConcurrency(1))
+	jobs := make([]repairJob, stripes)
+	for st := range jobs {
+		jobs[st] = repairJob{file: "f", ref: BlockRef{Stripe: st, Block: failed}}
+	}
+	helpers := make(map[int]int) // one repair at a time: no lock needed
+	traffic, repaired, err := store.repairMany(ctx, jobs, 1, repairOpts{onHelper: func(idx int) { helpers[idx]++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.BlocksRepaired != stripes {
-		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
+	if len(repaired) != stripes {
+		t.Fatalf("repaired %d blocks, want %d", len(repaired), stripes)
 	}
-	if len(rep.HelperChunks) != code.N()-1 {
+	if want := int64(stripes * code.D() * code.HelperChunkSize(blockSize)); traffic != want {
+		t.Fatalf("traffic %d bytes, want %d", traffic, want)
+	}
+	if len(helpers) != code.N()-1 {
 		t.Fatalf("sequential recovery used %d peers, want all %d survivors: %v",
-			len(rep.HelperChunks), code.N()-1, rep.HelperChunks)
+			len(helpers), code.N()-1, helpers)
 	}
 	got, _, err := store.ReadFile(ctx, "f", size)
 	if err != nil {

@@ -37,9 +37,7 @@ var (
 	mRepairFetchNS     = obs.Default().Histogram("store_repair_fetch_ns")
 	mRepairDecodeNS    = obs.Default().Histogram("store_repair_decode_ns")
 	mRepairWritebackNS = obs.Default().Histogram("store_repair_writeback_ns")
-	// Pipeline gauges: the configured depth and how many stripes are
-	// actually in flight right now.
-	mPipelineDepth    = obs.Default().Gauge("store_pipeline_depth")
+	// How many stripes the pipeline has in flight right now.
 	mPipelineInflight = obs.Default().Gauge("store_pipeline_inflight")
 	mWriteNS          = obs.Default().Histogram("store_write_ns")
 	// Sliding-window latency views of the three whole-operation paths:
@@ -60,11 +58,12 @@ var (
 	sloRepair = obs.NewSLO(obs.Default(), "store_repair", 5*time.Second, 0.99)
 )
 
-// DefaultPipelineDepth is how many stripes ReadFile/WriteFile keep in
-// flight when WithPipelineDepth is not given: enough to hide one stripe's
-// network round trip behind its neighbors' decode/reassembly without
-// flooding the peer set.
-const DefaultPipelineDepth = 4
+// stripesInFlight is how many stripes WriteFile, ReadFile, Scrub (verify
+// and repair phases) and RecoverServer hand to pipeline at once. Why 4:
+// enough to hide one stripe's network round trip behind its neighbours'
+// encode, decode or writeback, without flooding the peer set — every
+// stripe in flight holds up to n pooled connections and n pooled blocks.
+const stripesInFlight = 4
 
 // Store stripes files across n block servers with a Carousel code: block i
 // of every stripe lives on server i. Reads pull original data from up to p
@@ -83,7 +82,6 @@ type Store struct {
 	blockSize int
 	client    Options
 	hedge     time.Duration
-	depth     int   // stripes kept in flight by ReadFile/WriteFile
 	pool      *Pool // shared by reads, writes, scrub, and repair
 	all       []int // block indexes 0..n-1, the read paths' candidate list
 
@@ -112,17 +110,6 @@ func WithHedgeDelay(d time.Duration) StoreOption {
 	return func(s *Store) {
 		if d > 0 {
 			s.hedge = d
-		}
-	}
-}
-
-// WithPipelineDepth sets how many stripes ReadFile and WriteFile keep in
-// flight (default DefaultPipelineDepth; 1 restores strictly sequential
-// per-stripe behavior).
-func WithPipelineDepth(d int) StoreOption {
-	return func(s *Store) {
-		if d > 0 {
-			s.depth = d
 		}
 	}
 }
@@ -160,7 +147,6 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 		addrs:     addrs,
 		blockSize: blockSize,
 		hedge:     500 * time.Millisecond,
-		depth:     DefaultPipelineDepth,
 		all:       make([]int, len(addrs)),
 	}
 	for _, opt := range opts {
@@ -173,7 +159,6 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 		s.all[i] = i
 		s.helperChunks[i] = obs.Default().Counter("store_repair_helper_chunks_total", "peer", a)
 	}
-	mPipelineDepth.Set(int64(s.depth))
 	return s, nil
 }
 
@@ -332,7 +317,7 @@ func pipelineErr(ctx context.Context, errs []error, launched int) (int, error) {
 }
 
 // WriteFile encodes data into stripes and uploads block i of every stripe
-// to server i. Stripes are pipelined: up to the configured depth encode
+// to server i. Stripes are pipelined: up to stripesInFlight encode
 // and upload concurrently, so stripe st+1's GF(2^8) work overlaps stripe
 // st's network round trips. It returns the stripe count.
 func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int, rerr error) {
@@ -362,7 +347,7 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 		mWriteWindow.ObserveSince(t0)
 		sloWrite.ObserveSince(t0, rerr)
 	}()
-	errs, launched := pipeline(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+	errs, launched := pipeline(ctx, stripes, stripesInFlight, mPipelineInflight, func(ctx context.Context, st int) error {
 		return s.writeStripe(ctx, name, st, data, stripeData)
 	})
 	if st, err := pipelineErr(ctx, errs, launched); err != nil {
@@ -501,7 +486,7 @@ func (rs *ReadStats) Path() string {
 }
 
 // ReadFile reassembles size bytes of the file. Stripes flow through a
-// bounded pipeline: up to the configured depth are in flight at once, so
+// bounded pipeline: up to stripesInFlight are in flight at once, so
 // one stripe's prefix fetches overlap its neighbors' decode and
 // reassembly, and each stripe decodes directly into its slot of a single
 // presized output buffer (no append growth, no final copy). Within a
@@ -531,7 +516,7 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
 	dialsBefore := s.pool.DialCounts()
 	out := make([]byte, stripes*stripeData)
-	errs, launched := pipeline(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+	errs, launched := pipeline(ctx, stripes, stripesInFlight, mPipelineInflight, func(ctx context.Context, st int) error {
 		return s.readStripeCached(ctx, name, st, out[st*stripeData:(st+1)*stripeData], stats)
 	})
 	stats.Dials = dialDelta(dialsBefore, s.pool.DialCounts())
@@ -748,8 +733,9 @@ type repairOpts struct {
 }
 
 // rotatedSurvivors lists the n-1 survivor block indexes starting at
-// rotation rot: rot 0 is ascending order; successive rotations shift which d survivors are contacted first, so
-// consecutive stripes walk the ring instead of reusing one prefix.
+// rotation rot: rot 0 is ascending order; successive rotations shift which
+// d survivors are contacted first, so consecutive stripes walk the ring
+// instead of reusing one prefix.
 func rotatedSurvivors(n, failed, rot int) []int {
 	ring := make([]int, 0, n-1)
 	for i := 0; i < n; i++ {
@@ -901,11 +887,9 @@ type ScrubReport struct {
 // (no block content crosses the network) and, when repair is true,
 // regenerates each corrupt or missing block from d helper chunks — the
 // route by which read-time corruption detection feeds back into
-// redundancy restoration. Verify probes are pipelined across stripes (up
-// to the store's pipeline depth of stripes probe concurrently, where each
-// stripe used to be a full barrier), and the repairs run through the
-// recovery engine's bounded scheduler instead of an inline sequential
-// loop.
+// redundancy restoration. Verify probes are pipelined across stripes
+// (stripesInFlight stripes probe concurrently), and the repairs run
+// through the recovery engine's bounded scheduler, at the same width.
 func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (*ScrubReport, error) {
 	stripes, err := s.stripesOf(name, size)
 	if err != nil {
@@ -922,7 +906,7 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	// is data, not a failure of the stage, so the stage only stops early
 	// when the caller's context ends.
 	verdicts := make([][]error, stripes)
-	errs, launched := pipeline(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+	errs, launched := pipeline(ctx, stripes, stripesInFlight, mPipelineInflight, func(ctx context.Context, st int) error {
 		v := make([]error, n)
 		var wg sync.WaitGroup
 		for i := range v {
@@ -971,7 +955,7 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	if !repair || len(broken) == 0 {
 		return rep, nil
 	}
-	traffic, repaired, err := s.repairMany(ctx, broken, s.depth, repairOpts{})
+	traffic, repaired, err := s.repairMany(ctx, broken, stripesInFlight, repairOpts{})
 	rep.TrafficBytes = int(traffic)
 	for _, j := range repaired {
 		rep.Repaired = append(rep.Repaired, j.ref)

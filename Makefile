@@ -111,12 +111,15 @@ swarm:
 bench-swarm:
 	$(GO) run ./cmd/clusterbench -fig swarm -json
 
-# The observability layer: metric/span correctness under the race detector,
-# the degraded-read and cross-node trace-stitching e2es, the master's
-# health roll-up and control-plane trace suites, then a live scrape of
-# both a standalone 3-node cluster and a master-managed one.
+# The observability layer: the family manifest (DESIGN.md §8 table ==
+# what the sources register == what obscheck greps), metric/span
+# correctness under the race detector, the degraded-read, per-server tx
+# and cross-node trace-stitching e2es, the master's health roll-up and
+# control-plane trace suites, then a live scrape of both a standalone
+# 3-node cluster and a master-managed one.
 obs:
+	$(GO) test -run 'TestMetricManifest' .
 	$(GO) test -race ./internal/obs
-	$(GO) test -race -run 'TestDegradedReadObservability|TestReadStatsCountsAllCorruptVerdicts|TestCrossNodeTraceStitching|TestTracePropagationVersionTolerance' ./internal/blockserver
+	$(GO) test -race -run 'TestDegradedReadObservability|TestReadStatsCountsAllCorruptVerdicts|TestObsSummaryTxIsPerServer|TestCrossNodeTraceStitching|TestTracePropagationVersionTolerance' ./internal/blockserver
 	$(GO) test -race -run 'TestBeatHealthRollup|TestClusterRollupGauges|TestControlTraceContext' ./internal/master
 	./scripts/obscheck.sh

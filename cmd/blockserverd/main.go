@@ -44,7 +44,6 @@ import (
 	"carousel/internal/faultnet"
 	"carousel/internal/master"
 	"carousel/internal/obs"
-	"carousel/internal/stripecache"
 )
 
 func main() {
@@ -133,7 +132,6 @@ func main() {
 			Info: func() master.NodeInfo {
 				blocks, bytes, corrupt := srv.Stats()
 				p99, depth, tx := srv.ObsSummary()
-				cacheHits, cacheMisses := stripecache.HitMissTotals()
 				return master.NodeInfo{
 					Addr: adv, Blocks: blocks, BlockBytes: bytes, CorruptServes: corrupt,
 					ObsAddr:        obsBound,
@@ -141,8 +139,6 @@ func main() {
 					QueueDepth:     depth,
 					BytesTx:        tx,
 					ErrorBudgetPPM: obs.Default().MinErrorBudgetRemainingPPM(),
-					CacheHits:      cacheHits,
-					CacheMisses:    cacheMisses,
 				}
 			},
 		})

@@ -115,8 +115,8 @@ func printTop(masterAddr string, cs *master.ClusterStatus) {
 	}
 	members := append([]master.MemberStatus(nil), cs.Members...)
 	sort.Slice(members, func(i, j int) bool { return members[i].Addr < members[j].Addr })
-	fmt.Printf("\n%-24s %-8s %10s %10s %7s %10s %8s %8s\n",
-		"MEMBER", "STATE", "TX RATE", "RPC P99", "QUEUE", "BUDGET", "CORRUPT", "CACHE")
+	fmt.Printf("\n%-24s %-8s %10s %10s %7s %10s %8s\n",
+		"MEMBER", "STATE", "TX RATE", "RPC P99", "QUEUE", "BUDGET", "CORRUPT")
 	var rollup master.Rollup
 	rollup.ErrorBudgetMinPPM = 1_000_000
 	alive := 0
@@ -129,9 +129,8 @@ func printTop(masterAddr string, cs *master.ClusterStatus) {
 			p99 = formatNS(m.RPCP99NS)
 			rate = formatRate(m.TxRateBps)
 		}
-		fmt.Printf("%-24s %-8s %10s %10s %7d %10s %8d %8s\n",
-			m.Addr, m.State, rate, p99, m.QueueDepth, budget, m.CorruptServes,
-			formatHitRate(m.CacheHits, m.CacheMisses))
+		fmt.Printf("%-24s %-8s %10s %10s %7d %10s %8d\n",
+			m.Addr, m.State, rate, p99, m.QueueDepth, budget, m.CorruptServes)
 		if m.State != "alive" {
 			continue
 		}
@@ -139,8 +138,6 @@ func printTop(masterAddr string, cs *master.ClusterStatus) {
 		rollup.Blocks += m.Blocks
 		rollup.BlockBytes += m.BlockBytes
 		rollup.CorruptServes += m.CorruptServes
-		rollup.CacheHits += m.CacheHits
-		rollup.CacheMisses += m.CacheMisses
 		if m.ObsAddr == "" {
 			continue
 		}
@@ -153,19 +150,9 @@ func printTop(masterAddr string, cs *master.ClusterStatus) {
 			rollup.ErrorBudgetMinPPM = m.ErrorBudgetPPM
 		}
 	}
-	fmt.Printf("\ncluster: %d alive, %d blocks (%s), tx %s, worst p99 %s, queue %d, min budget %.1f%%, cache %s\n",
+	fmt.Printf("\ncluster: %d alive, %d blocks (%s), tx %s, worst p99 %s, queue %d, min budget %.1f%%\n",
 		alive, rollup.Blocks, formatBytes(rollup.BlockBytes), formatRate(rollup.TxRateBps),
-		formatNS(rollup.RPCP99NS), rollup.QueueDepth, float64(rollup.ErrorBudgetMinPPM)/10_000,
-		formatHitRate(rollup.CacheHits, rollup.CacheMisses))
-}
-
-// formatHitRate renders a stripe-cache hit rate, or "-" for a node that has
-// reported no cache activity at all (no cache configured, or nothing read).
-func formatHitRate(hits, misses int64) string {
-	if hits+misses == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(hits+misses))
+		formatNS(rollup.RPCP99NS), rollup.QueueDepth, float64(rollup.ErrorBudgetMinPPM)/10_000)
 }
 
 // splitAddrs parses a comma-separated address list, dropping blanks.

@@ -88,6 +88,35 @@ func TestPutGetRangeDeleteStat(t *testing.T) {
 	}
 }
 
+// TestObsSummaryTxIsPerServer: the served-byte total a node heartbeats is
+// its own. Two servers share this process; reading from one must leave the
+// idle one's ObsSummary tx at zero, or the master's per-member tx rate is
+// the process sum.
+func TestObsSummaryTxIsPerServer(t *testing.T) {
+	ctx := context.Background()
+	servers, addrs := startServers(t, nil, 2)
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := bytes.Repeat([]byte("x"), 4096)
+	if err := c.Put(ctx, "b", payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Get(ctx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	Recycle(got)
+	if _, _, tx := servers[0].ObsSummary(); tx != int64(len(payload)) {
+		t.Errorf("serving server's tx = %d, want the %d bytes it served", tx, len(payload))
+	}
+	if _, _, tx := servers[1].ObsSummary(); tx != 0 {
+		t.Errorf("idle server's tx = %d, want 0", tx)
+	}
+}
+
 func TestChunkComputedServerSide(t *testing.T) {
 	ctx := context.Background()
 	code := mustCode(t)
@@ -208,12 +237,16 @@ func TestStoreRepairOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+	traffic0 := mRepairTraffic.Value()
 	traffic, err := store.Repair(ctx, "f", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := code.D() * (blockSize / code.Alpha()); traffic != want {
 		t.Fatalf("repair traffic = %d, want the optimal %d", traffic, want)
+	}
+	if got := mRepairTraffic.Value() - traffic0; got != int64(traffic) {
+		t.Fatalf("store_repair_traffic_bytes_total moved by %d, want the repair's %d", got, traffic)
 	}
 	got, _, err := store.ReadFile(ctx, "f", len(data))
 	if err != nil {

@@ -18,43 +18,15 @@ import (
 
 // Client-side metrics. RPC counts are labeled by op and outcome through an
 // interned table (see rpcCounter) so per-call bookkeeping is a pair of
-// array indexes instead of an allocating varargs registry lookup; retries,
-// wire bytes, dials, and checksum rejections are flat counters cached
-// here. Latency histograms are per peer, interned once per Client.
+// array indexes instead of an allocating varargs registry lookup; retries
+// and payload bytes each way are flat counters cached here. Latency
+// histograms are per peer, interned once per Client. Dials are counted by
+// the pool, per peer.
 var (
-	cliRetries   = obs.Default().Counter("blockserver_client_retries_total")
-	cliFrameCRC  = obs.Default().Counter("blockserver_client_frame_crc_failures_total")
-	cliCorrupt   = obs.Default().Counter("blockserver_client_corrupt_blocks_total")
-	cliBytesTx   = obs.Default().Counter("blockserver_client_bytes_tx_total")
-	cliBytesRx   = obs.Default().Counter("blockserver_client_bytes_rx_total")
-	cliDials     = obs.Default().Counter("blockserver_client_dials_total")
-	cliConnsOpen = obs.Default().Gauge("blockserver_client_conns_open")
-	// cliRPCWindow is the sliding-window client-side RPC latency across all
-	// peers; its _p99 gauge is the read path's tail signal on /metrics.
-	cliRPCWindow = obs.Default().Window("blockserver_client_rpc_window_ns")
+	cliRetries = obs.Default().Counter("blockserver_client_retries_total")
+	cliBytesTx = obs.Default().Counter("blockserver_client_bytes_tx_total")
+	cliBytesRx = obs.Default().Counter("blockserver_client_bytes_rx_total")
 )
-
-// peerEWMAs interns one latency EWMA per peer address, surfaced as the
-// blockserver_peer_ewma_ns{peer} gauge — the straggler detector: a peer
-// whose EWMA drifts far above the fleet's is hedging-fodder before it ever
-// times out. Interning registers the gauge func exactly once per peer.
-var (
-	peerEWMAMu sync.Mutex
-	peerEWMAs  = make(map[string]*obs.EWMA)
-)
-
-// peerEWMA returns (registering on first use) the latency EWMA of a peer.
-func peerEWMA(addr string) *obs.EWMA {
-	peerEWMAMu.Lock()
-	defer peerEWMAMu.Unlock()
-	e, ok := peerEWMAs[addr]
-	if !ok {
-		e = obs.NewEWMA(0.2)
-		peerEWMAs[addr] = e
-		obs.Default().GaugeFunc("blockserver_peer_ewma_ns", func() int64 { return int64(e.Value()) }, "peer", addr)
-	}
-	return e
-}
 
 // outcomeNames is the outcome label taxonomy, mirroring the sentinel
 // errors carouselctl turns into exit codes. outcomeIndex keeps the same
@@ -155,7 +127,6 @@ type Client struct {
 	opts Options
 	conn net.Conn
 	lat  *obs.Histogram // per-peer RPC latency, interned at construction
-	ewma *obs.EWMA      // per-peer latency EWMA (straggler detector), shared per addr
 
 	// traceCap is the peer's trace-propagation capability: 0 = not yet
 	// probed, 1 = peer answered opHello OK (send opTraceCtx frames),
@@ -167,8 +138,7 @@ type Client struct {
 	traceID     uint64
 	traceParent uint64
 
-	onDial func()       // pool hook, observed after every successful dial
-	dials  atomic.Int64 // successful dials (read concurrently by pool stats)
+	dials *atomic.Int64 // the owning pool's per-peer dial count; nil outside a pool
 
 	req []byte      // request scratch: op + name + args (+ put frame header)
 	hdr [9]byte     // response scratch: status + payload length + payload CRC
@@ -203,16 +173,11 @@ func NewClient(addr string, opts Options) *Client {
 		addr: addr,
 		opts: opts.withDefaults(),
 		lat:  obs.Default().Histogram("blockserver_client_rpc_ns", "peer", addr),
-		ewma: peerEWMA(addr),
 	}
 }
 
 // Addr returns the peer address this client talks to.
 func (c *Client) Addr() string { return c.addr }
-
-// Dials returns how many times this client has dialed its peer — the
-// signal pooled reads use to prove connection reuse.
-func (c *Client) Dials() int64 { return c.dials.Load() }
 
 // Close stops the watcher and closes the connection.
 func (c *Client) Close() error {
@@ -222,7 +187,6 @@ func (c *Client) Close() error {
 	}
 	err := c.conn.Close()
 	c.conn = nil
-	cliConnsOpen.Add(-1)
 	return err
 }
 
@@ -231,7 +195,6 @@ func (c *Client) poison() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
-		cliConnsOpen.Add(-1)
 	}
 }
 
@@ -246,11 +209,8 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, error) {
 		return nil, fmt.Errorf("blockserver: dial %s: %w", c.addr, err)
 	}
 	c.conn = conn
-	c.dials.Add(1)
-	cliDials.Inc()
-	cliConnsOpen.Add(1)
-	if c.onDial != nil {
-		c.onDial()
+	if c.dials != nil {
+		c.dials.Add(1)
 	}
 	return conn, nil
 }
@@ -366,7 +326,6 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
-	tried := 0
 	var payload []byte
 	var err error
 	for i := 0; i < attempts; i++ {
@@ -376,7 +335,6 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 			}
 			break
 		}
-		tried++
 		payload, err = c.attempt(ctx, r)
 		if err == nil || !retryable(err) || i == attempts-1 {
 			break
@@ -384,25 +342,16 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 		if !c.opts.Retry.Wait(ctx, i+1) {
 			break
 		}
-	}
-	if tried > 1 {
-		cliRetries.Add(int64(tried - 1))
+		cliRetries.Inc()
 	}
 	if err == nil {
 		cliBytesTx.Add(int64(len(r.body)))
 		cliBytesRx.Add(int64(len(payload) + len(r.dst)))
-	} else if errors.Is(err, ErrCorrupt) {
-		cliCorrupt.Inc()
 	}
 	rpcCounter(r.op, err).Inc()
-	elapsed := time.Since(start)
 	if c.lat != nil {
-		c.lat.ObserveDuration(elapsed)
+		c.lat.ObserveSince(start)
 	}
-	if c.ewma != nil {
-		c.ewma.Observe(float64(elapsed))
-	}
-	cliRPCWindow.ObserveDuration(elapsed)
 	return payload, err
 }
 
@@ -437,9 +386,6 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 	}
 	c.disarmWatcher()
 	if err != nil {
-		if errors.Is(err, errFrameChecksum) {
-			cliFrameCRC.Inc()
-		}
 		if !inBand(err) {
 			// Short read/write, malformed or corrupt frame, timeout:
 			// the stream position is unknown — kill the connection.

@@ -191,9 +191,15 @@ func TestFaultMatrixRepair(t *testing.T) {
 
 			rctx, cancel := context.WithTimeout(ctx, 8*time.Second)
 			defer cancel()
+			promoted0 := mSparePromotions.Value()
 			traffic, err := store.Repair(rctx, "f", 0, failed)
 			if err != nil {
 				t.Fatalf("repair with helper %d dead and %d slow: %v", tc.kill, tc.slow, err)
+			}
+			// Both faulted servers are among the first d candidates, so each
+			// costs one spare.
+			if got := mSparePromotions.Value() - promoted0; got < 2 {
+				t.Errorf("store_spare_promotions_total moved by %d, want >= 2 (one per faulted helper)", got)
 			}
 			if want := code.D() * code.HelperChunkSize(blockSize); traffic != want {
 				t.Errorf("repair traffic = %d, want optimal %d", traffic, want)
@@ -449,8 +455,12 @@ func TestClientPoisoningAndRedial(t *testing.T) {
 	// Corrupt the wire: the exchange fails after retries and the
 	// connection is marked dead.
 	in.SetDefault(faultnet.Policy{CorruptWrites: true})
+	retries0 := cliRetries.Value()
 	if _, err := c.Get(ctx, "b"); err == nil {
 		t.Fatal("Get over corrupting wire succeeded")
+	}
+	if got, want := cliRetries.Value()-retries0, int64(fastOpts().Retry.Attempts-1); got != want {
+		t.Fatalf("blockserver_client_retries_total moved by %d, want %d (every attempt but the first)", got, want)
 	}
 	in.SetDefault(faultnet.Policy{})
 	// The next call redials and succeeds on the same Client.

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"carousel/internal/obs"
 )
 
 // fetchKind scripts one candidate's fake fetch in the gather tests.
@@ -131,18 +129,14 @@ func TestGather(t *testing.T) {
 	}
 }
 
-// TestPipelineBoundsInflight: never more than depth calls at once, the
-// gauge returns to zero, and a clean pass launches everything.
+// TestPipelineBoundsInflight: never more than depth calls at once, and a
+// clean pass launches everything.
 func TestPipelineBoundsInflight(t *testing.T) {
 	const n, depth = 40, 3
 	var cur, peak atomic.Int64
-	var g obs.Gauge
-	errs, launched := pipeline(context.Background(), n, depth, &g, func(ctx context.Context, i int) error {
+	errs, launched := pipeline(context.Background(), n, depth, func(ctx context.Context, i int) error {
 		c := cur.Add(1)
 		for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
-		}
-		if v := g.Value(); v > depth {
-			t.Errorf("inflight gauge read %d, over depth %d", v, depth)
 		}
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
@@ -153,9 +147,6 @@ func TestPipelineBoundsInflight(t *testing.T) {
 	}
 	if p := peak.Load(); p > depth || p < 2 {
 		t.Errorf("peak in flight = %d, want overlap but at most %d", p, depth)
-	}
-	if g.Value() != 0 {
-		t.Errorf("inflight gauge left at %d", g.Value())
 	}
 	if i, err := pipelineErr(context.Background(), errs, launched); err != nil {
 		t.Errorf("clean pass reported item %d: %v", i, err)
@@ -171,9 +162,8 @@ func TestPipelineRootCause(t *testing.T) {
 	sentinel := fmt.Errorf("stripe timed out: %w", ErrTimeout)
 	oneRunning := make(chan struct{})
 	var calls atomic.Int64
-	var g obs.Gauge
 	ctx := context.Background()
-	errs, launched := pipeline(ctx, 10, 2, &g, func(ctx context.Context, i int) error {
+	errs, launched := pipeline(ctx, 10, 2, func(ctx context.Context, i int) error {
 		calls.Add(1)
 		if i == 0 {
 			close(oneRunning)
@@ -198,10 +188,9 @@ func TestPipelineRootCause(t *testing.T) {
 // TestPipelineCallerCancel: when the caller's context ends, launching
 // stops, launched is exact, and the reported reason is the context's.
 func TestPipelineCallerCancel(t *testing.T) {
-	var g obs.Gauge
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	errs, launched := pipeline(ctx, 10, 1, &g, func(_ context.Context, i int) error {
+	errs, launched := pipeline(ctx, 10, 1, func(_ context.Context, i int) error {
 		if i == 2 {
 			cancel()
 		}
@@ -215,7 +204,7 @@ func TestPipelineCallerCancel(t *testing.T) {
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	errs, launched = pipeline(dctx, 4, 2, &g, func(context.Context, int) error { return nil })
+	errs, launched = pipeline(dctx, 4, 2, func(context.Context, int) error { return nil })
 	if launched != 0 {
 		t.Fatalf("launched %d under an expired deadline, want 0", launched)
 	}

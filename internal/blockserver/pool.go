@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"carousel/internal/obs"
 )
 
 // DefaultPerPeer is the per-peer connection budget when PoolOptions leaves
@@ -18,15 +16,6 @@ const DefaultPerPeer = 4
 
 // ErrPoolClosed is returned by Pool.Get after Close.
 var ErrPoolClosed = errors.New("blockserver: pool is closed")
-
-// Pool metrics, process-global like the rest of the blockserver families.
-var (
-	poolIdle      = obs.Default().Gauge("blockserver_pool_clients_idle")
-	poolBusy      = obs.Default().Gauge("blockserver_pool_clients_busy")
-	poolCheckouts = obs.Default().Counter("blockserver_pool_checkouts_total")
-	poolReuses    = obs.Default().Counter("blockserver_pool_reuses_total")
-	poolDials     = obs.Default().Counter("blockserver_pool_dials_total")
-)
 
 // PoolOptions tunes a connection pool.
 type PoolOptions struct {
@@ -90,10 +79,7 @@ func (p *Pool) newPeer(addr string) *peer {
 
 func (p *Pool) newClient(pe *peer) *Client {
 	c := NewClient(pe.addr, p.opts.Client)
-	c.onDial = func() {
-		pe.dials.Add(1)
-		poolDials.Inc()
-	}
+	c.dials = &pe.dials
 	return c
 }
 
@@ -120,7 +106,6 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	poolCheckouts.Inc()
 	var c *Client
 	var ok bool
 	select {
@@ -133,15 +118,9 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 	}
 	if c == nil {
 		c = p.newClient(pe)
-	} else {
-		poolIdle.Add(-1)
-		if staleIdle(c) {
-			c.poison() // redials lazily on first use
-		} else {
-			poolReuses.Inc()
-		}
+	} else if staleIdle(c) {
+		c.poison() // redials lazily on first use
 	}
-	poolBusy.Add(1)
 	return c, nil
 }
 
@@ -153,7 +132,6 @@ func (p *Pool) Put(c *Client) {
 	if c == nil {
 		return
 	}
-	poolBusy.Add(-1)
 	c.stopWatcher()
 	p.mu.Lock()
 	pe := p.peers[c.addr]
@@ -164,7 +142,6 @@ func (p *Pool) Put(c *Client) {
 	}
 	select {
 	case pe.free <- c:
-		poolIdle.Add(1)
 	default: // foreign client beyond the peer's budget
 		p.mu.Unlock()
 		c.Close()
@@ -209,7 +186,6 @@ func (p *Pool) Close() {
 		close(pe.free)
 		for c := range pe.free {
 			if c != nil {
-				poolIdle.Add(-1)
 				c.Close()
 			}
 		}

@@ -9,19 +9,11 @@ import (
 	"carousel/internal/obs"
 )
 
-// Recovery engine metrics. A recovery pass decomposes into the repair
-// stage histograms (store_repair_fetch/decode/writeback_ns) plus the
-// pass-level families here; per-helper chunk counts live in
-// store_repair_helper_chunks_total{peer} so a scrape proves balance.
-var (
-	mRecoverPasses   = obs.Default().Counter("store_recover_passes_total")
-	mRecoverBlocks   = obs.Default().Counter("store_recover_blocks_total")
-	mRecoverBytes    = obs.Default().Counter("store_recover_bytes_total")
-	mRecoverTraffic  = obs.Default().Counter("store_recover_traffic_bytes_total")
-	mRecoverInflight = obs.Default().Gauge("store_recover_inflight")
-	mRecoverPassNS   = obs.Default().Histogram("store_recover_pass_ns")
-	mThrottleWaitNS  = obs.Default().Counter("store_recover_throttle_wait_ns_total")
-)
+// mThrottleWaitNS is the time recovery passes have slept in the bandwidth
+// throttle. Everything else a pass does is in its RecoveryReport and its
+// store.recover span tree; each block it rebuilds is one repair, counted
+// where repairs are.
+var mThrottleWaitNS = obs.Default().Counter("store_recover_throttle_wait_ns_total")
 
 // recoveryConfig collects the engine knobs.
 type recoveryConfig struct {
@@ -91,14 +83,9 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	t0 := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "store.recover")
 	sp.SetAttr("failed", failed).SetAttr("server", s.addrs[failed]).SetAttr("files", len(files))
-	defer func() {
-		sp.End()
-		mRecoverPasses.Inc()
-		mRecoverPassNS.ObserveSince(t0)
-	}()
+	defer sp.End()
 
 	// Enumerate: every stripe of every file lost exactly one block to the
 	// failed server.
@@ -146,9 +133,6 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 	report.TrafficBytes = traffic
 	report.BlocksRepaired = len(repaired)
 	report.BytesRecovered = int64(len(repaired)) * int64(s.blockSize)
-	mRecoverBlocks.Add(int64(report.BlocksRepaired))
-	mRecoverBytes.Add(report.BytesRecovered)
-	mRecoverTraffic.Add(report.TrafficBytes)
 	sp.SetAttr("blocks_repaired", report.BlocksRepaired).SetAttr("traffic_bytes", report.TrafficBytes)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -171,7 +155,7 @@ type repairJob struct {
 // failure naming its job.
 func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro repairOpts) (traffic int64, repaired []repairJob, err error) {
 	moved := make([]int, len(jobs))
-	errs, launched := pipeline(ctx, len(jobs), conc, mRecoverInflight, func(ctx context.Context, i int) (err error) {
+	errs, launched := pipeline(ctx, len(jobs), conc, func(ctx context.Context, i int) (err error) {
 		j := jobs[i]
 		moved[i], err = s.repair(ctx, j.file, j.ref.Stripe, j.ref.Block, ro)
 		return err

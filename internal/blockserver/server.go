@@ -18,14 +18,10 @@ import (
 
 // Server-side metrics, shared by every Server in the process (the registry
 // is process-global; per-node separation comes from scraping each node's
-// own /metrics endpoint).
+// own /metrics endpoint). What one server stores and serves is counted in
+// the Server itself: Stats and ObsSummary.
 var (
-	srvConnsOpen  = obs.Default().Gauge("blockserver_server_open_connections")
-	srvConnsTotal = obs.Default().Counter("blockserver_server_connections_total")
-	srvBlocks     = obs.Default().Gauge("blockserver_server_blocks")
-	srvBlockBytes = obs.Default().Gauge("blockserver_server_block_bytes")
-	srvBytesTx    = obs.Default().Counter("blockserver_server_bytes_tx_total")
-	srvBytesRx    = obs.Default().Counter("blockserver_server_bytes_rx_total")
+	srvConnsOpen = obs.Default().Gauge("blockserver_server_open_connections")
 	// srvRPCWindow is the sliding-window server-side request latency; its
 	// _p50/_p99/_p999 gauges on /metrics are what the cluster roll-up and
 	// carouselctl top read.
@@ -180,7 +176,8 @@ func (cs *connState) readPayload() ([]byte, uint32, error) {
 // together with the payload in one vectored write (writev on TCP), so a
 // block-sized response leaves as a single gather list with no copy and no
 // small-header segment. Every handle arm funnels through here so the
-// op/status counter and tx byte count cover all served requests.
+// op/status counter and the server's tx byte count cover all served
+// requests.
 func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 	return s.replyCRC(cs, op, st, payload, Checksum(payload))
 }
@@ -190,7 +187,7 @@ func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 func (s *Server) replyCRC(cs *connState, op, st byte, payload []byte, crc uint32) error {
 	srvRPCCounter(op, st).Inc()
 	if st == statusOK {
-		srvBytesTx.Add(int64(len(payload)))
+		s.bytesTx.Add(int64(len(payload)))
 	}
 	cs.hdr[0] = st
 	binary.BigEndian.PutUint32(cs.hdr[1:5], uint32(len(payload)))
@@ -236,6 +233,11 @@ type Server struct {
 	// inflight counts requests currently being handled — the queue-depth
 	// signal ObsSummary reports to the master.
 	inflight atomic.Int64
+
+	// bytesTx counts the OK payload bytes this server has sent — the
+	// cumulative figure ObsSummary reports, from which the master derives
+	// the member's tx rate.
+	bytesTx atomic.Int64
 
 	mu     sync.RWMutex
 	blocks map[string]storedBlock
@@ -360,7 +362,6 @@ func (s *Server) Close() error {
 // requests.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	srvConnsTotal.Inc()
 	srvConnsOpen.Add(1)
 	defer srvConnsOpen.Add(-1)
 	cs := &connState{conn: conn, br: bufio.NewReaderSize(conn, connReadBuf)}
@@ -453,17 +454,9 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 		if err != nil {
 			return err
 		}
-		srvBytesRx.Add(int64(len(data)))
 		s.mu.Lock()
-		prev, existed := s.blocks[string(name)]
 		s.blocks[string(name)] = storedBlock{data: data, crc: crc}
 		s.mu.Unlock()
-		if existed {
-			srvBlockBytes.Add(int64(len(data) - len(prev.data)))
-		} else {
-			srvBlocks.Add(1)
-			srvBlockBytes.Add(int64(len(data)))
-		}
 		return s.reply(cs, op, statusOK, nil)
 
 	case opGet:
@@ -520,13 +513,8 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 
 	case opDelete:
 		s.mu.Lock()
-		prev, existed := s.blocks[string(name)]
 		delete(s.blocks, string(name))
 		s.mu.Unlock()
-		if existed {
-			srvBlocks.Add(-1)
-			srvBlockBytes.Add(-int64(len(prev.data)))
-		}
 		return s.reply(cs, op, statusOK, nil)
 
 	case opStat:
@@ -577,11 +565,11 @@ func (s *Server) Stats() (blocks int64, bytes int64, corruptServes int64) {
 
 // ObsSummary snapshots the node-health signals a managed daemon piggybacks
 // on control-plane heartbeats: the windowed p99 of server-side RPC latency,
-// the current number of in-flight requests, and the cumulative bytes
-// served. The RPC window and bytes counter are process-wide, which is
-// exact for the one-server-per-process daemon deployment.
+// the current number of in-flight requests, and the cumulative bytes this
+// server has served. The RPC window alone is process-wide, which is exact
+// for the one-server-per-process daemon deployment.
 func (s *Server) ObsSummary() (rpcP99NS, queueDepth, bytesTx int64) {
-	return srvRPCWindow.Snapshot().Quantile(0.99), s.inflight.Load(), srvBytesTx.Value()
+	return srvRPCWindow.Snapshot().Quantile(0.99), s.inflight.Load(), s.bytesTx.Load()
 }
 
 // CorruptBlock flips a byte of a stored block without updating its CRC — a

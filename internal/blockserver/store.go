@@ -30,28 +30,14 @@ var (
 	mRepairs          = obs.Default().Counter("store_repairs_total")
 	mRepairTraffic    = obs.Default().Counter("store_repair_traffic_bytes_total")
 	mSparePromotions  = obs.Default().Counter("store_spare_promotions_total")
-	mRepairNS         = obs.Default().Histogram("store_repair_ns")
-	// Repair stage decomposition: how long one stripe repair spends
-	// fetching helper chunks, combining them, and writing the regenerated
-	// block back — the per-stage signal the recovery engine's A/B reads.
-	mRepairFetchNS     = obs.Default().Histogram("store_repair_fetch_ns")
-	mRepairDecodeNS    = obs.Default().Histogram("store_repair_decode_ns")
-	mRepairWritebackNS = obs.Default().Histogram("store_repair_writeback_ns")
-	// How many stripes the pipeline has in flight right now.
-	mPipelineInflight = obs.Default().Gauge("store_pipeline_inflight")
-	mWriteNS          = obs.Default().Histogram("store_write_ns")
-	// Sliding-window latency views of the three whole-operation paths:
-	// their _p50/_p99/_p999 gauges are the store's tail-latency surface on
-	// /metrics, complementing the whole-run histograms above.
-	mReadWindow   = obs.Default().Window("store_read_window_ns")
-	mWriteWindow  = obs.Default().Window("store_write_window_ns")
-	mRepairWindow = obs.Default().Window("store_repair_window_ns")
 )
 
 // Store-path SLOs: latency target plus availability objective, exported as
-// slo_* counters and burn-rate/budget gauges (see obs.NewSLO). The targets
-// are deliberately loose defaults — the point of the error budget is the
-// trend, and a production deployment tunes them by editing these.
+// slo_* counters and burn-rate/budget gauges (see obs.NewSLO). Each SLO's
+// slo_latency_ns{slo=...} window is also the operation's tail-latency
+// surface on /metrics (_p50/_p99/_p999). The targets are deliberately
+// loose defaults — the point of the error budget is the trend, and a
+// production deployment tunes them by editing these.
 var (
 	sloRead   = obs.NewSLO(obs.Default(), "store_read", 500*time.Millisecond, 0.999)
 	sloWrite  = obs.NewSLO(obs.Default(), "store_write", time.Second, 0.999)
@@ -89,11 +75,6 @@ type Store struct {
 	// miss coalescing. Nil (the default) keeps the read path byte-identical
 	// to the uncached store — every read hits the network.
 	cache *stripecache.Cache
-
-	// helperChunks interns the per-peer repair-chunk counters once, so the
-	// per-helper accounting of a recovery pass is an array index instead of
-	// a label-joining registry lookup per chunk.
-	helperChunks []*obs.Counter
 }
 
 // StoreOption configures a Store.
@@ -154,10 +135,8 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 	}
 	s.client = s.client.withDefaults()
 	s.pool = NewPool(addrs, PoolOptions{Client: s.client})
-	s.helperChunks = make([]*obs.Counter, len(addrs))
-	for i, a := range addrs {
+	for i := range addrs {
 		s.all[i] = i
-		s.helperChunks[i] = obs.Default().Counter("store_repair_helper_chunks_total", "peer", a)
 	}
 	return s, nil
 }
@@ -252,12 +231,11 @@ func gather(ctx context.Context, candidates []int, initial, need int,
 }
 
 // pipeline is the one bounded stage: it runs fn(ctx, i) for i in [0, n)
-// with at most depth calls in flight (inflight tracks how many), and stops
-// launching at the first failure or when ctx ends; calls already in flight
-// see their context cancelled and are waited for. errs[i] is call i's
-// result for i < launched; later slots never ran.
-func pipeline(ctx context.Context, n, depth int, inflight *obs.Gauge,
-	fn func(ctx context.Context, i int) error) (errs []error, launched int) {
+// with at most depth calls in flight, and stops launching at the first
+// failure or when ctx ends; calls already in flight see their context
+// cancelled and are waited for. errs[i] is call i's result for
+// i < launched; later slots never ran.
+func pipeline(ctx context.Context, n, depth int, fn func(ctx context.Context, i int) error) (errs []error, launched int) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs = make([]error, n)
@@ -277,8 +255,6 @@ func pipeline(ctx context.Context, n, depth int, inflight *obs.Gauge,
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			inflight.Add(1)
-			defer inflight.Add(-1)
 			if errs[i] = fn(pctx, i); errs[i] != nil {
 				cancel() // later items are pointless once one failed
 			}
@@ -343,11 +319,9 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 			sp.SetAttr("error", rerr.Error())
 		}
 		sp.End()
-		mWriteNS.ObserveSince(t0)
-		mWriteWindow.ObserveSince(t0)
 		sloWrite.ObserveSince(t0, rerr)
 	}()
-	errs, launched := pipeline(ctx, stripes, stripesInFlight, mPipelineInflight, func(ctx context.Context, st int) error {
+	errs, launched := pipeline(ctx, stripes, stripesInFlight, func(ctx context.Context, st int) error {
 		return s.writeStripe(ctx, name, st, data, stripeData)
 	})
 	if st, err := pipelineErr(ctx, errs, launched); err != nil {
@@ -509,14 +483,13 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 			sp.SetAttr("error", rerr.Error())
 		}
 		sp.End()
-		mReadNS.Observe(time.Since(t0).Nanoseconds())
-		mReadWindow.ObserveSince(t0)
+		mReadNS.ObserveSince(t0)
 		sloRead.ObserveSince(t0, rerr)
 	}()
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
 	dialsBefore := s.pool.DialCounts()
 	out := make([]byte, stripes*stripeData)
-	errs, launched := pipeline(ctx, stripes, stripesInFlight, mPipelineInflight, func(ctx context.Context, st int) error {
+	errs, launched := pipeline(ctx, stripes, stripesInFlight, func(ctx context.Context, st int) error {
 		return s.readStripeCached(ctx, name, st, out[st*stripeData:(st+1)*stripeData], stats)
 	})
 	stats.Dials = dialDelta(dialsBefore, s.pool.DialCounts())
@@ -770,8 +743,6 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 		sp.End()
 		mRepairs.Inc()
 		mRepairTraffic.Add(int64(trafficBytes))
-		mRepairNS.ObserveSince(t0)
-		mRepairWindow.ObserveSince(t0)
 		sloRepair.ObserveSince(t0, err)
 	}()
 	d := s.code.D()
@@ -811,7 +782,6 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 		helpers = append(helpers, r.idx)
 		chunks = append(chunks, r.data)
 		trafficBytes += len(r.data)
-		s.helperChunks[r.idx].Inc()
 		if ro.onHelper != nil {
 			ro.onHelper(r.idx)
 		}
@@ -819,12 +789,10 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	mSparePromotions.Add(int64(started - d))
 	fsp.SetAttr("helpers_responded", got)
 	fsp.End()
-	mRepairFetchNS.Observe(time.Since(t0).Nanoseconds())
 	if got < d {
 		recycleAll(chunks)
 		return trafficBytes, fmt.Errorf("%w: only %d of %d helpers responded", ErrTooFewSurvivors, got, d)
 	}
-	t1 := time.Now()
 	_, dsp := obs.StartSpan(ctx, "decode")
 	// The regenerated block is pooled scratch: the writeback below is
 	// synchronous, so by the time this function returns nothing reads it.
@@ -833,7 +801,6 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	err = s.code.RepairBlockInto(failed, helpers, chunks, block)
 	dsp.SetAttr("block_bytes", len(block))
 	dsp.End()
-	mRepairDecodeNS.ObserveSince(t1)
 	recycleAll(chunks)
 	if err != nil {
 		return trafficBytes, err
@@ -841,11 +808,9 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	if err = ro.throttle.Wait(ctx, len(block)); err != nil {
 		return trafficBytes, err
 	}
-	t2 := time.Now()
 	_, psp := obs.StartSpan(ctx, "writeback")
 	err = s.put(ctx, s.addrs[failed], BlockName(name, st, failed), block)
 	psp.End()
-	mRepairWritebackNS.ObserveSince(t2)
 	if err != nil {
 		return trafficBytes, err
 	}
@@ -906,7 +871,7 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	// is data, not a failure of the stage, so the stage only stops early
 	// when the caller's context ends.
 	verdicts := make([][]error, stripes)
-	errs, launched := pipeline(ctx, stripes, stripesInFlight, mPipelineInflight, func(ctx context.Context, st int) error {
+	errs, launched := pipeline(ctx, stripes, stripesInFlight, func(ctx context.Context, st int) error {
 		v := make([]error, n)
 		var wg sync.WaitGroup
 		for i := range v {

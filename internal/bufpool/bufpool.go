@@ -41,25 +41,11 @@ const (
 	maxPerShard = 8
 )
 
-// Pool metrics: the hit rate is the tentpole observability signal for the
-// zero-alloc read path (a steady-state pipelined read should sit near
-// 1000 permille).
-var (
-	mHits   = obs.Default().Counter("bufpool_hits_total")
-	mMisses = obs.Default().Counter("bufpool_misses_total")
-	mDrops  = obs.Default().Counter("bufpool_drops_total")
-	mIdle   = obs.Default().Gauge("bufpool_idle_bytes")
-)
-
-func init() {
-	obs.Default().GaugeFunc("bufpool_hit_rate_permille", func() int64 {
-		h, m := mHits.Value(), mMisses.Value()
-		if h+m == 0 {
-			return 0
-		}
-		return h * 1000 / (h + m)
-	})
-}
+// mDrops counts buffers Put found no room for: a class at its retention
+// bound, the one pool event that costs a later allocation. Hits and misses
+// are not counted — the allocation-regression tests and the benchmark's
+// alloc_bytes_per_user_byte measure what a miss costs directly.
+var mDrops = obs.Default().Counter("bufpool_drops_total")
 
 // shard is one independently locked LIFO stack. The backing array is fixed
 // size so pushes never allocate (append on a [][]byte would), keeping Put
@@ -129,7 +115,6 @@ func Get(n int) []byte {
 	}
 	c := classFor(n)
 	if c > maxClassBits {
-		mMisses.Inc()
 		return make([]byte, n)
 	}
 	cl := &classes[c]
@@ -139,12 +124,9 @@ func Get(n int) []byte {
 	start := pick()
 	for i := 0; i < nshards; i++ {
 		if b := cl.shards[(start+i)&(nshards-1)].tryGet(); b != nil {
-			mHits.Inc()
-			mIdle.Add(-int64(cap(b)))
 			return b[:n]
 		}
 	}
-	mMisses.Inc()
 	return make([]byte, n, 1<<c)
 }
 
@@ -164,7 +146,6 @@ func Put(b []byte) {
 	start := pick()
 	for i := 0; i < nshards; i++ {
 		if cl.shards[(start+i)&(nshards-1)].tryPut(b) {
-			mIdle.Add(int64(cap(b)))
 			return
 		}
 	}

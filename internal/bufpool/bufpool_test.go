@@ -59,7 +59,6 @@ func drainClass(cl *class) {
 		sh := &cl.shards[s]
 		sh.mu.Lock()
 		for i := 0; i < sh.n; i++ {
-			mIdle.Add(-int64(cap(sh.bufs[i])))
 			sh.bufs[i] = nil
 		}
 		sh.n = 0

@@ -37,27 +37,10 @@ import (
 	"carousel/internal/workpool"
 )
 
-// Execution metrics, recorded once per Run/RunParallel (never per chunk or
-// per op, which would poison the cache-resident inner loop):
-// codeplan_ops_total counts scheduled ops replayed, codeplan_bytes_total
-// the bytes those ops touched (each op streams the full byte range once),
-// and codeplan_run_ns the wall time of whole executions — the per-chunk
-// timing is run_ns divided by the chunk count implied by bytes/16KiB.
-var (
-	mRuns   = obs.Default().Counter("codeplan_runs_total")
-	mOps    = obs.Default().Counter("codeplan_ops_total")
-	mBytes  = obs.Default().Counter("codeplan_bytes_total")
-	mRunNS  = obs.Default().Histogram("codeplan_run_ns")
-	mWorker = obs.Default().Counter("codeplan_parallel_runs_total")
-)
-
-// observe records one completed plan execution over size bytes.
-func (p *Plan) observe(size int, t0 time.Time) {
-	mRuns.Inc()
-	mOps.Add(int64(len(p.ops)))
-	mBytes.Add(int64(size) * int64(len(p.ops)))
-	mRunNS.ObserveSince(t0)
-}
+// mRunNS is the wall time of whole plan executions, observed once per
+// Run/RunParallel (never per chunk or per op, which would poison the
+// cache-resident inner loop); its count is the number of runs.
+var mRunNS = obs.Default().Histogram("codeplan_run_ns")
 
 // OpKind enumerates the schedule's operation types.
 type OpKind uint8
@@ -249,7 +232,7 @@ func (p *Plan) Run(in, out [][]byte) {
 	size := p.check(in, out)
 	t0 := time.Now()
 	p.runRange(in, out, 0, size)
-	p.observe(size, t0)
+	mRunNS.ObserveSince(t0)
 }
 
 // RunParallel executes the plan with the byte range striped across up to
@@ -261,7 +244,7 @@ func (p *Plan) RunParallel(in, out [][]byte, workers int) {
 	t0 := time.Now()
 	if workers <= 1 || size < minParallelBytes {
 		p.runRange(in, out, 0, size)
-		p.observe(size, t0)
+		mRunNS.ObserveSince(t0)
 		return
 	}
 	stripe := (size + workers - 1) / workers
@@ -275,8 +258,7 @@ func (p *Plan) RunParallel(in, out [][]byte, workers int) {
 		}
 		p.runRange(in, out, lo, hi)
 	})
-	mWorker.Inc()
-	p.observe(size, t0)
+	mRunNS.ObserveSince(t0)
 }
 
 // runRange replays the schedule over [lo, hi) in cache-sized chunks.

@@ -10,15 +10,6 @@ import (
 	"carousel/internal/obs"
 )
 
-// Read-path metrics; per-scheme read counts are labeled at call time (one
-// registry lookup per file read, far off any hot loop).
-var (
-	mReadBytes   = obs.Default().Counter("dfs_read_bytes_total")
-	mDecodeBytes = obs.Default().Counter("dfs_decode_bytes_total")
-	mQuarantined = obs.Default().Counter("dfs_quarantined_blocks_total")
-	mReadErrors  = obs.Default().Counter("dfs_read_errors_total")
-)
-
 // ReadMode selects how a client retrieves a file.
 type ReadMode int
 
@@ -59,7 +50,6 @@ func (fs *FS) Read(p *cluster.Proc, client *cluster.Node, name string, mode Read
 	f, err := fs.File(name)
 	lsp.End()
 	if err != nil {
-		mReadErrors.Inc()
 		return nil, err
 	}
 	sp.SetAttr("scheme", f.scheme.Name())
@@ -71,7 +61,6 @@ func (fs *FS) Read(p *cluster.Proc, client *cluster.Node, name string, mode Read
 	quarantined := fs.quarantineCorrupt(f)
 	vsp.SetAttr("quarantined", quarantined)
 	vsp.End()
-	mQuarantined.Add(int64(quarantined))
 	res := &ReadResult{Data: make([]byte, f.size)}
 	switch s := f.scheme.(type) {
 	case Replication:
@@ -82,16 +71,12 @@ func (fs *FS) Read(p *cluster.Proc, client *cluster.Node, name string, mode Read
 		err = fmt.Errorf("dfs: unknown scheme %T", f.scheme)
 	}
 	if err != nil {
-		mReadErrors.Inc()
 		sp.SetAttr("error", err.Error())
 		if quarantined > 0 && errors.Is(err, ErrUnavailable) {
 			err = fmt.Errorf("%w (%d corrupt block(s) quarantined): %w", ErrCorrupt, quarantined, err)
 		}
 		return nil, err
 	}
-	obs.Default().Counter("dfs_reads_total", "scheme", f.scheme.Name()).Inc()
-	mReadBytes.Add(res.BytesFetched)
-	mDecodeBytes.Add(res.DecodeBytes)
 	fs.stats.BytesRead += res.BytesFetched
 	return res, nil
 }

@@ -5,13 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"carousel/internal/obs"
 	"carousel/internal/retry"
-)
-
-var (
-	mBeatsSent   = obs.Default().Counter("heartbeat_sent_total")
-	mBeatsFailed = obs.Default().Counter("heartbeat_failed_total")
 )
 
 // HeartbeatConfig tunes a daemon-side heartbeater.
@@ -119,7 +113,6 @@ func (h *Heartbeater) loop() {
 			ack, err = h.client.Register(h.info())
 		}
 		if err != nil {
-			mBeatsFailed.Inc()
 			h.mu.Lock()
 			h.fails++
 			h.mu.Unlock()
@@ -134,7 +127,6 @@ func (h *Heartbeater) loop() {
 			}
 			continue
 		}
-		mBeatsSent.Inc()
 		h.mu.Lock()
 		h.beats++
 		h.mu.Unlock()

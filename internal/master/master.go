@@ -13,18 +13,6 @@ import (
 	"carousel/internal/obs"
 )
 
-// Control-plane metrics. Membership gauges are registered per master (they
-// read live memberSet state); the counters are process-global.
-var (
-	mHeartbeats   = obs.Default().Counter("master_heartbeats_total")
-	mRegisters    = obs.Default().Counter("master_registers_total")
-	mDeregisters  = obs.Default().Counter("master_deregisters_total")
-	mFlaps        = obs.Default().Counter("master_flaps_total")
-	mRebuilds     = obs.Default().Counter("master_rebuild_tasks_total")
-	mScrubPasses  = obs.Default().Counter("master_scrub_tasks_total")
-	mJournalBytes = obs.Default().Counter("master_journal_appends_total")
-)
-
 // Config tunes a Master. The zero value plus a Code is runnable: sensible
 // production-ish timings, no persistence, scrubbing off.
 type Config struct {
@@ -158,31 +146,22 @@ func New(cfg Config) (*Master, error) {
 		m.runItem,
 		taskPersist{onState: m.persistTaskState, onCkpt: m.persistCheckpoint},
 	)
-	for _, st := range memberStates {
-		st := st
-		obs.Default().GaugeFunc("master_members", func() int64 { return m.members.CountByState(st) }, "state", st.String())
-	}
 	// Cluster roll-ups: the heartbeat-piggybacked health of alive members
-	// aggregated into one cluster view, served on the master's obs endpoint
-	// and rendered by carouselctl top.
-	for _, g := range []struct {
-		name string
-		read func(Rollup) int64
-	}{
-		{"cluster_blocks", func(r Rollup) int64 { return r.Blocks }},
-		{"cluster_block_bytes", func(r Rollup) int64 { return r.BlockBytes }},
-		{"cluster_corrupt_serves", func(r Rollup) int64 { return r.CorruptServes }},
-		{"cluster_queue_depth", func(r Rollup) int64 { return r.QueueDepth }},
-		{"cluster_tx_rate_bps", func(r Rollup) int64 { return r.TxRateBps }},
-		{"cluster_rpc_p99_ns", func(r Rollup) int64 { return r.RPCP99NS }},
-		{"cluster_error_budget_min_ppm", func(r Rollup) int64 { return r.ErrorBudgetMinPPM }},
-		{"cluster_cache_hits", func(r Rollup) int64 { return r.CacheHits }},
-		{"cluster_cache_misses", func(r Rollup) int64 { return r.CacheMisses }},
-	} {
-		read := g.read
-		obs.Default().GaugeFunc(g.name, func() int64 { return read(m.members.Rollup()) })
+	// aggregated into one cluster view on the master's obs endpoint — what
+	// carouselctl top computes from ClusterStatus, for scrapers. Membership
+	// and the task queue are in ClusterStatus only.
+	reg := obs.Default()
+	roll := func(read func(Rollup) int64) func() int64 {
+		return func() int64 { return read(m.members.Rollup()) }
 	}
-	obs.Default().GaugeFunc("cluster_files", func() int64 {
+	reg.GaugeFunc("cluster_blocks", roll(func(r Rollup) int64 { return r.Blocks }))
+	reg.GaugeFunc("cluster_block_bytes", roll(func(r Rollup) int64 { return r.BlockBytes }))
+	reg.GaugeFunc("cluster_corrupt_serves", roll(func(r Rollup) int64 { return r.CorruptServes }))
+	reg.GaugeFunc("cluster_queue_depth", roll(func(r Rollup) int64 { return r.QueueDepth }))
+	reg.GaugeFunc("cluster_tx_rate_bps", roll(func(r Rollup) int64 { return r.TxRateBps }))
+	reg.GaugeFunc("cluster_rpc_p99_ns", roll(func(r Rollup) int64 { return r.RPCP99NS }))
+	reg.GaugeFunc("cluster_error_budget_min_ppm", roll(func(r Rollup) int64 { return r.ErrorBudgetMinPPM }))
+	reg.GaugeFunc("cluster_files", func() int64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		return int64(len(m.state.Files))
@@ -361,13 +340,12 @@ func (m *Master) dispatch(op byte, raw []byte) (any, error) {
 		if err := decode(raw, &info); err != nil {
 			return nil, err
 		}
-		return m.handleBeat(op, info)
+		return m.handleBeat(info)
 	case opDeregister:
 		var info NodeInfo
 		if err := decode(raw, &info); err != nil {
 			return nil, err
 		}
-		mDeregisters.Inc()
 		if mem, ok := m.members.Leave(info.Addr); ok {
 			m.log.Info("master: member deregistered", "addr", mem.Addr)
 		}
@@ -401,20 +379,14 @@ func (m *Master) dispatch(op byte, raw []byte) (any, error) {
 }
 
 // handleBeat folds a registration or heartbeat into membership.
-func (m *Master) handleBeat(op byte, info NodeInfo) (any, error) {
+func (m *Master) handleBeat(info NodeInfo) (any, error) {
 	if info.Addr == "" {
 		return nil, fmt.Errorf("master: heartbeat without addr")
 	}
 	prev, isNew := m.members.Beat(info)
-	if op == opRegister {
-		mRegisters.Inc()
-	} else {
-		mHeartbeats.Inc()
-	}
 	if isNew {
 		m.log.Info("master: member joined", "addr", info.Addr, "blocks", info.Blocks)
 	} else if prev != StateAlive {
-		mFlaps.Inc()
 		m.log.Warn("master: member returned", "addr", info.Addr, "was", prev.String())
 	}
 	return RegisterAck{IntervalMS: m.cfg.HeartbeatInterval.Milliseconds(), Epoch: m.epoch}, nil
@@ -592,7 +564,6 @@ func (m *Master) scheduleRecovery(mem Member) error {
 		return err
 	}
 	m.state.Tasks[t.ID] = t.clone()
-	mRebuilds.Inc()
 	m.log.Warn("master: scheduled recovery", "addr", mem.Addr, "task", t.ID, "files", len(items))
 	m.sched.Submit(t)
 	return nil
@@ -627,7 +598,6 @@ func (m *Master) scheduleScrub() error {
 		return err
 	}
 	m.state.Tasks[t.ID] = t.clone()
-	mScrubPasses.Inc()
 	m.sched.Submit(t)
 	return nil
 }
@@ -695,7 +665,6 @@ func (m *Master) appendLocked(rec *record) error {
 	if err := m.journal.append(rec); err != nil {
 		return err
 	}
-	mJournalBytes.Inc()
 	if m.journal.shouldCompact() {
 		if err := m.journal.compact(m.state); err != nil {
 			return fmt.Errorf("master: compacting journal: %w", err)
@@ -722,8 +691,6 @@ func (m *Master) Status() *ClusterStatus {
 			QueueDepth:     mem.Info.QueueDepth,
 			TxRateBps:      mem.TxRateBps,
 			ErrorBudgetPPM: mem.Info.ErrorBudgetPPM,
-			CacheHits:      mem.Info.CacheHits,
-			CacheMisses:    mem.Info.CacheMisses,
 		})
 	}
 	m.mu.Lock()

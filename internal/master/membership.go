@@ -41,9 +41,6 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// memberStates lists every state, for the by-state gauges.
-var memberStates = []State{StateAlive, StateSuspect, StateDead, StateLeft}
-
 // Member is one blockserver's tracked state. The memberSet hands out
 // copies, so readers never race the tracker.
 type Member struct {
@@ -276,11 +273,6 @@ type Rollup struct {
 	// ErrorBudgetMinPPM is the tightest remaining SLO budget across
 	// obs-enabled members (1e6 when none report).
 	ErrorBudgetMinPPM int64
-	// CacheHits and CacheMisses sum the members' process-wide stripe-cache
-	// totals. Counters, not health gauges: old daemons simply contribute
-	// zero, so they sum safely without the ObsAddr gate.
-	CacheHits   int64
-	CacheMisses int64
 }
 
 // Rollup aggregates the alive members. Health fields are only folded in
@@ -297,8 +289,6 @@ func (s *memberSet) Rollup() Rollup {
 		r.Blocks += mem.Info.Blocks
 		r.BlockBytes += mem.Info.BlockBytes
 		r.CorruptServes += mem.Info.CorruptServes
-		r.CacheHits += mem.Info.CacheHits
-		r.CacheMisses += mem.Info.CacheMisses
 		if mem.Info.ObsAddr == "" {
 			continue
 		}
@@ -327,17 +317,4 @@ func (s *memberSet) ObsAddrs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// CountByState tallies members per state, for the master_members gauges.
-func (s *memberSet) CountByState(st State) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, mem := range s.m {
-		if mem.State == st {
-			n++
-		}
-	}
-	return n
 }

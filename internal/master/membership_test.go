@@ -161,7 +161,4 @@ func TestMembershipAliveOrder(t *testing.T) {
 			t.Fatalf("alive order = %v, want %v", alive, want)
 		}
 	}
-	if n := ms.CountByState(StateAlive); n != 3 {
-		t.Fatalf("CountByState(alive) = %d", n)
-	}
 }

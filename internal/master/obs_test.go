@@ -85,7 +85,7 @@ func TestClusterRollupGauges(t *testing.T) {
 
 	c := NewClient(m.Addr(), nil)
 	defer c.Close()
-	if _, err := c.Register(NodeInfo{Addr: "n1:1", Blocks: 7, BlockBytes: 700, ObsAddr: "n1:9", RPCP99NS: 55, QueueDepth: 4, ErrorBudgetPPM: 123_456}); err != nil {
+	if _, err := c.Register(NodeInfo{Addr: "n1:1", Blocks: 7, BlockBytes: 700, CorruptServes: 3, ObsAddr: "n1:9", RPCP99NS: 55, QueueDepth: 4, ErrorBudgetPPM: 123_456}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,6 +93,7 @@ func TestClusterRollupGauges(t *testing.T) {
 	checks := map[string]int64{
 		"cluster_blocks":               7,
 		"cluster_block_bytes":          700,
+		"cluster_corrupt_serves":       3,
 		"cluster_queue_depth":          4,
 		"cluster_rpc_p99_ns":           55,
 		"cluster_error_budget_min_ppm": 123_456,

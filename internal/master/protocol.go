@@ -199,11 +199,6 @@ type NodeInfo struct {
 	// ErrorBudgetPPM is the node's tightest remaining SLO error budget in
 	// parts per million (1e6 = untouched).
 	ErrorBudgetPPM int64 `json:"error_budget_ppm,omitempty"`
-	// CacheHits and CacheMisses are the process-wide stripe-cache totals
-	// (stripecache.HitMissTotals): zero for processes that run no cache,
-	// which the top view renders as "-" rather than a 0% hit rate.
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
 }
 
 // RegisterAck is the master's reply to register and heartbeat: the
@@ -270,8 +265,6 @@ type MemberStatus struct {
 	QueueDepth     int64  `json:"queue_depth,omitempty"`
 	TxRateBps      int64  `json:"tx_rate_bps,omitempty"`
 	ErrorBudgetPPM int64  `json:"error_budget_ppm,omitempty"`
-	CacheHits      int64  `json:"cache_hits,omitempty"`
-	CacheMisses    int64  `json:"cache_misses,omitempty"`
 }
 
 // TaskStatus is one scheduler task's row in the cluster view.

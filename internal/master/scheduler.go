@@ -10,22 +10,13 @@ import (
 	"carousel/internal/obs"
 )
 
-// Scheduler metrics: queue depth and running count are gauges the status
-// page mirrors; per-class latency histograms time completed tasks.
-var (
-	mTasksPending = obs.Default().Gauge("master_tasks_pending")
-	mTasksRunning = obs.Default().Gauge("master_tasks_running")
-	mTasksDone    = obs.Default().Counter("master_tasks_done_total")
-	mTasksFailed  = obs.Default().Counter("master_tasks_failed_total")
-	mRecoverNS    = obs.Default().Histogram("master_task_ns", "class", string(ClassRecover))
-	mScrubNS      = obs.Default().Histogram("master_task_ns", "class", string(ClassScrub))
-	mRecoverWin   = obs.Default().Window("master_task_window_ns", "class", string(ClassRecover))
-	mScrubWin     = obs.Default().Window("master_task_window_ns", "class", string(ClassScrub))
-	// sloTask tracks task completion against a latency/availability
-	// objective: tasks should finish (without failing) inside the target,
-	// 99% of the time. Failures burn budget alongside slow passes.
-	sloTask = obs.NewSLO(obs.Default(), "master_task", 5*time.Minute, 0.99)
-)
+// sloTask tracks task completion against a latency/availability
+// objective: tasks should finish (without failing) inside the target, 99%
+// of the time. Failures burn budget alongside slow passes. It is the
+// scheduler's one instrument — its slo_latency_ns window times completed
+// tasks; queue depth, running count and per-task outcome are the status
+// page's (Counts, Snapshot).
+var sloTask = obs.NewSLO(obs.Default(), "master_task", 5*time.Minute, 0.99)
 
 // errTaskFailed marks a terminal task failure for the task SLO.
 var errTaskFailed = errors.New("master: task failed")
@@ -187,7 +178,6 @@ func (s *scheduler) Submit(t *Task) {
 	s.tasks[t.ID] = t
 	if t.State == TaskPending {
 		s.pending = append(s.pending, t)
-		mTasksPending.Set(int64(len(s.pending)))
 	}
 	s.mu.Unlock()
 	s.kick()
@@ -229,8 +219,6 @@ func (s *scheduler) dispatch() {
 		go s.run(t)
 	}
 	s.pending = rest
-	mTasksPending.Set(int64(len(s.pending)))
-	mTasksRunning.Set(int64(s.runningLocked()))
 }
 
 func (s *scheduler) runningLocked() int {
@@ -290,24 +278,12 @@ func (s *scheduler) run(t *Task) {
 		t.Err = finalErr
 	}
 	s.running[t.Class]--
-	mTasksRunning.Set(int64(s.runningLocked()))
 	s.mu.Unlock()
 	if finalState != "" {
 		s.persist.onState(t.ID, finalState, finalErr)
 		var failed error
-		switch finalState {
-		case TaskDone:
-			mTasksDone.Inc()
-		case TaskFailed:
-			mTasksFailed.Inc()
+		if finalState == TaskFailed {
 			failed = errTaskFailed
-		}
-		if t.Class == ClassRecover {
-			mRecoverNS.ObserveSince(t0)
-			mRecoverWin.ObserveSince(t0)
-		} else {
-			mScrubNS.ObserveSince(t0)
-			mScrubWin.ObserveSince(t0)
 		}
 		sloTask.ObserveSince(t0, failed)
 	}

@@ -127,14 +127,16 @@ func (s HistogramSnapshot) Mean() float64 {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) as the geometric midpoint
-// of the bucket holding the target rank. Exponential buckets make this
-// accurate to within a factor of two, which is what capacity planning and
-// regression greps need.
+// of the bucket holding the nearest-rank observation, ceil(q*Count): the
+// rank rounds up, so a lone straggler among a handful of samples shows in
+// the tail quantiles instead of vanishing below them. Exponential buckets
+// make this accurate to within a factor of two, which is what capacity
+// planning and regression greps need.
 func (s HistogramSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
-	target := int64(q * float64(s.Count))
+	target := int64(math.Ceil(q * float64(s.Count)))
 	if target < 1 {
 		target = 1
 	}
@@ -237,44 +239,36 @@ func Family(full string) string {
 	return full
 }
 
-// Counter returns (creating on first use) the counter with the given name
-// and label pairs.
-func (r *Registry) Counter(name string, labels ...string) *Counter {
-	full := FullName(name, labels...)
+// intern returns m[full], creating it with mk on first use: a read-locked
+// lookup on the fast path, a double-checked insert under the write lock
+// otherwise. Every instrument kind interns through here.
+func intern[T any](r *Registry, m map[string]*T, full string, mk func() *T) *T {
 	r.mu.RLock()
-	c, ok := r.counters[full]
+	v, ok := m[full]
 	r.mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok = r.counters[full]; ok {
-		return c
+	if v, ok = m[full]; ok {
+		return v
 	}
-	c = &Counter{}
-	r.counters[full] = c
-	return c
+	v = mk()
+	m[full] = v
+	return v
+}
+
+// Counter returns (creating on first use) the counter with the given name
+// and label pairs.
+func (r *Registry) Counter(name string, labels ...string) *Counter {
+	return intern(r, r.counters, FullName(name, labels...), func() *Counter { return new(Counter) })
 }
 
 // Gauge returns (creating on first use) the gauge with the given name and
 // label pairs.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	full := FullName(name, labels...)
-	r.mu.RLock()
-	g, ok := r.gauges[full]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[full]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[full] = g
-	return g
+	return intern(r, r.gauges, FullName(name, labels...), func() *Gauge { return new(Gauge) })
 }
 
 // GaugeFunc registers a gauge whose value is computed at snapshot time —
@@ -290,21 +284,7 @@ func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...string) {
 // Histogram returns (creating on first use) the histogram with the given
 // name and label pairs.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
-	full := FullName(name, labels...)
-	r.mu.RLock()
-	h, ok := r.histograms[full]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.histograms[full]; ok {
-		return h
-	}
-	h = &Histogram{}
-	r.histograms[full] = h
-	return h
+	return intern(r, r.histograms, FullName(name, labels...), func() *Histogram { return new(Histogram) })
 }
 
 // Window returns (creating on first use) the sliding-window histogram
@@ -313,21 +293,9 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 // `<name>_p999` gauges (labels preserved), which is how tail latency
 // reaches /metrics without whole-run dilution.
 func (r *Registry) Window(name string, labels ...string) *WindowHistogram {
-	full := FullName(name, labels...)
-	r.mu.RLock()
-	w, ok := r.windows[full]
-	r.mu.RUnlock()
-	if ok {
-		return w
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok = r.windows[full]; ok {
-		return w
-	}
-	w = NewWindowHistogram(DefaultWindow, defaultWindowSlices)
-	r.windows[full] = w
-	return w
+	return intern(r, r.windows, FullName(name, labels...), func() *WindowHistogram {
+		return NewWindowHistogram(DefaultWindow, defaultWindowSlices)
+	})
 }
 
 // Snapshot is a deterministic point-in-time copy of a registry (or of a

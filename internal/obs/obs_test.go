@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +120,27 @@ func TestQuantile(t *testing.T) {
 	}
 	if q := s.Quantile(1.0); q < p50 {
 		t.Fatalf("p100 %d < p50 %d", q, p50)
+	}
+
+	// Nearest rank is the ceiling: one straggler among a handful of fast
+	// samples must own the tail quantiles (a floored rank reports the fast
+	// bucket for p99 and p999 until the window holds 100 / 1000 samples).
+	const fast, slow = int64(time.Microsecond), int64(600 * time.Millisecond)
+	for _, nFast := range []int{9, 2} {
+		h := r.Histogram("straggler_ns", "fast", strconv.Itoa(nFast))
+		for i := 0; i < nFast; i++ {
+			h.Observe(fast)
+		}
+		h.Observe(slow)
+		s := h.snapshot()
+		if q := s.Quantile(0.5); q > 2*fast {
+			t.Errorf("%d fast + 1 slow: p50 = %d, want the fast bucket", nFast, q)
+		}
+		for _, q := range []float64{0.99, 0.999} {
+			if got := s.Quantile(q); got < slow/2 || got > 2*slow {
+				t.Errorf("%d fast + 1 slow: p%v = %d, want the straggler's bucket (~%d)", nFast, 100*q, got, slow)
+			}
+		}
 	}
 }
 

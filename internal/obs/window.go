@@ -113,52 +113,3 @@ func (w *WindowHistogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// EWMA is an exponentially weighted moving average over float64
-// observations, updated with a CAS loop on the raw bits so concurrent
-// observers never lock. The classic straggler detector: one EWMA per peer,
-// compare against the fleet.
-type EWMA struct {
-	alpha float64
-	bits  atomic.Uint64 // float64 bits; zero means "no observation yet"
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor (0 < alpha <= 1;
-// higher weights recent observations more).
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds one observation into the average. The first observation
-// seeds the average directly.
-func (e *EWMA) Observe(v float64) {
-	for {
-		old := e.bits.Load()
-		var next float64
-		if old == 0 {
-			next = v
-		} else {
-			prev := math.Float64frombits(old)
-			next = prev + e.alpha*(v-prev)
-		}
-		nb := math.Float64bits(next)
-		if nb == 0 {
-			nb = math.Float64bits(math.SmallestNonzeroFloat64)
-		}
-		if e.bits.CompareAndSwap(old, nb) {
-			return
-		}
-	}
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 {
-	b := e.bits.Load()
-	if b == 0 {
-		return 0
-	}
-	return math.Float64frombits(b)
-}

@@ -104,43 +104,6 @@ func TestWindowConcurrent(t *testing.T) {
 	}
 }
 
-// TestEWMA verifies seeding, convergence, and concurrent updates.
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Value() != 0 {
-		t.Fatal("unseeded EWMA nonzero")
-	}
-	e.Observe(100)
-	if e.Value() != 100 {
-		t.Fatalf("first observation should seed: %v", e.Value())
-	}
-	e.Observe(200)
-	if got := e.Value(); got != 150 {
-		t.Fatalf("EWMA after 100,200 with alpha 0.5 = %v, want 150", got)
-	}
-	for i := 0; i < 100; i++ {
-		e.Observe(300)
-	}
-	if got := e.Value(); got < 299 || got > 301 {
-		t.Fatalf("EWMA did not converge: %v", got)
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				e.Observe(500)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := e.Value(); got < 499 || got > 501 {
-		t.Fatalf("concurrent EWMA = %v, want ~500", got)
-	}
-}
-
 // TestSLO verifies the good/slow/error accounting, the cumulative error
 // budget, and the windowed burn rate.
 func TestSLO(t *testing.T) {

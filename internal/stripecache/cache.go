@@ -34,30 +34,7 @@ package stripecache
 import (
 	"sync"
 	"sync/atomic"
-
-	"carousel/internal/obs"
 )
-
-// Process-wide metrics, summed over every cache instance in the process —
-// the same interning pattern the store uses, so one scrape (or one
-// heartbeat piggyback) reflects all stores' caches at once. Per-instance
-// numbers come from Cache.Stats.
-var (
-	mHits      = obs.Default().Counter("stripecache_hits_total")
-	mMisses    = obs.Default().Counter("stripecache_misses_total")
-	mEvictions = obs.Default().Counter("stripecache_evictions_total")
-	mInserts   = obs.Default().Counter("stripecache_inserts_total")
-	mCoalesced = obs.Default().Counter("stripecache_coalesced_waiters_total")
-	mInvalid   = obs.Default().Counter("stripecache_invalidations_total")
-	mBytes     = obs.Default().Gauge("stripecache_bytes")
-)
-
-// HitMissTotals reports the process-wide hit/miss counters — what a
-// daemon piggybacks on its heartbeats so `carouselctl top` can show
-// per-node cache effectiveness without a scrape.
-func HitMissTotals() (hits, misses int64) {
-	return mHits.Value(), mMisses.Value()
-}
 
 // Key identifies one cached decoded stripe. Version is the per-file
 // write-generation counter: a bumped version changes every stripe's key,
@@ -195,7 +172,6 @@ func (c *Cache) Version(file string) uint64 {
 func (c *Cache) Invalidate(file string) {
 	v, _ := c.versions.LoadOrStore(file, new(atomic.Uint64))
 	cur := v.(*atomic.Uint64).Add(1)
-	mInvalid.Inc()
 	// Proactive purge: versioned keys already guarantee correctness, this
 	// just returns the stale bytes to the budget promptly.
 	for i := range c.shards {
@@ -246,14 +222,12 @@ func (c *Cache) Get(file string, stripe int, dst []byte) bool {
 	s.mu.Unlock()
 	if data == nil {
 		c.misses.Add(1)
-		mMisses.Inc()
 		return false
 	}
 	// data is immutable and eviction only drops references, so copying
 	// outside the lock is safe and keeps the critical section tiny.
 	copy(dst, data)
 	c.hits.Add(1)
-	mHits.Inc()
 	return true
 }
 
@@ -289,9 +263,7 @@ func (c *Cache) put(key Key, data []byte) {
 	}
 	s.bytes += size
 	c.bytes.Add(size)
-	mBytes.Add(size)
 	c.inserts.Add(1)
-	mInserts.Inc()
 	c.evictLocked(s)
 }
 
@@ -348,9 +320,7 @@ func (c *Cache) removeLocked(s *shard, key Key) {
 	size := int64(len(e.data))
 	s.bytes -= size
 	c.bytes.Add(-size)
-	mBytes.Add(-size)
 	c.evictions.Add(1)
-	mEvictions.Inc()
 }
 
 // addGhostLocked remembers an evicted probationary key in the bounded

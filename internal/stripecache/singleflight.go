@@ -51,7 +51,6 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 		s.mu.Unlock()
 		copy(dst, data)
 		c.hits.Add(1)
-		mHits.Inc()
 		return true, false, nil
 	}
 
@@ -63,16 +62,13 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 		s.flights[key] = f
 		s.mu.Unlock()
 		c.misses.Add(1)
-		mMisses.Inc()
 		go c.runFlight(fctx, s, key, f, len(dst), fetch)
 	} else {
 		f.waiters++
 		coalescedWaiter = true
 		s.mu.Unlock()
 		c.misses.Add(1)
-		mMisses.Inc()
 		c.coalesced.Add(1)
-		mCoalesced.Inc()
 	}
 
 	select {

@@ -50,30 +50,13 @@ var (
 	workersPtr atomic.Pointer[[]*worker] // copy-on-write, grow-only
 )
 
-// Pool metrics: one atomic add per Parallel call (not per task), so the
-// instrumentation cost is invisible next to even a single GF(2^8) chunk.
-// workpool_queue_depth is sampled lazily at scrape time.
-var (
-	mRuns      = obs.Default().Counter("workpool_runs_total")
-	mTasks     = obs.Default().Counter("workpool_tasks_total")
-	mSaturated = obs.Default().Counter("workpool_saturated_offers_total")
-	mBusy      = obs.Default().Gauge("workpool_busy_workers")
-	mWorkers   = obs.Default().Gauge("workpool_workers") // 0 until the pool starts
-)
+// mWorkers is the pool's size: 0 until the pool starts, then grow-only.
+var mWorkers = obs.Default().Gauge("workpool_workers")
 
 // start brings the pool up with GOMAXPROCS workers.
 func start() {
 	empty := make([]*worker, 0)
 	workersPtr.Store(&empty)
-	obs.Default().GaugeFunc("workpool_queue_depth", func() int64 {
-		var d int64
-		for _, w := range *workersPtr.Load() {
-			if r := w.slot.Load(); r != nil && r != busyMarker {
-				d++
-			}
-		}
-		return d
-	})
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
 		n = 1
@@ -120,9 +103,7 @@ func (w *worker) loop() {
 				w.slot.CompareAndSwap(busyMarker, nil)
 				break
 			}
-			mBusy.Add(1)
 			r.drain()
-			mBusy.Add(-1)
 			r.wg.Done()
 		}
 	}
@@ -169,8 +150,6 @@ func Parallel(n, workers int, fn func(int)) {
 		return
 	}
 	startOnce.Do(start)
-	mRuns.Inc()
-	mTasks.Add(int64(n))
 	r := runPool.Get().(*run)
 	r.next.Store(0)
 	r.n = int64(n)
@@ -196,11 +175,8 @@ func Parallel(n, workers int, fn func(int)) {
 			r.wg.Done()
 		}
 	}
-	if placed < want {
-		// Every remaining worker was busy or had a pending run: the
-		// caller covers the outstanding tasks itself.
-		mSaturated.Inc()
-	}
+	// The caller drains too, so a run that found every worker busy still
+	// completes.
 	r.drain()
 	r.wg.Wait()
 	r.fn = nil

@@ -12,7 +12,11 @@
 # /metrics exports nonzero cluster_* roll-up gauges, and that the
 # windowed *_p99 tail gauges are live on the data path. A final repeated
 # get with -cache asserts the stripe cache serves warm passes (nonzero
-# hits) and that the master exports the cluster_cache_* roll-up gauges.
+# hits on the client's own Cache.Stats line).
+#
+# Every family named here is a row of the DESIGN.md §8 family table whose
+# reader column says obscheck, and the other way round: TestMetricManifest
+# fails when the two drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,7 +57,8 @@ if [ -z "$OUT" ]; then
     exit 1
 fi
 
-# Every subsystem the tentpole instruments must export its families.
+# Every instrumented subsystem must export the families this script is
+# the reader of.
 for fam in \
     store_parallel_stripes_total \
     store_fallback_stripes_total \
@@ -65,7 +70,6 @@ for fam in \
     blockserver_client_rpc_ns_bucket \
     blockserver_server_rpcs_total \
     blockserver_server_open_connections \
-    codeplan_runs_total \
     codeplan_run_ns_bucket \
     workpool_workers \
 ; do
@@ -163,8 +167,7 @@ if [ -z "$MOUT" ]; then
     exit 1
 fi
 for fam in cluster_files cluster_block_bytes cluster_tx_rate_bps \
-    cluster_rpc_p99_ns cluster_error_budget_min_ppm \
-    cluster_cache_hits cluster_cache_misses; do
+    cluster_rpc_p99_ns cluster_error_budget_min_ppm; do
     grep -q "^$fam" <<<"$MOUT" || { echo "obscheck: $fam missing from master scrape" >&2; exit 1; }
 done
 

@@ -70,20 +70,23 @@ bench:
 	$(GO) run ./cmd/codingbench -json
 
 # The gated benchmark is its own module, so `go test ./...` never reaches
-# it: run its unit tests, then 2-second untraced runs of the three
+# it: run its unit tests, then 2-second untraced runs of the four
 # large-file workloads through the entry point BENCHMARK.json names (each
 # run checks every byte it moves and exits non-zero on a mismatch), and
 # compare them with the committed baseline. The spec gates only the counted
 # metrics — wire and allocated bytes per user byte, which repeat to the
 # fourth digit on any host even at smoke length; timed metrics spread too
-# far in 2 s to gate. -compare exits 1 on a regression and 2 when a
-# workload is missing from either file. After a change that is meant to
-# move a counted metric, re-take results/bench_gate_baseline.jsonl with the
-# same three runs.
+# far in 2 s to gate. read_degraded joined the gate when its counted
+# metrics became counts (PR 22: the planned degraded read fetches exactly
+# one byte per byte returned; the any-k race it replaced fetched 2.4 give
+# or take the timing of a cancel). -compare exits 1 on a regression and 2
+# when a workload is missing from either file. After a change that is
+# meant to move a counted metric, re-take that workload's row of
+# results/bench_gate_baseline.jsonl with the same run.
 bench-gate:
 	cd benchmark && $(GO) test .
 	rm -f .bench_build/gate.jsonl
-	for w in read_large write_large recover_node; do \
+	for w in read_large write_large read_degraded recover_node; do \
 		bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 --results .bench_build/gate.jsonl || exit 1; \
 	done
 	.bench_build/carousel-benchmark -compare -spec scripts/bench_gate_spec.json results/bench_gate_baseline.jsonl .bench_build/gate.jsonl

@@ -206,7 +206,7 @@ const (
 	swarmStragglers     = 2
 	swarmStragglerDelay = 15 * time.Millisecond
 	// swarmHedge is the uniform hedge deadline: low enough that a straggler
-	// triggers the any-k fallback instead of stalling the pipeline.
+	// is struck and planned around instead of stalling the pipeline.
 	swarmHedge = 75 * time.Millisecond
 	// swarmDrainGrace bounds how long a pass waits for queued requests
 	// after the arrival window closes before cancelling the stragglers.

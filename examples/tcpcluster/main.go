@@ -1,6 +1,6 @@
 // Tcpcluster runs twelve real block servers on localhost TCP ports, stores
 // a Carousel-coded file across them, reads it back from all twelve in
-// parallel, kills a server, performs a degraded (any-k fallback) read,
+// parallel, kills a server, performs a degraded (re-planned) read,
 // corrupts a block and lets the checksum scrub repair it, and finally
 // regenerates the lost block with helper chunks computed server-side — the
 // complete deployment story of the paper over actual sockets.
@@ -93,8 +93,9 @@ func main() {
 	}
 	fmt.Printf("healthy read: 1/12 of the data from each server, path=%s\n", stats.Path())
 
-	// Kill server 5 and read again: the hedged read notices the dead
-	// source and falls back to an any-k decode from the fastest k.
+	// Kill server 5 and read again: the stripes that meet the dead source
+	// re-plan around it (parity-unit patches: p = n leaves no spare block)
+	// and the pool remembers it for the stripes that follow.
 	servers[5].Close()
 	got, stats, err = store.ReadFile(ctx, "demo", len(data))
 	if err != nil {

@@ -215,3 +215,45 @@ func TestPooledGetAllocs(t *testing.T) {
 		t.Errorf("warm pooled Get allocates %.1f times per run, want <= 1", n)
 	}
 }
+
+// TestDegradedReadAllocs pins the planned degraded read: with one of the p
+// sources down and the pool's memory warm, ReadFile allocates what the
+// healthy read does — the output buffer and the per-stripe bookkeeping —
+// plus at most 2% of the file: replacement units land in pooled scratch
+// and the solve allocates nothing block-sized.
+func TestDegradedReadAllocs(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers, addrs := startServers(t, code, code.N())
+	store, err := NewStore(code, addrs, benchBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	const stripes = 8
+	data := make([]byte, stripes*code.K()*benchBlock)
+	rand.New(rand.NewSource(83)).Read(data)
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		got, _, err := store.ReadFile(ctx, "f", len(data))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read: err %v, identical %v", err, bytes.Equal(got, data))
+		}
+	}
+	read() // dial, fill the pools
+	read()
+	healthy := totalAlloc(read)
+	servers[2].Close()
+	read() // find the dead peer, compile the solver
+	read()
+	degraded := totalAlloc(read)
+	if limit := healthy + int64(len(data))/50; degraded > limit {
+		t.Errorf("a warm degraded read of %d bytes allocates %d bytes, the healthy read %d: want at most %d (healthy + 2%%)",
+			len(data), degraded, healthy, limit)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"carousel/internal/bufpool"
@@ -138,7 +137,7 @@ type Client struct {
 	traceID     uint64
 	traceParent uint64
 
-	dials *atomic.Int64 // the owning pool's per-peer dial count; nil outside a pool
+	peer *peer // the owning pool's slot set, told of dials and dial failures; nil outside a pool
 
 	req []byte      // request scratch: op + name + args (+ put frame header)
 	hdr [9]byte     // response scratch: status + payload length + payload CRC
@@ -206,14 +205,25 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, error) {
 	d := net.Dialer{Timeout: c.opts.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
-		return nil, fmt.Errorf("blockserver: dial %s: %w", c.addr, err)
+		return nil, &dialError{addr: c.addr, err: err}
 	}
 	c.conn = conn
-	if c.dials != nil {
-		c.dials.Add(1)
+	if c.peer != nil {
+		c.peer.dialed()
 	}
 	return conn, nil
 }
+
+// dialError is a connection that could not be established, as opposed to
+// one that failed in use: the only kind of failure the pool's peer memory
+// learns from.
+type dialError struct {
+	addr string
+	err  error
+}
+
+func (e *dialError) Error() string { return fmt.Sprintf("blockserver: dial %s: %v", e.addr, e.err) }
+func (e *dialError) Unwrap() error { return e.err }
 
 // inBand reports whether an error is an application verdict delivered over
 // an intact, in-sync connection (no poisoning needed).
@@ -347,6 +357,13 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	if err == nil {
 		cliBytesTx.Add(int64(len(r.body)))
 		cliBytesRx.Add(int64(len(payload) + len(r.dst)))
+	} else if c.peer != nil && ctx.Err() == nil {
+		// The retry policy ended without a connection and the caller is
+		// still waiting: the peer, not the caller's patience, is the cause.
+		var de *dialError
+		if errors.As(err, &de) {
+			c.peer.unreachable()
+		}
 	}
 	rpcCounter(r.op, err).Inc()
 	if c.lat != nil {

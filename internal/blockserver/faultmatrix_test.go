@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func waitGoroutines(t *testing.T, base int) {
 // TestFaultMatrixHedgedRead is the acceptance matrix for the hedged read
 // path: with carousel(14,10,10,12) over real TCP servers, killing one
 // server mid-read and delaying another beyond the hedge deadline must
-// still return byte-identical content via the fastest-k fallback, within
+// still return byte-identical content by re-planning around both, within
 // the overall deadline and without leaking goroutines.
 func TestFaultMatrixHedgedRead(t *testing.T) {
 	code, err := carousel.New(14, 10, 10, 12)
@@ -509,9 +510,9 @@ func TestClientTimeoutTyped(t *testing.T) {
 // TestDegradedReadAB is the EXPERIMENTS.md recipe: an A/B of read latency
 // with and without an injected straggler. A = all 14 servers healthy
 // (parallel path). B = one data server's writes delayed well past the
-// hedge deadline (any-k fallback). The hedge must bound B's latency by
-// roughly hedge + fallback-fetch time instead of the straggler's delay,
-// and both reads must be byte-identical.
+// hedge deadline (struck and planned around). The hedge must bound B's
+// latency by roughly hedge + replacement-fetch time instead of the
+// straggler's delay, and both reads must be byte-identical.
 func TestDegradedReadAB(t *testing.T) {
 	code, err := carousel.New(14, 10, 10, 12)
 	if err != nil {
@@ -560,10 +561,357 @@ func TestDegradedReadAB(t *testing.T) {
 	}
 	injectors[4].SetDefault(faultnet.Policy{})
 
-	// The any-k fallback must beat waiting out the straggler on every
+	// The re-plan must beat waiting out the straggler on every
 	// stripe: 2 stripes x 600 ms of serialized delay would exceed 1.2 s.
 	if latB >= 2*stragglerDelay {
 		t.Fatalf("hedged read took %v, straggler delay not cut off", latB)
 	}
-	t.Logf("A (healthy, parallel): %v; B (600ms straggler, hedged any-k): %v", latA, latB)
+	t.Logf("A (healthy, parallel): %v; B (600ms straggler, hedged and re-planned): %v", latA, latB)
+}
+
+// plannedCluster is a written file on a cluster whose servers' transmit
+// counters tell what each source was asked for.
+type plannedCluster struct {
+	code      *carousel.Code
+	servers   []*Server
+	addrs     []string
+	injectors []*faultnet.Injector
+	store     *Store
+	blockSize int
+	stripes   int
+	data      []byte
+}
+
+func newPlannedCluster(t *testing.T, n, k, d, p, stripes int, opts ...StoreOption) *plannedCluster {
+	t.Helper()
+	code, err := carousel.New(n, k, d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := &plannedCluster{code: code, blockSize: code.BlockAlign() * 16, stripes: stripes}
+	pc.servers, pc.addrs, pc.injectors = startFaultServers(t, code, n)
+	pc.data = make([]byte, stripes*k*pc.blockSize)
+	rand.New(rand.NewSource(int64(1000*n + 10*p + stripes))).Read(pc.data)
+	opts = append([]StoreOption{WithClientOptions(fastOpts()), WithHedgeDelay(150 * time.Millisecond)}, opts...)
+	if pc.store, err = NewStore(code, pc.addrs, pc.blockSize, opts...); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pc.store.Close)
+	if _, err := pc.store.WriteFile(context.Background(), "f", pc.data); err != nil {
+		t.Fatal(err)
+	}
+	return pc
+}
+
+// read is one ReadFile, checked byte for byte, with what every server
+// sent meanwhile.
+func (pc *plannedCluster) read(t *testing.T) (*ReadStats, []int64) {
+	t.Helper()
+	before := make([]int64, len(pc.servers))
+	for i, s := range pc.servers {
+		before[i] = s.bytesTx.Load()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, stats, err := pc.store.ReadFile(ctx, "f", len(pc.data))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !bytes.Equal(got, pc.data) {
+		t.Fatal("read returned different bytes")
+	}
+	sent := make([]int64, len(pc.servers))
+	for i, s := range pc.servers {
+		sent[i] = s.bytesTx.Load() - before[i]
+	}
+	return stats, sent
+}
+
+// planBytes is what PlanRead says a read of the whole file takes from
+// each block with the given servers down.
+func (pc *plannedCluster) planBytes(t *testing.T, down ...int) []int64 {
+	t.Helper()
+	avail := make([]bool, pc.code.N())
+	for i := range avail {
+		avail[i] = !slices.Contains(down, i)
+	}
+	plan, err := pc.code.PlanRead(avail, pc.blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, pc.code.N())
+	for _, b := range plan.Direct {
+		want[b] += int64(pc.stripes * plan.BytesPerSource)
+	}
+	for _, r := range plan.Ranges {
+		want[r.Block] += int64(pc.stripes * r.Len)
+	}
+	return want
+}
+
+// TestPlannedDegradedRead is the paper's one-failure column on sockets,
+// and its neighbours: once the pool remembers who is down, every stripe
+// executes PlanRead's plan for that availability — the same bytes from the
+// same sources, k blocks' worth in all, no dial, no retry — whether the
+// plan is the Section VII replacement (one spare, both spares), the
+// parity-unit patch (p = n, or more losses than spares, up to the n-k
+// limit; the whole-block any-k plan is beyond any pattern these codes
+// produce, see carousel's TestFallbackPlanSolvesFromWholeBlocks), and no
+// goroutine outlives the reads with peers marked down.
+func TestPlannedDegradedRead(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		n, k, d, p int
+		down       []int
+	}{
+		{"one source refused: the replacement", 12, 6, 10, 10, []int{2}},
+		{"two sources refused: both spares", 12, 6, 10, 10, []int{2, 5}},
+		{"a source and a spare refused", 12, 6, 10, 10, []int{7, 10}},
+		{"p = n, no spares: the patch", 12, 6, 10, 12, []int{3}},
+		{"more refused than spares: the patch", 12, 6, 10, 10, []int{0, 1, 2}},
+		{"n-k refused: the patch from what is left", 12, 6, 10, 10, []int{0, 3, 4, 8, 9, 11}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const stripes = 6
+			pc := newPlannedCluster(t, tc.n, tc.k, tc.d, tc.p, stripes)
+			base := runtime.NumGoroutine()
+			for _, i := range tc.down {
+				pc.servers[i].Close()
+			}
+			dataDown := 0
+			for _, i := range tc.down {
+				if i < tc.p {
+					dataDown++
+				}
+			}
+			// The first read finds the dead peers the slow way; the memory
+			// is for everyone after it.
+			stats, _ := pc.read(t)
+			if dataDown > 0 && stats.StripesFallback != stripes {
+				t.Errorf("discovering read: %d of %d stripes degraded", stats.StripesFallback, stripes)
+			}
+			for _, i := range tc.down {
+				if i < tc.p && pc.store.pool.reachable(context.Background(), pc.addrs[i]) {
+					t.Errorf("server %d refused a whole retry policy and is not presumed down", i)
+				}
+			}
+
+			stats, sent := pc.read(t)
+			want := pc.planBytes(t, tc.down...)
+			var total int64
+			for i := range sent {
+				if sent[i] != want[i] {
+					t.Errorf("server %d sent %d bytes, PlanRead says %d", i, sent[i], want[i])
+				}
+				total += want[i]
+			}
+			if size := int64(len(pc.data)); total != size || stats.BytesFetched != size {
+				t.Errorf("planned read fetched %d bytes (plan: %d), want exactly the file's %d", stats.BytesFetched, total, size)
+			}
+			if len(stats.Dials) != 0 {
+				t.Errorf("planned read dialed %v, want nobody", stats.Dials)
+			}
+			if dataDown > 0 && (stats.StripesFallback != stripes || stats.StripesParallel != 0) {
+				t.Errorf("planned read: %d fallback, %d parallel stripes; want all %d counted as fallback", stats.StripesFallback, stats.StripesParallel, stripes)
+			}
+			touched := 0
+			for _, b := range sent {
+				if b > 0 {
+					touched++
+				}
+			}
+			if len(tc.down) == 1 && tc.p < tc.n && touched != tc.p {
+				t.Errorf("planned read touched %d peers, want p = %d (p-1 direct and the replacement)", touched, tc.p)
+			}
+			pc.store.Close()
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestStrikesAreLocalToTheStripe: a block that is missing or corrupt on a
+// live server, and a source held past the hedge deadline, cost their own
+// stripe a re-plan — every prefix that landed is kept, so no other source
+// is asked twice — and nothing more: the peer is not presumed down, and the
+// next stripe and the next read ask it again.
+func TestStrikesAreLocalToTheStripe(t *testing.T) {
+	const stripes = 4
+	pc := newPlannedCluster(t, 12, 6, 10, 10, stripes)
+	per := int64(pc.code.DataBytesPerBlock(0, pc.blockSize))
+	ctx := context.Background()
+
+	// Stripe 1 loses block 3, stripe 2's block 4 rots; servers 3 and 4 stay up.
+	c, err := Dial(pc.addrs[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(ctx, BlockName("f", 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := pc.servers[4].CorruptBlock(BlockName("f", 2, 4), 5); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		stats, sent := pc.read(t)
+		if stats.StripesFallback != 2 || stats.StripesParallel != stripes-2 {
+			t.Errorf("read %d: %d fallback and %d parallel stripes, want 2 and %d", round, stats.StripesFallback, stats.StripesParallel, stripes-2)
+		}
+		if stats.CorruptSources != 1 {
+			t.Errorf("read %d: %d corrupt verdicts, want 1", round, stats.CorruptSources)
+		}
+		for i, b := range sent {
+			want := stripes * per
+			switch i {
+			case 3, 4:
+				want = (stripes - 1) * per // asked every stripe, one answer a verdict
+			case 10:
+				want = 2 * per // the replacement, for the two struck stripes only
+			case 11:
+				want = 0
+			}
+			if b != want {
+				t.Errorf("read %d: server %d sent %d bytes, want %d", round, i, b, want)
+			}
+		}
+		if want := int64(len(pc.data)); stats.BytesFetched != want {
+			t.Errorf("read %d: fetched %d bytes, want %d: a landed prefix was fetched again", round, stats.BytesFetched, want)
+		}
+		if pc.store.pool.anyDown() {
+			t.Fatalf("read %d: a live server serving a bad block is presumed down", round)
+		}
+	}
+
+	// A straggler: server 6 answers, but only after the hedge deadline.
+	pc.injectors[6].SetDefault(faultnet.Policy{DelayWrite: 400 * time.Millisecond})
+	stats, sent := pc.read(t)
+	if stats.StripesFallback != stripes {
+		t.Errorf("straggler read: %d of %d stripes re-planned", stats.StripesFallback, stripes)
+	}
+	for i, b := range sent {
+		if i != 3 && i != 4 && i != 6 && i < 10 && b != stripes*per {
+			t.Errorf("straggler read: server %d sent %d bytes, want %d: a landed prefix was fetched again", i, b, stripes*per)
+		}
+	}
+	if pc.store.pool.anyDown() {
+		t.Fatal("a straggler is presumed down")
+	}
+	pc.injectors[6].SetDefault(faultnet.Policy{})
+	if stats, _ = pc.read(t); stats.StripesFallback != 2 {
+		t.Errorf("with the straggler back, %d stripes re-planned, want only the 2 with bad blocks", stats.StripesFallback)
+	}
+}
+
+// TestSlowEverywhereIsReadSlowly: when every source is past the hedge
+// deadline there is nobody to re-plan onto, and the stripe races whole
+// blocks from all of them with only the caller's context bounding the
+// wait: it is served by the fastest k, and nobody is presumed down.
+func TestSlowEverywhereIsReadSlowly(t *testing.T) {
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 1, WithHedgeDelay(40*time.Millisecond))
+	for i, in := range pc.injectors {
+		in.SetDefault(faultnet.Policy{DelayWrite: time.Duration(80+20*i) * time.Millisecond})
+	}
+	stats, _ := pc.read(t)
+	if stats.StripesFallback != 1 {
+		t.Errorf("slow-everywhere read: %+v, want the stripe served by the any-k race", *stats)
+	}
+	// The servers' delays are 20 ms apart, so the race has its k answers
+	// and has cancelled the rest well before a k+1st completes.
+	if want := int64(pc.code.K() * pc.blockSize); stats.BytesFetched != want {
+		t.Errorf("fetched %d bytes, want the k fastest whole blocks = %d: the race waited past its first k", stats.BytesFetched, want)
+	}
+	if pc.store.pool.anyDown() {
+		t.Error("stragglers are presumed down")
+	}
+}
+
+// TestCancelledReadMarksNobody: a read cancelled while its fetches are
+// still dialing and backing off leaves the peer memory untouched — the
+// caller's patience, not the peer, ended those dials.
+func TestCancelledReadMarksNobody(t *testing.T) {
+	slowRetry := fastOpts()
+	slowRetry.Retry = retry.Policy{Attempts: 3, Base: 300 * time.Millisecond, Max: 300 * time.Millisecond}
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 4, WithClientOptions(slowRetry))
+	pc.servers[2].Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	if _, _, err := pc.store.ReadFile(ctx, "f", len(pc.data)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read: %v, want context.Canceled", err)
+	}
+	if pc.store.pool.anyDown() {
+		t.Fatal("a cancelled read marked a peer down")
+	}
+}
+
+// TestReturnedPeerIsUsedAgain: while a refused peer stays down the pool
+// dials it at most once a window (the half-open probe, which a refusal
+// answers), and once it is back on its address a read is fully parallel
+// again within a window.
+func TestReturnedPeerIsUsedAgain(t *testing.T) {
+	const stripes, gone = 4, 2
+	pc := newPlannedCluster(t, 12, 6, 10, 10, stripes)
+	ctx := context.Background()
+	blocks := make([][]byte, stripes)
+	c, err := Dial(pc.addrs[gone])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st := range blocks {
+		if blocks[st], err = c.Get(ctx, BlockName("f", st, gone)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	pc.servers[gone].Close()
+	pc.read(t) // finds it dead
+	pe, err := pc.store.pool.peer(pc.addrs[gone])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dials := pc.store.pool.DialCounts()[pc.addrs[gone]]
+
+	start := time.Now()
+	for time.Since(start) < peerDownWindow*5/4 {
+		if stats, _ := pc.read(t); stats.StripesFallback != stripes || len(stats.Dials) != 0 {
+			t.Fatalf("read with the peer down: %+v", *stats)
+		}
+	}
+	if n := pe.probes.Load(); n < 1 || n > 2 {
+		t.Errorf("%d probe dials in 1.25 windows of back-to-back reads, want 1 or 2", n)
+	}
+	if d := pc.store.pool.DialCounts()[pc.addrs[gone]]; d != dials {
+		t.Errorf("a refused probe counted as %d dials", d-dials)
+	}
+
+	srv := NewServer(pc.code)
+	if _, err := srv.Start(pc.addrs[gone]); err != nil {
+		t.Skipf("cannot listen on %s again: %v", pc.addrs[gone], err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err = Dial(pc.addrs[gone])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st, b := range blocks {
+		if err := c.Put(ctx, BlockName("f", st, gone), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	back := time.Now()
+	for {
+		stats, _ := pc.read(t)
+		if stats.StripesParallel == stripes {
+			break
+		}
+		if time.Since(back) > peerDownWindow+500*time.Millisecond {
+			t.Fatalf("%v after the peer returned, a read is still %+v", time.Since(back), *stats)
+		}
+	}
+	if pc.store.pool.anyDown() {
+		t.Error("the returned peer is still presumed down")
+	}
+	if d := pc.store.pool.DialCounts()[pc.addrs[gone]]; d <= dials {
+		t.Error("the returned peer was never dialed")
+	}
 }

@@ -77,7 +77,7 @@ func TestGather(t *testing.T) {
 					r.err = ctx.Err()
 				default:
 					handedOut.Add(1)
-					r.data, r.bytes = make([]byte, 8), 8
+					r.data = make([]byte, 8)
 				}
 				return r
 			}
@@ -237,9 +237,10 @@ func TestPipelineErrRule(t *testing.T) {
 	}
 }
 
-// TestAnyKReportsItsContext: a fallback starved by its own context ending
-// is a victim, so it reports the context's error — which is what lets the
-// pipeline's root-cause rule see past it — and never ErrTooFewSurvivors.
+// TestAnyKReportsItsContext: a stripe read starved by its own context
+// ending is a victim, so it reports the context's error — which is what
+// lets the pipeline's root-cause rule see past it — and never
+// ErrTooFewSurvivors.
 func TestAnyKReportsItsContext(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, code.N())
@@ -254,18 +255,18 @@ func TestAnyKReportsItsContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = store.readStripeAnyKInto(ctx, "absent", 0, dst, stats)
+	err = store.readStripeInto(ctx, "absent", 0, dst, stats)
 	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrTooFewSurvivors) {
-		t.Errorf("cancelled fallback: %v, want context.Canceled and not ErrTooFewSurvivors", err)
+		t.Errorf("cancelled stripe read: %v, want context.Canceled and not ErrTooFewSurvivors", err)
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	err = store.readStripeAnyKInto(dctx, "absent", 0, dst, stats)
+	err = store.readStripeInto(dctx, "absent", 0, dst, stats)
 	if !errors.Is(err, ErrTimeout) || errors.Is(err, ErrTooFewSurvivors) {
-		t.Errorf("expired fallback: %v, want ErrTimeout and not ErrTooFewSurvivors", err)
+		t.Errorf("expired stripe read: %v, want ErrTimeout and not ErrTooFewSurvivors", err)
 	}
 	// A live context and a file nobody wrote is the real shortage.
-	err = store.readStripeAnyKInto(context.Background(), "absent", 0, dst, stats)
+	err = store.readStripeInto(context.Background(), "absent", 0, dst, stats)
 	if !errors.Is(err, ErrTooFewSurvivors) {
 		t.Errorf("absent file: %v, want ErrTooFewSurvivors", err)
 	}

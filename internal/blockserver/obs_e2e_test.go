@@ -39,7 +39,7 @@ func TestDegradedReadObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fault the cluster: server 5 dies (every stripe must fall back) and a
+	// Fault the cluster: server 5 dies (every stripe must re-plan) and a
 	// block on server 2 rots (a corrupt verdict must surface).
 	servers[5].Close()
 	if err := servers[2].CorruptBlock(BlockName("obsfile", 0, 2), 3); err != nil {
@@ -133,22 +133,24 @@ func TestDegradedReadObservability(t *testing.T) {
 			t.Errorf("span %q (%d) has parent %d outside its trace", s.Name, s.ID, s.Parent)
 		}
 	}
-	// The fallback fetch identifies itself, and the decode hangs off a
-	// stripe span — the shape `carouselctl`'s /debug/traces tree renders.
-	anyk := false
+	// The re-planned fetch identifies itself — p = n leaves no spare
+	// blocks, so the degraded plan patches from parity units — and the
+	// decode hangs off a stripe span: the shape `carouselctl`'s
+	// /debug/traces tree renders.
+	patch := false
 	for _, s := range spans {
 		if s.Name != "fetch" {
 			continue
 		}
-		if v := s.Attr("mode"); v == "anyk" {
-			anyk = true
+		if v := s.Attr("mode"); v == "patch" {
+			patch = true
 			if p, ok := byID[s.Parent]; !ok || p.Name != "stripe" {
-				t.Errorf("anyk fetch span's parent is %v, want a stripe span", s.Parent)
+				t.Errorf("patch fetch span's parent is %v, want a stripe span", s.Parent)
 			}
 		}
 	}
-	if !anyk {
-		t.Error("no fetch span with mode=anyk despite fallback stripes")
+	if !patch {
+		t.Error("no fetch span with mode=patch despite fallback stripes")
 	}
 	for _, s := range spans {
 		if s.Name == "decode" {
@@ -159,10 +161,10 @@ func TestDegradedReadObservability(t *testing.T) {
 	}
 }
 
-// TestReadStatsCountsAllCorruptVerdicts pins the any-k accounting fix:
-// corrupt verdicts beyond the first — including ones from streams that do
-// not end up in the winning k — must be folded into ReadStats instead of
-// dropped with the losers.
+// TestReadStatsCountsAllCorruptVerdicts pins the accounting rule: every
+// corrupt verdict a stripe's fetches bring back is folded into ReadStats —
+// a round is waited out in full, so a verdict that lands after another
+// source has already failed the round is not dropped with it.
 func TestReadStatsCountsAllCorruptVerdicts(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 12)
 	if err != nil {
@@ -184,11 +186,10 @@ func TestReadStatsCountsAllCorruptVerdicts(t *testing.T) {
 	if _, err := store.WriteFile(ctx, "drainfile", data); err != nil {
 		t.Fatal(err)
 	}
-	// Kill one data source, rot two parity blocks, and slow the healthy
-	// parity servers: in the any-k race both corrupt verdicts land before
-	// the delayed healthy blocks complete the winning k, so both must be
-	// counted — before the drain fix only the verdicts consumed while the
-	// race was still undecided were.
+	// Kill one source, rot two blocks, and slow four healthy servers: the
+	// dead source and both corrupt verdicts fail the first round while
+	// slower fetches are still in flight, and both verdicts must be
+	// counted.
 	servers[5].Close()
 	for i := 6; i <= 7; i++ {
 		if err := servers[i].CorruptBlock(BlockName("drainfile", 0, i), 1); err != nil {

@@ -17,6 +17,14 @@ const DefaultPerPeer = 4
 // ErrPoolClosed is returned by Pool.Get after Close.
 var ErrPoolClosed = errors.New("blockserver: pool is closed")
 
+// peerDownWindow is how long a peer nobody could connect to is presumed
+// down before one caller is let through to try again. Why 1s: two orders
+// of magnitude above a loopback stripe, so a dead peer costs a pass of
+// stripes one refused dial a second instead of a retry policy each, and
+// short enough that a restarted server is back in the read plan before an
+// operator looks.
+const peerDownWindow = time.Second
+
 // PoolOptions tunes a connection pool.
 type PoolOptions struct {
 	// PerPeer bounds how many clients a peer keeps, busy plus idle. Zero
@@ -33,20 +41,55 @@ type PoolOptions struct {
 // checkout under exhaustion blocks until a client comes back or the
 // caller's context gives up.
 type peer struct {
+	pool  *Pool
 	addr  string
 	free  chan *Client
 	dials atomic.Int64
+
+	// The failure memory. downUntil is zero while the peer is presumed up;
+	// otherwise it is the unix-nanosecond time until which planners are
+	// told to work around it (down), after which the caller that moves it
+	// a window on may dial the peer once (half-open). probes counts those
+	// dials.
+	downUntil atomic.Int64
+	probes    atomic.Int64
+}
+
+// dialed records a connection established to the peer: it is up.
+func (pe *peer) dialed() {
+	pe.dials.Add(1)
+	if pe.downUntil.Load() != 0 && pe.downUntil.Swap(0) != 0 {
+		pe.pool.down.Add(-1)
+	}
+}
+
+// unreachable records that no connection to the peer could be established
+// by a caller that was still waiting for one: it is presumed down for
+// peerDownWindow from now.
+func (pe *peer) unreachable() {
+	if pe.downUntil.Swap(time.Now().Add(peerDownWindow).UnixNano()) == 0 {
+		pe.pool.down.Add(1)
+	}
 }
 
 // Pool is a bounded per-peer client pool shared by every stage of the
-// stripe engine: the hedged parallel read, the any-k fallback, scrub
-// probes, repair helper fetches, and the stream adapters. Clients come out
+// stripe engine: stripe reads and writes, scrub probes, repair helper
+// fetches, and the stream adapters. Clients come out
 // with their cancellation watcher stopped and are health-checked on
 // checkout; a client poisoned mid-use (protocol desync, timeout) comes
 // back with no connection and simply redials on its next call, mirroring
 // the single-client behavior.
+//
+// The pool also remembers which peers could not be dialed (see reachable),
+// so that operations free to choose their sources plan around a dead peer
+// instead of each rediscovering it through the retry policy. The memory is
+// advice: Get never refuses a peer on its account.
 type Pool struct {
 	opts PoolOptions
+
+	// down counts the peers presumed down: the one word a planner loads to
+	// learn that nothing is, which is all the memory costs a healthy pass.
+	down atomic.Int32
 
 	mu     sync.Mutex
 	closed bool
@@ -70,7 +113,7 @@ func NewPool(addrs []string, opts PoolOptions) *Pool {
 }
 
 func (p *Pool) newPeer(addr string) *peer {
-	pe := &peer{addr: addr, free: make(chan *Client, p.opts.PerPeer)}
+	pe := &peer{pool: p, addr: addr, free: make(chan *Client, p.opts.PerPeer)}
 	for i := 0; i < p.opts.PerPeer; i++ {
 		pe.free <- nil
 	}
@@ -79,7 +122,7 @@ func (p *Pool) newPeer(addr string) *peer {
 
 func (p *Pool) newClient(pe *peer) *Client {
 	c := NewClient(pe.addr, p.opts.Client)
-	c.dials = &pe.dials
+	c.peer = pe
 	return c
 }
 
@@ -159,6 +202,50 @@ func (p *Pool) WithClient(ctx context.Context, addr string, fn func(*Client) err
 	}
 	defer p.Put(c)
 	return fn(c)
+}
+
+// anyDown reports whether any peer is presumed down. While none is, every
+// peer is reachable and planners need not ask about each.
+func (p *Pool) anyDown() bool { return p.down.Load() != 0 }
+
+// reachable is the failure memory's one question: should an operation that
+// can choose its sources plan to fetch from addr? A peer is presumed down
+// from the moment a client's whole retry policy ends in a failed dial with
+// its caller still waiting — never for an I/O timeout, an in-band verdict
+// or a cancellation — and any successful dial clears that. While the
+// window runs the answer is no, without touching the network. Once it has
+// lapsed, the one caller whose compare-and-swap opens the next window is
+// the half-open probe: a single dial, no retries, bounded by ctx, which
+// parks the fresh connection and answers yes, or leaves the new window
+// standing; everyone else keeps hearing no. There is no background
+// goroutine: a peer nobody asks about is never dialed.
+func (p *Pool) reachable(ctx context.Context, addr string) bool {
+	pe, err := p.peer(addr)
+	if err != nil {
+		return true // closed: Get says so
+	}
+	until := pe.downUntil.Load()
+	if until == 0 {
+		return true
+	}
+	now := time.Now()
+	if now.UnixNano() < until || !pe.downUntil.CompareAndSwap(until, now.Add(peerDownWindow).UnixNano()) {
+		return false
+	}
+	var c *Client
+	select {
+	case c = <-pe.free: // a nil token, a parked client, or nil from a closed pool
+	default:
+		return false // every slot is out dialing it already
+	}
+	if c == nil {
+		c = p.newClient(pe)
+	}
+	defer p.Put(c) // parks it, or closes it if the pool was closed meanwhile
+	c.poison()
+	pe.probes.Add(1)
+	_, err = c.ensure(ctx)
+	return err == nil
 }
 
 // DialCounts snapshots per-peer dial totals — how tests and ReadStats

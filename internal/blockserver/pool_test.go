@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -297,5 +298,182 @@ func TestStoreReadReusesConnections(t *testing.T) {
 	}
 	if len(stats.Dials) != 0 {
 		t.Errorf("warm read dialed fresh connections: %v, want none (all fetches reused parked clients)", stats.Dials)
+	}
+}
+
+// closedAddr returns a loopback address nothing listens on.
+func closedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestPoolPeerMemory walks the failure memory's state machine on one peer:
+// up until a whole retry policy ends in refused dials; down — answered
+// without touching the network — for a window; then half-open, where
+// however many callers ask at once exactly one dials, once, and a refusal
+// opens the next window; and up again the moment any dial succeeds.
+func TestPoolPeerMemory(t *testing.T) {
+	addr := closedAddr(t)
+	pool := NewPool([]string{addr}, PoolOptions{Client: fastOpts()})
+	t.Cleanup(pool.Close)
+	ctx := context.Background()
+	pe, err := pool.peer(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.anyDown() || !pool.reachable(ctx, addr) {
+		t.Fatal("a peer nobody has dialed is presumed down")
+	}
+	err = pool.WithClient(ctx, addr, func(c *Client) error { return c.Verify(ctx, "b") })
+	if err == nil {
+		t.Fatal("an RPC to a closed port succeeded")
+	}
+	if !pool.anyDown() || pool.reachable(ctx, addr) {
+		t.Fatal("a peer that refused a whole retry policy is not presumed down")
+	}
+	if n := pe.probes.Load(); n != 0 {
+		t.Fatalf("%d probe dials inside the window, want none", n)
+	}
+
+	// The window lapses: of many simultaneous askers, one probes.
+	ask := func() (yes int64) {
+		var wg sync.WaitGroup
+		var n atomic.Int64
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if pool.reachable(ctx, addr) {
+					n.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		return n.Load()
+	}
+	pe.downUntil.Store(time.Now().Add(-time.Millisecond).UnixNano())
+	if yes := ask(); yes != 0 {
+		t.Errorf("%d of 16 askers were told a closed port is reachable", yes)
+	}
+	if n := pe.probes.Load(); n != 1 {
+		t.Errorf("%d probe dials for one lapsed window, want exactly 1", n)
+	}
+	if until := pe.downUntil.Load(); until <= time.Now().UnixNano() {
+		t.Error("a refused probe did not open a new window")
+	}
+	if d := pool.DialCounts()[addr]; d != 0 {
+		t.Errorf("refused dials counted as %d connections", d)
+	}
+
+	// The peer returns; the next lapse's probe finds it and parks the
+	// connection it made.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("cannot listen on %s again: %v", addr, err)
+	}
+	srv := NewServer(nil)
+	if _, err := srv.StartListener(ln); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if pool.reachable(ctx, addr) {
+		t.Error("inside the window the returned peer is already reachable: somebody dialed")
+	}
+	pe.downUntil.Store(time.Now().Add(-time.Millisecond).UnixNano())
+	if yes := ask(); yes < 1 {
+		t.Error("nobody was told the returned peer is reachable")
+	}
+	if pool.anyDown() || !pool.reachable(ctx, addr) {
+		t.Error("a successful probe did not clear the mark")
+	}
+	if n, d := pe.probes.Load(), pool.DialCounts()[addr]; n != 2 || d != 1 {
+		t.Errorf("%d probes and %d dials, want 2 and 1", n, d)
+	}
+	parked := 0
+	for i := 0; i < cap(pe.free); i++ {
+		c := <-pe.free
+		if c != nil && c.conn != nil {
+			parked++
+		}
+		pe.free <- c
+	}
+	if parked != 1 {
+		t.Errorf("%d connections parked after the successful probe, want the 1 it dialed", parked)
+	}
+}
+
+// TestPoolPeerMemoryLearnsFromDialsOnly: an in-band verdict, an I/O
+// timeout on an established connection and a dial cut short by its
+// caller's context all fail the RPC and leave the peer presumed up; and a
+// mark is advice — Get still hands out clients for a marked peer, and a
+// dial that succeeds through one clears it.
+func TestPoolPeerMemoryLearnsFromDialsOnly(t *testing.T) {
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := faultnet.NewInjector()
+	srv := NewServer(nil)
+	addr, err := srv.StartListener(in.Wrap(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	opts := fastOpts()
+	opts.IOTimeout = 50 * time.Millisecond
+	dead := closedAddr(t)
+	pool := NewPool([]string{addr, dead}, PoolOptions{Client: opts})
+	t.Cleanup(pool.Close)
+	ctx := context.Background()
+
+	get := func(ctx context.Context, addr string) error {
+		return pool.WithClient(ctx, addr, func(c *Client) error {
+			b, err := c.Get(ctx, "absent")
+			Recycle(b)
+			return err
+		})
+	}
+	if err := get(ctx, addr); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of an absent block: %v", err)
+	}
+	in.SetDefault(faultnet.Policy{Blackhole: true})
+	if err := get(ctx, addr); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Get through a black hole: %v", err)
+	}
+	in.SetDefault(faultnet.Policy{})
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := get(cctx, dead); err == nil {
+		t.Fatal("a cancelled Get of a closed port succeeded")
+	}
+	if pool.anyDown() {
+		t.Fatal("a verdict, an I/O timeout or a cancellation marked a peer down")
+	}
+
+	if err := get(ctx, dead); err == nil {
+		t.Fatal("Get of a closed port succeeded")
+	}
+	pe, _ := pool.peer(addr)
+	pe.unreachable() // as if addr, too, had refused
+	if pool.down.Load() != 2 {
+		t.Fatalf("%d peers presumed down, want 2", pool.down.Load())
+	}
+	if err := get(ctx, addr); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get from a marked but live peer: %v: the mark must not refuse it", err)
+	}
+	for i := 0; i < DefaultPerPeer; i++ { // until a slot that has to dial comes out
+		pool.WithClient(ctx, addr, func(c *Client) error { c.poison(); return nil })
+		if err := get(ctx, addr); !errors.Is(err, ErrNotFound) {
+			t.Fatal(err)
+		}
+	}
+	if pool.down.Load() != 1 || !pool.reachable(ctx, addr) {
+		t.Fatal("a successful dial did not clear the mark")
 	}
 }

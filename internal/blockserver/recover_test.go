@@ -393,3 +393,60 @@ func TestScrubParallelRepairs(t *testing.T) {
 		t.Fatal("data mismatch after scrub repairs")
 	}
 }
+
+// TestRecoverServerPlansAroundADeadHelper: with a second server down, the
+// pass stops paying for it after the first wave. The stripes in flight
+// when it is discovered each wait out one retry policy and promote a
+// spare; every later stripe ranks it behind the reachable survivors, so
+// spare promotions move by at most stripesInFlight over 32 stripes, the
+// dead helper serves nothing, and every block is still rebuilt from
+// exactly d chunks — d*blockSize/(d-k+1) bytes.
+func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSize := code.BlockAlign() * 8
+	const stripes, failed, gone = 32, 3, 7
+	size := stripes * code.K() * blockSize
+	data := make([]byte, size)
+	rand.New(rand.NewSource(57)).Read(data)
+
+	servers, addrs := startServers(t, code, code.N())
+	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
+	servers[gone].Close()
+
+	base := runtime.NumGoroutine()
+	promoted0 := mSparePromotions.Value()
+	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BlocksRepaired != stripes {
+		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
+	}
+	if got := mSparePromotions.Value() - promoted0; got < 1 || got > stripesInFlight {
+		t.Errorf("store_spare_promotions_total moved by %d over %d stripes, want 1..%d: only the first wave meets the dead helper",
+			got, stripes, stripesInFlight)
+	}
+	if n := rep.HelperChunks[addrs[gone]]; n != 0 {
+		t.Errorf("the closed helper served %d chunks", n)
+	}
+	if want := int64(stripes * code.D() * blockSize / (code.D() - code.K() + 1)); rep.TrafficBytes != want {
+		t.Errorf("repair traffic %d bytes, want stripes*d*blockSize/(d-k+1) = %d", rep.TrafficBytes, want)
+	}
+	got, _, err := store.ReadFile(ctx, "f", size)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+	waitGoroutines(t, base)
+}

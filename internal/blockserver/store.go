@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,20 +57,23 @@ const stripesInFlight = 4
 // servers in parallel over TCP; repairs move only the optimal chunk from
 // each of d helpers.
 //
-// The read path is hedged and straggler-tolerant: the p-source parallel
-// read runs under a hedge deadline, and as soon as any source fails — or
-// the deadline passes with stragglers outstanding — the stripe falls back
-// to an any-k decode over the fastest k responders, cancelling every other
-// stream. Corrupt blocks (detected by the servers' CRC32C verification)
-// are excluded from decodes and can be regenerated with Scrub.
+// The read path executes the code's read plan (carousel.PlanRead) and is
+// hedged and straggler-tolerant: a stripe fetches what its plan names under
+// a hedge deadline, and a source that fails — or is still outstanding at
+// the deadline — is struck for that stripe, which keeps everything that did
+// land and re-plans around it: the paper's replacement-block scheme, its
+// parity-unit extension, at worst k whole blocks. Peers the pool could not
+// dial are planned around from the start. Corrupt blocks (detected by the
+// servers' CRC32C verification) are excluded the same way and can be
+// regenerated with Scrub.
 type Store struct {
 	code      *carousel.Code
 	addrs     []string
 	blockSize int
 	client    Options
 	hedge     time.Duration
-	pool      *Pool // shared by reads, writes, scrub, and repair
-	all       []int // block indexes 0..n-1, the read paths' candidate list
+	pool      *Pool              // shared by reads, writes, scrub, and repair
+	healthy   *carousel.ReadPlan // the plan with every block available: what a stripe reads while nothing is known bad
 
 	// cache, when non-nil, serves hot stripes from memory with singleflight
 	// miss coalescing. Nil (the default) keeps the read path byte-identical
@@ -85,8 +89,8 @@ func WithClientOptions(o Options) StoreOption {
 	return func(s *Store) { s.client = o }
 }
 
-// WithHedgeDelay sets how long the parallel read waits for straggling
-// sources before falling back to the fastest-k decode (default 500ms).
+// WithHedgeDelay sets how long a stripe read waits for straggling sources
+// before striking them and re-planning around them (default 500ms).
 func WithHedgeDelay(d time.Duration) StoreOption {
 	return func(s *Store) {
 		if d > 0 {
@@ -128,16 +132,20 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 		addrs:     addrs,
 		blockSize: blockSize,
 		hedge:     500 * time.Millisecond,
-		all:       make([]int, len(addrs)),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	all := make([]bool, len(addrs))
+	for i := range all {
+		all[i] = true
+	}
+	var err error
+	if s.healthy, err = code.PlanRead(all, blockSize); err != nil {
+		return nil, err
+	}
 	s.client = s.client.withDefaults()
 	s.pool = NewPool(addrs, PoolOptions{Client: s.client})
-	for i := range addrs {
-		s.all[i] = i
-	}
 	return s, nil
 }
 
@@ -172,8 +180,12 @@ func (s *Store) stripesOf(name string, size int) (int, error) {
 	return (size + stripeData - 1) / stripeData, nil
 }
 
-// gather is the one scatter/gather every stripe operation is built from:
-// ask some block holders for a piece and keep the first need that answer.
+// gather is the scatter/gather of an operation that can use any need of
+// its candidates' answers — a repair's d helper chunks, a stripe read's
+// last-resort race for k whole blocks: ask some block holders for a piece
+// and keep the first need that answer. (A planned stripe read wants every
+// piece of its plan and waits its round out instead; see
+// stripeRead.fetch.)
 // It starts a fetch for each of the first initial candidates and promotes
 // the next unstarted candidate whenever one fails, so a healthy pass costs
 // exactly initial requests. It stops the moment need fetches have
@@ -388,11 +400,14 @@ func (s *Store) put(ctx context.Context, addr, name string, data []byte) error {
 // call to its span tree, so the per-call struct, the scraped metrics, and
 // the trace are one consistent surface.
 type ReadStats struct {
-	// StripesParallel counts stripes served entirely by the p-source
-	// parallel prefix read.
+	// StripesParallel counts stripes served verbatim by the data prefixes
+	// of all p data-bearing blocks.
 	StripesParallel int
-	// StripesFallback counts stripes that fell back to the fastest-k
-	// any-k decode after a source failed or straggled.
+	// StripesFallback counts every other stripe: a data-bearing block was
+	// presumed down, failed or straggled, and the stripe was completed
+	// from replacement or patch units — or, at worst, k whole blocks. It
+	// counts planned degraded stripes too; what tells those from a
+	// rediscovered failure is BytesFetched == size and an empty Dials.
 	StripesFallback int
 	// CacheHits counts stripes served straight from the stripe cache — no
 	// network, no decode. A fully-warm read shows CacheHits == stripes and
@@ -402,11 +417,11 @@ type ReadStats struct {
 	// caller's in-flight fetch of the same stripe (singleflight).
 	CoalescedStripes int
 	// CorruptSources counts source reads rejected by checksum
-	// verification, including losers whose verdicts arrived after the
-	// stripe was already decided.
+	// verification.
 	CorruptSources int
-	// BytesFetched counts payload bytes received from servers, including
-	// bytes from streams that lost the any-k race.
+	// BytesFetched counts the payload bytes of completed fetches. A stream
+	// cut short by the hedge deadline or a cancellation counts nothing,
+	// however much of it had arrived.
 	BytesFetched int64
 	// Dials maps peer address to how many fresh TCP connections this read
 	// opened. A warm pooled read shows an empty map — every fetch reused a
@@ -432,19 +447,19 @@ func (rs *ReadStats) count(field *int, c *obs.Counter) {
 }
 
 // source folds one source stream's outcome into the stats — the single
-// accounting point for both the winners and the drained losers, so no
-// stream's bytes or corruption verdict is ever dropped.
-func (rs *ReadStats) source(r sourceResult) {
-	if r.err != nil {
-		if errors.Is(r.err, ErrCorrupt) {
+// accounting point for every fetch a stripe makes, so no completed
+// stream's bytes and no corruption verdict is ever dropped.
+func (rs *ReadStats) source(bytes int, err error) {
+	if err != nil {
+		if errors.Is(err, ErrCorrupt) {
 			rs.count(&rs.CorruptSources, mCorruptSources)
 		}
 		return
 	}
 	rs.mu.Lock()
-	rs.BytesFetched += int64(r.bytes)
+	rs.BytesFetched += int64(bytes)
 	rs.mu.Unlock()
-	mBytesFetched.Add(int64(r.bytes))
+	mBytesFetched.Add(int64(bytes))
 }
 
 // Path summarizes which path served the read.
@@ -464,11 +479,11 @@ func (rs *ReadStats) Path() string {
 // one stripe's prefix fetches overlap its neighbors' decode and
 // reassembly, and each stripe decodes directly into its slot of a single
 // presized output buffer (no append growth, no final copy). Within a
-// stripe the hedged p-source parallel path runs first; on failure or
-// straggling the stripe is decoded from the fastest k responders. The
-// returned stats report which path served each stripe and how many fresh
-// connections the read cost; they are nil only when size is refused (a
-// non-positive size names no file WriteFile could have created).
+// stripe readStripeInto executes the read plan, re-planning around any
+// source that fails or straggles. The returned stats report how each
+// stripe was served and how many fresh connections the read cost; they are
+// nil only when size is refused (a non-positive size names no file
+// WriteFile could have created).
 func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, _ *ReadStats, rerr error) {
 	stripes, err := s.stripesOf(name, size)
 	if err != nil {
@@ -519,15 +534,12 @@ func dialDelta(before, after map[string]int64) map[string]int64 {
 	return d
 }
 
-// sourceResult carries one source stream's outcome. data is the pooled
-// payload for whole-block fetches; scatter reads land their bytes directly
-// in caller-owned memory and leave data nil, reporting the volume through
-// bytes instead.
+// sourceResult carries one gathered fetch's outcome: the candidate it
+// asked and the pooled payload that came back.
 type sourceResult struct {
-	idx   int
-	data  []byte
-	bytes int
-	err   error
+	idx  int
+	data []byte
+	err  error
 }
 
 // readStripeCached serves one stripe through the stripe cache when one is
@@ -568,13 +580,52 @@ func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst [
 	return nil
 }
 
-// readStripeInto fetches one stripe's original data directly into dst
-// (k*blockSize bytes): hedged parallel prefix reads first, fastest-k
-// fallback second. Fetches run over pooled clients. On the parallel path
-// each source's range lands straight in its slot of dst (a scatter read —
-// the socket fills the output buffer, no pooled intermediary, no copy);
-// the fallback path still moves whole blocks through pooled buffers
-// because the decode needs them assembled.
+// strike is what one stripe read holds against a block.
+type strike uint8
+
+const (
+	slow strike = iota + 1 // outstanding at the hedge deadline: passed over, unless nothing else is left
+	dead                   // failed: refused, absent, corrupt, or a broken exchange
+)
+
+// piece is one range of a stripe read and the memory it lands in: a slot
+// of the output for a data prefix, pooled scratch otherwise. err is its
+// fetch's outcome.
+type piece struct {
+	carousel.ReadRange
+	buf []byte
+	err error
+}
+
+// stripeRead is one stripe's way through readStripeInto: what it has
+// struck and what has landed outlive a re-plan. The slices stay nil until
+// a fetch fails, so a healthy stripe allocates none of them.
+type stripeRead struct {
+	s     *Store
+	name  string
+	st    int
+	dst   []byte
+	stats *ReadStats
+
+	struck   []strike // by block
+	prefixed []bool   // by block: its data prefix sits in dst
+	scratch  []piece  // ranges landed in pooled buffers
+	firstErr error
+	late     int  // rounds that ended with a straggler outstanding
+	distrust bool // plan on peers the pool presumes down, too
+}
+
+// readStripeInto fetches one stripe's original data into dst (k*blockSize
+// bytes) by executing a read plan, and is the only stripe reader there is:
+// plan, fetch what the plan names and has not landed yet, strike what
+// failed, re-plan, solve. Availability is the pool's peer memory and this
+// stripe's own strikes, so while no peer is presumed down the first plan is
+// the store's healthy one — p data prefixes, each scattered straight into
+// its slot of dst (the slots are disjoint, the socket fills the output
+// buffer, no pooled intermediary, no copy) — at the cost of one atomic
+// load. Replacement and patch units, and the whole blocks of an any-k plan,
+// land in pooled scratch that Solve consumes. Only a stripe left with
+// nothing to plan on but stragglers stops planning, and races them.
 func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
 	ctx, ssp := obs.StartSpan(ctx, "stripe")
 	ssp.SetAttr("stripe", st)
@@ -584,72 +635,244 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 	// placement is deterministic (block i lives on server i), so this stage
 	// is pure bookkeeping — but it is a real stage of the paper's read
 	// pipeline and carrying it as a span keeps the decomposition uniform.
-	p := s.code.P()
 	_, lsp := obs.StartSpan(ctx, "locate")
-	usize := s.blockSize / s.code.UnitsPerBlock()
-	per := s.code.DataUnitsPerBlock() * usize
-	lsp.SetAttr("sources", p).SetAttr("bytes_per_source", per)
+	lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource)
 	lsp.End()
 
-	// Phase 1: scatter every data-bearing block's data prefix in parallel,
-	// each directly into its slot of dst (the slots are disjoint, so the
-	// sources need no coordination), bounded by the hedge deadline. The
-	// context bound guarantees every fetch returns by the deadline — a
-	// checkout blocked on an exhausted pool gives up with it. All p of p
-	// are needed, so one bad source is enough to know the pure parallel path
-	// cannot complete: gather stops there instead of waiting for the hedge
-	// deadline, and has waited for every scatterer to exit before the
-	// fallback below overwrites dst.
-	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
-	fsp.SetAttr("mode", "parallel").SetAttr("sources", p)
-	hctx, hcancel := context.WithTimeout(fetchCtx, s.hedge)
-	ok, _, _ := gather(hctx, s.all[:p], p, p, func(ctx context.Context, i int) sourceResult {
-		c, err := s.pool.Get(ctx, s.addrs[i])
-		if err != nil {
-			return sourceResult{idx: i, err: err}
+	rd := &stripeRead{s: s, name: name, st: st, dst: dst, stats: stats}
+	defer func() {
+		for _, pc := range rd.scratch {
+			Recycle(pc.buf)
 		}
-		err = c.GetRangeInto(ctx, BlockName(name, st, i), 0, dst[i*per:(i+1)*per])
-		s.pool.Put(c)
-		return sourceResult{idx: i, bytes: per, err: err}
-	}, func(r sourceResult, _ bool) {
-		// A winner's bytes already sit in dst[r.idx*per:(r.idx+1)*per]:
-		// nothing to copy, nothing to recycle.
-		stats.source(r)
-	})
-	hcancel()
-	fsp.SetAttr("ok", ok).SetAttr("failed", ok < p)
-	fsp.End()
-	if ok == p {
-		stats.count(&stats.StripesParallel, mStripesParallel)
-		return nil
+	}()
+	for {
+		plan, err := rd.plan(ctx)
+		if err != nil {
+			return err
+		}
+		if plan == nil {
+			return rd.race(ctx)
+		}
+		complete, err := rd.fetch(ctx, plan)
+		if err != nil {
+			return err
+		}
+		if complete {
+			return rd.solve(ctx, plan)
+		}
 	}
-	stats.count(&stats.StripesFallback, mStripesFallback)
-	return s.readStripeAnyKInto(ctx, name, st, dst, stats)
 }
 
-// readStripeAnyKInto decodes one stripe from the fastest k responders into
-// dst: whole blocks are requested from all n servers, the first k intact
-// responses win, and every other stream is cancelled (per-source
-// cancellation via the client's deadline watcher — no goroutine leaks).
-// Winning blocks are recycled after the decode, losers as they drain: a
-// loser's bytes crossed the wire and a loser's corruption verdict is real,
-// so both still land in the stats.
-func (s *Store) readStripeAnyKInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
-	n := s.code.N()
-	k := s.code.K()
+// plan is the read plan for the stripe as it stands: availability is the
+// pool's peer memory less the blocks struck so far. With nobody presumed
+// down and nothing struck that is the store's healthy plan, for the price
+// of one atomic load. When the blocks left cannot serve a plan, the stripe
+// first stops trusting the peer memory — a presumed-down peer is a last
+// resort, not a verdict — and then, if stragglers are among the struck,
+// has no plan (nil): what is left is to race them. Nor is there a plan
+// after a second round of stragglers: one slow peer is planned around, a
+// slow cluster is not, and each further hedged round would only add its
+// deadline to the stripe's latency.
+func (rd *stripeRead) plan(ctx context.Context) (*carousel.ReadPlan, error) {
+	s := rd.s
+	if rd.late > 1 {
+		return nil, nil // the re-plan around the stragglers straggled too
+	}
+	for {
+		memory := !rd.distrust && s.pool.anyDown()
+		if rd.struck == nil && !memory {
+			return s.healthy, nil
+		}
+		var avail []bool
+		if memory {
+			avail = s.presumedUp(ctx)
+		} else {
+			avail = make([]bool, len(s.addrs))
+			for i := range avail {
+				avail[i] = true
+			}
+		}
+		for i, st := range rd.struck {
+			if st != 0 {
+				avail[i] = false
+			}
+		}
+		plan, err := s.code.PlanRead(avail, s.blockSize)
+		switch {
+		case err == nil:
+			return plan, nil
+		case memory:
+			rd.distrust = true
+		case slices.Contains(rd.struck, slow):
+			return nil, nil
+		default:
+			return nil, fmt.Errorf("%w: %v (first failure: %v)", ErrTooFewSurvivors, err, rd.firstErr)
+		}
+	}
+}
+
+// presumedUp asks the pool's peer memory about every server. A half-open
+// probe is a source like any other: one that does not connect within the
+// hedge delay is not worth planning on.
+func (s *Store) presumedUp(ctx context.Context) []bool {
+	ctx, cancel := context.WithTimeout(ctx, s.hedge)
+	defer cancel()
+	up := make([]bool, len(s.addrs))
+	for i, addr := range s.addrs {
+		up[i] = s.pool.reachable(ctx, addr)
+	}
+	return up
+}
+
+// fetch is one round: every piece of the plan that has not landed yet,
+// each on its own pooled client, under the hedge deadline. The round is
+// waited out in full — a failure cancels nobody, so every prefix that can
+// land does, and is never fetched again — and whatever kept a fetch from
+// completing strikes its block, for this stripe only. Whether the peer is
+// remembered as down beyond it is the pool's call, made on dial failures
+// alone: a live server missing one block is asked again by the next
+// stripe. It reports whether the plan is now complete.
+func (rd *stripeRead) fetch(ctx context.Context, plan *carousel.ReadPlan) (complete bool, _ error) {
+	s, per, direct := rd.s, plan.BytesPerSource, len(plan.Direct)
 	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
-	fsp.SetAttr("mode", "anyk").SetAttr("sources", n).SetAttr("need", k)
-	blocks := make([][]byte, n)
-	got, _, firstErr := gather(fetchCtx, s.all, n, k, func(ctx context.Context, i int) sourceResult {
+	fsp.SetAttr("mode", planMode(plan)).SetAttr("sources", plan.Parallelism())
+	hctx, hcancel := context.WithTimeout(fetchCtx, s.hedge)
+	fetches := make([]piece, direct+len(plan.Ranges))
+	var wg sync.WaitGroup
+	for f := range fetches {
+		ft := &fetches[f]
+		if f < direct {
+			ft.ReadRange = carousel.ReadRange{Block: plan.Direct[f], Len: per}
+			if rd.prefixed == nil || !rd.prefixed[ft.Block] {
+				ft.buf = rd.dst[ft.Block*per : (ft.Block+1)*per]
+			}
+		} else if ft.ReadRange = plan.Ranges[f-direct]; rd.landed(ft.ReadRange) == nil {
+			ft.buf = bufpool.Get(ft.Len)
+		}
+		if ft.buf == nil {
+			continue // landed in an earlier round
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ft.err = s.fetchRange(hctx, rd.name, rd.st, ft.ReadRange, ft.buf)
+		}()
+	}
+	wg.Wait()
+	hcancel()
+	failed := 0
+	for f := range fetches {
+		if fetches[f].err != nil {
+			failed++
+		}
+	}
+	fsp.SetAttr("ok", len(fetches)-failed).SetAttr("failed", failed > 0)
+	fsp.End()
+	if failed > 0 && rd.struck == nil {
+		rd.struck, rd.prefixed = make([]strike, len(s.addrs)), make([]bool, len(s.addrs))
+	}
+	late := false
+	for f := range fetches {
+		ft := &fetches[f]
+		if ft.buf == nil {
+			continue
+		}
+		rd.stats.source(ft.Len, ft.err)
+		switch {
+		case ft.err == nil && f >= direct:
+			rd.scratch = append(rd.scratch, *ft)
+		case ft.err == nil:
+			if rd.prefixed != nil {
+				rd.prefixed[ft.Block] = true
+			}
+		default:
+			if f >= direct {
+				Recycle(ft.buf)
+			}
+			if rd.firstErr == nil {
+				rd.firstErr = ft.err
+			}
+			// A timeout is a straggler: passed over, but still in the race
+			// if it comes to that.
+			if errors.Is(ft.err, ErrTimeout) && rd.struck[ft.Block] != dead {
+				rd.struck[ft.Block], late = slow, true
+			} else {
+				rd.struck[ft.Block] = dead
+			}
+		}
+	}
+	if late {
+		rd.late++
+	}
+	if failed > 0 {
+		// A round cut short because the caller's context ended is a
+		// victim, not a verdict about the blocks: report the context's
+		// error, so the pipeline's root-cause rule can tell it from a real
+		// shortage.
+		return false, classify(ctx.Err())
+	}
+	return true, nil
+}
+
+// landed returns the pooled buffer range r was fetched into, if it was.
+func (rd *stripeRead) landed(r carousel.ReadRange) []byte {
+	for _, pc := range rd.scratch {
+		if pc.ReadRange == r {
+			return pc.buf
+		}
+	}
+	return nil
+}
+
+// solve completes the stripe from what has landed and counts how it was
+// served.
+func (rd *stripeRead) solve(ctx context.Context, plan *carousel.ReadPlan) error {
+	if len(plan.Ranges) == 0 {
+		rd.stats.count(&rd.stats.StripesParallel, mStripesParallel)
+		return nil
+	}
+	rd.stats.count(&rd.stats.StripesFallback, mStripesFallback)
+	fetched := make([][]byte, len(plan.Ranges))
+	for i, r := range plan.Ranges {
+		fetched[i] = rd.landed(r)
+	}
+	_, dsp := obs.StartSpan(ctx, "decode")
+	dsp.SetAttr("ranges", len(fetched)).SetAttr("bytes", len(rd.dst))
+	err := plan.Solve(fetched, rd.dst)
+	dsp.End()
+	return err
+}
+
+// race is the last resort of a stripe that has struck too many blocks to
+// plan on the rest, stragglers among them: the sources are slow, not
+// gone, and picking which to wait for is exactly what a plan cannot do. So
+// it asks every block not struck dead for the whole of it, with only the
+// caller's context bounding the wait, decodes from the first k to answer
+// and cancels the others — a cluster that is slow everywhere is read
+// slowly rather than not at all, and never at the pace of its slowest
+// peer. Winning blocks are recycled after the decode, losers as they
+// drain.
+func (rd *stripeRead) race(ctx context.Context) error {
+	s, k := rd.s, rd.s.code.K()
+	candidates := make([]int, 0, len(s.addrs))
+	for i, st := range rd.struck {
+		if st != dead {
+			candidates = append(candidates, i)
+		}
+	}
+	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
+	fsp.SetAttr("mode", "anyk").SetAttr("sources", len(candidates)).SetAttr("need", k)
+	blocks := make([][]byte, len(s.addrs))
+	got, _, firstErr := gather(fetchCtx, candidates, len(candidates), k, func(ctx context.Context, i int) sourceResult {
 		c, err := s.pool.Get(ctx, s.addrs[i])
 		if err != nil {
 			return sourceResult{idx: i, err: err}
 		}
-		data, err := c.Get(ctx, BlockName(name, st, i))
+		data, err := c.Get(ctx, BlockName(rd.name, rd.st, i))
 		s.pool.Put(c)
-		return sourceResult{idx: i, data: data, bytes: len(data), err: err}
+		return sourceResult{idx: i, data: data, err: err}
 	}, func(r sourceResult, won bool) {
-		stats.source(r)
+		rd.stats.source(len(r.data), r.err)
 		if won {
 			blocks[r.idx] = r.data
 		} else {
@@ -660,18 +883,41 @@ func (s *Store) readStripeAnyKInto(ctx context.Context, name string, st int, dst
 	fsp.End()
 	defer recycleAll(blocks)
 	if got < k {
-		// A stripe starved because its context ended is a victim, not a
-		// verdict about the blocks: report the context's error, so the
-		// pipeline's root-cause rule can tell it from a real shortage.
 		if err := classify(ctx.Err()); err != nil {
 			return err
 		}
 		return fmt.Errorf("%w: %d of %d blocks readable (first failure: %v)", ErrTooFewSurvivors, got, k, firstErr)
 	}
+	rd.stats.count(&rd.stats.StripesFallback, mStripesFallback)
 	_, dsp := obs.StartSpan(ctx, "decode")
-	dsp.SetAttr("blocks", got).SetAttr("bytes", k*s.blockSize)
-	err := s.code.ParallelReadInto(blocks, dst)
+	dsp.SetAttr("blocks", got).SetAttr("bytes", len(rd.dst))
+	err := s.code.ParallelReadInto(blocks, rd.dst)
 	dsp.End()
+	return err
+}
+
+// planMode names a plan's kind for the fetch span.
+func planMode(plan *carousel.ReadPlan) string {
+	switch {
+	case plan.FallbackBlocks != nil:
+		return "anyk"
+	case len(plan.Replacements) > 0:
+		return "replacement"
+	case len(plan.Patch) > 0:
+		return "patch"
+	}
+	return "parallel"
+}
+
+// fetchRange reads range r of the stripe's block r.Block into buf over a
+// pooled client.
+func (s *Store) fetchRange(ctx context.Context, name string, st int, r carousel.ReadRange, buf []byte) error {
+	c, err := s.pool.Get(ctx, s.addrs[r.Block])
+	if err != nil {
+		return err
+	}
+	err = c.GetRangeInto(ctx, BlockName(name, st, r.Block), r.Off, buf)
+	s.pool.Put(c)
 	return err
 }
 
@@ -749,6 +995,21 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	chunkSize := s.code.HelperChunkSize(s.blockSize)
 	_, lsp := obs.StartSpan(ctx, "locate")
 	candidates := rotatedSurvivors(s.code.N(), failed, st)
+	if s.pool.anyDown() {
+		// Peers the pool presumes down go last, rotation among the rest
+		// unchanged: still spares of last resort, but no longer a retry
+		// policy every stripe waits out before gather promotes one.
+		presumed := s.presumedUp(ctx)
+		up, down := candidates[:0], []int(nil)
+		for _, i := range candidates {
+			if presumed[i] {
+				up = append(up, i)
+			} else {
+				down = append(down, i)
+			}
+		}
+		candidates = append(up, down...)
+	}
 	lsp.SetAttr("helpers", d).SetAttr("candidates", len(candidates))
 	lsp.End()
 	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
@@ -773,7 +1034,7 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 		}
 		chunk, err := c.Chunk(ctx, BlockName(name, st, i), i, failed)
 		s.pool.Put(c)
-		return sourceResult{idx: i, data: chunk, bytes: len(chunk), err: err}
+		return sourceResult{idx: i, data: chunk, err: err}
 	}, func(r sourceResult, won bool) {
 		if !won {
 			Recycle(r.data)

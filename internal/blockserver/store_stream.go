@@ -37,8 +37,8 @@ func (k *storeSink) PutBlock(stripe, block int, data []byte) error {
 // Source returns a stream.StripeSource over the named file: every stripe a
 // stream.PrefetchReader asks for takes the route ReadFile takes per stripe
 // — the stripe cache when one is configured (a hit costs no network
-// traffic, concurrent misses coalesce), otherwise straight to the hedged
-// p-source fetch with its any-k fallback — and moves the same store_*
+// traffic, concurrent misses coalesce), otherwise straight to the hedged,
+// planned stripe read — and moves the same store_*
 // counters. A dead server therefore degrades a stream exactly as it
 // degrades a ReadFile.
 func (s *Store) Source(ctx context.Context, name string) stream.StripeSource {

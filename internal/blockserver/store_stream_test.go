@@ -15,8 +15,8 @@ import (
 // cluster: a stream.Writer uploads through Store.Sink, a PrefetchReader
 // pulls the stripes back through Store.Source over the same pooled
 // connections, and after one server dies the remaining blocks still
-// reassemble the stream (each stripe degrades through the store's any-k
-// fallback, as in ReadFile).
+// reassemble the stream (each stripe re-plans around the dead source, as
+// in ReadFile).
 func TestStoreStreamRoundTrip(t *testing.T) {
 	code := mustCode(t)
 	srvs, addrs := startServers(t, code, code.N())
@@ -60,8 +60,8 @@ func TestStoreStreamRoundTrip(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 
-	// Degraded: kill one server; every stripe's parallel fetch fails on it
-	// and the stripe still decodes from the fastest k survivors.
+	// Degraded: kill one server; the stripes that meet it re-plan around
+	// it and the rest plan around it from the start.
 	srvs[2].Close()
 	r, err = stream.NewPrefetchReader(code, blockSize, int64(size), store.Source(ctx, "f"), 3)
 	if err != nil {

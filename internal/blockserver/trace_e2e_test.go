@@ -63,8 +63,8 @@ func TestCrossNodeTraceStitching(t *testing.T) {
 	}
 
 	// Straggle two data sources beyond the hedge deadline: every stripe
-	// degrades to the any-k fallback, pulling whole blocks (server-side
-	// get + verify) from the survivors.
+	// strikes them and re-plans, pulling replacement units (server-side
+	// range + verify) from the spare blocks.
 	for i := 4; i <= 5; i++ {
 		injectors[i].SetDefault(faultnet.Policy{DelayWrite: 400 * time.Millisecond})
 	}

@@ -2,7 +2,10 @@ package carousel
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
+	"carousel/internal/bufpool"
 	"carousel/internal/codeplan"
 	"carousel/internal/gf256"
 	"carousel/internal/lincode"
@@ -18,6 +21,12 @@ import (
 // its stated future work — by gathering the missing data units from parity
 // units of any available blocks, still touching only 1/p of the data per
 // missing block. A classic any-k decode is the last resort.
+//
+// A plan is also executable: fetch the data prefix (BytesPerSource bytes
+// at offset 0) of every Direct block into its DataRange of the output,
+// fetch Ranges, and Solve fills in the rest. That is the whole read for
+// every case above, so an executor over real sockets and ParallelReadInto
+// over in-memory blocks move the same bytes and run the same solve.
 type ReadPlan struct {
 	// Direct lists the available data-bearing blocks whose data prefix is
 	// read verbatim.
@@ -38,6 +47,53 @@ type ReadPlan struct {
 	BytesPerSource int
 	// TotalBytes is the total number of bytes fetched from remote blocks.
 	TotalBytes int
+	// Ranges lists what the plan fetches beyond the Direct prefixes:
+	// the replacement blocks' mirrored units or the patch units, adjacent
+	// units of one block coalesced into one range and ordered by block
+	// and offset, or the k whole FallbackBlocks. Empty when every
+	// data-bearing block is Direct.
+	Ranges []ReadRange
+
+	code      *Code
+	blockSize int
+	solver    *readSolver // nil for healthy and fallback plans
+}
+
+// ReadRange is a contiguous byte range of one stored block.
+type ReadRange struct {
+	Block, Off, Len int
+}
+
+// Solve completes the read in out (k*blockSize bytes), which must already
+// hold the Direct blocks' data prefixes at their DataRange: fetched[i]
+// holds the bytes of Ranges[i]. The ranges of a replacement or patch plan
+// are consumed — the solve eliminates the known data from them in place —
+// while a fallback plan's whole blocks are only read. Neither allocates
+// in proportion to the block size.
+func (rp *ReadPlan) Solve(fetched [][]byte, out []byte) error {
+	c := rp.code
+	if len(out) != c.k*rp.blockSize {
+		return fmt.Errorf("carousel: output buffer holds %d bytes, want %d", len(out), c.k*rp.blockSize)
+	}
+	if len(fetched) != len(rp.Ranges) {
+		return fmt.Errorf("%w: %d fetched ranges, the plan has %d", ErrBlockCount, len(fetched), len(rp.Ranges))
+	}
+	for i, r := range rp.Ranges {
+		if len(fetched[i]) != r.Len {
+			return fmt.Errorf("%w: range %d of block %d holds %d bytes, want %d", ErrBlockSizeMismatch, i, r.Block, len(fetched[i]), r.Len)
+		}
+	}
+	switch {
+	case rp.FallbackBlocks != nil:
+		shards := make([][]byte, c.k)
+		for i := range shards {
+			shards[i] = out[i*rp.blockSize : (i+1)*rp.blockSize]
+		}
+		return c.SolveInto(rp.FallbackBlocks, fetched, nil, shards)
+	case rp.solver != nil:
+		rp.solver.solve(c, fetched, out, rp.blockSize/c.units)
+	}
+	return nil
 }
 
 // Parallelism returns the number of sources read concurrently.
@@ -59,8 +115,8 @@ func (rp *ReadPlan) Parallelism() int {
 }
 
 // PlanRead computes the read plan for the given availability vector
-// (length n) and block size. The plan is what the DFS layer uses for
-// traffic accounting; ParallelRead executes the same logic.
+// (length n) and block size. The simulator charges its transfers, the
+// live store fetches its ranges, and ParallelRead executes it in memory.
 func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 	if len(available) != c.n {
 		return nil, fmt.Errorf("%w: availability vector has %d entries, want %d", ErrBlockCount, len(available), c.n)
@@ -69,7 +125,7 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 		return nil, err
 	}
 	usize := blockSize / c.units
-	plan := &ReadPlan{BytesPerSource: c.kUnits * usize}
+	plan := &ReadPlan{BytesPerSource: c.kUnits * usize, code: c, blockSize: blockSize}
 	var missing []int
 	for i := 0; i < c.p; i++ {
 		if available[i] {
@@ -95,6 +151,11 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 				plan.Patch[rr.block] += usize
 			}
 		}
+		plan.solver = solver
+		plan.Ranges = make([]ReadRange, len(solver.ranges))
+		for i, r := range solver.ranges {
+			plan.Ranges[i] = ReadRange{Block: r.block, Off: r.pos * usize, Len: r.n * usize}
+		}
 		plan.TotalBytes = c.p * plan.BytesPerSource
 		return plan, nil
 	}
@@ -111,6 +172,10 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 	plan.Direct = nil
 	plan.BytesPerSource = blockSize
 	plan.FallbackBlocks = avail[:c.k]
+	plan.Ranges = make([]ReadRange, c.k)
+	for i, b := range plan.FallbackBlocks {
+		plan.Ranges[i] = ReadRange{Block: b, Len: blockSize}
+	}
 	plan.TotalBytes = c.k * blockSize
 	return plan, nil
 }
@@ -133,11 +198,13 @@ func (c *Code) ParallelRead(blocks [][]byte) ([]byte, error) {
 }
 
 // ParallelReadInto is ParallelRead writing into a caller-provided buffer
-// of exactly k*blockSize bytes. Every byte of out is overwritten (direct
-// prefixes are copied, solved ranges start with a full-overwrite op, the
-// any-k fallback copies whole shards), so a reused or pooled buffer needs
-// no clearing — this is what keeps the pipelined store's steady-state
-// decode allocation-free.
+// of exactly k*blockSize bytes. It executes the same plan PlanRead reports
+// for the blocks present, over memory instead of a network. Every byte of
+// out is overwritten (direct prefixes are copied, solved ranges start with
+// a full-overwrite op, the any-k fallback solves into whole shards), so a
+// reused or pooled buffer needs no clearing, and the blocks are only read —
+// this is what keeps the pipelined store's steady-state decode
+// allocation-free.
 func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 	present, size, err := lincode.Survey(blocks, c.n, c.units, true)
 	if err != nil {
@@ -149,43 +216,42 @@ func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 	if len(out) != c.k*size {
 		return fmt.Errorf("carousel: output buffer holds %d bytes, want %d", len(out), c.k*size)
 	}
-	usize := size / c.units
-	per := c.kUnits * usize
-
 	available := make([]bool, c.n)
 	for _, i := range present {
 		available[i] = true
 	}
-	var missing []int
-	for i := 0; i < c.p; i++ {
-		if blocks[i] == nil {
-			missing = append(missing, i)
-		}
-	}
-	// Copy the data prefixes of all available data-bearing blocks.
-	for i := 0; i < c.p; i++ {
-		if blocks[i] != nil {
-			copy(out[i*per:(i+1)*per], blocks[i][:per])
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-
-	if solver, err := c.degradedSolver(missing, available); err == nil {
-		solver.solve(c, blocks, out, usize)
-		return nil
-	}
-
-	// Fallback: full decode from any k blocks.
-	data, err := c.Decode(blocks)
+	plan, err := c.PlanRead(available, size)
 	if err != nil {
 		return err
 	}
-	for i, shard := range data {
-		copy(out[i*size:(i+1)*size], shard)
+	per := plan.BytesPerSource
+	for _, i := range plan.Direct {
+		copy(out[i*per:(i+1)*per], blocks[i][:per])
 	}
-	return nil
+	if len(plan.Ranges) == 0 {
+		return nil
+	}
+	fetched := make([][]byte, len(plan.Ranges))
+	if plan.solver == nil {
+		for i, r := range plan.Ranges {
+			fetched[i] = blocks[r.Block]
+		}
+		return plan.Solve(fetched, out)
+	}
+	// The solve consumes its ranges and the caller's blocks are not ours
+	// to overwrite: it gets pooled copies.
+	total := 0
+	for _, r := range plan.Ranges {
+		total += r.Len
+	}
+	scratch := bufpool.Get(total)
+	defer bufpool.Put(scratch)
+	for i, r := range plan.Ranges {
+		fetched[i] = scratch[:r.Len:r.Len]
+		scratch = scratch[r.Len:]
+		copy(fetched[i], blocks[r.Block][r.Off:r.Off+r.Len])
+	}
+	return plan.Solve(fetched, out)
 }
 
 // readSolver solves for the data units of missing data-bearing blocks from
@@ -194,8 +260,23 @@ type readSolver struct {
 	missing []int
 	spares  []int // replacement blocks (nil for the extended scheme)
 	rows    []readRow
+	ranges  []unitRange    // what the rows read, coalesced; ordered by block, then position
 	plan    *codeplan.Plan // compiled inverse over the unknown columns
 	unknown []int          // global data-unit columns being solved for
+
+	tables sync.Pool // *solveTables, so a solve allocates no row tables
+}
+
+// unitRange is a run of n adjacent stored units of one block, starting at
+// stored position pos.
+type unitRange struct {
+	block, pos, n int
+}
+
+// solveTables are the unit views one solve hands its compiled plan: the
+// right-hand sides and the unknown ranges of the output.
+type solveTables struct {
+	rhs, dst [][]byte
 }
 
 // readRow is one gathered equation: the generator row of a source block's
@@ -204,6 +285,8 @@ type readSolver struct {
 type readRow struct {
 	block int // source block
 	unit  int // canonical unit within the block
+	rng   int // the entry of readSolver.ranges holding the unit ...
+	off   int // ... and its position within that range, in units
 	known []colCoef
 }
 
@@ -325,27 +408,54 @@ func (c *Code) solverFromEquations(missing, spares []int, unknown []int, unknown
 	if err != nil {
 		return nil, fmt.Errorf("carousel: degraded-read system for missing %v: %w", missing, err)
 	}
-	return &readSolver{missing: missing, spares: spares, rows: rows, plan: codeplan.Compile(inv), unknown: unknown}, nil
+	// Coalesce what the rows read into ranges: walk the rows by block and
+	// stored position, extending the last range while units stay adjacent.
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	stored := func(i int) int { return c.toStored[rows[i].block][rows[i].unit] }
+	sort.Slice(order, func(x, y int) bool {
+		i, j := order[x], order[y]
+		if rows[i].block != rows[j].block {
+			return rows[i].block < rows[j].block
+		}
+		return stored(i) < stored(j)
+	})
+	var ranges []unitRange
+	for _, i := range order {
+		b, pos := rows[i].block, stored(i)
+		if n := len(ranges); n == 0 || ranges[n-1].block != b || ranges[n-1].pos+ranges[n-1].n != pos {
+			ranges = append(ranges, unitRange{block: b, pos: pos})
+		}
+		last := &ranges[len(ranges)-1]
+		rows[i].rng, rows[i].off = len(ranges)-1, last.n
+		last.n++
+	}
+	return &readSolver{missing: missing, spares: spares, rows: rows, ranges: ranges, plan: codeplan.Compile(inv), unknown: unknown}, nil
 }
 
-// solve fills the unknown data ranges of out. The known data prefixes must
-// already be copied into out.
-func (s *readSolver) solve(c *Code, blocks [][]byte, out []byte, usize int) {
-	// Right-hand side: the source units minus their known-column
-	// contributions (which are data units already present in out).
-	rhs := make([][]byte, len(s.rows))
+// solve fills the unknown data ranges of out from the fetched ranges,
+// which it consumes: each gathered unit has its known-column contributions
+// (data units already present in out) eliminated in place and is then the
+// right-hand side the compiled inverse runs over.
+func (s *readSolver) solve(c *Code, fetched [][]byte, out []byte, usize int) {
+	t, _ := s.tables.Get().(*solveTables)
+	if t == nil {
+		t = &solveTables{rhs: make([][]byte, len(s.rows)), dst: make([][]byte, len(s.unknown))}
+	}
 	for i, rr := range s.rows {
-		pos := c.toStored[rr.block][rr.unit]
-		val := make([]byte, usize)
-		copy(val, blocks[rr.block][pos*usize:(pos+1)*usize])
+		val := fetched[rr.rng][rr.off*usize : (rr.off+1)*usize : (rr.off+1)*usize]
 		for _, kc := range rr.known {
 			gf256.MulAddSlice(kc.coef, out[kc.col*usize:(kc.col+1)*usize], val)
 		}
-		rhs[i] = val
+		t.rhs[i] = val
 	}
-	dst := make([][]byte, len(s.unknown))
 	for i, col := range s.unknown {
-		dst[i] = out[col*usize : (col+1)*usize : (col+1)*usize]
+		t.dst[i] = out[col*usize : (col+1)*usize : (col+1)*usize]
 	}
-	s.plan.RunParallel(rhs, dst, c.workers)
+	s.plan.RunParallel(t.rhs, t.dst, c.workers)
+	clear(t.rhs) // a parked table must not pin the caller's buffers
+	clear(t.dst)
+	s.tables.Put(t)
 }

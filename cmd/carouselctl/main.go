@@ -19,9 +19,9 @@
 // encode writes out-dir/block_NNN.bin plus a manifest.json recording the
 // code parameters and the original size. decode tolerates up to n-k
 // missing or deleted block files (it uses the Section VII parallel read,
-// falling back to an any-k decode). repair regenerates one missing block
-// from d surviving blocks, moving only the optimal amount of data off the
-// helper blocks. stats scrapes the -obs-addr endpoints of a set of
+// patching from parity units once the spares are gone). repair
+// regenerates one missing block from d surviving blocks, moving only the
+// optimal amount of data off the helper blocks. stats scrapes the -obs-addr endpoints of a set of
 // blockserverd nodes and prints merged cluster-wide metrics.
 package main
 

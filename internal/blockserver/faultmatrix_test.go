@@ -655,9 +655,8 @@ func (pc *plannedCluster) planBytes(t *testing.T, down ...int) []int64 {
 // same sources, k blocks' worth in all, no dial, no retry — whether the
 // plan is the Section VII replacement (one spare, both spares), the
 // parity-unit patch (p = n, or more losses than spares, up to the n-k
-// limit; the whole-block any-k plan is beyond any pattern these codes
-// produce, see carousel's TestFallbackPlanSolvesFromWholeBlocks), and no
-// goroutine outlives the reads with peers marked down.
+// limit; carousel's TestPlanReadNeverNeedsWholeBlocks shows no pattern
+// needs more), and no goroutine outlives the reads with peers marked down.
 func TestPlannedDegradedRead(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -803,26 +802,46 @@ func TestStrikesAreLocalToTheStripe(t *testing.T) {
 }
 
 // TestSlowEverywhereIsReadSlowly: when every source is past the hedge
-// deadline there is nobody to re-plan onto, and the stripe races whole
-// blocks from all of them with only the caller's context bounding the
-// wait: it is served by the fastest k, and nobody is presumed down.
+// deadline there is nobody to re-plan onto, so the stripe forgives its
+// stragglers and runs its plan once more with only the caller's context
+// bounding the wait. A cluster that is slow everywhere is read slowly —
+// k blocks' worth of bytes, as always — and nobody is presumed down; with
+// one data-bearing peer closed as well, that unhedged round runs the
+// replacement plan around it.
 func TestSlowEverywhereIsReadSlowly(t *testing.T) {
-	pc := newPlannedCluster(t, 12, 6, 10, 10, 1, WithHedgeDelay(40*time.Millisecond))
-	for i, in := range pc.injectors {
-		in.SetDefault(faultnet.Policy{DelayWrite: time.Duration(80+20*i) * time.Millisecond})
-	}
-	stats, _ := pc.read(t)
-	if stats.StripesFallback != 1 {
-		t.Errorf("slow-everywhere read: %+v, want the stripe served by the any-k race", *stats)
-	}
-	// The servers' delays are 20 ms apart, so the race has its k answers
-	// and has cancelled the rest well before a k+1st completes.
-	if want := int64(pc.code.K() * pc.blockSize); stats.BytesFetched != want {
-		t.Errorf("fetched %d bytes, want the k fastest whole blocks = %d: the race waited past its first k", stats.BytesFetched, want)
-	}
-	if pc.store.pool.anyDown() {
-		t.Error("stragglers are presumed down")
-	}
+	t.Run("all slow: the healthy plan, unhedged", func(t *testing.T) {
+		pc := newPlannedCluster(t, 12, 6, 10, 10, 1, WithHedgeDelay(40*time.Millisecond))
+		for i, in := range pc.injectors {
+			in.SetDefault(faultnet.Policy{DelayWrite: time.Duration(80+20*i) * time.Millisecond})
+		}
+		stats, _ := pc.read(t)
+		if stats.StripesParallel != 1 || stats.StripesFallback != 0 {
+			t.Errorf("slow-everywhere read: %+v, want the stripe served by its unhedged healthy plan", *stats)
+		}
+		if want := int64(pc.code.K() * pc.blockSize); stats.BytesFetched != want {
+			t.Errorf("fetched %d bytes, want k blocks' worth = %d", stats.BytesFetched, want)
+		}
+		if pc.store.pool.anyDown() {
+			t.Error("stragglers are presumed down")
+		}
+	})
+	t.Run("one closed, the rest slow: the replacement plan, unhedged", func(t *testing.T) {
+		pc := newPlannedCluster(t, 12, 6, 10, 10, 1, WithHedgeDelay(40*time.Millisecond))
+		for i, in := range pc.injectors {
+			in.SetDefault(faultnet.Policy{DelayWrite: time.Duration(80+20*i) * time.Millisecond})
+		}
+		pc.servers[2].Close()
+		stats, sent := pc.read(t)
+		if stats.StripesFallback != 1 || stats.StripesParallel != 0 {
+			t.Errorf("read: %+v, want the stripe served by the replacement plan", *stats)
+		}
+		if size := int64(len(pc.data)); stats.BytesFetched != size {
+			t.Errorf("fetched %d bytes, want exactly the file's %d", stats.BytesFetched, size)
+		}
+		if sent[2] != 0 {
+			t.Errorf("the closed server sent %d bytes", sent[2])
+		}
+	})
 }
 
 // TestCancelledReadMarksNobody: a read cancelled while its fetches are

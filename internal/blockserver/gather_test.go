@@ -32,28 +32,22 @@ var errFetch = errors.New("scripted fetch failure")
 // cancel fired before the wait.
 func TestGather(t *testing.T) {
 	cases := []struct {
-		name          string
-		script        []fetchKind
-		initial, need int
-		got, started  int
-		failed        bool // firstErr expected
+		name         string
+		script       []fetchKind
+		need         int
+		got, started int
+		failed       bool // firstErr expected
 	}{
-		{"need met, stragglers cancelled and drained",
-			[]fetchKind{fetchOK, fetchOK, fetchHang, fetchLate, fetchHang, fetchLate}, 6, 2, 2, 6, false},
 		{"p of p with one failure stops at once",
-			[]fetchKind{fetchHang, fetchLate, fetchFail, fetchHang}, 4, 4, 0, 4, true},
+			[]fetchKind{fetchHang, fetchLate, fetchFail, fetchHang}, 4, 0, 4, true},
 		{"k of n with n-k+1 failures stops at once",
-			[]fetchKind{fetchFail, fetchFail, fetchFail, fetchFail, fetchHang, fetchLate}, 6, 3, 0, 6, true},
+			[]fetchKind{fetchFail, fetchFail, fetchFail, fetchFail, fetchHang, fetchLate}, 3, 0, 6, true},
 		{"no failure starts no spare",
-			[]fetchKind{fetchOK, fetchOK, fetchOK, fetchOK}, 2, 2, 2, 2, false},
+			[]fetchKind{fetchOK, fetchOK, fetchOK, fetchOK}, 2, 2, 2, false},
 		{"one failure promotes one spare",
-			[]fetchKind{fetchFail, fetchOK, fetchOK, fetchOK, fetchOK}, 2, 2, 2, 3, true},
+			[]fetchKind{fetchFail, fetchOK, fetchOK, fetchOK, fetchOK}, 2, 2, 3, true},
 		{"spares run out at the candidate list",
-			[]fetchKind{fetchFail, fetchFail, fetchFail, fetchFail}, 2, 2, 0, 4, true},
-		{"no spare once need is out of reach",
-			[]fetchKind{fetchFail, fetchFail, fetchLate, fetchOK, fetchOK}, 2, 4, 0, 3, true},
-		{"initial beyond the candidate list",
-			[]fetchKind{fetchOK, fetchOK}, 5, 2, 2, 2, false},
+			[]fetchKind{fetchFail, fetchFail, fetchFail, fetchFail}, 2, 0, 4, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,7 +88,7 @@ func TestGather(t *testing.T) {
 					recycled++
 				}
 			}
-			got, started, firstErr := gather(context.Background(), candidates, tc.initial, tc.need, fetch, each)
+			got, started, firstErr := gather(context.Background(), candidates, tc.need, fetch, each)
 			if got != tc.got || started != tc.started {
 				t.Errorf("got %d started %d, want %d and %d", got, started, tc.got, tc.started)
 			}

@@ -61,9 +61,9 @@ const stripesInFlight = 4
 // hedged and straggler-tolerant: a stripe fetches what its plan names under
 // a hedge deadline, and a source that fails — or is still outstanding at
 // the deadline — is struck for that stripe, which keeps everything that did
-// land and re-plans around it: the paper's replacement-block scheme, its
-// parity-unit extension, at worst k whole blocks. Peers the pool could not
-// dial are planned around from the start. Corrupt blocks (detected by the
+// land and re-plans around it: the paper's replacement-block scheme or its
+// parity-unit extension, k blocks' worth of bytes either way. Peers the pool
+// could not dial are planned around from the start. Corrupt blocks (detected by the
 // servers' CRC32C verification) are excluded the same way and can be
 // regenerated with Scrub.
 type Store struct {
@@ -180,24 +180,22 @@ func (s *Store) stripesOf(name string, size int) (int, error) {
 	return (size + stripeData - 1) / stripeData, nil
 }
 
-// gather is the scatter/gather of an operation that can use any need of
-// its candidates' answers — a repair's d helper chunks, a stripe read's
-// last-resort race for k whole blocks: ask some block holders for a piece
-// and keep the first need that answer. (A planned stripe read wants every
-// piece of its plan and waits its round out instead; see
-// stripeRead.fetch.)
-// It starts a fetch for each of the first initial candidates and promotes
-// the next unstarted candidate whenever one fails, so a healthy pass costs
-// exactly initial requests. It stops the moment need fetches have
-// succeeded or no longer can (fewer than need candidates have not failed),
-// cancels the context every fetch runs under, and waits for all of them to
-// return. Every started fetch's result reaches each exactly once, on the
-// caller's goroutine: results that arrive before the stop as they land
-// (won reports a success counted toward need), the cancelled rest after
-// the wait (won false) — so no stream's bytes, corruption verdict or pooled
-// buffer is dropped, and when gather returns nothing is still writing into
-// memory a fetch was given. fetch must return once its context is done.
-func gather(ctx context.Context, candidates []int, initial, need int,
+// gather is the scatter/gather of a repair, which can use any d of its
+// candidate helpers' chunks: ask need block holders for a piece and keep
+// the first need that answer. (A stripe read wants every piece of its plan
+// and waits its round out instead; see stripeRead.fetch.)
+// It starts a fetch for each of the first need candidates and promotes the
+// next unstarted candidate whenever one fails, so a healthy pass costs
+// exactly need requests. It stops the moment need fetches have succeeded
+// or no longer can (fewer than need candidates have not failed), cancels
+// the context every fetch runs under, and waits for all of them to return.
+// Every started fetch's result reaches each exactly once, on the caller's
+// goroutine: results that arrive before the stop as they land (won reports
+// a success counted toward need), the cancelled rest after the wait (won
+// false) — so no stream's bytes, corruption verdict or pooled buffer is
+// dropped, and when gather returns nothing is still writing into memory a
+// fetch was given. fetch must return once its context is done.
+func gather(ctx context.Context, candidates []int, need int,
 	fetch func(ctx context.Context, idx int) sourceResult,
 	each func(r sourceResult, won bool)) (got, started int, firstErr error) {
 	gctx, cancel := context.WithCancel(ctx)
@@ -213,7 +211,7 @@ func gather(ctx context.Context, candidates []int, initial, need int,
 			results <- fetch(gctx, idx)
 		}()
 	}
-	for started < initial && started < len(candidates) {
+	for started < need && started < len(candidates) {
 		start()
 	}
 	received, failures := 0, 0
@@ -405,9 +403,9 @@ type ReadStats struct {
 	StripesParallel int
 	// StripesFallback counts every other stripe: a data-bearing block was
 	// presumed down, failed or straggled, and the stripe was completed
-	// from replacement or patch units — or, at worst, k whole blocks. It
-	// counts planned degraded stripes too; what tells those from a
-	// rediscovered failure is BytesFetched == size and an empty Dials.
+	// from replacement or patch units. It counts planned degraded stripes
+	// too; what tells those from a rediscovered failure is BytesFetched ==
+	// size and an empty Dials.
 	StripesFallback int
 	// CacheHits counts stripes served straight from the stripe cache — no
 	// network, no decode. A fully-warm read shows CacheHits == stripes and
@@ -613,6 +611,7 @@ type stripeRead struct {
 	firstErr error
 	late     int  // rounds that ended with a straggler outstanding
 	distrust bool // plan on peers the pool presumes down, too
+	unhedged bool // the slow strikes were cleared: rounds wait on ctx alone
 }
 
 // readStripeInto fetches one stripe's original data into dst (k*blockSize
@@ -623,9 +622,9 @@ type stripeRead struct {
 // the store's healthy one — p data prefixes, each scattered straight into
 // its slot of dst (the slots are disjoint, the socket fills the output
 // buffer, no pooled intermediary, no copy) — at the cost of one atomic
-// load. Replacement and patch units, and the whole blocks of an any-k plan,
-// land in pooled scratch that Solve consumes. Only a stripe left with
-// nothing to plan on but stragglers stops planning, and races them.
+// load. Replacement and patch units land in pooled scratch that Solve
+// consumes. A stripe left with nothing to plan on but stragglers forgives
+// them and runs its rounds without a hedge deadline.
 func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
 	ctx, ssp := obs.StartSpan(ctx, "stripe")
 	ssp.SetAttr("stripe", st)
@@ -650,9 +649,6 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 		if err != nil {
 			return err
 		}
-		if plan == nil {
-			return rd.race(ctx)
-		}
 		complete, err := rd.fetch(ctx, plan)
 		if err != nil {
 			return err
@@ -669,14 +665,13 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 // of one atomic load. When the blocks left cannot serve a plan, the stripe
 // first stops trusting the peer memory — a presumed-down peer is a last
 // resort, not a verdict — and then, if stragglers are among the struck,
-// has no plan (nil): what is left is to race them. Nor is there a plan
-// after a second round of stragglers: one slow peer is planned around, a
-// slow cluster is not, and each further hedged round would only add its
-// deadline to the stripe's latency.
+// waits for them (unhedge). So does a stripe whose second round straggled:
+// one slow peer is planned around, a slow cluster is not, and each further
+// hedged round would only add its deadline to the stripe's latency.
 func (rd *stripeRead) plan(ctx context.Context) (*carousel.ReadPlan, error) {
 	s := rd.s
-	if rd.late > 1 {
-		return nil, nil // the re-plan around the stragglers straggled too
+	if rd.late > 1 && !rd.unhedged {
+		rd.unhedge() // the re-plan around the stragglers straggled too
 	}
 	for {
 		memory := !rd.distrust && s.pool.anyDown()
@@ -703,10 +698,24 @@ func (rd *stripeRead) plan(ctx context.Context) (*carousel.ReadPlan, error) {
 			return plan, nil
 		case memory:
 			rd.distrust = true
-		case slices.Contains(rd.struck, slow):
-			return nil, nil
+		case !rd.unhedged && slices.Contains(rd.struck, slow):
+			rd.unhedge()
 		default:
 			return nil, fmt.Errorf("%w: %v (first failure: %v)", ErrTooFewSurvivors, err, rd.firstErr)
+		}
+	}
+}
+
+// unhedge clears the stripe's slow strikes, keeping its dead ones, and
+// lifts the hedge deadline from its rounds: the sources are slow, not gone,
+// and picking which to wait for is what the plan does anyway. A cluster
+// that is slow everywhere is read slowly rather than not at all, bounded
+// only by the caller's context. It happens at most once per stripe.
+func (rd *stripeRead) unhedge() {
+	rd.unhedged = true
+	for i, st := range rd.struck {
+		if st == slow {
+			rd.struck[i] = 0
 		}
 	}
 }
@@ -725,18 +734,26 @@ func (s *Store) presumedUp(ctx context.Context) []bool {
 }
 
 // fetch is one round: every piece of the plan that has not landed yet,
-// each on its own pooled client, under the hedge deadline. The round is
-// waited out in full — a failure cancels nobody, so every prefix that can
-// land does, and is never fetched again — and whatever kept a fetch from
-// completing strikes its block, for this stripe only. Whether the peer is
-// remembered as down beyond it is the pool's call, made on dial failures
-// alone: a live server missing one block is asked again by the next
-// stripe. It reports whether the plan is now complete.
+// each on its own pooled client, under the hedge deadline unless the
+// stripe is unhedged. The round is waited out in full — a failure cancels
+// nobody, so every prefix that can land does, and is never fetched again —
+// and whatever kept a fetch from completing strikes its block, for this
+// stripe only. Whether the peer is remembered as down beyond it is the
+// pool's call, made on dial failures alone: a live server missing one
+// block is asked again by the next stripe. It reports whether the plan is
+// now complete.
 func (rd *stripeRead) fetch(ctx context.Context, plan *carousel.ReadPlan) (complete bool, _ error) {
 	s, per, direct := rd.s, plan.BytesPerSource, len(plan.Direct)
 	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
 	fsp.SetAttr("mode", planMode(plan)).SetAttr("sources", plan.Parallelism())
-	hctx, hcancel := context.WithTimeout(fetchCtx, s.hedge)
+	hctx := fetchCtx
+	if rd.unhedged {
+		fsp.SetAttr("unhedged", true)
+	} else {
+		var hcancel context.CancelFunc
+		hctx, hcancel = context.WithTimeout(fetchCtx, s.hedge)
+		defer hcancel()
+	}
 	fetches := make([]piece, direct+len(plan.Ranges))
 	var wg sync.WaitGroup
 	for f := range fetches {
@@ -759,7 +776,6 @@ func (rd *stripeRead) fetch(ctx context.Context, plan *carousel.ReadPlan) (compl
 		}()
 	}
 	wg.Wait()
-	hcancel()
 	failed := 0
 	for f := range fetches {
 		if fetches[f].err != nil {
@@ -792,8 +808,8 @@ func (rd *stripeRead) fetch(ctx context.Context, plan *carousel.ReadPlan) (compl
 			if rd.firstErr == nil {
 				rd.firstErr = ft.err
 			}
-			// A timeout is a straggler: passed over, but still in the race
-			// if it comes to that.
+			// A timeout is a straggler: passed over, but waited for if it
+			// comes to that.
 			if errors.Is(ft.err, ErrTimeout) && rd.struck[ft.Block] != dead {
 				rd.struck[ft.Block], late = slow, true
 			} else {
@@ -843,64 +859,9 @@ func (rd *stripeRead) solve(ctx context.Context, plan *carousel.ReadPlan) error 
 	return err
 }
 
-// race is the last resort of a stripe that has struck too many blocks to
-// plan on the rest, stragglers among them: the sources are slow, not
-// gone, and picking which to wait for is exactly what a plan cannot do. So
-// it asks every block not struck dead for the whole of it, with only the
-// caller's context bounding the wait, decodes from the first k to answer
-// and cancels the others — a cluster that is slow everywhere is read
-// slowly rather than not at all, and never at the pace of its slowest
-// peer. Winning blocks are recycled after the decode, losers as they
-// drain.
-func (rd *stripeRead) race(ctx context.Context) error {
-	s, k := rd.s, rd.s.code.K()
-	candidates := make([]int, 0, len(s.addrs))
-	for i, st := range rd.struck {
-		if st != dead {
-			candidates = append(candidates, i)
-		}
-	}
-	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
-	fsp.SetAttr("mode", "anyk").SetAttr("sources", len(candidates)).SetAttr("need", k)
-	blocks := make([][]byte, len(s.addrs))
-	got, _, firstErr := gather(fetchCtx, candidates, len(candidates), k, func(ctx context.Context, i int) sourceResult {
-		c, err := s.pool.Get(ctx, s.addrs[i])
-		if err != nil {
-			return sourceResult{idx: i, err: err}
-		}
-		data, err := c.Get(ctx, BlockName(rd.name, rd.st, i))
-		s.pool.Put(c)
-		return sourceResult{idx: i, data: data, err: err}
-	}, func(r sourceResult, won bool) {
-		rd.stats.source(len(r.data), r.err)
-		if won {
-			blocks[r.idx] = r.data
-		} else {
-			Recycle(r.data)
-		}
-	})
-	fsp.SetAttr("got", got)
-	fsp.End()
-	defer recycleAll(blocks)
-	if got < k {
-		if err := classify(ctx.Err()); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: %d of %d blocks readable (first failure: %v)", ErrTooFewSurvivors, got, k, firstErr)
-	}
-	rd.stats.count(&rd.stats.StripesFallback, mStripesFallback)
-	_, dsp := obs.StartSpan(ctx, "decode")
-	dsp.SetAttr("blocks", got).SetAttr("bytes", len(rd.dst))
-	err := s.code.ParallelReadInto(blocks, rd.dst)
-	dsp.End()
-	return err
-}
-
 // planMode names a plan's kind for the fetch span.
 func planMode(plan *carousel.ReadPlan) string {
 	switch {
-	case plan.FallbackBlocks != nil:
-		return "anyk"
 	case len(plan.Replacements) > 0:
 		return "replacement"
 	case len(plan.Patch) > 0:
@@ -1020,7 +981,7 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	// or slow server cannot stall the repair.
 	helpers := make([]int, 0, d)
 	chunks := make([][]byte, 0, d)
-	got, started, _ := gather(fetchCtx, candidates, d, d, func(ctx context.Context, i int) sourceResult {
+	got, started, _ := gather(fetchCtx, candidates, d, func(ctx context.Context, i int) sourceResult {
 		// The throttle runs before the hedge clock starts, so a paced
 		// recovery does not misread its own waiting as a straggler.
 		if err := ro.throttle.Wait(ctx, chunkSize); err != nil {

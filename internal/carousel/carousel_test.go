@@ -291,8 +291,8 @@ func TestPlanRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Parallelism() != 10 || plan.FallbackBlocks != nil {
-		t.Fatalf("full availability: parallelism %d, fallback %v", plan.Parallelism(), plan.FallbackBlocks)
+	if plan.Parallelism() != 10 || len(plan.Ranges) != 0 {
+		t.Fatalf("full availability: parallelism %d, ranges %v", plan.Parallelism(), plan.Ranges)
 	}
 	if plan.BytesPerSource != c.DataUnitsPerBlock()*usize {
 		t.Fatalf("BytesPerSource = %d", plan.BytesPerSource)
@@ -309,8 +309,8 @@ func TestPlanRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.FallbackBlocks != nil {
-		t.Fatal("single failure should not fall back")
+	if plan.TotalBytes != 6*size {
+		t.Fatalf("single failure: TotalBytes = %d, want %d", plan.TotalBytes, 6*size)
 	}
 	if got := plan.Replacements[3]; got < 10 {
 		t.Fatalf("replacement %d should be a non-data block", got)
@@ -320,8 +320,7 @@ func TestPlanRead(t *testing.T) {
 	}
 
 	// p == n leaves no replacement blocks: the extended parity-unit
-	// scheme keeps the read at 1/p granularity instead of falling back to
-	// k full blocks.
+	// scheme keeps the read at 1/p granularity.
 	cn := mustCode(t, 12, 6, 10, 12)
 	sizeN := cn.UnitsPerBlock() * 10
 	availN := make([]bool, 12)
@@ -332,9 +331,6 @@ func TestPlanRead(t *testing.T) {
 	plan, err = cn.PlanRead(availN, sizeN)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan.FallbackBlocks != nil {
-		t.Fatalf("p=n with one failure should use the parity-unit extension, fell back to %v", plan.FallbackBlocks)
 	}
 	if len(plan.Patch) == 0 {
 		t.Fatal("extended plan should patch from parity units")

@@ -165,11 +165,11 @@ func TestExtendedReadUsesParityUnits(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%+v lost=%d plan: %v", cfg, lost, err)
 			}
-			if plan.FallbackBlocks == nil && plan.TotalBytes != cfg.k*size {
+			if plan.TotalBytes != cfg.k*size {
 				t.Fatalf("%+v lost=%d: plan moves %d bytes, want %d", cfg, lost, plan.TotalBytes, cfg.k*size)
 			}
-			t.Logf("(%d,%d,%d,%d) lost=%d: fallback=%v patchSources=%d",
-				cfg.n, cfg.k, cfg.d, cfg.p, lost, plan.FallbackBlocks != nil, len(plan.Patch))
+			t.Logf("(%d,%d,%d,%d) lost=%d: patchSources=%d",
+				cfg.n, cfg.k, cfg.d, cfg.p, lost, len(plan.Patch))
 		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 // blocks exist (e.g. p = n), the planner extends the paper's scheme —
 // its stated future work — by gathering the missing data units from parity
 // units of any available blocks, still touching only 1/p of the data per
-// missing block. A classic any-k decode is the last resort.
+// missing block. Because the code is MDS, any k available blocks carry
+// enough independent units, so every plan moves exactly k*blockSize bytes.
 //
 // A plan is also executable: fetch the data prefix (BytesPerSource bytes
 // at offset 0) of every Direct block into its DataRange of the output,
@@ -38,25 +39,21 @@ type ReadPlan struct {
 	// Patch maps block index -> extra bytes fetched beyond the data
 	// prefix when the extended parity-unit scheme is used.
 	Patch map[int]int
-	// FallbackBlocks is non-nil when the read degrades to an any-k decode;
-	// it lists the k blocks that will be read in full.
-	FallbackBlocks []int
 	// BytesPerSource is the number of bytes fetched from every direct or
-	// replacement source (K units). For fallback plans it is the block
-	// size.
+	// replacement source (K units).
 	BytesPerSource int
-	// TotalBytes is the total number of bytes fetched from remote blocks.
+	// TotalBytes is the total number of bytes fetched from remote blocks:
+	// always k*blockSize.
 	TotalBytes int
 	// Ranges lists what the plan fetches beyond the Direct prefixes:
 	// the replacement blocks' mirrored units or the patch units, adjacent
 	// units of one block coalesced into one range and ordered by block
-	// and offset, or the k whole FallbackBlocks. Empty when every
-	// data-bearing block is Direct.
+	// and offset. Empty when every data-bearing block is Direct.
 	Ranges []ReadRange
 
 	code      *Code
 	blockSize int
-	solver    *readSolver // nil for healthy and fallback plans
+	solver    *readSolver // nil for healthy plans
 }
 
 // ReadRange is a contiguous byte range of one stored block.
@@ -66,10 +63,9 @@ type ReadRange struct {
 
 // Solve completes the read in out (k*blockSize bytes), which must already
 // hold the Direct blocks' data prefixes at their DataRange: fetched[i]
-// holds the bytes of Ranges[i]. The ranges of a replacement or patch plan
-// are consumed — the solve eliminates the known data from them in place —
-// while a fallback plan's whole blocks are only read. Neither allocates
-// in proportion to the block size.
+// holds the bytes of Ranges[i], which the solve consumes: it eliminates
+// the known data from them in place. It allocates nothing in proportion to
+// the block size.
 func (rp *ReadPlan) Solve(fetched [][]byte, out []byte) error {
 	c := rp.code
 	if len(out) != c.k*rp.blockSize {
@@ -83,40 +79,34 @@ func (rp *ReadPlan) Solve(fetched [][]byte, out []byte) error {
 			return fmt.Errorf("%w: range %d of block %d holds %d bytes, want %d", ErrBlockSizeMismatch, i, r.Block, len(fetched[i]), r.Len)
 		}
 	}
-	switch {
-	case rp.FallbackBlocks != nil:
-		shards := make([][]byte, c.k)
-		for i := range shards {
-			shards[i] = out[i*rp.blockSize : (i+1)*rp.blockSize]
-		}
-		return c.SolveInto(rp.FallbackBlocks, fetched, nil, shards)
-	case rp.solver != nil:
+	if rp.solver != nil {
 		rp.solver.solve(c, fetched, out, rp.blockSize/c.units)
 	}
 	return nil
 }
 
-// Parallelism returns the number of sources read concurrently.
+// Parallelism returns the number of sources read concurrently: the Direct
+// blocks plus the distinct blocks of Ranges that are not Direct, counted by
+// one merge walk (both are ordered by block).
 func (rp *ReadPlan) Parallelism() int {
-	if rp.FallbackBlocks != nil {
-		return len(rp.FallbackBlocks)
+	n, d, last := len(rp.Direct), 0, -1
+	for _, r := range rp.Ranges {
+		for d < len(rp.Direct) && rp.Direct[d] < r.Block {
+			d++
+		}
+		if r.Block != last && (d == len(rp.Direct) || rp.Direct[d] != r.Block) {
+			n++
+		}
+		last = r.Block
 	}
-	sources := make(map[int]bool, len(rp.Direct)+len(rp.Replacements)+len(rp.Patch))
-	for _, b := range rp.Direct {
-		sources[b] = true
-	}
-	for _, b := range rp.Replacements {
-		sources[b] = true
-	}
-	for b := range rp.Patch {
-		sources[b] = true
-	}
-	return len(sources)
+	return n
 }
 
 // PlanRead computes the read plan for the given availability vector
 // (length n) and block size. The simulator charges its transfers, the
 // live store fetches its ranges, and ParallelRead executes it in memory.
+// With at least k blocks available there is always a plan, and it moves
+// exactly k*blockSize bytes; with fewer the error is ErrTooFewBlocks.
 func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 	if len(available) != c.n {
 		return nil, fmt.Errorf("%w: availability vector has %d entries, want %d", ErrBlockCount, len(available), c.n)
@@ -125,58 +115,46 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 		return nil, err
 	}
 	usize := blockSize / c.units
-	plan := &ReadPlan{BytesPerSource: c.kUnits * usize, code: c, blockSize: blockSize}
+	plan := &ReadPlan{BytesPerSource: c.kUnits * usize, TotalBytes: c.k * blockSize, code: c, blockSize: blockSize}
 	var missing []int
-	for i := 0; i < c.p; i++ {
-		if available[i] {
-			plan.Direct = append(plan.Direct, i)
-		} else {
+	have := 0
+	for i, ok := range available {
+		switch {
+		case ok:
+			have++
+			if i < c.p {
+				plan.Direct = append(plan.Direct, i)
+			}
+		case i < c.p:
 			missing = append(missing, i)
 		}
 	}
+	if have < c.k {
+		return nil, fmt.Errorf("%w: %d available, need %d", ErrTooFewBlocks, have, c.k)
+	}
 	if len(missing) == 0 {
-		plan.TotalBytes = c.p * plan.BytesPerSource
 		return plan, nil
 	}
 	solver, err := c.degradedSolver(missing, available)
-	if err == nil {
-		if solver.spares != nil {
-			plan.Replacements = make(map[int]int, len(missing))
-			for i, m := range missing {
-				plan.Replacements[m] = solver.spares[i]
-			}
-		} else {
-			plan.Patch = make(map[int]int)
-			for _, rr := range solver.rows {
-				plan.Patch[rr.block] += usize
-			}
-		}
-		plan.solver = solver
-		plan.Ranges = make([]ReadRange, len(solver.ranges))
-		for i, r := range solver.ranges {
-			plan.Ranges[i] = ReadRange{Block: r.block, Off: r.pos * usize, Len: r.n * usize}
-		}
-		plan.TotalBytes = c.p * plan.BytesPerSource
-		return plan, nil
+	if err != nil {
+		return nil, err
 	}
-	// Fallback: any k full blocks.
-	var avail []int
-	for i, ok := range available {
-		if ok {
-			avail = append(avail, i)
+	if solver.spares != nil {
+		plan.Replacements = make(map[int]int, len(missing))
+		for i, m := range missing {
+			plan.Replacements[m] = solver.spares[i]
+		}
+	} else {
+		plan.Patch = make(map[int]int)
+		for _, rr := range solver.rows {
+			plan.Patch[rr.block] += usize
 		}
 	}
-	if len(avail) < c.k {
-		return nil, fmt.Errorf("%w: %d available, need %d", ErrTooFewBlocks, len(avail), c.k)
+	plan.solver = solver
+	plan.Ranges = make([]ReadRange, len(solver.ranges))
+	for i, r := range solver.ranges {
+		plan.Ranges[i] = ReadRange{Block: r.block, Off: r.pos * usize, Len: r.n * usize}
 	}
-	plan.Direct = nil
-	plan.BytesPerSource = blockSize
-	plan.FallbackBlocks = avail[:c.k]
-	plan.Ranges = make([]ReadRange, c.k)
-	for i, b := range plan.FallbackBlocks {
-		plan.Ranges[i] = ReadRange{Block: b, Len: blockSize}
-	}
-	plan.TotalBytes = c.k * blockSize
 	return plan, nil
 }
 
@@ -201,17 +179,13 @@ func (c *Code) ParallelRead(blocks [][]byte) ([]byte, error) {
 // of exactly k*blockSize bytes. It executes the same plan PlanRead reports
 // for the blocks present, over memory instead of a network. Every byte of
 // out is overwritten (direct prefixes are copied, solved ranges start with
-// a full-overwrite op, the any-k fallback solves into whole shards), so a
-// reused or pooled buffer needs no clearing, and the blocks are only read —
-// this is what keeps the pipelined store's steady-state decode
-// allocation-free.
+// a full-overwrite op), so a reused or pooled buffer needs no clearing,
+// and the blocks are only read — this is what keeps the pipelined store's
+// steady-state decode allocation-free.
 func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 	present, size, err := lincode.Survey(blocks, c.n, c.units, true)
 	if err != nil {
 		return err
-	}
-	if len(present) < c.k {
-		return fmt.Errorf("%w: %d present, need %d", ErrTooFewBlocks, len(present), c.k)
 	}
 	if len(out) != c.k*size {
 		return fmt.Errorf("carousel: output buffer holds %d bytes, want %d", len(out), c.k*size)
@@ -232,12 +206,6 @@ func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 		return nil
 	}
 	fetched := make([][]byte, len(plan.Ranges))
-	if plan.solver == nil {
-		for i, r := range plan.Ranges {
-			fetched[i] = blocks[r.Block]
-		}
-		return plan.Solve(fetched, out)
-	}
 	// The solve consumes its ranges and the caller's blocks are not ours
 	// to overwrite: it gets pooled copies.
 	total := 0
@@ -297,8 +265,7 @@ type colCoef struct {
 
 // degradedSolver returns the memoized solver for the given missing
 // data-bearing blocks: the paper's replacement-block scheme when spare
-// blocks without data exist, the parity-unit extension otherwise. A pattern
-// with no solver is not remembered; its reads take the any-k fallback.
+// blocks without data exist, the parity-unit extension otherwise.
 func (c *Code) degradedSolver(missing []int, available []bool) (*readSolver, error) {
 	key := lincode.AppendIndices(make([]byte, 0, len(missing)+1+(c.n+7)/8), missing)
 	key = append(key, 0xff)

@@ -111,7 +111,7 @@ func TestRSPointIsReedSolomon(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.Direct) != tt.k-1 || len(plan.Replacements) != 1 || plan.Patch != nil || plan.FallbackBlocks != nil {
+		if len(plan.Direct) != tt.k-1 || len(plan.Replacements) != 1 || plan.Patch != nil {
 			t.Errorf("(%d,%d): degraded plan %+v, want %d direct and 1 replacement", tt.n, tt.k, plan, tt.k-1)
 		}
 		if repl, ok := plan.Replacements[0]; !ok || repl < tt.k {

@@ -2,6 +2,8 @@ package carousel
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -111,17 +113,12 @@ func TestReadPlanIsExecutable(t *testing.T) {
 						want += plan.BytesPerSource
 					}
 				}
-				for _, fb := range plan.FallbackBlocks {
-					if fb == b {
-						want += plan.BytesPerSource
-					}
-				}
 				if n != want {
 					t.Errorf("block %d: the executable plan takes %d bytes, the accounting fields say %d", b, n, want)
 				}
 			}
-			if total != plan.TotalBytes {
-				t.Errorf("the executable plan moves %d bytes, TotalBytes says %d", total, plan.TotalBytes)
+			if total != plan.TotalBytes || total != tc.k*size {
+				t.Errorf("the executable plan moves %d bytes, TotalBytes says %d, want k*size = %d", total, plan.TotalBytes, tc.k*size)
 			}
 
 			before := make([][]byte, len(have))
@@ -142,37 +139,94 @@ func TestReadPlanIsExecutable(t *testing.T) {
 	}
 }
 
-// TestFallbackPlanSolvesFromWholeBlocks covers the plan's last resort. No
-// availability pattern of the MDS codes built here reaches it — the patch
-// scheme finds k blocks' worth of independent parity units whenever k
-// blocks are available (searched exhaustively for every shape in this
-// package's tests) — so the plan is built by hand: k whole blocks as
-// ranges, solved straight into the output and left unmodified.
-func TestFallbackPlanSolvesFromWholeBlocks(t *testing.T) {
-	c := mustCode(t, 12, 6, 10, 10)
-	size := c.UnitsPerBlock() * 24
-	data := randomShards(rand.New(rand.NewSource(73)), 6, size)
-	blocks, err := c.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &ReadPlan{FallbackBlocks: []int{1, 4, 5, 8, 10, 11}, BytesPerSource: size, TotalBytes: 6 * size, code: c, blockSize: size}
-	fetched := make([][]byte, 0, 6)
-	for _, b := range plan.FallbackBlocks {
-		plan.Ranges = append(plan.Ranges, ReadRange{Block: b, Len: size})
-		fetched = append(fetched, append([]byte(nil), blocks[b]...))
-	}
-	out := dirty(6 * size)
-	if err := plan.Solve(fetched, out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, flatten(data)) {
-		t.Fatal("the any-k solve does not reproduce the data")
-	}
-	for i, b := range plan.FallbackBlocks {
-		if !bytes.Equal(fetched[i], blocks[b]) {
-			t.Errorf("the any-k solve wrote into whole block %d", b)
-		}
+// TestPlanReadNeverNeedsWholeBlocks enforces the invariant the read path
+// rests on: for every code point the repo builds and every availability
+// set of at least k blocks, PlanRead finds a plan that moves exactly k
+// blocks' worth of bytes, with Ranges empty exactly when all p
+// data-bearing blocks are present and Parallelism counting the blocks it
+// reads; below k it reports ErrTooFewBlocks. One sampled set per loss
+// count is also executed through ParallelReadInto.
+func TestPlanReadNeverNeedsWholeBlocks(t *testing.T) {
+	for _, pt := range [][4]int{
+		{3, 2, 2, 2}, {3, 2, 2, 3}, {4, 2, 3, 3}, {6, 3, 3, 6}, {6, 3, 5, 6},
+		{12, 6, 6, 6}, {12, 6, 6, 12}, {12, 6, 10, 8}, {12, 6, 10, 10},
+		{12, 6, 10, 12}, {14, 10, 10, 12},
+	} {
+		t.Run(fmt.Sprint(pt), func(t *testing.T) {
+			t.Parallel()
+			n, k, p := pt[0], pt[1], pt[3]
+			rng := rand.New(rand.NewSource(int64(74 + 100*n + p)))
+			c := mustCode(t, n, k, pt[2], p)
+			size := c.UnitsPerBlock() * 8
+			data := randomShards(rng, k, size)
+			blocks, err := c.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// sample[l] is the one set with l blocks lost that is executed.
+			sample := make([]int, n-k+1)
+			seen := make([]int, n-k+1)
+			avail := make([]bool, n)
+			for set := 0; set < 1<<n; set++ {
+				have, dataBearing := 0, 0
+				for i := range avail {
+					avail[i] = set&(1<<i) != 0
+					if avail[i] {
+						have++
+						if i < p {
+							dataBearing++
+						}
+					}
+				}
+				plan, err := c.PlanRead(avail, size)
+				if have < k {
+					if !errors.Is(err, ErrTooFewBlocks) {
+						t.Fatalf("avail %b: err = %v, want ErrTooFewBlocks", set, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("avail %b: %v", set, err)
+				}
+				if plan.TotalBytes != k*size {
+					t.Fatalf("avail %b: plan moves %d bytes, want k*size = %d", set, plan.TotalBytes, k*size)
+				}
+				if healthy := dataBearing == p; healthy != (len(plan.Ranges) == 0) {
+					t.Fatalf("avail %b: %d ranges with %d of %d data-bearing blocks present", set, len(plan.Ranges), dataBearing, p)
+				}
+				sources := make(map[int]bool)
+				for _, b := range plan.Direct {
+					sources[b] = true
+				}
+				for _, r := range plan.Ranges {
+					sources[r.Block] = true
+				}
+				if plan.Parallelism() != len(sources) {
+					t.Fatalf("avail %b: Parallelism %d, the plan reads %d blocks", set, plan.Parallelism(), len(sources))
+				}
+				// Reservoir-sample one set per loss count.
+				lost := n - have
+				if seen[lost]++; rng.Intn(seen[lost]) == 0 {
+					sample[lost] = set
+				}
+			}
+			want := flatten(data)
+			for lost, set := range sample {
+				in := make([][]byte, n)
+				for i := range in {
+					if set&(1<<i) != 0 {
+						in[i] = blocks[i]
+					}
+				}
+				out := dirty(k * size)
+				if err := c.ParallelReadInto(in, out); err != nil {
+					t.Fatalf("avail %b: %v", set, err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Fatalf("%d lost (avail %b): ParallelReadInto differs from the data", lost, set)
+				}
+			}
+		})
 	}
 }
 

@@ -135,7 +135,7 @@ func (fs *FS) readReplicated(ctx context.Context, p *cluster.Proc, client *clust
 
 // readCarousel retrieves a Carousel-coded file with the Section VII
 // parallel read: original data from up to p sources, replacement blocks for
-// missing ones, any-k decode as the last resort. At p = k that is the
+// missing ones, parity units where no spare is left. At p = k that is the
 // systematic read of the k data blocks, a lost one replaced by a parity
 // block.
 func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster.Node, f *File, s Carousel, res *ReadResult) error {
@@ -178,25 +178,17 @@ func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster
 			})
 			res.BytesFetched += int64(bytes)
 		}
-		switch {
-		case plan.FallbackBlocks != nil:
-			for _, idx := range plan.FallbackBlocks {
-				stream(idx, plan.BytesPerSource)
-			}
-			decodeWork += int64(code.K()) * int64(f.blockSize)
-		default:
-			for _, idx := range plan.Direct {
-				stream(idx, plan.BytesPerSource)
-			}
-			for _, repl := range plan.Replacements {
-				stream(repl, plan.BytesPerSource)
-			}
-			for b, bytes := range plan.Patch {
-				stream(b, bytes)
-			}
-			missingData := code.P() - len(plan.Direct)
-			decodeWork += int64(missingData) * int64(code.DataBytesPerBlock(0, f.blockSize))
+		for _, idx := range plan.Direct {
+			stream(idx, plan.BytesPerSource)
 		}
+		for _, repl := range plan.Replacements {
+			stream(repl, plan.BytesPerSource)
+		}
+		for b, bytes := range plan.Patch {
+			stream(b, bytes)
+		}
+		missingData := code.P() - len(plan.Direct)
+		decodeWork += int64(missingData) * int64(code.DataBytesPerBlock(0, f.blockSize))
 		// Reassemble with the real decoder on the in-memory blocks. Full
 		// stripes decode directly into their slot of the output buffer;
 		// only a short tail stripe goes through the pooled scratch.

@@ -555,12 +555,6 @@ func firstHelpers(n, d, failed int) []int {
 	return out
 }
 
-func mustE(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
 func mustB[T any](v T, err error) T {
 	if err != nil {
 		panic(err)

@@ -5,6 +5,7 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -38,7 +39,21 @@ var heapSink []byte
 // own size classes round 43,680 up to 49,152) — the unit in which the pins
 // below subtract the blocks the in-process servers retain.
 func heapSize(n int) int64 {
-	return totalAlloc(func() { heapSink = make([]byte, n) })
+	return leastAlloc(3, func() { heapSink = make([]byte, n) })
+}
+
+// leastAlloc is the least totalAlloc(f) of runs calls. TotalAlloc is
+// process-wide, so one measurement also carries whatever else the process
+// allocates meanwhile — under a loaded `go test ./...`, some 5 KB on a
+// single make and some 80 KB on a degraded ReadFile have been seen, the
+// latter never caught by a per-stack allocation diff of repeated reads —
+// and none of that recurs on every call, so the minimum is f's own cost.
+func leastAlloc(runs int, f func()) int64 {
+	least := int64(math.MaxInt64)
+	for range runs {
+		least = min(least, totalAlloc(f))
+	}
+	return least
 }
 
 // TestPutIngestIsExactSize pins the server's ingest: a warm Put costs the
@@ -221,6 +236,14 @@ func TestPooledGetAllocs(t *testing.T) {
 // healthy read does — the output buffer and the per-stripe bookkeeping —
 // plus at most 2% of the file: replacement units land in pooled scratch
 // and the solve allocates nothing block-sized.
+//
+// Each side is the least of five warm reads (see leastAlloc). Besides the
+// unexplained 80 KB, a single read picks up a few KB when the runtime
+// refills the per-P caches the preceding runtime.GC emptied (sudogs for
+// the client watchers' selects). The extra is not the peer memory's
+// half-open probe: the measured reads start some 70 ms after the dead peer
+// is found, well inside its 1 s window, and a probe dials at most once a
+// window, so it could spoil one read of the five but not the minimum.
 func TestDegradedReadAllocs(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -247,11 +270,11 @@ func TestDegradedReadAllocs(t *testing.T) {
 	}
 	read() // dial, fill the pools
 	read()
-	healthy := totalAlloc(read)
+	healthy := leastAlloc(5, read)
 	servers[2].Close()
 	read() // find the dead peer, compile the solver
 	read()
-	degraded := totalAlloc(read)
+	degraded := leastAlloc(5, read)
 	if limit := healthy + int64(len(data))/50; degraded > limit {
 		t.Errorf("a warm degraded read of %d bytes allocates %d bytes, the healthy read %d: want at most %d (healthy + 2%%)",
 			len(data), degraded, healthy, limit)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -237,16 +238,36 @@ func TestStoreRepairOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	traffic0 := mRepairTraffic.Value()
+	traffic0, promoted0, chunks0 := mRepairTraffic.Value(), mSparePromotions.Value(), srvRPCCounter(opChunk, statusOK).Value()
+	tx0 := make([]int64, len(servers))
+	for i, srv := range servers {
+		tx0[i] = srv.bytesTx.Load()
+	}
 	traffic, err := store.Repair(ctx, "f", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := code.D() * (blockSize / code.Alpha()); traffic != want {
+	chunkSize := blockSize / code.Alpha()
+	if want := code.D() * chunkSize; traffic != want {
 		t.Fatalf("repair traffic = %d, want the optimal %d", traffic, want)
 	}
 	if got := mRepairTraffic.Value() - traffic0; got != int64(traffic) {
 		t.Fatalf("store_repair_traffic_bytes_total moved by %d, want the repair's %d", got, traffic)
+	}
+	// A healthy repair is one round of exactly d Chunk RPCs, to the first d
+	// survivors in ring order, and promotes no spare.
+	if got := mSparePromotions.Value() - promoted0; got != 0 {
+		t.Errorf("store_spare_promotions_total moved by %d, want 0", got)
+	}
+	if got := srvRPCCounter(opChunk, statusOK).Value() - chunks0; got != int64(code.D()) {
+		t.Errorf("servers answered %d Chunk RPCs, want d = %d", got, code.D())
+	}
+	for pos, i := range rotatedSurvivors(code.N(), 2, 0) {
+		// A helper's first traced exchange adds its one-byte capability answer.
+		sent := servers[i].bytesTx.Load() - tx0[i]
+		if asked := pos < code.D(); asked != (sent >= int64(chunkSize)) || sent > int64(chunkSize)+1 {
+			t.Errorf("survivor %d (ring position %d) sent %d bytes, want a %d-byte chunk only if among the first d", i, pos, sent, chunkSize)
+		}
 	}
 	got, _, err := store.ReadFile(ctx, "f", len(data))
 	if err != nil {
@@ -255,7 +276,6 @@ func TestStoreRepairOverTCP(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("read after TCP repair mismatch")
 	}
-	_ = servers
 }
 
 func TestStoreValidation(t *testing.T) {
@@ -290,6 +310,24 @@ func TestStoreValidation(t *testing.T) {
 		if _, err := store.RecoverServer(ctx, 0, []FileSpec{{Name: "f", Size: size}}); err == nil {
 			t.Errorf("RecoverServer(size %d) did not error", size)
 		}
+	}
+	// Repair's indexes arrive from outside too: out of range they are an
+	// argument error, refused before any I/O — not a shortage of helpers
+	// after n-1 Chunk RPCs the servers cannot answer.
+	_, live := startServers(t, code, code.N())
+	store, err = NewStore(code, live, code.BlockAlign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	dials := store.Pool().DialCounts()
+	for _, tc := range []struct{ st, failed int }{{0, code.N()}, {0, -1}, {-1, 0}} {
+		if _, err := store.Repair(ctx, "f", tc.st, tc.failed); err == nil || errors.Is(err, ErrTooFewSurvivors) {
+			t.Errorf("Repair(stripe %d, block %d) = %v, want an argument error", tc.st, tc.failed, err)
+		}
+	}
+	if got := store.Pool().DialCounts(); !maps.Equal(got, dials) {
+		t.Errorf("refused repairs dialed: %v, before %v", got, dials)
 	}
 }
 

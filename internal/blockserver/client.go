@@ -52,11 +52,6 @@ func outcomeIndex(err error) int {
 	}
 }
 
-// outcomeOf names an RPC result for logs and labels.
-func outcomeOf(err error) string {
-	return outcomeNames[outcomeIndex(err)]
-}
-
 // rpcCounters interns every (op, outcome) counter once, so recording an
 // RPC outcome on the hot path is a table index rather than a label-joining
 // registry lookup.

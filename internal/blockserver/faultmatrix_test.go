@@ -140,10 +140,25 @@ func TestFaultMatrixHedgedRead(t *testing.T) {
 	}
 }
 
-// TestFaultMatrixRepair exercises kill/slow × repair: a repair must
-// succeed by promoting spare helpers when contacted helpers are dead or
-// straggling, keeping optimal traffic (d chunks) from the helpers that
-// actually served.
+// deleteBlock removes one block from its server, as a lost write would.
+func deleteBlock(t *testing.T, addr, name string) {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Delete(context.Background(), name); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFaultMatrixRepair exercises faults × repair: a repair must succeed by
+// promoting spare helpers when contacted helpers are dead, straggling, or
+// answer with an in-band verdict for their block, keeping optimal traffic
+// (d chunks) from the helpers that actually served. Every faulted helper
+// is among the first d candidates, so each costs one spare; a timing fault
+// may cost more on a loaded host, an in-band verdict exactly one.
 func TestFaultMatrixRepair(t *testing.T) {
 	code, err := carousel.New(14, 10, 10, 12)
 	if err != nil {
@@ -154,11 +169,27 @@ func TestFaultMatrixRepair(t *testing.T) {
 	rand.New(rand.NewSource(12)).Read(data)
 
 	cases := []struct {
-		name       string
-		kill, slow int
+		name   string
+		fault  func(t *testing.T, servers []*Server, addrs []string, injectors []*faultnet.Injector)
+		spares int64
+		exact  bool
 	}{
-		{"kill-helper+delay-helper", 1, 4},
-		{"kill-first-helper+blackhole-helper", 0, 2},
+		{"kill-helper+delay-helper", func(t *testing.T, servers []*Server, _ []string, injectors []*faultnet.Injector) {
+			servers[1].Close()
+			injectors[4].SetDefault(faultnet.Policy{DelayWrite: 250 * time.Millisecond})
+		}, 2, false},
+		{"kill-first-helper+blackhole-helper", func(t *testing.T, servers []*Server, _ []string, injectors []*faultnet.Injector) {
+			servers[0].Close()
+			injectors[2].SetDefault(faultnet.Policy{Blackhole: true})
+		}, 2, false},
+		{"corrupt-helper-block", func(t *testing.T, servers []*Server, _ []string, _ []*faultnet.Injector) {
+			if err := servers[3].CorruptBlock(BlockName("f", 0, 3), 5); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, true},
+		{"missing-helper-block", func(t *testing.T, _ []*Server, addrs []string, _ []*faultnet.Injector) {
+			deleteBlock(t, addrs[8], BlockName("f", 0, 8))
+		}, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,39 +204,28 @@ func TestFaultMatrixRepair(t *testing.T) {
 				t.Fatal(err)
 			}
 			const failed = 6
-			c, err := Dial(addrs[failed])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Delete(ctx, BlockName("f", 0, failed)); err != nil {
-				t.Fatal(err)
-			}
-			c.Close()
+			deleteBlock(t, addrs[failed], BlockName("f", 0, failed))
 
 			base := runtime.NumGoroutine()
-			servers[tc.kill].Close()
-			policy := faultnet.Policy{DelayWrite: 250 * time.Millisecond}
-			if tc.name == "kill-first-helper+blackhole-helper" {
-				policy = faultnet.Policy{Blackhole: true}
-			}
-			injectors[tc.slow].SetDefault(policy)
+			tc.fault(t, servers, addrs, injectors)
 
 			rctx, cancel := context.WithTimeout(ctx, 8*time.Second)
 			defer cancel()
 			promoted0 := mSparePromotions.Value()
 			traffic, err := store.Repair(rctx, "f", 0, failed)
 			if err != nil {
-				t.Fatalf("repair with helper %d dead and %d slow: %v", tc.kill, tc.slow, err)
+				t.Fatalf("repair: %v", err)
 			}
-			// Both faulted servers are among the first d candidates, so each
-			// costs one spare.
-			if got := mSparePromotions.Value() - promoted0; got < 2 {
-				t.Errorf("store_spare_promotions_total moved by %d, want >= 2 (one per faulted helper)", got)
+			spares := mSparePromotions.Value() - promoted0
+			if spares < tc.spares || (tc.exact && spares != tc.spares) {
+				t.Errorf("store_spare_promotions_total moved by %d, want %d (one per faulted helper; exact %v)", spares, tc.spares, tc.exact)
 			}
 			if want := code.D() * code.HelperChunkSize(blockSize); traffic != want {
 				t.Errorf("repair traffic = %d, want optimal %d", traffic, want)
 			}
-			injectors[tc.slow].SetDefault(faultnet.Policy{})
+			for _, in := range injectors {
+				in.SetDefault(faultnet.Policy{})
+			}
 			got, _, err := store.ReadFile(ctx, "f", len(data))
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("read after fault-path repair: %v", err)
@@ -842,6 +862,37 @@ func TestSlowEverywhereIsReadSlowly(t *testing.T) {
 			t.Errorf("the closed server sent %d bytes", sent[2])
 		}
 	})
+}
+
+// TestSlowEverywhereIsRepairedSlowly: a repair runs the read's stripe loop,
+// so when every helper is past the hedge deadline and no spare is left to
+// promote, it forgives its stragglers and waits for d of them unhedged,
+// instead of failing with ErrTooFewSurvivors. The rebuild still moves
+// exactly d chunks, the file reads back identical, and no goroutine
+// outlives the slow fetches.
+func TestSlowEverywhereIsRepairedSlowly(t *testing.T) {
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 1, WithHedgeDelay(40*time.Millisecond))
+	const failed = 3
+	deleteBlock(t, pc.addrs[failed], BlockName("f", 0, failed))
+	base := runtime.NumGoroutine()
+	for i, in := range pc.injectors {
+		in.SetDefault(faultnet.Policy{DelayWrite: time.Duration(80+20*i) * time.Millisecond})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	traffic, err := pc.store.Repair(ctx, "f", 0, failed)
+	if err != nil {
+		t.Fatalf("repair with every helper slow: %v", err)
+	}
+	if want := pc.code.D() * pc.code.HelperChunkSize(pc.blockSize); traffic != want {
+		t.Errorf("repair traffic = %d, want d chunks = %d", traffic, want)
+	}
+	for _, in := range pc.injectors {
+		in.SetDefault(faultnet.Policy{})
+	}
+	pc.read(t)
+	pc.store.Close()
+	waitGoroutines(t, base)
 }
 
 // TestCancelledReadMarksNobody: a read cancelled while its fetches are

@@ -10,8 +10,8 @@ import (
 )
 
 // DefaultPerPeer is the per-peer connection budget when PoolOptions leaves
-// PerPeer zero. One stripe pipeline stage uses at most one client per
-// peer, so the default matches the default pipeline depth.
+// PerPeer zero. One stripe in flight uses at most one client per peer, so
+// the default is 4, the Store's stripesInFlight.
 const DefaultPerPeer = 4
 
 // ErrPoolClosed is returned by Pool.Get after Close.

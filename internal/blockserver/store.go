@@ -57,14 +57,17 @@ const stripesInFlight = 4
 // servers in parallel over TCP; repairs move only the optimal chunk from
 // each of d helpers.
 //
-// The read path executes the code's read plan (carousel.PlanRead) and is
-// hedged and straggler-tolerant: a stripe fetches what its plan names under
-// a hedge deadline, and a source that fails — or is still outstanding at
-// the deadline — is struck for that stripe, which keeps everything that did
-// land and re-plans around it: the paper's replacement-block scheme or its
-// parity-unit extension, k blocks' worth of bytes either way. Peers the pool
-// could not dial are planned around from the start. Corrupt blocks (detected by the
-// servers' CRC32C verification) are excluded the same way and can be
+// Reads and repairs run one hedged, straggler-tolerant stripe loop
+// (stripeOp): plan on the blocks available, fetch what the plan names
+// under a hedge deadline, strike for that stripe every source that fails
+// or is still outstanding at the deadline, keep everything that did land,
+// and re-plan around the rest. A read's plan is the code's read plan
+// (carousel.PlanRead) — the paper's replacement-block scheme or its
+// parity-unit extension, k blocks' worth of bytes either way — and a
+// repair's is d helpers in ring order. Peers the pool could not dial are
+// planned around from the start, and a stripe left with nothing but
+// stragglers waits for them unhedged. Corrupt blocks (detected by the
+// servers' CRC32C verification) are struck the same way and can be
 // regenerated with Scrub.
 type Store struct {
 	code      *carousel.Code
@@ -178,66 +181,6 @@ func (s *Store) stripesOf(name string, size int) (int, error) {
 	}
 	stripeData := s.code.K() * s.blockSize
 	return (size + stripeData - 1) / stripeData, nil
-}
-
-// gather is the scatter/gather of a repair, which can use any d of its
-// candidate helpers' chunks: ask need block holders for a piece and keep
-// the first need that answer. (A stripe read wants every piece of its plan
-// and waits its round out instead; see stripeRead.fetch.)
-// It starts a fetch for each of the first need candidates and promotes the
-// next unstarted candidate whenever one fails, so a healthy pass costs
-// exactly need requests. It stops the moment need fetches have succeeded
-// or no longer can (fewer than need candidates have not failed), cancels
-// the context every fetch runs under, and waits for all of them to return.
-// Every started fetch's result reaches each exactly once, on the caller's
-// goroutine: results that arrive before the stop as they land (won reports
-// a success counted toward need), the cancelled rest after the wait (won
-// false) — so no stream's bytes, corruption verdict or pooled buffer is
-// dropped, and when gather returns nothing is still writing into memory a
-// fetch was given. fetch must return once its context is done.
-func gather(ctx context.Context, candidates []int, need int,
-	fetch func(ctx context.Context, idx int) sourceResult,
-	each func(r sourceResult, won bool)) (got, started int, firstErr error) {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan sourceResult, len(candidates))
-	var wg sync.WaitGroup
-	start := func() {
-		idx := candidates[started]
-		started++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results <- fetch(gctx, idx)
-		}()
-	}
-	for started < need && started < len(candidates) {
-		start()
-	}
-	received, failures := 0, 0
-	for got < need && len(candidates)-failures >= need {
-		r := <-results
-		received++
-		if r.err == nil {
-			got++
-			each(r, true)
-			continue
-		}
-		failures++
-		if firstErr == nil {
-			firstErr = r.err
-		}
-		each(r, false)
-		if started < len(candidates) && len(candidates)-failures >= need {
-			start()
-		}
-	}
-	cancel()
-	wg.Wait()
-	for ; received < started; received++ {
-		each(<-results, false)
-	}
-	return got, started, firstErr
 }
 
 // pipeline is the one bounded stage: it runs fn(ctx, i) for i in [0, n)
@@ -532,14 +475,6 @@ func dialDelta(before, after map[string]int64) map[string]int64 {
 	return d
 }
 
-// sourceResult carries one gathered fetch's outcome: the candidate it
-// asked and the pooled payload that came back.
-type sourceResult struct {
-	idx  int
-	data []byte
-	err  error
-}
-
 // readStripeCached serves one stripe through the stripe cache when one is
 // configured: a hit copies the decoded stripe into dst with no network
 // traffic, and a miss runs the normal hedged fetch exactly once per
@@ -578,7 +513,7 @@ func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst [
 	return nil
 }
 
-// strike is what one stripe read holds against a block.
+// strike is what one stripe operation holds against a block.
 type strike uint8
 
 const (
@@ -586,32 +521,146 @@ const (
 	dead                   // failed: refused, absent, corrupt, or a broken exchange
 )
 
-// piece is one range of a stripe read and the memory it lands in: a slot
-// of the output for a data prefix, pooled scratch otherwise. err is its
-// fetch's outcome.
-type piece struct {
-	carousel.ReadRange
-	buf []byte
-	err error
-}
-
-// stripeRead is one stripe's way through readStripeInto: what it has
-// struck and what has landed outlive a re-plan. The slices stay nil until
-// a fetch fails, so a healthy stripe allocates none of them.
-type stripeRead struct {
-	s     *Store
-	name  string
-	st    int
-	dst   []byte
-	stats *ReadStats
-
+// stripeOp is the one stripe loop reads and repairs share — plan, round,
+// strike, re-plan — and what an operation on one stripe holds against its
+// sources across re-plans. struck stays nil until a fetch fails, so a
+// healthy stripe allocates none of it.
+type stripeOp struct {
+	s        *Store
 	struck   []strike // by block
-	prefixed []bool   // by block: its data prefix sits in dst
-	scratch  []piece  // ranges landed in pooled buffers
 	firstErr error
 	late     int  // rounds that ended with a straggler outstanding
 	distrust bool // plan on peers the pool presumes down, too
 	unhedged bool // the slow strikes were cleared: rounds wait on ctx alone
+}
+
+// plan hands try the blocks the stripe can plan on: the pool's peer memory
+// less the blocks struck so far, or nil — every block — while nobody is
+// presumed down and nothing is struck, for the price of one atomic load.
+// When try finds them too few, the stripe first stops trusting the peer
+// memory — a presumed-down peer is a last resort, not a verdict — and then,
+// if stragglers are among the struck, waits for them (unhedge). So does a
+// stripe whose second round straggled: one slow peer is planned around, a
+// slow cluster is not, and each further hedged round would only add its
+// deadline to the stripe's latency.
+func (op *stripeOp) plan(ctx context.Context, try func(avail []bool) error) error {
+	s := op.s
+	if op.late > 1 && !op.unhedged {
+		op.unhedge() // the re-plan around the stragglers straggled too
+	}
+	for {
+		memory := !op.distrust && s.pool.anyDown()
+		var avail []bool
+		if memory || op.struck != nil {
+			// A half-open probe is a source like any other: one that does
+			// not connect within the hedge delay is not worth planning on.
+			pctx, cancel := context.WithTimeout(ctx, s.hedge)
+			avail = make([]bool, len(s.addrs))
+			for i, addr := range s.addrs {
+				avail[i] = (op.struck == nil || op.struck[i] == 0) && (!memory || s.pool.reachable(pctx, addr))
+			}
+			cancel()
+		}
+		err := try(avail)
+		switch {
+		case err == nil:
+			return nil
+		case memory:
+			op.distrust = true
+		case !op.unhedged && slices.Contains(op.struck, slow):
+			op.unhedge()
+		default:
+			return fmt.Errorf("%w: %v (first failure: %v)", ErrTooFewSurvivors, err, op.firstErr)
+		}
+	}
+}
+
+// unhedge clears the stripe's slow strikes, keeping its dead ones, and
+// lifts the hedge deadline from its rounds: the sources are slow, not gone,
+// and picking which to wait for is what the plan does anyway. A cluster
+// that is slow everywhere is read and repaired slowly rather than not at
+// all, bounded only by the caller's context. It happens at most once per
+// stripe.
+func (op *stripeOp) unhedge() {
+	op.unhedged = true
+	for i, st := range op.struck {
+		if st == slow {
+			op.struck[i] = 0
+		}
+	}
+}
+
+// round runs fetch(ctx, i) for i in [0, n), each on its own goroutine,
+// under the hedge deadline unless the stripe is unhedged (then with no
+// timer at all), and waits the round out in full: a failure cancels
+// nobody, so everything that can land does, and is never fetched again.
+// errs[i] is fetch i's outcome, and a failure strikes block blockOf(i) for
+// this stripe only — a timeout slow (passed over, but waited for if it
+// comes to that), anything else dead. This is the one place the Store
+// strikes a block. Whether the peer is remembered as down beyond it is the
+// pool's call, made on dial failures alone: a live server missing one
+// block is asked again by the next stripe. A round cut short because the
+// caller's context ended is a victim, not a verdict about the blocks: err
+// is then the context's, so the pipeline's root-cause rule can tell it
+// from a real shortage.
+func (op *stripeOp) round(ctx context.Context, n int, blockOf func(i int) int,
+	fetch func(ctx context.Context, i int) error) (errs []error, err error) {
+	hctx := ctx
+	if !op.unhedged {
+		var cancel context.CancelFunc
+		hctx, cancel = context.WithTimeout(ctx, op.s.hedge)
+		defer cancel()
+	}
+	errs = make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range errs {
+		go func() {
+			defer wg.Done()
+			errs[i] = fetch(hctx, i)
+		}()
+	}
+	wg.Wait()
+	late := false
+	for i, ferr := range errs {
+		if ferr == nil {
+			continue
+		}
+		if op.struck == nil {
+			op.struck, op.firstErr = make([]strike, len(op.s.addrs)), ferr
+		}
+		b := blockOf(i)
+		if errors.Is(ferr, ErrTimeout) && op.struck[b] != dead {
+			op.struck[b], late = slow, true
+		} else {
+			op.struck[b] = dead
+		}
+		err = classify(ctx.Err())
+	}
+	if late {
+		op.late++
+	}
+	return errs, err
+}
+
+// piece is one range of a stripe read and the memory it lands in: a slot
+// of the output for a data prefix, pooled scratch otherwise.
+type piece struct {
+	carousel.ReadRange
+	buf []byte
+}
+
+// stripeRead is one stripe's way through readStripeInto: its stripeOp, and
+// what has landed, which outlives a re-plan too. prefixed stays nil until a
+// fetch fails, so a healthy stripe allocates none of it.
+type stripeRead struct {
+	stripeOp
+	name     string
+	st       int
+	dst      []byte
+	stats    *ReadStats
+	prefixed []bool  // by block: its data prefix sits in dst
+	scratch  []piece // ranges landed in pooled buffers
 }
 
 // readStripeInto fetches one stripe's original data into dst (k*blockSize
@@ -638,15 +687,22 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 	lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource)
 	lsp.End()
 
-	rd := &stripeRead{s: s, name: name, st: st, dst: dst, stats: stats}
+	rd := &stripeRead{stripeOp: stripeOp{s: s}, name: name, st: st, dst: dst, stats: stats}
 	defer func() {
 		for _, pc := range rd.scratch {
 			Recycle(pc.buf)
 		}
 	}()
+	var plan *carousel.ReadPlan
+	try := func(avail []bool) (err error) {
+		plan = s.healthy
+		if avail != nil {
+			plan, err = s.code.PlanRead(avail, s.blockSize)
+		}
+		return err
+	}
 	for {
-		plan, err := rd.plan(ctx)
-		if err != nil {
+		if err := rd.plan(ctx, try); err != nil {
 			return err
 		}
 		complete, err := rd.fetch(ctx, plan)
@@ -659,175 +715,54 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 	}
 }
 
-// plan is the read plan for the stripe as it stands: availability is the
-// pool's peer memory less the blocks struck so far. With nobody presumed
-// down and nothing struck that is the store's healthy plan, for the price
-// of one atomic load. When the blocks left cannot serve a plan, the stripe
-// first stops trusting the peer memory — a presumed-down peer is a last
-// resort, not a verdict — and then, if stragglers are among the struck,
-// waits for them (unhedge). So does a stripe whose second round straggled:
-// one slow peer is planned around, a slow cluster is not, and each further
-// hedged round would only add its deadline to the stripe's latency.
-func (rd *stripeRead) plan(ctx context.Context) (*carousel.ReadPlan, error) {
-	s := rd.s
-	if rd.late > 1 && !rd.unhedged {
-		rd.unhedge() // the re-plan around the stragglers straggled too
-	}
-	for {
-		memory := !rd.distrust && s.pool.anyDown()
-		if rd.struck == nil && !memory {
-			return s.healthy, nil
-		}
-		var avail []bool
-		if memory {
-			avail = s.presumedUp(ctx)
-		} else {
-			avail = make([]bool, len(s.addrs))
-			for i := range avail {
-				avail[i] = true
-			}
-		}
-		for i, st := range rd.struck {
-			if st != 0 {
-				avail[i] = false
-			}
-		}
-		plan, err := s.code.PlanRead(avail, s.blockSize)
-		switch {
-		case err == nil:
-			return plan, nil
-		case memory:
-			rd.distrust = true
-		case !rd.unhedged && slices.Contains(rd.struck, slow):
-			rd.unhedge()
-		default:
-			return nil, fmt.Errorf("%w: %v (first failure: %v)", ErrTooFewSurvivors, err, rd.firstErr)
-		}
-	}
-}
-
-// unhedge clears the stripe's slow strikes, keeping its dead ones, and
-// lifts the hedge deadline from its rounds: the sources are slow, not gone,
-// and picking which to wait for is what the plan does anyway. A cluster
-// that is slow everywhere is read slowly rather than not at all, bounded
-// only by the caller's context. It happens at most once per stripe.
-func (rd *stripeRead) unhedge() {
-	rd.unhedged = true
-	for i, st := range rd.struck {
-		if st == slow {
-			rd.struck[i] = 0
-		}
-	}
-}
-
-// presumedUp asks the pool's peer memory about every server. A half-open
-// probe is a source like any other: one that does not connect within the
-// hedge delay is not worth planning on.
-func (s *Store) presumedUp(ctx context.Context) []bool {
-	ctx, cancel := context.WithTimeout(ctx, s.hedge)
-	defer cancel()
-	up := make([]bool, len(s.addrs))
-	for i, addr := range s.addrs {
-		up[i] = s.pool.reachable(ctx, addr)
-	}
-	return up
-}
-
-// fetch is one round: every piece of the plan that has not landed yet,
-// each on its own pooled client, under the hedge deadline unless the
-// stripe is unhedged. The round is waited out in full — a failure cancels
-// nobody, so every prefix that can land does, and is never fetched again —
-// and whatever kept a fetch from completing strikes its block, for this
-// stripe only. Whether the peer is remembered as down beyond it is the
-// pool's call, made on dial failures alone: a live server missing one
-// block is asked again by the next stripe. It reports whether the plan is
+// fetch is the read's round: every piece of the plan that has not landed
+// yet, each over its own pooled client — a data prefix straight into its
+// slot of dst, a range into pooled scratch. It reports whether the plan is
 // now complete.
 func (rd *stripeRead) fetch(ctx context.Context, plan *carousel.ReadPlan) (complete bool, _ error) {
-	s, per, direct := rd.s, plan.BytesPerSource, len(plan.Direct)
+	s, per := rd.s, plan.BytesPerSource
 	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
 	fsp.SetAttr("mode", planMode(plan)).SetAttr("sources", plan.Parallelism())
-	hctx := fetchCtx
 	if rd.unhedged {
 		fsp.SetAttr("unhedged", true)
-	} else {
-		var hcancel context.CancelFunc
-		hctx, hcancel = context.WithTimeout(fetchCtx, s.hedge)
-		defer hcancel()
 	}
-	fetches := make([]piece, direct+len(plan.Ranges))
-	var wg sync.WaitGroup
-	for f := range fetches {
-		ft := &fetches[f]
-		if f < direct {
-			ft.ReadRange = carousel.ReadRange{Block: plan.Direct[f], Len: per}
-			if rd.prefixed == nil || !rd.prefixed[ft.Block] {
-				ft.buf = rd.dst[ft.Block*per : (ft.Block+1)*per]
-			}
-		} else if ft.ReadRange = plan.Ranges[f-direct]; rd.landed(ft.ReadRange) == nil {
-			ft.buf = bufpool.Get(ft.Len)
+	pieces := make([]piece, 0, len(plan.Direct)+len(plan.Ranges))
+	for _, b := range plan.Direct {
+		if rd.prefixed == nil || !rd.prefixed[b] {
+			pieces = append(pieces, piece{carousel.ReadRange{Block: b, Len: per}, rd.dst[b*per : (b+1)*per]})
 		}
-		if ft.buf == nil {
-			continue // landed in an earlier round
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ft.err = s.fetchRange(hctx, rd.name, rd.st, ft.ReadRange, ft.buf)
-		}()
 	}
-	wg.Wait()
+	direct := len(pieces)
+	for _, r := range plan.Ranges {
+		if rd.landed(r) == nil {
+			pieces = append(pieces, piece{r, bufpool.Get(r.Len)})
+		}
+	}
+	errs, err := rd.round(fetchCtx, len(pieces), func(i int) int { return pieces[i].Block },
+		func(ctx context.Context, i int) error {
+			return s.fetchRange(ctx, rd.name, rd.st, pieces[i].ReadRange, pieces[i].buf)
+		})
+	if rd.struck != nil && rd.prefixed == nil {
+		rd.prefixed = make([]bool, len(s.addrs)) // a re-plan is coming
+	}
 	failed := 0
-	for f := range fetches {
-		if fetches[f].err != nil {
-			failed++
-		}
-	}
-	fsp.SetAttr("ok", len(fetches)-failed).SetAttr("failed", failed > 0)
-	fsp.End()
-	if failed > 0 && rd.struck == nil {
-		rd.struck, rd.prefixed = make([]strike, len(s.addrs)), make([]bool, len(s.addrs))
-	}
-	late := false
-	for f := range fetches {
-		ft := &fetches[f]
-		if ft.buf == nil {
-			continue
-		}
-		rd.stats.source(ft.Len, ft.err)
+	for i, pc := range pieces {
+		rd.stats.source(pc.Len, errs[i])
 		switch {
-		case ft.err == nil && f >= direct:
-			rd.scratch = append(rd.scratch, *ft)
-		case ft.err == nil:
-			if rd.prefixed != nil {
-				rd.prefixed[ft.Block] = true
+		case errs[i] != nil:
+			failed++
+			if i >= direct {
+				Recycle(pc.buf)
 			}
-		default:
-			if f >= direct {
-				Recycle(ft.buf)
-			}
-			if rd.firstErr == nil {
-				rd.firstErr = ft.err
-			}
-			// A timeout is a straggler: passed over, but waited for if it
-			// comes to that.
-			if errors.Is(ft.err, ErrTimeout) && rd.struck[ft.Block] != dead {
-				rd.struck[ft.Block], late = slow, true
-			} else {
-				rd.struck[ft.Block] = dead
-			}
+		case i >= direct:
+			rd.scratch = append(rd.scratch, pc)
+		case rd.prefixed != nil:
+			rd.prefixed[pc.Block] = true
 		}
 	}
-	if late {
-		rd.late++
-	}
-	if failed > 0 {
-		// A round cut short because the caller's context ended is a
-		// victim, not a verdict about the blocks: report the context's
-		// error, so the pipeline's root-cause rule can tell it from a real
-		// shortage.
-		return false, classify(ctx.Err())
-	}
-	return true, nil
+	fsp.SetAttr("ok", len(pieces)-failed).SetAttr("failed", failed > 0)
+	fsp.End()
+	return failed == 0, err
 }
 
 // landed returns the pooled buffer range r was fetched into, if it was.
@@ -882,23 +817,20 @@ func (s *Store) fetchRange(ctx context.Context, name string, st int, r carousel.
 	return err
 }
 
-// recycleAll returns a set of pooled payloads (nil entries allowed) to the
-// buffer pool.
-func recycleAll(bufs [][]byte) {
-	for _, b := range bufs {
-		Recycle(b)
-	}
-}
-
 // Repair regenerates block failed of a stripe from d helper chunks
 // computed server-side, uploads it to its home server, and reports the
-// bytes that crossed the network. The first d responding helpers win;
-// failed or straggling helpers are replaced by spare candidates, so a dead
-// or slow server cannot stall the repair. Helpers are chosen by rotating
-// the survivor ring by the stripe index, so a multi-stripe repair pass
-// spreads chunk load over all n-1 survivors instead of hammering
-// survivors 0..d-1 for every stripe.
+// bytes that crossed the network. It runs the read path's stripe loop: a
+// helper that fails or straggles past the hedge is struck and a spare from
+// the survivor ring takes its place, so a dead or slow server cannot stall
+// the repair, and a cluster slow everywhere is repaired slowly. Helpers are
+// chosen by rotating the survivor ring by the stripe index, so a
+// multi-stripe repair pass spreads chunk load over all n-1 survivors
+// instead of hammering survivors 0..d-1 for every stripe. An index out of
+// range fails before any I/O.
 func (s *Store) Repair(ctx context.Context, name string, st, failed int) (trafficBytes int, err error) {
+	if n := s.code.N(); failed < 0 || failed >= n || st < 0 {
+		return 0, fmt.Errorf("blockserver: stripe %d block %d out of range (blocks [0,%d))", st, failed, n)
+	}
 	return s.repair(ctx, name, st, failed, repairOpts{})
 }
 
@@ -937,11 +869,17 @@ func rotatedSurvivors(n, failed, rot int) []int {
 }
 
 // repair is the single-stripe engine behind Repair, Scrub, and
-// RecoverServer.
+// RecoverServer, and runs the same stripe loop as readStripeInto. Its plan
+// is the next d − len(helpers) available survivors in ring order that have
+// not landed yet; its round fetches their chunks. A healthy repair is one
+// round of exactly d Chunk RPCs — the paper's optimal traffic — and every
+// helper struck costs one spare in a later round.
 func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repairOpts) (trafficBytes int, err error) {
 	t0 := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "store.repair")
 	sp.SetAttr("file", name).SetAttr("stripe", st).SetAttr("failed", failed)
+	d := s.code.D()
+	asked := 0 // Chunk RPCs issued: d, plus one per spare promoted
 	defer func() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -950,70 +888,79 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 		sp.End()
 		mRepairs.Inc()
 		mRepairTraffic.Add(int64(trafficBytes))
+		mSparePromotions.Add(int64(max(asked-d, 0)))
 		sloRepair.ObserveSince(t0, err)
 	}()
-	d := s.code.D()
 	chunkSize := s.code.HelperChunkSize(s.blockSize)
 	_, lsp := obs.StartSpan(ctx, "locate")
 	candidates := rotatedSurvivors(s.code.N(), failed, st)
-	if s.pool.anyDown() {
-		// Peers the pool presumes down go last, rotation among the rest
-		// unchanged: still spares of last resort, but no longer a retry
-		// policy every stripe waits out before gather promotes one.
-		presumed := s.presumedUp(ctx)
-		up, down := candidates[:0], []int(nil)
-		for _, i := range candidates {
-			if presumed[i] {
-				up = append(up, i)
-			} else {
-				down = append(down, i)
-			}
-		}
-		candidates = append(up, down...)
-	}
 	lsp.SetAttr("helpers", d).SetAttr("candidates", len(candidates))
 	lsp.End()
-	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
-	fsp.SetAttr("mode", "chunks")
-	// Contact exactly d helpers up front (the paper's optimal traffic);
-	// gather promotes a spare only when one of them fails or straggles past
-	// the hedge, so the healthy-path network cost stays d chunks and a dead
-	// or slow server cannot stall the repair.
-	helpers := make([]int, 0, d)
-	chunks := make([][]byte, 0, d)
-	got, started, _ := gather(fetchCtx, candidates, d, func(ctx context.Context, i int) sourceResult {
+
+	op := stripeOp{s: s}
+	helpers, chunks := make([]int, 0, d), make([][]byte, 0, d)
+	release := func() {
+		for _, c := range chunks {
+			Recycle(c)
+		}
+		chunks = chunks[:0]
+	}
+	defer release()
+	var ask []int
+	try := func(avail []bool) error {
+		ask = ask[:0]
+		for _, i := range candidates {
+			if len(helpers)+len(ask) < d && (avail == nil || avail[i]) && !slices.Contains(helpers, i) {
+				ask = append(ask, i)
+			}
+		}
+		if have := len(helpers) + len(ask); have < d {
+			return fmt.Errorf("%d of %d helpers left", have, d)
+		}
+		return nil
+	}
+	for len(helpers) < d {
+		if err := op.plan(ctx, try); err != nil {
+			return trafficBytes, err
+		}
 		// The throttle runs before the hedge clock starts, so a paced
 		// recovery does not misread its own waiting as a straggler.
-		if err := ro.throttle.Wait(ctx, chunkSize); err != nil {
-			return sourceResult{idx: i, err: err}
+		if err := ro.throttle.Wait(ctx, len(ask)*chunkSize); err != nil {
+			return trafficBytes, err
 		}
-		ctx, cancel := context.WithTimeout(ctx, s.hedge)
-		defer cancel()
-		c, err := s.pool.Get(ctx, s.addrs[i])
+		asked += len(ask)
+		fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
+		fsp.SetAttr("mode", "chunks").SetAttr("sources", len(ask))
+		if op.unhedged {
+			fsp.SetAttr("unhedged", true)
+		}
+		got := make([][]byte, len(ask))
+		errs, err := op.round(fetchCtx, len(ask), func(j int) int { return ask[j] },
+			func(ctx context.Context, j int) error {
+				c, err := s.pool.Get(ctx, s.addrs[ask[j]])
+				if err != nil {
+					return err
+				}
+				got[j], err = c.Chunk(ctx, BlockName(name, st, ask[j]), ask[j], failed)
+				s.pool.Put(c)
+				return err
+			})
+		for j, i := range ask {
+			if errs[j] != nil {
+				Recycle(got[j])
+				continue
+			}
+			helpers, chunks = append(helpers, i), append(chunks, got[j])
+			trafficBytes += len(got[j])
+			if ro.onHelper != nil {
+				ro.onHelper(i)
+			}
+		}
+		fsp.SetAttr("helpers_responded", len(helpers))
+		fsp.End()
 		if err != nil {
-			return sourceResult{idx: i, err: err}
+			return trafficBytes, err
 		}
-		chunk, err := c.Chunk(ctx, BlockName(name, st, i), i, failed)
-		s.pool.Put(c)
-		return sourceResult{idx: i, data: chunk, err: err}
-	}, func(r sourceResult, won bool) {
-		if !won {
-			Recycle(r.data)
-			return
-		}
-		helpers = append(helpers, r.idx)
-		chunks = append(chunks, r.data)
-		trafficBytes += len(r.data)
-		if ro.onHelper != nil {
-			ro.onHelper(r.idx)
-		}
-	})
-	mSparePromotions.Add(int64(started - d))
-	fsp.SetAttr("helpers_responded", got)
-	fsp.End()
-	if got < d {
-		recycleAll(chunks)
-		return trafficBytes, fmt.Errorf("%w: only %d of %d helpers responded", ErrTooFewSurvivors, got, d)
 	}
 	_, dsp := obs.StartSpan(ctx, "decode")
 	// The regenerated block is pooled scratch: the writeback below is
@@ -1023,7 +970,7 @@ func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repa
 	err = s.code.RepairBlockInto(failed, helpers, chunks, block)
 	dsp.SetAttr("block_bytes", len(block))
 	dsp.End()
-	recycleAll(chunks)
+	release()
 	if err != nil {
 		return trafficBytes, err
 	}

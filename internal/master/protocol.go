@@ -62,25 +62,6 @@ var errFrame = errors.New("master: bad control frame")
 // ErrRemote wraps in-band errors reported by the master.
 var ErrRemote = errors.New("master: remote error")
 
-// opName names an opcode for metrics and logs.
-func opName(op byte) string {
-	switch op {
-	case opRegister:
-		return "register"
-	case opHeartbeat:
-		return "heartbeat"
-	case opDeregister:
-		return "deregister"
-	case opPlace:
-		return "place"
-	case opStatus:
-		return "status"
-	case opDrain:
-		return "drain"
-	}
-	return "unknown"
-}
-
 // writeMsg sends one tagged, framed JSON message: the op (or status) byte
 // followed by a checksummed length-prefixed payload.
 func writeMsg(w io.Writer, tag byte, v any) error {
@@ -94,32 +75,6 @@ func writeMsg(w io.Writer, tag byte, v any) error {
 	binary.BigEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, castagnoli))
 	_, err = w.Write(append(hdr, payload...))
 	return err
-}
-
-// readMsg reads one tagged framed message and unmarshals its payload into
-// v (which may be nil to discard).
-func readMsg(r io.Reader, v any) (byte, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if n > maxFrame {
-		return 0, fmt.Errorf("%w: %d-byte frame exceeds limit", errFrame, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, err
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(hdr[5:9]) {
-		return 0, fmt.Errorf("%w: checksum mismatch", errFrame)
-	}
-	if v != nil {
-		if err := json.Unmarshal(payload, v); err != nil {
-			return 0, fmt.Errorf("%w: %v", errFrame, err)
-		}
-	}
-	return hdr[0], nil
 }
 
 // errHandled signals that a request failed but the error was already

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -270,18 +269,4 @@ func formatBytes(v int64) string {
 	default:
 		return strconv.FormatInt(v, 10) + "B"
 	}
-}
-
-// sortLabeled returns the snapshot's full names of one kind grouped by
-// family then name — the ordering carouselctl stats prints in.
-func sortLabeled(m map[string]int64) []string {
-	keys := sortedKeys(m)
-	sort.SliceStable(keys, func(i, j int) bool {
-		fi, fj := Family(keys[i]), Family(keys[j])
-		if fi != fj {
-			return fi < fj
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // DefaultPrefetchDepth is how many stripes a PrefetchReader keeps in
-// flight when NewPrefetchReader is given a non-positive depth. It matches
-// the block store's default pipeline depth so a stream stacked on a Store
-// keeps the same number of stripes moving.
+// flight when NewPrefetchReader is given a non-positive depth. It is 4, the
+// block store's stripesInFlight, so a stream stacked on a Store keeps the
+// same number of stripes moving.
 const DefaultPrefetchDepth = 4
 
 // StripeSource serves whole decoded stripes: ReadStripeInto fills dst

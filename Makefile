@@ -9,7 +9,7 @@ RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal
 # detector to shake out order-dependent leaks and redial races.
 FAULT_PKGS = ./internal/blockserver ./internal/dfs ./internal/faultnet
 
-.PHONY: check fmt vet build test race race-tiers faults master writepath series bench bench-gate bench-sweep obs swarm bench-swarm
+.PHONY: check fmt vet build test race race-tiers faults master writepath series sim bench bench-gate bench-sweep obs swarm bench-swarm
 
 check: fmt vet build test race
 
@@ -65,6 +65,18 @@ series:
 	$(GO) run ./cmd/codingbench -fig 6a -ks 2,4 -mb 1 -reps 1
 	$(GO) run ./cmd/codingbench -fig 7 -ks 2,4
 
+# The simulator figures run on simulated time, so Figs. 9 and 10 and the
+# degraded-job and tail extensions print the same bytes on every host:
+# build clusterbench once, run the four, and diff them against the
+# committed transcript. Re-take results/sim_figures.txt with the same loop
+# only after a change that is meant to move a figure. Fig. 11 stays out:
+# its one-failure column times the host's decoder.
+sim:
+	mkdir -p .bench_build
+	$(GO) build -o .bench_build/clusterbench ./cmd/clusterbench
+	for f in 9 10 deg tail; do .bench_build/clusterbench -fig $$f || exit 1; done > .bench_build/sim_figures.txt
+	diff results/sim_figures.txt .bench_build/sim_figures.txt
+
 # Regenerate the coding microbenchmarks and the JSON snapshot.
 bench:
 	$(GO) run ./cmd/codingbench -json
@@ -104,7 +116,7 @@ bench-sweep:
 # short open-loop Zipf swarm A/B (cache-off vs cache-on, no JSON refresh).
 swarm:
 	$(GO) test -race -count=2 ./internal/stripecache ./internal/workload
-	$(GO) test -race -run 'TestStoreCache|TestStreamPrefetchServesFromCache' ./internal/blockserver
+	$(GO) test -race -run 'TestStoreCache' ./internal/blockserver
 	$(GO) run ./cmd/clusterbench -fig swarm -swarmdur 1s -swarmobjs 128
 
 # The swarm A/B at full length, rewriting BENCH_clusterbench.json:
@@ -123,6 +135,6 @@ bench-swarm:
 obs:
 	$(GO) test -run 'TestMetricManifest' .
 	$(GO) test -race ./internal/obs
-	$(GO) test -race -run 'TestDegradedReadObservability|TestReadStatsCountsAllCorruptVerdicts|TestObsSummaryTxIsPerServer|TestCrossNodeTraceStitching|TestTracePropagationVersionTolerance' ./internal/blockserver
+	$(GO) test -race -run 'TestDegradedReadObservability|TestReadStatsCountsAllCorruptVerdicts|TestObsSummaryTxIsPerServer|TestCrossNodeTraceStitching' ./internal/blockserver
 	$(GO) test -race -run 'TestBeatHealthRollup|TestClusterRollupGauges|TestControlTraceContext' ./internal/master
 	./scripts/obscheck.sh

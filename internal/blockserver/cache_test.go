@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 
 	"carousel/internal/faultnet"
 	"carousel/internal/retry"
-	"carousel/internal/stream"
 )
 
 // cacheOpts are tight client timeouts for the fault-injection cache tests:
@@ -59,12 +57,16 @@ func TestStoreCacheWarmReadZeroDials(t *testing.T) {
 		t.Errorf("cold read reported %d cache hits, want 0", stats.CacheHits)
 	}
 
+	hitsBefore := mCacheHitStripes.Value()
 	got, stats, err = store.ReadFile(ctx, "f", size)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("warm read: %v", err)
 	}
 	if stats.CacheHits != stripes {
 		t.Errorf("warm read CacheHits = %d, want %d (every stripe)", stats.CacheHits, stripes)
+	}
+	if d := mCacheHitStripes.Value() - hitsBefore; d != stripes {
+		t.Errorf("store_cache_hit_stripes_total moved by %d for a warm %d-stripe read, want %d", d, stripes, stripes)
 	}
 	if len(stats.Dials) != 0 {
 		t.Errorf("fully-warm read dialed fresh connections: %v, want none", stats.Dials)
@@ -93,7 +95,8 @@ func TestStoreCacheDisabledMatchesUncached(t *testing.T) {
 		t.Fatal("a store built with no cache option has a cache configured")
 	}
 	ctx := context.Background()
-	size := 2 * 6 * blockSize
+	const stripes = 2
+	size := stripes * 6 * blockSize
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(i)
@@ -102,12 +105,21 @@ func TestStoreCacheDisabledMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
+		rxBefore, parallelBefore := cliBytesRx.Value(), mStripesParallel.Value()
 		got, stats, err := store.ReadFile(ctx, "f", size)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		if stats.CacheHits != 0 || stats.CoalescedStripes != 0 {
 			t.Fatalf("pass %d: uncached store reported cache activity: %+v", pass, *stats)
+		}
+		// Every pass takes the planned parallel path: k blocks' worth of
+		// data prefixes per stripe, 1.0 byte on the wire per byte read.
+		if rx := cliBytesRx.Value() - rxBefore; rx != int64(size) {
+			t.Errorf("pass %d received %d bytes for %d of data (%.2f B/B), want 1.0", pass, rx, size, float64(rx)/float64(size))
+		}
+		if d := mStripesParallel.Value() - parallelBefore; d != stripes {
+			t.Errorf("pass %d: store_parallel_stripes_total moved by %d, want %d", pass, d, stripes)
 		}
 	}
 }
@@ -192,7 +204,7 @@ func TestStoreCacheCoalescedErrorFanOut(t *testing.T) {
 
 // TestStoreCacheWaiterCancelDoesNotPoison: a reader whose context is
 // cancelled mid-flight detaches with its own context error while a second
-// reader on the same flight still completes.
+// reader on the same flight still completes, counted as coalesced.
 func TestStoreCacheWaiterCancelDoesNotPoison(t *testing.T) {
 	code := mustCode(t)
 	_, addrs, injectors := startFaultServers(t, code, 12)
@@ -226,18 +238,28 @@ func TestStoreCacheWaiterCancelDoesNotPoison(t *testing.T) {
 		}
 	})
 
+	coalescedBefore := mCoalescedStripes.Value()
+	missesBefore := store.Cache().Stats().Misses
 	actx, acancel := context.WithCancel(ctx)
 	aerr := make(chan error, 1)
 	go func() {
 		_, _, err := store.ReadFile(actx, "f", size)
 		aerr <- err
 	}()
-	berr := make(chan error, 1)
-	bgot := make(chan []byte, 1)
+	// B starts once A's miss has opened the flight, so B is its waiter.
+	opened := time.Now().Add(2 * time.Second)
+	for store.Cache().Stats().Misses == missesBefore && time.Now().Before(opened) {
+		time.Sleep(time.Millisecond)
+	}
+	type read struct {
+		got   []byte
+		stats *ReadStats
+		err   error
+	}
+	bres := make(chan read, 1)
 	go func() {
-		got, _, err := store.ReadFile(ctx, "f", size)
-		berr <- err
-		bgot <- got
+		got, stats, err := store.ReadFile(ctx, "f", size)
+		bres <- read{got, stats, err}
 	}()
 	// Wait until both readers are on the stripe (one flight, one waiter),
 	// then cancel A.
@@ -259,12 +281,18 @@ func TestStoreCacheWaiterCancelDoesNotPoison(t *testing.T) {
 		t.Fatal("cancelled reader did not return")
 	}
 	select {
-	case err := <-berr:
-		if err != nil {
-			t.Fatalf("surviving reader failed after peer cancellation: %v", err)
+	case b := <-bres:
+		if b.err != nil {
+			t.Fatalf("surviving reader failed after peer cancellation: %v", b.err)
 		}
-		if got := <-bgot; !bytes.Equal(got, data) {
+		if !bytes.Equal(b.got, data) {
 			t.Fatal("surviving reader got wrong bytes")
+		}
+		if b.stats.CoalescedStripes != 1 {
+			t.Errorf("surviving reader coalesced %d stripes, want 1: it joined the open flight", b.stats.CoalescedStripes)
+		}
+		if d := mCoalescedStripes.Value() - coalescedBefore; d < 1 {
+			t.Errorf("store_coalesced_stripes_total moved by %d, want >= 1 for the reader that coalesced", d)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("surviving reader never completed")
@@ -340,107 +368,5 @@ func TestStoreCacheInvalidationRace(t *testing.T) {
 				t.Fatalf("version %d pass %d: read served stale bytes after WriteFile returned", version, pass)
 			}
 		}
-	}
-}
-
-// TestStreamPrefetchServesFromCache: the PrefetchReader's StripeSource
-// fast path serves warm stripes from the cache with no fresh dials.
-func TestStreamPrefetchServesFromCache(t *testing.T) {
-	code := mustCode(t)
-	_, addrs := startServers(t, code, 12)
-	blockSize := code.BlockAlign() * 4
-	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithStripeCache(64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(store.Close)
-	ctx := context.Background()
-	size := 3 * 6 * blockSize
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i * 17)
-	}
-	if _, err := store.WriteFile(ctx, "f", data); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the cache through the regular read path.
-	if _, _, err := store.ReadFile(ctx, "f", size); err != nil {
-		t.Fatal(err)
-	}
-	dialsBefore := store.Pool().DialCounts()
-	hitsBefore := mCacheHitStripes.Value()
-	r, err := stream.NewPrefetchReader(code, blockSize, int64(size), store.Source(ctx, "f"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("warm streamed read mismatch")
-	}
-	if d := dialDelta(dialsBefore, store.Pool().DialCounts()); len(d) != 0 {
-		t.Errorf("warm streamed read dialed fresh connections: %v, want none", d)
-	}
-	if d := mCacheHitStripes.Value() - hitsBefore; d != 3 {
-		t.Errorf("store_cache_hit_stripes_total moved by %d for a warm 3-stripe streamed read, want 3", d)
-	}
-}
-
-// TestStreamCoalescedMissesAreCounted: concurrent stream readers missing on
-// one cold stripe share a single fetch, and the ones that piggybacked move
-// store_coalesced_stripes_total exactly as ReadFile's would — the stream
-// path used to discard the coalesced verdict.
-func TestStreamCoalescedMissesAreCounted(t *testing.T) {
-	code := mustCode(t)
-	_, addrs, injectors := startFaultServers(t, code, 12)
-	blockSize := code.BlockAlign() * 4
-	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithStripeCache(64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(store.Close)
-	ctx := context.Background()
-	size := 6 * blockSize // one stripe
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i * 19)
-	}
-	if _, err := store.WriteFile(ctx, "f", data); err != nil {
-		t.Fatal(err)
-	}
-	// Slow every response so the first miss's flight stays open while the
-	// other readers arrive and join it.
-	for _, in := range injectors {
-		in.SetDefault(faultnet.Policy{DelayWrite: 100 * time.Millisecond})
-	}
-	coalescedBefore := mCoalescedStripes.Value()
-	waitersBefore := store.Cache().Stats().CoalescedWaiters
-	const readers = 4
-	var wg sync.WaitGroup
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dst := make([]byte, size)
-			err := store.Source(ctx, "f").ReadStripeInto(0, dst)
-			if err != nil || !bytes.Equal(dst, data) {
-				t.Errorf("streamed stripe read: err %v, intact %v", err, bytes.Equal(dst, data))
-			}
-		}()
-	}
-	wg.Wait()
-	joined := store.Cache().Stats().CoalescedWaiters - waitersBefore
-	if joined == 0 {
-		t.Fatal("no reader joined the in-flight fetch; the test opened no coalescing window")
-	}
-	if d := mCoalescedStripes.Value() - coalescedBefore; d != joined {
-		t.Errorf("store_coalesced_stripes_total moved by %d, want the %d readers that coalesced", d, joined)
 	}
 }

@@ -122,11 +122,6 @@ type Client struct {
 	conn net.Conn
 	lat  *obs.Histogram // per-peer RPC latency, interned at construction
 
-	// traceCap is the peer's trace-propagation capability: 0 = not yet
-	// probed, 1 = peer answered opHello OK (send opTraceCtx frames),
-	// -1 = legacy peer (never send them). Probed lazily on the first traced
-	// request, so untraced workloads never pay the round trip.
-	traceCap int8
 	// traceID/traceParent stage the current exchange's trace context,
 	// captured from the context's span in do.
 	traceID     uint64
@@ -320,8 +315,8 @@ type request struct {
 func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	start := time.Now()
 	// Stage the exchange's trace context: when the context carries a span,
-	// its IDs ride ahead of the request in an opTraceCtx frame (capability
-	// permitting) so the server's spans join the caller's trace.
+	// its IDs ride ahead of the request in an opTraceCtx frame so the
+	// server's spans join the caller's trace.
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		c.traceID, c.traceParent = sp.TraceID(), sp.ID()
 	} else {
@@ -387,15 +382,7 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 	}
 	conn.SetDeadline(deadline)
 	c.armWatcher(ctx, conn)
-	if c.traceID != 0 && c.traceCap == 0 {
-		// First traced request against this peer: probe whether it
-		// understands trace-context frames before emitting any.
-		err = c.probeHello(conn)
-	}
-	var payload []byte
-	if err == nil {
-		payload, err = c.exchange(conn, r)
-	}
+	payload, err := c.exchange(conn, r)
 	c.disarmWatcher()
 	if err != nil {
 		if !inBand(err) {
@@ -412,42 +399,18 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 	return payload, nil
 }
 
-// probeHello runs one opHello exchange on the connection and records the
-// peer's capability. An in-band error is an old peer answering "unknown
-// op" with its framing intact — propagation is off, the request proceeds
-// untraced. A transport error is returned for the usual poison/retry
-// machinery; the capability stays unprobed.
-func (c *Client) probeHello(conn net.Conn) error {
-	payload, err := c.exchange(conn, request{op: opHello, name: "trace"})
-	switch {
-	case err == nil:
-		c.traceCap = -1
-		if len(payload) == 1 && payload[0]&capTraceCtx != 0 {
-			c.traceCap = 1
-		}
-		bufpool.Put(payload)
-		return nil
-	case inBand(err):
-		c.traceCap = -1
-		return nil
-	default:
-		return err
-	}
-}
-
 // exchange is the one place a request is written and its response read.
 // The preamble — op, length-prefixed name, integer arguments — is built in
-// the request scratch; when a trace context is staged and the peer speaks
-// opTraceCtx, the reply-less trace frame is prepended to it. Preamble and
-// body then leave as one vectored write: on TCP a single writev with no
-// intermediate copy, so a block-sized Put costs one syscall and zero
-// payload copies client-side.
+// the request scratch; when a trace context is staged, the reply-less
+// opTraceCtx frame is prepended to it. Preamble and body then leave as one
+// vectored write: on TCP a single writev with no intermediate copy, so a
+// block-sized Put costs one syscall and zero payload copies client-side.
 func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
 	if len(r.name) == 0 || len(r.name) > maxNameLen {
 		return nil, fmt.Errorf("blockserver: invalid name length %d", len(r.name))
 	}
 	c.req = c.req[:0]
-	if r.op != opHello && c.traceID != 0 && c.traceCap == 1 {
+	if c.traceID != 0 {
 		c.req = append(c.req, opTraceCtx, 0, traceCtxLen)
 		c.req = binary.BigEndian.AppendUint64(c.req, c.traceID)
 		c.req = binary.BigEndian.AppendUint64(c.req, c.traceParent)

@@ -20,20 +20,13 @@
 //
 // Operations: put, get, range (partial read for parallel reads of data
 // prefixes), chunk (helper-side repair computation), delete, stat, verify
-// (server-side checksum audit of one block), hello (capability probe),
-// tracectx (trace propagation).
+// (server-side checksum audit of one block), tracectx (trace propagation).
 //
-// Trace propagation is version-tolerant by construction. A client that
-// wants its spans stitched across the wire first sends one opHello probe —
-// a perfectly ordinary framed request, so an old server answers it in-band
-// with "unknown op" (statusError) and the stream stays in sync, while a
-// new server answers statusOK. Only after an OK hello does the client ever
-// emit opTraceCtx: a reply-less prefix frame reusing the name slot for a
-// fixed 16-byte payload, traceID(8) || parentSpanID(8) big-endian, that
-// primes the *next* request's server-side spans to parent under the
-// client's span. Old clients never send either op, new servers serve old
-// clients unchanged, and new clients degrade to untraced requests against
-// old servers after one failed probe.
+// A traced request is preceded by opTraceCtx: a reply-less prefix frame
+// reusing the name slot for a fixed 16-byte payload, traceID(8) ||
+// parentSpanID(8) big-endian, that primes the *next* request's server-side
+// spans to parent under the client's span. Untraced requests carry no
+// prefix.
 package blockserver
 
 import (
@@ -54,19 +47,10 @@ const (
 	opDelete
 	opStat
 	opVerify
-	// opHello probes peer capabilities: a new server replies statusOK with
-	// a capability byte, an old server replies in-band "unknown op"
-	// (statusError) with its framing intact — which is the whole trick.
-	opHello
 	// opTraceCtx is a reply-less prefix frame carrying traceCtxLen bytes of
-	// trace context in the name slot; it must only be sent to a peer that
-	// answered opHello with statusOK.
+	// trace context in the name slot.
 	opTraceCtx
 )
-
-// capTraceCtx is the capability byte a server returns from opHello when it
-// understands opTraceCtx frames.
-const capTraceCtx byte = 1
 
 // traceCtxLen is the opTraceCtx payload size: traceID(8) + parentSpanID(8).
 const traceCtxLen = 16

@@ -45,8 +45,6 @@ func opName(op byte) string {
 		return "stat"
 	case opVerify:
 		return "verify"
-	case opHello:
-		return "hello"
 	case opTraceCtx:
 		return "tracectx"
 	}
@@ -534,21 +532,9 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 		}
 		return s.reply(cs, op, statusOK, nil)
 
-	case opHello:
-		// Capability probe: a statusOK reply licenses the client to send
-		// opTraceCtx prefix frames on this connection.
-		return s.reply(cs, op, statusOK, []byte{capTraceCtx})
-
 	default:
 		return s.reply(cs, op, statusError, []byte(fmt.Sprintf("unknown op %d", op)))
 	}
-}
-
-// BlockCount returns the number of stored blocks (for tests).
-func (s *Server) BlockCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blocks)
 }
 
 // Stats reports this server's stored capacity and corrupt-serve count —

@@ -186,55 +186,3 @@ func TestCrossNodeTraceStitching(t *testing.T) {
 	hc.CloseIdleConnections()
 	waitGoroutines(t, base)
 }
-
-// TestTracePropagationVersionTolerance pins the interop story: a tracing
-// client against a server that does not understand opHello must degrade to
-// untraced requests on an intact connection — same results, no desync, no
-// trace frames — and a second traced request must not re-probe.
-func TestTracePropagationVersionTolerance(t *testing.T) {
-	srv := NewServer(nil)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c := NewClient(addr, fastOpts())
-	defer c.Close()
-
-	// Seed a block untraced.
-	ctx := context.Background()
-	if err := c.Put(ctx, "b", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-
-	// A legacy peer is simulated by forcing the capability to "probed,
-	// unsupported": the client must never emit opTraceCtx.
-	c.traceCap = -1
-	tctx, sp := obs.DefaultTracer().Start(ctx, "client.op")
-	got, err := c.Get(tctx, "b")
-	sp.End()
-	if err != nil {
-		t.Fatalf("traced get against legacy peer: %v", err)
-	}
-	if string(got) != "payload" {
-		t.Fatalf("got %q", got)
-	}
-	Recycle(got)
-
-	// And against a modern peer, the probe runs once and flips the cap on.
-	c2 := NewClient(addr, fastOpts())
-	defer c2.Close()
-	tctx2, sp2 := obs.DefaultTracer().Start(ctx, "client.op2")
-	if _, err := c2.Get(tctx2, "b"); err != nil {
-		t.Fatal(err)
-	}
-	sp2.End()
-	if c2.traceCap != 1 {
-		t.Fatalf("traceCap = %d after probing a modern peer, want 1", c2.traceCap)
-	}
-	// Untraced requests still work with the cap on (no trace frame staged).
-	if err := c2.Verify(ctx, "b"); err != nil {
-		t.Fatal(err)
-	}
-}

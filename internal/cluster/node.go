@@ -145,13 +145,6 @@ func (n *Node) ComputeDuration(bytes float64) float64 {
 	return bytes / n.computeBW
 }
 
-// ComputeSeconds occupies one slot for a fixed duration.
-func (n *Node) ComputeSeconds(p *Proc, seconds float64) {
-	n.Slots.Acquire(p)
-	defer n.Slots.Release()
-	p.Sleep(seconds)
-}
-
 // DiskRead returns the disk-read resource, for custom flow compositions.
 func (n *Node) DiskRead() *Resource { return n.diskRead }
 

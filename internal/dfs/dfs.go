@@ -304,6 +304,9 @@ func (fs *FS) Write(name string, data []byte, blockSize int, scheme Scheme) (*Fi
 			f.stripes = append(f.stripes, &stripe{blocks: []*block{{content: content, crc: checksum(content), locations: locs}}})
 		}
 	case Carousel:
+		if s.Code == nil {
+			return nil, errors.New("dfs: carousel scheme has no code")
+		}
 		if blockSize%s.Code.BlockAlign() != 0 {
 			return nil, fmt.Errorf("dfs: block size %d is not a multiple of the carousel alignment %d",
 				blockSize, s.Code.BlockAlign())

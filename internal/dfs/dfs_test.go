@@ -142,6 +142,13 @@ func TestWriteValidation(t *testing.T) {
 	if _, err := rig.fs.Write("y", []byte{1}, 1, rsPoint(t, 6, 4)); err == nil {
 		t.Error("stripe wider than cluster did not error")
 	}
+	// The zero-value scheme names no code: refused before any layout.
+	if _, err := rig.fs.Write("z", []byte{1}, 100, Carousel{}); err == nil {
+		t.Error("carousel scheme with no code did not error")
+	}
+	if _, err := rig.fs.File("z"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("refused write left a file behind: %v", err)
+	}
 }
 
 func TestReadRS(t *testing.T) {

@@ -717,15 +717,3 @@ func (m *Master) Status() *ClusterStatus {
 func (m *Master) ObsAddrs() []string {
 	return m.members.ObsAddrs()
 }
-
-// Placement returns the current placement for a file, for tests and
-// debugging.
-func (m *Master) Placement(name string) (PlaceReply, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.state.Files[name]
-	if !ok {
-		return PlaceReply{}, false
-	}
-	return PlaceReply{Name: f.Name, Size: f.Size, BlockSize: f.BlockSize, Addrs: append([]string(nil), f.Addrs...)}, true
-}

@@ -54,12 +54,50 @@ func registeredFamilies(t *testing.T) map[string]family {
 	return got
 }
 
+var (
+	testFunc = regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	testName = regexp.MustCompile(`\bTest\w+`)
+)
+
+// definedTests lists the Test functions the repository's _test.go files
+// define, so a reader column cannot name a test that is gone.
+func definedTests(t *testing.T) map[string]bool {
+	t.Helper()
+	got := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			got[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestMetricManifest holds the rule "the registry exports a family only if
 // something reads it" in place: the DESIGN.md §8 family table and the
 // families non-test code registers must be the same set, each row naming
-// its kind, its owner package and a reader, and the rows that claim
-// scripts/obscheck.sh as their reader must be exactly the families it
-// greps.
+// its kind, its owner package and a reader, every test a reader column
+// names must exist, and the rows that claim scripts/obscheck.sh as their
+// reader must be exactly the families it greps.
 func TestMetricManifest(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -75,6 +113,7 @@ func TestMetricManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	registered := registeredFamilies(t)
+	tests := definedTests(t)
 	listed := map[string]bool{}
 	for _, line := range strings.Split(table, "\n") {
 		if !strings.HasPrefix(line, "| `") {
@@ -99,6 +138,11 @@ func TestMetricManifest(t *testing.T) {
 		}
 		if reader == "" {
 			t.Errorf("%s has no reader: give it one or delete the family", name)
+		}
+		for _, test := range testName.FindAllString(reader, -1) {
+			if !tests[test] {
+				t.Errorf("%s: its reader column names %s, which no _test.go defines", name, test)
+			}
 		}
 		greps := regexp.MustCompile(`\b` + name + `(_bucket|_p99)?\b`).Match(script)
 		if claims := strings.Contains(reader, "obscheck"); greps != claims {

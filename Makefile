@@ -41,13 +41,16 @@ faults:
 	$(GO) test -race -count=2 $(FAULT_PKGS)
 
 # The self-healing control plane: membership/journal/scheduler unit
-# tests, the kill-a-node and restart-resume e2e suites, and the
-# short-mode chaos test (faultnet-partitioned heartbeats walk a member
+# tests, the kill-a-node, restart-resume and per-task bandwidth-budget
+# e2e suites, the control-wire suite (TestControlWire: corrupt request
+# and reply, oversize body, unknown route, a refusal keeps the
+# connection, one client under concurrent callers), and the short-mode
+# chaos test (faultnet-partitioned heartbeats walk a member
 # alive -> suspect -> dead -> back with no spurious rebuild), all
 # race-enabled over real TCP.
 master:
 	$(GO) test -race -count=2 ./internal/master
-	$(GO) test -race -short -count=1 -run 'TestChaosHeartbeatPartition' ./internal/master
+	$(GO) test -race -short -count=1 -run 'TestChaosHeartbeatPartition|TestControlWire' ./internal/master
 
 # The pooled write and rebuild paths: the codec's dirty-destination
 # invariants (Into forms byte-identical to the allocating ones, every plan
@@ -129,12 +132,12 @@ bench-swarm:
 # The observability layer: the family manifest (DESIGN.md §8 table ==
 # what the sources register == what obscheck greps), metric/span
 # correctness under the race detector, the degraded-read, per-server tx
-# and cross-node trace-stitching e2es, the master's health roll-up and
-# control-plane trace suites, then a live scrape of both a standalone
-# 3-node cluster and a master-managed one.
+# and cross-node trace-stitching e2es, the master's health roll-up
+# suites, then a live scrape of both a standalone 3-node cluster and a
+# master-managed one.
 obs:
 	$(GO) test -run 'TestMetricManifest' .
 	$(GO) test -race ./internal/obs
 	$(GO) test -race -run 'TestDegradedReadObservability|TestReadStatsCountsAllCorruptVerdicts|TestObsSummaryTxIsPerServer|TestCrossNodeTraceStitching' ./internal/blockserver
-	$(GO) test -race -run 'TestBeatHealthRollup|TestClusterRollupGauges|TestControlTraceContext' ./internal/master
+	$(GO) test -race -run 'TestBeatHealthRollup|TestClusterRollupGauges' ./internal/master
 	./scripts/obscheck.sh

@@ -19,11 +19,11 @@
 //	blockserverd -fault-cut-after 1048576  # drop conns after 1 MiB
 //	blockserverd -fault-partition 10.0.0.7 # reject conns from a peer
 //
-// With -master set the daemon joins a carouselmaster control plane:
-// register on startup, heartbeat (piggybacking capacity and corrupt-serve
-// counters) at the master-acked interval with jittered reconnect backoff,
-// and deregister on SIGINT/SIGTERM so shutdown is a clean drain instead of
-// a detected failure.
+// With -master set the daemon joins a carouselmaster control plane: beat
+// (the first beat registers; each piggybacks capacity, corrupt-serve and
+// health counters) at the master-acked interval with jittered reconnect
+// backoff, and leave on SIGINT/SIGTERM so shutdown is a clean drain
+// instead of a detected failure.
 //
 // Usage:
 //
@@ -118,8 +118,8 @@ func main() {
 	}
 
 	// With a master configured, run the membership side of the control
-	// plane: register, then heartbeat with piggybacked capacity and health
-	// counters, reconnecting with jittered backoff when the master is away.
+	// plane: beat with piggybacked capacity and health counters,
+	// reconnecting with jittered backoff when the master is away.
 	var hb *master.Heartbeater
 	if *masterAddr != "" {
 		adv := *advertise
@@ -134,11 +134,10 @@ func main() {
 				p99, depth, tx := srv.ObsSummary()
 				return master.NodeInfo{
 					Addr: adv, Blocks: blocks, BlockBytes: bytes, CorruptServes: corrupt,
-					ObsAddr:        obsBound,
-					RPCP99NS:       p99,
-					QueueDepth:     depth,
-					BytesTx:        tx,
-					ErrorBudgetPPM: obs.Default().MinErrorBudgetRemainingPPM(),
+					ObsAddr:    obsBound,
+					RPCP99NS:   p99,
+					QueueDepth: depth,
+					BytesTx:    tx,
 				}
 			},
 		})
@@ -151,8 +150,8 @@ func main() {
 	<-sig
 	log.Info("shutting down")
 	if hb != nil {
-		// Deregister first — a clean drain: the master moves this node's
-		// blocks immediately instead of waiting out the suspect window.
+		// Leave first — a clean drain: the master moves this node's blocks
+		// immediately instead of waiting out the suspect window.
 		hb.Stop()
 		log.Info("deregistered from master")
 	}

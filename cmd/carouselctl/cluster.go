@@ -216,7 +216,7 @@ func cmdClusterDrain(args []string) error {
 	addr := fs.Arg(0)
 	c := master.NewClient(*masterAddr, &master.ClientOptions{DialTimeout: *timeout, IOTimeout: *timeout})
 	defer c.Close()
-	rep, err := c.Drain(addr)
+	rep, err := c.Leave(addr)
 	if err != nil {
 		return fmt.Errorf("master %s: %w", *masterAddr, err)
 	}

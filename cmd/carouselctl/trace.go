@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,8 +18,7 @@ import (
 // prints the stitched cross-node span tree: the client's stripe/fetch spans
 // with the server-side fetch/verify/decode spans nested under them. The
 // endpoints come from -addrs, or are discovered through the master's
-// cluster view (-master), which includes the master's own obs endpoint so
-// control-plane spans stitch in too.
+// cluster view (-master): every member's advertised obs endpoint.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	addrs := fs.String("addrs", "", "comma-separated observability addresses (host:port) to collect from")
@@ -74,9 +72,9 @@ func cmdTrace(args []string) error {
 }
 
 // cmdTop polls the master's cluster view and renders a refreshing per-node
-// health table: the heartbeat-piggybacked throughput, windowed RPC p99,
-// queue depth, remaining SLO error budget, and stripe-cache hit rate, plus
-// the cluster roll-up line the master's cluster_* gauges export.
+// health table — the heartbeat-piggybacked throughput, windowed RPC p99,
+// queue depth and corrupt serves — plus the master's roll-up, the line its
+// cluster_* gauges export.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	masterAddr := fs.String("master", "127.0.0.1:7060", "carouselmaster control-plane address")
@@ -113,46 +111,15 @@ func printTop(masterAddr string, cs *master.ClusterStatus) {
 		fmt.Println("no members registered")
 		return
 	}
-	members := append([]master.MemberStatus(nil), cs.Members...)
-	sort.Slice(members, func(i, j int) bool { return members[i].Addr < members[j].Addr })
-	fmt.Printf("\n%-24s %-8s %10s %10s %7s %10s %8s\n",
-		"MEMBER", "STATE", "TX RATE", "RPC P99", "QUEUE", "BUDGET", "CORRUPT")
-	var rollup master.Rollup
-	rollup.ErrorBudgetMinPPM = 1_000_000
-	alive := 0
-	for _, m := range members {
-		budget := "-"
-		p99 := "-"
-		rate := "-"
-		if m.ObsAddr != "" {
-			budget = fmt.Sprintf("%.1f%%", float64(m.ErrorBudgetPPM)/10_000)
-			p99 = formatNS(m.RPCP99NS)
-			rate = formatRate(m.TxRateBps)
-		}
-		fmt.Printf("%-24s %-8s %10s %10s %7d %10s %8d\n",
-			m.Addr, m.State, rate, p99, m.QueueDepth, budget, m.CorruptServes)
-		if m.State != "alive" {
-			continue
-		}
-		alive++
-		rollup.Blocks += m.Blocks
-		rollup.BlockBytes += m.BlockBytes
-		rollup.CorruptServes += m.CorruptServes
-		if m.ObsAddr == "" {
-			continue
-		}
-		rollup.QueueDepth += m.QueueDepth
-		rollup.TxRateBps += m.TxRateBps
-		if m.RPCP99NS > rollup.RPCP99NS {
-			rollup.RPCP99NS = m.RPCP99NS
-		}
-		if m.ErrorBudgetPPM < rollup.ErrorBudgetMinPPM {
-			rollup.ErrorBudgetMinPPM = m.ErrorBudgetPPM
-		}
+	fmt.Printf("\n%-24s %-8s %10s %10s %7s %8s\n",
+		"MEMBER", "STATE", "TX RATE", "RPC P99", "QUEUE", "CORRUPT")
+	for _, m := range cs.Members {
+		fmt.Printf("%-24s %-8s %10s %10s %7d %8d\n",
+			m.Addr, m.State, formatRate(m.TxRateBps), formatNS(m.RPCP99NS), m.QueueDepth, m.CorruptServes)
 	}
-	fmt.Printf("\ncluster: %d alive, %d blocks (%s), tx %s, worst p99 %s, queue %d, min budget %.1f%%\n",
-		alive, rollup.Blocks, formatBytes(rollup.BlockBytes), formatRate(rollup.TxRateBps),
-		formatNS(rollup.RPCP99NS), rollup.QueueDepth, float64(rollup.ErrorBudgetMinPPM)/10_000)
+	r := cs.Rollup
+	fmt.Printf("\ncluster: %d alive, %d blocks (%s), tx %s, worst p99 %s, queue %d\n",
+		r.Alive, r.Blocks, formatBytes(r.BlockBytes), formatRate(r.TxRateBps), formatNS(r.RPCP99NS), r.QueueDepth)
 }
 
 // splitAddrs parses a comma-separated address list, dropping blanks.

@@ -18,6 +18,10 @@
 // Dead, then rebuild its blocks onto the least-loaded survivor — no
 // operator repair call involved.
 //
+// -addr serves the control protocol, JSON over HTTP (the routes are in
+// package master's documentation); -obs-addr serves /metrics with the
+// cluster_* roll-up gauges.
+//
 // Usage:
 //
 //	carouselmaster [-addr 127.0.0.1:7060] [-data DIR] [-obs-addr 127.0.0.1:7061]
@@ -52,7 +56,7 @@ func main() {
 	grace := flag.Duration("grace", 0, "Suspect -> Dead grace window (default 2*miss*heartbeat)")
 	hold := flag.Duration("hold", 0, "rebuild hold after Dead, doubled per recent flap (default = grace)")
 	scrubEvery := flag.Duration("scrub-every", 0, "periodic scrub sweep interval; 0 disables")
-	recoverBW := flag.Int64("recover-bw", 0, "per-recovery-task bandwidth budget in bytes/sec; 0 unthrottled")
+	recoverBW := flag.Int64("recover-bw", 0, "bandwidth budget of each recovery task, across all its files, in bytes/sec; 0 unthrottled")
 	recoverCap := flag.Int("recover-cap", 2, "concurrent recovery tasks")
 	scrubCap := flag.Int("scrub-cap", 1, "concurrent scrub tasks")
 	flag.Parse()
@@ -80,10 +84,8 @@ func main() {
 		log.Error("master init failed", "err", err)
 		os.Exit(1)
 	}
-	// The obs endpoint starts first so its bound address can be advertised
-	// in the cluster status view: carouselctl trace and top discover the
-	// master's /metrics and /debug/traces through it. It serves the
-	// cluster_* roll-up gauges the master aggregates from heartbeats.
+	// The obs endpoint serves the cluster_* roll-up gauges the master
+	// aggregates from heartbeats.
 	if *obsAddr != "" {
 		obsBound, stopObs, err := obs.Serve(*obsAddr)
 		if err != nil {
@@ -91,7 +93,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer stopObs()
-		m.SetObsAddr(obsBound)
 		log.Info("observability endpoint up", "addr", obsBound)
 	}
 	if err := m.Start(*addr); err != nil {

@@ -119,8 +119,10 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 
 	var tb *tokenBucket
 	if cfg.bandwidth > 0 {
-		// One repair's worth of burst keeps a single stripe from
-		// deadlocking against a cap smaller than its own traffic.
+		// The bucket starts empty, so the pass pays for every byte it moves
+		// and back-to-back passes (a master task's one-file items) cannot
+		// exceed the budget together. Idle time banks at most one repair or
+		// a quarter second of budget, whichever is more.
 		tb = newTokenBucket(cfg.bandwidth, d*s.code.HelperChunkSize(s.blockSize)+s.blockSize)
 	}
 	var mu sync.Mutex
@@ -185,15 +187,15 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// newTokenBucket returns a bucket paced at bytesPerSec that can bank at
-// most burst bytes (raised to bytesPerSec/4 if smaller, so tiny bursts
-// don't quantize the pacing).
+// newTokenBucket returns an empty bucket paced at bytesPerSec that can
+// bank at most burst bytes (raised to bytesPerSec/4 if smaller, so tiny
+// bursts don't quantize the pacing).
 func newTokenBucket(bytesPerSec int64, burst int) *tokenBucket {
 	b := float64(burst)
 	if min := float64(bytesPerSec) / 4; b < min {
 		b = min
 	}
-	return &tokenBucket{rate: float64(bytesPerSec), burst: b, tokens: b, last: time.Now()}
+	return &tokenBucket{rate: float64(bytesPerSec), burst: b, last: time.Now()}
 }
 
 // Wait charges n bytes against the budget, sleeping off any deficit. A

@@ -258,8 +258,8 @@ func TestRecoverServerWithBlackholedHelper(t *testing.T) {
 
 // TestRecoveryThrottle checks WithRecoveryBandwidth actually paces the
 // pass: the charged bytes over the measured wall time must not exceed the
-// configured rate by more than the bucket's burst credit allows, and the
-// pass must take at least the deficit the bucket owes.
+// configured rate by more than timer slack, and the pass must take about
+// the time its bytes cost at that rate.
 func TestRecoveryThrottle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive throttle measurement")
@@ -288,12 +288,8 @@ func TestRecoveryThrottle(t *testing.T) {
 	chunkSize := code.HelperChunkSize(blockSize)
 	charged := float64(stripes * (code.D()*chunkSize + blockSize))
 	rate := charged // 1 second of traffic at the cap
-	burst := float64(code.D()*chunkSize + blockSize)
-	if min := rate / 4; burst < min {
-		burst = min
-	}
-	// A full bucket pays for burst bytes up front; the rest is slept off.
-	ideal := (charged - burst) / rate
+	// The bucket starts empty: every charged byte is slept off.
+	ideal := charged / rate
 
 	t0 := time.Now()
 	rep, err := store.RecoverServer(ctx, failed, files, WithRecoveryBandwidth(int64(rate)))

@@ -23,11 +23,27 @@ func TestTokenBucketNilNeverWaits(t *testing.T) {
 	}
 }
 
-// TestTokenBucketBurstIsFree: charges within the banked burst return
-// without sleeping — the first repair of a pass never stalls.
+// idle banks d of idle time into tb, as if its last charge were d ago.
+func idle(tb *tokenBucket, d time.Duration) {
+	tb.mu.Lock()
+	tb.last = tb.last.Add(-d)
+	tb.mu.Unlock()
+}
+
+// TestTokenBucketBurstIsFree: a bucket starts empty, so its first charge
+// pays for itself; once idle time has banked tokens, charges within the
+// bank return without sleeping.
 func TestTokenBucketBurstIsFree(t *testing.T) {
 	tb := newTokenBucket(1024, 4096)
 	start := time.Now()
+	if err := tb.Wait(context.Background(), 256); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if d := time.Since(start); d < 150*time.Millisecond {
+		t.Fatalf("a fresh bucket's 256 B charge at 1 KiB/s slept %v, want ~250ms", d)
+	}
+	idle(tb, time.Minute) // banks the 4096 B burst, no more
+	start = time.Now()
 	if err := tb.Wait(context.Background(), 4096); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
@@ -47,11 +63,8 @@ func TestTokenBucketDeficitAccounting(t *testing.T) {
 	if tb.burst != float64(rate)/4 {
 		t.Fatalf("burst floor: got %v, want %v", tb.burst, float64(rate)/4)
 	}
-	// Drain the bank, then charge 128 KiB beyond it: the deficit is 128 KiB
-	// at 1 MiB/s = 125ms.
-	if err := tb.Wait(context.Background(), int(tb.burst)); err != nil {
-		t.Fatalf("draining charge: %v", err)
-	}
+	// The bucket starts empty: a 128 KiB charge is a 128 KiB deficit, at
+	// 1 MiB/s = 125ms.
 	start := time.Now()
 	if err := tb.Wait(context.Background(), 128<<10); err != nil {
 		t.Fatalf("deficit charge: %v", err)
@@ -75,11 +88,8 @@ func TestTokenBucketDeficitAccounting(t *testing.T) {
 // deficit surfaces promptly as a classified error instead of finishing the
 // sleep.
 func TestTokenBucketCancelMidSleep(t *testing.T) {
-	// 1 KiB/s: a 64 KiB overcharge would sleep for about a minute.
+	// 1 KiB/s: a 64 KiB charge would sleep for about a minute.
 	tb := newTokenBucket(1024, 1)
-	if err := tb.Wait(context.Background(), int(tb.burst)); err != nil {
-		t.Fatalf("draining charge: %v", err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- tb.Wait(ctx, 64<<10) }()
@@ -100,9 +110,6 @@ func TestTokenBucketCancelMidSleep(t *testing.T) {
 // throttle-starved pass from a dead helper.
 func TestTokenBucketDeadlineMidSleep(t *testing.T) {
 	tb := newTokenBucket(1024, 1)
-	if err := tb.Wait(context.Background(), int(tb.burst)); err != nil {
-		t.Fatalf("draining charge: %v", err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	err := tb.Wait(ctx, 64<<10)
@@ -112,10 +119,10 @@ func TestTokenBucketDeadlineMidSleep(t *testing.T) {
 }
 
 // TestTokenBucketBurstOneRepair: the RecoverServer wiring sizes burst to
-// one repair's bytes, so exactly one repair proceeds immediately and the
-// next charge of the same size pays a full repair's worth of sleep —
-// pacing at repair granularity. Concurrent chargers (run with -race)
-// exercise the lock.
+// one repair's bytes and starts empty, so a pass's first repair pays one
+// repair interval, and however long a pass idles, one repair proceeds
+// immediately and the next pays a full interval — pacing at repair
+// granularity. Concurrent chargers (run with -race) exercise the lock.
 func TestTokenBucketBurstOneRepair(t *testing.T) {
 	repairBytes := 32 << 10
 	rate := int64(4 * repairBytes) // 4 repairs/sec → 250ms per repair
@@ -124,28 +131,26 @@ func TestTokenBucketBurstOneRepair(t *testing.T) {
 	if tb.burst != float64(repairBytes) {
 		t.Fatalf("burst: got %v, want %v", tb.burst, repairBytes)
 	}
-	start := time.Now()
-	if err := tb.Wait(context.Background(), repairBytes); err != nil {
-		t.Fatalf("first repair charge: %v", err)
+	charge := func(what string, minD, maxD time.Duration) {
+		t.Helper()
+		start := time.Now()
+		if err := tb.Wait(context.Background(), repairBytes); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d := time.Since(start); d < minD || d > maxD {
+			t.Fatalf("%s slept %v, want within [%v, %v]", what, d, minD, maxD)
+		}
 	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("first repair slept %v, want immediate", d)
-	}
-	// A second identical charge must sleep about one repair interval
-	// (250ms).
-	start = time.Now()
-	if err := tb.Wait(context.Background(), repairBytes); err != nil {
-		t.Fatalf("second repair charge: %v", err)
-	}
-	if d := time.Since(start); d < 100*time.Millisecond {
-		t.Fatalf("second repair slept only %v, want ~250ms", d)
-	}
+	charge("first repair of a fresh bucket", 150*time.Millisecond, time.Second)
+	idle(tb, time.Minute)
+	charge("repair after a long idle", 0, 100*time.Millisecond)
+	charge("next repair", 150*time.Millisecond, time.Second)
 
-	// Concurrent charges against one bucket: the long-run pace bounds the
-	// total elapsed time from below.
+	// Concurrent charges against one fresh bucket: the long-run pace
+	// bounds the total elapsed time from below.
 	tb = newTokenBucket(rate, repairBytes)
 	const chargers = 4
-	start = time.Now()
+	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < chargers; i++ {
 		wg.Add(1)
@@ -157,9 +162,9 @@ func TestTokenBucketBurstOneRepair(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// 4 charges against a 1-repair burst at 4 repairs/sec: at least ~3
-	// repair intervals of pacing must have elapsed for the slowest charger.
-	if d := time.Since(start); d < 300*time.Millisecond {
-		t.Fatalf("%d concurrent repairs finished in %v, want >= 300ms of pacing", chargers, d)
+	// 4 charges from empty at 4 repairs/sec: the slowest charger pays ~4
+	// repair intervals.
+	if d := time.Since(start); d < 750*time.Millisecond {
+		t.Fatalf("%d concurrent repairs finished in %v, want >= 750ms of pacing", chargers, d)
 	}
 }

@@ -1,8 +1,12 @@
 package master
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"time"
 )
 
@@ -10,7 +14,7 @@ import (
 type ClientOptions struct {
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
-	// IOTimeout bounds each request/response round trip (default 10s).
+	// IOTimeout bounds each call, dial included (default 10s).
 	IOTimeout time.Duration
 	// Dial replaces net.DialTimeout, for fault-injection tests that wrap
 	// the client side of the connection.
@@ -34,122 +38,95 @@ func (o *ClientOptions) withDefaults() ClientOptions {
 	return out
 }
 
-// Client speaks the control protocol to one master over a single
-// persistent connection, redialing lazily after any I/O failure. Not safe
-// for concurrent use — the heartbeater owns one, carouselctl another.
+// Client speaks the control protocol to one master over keep-alive HTTP
+// connections, redialing after any failure. It is safe for concurrent use.
 type Client struct {
-	addr string
-	opts ClientOptions
-	conn net.Conn
+	url string
+	hc  *http.Client
 }
 
 // NewClient returns a client for the master at addr. No connection is made
 // until the first call.
 func NewClient(addr string, opts *ClientOptions) *Client {
-	return &Client{addr: addr, opts: opts.withDefaults()}
-}
-
-// Close releases the connection.
-func (c *Client) Close() error {
-	if c.conn == nil {
-		return nil
+	o := opts.withDefaults()
+	dial := func(_ context.Context, network, addr string) (net.Conn, error) {
+		return o.Dial(network, addr, o.DialTimeout)
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// poison drops a connection that failed mid-exchange; the next call
-// redials.
-func (c *Client) poison() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+	return &Client{
+		url: "http://" + addr,
+		hc:  &http.Client{Transport: &http.Transport{DialContext: dial}, Timeout: o.IOTimeout},
 	}
 }
 
-// roundTrip sends one request and decodes the reply into out (which may be
-// nil). Any transport failure poisons the connection.
-func (c *Client) roundTrip(op byte, body, out any) error {
-	if c.conn == nil {
-		conn, err := c.opts.Dial("tcp", c.addr, c.opts.DialTimeout)
-		if err != nil {
-			return err
-		}
-		c.conn = conn
-	}
-	deadline := time.Now().Add(c.opts.IOTimeout)
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		c.poison()
-		return err
-	}
-	if err := writeMsg(c.conn, op, body); err != nil {
-		c.poison()
-		return err
-	}
-	var raw []byte
-	status, err := readRaw(c.conn, &raw)
+// Close releases the idle connections.
+func (c *Client) Close() {
+	c.hc.CloseIdleConnections()
+}
+
+// call posts body to route and decodes the reply into out once its
+// checksum holds.
+func (c *Client) call(route string, body, out any) error {
+	raw, sum, err := encode(body)
 	if err != nil {
-		c.poison()
 		return err
 	}
-	if status == statusError {
-		var eb errorBody
-		if err := decode(raw, &eb); err != nil {
-			c.poison()
-			return err
-		}
-		// In-band errors leave the connection healthy.
-		return fmt.Errorf("%w: %s", ErrRemote, eb.Error)
+	req, err := http.NewRequest(http.MethodPost, c.url+route, bytes.NewReader(raw))
+	if err != nil {
+		return err
 	}
-	if out != nil {
-		if err := decode(raw, out); err != nil {
-			c.poison()
-			return err
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(crcHeader, sum)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	raw, err = readBody(resp.Body, resp.Header)
+	if resp.StatusCode != http.StatusOK {
+		var eb errorBody
+		if err == nil && json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
+			return fmt.Errorf("%w: %s", ErrRemote, eb.Error)
 		}
+		return fmt.Errorf("master %s: %s", route, resp.Status)
+	}
+	if err == nil {
+		err = json.Unmarshal(raw, out)
+	}
+	if err != nil {
+		return fmt.Errorf("master %s reply: %w", route, err)
 	}
 	return nil
 }
 
-// Register announces a blockserver to the master.
-func (c *Client) Register(info NodeInfo) (RegisterAck, error) {
+// Beat registers a blockserver or reports its liveness, capacity and
+// health — one transition at the master, so one call.
+func (c *Client) Beat(info NodeInfo) (RegisterAck, error) {
 	var ack RegisterAck
-	err := c.roundTrip(opRegister, info, &ack)
+	err := c.call("/beat", info, &ack)
 	return ack, err
 }
 
-// Heartbeat reports liveness plus current capacity and health counters.
-func (c *Client) Heartbeat(info NodeInfo) (RegisterAck, error) {
-	var ack RegisterAck
-	err := c.roundTrip(opHeartbeat, info, &ack)
-	return ack, err
-}
-
-// Deregister announces a clean departure (daemon shutdown): the master
-// skips the suspect window and moves the member's blocks immediately.
-func (c *Client) Deregister(addr string) error {
-	return c.roundTrip(opDeregister, NodeInfo{Addr: addr}, nil)
+// Leave announces a member's departure — a daemon's clean shutdown or an
+// operator's drain: the master skips the suspect window and moves the
+// member's blocks immediately.
+func (c *Client) Leave(addr string) (DrainReply, error) {
+	var rep DrainReply
+	err := c.call("/leave", DrainRequest{Addr: addr}, &rep)
+	return rep, err
 }
 
 // Place assigns (or looks up) a file placement.
 func (c *Client) Place(req PlaceRequest) (PlaceReply, error) {
 	var rep PlaceReply
-	err := c.roundTrip(opPlace, req, &rep)
+	err := c.call("/place", req, &rep)
 	return rep, err
 }
 
 // Status fetches the cluster view.
 func (c *Client) Status() (*ClusterStatus, error) {
 	var cs ClusterStatus
-	if err := c.roundTrip(opStatus, struct{}{}, &cs); err != nil {
+	if err := c.call("/status", struct{}{}, &cs); err != nil {
 		return nil, err
 	}
 	return &cs, nil
-}
-
-// Drain asks the master to move a member's blocks off.
-func (c *Client) Drain(addr string) (DrainReply, error) {
-	var rep DrainReply
-	err := c.roundTrip(opDrain, DrainRequest{Addr: addr}, &rep)
-	return rep, err
 }

@@ -10,7 +10,7 @@ import (
 
 // HeartbeatConfig tunes a daemon-side heartbeater.
 type HeartbeatConfig struct {
-	// Master is the control-plane address to register with; required.
+	// Master is the control-plane address to beat to; required.
 	Master string
 	// Addr is this blockserver's dialable block-service address — its
 	// identity with the master; required.
@@ -29,13 +29,13 @@ type HeartbeatConfig struct {
 }
 
 // Heartbeater runs a blockserver daemon's side of the membership protocol:
-// register with the master, then beat at the acked interval over one
-// persistent connection, reconnecting with jittered exponential backoff
-// when the master is unreachable (a restarting master sees the daemon
-// re-register on the next successful beat — that is how membership
-// re-forms without a journal). Stop deregisters: a clean drain, so the
-// master moves the blocks immediately instead of waiting out the suspect
-// window.
+// beat at the master-acked interval over a keep-alive connection,
+// retrying with jittered exponential backoff when the master is
+// unreachable. A beat from an unknown address registers it, so a
+// restarting master re-learns the daemon from its next successful beat —
+// that is how membership re-forms without a journal. Stop leaves: a clean
+// drain, so the master moves the blocks immediately instead of waiting
+// out the suspect window.
 type Heartbeater struct {
 	cfg    HeartbeatConfig
 	client *Client
@@ -71,17 +71,16 @@ func (h *Heartbeater) Start() {
 	}()
 }
 
-// Stop halts the loop, deregisters (best-effort, bounded by the client's
-// IO timeout), and closes the connection.
+// Stop halts the loop, leaves (best-effort, bounded by the client's IO
+// timeout), and closes the connection.
 func (h *Heartbeater) Stop() {
 	h.cancel()
 	h.wg.Wait()
-	// The loop goroutine has exited; the client is ours again.
-	_ = h.client.Deregister(h.cfg.Addr)
+	_, _ = h.client.Leave(h.cfg.Addr) // best-effort: the daemon is going either way
 	h.client.Close()
 }
 
-// Abort halts the loop WITHOUT deregistering — the daemon equivalent of
+// Abort halts the loop WITHOUT leaving — the daemon equivalent of
 // SIGKILL, for tests that need a member to vanish and be detected rather
 // than drain cleanly.
 func (h *Heartbeater) Abort() {
@@ -97,26 +96,18 @@ func (h *Heartbeater) Beats() (ok, failed int64) {
 	return h.beats, h.fails
 }
 
-// loop registers, then beats at the acked interval. Failures reset to the
-// register state behind a backoff wait, so a partitioned or restarting
-// master costs jittered reconnect attempts, not a tight dial spin.
+// loop beats at the acked interval. A failure waits out a backoff, so a
+// partitioned or restarting master costs jittered reconnect attempts, not
+// a tight dial spin.
 func (h *Heartbeater) loop() {
 	backoff := 1
 	interval := h.cfg.Interval
-	registered := false
 	for {
-		var err error
-		var ack RegisterAck
-		if registered {
-			ack, err = h.client.Heartbeat(h.info())
-		} else {
-			ack, err = h.client.Register(h.info())
-		}
+		ack, err := h.client.Beat(h.info())
 		if err != nil {
 			h.mu.Lock()
 			h.fails++
 			h.mu.Unlock()
-			registered = false
 			// Jittered exponential wait before the next attempt; Wait
 			// reports false when the context was canceled mid-sleep.
 			if !h.cfg.Retry.Wait(h.ctx, backoff) {
@@ -130,7 +121,6 @@ func (h *Heartbeater) loop() {
 		h.mu.Lock()
 		h.beats++
 		h.mu.Unlock()
-		registered = true
 		backoff = 1
 		if h.cfg.Interval <= 0 && ack.Interval() > 0 {
 			interval = ack.Interval()

@@ -2,9 +2,11 @@ package master
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net"
+	"net/http"
 	"sync"
 	"time"
 
@@ -91,9 +93,6 @@ type Master struct {
 	epoch   int64
 	members *memberSet
 	sched   *scheduler
-	// obsAddr is the master's own observability endpoint, advertised in
-	// Status so carouselctl can stitch master-side spans. Set before Start.
-	obsAddr string
 
 	// mu guards the journal and the persistent state image. Lock order:
 	// mu is leaf-only with respect to the scheduler — persist hooks take
@@ -102,10 +101,8 @@ type Master struct {
 	journal *journal
 	state   *masterState
 
-	lnMu   sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
+	ln  net.Listener
+	srv *http.Server
 
 	loopCtx    context.Context
 	loopCancel context.CancelFunc
@@ -132,7 +129,6 @@ func New(cfg Config) (*Master, error) {
 			FlapWindow:  c.FlapWindow,
 		}, time.Now),
 		state: newMasterState(),
-		conns: make(map[net.Conn]struct{}),
 	}
 	if c.DataDir != "" {
 		j, st, err := openJournal(c.DataDir)
@@ -147,9 +143,9 @@ func New(cfg Config) (*Master, error) {
 		taskPersist{onState: m.persistTaskState, onCkpt: m.persistCheckpoint},
 	)
 	// Cluster roll-ups: the heartbeat-piggybacked health of alive members
-	// aggregated into one cluster view on the master's obs endpoint — what
-	// carouselctl top computes from ClusterStatus, for scrapers. Membership
-	// and the task queue are in ClusterStatus only.
+	// aggregated into one cluster view on the master's obs endpoint — the
+	// Rollup ClusterStatus carries to carouselctl top, for scrapers.
+	// Membership and the task queue are in ClusterStatus only.
 	reg := obs.Default()
 	roll := func(read func(Rollup) int64) func() int64 {
 		return func() int64 { return read(m.members.Rollup()) }
@@ -160,7 +156,6 @@ func New(cfg Config) (*Master, error) {
 	reg.GaugeFunc("cluster_queue_depth", roll(func(r Rollup) int64 { return r.QueueDepth }))
 	reg.GaugeFunc("cluster_tx_rate_bps", roll(func(r Rollup) int64 { return r.TxRateBps }))
 	reg.GaugeFunc("cluster_rpc_p99_ns", roll(func(r Rollup) int64 { return r.RPCP99NS }))
-	reg.GaugeFunc("cluster_error_budget_min_ppm", roll(func(r Rollup) int64 { return r.ErrorBudgetMinPPM }))
 	reg.GaugeFunc("cluster_files", func() int64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -168,10 +163,6 @@ func New(cfg Config) (*Master, error) {
 	})
 	return m, nil
 }
-
-// SetObsAddr records the master's observability endpoint for the cluster
-// status view. Call before Start.
-func (m *Master) SetObsAddr(addr string) { m.obsAddr = addr }
 
 // Start listens on addr and runs the master. Use addr ":0" to let the
 // kernel pick a port (tests); Addr reports the bound address.
@@ -187,9 +178,7 @@ func (m *Master) Start(addr string) error {
 // StartListener runs the master on an existing listener (fault-injection
 // tests wrap one first).
 func (m *Master) StartListener(ln net.Listener) {
-	m.lnMu.Lock()
 	m.ln = ln
-	m.lnMu.Unlock()
 	m.loopCtx, m.loopCancel = context.WithCancel(context.Background())
 
 	// Resume unfinished tasks from the recovered state before the detector
@@ -210,8 +199,18 @@ func (m *Master) StartListener(ln net.Listener) {
 		m.sched.Submit(t)
 	}
 
+	mux := http.NewServeMux()
+	handle(mux, "/beat", m.handleBeat)
+	handle(mux, "/leave", m.handleLeave)
+	handle(mux, "/place", m.handlePlace)
+	handle(mux, "/status", func(struct{}) (*ClusterStatus, error) { return m.Status(), nil })
+	m.srv = &http.Server{Handler: mux, ErrorLog: slog.NewLogLogger(m.log.Handler(), slog.LevelWarn)}
+
 	m.wg.Add(2)
-	go m.acceptLoop(ln)
+	go func() {
+		defer m.wg.Done()
+		m.srv.Serve(ln)
+	}()
 	go m.detectLoop()
 	if m.cfg.ScrubInterval > 0 {
 		m.wg.Add(1)
@@ -221,31 +220,28 @@ func (m *Master) StartListener(ln net.Listener) {
 
 // Addr returns the listener address.
 func (m *Master) Addr() string {
-	m.lnMu.Lock()
-	defer m.lnMu.Unlock()
 	if m.ln == nil {
 		return ""
 	}
 	return m.ln.Addr().String()
 }
 
-// Close stops accepting, severs live connections, stops the background
-// loops and scheduler (checkpoints stay journaled for the next start), and
-// closes the journal.
+// shutdownGrace bounds how long Close waits for in-flight requests before
+// cutting their connections.
+const shutdownGrace = 5 * time.Second
+
+// Close stops accepting, waits for in-flight requests, stops the
+// background loops and scheduler (checkpoints stay journaled for the next
+// start), and closes the journal.
 func (m *Master) Close() error {
-	m.lnMu.Lock()
-	if m.closed {
-		m.lnMu.Unlock()
-		return nil
-	}
-	m.closed = true
-	ln := m.ln
-	for c := range m.conns {
-		c.Close()
-	}
-	m.lnMu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if m.srv != nil {
+		// Shutdown returns once every handler is done, so none appends to
+		// the journal after it closes below.
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		if m.srv.Shutdown(ctx) != nil {
+			m.srv.Close()
+		}
+		cancel()
 	}
 	if m.loopCancel != nil {
 		m.loopCancel()
@@ -259,129 +255,43 @@ func (m *Master) Close() error {
 	return err
 }
 
-// acceptLoop serves control connections until the listener closes.
-func (m *Master) acceptLoop(ln net.Listener) {
-	defer m.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if !m.track(conn) {
-			conn.Close()
-			return
-		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			defer m.untrack(conn)
-			m.serveConn(conn)
-		}()
-	}
-}
-
-func (m *Master) track(c net.Conn) bool {
-	m.lnMu.Lock()
-	defer m.lnMu.Unlock()
-	if m.closed {
-		return false
-	}
-	m.conns[c] = struct{}{}
-	return true
-}
-
-func (m *Master) untrack(c net.Conn) {
-	c.Close()
-	m.lnMu.Lock()
-	delete(m.conns, c)
-	m.lnMu.Unlock()
-}
-
-// serveConn answers framed requests until the peer hangs up. Daemons hold
-// one connection open and beat on it; carouselctl dials per command.
-func (m *Master) serveConn(c net.Conn) {
-	for {
-		_, reply, err := m.handle(c)
-		if err == errHandled {
-			continue // failure reported in-band; the conn stays usable
+// handle registers route as a POST whose checksummed JSON body decodes
+// into Req and whose reply is fn's Rep. A damaged body answers 400 and an
+// error from fn 422, each with an errorBody and the connection kept.
+func handle[Req, Rep any](mux *http.ServeMux, route string, fn func(Req) (Rep, error)) {
+	mux.HandleFunc("POST "+route, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		raw, err := readBody(r.Body, r.Header)
+		if err == nil {
+			err = json.Unmarshal(raw, &req)
 		}
 		if err != nil {
-			return // bad frame or peer gone
-		}
-		if err := writeMsg(c, statusOK, reply); err != nil {
+			reply(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("%s request: %v", route, err)})
 			return
 		}
-	}
+		rep, err := fn(req)
+		if err != nil {
+			reply(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
+			return
+		}
+		reply(w, http.StatusOK, rep)
+	})
 }
 
-// handle reads and executes one request, returning the reply body. An
-// application-level failure is reported in-band and the connection kept.
-func (m *Master) handle(c net.Conn) (byte, any, error) {
-	var raw []byte
-	op, err := readRaw(c, &raw)
-	if err != nil {
-		return 0, nil, err
-	}
-	reply, herr := m.dispatch(op, raw)
-	if herr != nil {
-		if werr := writeMsg(c, statusError, errorBody{Error: herr.Error()}); werr != nil {
-			return op, nil, werr
-		}
-		return op, nil, errHandled
-	}
-	return op, reply, nil
+// reply writes one checksummed JSON body.
+func reply(w http.ResponseWriter, status int, v any) {
+	body, sum, _ := encode(v) // every reply type is plain data, which always marshals
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(crcHeader, sum)
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
-// dispatch routes one decoded request.
-func (m *Master) dispatch(op byte, raw []byte) (any, error) {
-	switch op {
-	case opRegister, opHeartbeat:
-		var info NodeInfo
-		if err := decode(raw, &info); err != nil {
-			return nil, err
-		}
-		return m.handleBeat(info)
-	case opDeregister:
-		var info NodeInfo
-		if err := decode(raw, &info); err != nil {
-			return nil, err
-		}
-		if mem, ok := m.members.Leave(info.Addr); ok {
-			m.log.Info("master: member deregistered", "addr", mem.Addr)
-		}
-		return RegisterAck{IntervalMS: m.cfg.HeartbeatInterval.Milliseconds(), Epoch: m.epoch}, nil
-	case opPlace:
-		var req PlaceRequest
-		if err := decode(raw, &req); err != nil {
-			return nil, err
-		}
-		sp := m.startSpan("master.place", req.TraceContext)
-		sp.SetAttr("file", req.Name)
-		rep, err := m.handlePlace(req)
-		sp.SetAttr("error", err != nil)
-		sp.End()
-		return rep, err
-	case opStatus:
-		return m.Status(), nil
-	case opDrain:
-		var req DrainRequest
-		if err := decode(raw, &req); err != nil {
-			return nil, err
-		}
-		sp := m.startSpan("master.drain", req.TraceContext)
-		sp.SetAttr("addr", req.Addr)
-		rep, err := m.handleDrain(req)
-		sp.SetAttr("error", err != nil)
-		sp.End()
-		return rep, err
-	}
-	return nil, fmt.Errorf("master: unknown op %d", op)
-}
-
-// handleBeat folds a registration or heartbeat into membership.
-func (m *Master) handleBeat(info NodeInfo) (any, error) {
+// handleBeat folds a beat into membership; a beat from an unknown
+// address registers it.
+func (m *Master) handleBeat(info NodeInfo) (RegisterAck, error) {
 	if info.Addr == "" {
-		return nil, fmt.Errorf("master: heartbeat without addr")
+		return RegisterAck{}, fmt.Errorf("master: heartbeat without addr")
 	}
 	prev, isNew := m.members.Beat(info)
 	if isNew {
@@ -395,9 +305,9 @@ func (m *Master) handleBeat(info NodeInfo) (any, error) {
 // handlePlace assigns or looks up a file placement. The call is
 // idempotent by name: repeats (and post-rebuild lookups) return the
 // current placement, newcomer substitutions included.
-func (m *Master) handlePlace(req PlaceRequest) (any, error) {
+func (m *Master) handlePlace(req PlaceRequest) (PlaceReply, error) {
 	if req.Name == "" {
-		return nil, fmt.Errorf("master: place without name")
+		return PlaceReply{}, fmt.Errorf("master: place without name")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -407,37 +317,38 @@ func (m *Master) handlePlace(req PlaceRequest) (any, error) {
 	if req.Size <= 0 {
 		// A name-only request is a lookup; don't fall into auto-placement
 		// validation errors for a file that simply isn't there.
-		return nil, fmt.Errorf("master: unknown file %q", req.Name)
+		return PlaceReply{}, fmt.Errorf("master: unknown file %q", req.Name)
 	}
 	addrs := req.Addrs
 	if len(addrs) == 0 {
 		alive := m.members.Alive()
 		if len(alive) < m.cfg.Code.N() {
-			return nil, fmt.Errorf("master: need %d alive servers, have %d", m.cfg.Code.N(), len(alive))
+			return PlaceReply{}, fmt.Errorf("master: need %d alive servers, have %d", m.cfg.Code.N(), len(alive))
 		}
 		addrs = make([]string, m.cfg.Code.N())
 		for i := range addrs {
 			addrs[i] = alive[i].Addr // ascending stored bytes: capacity-balanced
 		}
 	} else if len(addrs) != m.cfg.Code.N() {
-		return nil, fmt.Errorf("master: placement needs %d addrs, got %d", m.cfg.Code.N(), len(addrs))
+		return PlaceReply{}, fmt.Errorf("master: placement needs %d addrs, got %d", m.cfg.Code.N(), len(addrs))
 	}
 	if req.Size <= 0 || req.BlockSize <= 0 {
-		return nil, fmt.Errorf("master: place requires positive size and block size")
+		return PlaceReply{}, fmt.Errorf("master: place requires positive size and block size")
 	}
 	p := &placement{Name: req.Name, Size: req.Size, BlockSize: req.BlockSize, Addrs: append([]string(nil), addrs...)}
 	if err := m.appendLocked(&record{T: "file", File: p.clone()}); err != nil {
-		return nil, err
+		return PlaceReply{}, err
 	}
 	m.state.Files[p.Name] = p
 	return PlaceReply{Name: p.Name, Size: p.Size, BlockSize: p.BlockSize, Addrs: append([]string(nil), p.Addrs...)}, nil
 }
 
-// handleDrain marks a member left and schedules its move-off immediately.
-func (m *Master) handleDrain(req DrainRequest) (any, error) {
+// handleLeave marks a member left — a daemon's clean shutdown or an
+// operator's drain — so the next detector tick schedules its move-off.
+func (m *Master) handleLeave(req DrainRequest) (DrainReply, error) {
 	mem, ok := m.members.Leave(req.Addr)
 	if !ok {
-		return nil, fmt.Errorf("master: unknown member %q", req.Addr)
+		return DrainReply{}, fmt.Errorf("master: unknown member %q", req.Addr)
 	}
 	n := 0
 	m.mu.Lock()
@@ -447,7 +358,7 @@ func (m *Master) handleDrain(req DrainRequest) (any, error) {
 		}
 	}
 	m.mu.Unlock()
-	m.log.Info("master: draining member", "addr", mem.Addr, "files", n)
+	m.log.Info("master: member leaving", "addr", mem.Addr, "files", n)
 	return DrainReply{Files: n}, nil
 }
 
@@ -676,21 +587,20 @@ func (m *Master) appendLocked(rec *record) error {
 // Status assembles the cluster view served to carouselctl and the tests.
 func (m *Master) Status() *ClusterStatus {
 	now := time.Now()
-	cs := &ClusterStatus{Epoch: m.epoch, MasterObsAddr: m.obsAddr}
+	cs := &ClusterStatus{Epoch: m.epoch, Rollup: m.members.Rollup()}
 	for _, mem := range m.members.List() {
 		cs.Members = append(cs.Members, MemberStatus{
-			Addr:           mem.Addr,
-			State:          mem.State.String(),
-			LastBeatAgoMS:  now.Sub(mem.LastBeat).Milliseconds(),
-			Blocks:         mem.Info.Blocks,
-			BlockBytes:     mem.Info.BlockBytes,
-			CorruptServes:  mem.Info.CorruptServes,
-			Flaps:          len(mem.Flaps),
-			ObsAddr:        mem.Info.ObsAddr,
-			RPCP99NS:       mem.Info.RPCP99NS,
-			QueueDepth:     mem.Info.QueueDepth,
-			TxRateBps:      mem.TxRateBps,
-			ErrorBudgetPPM: mem.Info.ErrorBudgetPPM,
+			Addr:          mem.Addr,
+			State:         mem.State.String(),
+			LastBeatAgoMS: now.Sub(mem.LastBeat).Milliseconds(),
+			Blocks:        mem.Info.Blocks,
+			BlockBytes:    mem.Info.BlockBytes,
+			CorruptServes: mem.Info.CorruptServes,
+			Flaps:         len(mem.Flaps),
+			ObsAddr:       mem.Info.ObsAddr,
+			RPCP99NS:      mem.Info.RPCP99NS,
+			QueueDepth:    mem.Info.QueueDepth,
+			TxRateBps:     mem.TxRateBps,
 		})
 	}
 	m.mu.Lock()
@@ -710,10 +620,4 @@ func (m *Master) Status() *ClusterStatus {
 		})
 	}
 	return cs
-}
-
-// ObsAddrs lists the observability endpoints members have reported — the
-// scrape targets trace collection discovers through membership.
-func (m *Master) ObsAddrs() []string {
-	return m.members.ObsAddrs()
 }

@@ -124,10 +124,9 @@ func TestMasterSelfHealing(t *testing.T) {
 	code := testCode(t)
 	blockSize := code.BlockAlign() * 8
 	cfg := fastMasterConfig(code)
-	// A visible but small budget: one stripe-repair's traffic is the
-	// bucket's burst, each file repairs two stripes, so every item must
-	// sleep ~250ms in the throttle — visible in the wait counter without
-	// stalling the test.
+	// A visible but small budget of four stripe-repairs a second: the
+	// task's four repairs sleep ~1s in the throttle between them — visible
+	// in the wait counter without stalling the test.
 	repairBytes := int64(code.D()*code.HelperChunkSize(blockSize) + blockSize)
 	cfg.RecoverBandwidth = 4 * repairBytes
 	m, err := New(cfg)
@@ -240,6 +239,72 @@ func TestMasterSelfHealing(t *testing.T) {
 		srv.Close()
 	}
 	waitGoroutines(t, base)
+}
+
+// TestRecoverBudgetIsPerTask: the recovery bandwidth budget paces a task,
+// not each of its files. A task over N one-stripe files at R repairs/s
+// must take at least about (N−1)/R: a throttle that handed every file a
+// full bucket would let each one-stripe item through unpaced.
+func TestRecoverBudgetIsPerTask(t *testing.T) {
+	code := testCode(t)
+	blockSize := code.BlockAlign() * 8
+	const files, repairsPerSec = 10, 20
+	cfg := fastMasterConfig(code)
+	cfg.RecoverBandwidth = repairsPerSec * int64(code.D()*code.HelperChunkSize(blockSize)+blockSize)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	servers, addrs := startServers(t, code, code.N()+1)
+	hbs := make([]*Heartbeater, len(servers))
+	for i := range servers {
+		hbs[i] = startHeartbeat(t, m.Addr(), servers[i], addrs[i])
+	}
+	defer func() {
+		for _, hb := range hbs[1:] {
+			hb.Abort()
+		}
+	}()
+	waitMembers(t, m, "alive", code.N()+1)
+
+	ctl := NewClient(m.Addr(), &ClientOptions{DialTimeout: time.Second, IOTimeout: 2 * time.Second})
+	defer ctl.Close()
+	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, blockserver.WithClientOptions(fastClientOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, code.K()*blockSize) // one stripe
+	rand.New(rand.NewSource(17)).Read(data)
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("one%d", i)
+		if _, err := store.WriteFile(context.Background(), name, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.Place(PlaceRequest{Name: name, Size: len(data), BlockSize: blockSize, Addrs: addrs[:code.N()]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+
+	// A clean stop leaves: the move-off is scheduled on the next tick.
+	start := time.Now()
+	hbs[0].Stop()
+	waitFor(t, 15*time.Second, func() bool {
+		task := findTask(m.Status(), ClassRecover)
+		return task != nil && task.State == TaskDone
+	}, "drain-triggered recovery")
+	elapsed := time.Since(start)
+	if task := findTask(m.Status(), ClassRecover); task.BlocksRepaired != files {
+		t.Fatalf("blocks repaired = %d, want %d", task.BlocksRepaired, files)
+	}
+	if min := time.Duration(float64(files-1) / repairsPerSec / 2 * float64(time.Second)); elapsed < min {
+		t.Fatalf("%d one-stripe files at %d repairs/s recovered in %v, want >= %v", files, repairsPerSec, elapsed, min)
+	}
 }
 
 // TestMasterRestartResume: a master killed mid-recovery must, on restart

@@ -262,59 +262,33 @@ func (s *memberSet) Alive() []Member {
 
 // Rollup is the cluster-wide aggregate of the alive members' piggybacked
 // health, computed under one lock pass — what the master's cluster_*
-// gauges export.
+// gauges export and ClusterStatus carries.
 type Rollup struct {
-	Blocks        int64
-	BlockBytes    int64
-	CorruptServes int64
-	QueueDepth    int64 // summed in-flight requests
-	TxRateBps     int64 // summed serving throughput
-	RPCP99NS      int64 // worst per-node windowed RPC p99
-	// ErrorBudgetMinPPM is the tightest remaining SLO budget across
-	// obs-enabled members (1e6 when none report).
-	ErrorBudgetMinPPM int64
+	Alive         int   `json:"alive"`
+	Blocks        int64 `json:"blocks"`
+	BlockBytes    int64 `json:"block_bytes"`
+	CorruptServes int64 `json:"corrupt_serves"`
+	QueueDepth    int64 `json:"queue_depth"` // summed in-flight requests
+	TxRateBps     int64 `json:"tx_rate_bps"` // summed serving throughput
+	RPCP99NS      int64 `json:"rpc_p99_ns"`  // worst per-node windowed RPC p99
 }
 
-// Rollup aggregates the alive members. Health fields are only folded in
-// for members that report an obs endpoint, so a mixed-version cluster does
-// not read old daemons' zero values as burned budgets.
+// Rollup aggregates the alive members.
 func (s *memberSet) Rollup() Rollup {
-	r := Rollup{ErrorBudgetMinPPM: 1_000_000}
+	var r Rollup
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, mem := range s.m {
 		if mem.State != StateAlive {
 			continue
 		}
+		r.Alive++
 		r.Blocks += mem.Info.Blocks
 		r.BlockBytes += mem.Info.BlockBytes
 		r.CorruptServes += mem.Info.CorruptServes
-		if mem.Info.ObsAddr == "" {
-			continue
-		}
 		r.QueueDepth += mem.Info.QueueDepth
 		r.TxRateBps += mem.TxRateBps
-		if mem.Info.RPCP99NS > r.RPCP99NS {
-			r.RPCP99NS = mem.Info.RPCP99NS
-		}
-		if mem.Info.ErrorBudgetPPM < r.ErrorBudgetMinPPM {
-			r.ErrorBudgetMinPPM = mem.Info.ErrorBudgetPPM
-		}
+		r.RPCP99NS = max(r.RPCP99NS, mem.Info.RPCP99NS)
 	}
 	return r
-}
-
-// ObsAddrs lists the obs endpoints of every member reporting one — the
-// scrape targets carouselctl trace and stats discover through the master.
-func (s *memberSet) ObsAddrs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, mem := range s.m {
-		if mem.Info.ObsAddr != "" {
-			out = append(out, mem.Info.ObsAddr)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,6 @@
 package master
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,9 +9,9 @@ import (
 )
 
 // TestBeatHealthRollup drives the memberSet directly with a fake clock:
-// tx rates must derive from consecutive BytesTx samples, the roll-up must
-// aggregate only alive members, and health fields must only count for
-// members that report an obs endpoint.
+// tx rates must derive from consecutive BytesTx samples, and the roll-up
+// must aggregate every alive member's health, with or without an obs
+// endpoint, and nothing of the dead.
 func TestBeatHealthRollup(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
@@ -21,10 +20,10 @@ func TestBeatHealthRollup(t *testing.T) {
 		RebuildHold: time.Second, FlapWindow: time.Minute,
 	}, clock)
 
-	// Two obs-enabled members and one legacy daemon.
-	ms.Beat(NodeInfo{Addr: "a:1", Blocks: 10, BlockBytes: 100, ObsAddr: "a:9", BytesTx: 1000, RPCP99NS: 40, QueueDepth: 3, ErrorBudgetPPM: 900_000})
-	ms.Beat(NodeInfo{Addr: "b:1", Blocks: 20, BlockBytes: 200, ObsAddr: "b:9", BytesTx: 5000, RPCP99NS: 70, QueueDepth: 1, ErrorBudgetPPM: 400_000})
-	ms.Beat(NodeInfo{Addr: "c:1", Blocks: 5, BlockBytes: 50, CorruptServes: 2})
+	// Two obs-enabled members and one daemon started without -obs-addr.
+	ms.Beat(NodeInfo{Addr: "a:1", Blocks: 10, BlockBytes: 100, ObsAddr: "a:9", BytesTx: 1000, RPCP99NS: 40, QueueDepth: 3})
+	ms.Beat(NodeInfo{Addr: "b:1", Blocks: 20, BlockBytes: 200, ObsAddr: "b:9", BytesTx: 5000, RPCP99NS: 70, QueueDepth: 1})
+	ms.Beat(NodeInfo{Addr: "c:1", Blocks: 5, BlockBytes: 50, CorruptServes: 2, RPCP99NS: 90, QueueDepth: 4})
 
 	// First beats carry no rate — no prior sample.
 	if mem, _ := ms.Get("a:1"); mem.TxRateBps != 0 {
@@ -34,8 +33,8 @@ func TestBeatHealthRollup(t *testing.T) {
 	// Two seconds later a served 4000 more bytes, b went backwards
 	// (restarted daemon).
 	now = now.Add(2 * time.Second)
-	ms.Beat(NodeInfo{Addr: "a:1", Blocks: 10, BlockBytes: 100, ObsAddr: "a:9", BytesTx: 5000, RPCP99NS: 60, QueueDepth: 2, ErrorBudgetPPM: 850_000})
-	ms.Beat(NodeInfo{Addr: "b:1", Blocks: 20, BlockBytes: 200, ObsAddr: "b:9", BytesTx: 100, RPCP99NS: 70, QueueDepth: 1, ErrorBudgetPPM: 400_000})
+	ms.Beat(NodeInfo{Addr: "a:1", Blocks: 10, BlockBytes: 100, ObsAddr: "a:9", BytesTx: 5000, RPCP99NS: 60, QueueDepth: 2})
+	ms.Beat(NodeInfo{Addr: "b:1", Blocks: 20, BlockBytes: 200, ObsAddr: "b:9", BytesTx: 100, RPCP99NS: 70, QueueDepth: 1})
 	if mem, _ := ms.Get("a:1"); mem.TxRateBps != 2000 {
 		t.Fatalf("a tx rate = %d, want 2000", mem.TxRateBps)
 	}
@@ -44,34 +43,28 @@ func TestBeatHealthRollup(t *testing.T) {
 	}
 
 	r := ms.Rollup()
-	if r.Blocks != 35 || r.BlockBytes != 350 || r.CorruptServes != 2 {
+	if r.Alive != 3 || r.Blocks != 35 || r.BlockBytes != 350 || r.CorruptServes != 2 {
 		t.Fatalf("capacity rollup = %+v", r)
 	}
-	if r.QueueDepth != 3 || r.TxRateBps != 2000 {
-		t.Fatalf("health rollup = %+v", r)
+	if r.QueueDepth != 7 || r.TxRateBps != 2000 {
+		t.Fatalf("health rollup = %+v, want c's queue folded in", r)
 	}
-	if r.RPCP99NS != 70 {
-		t.Fatalf("rollup p99 = %d, want the worst node's 70", r.RPCP99NS)
-	}
-	if r.ErrorBudgetMinPPM != 400_000 {
-		t.Fatalf("rollup budget = %d, want min 400000 (legacy c must not read as 0)", r.ErrorBudgetMinPPM)
-	}
-
-	if got := ms.ObsAddrs(); len(got) != 2 || got[0] != "a:9" || got[1] != "b:9" {
-		t.Fatalf("ObsAddrs = %v", got)
+	if r.RPCP99NS != 90 {
+		t.Fatalf("rollup p99 = %d, want the worst node's 90 (c, no obs endpoint)", r.RPCP99NS)
 	}
 
 	// A dead member drops out of the roll-up entirely.
 	now = now.Add(time.Hour)
 	ms.Tick()
-	r = ms.Rollup()
-	if r.Blocks != 0 || r.QueueDepth != 0 || r.ErrorBudgetMinPPM != 1_000_000 {
+	if r = ms.Rollup(); r != (Rollup{}) {
 		t.Fatalf("rollup after death = %+v", r)
 	}
 }
 
 // TestClusterRollupGauges: a master with beating members must export the
-// cluster_* gauges on the default registry.
+// cluster_* gauges on the default registry and carry the same roll-up in
+// its status view. A member without an obs endpoint still counts: its
+// measured p99 and queue depth are as real as anyone's.
 func TestClusterRollupGauges(t *testing.T) {
 	code := testCode(t)
 	m, err := New(fastMasterConfig(code))
@@ -85,18 +78,20 @@ func TestClusterRollupGauges(t *testing.T) {
 
 	c := NewClient(m.Addr(), nil)
 	defer c.Close()
-	if _, err := c.Register(NodeInfo{Addr: "n1:1", Blocks: 7, BlockBytes: 700, CorruptServes: 3, ObsAddr: "n1:9", RPCP99NS: 55, QueueDepth: 4, ErrorBudgetPPM: 123_456}); err != nil {
+	if _, err := c.Beat(NodeInfo{Addr: "n1:1", Blocks: 7, BlockBytes: 700, CorruptServes: 3, RPCP99NS: 55, QueueDepth: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Beat(NodeInfo{Addr: "n2:1", ObsAddr: "n2:9", RPCP99NS: 20}); err != nil {
 		t.Fatal(err)
 	}
 
 	snap := obs.Default().Snapshot()
 	checks := map[string]int64{
-		"cluster_blocks":               7,
-		"cluster_block_bytes":          700,
-		"cluster_corrupt_serves":       3,
-		"cluster_queue_depth":          4,
-		"cluster_rpc_p99_ns":           55,
-		"cluster_error_budget_min_ppm": 123_456,
+		"cluster_blocks":         7,
+		"cluster_block_bytes":    700,
+		"cluster_corrupt_serves": 3,
+		"cluster_queue_depth":    4,
+		"cluster_rpc_p99_ns":     55,
 	}
 	for name, want := range checks {
 		if got := snap.Gauges[name]; got != want {
@@ -110,75 +105,17 @@ func TestClusterRollupGauges(t *testing.T) {
 	if !strings.Contains(text.String(), "cluster_blocks 7") {
 		t.Fatalf("/metrics text missing cluster rollup:\n%s", text.String())
 	}
-}
 
-// TestControlTraceContext: a Place carrying a TraceContext must produce a
-// master-side span in the master's tracer, parented under the caller's
-// span — and a request without one must not.
-func TestControlTraceContext(t *testing.T) {
-	code := testCode(t)
-	m, err := New(fastMasterConfig(code))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	m.SetObsAddr("m:9")
-
-	c := NewClient(m.Addr(), nil)
-	defer c.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := c.Register(NodeInfo{Addr: string(rune('a'+i)) + ":1"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ctx, sp := obs.DefaultTracer().Start(context.Background(), "ctl.put")
-	req := PlaceRequest{Name: "f", Size: 64, BlockSize: 16}
-	req.TraceContext = TraceFromContext(ctx)
-	if _, err := c.Place(req); err != nil {
-		t.Fatal(err)
-	}
-	sp.End()
-
-	spans := obs.DefaultTracer().Spans(sp.TraceID())
-	var masterSpan *obs.SpanRecord
-	for i := range spans {
-		if spans[i].Name == "master.place" {
-			masterSpan = &spans[i]
-		}
-	}
-	if masterSpan == nil {
-		t.Fatalf("no master.place span in trace %d: %v", sp.TraceID(), spans)
-	}
-	if masterSpan.Parent != sp.ID() {
-		t.Fatalf("master.place parented under %d, want caller span %d", masterSpan.Parent, sp.ID())
-	}
-	if masterSpan.Attr("file") != "f" {
-		t.Fatalf("master.place attrs = %v", masterSpan.Attrs)
-	}
-
-	// Untraced requests must record nothing new with trace 0.
-	if _, err := c.Place(PlaceRequest{Name: "f"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range obs.DefaultTracer().Recent(64) {
-		if s.Name == "master.place" && s.Trace == 0 {
-			t.Fatal("untraced place recorded a zero-trace span")
-		}
-	}
-
-	// The status view advertises the scrape-target set for stitching.
 	cs, err := c.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.MasterObsAddr != "m:9" {
-		t.Fatalf("MasterObsAddr = %q", cs.MasterObsAddr)
+	want := Rollup{Alive: 2, Blocks: 7, BlockBytes: 700, CorruptServes: 3, QueueDepth: 4, RPCP99NS: 55}
+	if cs.Rollup != want {
+		t.Fatalf("status rollup = %+v, want %+v", cs.Rollup, want)
 	}
-	if got := cs.ObsAddrs(); len(got) != 1 || got[0] != "m:9" {
+	// Trace discovery scrapes the members that advertise an endpoint.
+	if got := cs.ObsAddrs(); len(got) != 1 || got[0] != "n2:9" {
 		t.Fatalf("ObsAddrs = %v", got)
 	}
 }

@@ -10,120 +10,77 @@
 // state (and resumes partially completed passes) without re-scanning the
 // cluster; membership re-forms from the daemons' next heartbeats.
 //
-// The wire protocol reuses the block path's framed-TCP shape — every
-// payload is length-prefixed and CRC32C-checksummed — with JSON bodies,
-// since control traffic is low-rate and benefits from being greppable:
+// The control protocol is JSON over HTTP/1.1: one small message per
+// heartbeat interval per daemon needs nothing net/http does not already
+// do. Every route is a POST whose request and reply bodies each carry
+// their CRC32C in the X-Carousel-Crc32c header; a body is bounded at
+// maxFrame and checked before any byte of it is decoded.
 //
-//	request  := op(1) payloadLen(4) payloadCRC32C(4) payload
-//	response := status(1) payloadLen(4) payloadCRC32C(4) payload
+//	/beat    NodeInfo     → RegisterAck    register or heartbeat (one transition)
+//	/leave   DrainRequest → DrainReply     daemon shutdown or operator drain
+//	/place   PlaceRequest → PlaceReply     assign or look up a file's servers
+//	/status  {}           → ClusterStatus  the cluster view for carouselctl
 //
-// Operations: register, heartbeat, deregister (clean drain on daemon
-// shutdown), place (assign or look up a file's servers), status (cluster
-// view for carouselctl), drain (operator-initiated move-off).
+// A refused request answers 400 (bad body) or 422 (the master said no)
+// with an errorBody; the connection stays open either way.
 package master
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net/http"
+	"strconv"
 	"time"
 )
 
-// Operation codes.
-const (
-	opRegister byte = iota + 1
-	opHeartbeat
-	opDeregister
-	opPlace
-	opStatus
-	opDrain
-)
-
-// Status codes.
-const (
-	statusOK byte = iota
-	statusError
-)
-
-// maxFrame bounds a control-plane payload (16 MiB — status pages and
-// placement lists are small; this only guards against bogus prefixes).
+// maxFrame bounds a control-plane body (16 MiB — status pages and
+// placement lists are small; this only guards against bogus peers).
 const maxFrame = 1 << 24
+
+// crcHeader carries a body's CRC32C, in hex, in both directions.
+const crcHeader = "X-Carousel-Crc32c"
 
 // castagnoli matches the block path's frame checksum polynomial.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// errFrame marks a damaged or oversized control frame; the connection is
-// unusable afterwards.
-var errFrame = errors.New("master: bad control frame")
+// errFrame marks a damaged or oversized control body.
+var errFrame = errors.New("master: bad control body")
 
 // ErrRemote wraps in-band errors reported by the master.
 var ErrRemote = errors.New("master: remote error")
 
-// writeMsg sends one tagged, framed JSON message: the op (or status) byte
-// followed by a checksummed length-prefixed payload.
-func writeMsg(w io.Writer, tag byte, v any) error {
-	payload, err := json.Marshal(v)
+// encode marshals v into a body and its crcHeader value.
+func encode(v any) ([]byte, string, error) {
+	body, err := json.Marshal(v)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	hdr := make([]byte, 9, 9+len(payload))
-	hdr[0] = tag
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, castagnoli))
-	_, err = w.Write(append(hdr, payload...))
-	return err
+	return body, strconv.FormatUint(uint64(crc32.Checksum(body, castagnoli)), 16), nil
 }
 
-// errHandled signals that a request failed but the error was already
-// reported in-band; the connection stays usable.
-var errHandled = errors.New("master: handled in-band")
-
-// readRaw reads one framed message, returning the tag and the raw payload
-// for later decoding (the server dispatches on the op byte first).
-func readRaw(r io.Reader, out *[]byte) (byte, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
+// readBody reads a body of at most maxFrame bytes and checks it against
+// its crcHeader, so nothing is decoded from a damaged or oversized one.
+func readBody(r io.Reader, h http.Header) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxFrame+1))
+	if err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if n > maxFrame {
-		return 0, fmt.Errorf("%w: %d-byte frame exceeds limit", errFrame, n)
+	if len(body) > maxFrame {
+		return nil, fmt.Errorf("%w: body exceeds %d bytes", errFrame, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, err
+	sum, err := strconv.ParseUint(h.Get(crcHeader), 16, 32)
+	if err != nil || uint32(sum) != crc32.Checksum(body, castagnoli) {
+		return nil, fmt.Errorf("%w: checksum mismatch", errFrame)
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(hdr[5:9]) {
-		return 0, fmt.Errorf("%w: checksum mismatch", errFrame)
-	}
-	*out = payload
-	return hdr[0], nil
+	return body, nil
 }
 
-// decode unmarshals a raw payload, normalizing the error.
-func decode(raw []byte, v any) error {
-	if err := json.Unmarshal(raw, v); err != nil {
-		return fmt.Errorf("master: decoding request: %v", err)
-	}
-	return nil
-}
-
-// errorBody is the payload of a statusError response.
+// errorBody is the payload of a refused request.
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-// TraceContext optionally links a control-plane request into the caller's
-// span tree: a master that understands it parents its server-side span
-// under the client's. Version tolerance is free here — JSON decoding
-// ignores fields an old master does not know, and omitempty keeps old-style
-// requests byte-identical when no trace is active.
-type TraceContext struct {
-	TraceID      uint64 `json:"trace_id,omitempty"`
-	ParentSpanID uint64 `json:"parent_span_id,omitempty"`
 }
 
 // NodeInfo is what a blockserver reports when registering and on every
@@ -140,9 +97,8 @@ type NodeInfo struct {
 	// CorruptServes counts requests the server answered with a corrupt
 	// verdict — bit rot pressure, a scrub-priority signal.
 	CorruptServes int64 `json:"corrupt_serves"`
-	// ObsAddr is the node's observability HTTP endpoint ("" when disabled).
-	// Its presence also marks the health fields below as meaningful — old
-	// daemons send neither, and the master's roll-ups skip them.
+	// ObsAddr is the node's observability HTTP endpoint ("" when disabled),
+	// where carouselctl trace collects its spans.
 	ObsAddr string `json:"obs_addr,omitempty"`
 	// RPCP99NS is the windowed p99 of server-side RPC latency.
 	RPCP99NS int64 `json:"rpc_p99_ns,omitempty"`
@@ -151,13 +107,9 @@ type NodeInfo struct {
 	// BytesTx is the cumulative bytes the node has served; the master
 	// derives a throughput rate from consecutive beats.
 	BytesTx int64 `json:"bytes_tx,omitempty"`
-	// ErrorBudgetPPM is the node's tightest remaining SLO error budget in
-	// parts per million (1e6 = untouched).
-	ErrorBudgetPPM int64 `json:"error_budget_ppm,omitempty"`
 }
 
-// RegisterAck is the master's reply to register and heartbeat: the
-// heartbeat interval the daemon should run at and the master's epoch
+// RegisterAck is the master's reply to a beat: the heartbeat interval the daemon should run at and the master's epoch
 // (start time), so a daemon can notice master restarts in its logs.
 type RegisterAck struct {
 	IntervalMS int64 `json:"interval_ms"`
@@ -176,7 +128,6 @@ func (a RegisterAck) Interval() time.Duration {
 // request by name returns the current placement, newcomer substitutions
 // included).
 type PlaceRequest struct {
-	TraceContext
 	Name      string   `json:"name"`
 	Size      int      `json:"size"`
 	BlockSize int      `json:"block_size"`
@@ -192,13 +143,13 @@ type PlaceReply struct {
 	Addrs     []string `json:"addrs"`
 }
 
-// DrainRequest names a member whose blocks should move off.
+// DrainRequest names a member that is leaving — a daemon shutting down
+// cleanly or one an operator drains — whose blocks should move off.
 type DrainRequest struct {
-	TraceContext
 	Addr string `json:"addr"`
 }
 
-// DrainReply reports how many files the drain touches.
+// DrainReply reports how many files the departure touches.
 type DrainReply struct {
 	Files int `json:"files"`
 }
@@ -212,14 +163,12 @@ type MemberStatus struct {
 	BlockBytes    int64  `json:"block_bytes"`
 	CorruptServes int64  `json:"corrupt_serves"`
 	Flaps         int    `json:"flaps"`
-	// Health piggybacked from the member's last beat (zero for daemons
-	// without an obs endpoint); TxRateBps is derived by the master from
-	// consecutive BytesTx samples.
-	ObsAddr        string `json:"obs_addr,omitempty"`
-	RPCP99NS       int64  `json:"rpc_p99_ns,omitempty"`
-	QueueDepth     int64  `json:"queue_depth,omitempty"`
-	TxRateBps      int64  `json:"tx_rate_bps,omitempty"`
-	ErrorBudgetPPM int64  `json:"error_budget_ppm,omitempty"`
+	// Health piggybacked from the member's last beat; TxRateBps is derived
+	// by the master from consecutive BytesTx samples.
+	ObsAddr    string `json:"obs_addr,omitempty"`
+	RPCP99NS   int64  `json:"rpc_p99_ns,omitempty"`
+	QueueDepth int64  `json:"queue_depth,omitempty"`
+	TxRateBps  int64  `json:"tx_rate_bps,omitempty"`
 }
 
 // TaskStatus is one scheduler task's row in the cluster view.
@@ -234,9 +183,9 @@ type TaskStatus struct {
 	Err            string `json:"err,omitempty"`
 }
 
-// ClusterStatus is the master's full view: membership, files under
-// management, and the task queue — what carouselctl cluster status prints
-// and what the chaos tests poll.
+// ClusterStatus is the master's full view: membership and its roll-up,
+// files under management, and the task queue — what carouselctl cluster
+// status and top print and what the chaos tests poll.
 type ClusterStatus struct {
 	Epoch   int64          `json:"epoch_unix_nano"`
 	Members []MemberStatus `json:"members"`
@@ -244,27 +193,20 @@ type ClusterStatus struct {
 	Pending int            `json:"pending_tasks"`
 	Running int            `json:"running_tasks"`
 	Tasks   []TaskStatus   `json:"tasks"`
-	// MasterObsAddr is the master's own observability endpoint ("" when
-	// disabled); with the members' ObsAddr fields it gives carouselctl the
-	// full scrape-target set for trace stitching and the top view.
-	MasterObsAddr string `json:"master_obs_addr,omitempty"`
+	Rollup  Rollup         `json:"rollup"`
 }
 
-// ObsAddrs returns every observability endpoint in the cluster view — the
-// members' plus the master's own — deduplicated, in member order.
+// ObsAddrs returns the members' observability endpoints, deduplicated, in
+// member order — the scrape targets carouselctl trace collects from.
 func (cs *ClusterStatus) ObsAddrs() []string {
 	seen := make(map[string]bool)
 	var out []string
-	add := func(a string) {
-		if a != "" && !seen[a] {
+	for _, mem := range cs.Members {
+		if a := mem.ObsAddr; a != "" && !seen[a] {
 			seen[a] = true
 			out = append(out, a)
 		}
 	}
-	for _, mem := range cs.Members {
-		add(mem.ObsAddr)
-	}
-	add(cs.MasterObsAddr)
 	return out
 }
 

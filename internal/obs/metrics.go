@@ -174,7 +174,6 @@ type Registry struct {
 	gaugeFuncs map[string]func() int64
 	histograms map[string]*Histogram
 	windows    map[string]*WindowHistogram
-	slos       []*SLO
 }
 
 // NewRegistry returns an empty registry.

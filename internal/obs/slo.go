@@ -50,27 +50,7 @@ func NewSLO(r *Registry, name string, target time.Duration, objective float64) *
 	}
 	r.GaugeFunc("slo_error_budget_remaining_ppm", s.ErrorBudgetRemainingPPM, "slo", name)
 	r.GaugeFunc("slo_burn_rate_x1000", s.BurnRateX1000, "slo", name)
-	r.mu.Lock()
-	r.slos = append(r.slos, s)
-	r.mu.Unlock()
 	return s
-}
-
-// MinErrorBudgetRemainingPPM returns the worst (lowest) remaining error
-// budget across every SLO registered in the registry, or 1e6 when none
-// exist — the single number a node piggybacks on heartbeats so the master
-// can surface the cluster's tightest budget.
-func (r *Registry) MinErrorBudgetRemainingPPM() int64 {
-	r.mu.RLock()
-	slos := append([]*SLO(nil), r.slos...)
-	r.mu.RUnlock()
-	min := int64(1_000_000)
-	for _, s := range slos {
-		if v := s.ErrorBudgetRemainingPPM(); v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // Observe records one operation's latency and outcome.

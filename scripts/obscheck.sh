@@ -167,7 +167,7 @@ if [ -z "$MOUT" ]; then
     exit 1
 fi
 for fam in cluster_files cluster_block_bytes cluster_tx_rate_bps \
-    cluster_rpc_p99_ns cluster_error_budget_min_ppm; do
+    cluster_rpc_p99_ns; do
     grep -q "^$fam" <<<"$MOUT" || { echo "obscheck: $fam missing from master scrape" >&2; exit 1; }
 done
 

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"carousel/internal/codeplan"
 	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 	"carousel/internal/msr"
@@ -97,10 +96,6 @@ type Code struct {
 	workers    int  // executors used by Encode and Decode (1 = serial)
 
 	base *msr.Code // repair machinery for d > k; nil when d == k
-
-	// encPlan is the engine's compiled schedule of gen, replayed by every
-	// Encode; held here for the op-count tests that pin Fig. 5's sparsity.
-	encPlan *codeplan.Plan
 
 	// readSolvers: missing data-bearing blocks + availability -> solver.
 	readSolvers lincode.Memo[*readSolver]
@@ -185,7 +180,6 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 		return nil, err
 	}
 	c.Code = lincode.New(n, k, c.units, c.gen, c.toStored, c.workers)
-	c.encPlan = c.EncodePlan()
 	return c, nil
 }
 

@@ -185,7 +185,7 @@ func TestEncodePlanSparsityMatchesRS(t *testing.T) {
 		n := 2 * k
 		c := mustCode(t, n, k, k, n)
 		u := c.UnitsPerBlock()
-		counts := c.encPlan.Counts()
+		counts := c.EncodePlan().Counts()
 		parityRows := (n - k) * u
 		if got, want := counts.Mul+counts.MulAdd, parityRows*k; got != want {
 			t.Errorf("k=%d: encode plan has %d multiplies over %d parity-unit rows (%.2f per row), want exactly k=%d per row",

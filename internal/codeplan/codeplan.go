@@ -2,33 +2,40 @@
 // execution plans for the unit-buffer products every codec in this
 // repository performs (encode, decode, repair, degraded read).
 //
-// A plan is a flat schedule of typed ops derived from the matrix once and
-// then replayed over arbitrary buffers:
+// A plan is derived from the matrix once and then run over arbitrary
+// buffers. Its schedule is described as typed ops:
 //
 //   - COPY for unit rows (a single coefficient of 1): surviving data units
 //     are moved with memcpy and cost zero GF multiplications;
 //   - CLEAR for all-zero rows;
-//   - MUL/MULADD for everything else, emitted in column-major order so the
-//     schedule walks each input unit once and consecutive ops reuse the
-//     input chunk that is already hot in cache.
+//   - MUL/MULADD for everything else, one per nonzero coefficient, listed
+//     in column-major order.
 //
-// Execution is chunked: the buffers are processed in cache-sized,
-// 64-byte-aligned slices, with the whole schedule replayed per chunk, so
-// destination and source chunks stay resident instead of streaming
-// multi-megabyte rows through the cache once per coefficient. RunParallel
-// stripes the chunks over the shared bounded pool in internal/workpool
-// without allocating per-chunk slice headers.
+// The COPY and CLEAR ops run as they are. The general rows run as groups:
+// rows that share one source list go to one gf256.MulSum call, which sums
+// every source into registers and stores each destination once, instead of
+// one pass over memory per coefficient (the ISA-L dot-product shape).
 //
-// Output buffers may be dirty. Every output unit's first scheduled op is a
-// COPY, CLEAR or MULSLICE — an overwrite — and only later ops accumulate
-// into it, so an execution never reads what its destinations held before
-// and callers may hand it recycled (pooled) memory without clearing it.
+// Execution is tiled: the buffers are processed a tile of bytes at a time,
+// every move and group per tile, with the tile sized from the groups'
+// shape so one step's source and destination tiles fit in L1. Each source
+// tile is loaded from memory once per step and re-read from L1 by every
+// group. RunParallel stripes the byte range over the shared bounded pool in
+// internal/workpool without allocating per-stripe slice headers.
+//
+// Output buffers may be dirty. Every output unit is written by a COPY, a
+// CLEAR or a MulSum — all overwrites — so an execution never reads what
+// its destinations held before and callers may hand it recycled (pooled)
+// memory without clearing it. The description keeps the same shape: the
+// first op on every output is a COPY, CLEAR or MULSLICE, never a MULADD.
 //
 // Plans are immutable after Compile and safe for concurrent Run calls.
 package codeplan
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"carousel/internal/gf256"
@@ -38,7 +45,7 @@ import (
 )
 
 // mRunNS is the wall time of whole plan executions, observed once per
-// Run/RunParallel (never per chunk or per op, which would poison the
+// Run/RunParallel (never per tile or per group, which would poison the
 // cache-resident inner loop); its count is the number of runs.
 var mRunNS = obs.Default().Histogram("codeplan_run_ns")
 
@@ -80,7 +87,9 @@ type Op struct {
 }
 
 // Counts tallies a plan's schedule by op kind. Mul+MulAdd is the number of
-// general GF multiply passes a single execution performs.
+// nonzero coefficients in the general rows: the GF multiplies per byte
+// offset an execution needs (its groups may add a few by zero; see
+// groupRows).
 type Counts struct {
 	Copy, Clear, Mul, MulAdd int
 }
@@ -88,22 +97,37 @@ type Counts struct {
 // Plan is a compiled schedule computing out = M * in over unit buffers.
 type Plan struct {
 	numIn, numOut int
-	ops           []Op
+	ops           []Op // moves first, then the multiplies in column-major order
+	moves         int  // ops[:moves] are the COPY and CLEAR ops, run as they are
+	groups        []*gf256.Group
+	tile          int // bytes of every unit one execution step covers
 	counts        Counts
 }
 
-// chunkBytes is the execution granularity: small enough that a source
-// chunk, a destination chunk, and the 256-byte multiplication row coexist
-// in L1 while the schedule replays, large enough that per-chunk dispatch
-// overhead vanishes. It is a multiple of 64 so chunk boundaries stay
-// cache-line aligned. 16 KiB is deliberate: power-of-two unit buffers are
-// often mutually congruent modulo large powers of two (16 MiB blocks cut
-// into 8 MiB units), so a source and destination chunk can map to the same
-// L1 sets; at 16 KiB each stream claims 4 ways of a 12-way 48 KiB L1, so
-// two congruent streams still fit, while 32 KiB chunks need 8 ways each
-// and thrash — measured as a 2-4x decode swing depending on allocator
-// luck.
+// chunkBytes caps the tile: a plan with few sources steps over its buffers
+// 16 KiB at a time, so per-step dispatch vanishes against the work. It goes
+// no higher because power-of-two unit buffers are often mutually congruent
+// modulo large powers of two (16 MiB blocks cut into 8 MiB units), so their
+// tiles map to the same L1 sets: at 16 KiB a stream claims 4 ways of a
+// 12-way 48 KiB L1 and two congruent streams still fit, where 32 KiB
+// chunks thrashed (a 2-4x decode swing depending on allocator luck).
 const chunkBytes = 16 << 10
+
+// l1Bytes is the working set one step is sized to: every source tile the
+// plan's groups read plus the destination tiles of the widest group, inside
+// the 32 KiB that the smallest common amd64 L1 data cache holds. Sources
+// are then loaded from L1 by every group after the first, and each
+// destination tile is written once, from registers.
+const l1Bytes = 32 << 10
+
+// minTile keeps a step at several vectors per kernel call however many
+// sources a plan has.
+const minTile = 256
+
+// maxGroupRows bounds a group. MulSum takes a group's rows four at a time,
+// so a wider group costs the kernel nothing and saves calls per tile; the
+// bound keeps its destination tiles a small share of the step's L1 budget.
+const maxGroupRows = 8
 
 // minParallelBytes is the buffer size below which RunParallel stays
 // serial: striping cost would exceed the work.
@@ -111,13 +135,12 @@ const minParallelBytes = 64 << 10
 
 // Compile builds the execution plan for the given matrix. Rows become:
 // unit rows a COPY, zero rows a CLEAR, and all remaining rows MUL/MULADD
-// ops emitted column-by-column (input-major) so every input unit is
-// walked exactly once per execution in ascending order.
+// ops, described column-by-column (input-major) and executed as groups of
+// rows that share one source list (see groupRows).
 func Compile(m *matrix.Matrix) *Plan {
 	rows, cols := m.Rows(), m.Cols()
 	p := &Plan{numIn: cols, numOut: rows}
-	general := make([]bool, rows)
-	started := make([]bool, rows)
+	var general []int
 	nnz := 0
 	for r := 0; r < rows; r++ {
 		if _, ok := m.UnitColumn(r); ok {
@@ -125,29 +148,22 @@ func Compile(m *matrix.Matrix) *Plan {
 		} else if n := m.RowNNZ(r); n == 0 {
 			p.counts.Clear++
 		} else {
-			general[r] = true
+			general = append(general, r)
 			nnz += n
 		}
 	}
 	p.ops = make([]Op, 0, p.counts.Copy+p.counts.Clear+nnz)
 	for r := 0; r < rows; r++ {
-		if general[r] {
-			continue
-		}
 		if src, ok := m.UnitColumn(r); ok {
 			p.ops = append(p.ops, Op{Kind: OpCopy, Dst: int32(r), Src: int32(src)})
-		} else {
+		} else if m.RowNNZ(r) == 0 {
 			p.ops = append(p.ops, Op{Kind: OpClear, Dst: int32(r)})
 		}
 	}
-	// Column-major emission for the general rows: ops are ordered by Src,
-	// so a chunk of input c is loaded once and reused by every row that
-	// consumes it before the schedule moves on to input c+1.
+	p.moves = len(p.ops)
+	started := make([]bool, rows)
 	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			if !general[r] {
-				continue
-			}
+		for _, r := range general {
 			coef := m.At(r, c)
 			if coef == 0 {
 				continue
@@ -163,7 +179,90 @@ func Compile(m *matrix.Matrix) *Plan {
 			p.ops = append(p.ops, Op{Kind: kind, Dst: int32(r), Src: int32(c), Coef: coef})
 		}
 	}
+	p.groupRows(m, general)
 	return p
+}
+
+// groupRows partitions the general rows into the kernel calls an execution
+// makes. Rows are ordered by their source support, so rows with identical
+// supports are adjacent, then packed greedily into groups of at most
+// maxGroupRows whose union support costs at most 5% more multiplies than
+// the rows' nonzeros: a dense generator becomes a few groups over every
+// source, and a block-diagonal one (a Kronecker-expanded base code) one
+// group per block, instead of a dense kernel multiplying by its zeros.
+// It also sizes the tile from the groups' shape.
+func (p *Plan) groupRows(m *matrix.Matrix, rows []int) {
+	cols := m.Cols()
+	keys := make([]string, m.Rows())
+	for _, r := range rows {
+		b := make([]byte, (cols+7)/8)
+		for c := 0; c < cols; c++ {
+			if m.At(r, c) != 0 {
+				b[c/8] |= 1 << (c % 8)
+			}
+		}
+		keys[r] = string(b)
+	}
+	slices.SortStableFunc(rows, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+
+	inUnion := make([]bool, cols)
+	read := make([]bool, cols)
+	var cur []int
+	union, nnz, widest := 0, 0, 0
+	flush := func() {
+		var src []int
+		for c, ok := range inUnion {
+			if ok {
+				src = append(src, c)
+				read[c] = true
+				inUnion[c] = false
+			}
+		}
+		coef := make([]byte, 0, len(cur)*len(src))
+		for _, r := range cur {
+			for _, c := range src {
+				coef = append(coef, m.At(r, c))
+			}
+		}
+		p.groups = append(p.groups, gf256.NewGroup(cur, src, coef))
+		widest = max(widest, len(cur))
+		cur, union, nnz = nil, 0, 0
+	}
+	for _, r := range rows {
+		added := 0
+		for c := 0; c < cols; c++ {
+			if m.At(r, c) != 0 && !inUnion[c] {
+				added++
+			}
+		}
+		n := m.RowNNZ(r)
+		if len(cur) > 0 && (len(cur) == maxGroupRows || 20*(union+added)*(len(cur)+1) > 21*(nnz+n)) {
+			flush()
+			added = n
+		}
+		for c := 0; c < cols; c++ {
+			if m.At(r, c) != 0 {
+				inUnion[c] = true
+			}
+		}
+		cur = append(cur, r)
+		union += added
+		nnz += n
+	}
+	if len(cur) > 0 {
+		flush()
+	}
+
+	streams := widest
+	for _, ok := range read {
+		if ok {
+			streams++
+		}
+	}
+	p.tile = chunkBytes
+	if streams > 0 {
+		p.tile = min(chunkBytes, max(minTile, l1Bytes/streams&^63))
+	}
 }
 
 // NumIn returns the number of input units the plan consumes.
@@ -261,24 +360,25 @@ func (p *Plan) RunParallel(in, out [][]byte, workers int) {
 	mRunNS.ObserveSince(t0)
 }
 
-// runRange replays the schedule over [lo, hi) in cache-sized chunks.
+// runRange executes the plan over [lo, hi) one tile at a time: the moves,
+// then one kernel call per group. A remainder under one vector joins the
+// last tile rather than making a step of its own.
 func (p *Plan) runRange(in, out [][]byte, lo, hi int) {
-	for clo := lo; clo < hi; clo += chunkBytes {
-		chi := clo + chunkBytes
-		if chi > hi {
-			chi = hi
+	for tlo := lo; tlo < hi; {
+		thi := tlo + p.tile
+		if thi > hi-64 {
+			thi = hi
 		}
-		for _, op := range p.ops {
-			switch op.Kind {
-			case OpCopy:
-				copy(out[op.Dst][clo:chi], in[op.Src][clo:chi])
-			case OpClear:
-				clear(out[op.Dst][clo:chi])
-			case OpMul:
-				gf256.MulSlice(op.Coef, in[op.Src][clo:chi], out[op.Dst][clo:chi])
-			case OpMulAdd:
-				gf256.MulAddSlice(op.Coef, in[op.Src][clo:chi], out[op.Dst][clo:chi])
+		for _, op := range p.ops[:p.moves] {
+			if op.Kind == OpCopy {
+				copy(out[op.Dst][tlo:thi], in[op.Src][tlo:thi])
+			} else {
+				clear(out[op.Dst][tlo:thi])
 			}
 		}
+		for _, g := range p.groups {
+			gf256.MulSum(g, out, in, tlo, thi)
+		}
+		tlo = thi
 	}
 }

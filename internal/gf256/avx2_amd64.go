@@ -16,6 +16,12 @@ func avx2MulAsm(lo, hi *[16]byte, dst, src *byte, n int)
 func avx2MulAddAsm(lo, hi *[16]byte, dst, src *byte, n int)
 func avx2XorAsm(dst, src *byte, n int)
 
+//go:noescape
+func avx2MulSum4(tbls *byte, in *[]byte, src *int, nsrc, off, n int, d0, d1, d2, d3 *byte)
+
+//go:noescape
+func avx2MulSum1(tbls *byte, in *[]byte, src *int, nsrc, off, n int, d0 *byte)
+
 var useAVX2 = !tierDisabled("avx2") && detectAVX2()
 
 // detectAVX2 gates the tier on CPUID (AVX2) and on the OS having enabled

@@ -5,11 +5,15 @@
 // Intel ISA-L, which the Carousel paper's prototype builds on. Elements are
 // bytes; addition is XOR; multiplication is carried out through exp/log
 // tables. The package also provides slice kernels (MulSlice, MulAddSlice,
-// AddSlice) that apply one coefficient across a buffer. These kernels are the
-// hot loop of every encode, decode, and repair operation in this repository.
-// On amd64 with GFNI and AVX-512 the slice kernels dispatch to assembly
-// (gfni_amd64.s) that multiplies 64 bytes per instruction; elsewhere they run
-// the portable table loops below.
+// AddSlice) that apply one coefficient across a buffer, and MulSum, which
+// computes several rows of a matrix product at once over a Group of
+// prepared coefficients: every source is summed into registers and each
+// destination is stored once. MulSum is the hot loop of every encode,
+// decode, and repair operation in this repository (internal/codeplan runs
+// every plan through it); the slice kernels are its reference and its
+// sub-vector path. On amd64 the kernels dispatch down the tier ladder in
+// tier.go to assembly (GFNI + AVX-512, then AVX2); elsewhere they run the
+// portable table loops below.
 package gf256
 
 import "fmt"

@@ -343,3 +343,34 @@ func BenchmarkAddSlice(b *testing.B) {
 		AddSlice(in, out)
 	}
 }
+
+// BenchmarkMulSumUnit is the kernel layer of the layer walk at the store's
+// unit size: 8 rows over 30 sources of one 8,736-byte unit each, the
+// fixture encode's group shape, untiled. SetBytes counts products (rows ×
+// sources × bytes), so its MB/s compares with BenchmarkMulAddSlice1MiB's
+// one product per byte.
+func BenchmarkMulSumUnit(b *testing.B) {
+	const rows, srcs, unit = 8, 30, 8736
+	rng := rand.New(rand.NewSource(7))
+	in := make([][]byte, srcs)
+	src := make([]int, srcs)
+	for i := range in {
+		in[i] = make([]byte, unit)
+		rng.Read(in[i])
+		src[i] = i
+	}
+	out := make([][]byte, rows)
+	dst := make([]int, rows)
+	for j := range out {
+		out[j] = make([]byte, unit)
+		dst[j] = j
+	}
+	coef := make([]byte, rows*srcs)
+	rng.Read(coef)
+	g := NewGroup(dst, src, coef)
+	b.SetBytes(rows * srcs * unit)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulSum(g, out, in, 0, unit)
+	}
+}

@@ -17,6 +17,12 @@ func gfniMulAsm(mat uint64, dst, src *byte, n int)
 func gfniMulAddAsm(mat uint64, dst, src *byte, n int)
 func xorAsm(dst, src *byte, n int)
 
+//go:noescape
+func gfniMulSum4(mats *uint64, in *[]byte, src *int, nsrc, off, n int, d0, d1, d2, d3 *byte)
+
+//go:noescape
+func gfniMulSum1(mats *uint64, in *[]byte, src *int, nsrc, off, n int, d0 *byte)
+
 var useGFNI = !tierDisabled("gfni") && detectGFNI()
 
 func detectGFNI() bool {
@@ -115,6 +121,58 @@ func mulAddSliceAsm(c byte, in, out []byte) int {
 		}
 	}
 	return i
+}
+
+// expand fills g's per-tier coefficient forms in row-block order (see
+// Group).
+func (g *Group) expand() {
+	nd, ns := len(g.dst), len(g.src)
+	g.mats = make([]uint64, 0, nd*ns)
+	g.nibs = make([]byte, 0, 32*nd*ns)
+	for r := 0; r < nd; {
+		w := blockWidth(r, nd)
+		for i := 0; i < ns; i++ {
+			for j := r; j < r+w; j++ {
+				c := g.coef[j*ns+i]
+				g.mats = append(g.mats, gfniMatrices[c])
+				g.nibs = append(g.nibs, lowNibble[c][:]...)
+				g.nibs = append(g.nibs, highNibble[c][:]...)
+			}
+		}
+		r += w
+	}
+}
+
+// mulSumAsm runs MulSum's rows r..r+w-1 (w is 4 or 1) over [lo, hi) on the
+// best tier whose vector width the range covers, and reports whether one
+// did. The kernels finish a ragged tail by recomputing one last full
+// vector that ends at hi, so any length of at least one vector runs
+// entirely in assembly.
+func mulSumAsm(g *Group, r, w int, out, in [][]byte, lo, hi int) bool {
+	n, ns := hi-lo, len(g.src)
+	var d [sumWidth]*byte
+	for j := range w {
+		d[j] = &out[g.dst[r+j]][lo:hi][0]
+	}
+	switch {
+	case useGFNI && n >= 64:
+		m := &g.mats[r*ns]
+		if w == 1 {
+			gfniMulSum1(m, &in[0], &g.src[0], ns, lo, n, d[0])
+		} else {
+			gfniMulSum4(m, &in[0], &g.src[0], ns, lo, n, d[0], d[1], d[2], d[3])
+		}
+	case useAVX2 && n >= 32:
+		t := &g.nibs[32*r*ns]
+		if w == 1 {
+			avx2MulSum1(t, &in[0], &g.src[0], ns, lo, n, d[0])
+		} else {
+			avx2MulSum4(t, &in[0], &g.src[0], ns, lo, n, d[0], d[1], d[2], d[3])
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // addSliceAsm computes out[i] ^= in[i] for the longest SIMD-width-multiple

@@ -5,13 +5,18 @@ import (
 	"strings"
 )
 
-// Kernel tier ladder. The slice kernels dispatch down a fixed ladder at
-// startup: GFNI+AVX-512 (64 bytes per GF2P8AFFINEQB) where the CPU has it,
-// then AVX2 split-nibble VPSHUFB (32 bytes per iteration, the ISA-L table
-// layout) on the vast majority of amd64 deployments that lack GFNI, then
-// the portable table loops. The GF256_DISABLE environment variable forces
-// lower tiers for differential testing and CI: a comma-separated list of
-// tier names ("gfni", "avx2", or "all") read once at process start.
+// Kernel tier ladder. The slice kernels and MulSum dispatch down a fixed
+// ladder at startup: GFNI+AVX-512 (64 bytes per GF2P8AFFINEQB) where the
+// CPU has it, then AVX2 split-nibble VPSHUFB (32 bytes per iteration, the
+// ISA-L table layout) on the vast majority of amd64 deployments that lack
+// GFNI, then the portable table loops. MulSum's SIMD tiers keep four
+// destination accumulators per loaded source (ISA-L's gf_4vect_dot_prod
+// shape); its portable tier is MulSlice plus MulAddSlice per row, the
+// reference the tier tests compare against. A range shorter than one
+// vector of the active tier drops to the next rung. The GF256_DISABLE
+// environment variable forces lower tiers for differential testing and
+// CI: a comma-separated list of tier names ("gfni", "avx2", or "all") read
+// once at process start.
 //
 //	GF256_DISABLE=gfni       exercise the AVX2 tier on GFNI hosts
 //	GF256_DISABLE=avx2,gfni  force the portable table loops everywhere

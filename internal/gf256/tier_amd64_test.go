@@ -191,6 +191,43 @@ func FuzzKernelTiers(f *testing.F) {
 				}
 			})
 		}
+		// Multi-source: up to 5 rows over up to 7 sources derived from the
+		// payload, the coefficients a walk from c that passes through zero.
+		nd, ns := 1+int(c)%5, 1+int(off)%7
+		srcs := make([][]byte, ns)
+		src := make([]int, ns)
+		for i := range srcs {
+			src[i] = i
+			srcs[i] = make([]byte, len(in))
+			for b, v := range in {
+				srcs[i][b] = v ^ byte(i*17)
+			}
+		}
+		coef := make([]byte, nd*ns)
+		dst := make([]int, nd)
+		for j := range coef {
+			coef[j] = c + byte(j*37)
+		}
+		for j := range dst {
+			dst[j] = j
+		}
+		sum := refMulSum(coef, nd, srcs)
+		g := NewGroup(dst, src, coef)
+		for _, tier := range availableTiers() {
+			withTier(t, tier, func() {
+				out := make([][]byte, nd)
+				for j := range out {
+					out[j] = make([]byte, len(in))
+					copy(out[j], acc)
+				}
+				MulSum(g, out, srcs, 0, len(in))
+				for j := range out {
+					if !bytes.Equal(out[j], sum[j]) {
+						t.Fatalf("tier %s: MulSum(rows %d, sources %d, n=%d) row %d diverges", tier.name, nd, ns, len(in), j)
+					}
+				}
+			})
+		}
 	})
 }
 
@@ -224,4 +261,99 @@ func BenchmarkMulAddSliceGFNI(b *testing.B) {
 		b.Skip("no GFNI on this host")
 	}
 	benchmarkTierMulAdd(b, tierCase{gfni: true, avx2: hostAVX2})
+}
+
+// refMulSum is MulSum's trivially-correct reference: each row is the XOR of
+// refMul over the group's sources.
+func refMulSum(coef []byte, nd int, srcs [][]byte) [][]byte {
+	ns := len(srcs)
+	want := make([][]byte, nd)
+	for j := range want {
+		want[j] = make([]byte, len(srcs[0]))
+		for i, s := range srcs {
+			for b, v := range refMul(coef[j*ns+i], s) {
+				want[j][b] ^= v
+			}
+		}
+	}
+	return want
+}
+
+// TestMulSumTierDifferential checks MulSum on every available tier against
+// the reference: group sizes 1..8 (whole and partial four-row blocks),
+// source counts up to the 60 columns of the widest codec plan, every tier
+// size plus a store unit (8,736 B, 136.5 vectors) and the swarm unit
+// (819 B), ranges starting at the misaligned tierOffsets, zero
+// coefficients, and dirty destinations whose bytes outside the range must
+// survive.
+func TestMulSumTierDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	sizes := append(append([]int(nil), tierSizes...), 8736, 819)
+	const guard = 64
+	backing := make([][]byte, 60)
+	for i := range backing {
+		backing[i] = make([]byte, tierOffsets[len(tierOffsets)-1]+8736+guard)
+		rng.Read(backing[i])
+	}
+	for _, tier := range availableTiers() {
+		t.Run(tier.name, func(t *testing.T) {
+			withTier(t, tier, func() {
+				for nd := 1; nd <= 8; nd++ {
+					for _, ns := range []int{1, 3, 10, 30, 60} {
+						for si, n := range sizes {
+							off := tierOffsets[(nd+ns+si)%len(tierOffsets)]
+							checkMulSum(t, rng, backing[:ns], nd, off, n, guard)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// checkMulSum runs one nd-row MulSum over srcs[*][off:off+n] into dirty
+// destinations and compares it with refMulSum.
+func checkMulSum(t *testing.T, rng *rand.Rand, srcs [][]byte, nd, off, n, guard int) {
+	t.Helper()
+	ns := len(srcs)
+	coef := make([]byte, nd*ns)
+	rng.Read(coef)
+	coef[rng.Intn(len(coef))] = 0
+	if nd > 1 {
+		coef[ns] = 0 // row 1 opens with a zero coefficient
+	}
+	dst := make([]int, nd)
+	src := make([]int, ns)
+	for j := range dst {
+		dst[j] = nd - 1 - j // destinations need not be in order
+	}
+	for i := range src {
+		src[i] = i
+	}
+	out := make([][]byte, nd)
+	dirty := make([][]byte, nd)
+	for j := range out {
+		out[j] = make([]byte, off+n+guard)
+		rng.Read(out[j])
+		dirty[j] = append([]byte(nil), out[j]...)
+	}
+	window := make([][]byte, ns)
+	for i, s := range srcs {
+		window[i] = s[off : off+n]
+	}
+	want := refMulSum(coef, nd, window)
+	in := make([][]byte, ns)
+	for i, s := range srcs {
+		in[i] = s[:off+n] // the kernel must not read past hi
+	}
+	MulSum(NewGroup(dst, src, coef), out, in, off, off+n)
+	for j := range dst {
+		got := out[dst[j]]
+		if !bytes.Equal(got[off:off+n], want[j]) {
+			t.Fatalf("MulSum(rows %d, sources %d, off %d, n %d): row %d diverges from the reference", nd, ns, off, n, j)
+		}
+		if !bytes.Equal(got[:off], dirty[dst[j]][:off]) || !bytes.Equal(got[off+n:], dirty[dst[j]][off+n:]) {
+			t.Fatalf("MulSum(rows %d, sources %d, off %d, n %d): row %d wrote outside [lo, hi)", nd, ns, off, n, j)
+		}
+	}
 }

@@ -3,13 +3,13 @@ GO ?= go
 # Packages whose hot paths share mutable buffers across goroutines — or, for
 # the codecs, share the engine's memo of inverses and plans; these run under
 # the race detector in addition to the normal suite.
-RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/lincode ./internal/reedsolomon ./internal/msr ./internal/lrc ./internal/mbr ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/stream ./internal/master ./internal/stripecache ./internal/workload
+RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/lincode ./internal/reedsolomon ./internal/msr ./internal/lrc ./internal/mbr ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/frame ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/stream ./internal/master ./internal/stripecache ./internal/workload
 
 # Packages on the fault-tolerant block path: run twice under the race
 # detector to shake out order-dependent leaks and redial races.
 FAULT_PKGS = ./internal/blockserver ./internal/dfs ./internal/faultnet
 
-.PHONY: check fmt vet build test race race-tiers faults master writepath series sim bench bench-gate bench-sweep obs swarm bench-swarm
+.PHONY: check fmt vet build test race race-tiers faults master writepath fuzz series sim bench bench-gate bench-sweep obs swarm bench-swarm
 
 check: fmt vet build test race
 
@@ -61,6 +61,17 @@ master:
 writepath:
 	$(GO) test -race -count=2 -run 'TestInto|TestEveryOutputOpensWithAnOverwrite' ./internal/carousel ./internal/codeplan
 	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts' ./internal/blockserver
+
+# Fuzz the three decoders of the one record frame (internal/frame), 10 s
+# each, from the seed corpora under each package's testdata/fuzz: the bare
+# header reader, the block server's request loop over net.Pipe (the block
+# map changes only on a put whose header and payload verify), and the
+# master's journal replay (refuse and leave the file alone, or keep a
+# prefix that replays to the same state).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadHeader$$' -fuzztime 10s ./internal/frame
+	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 10s ./internal/blockserver
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/master
 
 # The Fig. 6-8 series loop, short: the four parameter points of
 # bench.NewFamily are built and encoded (6a), and a real repair's helper

@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"carousel/internal/bufpool"
+	"carousel/internal/frame"
 	"carousel/internal/obs"
 	"carousel/internal/retry"
 )
@@ -64,7 +64,7 @@ func rpcCounter(op byte, err error) *obs.Counter {
 	rpcOnce.Do(func() {
 		for o := opPut; o <= opVerify; o++ {
 			for i, out := range outcomeNames {
-				rpcCounters[o][i] = obs.Default().Counter("blockserver_client_rpcs_total", "op", opName(o), "outcome", out)
+				rpcCounters[o][i] = obs.Default().Counter("blockserver_client_rpcs_total", "op", opNames[o], "outcome", out)
 			}
 		}
 	})
@@ -112,8 +112,8 @@ func (o Options) withDefaults() Options {
 //
 // A steady-state exchange is allocation-free: a request is a by-value
 // description built into a reused scratch buffer and sent in a single
-// write, response headers land in a persistent array, payloads come from
-// the shared buffer pool (hand them back with Recycle), and the
+// write, response headers land in the frame reader's scratch, payloads
+// come from the shared buffer pool (hand them back with Recycle), and the
 // cancellation watcher is one persistent goroutine armed per call instead
 // of spawned per call.
 type Client struct {
@@ -122,17 +122,13 @@ type Client struct {
 	conn net.Conn
 	lat  *obs.Histogram // per-peer RPC latency, interned at construction
 
-	// traceID/traceParent stage the current exchange's trace context,
-	// captured from the context's span in do.
-	traceID     uint64
-	traceParent uint64
-
 	peer *peer // the owning pool's slot set, told of dials and dial failures; nil outside a pool
 
-	req []byte      // request scratch: op + name + args (+ put frame header)
-	hdr [9]byte     // response scratch: status + payload length + payload CRC
-	arr [2][]byte   // gather-list backing for vectored sends
-	iov net.Buffers // per-send view into arr, consumed by the write
+	fr   *frame.Reader // response decoder over conn, replaced on every dial
+	meta []byte        // request meta scratch: name, arguments, trace context
+	req  []byte        // request header scratch
+	arr  [2][]byte     // gather-list backing for vectored sends
+	iov  net.Buffers   // per-send view into arr, consumed by the write
 
 	watch      *watcher
 	watchOn    bool // watcher goroutine currently running
@@ -198,6 +194,7 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, error) {
 		return nil, &dialError{addr: c.addr, err: err}
 	}
 	c.conn = conn
+	c.fr = frame.NewReader(conn, maxPayload)
 	if c.peer != nil {
 		c.peer.dialed()
 	}
@@ -296,17 +293,17 @@ func (c *Client) stopWatcher() {
 }
 
 // request describes one exchange by value, so issuing an RPC allocates
-// nothing: the op, the block name, up to two big-endian integer arguments
-// (a put's are its payload frame header: length and CRC32C), the put body
-// that leaves in the same write, and — for a scatter read — the caller's
-// destination for the OK payload.
+// nothing: the op, the block name, the op's integer arguments, the trace
+// context do stages from the caller's span, the put body that leaves in the
+// same write, and — for a scatter read — the caller's destination for the
+// OK payload.
 type request struct {
-	op    byte
-	name  string
-	nargs int
-	args  [2]uint32
-	body  []byte
-	dst   []byte
+	op            byte
+	name          string
+	args          [2]uint32
+	trace, parent uint64
+	body          []byte
+	dst           []byte
 }
 
 // do runs one idempotent exchange with deadline enforcement, poisoning,
@@ -314,13 +311,10 @@ type request struct {
 // payload (nil for a scatter read, whose payload is in r.dst).
 func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	start := time.Now()
-	// Stage the exchange's trace context: when the context carries a span,
-	// its IDs ride ahead of the request in an opTraceCtx frame so the
-	// server's spans join the caller's trace.
+	// When the context carries a span, its IDs ride in the request's meta
+	// so the server's spans join the caller's trace.
 	if sp := obs.SpanFromContext(ctx); sp != nil {
-		c.traceID, c.traceParent = sp.TraceID(), sp.ID()
-	} else {
-		c.traceID, c.traceParent = 0, 0
+		r.trace, r.parent = sp.TraceID(), sp.ID()
 	}
 	attempts := c.opts.Retry.Attempts
 	if attempts < 1 {
@@ -400,26 +394,16 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 }
 
 // exchange is the one place a request is written and its response read.
-// The preamble — op, length-prefixed name, integer arguments — is built in
-// the request scratch; when a trace context is staged, the reply-less
-// opTraceCtx frame is prepended to it. Preamble and body then leave as one
-// vectored write: on TCP a single writev with no intermediate copy, so a
-// block-sized Put costs one syscall and zero payload copies client-side.
+// The frame header — op, then the meta of name, arguments and any trace
+// context — is built in the request scratch. Header and body then leave as
+// one vectored write: on TCP a single writev with no intermediate copy, so
+// a block-sized Put costs one syscall and zero payload copies client-side.
 func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
 	if len(r.name) == 0 || len(r.name) > maxNameLen {
 		return nil, fmt.Errorf("blockserver: invalid name length %d", len(r.name))
 	}
-	c.req = c.req[:0]
-	if c.traceID != 0 {
-		c.req = append(c.req, opTraceCtx, 0, traceCtxLen)
-		c.req = binary.BigEndian.AppendUint64(c.req, c.traceID)
-		c.req = binary.BigEndian.AppendUint64(c.req, c.traceParent)
-	}
-	c.req = append(c.req, r.op, byte(len(r.name)>>8), byte(len(r.name)))
-	c.req = append(c.req, r.name...)
-	for _, a := range r.args[:r.nargs] {
-		c.req = binary.BigEndian.AppendUint32(c.req, a)
-	}
+	c.meta = appendMeta(c.meta[:0], r.name, r.args[:nargs(r.op)], r.trace, r.parent)
+	c.req = frame.Header{Kind: r.op, Meta: c.meta, Len: len(r.body), CRC: Checksum(r.body)}.Append(c.req[:0])
 	c.arr[0], c.arr[1] = c.req, r.body
 	n := 1
 	if len(r.body) > 0 {
@@ -429,40 +413,32 @@ func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
 	if err := flushVectored(conn, &c.iov); err != nil {
 		return nil, err
 	}
-	return c.readResponse(conn, r.dst)
+	return c.readResponse(r.dst)
 }
 
-// readResponse reads the status byte plus payload frame and maps non-OK
-// statuses to errors. With dst nil the OK payload is returned in a pooled
-// buffer. With dst set it lands directly there — the scatter half of the
-// zero-copy framing: the socket fills the caller's memory (a stripe slot,
+// readResponse reads one response frame and maps non-OK statuses to
+// errors. A header that fails its CRC is refused before its length is
+// used. With dst nil the OK payload is returned in a pooled buffer. With
+// dst set it lands directly there — the scatter half of the zero-copy
+// framing: the socket fills the caller's memory (a stripe slot,
 // typically), no pooled intermediary, no copy — and nil is returned; an OK
 // payload whose length differs from len(dst) is a protocol violation,
 // reported out-of-band so the retry machinery poisons the connection
 // rather than desyncing the stream. Non-OK payloads (error messages,
 // always small) take the pooled route either way and are recycled once
 // rendered.
-func (c *Client) readResponse(conn net.Conn, dst []byte) ([]byte, error) {
-	if _, err := io.ReadFull(conn, c.hdr[:]); err != nil {
+func (c *Client) readResponse(dst []byte) ([]byte, error) {
+	h, err := c.fr.Next()
+	if err != nil {
 		return nil, err
 	}
-	status := c.hdr[0]
-	n := binary.BigEndian.Uint32(c.hdr[1:5])
-	if n > maxPayload {
-		return nil, fmt.Errorf("blockserver: frame of %d bytes exceeds limit", n)
-	}
-	crc := binary.BigEndian.Uint32(c.hdr[5:9])
+	status := h.Kind
 	scatter := dst != nil && status == statusOK
 	buf := dst
 	if !scatter {
-		buf = bufpool.Get(int(n))
-	} else if int(n) != len(dst) {
-		return nil, fmt.Errorf("blockserver: response of %d bytes for a %d-byte destination", n, len(dst))
+		buf = bufpool.Get(h.Len)
 	}
-	_, err := io.ReadFull(conn, buf)
-	if err == nil && Checksum(buf) != crc {
-		err = errFrameChecksum
-	}
+	err = c.fr.Payload(h, buf)
 	if err == nil {
 		switch status {
 		case statusOK:
@@ -486,8 +462,7 @@ func (c *Client) readResponse(conn net.Conn, dst []byte) ([]byte, error) {
 
 // Put stores a block under name.
 func (c *Client) Put(ctx context.Context, name string, data []byte) error {
-	return c.call(ctx, request{op: opPut, name: name, nargs: 2,
-		args: [2]uint32{uint32(len(data)), Checksum(data)}, body: data})
+	return c.call(ctx, request{op: opPut, name: name, body: data})
 }
 
 // Get fetches a whole block. The returned slice is pool-backed: pass it to
@@ -504,7 +479,7 @@ func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []b
 	if len(dst) == 0 {
 		return nil
 	}
-	return c.call(ctx, request{op: opRange, name: name, nargs: 2,
+	return c.call(ctx, request{op: opRange, name: name,
 		args: [2]uint32{uint32(off), uint32(len(dst))}, dst: dst})
 }
 
@@ -512,7 +487,7 @@ func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []b
 // block index; only blockSize/alpha bytes come back. The returned slice is
 // pool-backed: pass it to Recycle once consumed.
 func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]byte, error) {
-	return c.do(ctx, request{op: opChunk, name: name, nargs: 2,
+	return c.do(ctx, request{op: opChunk, name: name,
 		args: [2]uint32{uint32(helper), uint32(failed)}})
 }
 

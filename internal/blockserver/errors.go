@@ -13,9 +13,10 @@ var (
 	// a dial, a single exchange, or the caller's context.
 	ErrTimeout = errors.New("blockserver: operation timed out")
 
-	// ErrCorrupt is returned when checksum verification fails: a stored
-	// block no longer matches its ingest CRC32C, or a wire frame arrived
-	// damaged.
+	// ErrCorrupt is returned when a stored block no longer matches its
+	// ingest CRC32C. A frame damaged on the wire is a transport fault
+	// instead (frame.ErrHeader, frame.ErrPayload): the connection is
+	// poisoned and the exchange retried.
 	ErrCorrupt = errors.New("blockserver: corrupt block")
 
 	// ErrTooFewSurvivors is returned when not enough sources remain to

@@ -5,37 +5,40 @@
 // (blockSize/alpha bytes) crosses the network, exactly the paper's optimal
 // repair traffic.
 //
-// The wire protocol is a simple length-prefixed binary format over TCP:
+// Every request and response is one internal/frame record over TCP:
 //
-//	request  := op(1) nameLen(2) name args...
-//	response := status(1) payloadLen(4) payloadCRC32C(4) payload
+//	request  := header(kind=op, meta=nameLen(2) name args [traceID(8) parentSpanID(8)]) payload
+//	response := header(kind=status, no meta) payload
 //
-// Every frame (request payloads and response payloads alike) carries the
-// CRC32C of its payload, so wire corruption is detected at the receiver
-// instead of silently feeding damaged bytes into a decode. Servers
-// additionally keep the ingest-time CRC32C of each stored block and verify
-// it before serving, answering statusCorrupt when at-rest corruption is
-// found — the signal the client's read path uses to exclude the block and
-// route it into scrub/repair.
+// args are two big-endian uint32s for range (offset, length) and chunk
+// (helper, failed) and absent otherwise; only a put carries a request
+// payload, and its length and CRC32C are the frame's. The header's own
+// CRC32C covers the op, the name, the arguments and the lengths, so the
+// server refuses a damaged request before acting on any of it, and the
+// client refuses a damaged response before sizing a buffer from it. The
+// payload CRC32C catches payload damage at the receiver instead of feeding
+// it into a decode. Servers keep a put's verified payload CRC as the
+// block's ingest CRC32C and verify it before serving, answering
+// statusCorrupt when at-rest corruption is found — the signal the client's
+// read path uses to exclude the block and route it into scrub/repair.
 //
 // Operations: put, get, range (partial read for parallel reads of data
 // prefixes), chunk (helper-side repair computation), delete, stat, verify
-// (server-side checksum audit of one block), tracectx (trace propagation).
+// (server-side checksum audit of one block).
 //
-// A traced request is preceded by opTraceCtx: a reply-less prefix frame
-// reusing the name slot for a fixed 16-byte payload, traceID(8) ||
-// parentSpanID(8) big-endian, that primes the *next* request's server-side
-// spans to parent under the client's span. Untraced requests carry no
-// prefix.
+// A traced request ends its meta with the client's trace ID and span ID,
+// under which the server parents its spans; an untraced one carries neither.
 package blockserver
 
 import (
+	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"io"
 	"net"
 
 	"carousel/internal/bufpool"
+	"carousel/internal/frame"
 )
 
 // Operation codes.
@@ -47,13 +50,7 @@ const (
 	opDelete
 	opStat
 	opVerify
-	// opTraceCtx is a reply-less prefix frame carrying traceCtxLen bytes of
-	// trace context in the name slot.
-	opTraceCtx
 )
-
-// traceCtxLen is the opTraceCtx payload size: traceID(8) + parentSpanID(8).
-const traceCtxLen = 16
 
 // Status codes.
 const (
@@ -67,24 +64,72 @@ const (
 const maxNameLen = 4096
 
 // maxPayload bounds a single payload (1 GiB), protecting servers from
-// bogus length prefixes.
+// bogus peers.
 const maxPayload = 1 << 30
+
+// traceLen is the trace context a traced request appends to its meta:
+// traceID(8) + parentSpanID(8).
+const traceLen = 16
 
 // ErrNotFound is returned when a server does not hold the named block.
 var ErrNotFound = errors.New("blockserver: block not found")
 
-// errFrameChecksum marks wire-level frame corruption. Unlike ErrCorrupt
-// (at-rest corruption, a permanent verdict about the stored block) it is a
-// transport fault: the client poisons the connection and may retry.
-var errFrameChecksum = errors.New("blockserver: frame checksum mismatch")
-
-// castagnoli is the CRC32C table shared by wire frames and the stored-block
-// checksums (the same polynomial HDFS datanodes use).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Checksum returns the CRC32C of a payload.
-func Checksum(b []byte) uint32 {
-	return crc32.Checksum(b, castagnoli)
+func Checksum(b []byte) uint32 { return frame.Checksum(b) }
+
+// nargs is the number of uint32 arguments an op's meta carries.
+func nargs(op byte) int {
+	if op == opRange || op == opChunk {
+		return 2
+	}
+	return 0
+}
+
+// appendMeta encodes a request's meta: the length-prefixed name, the op's
+// arguments and, when traceID is nonzero, the trace context.
+func appendMeta(dst []byte, name string, args []uint32, traceID, parent uint64) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	for _, a := range args {
+		dst = binary.BigEndian.AppendUint32(dst, a)
+	}
+	if traceID != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, traceID)
+		dst = binary.BigEndian.AppendUint64(dst, parent)
+	}
+	return dst
+}
+
+// reqMeta is a decoded request meta. name aliases the frame reader's
+// scratch, so it is only valid until the next request.
+type reqMeta struct {
+	name          []byte
+	args          [2]uint32
+	trace, parent uint64 // zero for an untraced request
+}
+
+// parseMeta decodes the meta of a verified request header.
+func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
+	if len(meta) < 2 {
+		return m, fmt.Errorf("blockserver: %d-byte request meta", len(meta))
+	}
+	n := int(binary.BigEndian.Uint16(meta))
+	rest := meta[2:]
+	if n == 0 || n > maxNameLen || n > len(rest) {
+		return m, fmt.Errorf("blockserver: invalid name length %d", n)
+	}
+	m.name, rest = rest[:n], rest[n:]
+	na := nargs(op)
+	if len(rest) != 4*na && len(rest) != 4*na+traceLen {
+		return m, fmt.Errorf("blockserver: %d bytes of arguments for op %d", len(rest), op)
+	}
+	for i := range na {
+		m.args[i] = binary.BigEndian.Uint32(rest[4*i:])
+	}
+	if rest = rest[4*na:]; len(rest) == traceLen {
+		m.trace, m.parent = binary.BigEndian.Uint64(rest), binary.BigEndian.Uint64(rest[8:])
+	}
+	return m, nil
 }
 
 // vectoredWriter is a sink that consumes a whole gather list in one call.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 
 	"carousel/internal/bufpool"
 	"carousel/internal/carousel"
+	"carousel/internal/frame"
 	"carousel/internal/obs"
 )
 
@@ -28,154 +28,61 @@ var (
 	srvRPCWindow = obs.Default().Window("blockserver_server_rpc_window_ns")
 )
 
-// opName names a protocol opcode for the rpcs_total op label.
-func opName(op byte) string {
-	switch op {
-	case opPut:
-		return "put"
-	case opGet:
-		return "get"
-	case opRange:
-		return "range"
-	case opChunk:
-		return "chunk"
-	case opDelete:
-		return "delete"
-	case opStat:
-		return "stat"
-	case opVerify:
-		return "verify"
-	case opTraceCtx:
-		return "tracectx"
-	}
-	return "unknown"
-}
-
-// statusName names a response status for the rpcs_total status label.
-func statusName(st byte) string {
-	switch st {
-	case statusOK:
-		return "ok"
-	case statusNotFound:
-		return "not_found"
-	case statusCorrupt:
-		return "corrupt"
-	}
-	return "error"
-}
+// opNames and statusNames label the rpcs_total counters, indexed by opcode
+// and status; opcode 0 is never sent, so its slot names unknown opcodes.
+var (
+	opNames     = [...]string{"unknown", "put", "get", "range", "chunk", "delete", "stat", "verify"}
+	statusNames = [...]string{"ok", "not_found", "error", "corrupt"}
+)
 
 // srvRPCCounters interns every (op, status) counter once; row 0 doubles
-// as the bucket for unknown opcodes (opName(0) == "unknown"), so a bogus
-// op byte off the wire still lands on a preallocated counter.
+// as the bucket for unknown opcodes, so a bogus op byte off the wire still
+// lands on a preallocated counter.
 var (
 	srvRPCOnce     sync.Once
-	srvRPCCounters [opTraceCtx + 1][statusCorrupt + 1]*obs.Counter
+	srvRPCCounters [len(opNames)][len(statusNames)]*obs.Counter
 )
 
 func srvRPCCounter(op, st byte) *obs.Counter {
 	srvRPCOnce.Do(func() {
-		for o := 0; o <= int(opTraceCtx); o++ {
-			for s := 0; s <= int(statusCorrupt); s++ {
-				srvRPCCounters[o][s] = obs.Default().Counter("blockserver_server_rpcs_total", "op", opName(byte(o)), "status", statusName(byte(s)))
+		for o, on := range opNames {
+			for s, sn := range statusNames {
+				srvRPCCounters[o][s] = obs.Default().Counter("blockserver_server_rpcs_total", "op", on, "status", sn)
 			}
 		}
 	})
-	if op > opTraceCtx {
+	if int(op) >= len(opNames) {
 		op = 0
-	}
-	if st > statusCorrupt {
-		st = statusError
 	}
 	return srvRPCCounters[op][st]
 }
 
 // connReadBuf sizes the per-connection read buffer: room for any request
-// preamble (op, name, integer arguments, put frame header), so one read
+// header (frame header, name, arguments, trace context), so one read
 // syscall delivers all of it, yet small enough that a block payload — whose
 // reads ask for more than this — bypasses the buffer and lands directly in
 // its destination.
 const connReadBuf = 4 << 10
 
 // connState carries one connection's reusable scratch so a steady-state
-// request/response cycle allocates nothing server-side: the op byte, name
-// bytes, integer arguments, and response header all land in buffers that
-// live as long as the connection.
+// request/response cycle allocates nothing server-side: the request header
+// and meta land in the frame reader's scratch, and the response header and
+// a stat's payload in buffers that live as long as the connection.
 type connState struct {
 	conn  net.Conn
-	br    *bufio.Reader // every request byte is read through this
-	hdr   [9]byte       // response: status + payload length + payload CRC
-	small [4]byte       // name length and integer-argument scratch
-	name  []byte        // name scratch, grown to the largest name seen
+	fr    *frame.Reader // every request byte is read through this
+	hdr   []byte        // response header scratch
+	small [4]byte       // stat payload scratch
 	arr   [2][]byte     // gather-list backing for vectored responses
 	iov   net.Buffers   // per-reply view into arr, consumed by the write
-
-	// trace/parent hold the client's span IDs from the latest opTraceCtx
-	// prefix frame; consumed (and cleared) by the next request's handler.
-	trace  uint64
-	parent uint64
 }
 
-// readName reads a length-prefixed block name into the connection scratch.
-// The returned slice is only valid until the next request.
-func (cs *connState) readName() ([]byte, error) {
-	if _, err := io.ReadFull(cs.br, cs.small[:2]); err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint16(cs.small[:2]))
-	if n == 0 || n > maxNameLen {
-		return nil, fmt.Errorf("blockserver: invalid name length %d", n)
-	}
-	if cap(cs.name) < n {
-		cs.name = make([]byte, n)
-	}
-	buf := cs.name[:n]
-	if _, err := io.ReadFull(cs.br, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func (cs *connState) readU32() (uint32, error) {
-	if _, err := io.ReadFull(cs.br, cs.small[:4]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(cs.small[:4]), nil
-}
-
-// readPayload reads a put's length-prefixed, checksummed payload and
-// returns it with the frame CRC it verified. The slice is allocated at
-// exactly the payload's size and never pooled: the block map retains it
-// for as long as the block lives, and a handler serving the block it
-// replaces may still be writing the old slice to its socket.
-func (cs *connState) readPayload() ([]byte, uint32, error) {
-	n, err := cs.readU32()
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > maxPayload {
-		return nil, 0, fmt.Errorf("blockserver: frame of %d bytes exceeds limit", n)
-	}
-	crc, err := cs.readU32()
-	if err != nil {
-		return nil, 0, err
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(cs.br, data); err != nil {
-		return nil, 0, err
-	}
-	if Checksum(data) != crc {
-		return nil, 0, errFrameChecksum
-	}
-	return data, crc, nil
-}
-
-// reply records the RPC outcome and sends the response: the status byte
-// and frame header are built in the connection scratch and flushed
-// together with the payload in one vectored write (writev on TCP), so a
-// block-sized response leaves as a single gather list with no copy and no
-// small-header segment. Every handle arm funnels through here so the
-// op/status counter and the server's tx byte count cover all served
-// requests.
+// reply records the RPC outcome and sends the response: the frame header
+// is built in the connection scratch and flushed together with the payload
+// in one vectored write (writev on TCP), so a block-sized response leaves
+// as a single gather list with no copy and no small-header segment. Every
+// handle arm funnels through here so the op/status counter and the
+// server's tx byte count cover all served requests.
 func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 	return s.replyCRC(cs, op, st, payload, Checksum(payload))
 }
@@ -187,10 +94,8 @@ func (s *Server) replyCRC(cs *connState, op, st byte, payload []byte, crc uint32
 	if st == statusOK {
 		s.bytesTx.Add(int64(len(payload)))
 	}
-	cs.hdr[0] = st
-	binary.BigEndian.PutUint32(cs.hdr[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(cs.hdr[5:9], crc)
-	cs.arr[0] = cs.hdr[:]
+	cs.hdr = frame.Header{Kind: st, Len: len(payload), CRC: crc}.Append(cs.hdr[:0])
+	cs.arr[0] = cs.hdr
 	n := 1
 	if len(payload) > 0 {
 		cs.arr[1] = payload
@@ -362,30 +267,22 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	srvConnsOpen.Add(1)
 	defer srvConnsOpen.Add(-1)
-	cs := &connState{conn: conn, br: bufio.NewReaderSize(conn, connReadBuf)}
+	cs := &connState{conn: conn, fr: frame.NewReader(bufio.NewReaderSize(conn, connReadBuf), maxPayload)}
 	for {
-		op, err := cs.br.ReadByte()
+		// A header that fails its CRC, a malformed meta, or a payload on
+		// anything but a put ends the connection before any of it is acted
+		// on; the client redials.
+		h, err := cs.fr.Next()
 		if err != nil {
 			return
 		}
-		name, err := cs.readName()
-		if err != nil {
+		m, err := parseMeta(h.Kind, h.Meta)
+		if err != nil || (h.Kind != opPut && h.Len != 0) {
 			return
-		}
-		if op == opTraceCtx {
-			// Reply-less trace-context prefix: stash the client's span IDs
-			// for the next request. A malformed length is ignored (the frame
-			// is already consumed, so the stream stays in sync).
-			if len(name) == traceCtxLen {
-				cs.trace = binary.BigEndian.Uint64(name[:8])
-				cs.parent = binary.BigEndian.Uint64(name[8:])
-			}
-			srvRPCCounter(op, statusOK).Inc()
-			continue
 		}
 		t0 := time.Now()
 		s.inflight.Add(1)
-		err = s.handle(cs, op, name)
+		err = s.handle(cs, h, m)
 		s.inflight.Add(-1)
 		if err != nil {
 			return
@@ -427,33 +324,37 @@ func spanChild(ctx context.Context, name string) *obs.Span {
 	return sp
 }
 
-// handle dispatches one request; protocol errors close the connection,
-// application errors are reported in-band. name is connection scratch,
-// only valid until the next request — arms that retain it (put, delete)
-// convert it to a string.
+// handle dispatches one verified request; protocol errors close the
+// connection, application errors are reported in-band. The name is
+// connection scratch, only valid until the next request — arms that retain
+// it (put, delete) convert it to a string.
 //
-// When the connection's last opTraceCtx frame primed a trace, the whole
-// request runs under a remote-parented "server.<op>" span whose children
-// (verify, decode) record where the server side of the exchange spent its
-// time; the span tree joins the client's via the wire trace ID.
-func (s *Server) handle(cs *connState, op byte, name []byte) error {
-	trace, parent := cs.trace, cs.parent
-	cs.trace, cs.parent = 0, 0
+// When the request carries a trace context, the whole request runs under a
+// remote-parented "server.<op>" span whose children (verify, decode)
+// record where the server side of the exchange spent its time; the span
+// tree joins the client's via the wire trace ID.
+func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
+	op, name := h.Kind, m.name
 	ctx := context.Background()
-	if trace != 0 && op >= opPut && op <= opVerify {
+	if m.trace != 0 && op >= opPut && op <= opVerify {
 		var sp *obs.Span
-		ctx, sp = s.tr().StartRemote(ctx, "server."+opName(op), trace, parent)
+		ctx, sp = s.tr().StartRemote(ctx, "server."+opNames[op], m.trace, m.parent)
 		sp.SetAttr("block", string(name))
 		defer sp.End()
 	}
 	switch op {
 	case opPut:
-		data, crc, err := cs.readPayload()
-		if err != nil {
+		// The payload is allocated at exactly its size and never pooled:
+		// the block map retains it for as long as the block lives, and a
+		// handler serving the block it replaces may still be writing the
+		// old slice to its socket. Its verified frame CRC becomes the
+		// block's ingest CRC.
+		data := make([]byte, h.Len)
+		if err := cs.fr.Payload(h, data); err != nil {
 			return err
 		}
 		s.mu.Lock()
-		s.blocks[string(name)] = storedBlock{data: data, crc: crc}
+		s.blocks[string(name)] = storedBlock{data: data, crc: h.CRC}
 		s.mu.Unlock()
 		return s.reply(cs, op, statusOK, nil)
 
@@ -465,14 +366,7 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 		return s.replyCRC(cs, op, statusOK, b.data, b.crc)
 
 	case opRange:
-		off, err := cs.readU32()
-		if err != nil {
-			return err
-		}
-		length, err := cs.readU32()
-		if err != nil {
-			return err
-		}
+		off, length := m.args[0], m.args[1]
 		b, st := s.load(ctx, name)
 		if st != statusOK {
 			return s.reply(cs, op, st, name)
@@ -483,14 +377,7 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 		return s.reply(cs, op, statusOK, b.data[off:off+length])
 
 	case opChunk:
-		helper, err := cs.readU32()
-		if err != nil {
-			return err
-		}
-		failed, err := cs.readU32()
-		if err != nil {
-			return err
-		}
+		helper, failed := m.args[0], m.args[1]
 		if s.code == nil {
 			return s.reply(cs, op, statusError, []byte("server has no code configured"))
 		}
@@ -501,7 +388,7 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 		dsp := spanChild(ctx, "decode")
 		chunk := bufpool.Get(s.code.HelperChunkSize(len(b.data)))
 		defer bufpool.Put(chunk) // after the reply has fully written it
-		err = s.code.HelperChunkInto(int(helper), int(failed), b.data, chunk)
+		err := s.code.HelperChunkInto(int(helper), int(failed), b.data, chunk)
 		dsp.SetAttr("chunk_bytes", len(chunk))
 		dsp.End()
 		if err != nil {

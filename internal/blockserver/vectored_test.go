@@ -6,13 +6,16 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"carousel/internal/frame"
 )
 
 // fakeVectoredConn is an in-process net.Conn that records every write. It
 // implements vectoredWriter, so flushVectored hands it whole gather lists —
 // letting the tests below pin that a stripe write leaves the client as a
 // single vectored write whose payload entry aliases the caller's buffer
-// (no intermediate copy). Reads serve a canned statusOK empty response.
+// (no intermediate copy). Reads serve a canned statusOK empty response,
+// built with the frame encoder.
 type fakeVectoredConn struct {
 	vectoredCalls [][]int // buffer lengths of each WriteVectored call
 	payloadPtr    *byte   // first byte of the payload buffer in the last call
@@ -31,9 +34,8 @@ func (f *fakeVectoredConn) WriteVectored(bufs net.Buffers) (int64, error) {
 	if len(bufs) > 1 && len(bufs[1]) > 0 {
 		f.payloadPtr = &bufs[1][0]
 	}
-	// Arm the canned response: statusOK, zero-length payload, CRC32C of
-	// the empty payload (zero).
-	f.resp.Reset([]byte{statusOK, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Arm the canned response: statusOK, zero-length payload.
+	f.resp.Reset(frame.Header{Kind: statusOK}.Append(nil))
 	return total, nil
 }
 
@@ -48,13 +50,13 @@ func (f *fakeVectoredConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestPutIsSingleVectoredWrite pins the write half of the zero-copy
 // framing: a warm stripe write (client Put) must leave as exactly one
-// vectored write of [preamble, payload], where the payload entry is the
+// vectored write of [header, payload], where the payload entry is the
 // caller's own buffer — byte-for-byte the same backing memory, proving no
 // intermediate copy happened on the way out.
 func TestPutIsSingleVectoredWrite(t *testing.T) {
 	fake := &fakeVectoredConn{}
 	c := NewClient("fake:0", Options{})
-	c.conn = fake // in-package injection: ensure() reuses a live conn
+	c.conn, c.fr = fake, frame.NewReader(fake, maxPayload) // in-package injection: ensure() reuses a live conn
 
 	data := bytes.Repeat([]byte("p"), 64<<10)
 	if err := c.Put(context.Background(), "blk", data); err != nil {
@@ -65,11 +67,11 @@ func TestPutIsSingleVectoredWrite(t *testing.T) {
 	}
 	call := fake.vectoredCalls[0]
 	if len(call) != 2 {
-		t.Fatalf("vectored write carried %d buffers, want 2 (preamble + payload)", len(call))
+		t.Fatalf("vectored write carried %d buffers, want 2 (header + payload)", len(call))
 	}
-	// preamble = op(1) + nameLen(2) + name(3) + payloadLen(4) + payloadCRC(4)
-	if want := 1 + 2 + 3 + 4 + 4; call[0] != want {
-		t.Errorf("preamble buffer is %d bytes, want %d", call[0], want)
+	// header = frame header + meta of nameLen(2) + name(3)
+	if want := frame.HeaderLen + 2 + 3; call[0] != want {
+		t.Errorf("header buffer is %d bytes, want %d", call[0], want)
 	}
 	if call[1] != len(data) {
 		t.Errorf("payload buffer is %d bytes, want %d", call[1], len(data))
@@ -99,8 +101,8 @@ func TestReplyIsSingleVectoredWrite(t *testing.T) {
 		t.Fatalf("reply issued %d vectored writes, want exactly 1", got)
 	}
 	call := fake.vectoredCalls[0]
-	if len(call) != 2 || call[0] != 9 || call[1] != len(block) {
-		t.Fatalf("reply gather list = %v, want [9 %d]", call, len(block))
+	if len(call) != 2 || call[0] != frame.HeaderLen || call[1] != len(block) {
+		t.Fatalf("reply gather list = %v, want [%d %d]", call, frame.HeaderLen, len(block))
 	}
 	if fake.payloadPtr != &block[0] {
 		t.Error("reply payload does not alias the stored block: an intermediate copy happened")

@@ -20,6 +20,7 @@ import (
 
 	"carousel/internal/carousel"
 	"carousel/internal/cluster"
+	"carousel/internal/frame"
 )
 
 // Common errors.
@@ -301,7 +302,7 @@ func (fs *FS) Write(name string, data []byte, blockSize int, scheme Scheme) (*Fi
 			if err != nil {
 				return nil, err
 			}
-			f.stripes = append(f.stripes, &stripe{blocks: []*block{{content: content, crc: checksum(content), locations: locs}}})
+			f.stripes = append(f.stripes, &stripe{blocks: []*block{{content: content, crc: frame.Checksum(content), locations: locs}}})
 		}
 	case Carousel:
 		if s.Code == nil {
@@ -348,7 +349,7 @@ func (fs *FS) writeCoded(f *File, data []byte, blockSize int, code *carousel.Cod
 		}
 		st := &stripe{blocks: make([]*block, n)}
 		for i, b := range blocks {
-			st.blocks[i] = &block{content: b, crc: checksum(b), locations: []int{locs[i]}}
+			st.blocks[i] = &block{content: b, crc: frame.Checksum(b), locations: []int{locs[i]}}
 		}
 		f.stripes = append(f.stripes, st)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"carousel/internal/cluster"
+	"carousel/internal/frame"
 	"carousel/internal/obs"
 )
 
@@ -113,7 +114,7 @@ func (fs *FS) Reconstruct(p *cluster.Proc, name string, stripeIdx, blockIdx int,
 		}
 		newcomer.WriteLocal(p, float64(f.blockSize))
 		st.blocks[blockIdx].content = block
-		st.blocks[blockIdx].crc = checksum(block)
+		st.blocks[blockIdx].crc = frame.Checksum(block)
 		st.blocks[blockIdx].locations = []int{newcomer.ID}
 		res.TrafficBytes = int64(len(helpers)) * int64(chunkSize)
 		res.Helpers = len(helpers)

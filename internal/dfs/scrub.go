@@ -2,16 +2,10 @@ package dfs
 
 import (
 	"fmt"
-	"hash/crc32"
 
 	"carousel/internal/cluster"
+	"carousel/internal/frame"
 )
-
-// checksum computes the CRC-32C of a block, the integrity check HDFS
-// datanodes keep alongside block files.
-func checksum(b []byte) uint32 {
-	return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
-}
 
 // CorruptBlock flips a byte of a stored block's content — a test and
 // fault-injection hook standing in for bit rot.
@@ -46,7 +40,7 @@ func (fs *FS) quarantineCorrupt(f *File) int {
 			if len(b.locations) == 0 {
 				continue
 			}
-			if checksum(b.content) != b.crc {
+			if frame.Checksum(b.content) != b.crc {
 				b.locations = nil
 				quarantined++
 			}
@@ -88,7 +82,7 @@ func (fs *FS) Scrub(p *cluster.Proc) (*ScrubReport, error) {
 				rep.BlocksChecked++
 				// The scrubber reads from one replica's disk.
 				fs.node(b.locations[0]).ReadLocal(p, float64(len(b.content)))
-				if checksum(b.content) != b.crc {
+				if frame.Checksum(b.content) != b.crc {
 					rep.Corrupted = append(rep.Corrupted, ScrubFinding{File: name, Stripe: si, Block: bi})
 					b.locations = nil
 				}

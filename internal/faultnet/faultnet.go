@@ -33,10 +33,11 @@ type Policy struct {
 	// small multiple of DelayWrite.
 	DelayRead  time.Duration
 	DelayWrite time.Duration
-	// CorruptWrites flips one bit in every outgoing write larger than
-	// corruptMinLen bytes — large enough to hit payloads while sparing
-	// status bytes and frame headers, so checksum verification (not frame
-	// desync) sees the damage first.
+	// CorruptWrites flips one bit in every outgoing write of at least
+	// corruptMinLen bytes. Frame headers are long enough to be hit, not
+	// spared: each carries its own CRC32C, so header and payload damage
+	// alike are caught by checksum verification instead of desyncing the
+	// stream.
 	CorruptWrites bool
 	// CutAfterBytes closes the connection after roughly this many bytes
 	// have been written to the peer (0 = never), simulating a mid-transfer

@@ -1,24 +1,26 @@
 package master
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"carousel/internal/frame"
 )
 
 // The master persists placement and tasks in an append-only journal plus
 // a snapshot: every mutation (file placed, block moved to a newcomer,
 // task created, checkpoint advanced, task state changed) appends one
-// CRC-framed JSON record and is fsynced before the mutation is
-// acknowledged, so a crash loses nothing acknowledged. On restart the
-// snapshot is loaded and the journal replayed on top; a torn tail (crash
-// mid-append) is detected by the frame checksum and truncated away.
+// JSON record, framed by internal/frame, and is fsynced before the
+// mutation is acknowledged, so a crash loses nothing acknowledged. On
+// restart the snapshot is loaded and the journal replayed on top; a torn
+// tail (crash mid-append) is truncated away, and damage anywhere else is
+// refused (see replay).
 // Heartbeats are deliberately NOT journaled — membership is soft state
 // that re-forms from the daemons' next beats — which keeps the append
 // rate proportional to cluster events, not cluster size.
@@ -165,35 +167,50 @@ func openJournal(dir string) (*journal, *masterState, error) {
 	return &journal{dir: dir, f: f, records: n}, st, nil
 }
 
-// replay applies every intact record to st, returning the record count
-// and the byte offset of the last intact frame.
+// recordKind is the frame kind of a journal record.
+const recordKind byte = 'j'
+
+// replay applies every record to st, returning the record count and the
+// length of the intact prefix. It stops without error at what a crash
+// mid-append can leave: a short final frame, a final frame whose header
+// verifies but whose payload is short or fails its CRC, or an all-zero
+// tail. Anything else — a damaged frame with bytes after it, a full header
+// that does not verify, a record that does not decode — is corruption, and
+// replay refuses it with its offset rather than drop the records after it.
 func replay(f *os.File, st *masterState) (n int, good int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	raw, err := io.ReadAll(f)
+	if err != nil {
 		return 0, 0, err
 	}
-	var hdr [8]byte
+	rd := bytes.NewReader(raw)
+	fr := frame.NewReader(rd, maxFrame)
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return n, good, nil // EOF or torn header: stop at the last good frame
+		var payload []byte
+		h, err := fr.Next()
+		if err == nil && h.Kind != recordKind {
+			err = fmt.Errorf("record kind %d", h.Kind)
 		}
-		size := binary.BigEndian.Uint32(hdr[:4])
-		if size > maxFrame {
-			return n, good, nil
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return n, good, nil
-		}
-		if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
-			return n, good, nil
+		if err == nil {
+			payload = make([]byte, h.Len)
+			err = fr.Payload(h, payload)
 		}
 		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if err == nil {
+			err = json.Unmarshal(payload, &rec)
+		}
+		switch {
+		case err == io.EOF:
 			return n, good, nil
+		case errors.Is(err, io.ErrUnexpectedEOF),
+			errors.Is(err, frame.ErrPayload) && rd.Len() == 0,
+			errors.Is(err, frame.ErrHeader) && len(bytes.TrimLeft(raw[good:], "\x00")) == 0:
+			return n, good, nil // torn tail
+		case err != nil:
+			return 0, 0, fmt.Errorf("master: journal corrupt at offset %d: %w", good, err)
 		}
 		st.apply(&rec)
 		n++
-		good += int64(8 + len(payload))
+		good = int64(len(raw) - rd.Len())
 	}
 }
 
@@ -207,9 +224,7 @@ func (j *journal) append(rec *record) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 8, 8+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
+	buf := frame.Header{Kind: recordKind, Len: len(payload), CRC: frame.Checksum(payload)}.Append(make([]byte, 0, frame.HeaderLen+len(payload)))
 	if _, err := j.f.Write(append(buf, payload...)); err != nil {
 		return fmt.Errorf("master: journal append: %w", err)
 	}

@@ -29,11 +29,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"carousel/internal/frame"
 )
 
 // maxFrame bounds a control-plane body (16 MiB — status pages and
@@ -42,9 +43,6 @@ const maxFrame = 1 << 24
 
 // crcHeader carries a body's CRC32C, in hex, in both directions.
 const crcHeader = "X-Carousel-Crc32c"
-
-// castagnoli matches the block path's frame checksum polynomial.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errFrame marks a damaged or oversized control body.
 var errFrame = errors.New("master: bad control body")
@@ -58,7 +56,7 @@ func encode(v any) ([]byte, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return body, strconv.FormatUint(uint64(crc32.Checksum(body, castagnoli)), 16), nil
+	return body, strconv.FormatUint(uint64(frame.Checksum(body)), 16), nil
 }
 
 // readBody reads a body of at most maxFrame bytes and checks it against
@@ -72,7 +70,7 @@ func readBody(r io.Reader, h http.Header) ([]byte, error) {
 		return nil, fmt.Errorf("%w: body exceeds %d bytes", errFrame, maxFrame)
 	}
 	sum, err := strconv.ParseUint(h.Get(crcHeader), 16, 32)
-	if err != nil || uint32(sum) != crc32.Checksum(body, castagnoli) {
+	if err != nil || uint32(sum) != frame.Checksum(body) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errFrame)
 	}
 	return body, nil

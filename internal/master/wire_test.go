@@ -3,7 +3,6 @@ package master
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"carousel/internal/frame"
 )
 
 // post sends body to the master's route with the given checksum header
@@ -64,7 +65,7 @@ func TestControlWire(t *testing.T) {
 
 	t.Run("oversize body refused", func(t *testing.T) {
 		body := bytes.Repeat([]byte(" "), maxFrame+1)
-		sum := strconv.FormatUint(uint64(crc32.Checksum(body, castagnoli)), 16)
+		sum := strconv.FormatUint(uint64(frame.Checksum(body)), 16)
 		if code := post(t, m.Addr(), "/status", body, sum); code != http.StatusBadRequest {
 			t.Fatalf("%d-byte request answered %d, want 400", len(body), code)
 		}

@@ -9,7 +9,7 @@ RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal
 # detector to shake out order-dependent leaks and redial races.
 FAULT_PKGS = ./internal/blockserver ./internal/dfs ./internal/faultnet
 
-.PHONY: check fmt vet build test race race-tiers faults master writepath fuzz series sim bench bench-gate bench-sweep obs swarm bench-swarm
+.PHONY: check fmt vet build test race race-tiers faults master writepath recover fuzz series sim bench bench-gate bench-sweep obs swarm bench-swarm
 
 check: fmt vet build test race
 
@@ -62,10 +62,20 @@ writepath:
 	$(GO) test -race -count=2 -run 'TestInto|TestEveryOutputOpensWithAnOverwrite' ./internal/carousel ./internal/codeplan
 	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts' ./internal/blockserver
 
+# The one repair engine, repeated under the race detector: batched helper
+# exchanges (one per helper per batch round), per-name verdicts striking
+# one stripe, spares, unhedged repair of a slow cluster, the throttle, and
+# Repair, Scrub and RecoverServer over it; then the master's self-healing
+# and per-task recovery budget, which drive RecoverServer.
+recover:
+	$(GO) test -race -count=5 -run 'Recover|Repair|Scrub|SlowEverywhereIsRepaired' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'Recover|SelfHealing' ./internal/master
+
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare
 # header reader, the block server's request loop over net.Pipe (the block
-# map changes only on a put whose header and payload verify), and the
+# map changes only on a put whose header and payload verify; the chunk
+# request's name lists are among its seeds), and the
 # master's journal replay (refuse and leave the file alone, or keep a
 # prefix that replays to the same state).
 fuzz:

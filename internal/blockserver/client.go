@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -124,11 +125,12 @@ type Client struct {
 
 	peer *peer // the owning pool's slot set, told of dials and dial failures; nil outside a pool
 
-	fr   *frame.Reader // response decoder over conn, replaced on every dial
-	meta []byte        // request meta scratch: name, arguments, trace context
-	req  []byte        // request header scratch
-	arr  [2][]byte     // gather-list backing for vectored sends
-	iov  net.Buffers   // per-send view into arr, consumed by the write
+	fr    *frame.Reader // response decoder over conn, replaced on every dial
+	meta  []byte        // request meta scratch: name, arguments, trace context
+	req   []byte        // request header scratch
+	arr   [2][]byte     // gather-list backing for vectored sends
+	iov   net.Buffers   // per-send view into arr, consumed by the write
+	parts [][]byte      // a chunk answer's landing list: the OK names' destinations
 
 	watch      *watcher
 	watchOn    bool // watcher goroutine currently running
@@ -296,7 +298,9 @@ func (c *Client) stopWatcher() {
 // nothing: the op, the block name, the op's integer arguments, the trace
 // context do stages from the caller's span, the put body that leaves in the
 // same write, and — for a scatter read — the caller's destination for the
-// OK payload.
+// OK payload. A chunk request for several blocks carries them in batch
+// instead of name: a pointer, so the request every RPC copies down its
+// call chain stays as small as the single-name ops need.
 type request struct {
 	op            byte
 	name          string
@@ -304,6 +308,15 @@ type request struct {
 	trace, parent uint64
 	body          []byte
 	dst           []byte
+	batch         *chunkBatch
+}
+
+// chunkBatch is a several-name chunk request: the block names, each OK
+// chunk's destination, and where each name's verdict is written.
+type chunkBatch struct {
+	names    []string
+	chunks   [][]byte
+	verdicts []error
 }
 
 // do runs one idempotent exchange with deadline enforcement, poisoning,
@@ -394,15 +407,16 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 }
 
 // exchange is the one place a request is written and its response read.
-// The frame header — op, then the meta of name, arguments and any trace
+// The frame header — op, then the meta of names, arguments and any trace
 // context — is built in the request scratch. Header and body then leave as
 // one vectored write: on TCP a single writev with no intermediate copy, so
 // a block-sized Put costs one syscall and zero payload copies client-side.
 func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
-	if len(r.name) == 0 || len(r.name) > maxNameLen {
-		return nil, fmt.Errorf("blockserver: invalid name length %d", len(r.name))
+	meta, err := r.meta(c.meta[:0])
+	if err != nil {
+		return nil, err
 	}
-	c.meta = appendMeta(c.meta[:0], r.name, r.args[:nargs(r.op)], r.trace, r.parent)
+	c.meta = meta
 	c.req = frame.Header{Kind: r.op, Meta: c.meta, Len: len(r.body), CRC: Checksum(r.body)}.Append(c.req[:0])
 	c.arr[0], c.arr[1] = c.req, r.body
 	n := 1
@@ -413,28 +427,52 @@ func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
 	if err := flushVectored(conn, &c.iov); err != nil {
 		return nil, err
 	}
-	return c.readResponse(r.dst)
+	return c.readResponse(&r)
+}
+
+// meta validates the request's names and appends its meta to dst. It is
+// kept out of exchange so that the frames every RPC stacks up to its
+// socket read stay small: each Put runs on a fresh goroutine, whose stack
+// would otherwise outgrow its starting size and be copied per call.
+func (r *request) meta(dst []byte) ([]byte, error) {
+	names := []string{r.name}
+	if r.batch != nil {
+		names = r.batch.names
+	}
+	for _, name := range names {
+		if len(name) == 0 || len(name) > maxNameLen {
+			return nil, fmt.Errorf("blockserver: invalid name length %d", len(name))
+		}
+	}
+	dst = appendMeta(dst, r.op, names, r.args[:nargs(r.op)], r.trace, r.parent)
+	if len(dst) > math.MaxUint16 {
+		return nil, fmt.Errorf("blockserver: %d names make a %d-byte request meta", len(names), len(dst))
+	}
+	return dst, nil
 }
 
 // readResponse reads one response frame and maps non-OK statuses to
 // errors. A header that fails its CRC is refused before its length is
-// used. With dst nil the OK payload is returned in a pooled buffer. With
-// dst set it lands directly there — the scatter half of the zero-copy
+// used. With r.dst nil the OK payload is returned in a pooled buffer. With
+// r.dst set it lands directly there — the scatter half of the zero-copy
 // framing: the socket fills the caller's memory (a stripe slot,
 // typically), no pooled intermediary, no copy — and nil is returned; an OK
-// payload whose length differs from len(dst) is a protocol violation,
+// payload whose length differs from len(r.dst) is a protocol violation,
 // reported out-of-band so the retry machinery poisons the connection
 // rather than desyncing the stream. Non-OK payloads (error messages,
 // always small) take the pooled route either way and are recycled once
-// rendered.
-func (c *Client) readResponse(dst []byte) ([]byte, error) {
+// rendered. An OK chunk answer goes to readChunks.
+func (c *Client) readResponse(r *request) ([]byte, error) {
 	h, err := c.fr.Next()
 	if err != nil {
 		return nil, err
 	}
 	status := h.Kind
-	scatter := dst != nil && status == statusOK
-	buf := dst
+	if r.op == opChunk && status == statusOK {
+		return c.readChunks(h, r)
+	}
+	scatter := r.dst != nil && status == statusOK
+	buf := r.dst
 	if !scatter {
 		buf = bufpool.Get(h.Len)
 	}
@@ -458,6 +496,71 @@ func (c *Client) readResponse(dst []byte) ([]byte, error) {
 		bufpool.Put(buf)
 	}
 	return nil, err
+}
+
+// readChunks reads an OK chunk answer, whose verified meta holds one
+// verdict per name asked. The one-name Chunk returns its chunk in a pooled
+// buffer, or its verdict as the error. A several-name request records
+// each verdict in r.batch and scatters the OK chunks, in request order,
+// straight into their destinations there; a payload that does not
+// fill exactly those is a protocol violation, like a verdict vector of the
+// wrong length or an unknown verdict.
+func (c *Client) readChunks(h frame.Header, r *request) ([]byte, error) {
+	b := r.batch
+	if b == nil {
+		if len(h.Meta) != 1 {
+			return nil, fmt.Errorf("blockserver: %d verdicts for one name", len(h.Meta))
+		}
+		if err := verdict(h.Meta[0], r.name); err != nil {
+			if inBand(err) && h.Len == 0 {
+				return nil, err
+			}
+			return nil, fmt.Errorf("blockserver: verdict %v with a %d-byte payload", err, h.Len)
+		}
+		buf := bufpool.Get(h.Len)
+		if err := c.fr.Payload(h, buf); err != nil {
+			bufpool.Put(buf)
+			return nil, err
+		}
+		return buf, nil
+	}
+	if len(h.Meta) != len(b.names) {
+		return nil, fmt.Errorf("blockserver: %d verdicts for %d names", len(h.Meta), len(b.names))
+	}
+	defer clear(c.parts)
+	c.parts = c.parts[:0]
+	want := 0
+	for i, v := range h.Meta {
+		if b.verdicts[i] = verdict(v, b.names[i]); b.verdicts[i] == nil {
+			c.parts = append(c.parts, b.chunks[i])
+			want += len(b.chunks[i])
+		} else if !inBand(b.verdicts[i]) {
+			return nil, b.verdicts[i]
+		}
+	}
+	if h.Len != want {
+		return nil, fmt.Errorf("blockserver: %d-byte chunk answer for %d bytes of destinations", h.Len, want)
+	}
+	if err := c.fr.Payload(h, c.parts...); err != nil {
+		return nil, err
+	}
+	cliBytesRx.Add(int64(want)) // the last step of the exchange: it has succeeded
+	return nil, nil
+}
+
+// verdict maps one name's verdict byte in a chunk answer onto its error.
+func verdict(v byte, name string) error {
+	switch v {
+	case statusOK:
+		return nil
+	case statusNotFound:
+		return ErrNotFound
+	case statusCorrupt:
+		return fmt.Errorf("%w: %s", ErrCorrupt, name)
+	case statusError:
+		return fmt.Errorf("%w: %s: block size differs from the request's first block", ErrRemote, name)
+	}
+	return fmt.Errorf("blockserver: unknown verdict %d for %s", v, name)
 }
 
 // Put stores a block under name.
@@ -485,10 +588,26 @@ func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []b
 
 // Chunk asks the server to compute its repair contribution for the failed
 // block index; only blockSize/alpha bytes come back. The returned slice is
-// pool-backed: pass it to Recycle once consumed.
+// pool-backed: pass it to Recycle once consumed. It is Chunks for one name.
 func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]byte, error) {
 	return c.do(ctx, request{op: opChunk, name: name,
 		args: [2]uint32{uint32(helper), uint32(failed)}})
+}
+
+// Chunks asks the server, in one exchange, for its repair contributions to
+// several blocks that share one (helper, failed) pair and one block size:
+// the chunk of block names[i] lands in dst[i], which must be exactly the
+// chunk size, and verdicts[i] receives that block's verdict — nil,
+// ErrNotFound, ErrCorrupt, or ErrRemote for a block whose size differs from
+// the first OK one's. The returned error is the exchange's own (transport,
+// timeout, or a refusal of the whole request); the verdicts hold only when
+// it is nil, and a dst whose verdict is not nil holds nothing useful.
+func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int, dst [][]byte, verdicts []error) error {
+	if len(names) == 0 || len(dst) != len(names) || len(verdicts) != len(names) {
+		return fmt.Errorf("blockserver: %d names, %d destinations and %d verdict slots", len(names), len(dst), len(verdicts))
+	}
+	return c.call(ctx, request{op: opChunk, args: [2]uint32{uint32(helper), uint32(failed)},
+		batch: &chunkBatch{names: names, chunks: dst, verdicts: verdicts}})
 }
 
 // Delete removes a block.

@@ -3,8 +3,11 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -12,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"carousel/internal/carousel"
 	"carousel/internal/frame"
 	"carousel/internal/retry"
 )
@@ -175,36 +179,227 @@ func TestEveryHeaderBitIsChecked(t *testing.T) {
 	}
 }
 
-// FuzzServeConn feeds arbitrary bytes to the server loop over net.Pipe.
-// Whatever the stream, the loop ends without a panic, and the block map
-// changes only on a put frame whose header and payload both verify: every
-// block held afterwards was sent, name and content, in such a frame.
+// chunkFrame encodes a chunk request whose meta is given verbatim, so a
+// test can send name lists the client would never build.
+func chunkFrame(meta []byte) []byte {
+	return frame.Header{Kind: opChunk, Meta: meta}.Append(nil)
+}
+
+// nameList encodes a chunk request meta: count, the names, helper and
+// failed.
+func nameList(count int, names []string, helper, failed uint32) []byte {
+	meta := binary.BigEndian.AppendUint16(nil, uint16(count))
+	for _, n := range names {
+		meta = binary.BigEndian.AppendUint16(meta, uint16(len(n)))
+		meta = append(meta, n...)
+	}
+	meta = binary.BigEndian.AppendUint32(meta, helper)
+	return binary.BigEndian.AppendUint32(meta, failed)
+}
+
+// oversizedChunkRequest is a put of one block and a chunk request naming
+// it as often as a meta can hold, so the answer would be over maxPayload:
+// a chunk count no buffer may be sized from. The block is the smallest, a
+// multiple of align, for which the chunks of alpha-th its size pass the
+// limit.
+func oversizedChunkRequest(align, alpha int) []byte {
+	const helper, failed = 0, 1
+	count := (math.MaxUint16 - 2 - 8) / 3 // one-byte names
+	chunk := maxPayload/count + 1
+	block := make([]byte, (chunk*alpha+align-1)/align*align)
+	names := make([]string, count)
+	for i := range names {
+		names[i] = "o"
+	}
+	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{"o"}, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
+	return append(append(put, block...), chunkFrame(nameList(count, names, helper, failed))...)
+}
+
+// TestChunkNameListsAreChecked: a chunk request's name list is refused
+// before anything is sized from it — no names, a count that runs past the
+// meta, an empty or over-long name end the connection, and chunks that
+// would not fit under maxPayload draw statusError — while well-formed
+// lists of one name and of n−1 names get a verdict per name and the OK
+// chunks in request order.
+func TestChunkNameListsAreChecked(t *testing.T) {
+	code := mustCode(t)
+	servers, addrs := startServers(t, code, 1)
+	srv, addr := servers[0], addrs[0]
+	ctx := context.Background()
+	opts := Options{DialTimeout: 2 * time.Second, IOTimeout: 3 * time.Second, Retry: retry.Policy{Attempts: 1}}
+
+	var m0, m1 runtime.MemStats
+	// send writes raw request bytes on a fresh connection and reads one
+	// response header; err is io.EOF when the server closed instead.
+	send := func(req []byte) (h frame.Header, alloc uint64, err error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(3 * time.Second))
+		runtime.ReadMemStats(&m0)
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		h, err = frame.NewReader(conn, maxPayload).Next()
+		runtime.ReadMemStats(&m1)
+		return h, m1.TotalAlloc - m0.TotalAlloc, err
+	}
+	long := string(bytes.Repeat([]byte("n"), maxNameLen+1))
+	for _, tc := range []struct {
+		name string
+		meta []byte
+	}{
+		{"no names", nameList(0, nil, 0, 1)},
+		{"count past the meta", nameList(3, []string{"a", "b"}, 0, 1)},
+		{"count far past the meta", nameList(math.MaxUint16, []string{"a"}, 0, 1)},
+		{"empty name", nameList(2, []string{"a", ""}, 0, 1)},
+		{"name over maxNameLen", nameList(1, []string{long}, 0, 1)},
+	} {
+		h, alloc, err := send(chunkFrame(tc.meta))
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("%s: got a %d-status answer (%v), want the connection closed", tc.name, h.Kind, err)
+		}
+		if alloc > 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes, want at most 1 MiB", tc.name, alloc)
+		}
+	}
+
+	// The put and the oversized chunk request share a connection: the put
+	// is answered OK, the chunk request with statusError and no verdicts.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fr := frame.NewReader(conn, maxPayload)
+	runtime.ReadMemStats(&m0)
+	if _, err := conn.Write(oversizedChunkRequest(code.BlockAlign(), code.Alpha())); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []byte{statusOK, statusError} {
+		h, err := fr.Next()
+		if err != nil || h.Kind != want || len(h.Meta) != 0 {
+			t.Fatalf("oversized chunk request, answer %d: status %d (%v), want %d", i, h.Kind, err, want)
+		}
+		if err := fr.Payload(h, make([]byte, h.Len)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("refusing chunks over maxPayload allocated %d bytes, want at most 8 MiB", alloc)
+	}
+
+	// Well-formed lists: one name, then n−1 names with a missing and a
+	// corrupt block among them.
+	blockSize := code.BlockAlign() * 4
+	shards := make([][]byte, code.K())
+	rng := rand.New(rand.NewSource(34))
+	for i := range shards {
+		shards[i] = make([]byte, blockSize)
+		rng.Read(shards[i])
+	}
+	blocks, err := code.Encode(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const helper, failed = 4, 0
+	c := NewClient(addr, opts)
+	defer c.Close()
+	names := make([]string, code.N()-1)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+		if err := c.Put(ctx, names[i], blocks[helper]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const gone, rotten = 2, 5
+	if err := c.Delete(ctx, names[gone]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CorruptBlock(names[rotten], 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := code.HelperChunk(helper, failed, blocks[helper])
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := c.Chunk(ctx, names[0], helper, failed)
+	if err != nil || !bytes.Equal(one, want) {
+		t.Fatalf("one-name chunk: %v, identical %v", err, bytes.Equal(one, want))
+	}
+	Recycle(one)
+	if _, err := c.Chunk(ctx, names[gone], helper, failed); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("one-name chunk of a missing block: %v, want ErrNotFound", err)
+	}
+	dst, verdicts := make([][]byte, len(names)), make([]error, len(names))
+	for i := range dst {
+		dst[i] = make([]byte, len(want))
+	}
+	exchanges0 := servedChunkExchanges()
+	if err := c.Chunks(ctx, names, helper, failed, dst, verdicts); err != nil {
+		t.Fatalf("n−1-name chunk request: %v", err)
+	}
+	if got := servedChunkExchanges() - exchanges0; got != 1 {
+		t.Errorf("n−1 names took %d exchanges, want 1", got)
+	}
+	for i := range names {
+		switch {
+		case i == gone && !errors.Is(verdicts[i], ErrNotFound):
+			t.Errorf("missing block's verdict: %v, want ErrNotFound", verdicts[i])
+		case i == rotten && !errors.Is(verdicts[i], ErrCorrupt):
+			t.Errorf("corrupt block's verdict: %v, want ErrCorrupt", verdicts[i])
+		case i != gone && i != rotten && (verdicts[i] != nil || !bytes.Equal(dst[i], want)):
+			t.Errorf("name %d: verdict %v, chunk identical %v", i, verdicts[i], bytes.Equal(dst[i], want))
+		}
+	}
+}
+
+// FuzzServeConn feeds arbitrary bytes to the server loop over net.Pipe,
+// once on a server with no code and once on one with a small Carousel code
+// (so chunk requests reach the chunk computation). Whatever the stream,
+// the loop ends without a panic, and the block map changes only on a put
+// frame whose header and payload both verify: every block held afterwards
+// was sent, name and content, in such a frame. The committed corpus holds
+// the chunk request's malformed name lists and a one-name and an
+// n−1-name request. The over-maxPayload request is not a seed: at 160 KB,
+// the fuzzer would spend its time minimizing mutants of it, so
+// TestChunkNameListsAreChecked covers it instead.
 func FuzzServeConn(f *testing.F) {
+	code, err := carousel.New(4, 2, 3, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
 	put := func(name string, data []byte) []byte {
-		h := frame.Header{Kind: opPut, Meta: appendMeta(nil, name, nil, 0, 0), Len: len(data), CRC: Checksum(data)}
+		h := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{name}, nil, 0, 0), Len: len(data), CRC: Checksum(data)}
 		return append(h.Append(nil), data...)
 	}
 	req := func(op byte, name string, args ...uint32) []byte {
-		return frame.Header{Kind: op, Meta: appendMeta(nil, name, args, 7, 9)}.Append(nil)
+		return frame.Header{Kind: op, Meta: appendMeta(nil, op, []string{name}, args, 7, 9)}.Append(nil)
 	}
 	f.Add(put("a", []byte("hello")))
 	f.Add(append(put("b", []byte("block")), req(opRange, "b", 1, 3)...))
 	f.Add(append(append(put("c", []byte("x")), req(opDelete, "c")...), req(opStat, "c")...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := NewServer(nil)
-		cli, conn := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			srv.serveConn(conn)
-			close(done)
-		}()
-		go io.Copy(io.Discard, cli)
-		cli.Write(data)
-		cli.Close()
-		<-done
-		for name, b := range srv.blocks {
-			if !sentInVerifiedPut(data, name, b.data) || b.crc != Checksum(b.data) {
-				t.Fatalf("block %q (%d bytes) was stored without a verified put frame", name, len(b.data))
+		for _, code := range []*carousel.Code{nil, code} {
+			srv := NewServer(code)
+			cli, conn := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				srv.serveConn(conn)
+				close(done)
+			}()
+			go io.Copy(io.Discard, cli)
+			cli.Write(data)
+			cli.Close()
+			<-done
+			for name, b := range srv.blocks {
+				if !sentInVerifiedPut(data, name, b.data) || b.crc != Checksum(b.data) {
+					t.Fatalf("block %q (%d bytes) was stored without a verified put frame", name, len(b.data))
+				}
 			}
 		}
 	})

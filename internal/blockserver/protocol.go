@@ -22,9 +22,28 @@
 // statusCorrupt when at-rest corruption is found — the signal the client's
 // read path uses to exclude the block and route it into scrub/repair.
 //
+// A chunk request names one or more blocks that share its (helper, failed)
+// pair — a repair pass asks each helper for its chunks of a whole batch of
+// stripes in one exchange — so its meta starts with a name count:
+//
+//	chunk request  := header(kind=opChunk, meta=count(2) {nameLen(2) name}×count helper(4) failed(4) [trace]) no payload
+//	chunk response := header(kind=statusOK, meta=verdict(1)×count) chunk×ok
+//
+// The response carries one verdict byte per name, in request order:
+// statusOK, statusNotFound, statusCorrupt, or statusError for a block whose
+// size differs from the first OK block's. The payload is the OK names'
+// chunks back to back in request order, all of one size, so the client
+// knows from the verified header alone where each chunk lands. A verdict
+// concerns one block: the exchange itself succeeded. The server refuses a
+// request with no names, a count that runs past the meta, or an empty or
+// over-long name by closing the connection, before it sizes anything from
+// the count; it answers statusError, with no verdicts, when it has no code,
+// when the chunk computation fails, or when the chunks of the blocks it
+// found could exceed maxPayload — checked before it verifies any of them.
+//
 // Operations: put, get, range (partial read for parallel reads of data
-// prefixes), chunk (helper-side repair computation), delete, stat, verify
-// (server-side checksum audit of one block).
+// prefixes), chunk (helper-side repair computation for one or more
+// blocks), delete, stat, verify (server-side checksum audit of one block).
 //
 // A traced request ends its meta with the client's trace ID and span ID,
 // under which the server parents its spans; an untraced one carries neither.
@@ -85,11 +104,17 @@ func nargs(op byte) int {
 	return 0
 }
 
-// appendMeta encodes a request's meta: the length-prefixed name, the op's
+// appendMeta encodes a request's meta: the length-prefixed names (one for
+// every op but a chunk, whose meta starts with their count), the op's
 // arguments and, when traceID is nonzero, the trace context.
-func appendMeta(dst []byte, name string, args []uint32, traceID, parent uint64) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
-	dst = append(dst, name...)
+func appendMeta(dst []byte, op byte, names []string, args []uint32, traceID, parent uint64) []byte {
+	if op == opChunk {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
+	}
+	for _, name := range names {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
+		dst = append(dst, name...)
+	}
 	for _, a := range args {
 		dst = binary.BigEndian.AppendUint32(dst, a)
 	}
@@ -100,25 +125,58 @@ func appendMeta(dst []byte, name string, args []uint32, traceID, parent uint64) 
 	return dst
 }
 
-// reqMeta is a decoded request meta. name aliases the frame reader's
-// scratch, so it is only valid until the next request.
+// reqMeta is a decoded request meta. name and names alias the frame
+// reader's scratch, so they are only valid until the next request.
 type reqMeta struct {
-	name          []byte
+	name          []byte // the only name, or a chunk request's first
+	names         []byte // a chunk request's validated name list; walk it with nextName
 	args          [2]uint32
 	trace, parent uint64 // zero for an untraced request
 }
 
-// parseMeta decodes the meta of a verified request header.
+// cutName splits one length-prefixed name off the front of b.
+func cutName(b []byte) (name, rest []byte, err error) {
+	if len(b) < 2 {
+		return nil, nil, fmt.Errorf("blockserver: %d bytes left for a name", len(b))
+	}
+	n := int(binary.BigEndian.Uint16(b))
+	if n == 0 || n > maxNameLen || n > len(b)-2 {
+		return nil, nil, fmt.Errorf("blockserver: invalid name length %d", n)
+	}
+	return b[2 : 2+n], b[2+n:], nil
+}
+
+// nextName splits the next name off a name list parseMeta has validated.
+func nextName(list []byte) (name, rest []byte) {
+	n := int(binary.BigEndian.Uint16(list))
+	return list[2 : 2+n], list[2+n:]
+}
+
+// parseMeta decodes the meta of a verified request header. A chunk
+// request's name list is walked name by name against the meta's own
+// length, so a count that promises more than the meta holds is refused
+// without anything being sized from it.
 func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
-	if len(meta) < 2 {
-		return m, fmt.Errorf("blockserver: %d-byte request meta", len(meta))
+	rest := meta
+	if op == opChunk {
+		if len(meta) < 2 {
+			return m, fmt.Errorf("blockserver: %d-byte chunk request meta", len(meta))
+		}
+		count, list := int(binary.BigEndian.Uint16(meta)), meta[2:]
+		if count == 0 {
+			return m, errors.New("blockserver: chunk request names no block")
+		}
+		rest = list
+		for range count {
+			if _, rest, err = cutName(rest); err != nil {
+				return m, err
+			}
+		}
+		m.names = list[:len(list)-len(rest)]
+		m.name, _ = nextName(m.names)
+	} else if m.name, rest, err = cutName(meta); err != nil {
+		return m, err
 	}
-	n := int(binary.BigEndian.Uint16(meta))
-	rest := meta[2:]
-	if n == 0 || n > maxNameLen || n > len(rest) {
-		return m, fmt.Errorf("blockserver: invalid name length %d", n)
-	}
-	m.name, rest = rest[:n], rest[n:]
 	na := nargs(op)
 	if len(rest) != 4*na && len(rest) != 4*na+traceLen {
 		return m, fmt.Errorf("blockserver: %d bytes of arguments for op %d", len(rest), op)

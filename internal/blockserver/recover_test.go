@@ -153,9 +153,9 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 }
 
 // TestRecoverServerSequentialRotatesHelpers pins that the width of the
-// bounded stage changes only how many repairs are in flight: driven one at
+// bounded stage changes only how many batches are in flight: driven one at
 // a time (repairMany at width 1, the way RecoverServer drives it at
-// stripesInFlight), helper selection still rotates with the stripe index,
+// batchesInFlight), helper selection still rotates with the stripe index,
 // so the pass spreads its chunks over all n-1 survivors instead of the
 // first d, repairs every block and the file reads back identical.
 func TestRecoverServerSequentialRotatesHelpers(t *testing.T) {
@@ -391,12 +391,14 @@ func TestScrubParallelRepairs(t *testing.T) {
 }
 
 // TestRecoverServerPlansAroundADeadHelper: with a second server down, the
-// pass stops paying for it after the first wave. The stripes in flight
-// when it is discovered each wait out one retry policy and promote a
-// spare; every later stripe ranks it behind the reachable survivors, so
-// spare promotions move by at most stripesInFlight over 32 stripes, the
-// dead helper serves nothing, and every block is still rebuilt from
-// exactly d chunks — d*blockSize/(d-k+1) bytes.
+// pass stops paying for it after the first wave. A wave is the stripes of
+// the batches in flight when it is discovered: each exchange to it waits
+// out one retry policy and strikes it for every stripe it carried, each of
+// which promotes a spare; every later batch ranks it behind the reachable
+// survivors. So the dead helper is asked in at most batchesInFlight
+// exchanges, spare promotions move by at most batchesInFlight·(n−1) over
+// 32 stripes, the dead helper serves nothing, and every block is still
+// rebuilt from exactly d chunks — d*blockSize/(d-k+1) bytes.
 func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -422,7 +424,7 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 	servers[gone].Close()
 
 	base := runtime.NumGoroutine()
-	promoted0 := mSparePromotions.Value()
+	promoted0, refused0 := mSparePromotions.Value(), failedChunkExchanges()
 	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
 	if err != nil {
 		t.Fatal(err)
@@ -430,9 +432,14 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 	if rep.BlocksRepaired != stripes {
 		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
 	}
-	if got := mSparePromotions.Value() - promoted0; got < 1 || got > stripesInFlight {
+	wave := batchesInFlight * (code.N() - 1)
+	if got := mSparePromotions.Value() - promoted0; got < 1 || got > int64(wave) {
 		t.Errorf("store_spare_promotions_total moved by %d over %d stripes, want 1..%d: only the first wave meets the dead helper",
-			got, stripes, stripesInFlight)
+			got, stripes, wave)
+	}
+	if got := failedChunkExchanges() - refused0; got < 1 || got > batchesInFlight {
+		t.Errorf("the dead helper was asked in %d exchanges over %d stripes, want 1..%d: one per batch in flight when it is found",
+			got, stripes, batchesInFlight)
 	}
 	if n := rep.HelperChunks[addrs[gone]]; n != 0 {
 		t.Errorf("the closed helper served %d chunks", n)
@@ -445,4 +452,245 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
 	}
 	waitGoroutines(t, base)
+}
+
+// failedChunkExchanges sums the client-side chunk exchanges that failed as
+// a whole — a per-name verdict is not one of them.
+func failedChunkExchanges() int64 {
+	rpcCounter(opChunk, nil) // intern the table
+	var n int64
+	for _, c := range rpcCounters[opChunk][1:] {
+		n += c.Value()
+	}
+	return n
+}
+
+// servedChunkExchanges sums the chunk exchanges the servers answered,
+// whatever their status.
+func servedChunkExchanges() int64 {
+	var n int64
+	for st := range statusNames {
+		n += srvRPCCounter(opChunk, byte(st)).Value()
+	}
+	return n
+}
+
+// TestRecoverServerBatchesHelperExchanges counts the round trips a node
+// rebuild costs at the servers: every batch asks each survivor once, so a
+// 22-stripe pass over the (12,6,10,10) ring of 11 survivors makes
+// 2·(n−1) = 22 chunk exchanges — one per rebuilt block, not d — and still
+// moves exactly d chunks per block.
+func TestRecoverServerBatchesHelperExchanges(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSize := code.BlockAlign() * 8
+	const stripes, failed = 22, 5
+	size := stripes * code.K() * blockSize
+	data := make([]byte, size)
+	rand.New(rand.NewSource(58)).Read(data)
+
+	_, addrs := startServers(t, code, code.N())
+	store, err := NewStore(code, addrs, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
+
+	exchanges0 := servedChunkExchanges()
+	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := servedChunkExchanges()-exchanges0, int64(2*(code.N()-1)); got != want {
+		t.Errorf("the servers answered %d chunk exchanges for %d stripes, want 2·(n−1) = %d", got, stripes, want)
+	}
+	if rep.BlocksRepaired != stripes {
+		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
+	}
+	if want := int64(stripes * code.D() * code.HelperChunkSize(blockSize)); rep.TrafficBytes != want {
+		t.Errorf("traffic %d bytes, want stripes·d·chunk = %d", rep.TrafficBytes, want)
+	}
+	for addr, n := range rep.HelperChunks {
+		if n != 2*int64(code.D()) {
+			t.Errorf("helper %s served %d chunks, want d per lap = %d", addr, n, 2*code.D())
+		}
+	}
+	got, _, err := store.ReadFile(ctx, "f", size)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestRecoverBatchesAreBoundedByBytes: a batch is a lap only while the
+// lap's chunks fit in batchBytes. At (4,2,3,4) with 2 MiB blocks a stripe
+// takes d·chunk = 3 MiB of slots, so a batch is 2 stripes, not the lap's
+// 3: a 3-stripe pass makes two batches of n−1 exchanges (one would do at
+// small blocks), no exchange carries more than 2 chunks, and the traffic,
+// the helper spread and the bytes read back are what a lap gives.
+func TestRecoverBatchesAreBoundedByBytes(t *testing.T) {
+	code, err := carousel.New(4, 2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSize := 2 << 20
+	blockSize -= blockSize % code.BlockAlign()
+	n, d, chunk := code.N(), code.D(), code.HelperChunkSize(blockSize)
+	perBatch := batchBytes / (d * chunk)
+	if perBatch < 1 || perBatch >= lapsPerBatch*(n-1) {
+		t.Fatalf("%d-byte blocks make %d-stripe batches; the fixture needs the byte bound to bind below a lap of %d", blockSize, perBatch, n-1)
+	}
+	const stripes, failed = 3, 1
+	size := stripes * code.K() * blockSize
+	data := make([]byte, size)
+	rand.New(rand.NewSource(61)).Read(data)
+
+	_, addrs := startServers(t, code, n)
+	store, err := NewStore(code, addrs, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
+
+	exchanges0 := servedChunkExchanges()
+	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := (stripes + perBatch - 1) / perBatch
+	if got, want := servedChunkExchanges()-exchanges0, int64(batches*(n-1)); got != want {
+		t.Errorf("the servers answered %d chunk exchanges, want %d batches of ≤ %d stripes × n−1 = %d", got, batches, perBatch, want)
+	}
+	if rep.BlocksRepaired != stripes {
+		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
+	}
+	if want := int64(stripes * d * chunk); rep.TrafficBytes != want {
+		t.Errorf("traffic %d bytes, want stripes·d·chunk = %d", rep.TrafficBytes, want)
+	}
+	for addr, c := range rep.HelperChunks {
+		if c != stripes {
+			t.Errorf("helper %s served %d chunks, want one per stripe = %d", addr, c, stripes)
+		}
+	}
+	got, _, err := store.ReadFile(ctx, "f", size)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestRepairWidth: batching does not narrow a pass. Single-stripe batches
+// — a scrub's scattered blocks, one per failed index, or blocks too large
+// for two stripes to share a batch — run stripesInFlight at once, as
+// repairs one stripe at a time did; full laps run batchesInFlight at once.
+func TestRepairWidth(t *testing.T) {
+	const n = 12
+	lap := lapsPerBatch * (n - 1)
+	scattered := []repairJob{
+		{file: "f", ref: BlockRef{Stripe: 0, Block: 2}},
+		{file: "f", ref: BlockRef{Stripe: 2, Block: 7}},
+		{file: "f", ref: BlockRef{Stripe: 3, Block: 9}},
+		{file: "f", ref: BlockRef{Stripe: 5, Block: 11}},
+		{file: "f", ref: BlockRef{Stripe: 6, Block: 4}},
+	}
+	node := make([]repairJob, 32)
+	for st := range node {
+		node[st] = repairJob{file: "f", ref: BlockRef{Stripe: st, Block: 5}}
+	}
+	for _, tc := range []struct {
+		name string
+		jobs []repairJob
+		size int
+		want int
+	}{
+		{"scattered scrub", scattered, lap, stripesInFlight},
+		{"node of full laps", node, lap, batchesInFlight},
+		{"node of large blocks", node, 1, stripesInFlight},
+	} {
+		batches := repairBatches(tc.jobs, tc.size)
+		if got := repairWidth(len(tc.jobs), len(batches)); got != tc.want {
+			t.Errorf("%s: %d jobs in %d batches run %d at once, want %d", tc.name, len(tc.jobs), len(batches), got, tc.want)
+		}
+	}
+}
+
+// TestRecoverBatchStrikesOnlyTheBadBlock: a verdict is per name, not per
+// exchange. In one batch, one helper has lost one of its blocks and holds
+// another corrupted; its exchange still delivers the rest of its chunks,
+// and only the two stripes whose names drew a verdict promote a spare.
+func TestRecoverBatchStrikesOnlyTheBadBlock(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSize := code.BlockAlign() * 8
+	stripes := code.N() - 1 // one batch
+	const failed, bad = 3, 7
+	// Helper 7 sits at position 6 of failed 3's survivor ring, so stripe 7
+	// alone leaves it out of its first d: stripes 0 and 1 both ask it.
+	const missing, corrupt = 0, 1
+	size := stripes * code.K() * blockSize
+	data := make([]byte, size)
+	rand.New(rand.NewSource(59)).Read(data)
+
+	servers, addrs := startServers(t, code, code.N())
+	store, err := NewStore(code, addrs, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	home, err := Dial(addrs[failed])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	want := make([][]byte, stripes)
+	for st := range want {
+		if want[st], err = home.Get(ctx, BlockName("f", st, failed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
+	deleteBlock(t, addrs[bad], BlockName("f", missing, bad))
+	if err := servers[bad].CorruptBlock(BlockName("f", corrupt, bad), 5); err != nil {
+		t.Fatal(err)
+	}
+
+	promoted0 := mSparePromotions.Value()
+	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BlocksRepaired != stripes {
+		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
+	}
+	for st := range want {
+		got, err := home.Get(ctx, BlockName("f", st, failed))
+		if err != nil || !bytes.Equal(got, want[st]) {
+			t.Fatalf("stripe %d: rebuilt block differs from the one first encoded (err %v)", st, err)
+		}
+	}
+	if got := mSparePromotions.Value() - promoted0; got != 2 {
+		t.Errorf("store_spare_promotions_total moved by %d, want 2: one per name that drew a verdict", got)
+	}
+	if got, share := rep.HelperChunks[addrs[bad]], int64(code.D()); got != share-2 {
+		t.Errorf("the helper with two bad blocks served %d chunks, want its batch share %d less 2", got, share)
+	}
+	if want := int64(stripes * code.D() * code.HelperChunkSize(blockSize)); rep.TrafficBytes != want {
+		t.Errorf("traffic %d bytes, want stripes·d·chunk = %d and nothing for the failed names", rep.TrafficBytes, want)
+	}
 }

@@ -75,26 +75,30 @@ type connState struct {
 	small [4]byte       // stat payload scratch
 	arr   [2][]byte     // gather-list backing for vectored responses
 	iov   net.Buffers   // per-reply view into arr, consumed by the write
+
+	verdicts []byte        // a chunk answer's verdict vector
+	blocks   []storedBlock // the blocks a chunk answer computes from, cleared after it
 }
 
 // reply records the RPC outcome and sends the response: the frame header
 // is built in the connection scratch and flushed together with the payload
 // in one vectored write (writev on TCP), so a block-sized response leaves
 // as a single gather list with no copy and no small-header segment. Every
-// handle arm funnels through here so the op/status counter and the
-// server's tx byte count cover all served requests.
+// handle arm funnels through here or send, so the op/status counter and
+// the server's tx byte count cover all served requests.
 func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
-	return s.replyCRC(cs, op, st, payload, Checksum(payload))
+	return s.send(cs, op, frame.Header{Kind: st, Len: len(payload), CRC: Checksum(payload)}, payload)
 }
 
-// replyCRC is reply for a payload whose CRC32C the caller already holds —
-// a whole stored block that load has just verified against its ingest CRC.
-func (s *Server) replyCRC(cs *connState, op, st byte, payload []byte, crc uint32) error {
-	srvRPCCounter(op, st).Inc()
-	if st == statusOK {
+// send is reply for a header the caller has filled in: a whole stored
+// block whose CRC32C load has just verified against its ingest CRC, or a
+// chunk answer whose verdicts ride in the meta.
+func (s *Server) send(cs *connState, op byte, h frame.Header, payload []byte) error {
+	srvRPCCounter(op, h.Kind).Inc()
+	if h.Kind == statusOK {
 		s.bytesTx.Add(int64(len(payload)))
 	}
-	cs.hdr = frame.Header{Kind: st, Len: len(payload), CRC: crc}.Append(cs.hdr[:0])
+	cs.hdr = h.Append(cs.hdr[:0])
 	cs.arr[0] = cs.hdr
 	n := 1
 	if len(payload) > 0 {
@@ -293,8 +297,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // load fetches a stored block and verifies it against its ingest CRC. The
 // byte-slice key keeps the lookup allocation-free (the string conversion
-// in a map index does not escape). On a traced request the CRC check is
-// recorded as a "verify" child span.
+// in a map index does not escape).
 func (s *Server) load(ctx context.Context, name []byte) (storedBlock, byte) {
 	s.mu.RLock()
 	b, ok := s.blocks[string(name)]
@@ -302,15 +305,24 @@ func (s *Server) load(ctx context.Context, name []byte) (storedBlock, byte) {
 	if !ok {
 		return storedBlock{}, statusNotFound
 	}
+	if st := s.verify(ctx, b); st != statusOK {
+		return storedBlock{}, st
+	}
+	return b, statusOK
+}
+
+// verify checks a stored block against its ingest CRC. On a traced request
+// the check is recorded as a "verify" child span.
+func (s *Server) verify(ctx context.Context, b storedBlock) byte {
 	vsp := spanChild(ctx, "verify")
 	intact := Checksum(b.data) == b.crc
 	vsp.SetAttr("bytes", len(b.data)).SetAttr("intact", intact)
 	vsp.End()
 	if !intact {
 		s.corruptServes.Add(1)
-		return storedBlock{}, statusCorrupt
+		return statusCorrupt
 	}
-	return b, statusOK
+	return statusOK
 }
 
 // spanChild starts a child span when ctx already carries one (a traced
@@ -363,7 +375,7 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		if st != statusOK {
 			return s.reply(cs, op, st, name)
 		}
-		return s.replyCRC(cs, op, statusOK, b.data, b.crc)
+		return s.send(cs, op, frame.Header{Kind: statusOK, Len: len(b.data), CRC: b.crc}, b.data)
 
 	case opRange:
 		off, length := m.args[0], m.args[1]
@@ -377,24 +389,7 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		return s.reply(cs, op, statusOK, b.data[off:off+length])
 
 	case opChunk:
-		helper, failed := m.args[0], m.args[1]
-		if s.code == nil {
-			return s.reply(cs, op, statusError, []byte("server has no code configured"))
-		}
-		b, st := s.load(ctx, name)
-		if st != statusOK {
-			return s.reply(cs, op, st, name)
-		}
-		dsp := spanChild(ctx, "decode")
-		chunk := bufpool.Get(s.code.HelperChunkSize(len(b.data)))
-		defer bufpool.Put(chunk) // after the reply has fully written it
-		err := s.code.HelperChunkInto(int(helper), int(failed), b.data, chunk)
-		dsp.SetAttr("chunk_bytes", len(chunk))
-		dsp.End()
-		if err != nil {
-			return s.reply(cs, op, statusError, []byte(err.Error()))
-		}
-		return s.reply(cs, op, statusOK, chunk)
+		return s.chunks(ctx, cs, m)
 
 	case opDelete:
 		s.mu.Lock()
@@ -422,6 +417,71 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	default:
 		return s.reply(cs, op, statusError, []byte(fmt.Sprintf("unknown op %d", op)))
 	}
+}
+
+// chunks answers a chunk request. The named blocks are looked up first,
+// under one read lock, and the payload they could need — the sum of their
+// chunk sizes — is checked against maxPayload before any of them is
+// verified or anything is sized, so a request that repeats one name cannot
+// make the server checksum or allocate more than an answer may carry. Each
+// block found is then verified and earns a verdict, and the OK ones'
+// chunks are computed into one pooled payload in request order.
+func (s *Server) chunks(ctx context.Context, cs *connState, m reqMeta) error {
+	if s.code == nil {
+		return s.reply(cs, opChunk, statusError, []byte("server has no code configured"))
+	}
+	defer clear(cs.blocks) // the scratch must not keep deleted blocks alive
+	cs.verdicts, cs.blocks = cs.verdicts[:0], cs.blocks[:0]
+	bound := 0
+	s.mu.RLock()
+	for list := m.names; len(list) > 0; {
+		var name []byte
+		name, list = nextName(list)
+		b, found := s.blocks[string(name)]
+		st := statusNotFound
+		if found {
+			st = statusOK
+			bound += s.code.HelperChunkSize(len(b.data))
+		}
+		cs.verdicts, cs.blocks = append(cs.verdicts, st), append(cs.blocks, b)
+	}
+	s.mu.RUnlock()
+	if bound > maxPayload {
+		return s.reply(cs, opChunk, statusError, fmt.Appendf(nil, "%d names could take %d bytes of chunks, over the %d-byte payload limit", len(cs.verdicts), bound, maxPayload))
+	}
+	size, ok := -1, 0
+	for i, b := range cs.blocks {
+		if cs.verdicts[i] != statusOK {
+			continue
+		}
+		st := s.verify(ctx, b)
+		if st == statusOK {
+			if size < 0 {
+				size = len(b.data)
+			} else if len(b.data) != size {
+				st = statusError
+			}
+		}
+		if st == statusOK {
+			cs.blocks[ok] = b // compacted in place: ok <= i
+			ok++
+		}
+		cs.verdicts[i] = st
+	}
+	chunkSize := s.code.HelperChunkSize(max(size, 0))
+	dsp := spanChild(ctx, "decode")
+	out := bufpool.Get(ok * chunkSize)
+	defer bufpool.Put(out) // after the reply has fully written it
+	helper, failed := int(m.args[0]), int(m.args[1])
+	for i, b := range cs.blocks[:ok] {
+		if err := s.code.HelperChunkInto(helper, failed, b.data, out[i*chunkSize:(i+1)*chunkSize]); err != nil {
+			dsp.End()
+			return s.reply(cs, opChunk, statusError, []byte(err.Error()))
+		}
+	}
+	dsp.SetAttr("chunk_bytes", len(out)).SetAttr("chunks", ok)
+	dsp.End()
+	return s.send(cs, opChunk, frame.Header{Kind: statusOK, Meta: cs.verdicts, Len: len(out), CRC: Checksum(out)}, out)
 }
 
 // Stats reports this server's stored capacity and corrupt-serve count —

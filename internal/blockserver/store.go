@@ -45,8 +45,9 @@ var (
 	sloRepair = obs.NewSLO(obs.Default(), "store_repair", 5*time.Second, 0.99)
 )
 
-// stripesInFlight is how many stripes WriteFile, ReadFile, Scrub (verify
-// and repair phases) and RecoverServer hand to pipeline at once. Why 4:
+// stripesInFlight is how many stripes WriteFile, ReadFile and Scrub's
+// verify phase hand to pipeline at once (repairs pipeline batches of
+// stripes instead, about as many stripes at once: repairWidth). Why 4:
 // enough to hide one stripe's network round trip behind its neighbours'
 // encode, decode or writeback, without flooding the peer set — every
 // stripe in flight holds up to n pooled connections and n pooled blocks.
@@ -595,14 +596,9 @@ func (op *stripeOp) unhedge() {
 // timer at all), and waits the round out in full: a failure cancels
 // nobody, so everything that can land does, and is never fetched again.
 // errs[i] is fetch i's outcome, and a failure strikes block blockOf(i) for
-// this stripe only — a timeout slow (passed over, but waited for if it
-// comes to that), anything else dead. This is the one place the Store
-// strikes a block. Whether the peer is remembered as down beyond it is the
-// pool's call, made on dial failures alone: a live server missing one
-// block is asked again by the next stripe. A round cut short because the
-// caller's context ended is a victim, not a verdict about the blocks: err
-// is then the context's, so the pipeline's root-cause rule can tell it
-// from a real shortage.
+// this stripe only. A round cut short because the caller's context ended
+// is a victim, not a verdict about the blocks: err is then the context's,
+// so the pipeline's root-cause rule can tell it from a real shortage.
 func (op *stripeOp) round(ctx context.Context, n int, blockOf func(i int) int,
 	fetch func(ctx context.Context, i int) error) (errs []error, err error) {
 	hctx := ctx
@@ -623,24 +619,33 @@ func (op *stripeOp) round(ctx context.Context, n int, blockOf func(i int) int,
 	wg.Wait()
 	late := false
 	for i, ferr := range errs {
-		if ferr == nil {
-			continue
+		if ferr != nil {
+			late = op.strike(blockOf(i), ferr) || late
+			err = classify(ctx.Err())
 		}
-		if op.struck == nil {
-			op.struck, op.firstErr = make([]strike, len(op.s.addrs)), ferr
-		}
-		b := blockOf(i)
-		if errors.Is(ferr, ErrTimeout) && op.struck[b] != dead {
-			op.struck[b], late = slow, true
-		} else {
-			op.struck[b] = dead
-		}
-		err = classify(ctx.Err())
 	}
 	if late {
 		op.late++
 	}
 	return errs, err
+}
+
+// strike records a failed fetch of block b for this stripe only — a
+// timeout slow (passed over, but waited for if it comes to that), anything
+// else dead — and reports whether it was a straggler. Reads and repairs
+// strike blocks here and nowhere else. Whether the peer is remembered as
+// down beyond it is the pool's call, made on dial failures alone: a live
+// server missing one block is asked again by the next stripe.
+func (op *stripeOp) strike(b int, ferr error) (late bool) {
+	if op.struck == nil {
+		op.struck, op.firstErr = make([]strike, len(op.s.addrs)), ferr
+	}
+	if errors.Is(ferr, ErrTimeout) && op.struck[b] != dead {
+		op.struck[b] = slow
+		return true
+	}
+	op.struck[b] = dead
+	return false
 }
 
 // piece is one range of a stripe read and the memory it lands in: a slot
@@ -819,10 +824,11 @@ func (s *Store) fetchRange(ctx context.Context, name string, st int, r carousel.
 
 // Repair regenerates block failed of a stripe from d helper chunks
 // computed server-side, uploads it to its home server, and reports the
-// bytes that crossed the network. It runs the read path's stripe loop: a
-// helper that fails or straggles past the hedge is struck and a spare from
-// the survivor ring takes its place, so a dead or slow server cannot stall
-// the repair, and a cluster slow everywhere is repaired slowly. Helpers are
+// bytes that crossed the network. It is a recovery batch of one stripe
+// (repairBatch), so it runs the read path's stripe loop: a helper that
+// fails or straggles past the hedge is struck and a spare from the
+// survivor ring takes its place, so a dead or slow server cannot stall the
+// repair, and a cluster slow everywhere is repaired slowly. Helpers are
 // chosen by rotating the survivor ring by the stripe index, so a
 // multi-stripe repair pass spreads chunk load over all n-1 survivors
 // instead of hammering survivors 0..d-1 for every stripe. An index out of
@@ -831,10 +837,13 @@ func (s *Store) Repair(ctx context.Context, name string, st, failed int) (traffi
 	if n := s.code.N(); failed < 0 || failed >= n || st < 0 {
 		return 0, fmt.Errorf("blockserver: stripe %d block %d out of range (blocks [0,%d))", st, failed, n)
 	}
-	return s.repair(ctx, name, st, failed, repairOpts{})
+	var moved [1]int
+	var errs [1]error
+	s.repairBatch(ctx, []repairJob{{file: name, ref: BlockRef{Stripe: st, Block: failed}}}, []int{0}, moved[:], errs[:], repairOpts{})
+	return moved[0], errs[0]
 }
 
-// repairOpts tunes one stripe repair inside a recovery pass.
+// repairOpts tunes the repairs of a recovery pass.
 type repairOpts struct {
 	// throttle, when set, paces repair bytes (helper chunks and the
 	// newcomer writeback) so recovery coexists with foreground reads.
@@ -868,131 +877,6 @@ func rotatedSurvivors(n, failed, rot int) []int {
 	return out
 }
 
-// repair is the single-stripe engine behind Repair, Scrub, and
-// RecoverServer, and runs the same stripe loop as readStripeInto. Its plan
-// is the next d − len(helpers) available survivors in ring order that have
-// not landed yet; its round fetches their chunks. A healthy repair is one
-// round of exactly d Chunk RPCs — the paper's optimal traffic — and every
-// helper struck costs one spare in a later round.
-func (s *Store) repair(ctx context.Context, name string, st, failed int, ro repairOpts) (trafficBytes int, err error) {
-	t0 := time.Now()
-	ctx, sp := obs.StartSpan(ctx, "store.repair")
-	sp.SetAttr("file", name).SetAttr("stripe", st).SetAttr("failed", failed)
-	d := s.code.D()
-	asked := 0 // Chunk RPCs issued: d, plus one per spare promoted
-	defer func() {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.SetAttr("traffic_bytes", trafficBytes)
-		sp.End()
-		mRepairs.Inc()
-		mRepairTraffic.Add(int64(trafficBytes))
-		mSparePromotions.Add(int64(max(asked-d, 0)))
-		sloRepair.ObserveSince(t0, err)
-	}()
-	chunkSize := s.code.HelperChunkSize(s.blockSize)
-	_, lsp := obs.StartSpan(ctx, "locate")
-	candidates := rotatedSurvivors(s.code.N(), failed, st)
-	lsp.SetAttr("helpers", d).SetAttr("candidates", len(candidates))
-	lsp.End()
-
-	op := stripeOp{s: s}
-	helpers, chunks := make([]int, 0, d), make([][]byte, 0, d)
-	release := func() {
-		for _, c := range chunks {
-			Recycle(c)
-		}
-		chunks = chunks[:0]
-	}
-	defer release()
-	var ask []int
-	try := func(avail []bool) error {
-		ask = ask[:0]
-		for _, i := range candidates {
-			if len(helpers)+len(ask) < d && (avail == nil || avail[i]) && !slices.Contains(helpers, i) {
-				ask = append(ask, i)
-			}
-		}
-		if have := len(helpers) + len(ask); have < d {
-			return fmt.Errorf("%d of %d helpers left", have, d)
-		}
-		return nil
-	}
-	for len(helpers) < d {
-		if err := op.plan(ctx, try); err != nil {
-			return trafficBytes, err
-		}
-		// The throttle runs before the hedge clock starts, so a paced
-		// recovery does not misread its own waiting as a straggler.
-		if err := ro.throttle.Wait(ctx, len(ask)*chunkSize); err != nil {
-			return trafficBytes, err
-		}
-		asked += len(ask)
-		fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
-		fsp.SetAttr("mode", "chunks").SetAttr("sources", len(ask))
-		if op.unhedged {
-			fsp.SetAttr("unhedged", true)
-		}
-		got := make([][]byte, len(ask))
-		errs, err := op.round(fetchCtx, len(ask), func(j int) int { return ask[j] },
-			func(ctx context.Context, j int) error {
-				c, err := s.pool.Get(ctx, s.addrs[ask[j]])
-				if err != nil {
-					return err
-				}
-				got[j], err = c.Chunk(ctx, BlockName(name, st, ask[j]), ask[j], failed)
-				s.pool.Put(c)
-				return err
-			})
-		for j, i := range ask {
-			if errs[j] != nil {
-				Recycle(got[j])
-				continue
-			}
-			helpers, chunks = append(helpers, i), append(chunks, got[j])
-			trafficBytes += len(got[j])
-			if ro.onHelper != nil {
-				ro.onHelper(i)
-			}
-		}
-		fsp.SetAttr("helpers_responded", len(helpers))
-		fsp.End()
-		if err != nil {
-			return trafficBytes, err
-		}
-	}
-	_, dsp := obs.StartSpan(ctx, "decode")
-	// The regenerated block is pooled scratch: the writeback below is
-	// synchronous, so by the time this function returns nothing reads it.
-	block := bufpool.Get(s.blockSize)
-	defer bufpool.Put(block)
-	err = s.code.RepairBlockInto(failed, helpers, chunks, block)
-	dsp.SetAttr("block_bytes", len(block))
-	dsp.End()
-	release()
-	if err != nil {
-		return trafficBytes, err
-	}
-	if err = ro.throttle.Wait(ctx, len(block)); err != nil {
-		return trafficBytes, err
-	}
-	_, psp := obs.StartSpan(ctx, "writeback")
-	err = s.put(ctx, s.addrs[failed], BlockName(name, st, failed), block)
-	psp.End()
-	if err != nil {
-		return trafficBytes, err
-	}
-	// The regenerated block is byte-identical to what the code originally
-	// produced, but the writeback still bumps the cache generation: belt
-	// and suspenders against a reader having cached a stripe decoded from
-	// the corrupt block this repair just replaced.
-	if s.cache != nil {
-		s.cache.Invalidate(name)
-	}
-	return trafficBytes, nil
-}
-
 // BlockRef names one block of a striped file.
 type BlockRef struct {
 	Stripe int
@@ -1023,7 +907,7 @@ type ScrubReport struct {
 // route by which read-time corruption detection feeds back into
 // redundancy restoration. Verify probes are pipelined across stripes
 // (stripesInFlight stripes probe concurrently), and the repairs run
-// through the recovery engine's bounded scheduler, at the same width.
+// through the recovery engine's batches, grouped by failed index.
 func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (*ScrubReport, error) {
 	stripes, err := s.stripesOf(name, size)
 	if err != nil {
@@ -1089,7 +973,7 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	if !repair || len(broken) == 0 {
 		return rep, nil
 	}
-	traffic, repaired, err := s.repairMany(ctx, broken, stripesInFlight, repairOpts{})
+	traffic, repaired, err := s.repairMany(ctx, broken, 0, repairOpts{})
 	rep.TrafficBytes = int(traffic)
 	for _, j := range repaired {
 		rep.Repaired = append(rep.Repaired, j.ref)

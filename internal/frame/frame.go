@@ -108,16 +108,25 @@ func (r *Reader) Next() (Header, error) {
 	return h, nil
 }
 
-// Payload reads h's payload into dst, which must be h.Len bytes long, and
-// verifies it against h.CRC.
-func (r *Reader) Payload(h Header, dst []byte) error {
-	if len(dst) != h.Len {
-		return fmt.Errorf("frame: %d-byte payload for a %d-byte destination", h.Len, len(dst))
+// Payload reads h's payload into dst and verifies it against h.CRC. The
+// payload fills the destinations in order, so a receiver can scatter one
+// payload into several buffers; their lengths must sum to h.Len.
+func (r *Reader) Payload(h Header, dst ...[]byte) error {
+	n := 0
+	for _, d := range dst {
+		n += len(d)
 	}
-	if err := readFull(r.r, dst); err != nil {
-		return err
+	if n != h.Len {
+		return fmt.Errorf("frame: %d-byte payload for a %d-byte destination", h.Len, n)
 	}
-	if Checksum(dst) != h.CRC {
+	var crc uint32
+	for _, d := range dst {
+		if err := readFull(r.r, d); err != nil {
+			return err
+		}
+		crc = crc32.Update(crc, castagnoli, d)
+	}
+	if crc != h.CRC {
 		return ErrPayload
 	}
 	return nil

@@ -9,7 +9,7 @@ RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal
 # detector to shake out order-dependent leaks and redial races.
 FAULT_PKGS = ./internal/blockserver ./internal/dfs ./internal/faultnet
 
-.PHONY: check fmt vet build test race race-tiers faults master writepath recover fuzz series sim bench bench-gate bench-sweep obs swarm bench-swarm
+.PHONY: check fmt vet build test race race-tiers faults master writepath recover readpath fuzz series sim bench bench-gate bench-sweep obs swarm bench-swarm
 
 check: fmt vet build test race
 
@@ -71,11 +71,20 @@ recover:
 	$(GO) test -race -count=5 -run 'Recover|Repair|Scrub|SlowEverywhereIsRepaired' ./internal/blockserver
 	$(GO) test -race -count=5 -run 'Recover|SelfHealing' ./internal/master
 
+# The one read path, repeated under the race detector: batched reads (one
+# range exchange per source per batch round, counted at the servers),
+# per-name verdicts striking one stripe, a slow-everywhere cluster read
+# unhedged, a black-holed source costing one hedge per batch, the one read
+# plan on three executors, degraded reads and their trace, the stripe
+# cache's batches of one, and server spans stitched under the batch's fetch.
+readpath:
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching' ./internal/blockserver
+
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare
 # header reader, the block server's request loop over net.Pipe (the block
-# map changes only on a put whose header and payload verify; the chunk
-# request's name lists are among its seeds), and the
+# map changes only on a put whose header and payload verify; the range and
+# chunk requests' name lists are among its seeds), and the
 # master's journal replay (refuse and leave the file alone, or keep a
 # prefix that replays to the same state).
 fuzz:

@@ -130,7 +130,7 @@ type Client struct {
 	req   []byte        // request header scratch
 	arr   [2][]byte     // gather-list backing for vectored sends
 	iov   net.Buffers   // per-send view into arr, consumed by the write
-	parts [][]byte      // a chunk answer's landing list: the OK names' destinations
+	parts [][]byte      // a batch answer's landing list: the OK names' destinations
 
 	watch      *watcher
 	watchOn    bool // watcher goroutine currently running
@@ -298,9 +298,9 @@ func (c *Client) stopWatcher() {
 // nothing: the op, the block name, the op's integer arguments, the trace
 // context do stages from the caller's span, the put body that leaves in the
 // same write, and — for a scatter read — the caller's destination for the
-// OK payload. A chunk request for several blocks carries them in batch
-// instead of name: a pointer, so the request every RPC copies down its
-// call chain stays as small as the single-name ops need.
+// OK payload. A range or chunk request for several blocks carries them in
+// batch instead of name: a pointer, so the request every RPC copies down
+// its call chain stays as small as the single-name ops need.
 type request struct {
 	op            byte
 	name          string
@@ -308,14 +308,14 @@ type request struct {
 	trace, parent uint64
 	body          []byte
 	dst           []byte
-	batch         *chunkBatch
+	batch         *nameBatch
 }
 
-// chunkBatch is a several-name chunk request: the block names, each OK
-// chunk's destination, and where each name's verdict is written.
-type chunkBatch struct {
+// nameBatch is a several-name range or chunk request: the block names,
+// each OK answer's destination, and where each name's verdict is written.
+type nameBatch struct {
 	names    []string
-	chunks   [][]byte
+	dst      [][]byte
 	verdicts []error
 }
 
@@ -453,36 +453,25 @@ func (r *request) meta(dst []byte) ([]byte, error) {
 
 // readResponse reads one response frame and maps non-OK statuses to
 // errors. A header that fails its CRC is refused before its length is
-// used. With r.dst nil the OK payload is returned in a pooled buffer. With
-// r.dst set it lands directly there — the scatter half of the zero-copy
-// framing: the socket fills the caller's memory (a stripe slot,
-// typically), no pooled intermediary, no copy — and nil is returned; an OK
-// payload whose length differs from len(r.dst) is a protocol violation,
-// reported out-of-band so the retry machinery poisons the connection
-// rather than desyncing the stream. Non-OK payloads (error messages,
-// always small) take the pooled route either way and are recycled once
-// rendered. An OK chunk answer goes to readChunks.
+// used. An OK range or chunk answer goes to readOne or readVerdicts; any
+// other payload is returned in a pooled buffer. Non-OK payloads (error
+// messages, always small) are recycled once rendered.
 func (c *Client) readResponse(r *request) ([]byte, error) {
 	h, err := c.fr.Next()
 	if err != nil {
 		return nil, err
 	}
 	status := h.Kind
-	if r.op == opChunk && status == statusOK {
-		return c.readChunks(h, r)
+	if multiName(r.op) && status == statusOK {
+		if r.batch != nil {
+			return nil, c.readVerdicts(h, r)
+		}
+		return c.readOne(h, r)
 	}
-	scatter := r.dst != nil && status == statusOK
-	buf := r.dst
-	if !scatter {
-		buf = bufpool.Get(h.Len)
-	}
-	err = c.fr.Payload(h, buf)
-	if err == nil {
+	buf := bufpool.Get(h.Len)
+	if err = c.fr.Payload(h, buf); err == nil {
 		switch status {
 		case statusOK:
-			if scatter {
-				buf = nil
-			}
 			return buf, nil
 		case statusNotFound:
 			err = ErrNotFound
@@ -492,64 +481,97 @@ func (c *Client) readResponse(r *request) ([]byte, error) {
 			err = fmt.Errorf("%w: %s", ErrRemote, buf)
 		}
 	}
-	if !scatter {
-		bufpool.Put(buf)
-	}
+	bufpool.Put(buf)
 	return nil, err
 }
 
-// readChunks reads an OK chunk answer, whose verified meta holds one
-// verdict per name asked. The one-name Chunk returns its chunk in a pooled
-// buffer, or its verdict as the error. A several-name request records
-// each verdict in r.batch and scatters the OK chunks, in request order,
-// straight into their destinations there; a payload that does not
-// fill exactly those is a protocol violation, like a verdict vector of the
-// wrong length or an unknown verdict.
-func (c *Client) readChunks(h frame.Header, r *request) ([]byte, error) {
+// readOne reads an OK one-name range or chunk answer, whose verified meta
+// holds its verdict. It returns the verdict as the error, or the answer: in
+// a pooled buffer (Chunk), or, with r.dst set (GetRangeInto, and a Store
+// round's one-name exchanges), straight into the caller's memory — the
+// scatter half of the zero-copy framing: the socket fills a stripe slot,
+// typically, with no pooled intermediary and no copy; a payload whose
+// length differs from len(r.dst) is a protocol violation, reported
+// out-of-band so the retry machinery poisons the connection rather than
+// desyncing the stream. The answer readers build their errors in functions
+// of their own, so the frames they stack up to the socket read stay small:
+// a Store round runs each exchange on a fresh goroutine.
+func (c *Client) readOne(h frame.Header, r *request) ([]byte, error) {
+	if len(h.Meta) != 1 || h.Meta[0] != statusOK {
+		return nil, oneVerdict(h, r)
+	}
+	if r.dst != nil {
+		return nil, c.fr.Payload(h, r.dst)
+	}
+	buf := bufpool.Get(h.Len)
+	if err := c.fr.Payload(h, buf); err != nil {
+		bufpool.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// oneVerdict is the error of a one-name answer whose verdict is not OK:
+// the verdict itself, or a protocol violation when the answer carries a
+// payload anyway or the wrong number of verdicts.
+func oneVerdict(h frame.Header, r *request) error {
+	if len(h.Meta) != 1 {
+		return fmt.Errorf("blockserver: %d verdicts for one name", len(h.Meta))
+	}
+	err := verdict(r.op, h.Meta[0], r.name)
+	if !inBand(err) || h.Len != 0 {
+		return fmt.Errorf("blockserver: verdict %v with a %d-byte payload", err, h.Len)
+	}
+	return err
+}
+
+// readVerdicts reads a several-name answer: it records each verdict in
+// r.batch and scatters the OK answers, in request order, straight into
+// their destinations there; a payload that does not fill exactly those is
+// a protocol violation, like a verdict vector of the wrong length or an
+// unknown verdict.
+func (c *Client) readVerdicts(h frame.Header, r *request) error {
 	b := r.batch
-	if b == nil {
-		if len(h.Meta) != 1 {
-			return nil, fmt.Errorf("blockserver: %d verdicts for one name", len(h.Meta))
-		}
-		if err := verdict(h.Meta[0], r.name); err != nil {
-			if inBand(err) && h.Len == 0 {
-				return nil, err
-			}
-			return nil, fmt.Errorf("blockserver: verdict %v with a %d-byte payload", err, h.Len)
-		}
-		buf := bufpool.Get(h.Len)
-		if err := c.fr.Payload(h, buf); err != nil {
-			bufpool.Put(buf)
-			return nil, err
-		}
-		return buf, nil
-	}
 	if len(h.Meta) != len(b.names) {
-		return nil, fmt.Errorf("blockserver: %d verdicts for %d names", len(h.Meta), len(b.names))
+		return badAnswer(h, r, 0)
 	}
-	defer clear(c.parts)
 	c.parts = c.parts[:0]
+	// The scratch must not keep the caller's buffers alive once parked. A
+	// plain defer clear(c.parts) would clear the slice as it was before the
+	// appends below.
+	defer func() { clear(c.parts) }()
 	want := 0
 	for i, v := range h.Meta {
-		if b.verdicts[i] = verdict(v, b.names[i]); b.verdicts[i] == nil {
-			c.parts = append(c.parts, b.chunks[i])
-			want += len(b.chunks[i])
+		if b.verdicts[i] = verdict(r.op, v, b.names[i]); b.verdicts[i] == nil {
+			c.parts = append(c.parts, b.dst[i])
+			want += len(b.dst[i])
 		} else if !inBand(b.verdicts[i]) {
-			return nil, b.verdicts[i]
+			return b.verdicts[i]
 		}
 	}
 	if h.Len != want {
-		return nil, fmt.Errorf("blockserver: %d-byte chunk answer for %d bytes of destinations", h.Len, want)
+		return badAnswer(h, r, want)
 	}
 	if err := c.fr.Payload(h, c.parts...); err != nil {
-		return nil, err
+		return err
 	}
 	cliBytesRx.Add(int64(want)) // the last step of the exchange: it has succeeded
-	return nil, nil
+	return nil
 }
 
-// verdict maps one name's verdict byte in a chunk answer onto its error.
-func verdict(v byte, name string) error {
+// badAnswer is the protocol violation of a several-name answer whose
+// verdict vector does not match the names asked, or whose payload does not
+// fill the want bytes of destinations its OK verdicts name.
+func badAnswer(h frame.Header, r *request, want int) error {
+	if len(h.Meta) != len(r.batch.names) {
+		return fmt.Errorf("blockserver: %d verdicts for %d names", len(h.Meta), len(r.batch.names))
+	}
+	return fmt.Errorf("blockserver: %d-byte %s answer for %d bytes of destinations", h.Len, opNames[r.op], want)
+}
+
+// verdict maps one name's verdict byte in a range or chunk answer onto its
+// error.
+func verdict(op, v byte, name string) error {
 	switch v {
 	case statusOK:
 		return nil
@@ -558,6 +580,9 @@ func verdict(v byte, name string) error {
 	case statusCorrupt:
 		return fmt.Errorf("%w: %s", ErrCorrupt, name)
 	case statusError:
+		if op == opRange {
+			return fmt.Errorf("%w: %s: range outside the block", ErrRemote, name)
+		}
 		return fmt.Errorf("%w: %s: block size differs from the request's first block", ErrRemote, name)
 	}
 	return fmt.Errorf("blockserver: unknown verdict %d for %s", v, name)
@@ -577,13 +602,32 @@ func (c *Client) Get(ctx context.Context, name string) ([]byte, error) {
 // GetRangeInto fetches len(dst) bytes starting at off directly into dst —
 // how a parallel reader pulls only the data prefix of a Carousel block,
 // scattered straight into its slot of the decode buffer. dst is fully
-// overwritten on success; on error its contents are unspecified.
+// overwritten on success; on error its contents are unspecified. It is
+// Ranges for one name.
 func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
 	return c.call(ctx, request{op: opRange, name: name,
 		args: [2]uint32{uint32(off), uint32(len(dst))}, dst: dst})
+}
+
+// Ranges reads, in one exchange, the same range of several blocks — a
+// batch of stripes' data prefixes from one source, say: len(dst[0]) bytes
+// from off of block names[i] land in dst[i], and every dst[i] must be that
+// long. verdicts[i] receives that block's verdict — nil, ErrNotFound,
+// ErrCorrupt, or ErrRemote for a range outside the block. The returned
+// error is the exchange's own (transport, timeout, or a refusal of the
+// whole request); the verdicts hold only when it is nil, and a dst whose
+// verdict is not nil holds nothing useful.
+func (c *Client) Ranges(ctx context.Context, names []string, off int, dst [][]byte, verdicts []error) error {
+	var length int
+	for i, d := range dst {
+		if length = len(dst[0]); len(d) != length {
+			return fmt.Errorf("blockserver: range destination %d is %d bytes, the first %d", i, len(d), length)
+		}
+	}
+	return c.callBatch(ctx, opRange, [2]uint32{uint32(off), uint32(length)}, &nameBatch{names, dst, verdicts})
 }
 
 // Chunk asks the server to compute its repair contribution for the failed
@@ -603,11 +647,22 @@ func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]
 // timeout, or a refusal of the whole request); the verdicts hold only when
 // it is nil, and a dst whose verdict is not nil holds nothing useful.
 func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int, dst [][]byte, verdicts []error) error {
-	if len(names) == 0 || len(dst) != len(names) || len(verdicts) != len(names) {
-		return fmt.Errorf("blockserver: %d names, %d destinations and %d verdict slots", len(names), len(dst), len(verdicts))
+	return c.callBatch(ctx, opChunk, [2]uint32{uint32(helper), uint32(failed)}, &nameBatch{names, dst, verdicts})
+}
+
+// callBatch runs one several-name range or chunk exchange: Ranges and
+// Chunks, and the Store's batch rounds, which hold the op's arguments
+// already encoded.
+func (c *Client) callBatch(ctx context.Context, op byte, args [2]uint32, b *nameBatch) error {
+	if len(b.names) == 0 || len(b.dst) != len(b.names) || len(b.verdicts) != len(b.names) {
+		return b.mismatch()
 	}
-	return c.call(ctx, request{op: opChunk, args: [2]uint32{uint32(helper), uint32(failed)},
-		batch: &chunkBatch{names: names, chunks: dst, verdicts: verdicts}})
+	return c.call(ctx, request{op: op, args: args, batch: b})
+}
+
+// mismatch is the error of a batch whose lists differ in length.
+func (b *nameBatch) mismatch() error {
+	return fmt.Errorf("blockserver: %d names, %d destinations and %d verdict slots", len(b.names), len(b.dst), len(b.verdicts))
 }
 
 // Delete removes a block.

@@ -71,10 +71,10 @@ func (l *flipListener) Accept() (net.Conn, error) {
 // TestEveryHeaderBitIsChecked flips each bit of a request header and of a
 // response header in flight. The header CRC must catch every one before
 // anything in the header is acted on: a damaged Put never stores a block
-// under another name, a damaged range request never returns other bytes,
-// and a damaged response is refused at once — no buffer sized by a
-// damaged length, no wait for the I/O timeout. The retry on a fresh
-// connection then succeeds.
+// under another name, a damaged range request — of one name or of several
+// — never returns other bytes, and a damaged response is refused at once —
+// no buffer sized by a damaged length, no wait for the I/O timeout. The
+// retry on a fresh connection then succeeds.
 func TestEveryHeaderBitIsChecked(t *testing.T) {
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -136,7 +136,8 @@ func TestEveryHeaderBitIsChecked(t *testing.T) {
 		c.Close()
 	}
 
-	rangeHdr := putHdr + 8
+	// a range meta adds the name count (2) and offset and length (8)
+	rangeHdr := putHdr + 2 + 8
 	for b := 0; b < 8*rangeHdr; b++ {
 		c := flipped(b)
 		dst := make([]byte, n)
@@ -145,6 +146,29 @@ func TestEveryHeaderBitIsChecked(t *testing.T) {
 		}
 		if err := c.GetRangeInto(ctx, "blk", off, dst); err != nil || !bytes.Equal(dst, block[off:off+n]) {
 			t.Fatalf("range, bit %d: retry: %v", b, err)
+		}
+		c.Close()
+	}
+
+	// Two names: the count, then nameLen(2) + "blk" twice, then the range.
+	names := []string{"blk", "blk"}
+	rangesHdr := frame.HeaderLen + 2 + 2*(2+3) + 8
+	intact := func(dst [][]byte, verdicts []error) bool {
+		for i := range dst {
+			if verdicts[i] != nil || !bytes.Equal(dst[i], block[off:off+n]) {
+				return false
+			}
+		}
+		return true
+	}
+	for b := 0; b < 8*rangesHdr; b++ {
+		c := flipped(b)
+		dst, verdicts := [][]byte{make([]byte, n), make([]byte, n)}, make([]error, 2)
+		if err := c.Ranges(ctx, names, off, dst, verdicts); err == nil && !intact(dst, verdicts) {
+			t.Fatalf("two-name range, bit %d: succeeded with other bytes or verdicts %v", b, verdicts)
+		}
+		if err := c.Ranges(ctx, names, off, dst, verdicts); err != nil || !intact(dst, verdicts) {
+			t.Fatalf("two-name range, bit %d: retry: %v, verdicts %v", b, err, verdicts)
 		}
 		c.Close()
 	}
@@ -179,22 +203,22 @@ func TestEveryHeaderBitIsChecked(t *testing.T) {
 	}
 }
 
-// chunkFrame encodes a chunk request whose meta is given verbatim, so a
-// test can send name lists the client would never build.
-func chunkFrame(meta []byte) []byte {
-	return frame.Header{Kind: opChunk, Meta: meta}.Append(nil)
+// listFrame encodes a range or chunk request whose meta is given
+// verbatim, so a test can send name lists the client would never build.
+func listFrame(op byte, meta []byte) []byte {
+	return frame.Header{Kind: op, Meta: meta}.Append(nil)
 }
 
-// nameList encodes a chunk request meta: count, the names, helper and
-// failed.
-func nameList(count int, names []string, helper, failed uint32) []byte {
+// nameList encodes a range or chunk request meta: count, the names, and
+// the two arguments (offset and length, or helper and failed).
+func nameList(count int, names []string, arg0, arg1 uint32) []byte {
 	meta := binary.BigEndian.AppendUint16(nil, uint16(count))
 	for _, n := range names {
 		meta = binary.BigEndian.AppendUint16(meta, uint16(len(n)))
 		meta = append(meta, n...)
 	}
-	meta = binary.BigEndian.AppendUint32(meta, helper)
-	return binary.BigEndian.AppendUint32(meta, failed)
+	meta = binary.BigEndian.AppendUint32(meta, arg0)
+	return binary.BigEndian.AppendUint32(meta, arg1)
 }
 
 // oversizedChunkRequest is a put of one block and a chunk request naming
@@ -212,7 +236,7 @@ func oversizedChunkRequest(align, alpha int) []byte {
 		names[i] = "o"
 	}
 	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{"o"}, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
-	return append(append(put, block...), chunkFrame(nameList(count, names, helper, failed))...)
+	return append(append(put, block...), listFrame(opChunk, nameList(count, names, helper, failed))...)
 }
 
 // TestChunkNameListsAreChecked: a chunk request's name list is refused
@@ -257,7 +281,7 @@ func TestChunkNameListsAreChecked(t *testing.T) {
 		{"empty name", nameList(2, []string{"a", ""}, 0, 1)},
 		{"name over maxNameLen", nameList(1, []string{long}, 0, 1)},
 	} {
-		h, alloc, err := send(chunkFrame(tc.meta))
+		h, alloc, err := send(listFrame(opChunk, tc.meta))
 		if !errors.Is(err, io.EOF) {
 			t.Errorf("%s: got a %d-status answer (%v), want the connection closed", tc.name, h.Kind, err)
 		}
@@ -339,11 +363,11 @@ func TestChunkNameListsAreChecked(t *testing.T) {
 	for i := range dst {
 		dst[i] = make([]byte, len(want))
 	}
-	exchanges0 := servedChunkExchanges()
+	exchanges0 := servedExchanges(opChunk)
 	if err := c.Chunks(ctx, names, helper, failed, dst, verdicts); err != nil {
 		t.Fatalf("n−1-name chunk request: %v", err)
 	}
-	if got := servedChunkExchanges() - exchanges0; got != 1 {
+	if got := servedExchanges(opChunk) - exchanges0; got != 1 {
 		t.Errorf("n−1 names took %d exchanges, want 1", got)
 	}
 	for i := range names {
@@ -358,14 +382,157 @@ func TestChunkNameListsAreChecked(t *testing.T) {
 	}
 }
 
+// TestRangeNameListsAreChecked: a range request's name list is refused
+// before anything is sized or verified from it — no names, a count that
+// runs past the meta, an empty or over-long name end the connection, and
+// ranges of found blocks that could cost more than maxPayload draw
+// statusError — while a well-formed list of 32 names gets a verdict per
+// name (a missing, a corrupt and a too-short block among them) and the OK
+// ranges in request order, in one exchange.
+func TestRangeNameListsAreChecked(t *testing.T) {
+	servers, addrs := startServers(t, nil, 1)
+	srv, addr := servers[0], addrs[0]
+	ctx := context.Background()
+	opts := Options{DialTimeout: 2 * time.Second, IOTimeout: 3 * time.Second, Retry: retry.Policy{Attempts: 1}}
+	c := NewClient(addr, opts)
+	defer c.Close()
+	block := make([]byte, 64<<10)
+	rand.New(rand.NewSource(35)).Read(block)
+	if err := c.Put(ctx, "o", block); err != nil {
+		t.Fatal(err)
+	}
+
+	var m0, m1 runtime.MemStats
+	// send writes raw request bytes on a fresh connection and reads one
+	// response header and its payload; err is io.EOF when the server
+	// closed instead.
+	send := func(req []byte) (h frame.Header, alloc uint64, err error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(3 * time.Second))
+		fr := frame.NewReader(conn, maxPayload)
+		runtime.ReadMemStats(&m0)
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if h, err = fr.Next(); err == nil {
+			err = fr.Payload(h, make([]byte, h.Len))
+		}
+		runtime.ReadMemStats(&m1)
+		return h, m1.TotalAlloc - m0.TotalAlloc, err
+	}
+	verified0 := srv.corruptServes.Load()
+	long := string(bytes.Repeat([]byte("n"), maxNameLen+1))
+	for _, tc := range []struct {
+		name string
+		meta []byte
+	}{
+		{"no names", nameList(0, nil, 0, 8)},
+		{"count past the meta", nameList(3, []string{"o", "o"}, 0, 8)},
+		{"count far past the meta", nameList(math.MaxUint16, []string{"o"}, 0, 8)},
+		{"empty name", nameList(2, []string{"o", ""}, 0, 8)},
+		{"name over maxNameLen", nameList(1, []string{long}, 0, 8)},
+	} {
+		h, alloc, err := send(listFrame(opRange, tc.meta))
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("%s: got a %d-status answer (%v), want the connection closed", tc.name, h.Kind, err)
+		}
+		if alloc > 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes, want at most 1 MiB", tc.name, alloc)
+		}
+	}
+	// Two names of a found block, each asking for over half of maxPayload:
+	// refused whole, with no verdicts, and nothing sized from the length.
+	h, alloc, err := send(listFrame(opRange, nameList(2, []string{"o", "o"}, 0, maxPayload/2+1)))
+	if err != nil || h.Kind != statusError || len(h.Meta) != 0 {
+		t.Errorf("ranges over maxPayload: status %d, %d verdicts (%v), want statusError and none", h.Kind, len(h.Meta), err)
+	}
+	if alloc > 1<<20 {
+		t.Errorf("refusing ranges over maxPayload allocated %d bytes, want at most 1 MiB", alloc)
+	}
+	// So is a found block named more often than its checksums may cost,
+	// however short the range: 16,385 names fit in a meta.
+	many := make([]string, maxPayload/len(block)+1)
+	for i := range many {
+		many[i] = "o"
+	}
+	if h, _, err := send(listFrame(opRange, nameList(len(many), many, 0, 1))); err != nil || h.Kind != statusError {
+		t.Errorf("%d names of one %d-byte block: status %d (%v), want statusError", len(many), len(block), h.Kind, err)
+	}
+	if n := srv.corruptServes.Load() - verified0; n != 0 {
+		t.Errorf("the refusals verified blocks: %d corrupt serves", n)
+	}
+
+	// A well-formed batch of 32 names.
+	const off, length = 1000, 2000
+	const gone, rotten, short = 5, 17, 30
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+		data := block
+		if i == short {
+			data = block[:off+length-1]
+		}
+		if err := c.Put(ctx, names[i], data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete(ctx, names[gone]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CorruptBlock(names[rotten], 1); err != nil {
+		t.Fatal(err)
+	}
+	dst, verdicts := make([][]byte, len(names)), make([]error, len(names))
+	for i := range dst {
+		dst[i] = make([]byte, length)
+	}
+	exchanges0 := servedExchanges(opRange)
+	if err := c.Ranges(ctx, names, off, dst, verdicts); err != nil {
+		t.Fatalf("32-name range request: %v", err)
+	}
+	if got := servedExchanges(opRange) - exchanges0; got != 1 {
+		t.Errorf("32 names took %d exchanges, want 1", got)
+	}
+	for i := range names {
+		switch {
+		case i == gone && !errors.Is(verdicts[i], ErrNotFound):
+			t.Errorf("missing block's verdict: %v, want ErrNotFound", verdicts[i])
+		case i == rotten && !errors.Is(verdicts[i], ErrCorrupt):
+			t.Errorf("corrupt block's verdict: %v, want ErrCorrupt", verdicts[i])
+		case i == short && !errors.Is(verdicts[i], ErrRemote):
+			t.Errorf("verdict of a block the range runs past: %v, want ErrRemote", verdicts[i])
+		case i != gone && i != rotten && i != short && (verdicts[i] != nil || !bytes.Equal(dst[i], block[off:off+length])):
+			t.Errorf("name %d: verdict %v, range identical %v", i, verdicts[i], bytes.Equal(dst[i], block[off:off+length]))
+		}
+	}
+	// The one-name forms carry the same verdicts as errors.
+	one := make([]byte, length)
+	if err := c.GetRangeInto(ctx, names[gone], off, one); !errors.Is(err, ErrNotFound) {
+		t.Errorf("one-name range of a missing block: %v, want ErrNotFound", err)
+	}
+	if err := c.GetRangeInto(ctx, names[short], off, one); !errors.Is(err, ErrRemote) {
+		t.Errorf("one-name range past its block: %v, want ErrRemote", err)
+	}
+	if err := c.GetRangeInto(ctx, names[0], off, one); err != nil || !bytes.Equal(one, block[off:off+length]) {
+		t.Errorf("one-name range: %v, identical %v", err, bytes.Equal(one, block[off:off+length]))
+	}
+}
+
 // FuzzServeConn feeds arbitrary bytes to the server loop over net.Pipe,
 // once on a server with no code and once on one with a small Carousel code
 // (so chunk requests reach the chunk computation). Whatever the stream,
 // the loop ends without a panic, and the block map changes only on a put
 // frame whose header and payload both verify: every block held afterwards
 // was sent, name and content, in such a frame. The committed corpus holds
-// the chunk request's malformed name lists and a one-name and an
-// n−1-name request. The over-maxPayload request is not a seed: at 160 KB,
+// the range and chunk requests' malformed name lists (no names, a count
+// past the meta, an empty or over-long name), a one-name request of each,
+// an n−1-name chunk request, a 32-name range request, one whose names draw
+// an OK, an out-of-range and a not-found verdict, and ranges over
+// maxPayload. The over-maxPayload chunk request is not a seed: at 160 KB,
 // the fuzzer would spend its time minimizing mutants of it, so
 // TestChunkNameListsAreChecked covers it instead.
 func FuzzServeConn(f *testing.F) {

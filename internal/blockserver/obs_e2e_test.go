@@ -134,8 +134,9 @@ func TestDegradedReadObservability(t *testing.T) {
 		}
 	}
 	// The re-planned fetch identifies itself — p = n leaves no spare
-	// blocks, so the degraded plan patches from parity units — and the
-	// decode hangs off a stripe span: the shape `carouselctl`'s
+	// blocks, so the degraded plan patches from parity units — and hangs
+	// off the read's batch span, since one fetch serves every stripe of the
+	// batch; the decode hangs off a stripe span: the shape `carouselctl`'s
 	// /debug/traces tree renders.
 	patch := false
 	for _, s := range spans {
@@ -144,8 +145,8 @@ func TestDegradedReadObservability(t *testing.T) {
 		}
 		if v := s.Attr("mode"); v == "patch" {
 			patch = true
-			if p, ok := byID[s.Parent]; !ok || p.Name != "stripe" {
-				t.Errorf("patch fetch span's parent is %v, want a stripe span", s.Parent)
+			if p, ok := byID[s.Parent]; !ok || p.Name != "batch" {
+				t.Errorf("patch fetch span's parent is %v, want the read's batch span", s.Parent)
 			}
 		}
 	}

@@ -167,6 +167,47 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 	return c, nil
 }
 
+// getParked is Get for a batch round's exchange, which holds one
+// connection per source for the whole round: a parked connection is worth
+// more to it than the right to dial one, so it trades a token for a client
+// parked behind it, sending the token to the back, at most once round the
+// slots. Get itself takes the slots in turn, dialing each token it meets,
+// so a peer's connections reach the budget after that many checkouts; a
+// batched read checks out one client per source, and through Get each of
+// its first reads would dial past idle connections.
+func (p *Pool) getParked(ctx context.Context, addr string) (*Client, error) {
+	c, err := p.Get(ctx, addr)
+	if err != nil || c.conn != nil {
+		return c, err
+	}
+	pe, err := p.peer(addr)
+	if err != nil {
+		return c, nil
+	}
+	for range cap(pe.free) {
+		var next *Client
+		select {
+		case n, ok := <-pe.free:
+			if !ok {
+				return c, nil // closed: the caller's next call says so
+			}
+			next = n
+		default:
+			return c, nil // nothing else is parked
+		}
+		if next != nil && next.conn != nil && !staleIdle(next) {
+			p.Put(c) // the unconnected client goes back in the token's place
+			return next, nil
+		}
+		if next == nil {
+			next = p.newClient(pe) // a token, parked as the client Get would make of it
+		}
+		next.poison() // a stale connection redials on its next use, as Get's would
+		p.Put(next)
+	}
+	return c, nil
+}
+
 // Put returns a checked-out client. With the pool closed the client is
 // closed instead of parked. Parked clients hold no
 // goroutines — the watcher is stopped and only restarts on the next call —

@@ -7,11 +7,11 @@
 //
 // Every request and response is one internal/frame record over TCP:
 //
-//	request  := header(kind=op, meta=nameLen(2) name args [traceID(8) parentSpanID(8)]) payload
+//	request  := header(kind=op, meta=nameLen(2) name [traceID(8) parentSpanID(8)]) payload
 //	response := header(kind=status, no meta) payload
 //
-// args are two big-endian uint32s for range (offset, length) and chunk
-// (helper, failed) and absent otherwise; only a put carries a request
+// That is the form of put, get, delete, stat and verify; range and chunk
+// requests name a list of blocks (below). Only a put carries a request
 // payload, and its length and CRC32C are the frame's. The header's own
 // CRC32C covers the op, the name, the arguments and the lengths, so the
 // server refuses a damaged request before acting on any of it, and the
@@ -22,27 +22,35 @@
 // statusCorrupt when at-rest corruption is found — the signal the client's
 // read path uses to exclude the block and route it into scrub/repair.
 //
-// A chunk request names one or more blocks that share its (helper, failed)
-// pair — a repair pass asks each helper for its chunks of a whole batch of
-// stripes in one exchange — so its meta starts with a name count:
+// A range or chunk request names one or more blocks that share its
+// arguments — a read asks each source for the same range of a whole batch
+// of stripes' blocks in one exchange, and a repair pass asks each helper
+// for its chunks of a whole batch of stripes the same way — so its meta
+// starts with a name count:
 //
+//	range request  := header(kind=opRange, meta=count(2) {nameLen(2) name}×count offset(4) length(4) [trace]) no payload
 //	chunk request  := header(kind=opChunk, meta=count(2) {nameLen(2) name}×count helper(4) failed(4) [trace]) no payload
-//	chunk response := header(kind=statusOK, meta=verdict(1)×count) chunk×ok
+//	response       := header(kind=statusOK, meta=verdict(1)×count) answer×ok
 //
 // The response carries one verdict byte per name, in request order:
-// statusOK, statusNotFound, statusCorrupt, or statusError for a block whose
-// size differs from the first OK block's. The payload is the OK names'
-// chunks back to back in request order, all of one size, so the client
-// knows from the verified header alone where each chunk lands. A verdict
-// concerns one block: the exchange itself succeeded. The server refuses a
-// request with no names, a count that runs past the meta, or an empty or
-// over-long name by closing the connection, before it sizes anything from
-// the count; it answers statusError, with no verdicts, when it has no code,
-// when the chunk computation fails, or when the chunks of the blocks it
-// found could exceed maxPayload — checked before it verifies any of them.
+// statusOK, statusNotFound, statusCorrupt, or statusError — for a range,
+// one that falls outside its block; for a chunk, a block whose size
+// differs from the first OK block's. The payload is the OK names' answers
+// back to back in request order, all of one size (the range's length, or
+// the chunk size), so the client knows from the verified header alone
+// where each lands; the server sends a range answer as one vectored write
+// of slices of the stored blocks, with no copy. A verdict concerns one
+// block: the exchange itself succeeded. The server refuses a request with
+// no names, a count that runs past the meta, or an empty or over-long name
+// by closing the connection, before it sizes anything from the count; it
+// answers statusError, with no verdicts, when the blocks it found could
+// cost more than maxPayload — each the larger of its size, which is
+// checksummed, and its answer; checked before it verifies any of them —
+// and, for a chunk request, when it has no code or the chunk computation
+// fails.
 //
-// Operations: put, get, range (partial read for parallel reads of data
-// prefixes), chunk (helper-side repair computation for one or more
+// Operations: put, get, range (one range of one or more blocks, for
+// parallel reads of data prefixes), chunk (helper-side repair computation for one or more
 // blocks), delete, stat, verify (server-side checksum audit of one block).
 //
 // A traced request ends its meta with the client's trace ID and span ID,
@@ -96,19 +104,24 @@ var ErrNotFound = errors.New("blockserver: block not found")
 // Checksum returns the CRC32C of a payload.
 func Checksum(b []byte) uint32 { return frame.Checksum(b) }
 
+// multiName reports whether an op's meta carries a counted name list: the
+// range and chunk ops, the two whose answers a batch shares an exchange
+// for. They are also the ops with arguments.
+func multiName(op byte) bool { return op == opRange || op == opChunk }
+
 // nargs is the number of uint32 arguments an op's meta carries.
 func nargs(op byte) int {
-	if op == opRange || op == opChunk {
+	if multiName(op) {
 		return 2
 	}
 	return 0
 }
 
 // appendMeta encodes a request's meta: the length-prefixed names (one for
-// every op but a chunk, whose meta starts with their count), the op's
-// arguments and, when traceID is nonzero, the trace context.
+// every op but a range or chunk, whose meta starts with their count), the
+// op's arguments and, when traceID is nonzero, the trace context.
 func appendMeta(dst []byte, op byte, names []string, args []uint32, traceID, parent uint64) []byte {
-	if op == opChunk {
+	if multiName(op) {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
 	}
 	for _, name := range names {
@@ -128,8 +141,8 @@ func appendMeta(dst []byte, op byte, names []string, args []uint32, traceID, par
 // reqMeta is a decoded request meta. name and names alias the frame
 // reader's scratch, so they are only valid until the next request.
 type reqMeta struct {
-	name          []byte // the only name, or a chunk request's first
-	names         []byte // a chunk request's validated name list; walk it with nextName
+	name          []byte // the only name, or a range or chunk request's first
+	names         []byte // a range or chunk request's validated name list; walk it with nextName
 	args          [2]uint32
 	trace, parent uint64 // zero for an untraced request
 }
@@ -152,19 +165,19 @@ func nextName(list []byte) (name, rest []byte) {
 	return list[2 : 2+n], list[2+n:]
 }
 
-// parseMeta decodes the meta of a verified request header. A chunk
-// request's name list is walked name by name against the meta's own
+// parseMeta decodes the meta of a verified request header. A range or
+// chunk request's name list is walked name by name against the meta's own
 // length, so a count that promises more than the meta holds is refused
 // without anything being sized from it.
 func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 	rest := meta
-	if op == opChunk {
+	if multiName(op) {
 		if len(meta) < 2 {
-			return m, fmt.Errorf("blockserver: %d-byte chunk request meta", len(meta))
+			return m, fmt.Errorf("blockserver: %d-byte %s request meta", len(meta), opNames[op])
 		}
 		count, list := int(binary.BigEndian.Uint16(meta)), meta[2:]
 		if count == 0 {
-			return m, errors.New("blockserver: chunk request names no block")
+			return m, fmt.Errorf("blockserver: %s request names no block", opNames[op])
 		}
 		rest = list
 		for range count {

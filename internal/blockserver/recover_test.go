@@ -465,12 +465,12 @@ func failedChunkExchanges() int64 {
 	return n
 }
 
-// servedChunkExchanges sums the chunk exchanges the servers answered,
-// whatever their status.
-func servedChunkExchanges() int64 {
+// servedExchanges sums the op's exchanges the servers answered, whatever
+// their status.
+func servedExchanges(op byte) int64 {
 	var n int64
 	for st := range statusNames {
-		n += srvRPCCounter(opChunk, byte(st)).Value()
+		n += srvRPCCounter(op, byte(st)).Value()
 	}
 	return n
 }
@@ -503,12 +503,12 @@ func TestRecoverServerBatchesHelperExchanges(t *testing.T) {
 	}
 	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
 
-	exchanges0 := servedChunkExchanges()
+	exchanges0 := servedExchanges(opChunk)
 	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := servedChunkExchanges()-exchanges0, int64(2*(code.N()-1)); got != want {
+	if got, want := servedExchanges(opChunk)-exchanges0, int64(2*(code.N()-1)); got != want {
 		t.Errorf("the servers answered %d chunk exchanges for %d stripes, want 2·(n−1) = %d", got, stripes, want)
 	}
 	if rep.BlocksRepaired != stripes {
@@ -563,13 +563,13 @@ func TestRecoverBatchesAreBoundedByBytes(t *testing.T) {
 	}
 	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
 
-	exchanges0 := servedChunkExchanges()
+	exchanges0 := servedExchanges(opChunk)
 	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batches := (stripes + perBatch - 1) / perBatch
-	if got, want := servedChunkExchanges()-exchanges0, int64(batches*(n-1)); got != want {
+	if got, want := servedExchanges(opChunk)-exchanges0, int64(batches*(n-1)); got != want {
 		t.Errorf("the servers answered %d chunk exchanges, want %d batches of ≤ %d stripes × n−1 = %d", got, batches, perBatch, want)
 	}
 	if rep.BlocksRepaired != stripes {
@@ -618,7 +618,7 @@ func TestRepairWidth(t *testing.T) {
 		{"node of large blocks", node, 1, stripesInFlight},
 	} {
 		batches := repairBatches(tc.jobs, tc.size)
-		if got := repairWidth(len(tc.jobs), len(batches)); got != tc.want {
+		if got := batchWidth(len(tc.jobs), len(batches)); got != tc.want {
 			t.Errorf("%s: %d jobs in %d batches run %d at once, want %d", tc.name, len(tc.jobs), len(batches), got, tc.want)
 		}
 	}

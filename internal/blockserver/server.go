@@ -73,11 +73,12 @@ type connState struct {
 	fr    *frame.Reader // every request byte is read through this
 	hdr   []byte        // response header scratch
 	small [4]byte       // stat payload scratch
-	arr   [2][]byte     // gather-list backing for vectored responses
+	arr   [][]byte      // gather-list backing for vectored responses, cleared after each
 	iov   net.Buffers   // per-reply view into arr, consumed by the write
 
-	verdicts []byte        // a chunk answer's verdict vector
-	blocks   []storedBlock // the blocks a chunk answer computes from, cleared after it
+	verdicts []byte        // a range or chunk answer's verdict vector
+	blocks   []storedBlock // the blocks a range or chunk answer is served from, cleared after it
+	parts    [][]byte      // a range answer's slices of those blocks, cleared after it
 }
 
 // reply records the RPC outcome and sends the response: the frame header
@@ -92,21 +93,25 @@ func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 
 // send is reply for a header the caller has filled in: a whole stored
 // block whose CRC32C load has just verified against its ingest CRC, or a
-// chunk answer whose verdicts ride in the meta.
-func (s *Server) send(cs *connState, op byte, h frame.Header, payload []byte) error {
+// range or chunk answer whose verdicts ride in the meta. The payload is
+// the concatenation of the parts, which leave after the header in the same
+// vectored write.
+func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte) error {
 	srvRPCCounter(op, h.Kind).Inc()
 	if h.Kind == statusOK {
-		s.bytesTx.Add(int64(len(payload)))
+		s.bytesTx.Add(int64(h.Len))
 	}
 	cs.hdr = h.Append(cs.hdr[:0])
-	cs.arr[0] = cs.hdr
-	n := 1
-	if len(payload) > 0 {
-		cs.arr[1] = payload
-		n = 2
+	cs.arr = append(cs.arr[:0], cs.hdr)
+	for _, p := range payload {
+		if len(p) > 0 {
+			cs.arr = append(cs.arr, p)
+		}
 	}
-	cs.iov = net.Buffers(cs.arr[:n])
-	return flushVectored(cs.conn, &cs.iov)
+	cs.iov = net.Buffers(cs.arr)
+	err := flushVectored(cs.conn, &cs.iov)
+	clear(cs.arr) // the scratch must not keep served blocks alive
+	return err
 }
 
 // storedBlock is one block at rest: its content plus the CRC32C it arrived
@@ -377,19 +382,8 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		}
 		return s.send(cs, op, frame.Header{Kind: statusOK, Len: len(b.data), CRC: b.crc}, b.data)
 
-	case opRange:
-		off, length := m.args[0], m.args[1]
-		b, st := s.load(ctx, name)
-		if st != statusOK {
-			return s.reply(cs, op, st, name)
-		}
-		if int(off)+int(length) > len(b.data) {
-			return s.reply(cs, op, statusError, []byte(fmt.Sprintf("range [%d,%d) exceeds block of %d bytes", off, off+length, len(b.data))))
-		}
-		return s.reply(cs, op, statusOK, b.data[off:off+length])
-
-	case opChunk:
-		return s.chunks(ctx, cs, m)
+	case opRange, opChunk:
+		return s.answerNames(ctx, cs, op, m)
 
 	case opDelete:
 		s.mu.Lock()
@@ -419,19 +413,26 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	}
 }
 
-// chunks answers a chunk request. The named blocks are looked up first,
-// under one read lock, and the payload they could need — the sum of their
-// chunk sizes — is checked against maxPayload before any of them is
-// verified or anything is sized, so a request that repeats one name cannot
-// make the server checksum or allocate more than an answer may carry. Each
-// block found is then verified and earns a verdict, and the OK ones'
-// chunks are computed into one pooled payload in request order.
-func (s *Server) chunks(ctx context.Context, cs *connState, m reqMeta) error {
-	if s.code == nil {
-		return s.reply(cs, opChunk, statusError, []byte("server has no code configured"))
+// answerNames answers a range or chunk request, the two ops that name a
+// list of blocks sharing one pair of arguments. The named blocks are looked
+// up first, under one read lock, and what they could cost — for each, the
+// larger of its block, which is checksummed, and its answer — is checked
+// against maxPayload before any of them is verified or anything is sized,
+// so a request that repeats one name cannot make the server checksum,
+// allocate or send more than an answer may carry. Each block found is then verified and earns a verdict: a range
+// outside its block, or a chunk's block whose size differs from the first
+// OK one's, is statusError. The OK answers follow in request order: a
+// range answer is the blocks' own slices, sent with the header in one
+// vectored write, and a chunk answer is computed into one pooled payload.
+func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqMeta) error {
+	if op == opChunk && s.code == nil {
+		return s.reply(cs, op, statusError, []byte("server has no code configured"))
 	}
-	defer clear(cs.blocks) // the scratch must not keep deleted blocks alive
 	cs.verdicts, cs.blocks = cs.verdicts[:0], cs.blocks[:0]
+	// The scratch must not keep deleted blocks alive. The closure clears the
+	// slice as the appends below leave it, not as it was when deferred.
+	defer func() { clear(cs.blocks) }()
+	off, length := int(m.args[0]), int(m.args[1])
 	bound := 0
 	s.mu.RLock()
 	for list := m.names; len(list) > 0; {
@@ -441,21 +442,29 @@ func (s *Server) chunks(ctx context.Context, cs *connState, m reqMeta) error {
 		st := statusNotFound
 		if found {
 			st = statusOK
-			bound += s.code.HelperChunkSize(len(b.data))
+			// Each block found is checksummed, and no chunk is larger than
+			// its block; a range is at most its length.
+			cost := len(b.data)
+			if op == opRange {
+				cost = max(cost, length)
+			}
+			bound += cost
 		}
 		cs.verdicts, cs.blocks = append(cs.verdicts, st), append(cs.blocks, b)
 	}
 	s.mu.RUnlock()
 	if bound > maxPayload {
-		return s.reply(cs, opChunk, statusError, fmt.Appendf(nil, "%d names could take %d bytes of chunks, over the %d-byte payload limit", len(cs.verdicts), bound, maxPayload))
+		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names could cost %d bytes, over the %d-byte payload limit", len(cs.verdicts), bound, maxPayload))
 	}
 	size, ok := -1, 0
 	for i, b := range cs.blocks {
 		if cs.verdicts[i] != statusOK {
 			continue
 		}
-		st := s.verify(ctx, b)
-		if st == statusOK {
+		st := statusOK
+		if op == opRange && off+length > len(b.data) {
+			st = statusError
+		} else if st = s.verify(ctx, b); st == statusOK && op == opChunk {
 			if size < 0 {
 				size = len(b.data)
 			} else if len(b.data) != size {
@@ -468,6 +477,16 @@ func (s *Server) chunks(ctx context.Context, cs *connState, m reqMeta) error {
 		}
 		cs.verdicts[i] = st
 	}
+	if op == opRange {
+		cs.parts = cs.parts[:0]
+		defer func() { clear(cs.parts) }()
+		var crc uint32
+		for _, b := range cs.blocks[:ok] {
+			p := b.data[off : off+length]
+			cs.parts, crc = append(cs.parts, p), frame.Update(crc, p)
+		}
+		return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.verdicts, Len: ok * length, CRC: crc}, cs.parts...)
+	}
 	chunkSize := s.code.HelperChunkSize(max(size, 0))
 	dsp := spanChild(ctx, "decode")
 	out := bufpool.Get(ok * chunkSize)
@@ -476,12 +495,12 @@ func (s *Server) chunks(ctx context.Context, cs *connState, m reqMeta) error {
 	for i, b := range cs.blocks[:ok] {
 		if err := s.code.HelperChunkInto(helper, failed, b.data, out[i*chunkSize:(i+1)*chunkSize]); err != nil {
 			dsp.End()
-			return s.reply(cs, opChunk, statusError, []byte(err.Error()))
+			return s.reply(cs, op, statusError, []byte(err.Error()))
 		}
 	}
 	dsp.SetAttr("chunk_bytes", len(out)).SetAttr("chunks", ok)
 	dsp.End()
-	return s.send(cs, opChunk, frame.Header{Kind: statusOK, Meta: cs.verdicts, Len: len(out), CRC: Checksum(out)}, out)
+	return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.verdicts, Len: len(out), CRC: Checksum(out)}, out)
 }
 
 // Stats reports this server's stored capacity and corrupt-serve count —

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,9 +46,9 @@ var (
 	sloRepair = obs.NewSLO(obs.Default(), "store_repair", 5*time.Second, 0.99)
 )
 
-// stripesInFlight is how many stripes WriteFile, ReadFile and Scrub's
-// verify phase hand to pipeline at once (repairs pipeline batches of
-// stripes instead, about as many stripes at once: repairWidth). Why 4:
+// stripesInFlight is how many stripes WriteFile and Scrub's verify phase
+// hand to pipeline at once (reads and repairs pipeline batches of stripes
+// instead, never fewer stripes at once: batchWidth). Why 4:
 // enough to hide one stripe's network round trip behind its neighbours'
 // encode, decode or writeback, without flooding the peer set — every
 // stripe in flight holds up to n pooled connections and n pooled blocks.
@@ -59,17 +60,18 @@ const stripesInFlight = 4
 // each of d helpers.
 //
 // Reads and repairs run one hedged, straggler-tolerant stripe loop
-// (stripeOp): plan on the blocks available, fetch what the plan names
-// under a hedge deadline, strike for that stripe every source that fails
-// or is still outstanding at the deadline, keep everything that did land,
-// and re-plan around the rest. A read's plan is the code's read plan
-// (carousel.PlanRead) — the paper's replacement-block scheme or its
-// parity-unit extension, k blocks' worth of bytes either way — and a
-// repair's is d helpers in ring order. Peers the pool could not dial are
-// planned around from the start, and a stripe left with nothing but
-// stragglers waits for them unhedged. Corrupt blocks (detected by the
-// servers' CRC32C verification) are struck the same way and can be
-// regenerated with Scrub.
+// (runBatch) over batches of stripes: each stripe plans on the blocks
+// available, the batch fetches what the plans name in one exchange per
+// source under a hedge deadline, and each stripe strikes for itself every
+// source that fails or is still outstanding at the deadline, keeps
+// everything that did land, and re-plans around the rest. A read's plan
+// is the code's read plan (carousel.PlanRead) — the paper's
+// replacement-block scheme or its parity-unit extension, k blocks' worth
+// of bytes either way — and a repair's is d helpers in ring order. Peers
+// the pool could not dial are planned around from the start, and a stripe
+// left with nothing but stragglers waits for them unhedged. Corrupt blocks
+// (detected by the servers' CRC32C verification) are struck the same way
+// and can be regenerated with Scrub.
 type Store struct {
 	code      *carousel.Code
 	addrs     []string
@@ -416,16 +418,17 @@ func (rs *ReadStats) Path() string {
 	}
 }
 
-// ReadFile reassembles size bytes of the file. Stripes flow through a
-// bounded pipeline: up to stripesInFlight are in flight at once, so
-// one stripe's prefix fetches overlap its neighbors' decode and
-// reassembly, and each stripe decodes directly into its slot of a single
-// presized output buffer (no append growth, no final copy). Within a
-// stripe readStripeInto executes the read plan, re-planning around any
-// source that fails or straggles. The returned stats report how each
-// stripe was served and how many fresh connections the read cost; they are
-// nil only when size is refused (a non-positive size names no file
-// WriteFile could have created).
+// ReadFile reassembles size bytes of the file. Its stripes run in batches
+// of the stripe loop (readBatch): as many consecutive stripes as fit in
+// batchBytes, so a round asks each source for every stripe of the batch
+// that planned it in one exchange, and batchWidth batches are in flight,
+// so one batch's exchanges overlap another's decode. Each stripe decodes
+// directly into its slot of a single presized output buffer (no append
+// growth, no final copy). With a stripe cache each stripe is a batch of
+// its own, because the cache coalesces misses stripe by stripe. The
+// returned stats report how each stripe was served and how many fresh
+// connections the read cost; they are nil only when size is refused (a
+// non-positive size names no file WriteFile could have created).
 func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, _ *ReadStats, rerr error) {
 	stripes, err := s.stripesOf(name, size)
 	if err != nil {
@@ -446,12 +449,31 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
 	dialsBefore := s.pool.DialCounts()
 	out := make([]byte, stripes*stripeData)
-	errs, launched := pipeline(ctx, stripes, stripesInFlight, func(ctx context.Context, st int) error {
-		return s.readStripeCached(ctx, name, st, out[st*stripeData:(st+1)*stripeData], stats)
+	per := 1
+	if s.cache == nil {
+		per = max(1, batchBytes/stripeData)
+	}
+	batches := (stripes + per - 1) / per
+	errs, launched := pipeline(ctx, batches, batchWidth(stripes, batches), func(ctx context.Context, b int) error {
+		lo, hi := b*per, min((b+1)*per, stripes)
+		dst := out[lo*stripeData : hi*stripeData]
+		st, err := lo, error(nil)
+		if s.cache != nil {
+			err = s.readStripeCached(ctx, name, lo, dst, stats)
+		} else {
+			st, err = s.readBatch(ctx, name, lo, hi, dst, stats)
+		}
+		if err != nil {
+			return fmt.Errorf("stripe %d: %w", st, err)
+		}
+		return nil
 	})
 	stats.Dials = dialDelta(dialsBefore, s.pool.DialCounts())
-	if st, err := pipelineErr(ctx, errs, launched); err != nil {
-		return nil, stats, fmt.Errorf("blockserver: stripe %d: %w", st, err)
+	if b, err := pipelineErr(ctx, errs, launched); err != nil {
+		if b == launched { // the caller's context ended before this batch began
+			err = fmt.Errorf("stripe %d: %w", b*per, err)
+		}
+		return nil, stats, fmt.Errorf("blockserver: %w", err)
 	}
 	// The verify stage: the per-block CRC verdicts arrived in-band with the
 	// fetches; here the reassembled file is checked for completeness and the
@@ -476,22 +498,17 @@ func dialDelta(before, after map[string]int64) map[string]int64 {
 	return d
 }
 
-// readStripeCached serves one stripe through the stripe cache when one is
-// configured: a hit copies the decoded stripe into dst with no network
-// traffic, and a miss runs the normal hedged fetch exactly once per
+// readStripeCached serves one stripe through the stripe cache: a hit
+// copies the decoded stripe into dst with no network traffic, and a miss
+// runs the normal hedged fetch — a read batch of one — exactly once per
 // in-flight stripe (concurrent misses coalesce), inserting the result for
-// the next reader. With no cache this is a direct passthrough — the
-// uncached read path is byte-for-byte the pre-cache behavior, extra span
-// included.
+// the next reader.
 func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
-	if s.cache == nil {
-		return s.readStripeInto(ctx, name, st, dst, stats)
-	}
 	cctx, csp := obs.StartSpan(ctx, "cache")
 	csp.SetAttr("stripe", st)
 	hit, coalesced, err := s.cache.GetOrFetch(cctx, name, st, dst,
 		func(fctx context.Context, out []byte) error {
-			// The flight's fetch: the full hedged pipeline, decoding into the
+			// The flight's fetch: a batch of one, decoding into the
 			// flight-owned buffer. fctx derives from this caller's context
 			// (values like the trace link survive; cancellation is governed
 			// by the flight's waiters), so the fetch spans nest under the
@@ -522,18 +539,27 @@ const (
 	dead                   // failed: refused, absent, corrupt, or a broken exchange
 )
 
-// stripeOp is the one stripe loop reads and repairs share — plan, round,
-// strike, re-plan — and what an operation on one stripe holds against its
-// sources across re-plans. struck stays nil until a fetch fails, so a
-// healthy stripe allocates none of it.
+// stripeOp is what an operation on one stripe holds across the rounds of
+// the one stripe loop (runBatch) — plan, round, strike, re-plan — for a
+// read and a repair alike: the stripe, its sources' strikes, and the
+// current round's asks and their outcomes. struck stays nil until a fetch
+// fails, so a healthy stripe allocates none of it.
 type stripeOp struct {
 	s        *Store
+	ctx      context.Context // the stripe's own: its probes and spans run under it
+	file     string
+	st       int
+	round    []ask    // this round's asks, and their outcomes
 	struck   []strike // by block
 	firstErr error
-	late     int  // rounds that ended with a straggler outstanding
-	distrust bool // plan on peers the pool presumes down, too
-	unhedged bool // the slow strikes were cleared: rounds wait on ctx alone
+	late     int   // rounds that ended with a straggler outstanding
+	distrust bool  // plan on peers the pool presumes down, too
+	unhedged bool  // the slow strikes were cleared: rounds wait on ctx alone
+	err      error // the outcome, once the stripe is done
 }
+
+// stripe returns the stripeOp every stripeTask embeds.
+func (op *stripeOp) stripe() *stripeOp { return op }
 
 // plan hands try the blocks the stripe can plan on: the pool's peer memory
 // less the blocks struck so far, or nil — every block — while nobody is
@@ -591,45 +617,6 @@ func (op *stripeOp) unhedge() {
 	}
 }
 
-// round runs fetch(ctx, i) for i in [0, n), each on its own goroutine,
-// under the hedge deadline unless the stripe is unhedged (then with no
-// timer at all), and waits the round out in full: a failure cancels
-// nobody, so everything that can land does, and is never fetched again.
-// errs[i] is fetch i's outcome, and a failure strikes block blockOf(i) for
-// this stripe only. A round cut short because the caller's context ended
-// is a victim, not a verdict about the blocks: err is then the context's,
-// so the pipeline's root-cause rule can tell it from a real shortage.
-func (op *stripeOp) round(ctx context.Context, n int, blockOf func(i int) int,
-	fetch func(ctx context.Context, i int) error) (errs []error, err error) {
-	hctx := ctx
-	if !op.unhedged {
-		var cancel context.CancelFunc
-		hctx, cancel = context.WithTimeout(ctx, op.s.hedge)
-		defer cancel()
-	}
-	errs = make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range errs {
-		go func() {
-			defer wg.Done()
-			errs[i] = fetch(hctx, i)
-		}()
-	}
-	wg.Wait()
-	late := false
-	for i, ferr := range errs {
-		if ferr != nil {
-			late = op.strike(blockOf(i), ferr) || late
-			err = classify(ctx.Err())
-		}
-	}
-	if late {
-		op.late++
-	}
-	return errs, err
-}
-
 // strike records a failed fetch of block b for this stripe only — a
 // timeout slow (passed over, but waited for if it comes to that), anything
 // else dead — and reports whether it was a straggler. Reads and repairs
@@ -648,130 +635,441 @@ func (op *stripeOp) strike(b int, ferr error) (late bool) {
 	return false
 }
 
-// piece is one range of a stripe read and the memory it lands in: a slot
-// of the output for a data prefix, pooled scratch otherwise.
+// settle settles each of the stripe's asks — its exchange's error, or
+// else its own verdict — and strikes the block of every one that failed.
+// It reports whether any did.
+func (op *stripeOp) settle(exs []batchExchange) (short bool) {
+	late := false
+	for k := range op.round {
+		a := &op.round[k]
+		if err := exs[a.ex].err; err != nil {
+			a.err = err
+		}
+		if a.err != nil {
+			late = op.strike(a.block, a.err) || late
+			short = true
+		}
+	}
+	if late {
+		op.late++
+	}
+	return short
+}
+
+// ask is one thing a stripe wants from one source in a round: the op's
+// answer for the stripe's block on source block — a range (args: offset,
+// length) or a helper chunk (args: helper, failed) — landing in buf; the
+// exchange it rides (group); and its outcome: its verdict, or its
+// exchange's error (settle).
+type ask struct {
+	block int
+	args  [2]uint32
+	buf   []byte
+	ex    int
+	err   error
+}
+
+// stripeTask is one stripe of a batch, as the stripe loop drives it: a
+// read (stripeRead) or a repair (stripeRepair).
+type stripeTask interface {
+	stripe() *stripeOp
+	// try plans the stripe on the blocks avail marks (nil: every block).
+	try(avail []bool) error
+	// asks lists what the plan needs that has not landed yet, and names
+	// the plan's kind for the round's fetch span.
+	asks() (mode string, round []ask)
+	// landed takes the round's outcome of each ask, once the failures are
+	// struck.
+	landed()
+	// finish completes a stripe whose every ask has landed.
+	finish() error
+	// done ends the stripe, exactly once, after its outcome is in err.
+	done()
+}
+
+// batchExchange is one source's part of a batch round: one request for the
+// same range, or the same helper's chunks, of the block of every stripe
+// that asked for it, and the exchange's own error. Each name's verdict
+// goes to its ask.
+type batchExchange struct {
+	block    int
+	args     [2]uint32
+	unhedged bool // carries a stripe that waits out its stragglers
+	n        int  // the asks it carries
+	err      error
+}
+
+// runBatch is the one stripe loop, behind every read and repair: it drives
+// each stripe of a batch through plan, round, strike and re-plan until the
+// stripe finishes or fails, and calls its done exactly once. Every stripe
+// keeps its own stripeOp, so it plans, strikes, unhedges and runs out of
+// survivors for itself alone. What the batch shares is the round: every
+// stripe still short plans, the throttle (a recovery's bandwidth; nil
+// otherwise) is charged once for all of the round's asks, and the asks are
+// grouped by (block, arguments) into one exchange each, all under one
+// hedge deadline (exchange). A name's NotFound or Corrupt verdict strikes
+// its block for that one stripe; a failed or timed-out exchange strikes it
+// for every stripe it carried. A stripe whose asks all landed finishes on
+// its own goroutine while the others' rounds go on (a batch of one, on
+// this one). A round cut short by
+// the caller's context is a victim, not a verdict about the blocks, so the
+// stripe reports the context's error. runBatch returns once every stripe
+// is done, its outcome in its stripeOp's err.
+func (s *Store) runBatch(ctx context.Context, op byte, tasks []stripeTask, throttle *tokenBucket) {
+	active := make([]int, len(tasks))
+	for i := range active {
+		active[i] = i
+	}
+	end := func(t stripeTask, err error) {
+		t.stripe().err = err
+		t.done()
+	}
+	var finishing sync.WaitGroup
+	for len(active) > 0 {
+		planned := active[:0]
+		for _, i := range active {
+			t := tasks[i]
+			if err := t.stripe().plan(t.stripe().ctx, t.try); err != nil {
+				end(t, err)
+				continue
+			}
+			planned = append(planned, i)
+		}
+		if active = planned; len(active) == 0 {
+			break
+		}
+		exs, mode, bytes := group(tasks, active)
+		// The throttle runs before the hedge clock starts, so a paced
+		// recovery does not misread its own waiting as a straggler.
+		if err := throttle.Wait(ctx, bytes); err != nil {
+			for _, i := range active {
+				end(tasks[i], err)
+			}
+			break
+		}
+		s.exchange(ctx, op, tasks, active, exs, mode)
+		next := active[:0]
+		for _, i := range active {
+			t := tasks[i]
+			short := t.stripe().settle(exs)
+			t.landed()
+			switch {
+			case short && ctx.Err() != nil:
+				end(t, classify(ctx.Err()))
+			case short:
+				next = append(next, i)
+			case len(tasks) == 1: // a batch of one starts no goroutine
+				end(t, t.finish())
+			default:
+				finishing.Add(1)
+				go func() {
+					defer finishing.Done()
+					end(t, t.finish())
+				}()
+			}
+		}
+		active = next
+	}
+	finishing.Wait()
+}
+
+// group gathers a round's asks into exchanges, one per (block, arguments),
+// in the order the stripes asked, and records in each ask the exchange it
+// rides. It also returns the round's plan kinds — one, or several joined
+// by "+" when the stripes differ — and the bytes the round asks for.
+func group(tasks []stripeTask, active []int) (exs []batchExchange, mode string, bytes int) {
+	for _, i := range active {
+		t := tasks[i]
+		so := t.stripe()
+		var m string
+		m, so.round = t.asks()
+		if mode == "" {
+			mode = m
+		} else if m != mode && !slices.Contains(strings.Split(mode, "+"), m) {
+			mode += "+" + m
+		}
+		if exs == nil {
+			exs = make([]batchExchange, 0, len(so.round)) // a healthy batch's stripes all ask the same sources
+		}
+		for k := range so.round {
+			a := &so.round[k]
+			x := 0
+			for x < len(exs) && (exs[x].block != a.block || exs[x].args != a.args) {
+				x++
+			}
+			if x == len(exs) {
+				exs = append(exs, batchExchange{block: a.block, args: a.args})
+			}
+			exs[x].n++
+			exs[x].unhedged = exs[x].unhedged || so.unhedged
+			a.ex, a.err = x, nil
+			bytes += len(a.buf)
+		}
+	}
+	return exs, mode, bytes
+}
+
+// exchange runs one batch round's exchanges under one hedge deadline —
+// none for an exchange that carries an unhedged stripe — and waits them
+// all out: a failure cancels nobody, so everything that can land does, and
+// nothing writes into a destination after the round returns. The round's
+// fetch span parents the servers' spans of every exchange.
+func (s *Store) exchange(ctx context.Context, op byte, tasks []stripeTask, active []int, exs []batchExchange, mode string) {
+	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
+	defer fsp.End()
+	hctx, cancel := context.WithTimeout(fetchCtx, s.hedge)
+	defer cancel()
+	r := &wireRound{s: s, op: op, tasks: tasks, active: active, exs: exs, hedged: hctx, unhedged: fetchCtx}
+	unhedged := false
+	for x := range exs {
+		unhedged = unhedged || exs[x].unhedged
+		first := true
+		for y := range x {
+			first = first && exs[y].block != exs[x].block
+		}
+		if first {
+			r.wg.Add(1)
+			go r.source(x)
+		}
+	}
+	fsp.SetAttr("mode", mode).SetAttr("sources", len(exs))
+	if unhedged {
+		fsp.SetAttr("unhedged", true)
+	}
+	r.wg.Wait()
+}
+
+// wireRound is a batch round on the wire: its exchanges, the stripes whose
+// asks they carry, and the contexts they run under.
+type wireRound struct {
+	s                *Store
+	op               byte
+	tasks            []stripeTask
+	active           []int
+	exs              []batchExchange
+	hedged, unhedged context.Context
+	wg               sync.WaitGroup
+}
+
+// source carries, back to back over one pooled client, every exchange of
+// the round with exchange x's source, x being its first: a patch plan can
+// ask one source for a prefix and a parity range in the same round, and a
+// round holds one connection per source.
+func (r *wireRound) source(x int) {
+	defer r.wg.Done()
+	block := r.exs[x].block
+	var c *Client
+	var err error
+	for y := x; y < len(r.exs); y++ {
+		e := &r.exs[y]
+		if e.block != block {
+			continue
+		}
+		ctx := r.hedged
+		if e.unhedged {
+			ctx = r.unhedged
+		}
+		if c == nil && err == nil {
+			c, err = r.s.pool.getParked(ctx, r.s.addrs[block])
+		}
+		switch {
+		case err != nil:
+			e.err = err
+		case e.n == 1:
+			e.err = r.runOne(ctx, c, y)
+		default:
+			e.err = r.runNames(ctx, c, y)
+		}
+	}
+	r.s.pool.Put(c)
+}
+
+// runOne carries exchange x, of one name, over c as the one-name request,
+// whose verdict is its error. The round runs each source on a fresh
+// goroutine, so the two carriers keep the frames they stack up to their
+// socket read as few and as small as a one-name read's: a deeper chain
+// made every exchange copy its goroutine's stack.
+func (r *wireRound) runOne(ctx context.Context, c *Client, x int) error {
+	e := &r.exs[x]
+	for _, i := range r.active {
+		so := r.tasks[i].stripe()
+		for k := range so.round {
+			if a := &so.round[k]; a.ex == x {
+				err := c.call(ctx, request{op: r.op, name: BlockName(so.file, so.st, a.block), args: e.args, dst: a.buf})
+				if inBand(err) {
+					a.err, err = err, nil
+				}
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// runNames carries exchange x, of several names, over c as one multi-name
+// request; the verdicts go to their asks.
+func (r *wireRound) runNames(ctx context.Context, c *Client, x int) error {
+	e := &r.exs[x]
+	b := &nameBatch{make([]string, 0, e.n), make([][]byte, 0, e.n), make([]error, e.n)}
+	r.each(x, func(so *stripeOp, a *ask) {
+		b.names, b.dst = append(b.names, BlockName(so.file, so.st, a.block)), append(b.dst, a.buf)
+	})
+	err := c.callBatch(ctx, r.op, e.args, b)
+	if err == nil {
+		v := b.verdicts
+		r.each(x, func(_ *stripeOp, a *ask) { a.err, v = v[0], v[1:] })
+	}
+	return err
+}
+
+// each calls fn for every ask exchange x carries, with its stripe, in the
+// order the stripes asked.
+func (r *wireRound) each(x int, fn func(so *stripeOp, a *ask)) {
+	for _, i := range r.active {
+		so := r.tasks[i].stripe()
+		for j := range so.round {
+			if so.round[j].ex == x {
+				fn(so, &so.round[j])
+			}
+		}
+	}
+}
+
+// piece is one range of a stripe read that landed in pooled scratch.
 type piece struct {
 	carousel.ReadRange
 	buf []byte
 }
 
-// stripeRead is one stripe's way through readStripeInto: its stripeOp, and
-// what has landed, which outlives a re-plan too. prefixed stays nil until a
+// stripeRead is one stripe of a read batch: its stripeOp, its plan, and
+// what has landed, which outlives a re-plan. prefixed stays nil until a
 // fetch fails, so a healthy stripe allocates none of it.
 type stripeRead struct {
 	stripeOp
-	name     string
-	st       int
 	dst      []byte
 	stats    *ReadStats
+	span     *obs.Span // the stripe's; ended by done
+	plan     *carousel.ReadPlan
+	direct   int     // the round's first direct asks are data prefixes into dst
 	prefixed []bool  // by block: its data prefix sits in dst
 	scratch  []piece // ranges landed in pooled buffers
 }
 
-// readStripeInto fetches one stripe's original data into dst (k*blockSize
-// bytes) by executing a read plan, and is the only stripe reader there is:
-// plan, fetch what the plan names and has not landed yet, strike what
-// failed, re-plan, solve. Availability is the pool's peer memory and this
-// stripe's own strikes, so while no peer is presumed down the first plan is
-// the store's healthy one — p data prefixes, each scattered straight into
-// its slot of dst (the slots are disjoint, the socket fills the output
-// buffer, no pooled intermediary, no copy) — at the cost of one atomic
-// load. Replacement and patch units land in pooled scratch that Solve
-// consumes. A stripe left with nothing to plan on but stragglers forgives
-// them and runs its rounds without a hedge deadline.
+// readStripeInto reads one stripe's original data into dst (k*blockSize
+// bytes): a read batch of one.
 func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
-	ctx, ssp := obs.StartSpan(ctx, "stripe")
-	ssp.SetAttr("stripe", st)
-	defer ssp.End()
-
-	// Locate: resolve which servers hold this stripe's data prefixes. The
-	// placement is deterministic (block i lives on server i), so this stage
-	// is pure bookkeeping — but it is a real stage of the paper's read
-	// pipeline and carrying it as a span keeps the decomposition uniform.
-	_, lsp := obs.StartSpan(ctx, "locate")
-	lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource)
-	lsp.End()
-
-	rd := &stripeRead{stripeOp: stripeOp{s: s}, name: name, st: st, dst: dst, stats: stats}
-	defer func() {
-		for _, pc := range rd.scratch {
-			Recycle(pc.buf)
-		}
-	}()
-	var plan *carousel.ReadPlan
-	try := func(avail []bool) (err error) {
-		plan = s.healthy
-		if avail != nil {
-			plan, err = s.code.PlanRead(avail, s.blockSize)
-		}
-		return err
-	}
-	for {
-		if err := rd.plan(ctx, try); err != nil {
-			return err
-		}
-		complete, err := rd.fetch(ctx, plan)
-		if err != nil {
-			return err
-		}
-		if complete {
-			return rd.solve(ctx, plan)
-		}
-	}
+	_, err := s.readBatch(ctx, name, st, st+1, dst, stats)
+	return err
 }
 
-// fetch is the read's round: every piece of the plan that has not landed
-// yet, each over its own pooled client — a data prefix straight into its
-// slot of dst, a range into pooled scratch. It reports whether the plan is
-// now complete.
-func (rd *stripeRead) fetch(ctx context.Context, plan *carousel.ReadPlan) (complete bool, _ error) {
-	s, per := rd.s, plan.BytesPerSource
-	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
-	fsp.SetAttr("mode", planMode(plan)).SetAttr("sources", plan.Parallelism())
-	if rd.unhedged {
-		fsp.SetAttr("unhedged", true)
+// readBatch reads stripes [lo, hi) of the file into dst, one stripe's
+// k*blockSize bytes after another, as one batch of the stripe loop, and is
+// the only stripe reader there is: each stripe plans, fetches what the plan
+// names and has not landed yet, strikes what failed, re-plans and solves.
+// Availability is the pool's peer memory and the stripe's own strikes, so
+// while no peer is presumed down the first plan is the store's healthy one
+// — p data prefixes, each scattered straight into its slot of dst (the
+// slots are disjoint, the socket fills the output buffer, no pooled
+// intermediary, no copy) — at the cost of one atomic load, and a healthy
+// batch is one round of p exchanges, one per source, each carrying every
+// stripe's prefix. Replacement and patch units land in pooled scratch that
+// Solve consumes. A stripe left with nothing to plan on but stragglers
+// forgives them and waits for them unhedged. It returns the first stripe
+// that failed, with its root cause.
+func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []byte, stats *ReadStats) (int, error) {
+	var bsp *obs.Span
+	if hi-lo > 1 { // a batch of one is traced as its stripe
+		ctx, bsp = obs.StartSpan(ctx, "batch")
+		bsp.SetAttr("stripe", lo).SetAttr("stripes", hi-lo)
+		defer bsp.End()
 	}
-	pieces := make([]piece, 0, len(plan.Direct)+len(plan.Ranges))
-	for _, b := range plan.Direct {
+	stripeData := s.code.K() * s.blockSize
+	reads := make([]stripeRead, hi-lo)
+	tasks := make([]stripeTask, hi-lo)
+	for i := range reads {
+		rd := &reads[i]
+		*rd = stripeRead{stripeOp: stripeOp{s: s, file: name, st: lo + i},
+			dst: dst[i*stripeData : (i+1)*stripeData], stats: stats}
+		rd.ctx, rd.span = obs.StartSpan(ctx, "stripe")
+		rd.span.SetAttr("stripe", lo+i)
+		if bsp == nil {
+			ctx = rd.ctx
+		}
+		// Locate: resolve which servers hold this stripe's data prefixes.
+		// The placement is deterministic (block i lives on server i), so
+		// this stage is pure bookkeeping — but it is a real stage of the
+		// paper's read pipeline and carrying it as a span keeps the
+		// decomposition uniform.
+		_, lsp := obs.StartSpan(rd.ctx, "locate")
+		lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource)
+		lsp.End()
+		tasks[i] = rd
+	}
+	s.runBatch(ctx, opRange, tasks, nil)
+	errs := make([]error, len(reads))
+	for i := range reads {
+		errs[i] = reads[i].err
+	}
+	i, err := pipelineErr(ctx, errs, len(errs))
+	if err != nil {
+		bsp.SetAttr("error", err.Error())
+	}
+	return lo + i, err
+}
+
+// try plans the stripe: the healthy plan on every block, else PlanRead.
+func (rd *stripeRead) try(avail []bool) (err error) {
+	rd.plan = rd.s.healthy
+	if avail != nil {
+		rd.plan, err = rd.s.code.PlanRead(avail, rd.s.blockSize)
+	}
+	return err
+}
+
+// asks lists every piece of the plan that has not landed yet: a data
+// prefix straight into its slot of dst, a range into pooled scratch.
+func (rd *stripeRead) asks() (string, []ask) {
+	per := rd.plan.BytesPerSource
+	round := slices.Grow(rd.round[:0], len(rd.plan.Direct)+len(rd.plan.Ranges))
+	for _, b := range rd.plan.Direct {
 		if rd.prefixed == nil || !rd.prefixed[b] {
-			pieces = append(pieces, piece{carousel.ReadRange{Block: b, Len: per}, rd.dst[b*per : (b+1)*per]})
+			round = append(round, ask{block: b, args: [2]uint32{0, uint32(per)}, buf: rd.dst[b*per : (b+1)*per]})
 		}
 	}
-	direct := len(pieces)
-	for _, r := range plan.Ranges {
-		if rd.landed(r) == nil {
-			pieces = append(pieces, piece{r, bufpool.Get(r.Len)})
+	rd.direct = len(round)
+	for _, r := range rd.plan.Ranges {
+		if rd.fetched(r) == nil {
+			round = append(round, ask{block: r.Block, args: [2]uint32{uint32(r.Off), uint32(r.Len)}, buf: bufpool.Get(r.Len)})
 		}
 	}
-	errs, err := rd.round(fetchCtx, len(pieces), func(i int) int { return pieces[i].Block },
-		func(ctx context.Context, i int) error {
-			return s.fetchRange(ctx, rd.name, rd.st, pieces[i].ReadRange, pieces[i].buf)
-		})
-	if rd.struck != nil && rd.prefixed == nil {
-		rd.prefixed = make([]bool, len(s.addrs)) // a re-plan is coming
-	}
-	failed := 0
-	for i, pc := range pieces {
-		rd.stats.source(pc.Len, errs[i])
-		switch {
-		case errs[i] != nil:
-			failed++
-			if i >= direct {
-				Recycle(pc.buf)
-			}
-		case i >= direct:
-			rd.scratch = append(rd.scratch, pc)
-		case rd.prefixed != nil:
-			rd.prefixed[pc.Block] = true
-		}
-	}
-	fsp.SetAttr("ok", len(pieces)-failed).SetAttr("failed", failed > 0)
-	fsp.End()
-	return failed == 0, err
+	return planMode(rd.plan), round
 }
 
-// landed returns the pooled buffer range r was fetched into, if it was.
-func (rd *stripeRead) landed(r carousel.ReadRange) []byte {
+// landed folds the round into the stats — every fetch's bytes or
+// corruption verdict, none dropped — and keeps what landed: a prefix is
+// marked in place once a re-plan is coming, a range joins the scratch, and
+// a failed range's buffer is recycled.
+func (rd *stripeRead) landed() {
+	if rd.struck != nil && rd.prefixed == nil {
+		rd.prefixed = make([]bool, len(rd.s.addrs)) // a re-plan is coming
+	}
+	for k, a := range rd.round {
+		rd.stats.source(len(a.buf), a.err)
+		switch {
+		case a.err != nil:
+			if k >= rd.direct {
+				Recycle(a.buf)
+			}
+		case k >= rd.direct:
+			rd.scratch = append(rd.scratch, piece{carousel.ReadRange{Block: a.block, Off: int(a.args[0]), Len: int(a.args[1])}, a.buf})
+		case rd.prefixed != nil:
+			rd.prefixed[a.block] = true
+		}
+	}
+}
+
+// fetched returns the pooled buffer range r was fetched into, if it was.
+func (rd *stripeRead) fetched(r carousel.ReadRange) []byte {
 	for _, pc := range rd.scratch {
 		if pc.ReadRange == r {
 			return pc.buf
@@ -780,9 +1078,10 @@ func (rd *stripeRead) landed(r carousel.ReadRange) []byte {
 	return nil
 }
 
-// solve completes the stripe from what has landed and counts how it was
+// finish completes the stripe from what has landed and counts how it was
 // served.
-func (rd *stripeRead) solve(ctx context.Context, plan *carousel.ReadPlan) error {
+func (rd *stripeRead) finish() error {
+	plan := rd.plan
 	if len(plan.Ranges) == 0 {
 		rd.stats.count(&rd.stats.StripesParallel, mStripesParallel)
 		return nil
@@ -790,13 +1089,22 @@ func (rd *stripeRead) solve(ctx context.Context, plan *carousel.ReadPlan) error 
 	rd.stats.count(&rd.stats.StripesFallback, mStripesFallback)
 	fetched := make([][]byte, len(plan.Ranges))
 	for i, r := range plan.Ranges {
-		fetched[i] = rd.landed(r)
+		fetched[i] = rd.fetched(r)
 	}
-	_, dsp := obs.StartSpan(ctx, "decode")
+	_, dsp := obs.StartSpan(rd.ctx, "decode")
 	dsp.SetAttr("ranges", len(fetched)).SetAttr("bytes", len(rd.dst))
 	err := plan.Solve(fetched, rd.dst)
 	dsp.End()
 	return err
+}
+
+// done recycles the stripe's scratch and ends its span.
+func (rd *stripeRead) done() {
+	for _, pc := range rd.scratch {
+		Recycle(pc.buf)
+	}
+	rd.scratch = nil
+	rd.span.End()
 }
 
 // planMode names a plan's kind for the fetch span.
@@ -808,18 +1116,6 @@ func planMode(plan *carousel.ReadPlan) string {
 		return "patch"
 	}
 	return "parallel"
-}
-
-// fetchRange reads range r of the stripe's block r.Block into buf over a
-// pooled client.
-func (s *Store) fetchRange(ctx context.Context, name string, st int, r carousel.ReadRange, buf []byte) error {
-	c, err := s.pool.Get(ctx, s.addrs[r.Block])
-	if err != nil {
-		return err
-	}
-	err = c.GetRangeInto(ctx, BlockName(name, st, r.Block), r.Off, buf)
-	s.pool.Put(c)
-	return err
 }
 
 // Repair regenerates block failed of a stripe from d helper chunks

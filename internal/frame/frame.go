@@ -42,6 +42,13 @@ func Checksum(b []byte) uint32 {
 	return crc32.Checksum(b, castagnoli)
 }
 
+// Update returns crc extended by the CRC32C of b, so a payload sent as
+// several slices is checksummed without joining them:
+// Update(Checksum(a), b) == Checksum(a‖b).
+func Update(crc uint32, b []byte) uint32 {
+	return crc32.Update(crc, castagnoli, b)
+}
+
 // Header describes one record. On the decode side Meta aliases the Reader's
 // scratch and is valid until its next call to Next.
 type Header struct {
@@ -124,7 +131,7 @@ func (r *Reader) Payload(h Header, dst ...[]byte) error {
 		if err := readFull(r.r, d); err != nil {
 			return err
 		}
-		crc = crc32.Update(crc, castagnoli, d)
+		crc = Update(crc, d)
 	}
 	if crc != h.CRC {
 		return ErrPayload

@@ -47,6 +47,31 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPayloadInParts: a payload sent as several slices, its CRC32C
+// extended part by part with Update, is the record a single slice makes,
+// and reads back into several destinations split elsewhere.
+func TestPayloadInParts(t *testing.T) {
+	parts := [][]byte{[]byte("stripe 0 prefix|"), nil, []byte("stripe 1|"), bytes.Repeat([]byte("x"), 300)}
+	var crc uint32
+	for _, p := range parts {
+		crc = Update(crc, p)
+	}
+	whole := bytes.Join(parts, nil)
+	if crc != Checksum(whole) {
+		t.Fatalf("Update over the parts = %08x, Checksum of the whole = %08x", crc, Checksum(whole))
+	}
+	stream := append(Header{Kind: 1, Len: len(whole), CRC: crc}.Append(nil), whole...)
+	fr := NewReader(bytes.NewReader(stream), 1<<20)
+	h, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := make([]byte, 7), make([]byte, len(whole)-7)
+	if err := fr.Payload(h, a, b); err != nil || !bytes.Equal(append(a, b...), whole) {
+		t.Fatalf("payload in two destinations: %v", err)
+	}
+}
+
 // TestEveryHeaderBitIsVerified: flipping any one bit of a header — the
 // fixed part or the meta — is refused with ErrHeader before any length in
 // it is used, so the reader never waits for bytes a damaged length names.

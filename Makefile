@@ -76,9 +76,12 @@ recover:
 # per-name verdicts striking one stripe, a slow-everywhere cluster read
 # unhedged, a black-holed source costing one hedge per batch, the one read
 # plan on three executors, degraded reads and their trace, the stripe
-# cache's batches of one, and server spans stitched under the batch's fetch.
+# cache's batches of one, server spans stitched under the batch's fetch,
+# and cancellation: it interrupts an exchange, races its completion
+# without leaving a deadline on a parked connection, and costs a client
+# no goroutine.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare

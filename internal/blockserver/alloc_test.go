@@ -239,11 +239,11 @@ func TestPooledGetAllocs(t *testing.T) {
 //
 // Each side is the least of five warm reads (see leastAlloc). Besides the
 // unexplained 80 KB, a single read picks up a few KB when the runtime
-// refills the per-P caches the preceding runtime.GC emptied (sudogs for
-// the client watchers' selects). The extra is not the peer memory's
-// half-open probe: the measured reads start some 70 ms after the dead peer
-// is found, well inside its 1 s window, and a probe dials at most once a
-// window, so it could spoil one read of the five but not the minimum.
+// refills the per-P caches the preceding runtime.GC emptied. The extra is
+// not the peer memory's half-open probe: the measured reads start some
+// 70 ms after the dead peer is found, well inside its 1 s window, and a
+// probe dials at most once a window, so it could spoil one read of the
+// five but not the minimum.
 func TestDegradedReadAllocs(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {

@@ -111,12 +111,13 @@ func (o Options) withDefaults() Options {
 // of desyncing the framing; every operation is an idempotent full
 // exchange, so retries are safe.
 //
-// A steady-state exchange is allocation-free: a request is a by-value
-// description built into a reused scratch buffer and sent in a single
-// write, response headers land in the frame reader's scratch, payloads
-// come from the shared buffer pool (hand them back with Recycle), and the
-// cancellation watcher is one persistent goroutine armed per call instead
-// of spawned per call.
+// A steady-state exchange under a context that can never be canceled is
+// allocation-free: a request is a by-value description built into a reused
+// scratch buffer and sent in a single write, response headers land in the
+// frame reader's scratch, and payloads come from the shared buffer pool
+// (hand them back with Recycle). A cancellable context costs one
+// context.AfterFunc registration per exchange (see attempt). A Client owns
+// no goroutine, checked out or parked.
 type Client struct {
 	addr string
 	opts Options
@@ -131,10 +132,6 @@ type Client struct {
 	arr   [2][]byte     // gather-list backing for vectored sends
 	iov   net.Buffers   // per-send view into arr, consumed by the write
 	parts [][]byte      // a batch answer's landing list: the OK names' destinations
-
-	watch      *watcher
-	watchOn    bool // watcher goroutine currently running
-	watchArmed bool // watcher currently guarding an exchange
 }
 
 // Dial connects to a server with default options.
@@ -166,9 +163,8 @@ func NewClient(addr string, opts Options) *Client {
 // Addr returns the peer address this client talks to.
 func (c *Client) Addr() string { return c.addr }
 
-// Close stops the watcher and closes the connection.
+// Close closes the connection.
 func (c *Client) Close() error {
-	c.stopWatcher()
 	if c.conn == nil {
 		return nil
 	}
@@ -218,80 +214,6 @@ func (e *dialError) Unwrap() error { return e.err }
 // an intact, in-sync connection (no poisoning needed).
 func inBand(err error) bool {
 	return errors.Is(err, ErrNotFound) || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrRemote)
-}
-
-// watchReq arms the watcher for one exchange; the zero value disarms it.
-type watchReq struct {
-	ctx  context.Context
-	conn net.Conn
-}
-
-// watcher interrupts in-flight I/O when the exchange's context is
-// canceled, by expiring the connection deadline — per-source cancellation
-// for hedged reads. One goroutine per checked-out client replaces the old
-// two-channels-plus-goroutine per call, which dominated the hot path's
-// allocation profile.
-type watcher struct {
-	arm  chan watchReq
-	done chan struct{}
-	quit chan struct{}
-}
-
-func (w *watcher) loop() {
-	for {
-		select {
-		case r := <-w.arm:
-			select {
-			case <-r.ctx.Done():
-				r.conn.SetDeadline(time.Unix(1, 0))
-				<-w.arm // wait for the disarm
-			case <-w.arm:
-			}
-			w.done <- struct{}{}
-		case <-w.quit:
-			return
-		}
-	}
-}
-
-// armWatcher guards one exchange on conn. Contexts that can never be
-// canceled need no guard (the I/O deadline still bounds the exchange).
-func (c *Client) armWatcher(ctx context.Context, conn net.Conn) {
-	if ctx.Done() == nil {
-		return
-	}
-	if c.watch == nil {
-		c.watch = &watcher{arm: make(chan watchReq), done: make(chan struct{}), quit: make(chan struct{})}
-	}
-	if !c.watchOn {
-		go c.watch.loop()
-		c.watchOn = true
-	}
-	c.watch.arm <- watchReq{ctx: ctx, conn: conn}
-	c.watchArmed = true
-}
-
-// disarmWatcher ends the guard and waits for the watcher's acknowledgment,
-// so a late cancellation can no longer clobber the next exchange's
-// deadline.
-func (c *Client) disarmWatcher() {
-	if !c.watchArmed {
-		return
-	}
-	c.watchArmed = false
-	c.watch.arm <- watchReq{}
-	<-c.watch.done
-}
-
-// stopWatcher retires the watcher goroutine. Pools call this when parking
-// an idle client so idle connections hold no goroutines; the next call
-// restarts it.
-func (c *Client) stopWatcher() {
-	if !c.watchOn {
-		return
-	}
-	c.watch.quit <- struct{}{}
-	c.watchOn = false
 }
 
 // request describes one exchange by value, so issuing an RPC allocates
@@ -377,7 +299,11 @@ func (c *Client) call(ctx context.Context, r request) error {
 	return err
 }
 
-// attempt runs a single guarded exchange.
+// attempt runs a single guarded exchange. Canceling ctx interrupts its
+// in-flight I/O — per-source cancellation for hedged reads — by expiring
+// the connection deadline from a context.AfterFunc hook. Contexts that can
+// never be canceled need no hook (the I/O deadline still bounds the
+// exchange).
 func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 	conn, err := c.ensure(ctx)
 	if err != nil {
@@ -388,21 +314,30 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 		deadline = d
 	}
 	conn.SetDeadline(deadline)
-	c.armWatcher(ctx, conn)
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	}
 	payload, err := c.exchange(conn, r)
-	c.disarmWatcher()
+	// A hook that has started may expire the deadline at any moment from
+	// here on, so its connection is dropped even after a good exchange: a
+	// late deadline never reaches a parked connection.
+	hooked := stop != nil && !stop()
+	if hooked || (err != nil && !inBand(err)) {
+		// Short read/write, malformed or corrupt frame, timeout, or a
+		// canceled exchange: the stream position or the deadline is
+		// unknown — kill the connection.
+		c.poison()
+	}
 	if err != nil {
-		if !inBand(err) {
-			// Short read/write, malformed or corrupt frame, timeout:
-			// the stream position is unknown — kill the connection.
-			c.poison()
-		}
 		if ctx.Err() != nil {
 			err = errors.Join(classify(ctx.Err()), err)
 		}
 		return nil, classify(err)
 	}
-	conn.SetDeadline(time.Time{})
+	if !hooked {
+		conn.SetDeadline(time.Time{})
+	}
 	return payload, nil
 }
 

@@ -74,11 +74,10 @@ func (pe *peer) unreachable() {
 
 // Pool is a bounded per-peer client pool shared by every stage of the
 // stripe engine: stripe reads and writes, scrub probes, repair helper
-// fetches, and the stream adapters. Clients come out
-// with their cancellation watcher stopped and are health-checked on
-// checkout; a client poisoned mid-use (protocol desync, timeout) comes
-// back with no connection and simply redials on its next call, mirroring
-// the single-client behavior.
+// fetches, and the stream adapters. Clients own no goroutine and are
+// health-checked on checkout; a client poisoned mid-use (protocol desync,
+// timeout) comes back with no connection and simply redials on its next
+// call, mirroring the single-client behavior.
 //
 // The pool also remembers which peers could not be dialed (see reachable),
 // so that operations free to choose their sources plan around a dead peer
@@ -209,14 +208,12 @@ func (p *Pool) getParked(ctx context.Context, addr string) (*Client, error) {
 }
 
 // Put returns a checked-out client. With the pool closed the client is
-// closed instead of parked. Parked clients hold no
-// goroutines — the watcher is stopped and only restarts on the next call —
-// so an idle pool is invisible to goroutine-leak checks.
+// closed instead of parked. A client owns no goroutine, so an idle pool is
+// invisible to goroutine-leak checks.
 func (p *Pool) Put(c *Client) {
 	if c == nil {
 		return
 	}
-	c.stopWatcher()
 	p.mu.Lock()
 	pe := p.peers[c.addr]
 	if p.closed || pe == nil {

@@ -153,15 +153,6 @@ type repairJob struct {
 	ref  BlockRef
 }
 
-// lapsPerBatch sizes a repair batch in laps of the rotated survivor ring:
-// a batch is at most lapsPerBatch·(n−1) stripes of one file with one
-// failed index. Why one lap: over n−1 consecutive stripes every survivor
-// is among the first d candidates of exactly d of them, so each helper
-// answers one exchange of d chunks per batch round — a rebuilt block costs
-// one chunk exchange instead of d — and a longer batch would only
-// delay its first decode and hold more chunks at once.
-const lapsPerBatch = 1
-
 // batchBytes bounds a batch by bytes: a repair batch by its chunks as
 // well as by the lap, a read batch by its data. Each stripe of a repair
 // batch takes d pooled chunk slots up front, and a helper may carry a
@@ -233,8 +224,15 @@ func repairBatches(jobs []repairJob, size int) [][]int {
 // pass batchBytes. It reports the helper bytes moved, the jobs that
 // completed (in job order), and the root-cause failure naming its job.
 func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro repairOpts) (traffic int64, repaired []repairJob, err error) {
+	// A batch is at most one lap of the rotated survivor ring: n−1 stripes
+	// of one file with one failed index. Why one lap: over n−1 consecutive
+	// stripes every survivor is among the first d candidates of exactly d
+	// of them, so each helper answers one exchange of d chunks per batch
+	// round — a rebuilt block costs one chunk exchange instead of d — and a
+	// longer batch would only delay its first decode and hold more chunks
+	// at once.
 	stripeBytes := s.code.D() * s.code.HelperChunkSize(s.blockSize)
-	batches := repairBatches(jobs, min(lapsPerBatch*(s.code.N()-1), max(1, batchBytes/stripeBytes)))
+	batches := repairBatches(jobs, min(s.code.N()-1, max(1, batchBytes/stripeBytes)))
 	if conc == 0 {
 		conc = batchWidth(len(jobs), len(batches))
 	}

@@ -543,7 +543,7 @@ func TestRecoverBatchesAreBoundedByBytes(t *testing.T) {
 	blockSize -= blockSize % code.BlockAlign()
 	n, d, chunk := code.N(), code.D(), code.HelperChunkSize(blockSize)
 	perBatch := batchBytes / (d * chunk)
-	if perBatch < 1 || perBatch >= lapsPerBatch*(n-1) {
+	if perBatch < 1 || perBatch >= n-1 {
 		t.Fatalf("%d-byte blocks make %d-stripe batches; the fixture needs the byte bound to bind below a lap of %d", blockSize, perBatch, n-1)
 	}
 	const stripes, failed = 3, 1
@@ -595,7 +595,7 @@ func TestRecoverBatchesAreBoundedByBytes(t *testing.T) {
 // repairs one stripe at a time did; full laps run batchesInFlight at once.
 func TestRepairWidth(t *testing.T) {
 	const n = 12
-	lap := lapsPerBatch * (n - 1)
+	lap := n - 1
 	scattered := []repairJob{
 		{file: "f", ref: BlockRef{Stripe: 0, Block: 2}},
 		{file: "f", ref: BlockRef{Stripe: 2, Block: 7}},

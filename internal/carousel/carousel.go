@@ -19,7 +19,7 @@
 // Construction (Sections V-VII of the paper): the base code's generator is
 // expanded by a Kronecker identity factor so each block consists of U
 // units; a balanced selection of K units per data-bearing block is chosen
-// round-robin (package unitplan); symbol remapping by the inverse of the
+// round-robin (unitplan.go); symbol remapping by the inverse of the
 // selected rows turns exactly those units into original data; finally the
 // units of each block are reordered so data units form a contiguous prefix.
 //
@@ -36,7 +36,6 @@ import (
 	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 	"carousel/internal/msr"
-	"carousel/internal/unitplan"
 )
 
 // Argument errors: the engine's, shared with every other codec.
@@ -157,18 +156,14 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 		baseGen = base.EffectiveGenerator()
 	}
 
-	expanded := baseGen.ExpandIdentity(pFactor(k, c.alpha, p))
-	plan, err := unitplan.Choose(expanded, n, k, c.alpha, p)
-	if err != nil {
-		return nil, fmt.Errorf("carousel: unit selection: %w", err)
+	c.kUnits, c.expand, c.units = unitParams(k, c.alpha, p)
+	expanded := baseGen.ExpandIdentity(c.expand)
+	var err error
+	if c.chosen, c.structured, err = chooseUnits(expanded, n, k, c.alpha, p); err != nil {
+		return nil, err
 	}
-	c.expand = plan.P
-	c.kUnits = plan.K
-	c.units = plan.U
-	c.chosen = plan.Chosen
-	c.structured = plan.Structured
 
-	g0 := expanded.SelectRows(plan.SelectionRows())
+	g0 := expanded.SelectRows(selectionRows(c.chosen, c.units))
 	g0inv, err := g0.Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("carousel: symbol remapping (plan verified invertible, so this is a bug): %w", err)
@@ -181,19 +176,6 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 	}
 	c.Code = lincode.New(n, k, c.units, c.gen, c.toStored, c.workers)
 	return c, nil
-}
-
-// pFactor returns the P of the irreducible fraction K/P = k*alpha/p.
-func pFactor(k, alpha, p int) int {
-	g := gcd(k*alpha, p)
-	return p / g
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // buildPermutations computes the stored-position <-> canonical-unit maps:

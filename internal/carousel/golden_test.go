@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"carousel/internal/unitplan"
 )
 
 // TestGoldenToyGenerator pins the (3,2,2,3) construction against the
@@ -179,7 +177,7 @@ func TestRandomSmallConfigs(t *testing.T) {
 func TestPlanParamsConsistency(t *testing.T) {
 	for _, cfg := range configs {
 		c := mustCode(t, cfg.n, cfg.k, cfg.d, cfg.p)
-		kU, pf, u := unitplan.Params(cfg.k, c.Alpha(), cfg.p)
+		kU, pf, u := unitParams(cfg.k, c.Alpha(), cfg.p)
 		if kU != c.DataUnitsPerBlock() || u != c.UnitsPerBlock() {
 			t.Fatalf("%+v: params mismatch", cfg)
 		}

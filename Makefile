@@ -55,12 +55,14 @@ master:
 
 # The pooled write and rebuild paths: the codec's dirty-destination
 # invariants (Into forms byte-identical to the allocating ones, every plan
-# output opened by an overwrite) and the store's buffer-lifetime rule
-# (concurrent WriteFiles under delay and a mid-Put cut never recycle a
-# block a Put can still read), race-enabled and repeated.
+# output opened by an overwrite), the store's buffer-lifetime rule
+# (concurrent WriteFiles under delay and a cut inside a batched put never
+# recycle a stripe slab a put can still read) and the put's all-or-nothing
+# rule (a put cut mid-payload stores nothing until its retry lands),
+# race-enabled and repeated.
 writepath:
 	$(GO) test -race -count=2 -run 'TestInto|TestEveryOutputOpensWithAnOverwrite' ./internal/carousel ./internal/codeplan
-	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts' ./internal/blockserver
+	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts|TestPutIsAllOrNothing' ./internal/blockserver
 
 # The one repair engine, repeated under the race detector: batched helper
 # exchanges (one per helper per batch round), per-name verdicts striking
@@ -86,8 +88,8 @@ readpath:
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare
 # header reader, the block server's request loop over net.Pipe (the block
-# map changes only on a put whose header and payload verify; the range and
-# chunk requests' name lists are among its seeds), and the
+# map changes only on a put whose header and payload verify; the put,
+# range and chunk requests' name lists are among its seeds), and the
 # master's journal replay (refuse and leave the file alone, or keep a
 # prefix that replays to the same state).
 fuzz:

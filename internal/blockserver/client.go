@@ -127,9 +127,9 @@ type Client struct {
 	peer *peer // the owning pool's slot set, told of dials and dial failures; nil outside a pool
 
 	fr    *frame.Reader // response decoder over conn, replaced on every dial
-	meta  []byte        // request meta scratch: name, arguments, trace context
+	meta  []byte        // request meta scratch: names, arguments, trace context
 	req   []byte        // request header scratch
-	arr   [2][]byte     // gather-list backing for vectored sends
+	arr   [][]byte      // gather-list backing for vectored sends, cleared after each
 	iov   net.Buffers   // per-send view into arr, consumed by the write
 	parts [][]byte      // a batch answer's landing list: the OK names' destinations
 }
@@ -218,27 +218,38 @@ func inBand(err error) bool {
 
 // request describes one exchange by value, so issuing an RPC allocates
 // nothing: the op, the block name, the op's integer arguments, the trace
-// context do stages from the caller's span, the put body that leaves in the
-// same write, and — for a scatter read — the caller's destination for the
-// OK payload. A range or chunk request for several blocks carries them in
-// batch instead of name: a pointer, so the request every RPC copies down
-// its call chain stays as small as the single-name ops need.
+// context do stages from the caller's span, and — for a scatter read — the
+// caller's destination for the OK payload. A put, and a range or chunk
+// request for several blocks, carries its names in batch instead of name:
+// a pointer, so the request every RPC copies down its call chain stays as
+// small as the single-name ops need.
 type request struct {
 	op            byte
 	name          string
 	args          [2]uint32
 	trace, parent uint64
-	body          []byte
 	dst           []byte
 	batch         *nameBatch
 }
 
-// nameBatch is a several-name range or chunk request: the block names,
-// each OK answer's destination, and where each name's verdict is written.
+// nameBatch is a put, or a several-name range or chunk request: the block
+// names, each name's buffer — the block a put sends, or where an OK
+// answer lands — and, for a range or chunk, where each name's verdict is
+// written.
 type nameBatch struct {
 	names    []string
-	dst      [][]byte
+	bufs     [][]byte
 	verdicts []error
+}
+
+// sent is how many payload bytes the request carries: a put's blocks.
+func (r *request) sent() (n int) {
+	if r.op == opPut {
+		for _, b := range r.batch.bufs {
+			n += len(b)
+		}
+	}
+	return n
 }
 
 // do runs one idempotent exchange with deadline enforcement, poisoning,
@@ -274,7 +285,7 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 		cliRetries.Inc()
 	}
 	if err == nil {
-		cliBytesTx.Add(int64(len(r.body)))
+		cliBytesTx.Add(int64(r.sent()))
 		cliBytesRx.Add(int64(len(payload) + len(r.dst)))
 	} else if c.peer != nil && ctx.Err() == nil {
 		// The retry policy ended without a connection and the caller is
@@ -343,32 +354,50 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 
 // exchange is the one place a request is written and its response read.
 // The frame header — op, then the meta of names, arguments and any trace
-// context — is built in the request scratch. Header and body then leave as
-// one vectored write: on TCP a single writev with no intermediate copy, so
-// a block-sized Put costs one syscall and zero payload copies client-side.
+// context — is built in the request scratch. Header and a put's blocks then
+// leave as one vectored write: on TCP a single writev with no intermediate
+// copy, so a put of a batch's blocks costs one syscall and zero payload
+// copies client-side.
 func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
-	meta, err := r.meta(c.meta[:0])
-	if err != nil {
+	if err := c.header(&r); err != nil {
 		return nil, err
 	}
-	c.meta = meta
-	c.req = frame.Header{Kind: r.op, Meta: c.meta, Len: len(r.body), CRC: Checksum(r.body)}.Append(c.req[:0])
-	c.arr[0], c.arr[1] = c.req, r.body
-	n := 1
-	if len(r.body) > 0 {
-		n = 2
-	}
-	c.iov = net.Buffers(c.arr[:n])
-	if err := flushVectored(conn, &c.iov); err != nil {
+	c.iov = net.Buffers(c.arr)
+	err := flushVectored(conn, &c.iov)
+	clear(c.arr) // the scratch must not keep the caller's blocks alive once parked
+	if err != nil {
 		return nil, err
 	}
 	return c.readResponse(&r)
 }
 
+// header builds the request's frame header in the request scratch and the
+// gather list that sends it: the header, then a put's blocks, whose CRC32C
+// is extended block by block. Like meta, it is kept out of exchange so the
+// frames every RPC stacks up to its socket read stay small.
+func (c *Client) header(r *request) error {
+	meta, err := r.meta(c.meta[:0])
+	if err != nil {
+		return err
+	}
+	c.meta = meta
+	c.arr = append(c.arr[:0], nil)
+	var crc uint32
+	if r.op == opPut {
+		for _, b := range r.batch.bufs {
+			c.arr, crc = append(c.arr, b), frame.Update(crc, b)
+		}
+	}
+	c.req = frame.Header{Kind: r.op, Meta: c.meta, Len: r.sent(), CRC: crc}.Append(c.req[:0])
+	c.arr[0] = c.req
+	return nil
+}
+
 // meta validates the request's names and appends its meta to dst. It is
 // kept out of exchange so that the frames every RPC stacks up to its
-// socket read stay small: each Put runs on a fresh goroutine, whose stack
-// would otherwise outgrow its starting size and be copied per call.
+// socket read stay small: each put exchange runs on a fresh goroutine,
+// whose stack would otherwise outgrow its starting size and be copied per
+// call.
 func (r *request) meta(dst []byte) ([]byte, error) {
 	names := []string{r.name}
 	if r.batch != nil {
@@ -397,7 +426,7 @@ func (c *Client) readResponse(r *request) ([]byte, error) {
 		return nil, err
 	}
 	status := h.Kind
-	if multiName(r.op) && status == statusOK {
+	if answersNames(r.op) && status == statusOK {
 		if r.batch != nil {
 			return nil, c.readVerdicts(h, r)
 		}
@@ -478,8 +507,8 @@ func (c *Client) readVerdicts(h frame.Header, r *request) error {
 	want := 0
 	for i, v := range h.Meta {
 		if b.verdicts[i] = verdict(r.op, v, b.names[i]); b.verdicts[i] == nil {
-			c.parts = append(c.parts, b.dst[i])
-			want += len(b.dst[i])
+			c.parts = append(c.parts, b.bufs[i])
+			want += len(b.bufs[i])
 		} else if !inBand(b.verdicts[i]) {
 			return b.verdicts[i]
 		}
@@ -523,9 +552,27 @@ func verdict(op, v byte, name string) error {
 	return fmt.Errorf("blockserver: unknown verdict %d for %s", v, name)
 }
 
-// Put stores a block under name.
+// Put stores a block under name. It is Puts for one name.
 func (c *Client) Put(ctx context.Context, name string, data []byte) error {
-	return c.call(ctx, request{op: opPut, name: name, body: data})
+	return c.Puts(ctx, []string{name}, [][]byte{data})
+}
+
+// Puts stores, in one exchange, blocks[i] under names[i] for every i — a
+// write's blocks of a batch of stripes for one server, say. The blocks
+// must all be one size. The server stores all of them or none, so on an
+// error the caller may simply put them again. The blocks leave as they
+// are, with no copy, and the client keeps no reference to them once Puts
+// returns.
+func (c *Client) Puts(ctx context.Context, names []string, blocks [][]byte) error {
+	if len(names) == 0 || len(blocks) != len(names) {
+		return fmt.Errorf("blockserver: %d names and %d blocks to put", len(names), len(blocks))
+	}
+	for i, b := range blocks {
+		if len(b) != len(blocks[0]) {
+			return fmt.Errorf("blockserver: put block %d is %d bytes, the first %d", i, len(b), len(blocks[0]))
+		}
+	}
+	return c.call(ctx, request{op: opPut, batch: &nameBatch{names: names, bufs: blocks}})
 }
 
 // Get fetches a whole block. The returned slice is pool-backed: pass it to
@@ -589,7 +636,7 @@ func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int,
 // Chunks, and the Store's batch rounds, which hold the op's arguments
 // already encoded.
 func (c *Client) callBatch(ctx context.Context, op byte, args [2]uint32, b *nameBatch) error {
-	if len(b.names) == 0 || len(b.dst) != len(b.names) || len(b.verdicts) != len(b.names) {
+	if len(b.names) == 0 || len(b.bufs) != len(b.names) || len(b.verdicts) != len(b.names) {
 		return b.mismatch()
 	}
 	return c.call(ctx, request{op: op, args: args, batch: b})
@@ -597,7 +644,7 @@ func (c *Client) callBatch(ctx context.Context, op byte, args [2]uint32, b *name
 
 // mismatch is the error of a batch whose lists differ in length.
 func (b *nameBatch) mismatch() error {
-	return fmt.Errorf("blockserver: %d names, %d destinations and %d verdict slots", len(b.names), len(b.dst), len(b.verdicts))
+	return fmt.Errorf("blockserver: %d names, %d destinations and %d verdict slots", len(b.names), len(b.bufs), len(b.verdicts))
 }
 
 // Delete removes a block.

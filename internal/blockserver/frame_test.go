@@ -203,6 +203,60 @@ func TestEveryHeaderBitIsChecked(t *testing.T) {
 	}
 }
 
+// TestEveryPutHeaderBitIsChecked flips each bit of a three-name put's
+// header in flight: the server refuses every one before storing anything
+// — no block under a damaged name, none of a damaged size, and not the
+// undamaged names either — and the retry on a fresh connection stores all
+// three.
+func TestEveryPutHeaderBitIsChecked(t *testing.T) {
+	servers, addrs := startServers(t, nil, 1)
+	srv, addr := servers[0], addrs[0]
+	ctx := context.Background()
+	opts := Options{DialTimeout: 2 * time.Second, IOTimeout: 3 * time.Second, Retry: retry.Policy{Attempts: 1}}
+	names := []string{"p0", "p1", "p2"}
+	blocks := make([][]byte, len(names))
+	rng := rand.New(rand.NewSource(36))
+	for i := range blocks {
+		blocks[i] = make([]byte, 512)
+		rng.Read(blocks[i])
+	}
+	held := func() int {
+		n, _, _ := srv.Stats()
+		return int(n)
+	}
+	// header = frame header + count(2) + three times nameLen(2) + name(2)
+	hdr := frame.HeaderLen + 2 + len(names)*(2+2)
+	for b := 0; b < 8*hdr; b++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(addr, opts)
+		fc := &flipConn{Conn: conn, bit: b}
+		c.conn, c.fr = fc, frame.NewReader(fc, maxPayload)
+		if err := c.Puts(ctx, names, blocks); err == nil {
+			t.Errorf("bit %d: a damaged put header was acted on", b)
+		}
+		if n := held(); n != 0 {
+			t.Fatalf("bit %d: a refused put left %d blocks", b, n)
+		}
+		if err := c.Puts(ctx, names, blocks); err != nil {
+			t.Fatalf("bit %d: retry: %v", b, err)
+		}
+		for i, name := range names {
+			got, err := c.Get(ctx, name)
+			if err != nil || !bytes.Equal(got, blocks[i]) {
+				t.Fatalf("bit %d: %s after the retry: %v", b, name, err)
+			}
+			Recycle(got)
+			if err := c.Delete(ctx, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+}
+
 // listFrame encodes a range or chunk request whose meta is given
 // verbatim, so a test can send name lists the client would never build.
 func listFrame(op byte, meta []byte) []byte {
@@ -528,11 +582,13 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 // the loop ends without a panic, and the block map changes only on a put
 // frame whose header and payload both verify: every block held afterwards
 // was sent, name and content, in such a frame. The committed corpus holds
-// the range and chunk requests' malformed name lists (no names, a count
-// past the meta, an empty or over-long name), a one-name request of each,
-// an n−1-name chunk request, a 32-name range request, one whose names draw
-// an OK, an out-of-range and a not-found verdict, and ranges over
-// maxPayload. The over-maxPayload chunk request is not a seed: at 160 KB,
+// the put, range and chunk requests' malformed name lists (no names, a
+// count past the meta, an empty or over-long name), a put whose payload
+// does not split into its count of blocks and one with a flipped payload
+// byte, a three-name put read back by a three-name range, a one-name
+// request of each, an n−1-name chunk request, a 32-name range request, one
+// whose names draw an OK, an out-of-range and a not-found verdict, and
+// ranges over maxPayload. The over-maxPayload chunk request is not a seed: at 160 KB,
 // the fuzzer would spend its time minimizing mutants of it, so
 // TestChunkNameListsAreChecked covers it instead.
 func FuzzServeConn(f *testing.F) {
@@ -540,8 +596,10 @@ func FuzzServeConn(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// put is a one-name put: meta count(2) nameLen(2) name.
 	put := func(name string, data []byte) []byte {
-		h := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{name}, nil, 0, 0), Len: len(data), CRC: Checksum(data)}
+		meta := binary.BigEndian.AppendUint16([]byte{0, 1}, uint16(len(name)))
+		h := frame.Header{Kind: opPut, Meta: append(meta, name...), Len: len(data), CRC: Checksum(data)}
 		return append(h.Append(nil), data...)
 	}
 	req := func(op byte, name string, args ...uint32) []byte {
@@ -573,8 +631,8 @@ func FuzzServeConn(f *testing.F) {
 }
 
 // sentInVerifiedPut reports whether some offset of data starts a put
-// frame for name whose header and payload verify and whose payload is
-// content.
+// frame whose header and payload verify, whose payload splits into its
+// count of equal blocks, and which names name for a block that is content.
 func sentInVerifiedPut(data []byte, name string, content []byte) bool {
 	for i := range data {
 		fr := frame.NewReader(bytes.NewReader(data[i:]), len(data)-i)
@@ -583,9 +641,20 @@ func sentInVerifiedPut(data []byte, name string, content []byte) bool {
 			continue
 		}
 		m, err := parseMeta(h.Kind, h.Meta)
+		if err != nil || h.Len%m.count != 0 {
+			continue
+		}
 		payload := make([]byte, h.Len)
-		if err == nil && string(m.name) == name && fr.Payload(h, payload) == nil && bytes.Equal(payload, content) {
-			return true
+		if fr.Payload(h, payload) != nil {
+			continue
+		}
+		size := h.Len / m.count
+		for j, list := 0, m.names; len(list) > 0; j++ {
+			var n []byte
+			n, list = nextName(list)
+			if string(n) == name && bytes.Equal(payload[j*size:(j+1)*size], content) {
+				return true
+			}
 		}
 	}
 	return false

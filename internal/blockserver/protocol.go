@@ -7,20 +7,36 @@
 //
 // Every request and response is one internal/frame record over TCP:
 //
-//	request  := header(kind=op, meta=nameLen(2) name [traceID(8) parentSpanID(8)]) payload
+//	request  := header(kind=op, meta=nameLen(2) name [traceID(8) parentSpanID(8)]) no payload
 //	response := header(kind=status, no meta) payload
 //
-// That is the form of put, get, delete, stat and verify; range and chunk
-// requests name a list of blocks (below). Only a put carries a request
-// payload, and its length and CRC32C are the frame's. The header's own
-// CRC32C covers the op, the name, the arguments and the lengths, so the
-// server refuses a damaged request before acting on any of it, and the
-// client refuses a damaged response before sizing a buffer from it. The
-// payload CRC32C catches payload damage at the receiver instead of feeding
-// it into a decode. Servers keep a put's verified payload CRC as the
-// block's ingest CRC32C and verify it before serving, answering
-// statusCorrupt when at-rest corruption is found — the signal the client's
-// read path uses to exclude the block and route it into scrub/repair.
+// That is the form of get, delete, stat and verify; put, range and chunk
+// requests name a list of blocks (below). The header's own CRC32C covers
+// the op, the names, the arguments and the lengths, so the server refuses
+// a damaged request before acting on any of it, and the client refuses a
+// damaged response before sizing a buffer from it. The payload CRC32C
+// catches payload damage at the receiver instead of feeding it into a
+// decode. Servers keep each put block's verified CRC32C as its ingest CRC
+// and verify it before serving, answering statusCorrupt when at-rest
+// corruption is found — the signal the client's read path uses to exclude
+// the block and route it into scrub/repair.
+//
+// A put stores one or more blocks of one size — a write sends each server
+// its block of every stripe of a batch in one exchange:
+//
+//	put request := header(kind=opPut, meta=count(2) {nameLen(2) name}×count [trace]) block×count
+//	response    := header(kind=statusOK, no meta) no payload
+//
+// The payload is the blocks back to back, each len/count bytes, and the
+// frame's payload CRC covers them all: there is no CRC per name. The
+// server reads each block into its own exact-size buffer, checksums it as
+// it lands, checks the frame CRC by combining the blocks' CRCs
+// (frame.Combine) and keeps each block's CRC as its ingest CRC. A put is
+// all-or-nothing: a payload whose length is not a multiple of count closes
+// the connection before anything is allocated, one that fails its CRC
+// closes it with nothing stored, and otherwise every block is stored under
+// one lock before the answer. So a client that retries a put whose answer
+// it never saw stores the same blocks again.
 //
 // A range or chunk request names one or more blocks that share its
 // arguments — a read asks each source for the same range of a whole batch
@@ -40,17 +56,18 @@
 // the chunk size), so the client knows from the verified header alone
 // where each lands; the server sends a range answer as one vectored write
 // of slices of the stored blocks, with no copy. A verdict concerns one
-// block: the exchange itself succeeded. The server refuses a request with
-// no names, a count that runs past the meta, or an empty or over-long name
-// by closing the connection, before it sizes anything from the count; it
-// answers statusError, with no verdicts, when the blocks it found could
-// cost more than maxPayload — each the larger of its size, which is
-// checksummed, and its answer; checked before it verifies any of them —
-// and, for a chunk request, when it has no code or the chunk computation
-// fails.
+// block: the exchange itself succeeded. The server refuses a put, range or
+// chunk request with no names, a count that runs past the meta, or an
+// empty or over-long name by closing the connection, before it sizes
+// anything from the count; it answers statusError, with no verdicts, when
+// the blocks it found could cost more than maxPayload — each the larger of
+// its size, which is checksummed, and its answer; checked before it
+// verifies any of them — and, for a chunk request, when it has no code or
+// the chunk computation fails.
 //
-// Operations: put, get, range (one range of one or more blocks, for
-// parallel reads of data prefixes), chunk (helper-side repair computation for one or more
+// Operations: put (one or more blocks of one size, all or nothing), get,
+// range (one range of one or more blocks, for parallel reads of data
+// prefixes), chunk (helper-side repair computation for one or more
 // blocks), delete, stat, verify (server-side checksum audit of one block).
 //
 // A traced request ends its meta with the client's trace ID and span ID,
@@ -105,21 +122,25 @@ var ErrNotFound = errors.New("blockserver: block not found")
 func Checksum(b []byte) uint32 { return frame.Checksum(b) }
 
 // multiName reports whether an op's meta carries a counted name list: the
-// range and chunk ops, the two whose answers a batch shares an exchange
-// for. They are also the ops with arguments.
-func multiName(op byte) bool { return op == opRange || op == opChunk }
+// put, range and chunk ops, the three a batch shares an exchange for.
+func multiName(op byte) bool { return op == opPut || answersNames(op) }
+
+// answersNames reports whether an op's answer carries a verdict per name:
+// the range and chunk ops. They are also the ops with arguments.
+func answersNames(op byte) bool { return op == opRange || op == opChunk }
 
 // nargs is the number of uint32 arguments an op's meta carries.
 func nargs(op byte) int {
-	if multiName(op) {
+	if answersNames(op) {
 		return 2
 	}
 	return 0
 }
 
 // appendMeta encodes a request's meta: the length-prefixed names (one for
-// every op but a range or chunk, whose meta starts with their count), the
-// op's arguments and, when traceID is nonzero, the trace context.
+// get, delete, stat and verify; a put's, range's or chunk's start with
+// their count), the op's arguments and, when traceID is nonzero, the trace
+// context.
 func appendMeta(dst []byte, op byte, names []string, args []uint32, traceID, parent uint64) []byte {
 	if multiName(op) {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
@@ -141,8 +162,9 @@ func appendMeta(dst []byte, op byte, names []string, args []uint32, traceID, par
 // reqMeta is a decoded request meta. name and names alias the frame
 // reader's scratch, so they are only valid until the next request.
 type reqMeta struct {
-	name          []byte // the only name, or a range or chunk request's first
-	names         []byte // a range or chunk request's validated name list; walk it with nextName
+	name          []byte // the only name, or a put, range or chunk request's first
+	names         []byte // a put, range or chunk request's validated name list; walk it with nextName
+	count         int    // how many names that list holds
 	args          [2]uint32
 	trace, parent uint64 // zero for an untraced request
 }
@@ -165,7 +187,7 @@ func nextName(list []byte) (name, rest []byte) {
 	return list[2 : 2+n], list[2+n:]
 }
 
-// parseMeta decodes the meta of a verified request header. A range or
+// parseMeta decodes the meta of a verified request header. A put, range or
 // chunk request's name list is walked name by name against the meta's own
 // length, so a count that promises more than the meta holds is refused
 // without anything being sized from it.
@@ -175,12 +197,12 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 		if len(meta) < 2 {
 			return m, fmt.Errorf("blockserver: %d-byte %s request meta", len(meta), opNames[op])
 		}
-		count, list := int(binary.BigEndian.Uint16(meta)), meta[2:]
-		if count == 0 {
+		list := meta[2:]
+		if m.count = int(binary.BigEndian.Uint16(meta)); m.count == 0 {
 			return m, fmt.Errorf("blockserver: %s request names no block", opNames[op])
 		}
 		rest = list
-		for range count {
+		for range m.count {
 			if _, rest, err = cutName(rest); err != nil {
 				return m, err
 			}

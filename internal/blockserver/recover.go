@@ -170,11 +170,12 @@ type repairJob struct {
 // as Repair does.
 const batchBytes = 8 << 20
 
-// batchesInFlight is the fewest batches ReadFile, RecoverServer and Scrub
-// run at once. Why 2: a repair pass is CPU-bound, so more single-stripe
-// repairs in flight bought nothing; what a second batch buys is overlap —
-// one batch's exchanges are on the wire while the other decodes (and, for
-// a repair, writes back) — and a third would only hold more memory. Small
+// batchesInFlight is the fewest batches ReadFile, WriteFile, RecoverServer
+// and Scrub run at once. Why 2: a repair pass is CPU-bound, so more
+// single-stripe repairs in flight bought nothing; what a second batch buys
+// is overlap — one batch's exchanges are on the wire while the other
+// decodes (for a write, encodes; for a repair, also writes back) — and a
+// third would only hold more memory. Small
 // batches (a scrub's scattered blocks, each with its own failed index,
 // large blocks cut down by batchBytes, or a cached read's one-stripe
 // misses) get more of them: batchWidth keeps about stripesInFlight stripes

@@ -88,6 +88,9 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 	rand.New(rand.NewSource(51)).Read(data)
 
 	_, addrs := startServers(t, code, code.N())
+	// The baseline is taken before the store exists and checked after it
+	// closes, so a goroutine the write or the recovery leaves behind shows.
+	base := runtime.NumGoroutine()
 	store, err := NewStore(code, addrs, blockSize)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +103,6 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 	const failed = 3
 	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
 
-	base := runtime.NumGoroutine()
 	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +151,7 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("data mismatch after recovery")
 	}
+	store.Close()
 	waitGoroutines(t, base)
 }
 
@@ -411,6 +414,9 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 	rand.New(rand.NewSource(57)).Read(data)
 
 	servers, addrs := startServers(t, code, code.N())
+	// The baseline is taken before the store exists and checked after it
+	// closes, so a goroutine the write or the recovery leaves behind shows.
+	base := runtime.NumGoroutine()
 	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +429,6 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
 	servers[gone].Close()
 
-	base := runtime.NumGoroutine()
 	promoted0, refused0 := mSparePromotions.Value(), failedChunkExchanges()
 	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
 	if err != nil {
@@ -451,6 +456,7 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
 	}
+	store.Close()
 	waitGoroutines(t, base)
 }
 

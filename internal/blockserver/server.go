@@ -78,7 +78,8 @@ type connState struct {
 
 	verdicts []byte        // a range or chunk answer's verdict vector
 	blocks   []storedBlock // the blocks a range or chunk answer is served from, cleared after it
-	parts    [][]byte      // a range answer's slices of those blocks, cleared after it
+	parts    [][]byte      // a range answer's slices of those blocks, or a put's blocks; cleared after it
+	crcs     []uint32      // a put's per-block CRC32Cs
 }
 
 // reply records the RPC outcome and sends the response: the frame header
@@ -361,18 +362,9 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	}
 	switch op {
 	case opPut:
-		// The payload is allocated at exactly its size and never pooled:
-		// the block map retains it for as long as the block lives, and a
-		// handler serving the block it replaces may still be writing the
-		// old slice to its socket. Its verified frame CRC becomes the
-		// block's ingest CRC.
-		data := make([]byte, h.Len)
-		if err := cs.fr.Payload(h, data); err != nil {
+		if err := s.ingest(cs, h, m); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.blocks[string(name)] = storedBlock{data: data, crc: h.CRC}
-		s.mu.Unlock()
 		return s.reply(cs, op, statusOK, nil)
 
 	case opGet:
@@ -411,6 +403,42 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	default:
 		return s.reply(cs, op, statusError, []byte(fmt.Sprintf("unknown op %d", op)))
 	}
+}
+
+// ingest stores a put's blocks, all or none. A payload that does not split
+// into count equal blocks is refused before anything is allocated. Each
+// block is allocated at exactly its size and never pooled: the block map
+// retains it for as long as the block lives, and a handler serving the
+// block it replaces may still be writing the old slice to its socket. The
+// one pass that lands the blocks checksums each, and the frame CRC is
+// checked against their combination before any is stored; each block's
+// own CRC becomes its ingest CRC.
+func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
+	if h.Len%m.count != 0 {
+		return fmt.Errorf("blockserver: %d-byte put payload for %d blocks", h.Len, m.count)
+	}
+	size := h.Len / m.count
+	cs.parts = cs.parts[:0]
+	defer func() { clear(cs.parts) }()
+	for range m.count {
+		cs.parts = append(cs.parts, make([]byte, size))
+	}
+	if cap(cs.crcs) < m.count {
+		cs.crcs = make([]uint32, m.count)
+	}
+	crcs := cs.crcs[:m.count]
+	if err := cs.fr.PayloadCRCs(h, crcs, cs.parts...); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	list := m.names
+	for i, data := range cs.parts {
+		var name []byte
+		name, list = nextName(list)
+		s.blocks[string(name)] = storedBlock{data: data, crc: crcs[i]}
+	}
+	s.mu.Unlock()
+	return nil
 }
 
 // answerNames answers a range or chunk request, the two ops that name a

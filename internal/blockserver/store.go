@@ -46,12 +46,14 @@ var (
 	sloRepair = obs.NewSLO(obs.Default(), "store_repair", 5*time.Second, 0.99)
 )
 
-// stripesInFlight is how many stripes WriteFile and Scrub's verify phase
-// hand to pipeline at once (reads and repairs pipeline batches of stripes
-// instead, never fewer stripes at once: batchWidth). Why 4:
-// enough to hide one stripe's network round trip behind its neighbours'
-// encode, decode or writeback, without flooding the peer set — every
-// stripe in flight holds up to n pooled connections and n pooled blocks.
+// stripesInFlight is how many stripes a WriteFile batch carries, each
+// server's put exchange carrying a block of every one, and how many
+// stripes Scrub's verify phase hands to pipeline at once (reads and
+// repairs size their batches by bytes instead, and keep at least this many
+// stripes in flight: batchWidth). Why 4: enough to hide one stripe's
+// network round trip behind its neighbours' encode, decode or writeback,
+// without flooding the peer set — a stripe in flight holds up to n pooled
+// blocks.
 const stripesInFlight = 4
 
 // Store stripes files across n block servers with a Carousel code: block i
@@ -249,9 +251,11 @@ func pipelineErr(ctx context.Context, errs []error, launched int) (int, error) {
 }
 
 // WriteFile encodes data into stripes and uploads block i of every stripe
-// to server i. Stripes are pipelined: up to stripesInFlight encode
-// and upload concurrently, so stripe st+1's GF(2^8) work overlaps stripe
-// st's network round trips. It returns the stripe count.
+// to server i. Its stripes run in batches of stripesInFlight consecutive
+// stripes (writeBatch), each sending every server its blocks of the batch
+// in one put exchange, and batchWidth batches are in flight, so one
+// batch's GF(2^8) work overlaps another's exchanges. It returns the stripe
+// count.
 func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int, rerr error) {
 	stripes, err := s.stripesOf(name, len(data))
 	if err != nil {
@@ -267,7 +271,6 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 		s.cache.Invalidate(name)
 		defer s.cache.Invalidate(name)
 	}
-	stripeData := s.code.K() * s.blockSize
 	ctx, sp := obs.StartSpan(ctx, "store.write")
 	sp.SetAttr("file", name).SetAttr("bytes", len(data)).SetAttr("stripes", stripes)
 	defer func() {
@@ -277,23 +280,68 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 		sp.End()
 		sloWrite.ObserveSince(t0, rerr)
 	}()
-	errs, launched := pipeline(ctx, stripes, stripesInFlight, func(ctx context.Context, st int) error {
-		return s.writeStripe(ctx, name, st, data, stripeData)
+	batches := (stripes + stripesInFlight - 1) / stripesInFlight
+	errs, launched := pipeline(ctx, batches, batchWidth(stripes, batches), func(ctx context.Context, b int) error {
+		return s.writeBatch(ctx, name, data, b*stripesInFlight, min((b+1)*stripesInFlight, stripes))
 	})
-	if st, err := pipelineErr(ctx, errs, launched); err != nil {
-		return 0, fmt.Errorf("blockserver: stripe %d: %w", st, err)
+	if b, err := pipelineErr(ctx, errs, launched); err != nil {
+		return 0, fmt.Errorf("blockserver: stripes %d..%d: %w", b*stripesInFlight, min((b+1)*stripesInFlight, stripes)-1, err)
 	}
 	return stripes, nil
 }
 
-// writeStripe encodes one stripe into n pooled blocks and uploads block i
-// to server i. The shards alias the caller's data — the encode only reads
-// them — except on a short final stripe, which is zero-padded in a pooled
-// scratch. The blocks go back to the pool only after every one of the n
-// Put goroutines has returned, whether it succeeded, retried, failed or
-// was cancelled: until then a Put may still be reading its block.
-func (s *Store) writeStripe(ctx context.Context, name string, st int, data []byte, stripeData int) error {
-	k, n := s.code.K(), s.code.N()
+// writeBatch encodes stripes [lo, hi) concurrently, each into one pooled
+// slab of n blocks (block i at offset i·blockSize), then sends each server
+// its block of every stripe in one put exchange. The slabs go back to the
+// pool only after all n exchanges have returned, whether they succeeded,
+// retried, failed or were cancelled: until then a put may still be reading
+// them.
+func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi int) error {
+	n, bs, m := s.code.N(), s.blockSize, hi-lo
+	slabs := make([][]byte, m)
+	defer func() {
+		for _, slab := range slabs {
+			bufpool.Put(slab)
+		}
+	}()
+	errs := make([]error, m)
+	var wg sync.WaitGroup
+	for j := range slabs {
+		slabs[j] = bufpool.Get(n * bs)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[j] = s.encodeStripe(data, lo+j, slabs[j])
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	errs = make([]error, n)
+	names, blocks := make([]string, n*m), make([][]byte, n*m)
+	for i := range n {
+		for j, slab := range slabs {
+			names[i*m+j], blocks[i*m+j] = BlockName(name, lo+j, i), slab[i*bs:(i+1)*bs]
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
+				return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m])
+			})
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// encodeStripe encodes stripe st of data into slab's n blocks. The shards
+// alias the caller's data — the encode only reads them — except on a short
+// final stripe, which is zero-padded in a pooled scratch.
+func (s *Store) encodeStripe(data []byte, st int, slab []byte) error {
+	k, n, bs := s.code.K(), s.code.N(), s.blockSize
+	stripeData := k * bs
 	lo := st * stripeData
 	src := data[lo:min(lo+stripeData, len(data))]
 	var pad []byte
@@ -304,34 +352,17 @@ func (s *Store) writeStripe(ctx context.Context, name string, st int, data []byt
 	}
 	shards, blocks := make([][]byte, k), make([][]byte, n)
 	for i := range shards {
-		shards[i] = src[i*s.blockSize : (i+1)*s.blockSize]
+		shards[i] = src[i*bs : (i+1)*bs]
 	}
 	for i := range blocks {
-		blocks[i] = bufpool.Get(s.blockSize)
+		blocks[i] = slab[i*bs : (i+1)*bs]
 	}
-	defer func() {
-		for _, b := range blocks {
-			bufpool.Put(b)
-		}
-	}()
 	err := s.code.EncodeInto(shards, blocks)
 	bufpool.Put(pad) // the encode has read it; nil when the stripe was full
-	if err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, b := range blocks {
-		wg.Add(1)
-		go func(i int, b []byte) {
-			defer wg.Done()
-			errs[i] = s.put(ctx, s.addrs[i], BlockName(name, st, i), b)
-		}(i, b)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return err
 }
 
+// put stores one block on one server: a rebuilt block's writeback.
 func (s *Store) put(ctx context.Context, addr, name string, data []byte) error {
 	return s.pool.WithClient(ctx, addr, func(c *Client) error {
 		return c.Put(ctx, name, data)
@@ -912,7 +943,7 @@ func (r *wireRound) runNames(ctx context.Context, c *Client, x int) error {
 	e := &r.exs[x]
 	b := &nameBatch{make([]string, 0, e.n), make([][]byte, 0, e.n), make([]error, e.n)}
 	r.each(x, func(so *stripeOp, a *ask) {
-		b.names, b.dst = append(b.names, BlockName(so.file, so.st, a.block)), append(b.dst, a.buf)
+		b.names, b.bufs = append(b.names, BlockName(so.file, so.st, a.block)), append(b.bufs, a.buf)
 	})
 	err := c.callBatch(ctx, r.op, e.args, b)
 	if err == nil {

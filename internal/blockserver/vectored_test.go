@@ -3,6 +3,7 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -12,13 +13,14 @@ import (
 
 // fakeVectoredConn is an in-process net.Conn that records every write. It
 // implements vectoredWriter, so flushVectored hands it whole gather lists —
-// letting the tests below pin that a stripe write leaves the client as a
-// single vectored write whose payload entry aliases the caller's buffer
-// (no intermediate copy). Reads serve a canned statusOK empty response,
-// built with the frame encoder.
+// letting the tests below pin that a put leaves the client as a single
+// vectored write whose payload entries alias the caller's buffers (no
+// intermediate copy). Reads serve the answer a put or a reply test
+// expects, statusOK with no meta and no payload, built with the frame
+// encoder.
 type fakeVectoredConn struct {
 	vectoredCalls [][]int // buffer lengths of each WriteVectored call
-	payloadPtr    *byte   // first byte of the payload buffer in the last call
+	payloadPtrs   []*byte // first byte of each payload buffer in the last call
 	plainWrites   int     // Write calls that bypassed the vectored path
 	resp          bytes.Reader
 }
@@ -26,15 +28,16 @@ type fakeVectoredConn struct {
 func (f *fakeVectoredConn) WriteVectored(bufs net.Buffers) (int64, error) {
 	lens := make([]int, len(bufs))
 	var total int64
+	f.payloadPtrs = f.payloadPtrs[:0]
 	for i, b := range bufs {
 		lens[i] = len(b)
 		total += int64(len(b))
+		if i > 0 && len(b) > 0 {
+			f.payloadPtrs = append(f.payloadPtrs, &b[0])
+		}
 	}
 	f.vectoredCalls = append(f.vectoredCalls, lens)
-	if len(bufs) > 1 && len(bufs[1]) > 0 {
-		f.payloadPtr = &bufs[1][0]
-	}
-	// Arm the canned response: statusOK, zero-length payload.
+	// Arm the canned answer: statusOK, no meta, zero-length payload.
 	f.resp.Reset(frame.Header{Kind: statusOK}.Append(nil))
 	return total, nil
 }
@@ -49,10 +52,12 @@ func (f *fakeVectoredConn) SetReadDeadline(time.Time) error  { return nil }
 func (f *fakeVectoredConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestPutIsSingleVectoredWrite pins the write half of the zero-copy
-// framing: a warm stripe write (client Put) must leave as exactly one
-// vectored write of [header, payload], where the payload entry is the
-// caller's own buffer — byte-for-byte the same backing memory, proving no
-// intermediate copy happened on the way out.
+// framing: a put of one block, and a put of a batch's blocks cut from one
+// stripe slab, must each leave as exactly one vectored write of [header,
+// block...], where every payload entry is the caller's own memory —
+// byte-for-byte the same backing array, proving no intermediate copy
+// happened on the way out — and the client keeps no reference to the
+// blocks once the put returns.
 func TestPutIsSingleVectoredWrite(t *testing.T) {
 	fake := &fakeVectoredConn{}
 	c := NewClient("fake:0", Options{})
@@ -62,25 +67,51 @@ func TestPutIsSingleVectoredWrite(t *testing.T) {
 	if err := c.Put(context.Background(), "blk", data); err != nil {
 		t.Fatal(err)
 	}
+	// header = frame header + meta of count(2) + nameLen(2) + name(3)
+	checkPut(t, fake, "one-name put", frame.HeaderLen+2+2+3, [][]byte{data})
+
+	const count, size = 4, 16 << 10
+	slab := bytes.Repeat([]byte("s"), count*size)
+	names, blocks := make([]string, count), make([][]byte, count)
+	for i := range blocks {
+		names[i], blocks[i] = fmt.Sprintf("f/%d/7", i), slab[i*size:(i+1)*size]
+	}
+	fake.vectoredCalls = nil
+	if err := c.Puts(context.Background(), names, blocks); err != nil {
+		t.Fatal(err)
+	}
+	checkPut(t, fake, "four-name put", frame.HeaderLen+2+count*(2+5), blocks)
+	for i, b := range c.arr {
+		if b != nil {
+			t.Errorf("the parked client's gather list still holds entry %d (%d bytes)", i, len(b))
+		}
+	}
+}
+
+// checkPut checks that the fake saw one vectored write of a hdr-byte
+// header followed by exactly the caller's blocks, aliased.
+func checkPut(t *testing.T, fake *fakeVectoredConn, what string, hdr int, blocks [][]byte) {
+	t.Helper()
 	if got := len(fake.vectoredCalls); got != 1 {
-		t.Fatalf("Put issued %d vectored writes, want exactly 1", got)
+		t.Fatalf("%s issued %d vectored writes, want exactly 1", what, got)
 	}
 	call := fake.vectoredCalls[0]
-	if len(call) != 2 {
-		t.Fatalf("vectored write carried %d buffers, want 2 (header + payload)", len(call))
+	if len(call) != 1+len(blocks) {
+		t.Fatalf("%s: vectored write carried %d buffers, want %d (header + blocks)", what, len(call), 1+len(blocks))
 	}
-	// header = frame header + meta of nameLen(2) + name(3)
-	if want := frame.HeaderLen + 2 + 3; call[0] != want {
-		t.Errorf("header buffer is %d bytes, want %d", call[0], want)
+	if call[0] != hdr {
+		t.Errorf("%s: header buffer is %d bytes, want %d", what, call[0], hdr)
 	}
-	if call[1] != len(data) {
-		t.Errorf("payload buffer is %d bytes, want %d", call[1], len(data))
-	}
-	if fake.payloadPtr != &data[0] {
-		t.Error("payload buffer does not alias the caller's data: an intermediate copy happened")
+	for i, b := range blocks {
+		if call[1+i] != len(b) {
+			t.Errorf("%s: payload buffer %d is %d bytes, want %d", what, i, call[1+i], len(b))
+		}
+		if fake.payloadPtrs[i] != &b[0] {
+			t.Errorf("%s: payload buffer %d does not alias the caller's block: an intermediate copy happened", what, i)
+		}
 	}
 	if fake.plainWrites != 0 {
-		t.Errorf("%d plain writes bypassed the vectored path, want 0", fake.plainWrites)
+		t.Errorf("%s: %d plain writes bypassed the vectored path, want 0", what, fake.plainWrites)
 	}
 }
 
@@ -104,7 +135,7 @@ func TestReplyIsSingleVectoredWrite(t *testing.T) {
 	if len(call) != 2 || call[0] != frame.HeaderLen || call[1] != len(block) {
 		t.Fatalf("reply gather list = %v, want [%d %d]", call, frame.HeaderLen, len(block))
 	}
-	if fake.payloadPtr != &block[0] {
+	if fake.payloadPtrs[0] != &block[0] {
 		t.Error("reply payload does not alias the stored block: an intermediate copy happened")
 	}
 	if fake.plainWrites != 0 {

@@ -16,7 +16,7 @@ import (
 )
 
 // cutOnceListener closes the first connection that has read more than
-// after bytes, once: with after inside a block payload, one Put dies
+// after bytes, once: with after inside a put's payload, one put dies
 // mid-transfer and must be retried on a fresh connection.
 type cutOnceListener struct {
 	net.Listener
@@ -49,13 +49,17 @@ func (c *cutOnceConn) Read(p []byte) (int, error) {
 }
 
 // TestWriteFilePooledBlocksOutliveTheirPuts proves the write path's buffer
-// lifetime rule — a stripe's pooled blocks are recycled only once all n of
-// its Puts have returned. Concurrent WriteFiles of different files share
-// the pool, every server delays its reads so Puts are slow and stripes
-// overlap, and one Put is cut mid-payload so it is re-sent from the same
-// block on a retry. A block recycled early would be re-encoded by another
-// stripe while its Put was still sending it: the race detector sees the
-// write, and the stored bytes differ from a fresh Encode either way.
+// lifetime rule — a batch's pooled stripe slabs are recycled only once all
+// n of its put exchanges have returned. Concurrent WriteFiles of different
+// files share the pool, every server delays its reads so puts are slow and
+// batches overlap, and one put is cut mid-payload so it is re-sent from
+// the same slabs on a retry. Each file's 6 stripes go in batches of 4 and
+// 2, so every put carries at least two blocks, and the cut, a block and a
+// half into the first put a server reads, lands inside a batched put past
+// a block the server has read whole. A slab recycled early would be
+// re-encoded by another batch while its put was still sending it: the race
+// detector sees the write, and the stored bytes differ from a fresh Encode
+// either way.
 func TestWriteFilePooledBlocksOutliveTheirPuts(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -72,7 +76,7 @@ func TestWriteFilePooledBlocksOutliveTheirPuts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == cutServer {
-			cutter = &cutOnceListener{Listener: ln, after: int64(blockSize / 2)}
+			cutter = &cutOnceListener{Listener: ln, after: int64(blockSize + blockSize/2)}
 			ln = cutter
 		}
 		in := faultnet.NewInjector()
@@ -112,7 +116,7 @@ func TestWriteFilePooledBlocksOutliveTheirPuts(t *testing.T) {
 		return
 	}
 	if !cutter.cut.Load() {
-		t.Fatal("no Put was cut: the retry path went unexercised")
+		t.Fatal("no put was cut: the retry path went unexercised")
 	}
 
 	for f, data := range datas {
@@ -143,5 +147,145 @@ func TestWriteFilePooledBlocksOutliveTheirPuts(t *testing.T) {
 				Recycle(got)
 			}
 		}
+	}
+}
+
+// acceptHookListener calls onAccept for every connection it accepts,
+// before the server reads a byte of it.
+type acceptHookListener struct {
+	net.Listener
+	onAccept func()
+}
+
+func (l *acceptHookListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.onAccept()
+	}
+	return c, err
+}
+
+// TestPutIsAllOrNothing cuts a four-name put a block and a half into its
+// payload: the server has read the first block whole, yet stores nothing —
+// its block count, taken as the client's retry connects, is unchanged —
+// and the retry then stores all four blocks, each under its own CRC. Only
+// the retry is answered.
+func TestPutIsAllOrNothing(t *testing.T) {
+	const count, size = 4, 16 << 10
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutter := &cutOnceListener{Listener: raw, after: size + size/2}
+	srv := NewServer(nil)
+	var held []int64 // the server's block count as each connection is accepted
+	var mu sync.Mutex
+	addr, err := srv.StartListener(&acceptHookListener{Listener: cutter, onAccept: func() {
+		blocks, _, _ := srv.Stats()
+		mu.Lock()
+		held = append(held, blocks)
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	slab := make([]byte, count*size)
+	rand.New(rand.NewSource(92)).Read(slab)
+	names, blocks := make([]string, count), make([][]byte, count)
+	for i := range blocks {
+		names[i], blocks[i] = fmt.Sprintf("f/%d/3", i), slab[i*size:(i+1)*size]
+	}
+	c := NewClient(addr, fastOpts())
+	defer c.Close()
+	ctx := context.Background()
+	puts0 := servedExchanges(opPut)
+	if err := c.Puts(ctx, names, blocks); err != nil {
+		t.Fatalf("Puts with one cut connection: %v", err)
+	}
+	if !cutter.cut.Load() {
+		t.Fatal("the put was not cut: the retry went unexercised")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(held) != 2 || held[1] != 0 {
+		t.Fatalf("block counts at each accept %v, want [0 0]: a cut put stored blocks before its retry", held)
+	}
+	if n, stored, _ := srv.Stats(); n != count || stored != count*size {
+		t.Fatalf("after the retry the server holds %d blocks, %d bytes; want %d, %d", n, stored, count, count*size)
+	}
+	if got := servedExchanges(opPut) - puts0; got != 1 {
+		t.Errorf("%d put exchanges answered, want 1: the cut one is never answered", got)
+	}
+	for i, name := range names {
+		got, err := c.Get(ctx, name)
+		if err != nil || !bytes.Equal(got, blocks[i]) {
+			t.Fatalf("Get %s: %v, identical %v", name, err, bytes.Equal(got, blocks[i]))
+		}
+		Recycle(got)
+	}
+}
+
+// TestWriteFileBatchesPutExchanges counts a write's round trips at the
+// servers: an 8 MiB file of 32 stripes at (12,6,10,10) with the
+// benchmark's 43,680-byte blocks goes in 8 batches of stripesInFlight
+// stripes, one put exchange per server per batch — 96 puts, not one per
+// block (384) — and the file reads back identical.
+func TestWriteFileBatchesPutExchanges(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startServers(t, code, code.N())
+	const blockSize, stripes = 43680, 32
+	store, err := NewStore(code, addrs, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	data := make([]byte, stripes*code.K()*blockSize)
+	rand.New(rand.NewSource(93)).Read(data)
+	ctx := context.Background()
+	puts0 := servedExchanges(opPut)
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := servedExchanges(opPut)-puts0, int64(code.N()*stripes/stripesInFlight); got != want || want != 96 {
+		t.Errorf("an 8 MiB write made %d put exchanges, want %d: one per server per batch", got, want)
+	}
+	got, _, err := store.ReadFile(ctx, "f", len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestWriteFileCountsEveryBlockOnTheWire: blockserver_client_bytes_tx_total,
+// which the benchmark's write wire metric reads, grows by exactly
+// stripes·n·blockSize over a WriteFile — every block of every batched put
+// counted once — for a file whose stripes do not fill their last batch
+// and whose last stripe is padded.
+func TestWriteFileCountsEveryBlockOnTheWire(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startServers(t, code, code.N())
+	blockSize := code.BlockAlign() * 16
+	store, err := NewStore(code, addrs, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	const stripes = 2*stripesInFlight + 3
+	data := make([]byte, stripes*code.K()*blockSize-77)
+	rand.New(rand.NewSource(94)).Read(data)
+	tx0 := cliBytesTx.Value()
+	n, err := store.WriteFile(context.Background(), "f", data)
+	if err != nil || n != stripes {
+		t.Fatalf("WriteFile: %d stripes, %v; want %d", n, err, stripes)
+	}
+	if got, want := cliBytesTx.Value()-tx0, int64(stripes*code.N()*blockSize); got != want {
+		t.Errorf("a %d-stripe write counted %d bytes sent, want stripes·n·blockSize = %d", stripes, got, want)
 	}
 }

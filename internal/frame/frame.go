@@ -49,6 +49,54 @@ func Update(crc uint32, b []byte) uint32 {
 	return crc32.Update(crc, castagnoli, b)
 }
 
+// Combine returns the CRC32C of a‖b from crcA = Checksum(a), crcB =
+// Checksum(b) and lenB = len(b), without the bytes: CRC32C is linear, so
+// crc(a‖b) is crcA carried past lenB bytes, which is a multiplication by
+// x^(8·lenB) modulo the polynomial, xor crcB. A receiver that checksums
+// the parts of a payload one by one checks the whole with it.
+func Combine(crcA, crcB uint32, lenB int) uint32 {
+	return mulModP(shiftBytes(lenB), crcA) ^ crcB
+}
+
+// castagnoliPoly is the Castagnoli polynomial in the reflected bit order
+// hash/crc32 computes in: bit 31 is x^0, bit 0 is x^31, x^32 implied.
+const castagnoliPoly = 0x82f63b78
+
+// shifts[i] is x^(8·2^i) mod P: the factor that carries a CRC past 2^i
+// bytes.
+var shifts = func() (t [64]uint32) {
+	p := uint32(1) << 23 // x^8
+	for i := range t {
+		t[i] = p
+		p = mulModP(p, p)
+	}
+	return t
+}()
+
+// shiftBytes returns x^(8n) mod P, the factor that carries a CRC past n
+// bytes: one multiplication per set bit of n.
+func shiftBytes(n int) uint32 {
+	p := uint32(1) << 31 // x^0
+	for i := 0; n != 0; n, i = n>>1, i+1 {
+		if n&1 != 0 {
+			p = mulModP(shifts[i], p)
+		}
+	}
+	return p
+}
+
+// mulModP returns a·b mod P over GF(2), in the reflected order: the terms
+// of a, from x^0 up, select b·x^j as b is multiplied by x each step.
+func mulModP(a, b uint32) (p uint32) {
+	for ; a != 0; a <<= 1 {
+		if a&(1<<31) != 0 {
+			p ^= b
+		}
+		b = b>>1 ^ castagnoliPoly&-(b&1)
+	}
+	return p
+}
+
 // Header describes one record. On the decode side Meta aliases the Reader's
 // scratch and is valid until its next call to Next.
 type Header struct {
@@ -79,11 +127,16 @@ type Reader struct {
 	limit int
 	hdr   [HeaderLen]byte
 	meta  []byte // grown only to a verified metaLen
+
+	// shift carries a CRC past shiftLen bytes: the last destination length
+	// PayloadCRCs combined at, which a stream of equal-sized blocks repeats.
+	shift    uint32
+	shiftLen int
 }
 
 // NewReader returns a Reader over r that refuses payloads over limit bytes.
 func NewReader(r io.Reader, limit int) *Reader {
-	return &Reader{r: r, limit: limit}
+	return &Reader{r: r, limit: limit, shift: shiftBytes(0)}
 }
 
 // Next reads and verifies one header. It returns io.EOF when the stream
@@ -119,6 +172,17 @@ func (r *Reader) Next() (Header, error) {
 // payload fills the destinations in order, so a receiver can scatter one
 // payload into several buffers; their lengths must sum to h.Len.
 func (r *Reader) Payload(h Header, dst ...[]byte) error {
+	return r.PayloadCRCs(h, nil, dst...)
+}
+
+// PayloadCRCs is Payload that also reports, when crcs is not nil (it is
+// then as long as dst), each destination's own CRC32C in crcs[i]. Every destination is checksummed on
+// its own as it lands, and the payload CRC is their Combine, so a receiver
+// that keeps the destinations apart gets a verified checksum for each from
+// the one pass. The shift Combine multiplies by is computed only when a
+// destination's length differs from the last one combined, so a stream of
+// equal-sized blocks computes it once.
+func (r *Reader) PayloadCRCs(h Header, crcs []uint32, dst ...[]byte) error {
 	n := 0
 	for _, d := range dst {
 		n += len(d)
@@ -127,11 +191,21 @@ func (r *Reader) Payload(h Header, dst ...[]byte) error {
 		return fmt.Errorf("frame: %d-byte payload for a %d-byte destination", h.Len, n)
 	}
 	var crc uint32
-	for _, d := range dst {
+	for i, d := range dst {
 		if err := readFull(r.r, d); err != nil {
 			return err
 		}
-		crc = Update(crc, d)
+		c := Checksum(d)
+		if crcs != nil {
+			crcs[i] = c
+		}
+		if crc != 0 { // a zero CRC carried past any bytes stays zero
+			if len(d) != r.shiftLen {
+				r.shiftLen, r.shift = len(d), shiftBytes(len(d))
+			}
+			c ^= mulModP(r.shift, crc)
+		}
+		crc = c
 	}
 	if crc != h.CRC {
 		return ErrPayload

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -69,6 +71,103 @@ func TestPayloadInParts(t *testing.T) {
 	a, b := make([]byte, 7), make([]byte, len(whole)-7)
 	if err := fr.Payload(h, a, b); err != nil || !bytes.Equal(append(a, b...), whole) {
 		t.Fatalf("payload in two destinations: %v", err)
+	}
+}
+
+// TestCombine: Combine of the parts' CRCs is Checksum of their
+// concatenation, over random splits of random data — empty parts among
+// them, and lengths on both sides of powers of two — and PayloadCRCs
+// reports each destination's own CRC while it verifies the whole.
+func TestCombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	data := make([]byte, 1<<17+3)
+	rng.Read(data)
+	var lens []int
+	for b := 0; b <= 17; b++ {
+		lens = append(lens, 1<<b-1, 1<<b, 1<<b+1)
+	}
+	for trial := 0; trial < 300; trial++ {
+		whole := data[:lens[rng.Intn(len(lens))]]
+		if trial%3 == 0 {
+			whole = data[:rng.Intn(len(data)+1)]
+		}
+		// Cut points at random, repeated cuts making empty parts.
+		cuts := []int{0, len(whole)}
+		for range rng.Intn(6) {
+			cuts = append(cuts, rng.Intn(len(whole)+1))
+		}
+		if trial%4 == 0 {
+			cuts = append(cuts, cuts[len(cuts)-1]) // an empty part at least
+		}
+		slices.Sort(cuts)
+		var crc uint32
+		parts := make([][]byte, len(cuts)-1)
+		for i := range parts {
+			parts[i] = whole[cuts[i]:cuts[i+1]]
+			crc = Combine(crc, Checksum(parts[i]), len(parts[i]))
+		}
+		if want := Checksum(whole); crc != want {
+			t.Fatalf("trial %d, cuts %v: Combine over the parts = %08x, Checksum of the whole = %08x", trial, cuts, crc, want)
+		}
+		stream := append(Header{Kind: 1, Len: len(whole), CRC: crc}.Append(nil), whole...)
+		fr := NewReader(bytes.NewReader(stream), len(whole))
+		h, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, crcs := make([][]byte, len(parts)), make([]uint32, len(parts))
+		for i, p := range parts {
+			dst[i] = make([]byte, len(p))
+		}
+		if err := fr.PayloadCRCs(h, crcs, dst...); err != nil {
+			t.Fatalf("trial %d, cuts %v: PayloadCRCs: %v", trial, cuts, err)
+		}
+		for i, p := range parts {
+			if !bytes.Equal(dst[i], p) || crcs[i] != Checksum(p) {
+				t.Fatalf("trial %d, cuts %v: destination %d holds other bytes or CRC %08x, want %08x", trial, cuts, i, crcs[i], Checksum(p))
+			}
+		}
+	}
+	// One reader over records of differently sized parts: the shift it
+	// keeps from the last record's parts is recomputed when the size
+	// changes.
+	var stream []byte
+	sizes := []int{5, 7, 5, 5, 1 << 12}
+	for _, n := range sizes {
+		rec := data[:3*n]
+		stream = append(append(stream, Header{Kind: 1, Len: len(rec), CRC: Checksum(rec)}.Append(nil)...), rec...)
+	}
+	fr := NewReader(bytes.NewReader(stream), len(stream))
+	for _, n := range sizes {
+		h, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := [][]byte{make([]byte, n), make([]byte, n), make([]byte, n)}
+		if err := fr.PayloadCRCs(h, nil, dst...); err != nil || !bytes.Equal(bytes.Join(dst, nil), data[:3*n]) {
+			t.Fatalf("three %d-byte parts after other sizes: %v", n, err)
+		}
+	}
+
+	// Equal-length destinations share one shift; a flipped byte in any of
+	// them is still refused.
+	blocks := bytes.Repeat(data[:4096], 8)
+	stream = append(Header{Kind: 1, Len: len(blocks), CRC: Checksum(blocks)}.Append(nil), blocks...)
+	for i := 0; i < len(blocks); i += 4093 {
+		bad := bytes.Clone(stream)
+		bad[HeaderLen+i] ^= 0x20
+		fr := NewReader(bytes.NewReader(bad), len(blocks))
+		h, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([][]byte, 8)
+		for j := range dst {
+			dst[j] = make([]byte, 4096)
+		}
+		if err := fr.PayloadCRCs(h, make([]uint32, 8), dst...); !errors.Is(err, ErrPayload) {
+			t.Fatalf("payload byte %d flipped: PayloadCRCs = %v, want ErrPayload", i, err)
+		}
 	}
 }
 

@@ -79,11 +79,15 @@ recover:
 # unhedged, a black-holed source costing one hedge per batch, the one read
 # plan on three executors, degraded reads and their trace, the stripe
 # cache's batches of one, server spans stitched under the batch's fetch,
-# and cancellation: it interrupts an exchange, races its completion
+# cancellation: it interrupts an exchange, races its completion
 # without leaving a deadline on a parked connection, and costs a client
-# no goroutine.
+# no goroutine; and the granule checksums: a range's CRC combined from
+# the stored granule CRCs, rot in every granule caught by the reader (or,
+# in a granule a range covers in part, by the server) and counted at the
+# server, and the counted claim that a unit-aligned read costs the
+# servers no CRC.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel|Granule' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare

@@ -131,7 +131,12 @@ type Client struct {
 	req   []byte        // request header scratch
 	arr   [][]byte      // gather-list backing for vectored sends, cleared after each
 	iov   net.Buffers   // per-send view into arr, consumed by the write
-	parts [][]byte      // a batch answer's landing list: the OK names' destinations
+	parts [][]byte      // a range or chunk answer's landing list: the OK names' destinations
+	crcs  []uint32      // the CRC32Cs those landed under, one per OK name
+
+	// rotten names the blocks whose bytes the last exchange landed unlike
+	// the CRC their server sent for them; do reports them (see report).
+	rotten []string
 }
 
 // Dial connects to a server with default options.
@@ -299,7 +304,26 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	if c.lat != nil {
 		c.lat.ObserveSince(start)
 	}
+	if len(c.rotten) > 0 {
+		c.report(ctx)
+	}
 	return payload, err
+}
+
+// report asks the server to verify, with opVerify, each block whose bytes
+// the last exchange landed unlike the CRC the server sent for them. The
+// reader cannot tell rot at rest from damage on the wire; the server can,
+// and counts rot as a corrupt serve where it lives.
+func (c *Client) report(ctx context.Context) {
+	rotten := c.rotten
+	c.rotten = nil // the verify exchanges below land nothing
+	for _, name := range rotten {
+		// The answer changes no verdict: the bytes that landed were bad
+		// either way.
+		_ = c.call(ctx, request{op: opVerify, name: name})
+	}
+	clear(rotten)
+	c.rotten = rotten[:0]
 }
 
 // call is do for the exchanges whose OK payload carries nothing the caller
@@ -450,25 +474,35 @@ func (c *Client) readResponse(r *request) ([]byte, error) {
 }
 
 // readOne reads an OK one-name range or chunk answer, whose verified meta
-// holds its verdict. It returns the verdict as the error, or the answer: in
-// a pooled buffer (Chunk), or, with r.dst set (GetRangeInto, and a Store
-// round's one-name exchanges), straight into the caller's memory — the
-// scatter half of the zero-copy framing: the socket fills a stripe slot,
-// typically, with no pooled intermediary and no copy; a payload whose
-// length differs from len(r.dst) is a protocol violation, reported
-// out-of-band so the retry machinery poisons the connection rather than
-// desyncing the stream. The answer readers build their errors in functions
-// of their own, so the frames they stack up to the socket read stay small:
-// a Store round runs each exchange on a fresh goroutine.
+// holds its verdict and, when that is OK, its CRC. It returns the verdict
+// as the error, or the answer: in a pooled buffer (Chunk), or, with r.dst
+// set (GetRangeInto, and a Store round's one-name exchanges), straight into
+// the caller's memory — the scatter half of the zero-copy framing: the
+// socket fills a stripe slot, typically, with no pooled intermediary and no
+// copy; a payload whose length differs from len(r.dst) is a protocol
+// violation, reported out-of-band so the retry machinery poisons the
+// connection rather than desyncing the stream. An answer that lands unlike
+// its CRC is ErrCorrupt, in band. The answer readers build their errors in
+// functions of their own, so the frames they stack up to the socket read
+// stay small: a Store round runs each exchange on a fresh goroutine.
 func (c *Client) readOne(h frame.Header, r *request) ([]byte, error) {
-	if len(h.Meta) != 1 || h.Meta[0] != statusOK {
+	if len(h.Meta) != 1+4 || h.Meta[0] != statusOK {
 		return nil, oneVerdict(h, r)
 	}
-	if r.dst != nil {
-		return nil, c.fr.Payload(h, r.dst)
+	buf := r.dst
+	if buf == nil {
+		buf = bufpool.Get(h.Len)
 	}
-	buf := bufpool.Get(h.Len)
-	if err := c.fr.Payload(h, buf); err != nil {
+	c.parts = append(c.parts[:0], buf)
+	err := c.land(h)
+	clear(c.parts)
+	if (err == nil || errors.Is(err, frame.ErrPayload)) && c.crcs[0] != binary.BigEndian.Uint32(h.Meta[1:]) {
+		err = c.rot(r.name)
+	}
+	if r.dst != nil {
+		return nil, err
+	}
+	if err != nil {
 		bufpool.Put(buf)
 		return nil, err
 	}
@@ -477,10 +511,10 @@ func (c *Client) readOne(h frame.Header, r *request) ([]byte, error) {
 
 // oneVerdict is the error of a one-name answer whose verdict is not OK:
 // the verdict itself, or a protocol violation when the answer carries a
-// payload anyway or the wrong number of verdicts.
+// payload anyway or a meta of the wrong length.
 func oneVerdict(h frame.Header, r *request) error {
-	if len(h.Meta) != 1 {
-		return fmt.Errorf("blockserver: %d verdicts for one name", len(h.Meta))
+	if len(h.Meta) != 1 || h.Meta[0] == statusOK {
+		return fmt.Errorf("blockserver: %d-byte answer meta for one name", len(h.Meta))
 	}
 	err := verdict(r.op, h.Meta[0], r.name)
 	if !inBand(err) || h.Len != 0 {
@@ -491,13 +525,16 @@ func oneVerdict(h frame.Header, r *request) error {
 
 // readVerdicts reads a several-name answer: it records each verdict in
 // r.batch and scatters the OK answers, in request order, straight into
-// their destinations there; a payload that does not fill exactly those is
-// a protocol violation, like a verdict vector of the wrong length or an
-// unknown verdict.
+// their destinations there, and checks each against its CRC in the meta.
+// One that lands unlike its CRC is that name's ErrCorrupt, and the others
+// stand: the connection is in sync. A payload that does not fill exactly
+// the OK names' destinations is a protocol violation, like a meta of the
+// wrong length, an unknown verdict, or a payload that fails the frame CRC
+// while every name matches its own.
 func (c *Client) readVerdicts(h frame.Header, r *request) error {
 	b := r.batch
-	if len(h.Meta) != len(b.names) {
-		return badAnswer(h, r, 0)
+	if len(h.Meta) < len(b.names) {
+		return badAnswer(h, r, 0, 0)
 	}
 	c.parts = c.parts[:0]
 	// The scratch must not keep the caller's buffers alive once parked. A
@@ -505,7 +542,7 @@ func (c *Client) readVerdicts(h frame.Header, r *request) error {
 	// appends below.
 	defer func() { clear(c.parts) }()
 	want := 0
-	for i, v := range h.Meta {
+	for i, v := range h.Meta[:len(b.names)] {
 		if b.verdicts[i] = verdict(r.op, v, b.names[i]); b.verdicts[i] == nil {
 			c.parts = append(c.parts, b.bufs[i])
 			want += len(b.bufs[i])
@@ -513,22 +550,57 @@ func (c *Client) readVerdicts(h frame.Header, r *request) error {
 			return b.verdicts[i]
 		}
 	}
-	if h.Len != want {
-		return badAnswer(h, r, want)
+	if len(h.Meta) != len(b.names)+4*len(c.parts) || h.Len != want {
+		return badAnswer(h, r, len(c.parts), want)
 	}
-	if err := c.fr.Payload(h, c.parts...); err != nil {
+	err := c.land(h)
+	if err != nil && !errors.Is(err, frame.ErrPayload) {
+		return err
+	}
+	crcs, rotten := h.Meta[len(b.names):], false
+	for i, j := 0, 0; i < len(b.names); i++ {
+		if b.verdicts[i] != nil {
+			continue
+		}
+		if c.crcs[j] != binary.BigEndian.Uint32(crcs[4*j:]) {
+			b.verdicts[i], rotten = c.rot(b.names[i]), true
+			want -= len(b.bufs[i])
+		}
+		j++
+	}
+	if err != nil && !rotten {
 		return err
 	}
 	cliBytesRx.Add(int64(want)) // the last step of the exchange: it has succeeded
 	return nil
 }
 
-// badAnswer is the protocol violation of a several-name answer whose
-// verdict vector does not match the names asked, or whose payload does not
-// fill the want bytes of destinations its OK verdicts name.
-func badAnswer(h frame.Header, r *request, want int) error {
-	if len(h.Meta) != len(r.batch.names) {
-		return fmt.Errorf("blockserver: %d verdicts for %d names", len(h.Meta), len(r.batch.names))
+// land reads an OK range or chunk answer's payload into c.parts, the OK
+// names' destinations in request order, and leaves the CRC32C each landed
+// under in c.crcs. A payload that fails the frame CRC is frame.ErrPayload,
+// which the caller weighs against the names' own CRCs.
+func (c *Client) land(h frame.Header) error {
+	if cap(c.crcs) < len(c.parts) {
+		c.crcs = make([]uint32, len(c.parts))
+	}
+	c.crcs = c.crcs[:len(c.parts)]
+	return c.fr.PayloadCRCs(h, 0, c.crcs, c.parts...)
+}
+
+// rot records that name's bytes landed unlike the CRC its server sent for
+// them, for do to report, and returns that name's verdict.
+func (c *Client) rot(name string) error {
+	c.rotten = append(c.rotten, name)
+	return fmt.Errorf("%w: %s: checksum mismatch at the reader", ErrCorrupt, name)
+}
+
+// badAnswer is the protocol violation of a several-name answer whose meta
+// does not hold a verdict per name asked and a CRC per one of its ok OK
+// verdicts, or whose payload does not fill the want bytes of destinations
+// those name.
+func badAnswer(h frame.Header, r *request, ok, want int) error {
+	if len(h.Meta) != len(r.batch.names)+4*ok {
+		return fmt.Errorf("blockserver: %d-byte answer meta for %d names", len(h.Meta), len(r.batch.names))
 	}
 	return fmt.Errorf("blockserver: %d-byte %s answer for %d bytes of destinations", h.Len, opNames[r.op], want)
 }

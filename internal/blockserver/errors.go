@@ -13,10 +13,14 @@ var (
 	// a dial, a single exchange, or the caller's context.
 	ErrTimeout = errors.New("blockserver: operation timed out")
 
-	// ErrCorrupt is returned when a stored block no longer matches its
-	// ingest CRC32C. A frame damaged on the wire is a transport fault
-	// instead (frame.ErrHeader, frame.ErrPayload): the connection is
-	// poisoned and the exchange retried.
+	// ErrCorrupt is returned when a stored block no longer matches the
+	// CRC32Cs it was put under: found by the server, or, for a range or
+	// chunk answer, by the reader, whose bytes landed unlike the CRC the
+	// server sent for them (rot the server did not read, or damage on the
+	// wire; the reader reports it back, and the server tells which). Any
+	// other frame damaged on the wire is a transport fault instead
+	// (frame.ErrHeader, frame.ErrPayload): the connection is poisoned and
+	// the exchange retried.
 	ErrCorrupt = errors.New("blockserver: corrupt block")
 
 	// ErrTooFewSurvivors is returned when not enough sources remain to

@@ -581,16 +581,20 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 // (so chunk requests reach the chunk computation). Whatever the stream,
 // the loop ends without a panic, and the block map changes only on a put
 // frame whose header and payload both verify: every block held afterwards
-// was sent, name and content, in such a frame. The committed corpus holds
+// was sent, name and content, in such a frame, and holds the CRC of every
+// granule of it at the server's grain. The committed corpus holds
 // the put, range and chunk requests' malformed name lists (no names, a
 // count past the meta, an empty or over-long name), a put whose payload
 // does not split into its count of blocks and one with a flipped payload
 // byte, a three-name put read back by a three-name range, a one-name
 // request of each, an n−1-name chunk request, a 32-name range request, one
-// whose names draw an OK, an out-of-range and a not-found verdict, and
-// ranges over maxPayload. The over-maxPayload chunk request is not a seed: at 160 KB,
-// the fuzzer would spend its time minimizing mutants of it, so
-// TestChunkNameListsAreChecked covers it instead.
+// whose names draw an OK, an out-of-range and a not-found verdict, ranges
+// over maxPayload, ranges that start and end mid-granule on the code
+// server, and an aligned two-name range followed by the answer it draws —
+// verdicts and CRCs in its meta — sent back as if a request. The
+// over-maxPayload chunk request is not a seed: at 160 KB, the fuzzer would
+// spend its time minimizing mutants of it, so TestChunkNameListsAreChecked
+// covers it instead.
 func FuzzServeConn(f *testing.F) {
 	code, err := carousel.New(4, 2, 3, 4)
 	if err != nil {
@@ -622,8 +626,19 @@ func FuzzServeConn(f *testing.F) {
 			cli.Close()
 			<-done
 			for name, b := range srv.blocks {
-				if !sentInVerifiedPut(data, name, b.data) || b.crc != Checksum(b.data) {
+				if !sentInVerifiedPut(data, name, b.data) {
 					t.Fatalf("block %q (%d bytes) was stored without a verified put frame", name, len(b.data))
+				}
+				// Its at-rest record is a CRC per granule of the server's
+				// grain, each right, combining to the block's.
+				g := srv.grain(len(b.data))
+				if len(b.crcs) != frame.Granules(len(b.data), g) || b.crc() != Checksum(b.data) {
+					t.Fatalf("block %q (%d bytes): %d granule CRCs at grain %d combine to %08x, want %08x", name, len(b.data), len(b.crcs), g, b.crc(), Checksum(b.data))
+				}
+				for i, c := range b.crcs {
+					if g := b.grain(); c != Checksum(b.data[i*g:(i+1)*g]) {
+						t.Fatalf("block %q: granule %d CRC %08x, want %08x", name, i, c, Checksum(b.data[i*g:(i+1)*g]))
+					}
 				}
 			}
 		}

@@ -1,0 +1,291 @@
+package blockserver
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"strings"
+	"testing"
+
+	"carousel/internal/carousel"
+	"carousel/internal/obs"
+)
+
+// attrInt reads a numeric span attribute, as recorded (int) or as decoded
+// from a collected trace's JSON (float64).
+func attrInt(s obs.SpanRecord, key string) int {
+	switch v := s.Attr(key).(type) {
+	case int:
+		return v
+	case float64:
+		return int(v)
+	}
+	return 0
+}
+
+// TestGranuleRangeCRC: rangeCRC over the granule CRCs is Checksum of the
+// range's bytes, over random grains and ranges — empty ones, one whole
+// block, one granule, and ranges that start or end mid-granule — and it
+// checksums stored bytes only for the granules a range covers in part, at
+// most two, none for an aligned range.
+func TestGranuleRangeCRC(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 400; trial++ {
+		grain, units := 1+rng.Intn(300), 1+rng.Intn(8)
+		if trial%5 == 0 {
+			units = 1 // the whole block is one granule
+		}
+		data := make([]byte, grain*units)
+		rng.Read(data)
+		b := storedBlock{data: data, crcs: make([]uint32, units)}
+		for i := range b.crcs {
+			b.crcs[i] = Checksum(data[i*grain : (i+1)*grain])
+		}
+		if n, intact := b.check(); n != len(data) || !intact || b.crc() != Checksum(data) {
+			t.Fatalf("trial %d: check %d bytes intact %v, crc %08x, want %d, true, %08x", trial, n, intact, b.crc(), len(data), Checksum(data))
+		}
+		g, mid := rng.Intn(units), rng.Intn(grain)
+		ranges := [][2]int{
+			{rng.Intn(len(data) + 1), 0},               // empty
+			{0, len(data)},                             // the whole block
+			{g * grain, grain},                         // one granule
+			{g*grain + mid, len(data) - g*grain - mid}, // from mid-granule to the end
+			{0, g*grain + 1 + mid},                     // from the start to mid-granule
+			{g*grain + mid, 1 + rng.Intn(grain)},       // within one granule or two
+		}
+		for range 4 {
+			off := rng.Intn(len(data) + 1)
+			ranges = append(ranges, [2]int{off, rng.Intn(len(data) - off + 1)})
+		}
+		for _, r := range ranges {
+			off, n := r[0], min(r[1], len(data)-r[0])
+			crc, checked, ok := b.rangeCRC(off, n)
+			if want := Checksum(data[off : off+n]); !ok || crc != want {
+				t.Fatalf("trial %d, grain %d: rangeCRC(%d, %d) = %08x, %v, want %08x", trial, grain, off, n, crc, ok, want)
+			}
+			if checked%grain != 0 || checked > 2*grain || (checked == 0) != b.aligned(off, n) {
+				t.Fatalf("trial %d, grain %d: rangeCRC(%d, %d) checksummed %d stored bytes (aligned %v)", trial, grain, off, n, checked, b.aligned(off, n))
+			}
+		}
+	}
+}
+
+// TestGranuleRot flips one byte in each granule of a block in turn, first
+// to last. A unit-aligned range over it — of that granule, or of the whole
+// block — lands every other name byte-identical and gives the rotten one
+// ErrCorrupt from its reader, with no redial; the reader's report makes the
+// server count exactly one corrupt serve. A range that covers the rotten
+// granule only in part is caught at the server instead, as statusCorrupt,
+// with nothing to report.
+func TestGranuleRot(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting := &countingListener{Listener: raw}
+	srv := NewServer(code)
+	addr, err := srv.StartListener(counting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ctx := context.Background()
+	c := NewClient(addr, fastOpts())
+	defer c.Close()
+
+	blockSize := code.BlockAlign() * 64
+	grain := blockSize / code.UnitsPerBlock()
+	names, blocks := make([]string, 4), make([][]byte, 4)
+	rng := rand.New(rand.NewSource(39))
+	for i := range names {
+		names[i], blocks[i] = fmt.Sprintf("g%d", i), make([]byte, blockSize)
+		rng.Read(blocks[i])
+	}
+	const rotten = 2
+	for g := range code.UnitsPerBlock() {
+		if err := c.Puts(ctx, names, blocks); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.CorruptBlock(names[rotten], g*grain+grain/2); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			what        string
+			off, length int
+			atServer    bool
+		}{
+			{"the granule", g * grain, grain, false},
+			{"the whole block", 0, blockSize, false},
+			{"the granule's first half", g * grain, grain / 2, true},
+			{"from mid-granule on", g*grain + 1, blockSize - g*grain - 1, true},
+		} {
+			dst, verdicts := make([][]byte, len(names)), make([]error, len(names))
+			for i := range dst {
+				dst[i] = make([]byte, r.length)
+			}
+			corrupt0, reports0 := srv.corruptServes.Load(), servedExchanges(opVerify)
+			if err := c.Ranges(ctx, names, r.off, dst, verdicts); err != nil {
+				t.Fatalf("granule %d, %s: %v", g, r.what, err)
+			}
+			for i := range names {
+				if i == rotten {
+					if !errors.Is(verdicts[i], ErrCorrupt) {
+						t.Errorf("granule %d, %s: rotten name's verdict %v, want ErrCorrupt", g, r.what, verdicts[i])
+					}
+				} else if verdicts[i] != nil || !bytes.Equal(dst[i], blocks[i][r.off:r.off+r.length]) {
+					t.Errorf("granule %d, %s: name %d verdict %v, identical %v", g, r.what, i, verdicts[i], bytes.Equal(dst[i], blocks[i][r.off:r.off+r.length]))
+				}
+			}
+			if n := srv.corruptServes.Load() - corrupt0; n != 1 {
+				t.Errorf("granule %d, %s: the server counted %d corrupt serves, want 1", g, r.what, n)
+			}
+			wantReports := int64(1)
+			if r.atServer {
+				wantReports = 0
+			}
+			if n := servedExchanges(opVerify) - reports0; n != wantReports {
+				t.Errorf("granule %d, %s: %d verify reports, want %d (caught at the server: %v)", g, r.what, n, wantReports, r.atServer)
+			}
+		}
+		// The one-name form carries the reader's verdict as its error.
+		one := make([]byte, grain)
+		if err := c.GetRangeInto(ctx, names[rotten], g*grain, one); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "reader") {
+			t.Errorf("granule %d: one-name range of the rotten granule: %v, want the reader's ErrCorrupt", g, err)
+		}
+	}
+	if n := counting.accepts.Load(); n != 1 {
+		t.Errorf("the client dialed %d times, want 1: a rotten name poisoned the connection", n)
+	}
+}
+
+// TestGranuleRotStrikesOneStripe: a Store read over a block with one byte
+// flipped in a granule it reads strikes only that block's stripe, is
+// byte-identical, and the server counts the rot; rot in a granule the
+// healthy plan does not read costs the read nothing.
+func TestGranuleRotStrikesOneStripe(t *testing.T) {
+	const stripes, bad = 4, 2
+	pc := newPlannedCluster(t, 12, 6, 10, 10, stripes)
+	grain := pc.blockSize / pc.code.UnitsPerBlock()
+	read := pc.code.DataBytesPerBlock(bad, pc.blockSize)
+	name := BlockName("f", 1, bad)
+	ctx := context.Background()
+	c, err := Dial(pc.addrs[bad])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	block, err := c.Get(ctx, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block = bytes.Clone(block)
+	for g := range pc.code.UnitsPerBlock() {
+		if err := c.Put(ctx, name, block); err != nil {
+			t.Fatal(err)
+		}
+		if err := pc.servers[bad].CorruptBlock(name, g*grain+3); err != nil {
+			t.Fatal(err)
+		}
+		corrupt0 := pc.servers[bad].corruptServes.Load()
+		stats, _ := pc.read(t)
+		want := 0
+		if g*grain < read {
+			want = 1
+		}
+		if stats.StripesFallback != want || stats.CorruptSources != want {
+			t.Errorf("granule %d: %d stripes re-planned, %d corrupt verdicts, want %d and %d", g, stats.StripesFallback, stats.CorruptSources, want, want)
+		}
+		if n := pc.servers[bad].corruptServes.Load() - corrupt0; n != int64(want) {
+			t.Errorf("granule %d: the server counted %d corrupt serves, want %d", g, n, want)
+		}
+	}
+}
+
+// TestGranuleServerCRCBytes is the counted claim behind the reader
+// verifying: a traced ReadFile at (12,6,10,10) asks only for unit-aligned
+// ranges, so the bytes of the server-side verify spans in its trace — every
+// stored byte a server checksums to serve it — sum to 0. A range that
+// starts and ends mid-granule checksums exactly the two granules it covers
+// in part, per name, and one inside a granule that granule.
+func TestGranuleServerCRCBytes(t *testing.T) {
+	const stripes = 8
+	pc := newPlannedCluster(t, 12, 6, 10, 10, stripes)
+	tracers := make([]*obs.Tracer, len(pc.servers))
+	for i, srv := range pc.servers {
+		tracers[i] = obs.NewTracer(4096)
+		srv.SetTracer(tracers[i])
+	}
+	// verified sums the server-side verify spans of one trace, and counts
+	// its range spans.
+	verified := func(trace uint64) (bytes, spans, ranges int) {
+		for _, tr := range tracers {
+			for _, s := range tr.Spans(trace) {
+				switch s.Name {
+				case "verify":
+					bytes += attrInt(s, "bytes")
+					spans++
+				case "server.range":
+					ranges++
+				}
+			}
+		}
+		return bytes, spans, ranges
+	}
+	stats, _ := pc.read(t)
+	if stats.StripesParallel != stripes {
+		t.Fatalf("%d of %d stripes read in parallel", stats.StripesParallel, stripes)
+	}
+	bytes, _, ranges := verified(stats.TraceID)
+	if ranges == 0 {
+		t.Fatal("the read's trace holds no server.range span")
+	}
+	if bytes != 0 {
+		t.Errorf("servers checksummed %d stored bytes for a %d-byte read, want 0", bytes, len(pc.data))
+	}
+
+	grain := pc.blockSize / pc.code.UnitsPerBlock()
+	names := make([]string, stripes)
+	dst, verdicts := make([][]byte, stripes), make([]error, stripes)
+	for st := range names {
+		names[st], dst[st] = BlockName("f", st, 0), make([]byte, 2*grain)
+	}
+	c, err := Dial(pc.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, r := range []struct {
+		off, length, want int
+	}{
+		{grain / 2, 2 * grain, 2 * grain}, // mid-granule to mid-granule
+		{grain + 1, grain / 2, grain},     // inside one granule
+		{grain, 2 * grain, 0},             // aligned
+	} {
+		ctx, sp := obs.StartSpan(context.Background(), "test.ranges")
+		for i := range dst {
+			dst[i] = dst[i][:r.length]
+		}
+		err := c.Ranges(ctx, names, r.off, dst, verdicts)
+		sp.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range verdicts {
+			if v != nil {
+				t.Fatalf("range [%d,+%d) of %s: %v", r.off, r.length, names[i], v)
+			}
+		}
+		bytes, spans, _ := verified(sp.TraceID())
+		if bytes != stripes*r.want || (r.want == 0) != (spans == 0) {
+			t.Errorf("range [%d,+%d) of %d names: the server checksummed %d stored bytes in %d verify spans, want %d per name",
+				r.off, r.length, stripes, bytes, spans, r.want)
+		}
+	}
+}

@@ -16,10 +16,33 @@
 // a damaged request before acting on any of it, and the client refuses a
 // damaged response before sizing a buffer from it. The payload CRC32C
 // catches payload damage at the receiver instead of feeding it into a
-// decode. Servers keep each put block's verified CRC32C as its ingest CRC
-// and verify it before serving, answering statusCorrupt when at-rest
-// corruption is found — the signal the client's read path uses to exclude
-// the block and route it into scrub/repair.
+// decode.
+//
+// At rest a server keeps one CRC32C per granule of each block, computed as
+// the put landed. A granule is the code's unit, len(block) /
+// UnitsPerBlock(), when the server has a code and the block divides into
+// units, and the whole block otherwise; every range a Store asks for is
+// unit-aligned. Who verifies what:
+//
+//   - get, stat, verify and chunk check the whole block, granule by
+//     granule, before they use it, and answer statusCorrupt when it has
+//     rotted; a get's payload CRC is its granules' combine, and a chunk —
+//     a linear combination, which no granule CRC covers — is checksummed
+//     as computed.
+//   - range sends the range's CRC32C, combined from the stored granule
+//     CRCs (frame.Combine), and reads no block content to checksum it —
+//     except a granule the range covers only in part, which it verifies
+//     whole first (statusCorrupt on a failure) and checksums the covered
+//     part of: at most two granules per name.
+//   - the reader verifies every byte it lands against its name's CRC in
+//     the same pass that reads it. A name whose bytes do not match is its
+//     own ErrCorrupt verdict; the other names land, and the connection
+//     stays in sync. The reader then sends an opVerify for that name, so
+//     the server, which can tell rot at rest from damage on the wire,
+//     counts the rot as a corrupt serve where it lives.
+//
+// statusCorrupt, or a reader's ErrCorrupt, is the signal the client's read
+// path uses to exclude the block and route it into scrub/repair.
 //
 // A put stores one or more blocks of one size — a write sends each server
 // its block of every stripe of a batch in one exchange:
@@ -30,13 +53,13 @@
 // The payload is the blocks back to back, each len/count bytes, and the
 // frame's payload CRC covers them all: there is no CRC per name. The
 // server reads each block into its own exact-size buffer, checksums it as
-// it lands, checks the frame CRC by combining the blocks' CRCs
-// (frame.Combine) and keeps each block's CRC as its ingest CRC. A put is
-// all-or-nothing: a payload whose length is not a multiple of count closes
-// the connection before anything is allocated, one that fails its CRC
-// closes it with nothing stored, and otherwise every block is stored under
-// one lock before the answer. So a client that retries a put whose answer
-// it never saw stores the same blocks again.
+// it lands, granule by granule, checks the frame CRC by combining the
+// granules' CRCs (frame.Combine) and keeps them as the blocks' at-rest
+// record. A put is all-or-nothing: a payload whose length is not a
+// multiple of count closes the connection before anything is allocated,
+// one that fails its CRC closes it with nothing stored, and otherwise
+// every block is stored under one lock before the answer. So a client that
+// retries a put whose answer it never saw stores the same blocks again.
 //
 // A range or chunk request names one or more blocks that share its
 // arguments — a read asks each source for the same range of a whole batch
@@ -46,7 +69,7 @@
 //
 //	range request  := header(kind=opRange, meta=count(2) {nameLen(2) name}×count offset(4) length(4) [trace]) no payload
 //	chunk request  := header(kind=opChunk, meta=count(2) {nameLen(2) name}×count helper(4) failed(4) [trace]) no payload
-//	response       := header(kind=statusOK, meta=verdict(1)×count) answer×ok
+//	response       := header(kind=statusOK, meta=verdict(1)×count crc(4)×ok) answer×ok
 //
 // The response carries one verdict byte per name, in request order:
 // statusOK, statusNotFound, statusCorrupt, or statusError — for a range,
@@ -55,15 +78,19 @@
 // back to back in request order, all of one size (the range's length, or
 // the chunk size), so the client knows from the verified header alone
 // where each lands; the server sends a range answer as one vectored write
-// of slices of the stored blocks, with no copy. A verdict concerns one
-// block: the exchange itself succeeded. The server refuses a put, range or
+// of slices of the stored blocks, with no copy. After the verdicts the meta
+// holds each OK answer's CRC32C, in the same order, and the frame's payload
+// CRC is their combine: a payload that fails it while every answer matches
+// its own CRC is a protocol violation. A verdict concerns one block: the
+// exchange itself succeeded. The server refuses a put, range or
 // chunk request with no names, a count that runs past the meta, or an
 // empty or over-long name by closing the connection, before it sizes
 // anything from the count; it answers statusError, with no verdicts, when
-// the blocks it found could cost more than maxPayload — each the larger of
-// its size, which is checksummed, and its answer; checked before it
-// verifies any of them — and, for a chunk request, when it has no code or
-// the chunk computation fails.
+// the request names more blocks than an answer's meta has room for a
+// verdict and a CRC each, or the blocks it found could cost more than
+// maxPayload — each the larger of its size, which may be checksummed, and
+// its answer; checked before it checksums any of them — and, for a chunk
+// request, when it has no code or the chunk computation fails.
 //
 // Operations: put (one or more blocks of one size, all or nothing), get,
 // range (one range of one or more blocks, for parallel reads of data

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -76,10 +77,9 @@ type connState struct {
 	arr   [][]byte      // gather-list backing for vectored responses, cleared after each
 	iov   net.Buffers   // per-reply view into arr, consumed by the write
 
-	verdicts []byte        // a range or chunk answer's verdict vector
-	blocks   []storedBlock // the blocks a range or chunk answer is served from, cleared after it
-	parts    [][]byte      // a range answer's slices of those blocks, or a put's blocks; cleared after it
-	crcs     []uint32      // a put's per-block CRC32Cs
+	answer []byte        // a range or chunk answer's meta: the verdict vector, then the OK names' CRC32Cs
+	blocks []storedBlock // the blocks a range or chunk answer is served from, cleared after it
+	parts  [][]byte      // a range answer's slices of those blocks, or a put's blocks; cleared after it
 }
 
 // reply records the RPC outcome and sends the response: the frame header
@@ -93,10 +93,10 @@ func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 }
 
 // send is reply for a header the caller has filled in: a whole stored
-// block whose CRC32C load has just verified against its ingest CRC, or a
-// range or chunk answer whose verdicts ride in the meta. The payload is
-// the concatenation of the parts, which leave after the header in the same
-// vectored write.
+// block that load has just verified, under the CRC32C its granules'
+// combine to, or a range or chunk answer whose verdicts and CRCs ride in
+// the meta. The payload is the concatenation of the parts, which leave
+// after the header in the same vectored write.
 func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte) error {
 	srvRPCCounter(op, h.Kind).Inc()
 	if h.Kind == statusOK {
@@ -115,13 +115,86 @@ func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte)
 	return err
 }
 
-// storedBlock is one block at rest: its content plus the CRC32C it arrived
-// under (the put frame's checksum, verified at ingest). Every serving path
-// re-verifies content against the CRC, so bit rot is detected at read time
-// instead of being decoded into garbage.
+// storedBlock is one block at rest: its content plus one CRC32C per
+// granule (see Server.grain), computed as the put that brought it landed
+// and checked, combined, against that put's frame CRC. The granules are
+// all one size, so the grain is len(data)/len(crcs). A range is answered
+// with its CRC combined from these, reading no content to checksum except
+// a granule it covers only in part, which is verified whole first; the
+// reader verifies what lands against that CRC, so bit rot in what is read
+// is caught there, and reported back. Get, stat, verify and chunk check
+// the whole block granule by granule before they use it.
 type storedBlock struct {
 	data []byte
-	crc  uint32
+	crcs []uint32
+}
+
+// grain is the length of each of the block's granules.
+func (b storedBlock) grain() int { return len(b.data) / len(b.crcs) }
+
+// crc is the whole block's CRC32C, combined from its granules'.
+func (b storedBlock) crc() (crc uint32) {
+	var comb frame.Combiner
+	for _, c := range b.crcs {
+		crc = comb.Combine(crc, c, b.grain())
+	}
+	return crc
+}
+
+// check checksums the whole block granule by granule: n is its length,
+// and intact reports whether every granule still matches its CRC.
+func (b storedBlock) check() (n int, intact bool) {
+	g := b.grain()
+	for i, c := range b.crcs {
+		if Checksum(b.data[i*g:(i+1)*g]) != c {
+			return len(b.data), false
+		}
+	}
+	return len(b.data), true
+}
+
+// aligned reports whether the n bytes at off start and end on granule
+// boundaries, so rangeCRC checksums none of them.
+func (b storedBlock) aligned(off, n int) bool {
+	return n == 0 || off%b.grain() == 0 && (off+n)%b.grain() == 0
+}
+
+// rangeCRC returns the CRC32C of the n bytes at off, which must lie in the
+// block, combined from the granule CRCs. A granule the range covers only
+// in part is checksummed in one pass as the parts before, in and after the
+// range, and their combine is checked against its CRC: checked counts
+// those granules' bytes, and ok is false when one fails.
+func (b storedBlock) rangeCRC(off, n int) (crc uint32, checked int, ok bool) {
+	if n == 0 {
+		return 0, 0, true
+	}
+	g, end := b.grain(), off+n
+	var comb frame.Combiner
+	for i := off / g; i*g < end; i++ {
+		lo, hi := i*g, (i+1)*g
+		if lo >= off && hi <= end {
+			crc = comb.Combine(crc, b.crcs[i], g)
+			continue
+		}
+		a, z := max(lo, off), min(hi, end)
+		head, mid, tail := Checksum(b.data[lo:a]), Checksum(b.data[a:z]), Checksum(b.data[z:hi])
+		if checked += g; frame.Combine(frame.Combine(head, mid, z-a), tail, hi-z) != b.crcs[i] {
+			return 0, checked, false
+		}
+		crc = frame.Combine(crc, mid, z-a)
+	}
+	return crc, checked, true
+}
+
+// grain is the granule a size-byte block is checksummed in at rest: the
+// code's unit when the server has a code and the block divides into its
+// units, which is what every range a Store asks for is aligned to; the
+// whole block otherwise.
+func (s *Server) grain(size int) int {
+	if s.code != nil && size > 0 && size%s.code.UnitsPerBlock() == 0 {
+		return size / s.code.UnitsPerBlock()
+	}
+	return size
 }
 
 // Server is one block store: a TCP listener over an in-memory block map.
@@ -301,7 +374,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// load fetches a stored block and verifies it against its ingest CRC. The
+// load fetches a stored block and verifies it against its granule CRCs. The
 // byte-slice key keeps the lookup allocation-free (the string conversion
 // in a map index does not escape).
 func (s *Server) load(ctx context.Context, name []byte) (storedBlock, byte) {
@@ -311,18 +384,21 @@ func (s *Server) load(ctx context.Context, name []byte) (storedBlock, byte) {
 	if !ok {
 		return storedBlock{}, statusNotFound
 	}
-	if st := s.verify(ctx, b); st != statusOK {
+	if st := s.verify(ctx, b.check); st != statusOK {
 		return storedBlock{}, st
 	}
 	return b, statusOK
 }
 
-// verify checks a stored block against its ingest CRC. On a traced request
-// the check is recorded as a "verify" child span.
-func (s *Server) verify(ctx context.Context, b storedBlock) byte {
+// verify runs check, a check of stored bytes against their granule CRCs
+// that reports how many bytes it checksummed, and counts a failure as a
+// corrupt serve. On a traced request the check is recorded as a "verify"
+// child span with those bytes, so the spans' bytes sum to every stored
+// byte the server checksums to serve a request.
+func (s *Server) verify(ctx context.Context, check func() (n int, intact bool)) byte {
 	vsp := spanChild(ctx, "verify")
-	intact := Checksum(b.data) == b.crc
-	vsp.SetAttr("bytes", len(b.data)).SetAttr("intact", intact)
+	n, intact := check()
+	vsp.SetAttr("bytes", n).SetAttr("intact", intact)
 	vsp.End()
 	if !intact {
 		s.corruptServes.Add(1)
@@ -372,7 +448,7 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		if st != statusOK {
 			return s.reply(cs, op, st, name)
 		}
-		return s.send(cs, op, frame.Header{Kind: statusOK, Len: len(b.data), CRC: b.crc}, b.data)
+		return s.send(cs, op, frame.Header{Kind: statusOK, Len: len(b.data), CRC: b.crc()}, b.data)
 
 	case opRange, opChunk:
 		return s.answerNames(ctx, cs, op, m)
@@ -410,9 +486,10 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 // block is allocated at exactly its size and never pooled: the block map
 // retains it for as long as the block lives, and a handler serving the
 // block it replaces may still be writing the old slice to its socket. The
-// one pass that lands the blocks checksums each, and the frame CRC is
-// checked against their combination before any is stored; each block's
-// own CRC becomes its ingest CRC.
+// one pass that lands the blocks checksums each granule by granule, and
+// the frame CRC is checked against their combination before any block is
+// stored; the granule CRCs, one slice for the whole put, become the
+// blocks' at-rest record.
 func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	if h.Len%m.count != 0 {
 		return fmt.Errorf("blockserver: %d-byte put payload for %d blocks", h.Len, m.count)
@@ -423,11 +500,10 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	for range m.count {
 		cs.parts = append(cs.parts, make([]byte, size))
 	}
-	if cap(cs.crcs) < m.count {
-		cs.crcs = make([]uint32, m.count)
-	}
-	crcs := cs.crcs[:m.count]
-	if err := cs.fr.PayloadCRCs(h, crcs, cs.parts...); err != nil {
+	grain := s.grain(size)
+	per := frame.Granules(size, grain)
+	crcs := make([]uint32, m.count*per)
+	if err := cs.fr.PayloadCRCs(h, grain, crcs, cs.parts...); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -435,7 +511,7 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	for i, data := range cs.parts {
 		var name []byte
 		name, list = nextName(list)
-		s.blocks[string(name)] = storedBlock{data: data, crc: crcs[i]}
+		s.blocks[string(name)] = storedBlock{data: data, crcs: crcs[i*per : (i+1)*per : (i+1)*per]}
 	}
 	s.mu.Unlock()
 	return nil
@@ -444,19 +520,28 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 // answerNames answers a range or chunk request, the two ops that name a
 // list of blocks sharing one pair of arguments. The named blocks are looked
 // up first, under one read lock, and what they could cost — for each, the
-// larger of its block, which is checksummed, and its answer — is checked
-// against maxPayload before any of them is verified or anything is sized,
-// so a request that repeats one name cannot make the server checksum,
-// allocate or send more than an answer may carry. Each block found is then verified and earns a verdict: a range
-// outside its block, or a chunk's block whose size differs from the first
-// OK one's, is statusError. The OK answers follow in request order: a
+// larger of its block, which may be checksummed, and its answer — is
+// checked against maxPayload before any of them is checksummed or anything
+// is sized, so a request that repeats one name cannot make the server
+// checksum, allocate or send more than an answer may carry; nor may it
+// name more blocks than an answer's meta has room for a verdict and a CRC
+// each. Each block found then earns a verdict: a range outside its block,
+// or a chunk's block whose size differs from the first OK one's, is
+// statusError. A range's CRC is combined from the block's granule CRCs,
+// with a granule it covers only in part verified first; a chunk's block is
+// verified whole before the chunk is computed from it, and the chunk is
+// checksummed. The OK answers follow in request order, their CRCs after
+// the verdicts in the meta and their combine the frame's payload CRC: a
 // range answer is the blocks' own slices, sent with the header in one
 // vectored write, and a chunk answer is computed into one pooled payload.
 func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqMeta) error {
 	if op == opChunk && s.code == nil {
 		return s.reply(cs, op, statusError, []byte("server has no code configured"))
 	}
-	cs.verdicts, cs.blocks = cs.verdicts[:0], cs.blocks[:0]
+	if 5*m.count > math.MaxUint16 {
+		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names' verdicts and CRCs overflow an answer meta", m.count))
+	}
+	cs.answer, cs.blocks = cs.answer[:0], cs.blocks[:0]
 	// The scratch must not keep deleted blocks alive. The closure clears the
 	// slice as the appends below leave it, not as it was when deferred.
 	defer func() { clear(cs.blocks) }()
@@ -470,50 +555,65 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		st := statusNotFound
 		if found {
 			st = statusOK
-			// Each block found is checksummed, and no chunk is larger than
-			// its block; a range is at most its length.
+			// Each block found may be checksummed whole, and no chunk is
+			// larger than its block; a range is at most its length.
 			cost := len(b.data)
 			if op == opRange {
 				cost = max(cost, length)
 			}
 			bound += cost
 		}
-		cs.verdicts, cs.blocks = append(cs.verdicts, st), append(cs.blocks, b)
+		cs.answer, cs.blocks = append(cs.answer, st), append(cs.blocks, b)
 	}
 	s.mu.RUnlock()
 	if bound > maxPayload {
-		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names could cost %d bytes, over the %d-byte payload limit", len(cs.verdicts), bound, maxPayload))
+		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names could cost %d bytes, over the %d-byte payload limit", len(cs.blocks), bound, maxPayload))
 	}
+	var comb frame.Combiner
+	var payloadCRC uint32
 	size, ok := -1, 0
 	for i, b := range cs.blocks {
-		if cs.verdicts[i] != statusOK {
+		if cs.answer[i] != statusOK {
 			continue
 		}
 		st := statusOK
-		if op == opRange && off+length > len(b.data) {
-			st = statusError
-		} else if st = s.verify(ctx, b); st == statusOK && op == opChunk {
-			if size < 0 {
-				size = len(b.data)
-			} else if len(b.data) != size {
-				st = statusError
+		var crc uint32
+		switch {
+		case op == opChunk:
+			if st = s.verify(ctx, b.check); st == statusOK {
+				if size < 0 {
+					size = len(b.data)
+				} else if len(b.data) != size {
+					st = statusError
+				}
 			}
+		case off+length > len(b.data):
+			st = statusError
+		case b.aligned(off, length):
+			crc, _, _ = b.rangeCRC(off, length)
+		default:
+			st = s.verify(ctx, func() (n int, intact bool) {
+				crc, n, intact = b.rangeCRC(off, length)
+				return n, intact
+			})
 		}
 		if st == statusOK {
 			cs.blocks[ok] = b // compacted in place: ok <= i
 			ok++
+			if op == opRange {
+				cs.answer = binary.BigEndian.AppendUint32(cs.answer, crc)
+				payloadCRC = comb.Combine(payloadCRC, crc, length)
+			}
 		}
-		cs.verdicts[i] = st
+		cs.answer[i] = st
 	}
 	if op == opRange {
 		cs.parts = cs.parts[:0]
 		defer func() { clear(cs.parts) }()
-		var crc uint32
 		for _, b := range cs.blocks[:ok] {
-			p := b.data[off : off+length]
-			cs.parts, crc = append(cs.parts, p), frame.Update(crc, p)
+			cs.parts = append(cs.parts, b.data[off:off+length])
 		}
-		return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.verdicts, Len: ok * length, CRC: crc}, cs.parts...)
+		return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer, Len: ok * length, CRC: payloadCRC}, cs.parts...)
 	}
 	chunkSize := s.code.HelperChunkSize(max(size, 0))
 	dsp := spanChild(ctx, "decode")
@@ -528,7 +628,12 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	}
 	dsp.SetAttr("chunk_bytes", len(out)).SetAttr("chunks", ok)
 	dsp.End()
-	return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.verdicts, Len: len(out), CRC: Checksum(out)}, out)
+	for i := range ok {
+		crc := Checksum(out[i*chunkSize : (i+1)*chunkSize])
+		cs.answer = binary.BigEndian.AppendUint32(cs.answer, crc)
+		payloadCRC = comb.Combine(payloadCRC, crc, chunkSize)
+	}
+	return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer, Len: len(out), CRC: payloadCRC}, out)
 }
 
 // Stats reports this server's stored capacity and corrupt-serve count —

@@ -10,7 +10,8 @@
 // length can neither size an allocation nor leave the reader waiting for
 // bytes that will never come. Only then does it read metaLen bytes of meta
 // and check them against metaCRC. The payload keeps its own CRC32C, which a
-// receiver can retain as the content's at-rest checksum.
+// receiver can retain as the content's at-rest checksum — whole, or as the
+// CRC32Cs of fixed granules that PayloadCRCs reports from the same pass.
 package frame
 
 import (
@@ -56,6 +57,26 @@ func Update(crc uint32, b []byte) uint32 {
 // the parts of a payload one by one checks the whole with it.
 func Combine(crcA, crcB uint32, lenB int) uint32 {
 	return mulModP(shiftBytes(lenB), crcA) ^ crcB
+}
+
+// Combiner is Combine that keeps the shift for the last length it carried
+// a CRC past, so combining a run of equal-length parts — the granules of a
+// block, the blocks of a put, the ranges of an answer — computes it once.
+// The zero value is ready to use.
+type Combiner struct {
+	n     int
+	shift uint32 // x^(8n) mod P, never zero once computed
+}
+
+// Combine returns the CRC32C of a‖b, as the package-level Combine does.
+func (c *Combiner) Combine(crcA, crcB uint32, lenB int) uint32 {
+	if crcA == 0 { // a zero CRC carried past any bytes stays zero
+		return crcB
+	}
+	if lenB != c.n || c.shift == 0 {
+		c.n, c.shift = lenB, shiftBytes(lenB)
+	}
+	return mulModP(c.shift, crcA) ^ crcB
 }
 
 // castagnoliPoly is the Castagnoli polynomial in the reflected bit order
@@ -126,17 +147,13 @@ type Reader struct {
 	r     io.Reader
 	limit int
 	hdr   [HeaderLen]byte
-	meta  []byte // grown only to a verified metaLen
-
-	// shift carries a CRC past shiftLen bytes: the last destination length
-	// PayloadCRCs combined at, which a stream of equal-sized blocks repeats.
-	shift    uint32
-	shiftLen int
+	meta  []byte   // grown only to a verified metaLen
+	comb  Combiner // PayloadCRCs' combine of the parts it checksums
 }
 
 // NewReader returns a Reader over r that refuses payloads over limit bytes.
 func NewReader(r io.Reader, limit int) *Reader {
-	return &Reader{r: r, limit: limit, shift: shiftBytes(0)}
+	return &Reader{r: r, limit: limit}
 }
 
 // Next reads and verifies one header. It returns io.EOF when the stream
@@ -172,17 +189,30 @@ func (r *Reader) Next() (Header, error) {
 // payload fills the destinations in order, so a receiver can scatter one
 // payload into several buffers; their lengths must sum to h.Len.
 func (r *Reader) Payload(h Header, dst ...[]byte) error {
-	return r.PayloadCRCs(h, nil, dst...)
+	return r.PayloadCRCs(h, 0, nil, dst...)
 }
 
-// PayloadCRCs is Payload that also reports, when crcs is not nil (it is
-// then as long as dst), each destination's own CRC32C in crcs[i]. Every destination is checksummed on
-// its own as it lands, and the payload CRC is their Combine, so a receiver
-// that keeps the destinations apart gets a verified checksum for each from
-// the one pass. The shift Combine multiplies by is computed only when a
-// destination's length differs from the last one combined, so a stream of
-// equal-sized blocks computes it once.
-func (r *Reader) PayloadCRCs(h Header, crcs []uint32, dst ...[]byte) error {
+// Granules returns how many CRCs PayloadCRCs reports for an n-byte
+// destination at the given grain: one per grain bytes, the last granule
+// possibly shorter, and one for the whole destination when grain is not
+// positive or not below n (an empty destination included).
+func Granules(n, grain int) int {
+	if grain <= 0 || grain >= n {
+		return 1
+	}
+	return (n + grain - 1) / grain
+}
+
+// PayloadCRCs is Payload that also reports, when crcs is not nil, the
+// CRC32C of every granule of every destination in order: each destination
+// is cut into grain-byte granules (see Granules; a grain of 0 keeps each
+// destination whole), so crcs must hold the sum of their Granules. Each
+// destination is read whole and then checksummed granule by granule, and
+// the payload CRC is the granules' Combine, so a receiver that keeps the
+// granules apart gets a verified checksum for each from the one pass. On
+// ErrPayload every CRC has still been reported: a receiver that knows what
+// each destination should hold can tell which did not.
+func (r *Reader) PayloadCRCs(h Header, grain int, crcs []uint32, dst ...[]byte) error {
 	n := 0
 	for _, d := range dst {
 		n += len(d)
@@ -191,21 +221,26 @@ func (r *Reader) PayloadCRCs(h Header, crcs []uint32, dst ...[]byte) error {
 		return fmt.Errorf("frame: %d-byte payload for a %d-byte destination", h.Len, n)
 	}
 	var crc uint32
-	for i, d := range dst {
+	j := 0
+	for _, d := range dst {
 		if err := readFull(r.r, d); err != nil {
 			return err
 		}
-		c := Checksum(d)
-		if crcs != nil {
-			crcs[i] = c
+		g := grain
+		if g <= 0 || g > len(d) {
+			g = len(d)
 		}
-		if crc != 0 { // a zero CRC carried past any bytes stays zero
-			if len(d) != r.shiftLen {
-				r.shiftLen, r.shift = len(d), shiftBytes(len(d))
+		for off := 0; ; off += g {
+			part := d[off:min(off+g, len(d))]
+			c := Checksum(part)
+			if crcs != nil {
+				crcs[j], j = c, j+1
 			}
-			c ^= mulModP(r.shift, crc)
+			crc = r.comb.Combine(crc, c, len(part))
+			if off+g >= len(d) {
+				break
+			}
 		}
-		crc = c
 	}
 	if crc != h.CRC {
 		return ErrPayload

@@ -119,7 +119,7 @@ func TestCombine(t *testing.T) {
 		for i, p := range parts {
 			dst[i] = make([]byte, len(p))
 		}
-		if err := fr.PayloadCRCs(h, crcs, dst...); err != nil {
+		if err := fr.PayloadCRCs(h, 0, crcs, dst...); err != nil {
 			t.Fatalf("trial %d, cuts %v: PayloadCRCs: %v", trial, cuts, err)
 		}
 		for i, p := range parts {
@@ -144,7 +144,7 @@ func TestCombine(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := [][]byte{make([]byte, n), make([]byte, n), make([]byte, n)}
-		if err := fr.PayloadCRCs(h, nil, dst...); err != nil || !bytes.Equal(bytes.Join(dst, nil), data[:3*n]) {
+		if err := fr.PayloadCRCs(h, 0, nil, dst...); err != nil || !bytes.Equal(bytes.Join(dst, nil), data[:3*n]) {
 			t.Fatalf("three %d-byte parts after other sizes: %v", n, err)
 		}
 	}
@@ -165,8 +165,75 @@ func TestCombine(t *testing.T) {
 		for j := range dst {
 			dst[j] = make([]byte, 4096)
 		}
-		if err := fr.PayloadCRCs(h, make([]uint32, 8), dst...); !errors.Is(err, ErrPayload) {
+		if err := fr.PayloadCRCs(h, 0, make([]uint32, 8), dst...); !errors.Is(err, ErrPayload) {
 			t.Fatalf("payload byte %d flipped: PayloadCRCs = %v, want ErrPayload", i, err)
+		}
+	}
+}
+
+// TestPayloadGranules: PayloadCRCs at a grain reports the CRC32C of every
+// granule of every destination, in order — a shorter last granule, an
+// empty destination and a grain at or past a destination's length among
+// them — while it verifies the whole; a flipped byte is refused with every
+// granule's CRC still reported, so only the granule it hit differs.
+func TestPayloadGranules(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	data := make([]byte, 1<<15)
+	rng.Read(data)
+	for trial := 0; trial < 200; trial++ {
+		lens := make([]int, 1+rng.Intn(4))
+		n := 0
+		for i := range lens {
+			if lens[i] = rng.Intn(3000); trial%5 == 0 && i == 0 {
+				lens[i] = 0
+			}
+			n += lens[i]
+		}
+		grain := rng.Intn(1200) - 100 // some not positive
+		if trial%7 == 0 {
+			grain = lens[0]
+		}
+		whole := data[:n]
+		var want []uint32
+		var parts [][]byte
+		for off, i := 0, 0; i < len(lens); off, i = off+lens[i], i+1 {
+			d := whole[off : off+lens[i]]
+			parts = append(parts, make([]byte, len(d)))
+			g, size := Granules(len(d), grain), len(d)
+			if g > 1 {
+				size = grain
+			}
+			for j := range g {
+				want = append(want, Checksum(d[j*size:min((j+1)*size, len(d))]))
+			}
+		}
+		stream := append(Header{Kind: 1, Len: n, CRC: Checksum(whole)}.Append(nil), whole...)
+		for _, flip := range []int{-1, rng.Intn(n + 1)} {
+			bad := bytes.Clone(stream)
+			if flip >= 0 && flip < n {
+				bad[HeaderLen+flip] ^= 0x10
+			}
+			fr := NewReader(bytes.NewReader(bad), n)
+			h, err := fr.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			crcs := make([]uint32, len(want))
+			err = fr.PayloadCRCs(h, grain, crcs, parts...)
+			differ := 0
+			for j := range want {
+				if crcs[j] != want[j] {
+					differ++
+				}
+			}
+			switch {
+			case flip < 0 || flip == n:
+				if err != nil || differ != 0 || !bytes.Equal(bytes.Join(parts, nil), whole) {
+					t.Fatalf("trial %d, lens %v, grain %d: %v, %d granule CRCs differ", trial, lens, grain, err, differ)
+				}
+			case !errors.Is(err, ErrPayload) || differ != 1:
+				t.Fatalf("trial %d, lens %v, grain %d, byte %d flipped: %v, %d granule CRCs differ, want ErrPayload and 1", trial, lens, grain, flip, err, differ)
+			}
 		}
 	}
 }

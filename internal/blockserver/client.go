@@ -240,11 +240,14 @@ type request struct {
 // nameBatch is a put, or a several-name range or chunk request: the block
 // names, each name's buffer — the block a put sends, or where an OK
 // answer lands — and, for a range or chunk, where each name's verdict is
-// written.
+// written. A put may carry its blocks' CRC32Cs and stripe records; a chunk
+// request may take each OK name's stripe record into recs.
 type nameBatch struct {
 	names    []string
 	bufs     [][]byte
 	verdicts []error
+	crcs     []uint32   // a put's blocks' CRC32Cs; nil: checksum the blocks
+	recs     [][]uint32 // a put's stripe records, or where a chunk answer's land; nil: none
 }
 
 // sent is how many payload bytes the request carries: a put's blocks.
@@ -397,8 +400,9 @@ func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
 
 // header builds the request's frame header in the request scratch and the
 // gather list that sends it: the header, then a put's blocks, whose CRC32C
-// is extended block by block. Like meta, it is kept out of exchange so the
-// frames every RPC stacks up to its socket read stay small.
+// is the combine of the caller's block CRCs, or else extended block by
+// block. Like meta, it is kept out of exchange so the frames every RPC
+// stacks up to its socket read stay small.
 func (c *Client) header(r *request) error {
 	meta, err := r.meta(c.meta[:0])
 	if err != nil {
@@ -408,8 +412,14 @@ func (c *Client) header(r *request) error {
 	c.arr = append(c.arr[:0], nil)
 	var crc uint32
 	if r.op == opPut {
-		for _, b := range r.batch.bufs {
-			c.arr, crc = append(c.arr, b), frame.Update(crc, b)
+		var comb frame.Combiner
+		for i, b := range r.batch.bufs {
+			c.arr = append(c.arr, b)
+			if r.batch.crcs == nil {
+				crc = frame.Update(crc, b)
+			} else {
+				crc = comb.Combine(crc, r.batch.crcs[i], len(b))
+			}
 		}
 	}
 	c.req = frame.Header{Kind: r.op, Meta: c.meta, Len: r.sent(), CRC: crc}.Append(c.req[:0])
@@ -423,7 +433,7 @@ func (c *Client) header(r *request) error {
 // whose stack would otherwise outgrow its starting size and be copied per
 // call.
 func (r *request) meta(dst []byte) ([]byte, error) {
-	names := []string{r.name}
+	names, recs := []string{r.name}, [][]uint32(nil)
 	if r.batch != nil {
 		names = r.batch.names
 	}
@@ -432,7 +442,10 @@ func (r *request) meta(dst []byte) ([]byte, error) {
 			return nil, fmt.Errorf("blockserver: invalid name length %d", len(name))
 		}
 	}
-	dst = appendMeta(dst, r.op, names, r.args[:nargs(r.op)], r.trace, r.parent)
+	if r.op == opPut {
+		recs = r.batch.recs
+	}
+	dst = appendMeta(dst, r.op, names, r.args[:nargs(r.op)], recs, r.trace, r.parent)
 	if len(dst) > math.MaxUint16 {
 		return nil, fmt.Errorf("blockserver: %d names make a %d-byte request meta", len(names), len(dst))
 	}
@@ -474,7 +487,8 @@ func (c *Client) readResponse(r *request) ([]byte, error) {
 }
 
 // readOne reads an OK one-name range or chunk answer, whose verified meta
-// holds its verdict and, when that is OK, its CRC. It returns the verdict
+// holds its verdict and, when that is OK, its entry: its CRC, and for a
+// chunk its block's stripe record, which is dropped. It returns the verdict
 // as the error, or the answer: in a pooled buffer (Chunk), or, with r.dst
 // set (GetRangeInto, and a Store round's one-name exchanges), straight into
 // the caller's memory — the scatter half of the zero-copy framing: the
@@ -486,8 +500,12 @@ func (c *Client) readResponse(r *request) ([]byte, error) {
 // functions of their own, so the frames they stack up to the socket read
 // stay small: a Store round runs each exchange on a fresh goroutine.
 func (c *Client) readOne(h frame.Header, r *request) ([]byte, error) {
-	if len(h.Meta) != 1+4 || h.Meta[0] != statusOK {
+	if len(h.Meta) == 0 || h.Meta[0] != statusOK {
 		return nil, oneVerdict(h, r)
+	}
+	crc, _, rest, ok := cutEntry(r.op, h.Meta[1:])
+	if !ok || len(rest) != 0 {
+		return nil, badMeta(h, r, 1)
 	}
 	buf := r.dst
 	if buf == nil {
@@ -496,7 +514,7 @@ func (c *Client) readOne(h frame.Header, r *request) ([]byte, error) {
 	c.parts = append(c.parts[:0], buf)
 	err := c.land(h)
 	clear(c.parts)
-	if (err == nil || errors.Is(err, frame.ErrPayload)) && c.crcs[0] != binary.BigEndian.Uint32(h.Meta[1:]) {
+	if (err == nil || errors.Is(err, frame.ErrPayload)) && c.crcs[0] != crc {
 		err = c.rot(r.name)
 	}
 	if r.dst != nil {
@@ -513,8 +531,8 @@ func (c *Client) readOne(h frame.Header, r *request) ([]byte, error) {
 // the verdict itself, or a protocol violation when the answer carries a
 // payload anyway or a meta of the wrong length.
 func oneVerdict(h frame.Header, r *request) error {
-	if len(h.Meta) != 1 || h.Meta[0] == statusOK {
-		return fmt.Errorf("blockserver: %d-byte answer meta for one name", len(h.Meta))
+	if len(h.Meta) != 1 {
+		return badMeta(h, r, 0)
 	}
 	err := verdict(r.op, h.Meta[0], r.name)
 	if !inBand(err) || h.Len != 0 {
@@ -527,14 +545,17 @@ func oneVerdict(h frame.Header, r *request) error {
 // r.batch and scatters the OK answers, in request order, straight into
 // their destinations there, and checks each against its CRC in the meta.
 // One that lands unlike its CRC is that name's ErrCorrupt, and the others
-// stand: the connection is in sync. A payload that does not fill exactly
-// the OK names' destinations is a protocol violation, like a meta of the
-// wrong length, an unknown verdict, or a payload that fails the frame CRC
-// while every name matches its own.
+// stand: the connection is in sync. Each OK chunk's stripe record goes to
+// its name's slot of r.batch.recs, when the caller gave it one; every
+// other name's slot is left empty. A payload that does not fill exactly
+// the OK names' destinations is a protocol violation, like a meta that
+// does not hold a verdict per name and an entry per OK one, an unknown
+// verdict, or a payload that fails the frame CRC while every name matches
+// its own.
 func (c *Client) readVerdicts(h frame.Header, r *request) error {
 	b := r.batch
 	if len(h.Meta) < len(b.names) {
-		return badAnswer(h, r, 0, 0)
+		return badMeta(h, r, 0)
 	}
 	c.parts = c.parts[:0]
 	// The scratch must not keep the caller's buffers alive once parked. A
@@ -550,29 +571,53 @@ func (c *Client) readVerdicts(h frame.Header, r *request) error {
 			return b.verdicts[i]
 		}
 	}
-	if len(h.Meta) != len(b.names)+4*len(c.parts) || h.Len != want {
-		return badAnswer(h, r, len(c.parts), want)
+	if !entriesFit(r.op, h.Meta[len(b.names):], len(c.parts)) {
+		return badMeta(h, r, len(c.parts))
+	}
+	if h.Len != want {
+		return badLength(h, r, want)
 	}
 	err := c.land(h)
 	if err != nil && !errors.Is(err, frame.ErrPayload) {
 		return err
 	}
-	crcs, rotten := h.Meta[len(b.names):], false
-	for i, j := 0, 0; i < len(b.names); i++ {
-		if b.verdicts[i] != nil {
-			continue
-		}
-		if c.crcs[j] != binary.BigEndian.Uint32(crcs[4*j:]) {
-			b.verdicts[i], rotten = c.rot(b.names[i]), true
-			want -= len(b.bufs[i])
-		}
-		j++
-	}
+	landed, rotten := c.entries(h, r)
 	if err != nil && !rotten {
 		return err
 	}
-	cliBytesRx.Add(int64(want)) // the last step of the exchange: it has succeeded
+	cliBytesRx.Add(int64(landed)) // the last step of the exchange: it has succeeded
 	return nil
+}
+
+// entries checks each OK name's landed bytes against the CRC of its entry
+// in the meta — a mismatch is that name's rot — and takes an OK chunk's
+// stripe record into its slot of r.batch.recs. It reports the bytes that
+// landed intact and whether any name rotted. It is kept out of
+// readVerdicts so the frames a batch exchange stacks up to its socket read
+// stay small.
+func (c *Client) entries(h frame.Header, r *request) (landed int, rotten bool) {
+	b := r.batch
+	entries := h.Meta[len(b.names):]
+	for i, j := 0, 0; i < len(b.names); i++ {
+		if b.recs != nil {
+			b.recs[i] = b.recs[i][:0]
+		}
+		if b.verdicts[i] != nil {
+			continue
+		}
+		crc, rec, rest, _ := cutEntry(r.op, entries)
+		entries = rest
+		if c.crcs[j] != crc {
+			b.verdicts[i], rotten = c.rot(b.names[i]), true
+		} else {
+			landed += len(b.bufs[i])
+			for ; b.recs != nil && len(rec) > 0; rec = rec[4:] {
+				b.recs[i] = append(b.recs[i], binary.BigEndian.Uint32(rec))
+			}
+		}
+		j++
+	}
+	return landed, rotten
 }
 
 // land reads an OK range or chunk answer's payload into c.parts, the OK
@@ -594,14 +639,19 @@ func (c *Client) rot(name string) error {
 	return fmt.Errorf("%w: %s: checksum mismatch at the reader", ErrCorrupt, name)
 }
 
-// badAnswer is the protocol violation of a several-name answer whose meta
-// does not hold a verdict per name asked and a CRC per one of its ok OK
-// verdicts, or whose payload does not fill the want bytes of destinations
-// those name.
-func badAnswer(h frame.Header, r *request, ok, want int) error {
-	if len(h.Meta) != len(r.batch.names)+4*ok {
-		return fmt.Errorf("blockserver: %d-byte answer meta for %d names", len(h.Meta), len(r.batch.names))
+// badMeta is the protocol violation of an answer whose meta does not hold
+// a verdict per name asked and an entry per one of its ok OK verdicts.
+func badMeta(h frame.Header, r *request, ok int) error {
+	names := 1
+	if r.batch != nil {
+		names = len(r.batch.names)
 	}
+	return fmt.Errorf("blockserver: %d-byte %s answer meta for %d names, %d of them OK", len(h.Meta), opNames[r.op], names, ok)
+}
+
+// badLength is the protocol violation of a several-name answer whose
+// payload does not fill the want bytes of its OK names' destinations.
+func badLength(h frame.Header, r *request, want int) error {
 	return fmt.Errorf("blockserver: %d-byte %s answer for %d bytes of destinations", h.Len, opNames[r.op], want)
 }
 
@@ -624,9 +674,10 @@ func verdict(op, v byte, name string) error {
 	return fmt.Errorf("blockserver: unknown verdict %d for %s", v, name)
 }
 
-// Put stores a block under name. It is Puts for one name.
+// Put stores a block under name, with no stripe record: it is Puts for one
+// name, which checksums the block itself.
 func (c *Client) Put(ctx context.Context, name string, data []byte) error {
-	return c.Puts(ctx, []string{name}, [][]byte{data})
+	return c.Puts(ctx, []string{name}, [][]byte{data}, nil, nil)
 }
 
 // Puts stores, in one exchange, blocks[i] under names[i] for every i — a
@@ -635,16 +686,44 @@ func (c *Client) Put(ctx context.Context, name string, data []byte) error {
 // error the caller may simply put them again. The blocks leave as they
 // are, with no copy, and the client keeps no reference to them once Puts
 // returns.
-func (c *Client) Puts(ctx context.Context, names []string, blocks [][]byte) error {
-	if len(names) == 0 || len(blocks) != len(names) {
-		return fmt.Errorf("blockserver: %d names and %d blocks to put", len(names), len(blocks))
+//
+// crcs[i], when crcs is not nil, is the CRC32C of blocks[i], which a
+// writer has from its encode: the frame's CRC is combined from them, so
+// the blocks are not read again to send them (nil: Puts checksums them).
+// recs[i], when recs is not nil, is the stripe record stored with
+// blocks[i] — the whole-block CRC32C of every block of its stripe, fewer
+// than 256 and as many for every name — which the server sends with each
+// chunk of the block instead of verifying it first.
+func (c *Client) Puts(ctx context.Context, names []string, blocks [][]byte, crcs []uint32, recs [][]uint32) error {
+	b := &nameBatch{names: names, bufs: blocks, crcs: crcs, recs: recs}
+	if err := b.checkPut(); err != nil {
+		return err
 	}
-	for i, b := range blocks {
-		if len(b) != len(blocks[0]) {
-			return fmt.Errorf("blockserver: put block %d is %d bytes, the first %d", i, len(b), len(blocks[0]))
+	return c.call(ctx, request{op: opPut, batch: b})
+}
+
+// checkPut refuses a put whose lists differ in length, whose blocks differ
+// in size, or whose records differ in width or are too wide for the meta.
+// It is kept out of Puts so the frames a writeback stacks up to its socket
+// read stay small: a repair writes back on the goroutine that decoded.
+func (b *nameBatch) checkPut() error {
+	if len(b.names) == 0 || len(b.bufs) != len(b.names) || b.crcs != nil && len(b.crcs) != len(b.names) || b.recs != nil && len(b.recs) != len(b.names) {
+		return fmt.Errorf("blockserver: %d names, %d blocks, %d CRCs and %d records to put", len(b.names), len(b.bufs), len(b.crcs), len(b.recs))
+	}
+	for i, blk := range b.bufs {
+		if len(blk) != len(b.bufs[0]) {
+			return fmt.Errorf("blockserver: put block %d is %d bytes, the first %d", i, len(blk), len(b.bufs[0]))
 		}
 	}
-	return c.call(ctx, request{op: opPut, batch: &nameBatch{names: names, bufs: blocks}})
+	for i, rec := range b.recs {
+		if len(rec) != len(b.recs[0]) {
+			return fmt.Errorf("blockserver: put record %d has %d CRCs, the first %d", i, len(rec), len(b.recs[0]))
+		}
+	}
+	if len(b.recs) > 0 && len(b.recs[0]) > math.MaxUint8 {
+		return fmt.Errorf("blockserver: %d-CRC put records, over the %d a put meta holds", len(b.recs[0]), math.MaxUint8)
+	}
+	return nil
 }
 
 // Get fetches a whole block. The returned slice is pool-backed: pass it to
@@ -681,12 +760,14 @@ func (c *Client) Ranges(ctx context.Context, names []string, off int, dst [][]by
 			return fmt.Errorf("blockserver: range destination %d is %d bytes, the first %d", i, len(d), length)
 		}
 	}
-	return c.callBatch(ctx, opRange, [2]uint32{uint32(off), uint32(length)}, &nameBatch{names, dst, verdicts})
+	return c.callBatch(ctx, opRange, [2]uint32{uint32(off), uint32(length)}, &nameBatch{names: names, bufs: dst, verdicts: verdicts})
 }
 
 // Chunk asks the server to compute its repair contribution for the failed
 // block index; only blockSize/alpha bytes come back. The returned slice is
-// pool-backed: pass it to Recycle once consumed. It is Chunks for one name.
+// pool-backed: pass it to Recycle once consumed. It is Chunks for one name,
+// dropping the block's stripe record: the server may not have verified the
+// block, so a caller that cannot check what it rebuilds asks Verify too.
 func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]byte, error) {
 	return c.do(ctx, request{op: opChunk, name: name,
 		args: [2]uint32{uint32(helper), uint32(failed)}})
@@ -700,23 +781,34 @@ func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]
 // the first OK one's. The returned error is the exchange's own (transport,
 // timeout, or a refusal of the whole request); the verdicts hold only when
 // it is nil, and a dst whose verdict is not nil holds nothing useful.
-func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int, dst [][]byte, verdicts []error) error {
-	return c.callBatch(ctx, opChunk, [2]uint32{uint32(helper), uint32(failed)}, &nameBatch{names, dst, verdicts})
+//
+// A chunk whose block the server did not verify first comes with the
+// block's stripe record (see Puts), which lands in recs[i], reusing its
+// storage; recs[i] is left empty for a chunk of a verified block and for
+// a name whose verdict is not nil. Whoever rebuilds the failed block from
+// such chunks checks it against entry failed of their records, and asks
+// their servers to Verify when it does not match. recs may be nil when the
+// caller will not.
+func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int, dst [][]byte, recs [][]uint32, verdicts []error) error {
+	return c.callBatch(ctx, opChunk, [2]uint32{uint32(helper), uint32(failed)}, &nameBatch{names: names, bufs: dst, verdicts: verdicts, recs: recs})
 }
 
 // callBatch runs one several-name range or chunk exchange: Ranges and
 // Chunks, and the Store's batch rounds, which hold the op's arguments
 // already encoded.
 func (c *Client) callBatch(ctx context.Context, op byte, args [2]uint32, b *nameBatch) error {
-	if len(b.names) == 0 || len(b.bufs) != len(b.names) || len(b.verdicts) != len(b.names) {
-		return b.mismatch()
+	if err := b.mismatch(); err != nil {
+		return err
 	}
 	return c.call(ctx, request{op: op, args: args, batch: b})
 }
 
-// mismatch is the error of a batch whose lists differ in length.
+// mismatch is the error of a batch whose lists differ in length, or nil.
 func (b *nameBatch) mismatch() error {
-	return fmt.Errorf("blockserver: %d names, %d destinations and %d verdict slots", len(b.names), len(b.bufs), len(b.verdicts))
+	if len(b.names) == 0 || len(b.bufs) != len(b.names) || len(b.verdicts) != len(b.names) || b.recs != nil && len(b.recs) != len(b.names) {
+		return fmt.Errorf("blockserver: %d names, %d destinations, %d record slots and %d verdict slots", len(b.names), len(b.bufs), len(b.recs), len(b.verdicts))
+	}
+	return nil
 }
 
 // Delete removes a block.

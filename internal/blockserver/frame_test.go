@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -204,28 +205,32 @@ func TestEveryHeaderBitIsChecked(t *testing.T) {
 }
 
 // TestEveryPutHeaderBitIsChecked flips each bit of a three-name put's
-// header in flight: the server refuses every one before storing anything
-// — no block under a damaged name, none of a damaged size, and not the
-// undamaged names either — and the retry on a fresh connection stores all
-// three.
+// header in flight, its names' stripe records included: the server
+// refuses every one before storing anything — no block under a damaged
+// name, none of a damaged size or record, and not the undamaged names
+// either — and the retry on a fresh connection stores all three, each
+// with its record.
 func TestEveryPutHeaderBitIsChecked(t *testing.T) {
 	servers, addrs := startServers(t, nil, 1)
 	srv, addr := servers[0], addrs[0]
 	ctx := context.Background()
 	opts := Options{DialTimeout: 2 * time.Second, IOTimeout: 3 * time.Second, Retry: retry.Policy{Attempts: 1}}
 	names := []string{"p0", "p1", "p2"}
-	blocks := make([][]byte, len(names))
+	blocks, crcs, recs := make([][]byte, len(names)), make([]uint32, len(names)), make([][]uint32, len(names))
 	rng := rand.New(rand.NewSource(36))
 	for i := range blocks {
 		blocks[i] = make([]byte, 512)
 		rng.Read(blocks[i])
+		crcs[i] = Checksum(blocks[i])
+		recs[i] = []uint32{crcs[i], rng.Uint32()}
 	}
 	held := func() int {
 		n, _, _ := srv.Stats()
 		return int(n)
 	}
-	// header = frame header + count(2) + three times nameLen(2) + name(2)
-	hdr := frame.HeaderLen + 2 + len(names)*(2+2)
+	// header = frame header + count(2) + three times nameLen(2) + name(2),
+	// then w(1) and three two-CRC records
+	hdr := frame.HeaderLen + 2 + len(names)*(2+2) + 1 + len(names)*2*4
 	for b := 0; b < 8*hdr; b++ {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -234,16 +239,22 @@ func TestEveryPutHeaderBitIsChecked(t *testing.T) {
 		c := NewClient(addr, opts)
 		fc := &flipConn{Conn: conn, bit: b}
 		c.conn, c.fr = fc, frame.NewReader(fc, maxPayload)
-		if err := c.Puts(ctx, names, blocks); err == nil {
+		if err := c.Puts(ctx, names, blocks, crcs, recs); err == nil {
 			t.Errorf("bit %d: a damaged put header was acted on", b)
 		}
 		if n := held(); n != 0 {
 			t.Fatalf("bit %d: a refused put left %d blocks", b, n)
 		}
-		if err := c.Puts(ctx, names, blocks); err != nil {
+		if err := c.Puts(ctx, names, blocks, crcs, recs); err != nil {
 			t.Fatalf("bit %d: retry: %v", b, err)
 		}
 		for i, name := range names {
+			srv.mu.RLock()
+			rec := srv.blocks[name].rec
+			srv.mu.RUnlock()
+			if !slices.Equal(rec, recs[i]) {
+				t.Fatalf("bit %d: %s stored with record %x, want %x", b, name, rec, recs[i])
+			}
 			got, err := c.Get(ctx, name)
 			if err != nil || !bytes.Equal(got, blocks[i]) {
 				t.Fatalf("bit %d: %s after the retry: %v", b, name, err)
@@ -289,7 +300,7 @@ func oversizedChunkRequest(align, alpha int) []byte {
 	for i := range names {
 		names[i] = "o"
 	}
-	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{"o"}, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
+	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{"o"}, nil, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
 	return append(append(put, block...), listFrame(opChunk, nameList(count, names, helper, failed))...)
 }
 
@@ -418,7 +429,7 @@ func TestChunkNameListsAreChecked(t *testing.T) {
 		dst[i] = make([]byte, len(want))
 	}
 	exchanges0 := servedExchanges(opChunk)
-	if err := c.Chunks(ctx, names, helper, failed, dst, verdicts); err != nil {
+	if err := c.Chunks(ctx, names, helper, failed, dst, nil, verdicts); err != nil {
 		t.Fatalf("n−1-name chunk request: %v", err)
 	}
 	if got := servedExchanges(opChunk) - exchanges0; got != 1 {
@@ -576,18 +587,24 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 	}
 }
 
-// FuzzServeConn feeds arbitrary bytes to the server loop over net.Pipe,
-// once on a server with no code and once on one with a small Carousel code
-// (so chunk requests reach the chunk computation). Whatever the stream,
-// the loop ends without a panic, and the block map changes only on a put
-// frame whose header and payload both verify: every block held afterwards
-// was sent, name and content, in such a frame, and holds the CRC of every
-// granule of it at the server's grain. The committed corpus holds
-// the put, range and chunk requests' malformed name lists (no names, a
-// count past the meta, an empty or over-long name), a put whose payload
-// does not split into its count of blocks and one with a flipped payload
-// byte, a three-name put read back by a three-name range, a one-name
-// request of each, an n−1-name chunk request, a 32-name range request, one
+// FuzzServeConn feeds arbitrary bytes to the server loop, once on a server
+// with no code and once on one with a small Carousel code (so chunk
+// requests reach the chunk computation), and reads the stream to its end
+// before the loop sees the connection close, so every request in it is
+// handled. Whatever the stream, the loop ends without a panic, and the
+// block map changes only on a put frame whose header and payload both
+// verify: every block held afterwards was sent, name, content and stripe
+// record, in such a frame — so a record is sized only from a verified meta
+// — and holds the CRC of every granule of it at the server's grain. The
+// committed corpus holds the put, range and chunk requests' malformed name
+// lists (no names, a count past the meta, an empty or over-long name), a
+// put whose payload does not split into its count of blocks and one with a
+// flipped payload byte, puts whose names carry stripe records of n CRCs or
+// none, and one whose records run past its meta, a three-name put read
+// back by a three-name range, a one-name request of each, an n−1-name
+// chunk request, a chunk request whose answer carries a record for one
+// name, none for another and a not-found verdict for a third — followed by
+// that answer, sent back as if a request — a 32-name range request, one
 // whose names draw an OK, an out-of-range and a not-found verdict, ranges
 // over maxPayload, ranges that start and end mid-granule on the code
 // server, and an aligned two-name range followed by the answer it draws —
@@ -600,14 +617,14 @@ func FuzzServeConn(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// put is a one-name put: meta count(2) nameLen(2) name.
+	// put is a one-name put with no record: meta count(2) nameLen(2) name w(1).
 	put := func(name string, data []byte) []byte {
 		meta := binary.BigEndian.AppendUint16([]byte{0, 1}, uint16(len(name)))
-		h := frame.Header{Kind: opPut, Meta: append(meta, name...), Len: len(data), CRC: Checksum(data)}
+		h := frame.Header{Kind: opPut, Meta: append(append(meta, name...), 0), Len: len(data), CRC: Checksum(data)}
 		return append(h.Append(nil), data...)
 	}
 	req := func(op byte, name string, args ...uint32) []byte {
-		return frame.Header{Kind: op, Meta: appendMeta(nil, op, []string{name}, args, 7, 9)}.Append(nil)
+		return frame.Header{Kind: op, Meta: appendMeta(nil, op, []string{name}, args, nil, 7, 9)}.Append(nil)
 	}
 	f.Add(put("a", []byte("hello")))
 	f.Add(append(put("b", []byte("block")), req(opRange, "b", 1, 3)...))
@@ -615,19 +632,10 @@ func FuzzServeConn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, code := range []*carousel.Code{nil, code} {
 			srv := NewServer(code)
-			cli, conn := net.Pipe()
-			done := make(chan struct{})
-			go func() {
-				srv.serveConn(conn)
-				close(done)
-			}()
-			go io.Copy(io.Discard, cli)
-			cli.Write(data)
-			cli.Close()
-			<-done
+			srv.serveConn(&streamConn{r: bytes.NewReader(data)})
 			for name, b := range srv.blocks {
-				if !sentInVerifiedPut(data, name, b.data) {
-					t.Fatalf("block %q (%d bytes) was stored without a verified put frame", name, len(b.data))
+				if !sentInVerifiedPut(data, name, b.data, b.rec) {
+					t.Fatalf("block %q (%d bytes, %d-CRC record) was stored without a verified put frame", name, len(b.data), len(b.rec))
 				}
 				// Its at-rest record is a CRC per granule of the server's
 				// grain, each right, combining to the block's.
@@ -645,10 +653,36 @@ func FuzzServeConn(f *testing.F) {
 	})
 }
 
+// sameRecord reports whether a put meta's record, 4 bytes per CRC, is rec.
+func sameRecord(sent []byte, rec []uint32) bool {
+	if len(sent) != 4*len(rec) {
+		return false
+	}
+	for i, c := range rec {
+		if binary.BigEndian.Uint32(sent[4*i:]) != c {
+			return false
+		}
+	}
+	return true
+}
+
+// streamConn is a connection whose far end sends a fixed stream, then
+// closes, and discards every answer: the server loop handles each request
+// in the stream before it reads the end.
+type streamConn struct {
+	net.Conn // nil: the server loop calls only Read, Write and Close
+	r        io.Reader
+}
+
+func (c *streamConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *streamConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *streamConn) Close() error                { return nil }
+
 // sentInVerifiedPut reports whether some offset of data starts a put
 // frame whose header and payload verify, whose payload splits into its
-// count of equal blocks, and which names name for a block that is content.
-func sentInVerifiedPut(data []byte, name string, content []byte) bool {
+// count of equal blocks, and which names name for a block that is content
+// with the stripe record rec.
+func sentInVerifiedPut(data []byte, name string, content []byte, rec []uint32) bool {
 	for i := range data {
 		fr := frame.NewReader(bytes.NewReader(data[i:]), len(data)-i)
 		h, err := fr.Next()
@@ -667,7 +701,7 @@ func sentInVerifiedPut(data []byte, name string, content []byte) bool {
 		for j, list := 0, m.names; len(list) > 0; j++ {
 			var n []byte
 			n, list = nextName(list)
-			if string(n) == name && bytes.Equal(payload[j*size:(j+1)*size], content) {
+			if string(n) == name && bytes.Equal(payload[j*size:(j+1)*size], content) && sameRecord(m.recs[4*j*m.w:4*(j+1)*m.w], rec) {
 				return true
 			}
 		}

@@ -110,7 +110,7 @@ func TestGranuleRot(t *testing.T) {
 	}
 	const rotten = 2
 	for g := range code.UnitsPerBlock() {
-		if err := c.Puts(ctx, names, blocks); err != nil {
+		if err := c.Puts(ctx, names, blocks, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := srv.CorruptBlock(names[rotten], g*grain+grain/2); err != nil {

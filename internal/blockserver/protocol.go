@@ -24,11 +24,16 @@
 // units, and the whole block otherwise; every range a Store asks for is
 // unit-aligned. Who verifies what:
 //
-//   - get, stat, verify and chunk check the whole block, granule by
-//     granule, before they use it, and answer statusCorrupt when it has
-//     rotted; a get's payload CRC is its granules' combine, and a chunk —
-//     a linear combination, which no granule CRC covers — is checksummed
-//     as computed.
+//   - get, stat and verify check the whole block, granule by granule,
+//     before they use it, and answer statusCorrupt when it has rotted; a
+//     get's payload CRC is its granules' combine.
+//   - chunk checks the whole block the same way only when the block has no
+//     stripe record (below). A block with one is not read before the chunk
+//     is computed from it: its record rides with the chunk, and the client
+//     that repairs checks the block it rebuilds against the record's entry
+//     for the lost block, asking each helper to verify with opVerify only
+//     when that fails. A chunk — a linear combination, which no granule CRC
+//     covers — is checksummed as computed either way.
 //   - range sends the range's CRC32C, combined from the stored granule
 //     CRCs (frame.Combine), and reads no block content to checksum it —
 //     except a granule the range covers only in part, which it verifies
@@ -47,7 +52,7 @@
 // A put stores one or more blocks of one size — a write sends each server
 // its block of every stripe of a batch in one exchange:
 //
-//	put request := header(kind=opPut, meta=count(2) {nameLen(2) name}×count [trace]) block×count
+//	put request := header(kind=opPut, meta=count(2) {nameLen(2) name}×count w(1) {crc(4)×w}×count [trace]) block×count
 //	response    := header(kind=statusOK, no meta) no payload
 //
 // The payload is the blocks back to back, each len/count bytes, and the
@@ -55,11 +60,18 @@
 // server reads each block into its own exact-size buffer, checksums it as
 // it lands, granule by granule, checks the frame CRC by combining the
 // granules' CRCs (frame.Combine) and keeps them as the blocks' at-rest
-// record. A put is all-or-nothing: a payload whose length is not a
-// multiple of count closes the connection before anything is allocated,
-// one that fails its CRC closes it with nothing stored, and otherwise
-// every block is stored under one lock before the answer. So a client that
-// retries a put whose answer it never saw stores the same blocks again.
+// checksums. The meta may also give each block its stripe record: the
+// whole-block CRC32C of each of the w = n blocks of its stripe, which a
+// write has from its encode, or w = 0 for none (a 256-block code's blocks
+// go without: w is one byte). The server keeps each
+// block's record as sent, beside its granule CRCs, and sends it with the
+// block's chunks; a w·count that runs past the meta is refused before
+// anything is sized from it. A put is all-or-nothing: a payload whose
+// length is not a multiple of count closes the connection before anything
+// is allocated, one that fails its CRC closes it with nothing stored, and
+// otherwise every block is stored under one lock before the answer. So a
+// client that retries a put whose answer it never saw stores the same
+// blocks again.
 //
 // A range or chunk request names one or more blocks that share its
 // arguments — a read asks each source for the same range of a whole batch
@@ -69,7 +81,8 @@
 //
 //	range request  := header(kind=opRange, meta=count(2) {nameLen(2) name}×count offset(4) length(4) [trace]) no payload
 //	chunk request  := header(kind=opChunk, meta=count(2) {nameLen(2) name}×count helper(4) failed(4) [trace]) no payload
-//	response       := header(kind=statusOK, meta=verdict(1)×count crc(4)×ok) answer×ok
+//	range response := header(kind=statusOK, meta=verdict(1)×count crc(4)×ok) answer×ok
+//	chunk response := header(kind=statusOK, meta=verdict(1)×count {crc(4) w(1) rec(4w)}×ok) answer×ok
 //
 // The response carries one verdict byte per name, in request order:
 // statusOK, statusNotFound, statusCorrupt, or statusError — for a range,
@@ -81,13 +94,17 @@
 // of slices of the stored blocks, with no copy. After the verdicts the meta
 // holds each OK answer's CRC32C, in the same order, and the frame's payload
 // CRC is their combine: a payload that fails it while every answer matches
-// its own CRC is a protocol violation. A verdict concerns one block: the
-// exchange itself succeeded. The server refuses a put, range or
+// its own CRC is a protocol violation. In a chunk answer each CRC is
+// followed by the block's stripe record — w = n CRCs, when the server
+// computed the chunk without verifying the block — or w = 0, when it
+// verified it: a block put with no record, or one of another width. A
+// verdict concerns one block: the exchange itself succeeded. The server refuses a put, range or
 // chunk request with no names, a count that runs past the meta, or an
 // empty or over-long name by closing the connection, before it sizes
 // anything from the count; it answers statusError, with no verdicts, when
 // the request names more blocks than an answer's meta has room for a
-// verdict and a CRC each, or the blocks it found could cost more than
+// verdict and a CRC each — and, in a chunk answer, a record of n CRCs
+// each: count·(6+4n) bytes — or the blocks it found could cost more than
 // maxPayload — each the larger of its size, which may be checksummed, and
 // its answer; checked before it checksums any of them — and, for a chunk
 // request, when it has no code or the chunk computation fails.
@@ -166,9 +183,10 @@ func nargs(op byte) int {
 
 // appendMeta encodes a request's meta: the length-prefixed names (one for
 // get, delete, stat and verify; a put's, range's or chunk's start with
-// their count), the op's arguments and, when traceID is nonzero, the trace
-// context.
-func appendMeta(dst []byte, op byte, names []string, args []uint32, traceID, parent uint64) []byte {
+// their count), the op's arguments, a put's stripe records (one per name,
+// all of one width, or nil for none) and, when traceID is nonzero, the
+// trace context.
+func appendMeta(dst []byte, op byte, names []string, args []uint32, recs [][]uint32, traceID, parent uint64) []byte {
 	if multiName(op) {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
 	}
@@ -178,6 +196,18 @@ func appendMeta(dst []byte, op byte, names []string, args []uint32, traceID, par
 	}
 	for _, a := range args {
 		dst = binary.BigEndian.AppendUint32(dst, a)
+	}
+	if op == opPut {
+		w := 0
+		if len(recs) > 0 {
+			w = len(recs[0])
+		}
+		dst = append(dst, byte(w))
+		for _, rec := range recs {
+			for _, c := range rec {
+				dst = binary.BigEndian.AppendUint32(dst, c)
+			}
+		}
 	}
 	if traceID != 0 {
 		dst = binary.BigEndian.AppendUint64(dst, traceID)
@@ -193,6 +223,8 @@ type reqMeta struct {
 	names         []byte // a put, range or chunk request's validated name list; walk it with nextName
 	count         int    // how many names that list holds
 	args          [2]uint32
+	w             int    // a put's stripe record width: CRCs per name
+	recs          []byte // a put's stripe records, 4·w bytes per name in name order
 	trace, parent uint64 // zero for an untraced request
 }
 
@@ -216,8 +248,9 @@ func nextName(list []byte) (name, rest []byte) {
 
 // parseMeta decodes the meta of a verified request header. A put, range or
 // chunk request's name list is walked name by name against the meta's own
-// length, so a count that promises more than the meta holds is refused
-// without anything being sized from it.
+// length, and a put's stripe records are measured against what is left of
+// it, so a count or a record width that promises more than the meta holds
+// is refused without anything being sized from it.
 func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 	rest := meta
 	if multiName(op) {
@@ -239,6 +272,17 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 	} else if m.name, rest, err = cutName(meta); err != nil {
 		return m, err
 	}
+	if op == opPut {
+		if len(rest) == 0 {
+			return m, fmt.Errorf("blockserver: put request meta has no record width")
+		}
+		m.w = int(rest[0])
+		n := 4 * m.w * m.count
+		if n > len(rest)-1 {
+			return m, fmt.Errorf("blockserver: %d names' %d-CRC records run past the meta", m.count, m.w)
+		}
+		m.recs, rest = rest[1:1+n], rest[1+n:]
+	}
 	na := nargs(op)
 	if len(rest) != 4*na && len(rest) != 4*na+traceLen {
 		return m, fmt.Errorf("blockserver: %d bytes of arguments for op %d", len(rest), op)
@@ -250,6 +294,37 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 		m.trace, m.parent = binary.BigEndian.Uint64(rest), binary.BigEndian.Uint64(rest[8:])
 	}
 	return m, nil
+}
+
+// cutEntry splits one OK name's entry off the front of what follows the
+// verdicts in a range or chunk answer's meta: its answer's CRC32C and, in a
+// chunk answer, its block's stripe record, 4w bytes (none when w = 0). ok
+// is false when the meta is too short for it.
+func cutEntry(op byte, meta []byte) (crc uint32, rec, rest []byte, ok bool) {
+	if len(meta) < 4 {
+		return 0, nil, nil, false
+	}
+	crc, rest = binary.BigEndian.Uint32(meta), meta[4:]
+	if op == opChunk {
+		if len(rest) == 0 || len(rest)-1 < 4*int(rest[0]) {
+			return 0, nil, nil, false
+		}
+		n := 4 * int(rest[0])
+		rec, rest = rest[1:1+n], rest[1+n:]
+	}
+	return crc, rec, rest, true
+}
+
+// entriesFit reports whether meta, what follows the verdicts in a range or
+// chunk answer's meta, is exactly ok entries.
+func entriesFit(op byte, meta []byte, ok int) bool {
+	for range ok {
+		var fit bool
+		if _, _, meta, fit = cutEntry(op, meta); !fit {
+			return false
+		}
+	}
+	return len(meta) == 0
 }
 
 // vectoredWriter is a sink that consumes a whole gather list in one call.

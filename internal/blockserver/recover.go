@@ -3,6 +3,7 @@ package blockserver
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -51,8 +52,9 @@ type RecoveryReport struct {
 	// BytesRecovered is the regenerated block bytes written back — the
 	// numerator of recovery MB/s.
 	BytesRecovered int64
-	// TrafficBytes counts helper chunk bytes fetched across the network
-	// (the Fig. 7 quantity, summed over every repaired block).
+	// TrafficBytes counts the bytes of the winning helper chunks fetched
+	// across the network (the Fig. 7 quantity, summed over every repaired
+	// block): not those of a chunk a recheck dropped.
 	TrafficBytes int64
 	// HelperChunks maps helper address to how many winning chunks it
 	// served — the balance evidence: with rotation every one of the n-1
@@ -130,9 +132,9 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 		tb = newTokenBucket(cfg.bandwidth, d*s.code.HelperChunkSize(s.blockSize)+s.blockSize)
 	}
 	var mu sync.Mutex
-	onHelper := func(idx int) {
+	onHelper := func(idx, chunks int) {
 		mu.Lock()
-		report.HelperChunks[s.addrs[idx]]++
+		report.HelperChunks[s.addrs[idx]] += int64(chunks)
 		mu.Unlock()
 	}
 	traffic, repaired, err := s.repairMany(ctx, jobs, 0, repairOpts{throttle: tb, onHelper: onHelper})
@@ -232,8 +234,7 @@ func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro r
 	// round — a rebuilt block costs one chunk exchange instead of d — and a
 	// longer batch would only delay its first decode and hold more chunks
 	// at once.
-	stripeBytes := s.code.D() * s.code.HelperChunkSize(s.blockSize)
-	batches := repairBatches(jobs, min(s.code.N()-1, max(1, batchBytes/stripeBytes)))
+	batches := repairBatches(jobs, s.repairBatchSize())
 	if conc == 0 {
 		conc = batchWidth(len(jobs), len(batches))
 	}
@@ -262,15 +263,28 @@ func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro r
 	return traffic, repaired, nil
 }
 
+// repairBatchSize is the most stripes a repair batch holds: one lap of the
+// survivor ring, n−1, fewer if a lap's chunks would pass batchBytes or if a
+// helper's answer for all of them would not fit one answer meta — a
+// verdict, a CRC and a stripe record of n CRCs per stripe, which binds only
+// wide codes (n ≥ 128) — and never fewer than one.
+func (s *Store) repairBatchSize() int {
+	n := s.code.N()
+	stripeBytes := s.code.D() * s.code.HelperChunkSize(s.blockSize)
+	return max(1, min(n-1, batchBytes/stripeBytes, math.MaxUint16/(6+4*n)))
+}
+
 // jobErr names the job a repair failure belongs to.
 func jobErr(j repairJob, err error) error {
 	return fmt.Errorf("%s stripe %d block %d: %w", j.file, j.ref.Stripe, j.ref.Block, err)
 }
 
 // stripeRepair is one stripe of a repair batch: its stripeOp, its
-// candidates in ring order, and the chunks that have landed, which outlive
-// a re-plan. The chunks land in d slots of one pooled buffer; a slot whose
-// fetch failed goes back to free for the next round's spare.
+// candidates in ring order, the chunks that have landed, which outlive a
+// re-plan, and what their stripe records say the lost block is. The chunks
+// land in d slots of one pooled buffer; a slot whose fetch failed goes
+// back to free for the next round's spare. A round's records land in d
+// slots of n CRCs, and the first is kept in one more, for the writeback.
 type stripeRepair struct {
 	stripeOp
 	job        repairJob
@@ -284,6 +298,12 @@ type stripeRepair struct {
 	asked      int // chunks requested: d, plus one per spare promoted
 	traffic    int
 	t0         time.Time
+
+	slots     []uint32 // d+1 record slots of n CRCs: a round's asks', then rec's
+	rec       []uint32 // the first stripe record a chunk brought, nil until one does
+	unchecked bool     // a chunk landed from a helper that did not verify its block
+	want      uint32   // the lost block's CRC32C, as the record that came with it says
+	disagree  bool     // another such chunk's record says otherwise
 }
 
 // try plans the stripe's next round on avail (nil: every block): the next
@@ -303,12 +323,14 @@ func (r *stripeRepair) try(avail []bool) error {
 	return nil
 }
 
-// asks asks each picked helper for its chunk, into a free slot.
+// asks asks each picked helper for its chunk, into a free slot, and for
+// its stripe record, into a record slot.
 func (r *stripeRepair) asks() (string, []ask) {
-	failed := uint32(r.job.ref.Block)
+	failed, n := uint32(r.job.ref.Block), r.s.code.N()
 	round := slices.Grow(r.round[:0], len(r.pick))
-	for _, h := range r.pick {
-		round = append(round, ask{block: h, args: [2]uint32{uint32(h), failed}, buf: r.free[len(r.free)-1]})
+	for k, h := range r.pick {
+		rec := r.slots[k*n : k*n : (k+1)*n]
+		round = append(round, ask{block: h, args: [2]uint32{uint32(h), failed}, buf: r.free[len(r.free)-1], rec: rec})
 		r.free = r.free[:len(r.free)-1]
 	}
 	r.asked += len(round)
@@ -326,9 +348,33 @@ func (r *stripeRepair) landed() {
 		r.helpers, r.chunks = append(r.helpers, a.block), append(r.chunks, a.buf)
 		r.traffic += len(a.buf)
 		if r.ro.onHelper != nil {
-			r.ro.onHelper(a.block)
+			r.ro.onHelper(a.block, 1)
+		}
+		if len(a.rec) > 0 {
+			r.record(a.rec)
 		}
 	}
+}
+
+// record takes the stripe record that came with a chunk whose helper did
+// not verify its block: the rebuilt block must match its entry for the
+// lost block, as it must every other such record's. The first is kept
+// whole for the writeback.
+func (r *stripeRepair) record(rec []uint32) {
+	failed := r.job.ref.Block
+	if r.rec == nil {
+		n := r.s.code.N()
+		r.rec = append(r.slots[len(r.slots)-n:len(r.slots)-n], rec...)
+	}
+	switch {
+	case failed >= len(rec):
+		r.disagree = true
+	case !r.unchecked:
+		r.want = rec[failed]
+	case rec[failed] != r.want:
+		r.disagree = true
+	}
+	r.unchecked = true
 }
 
 // done recycles the chunk slots and counts the repair.
@@ -369,6 +415,7 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 
 	stripes := make([]stripeRepair, len(batch))
 	tasks := make([]stripeTask, len(batch))
+	slots := make([]uint32, len(batch)*(d+1)*n)
 	for i, j := range batch {
 		r := &stripes[i]
 		*r = stripeRepair{
@@ -381,6 +428,7 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 			helpers:    make([]int, 0, d),
 			chunks:     make([][]byte, 0, d),
 			t0:         time.Now(),
+			slots:      slots[i*(d+1)*n : (i+1)*(d+1)*n : (i+1)*(d+1)*n],
 		}
 		for k := range r.free {
 			r.free[k] = r.buf[k*chunkSize : (k+1)*chunkSize : (k+1)*chunkSize]
@@ -405,9 +453,14 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 }
 
 // finish decodes the stripe's lost block from its d chunks into pooled
-// scratch, recycles the chunks, and writes the block back to its home
-// server. The writeback is synchronous, so by the time finish returns
-// nothing reads the scratch.
+// scratch and checksums it while it is still in cache. When a chunk came
+// from a helper that did not verify its block, the block must match what
+// each such chunk's stripe record says it is, or the stripe falls back
+// (recheck). Then finish recycles the chunks and writes the block back to
+// its home server under that CRC, with the record, its entry for the block
+// set to the CRC, so the newcomer can serve later repairs unverified too.
+// The writeback is synchronous, so by the time finish returns nothing
+// reads the scratch.
 func (r *stripeRepair) finish() error {
 	s, ctx, ro := r.s, r.ctx, r.ro
 	st, failed := r.job.ref.Stripe, r.job.ref.Block
@@ -415,8 +468,14 @@ func (r *stripeRepair) finish() error {
 	block := bufpool.Get(s.blockSize)
 	defer bufpool.Put(block)
 	err := s.code.RepairBlockInto(failed, r.helpers, r.chunks, block)
+	crc := Checksum(block)
 	dsp.SetAttr("stripe", st).SetAttr("block_bytes", len(block))
 	dsp.End()
+	if err == nil && r.unchecked && (r.disagree || crc != r.want) {
+		if again, err := r.recheck(); err != nil || again {
+			return err
+		}
+	}
 	r.release()
 	if err != nil {
 		return err
@@ -424,9 +483,15 @@ func (r *stripeRepair) finish() error {
 	if err = ro.throttle.Wait(ctx, len(block)); err != nil {
 		return err
 	}
+	rec := r.rec
+	if failed < len(rec) {
+		rec[failed] = crc
+	} else {
+		rec = nil
+	}
 	_, psp := obs.StartSpan(ctx, "writeback")
 	psp.SetAttr("stripe", st)
-	err = s.put(ctx, s.addrs[failed], BlockName(r.job.file, st, failed), block)
+	err = s.put(ctx, s.addrs[failed], BlockName(r.job.file, st, failed), block, crc, rec)
 	psp.End()
 	if err != nil {
 		return err
@@ -440,6 +505,66 @@ func (r *stripeRepair) finish() error {
 	}
 	return nil
 }
+
+// recheck is the fallback of a stripe whose rebuilt block does not match
+// its stripe records: it asks every helper to verify its block with
+// opVerify, which is what each would have done before computing its chunk
+// without a record, and which counts rot where it lives. A helper that
+// does not answer intact is struck from the stripe, its chunk dropped;
+// one that does is trusted, as a verified chunk always was. When none is
+// struck the block stands — records that disagree with intact blocks are
+// a stripe torn between two writes — and recheck reports false. Otherwise
+// the stripe is repaired again, as a batch of its own, and the outcome of
+// that, which has already written the block back, is recheck's error.
+func (r *stripeRepair) recheck() (again bool, err error) {
+	s, ctx := r.s, r.ctx
+	_, sp := obs.StartSpan(ctx, "recheck")
+	sp.SetAttr("stripe", r.st).SetAttr("helpers", len(r.helpers))
+	verdicts := make([]error, len(r.helpers))
+	var wg sync.WaitGroup
+	for k, h := range r.helpers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verdicts[k] = s.pool.WithClient(ctx, s.addrs[h], func(c *Client) error {
+				return c.Verify(ctx, BlockName(r.file, r.st, h))
+			})
+		}()
+	}
+	wg.Wait()
+	kept := 0
+	for k, h := range r.helpers {
+		if verdicts[k] == nil {
+			r.helpers[kept], r.chunks[kept] = h, r.chunks[k]
+			kept++
+			continue
+		}
+		// Struck dead, even on a timeout: the chunk is not to be trusted,
+		// nor asked for again, and it is not a winning chunk.
+		r.strike(h, fmt.Errorf("helper %d: its chunk did not rebuild the recorded block, and its verify: %v", h, verdicts[k]))
+		r.free, r.traffic = append(r.free, r.chunks[k]), r.traffic-len(r.chunks[k])
+		if r.ro.onHelper != nil {
+			r.ro.onHelper(h, -1)
+		}
+	}
+	struck := len(r.helpers) - kept
+	r.helpers, r.chunks = r.helpers[:kept], r.chunks[:kept]
+	sp.SetAttr("struck", struck)
+	sp.End()
+	if struck == 0 {
+		return false, nil
+	}
+	r.unchecked, r.disagree = false, false
+	s.runBatch(ctx, opChunk, []stripeTask{rerun{r}}, r.ro.throttle)
+	return true, r.err
+}
+
+// rerun is a stripe repaired again after its recheck struck a helper: a
+// batch of its own inside the stripe's finish, which the stripe's own
+// batch ends, so this one must not.
+type rerun struct{ *stripeRepair }
+
+func (rerun) done() {}
 
 // tokenBucket paces recovery traffic to a bytes/sec budget. Charges are
 // taken up front and the balance may go negative — the caller then sleeps

@@ -187,7 +187,7 @@ func TestRecoverServerSequentialRotatesHelpers(t *testing.T) {
 		jobs[st] = repairJob{file: "f", ref: BlockRef{Stripe: st, Block: failed}}
 	}
 	helpers := make(map[int]int) // one repair at a time: no lock needed
-	traffic, repaired, err := store.repairMany(ctx, jobs, 1, repairOpts{onHelper: func(idx int) { helpers[idx]++ }})
+	traffic, repaired, err := store.repairMany(ctx, jobs, 1, repairOpts{onHelper: func(idx, chunks int) { helpers[idx] += chunks }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +633,12 @@ func TestRepairWidth(t *testing.T) {
 // TestRecoverBatchStrikesOnlyTheBadBlock: a verdict is per name, not per
 // exchange. In one batch, one helper has lost one of its blocks and holds
 // another corrupted; its exchange still delivers the rest of its chunks,
-// and only the two stripes whose names drew a verdict promote a spare.
+// and only the two stripes whose names drew a verdict promote a spare. The
+// missing block draws its verdict in the exchange; the corrupted one's
+// chunk lands unverified, and its stripe's rebuilt block misses the
+// stripe record, so that stripe alone asks its d helpers to verify, which
+// counts the rot at its server and strikes the helper there. Neither bad
+// name's chunk is counted as a winning one.
 func TestRecoverBatchStrikesOnlyTheBadBlock(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -676,7 +681,7 @@ func TestRecoverBatchStrikesOnlyTheBadBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	promoted0 := mSparePromotions.Value()
+	promoted0, verifies0, corrupt0 := mSparePromotions.Value(), servedExchanges(opVerify), servers[bad].corruptServes.Load()
 	rep, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: size}})
 	if err != nil {
 		t.Fatal(err)
@@ -692,6 +697,12 @@ func TestRecoverBatchStrikesOnlyTheBadBlock(t *testing.T) {
 	}
 	if got := mSparePromotions.Value() - promoted0; got != 2 {
 		t.Errorf("store_spare_promotions_total moved by %d, want 2: one per name that drew a verdict", got)
+	}
+	if got := servedExchanges(opVerify) - verifies0; got != int64(code.D()) {
+		t.Errorf("%d verify exchanges, want the corrupted stripe's d = %d", got, code.D())
+	}
+	if got := servers[bad].corruptServes.Load() - corrupt0; got != 1 {
+		t.Errorf("the bad helper counted %d corrupt serves, want 1", got)
 	}
 	if got, share := rep.HelperChunks[addrs[bad]], int64(code.D()); got != share-2 {
 		t.Errorf("the helper with two bad blocks served %d chunks, want its batch share %d less 2", got, share)

@@ -117,16 +117,22 @@ func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte)
 
 // storedBlock is one block at rest: its content plus one CRC32C per
 // granule (see Server.grain), computed as the put that brought it landed
-// and checked, combined, against that put's frame CRC. The granules are
-// all one size, so the grain is len(data)/len(crcs). A range is answered
-// with its CRC combined from these, reading no content to checksum except
-// a granule it covers only in part, which is verified whole first; the
-// reader verifies what lands against that CRC, so bit rot in what is read
-// is caught there, and reported back. Get, stat, verify and chunk check
-// the whole block granule by granule before they use it.
+// and checked, combined, against that put's frame CRC, and the stripe
+// record that put sent for it, if any: the whole-block CRC32C of every
+// block of its stripe. The granules are all one size, so the grain is
+// len(data)/len(crcs). A range is answered with its CRC combined from
+// these, reading no content to checksum except a granule it covers only in
+// part, which is verified whole first; the reader verifies what lands
+// against that CRC, so bit rot in what is read is caught there, and
+// reported back. A chunk of a block whose record has an entry per block of
+// the server's code is computed without reading the block first and sent
+// with the record, so the client that repairs from it catches rot in what
+// it rebuilds, and asks for a verify. Get, stat, verify, and chunk of a block with no such
+// record, check the whole block granule by granule before they use it.
 type storedBlock struct {
 	data []byte
 	crcs []uint32
+	rec  []uint32
 }
 
 // grain is the length of each of the block's granules.
@@ -488,8 +494,8 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 // block it replaces may still be writing the old slice to its socket. The
 // one pass that lands the blocks checksums each granule by granule, and
 // the frame CRC is checked against their combination before any block is
-// stored; the granule CRCs, one slice for the whole put, become the
-// blocks' at-rest record.
+// stored; the granule CRCs and the stripe records the meta carried, one
+// slice for the whole put, become the blocks' at-rest checksums.
 func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	if h.Len%m.count != 0 {
 		return fmt.Errorf("blockserver: %d-byte put payload for %d blocks", h.Len, m.count)
@@ -502,19 +508,34 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	}
 	grain := s.grain(size)
 	per := frame.Granules(size, grain)
-	crcs := make([]uint32, m.count*per)
-	if err := cs.fr.PayloadCRCs(h, grain, crcs, cs.parts...); err != nil {
+	crcs := make([]uint32, m.count*(per+m.w))
+	grains, recs := crcs[:m.count*per], crcs[m.count*per:]
+	if err := cs.fr.PayloadCRCs(h, grain, grains, cs.parts...); err != nil {
 		return err
+	}
+	for i := range recs {
+		recs[i] = binary.BigEndian.Uint32(m.recs[4*i:])
 	}
 	s.mu.Lock()
 	list := m.names
 	for i, data := range cs.parts {
 		var name []byte
 		name, list = nextName(list)
-		s.blocks[string(name)] = storedBlock{data: data, crcs: crcs[i*per : (i+1)*per : (i+1)*per]}
+		s.blocks[string(name)] = storedBlock{
+			data: data,
+			crcs: grains[i*per : (i+1)*per : (i+1)*per],
+			rec:  recs[i*m.w : (i+1)*m.w : (i+1)*m.w],
+		}
 	}
 	s.mu.Unlock()
 	return nil
+}
+
+// recorded reports whether a chunk of b for the failed block may be
+// computed without verifying b: its stripe record has an entry for every
+// block of the server's code, failed among them, and goes with the chunk.
+func (s *Server) recorded(b storedBlock, failed int) bool {
+	return len(b.rec) == s.code.N() && failed < len(b.rec)
 }
 
 // answerNames answers a range or chunk request, the two ops that name a
@@ -524,22 +545,24 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 // checked against maxPayload before any of them is checksummed or anything
 // is sized, so a request that repeats one name cannot make the server
 // checksum, allocate or send more than an answer may carry; nor may it
-// name more blocks than an answer's meta has room for a verdict and a CRC
-// each. Each block found then earns a verdict: a range outside its block,
-// or a chunk's block whose size differs from the first OK one's, is
-// statusError. A range's CRC is combined from the block's granule CRCs,
-// with a granule it covers only in part verified first; a chunk's block is
-// verified whole before the chunk is computed from it, and the chunk is
-// checksummed. The OK answers follow in request order, their CRCs after
-// the verdicts in the meta and their combine the frame's payload CRC: a
-// range answer is the blocks' own slices, sent with the header in one
-// vectored write, and a chunk answer is computed into one pooled payload.
+// name more blocks than an answer's meta has room for a verdict and an
+// entry each (entryLen). Each block found then earns a verdict: a range
+// outside its block, or a chunk's block whose size differs from the first
+// OK one's, is statusError. A range's CRC is combined from the block's
+// granule CRCs, with a granule it covers only in part verified first; a
+// chunk's block is verified whole before the chunk is computed from it
+// unless its stripe record goes with the chunk instead (recorded), and the
+// chunk is checksummed. The OK answers follow in request order, their
+// entries after the verdicts in the meta and their CRCs' combine the
+// frame's payload CRC: a range answer is the blocks' own slices, sent with
+// the header in one vectored write, and a chunk answer is computed into one
+// pooled payload.
 func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqMeta) error {
 	if op == opChunk && s.code == nil {
 		return s.reply(cs, op, statusError, []byte("server has no code configured"))
 	}
-	if 5*m.count > math.MaxUint16 {
-		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names' verdicts and CRCs overflow an answer meta", m.count))
+	if m.count*(1+s.entryLen(op)) > math.MaxUint16 {
+		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names' verdicts, CRCs and records overflow an answer meta", m.count))
 	}
 	cs.answer, cs.blocks = cs.answer[:0], cs.blocks[:0]
 	// The scratch must not keep deleted blocks alive. The closure clears the
@@ -580,7 +603,10 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		var crc uint32
 		switch {
 		case op == opChunk:
-			if st = s.verify(ctx, b.check); st == statusOK {
+			if !s.recorded(b, int(m.args[1])) {
+				st = s.verify(ctx, b.check)
+			}
+			if st == statusOK {
 				if size < 0 {
 					size = len(b.data)
 				} else if len(b.data) != size {
@@ -628,12 +654,30 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	}
 	dsp.SetAttr("chunk_bytes", len(out)).SetAttr("chunks", ok)
 	dsp.End()
-	for i := range ok {
+	for i, b := range cs.blocks[:ok] {
 		crc := Checksum(out[i*chunkSize : (i+1)*chunkSize])
 		cs.answer = binary.BigEndian.AppendUint32(cs.answer, crc)
 		payloadCRC = comb.Combine(payloadCRC, crc, chunkSize)
+		if !s.recorded(b, failed) {
+			cs.answer = append(cs.answer, 0)
+			continue
+		}
+		cs.answer = append(cs.answer, byte(len(b.rec)))
+		for _, c := range b.rec {
+			cs.answer = binary.BigEndian.AppendUint32(cs.answer, c)
+		}
 	}
 	return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer, Len: len(out), CRC: payloadCRC}, out)
+}
+
+// entryLen is the most an OK name's entry after the verdicts of an answer
+// meta may take: its CRC, and in a chunk answer a record of n CRCs and its
+// width.
+func (s *Server) entryLen(op byte) int {
+	if op == opChunk {
+		return 5 + 4*s.code.N()
+	}
+	return 4
 }
 
 // Stats reports this server's stored capacity and corrupt-serve count —

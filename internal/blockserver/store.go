@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -291,11 +292,12 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 }
 
 // writeBatch encodes stripes [lo, hi) concurrently, each into one pooled
-// slab of n blocks (block i at offset i·blockSize), then sends each server
-// its block of every stripe in one put exchange. The slabs go back to the
-// pool only after all n exchanges have returned, whether they succeeded,
-// retried, failed or were cancelled: until then a put may still be reading
-// them.
+// slab of n blocks (block i at offset i·blockSize) and its stripe record,
+// then sends each server its block of every stripe in one put exchange,
+// each block with its CRC and its stripe's record. The slabs go back to
+// the pool only after all n exchanges have returned, whether they
+// succeeded, retried, failed or were cancelled: until then a put may still
+// be reading them.
 func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi int) error {
 	n, bs, m := s.code.N(), s.blockSize, hi-lo
 	slabs := make([][]byte, m)
@@ -304,14 +306,16 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 			bufpool.Put(slab)
 		}
 	}()
+	// The batch's stripe records, one slice: stripe j's at j·n.
+	crcs, recs := make([]uint32, m*n), make([][]uint32, m)
 	errs := make([]error, m)
 	var wg sync.WaitGroup
 	for j := range slabs {
-		slabs[j] = bufpool.Get(n * bs)
+		slabs[j], recs[j] = bufpool.Get(n*bs), crcs[j*n:(j+1)*n:(j+1)*n]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[j] = s.encodeStripe(data, lo+j, slabs[j])
+			errs[j] = s.encodeStripe(data, lo+j, slabs[j], recs[j])
 		}()
 	}
 	wg.Wait()
@@ -319,16 +323,20 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 		return err
 	}
 	errs = make([]error, n)
-	names, blocks := make([]string, n*m), make([][]byte, n*m)
+	names, blocks, bcrcs := make([]string, n*m), make([][]byte, n*m), make([]uint32, n*m)
+	sent := recs // a put meta's record width is one byte: at n = 256 the blocks go without
+	if n > math.MaxUint8 {
+		sent = nil
+	}
 	for i := range n {
 		for j, slab := range slabs {
-			names[i*m+j], blocks[i*m+j] = BlockName(name, lo+j, i), slab[i*bs:(i+1)*bs]
+			names[i*m+j], blocks[i*m+j], bcrcs[i*m+j] = BlockName(name, lo+j, i), slab[i*bs:(i+1)*bs], recs[j][i]
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
-				return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m])
+				return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m], bcrcs[i*m:(i+1)*m], sent)
 			})
 		}()
 	}
@@ -336,10 +344,12 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 	return errors.Join(errs...)
 }
 
-// encodeStripe encodes stripe st of data into slab's n blocks. The shards
-// alias the caller's data — the encode only reads them — except on a short
-// final stripe, which is zero-padded in a pooled scratch.
-func (s *Store) encodeStripe(data []byte, st int, slab []byte) error {
+// encodeStripe encodes stripe st of data into slab's n blocks, and
+// checksums each into rec, the stripe's record, while it is still in
+// cache. The shards alias the caller's data — the encode only reads them —
+// except on a short final stripe, which is zero-padded in a pooled
+// scratch.
+func (s *Store) encodeStripe(data []byte, st int, slab []byte, rec []uint32) error {
 	k, n, bs := s.code.K(), s.code.N(), s.blockSize
 	stripeData := k * bs
 	lo := st * stripeData
@@ -359,13 +369,24 @@ func (s *Store) encodeStripe(data []byte, st int, slab []byte) error {
 	}
 	err := s.code.EncodeInto(shards, blocks)
 	bufpool.Put(pad) // the encode has read it; nil when the stripe was full
-	return err
+	if err != nil {
+		return err
+	}
+	for i, b := range blocks {
+		rec[i] = Checksum(b)
+	}
+	return nil
 }
 
-// put stores one block on one server: a rebuilt block's writeback.
-func (s *Store) put(ctx context.Context, addr, name string, data []byte) error {
+// put stores one block on one server, under its CRC and stripe record
+// (nil for none): a rebuilt block's writeback.
+func (s *Store) put(ctx context.Context, addr, name string, data []byte, crc uint32, rec []uint32) error {
+	var recs [][]uint32
+	if rec != nil {
+		recs = [][]uint32{rec}
+	}
 	return s.pool.WithClient(ctx, addr, func(c *Client) error {
-		return c.Put(ctx, name, data)
+		return c.Puts(ctx, []string{name}, [][]byte{data}, []uint32{crc}, recs)
 	})
 }
 
@@ -689,13 +710,14 @@ func (op *stripeOp) settle(exs []batchExchange) (short bool) {
 
 // ask is one thing a stripe wants from one source in a round: the op's
 // answer for the stripe's block on source block — a range (args: offset,
-// length) or a helper chunk (args: helper, failed) — landing in buf; the
-// exchange it rides (group); and its outcome: its verdict, or its
-// exchange's error (settle).
+// length) or a helper chunk (args: helper, failed) — landing in buf, and a
+// chunk's stripe record in rec's storage; the exchange it rides (group);
+// and its outcome: its verdict, or its exchange's error (settle).
 type ask struct {
 	block int
 	args  [2]uint32
 	buf   []byte
+	rec   []uint32
 	ex    int
 	err   error
 }
@@ -906,7 +928,7 @@ func (r *wireRound) source(x int) {
 		switch {
 		case err != nil:
 			e.err = err
-		case e.n == 1:
+		case e.n == 1 && r.op != opChunk: // a chunk's record lands only through a name batch
 			e.err = r.runOne(ctx, c, y)
 		default:
 			e.err = r.runNames(ctx, c, y)
@@ -937,18 +959,30 @@ func (r *wireRound) runOne(ctx context.Context, c *Client, x int) error {
 	return nil
 }
 
-// runNames carries exchange x, of several names, over c as one multi-name
-// request; the verdicts go to their asks.
+// runNames carries exchange x, of several names — or of one chunk — over c
+// as one multi-name request; the verdicts, and a chunk's stripe records,
+// go to their asks.
 func (r *wireRound) runNames(ctx context.Context, c *Client, x int) error {
 	e := &r.exs[x]
-	b := &nameBatch{make([]string, 0, e.n), make([][]byte, 0, e.n), make([]error, e.n)}
+	b := &nameBatch{names: make([]string, 0, e.n), bufs: make([][]byte, 0, e.n), verdicts: make([]error, e.n)}
+	if r.op == opChunk {
+		b.recs = make([][]uint32, 0, e.n)
+	}
 	r.each(x, func(so *stripeOp, a *ask) {
 		b.names, b.bufs = append(b.names, BlockName(so.file, so.st, a.block)), append(b.bufs, a.buf)
+		if b.recs != nil {
+			b.recs = append(b.recs, a.rec)
+		}
 	})
 	err := c.callBatch(ctx, r.op, e.args, b)
 	if err == nil {
-		v := b.verdicts
-		r.each(x, func(_ *stripeOp, a *ask) { a.err, v = v[0], v[1:] })
+		v, recs := b.verdicts, b.recs
+		r.each(x, func(_ *stripeOp, a *ask) {
+			a.err, v = v[0], v[1:]
+			if recs != nil {
+				a.rec, recs = recs[0], recs[1:]
+			}
+		})
 	}
 	return err
 }
@@ -1175,9 +1209,11 @@ type repairOpts struct {
 	// throttle, when set, paces repair bytes (helper chunks and the
 	// newcomer writeback) so recovery coexists with foreground reads.
 	throttle *tokenBucket
-	// onHelper observes each helper that contributed a winning chunk, by
-	// block index — the engine's per-helper balance accounting.
-	onHelper func(idx int)
+	// onHelper observes, by block index, each helper whose chunk landed
+	// (chunks 1) and each whose landed chunk a recheck dropped (chunks −1),
+	// so the sum is the winning chunks — the engine's per-helper balance
+	// accounting.
+	onHelper func(idx, chunks int)
 }
 
 // rotatedSurvivors lists the n-1 survivor block indexes starting at

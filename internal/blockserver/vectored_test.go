@@ -67,20 +67,24 @@ func TestPutIsSingleVectoredWrite(t *testing.T) {
 	if err := c.Put(context.Background(), "blk", data); err != nil {
 		t.Fatal(err)
 	}
-	// header = frame header + meta of count(2) + nameLen(2) + name(3)
-	checkPut(t, fake, "one-name put", frame.HeaderLen+2+2+3, [][]byte{data})
+	// header = frame header + meta of count(2) + nameLen(2) + name(3) + w(1)
+	checkPut(t, fake, "one-name put", frame.HeaderLen+2+2+3+1, [][]byte{data})
 
 	const count, size = 4, 16 << 10
 	slab := bytes.Repeat([]byte("s"), count*size)
 	names, blocks := make([]string, count), make([][]byte, count)
+	crcs, recs := make([]uint32, count), make([][]uint32, count)
 	for i := range blocks {
 		names[i], blocks[i] = fmt.Sprintf("f/%d/7", i), slab[i*size:(i+1)*size]
+		crcs[i] = Checksum(blocks[i])
+		recs[i] = []uint32{crcs[i], 1, 2}
 	}
 	fake.vectoredCalls = nil
-	if err := c.Puts(context.Background(), names, blocks); err != nil {
+	if err := c.Puts(context.Background(), names, blocks, crcs, recs); err != nil {
 		t.Fatal(err)
 	}
-	checkPut(t, fake, "four-name put", frame.HeaderLen+2+count*(2+5), blocks)
+	// header = frame header + count(2) + names + w(1) + a 3-CRC record each
+	checkPut(t, fake, "four-name put", frame.HeaderLen+2+count*(2+5)+1+count*3*4, blocks)
 	for i, b := range c.arr {
 		if b != nil {
 			t.Errorf("the parked client's gather list still holds entry %d (%d bytes)", i, len(b))

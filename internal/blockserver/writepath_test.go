@@ -201,7 +201,7 @@ func TestPutIsAllOrNothing(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	puts0 := servedExchanges(opPut)
-	if err := c.Puts(ctx, names, blocks); err != nil {
+	if err := c.Puts(ctx, names, blocks, nil, nil); err != nil {
 		t.Fatalf("Puts with one cut connection: %v", err)
 	}
 	if !cutter.cut.Load() {

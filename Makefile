@@ -64,11 +64,14 @@ writepath:
 	$(GO) test -race -count=2 -run 'TestInto|TestEveryOutputOpensWithAnOverwrite' ./internal/carousel ./internal/codeplan
 	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts|TestPutIsAllOrNothing' ./internal/blockserver
 
-# The one repair engine, repeated under the race detector: batched helper
-# exchanges (one per helper per batch round), per-name verdicts striking
-# one stripe, spares, unhedged repair of a slow cluster, the throttle, and
-# Repair, Scrub and RecoverServer over it; then the master's self-healing
-# and per-task recovery budget, which drive RecoverServer.
+# The one repair engine, repeated under the race detector: one rebuild
+# exchange per batch from the coordinator to the newcomer, which runs the
+# batch (batched helper exchanges, one per helper per batch round,
+# per-name verdicts striking one stripe, spares, unhedged repair of a slow
+# cluster) and stores what it rebuilds; the newcomer or a helper killed
+# mid-pass, a black-holed newcomer, the throttle, and Repair, Scrub and
+# RecoverServer over it; then the master's self-healing and per-task
+# recovery budget, which drive RecoverServer.
 recover:
 	$(GO) test -race -count=5 -run 'Recover|Repair|Scrub|SlowEverywhereIsRepaired' ./internal/blockserver
 	$(GO) test -race -count=5 -run 'Recover|SelfHealing' ./internal/master
@@ -93,7 +96,8 @@ readpath:
 # each, from the seed corpora under each package's testdata/fuzz: the bare
 # header reader, the block server's request loop over net.Pipe (the block
 # map changes only on a put whose header and payload verify; the put,
-# range and chunk requests' name lists are among its seeds), and the
+# range and chunk requests' name lists and rebuild requests, well formed
+# and not, are among its seeds), and the
 # master's journal replay (refuse and leave the file alone, or keep a
 # prefix that replays to the same state).
 fuzz:

@@ -58,12 +58,12 @@ func outcomeIndex(err error) int {
 // registry lookup.
 var (
 	rpcOnce     sync.Once
-	rpcCounters [opVerify + 1][len(outcomeNames)]*obs.Counter
+	rpcCounters [opRebuild + 1][len(outcomeNames)]*obs.Counter
 )
 
 func rpcCounter(op byte, err error) *obs.Counter {
 	rpcOnce.Do(func() {
-		for o := opPut; o <= opVerify; o++ {
+		for o := opPut; o <= opRebuild; o++ {
 			for i, out := range outcomeNames {
 				rpcCounters[o][i] = obs.Default().Counter("blockserver_client_rpcs_total", "op", opNames[o], "outcome", out)
 			}
@@ -88,6 +88,12 @@ type Options struct {
 	// failure; each attempt runs on a fresh connection. The default is 3
 	// attempts with 20ms..500ms jittered backoff.
 	Retry retry.Policy
+
+	// dial, when set, connects in place of a net.Dialer bounded by
+	// DialTimeout: the seam through which a test counts the bytes on one
+	// store's own sockets. A rebuild request does not carry it, so a
+	// newcomer always dials its helpers plainly.
+	dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
 // withDefaults fills unset options.
@@ -191,8 +197,14 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, error) {
 	if c.conn != nil {
 		return c.conn, nil
 	}
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	var conn net.Conn
+	var err error
+	if c.opts.dial != nil {
+		conn, err = c.opts.dial(ctx, c.addr)
+	} else {
+		d := net.Dialer{Timeout: c.opts.DialTimeout}
+		conn, err = d.DialContext(ctx, "tcp", c.addr)
+	}
 	if err != nil {
 		return nil, &dialError{addr: c.addr, err: err}
 	}
@@ -235,6 +247,16 @@ type request struct {
 	trace, parent uint64
 	dst           []byte
 	batch         *nameBatch
+	rb            *rebuildCall
+}
+
+// rebuildCall is a rebuild exchange: its request, the budget each attempt
+// gives the newcomer — the attempt's deadline, less now — and where the
+// answer lands.
+type rebuildCall struct {
+	req    *RebuildRequest
+	budget time.Duration
+	res    *RebuildResult
 }
 
 // nameBatch is a put, or a several-name range or chunk request: the block
@@ -352,6 +374,9 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 		deadline = d
 	}
 	conn.SetDeadline(deadline)
+	if r.rb != nil {
+		r.rb.budget = time.Until(deadline)
+	}
 	var stop func() bool
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
@@ -433,6 +458,13 @@ func (c *Client) header(r *request) error {
 // whose stack would otherwise outgrow its starting size and be copied per
 // call.
 func (r *request) meta(dst []byte) ([]byte, error) {
+	if r.rb != nil {
+		dst = appendRebuild(dst, r.rb.req, r.rb.budget, r.trace, r.parent)
+		if len(dst) > math.MaxUint16 {
+			return nil, fmt.Errorf("blockserver: a %d-byte rebuild request meta", len(dst))
+		}
+		return dst, nil
+	}
 	names, recs := []string{r.name}, [][]uint32(nil)
 	if r.batch != nil {
 		names = r.batch.names
@@ -463,6 +495,9 @@ func (c *Client) readResponse(r *request) ([]byte, error) {
 		return nil, err
 	}
 	status := h.Kind
+	if r.rb != nil && status == statusOK {
+		return nil, c.readRebuild(h, r.rb)
+	}
 	if answersNames(r.op) && status == statusOK {
 		if r.batch != nil {
 			return nil, c.readVerdicts(h, r)
@@ -704,8 +739,8 @@ func (c *Client) Puts(ctx context.Context, names []string, blocks [][]byte, crcs
 
 // checkPut refuses a put whose lists differ in length, whose blocks differ
 // in size, or whose records differ in width or are too wide for the meta.
-// It is kept out of Puts so the frames a writeback stacks up to its socket
-// read stay small: a repair writes back on the goroutine that decoded.
+// It is kept out of Puts so the frames a put stacks up to its socket read
+// stay small: each of a write's put exchanges runs on a fresh goroutine.
 func (b *nameBatch) checkPut() error {
 	if len(b.names) == 0 || len(b.bufs) != len(b.names) || b.crcs != nil && len(b.crcs) != len(b.names) || b.recs != nil && len(b.recs) != len(b.names) {
 		return fmt.Errorf("blockserver: %d names, %d blocks, %d CRCs and %d records to put", len(b.names), len(b.bufs), len(b.crcs), len(b.recs))
@@ -808,6 +843,48 @@ func (b *nameBatch) mismatch() error {
 	if len(b.names) == 0 || len(b.bufs) != len(b.names) || len(b.verdicts) != len(b.names) || b.recs != nil && len(b.recs) != len(b.names) {
 		return fmt.Errorf("blockserver: %d names, %d destinations, %d record slots and %d verdict slots", len(b.names), len(b.bufs), len(b.recs), len(b.verdicts))
 	}
+	return nil
+}
+
+// Rebuild asks the server at req.Addrs[req.Failed], the newcomer, to
+// rebuild its block of each of the request's stripes from d helper chunks
+// it fetches itself, and to store it: one exchange for a batch of
+// repairs, whose answer is every stripe's outcome and winning traffic and
+// every helper's winning chunks. Each attempt tells the newcomer its
+// deadline, which the newcomer answers within, so a live newcomer is never
+// a timeout. A newcomer stores the same blocks however often it is asked,
+// so a retried rebuild is safe. The returned error is the exchange's own
+// (transport, timeout, or a refusal of the whole request: a server with
+// no code, or not serving); the stripes' outcomes hold only when it is
+// nil.
+func (c *Client) Rebuild(ctx context.Context, req *RebuildRequest) (*RebuildResult, error) {
+	if err := req.check(); err != nil {
+		return nil, err
+	}
+	res := &RebuildResult{Errs: make([]error, len(req.Stripes)), Traffic: make([]int, len(req.Stripes)), Chunks: make([]int64, len(req.Addrs))}
+	if err := c.call(ctx, request{op: opRebuild, name: req.File, rb: &rebuildCall{req: req, res: res}}); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// readRebuild reads an OK rebuild answer into rb.res: its meta is
+// measured against the request before the failure texts it promises are
+// read.
+func (c *Client) readRebuild(h frame.Header, rb *rebuildCall) error {
+	want, err := parseRebuildAnswer(h.Meta, len(rb.req.Stripes), len(rb.req.Addrs))
+	if err != nil {
+		return err
+	}
+	if h.Len != want {
+		return fmt.Errorf("blockserver: %d-byte rebuild answer for %d bytes of failures", h.Len, want)
+	}
+	texts := bufpool.Get(h.Len)
+	defer bufpool.Put(texts)
+	if err := c.fr.Payload(h, texts); err != nil {
+		return err
+	}
+	rebuildResult(h.Meta, texts, rb.res)
 	return nil
 }
 

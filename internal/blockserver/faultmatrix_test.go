@@ -230,10 +230,13 @@ func TestFaultMatrixRepair(t *testing.T) {
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("read after fault-path repair: %v", err)
 			}
-			// Close the store so pooled connections (and their in-process
-			// server handler goroutines) are released before the leak check.
+			// Close the store and the newcomer, whose repair engine parks its
+			// helper connections until it closes, so pooled connections (and
+			// their in-process server handler goroutines) are released before
+			// the leak check; the newcomer's accept loop goes with it.
 			store.Close()
-			waitGoroutines(t, base)
+			servers[failed].Close()
+			waitGoroutines(t, base-1)
 		})
 	}
 }

@@ -3,7 +3,9 @@
 // server holds named blocks and, crucially, computes Carousel repair
 // chunks *server-side*: during a reconstruction only the chunk
 // (blockSize/alpha bytes) crosses the network, exactly the paper's optimal
-// repair traffic.
+// repair traffic. The newcomer — the server that is to hold a lost block —
+// fetches those chunks and rebuilds the block itself, so the block crosses
+// no socket at all.
 //
 // Every request and response is one internal/frame record over TCP:
 //
@@ -29,11 +31,13 @@
 //     get's payload CRC is its granules' combine.
 //   - chunk checks the whole block the same way only when the block has no
 //     stripe record (below). A block with one is not read before the chunk
-//     is computed from it: its record rides with the chunk, and the client
-//     that repairs checks the block it rebuilds against the record's entry
-//     for the lost block, asking each helper to verify with opVerify only
-//     when that fails. A chunk — a linear combination, which no granule CRC
-//     covers — is checksummed as computed either way.
+//     is computed from it: its record rides with the chunk, and the newcomer
+//     that rebuilds (below) checks the block it rebuilds — the combine of
+//     the granule CRCs it computes as it decodes, which the block is stored
+//     under — against the record's entry for the lost block, asking each
+//     helper to verify with opVerify only when that fails. A chunk — a
+//     linear combination, which no granule CRC covers — is checksummed as
+//     computed either way.
 //   - range sends the range's CRC32C, combined from the stored granule
 //     CRCs (frame.Combine), and reads no block content to checksum it —
 //     except a granule the range covers only in part, which it verifies
@@ -109,21 +113,55 @@
 // its answer; checked before it checksums any of them — and, for a chunk
 // request, when it has no code or the chunk computation fails.
 //
+// A rebuild asks a newcomer to rebuild its block of each of a batch of one
+// file's stripes itself, from chunks it fetches from the stripes' helpers,
+// and to store it — the whole of a repair batch in one exchange, which
+// carries no block:
+//
+//	rebuild request  := header(kind=opRebuild, meta=fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n settings budget(4) [trace]) no payload
+//	rebuild response := header(kind=statusOK, meta={verdict(1) traffic(4) textLen(2)}×count {chunks(4)}×n) text×count
+//
+// The addresses are the stripes' n servers, block i on the i-th, and are
+// the only ones the newcomer dials. The settings are the coordinator's
+// hedge delay and client options — dial and IO timeouts, retry attempts,
+// base and max backoff, in µs, and multiplier and jitter, in ‰ — so the
+// options a Store is built with govern its repairs at the newcomer; the
+// budget (µs) is what is left of the exchange's deadline, and the newcomer
+// answers every stripe within it, less a margin. The newcomer runs the
+// batch on a Store over a pool of its own, kept for the next request with
+// the same addresses, block size and settings. It decodes each block into
+// an exact-size buffer, checksums it granule by granule in the same pass,
+// and stores it through the commit a put stores with, its stripe record's
+// entry for the block set to the block's CRC. The answer gives each stripe
+// a verdict — statusOK, or the class of its failure (rebuildClasses) — the
+// bytes of its winning chunks and, for a failure, the text of its root
+// cause, in the payload; and each helper, by block index, its winning
+// chunks. A stripe count or an address list that runs past the meta, or a
+// failed index not below n, is refused before anything is sized from it,
+// and so is an n other than the server code's N: the connection closes.
+// The server answers statusError, having dialed nobody, when it has no
+// code, is not serving — never started, or closing — or the answer would
+// overflow a meta.
+//
 // Operations: put (one or more blocks of one size, all or nothing), get,
 // range (one range of one or more blocks, for parallel reads of data
 // prefixes), chunk (helper-side repair computation for one or more
-// blocks), delete, stat, verify (server-side checksum audit of one block).
+// blocks), delete, stat, verify (server-side checksum audit of one block),
+// rebuild (a newcomer's repair of a batch of its own blocks).
 //
 // A traced request ends its meta with the client's trace ID and span ID,
 // under which the server parents its spans; an untraced one carries neither.
 package blockserver
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"time"
 
 	"carousel/internal/bufpool"
 	"carousel/internal/frame"
@@ -138,6 +176,7 @@ const (
 	opDelete
 	opStat
 	opVerify
+	opRebuild
 )
 
 // Status codes.
@@ -219,13 +258,14 @@ func appendMeta(dst []byte, op byte, names []string, args []uint32, recs [][]uin
 // reqMeta is a decoded request meta. name and names alias the frame
 // reader's scratch, so they are only valid until the next request.
 type reqMeta struct {
-	name          []byte // the only name, or a put, range or chunk request's first
+	name          []byte // the only name, a put, range or chunk request's first, or a rebuild's file
 	names         []byte // a put, range or chunk request's validated name list; walk it with nextName
 	count         int    // how many names that list holds
 	args          [2]uint32
-	w             int    // a put's stripe record width: CRCs per name
-	recs          []byte // a put's stripe records, 4·w bytes per name in name order
-	trace, parent uint64 // zero for an untraced request
+	w             int          // a put's stripe record width: CRCs per name
+	recs          []byte       // a put's stripe records, 4·w bytes per name in name order
+	rb            *rebuildMeta // a rebuild request, decoded
+	trace, parent uint64       // zero for an untraced request
 }
 
 // cutName splits one length-prefixed name off the front of b.
@@ -253,6 +293,12 @@ func nextName(list []byte) (name, rest []byte) {
 // is refused without anything being sized from it.
 func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 	rest := meta
+	if op == opRebuild {
+		if m.rb, rest, err = parseRebuild(meta); err != nil {
+			return m, err
+		}
+		m.name = []byte(m.rb.req.File)
+	}
 	if multiName(op) {
 		if len(meta) < 2 {
 			return m, fmt.Errorf("blockserver: %d-byte %s request meta", len(meta), opNames[op])
@@ -269,8 +315,10 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 		}
 		m.names = list[:len(list)-len(rest)]
 		m.name, _ = nextName(m.names)
-	} else if m.name, rest, err = cutName(meta); err != nil {
-		return m, err
+	} else if op != opRebuild {
+		if m.name, rest, err = cutName(meta); err != nil {
+			return m, err
+		}
 	}
 	if op == opPut {
 		if len(rest) == 0 {
@@ -294,6 +342,267 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 		m.trace, m.parent = binary.BigEndian.Uint64(rest), binary.BigEndian.Uint64(rest[8:])
 	}
 	return m, nil
+}
+
+// RebuildRequest asks a newcomer, in one opRebuild exchange, to rebuild
+// its block Failed of each of a file's Stripes from d helper chunks and
+// to store it: one batch of a repair pass. Addrs are the stripes' n
+// servers, block i on Addrs[i] and the newcomer at Addrs[Failed], and they
+// are the only addresses the newcomer dials. Hedge and Client are how the
+// newcomer runs its helper exchanges — the coordinator's own settings, so
+// the options a Store is built with govern its repairs wherever they run.
+type RebuildRequest struct {
+	File      string
+	Stripes   []int
+	Failed    int
+	BlockSize int
+	Addrs     []string
+	Hedge     time.Duration
+	Client    Options
+}
+
+// RebuildResult is a newcomer's answer to a RebuildRequest: each stripe's
+// failure (nil when its block is stored) and the bytes of its winning
+// helper chunks, in request order, and how many winning chunks each helper
+// served, by block index.
+type RebuildResult struct {
+	Errs    []error
+	Traffic []int
+	Chunks  []int64
+}
+
+// check refuses a request its meta cannot carry.
+func (req *RebuildRequest) check() error {
+	switch n := len(req.Addrs); {
+	case len(req.File) == 0 || len(req.File) > maxNameLen:
+		return fmt.Errorf("blockserver: invalid name length %d", len(req.File))
+	case len(req.Stripes) == 0 || len(req.Stripes) > math.MaxUint16:
+		return fmt.Errorf("blockserver: a rebuild of %d stripes", len(req.Stripes))
+	case n == 0 || n > math.MaxUint16 || req.Failed < 0 || req.Failed >= n:
+		return fmt.Errorf("blockserver: a rebuild of block %d of %d", req.Failed, n)
+	case req.BlockSize <= 0 || req.BlockSize > maxPayload:
+		return fmt.Errorf("blockserver: a rebuild of %d-byte blocks", req.BlockSize)
+	}
+	for _, st := range req.Stripes {
+		if st < 0 || st > math.MaxUint32 {
+			return fmt.Errorf("blockserver: a rebuild of stripe %d", st)
+		}
+	}
+	for _, a := range req.Addrs {
+		if len(a) == 0 || len(a) > math.MaxUint8 {
+			return fmt.Errorf("blockserver: invalid address length %d", len(a))
+		}
+	}
+	return nil
+}
+
+// rebuildSettingsLen is the fixed tail of a rebuild meta before its
+// budget: the hedge delay, dial and IO timeouts (µs, 4 bytes each), the
+// retry attempts (1), base and max backoff (µs, 4 each), multiplier and
+// jitter (‰, 2 each).
+const rebuildSettingsLen = 3*4 + 1 + 2*4 + 2*2
+
+// appendRebuild encodes a rebuild request's meta:
+//
+//	fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n settings budget(4) [trace]
+//
+// budget is how long the newcomer has (µs): the exchange's deadline.
+func appendRebuild(dst []byte, req *RebuildRequest, budget time.Duration, traceID, parent uint64) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.File)))
+	dst = append(dst, req.File...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Stripes)))
+	for _, st := range req.Stripes {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(st))
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(req.Failed))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(req.BlockSize))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Addrs)))
+	for _, a := range req.Addrs {
+		dst = append(append(dst, byte(len(a))), a...)
+	}
+	o := req.Client
+	dst = appendMicros(appendMicros(appendMicros(dst, req.Hedge), o.DialTimeout), o.IOTimeout)
+	dst = append(dst, byte(min(max(o.Retry.Attempts, 0), math.MaxUint8)))
+	dst = appendMicros(appendMicros(dst, o.Retry.Base), o.Retry.Max)
+	dst = appendMilli(appendMilli(dst, o.Retry.Multiplier), o.Retry.Jitter)
+	dst = appendMicros(dst, budget)
+	if traceID != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, traceID)
+		dst = binary.BigEndian.AppendUint64(dst, parent)
+	}
+	return dst
+}
+
+// appendMicros appends a duration in whole microseconds, saturating at
+// 2³²−1 (71 minutes); a negative one is 0.
+func appendMicros(dst []byte, d time.Duration) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(min(max(d.Microseconds(), 0), math.MaxUint32)))
+}
+
+// appendMilli appends a ratio in thousandths, saturating at 65.535.
+func appendMilli(dst []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint16(dst, uint16(min(max(f*1000, 0), math.MaxUint16)))
+}
+
+// rebuildMeta is a decoded rebuild request: the request, the budget the
+// newcomer has, and its engine key — the meta from the block size through
+// the settings, everything that says how to rebuild rather than what.
+type rebuildMeta struct {
+	req    RebuildRequest
+	budget time.Duration
+	key    string
+}
+
+// parseRebuild decodes a rebuild request's meta and returns what follows
+// its budget. The stripe count and the address count are measured
+// against the meta, and the failed index against the address count,
+// before anything is sized from them.
+func parseRebuild(meta []byte) (*rebuildMeta, []byte, error) {
+	file, rest, err := cutName(meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(rest) < 2 {
+		return nil, nil, fmt.Errorf("blockserver: rebuild meta ends before its stripe count")
+	}
+	count := int(binary.BigEndian.Uint16(rest))
+	if rest = rest[2:]; count == 0 || 4*count+2+4+2 > len(rest) {
+		return nil, nil, fmt.Errorf("blockserver: %d stripes run past a rebuild meta", count)
+	}
+	stripes, rest := rest[:4*count], rest[4*count:]
+	failed, key := int(binary.BigEndian.Uint16(rest)), rest[2:]
+	blockSize, n := int(binary.BigEndian.Uint32(rest[2:])), int(binary.BigEndian.Uint16(rest[6:]))
+	if failed >= n || blockSize == 0 || blockSize > maxPayload {
+		return nil, nil, fmt.Errorf("blockserver: a rebuild of block %d of %d, %d bytes", failed, n, blockSize)
+	}
+	addrs := rest[8:]
+	rest = addrs
+	for range n {
+		if len(rest) == 0 || rest[0] == 0 || int(rest[0]) >= len(rest) {
+			return nil, nil, fmt.Errorf("blockserver: %d addresses run past a rebuild meta", n)
+		}
+		rest = rest[1+int(rest[0]):]
+	}
+	if len(rest) < rebuildSettingsLen+4 {
+		return nil, nil, fmt.Errorf("blockserver: rebuild meta ends before its settings")
+	}
+	rb := &rebuildMeta{key: string(key[:len(key)-len(rest)+rebuildSettingsLen])}
+	rb.req = RebuildRequest{File: string(file), Stripes: make([]int, count), Failed: failed, BlockSize: blockSize, Addrs: make([]string, n)}
+	for i := range rb.req.Stripes {
+		rb.req.Stripes[i] = int(binary.BigEndian.Uint32(stripes[4*i:]))
+	}
+	for i := range rb.req.Addrs {
+		rb.req.Addrs[i], addrs = string(addrs[1:1+addrs[0]]), addrs[1+addrs[0]:]
+	}
+	micros := func(b []byte) time.Duration { return time.Duration(binary.BigEndian.Uint32(b)) * time.Microsecond }
+	milli := func(b []byte) float64 { return float64(binary.BigEndian.Uint16(b)) / 1000 }
+	rb.req.Hedge = micros(rest)
+	o := &rb.req.Client
+	o.DialTimeout, o.IOTimeout, o.Retry.Attempts = micros(rest[4:]), micros(rest[8:]), int(rest[12])
+	o.Retry.Base, o.Retry.Max = micros(rest[13:]), micros(rest[17:])
+	o.Retry.Multiplier, o.Retry.Jitter = milli(rest[21:]), milli(rest[23:])
+	rb.budget = micros(rest[rebuildSettingsLen:])
+	return rb, rest[rebuildSettingsLen+4:], nil
+}
+
+// rebuildClasses are the failures a rebuild answer tells apart, verdicts
+// 1 to len in order after statusOK; any other failure is verdict len+1.
+// The coordinator rebuilds each failed stripe's error around its class,
+// so errors.Is finds the same sentinel on both sides of the hop.
+var rebuildClasses = [...]error{ErrTooFewSurvivors, ErrTimeout, context.Canceled, ErrNotFound, ErrCorrupt, ErrRemote}
+
+// maxFailureText bounds the failure text a rebuild answer carries for a
+// stripe.
+const maxFailureText = 1024
+
+// rebuildVerdict is a stripe outcome's verdict byte in a rebuild answer.
+func rebuildVerdict(err error) byte {
+	if err == nil {
+		return statusOK
+	}
+	for i, c := range rebuildClasses {
+		if errors.Is(err, c) {
+			return byte(i + 1)
+		}
+	}
+	return byte(len(rebuildClasses) + 1)
+}
+
+// stripeFailure is a stripe's failure as its newcomer reported it: the
+// text of its root cause and the class errors.Is finds in it.
+type stripeFailure struct {
+	text  string
+	class error
+}
+
+func (e *stripeFailure) Error() string { return e.text }
+func (e *stripeFailure) Unwrap() error { return e.class }
+
+// appendRebuildAnswer encodes a newcomer's answer to a rebuild of count
+// stripes: the meta, and the payload of their failure texts back to back.
+//
+//	rebuild response := header(kind=statusOK, meta={verdict(1) traffic(4) textLen(2)}×count {chunks(4)}×n) text×count
+func appendRebuildAnswer(meta, texts []byte, traffic []int, errs []error, chunks []int64) ([]byte, []byte) {
+	for i, err := range errs {
+		var text string
+		if err != nil {
+			text = err.Error()
+			text = text[:min(len(text), maxFailureText)]
+		}
+		meta = append(meta, rebuildVerdict(err))
+		meta = binary.BigEndian.AppendUint32(meta, uint32(traffic[i]))
+		meta = binary.BigEndian.AppendUint16(meta, uint16(len(text)))
+		texts = append(texts, text...)
+	}
+	for _, c := range chunks {
+		meta = binary.BigEndian.AppendUint32(meta, uint32(c))
+	}
+	return meta, texts
+}
+
+// parseRebuildAnswer measures the meta of a rebuild answer for count
+// stripes and n helpers: a verdict, traffic and text length per stripe,
+// only a failure with a text, and a chunk count per helper. It returns the
+// payload the texts take, which the caller checks against the header
+// before it reads any of it.
+func parseRebuildAnswer(meta []byte, count, n int) (textLen int, err error) {
+	if len(meta) != 7*count+4*n {
+		return 0, fmt.Errorf("blockserver: %d-byte rebuild answer meta for %d stripes and %d helpers", len(meta), count, n)
+	}
+	for i := range count {
+		e := meta[7*i:]
+		if e[0] > byte(len(rebuildClasses)+1) {
+			return 0, fmt.Errorf("blockserver: unknown rebuild verdict %d", e[0])
+		}
+		l := int(binary.BigEndian.Uint16(e[5:]))
+		if (e[0] == statusOK) != (l == 0) || l > maxFailureText {
+			return 0, fmt.Errorf("blockserver: rebuild verdict %d with a %d-byte failure", e[0], l)
+		}
+		textLen += l
+	}
+	return textLen, nil
+}
+
+// rebuildResult fills res from a rebuild answer parseRebuildAnswer has
+// measured and its failure texts.
+func rebuildResult(meta, texts []byte, res *RebuildResult) {
+	for i := range res.Errs {
+		e := meta[7*i:]
+		res.Traffic[i] = int(binary.BigEndian.Uint32(e[1:]))
+		if e[0] == statusOK {
+			res.Errs[i] = nil
+			continue
+		}
+		l := int(binary.BigEndian.Uint16(e[5:]))
+		f := &stripeFailure{text: string(texts[:l])}
+		if int(e[0]) <= len(rebuildClasses) {
+			f.class = rebuildClasses[e[0]-1]
+		}
+		res.Errs[i], texts = f, texts[l:]
+	}
+	for i := range res.Chunks {
+		res.Chunks[i] = int64(binary.BigEndian.Uint32(meta[7*len(res.Errs)+4*i:]))
+	}
 }
 
 // cutEntry splits one OK name's entry off the front of what follows the

@@ -2,6 +2,7 @@ package blockserver
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"carousel/internal/bufpool"
+	"carousel/internal/frame"
 	"carousel/internal/obs"
 )
 
@@ -27,9 +29,11 @@ type recoveryConfig struct {
 type RecoveryOption func(*recoveryConfig)
 
 // WithRecoveryBandwidth caps recovery traffic (helper chunk fetches plus
-// newcomer writebacks) at roughly bytesPerSec via a token bucket, so a
+// the rebuilt blocks) at roughly bytesPerSec via a token bucket, so a
 // background recovery pass can coexist with foreground reads instead of
-// saturating the wire. Zero or negative removes the cap.
+// saturating the wire. The pass charges each batch's d chunks and rebuilt
+// block per stripe before it sends the batch to its newcomer. Zero or
+// negative removes the cap.
 func WithRecoveryBandwidth(bytesPerSec int64) RecoveryOption {
 	return func(c *recoveryConfig) {
 		if bytesPerSec > 0 {
@@ -49,8 +53,8 @@ type FileSpec struct {
 type RecoveryReport struct {
 	// BlocksRepaired counts blocks regenerated onto the recovering server.
 	BlocksRepaired int
-	// BytesRecovered is the regenerated block bytes written back — the
-	// numerator of recovery MB/s.
+	// BytesRecovered is the regenerated block bytes stored at the
+	// newcomer — the numerator of recovery MB/s.
 	BytesRecovered int64
 	// TrafficBytes counts the bytes of the winning helper chunks fetched
 	// across the network (the Fig. 7 quantity, summed over every repaired
@@ -67,18 +71,19 @@ type RecoveryReport struct {
 // stripes of the given files — node-scale recovery on the real TCP path.
 // Block i of every stripe lives on server i, so each stripe of each file
 // contributes exactly one lost block. Repairs run in batches of one ring
-// lap of stripes (repairBatch), batchWidth at once: each helper
-// answers one exchange per batch round for all the batch's stripes that
-// planned it, and one batch's exchanges overlap the other's RepairBlock
-// decodes and newcomer writebacks, all over the store's shared connection
-// pool and buffer pool. Helper selection rotates with the stripe index so
-// repair load spreads over all n-1 survivors, and WithRecoveryBandwidth
-// paces the pass.
+// lap of stripes (repairBatch), batchWidth at once, and each batch is one
+// rebuild exchange with the newcomer, which runs it: each helper answers
+// the newcomer one exchange per batch round for all the batch's stripes
+// that planned it, and one batch's exchanges overlap the other's
+// RepairBlock decodes, all over the newcomer's connection pool. No block
+// and no chunk crosses this store's sockets. Helper selection rotates with
+// the stripe index so repair load spreads over all n-1 survivors, and
+// WithRecoveryBandwidth paces the pass.
 //
-// The failed server's address must be accepting writes again (restarted
-// empty, or a replacement at the same address): regenerated blocks are
-// written back to their home. The first repair failure cancels the
-// launch of later batches; the report covers the work done either way.
+// The failed server's address must be serving again (restarted empty, or
+// a replacement at the same address): it is the newcomer, and rebuilds
+// its blocks in place. The first repair failure cancels the launch of
+// later batches; the report covers the work done either way.
 func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec, opts ...RecoveryOption) (*RecoveryReport, error) {
 	n := s.code.N()
 	d := s.code.D()
@@ -110,18 +115,6 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 		return report, nil
 	}
 	sp.SetAttr("blocks", len(jobs))
-
-	// Warm the repair plans for every helper rotation this pass will use,
-	// so plan compilation happens once up front instead of stalling the
-	// pipeline on its first lap around the survivor ring.
-	_, wsp := obs.StartSpan(ctx, "warm")
-	for r := 0; r < min(len(jobs), n-1); r++ {
-		if err := s.code.WarmRepair(failed, rotatedSurvivors(n, failed, r)[:d]); err != nil {
-			wsp.End()
-			return report, fmt.Errorf("blockserver: recover plan warm: %w", err)
-		}
-	}
-	wsp.End()
 
 	var tb *tokenBucket
 	if cfg.bandwidth > 0 {
@@ -176,15 +169,14 @@ const batchBytes = 8 << 20
 // and Scrub run at once. Why 2: a repair pass is CPU-bound, so more
 // single-stripe repairs in flight bought nothing; what a second batch buys
 // is overlap — one batch's exchanges are on the wire while the other
-// decodes (for a write, encodes; for a repair, also writes back) — and a
-// third would only hold more memory. Small
-// batches (a scrub's scattered blocks, each with its own failed index,
-// large blocks cut down by batchBytes, or a cached read's one-stripe
-// misses) get more of them: batchWidth keeps about stripesInFlight stripes
-// in flight, as reads and repairs one stripe at a time did. The batches in
-// flight are also the recovery wave that can meet a dead helper before the
-// pool remembers it: batchesInFlight·(n−1) stripes when the batches are
-// full laps.
+// decodes (for a write, encodes) — and a third would only hold more
+// memory. Small batches (a scrub's scattered blocks, each with its own
+// failed index, large blocks cut down by batchBytes, or a cached read's
+// one-stripe misses) get more of them: batchWidth keeps about
+// stripesInFlight stripes in flight, as reads and repairs one stripe at a
+// time did. The batches in flight are also the recovery wave that can meet
+// a dead helper before the newcomer's pool remembers it:
+// batchesInFlight·(n−1) stripes when the batches are full laps.
 const batchesInFlight = 2
 
 // batchWidth is how many of a pass's batches run at once: batchesInFlight,
@@ -221,11 +213,11 @@ func repairBatches(jobs []repairJob, size int) [][]int {
 
 // repairMany runs block repairs batch by batch through the bounded
 // pipeline: up to conc batches are in flight (0: batchWidth), so one
-// batch's helper exchanges overlap another's decode and writeback, and the
-// first failure cancels the launch of later batches (in-flight ones
-// drain). A batch is one lap, or fewer stripes if a lap's chunks would
-// pass batchBytes. It reports the helper bytes moved, the jobs that
-// completed (in job order), and the root-cause failure naming its job.
+// batch's helper exchanges overlap another's decode, and the first
+// failure cancels the launch of later batches (in-flight ones drain). A
+// batch is one lap, or fewer stripes if a lap's chunks would pass
+// batchBytes. It reports the helper bytes moved, the jobs that completed
+// (in job order), and the root-cause failure naming its job.
 func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro repairOpts) (traffic int64, repaired []repairJob, err error) {
 	// A batch is at most one lap of the rotated survivor ring: n−1 stripes
 	// of one file with one failed index. Why one lap: over n−1 consecutive
@@ -284,7 +276,8 @@ func jobErr(j repairJob, err error) error {
 // re-plan, and what their stripe records say the lost block is. The chunks
 // land in d slots of one pooled buffer; a slot whose fetch failed goes
 // back to free for the next round's spare. A round's records land in d
-// slots of n CRCs, and the first is kept in one more, for the writeback.
+// slots of n CRCs, and the first is kept in one more, for the rebuilt
+// block to be stored with.
 type stripeRepair struct {
 	stripeOp
 	job        repairJob
@@ -359,7 +352,7 @@ func (r *stripeRepair) landed() {
 // record takes the stripe record that came with a chunk whose helper did
 // not verify its block: the rebuilt block must match its entry for the
 // lost block, as it must every other such record's. The first is kept
-// whole for the writeback.
+// whole, for the rebuilt block.
 func (r *stripeRepair) record(rec []uint32) {
 	failed := r.job.ref.Block
 	if r.rec == nil {
@@ -392,37 +385,121 @@ func (r *stripeRepair) release() {
 	r.buf, r.free, r.chunks = nil, nil, nil
 }
 
-// repairBatch is the one repair engine behind Repair, Scrub and
-// RecoverServer. It rebuilds the batch's jobs — stripes of one file with
-// one failed index — as one batch of the stripe loop (runBatch), with
-// opChunk for its op: every stripe plans the next d − len(helpers)
-// available survivors in its rotated ring order, so a healthy batch is one
-// round of n−1 exchanges of d chunks each — the paper's optimal traffic in
-// one round trip per block — and every struck helper costs its stripe one
-// spare in a later round. The recovery throttle is charged once per round.
-// A stripe with d chunks decodes (RepairBlockInto) and writes back on its
-// own goroutine while the others' rounds go on. moved[j] and errs[j]
-// receive job j's traffic and outcome; the batch returns its root cause,
-// naming its job.
+// repairBatch sends one batch of repairs — stripes of one file with one
+// failed index — to its newcomer, the failed index's home server, as one
+// rebuild exchange (Client.Rebuild): the newcomer fetches the chunks,
+// rebuilds and stores the blocks (rebuildBatch), so what crosses this
+// store's sockets is the request and its answer, and no block or chunk. It
+// is behind Repair, Scrub and RecoverServer. The recovery throttle is
+// charged the batch's d chunks and rebuilt block per stripe before the
+// request goes out. moved[j] and errs[j] receive job j's winning traffic
+// and outcome as the newcomer answers them — or, when the exchange itself
+// fails, that failure for every job of the batch — and the batch returns
+// its root cause, naming its job.
 func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, moved []int, errs []error, ro repairOpts) error {
-	n, d := s.code.N(), s.code.D()
 	first := jobs[batch[0]]
 	failed := first.ref.Block
-	chunkSize := s.code.HelperChunkSize(s.blockSize)
-	ctx, sp := obs.StartSpan(ctx, "store.repair")
-	sp.SetAttr("file", first.file).SetAttr("stripe", first.ref.Stripe).SetAttr("stripes", len(batch)).SetAttr("failed", failed)
+	ctx, sp := obs.StartSpan(ctx, "rebuild")
+	sp.SetAttr("file", first.file).SetAttr("stripe", first.ref.Stripe).SetAttr("stripes", len(batch)).SetAttr("failed", failed).SetAttr("newcomer", s.addrs[failed])
 	defer sp.End()
 
-	stripes := make([]stripeRepair, len(batch))
-	tasks := make([]stripeTask, len(batch))
-	slots := make([]uint32, len(batch)*(d+1)*n)
+	req := &RebuildRequest{File: first.file, Stripes: make([]int, len(batch)), Failed: failed, BlockSize: s.blockSize, Addrs: s.addrs, Hedge: s.hedge, Client: s.client}
 	for i, j := range batch {
-		r := &stripes[i]
+		req.Stripes[i] = jobs[j].ref.Stripe
+	}
+	var res *RebuildResult
+	err := ro.throttle.Wait(ctx, len(batch)*(s.code.D()*s.code.HelperChunkSize(s.blockSize)+s.blockSize))
+	if err == nil {
+		err = s.pool.WithClient(ctx, s.addrs[failed], func(c *Client) (err error) {
+			res, err = c.Rebuild(ctx, req)
+			return err
+		})
+		// The rebuilt blocks are byte-identical to what the code first
+		// produced, but the cache generation is bumped all the same, in case
+		// a reader cached a stripe decoded from a corrupt block they replace.
+		if s.cache != nil {
+			s.cache.Invalidate(first.file)
+		}
+	}
+	if err != nil {
+		err = classify(err) // a context that ended before the exchange began is a timeout too
+		for _, j := range batch {
+			errs[j] = err
+		}
+		err = jobErr(first, err)
+		sp.SetAttr("error", err.Error())
+		return err
+	}
+	traffic := 0
+	for i, j := range batch {
+		moved[j], errs[j] = res.Traffic[i], res.Errs[i]
+		traffic += moved[j]
+	}
+	if ro.onHelper != nil {
+		for idx, chunks := range res.Chunks {
+			if chunks != 0 {
+				ro.onHelper(idx, int(chunks))
+			}
+		}
+	}
+	sp.SetAttr("traffic_bytes", traffic)
+	if i, err := pipelineErr(ctx, res.Errs, len(res.Errs)); err != nil {
+		err = jobErr(jobs[batch[i]], err)
+		sp.SetAttr("error", err.Error())
+		return err
+	}
+	return nil
+}
+
+// rebuildBatch is the one repair engine, run where the lost blocks land:
+// a newcomer runs it on its engine for each rebuild request
+// (Server.rebuild). It rebuilds block failed of each of the file's stripes
+// as one batch of the stripe loop (runBatch), with opChunk for its op:
+// every stripe plans the next d − len(helpers) available survivors in its
+// rotated ring order, so a healthy batch is one round of n−1 exchanges of
+// d chunks each — the paper's optimal traffic in one round trip per block
+// — and every struck helper costs its stripe one spare in a later round.
+// A stripe with d chunks decodes and is committed to the newcomer's map
+// (finish) on its own goroutine while the others' rounds go on. The
+// batch's repair plans are warmed first, so no decode stalls on compiling
+// one. It returns each stripe's winning traffic and outcome, in order, and
+// each helper's winning chunks, by block index.
+func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, failed int) (traffic []int, errs []error, chunks []int64) {
+	n, d := s.code.N(), s.code.D()
+	chunkSize := s.code.HelperChunkSize(s.blockSize)
+	ctx, sp := obs.StartSpan(ctx, "store.repair")
+	sp.SetAttr("file", file).SetAttr("stripe", stripes[0]).SetAttr("stripes", len(stripes)).SetAttr("failed", failed)
+	defer sp.End()
+	traffic, errs, chunks = make([]int, len(stripes)), make([]error, len(stripes)), make([]int64, n)
+
+	_, wsp := obs.StartSpan(ctx, "warm")
+	for _, st := range stripes {
+		if err := s.code.WarmRepair(failed, rotatedSurvivors(n, failed, st)[:d]); err != nil {
+			wsp.End()
+			for i := range errs {
+				errs[i] = fmt.Errorf("repair plan warm: %w", err)
+			}
+			return traffic, errs, chunks
+		}
+	}
+	wsp.End()
+
+	var mu sync.Mutex
+	ro := repairOpts{onHelper: func(idx, c int) {
+		mu.Lock()
+		chunks[idx] += int64(c)
+		mu.Unlock()
+	}}
+	repairs := make([]stripeRepair, len(stripes))
+	tasks := make([]stripeTask, len(stripes))
+	slots := make([]uint32, len(stripes)*(d+1)*n)
+	for i, st := range stripes {
+		r := &repairs[i]
 		*r = stripeRepair{
-			stripeOp:   stripeOp{s: s, ctx: ctx, file: jobs[j].file, st: jobs[j].ref.Stripe},
-			job:        jobs[j],
+			stripeOp:   stripeOp{s: s, ctx: ctx, file: file, st: st},
+			job:        repairJob{file: file, ref: BlockRef{Stripe: st, Block: failed}},
 			ro:         ro,
-			candidates: rotatedSurvivors(n, failed, jobs[j].ref.Stripe),
+			candidates: rotatedSurvivors(n, failed, st),
 			buf:        bufpool.Get(d * chunkSize),
 			free:       make([][]byte, d),
 			helpers:    make([]int, 0, d),
@@ -435,41 +512,44 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 		}
 		tasks[i] = r
 	}
-	s.runBatch(ctx, opChunk, tasks, ro.throttle)
-	traffic := 0
-	be := make([]error, len(batch))
-	for i, j := range batch {
-		moved[j], errs[j] = stripes[i].traffic, stripes[i].err
-		traffic += moved[j]
-		be[i] = errs[j]
+	s.runBatch(ctx, opChunk, tasks)
+	total := 0
+	for i := range repairs {
+		traffic[i], errs[i] = repairs[i].traffic, repairs[i].err
+		total += traffic[i]
 	}
-	sp.SetAttr("traffic_bytes", traffic)
-	if i, err := pipelineErr(ctx, be, len(be)); err != nil {
-		err = jobErr(jobs[batch[i]], err)
+	sp.SetAttr("traffic_bytes", total)
+	if _, err := pipelineErr(ctx, errs, len(errs)); err != nil {
 		sp.SetAttr("error", err.Error())
-		return err
 	}
-	return nil
+	return traffic, errs, chunks
 }
 
-// finish decodes the stripe's lost block from its d chunks into pooled
-// scratch and checksums it while it is still in cache. When a chunk came
-// from a helper that did not verify its block, the block must match what
-// each such chunk's stripe record says it is, or the stripe falls back
-// (recheck). Then finish recycles the chunks and writes the block back to
-// its home server under that CRC, with the record, its entry for the block
-// set to the CRC, so the newcomer can serve later repairs unverified too.
-// The writeback is synchronous, so by the time finish returns nothing
-// reads the scratch.
+// finish decodes the stripe's lost block from its d chunks straight into
+// an exact-size block — the newcomer's map keeps it, as it keeps a put's —
+// and checksums it granule by granule while it is still in cache: its
+// at-rest checksums, whose combine is the block's CRC32C. When a chunk
+// came from a helper that did not verify its block, that CRC must match
+// what each such chunk's stripe record says the block is, or the stripe
+// falls back (recheck). Then finish recycles the chunks and commits the
+// block to the newcomer through the function a put stores with, with its
+// granule CRCs and the record, its entry for the block set to the CRC, so
+// the newcomer serves later repairs unverified too.
 func (r *stripeRepair) finish() error {
-	s, ctx, ro := r.s, r.ctx, r.ro
+	s, ctx := r.s, r.ctx
 	st, failed := r.job.ref.Stripe, r.job.ref.Block
 	_, dsp := obs.StartSpan(ctx, "decode")
-	block := bufpool.Get(s.blockSize)
-	defer bufpool.Put(block)
+	block := make([]byte, s.blockSize)
 	err := s.code.RepairBlockInto(failed, r.helpers, r.chunks, block)
-	crc := Checksum(block)
-	dsp.SetAttr("stripe", st).SetAttr("block_bytes", len(block))
+	rec := r.rec
+	if failed >= len(rec) {
+		rec = nil
+	}
+	grain := s.home.grain(len(block))
+	per := frame.Granules(len(block), grain)
+	at := make([]uint32, per+len(rec)) // the block's granule CRCs, then its record
+	crc := granuleCRCs(block, grain, at[:per])
+	dsp.SetAttr("stripe", st).SetAttr("block_bytes", len(block)).SetAttr("crc_bytes", len(block))
 	dsp.End()
 	if err == nil && r.unchecked && (r.disagree || crc != r.want) {
 		if again, err := r.recheck(); err != nil || again {
@@ -480,29 +560,13 @@ func (r *stripeRepair) finish() error {
 	if err != nil {
 		return err
 	}
-	if err = ro.throttle.Wait(ctx, len(block)); err != nil {
-		return err
+	if rec != nil {
+		copy(at[per:], rec)
+		at[per+failed] = crc
 	}
-	rec := r.rec
-	if failed < len(rec) {
-		rec[failed] = crc
-	} else {
-		rec = nil
-	}
-	_, psp := obs.StartSpan(ctx, "writeback")
-	psp.SetAttr("stripe", st)
-	err = s.put(ctx, s.addrs[failed], BlockName(r.job.file, st, failed), block, crc, rec)
-	psp.End()
-	if err != nil {
-		return err
-	}
-	// The regenerated block is byte-identical to what the code originally
-	// produced, but the writeback still bumps the cache generation: belt
-	// and suspenders against a reader having cached a stripe decoded from
-	// the corrupt block this repair just replaced.
-	if s.cache != nil {
-		s.cache.Invalidate(r.job.file)
-	}
+	name := BlockName(r.job.file, st, failed)
+	list := append(binary.BigEndian.AppendUint16(make([]byte, 0, 2+len(name)), uint16(len(name))), name...)
+	s.home.commit(list, []storedBlock{{data: block, crcs: at[:per:per], rec: at[per:]}})
 	return nil
 }
 
@@ -515,7 +579,7 @@ func (r *stripeRepair) finish() error {
 // struck the block stands — records that disagree with intact blocks are
 // a stripe torn between two writes — and recheck reports false. Otherwise
 // the stripe is repaired again, as a batch of its own, and the outcome of
-// that, which has already written the block back, is recheck's error.
+// that, which has already stored the block, is recheck's error.
 func (r *stripeRepair) recheck() (again bool, err error) {
 	s, ctx := r.s, r.ctx
 	_, sp := obs.StartSpan(ctx, "recheck")
@@ -555,7 +619,7 @@ func (r *stripeRepair) recheck() (again bool, err error) {
 		return false, nil
 	}
 	r.unchecked, r.disagree = false, false
-	s.runBatch(ctx, opChunk, []stripeTask{rerun{r}}, r.ro.throttle)
+	s.runBatch(ctx, opChunk, []stripeTask{rerun{r}})
 	return true, r.err
 }
 

@@ -87,9 +87,11 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 	data := make([]byte, size)
 	rand.New(rand.NewSource(51)).Read(data)
 
-	_, addrs := startServers(t, code, code.N())
+	servers, addrs := startServers(t, code, code.N())
 	// The baseline is taken before the store exists and checked after it
-	// closes, so a goroutine the write or the recovery leaves behind shows.
+	// and the newcomer close (the newcomer's engine parks its helper
+	// connections until then, and its accept loop goes with it), so a
+	// goroutine the write or the recovery leaves behind shows.
 	base := runtime.NumGoroutine()
 	store, err := NewStore(code, addrs, blockSize)
 	if err != nil {
@@ -152,7 +154,8 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 		t.Fatal("data mismatch after recovery")
 	}
 	store.Close()
-	waitGoroutines(t, base)
+	servers[failed].Close()
+	waitGoroutines(t, base-1)
 }
 
 // TestRecoverServerSequentialRotatesHelpers pins that the width of the
@@ -415,7 +418,9 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 
 	servers, addrs := startServers(t, code, code.N())
 	// The baseline is taken before the store exists and checked after it
-	// closes, so a goroutine the write or the recovery leaves behind shows.
+	// and the newcomer close (the newcomer's engine parks its helper
+	// connections until then, and its accept loop goes with it), so a
+	// goroutine the write or the recovery leaves behind shows.
 	base := runtime.NumGoroutine()
 	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
 	if err != nil {
@@ -457,7 +462,8 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
 	}
 	store.Close()
-	waitGoroutines(t, base)
+	servers[failed].Close()
+	waitGoroutines(t, base-1)
 }
 
 // failedChunkExchanges sums the client-side chunk exchanges that failed as

@@ -32,7 +32,7 @@ var (
 // opNames and statusNames label the rpcs_total counters, indexed by opcode
 // and status; opcode 0 is never sent, so its slot names unknown opcodes.
 var (
-	opNames     = [...]string{"unknown", "put", "get", "range", "chunk", "delete", "stat", "verify"}
+	opNames     = [...]string{"unknown", "put", "get", "range", "chunk", "delete", "stat", "verify", "rebuild"}
 	statusNames = [...]string{"ok", "not_found", "error", "corrupt"}
 )
 
@@ -80,6 +80,7 @@ type connState struct {
 	answer []byte        // a range or chunk answer's meta: the verdict vector, then the OK names' CRC32Cs
 	blocks []storedBlock // the blocks a range or chunk answer is served from, cleared after it
 	parts  [][]byte      // a range answer's slices of those blocks, or a put's blocks; cleared after it
+	stored []storedBlock // a put's blocks as they are committed, cleared after it
 }
 
 // reply records the RPC outcome and sends the response: the frame header
@@ -126,9 +127,10 @@ func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte)
 // against that CRC, so bit rot in what is read is caught there, and
 // reported back. A chunk of a block whose record has an entry per block of
 // the server's code is computed without reading the block first and sent
-// with the record, so the client that repairs from it catches rot in what
-// it rebuilds, and asks for a verify. Get, stat, verify, and chunk of a block with no such
-// record, check the whole block granule by granule before they use it.
+// with the record, so the newcomer that repairs from it catches rot in
+// what it rebuilds, and asks for a verify. Get, stat, verify, and chunk of
+// a block with no such record, check the whole block granule by granule
+// before they use it.
 type storedBlock struct {
 	data []byte
 	crcs []uint32
@@ -235,15 +237,25 @@ type Server struct {
 	blocks map[string]storedBlock
 
 	lnMu   sync.Mutex
-	ln     net.Listener
+	ln     net.Listener // nil until started, and again once closing
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+
+	// life ends when Close begins, and with it every rebuild in flight.
+	life context.Context
+	end  context.CancelFunc
+
+	// eng is the engine the last rebuild request was run on (see engine).
+	engMu sync.Mutex
+	eng   *repairEngine
 }
 
 // NewServer returns a server; code may be nil for a plain block store.
 func NewServer(code *carousel.Code) *Server {
-	return &Server{code: code, blocks: make(map[string]storedBlock), conns: make(map[net.Conn]struct{})}
+	s := &Server{code: code, blocks: make(map[string]storedBlock), conns: make(map[net.Conn]struct{})}
+	s.life, s.end = context.WithCancel(context.Background())
+	return s
 }
 
 // SetTracer routes this server's spans to a dedicated tracer instead of
@@ -326,9 +338,10 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // Close shuts down in order: stop accepting, cancel in-flight handler
-// connections, then wait for every goroutine to exit. A server blocked on
-// an idle or half-open client connection still shuts down promptly because
-// closing the conn unblocks its handler's read.
+// connections and rebuilds, wait for every goroutine to exit, then close
+// the repair engine and the helper connections it parks. A server blocked
+// on an idle or half-open client connection still shuts down promptly
+// because closing the conn unblocks its handler's read.
 func (s *Server) Close() error {
 	s.lnMu.Lock()
 	s.closed = true
@@ -346,7 +359,14 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
+	s.end()
 	s.wg.Wait()
+	s.engMu.Lock()
+	if s.eng != nil {
+		s.eng.store.Close()
+		s.eng = nil
+	}
+	s.engMu.Unlock()
 	return err
 }
 
@@ -368,6 +388,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		m, err := parseMeta(h.Kind, h.Meta)
 		if err != nil || (h.Kind != opPut && h.Len != 0) {
 			return
+		}
+		if m.rb != nil && s.code != nil && len(m.rb.req.Addrs) != s.code.N() {
+			return // a rebuild of another code's stripes
 		}
 		t0 := time.Now()
 		s.inflight.Add(1)
@@ -436,7 +459,7 @@ func spanChild(ctx context.Context, name string) *obs.Span {
 func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	op, name := h.Kind, m.name
 	ctx := context.Background()
-	if m.trace != 0 && op >= opPut && op <= opVerify {
+	if m.trace != 0 && op >= opPut && op <= opRebuild {
 		var sp *obs.Span
 		ctx, sp = s.tr().StartRemote(ctx, "server."+opNames[op], m.trace, m.parent)
 		sp.SetAttr("block", string(name))
@@ -458,6 +481,9 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 
 	case opRange, opChunk:
 		return s.answerNames(ctx, cs, op, m)
+
+	case opRebuild:
+		return s.rebuild(ctx, cs, m.rb)
 
 	case opDelete:
 		s.mu.Lock()
@@ -495,7 +521,8 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 // one pass that lands the blocks checksums each granule by granule, and
 // the frame CRC is checked against their combination before any block is
 // stored; the granule CRCs and the stripe records the meta carried, one
-// slice for the whole put, become the blocks' at-rest checksums.
+// slice for the whole put, become the blocks' at-rest checksums, and
+// commit stores them.
 func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	if h.Len%m.count != 0 {
 		return fmt.Errorf("blockserver: %d-byte put payload for %d blocks", h.Len, m.count)
@@ -516,19 +543,45 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	for i := range recs {
 		recs[i] = binary.BigEndian.Uint32(m.recs[4*i:])
 	}
-	s.mu.Lock()
-	list := m.names
+	cs.stored = cs.stored[:0]
+	defer func() { clear(cs.stored) }()
 	for i, data := range cs.parts {
-		var name []byte
-		name, list = nextName(list)
-		s.blocks[string(name)] = storedBlock{
+		cs.stored = append(cs.stored, storedBlock{
 			data: data,
 			crcs: grains[i*per : (i+1)*per : (i+1)*per],
 			rec:  recs[i*m.w : (i+1)*m.w : (i+1)*m.w],
-		}
+		})
+	}
+	s.commit(m.names, cs.stored)
+	return nil
+}
+
+// commit stores each block under its name in list, a validated name list,
+// all under one lock: the one way a block enters the map, for a put's
+// blocks (ingest) and for a block a newcomer rebuilt (stripeRepair.finish).
+// Each block is an exact-size allocation of its own, with its granule CRCs
+// and its stripe record, which the map keeps for as long as it lives.
+func (s *Server) commit(list []byte, blocks []storedBlock) {
+	s.mu.Lock()
+	for _, b := range blocks {
+		var name []byte
+		name, list = nextName(list)
+		s.blocks[string(name)] = b
 	}
 	s.mu.Unlock()
-	return nil
+}
+
+// granuleCRCs checksums data granule by granule into crcs, one per grain
+// bytes (frame.Granules), and returns their combine: the whole block's
+// CRC32C, from the one pass that leaves its at-rest checksums.
+func granuleCRCs(data []byte, grain int, crcs []uint32) (crc uint32) {
+	var comb frame.Combiner
+	for i := range crcs {
+		part := data[i*grain : min((i+1)*grain, len(data))]
+		crcs[i] = Checksum(part)
+		crc = comb.Combine(crc, crcs[i], len(part))
+	}
+	return crc
 }
 
 // recorded reports whether a chunk of b for the failed block may be
@@ -678,6 +731,94 @@ func (s *Server) entryLen(op byte) int {
 		return 5 + 4*s.code.N()
 	}
 	return 4
+}
+
+// repairEngine is a newcomer's Store for the rebuilds it is asked for: a
+// Store over a Pool of its own, for one engine key (the addresses, block
+// size and settings of a rebuild request), shared by every rebuild that
+// names that key, so a pass dials its helpers once, not once per batch.
+// users counts the rebuilds running on it.
+type repairEngine struct {
+	key   string
+	store *Store
+	users int
+}
+
+// engine returns the repair engine for a rebuild request and counts the
+// caller as one of its users: the server's current engine when the key
+// matches, else a new one, which replaces it (the old one closes when its
+// last user is done, or at once if it has none). A server that was never
+// started, or is closing, builds none: it dials nobody.
+func (s *Server) engine(rb *rebuildMeta) (*repairEngine, error) {
+	s.lnMu.Lock()
+	serving := s.ln != nil
+	s.lnMu.Unlock()
+	if !serving {
+		return nil, fmt.Errorf("server is not serving")
+	}
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
+	if e := s.eng; e != nil && e.key == rb.key {
+		e.users++
+		return e, nil
+	}
+	st, err := NewStore(s.code, rb.req.Addrs, rb.req.BlockSize, WithClientOptions(rb.req.Client), WithHedgeDelay(rb.req.Hedge))
+	if err != nil {
+		return nil, err
+	}
+	st.home = s
+	if old := s.eng; old != nil && old.users == 0 {
+		old.store.Close()
+	}
+	s.eng = &repairEngine{key: rb.key, store: st, users: 1}
+	return s.eng, nil
+}
+
+// release ends a rebuild's use of its engine, closing the engine when it
+// was the last user of one the server has replaced.
+func (s *Server) release(e *repairEngine) {
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
+	if e.users--; e.users == 0 && e != s.eng {
+		e.store.Close()
+	}
+}
+
+// rebuildMargin is how much sooner than its coordinator's deadline a
+// newcomer ends a rebuild — an eighth of the budget, at most a second — so
+// that its answer, every stripe's verdict, lands in time.
+func rebuildMargin(budget time.Duration) time.Duration {
+	return min(budget/8, time.Second)
+}
+
+// rebuild answers a rebuild request: the newcomer runs the batch on its
+// repair engine (Store.rebuildBatch), which commits each block it rebuilds
+// to this server's map, under the request's budget less rebuildMargin and
+// only until the server closes, and answers each stripe's verdict,
+// winning traffic and failure text, and each helper's winning chunks. A
+// server with no code, one not serving, a batch whose answer would
+// overflow a meta, or a request no engine can be built for (a block size
+// the code cannot split) is answered statusError before anything is
+// dialed.
+func (s *Server) rebuild(ctx context.Context, cs *connState, rb *rebuildMeta) error {
+	count, n := len(rb.req.Stripes), len(rb.req.Addrs)
+	if s.code == nil {
+		return s.reply(cs, opRebuild, statusError, []byte("server has no code configured"))
+	}
+	if 7*count+4*n > math.MaxUint16 {
+		return s.reply(cs, opRebuild, statusError, fmt.Appendf(nil, "%d stripes' and %d helpers' answers overflow an answer meta", count, n))
+	}
+	eng, err := s.engine(rb)
+	if err != nil {
+		return s.reply(cs, opRebuild, statusError, []byte(err.Error()))
+	}
+	defer s.release(eng)
+	ctx, cancel := context.WithTimeout(ctx, rb.budget-rebuildMargin(rb.budget))
+	defer cancel()
+	defer context.AfterFunc(s.life, cancel)()
+	traffic, errs, chunks := eng.store.rebuildBatch(ctx, rb.req.File, rb.req.Stripes, rb.req.Failed)
+	meta, texts := appendRebuildAnswer(make([]byte, 0, 7*count+4*n), nil, traffic, errs, chunks)
+	return s.send(cs, opRebuild, frame.Header{Kind: statusOK, Meta: meta, Len: len(texts), CRC: Checksum(texts)}, texts)
 }
 
 // Stats reports this server's stored capacity and corrupt-serve count —

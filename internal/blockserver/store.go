@@ -52,7 +52,7 @@ var (
 // stripes Scrub's verify phase hands to pipeline at once (reads and
 // repairs size their batches by bytes instead, and keep at least this many
 // stripes in flight: batchWidth). Why 4: enough to hide one stripe's
-// network round trip behind its neighbours' encode, decode or writeback,
+// network round trip behind its neighbours' encode or decode,
 // without flooding the peer set — a stripe in flight holds up to n pooled
 // blocks.
 const stripesInFlight = 4
@@ -83,6 +83,11 @@ type Store struct {
 	hedge     time.Duration
 	pool      *Pool              // shared by reads, writes, scrub, and repair
 	healthy   *carousel.ReadPlan // the plan with every block available: what a stripe reads while nothing is known bad
+
+	// home is the newcomer whose repair engine this store is (see
+	// Server.engine): the server each block it rebuilds is committed to.
+	// Nil for every other store, which sends its repairs to their newcomers.
+	home *Server
 
 	// cache, when non-nil, serves hot stripes from memory with singleflight
 	// miss coalescing. Nil (the default) keeps the read path byte-identical
@@ -376,18 +381,6 @@ func (s *Store) encodeStripe(data []byte, st int, slab []byte, rec []uint32) err
 		rec[i] = Checksum(b)
 	}
 	return nil
-}
-
-// put stores one block on one server, under its CRC and stripe record
-// (nil for none): a rebuilt block's writeback.
-func (s *Store) put(ctx context.Context, addr, name string, data []byte, crc uint32, rec []uint32) error {
-	var recs [][]uint32
-	if rec != nil {
-		recs = [][]uint32{rec}
-	}
-	return s.pool.WithClient(ctx, addr, func(c *Client) error {
-		return c.Puts(ctx, []string{name}, [][]byte{data}, []uint32{crc}, recs)
-	})
 }
 
 // ReadStats reports how a ReadFile was served — the observability hook the
@@ -757,10 +750,8 @@ type batchExchange struct {
 // stripe finishes or fails, and calls its done exactly once. Every stripe
 // keeps its own stripeOp, so it plans, strikes, unhedges and runs out of
 // survivors for itself alone. What the batch shares is the round: every
-// stripe still short plans, the throttle (a recovery's bandwidth; nil
-// otherwise) is charged once for all of the round's asks, and the asks are
-// grouped by (block, arguments) into one exchange each, all under one
-// hedge deadline (exchange). A name's NotFound or Corrupt verdict strikes
+// stripe still short plans, and the asks are grouped by (block, arguments)
+// into one exchange each, all under one hedge deadline (exchange). A name's NotFound or Corrupt verdict strikes
 // its block for that one stripe; a failed or timed-out exchange strikes it
 // for every stripe it carried. A stripe whose asks all landed finishes on
 // its own goroutine while the others' rounds go on (a batch of one, on
@@ -768,7 +759,7 @@ type batchExchange struct {
 // the caller's context is a victim, not a verdict about the blocks, so the
 // stripe reports the context's error. runBatch returns once every stripe
 // is done, its outcome in its stripeOp's err.
-func (s *Store) runBatch(ctx context.Context, op byte, tasks []stripeTask, throttle *tokenBucket) {
+func (s *Store) runBatch(ctx context.Context, op byte, tasks []stripeTask) {
 	active := make([]int, len(tasks))
 	for i := range active {
 		active[i] = i
@@ -791,15 +782,7 @@ func (s *Store) runBatch(ctx context.Context, op byte, tasks []stripeTask, throt
 		if active = planned; len(active) == 0 {
 			break
 		}
-		exs, mode, bytes := group(tasks, active)
-		// The throttle runs before the hedge clock starts, so a paced
-		// recovery does not misread its own waiting as a straggler.
-		if err := throttle.Wait(ctx, bytes); err != nil {
-			for _, i := range active {
-				end(tasks[i], err)
-			}
-			break
-		}
+		exs, mode := group(tasks, active)
 		s.exchange(ctx, op, tasks, active, exs, mode)
 		next := active[:0]
 		for _, i := range active {
@@ -829,8 +812,8 @@ func (s *Store) runBatch(ctx context.Context, op byte, tasks []stripeTask, throt
 // group gathers a round's asks into exchanges, one per (block, arguments),
 // in the order the stripes asked, and records in each ask the exchange it
 // rides. It also returns the round's plan kinds — one, or several joined
-// by "+" when the stripes differ — and the bytes the round asks for.
-func group(tasks []stripeTask, active []int) (exs []batchExchange, mode string, bytes int) {
+// by "+" when the stripes differ.
+func group(tasks []stripeTask, active []int) (exs []batchExchange, mode string) {
 	for _, i := range active {
 		t := tasks[i]
 		so := t.stripe()
@@ -856,10 +839,9 @@ func group(tasks []stripeTask, active []int) (exs []batchExchange, mode string, 
 			exs[x].n++
 			exs[x].unhedged = exs[x].unhedged || so.unhedged
 			a.ex, a.err = x, nil
-			bytes += len(a.buf)
 		}
 	}
-	return exs, mode, bytes
+	return exs, mode
 }
 
 // exchange runs one batch round's exchanges under one hedge deadline —
@@ -1070,7 +1052,7 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 		lsp.End()
 		tasks[i] = rd
 	}
-	s.runBatch(ctx, opRange, tasks, nil)
+	s.runBatch(ctx, opRange, tasks)
 	errs := make([]error, len(reads))
 	for i := range reads {
 		errs[i] = reads[i].err
@@ -1183,17 +1165,18 @@ func planMode(plan *carousel.ReadPlan) string {
 	return "parallel"
 }
 
-// Repair regenerates block failed of a stripe from d helper chunks
-// computed server-side, uploads it to its home server, and reports the
-// bytes that crossed the network. It is a recovery batch of one stripe
-// (repairBatch), so it runs the read path's stripe loop: a helper that
-// fails or straggles past the hedge is struck and a spare from the
-// survivor ring takes its place, so a dead or slow server cannot stall the
-// repair, and a cluster slow everywhere is repaired slowly. Helpers are
-// chosen by rotating the survivor ring by the stripe index, so a
-// multi-stripe repair pass spreads chunk load over all n-1 survivors
-// instead of hammering survivors 0..d-1 for every stripe. An index out of
-// range fails before any I/O.
+// Repair regenerates block failed of a stripe on its home server, the
+// newcomer, and reports the bytes of the helper chunks that crossed the
+// network. It is a recovery batch of one stripe (repairBatch): one rebuild
+// exchange with the newcomer, which fetches d helper chunks computed
+// server-side, rebuilds the block and stores it, running the read path's
+// stripe loop — a helper that fails or straggles past the hedge is struck
+// and a spare from the survivor ring takes its place, so a dead or slow
+// server cannot stall the repair, and a cluster slow everywhere is
+// repaired slowly. Helpers are chosen by rotating the survivor ring by the
+// stripe index, so a multi-stripe repair pass spreads chunk load over all
+// n-1 survivors instead of hammering survivors 0..d-1 for every stripe. An
+// index out of range fails before any I/O.
 func (s *Store) Repair(ctx context.Context, name string, st, failed int) (trafficBytes int, err error) {
 	if n := s.code.N(); failed < 0 || failed >= n || st < 0 {
 		return 0, fmt.Errorf("blockserver: stripe %d block %d out of range (blocks [0,%d))", st, failed, n)
@@ -1206,8 +1189,9 @@ func (s *Store) Repair(ctx context.Context, name string, st, failed int) (traffi
 
 // repairOpts tunes the repairs of a recovery pass.
 type repairOpts struct {
-	// throttle, when set, paces repair bytes (helper chunks and the
-	// newcomer writeback) so recovery coexists with foreground reads.
+	// throttle, when set, paces repair bytes (each batch's d helper chunks
+	// and rebuilt block per stripe, charged before the batch is sent) so
+	// recovery coexists with foreground reads.
 	throttle *tokenBucket
 	// onHelper observes, by block index, each helper whose chunk landed
 	// (chunks 1) and each whose landed chunk a recheck dropped (chunks −1),

@@ -84,20 +84,25 @@ recover:
 # cache's batches of one, server spans stitched under the batch's fetch,
 # cancellation: it interrupts an exchange, races its completion
 # without leaving a deadline on a parked connection, and costs a client
-# no goroutine; and the granule checksums: a range's CRC combined from
+# no goroutine; the granule checksums: a range's CRC combined from
 # the stored granule CRCs, rot in every granule caught by the reader (or,
 # in a granule a range covers in part, by the server) and counted at the
 # server, and the counted claim that a unit-aligned read costs the
-# servers no CRC.
+# servers no CRC; whole-block reads, ranges of length 0 checked at the
+# reader and never sent by a Store read; and the one carrier, whose
+# one-name exchanges ride their pooled client's own batch and leave
+# nothing in it.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel|Granule' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel|Granule|WholeBlockRange|OneCarrier' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare
 # header reader, the block server's request loop over net.Pipe (the block
-# map changes only on a put whose header and payload verify; the put,
-# range and chunk requests' name lists and rebuild requests, well formed
-# and not, are among its seeds), and the
+# map changes only on a put whose header and payload verify; its corpus
+# reaches every op, TestFuzzSeedsReachEveryOp checks that, and the put,
+# range and chunk requests' name lists, whole-block ranges, verifies,
+# a retired op and rebuild requests, well formed and not, are among its
+# seeds), and the
 # master's journal replay (refuse and leave the file alone, or keep a
 # prefix that replays to the same state).
 fuzz:

@@ -38,7 +38,12 @@ func startServers(t *testing.T, code *carousel.Code, n int) ([]*Server, []string
 	return servers, addrs
 }
 
-func TestPutGetRangeDeleteStat(t *testing.T) {
+// TestPutGetRangeDeleteVerify drives the one-name calls, and a range of
+// length 0 — to each block's end — over blocks of different sizes: the
+// first OK block's remainder is the answer's length, and a block whose
+// remainder differs, shorter or longer, draws statusError, its
+// destination untouched.
+func TestPutGetRangeDeleteVerify(t *testing.T) {
 	ctx := context.Background()
 	_, addrs := startServers(t, nil, 1)
 	c, err := Dial(addrs[0])
@@ -58,10 +63,6 @@ func TestPutGetRangeDeleteStat(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("Get = %q", got)
 	}
-	size, err := c.Stat(ctx, "b1")
-	if err != nil || size != len(data) {
-		t.Fatalf("Stat = %d, %v", size, err)
-	}
 	if err := c.Verify(ctx, "b1"); err != nil {
 		t.Fatalf("Verify intact block: %v", err)
 	}
@@ -75,14 +76,44 @@ func TestPutGetRangeDeleteStat(t *testing.T) {
 	if err := c.GetRangeInto(ctx, "b1", 10, make([]byte, 100)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("out-of-range read: %v, want ErrRemote", err)
 	}
+	if _, err := c.Get(ctx, "missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get missing: %v", err)
+	}
+
+	// b2 is shorter than b1, b3 as long and b4 longer.
+	for name, block := range map[string]string{"b2": string(data[:9]), "b3": "HELLO BLOCK WORLD", "b4": "hello block world, longer"} {
+		if err := c.Put(ctx, name, []byte(block)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := []string{"missing", "b1", "b2", "b3", "b4"}
+	dst := make([][]byte, len(names))
+	for i := range dst {
+		dst[i] = make([]byte, 11)
+	}
+	verdicts := make([]error, len(names))
+	err = c.do(ctx, request{op: opRange, args: [2]uint32{6, 0}, batch: &nameBatch{names: names, bufs: dst, verdicts: verdicts}})
+	if err != nil {
+		t.Fatalf("length-0 range: %v", err)
+	}
+	if !errors.Is(verdicts[0], ErrNotFound) || verdicts[1] != nil || !errors.Is(verdicts[2], ErrRemote) || verdicts[3] != nil || !errors.Is(verdicts[4], ErrRemote) {
+		t.Fatalf("length-0 range verdicts %v, want not found, OK, remote, OK, remote", verdicts)
+	}
+	if string(dst[1]) != "block world" || string(dst[3]) != "BLOCK WORLD" || dst[2][0] != 0 || dst[4][0] != 0 {
+		t.Fatalf("length-0 range landed %q", dst)
+	}
+	exchanges0 := servedExchanges(opRange)
+	if err := c.Ranges(ctx, names, 6, make([][]byte, len(names)), verdicts); err != nil || verdicts[0] != nil {
+		t.Fatalf("Ranges with zero-length destinations: %v, verdicts %v, want nil", err, verdicts)
+	}
+	if n := servedExchanges(opRange) - exchanges0; n != 0 {
+		t.Fatalf("Ranges with zero-length destinations made %d range exchanges, want 0", n)
+	}
 	if err := c.Delete(ctx, "b1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Get(ctx, "b1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after delete: %v", err)
-	}
-	if _, err := c.Stat(ctx, "missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Stat missing: %v", err)
 	}
 	if err := c.Verify(ctx, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Verify missing: %v", err)

@@ -113,7 +113,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stat(bg, "b"); err != nil {
+	if err := c.Verify(bg, "b"); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
@@ -127,7 +127,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(bg)
 	for i := 0; i < 10; i++ {
-		if _, err := c.Stat(ctx, "b"); err != nil {
+		if err := c.Verify(ctx, "b"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,10 +141,9 @@ func TestCancelRacesCompletion(t *testing.T) {
 	cancel()
 	pool.Put(c)
 
-	stat := func(ctx context.Context) error {
+	verify := func(ctx context.Context) error {
 		return pool.WithClient(ctx, addr, func(c *Client) error {
-			_, err := c.Stat(ctx, "b")
-			return err
+			return c.Verify(ctx, "b")
 		})
 	}
 
@@ -155,7 +154,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 	lens := make([]time.Duration, samples)
 	for i := range lens {
 		start := time.Now()
-		if err := stat(bg); err != nil {
+		if err := verify(bg); err != nil {
 			t.Fatal(err)
 		}
 		lens[i] = time.Since(start)
@@ -176,7 +175,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 			}
 			cancel()
 		}(delay)
-		switch err := stat(ctx); {
+		switch err := verify(ctx); {
 		case err == nil:
 			completed++
 			delay = max(0, delay-step)
@@ -186,7 +185,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 		default:
 			t.Fatalf("race %d: exchange under cancellation: %v", i, err)
 		}
-		if err := stat(bg); err != nil {
+		if err := verify(bg); err != nil {
 			t.Fatalf("race %d: the next call on the same client failed: %v", i, err)
 		}
 		wg.Wait()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,7 +66,9 @@ func rpcCounter(op byte, err error) *obs.Counter {
 	rpcOnce.Do(func() {
 		for o := opPut; o <= opRebuild; o++ {
 			for i, out := range outcomeNames {
-				rpcCounters[o][i] = obs.Default().Counter("blockserver_client_rpcs_total", "op", opNames[o], "outcome", out)
+				if known(o) {
+					rpcCounters[o][i] = obs.Default().Counter("blockserver_client_rpcs_total", "op", opNames[o], "outcome", out)
+				}
 			}
 		}
 	})
@@ -119,9 +122,10 @@ func (o Options) withDefaults() Options {
 //
 // A steady-state exchange under a context that can never be canceled is
 // allocation-free: a request is a by-value description built into a reused
-// scratch buffer and sent in a single write, response headers land in the
-// frame reader's scratch, and payloads come from the shared buffer pool
-// (hand them back with Recycle). A cancellable context costs one
+// scratch buffer and sent in a single write, a one-name read's batch is
+// the client's own, response headers land in the frame reader's scratch,
+// and answers land in the caller's memory or come from the shared buffer
+// pool (hand them back with Recycle). A cancellable context costs one
 // context.AfterFunc registration per exchange (see attempt). A Client owns
 // no goroutine, checked out or parked.
 type Client struct {
@@ -139,6 +143,7 @@ type Client struct {
 	iov   net.Buffers   // per-send view into arr, consumed by the write
 	parts [][]byte      // a range or chunk answer's landing list: the OK names' destinations
 	crcs  []uint32      // the CRC32Cs those landed under, one per OK name
+	one   oneName       // a one-name range or chunk exchange's batch
 
 	// rotten names the blocks whose bytes the last exchange landed unlike
 	// the CRC their server sent for them; do reports them (see report).
@@ -234,18 +239,14 @@ func inBand(err error) bool {
 }
 
 // request describes one exchange by value, so issuing an RPC allocates
-// nothing: the op, the block name, the op's integer arguments, the trace
-// context do stages from the caller's span, and — for a scatter read — the
-// caller's destination for the OK payload. A put, and a range or chunk
-// request for several blocks, carries its names in batch instead of name:
-// a pointer, so the request every RPC copies down its call chain stays as
-// small as the single-name ops need.
+// nothing: the op, its names, the op's integer arguments and the trace
+// context do stages from the caller's span. The names ride in batch, a
+// pointer, so the request every RPC copies down its call chain stays
+// small; a rebuild carries rb instead.
 type request struct {
 	op            byte
-	name          string
 	args          [2]uint32
 	trace, parent uint64
-	dst           []byte
 	batch         *nameBatch
 	rb            *rebuildCall
 }
@@ -259,17 +260,42 @@ type rebuildCall struct {
 	res    *RebuildResult
 }
 
-// nameBatch is a put, or a several-name range or chunk request: the block
-// names, each name's buffer — the block a put sends, or where an OK
-// answer lands — and, for a range or chunk, where each name's verdict is
-// written. A put may carry its blocks' CRC32Cs and stripe records; a chunk
-// request may take each OK name's stripe record into recs.
+// nameBatch is a request's block names (one for a delete or a verify)
+// and, for a put, range or chunk, each name's buffer: the block a put
+// sends, or where an OK answer lands. A range or chunk writes each name's
+// verdict into verdicts. A put may carry its blocks' CRC32Cs and stripe
+// records; a chunk request may take each OK name's stripe record into
+// recs. A one-name range or chunk batch whose buffer is nil lands its
+// answer in a pooled buffer sized by the answer.
 type nameBatch struct {
 	names    []string
 	bufs     [][]byte
 	verdicts []error
 	crcs     []uint32   // a put's blocks' CRC32Cs; nil: checksum the blocks
 	recs     [][]uint32 // a put's stripe records, or where a chunk answer's land; nil: none
+}
+
+// oneName is the client's batch for a one-name range or chunk exchange,
+// over arrays of its own: such an exchange allocates no batch.
+type oneName struct {
+	b       nameBatch
+	name    [1]string
+	buf     [1][]byte
+	verdict [1]error
+	rec     [1][]uint32
+}
+
+// oneBatch returns the client's one-name batch, empty, taking a chunk's
+// stripe record when recs is set. The caller appends a name and a buffer,
+// and zeroes c.one once it has read the outcome: a parked client keeps
+// nothing alive.
+func (c *Client) oneBatch(recs bool) *nameBatch {
+	o := &c.one
+	o.b = nameBatch{names: o.name[:0], bufs: o.buf[:0], verdicts: o.verdict[:]}
+	if recs {
+		o.b.recs = o.rec[:0]
+	}
+	return &o.b
 }
 
 // sent is how many payload bytes the request carries: a put's blocks.
@@ -283,9 +309,8 @@ func (r *request) sent() (n int) {
 }
 
 // do runs one idempotent exchange with deadline enforcement, poisoning,
-// and retry, and accounts its bytes and outcome. It returns the pooled OK
-// payload (nil for a scatter read, whose payload is in r.dst).
-func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
+// and retry, and accounts its bytes and outcome.
+func (c *Client) do(ctx context.Context, r request) error {
 	start := time.Now()
 	// When the context carries a span, its IDs ride in the request's meta
 	// so the server's spans join the caller's trace.
@@ -296,7 +321,6 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
-	var payload []byte
 	var err error
 	for i := 0; i < attempts; i++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -305,7 +329,7 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 			}
 			break
 		}
-		payload, err = c.attempt(ctx, r)
+		err = c.attempt(ctx, r)
 		if err == nil || !retryable(err) || i == attempts-1 {
 			break
 		}
@@ -316,7 +340,6 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	}
 	if err == nil {
 		cliBytesTx.Add(int64(r.sent()))
-		cliBytesRx.Add(int64(len(payload) + len(r.dst)))
 	} else if c.peer != nil && ctx.Err() == nil {
 		// The retry policy ended without a connection and the caller is
 		// still waiting: the peer, not the caller's patience, is the cause.
@@ -332,7 +355,7 @@ func (c *Client) do(ctx context.Context, r request) ([]byte, error) {
 	if len(c.rotten) > 0 {
 		c.report(ctx)
 	}
-	return payload, err
+	return err
 }
 
 // report asks the server to verify, with opVerify, each block whose bytes
@@ -345,18 +368,10 @@ func (c *Client) report(ctx context.Context) {
 	for _, name := range rotten {
 		// The answer changes no verdict: the bytes that landed were bad
 		// either way.
-		_ = c.call(ctx, request{op: opVerify, name: name})
+		_ = c.do(ctx, request{op: opVerify, batch: &nameBatch{names: []string{name}}})
 	}
 	clear(rotten)
 	c.rotten = rotten[:0]
-}
-
-// call is do for the exchanges whose OK payload carries nothing the caller
-// reads (it is empty, or already in r.dst).
-func (c *Client) call(ctx context.Context, r request) error {
-	payload, err := c.do(ctx, r)
-	bufpool.Put(payload)
-	return err
 }
 
 // attempt runs a single guarded exchange. Canceling ctx interrupts its
@@ -364,10 +379,10 @@ func (c *Client) call(ctx context.Context, r request) error {
 // the connection deadline from a context.AfterFunc hook. Contexts that can
 // never be canceled need no hook (the I/O deadline still bounds the
 // exchange).
-func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
+func (c *Client) attempt(ctx context.Context, r request) error {
 	conn, err := c.ensure(ctx)
 	if err != nil {
-		return nil, classify(err)
+		return classify(err)
 	}
 	deadline := time.Now().Add(c.opts.IOTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -381,7 +396,7 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	}
-	payload, err := c.exchange(conn, r)
+	err = c.exchange(conn, r)
 	// A hook that has started may expire the deadline at any moment from
 	// here on, so its connection is dropped even after a good exchange: a
 	// late deadline never reaches a parked connection.
@@ -396,12 +411,12 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 		if ctx.Err() != nil {
 			err = errors.Join(classify(ctx.Err()), err)
 		}
-		return nil, classify(err)
+		return classify(err)
 	}
 	if !hooked {
 		conn.SetDeadline(time.Time{})
 	}
-	return payload, nil
+	return nil
 }
 
 // exchange is the one place a request is written and its response read.
@@ -410,15 +425,15 @@ func (c *Client) attempt(ctx context.Context, r request) ([]byte, error) {
 // leave as one vectored write: on TCP a single writev with no intermediate
 // copy, so a put of a batch's blocks costs one syscall and zero payload
 // copies client-side.
-func (c *Client) exchange(conn net.Conn, r request) ([]byte, error) {
+func (c *Client) exchange(conn net.Conn, r request) error {
 	if err := c.header(&r); err != nil {
-		return nil, err
+		return err
 	}
 	c.iov = net.Buffers(c.arr)
 	err := flushVectored(conn, &c.iov)
 	clear(c.arr) // the scratch must not keep the caller's blocks alive once parked
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return c.readResponse(&r)
 }
@@ -465,10 +480,7 @@ func (r *request) meta(dst []byte) ([]byte, error) {
 		}
 		return dst, nil
 	}
-	names, recs := []string{r.name}, [][]uint32(nil)
-	if r.batch != nil {
-		names = r.batch.names
-	}
+	names, recs := r.batch.names, [][]uint32(nil)
 	for _, name := range names {
 		if len(name) == 0 || len(name) > maxNameLen {
 			return nil, fmt.Errorf("blockserver: invalid name length %d", len(name))
@@ -486,29 +498,25 @@ func (r *request) meta(dst []byte) ([]byte, error) {
 
 // readResponse reads one response frame and maps non-OK statuses to
 // errors. A header that fails its CRC is refused before its length is
-// used. An OK range or chunk answer goes to readOne or readVerdicts; any
-// other payload is returned in a pooled buffer. Non-OK payloads (error
-// messages, always small) are recycled once rendered.
-func (c *Client) readResponse(r *request) ([]byte, error) {
+// used. An OK range or chunk answer goes to readVerdicts, and an OK
+// rebuild answer to readRebuild; any other payload — an OK put, delete or
+// verify answer carries none, and an error message is small — is read
+// into a pooled buffer and recycled once rendered.
+func (c *Client) readResponse(r *request) error {
 	h, err := c.fr.Next()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	status := h.Kind
-	if r.rb != nil && status == statusOK {
-		return nil, c.readRebuild(h, r.rb)
-	}
-	if answersNames(r.op) && status == statusOK {
-		if r.batch != nil {
-			return nil, c.readVerdicts(h, r)
-		}
-		return c.readOne(h, r)
+	switch {
+	case h.Kind == statusOK && r.rb != nil:
+		return c.readRebuild(h, r.rb)
+	case h.Kind == statusOK && answersNames(r.op):
+		return c.readVerdicts(h, r)
 	}
 	buf := bufpool.Get(h.Len)
 	if err = c.fr.Payload(h, buf); err == nil {
-		switch status {
+		switch h.Kind {
 		case statusOK:
-			return buf, nil
 		case statusNotFound:
 			err = ErrNotFound
 		case statusCorrupt:
@@ -518,88 +526,47 @@ func (c *Client) readResponse(r *request) ([]byte, error) {
 		}
 	}
 	bufpool.Put(buf)
-	return nil, err
-}
-
-// readOne reads an OK one-name range or chunk answer, whose verified meta
-// holds its verdict and, when that is OK, its entry: its CRC, and for a
-// chunk its block's stripe record, which is dropped. It returns the verdict
-// as the error, or the answer: in a pooled buffer (Chunk), or, with r.dst
-// set (GetRangeInto, and a Store round's one-name exchanges), straight into
-// the caller's memory — the scatter half of the zero-copy framing: the
-// socket fills a stripe slot, typically, with no pooled intermediary and no
-// copy; a payload whose length differs from len(r.dst) is a protocol
-// violation, reported out-of-band so the retry machinery poisons the
-// connection rather than desyncing the stream. An answer that lands unlike
-// its CRC is ErrCorrupt, in band. The answer readers build their errors in
-// functions of their own, so the frames they stack up to the socket read
-// stay small: a Store round runs each exchange on a fresh goroutine.
-func (c *Client) readOne(h frame.Header, r *request) ([]byte, error) {
-	if len(h.Meta) == 0 || h.Meta[0] != statusOK {
-		return nil, oneVerdict(h, r)
-	}
-	crc, _, rest, ok := cutEntry(r.op, h.Meta[1:])
-	if !ok || len(rest) != 0 {
-		return nil, badMeta(h, r, 1)
-	}
-	buf := r.dst
-	if buf == nil {
-		buf = bufpool.Get(h.Len)
-	}
-	c.parts = append(c.parts[:0], buf)
-	err := c.land(h)
-	clear(c.parts)
-	if (err == nil || errors.Is(err, frame.ErrPayload)) && c.crcs[0] != crc {
-		err = c.rot(r.name)
-	}
-	if r.dst != nil {
-		return nil, err
-	}
-	if err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// oneVerdict is the error of a one-name answer whose verdict is not OK:
-// the verdict itself, or a protocol violation when the answer carries a
-// payload anyway or a meta of the wrong length.
-func oneVerdict(h frame.Header, r *request) error {
-	if len(h.Meta) != 1 {
-		return badMeta(h, r, 0)
-	}
-	err := verdict(r.op, h.Meta[0], r.name)
-	if !inBand(err) || h.Len != 0 {
-		return fmt.Errorf("blockserver: verdict %v with a %d-byte payload", err, h.Len)
-	}
 	return err
 }
 
-// readVerdicts reads a several-name answer: it records each verdict in
-// r.batch and scatters the OK answers, in request order, straight into
+// readVerdicts reads an OK range or chunk answer: it records each verdict
+// in r.batch and scatters the OK answers, in request order, straight into
 // their destinations there, and checks each against its CRC in the meta.
 // One that lands unlike its CRC is that name's ErrCorrupt, and the others
 // stand: the connection is in sync. Each OK chunk's stripe record goes to
 // its name's slot of r.batch.recs, when the caller gave it one; every
-// other name's slot is left empty. A payload that does not fill exactly
-// the OK names' destinations is a protocol violation, like a meta that
-// does not hold a verdict per name and an entry per OK one, an unknown
-// verdict, or a payload that fails the frame CRC while every name matches
-// its own.
-func (c *Client) readVerdicts(h frame.Header, r *request) error {
+// other name's slot is left empty. A one-name batch with no destination
+// lands in a pooled buffer sized by the answer, pooled again unless the
+// exchange and the name's verdict are OK. A payload that does not fill
+// exactly the OK names' destinations is a protocol violation, like a meta
+// that does not hold a verdict per name and an entry per OK one, an
+// unknown verdict, or a payload that fails the frame CRC while every name
+// matches its own. Its errors are built in functions of their own, so the
+// frames an exchange stacks up to its socket read stay small: a Store
+// round runs each exchange on a fresh goroutine.
+func (c *Client) readVerdicts(h frame.Header, r *request) (err error) {
 	b := r.batch
 	if len(h.Meta) < len(b.names) {
 		return badMeta(h, r, 0)
 	}
 	c.parts = c.parts[:0]
+	pooled := len(b.names) == 1 && b.bufs[0] == nil
 	// The scratch must not keep the caller's buffers alive once parked. A
 	// plain defer clear(c.parts) would clear the slice as it was before the
 	// appends below.
-	defer func() { clear(c.parts) }()
+	defer func() {
+		clear(c.parts)
+		if pooled && (err != nil || b.verdicts[0] != nil) {
+			bufpool.Put(b.bufs[0])
+			b.bufs[0] = nil
+		}
+	}()
 	want := 0
 	for i, v := range h.Meta[:len(b.names)] {
 		if b.verdicts[i] = verdict(r.op, v, b.names[i]); b.verdicts[i] == nil {
+			if pooled {
+				b.bufs[i] = bufpool.Get(h.Len)
+			}
 			c.parts = append(c.parts, b.bufs[i])
 			want += len(b.bufs[i])
 		} else if !inBand(b.verdicts[i]) {
@@ -612,7 +579,9 @@ func (c *Client) readVerdicts(h frame.Header, r *request) error {
 	if h.Len != want {
 		return badLength(h, r, want)
 	}
-	err := c.land(h)
+	// A payload that fails the frame CRC is weighed against the names' own.
+	c.crcs = slices.Grow(c.crcs[:0], len(c.parts))[:len(c.parts)]
+	err = c.fr.PayloadCRCs(h, 0, c.crcs, c.parts...)
 	if err != nil && !errors.Is(err, frame.ErrPayload) {
 		return err
 	}
@@ -643,7 +612,9 @@ func (c *Client) entries(h frame.Header, r *request) (landed int, rotten bool) {
 		crc, rec, rest, _ := cutEntry(r.op, entries)
 		entries = rest
 		if c.crcs[j] != crc {
-			b.verdicts[i], rotten = c.rot(b.names[i]), true
+			// Reported by do; see report.
+			c.rotten = append(c.rotten, b.names[i])
+			b.verdicts[i], rotten = fmt.Errorf("%w: %s: checksum mismatch at the reader", ErrCorrupt, b.names[i]), true
 		} else {
 			landed += len(b.bufs[i])
 			for ; b.recs != nil && len(rec) > 0; rec = rec[4:] {
@@ -655,36 +626,13 @@ func (c *Client) entries(h frame.Header, r *request) (landed int, rotten bool) {
 	return landed, rotten
 }
 
-// land reads an OK range or chunk answer's payload into c.parts, the OK
-// names' destinations in request order, and leaves the CRC32C each landed
-// under in c.crcs. A payload that fails the frame CRC is frame.ErrPayload,
-// which the caller weighs against the names' own CRCs.
-func (c *Client) land(h frame.Header) error {
-	if cap(c.crcs) < len(c.parts) {
-		c.crcs = make([]uint32, len(c.parts))
-	}
-	c.crcs = c.crcs[:len(c.parts)]
-	return c.fr.PayloadCRCs(h, 0, c.crcs, c.parts...)
-}
-
-// rot records that name's bytes landed unlike the CRC its server sent for
-// them, for do to report, and returns that name's verdict.
-func (c *Client) rot(name string) error {
-	c.rotten = append(c.rotten, name)
-	return fmt.Errorf("%w: %s: checksum mismatch at the reader", ErrCorrupt, name)
-}
-
 // badMeta is the protocol violation of an answer whose meta does not hold
 // a verdict per name asked and an entry per one of its ok OK verdicts.
 func badMeta(h frame.Header, r *request, ok int) error {
-	names := 1
-	if r.batch != nil {
-		names = len(r.batch.names)
-	}
-	return fmt.Errorf("blockserver: %d-byte %s answer meta for %d names, %d of them OK", len(h.Meta), opNames[r.op], names, ok)
+	return fmt.Errorf("blockserver: %d-byte %s answer meta for %d names, %d of them OK", len(h.Meta), opNames[r.op], len(r.batch.names), ok)
 }
 
-// badLength is the protocol violation of a several-name answer whose
+// badLength is the protocol violation of an answer whose
 // payload does not fill the want bytes of its OK names' destinations.
 func badLength(h frame.Header, r *request, want int) error {
 	return fmt.Errorf("blockserver: %d-byte %s answer for %d bytes of destinations", h.Len, opNames[r.op], want)
@@ -702,7 +650,7 @@ func verdict(op, v byte, name string) error {
 		return fmt.Errorf("%w: %s", ErrCorrupt, name)
 	case statusError:
 		if op == opRange {
-			return fmt.Errorf("%w: %s: range outside the block", ErrRemote, name)
+			return fmt.Errorf("%w: %s: range outside the block, or its end unlike the first OK block's", ErrRemote, name)
 		}
 		return fmt.Errorf("%w: %s: block size differs from the request's first block", ErrRemote, name)
 	}
@@ -734,7 +682,7 @@ func (c *Client) Puts(ctx context.Context, names []string, blocks [][]byte, crcs
 	if err := b.checkPut(); err != nil {
 		return err
 	}
-	return c.call(ctx, request{op: opPut, batch: b})
+	return c.do(ctx, request{op: opPut, batch: b})
 }
 
 // checkPut refuses a put whose lists differ in length, whose blocks differ
@@ -761,10 +709,11 @@ func (b *nameBatch) checkPut() error {
 	return nil
 }
 
-// Get fetches a whole block. The returned slice is pool-backed: pass it to
-// Recycle once consumed to keep the read path allocation-free.
+// Get fetches a whole block: a range of length 0, to the block's end, for
+// one name. The returned slice is pool-backed: pass it to Recycle once
+// consumed to keep the read path allocation-free.
 func (c *Client) Get(ctx context.Context, name string) ([]byte, error) {
-	return c.do(ctx, request{op: opGet, name: name})
+	return c.single(ctx, opRange, name, [2]uint32{}, nil)
 }
 
 // GetRangeInto fetches len(dst) bytes starting at off directly into dst —
@@ -776,8 +725,8 @@ func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []b
 	if len(dst) == 0 {
 		return nil
 	}
-	return c.call(ctx, request{op: opRange, name: name,
-		args: [2]uint32{uint32(off), uint32(len(dst))}, dst: dst})
+	_, err := c.single(ctx, opRange, name, [2]uint32{uint32(off), uint32(len(dst))}, dst)
+	return err
 }
 
 // Ranges reads, in one exchange, the same range of several blocks — a
@@ -787,7 +736,9 @@ func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []b
 // ErrCorrupt, or ErrRemote for a range outside the block. The returned
 // error is the exchange's own (transport, timeout, or a refusal of the
 // whole request); the verdicts hold only when it is nil, and a dst whose
-// verdict is not nil holds nothing useful.
+// verdict is not nil holds nothing useful. Zero-length destinations read
+// nothing and return at once, every verdict nil: on the wire, a range of
+// length 0 reads to the block's end.
 func (c *Client) Ranges(ctx context.Context, names []string, off int, dst [][]byte, verdicts []error) error {
 	var length int
 	for i, d := range dst {
@@ -795,7 +746,12 @@ func (c *Client) Ranges(ctx context.Context, names []string, off int, dst [][]by
 			return fmt.Errorf("blockserver: range destination %d is %d bytes, the first %d", i, len(d), length)
 		}
 	}
-	return c.callBatch(ctx, opRange, [2]uint32{uint32(off), uint32(length)}, &nameBatch{names: names, bufs: dst, verdicts: verdicts})
+	b := &nameBatch{names: names, bufs: dst, verdicts: verdicts}
+	if err := b.mismatch(); err != nil || length == 0 {
+		clear(verdicts)
+		return err
+	}
+	return c.do(ctx, request{op: opRange, args: [2]uint32{uint32(off), uint32(length)}, batch: b})
 }
 
 // Chunk asks the server to compute its repair contribution for the failed
@@ -804,8 +760,23 @@ func (c *Client) Ranges(ctx context.Context, names []string, off int, dst [][]by
 // dropping the block's stripe record: the server may not have verified the
 // block, so a caller that cannot check what it rebuilds asks Verify too.
 func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]byte, error) {
-	return c.do(ctx, request{op: opChunk, name: name,
-		args: [2]uint32{uint32(helper), uint32(failed)}})
+	return c.single(ctx, opChunk, name, [2]uint32{uint32(helper), uint32(failed)}, nil)
+}
+
+// single runs a one-name range or chunk exchange on the client's own batch,
+// whose verdict is its error. The answer lands in dst or, when dst is nil,
+// in a pooled buffer sized by the answer, which it returns when the
+// verdict is OK (readVerdicts pools it again otherwise).
+func (c *Client) single(ctx context.Context, op byte, name string, args [2]uint32, dst []byte) ([]byte, error) {
+	b := c.oneBatch(false)
+	b.names, b.bufs = append(b.names, name), append(b.bufs, dst)
+	err := c.do(ctx, request{op: op, args: args, batch: b})
+	buf, verdict := b.bufs[0], b.verdicts[0]
+	c.one = oneName{}
+	if err != nil {
+		return nil, err
+	}
+	return buf, verdict
 }
 
 // Chunks asks the server, in one exchange, for its repair contributions to
@@ -825,17 +796,11 @@ func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]
 // their servers to Verify when it does not match. recs may be nil when the
 // caller will not.
 func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int, dst [][]byte, recs [][]uint32, verdicts []error) error {
-	return c.callBatch(ctx, opChunk, [2]uint32{uint32(helper), uint32(failed)}, &nameBatch{names: names, bufs: dst, verdicts: verdicts, recs: recs})
-}
-
-// callBatch runs one several-name range or chunk exchange: Ranges and
-// Chunks, and the Store's batch rounds, which hold the op's arguments
-// already encoded.
-func (c *Client) callBatch(ctx context.Context, op byte, args [2]uint32, b *nameBatch) error {
+	b := &nameBatch{names: names, bufs: dst, verdicts: verdicts, recs: recs}
 	if err := b.mismatch(); err != nil {
 		return err
 	}
-	return c.call(ctx, request{op: op, args: args, batch: b})
+	return c.do(ctx, request{op: opChunk, args: [2]uint32{uint32(helper), uint32(failed)}, batch: b})
 }
 
 // mismatch is the error of a batch whose lists differ in length, or nil.
@@ -862,7 +827,7 @@ func (c *Client) Rebuild(ctx context.Context, req *RebuildRequest) (*RebuildResu
 		return nil, err
 	}
 	res := &RebuildResult{Errs: make([]error, len(req.Stripes)), Traffic: make([]int, len(req.Stripes)), Chunks: make([]int64, len(req.Addrs))}
-	if err := c.call(ctx, request{op: opRebuild, name: req.File, rb: &rebuildCall{req: req, res: res}}); err != nil {
+	if err := c.do(ctx, request{op: opRebuild, rb: &rebuildCall{req: req, res: res}}); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -890,25 +855,12 @@ func (c *Client) readRebuild(h frame.Header, rb *rebuildCall) error {
 
 // Delete removes a block.
 func (c *Client) Delete(ctx context.Context, name string) error {
-	return c.call(ctx, request{op: opDelete, name: name})
-}
-
-// Stat returns the size of a block.
-func (c *Client) Stat(ctx context.Context, name string) (int, error) {
-	payload, err := c.do(ctx, request{op: opStat, name: name})
-	if err != nil {
-		return 0, err
-	}
-	defer bufpool.Put(payload)
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("blockserver: malformed stat response of %d bytes", len(payload))
-	}
-	return int(binary.BigEndian.Uint32(payload)), nil
+	return c.do(ctx, request{op: opDelete, batch: &nameBatch{names: []string{name}}})
 }
 
 // Verify asks the server to re-checksum a block in place; it returns nil
 // for an intact block, ErrCorrupt for detected bit rot, ErrNotFound for a
 // missing block. No block content crosses the network.
 func (c *Client) Verify(ctx context.Context, name string) error {
-	return c.call(ctx, request{op: opVerify, name: name})
+	return c.do(ctx, request{op: opVerify, batch: &nameBatch{names: []string{name}}})
 }

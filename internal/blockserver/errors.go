@@ -53,11 +53,7 @@ func classify(err error) error {
 // resets, refused dials, protocol desyncs — are transient.
 func retryable(err error) bool {
 	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrNotFound), errors.Is(err, ErrCorrupt), errors.Is(err, ErrRemote):
-		return false
-	case errors.Is(err, context.Canceled):
+	case err == nil, inBand(err), errors.Is(err, context.Canceled):
 		return false
 	}
 	return true

@@ -408,7 +408,7 @@ func TestServerCloseCancelsInflightConns(t *testing.T) {
 	}
 	// Leave one handler blocked mid-request: op byte sent, name never
 	// following.
-	if _, err := conns[0].Write([]byte{opGet}); err != nil {
+	if _, err := conns[0].Write([]byte{opRange}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the handlers park in their reads

@@ -10,14 +10,19 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"carousel/internal/carousel"
 	"carousel/internal/frame"
+	"carousel/internal/obs"
 	"carousel/internal/retry"
 )
 
@@ -608,27 +613,20 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 // whose names draw an OK, an out-of-range and a not-found verdict, ranges
 // over maxPayload, ranges that start and end mid-granule on the code
 // server, and an aligned two-name range followed by the answer it draws —
-// verdicts and CRCs in its meta — sent back as if a request. The
-// over-maxPayload chunk request is not a seed: at 160 KB, the fuzzer would
-// spend its time minimizing mutants of it, so TestChunkNameListsAreChecked
-// covers it instead.
+// verdicts and CRCs in its meta — sent back as if a request; whole-block
+// ranges (length 0, to the end), one traced, one over blocks of different
+// sizes and one after an old client's retired get (op 2); and a verify of
+// a block present and of one missing. The over-maxPayload chunk request is
+// not a seed: at 160 KB, the fuzzer would spend its time minimizing
+// mutants of it, so TestChunkNameListsAreChecked covers it instead.
 func FuzzServeConn(f *testing.F) {
 	code, err := carousel.New(4, 2, 3, 4)
 	if err != nil {
 		f.Fatal(err)
 	}
-	// put is a one-name put with no record: meta count(2) nameLen(2) name w(1).
-	put := func(name string, data []byte) []byte {
-		meta := binary.BigEndian.AppendUint16([]byte{0, 1}, uint16(len(name)))
-		h := frame.Header{Kind: opPut, Meta: append(append(meta, name...), 0), Len: len(data), CRC: Checksum(data)}
-		return append(h.Append(nil), data...)
+	for _, seed := range serveConnSeeds() {
+		f.Add(seed)
 	}
-	req := func(op byte, name string, args ...uint32) []byte {
-		return frame.Header{Kind: op, Meta: appendMeta(nil, op, []string{name}, args, nil, 7, 9)}.Append(nil)
-	}
-	f.Add(put("a", []byte("hello")))
-	f.Add(append(put("b", []byte("block")), req(opRange, "b", 1, 3)...))
-	f.Add(append(append(put("c", []byte("x")), req(opDelete, "c")...), req(opStat, "c")...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, code := range []*carousel.Code{nil, code} {
 			srv := NewServer(code)
@@ -640,8 +638,8 @@ func FuzzServeConn(f *testing.F) {
 				// Its at-rest record is a CRC per granule of the server's
 				// grain, each right, combining to the block's.
 				g := srv.grain(len(b.data))
-				if len(b.crcs) != frame.Granules(len(b.data), g) || b.crc() != Checksum(b.data) {
-					t.Fatalf("block %q (%d bytes): %d granule CRCs at grain %d combine to %08x, want %08x", name, len(b.data), len(b.crcs), g, b.crc(), Checksum(b.data))
+				if len(b.crcs) != frame.Granules(len(b.data), g) || wholeCRC(b) != Checksum(b.data) {
+					t.Fatalf("block %q (%d bytes): %d granule CRCs at grain %d combine to %08x, want %08x", name, len(b.data), len(b.crcs), g, wholeCRC(b), Checksum(b.data))
 				}
 				for i, c := range b.crcs {
 					if g := b.grain(); c != Checksum(b.data[i*g:(i+1)*g]) {
@@ -651,6 +649,134 @@ func FuzzServeConn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRetiredOpsAreUnknown: op bytes 2 and 6 were a whole-block get and a
+// stat. An old client's frame of either, traced or not, draws the answer
+// any unknown op draws — statusError, counted under op "unknown", with no
+// span — the connection stays in sync for the whole-block range that
+// follows, and nothing is stored.
+func TestRetiredOpsAreUnknown(t *testing.T) {
+	servers, addrs := startServers(t, nil, 1)
+	tracer := obs.NewTracer(64)
+	servers[0].SetTracer(tracer)
+	data := []byte("a block an old client reads")
+	seed, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	if err := seed.Put(context.Background(), "b", data); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fr := frame.NewReader(conn, maxPayload)
+	// exchange sends one request and reads its answer.
+	exchange := func(op byte, meta []byte) (frame.Header, []byte) {
+		t.Helper()
+		if _, err := conn.Write(frame.Header{Kind: op, Meta: meta}.Append(nil)); err != nil {
+			t.Fatal(err)
+		}
+		h, err := fr.Next()
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		payload := make([]byte, h.Len)
+		if err := fr.Payload(h, payload); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		return h, payload
+	}
+	unknown0 := srvRPCCounter(0, statusError).Value()
+	for _, op := range []byte{2, 6} {
+		// nameLen(2) name, then a trace context: an old get or stat meta.
+		meta := appendMeta(nil, opVerify, []string{"b"}, nil, nil, uint64(op), 1)
+		if h, msg := exchange(op, meta); h.Kind != statusError || string(msg) != fmt.Sprintf("unknown op %d", op) {
+			t.Errorf("retired op %d: status %d, %q; want statusError, the unknown-op answer", op, h.Kind, msg)
+		}
+		if spans := tracer.Spans(uint64(op)); len(spans) != 0 {
+			t.Errorf("retired op %d started %d server spans, want none", op, len(spans))
+		}
+	}
+	if n := srvRPCCounter(0, statusError).Value() - unknown0; n != 2 {
+		t.Errorf("the server counted %d unknown ops, want 2", n)
+	}
+	h, got := exchange(opRange, appendMeta(nil, opRange, []string{"b"}, []uint32{0, 0}, nil, 0, 0))
+	if h.Kind != statusOK || len(h.Meta) != 5 || h.Meta[0] != statusOK || !bytes.Equal(got, data) {
+		t.Fatalf("whole-block range after the retired ops: status %d, meta %x, %q", h.Kind, h.Meta, got)
+	}
+	if blocks, bytes, _ := servers[0].Stats(); blocks != 1 || bytes != int64(len(data)) {
+		t.Errorf("the server holds %d blocks of %d bytes, want the one put", blocks, bytes)
+	}
+}
+
+// serveConnSeeds are FuzzServeConn's seeds beside its committed corpus.
+func serveConnSeeds() [][]byte {
+	// put is a one-name put with no record: meta count(2) nameLen(2) name w(1).
+	put := func(name string, data []byte) []byte {
+		meta := binary.BigEndian.AppendUint16([]byte{0, 1}, uint16(len(name)))
+		h := frame.Header{Kind: opPut, Meta: append(append(meta, name...), 0), Len: len(data), CRC: Checksum(data)}
+		return append(h.Append(nil), data...)
+	}
+	req := func(op byte, name string, args ...uint32) []byte {
+		return frame.Header{Kind: op, Meta: appendMeta(nil, op, []string{name}, args, nil, 7, 9)}.Append(nil)
+	}
+	return [][]byte{
+		put("a", []byte("hello")),
+		append(put("b", []byte("block")), req(opRange, "b", 1, 3)...),
+		append(append(put("c", []byte("x")), req(opDelete, "c")...), req(opVerify, "c")...),
+	}
+}
+
+// TestFuzzSeedsReachEveryOp walks the frames of every FuzzServeConn seed,
+// the f.Add ones and the committed corpus, as the server loop reads them —
+// a frame whose header or meta fails to verify or parse ends its stream —
+// and fails when an op in the op table is in no seed's stream.
+func TestFuzzSeedsReachEveryOp(t *testing.T) {
+	seeds := serveConnSeeds()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzServeConn", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %d files, %v", len(files), err)
+	}
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(b)), "go test fuzz v1\n[]byte(")
+		seed, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file: %v", file, err)
+		}
+		seeds = append(seeds, []byte(seed))
+	}
+	reached := map[byte]bool{}
+	for _, seed := range seeds {
+		fr := frame.NewReader(bytes.NewReader(seed), len(seed))
+		for {
+			h, err := fr.Next()
+			if err != nil {
+				break
+			}
+			if _, err := parseMeta(h.Kind, h.Meta); err != nil {
+				break
+			}
+			reached[h.Kind] = true
+			if fr.Payload(h, make([]byte, h.Len)) != nil {
+				break
+			}
+		}
+	}
+	for op, name := range opNames {
+		if op > 0 && name != "" && !reached[byte(op)] {
+			t.Errorf("no FuzzServeConn seed sends op %d (%s)", op, name)
+		}
+	}
 }
 
 // sameRecord reports whether a put meta's record, 4 bytes per CRC, is rec.

@@ -26,6 +26,13 @@ func attrInt(s obs.SpanRecord, key string) int {
 	return 0
 }
 
+// wholeCRC is the block's CRC32C combined from its granules': what a
+// whole-block range is answered with.
+func wholeCRC(b storedBlock) uint32 {
+	crc, _, _ := b.rangeCRC(0, len(b.data))
+	return crc
+}
+
 // TestGranuleRangeCRC: rangeCRC over the granule CRCs is Checksum of the
 // range's bytes, over random grains and ranges — empty ones, one whole
 // block, one granule, and ranges that start or end mid-granule — and it
@@ -44,8 +51,8 @@ func TestGranuleRangeCRC(t *testing.T) {
 		for i := range b.crcs {
 			b.crcs[i] = Checksum(data[i*grain : (i+1)*grain])
 		}
-		if n, intact := b.check(); n != len(data) || !intact || b.crc() != Checksum(data) {
-			t.Fatalf("trial %d: check %d bytes intact %v, crc %08x, want %d, true, %08x", trial, n, intact, b.crc(), len(data), Checksum(data))
+		if n, intact := b.check(); n != len(data) || !intact || wholeCRC(b) != Checksum(data) {
+			t.Fatalf("trial %d: check %d bytes intact %v, crc %08x, want %d, true, %08x", trial, n, intact, wholeCRC(b), len(data), Checksum(data))
 		}
 		g, mid := rng.Intn(units), rng.Intn(grain)
 		ranges := [][2]int{
@@ -287,5 +294,67 @@ func TestGranuleServerCRCBytes(t *testing.T) {
 			t.Errorf("range [%d,+%d) of %d names: the server checksummed %d stored bytes in %d verify spans, want %d per name",
 				r.off, r.length, stripes, bytes, spans, r.want)
 		}
+	}
+}
+
+// TestWholeBlockRangeIsCheckedAtTheReader: Get is a range of length 0, to
+// the block's end. The server answers it with the CRC combined from the
+// block's granule CRCs and checksums none of the block; the reader checks
+// what lands. A rotten block is the reader's ErrCorrupt, and its opVerify
+// report makes the server count the rot as one corrupt serve. The client
+// stays in sync: its next Get, of an intact block, lands.
+func TestWholeBlockRangeIsCheckedAtTheReader(t *testing.T) {
+	code := mustCode(t)
+	servers, addrs := startServers(t, code, 1)
+	srvTr, cliTr := obs.NewTracer(256), obs.NewTracer(256)
+	servers[0].SetTracer(srvTr)
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	block := make([]byte, code.BlockAlign()*4)
+	rand.New(rand.NewSource(44)).Read(block)
+	ctx := context.Background()
+	for _, name := range []string{"good", "bad"} {
+		if err := c.Put(ctx, name, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tctx, sp := cliTr.Start(ctx, "get")
+	got, err := c.Get(tctx, "good")
+	sp.End()
+	if err != nil || !bytes.Equal(got, block) {
+		t.Fatalf("Get: err %v, identical %v", err, bytes.Equal(got, block))
+	}
+	Recycle(got)
+	var ranges int
+	for _, s := range srvTr.Spans(sp.TraceID()) {
+		switch s.Name {
+		case "server.range":
+			ranges++
+		case "verify", "server.verify":
+			t.Errorf("a whole-block range of an intact block drew a %s span (%d bytes)", s.Name, attrInt(s, "bytes"))
+		}
+	}
+	if ranges != 1 {
+		t.Errorf("the Get's trace holds %d server.range spans, want 1", ranges)
+	}
+
+	if err := servers[0].CorruptBlock("bad", len(block)-1); err != nil {
+		t.Fatal(err)
+	}
+	_, _, corrupt0 := servers[0].Stats()
+	if _, err := c.Get(ctx, "bad"); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "reader") {
+		t.Fatalf("Get of a rotten block: %v, want the reader's ErrCorrupt", err)
+	}
+	if _, _, corrupt := servers[0].Stats(); corrupt != corrupt0+1 {
+		t.Errorf("the server counted %d corrupt serves for one rotten Get, want 1", corrupt-corrupt0)
+	}
+	if got, err := c.Get(ctx, "good"); err != nil || !bytes.Equal(got, block) {
+		t.Fatalf("Get after the rotten one: err %v", err)
+	}
+	if o := c.one; o.name[0] != "" || o.buf[0] != nil || o.verdict[0] != nil || o.b.names != nil {
+		t.Errorf("the client keeps its one-name batch after the Gets: %+v", o)
 	}
 }

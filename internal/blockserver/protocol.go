@@ -12,13 +12,13 @@
 //	request  := header(kind=op, meta=nameLen(2) name [traceID(8) parentSpanID(8)]) no payload
 //	response := header(kind=status, no meta) payload
 //
-// That is the form of get, delete, stat and verify; put, range and chunk
-// requests name a list of blocks (below). The header's own CRC32C covers
-// the op, the names, the arguments and the lengths, so the server refuses
-// a damaged request before acting on any of it, and the client refuses a
-// damaged response before sizing a buffer from it. The payload CRC32C
-// catches payload damage at the receiver instead of feeding it into a
-// decode.
+// That is the form of delete and verify; put, range and chunk requests
+// name a list of blocks, and a rebuild a batch of stripes (below). The
+// header's own CRC32C covers the op, the names, the arguments and the
+// lengths, so the server refuses a damaged request before acting on any of
+// it, and the client refuses a damaged response before sizing a buffer
+// from it. The payload CRC32C catches payload damage at the receiver
+// instead of feeding it into a decode.
 //
 // At rest a server keeps one CRC32C per granule of each block, computed as
 // the put landed. A granule is the code's unit, len(block) /
@@ -26,9 +26,8 @@
 // units, and the whole block otherwise; every range a Store asks for is
 // unit-aligned. Who verifies what:
 //
-//   - get, stat and verify check the whole block, granule by granule,
-//     before they use it, and answer statusCorrupt when it has rotted; a
-//     get's payload CRC is its granules' combine.
+//   - verify checks the whole block, granule by granule, and answers
+//     statusCorrupt when it has rotted.
 //   - chunk checks the whole block the same way only when the block has no
 //     stripe record (below). A block with one is not read before the chunk
 //     is computed from it: its record rides with the chunk, and the newcomer
@@ -42,7 +41,11 @@
 //     CRCs (frame.Combine), and reads no block content to checksum it —
 //     except a granule the range covers only in part, which it verifies
 //     whole first (statusCorrupt on a failure) and checksums the covered
-//     part of: at most two granules per name.
+//     part of: at most two granules per name. A range of length 0 reads
+//     to its block's end: the first OK block's remainder is the answer's
+//     length, and a later name whose remainder differs is statusError, as
+//     a chunk's block of another size is. A whole-block read is one at
+//     offset 0, so the server checksums none of the block for it.
 //   - the reader verifies every byte it lands against its name's CRC in
 //     the same pass that reads it. A name whose bytes do not match is its
 //     own ErrCorrupt verdict; the other names land, and the connection
@@ -90,7 +93,8 @@
 //
 // The response carries one verdict byte per name, in request order:
 // statusOK, statusNotFound, statusCorrupt, or statusError — for a range,
-// one that falls outside its block; for a chunk, a block whose size
+// one that falls outside its block or, at length 0, whose remainder
+// differs from the first OK block's; for a chunk, a block whose size
 // differs from the first OK block's. The payload is the OK names' answers
 // back to back in request order, all of one size (the range's length, or
 // the chunk size), so the client knows from the verified header alone
@@ -143,11 +147,13 @@
 // code, is not serving — never started, or closing — or the answer would
 // overflow a meta.
 //
-// Operations: put (one or more blocks of one size, all or nothing), get,
-// range (one range of one or more blocks, for parallel reads of data
-// prefixes), chunk (helper-side repair computation for one or more
-// blocks), delete, stat, verify (server-side checksum audit of one block),
-// rebuild (a newcomer's repair of a batch of its own blocks).
+// Operations: put (one or more blocks of one size, all or nothing), range
+// (one range of one or more blocks, for parallel reads of data prefixes,
+// or to their end for whole-block reads), chunk (helper-side repair
+// computation for one or more blocks), delete, verify (server-side
+// checksum audit of one block), rebuild (a newcomer's repair of a batch of
+// its own blocks). Op bytes 2 and 6 are unknown ops: they were a
+// whole-block get and a stat, which an old client may still send.
 //
 // A traced request ends its meta with the client's trace ID and span ID,
 // under which the server parents its spans; an untraced one carries neither.
@@ -167,16 +173,14 @@ import (
 	"carousel/internal/frame"
 )
 
-// Operation codes.
+// Operation codes. Bytes 2 and 6 are retired (see the package comment).
 const (
-	opPut byte = iota + 1
-	opGet
-	opRange
-	opChunk
-	opDelete
-	opStat
-	opVerify
-	opRebuild
+	opPut     byte = 1
+	opRange   byte = 3
+	opChunk   byte = 4
+	opDelete  byte = 5
+	opVerify  byte = 7
+	opRebuild byte = 8
 )
 
 // Status codes.
@@ -221,10 +225,9 @@ func nargs(op byte) int {
 }
 
 // appendMeta encodes a request's meta: the length-prefixed names (one for
-// get, delete, stat and verify; a put's, range's or chunk's start with
-// their count), the op's arguments, a put's stripe records (one per name,
-// all of one width, or nil for none) and, when traceID is nonzero, the
-// trace context.
+// delete and verify; a put's, range's or chunk's start with their count),
+// the op's arguments, a put's stripe records (one per name, all of one
+// width, or nil for none) and, when traceID is nonzero, the trace context.
 func appendMeta(dst []byte, op byte, names []string, args []uint32, recs [][]uint32, traceID, parent uint64) []byte {
 	if multiName(op) {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
@@ -662,7 +665,7 @@ func flushVectored(w io.Writer, bufs *net.Buffers) error {
 	return err
 }
 
-// Recycle returns a payload obtained from Get or Chunk to the shared
+// Recycle returns an answer obtained from Get or Chunk to the shared
 // buffer pool once the caller has copied or consumed the bytes. Recycling
 // is optional (a forgotten buffer is simply garbage collected) but keeps
 // the steady-state read path allocation-free. The caller must not touch

@@ -3,13 +3,18 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
+	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"carousel/internal/carousel"
 	"carousel/internal/faultnet"
+	"carousel/internal/frame"
 )
 
 // TestReadFileBatchesSourceExchanges counts the round trips a read costs at
@@ -161,4 +166,185 @@ func TestBatchScratchRetainsNothing(t *testing.T) {
 	freed("a returned ReadFile's output", out)
 	deleteBlock(t, pc.addrs[0], name)
 	freed("a deleted block a batch served", block)
+}
+
+// rangeTap counts, as the server reads them, the range requests on its
+// connections and those of length 0 (to the block's end). Each connection
+// copies what the server reads into a pipe that a parser drains frame by
+// frame.
+type rangeTap struct {
+	net.Listener
+	ranges, whole atomic.Int64
+}
+
+func (l *rangeTap) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	pr, pw := io.Pipe()
+	go func() {
+		fr := frame.NewReader(pr, maxPayload)
+		for {
+			h, err := fr.Next()
+			if err == nil && h.Kind == opRange {
+				m, _ := parseMeta(h.Kind, h.Meta)
+				l.ranges.Add(1)
+				if m.args[1] == 0 {
+					l.whole.Add(1)
+				}
+			}
+			if err != nil || fr.Payload(h, make([]byte, h.Len)) != nil {
+				pr.CloseWithError(io.ErrClosedPipe) // the server's reads go on untapped
+				return
+			}
+		}
+	}()
+	return &tapConn{Conn: c, w: pw}, nil
+}
+
+type tapConn struct {
+	net.Conn
+	w *io.PipeWriter
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.w.Write(p[:n])
+	if err != nil {
+		c.w.CloseWithError(err)
+	}
+	return n, err
+}
+
+// TestStoreReadsSendNoWholeBlockRange counts at the servers: a range of
+// length 0 reads to its block's end, which no Store read means, and
+// neither a healthy ReadFile nor a degraded one at (12,6,10,10) ever sends
+// one — every range a read plan names has its length.
+func TestStoreReadsSendNoWholeBlockRange(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taps := make([]*rangeTap, code.N())
+	servers, addrs := make([]*Server, code.N()), make([]string, code.N())
+	for i := range taps {
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		taps[i], servers[i] = &rangeTap{Listener: raw}, NewServer(code)
+		if addrs[i], err = servers[i].StartListener(taps[i]); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { servers[i].Close() })
+	}
+	blockSize := code.BlockAlign() * 16
+	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	ctx := context.Background()
+	data := make([]byte, 8*code.K()*blockSize)
+	rand.New(rand.NewSource(41)).Read(data)
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	// count sums the range requests the servers have read so far, once
+	// every tap has caught up with what its server answered.
+	count := func() (ranges, whole int64) {
+		time.Sleep(20 * time.Millisecond)
+		for _, tap := range taps {
+			ranges, whole = ranges+tap.ranges.Load(), whole+tap.whole.Load()
+		}
+		return ranges, whole
+	}
+	for _, phase := range []string{"healthy", "degraded"} {
+		if phase == "degraded" {
+			servers[2].Close()
+		}
+		ranges0, _ := count()
+		got, stats, err := store.ReadFile(ctx, "f", len(data))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s read: err %v, identical %v", phase, err, bytes.Equal(got, data))
+		}
+		if phase == "degraded" && stats.StripesFallback == 0 {
+			t.Fatalf("the degraded read planned no stripe around the closed source: %+v", stats)
+		}
+		ranges, whole := count()
+		if ranges == ranges0 {
+			t.Fatalf("%s read: the taps counted no range request", phase)
+		}
+		if whole != 0 {
+			t.Errorf("%s read: %d range requests of length 0 reached the servers, want none", phase, whole)
+		}
+	}
+}
+
+// TestOneCarrierScratchIsPerClient: every exchange of a round rides one
+// carrier, runNames, and one of one name takes its pooled client's own
+// batch. Concurrent cache-miss reads (batches of one stripe, one name per
+// exchange), degraded ones and one-stripe repairs share a store's pool, so
+// under -race two exchanges never share a batch; and once they are done,
+// no parked client's batch holds a name, a destination, a verdict or a
+// record.
+func TestOneCarrierScratchIsPerClient(t *testing.T) {
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 8, WithStripeCache(1<<10))
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for round := range 2 {
+		if round == 1 {
+			pc.servers[1].Close()
+		}
+		for st := range pc.stripes {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				got, stats, err := pc.store.ReadFile(ctx, "f", len(pc.data))
+				if err != nil || !bytes.Equal(got, pc.data) || stats.CacheHits != 0 {
+					t.Errorf("round %d, read %d: err %v, %d cache hits", round, st, err, stats.CacheHits)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				if _, err := pc.store.Repair(ctx, "f", st, 4); err != nil {
+					t.Errorf("round %d, repair of stripe %d: %v", round, st, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// The store's pool, and the pools the newcomers rebuilt on.
+	pools := []*Pool{pc.store.pool}
+	for _, srv := range pc.servers {
+		srv.engMu.Lock()
+		if srv.eng != nil {
+			pools = append(pools, srv.eng.store.pool)
+		}
+		srv.engMu.Unlock()
+	}
+	if len(pools) == 1 {
+		t.Fatal("no newcomer kept a repair engine")
+	}
+	parked := 0
+	for _, pool := range pools {
+		pool.mu.Lock()
+		for addr, pe := range pool.peers {
+			for range cap(pe.free) {
+				c := <-pe.free
+				if c != nil {
+					parked++
+					if c.one.name[0] != "" || c.one.buf[0] != nil || c.one.verdict[0] != nil || c.one.rec[0] != nil || c.one.b.names != nil {
+						t.Errorf("a client parked for %s keeps its one-name batch: %+v", addr, c.one)
+					}
+				}
+				pe.free <- c
+			}
+		}
+		pool.mu.Unlock()
+	}
+	if parked == 0 {
+		t.Fatal("no client was parked")
+	}
 }

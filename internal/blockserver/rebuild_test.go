@@ -127,6 +127,14 @@ func TestRecoverCoordinatorMovesNoBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A server counts its answer's bytes and ends its span once the answer
+	// has left, so the coordinator can be back first: wait for every
+	// handler to return.
+	for _, srv := range servers {
+		for deadline := time.Now().Add(time.Second); srv.inflight.Load() != 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	if rep.BlocksRepaired != stripes {
 		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
 	}

@@ -30,11 +30,15 @@ var (
 )
 
 // opNames and statusNames label the rpcs_total counters, indexed by opcode
-// and status; opcode 0 is never sent, so its slot names unknown opcodes.
+// and status; opcode 0 is never sent, so its slot names unknown opcodes,
+// and so do the retired opcodes' empty slots.
 var (
-	opNames     = [...]string{"unknown", "put", "get", "range", "chunk", "delete", "stat", "verify", "rebuild"}
+	opNames     = [...]string{"unknown", opPut: "put", opRange: "range", opChunk: "chunk", opDelete: "delete", opVerify: "verify", opRebuild: "rebuild"}
 	statusNames = [...]string{"ok", "not_found", "error", "corrupt"}
 )
+
+// known reports whether op is an operation this server serves.
+func known(op byte) bool { return op > 0 && int(op) < len(opNames) && opNames[op] != "" }
 
 // srvRPCCounters interns every (op, status) counter once; row 0 doubles
 // as the bucket for unknown opcodes, so a bogus op byte off the wire still
@@ -48,11 +52,13 @@ func srvRPCCounter(op, st byte) *obs.Counter {
 	srvRPCOnce.Do(func() {
 		for o, on := range opNames {
 			for s, sn := range statusNames {
-				srvRPCCounters[o][s] = obs.Default().Counter("blockserver_server_rpcs_total", "op", on, "status", sn)
+				if on != "" {
+					srvRPCCounters[o][s] = obs.Default().Counter("blockserver_server_rpcs_total", "op", on, "status", sn)
+				}
 			}
 		}
 	})
-	if int(op) >= len(opNames) {
+	if !known(op) {
 		op = 0
 	}
 	return srvRPCCounters[op][st]
@@ -67,15 +73,14 @@ const connReadBuf = 4 << 10
 
 // connState carries one connection's reusable scratch so a steady-state
 // request/response cycle allocates nothing server-side: the request header
-// and meta land in the frame reader's scratch, and the response header and
-// a stat's payload in buffers that live as long as the connection.
+// and meta land in the frame reader's scratch, and the response header in
+// a buffer that lives as long as the connection.
 type connState struct {
-	conn  net.Conn
-	fr    *frame.Reader // every request byte is read through this
-	hdr   []byte        // response header scratch
-	small [4]byte       // stat payload scratch
-	arr   [][]byte      // gather-list backing for vectored responses, cleared after each
-	iov   net.Buffers   // per-reply view into arr, consumed by the write
+	conn net.Conn
+	fr   *frame.Reader // every request byte is read through this
+	hdr  []byte        // response header scratch
+	arr  [][]byte      // gather-list backing for vectored responses, cleared after each
+	iov  net.Buffers   // per-reply view into arr, consumed by the write
 
 	answer []byte        // a range or chunk answer's meta: the verdict vector, then the OK names' CRC32Cs
 	blocks []storedBlock // the blocks a range or chunk answer is served from, cleared after it
@@ -93,11 +98,10 @@ func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 	return s.send(cs, op, frame.Header{Kind: st, Len: len(payload), CRC: Checksum(payload)}, payload)
 }
 
-// send is reply for a header the caller has filled in: a whole stored
-// block that load has just verified, under the CRC32C its granules'
-// combine to, or a range or chunk answer whose verdicts and CRCs ride in
-// the meta. The payload is the concatenation of the parts, which leave
-// after the header in the same vectored write.
+// send is reply for a header the caller has filled in: a range or chunk
+// answer, whose verdicts and CRCs ride in the meta, or a rebuild answer.
+// The payload is the concatenation of the parts, which leave after the
+// header in the same vectored write.
 func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte) error {
 	srvRPCCounter(op, h.Kind).Inc()
 	if h.Kind == statusOK {
@@ -128,9 +132,8 @@ func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte)
 // reported back. A chunk of a block whose record has an entry per block of
 // the server's code is computed without reading the block first and sent
 // with the record, so the newcomer that repairs from it catches rot in
-// what it rebuilds, and asks for a verify. Get, stat, verify, and chunk of
-// a block with no such record, check the whole block granule by granule
-// before they use it.
+// what it rebuilds, and asks for a verify. Verify, and chunk of a block
+// with no such record, check the whole block granule by granule.
 type storedBlock struct {
 	data []byte
 	crcs []uint32
@@ -139,15 +142,6 @@ type storedBlock struct {
 
 // grain is the length of each of the block's granules.
 func (b storedBlock) grain() int { return len(b.data) / len(b.crcs) }
-
-// crc is the whole block's CRC32C, combined from its granules'.
-func (b storedBlock) crc() (crc uint32) {
-	var comb frame.Combiner
-	for _, c := range b.crcs {
-		crc = comb.Combine(crc, c, b.grain())
-	}
-	return crc
-}
 
 // check checksums the whole block granule by granule: n is its length,
 // and intact reports whether every granule still matches its CRC.
@@ -403,22 +397,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// load fetches a stored block and verifies it against its granule CRCs. The
-// byte-slice key keeps the lookup allocation-free (the string conversion
-// in a map index does not escape).
-func (s *Server) load(ctx context.Context, name []byte) (storedBlock, byte) {
-	s.mu.RLock()
-	b, ok := s.blocks[string(name)]
-	s.mu.RUnlock()
-	if !ok {
-		return storedBlock{}, statusNotFound
-	}
-	if st := s.verify(ctx, b.check); st != statusOK {
-		return storedBlock{}, st
-	}
-	return b, statusOK
-}
-
 // verify runs check, a check of stored bytes against their granule CRCs
 // that reports how many bytes it checksummed, and counts a failure as a
 // corrupt serve. On a traced request the check is recorded as a "verify"
@@ -459,7 +437,7 @@ func spanChild(ctx context.Context, name string) *obs.Span {
 func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	op, name := h.Kind, m.name
 	ctx := context.Background()
-	if m.trace != 0 && op >= opPut && op <= opRebuild {
+	if m.trace != 0 && known(op) {
 		var sp *obs.Span
 		ctx, sp = s.tr().StartRemote(ctx, "server."+opNames[op], m.trace, m.parent)
 		sp.SetAttr("block", string(name))
@@ -471,13 +449,6 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 			return err
 		}
 		return s.reply(cs, op, statusOK, nil)
-
-	case opGet:
-		b, st := s.load(ctx, name)
-		if st != statusOK {
-			return s.reply(cs, op, st, name)
-		}
-		return s.send(cs, op, frame.Header{Kind: statusOK, Len: len(b.data), CRC: b.crc()}, b.data)
 
 	case opRange, opChunk:
 		return s.answerNames(ctx, cs, op, m)
@@ -491,20 +462,17 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		s.mu.Unlock()
 		return s.reply(cs, op, statusOK, nil)
 
-	case opStat:
-		b, st := s.load(ctx, name)
-		if st != statusOK {
-			return s.reply(cs, op, st, name)
-		}
-		binary.BigEndian.PutUint32(cs.small[:4], uint32(len(b.data)))
-		return s.reply(cs, op, statusOK, cs.small[:4])
-
 	case opVerify:
 		// A scrub primitive: re-checksum the block server-side without
 		// shipping its content. statusOK means intact.
-		_, st := s.load(ctx, name)
-		if st != statusOK {
-			return s.reply(cs, op, st, name)
+		s.mu.RLock()
+		b, found := s.blocks[string(name)]
+		s.mu.RUnlock()
+		switch {
+		case !found:
+			return s.reply(cs, op, statusNotFound, name)
+		case s.verify(ctx, b.check) != statusOK:
+			return s.reply(cs, op, statusCorrupt, name)
 		}
 		return s.reply(cs, op, statusOK, nil)
 
@@ -601,7 +569,9 @@ func (s *Server) recorded(b storedBlock, failed int) bool {
 // name more blocks than an answer's meta has room for a verdict and an
 // entry each (entryLen). Each block found then earns a verdict: a range
 // outside its block, or a chunk's block whose size differs from the first
-// OK one's, is statusError. A range's CRC is combined from the block's
+// OK one's, is statusError; a range of length 0 reads to its blocks' end,
+// its length the first OK block's remainder, and a block whose remainder
+// differs is statusError too. A range's CRC is combined from the block's
 // granule CRCs, with a granule it covers only in part verified first; a
 // chunk's block is verified whole before the chunk is computed from it
 // unless its stripe record goes with the chunk instead (recorded), and the
@@ -622,6 +592,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	// slice as the appends below leave it, not as it was when deferred.
 	defer func() { clear(cs.blocks) }()
 	off, length := int(m.args[0]), int(m.args[1])
+	whole := op == opRange && length == 0
 	bound := 0
 	s.mu.RLock()
 	for list := m.names; len(list) > 0; {
@@ -647,10 +618,13 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	}
 	var comb frame.Combiner
 	var payloadCRC uint32
-	size, ok := -1, 0
+	size, ok := 0, 0 // size: the first OK block's
 	for i, b := range cs.blocks {
 		if cs.answer[i] != statusOK {
 			continue
+		}
+		if whole && ok == 0 && off <= len(b.data) {
+			length = len(b.data) - off
 		}
 		st := statusOK
 		var crc uint32
@@ -659,14 +633,10 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 			if !s.recorded(b, int(m.args[1])) {
 				st = s.verify(ctx, b.check)
 			}
-			if st == statusOK {
-				if size < 0 {
-					size = len(b.data)
-				} else if len(b.data) != size {
-					st = statusError
-				}
+			if st == statusOK && ok > 0 && len(b.data) != size {
+				st = statusError
 			}
-		case off+length > len(b.data):
+		case off+length > len(b.data) || whole && off+length != len(b.data):
 			st = statusError
 		case b.aligned(off, length):
 			crc, _, _ = b.rangeCRC(off, length)
@@ -677,6 +647,9 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 			})
 		}
 		if st == statusOK {
+			if ok == 0 {
+				size = len(b.data)
+			}
 			cs.blocks[ok] = b // compacted in place: ok <= i
 			ok++
 			if op == opRange {
@@ -694,7 +667,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		}
 		return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer, Len: ok * length, CRC: payloadCRC}, cs.parts...)
 	}
-	chunkSize := s.code.HelperChunkSize(max(size, 0))
+	chunkSize := s.code.HelperChunkSize(size)
 	dsp := spanChild(ctx, "decode")
 	out := bufpool.Get(ok * chunkSize)
 	defer bufpool.Put(out) // after the reply has fully written it

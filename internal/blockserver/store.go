@@ -907,48 +907,40 @@ func (r *wireRound) source(x int) {
 		if c == nil && err == nil {
 			c, err = r.s.pool.getParked(ctx, r.s.addrs[block])
 		}
-		switch {
-		case err != nil:
-			e.err = err
-		case e.n == 1 && r.op != opChunk: // a chunk's record lands only through a name batch
-			e.err = r.runOne(ctx, c, y)
-		default:
+		if e.err = err; err == nil {
 			e.err = r.runNames(ctx, c, y)
 		}
 	}
 	r.s.pool.Put(c)
 }
 
-// runOne carries exchange x, of one name, over c as the one-name request,
-// whose verdict is its error. The round runs each source on a fresh
-// goroutine, so the two carriers keep the frames they stack up to their
-// socket read as few and as small as a one-name read's: a deeper chain
-// made every exchange copy its goroutine's stack.
-func (r *wireRound) runOne(ctx context.Context, c *Client, x int) error {
-	e := &r.exs[x]
-	for _, i := range r.active {
-		so := r.tasks[i].stripe()
-		for k := range so.round {
-			if a := &so.round[k]; a.ex == x {
-				err := c.call(ctx, request{op: r.op, name: BlockName(so.file, so.st, a.block), args: e.args, dst: a.buf})
-				if inBand(err) {
-					a.err, err = err, nil
-				}
-				return err
-			}
-		}
+// runNames carries exchange x, of one name or several, over c as one
+// request; the verdicts, and a chunk's stripe records, go to its asks. The
+// round runs each source on a fresh goroutine, so the batch is gathered
+// and dealt out in functions of their own, off the frames stacked up to
+// the socket read: a deeper chain made every exchange copy its stack.
+func (r *wireRound) runNames(ctx context.Context, c *Client, x int) error {
+	b := r.batch(c, x)
+	err := c.do(ctx, request{op: r.op, args: r.exs[x].args, batch: b})
+	if err == nil {
+		r.deal(x, b)
 	}
-	return nil
+	c.one = oneName{}
+	return err
 }
 
-// runNames carries exchange x, of several names — or of one chunk — over c
-// as one multi-name request; the verdicts, and a chunk's stripe records,
-// go to their asks.
-func (r *wireRound) runNames(ctx context.Context, c *Client, x int) error {
-	e := &r.exs[x]
-	b := &nameBatch{names: make([]string, 0, e.n), bufs: make([][]byte, 0, e.n), verdicts: make([]error, e.n)}
-	if r.op == opChunk {
-		b.recs = make([][]uint32, 0, e.n)
+// batch gathers exchange x's names, destinations and, for a chunk, record
+// storage, in the order the stripes asked: for one name into c's own
+// batch, which allocates nothing, and for several into a new one.
+func (r *wireRound) batch(c *Client, x int) *nameBatch {
+	var b *nameBatch
+	if n := r.exs[x].n; n == 1 {
+		b = c.oneBatch(r.op == opChunk)
+	} else {
+		b = &nameBatch{names: make([]string, 0, n), bufs: make([][]byte, 0, n), verdicts: make([]error, n)}
+		if r.op == opChunk {
+			b.recs = make([][]uint32, 0, n)
+		}
 	}
 	r.each(x, func(so *stripeOp, a *ask) {
 		b.names, b.bufs = append(b.names, BlockName(so.file, so.st, a.block)), append(b.bufs, a.buf)
@@ -956,17 +948,19 @@ func (r *wireRound) runNames(ctx context.Context, c *Client, x int) error {
 			b.recs = append(b.recs, a.rec)
 		}
 	})
-	err := c.callBatch(ctx, r.op, e.args, b)
-	if err == nil {
-		v, recs := b.verdicts, b.recs
-		r.each(x, func(_ *stripeOp, a *ask) {
-			a.err, v = v[0], v[1:]
-			if recs != nil {
-				a.rec, recs = recs[0], recs[1:]
-			}
-		})
-	}
-	return err
+	return b
+}
+
+// deal hands each ask of exchange x its verdict and, for a chunk, its
+// stripe record from the batch that carried it.
+func (r *wireRound) deal(x int, b *nameBatch) {
+	v, recs := b.verdicts, b.recs
+	r.each(x, func(_ *stripeOp, a *ask) {
+		a.err, v = v[0], v[1:]
+		if recs != nil {
+			a.rec, recs = recs[0], recs[1:]
+		}
+	})
 }
 
 // each calls fn for every ask exchange x carries, with its stripe, in the

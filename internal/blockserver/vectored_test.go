@@ -129,7 +129,7 @@ func TestReplyIsSingleVectoredWrite(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 	block := bytes.Repeat([]byte("b"), 32<<10)
 	cs := &connState{conn: fake}
-	if err := s.reply(cs, opGet, statusOK, block); err != nil {
+	if err := s.reply(cs, opRange, statusOK, block); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fake.vectoredCalls); got != 1 {

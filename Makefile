@@ -70,8 +70,9 @@ writepath:
 # per-name verdicts striking one stripe, spares, unhedged repair of a slow
 # cluster) and stores what it rebuilds; the newcomer or a helper killed
 # mid-pass, a black-holed newcomer, the throttle, and Repair, Scrub and
-# RecoverServer over it; then the master's self-healing and per-task
-# recovery budget, which drive RecoverServer.
+# RecoverServer over it; Scrub's one verify exchange per server per batch
+# and its torn stripes, reported and left alone; then the master's
+# self-healing and per-task recovery budget, which drive RecoverServer.
 recover:
 	$(GO) test -race -count=5 -run 'Recover|Repair|Scrub|SlowEverywhereIsRepaired' ./internal/blockserver
 	$(GO) test -race -count=5 -run 'Recover|SelfHealing' ./internal/master
@@ -89,20 +90,22 @@ recover:
 # in a granule a range covers in part, by the server) and counted at the
 # server, and the counted claim that a unit-aligned read costs the
 # servers no CRC; whole-block reads, ranges of length 0 checked at the
-# reader and never sent by a Store read; and the one carrier, whose
+# reader and never sent by a Store read; the one carrier, whose
 # one-name exchanges ride their pooled client's own batch and leave
-# nothing in it.
+# nothing in it; and the rot report: every name one exchange lands rotten
+# goes back to its server in one verify exchange.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel|Granule|WholeBlockRange|OneCarrier' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare
 # header reader, the block server's request loop over net.Pipe (the block
 # map changes only on a put whose header and payload verify; its corpus
-# reaches every op, TestFuzzSeedsReachEveryOp checks that, and the put,
-# range and chunk requests' name lists, whole-block ranges, verifies,
-# a retired op and rebuild requests, well formed and not, are among its
-# seeds), and the
+# reaches every op, TestFuzzSeedsReachEveryOp checks that, in the one
+# name-list grammar every block op shares: the put, range, chunk, verify
+# and delete requests' name lists, whole-block ranges, a verify in the
+# retired one-name form, a retired op and rebuild requests, well formed
+# and not, are among its seeds), and the
 # master's journal replay (refuse and leave the file alone, or keep a
 # prefix that replays to the same state).
 fuzz:

@@ -122,8 +122,8 @@ func main() {
 	if err != nil {
 		fatal("scrub failed", "err", err)
 	}
-	fmt.Printf("scrub: %d blocks checked, %d corrupt, %d repaired, %d unreachable (moving %d bytes)\n",
-		rep.BlocksChecked, len(rep.Corrupt), len(rep.Repaired), len(rep.Unreachable), rep.TrafficBytes)
+	fmt.Printf("scrub: %d blocks checked, %d corrupt, %d repaired, %d unreachable, %d torn stripes (moving %d bytes)\n",
+		rep.BlocksChecked, len(rep.Corrupt), len(rep.Repaired), len(rep.Unreachable), len(rep.Torn), rep.TrafficBytes)
 
 	// Bring up a replacement server and regenerate block 5 of each stripe
 	// from helper chunks computed on the other servers.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"carousel/internal/carousel"
@@ -371,5 +373,77 @@ func TestProtocolNameValidation(t *testing.T) {
 	defer c.Close()
 	if err := c.Put(context.Background(), "", []byte("x")); err == nil {
 		t.Error("empty name did not error")
+	}
+}
+
+// TestVerifiesAnswersPerName: one verify exchange over an intact block put
+// with a stripe record of the code's width, a missing block, a rotten one,
+// one put with no record and one whose record is of another width answers
+// a verdict per name — OK, not found, corrupt, OK, OK — and the record of
+// the one intact block that has one of the code's width; it counts the one
+// rotten block as one corrupt serve, and sends no payload.
+func TestVerifiesAnswersPerName(t *testing.T) {
+	code := mustCode(t)
+	servers, addrs := startServers(t, code, 1)
+	srv := servers[0]
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	block := make([]byte, code.BlockAlign()*2)
+	rand.New(rand.NewSource(81)).Read(block)
+	rec := make([]uint32, code.N())
+	for i := range rec {
+		rec[i] = uint32(1000 + i)
+	}
+	if err := c.Puts(ctx, []string{"intact", "rotten"}, [][]byte{block, block}, nil, [][]uint32{rec, rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(ctx, "plain", block); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Puts(ctx, []string{"narrow"}, [][]byte{block}, nil, [][]uint32{rec[:3]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CorruptBlock("rotten", 7); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"intact", "missing", "rotten", "plain", "narrow"}
+	recs := make([][]uint32, len(names))
+	for i := range recs {
+		recs[i] = []uint32{42} // a stale record, to be emptied
+	}
+	verdicts := make([]error, len(names))
+	verifies0, corrupt0, tx0 := servedExchanges(opVerify), srv.corruptServes.Load(), srv.bytesTx.Load()
+	if err := c.Verifies(ctx, names, recs, verdicts); err != nil {
+		t.Fatal(err)
+	}
+	if verdicts[0] != nil || !errors.Is(verdicts[1], ErrNotFound) || !errors.Is(verdicts[2], ErrCorrupt) || verdicts[3] != nil || verdicts[4] != nil {
+		t.Fatalf("verdicts %v, want OK, not found, corrupt, OK, OK", verdicts)
+	}
+	if !slices.Equal(recs[0], rec) {
+		t.Errorf("the intact block's record came back %v, want %v", recs[0], rec)
+	}
+	for i, r := range recs[1:] {
+		if len(r) != 0 {
+			t.Errorf("%s: a %d-CRC record came back, want none", names[i+1], len(r))
+		}
+	}
+	if n := servedExchanges(opVerify) - verifies0; n != 1 {
+		t.Errorf("%d verify exchanges, want 1", n)
+	}
+	if n := srv.corruptServes.Load() - corrupt0; n != 1 {
+		t.Errorf("%d corrupt serves counted, want 1", n)
+	}
+	if n := srv.bytesTx.Load() - tx0; n != 0 {
+		t.Errorf("the verify answer carried %d payload bytes, want none", n)
+	}
+	// The one-name form gives the same verdicts.
+	for i, name := range names {
+		if err := c.Verify(ctx, name); fmt.Sprint(err) != fmt.Sprint(verdicts[i]) {
+			t.Errorf("Verify(%s) = %v, want %v", name, err, verdicts[i])
+		}
 	}
 }

@@ -141,9 +141,9 @@ type Client struct {
 	req   []byte        // request header scratch
 	arr   [][]byte      // gather-list backing for vectored sends, cleared after each
 	iov   net.Buffers   // per-send view into arr, consumed by the write
-	parts [][]byte      // a range or chunk answer's landing list: the OK names' destinations
+	parts [][]byte      // a range, chunk or verify answer's landing list: the OK names' destinations
 	crcs  []uint32      // the CRC32Cs those landed under, one per OK name
-	one   oneName       // a one-name range or chunk exchange's batch
+	one   oneName       // a one-name range, chunk or verify exchange's batch
 
 	// rotten names the blocks whose bytes the last exchange landed unlike
 	// the CRC their server sent for them; do reports them (see report).
@@ -260,23 +260,24 @@ type rebuildCall struct {
 	res    *RebuildResult
 }
 
-// nameBatch is a request's block names (one for a delete or a verify)
-// and, for a put, range or chunk, each name's buffer: the block a put
-// sends, or where an OK answer lands. A range or chunk writes each name's
-// verdict into verdicts. A put may carry its blocks' CRC32Cs and stripe
-// records; a chunk request may take each OK name's stripe record into
-// recs. A one-name range or chunk batch whose buffer is nil lands its
-// answer in a pooled buffer sized by the answer.
+// nameBatch is a request's block names and, for a put, range, chunk or
+// verify, each name's buffer: the block a put sends, or where an OK answer
+// lands — nil for a verify, whose answers are empty. A range, chunk or
+// verify writes each name's verdict into verdicts. A put may carry its
+// blocks' CRC32Cs and stripe records; a chunk or verify request may take
+// each OK name's stripe record into recs. A one-name range or chunk batch
+// whose buffer is nil lands its answer in a pooled buffer sized by the
+// answer.
 type nameBatch struct {
 	names    []string
 	bufs     [][]byte
 	verdicts []error
 	crcs     []uint32   // a put's blocks' CRC32Cs; nil: checksum the blocks
-	recs     [][]uint32 // a put's stripe records, or where a chunk answer's land; nil: none
+	recs     [][]uint32 // a put's stripe records, or where a chunk's or verify's answers' land; nil: none
 }
 
-// oneName is the client's batch for a one-name range or chunk exchange,
-// over arrays of its own: such an exchange allocates no batch.
+// oneName is the client's batch for a one-name range, chunk or verify
+// exchange, over arrays of its own: such an exchange allocates no batch.
 type oneName struct {
 	b       nameBatch
 	name    [1]string
@@ -358,18 +359,15 @@ func (c *Client) do(ctx context.Context, r request) error {
 	return err
 }
 
-// report asks the server to verify, with opVerify, each block whose bytes
-// the last exchange landed unlike the CRC the server sent for them. The
-// reader cannot tell rot at rest from damage on the wire; the server can,
-// and counts rot as a corrupt serve where it lives.
+// report asks the server to verify, in one exchange, every block whose
+// bytes the last exchange landed unlike the CRC the server sent for them.
+// The reader cannot tell rot at rest from damage on the wire; the server
+// can, and counts rot as a corrupt serve where it lives.
 func (c *Client) report(ctx context.Context) {
 	rotten := c.rotten
-	c.rotten = nil // the verify exchanges below land nothing
-	for _, name := range rotten {
-		// The answer changes no verdict: the bytes that landed were bad
-		// either way.
-		_ = c.do(ctx, request{op: opVerify, batch: &nameBatch{names: []string{name}}})
-	}
+	c.rotten = nil // the verify exchange below lands nothing
+	// The verdicts change nothing: the bytes that landed were bad either way.
+	_ = c.Verifies(ctx, rotten, nil, make([]error, len(rotten)))
 	clear(rotten)
 	c.rotten = rotten[:0]
 }
@@ -496,12 +494,11 @@ func (r *request) meta(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// readResponse reads one response frame and maps non-OK statuses to
-// errors. A header that fails its CRC is refused before its length is
-// used. An OK range or chunk answer goes to readVerdicts, and an OK
-// rebuild answer to readRebuild; any other payload — an OK put, delete or
-// verify answer carries none, and an error message is small — is read
-// into a pooled buffer and recycled once rendered.
+// readResponse reads one response frame. A header that fails its CRC is
+// refused before its length is used. An OK range, chunk or verify answer
+// goes to readVerdicts, and an OK rebuild answer to readRebuild; any other
+// payload — an OK put or delete answer has none, and a refusal's message
+// is small — is read into a pooled buffer and recycled once rendered.
 func (c *Client) readResponse(r *request) error {
 	h, err := c.fr.Next()
 	if err != nil {
@@ -514,43 +511,32 @@ func (c *Client) readResponse(r *request) error {
 		return c.readVerdicts(h, r)
 	}
 	buf := bufpool.Get(h.Len)
-	if err = c.fr.Payload(h, buf); err == nil {
-		switch h.Kind {
-		case statusOK:
-		case statusNotFound:
-			err = ErrNotFound
-		case statusCorrupt:
-			err = fmt.Errorf("%w: %s", ErrCorrupt, buf)
-		default:
-			err = fmt.Errorf("%w: %s", ErrRemote, buf)
-		}
+	if err = c.fr.Payload(h, buf); err == nil && h.Kind != statusOK {
+		err = fmt.Errorf("%w: %s", ErrRemote, buf)
 	}
 	bufpool.Put(buf)
 	return err
 }
 
-// readVerdicts reads an OK range or chunk answer: it records each verdict
-// in r.batch and scatters the OK answers, in request order, straight into
-// their destinations there, and checks each against its CRC in the meta.
-// One that lands unlike its CRC is that name's ErrCorrupt, and the others
-// stand: the connection is in sync. Each OK chunk's stripe record goes to
-// its name's slot of r.batch.recs, when the caller gave it one; every
-// other name's slot is left empty. A one-name batch with no destination
-// lands in a pooled buffer sized by the answer, pooled again unless the
-// exchange and the name's verdict are OK. A payload that does not fill
-// exactly the OK names' destinations is a protocol violation, like a meta
-// that does not hold a verdict per name and an entry per OK one, an
-// unknown verdict, or a payload that fails the frame CRC while every name
-// matches its own. Its errors are built in functions of their own, so the
-// frames an exchange stacks up to its socket read stay small: a Store
-// round runs each exchange on a fresh goroutine.
+// readVerdicts reads an OK range, chunk or verify answer: it records each
+// verdict in r.batch, scatters the OK answers (a verify's are empty) in
+// request order straight into their destinations there, and checks each
+// against its CRC in the meta: a mismatch is that name's ErrCorrupt, and
+// the connection stays in sync. Each OK name's stripe record goes to its
+// slot of r.batch.recs, when there is one. A one-name range or chunk batch
+// with no destination lands in a pooled buffer sized by the answer, pooled
+// again unless the exchange and the name's verdict are OK. An answer whose
+// meta or payload does not fit the request is a protocol violation. Its
+// errors are built in functions of their own, so the frames an exchange
+// stacks up to its socket read stay small: a Store round runs each
+// exchange on a fresh goroutine.
 func (c *Client) readVerdicts(h frame.Header, r *request) (err error) {
 	b := r.batch
 	if len(h.Meta) < len(b.names) {
 		return badMeta(h, r, 0)
 	}
 	c.parts = c.parts[:0]
-	pooled := len(b.names) == 1 && b.bufs[0] == nil
+	pooled := r.op != opVerify && len(b.names) == 1 && b.bufs[0] == nil
 	// The scratch must not keep the caller's buffers alive once parked. A
 	// plain defer clear(c.parts) would clear the slice as it was before the
 	// appends below.
@@ -594,7 +580,7 @@ func (c *Client) readVerdicts(h frame.Header, r *request) (err error) {
 }
 
 // entries checks each OK name's landed bytes against the CRC of its entry
-// in the meta — a mismatch is that name's rot — and takes an OK chunk's
+// in the meta — a mismatch is that name's rot — and takes an OK name's
 // stripe record into its slot of r.batch.recs. It reports the bytes that
 // landed intact and whether any name rotted. It is kept out of
 // readVerdicts so the frames a batch exchange stacks up to its socket read
@@ -638,8 +624,8 @@ func badLength(h frame.Header, r *request, want int) error {
 	return fmt.Errorf("blockserver: %d-byte %s answer for %d bytes of destinations", h.Len, opNames[r.op], want)
 }
 
-// verdict maps one name's verdict byte in a range or chunk answer onto its
-// error.
+// verdict maps one name's verdict byte in a range, chunk or verify answer
+// onto its error.
 func verdict(op, v byte, name string) error {
 	switch v {
 	case statusOK:
@@ -763,10 +749,11 @@ func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]
 	return c.single(ctx, opChunk, name, [2]uint32{uint32(helper), uint32(failed)}, nil)
 }
 
-// single runs a one-name range or chunk exchange on the client's own batch,
-// whose verdict is its error. The answer lands in dst or, when dst is nil,
-// in a pooled buffer sized by the answer, which it returns when the
-// verdict is OK (readVerdicts pools it again otherwise).
+// single runs a one-name range, chunk or verify exchange on the client's
+// own batch, whose verdict is its error. A range's or chunk's answer lands
+// in dst or, when dst is nil, in a pooled buffer sized by the answer,
+// which it returns when the verdict is OK (readVerdicts pools it again
+// otherwise).
 func (c *Client) single(ctx context.Context, op byte, name string, args [2]uint32, dst []byte) ([]byte, error) {
 	b := c.oneBatch(false)
 	b.names, b.bufs = append(b.names, name), append(b.bufs, dst)
@@ -820,7 +807,7 @@ func (b *nameBatch) mismatch() error {
 // a timeout. A newcomer stores the same blocks however often it is asked,
 // so a retried rebuild is safe. The returned error is the exchange's own
 // (transport, timeout, or a refusal of the whole request: a server with
-// no code, or not serving); the stripes' outcomes hold only when it is
+// no code, or never started); the stripes' outcomes hold only when it is
 // nil.
 func (c *Client) Rebuild(ctx context.Context, req *RebuildRequest) (*RebuildResult, error) {
 	if err := req.check(); err != nil {
@@ -860,7 +847,23 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 
 // Verify asks the server to re-checksum a block in place; it returns nil
 // for an intact block, ErrCorrupt for detected bit rot, ErrNotFound for a
-// missing block. No block content crosses the network.
+// missing block. It is Verifies for one name, dropping the block's stripe
+// record.
 func (c *Client) Verify(ctx context.Context, name string) error {
-	return c.do(ctx, request{op: opVerify, batch: &nameBatch{names: []string{name}}})
+	_, err := c.single(ctx, opVerify, name, [2]uint32{}, nil)
+	return err
+}
+
+// Verifies is Verify for several blocks in one exchange — a scrub's blocks
+// of a batch of stripes on one server, say: verdicts[i] receives block
+// names[i]'s verdict and recs[i] (recs may be nil), reusing its storage,
+// the stripe record an intact block was put with (see Puts), if it has one
+// of the server's code's width. The returned error is the exchange's own;
+// the verdicts hold only when it is nil.
+func (c *Client) Verifies(ctx context.Context, names []string, recs [][]uint32, verdicts []error) error {
+	b := &nameBatch{names: names, bufs: make([][]byte, len(names)), verdicts: verdicts, recs: recs}
+	if err := b.mismatch(); err != nil {
+		return err
+	}
+	return c.do(ctx, request{op: opVerify, batch: b})
 }

@@ -615,8 +615,13 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 // server, and an aligned two-name range followed by the answer it draws —
 // verdicts and CRCs in its meta — sent back as if a request; whole-block
 // ranges (length 0, to the end), one traced, one over blocks of different
-// sizes and one after an old client's retired get (op 2); and a verify of
-// a block present and of one missing. The over-maxPayload chunk request is
+// sizes and one after an old client's retired get (op 2); verifies of a
+// block present and of one missing, one verify of a list of blocks with a
+// stripe record, with none and missing, a delete of a list of blocks some
+// of which are missing, and a verify in the one-name form delete and
+// verify once had, which closes the connection before the delete that
+// follows it. (A rotten block cannot be sent: a put stores only what its
+// CRC verifies; TestVerifiesAnswersPerName verifies one.) The over-maxPayload chunk request is
 // not a seed: at 160 KB, the fuzzer would spend its time minimizing
 // mutants of it, so TestChunkNameListsAreChecked covers it instead.
 func FuzzServeConn(f *testing.F) {
@@ -694,8 +699,9 @@ func TestRetiredOpsAreUnknown(t *testing.T) {
 	}
 	unknown0 := srvRPCCounter(0, statusError).Value()
 	for _, op := range []byte{2, 6} {
-		// nameLen(2) name, then a trace context: an old get or stat meta.
-		meta := appendMeta(nil, opVerify, []string{"b"}, nil, nil, uint64(op), 1)
+		// nameLen(2) name, then a trace context: an old get or stat meta,
+		// which the server does not read.
+		meta := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{0, 1, 'b'}, uint64(op)), 1)
 		if h, msg := exchange(op, meta); h.Kind != statusError || string(msg) != fmt.Sprintf("unknown op %d", op) {
 			t.Errorf("retired op %d: status %d, %q; want statusError, the unknown-op answer", op, h.Kind, msg)
 		}
@@ -712,6 +718,35 @@ func TestRetiredOpsAreUnknown(t *testing.T) {
 	}
 	if blocks, bytes, _ := servers[0].Stats(); blocks != 1 || bytes != int64(len(data)) {
 		t.Errorf("the server holds %d blocks of %d bytes, want the one put", blocks, bytes)
+	}
+}
+
+// TestOneNameFormIsRefused: a delete or a verify in the one-name form they
+// once had — nameLen(2) name — reads as a count and a first name whose
+// length, two printable bytes, passes maxNameLen. The server closes the
+// connection with no answer, so a delete that follows on it is never
+// acted on, and the block stays.
+func TestOneNameFormIsRefused(t *testing.T) {
+	block := []byte("kept")
+	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{"present"}, nil, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
+	put = append(put, block...)
+	oneName := append(binary.BigEndian.AppendUint16(nil, uint16(len("present"))), "present"...)
+	deleteList := frame.Header{Kind: opDelete, Meta: appendMeta(nil, opDelete, []string{"present"}, nil, nil, 0, 0)}.Append(nil)
+	for _, op := range []byte{opDelete, opVerify} {
+		stream := append(append(bytes.Clone(put), frame.Header{Kind: op, Meta: oneName}.Append(nil)...), deleteList...)
+		srv := NewServer(nil)
+		conn := &replyConn{streamConn: streamConn{r: bytes.NewReader(stream)}}
+		srv.serveConn(conn)
+		fr := frame.NewReader(&conn.out, maxPayload)
+		if h, err := fr.Next(); err != nil || h.Kind != statusOK {
+			t.Fatalf("%s: the put drew status %d (%v), want statusOK", opNames[op], h.Kind, err)
+		}
+		if h, err := fr.Next(); err != io.EOF {
+			t.Errorf("%s in the one-name form drew status %d (%v), want no answer", opNames[op], h.Kind, err)
+		}
+		if _, held := srv.blocks["present"]; !held {
+			t.Errorf("%s in the one-name form: the block is gone, want the connection closed before the delete", opNames[op])
+		}
 	}
 }
 

@@ -232,6 +232,7 @@ func TestGranuleServerCRCBytes(t *testing.T) {
 	// verified sums the server-side verify spans of one trace, and counts
 	// its range spans.
 	verified := func(trace uint64) (bytes, spans, ranges int) {
+		waitIdle(pc.servers)
 		for _, tr := range tracers {
 			for _, s := range tr.Spans(trace) {
 				switch s.Name {
@@ -328,6 +329,7 @@ func TestWholeBlockRangeIsCheckedAtTheReader(t *testing.T) {
 		t.Fatalf("Get: err %v, identical %v", err, bytes.Equal(got, block))
 	}
 	Recycle(got)
+	waitIdle(servers)
 	var ranges int
 	for _, s := range srvTr.Spans(sp.TraceID()) {
 		switch s.Name {
@@ -356,5 +358,45 @@ func TestWholeBlockRangeIsCheckedAtTheReader(t *testing.T) {
 	}
 	if o := c.one; o.name[0] != "" || o.buf[0] != nil || o.verdict[0] != nil || o.b.names != nil {
 		t.Errorf("the client keeps its one-name batch after the Gets: %+v", o)
+	}
+}
+
+// TestRotReportIsOneExchange: one Ranges exchange that lands two rotten
+// names reports both to their server in one verify exchange (one per name
+// before), and the server counts each as one corrupt serve; the intact
+// name between them lands.
+func TestRotReportIsOneExchange(t *testing.T) {
+	servers, addrs := startServers(t, nil, 1)
+	srv := servers[0]
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	block := make([]byte, 256)
+	rand.New(rand.NewSource(82)).Read(block)
+	names := []string{"a", "b", "c"}
+	if err := c.Puts(ctx, names, [][]byte{block, block, block}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "c"} {
+		if err := srv.CorruptBlock(name, 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst, verdicts := [][]byte{make([]byte, len(block)), make([]byte, len(block)), make([]byte, len(block))}, make([]error, 3)
+	verifies0, corrupt0 := servedExchanges(opVerify), srv.corruptServes.Load()
+	if err := c.Ranges(ctx, names, 0, dst, verdicts); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(verdicts[0], ErrCorrupt) || verdicts[1] != nil || !errors.Is(verdicts[2], ErrCorrupt) || !bytes.Equal(dst[1], block) {
+		t.Fatalf("verdicts %v, want the reader's ErrCorrupt for a and c, and b landed", verdicts)
+	}
+	if n := servedExchanges(opVerify) - verifies0; n != 1 {
+		t.Errorf("the reader reported the two rotten names in %d verify exchanges, want 1", n)
+	}
+	if n := srv.corruptServes.Load() - corrupt0; n != 2 {
+		t.Errorf("the server counted %d corrupt serves, want one per rotten name: 2", n)
 	}
 }

@@ -1,162 +1,131 @@
 // Package blockserver implements a minimal TCP block store — the
 // deployable analog of the paper's Hadoop datanode integration. Each
-// server holds named blocks and, crucially, computes Carousel repair
-// chunks *server-side*: during a reconstruction only the chunk
-// (blockSize/alpha bytes) crosses the network, exactly the paper's optimal
-// repair traffic. The newcomer — the server that is to hold a lost block —
-// fetches those chunks and rebuilds the block itself, so the block crosses
-// no socket at all.
+// server holds named blocks and computes Carousel repair chunks
+// server-side, so during a reconstruction only the chunk (blockSize/alpha
+// bytes) crosses the network — the paper's optimal repair traffic — and
+// the newcomer, the server that is to hold a lost block, fetches those
+// chunks and rebuilds the block itself, so the block crosses no socket.
 //
-// Every request and response is one internal/frame record over TCP:
+// Every request and response is one internal/frame record over TCP, and
+// every request but a rebuild (below) names a list of blocks in one
+// grammar:
 //
-//	request  := header(kind=op, meta=nameLen(2) name [traceID(8) parentSpanID(8)]) no payload
-//	response := header(kind=status, no meta) payload
+//	put     := header(kind=opPut, meta=names w(1) {crc(4)×w}×count [trace]) block×count
+//	range   := header(kind=opRange, meta=names offset(4) length(4) [trace]) no payload
+//	chunk   := header(kind=opChunk, meta=names helper(4) failed(4) [trace]) no payload
+//	verify  := header(kind=opVerify, meta=names [trace]) no payload
+//	delete  := header(kind=opDelete, meta=names [trace]) no payload
+//	names   := count(2) {nameLen(2) name}×count
+//	trace   := traceID(8) parentSpanID(8)
 //
-// That is the form of delete and verify; put, range and chunk requests
-// name a list of blocks, and a rebuild a batch of stripes (below). The
-// header's own CRC32C covers the op, the names, the arguments and the
+// and each is answered:
+//
+//	put, delete := header(kind=statusOK, no meta) no payload
+//	range       := header(kind=statusOK, meta=verdict(1)×count crc(4)×ok) answer×ok
+//	chunk       := header(kind=statusOK, meta=verdict(1)×count {crc(4) w(1) rec(4w)}×ok) answer×ok
+//	verify      := header(kind=statusOK, meta=verdict(1)×count {w(1) rec(4w)}×ok) no payload
+//	refusal     := header(kind=statusError, no meta) message
+//
+// The header's own CRC32C covers the op, the names, the arguments and the
 // lengths, so the server refuses a damaged request before acting on any of
 // it, and the client refuses a damaged response before sizing a buffer
-// from it. The payload CRC32C catches payload damage at the receiver
-// instead of feeding it into a decode.
+// from it; the payload CRC32C catches payload damage at the receiver
+// instead of feeding it into a decode. A traced request's spans join the
+// client's trace. A request whose names do not parse — no names, a count
+// that runs past the meta, an empty or over-long name, or a name in the
+// one-name form delete and verify once had, whose first two bytes, read as
+// a length, pass maxNameLen for any printable name — closes the connection
+// before anything is sized from it. An unknown op's meta is not read: it
+// is refused, whatever the meta holds. Op bytes 2 and 6 are unknown ops:
+// they were a whole-block get and a stat, which an old client may still
+// send.
 //
-// At rest a server keeps one CRC32C per granule of each block, computed as
-// the put landed. A granule is the code's unit, len(block) /
-// UnitsPerBlock(), when the server has a code and the block divides into
-// units, and the whole block otherwise; every range a Store asks for is
-// unit-aligned. Who verifies what:
+// A put stores blocks of one size, back to back in the payload, all or
+// nothing — a write sends each server its block of every stripe of a batch
+// in one exchange. The server reads each block into an exact-size buffer,
+// checksums it granule by granule as it lands, checks the frame CRC by
+// combining the granules' CRCs (frame.Combine) and keeps them as the
+// block's at-rest checksums. The meta may give each block its stripe
+// record: the whole-block CRC32C of each of the w = n blocks of its
+// stripe, which a write has from its encode, or w = 0 for none (a
+// 256-block code's blocks go without: w is one byte). A payload that does
+// not split into count blocks closes the connection before anything is
+// allocated, one that fails its CRC closes it with nothing stored, and
+// otherwise every block is stored under one lock before the answer, so a
+// retried put stores the same blocks again. A delete removes every block
+// it names under one lock.
 //
-//   - verify checks the whole block, granule by granule, and answers
-//     statusCorrupt when it has rotted.
-//   - chunk checks the whole block the same way only when the block has no
-//     stripe record (below). A block with one is not read before the chunk
-//     is computed from it: its record rides with the chunk, and the newcomer
-//     that rebuilds (below) checks the block it rebuilds — the combine of
-//     the granule CRCs it computes as it decodes, which the block is stored
-//     under — against the record's entry for the lost block, asking each
-//     helper to verify with opVerify only when that fails. A chunk — a
-//     linear combination, which no granule CRC covers — is checksummed as
-//     computed either way.
-//   - range sends the range's CRC32C, combined from the stored granule
-//     CRCs (frame.Combine), and reads no block content to checksum it —
-//     except a granule the range covers only in part, which it verifies
-//     whole first (statusCorrupt on a failure) and checksums the covered
-//     part of: at most two granules per name. A range of length 0 reads
-//     to its block's end: the first OK block's remainder is the answer's
-//     length, and a later name whose remainder differs is statusError, as
-//     a chunk's block of another size is. A whole-block read is one at
-//     offset 0, so the server checksums none of the block for it.
+// Range, chunk and verify answer a verdict per name, in request order —
+// statusOK, statusNotFound, statusCorrupt, or statusError: for a range,
+// one outside its block or, at length 0, whose remainder differs from the
+// first OK block's; for a chunk, a block whose size differs from the first
+// OK block's — and, after the verdicts, an entry per OK name: the CRC32C
+// of a range's or chunk's answer, and in a chunk or verify answer the
+// block's stripe record, w = n CRCs when it has one of the server's code's
+// width (and, for a chunk, the server computed the chunk without verifying
+// the block), else w = 0. The payload is the OK answers back to back, all
+// of one size (a verify has none), so the client knows from the verified
+// header alone where each lands, and the frame's payload CRC is the
+// combine of theirs; a payload that fails it while every answer matches
+// its own CRC is a protocol violation. A read asks each source for one
+// range of a batch of stripes' blocks in one exchange (sent as one
+// vectored write of slices of the stored blocks, with no copy), a repair
+// each helper for its chunks of a batch, and a scrub each server for the
+// verdicts of its blocks of a batch. The server refuses a request that
+// names more blocks than an answer meta has room for a verdict and an
+// entry each — count·5 bytes for a range, count·(2+4n) for a verify,
+// count·(6+4n) for a chunk — or whose blocks could cost more than
+// maxPayload to checksum or send, before it checksums any; and a chunk
+// request when it has no code or the computation fails.
+//
+// At rest a server keeps one CRC32C per granule of each block: the code's
+// unit, len(block)/UnitsPerBlock(), when the server has a code and the
+// block divides into units, and the whole block otherwise; every range a
+// Store asks for is unit-aligned. Who verifies what:
+//
+//   - verify checks each named block whole, granule by granule.
+//   - range sends the range's CRC combined from the granule CRCs and reads
+//     no content to checksum it, except a granule it covers only in part,
+//     which it verifies whole first: at most two per name. A range of
+//     length 0 reads to its block's end, so a whole-block read costs the
+//     server no checksum.
+//   - chunk verifies the whole block first only when it has no record. A
+//     chunk is checksummed as computed; the record that rides with it lets
+//     the newcomer check the block it rebuilds against the record's entry,
+//     and ask its helpers to verify only when that fails.
 //   - the reader verifies every byte it lands against its name's CRC in
-//     the same pass that reads it. A name whose bytes do not match is its
-//     own ErrCorrupt verdict; the other names land, and the connection
-//     stays in sync. The reader then sends an opVerify for that name, so
-//     the server, which can tell rot at rest from damage on the wire,
-//     counts the rot as a corrupt serve where it lives.
+//     the pass that reads it. A mismatch is that name's ErrCorrupt; the
+//     other names land, the connection stays in sync, and the reader sends
+//     one verify for every name an exchange landed rotten, so the server,
+//     which can tell rot at rest from damage on the wire, counts the rot
+//     as a corrupt serve where it lives.
 //
-// statusCorrupt, or a reader's ErrCorrupt, is the signal the client's read
-// path uses to exclude the block and route it into scrub/repair.
+// statusCorrupt, or a reader's ErrCorrupt, is the signal the read path uses
+// to exclude the block and route it into scrub/repair.
 //
-// A put stores one or more blocks of one size — a write sends each server
-// its block of every stripe of a batch in one exchange:
-//
-//	put request := header(kind=opPut, meta=count(2) {nameLen(2) name}×count w(1) {crc(4)×w}×count [trace]) block×count
-//	response    := header(kind=statusOK, no meta) no payload
-//
-// The payload is the blocks back to back, each len/count bytes, and the
-// frame's payload CRC covers them all: there is no CRC per name. The
-// server reads each block into its own exact-size buffer, checksums it as
-// it lands, granule by granule, checks the frame CRC by combining the
-// granules' CRCs (frame.Combine) and keeps them as the blocks' at-rest
-// checksums. The meta may also give each block its stripe record: the
-// whole-block CRC32C of each of the w = n blocks of its stripe, which a
-// write has from its encode, or w = 0 for none (a 256-block code's blocks
-// go without: w is one byte). The server keeps each
-// block's record as sent, beside its granule CRCs, and sends it with the
-// block's chunks; a w·count that runs past the meta is refused before
-// anything is sized from it. A put is all-or-nothing: a payload whose
-// length is not a multiple of count closes the connection before anything
-// is allocated, one that fails its CRC closes it with nothing stored, and
-// otherwise every block is stored under one lock before the answer. So a
-// client that retries a put whose answer it never saw stores the same
-// blocks again.
-//
-// A range or chunk request names one or more blocks that share its
-// arguments — a read asks each source for the same range of a whole batch
-// of stripes' blocks in one exchange, and a repair pass asks each helper
-// for its chunks of a whole batch of stripes the same way — so its meta
-// starts with a name count:
-//
-//	range request  := header(kind=opRange, meta=count(2) {nameLen(2) name}×count offset(4) length(4) [trace]) no payload
-//	chunk request  := header(kind=opChunk, meta=count(2) {nameLen(2) name}×count helper(4) failed(4) [trace]) no payload
-//	range response := header(kind=statusOK, meta=verdict(1)×count crc(4)×ok) answer×ok
-//	chunk response := header(kind=statusOK, meta=verdict(1)×count {crc(4) w(1) rec(4w)}×ok) answer×ok
-//
-// The response carries one verdict byte per name, in request order:
-// statusOK, statusNotFound, statusCorrupt, or statusError — for a range,
-// one that falls outside its block or, at length 0, whose remainder
-// differs from the first OK block's; for a chunk, a block whose size
-// differs from the first OK block's. The payload is the OK names' answers
-// back to back in request order, all of one size (the range's length, or
-// the chunk size), so the client knows from the verified header alone
-// where each lands; the server sends a range answer as one vectored write
-// of slices of the stored blocks, with no copy. After the verdicts the meta
-// holds each OK answer's CRC32C, in the same order, and the frame's payload
-// CRC is their combine: a payload that fails it while every answer matches
-// its own CRC is a protocol violation. In a chunk answer each CRC is
-// followed by the block's stripe record — w = n CRCs, when the server
-// computed the chunk without verifying the block — or w = 0, when it
-// verified it: a block put with no record, or one of another width. A
-// verdict concerns one block: the exchange itself succeeded. The server refuses a put, range or
-// chunk request with no names, a count that runs past the meta, or an
-// empty or over-long name by closing the connection, before it sizes
-// anything from the count; it answers statusError, with no verdicts, when
-// the request names more blocks than an answer's meta has room for a
-// verdict and a CRC each — and, in a chunk answer, a record of n CRCs
-// each: count·(6+4n) bytes — or the blocks it found could cost more than
-// maxPayload — each the larger of its size, which may be checksummed, and
-// its answer; checked before it checksums any of them — and, for a chunk
-// request, when it has no code or the chunk computation fails.
-//
-// A rebuild asks a newcomer to rebuild its block of each of a batch of one
-// file's stripes itself, from chunks it fetches from the stripes' helpers,
-// and to store it — the whole of a repair batch in one exchange, which
-// carries no block:
+// A rebuild asks a newcomer to rebuild, from chunks it fetches itself, and
+// store its block of each of a batch of one file's stripes — a whole
+// repair batch in one exchange, which carries no block:
 //
 //	rebuild request  := header(kind=opRebuild, meta=fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n settings budget(4) [trace]) no payload
 //	rebuild response := header(kind=statusOK, meta={verdict(1) traffic(4) textLen(2)}×count {chunks(4)}×n) text×count
 //
-// The addresses are the stripes' n servers, block i on the i-th, and are
-// the only ones the newcomer dials. The settings are the coordinator's
-// hedge delay and client options — dial and IO timeouts, retry attempts,
-// base and max backoff, in µs, and multiplier and jitter, in ‰ — so the
-// options a Store is built with govern its repairs at the newcomer; the
-// budget (µs) is what is left of the exchange's deadline, and the newcomer
-// answers every stripe within it, less a margin. The newcomer runs the
-// batch on a Store over a pool of its own, kept for the next request with
-// the same addresses, block size and settings. It decodes each block into
-// an exact-size buffer, checksums it granule by granule in the same pass,
-// and stores it through the commit a put stores with, its stripe record's
-// entry for the block set to the block's CRC. The answer gives each stripe
-// a verdict — statusOK, or the class of its failure (rebuildClasses) — the
-// bytes of its winning chunks and, for a failure, the text of its root
-// cause, in the payload; and each helper, by block index, its winning
-// chunks. A stripe count or an address list that runs past the meta, or a
-// failed index not below n, is refused before anything is sized from it,
-// and so is an n other than the server code's N: the connection closes.
-// The server answers statusError, having dialed nobody, when it has no
-// code, is not serving — never started, or closing — or the answer would
-// overflow a meta.
-//
-// Operations: put (one or more blocks of one size, all or nothing), range
-// (one range of one or more blocks, for parallel reads of data prefixes,
-// or to their end for whole-block reads), chunk (helper-side repair
-// computation for one or more blocks), delete, verify (server-side
-// checksum audit of one block), rebuild (a newcomer's repair of a batch of
-// its own blocks). Op bytes 2 and 6 are unknown ops: they were a
-// whole-block get and a stat, which an old client may still send.
-//
-// A traced request ends its meta with the client's trace ID and span ID,
-// under which the server parents its spans; an untraced one carries neither.
+// The addresses are the stripes' n servers, block i on the i-th, and the
+// only ones the newcomer dials. The settings are the coordinator's hedge
+// delay and client options (appendRebuild), so the options a Store is
+// built with govern its repairs at the newcomer; the budget (µs) is what
+// is left of the exchange's deadline, which the newcomer answers within.
+// It runs the batch on a Store over a pool of its own, kept for the next
+// request with the same addresses, block size and settings, and stores
+// each block through the commit a put stores with, its record's entry for
+// the block set to the block's CRC. The answer gives each stripe a verdict
+// — statusOK, or its failure's class (rebuildClasses) — its winning chunk
+// bytes and a failure's root-cause text, in the payload, and each helper
+// its winning chunks. A stripe or address list that runs past the meta, a
+// failed index not below n, or an n other than the server code's closes
+// the connection before anything is sized from it. A server with no code,
+// never started, or whose answer would overflow a meta refuses the
+// rebuild having dialed nobody; a closing one closes the connection.
 package blockserver
 
 import (
@@ -208,30 +177,25 @@ var ErrNotFound = errors.New("blockserver: block not found")
 // Checksum returns the CRC32C of a payload.
 func Checksum(b []byte) uint32 { return frame.Checksum(b) }
 
-// multiName reports whether an op's meta carries a counted name list: the
-// put, range and chunk ops, the three a batch shares an exchange for.
-func multiName(op byte) bool { return op == opPut || answersNames(op) }
-
 // answersNames reports whether an op's answer carries a verdict per name:
-// the range and chunk ops. They are also the ops with arguments.
-func answersNames(op byte) bool { return op == opRange || op == opChunk }
+// the range, chunk and verify ops.
+func answersNames(op byte) bool { return op == opRange || op == opChunk || op == opVerify }
 
-// nargs is the number of uint32 arguments an op's meta carries.
+// nargs is the number of uint32 arguments an op's meta carries: two for
+// a range or a chunk, none for any other op.
 func nargs(op byte) int {
-	if answersNames(op) {
+	if op == opRange || op == opChunk {
 		return 2
 	}
 	return 0
 }
 
-// appendMeta encodes a request's meta: the length-prefixed names (one for
-// delete and verify; a put's, range's or chunk's start with their count),
-// the op's arguments, a put's stripe records (one per name, all of one
-// width, or nil for none) and, when traceID is nonzero, the trace context.
+// appendMeta encodes a request's meta: the count of names and each,
+// length-prefixed, the op's arguments, a put's stripe records (one per
+// name, all of one width, or nil for none) and, when traceID is nonzero,
+// the trace context.
 func appendMeta(dst []byte, op byte, names []string, args []uint32, recs [][]uint32, traceID, parent uint64) []byte {
-	if multiName(op) {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
-	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
 	for _, name := range names {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
 		dst = append(dst, name...)
@@ -261,8 +225,8 @@ func appendMeta(dst []byte, op byte, names []string, args []uint32, recs [][]uin
 // reqMeta is a decoded request meta. name and names alias the frame
 // reader's scratch, so they are only valid until the next request.
 type reqMeta struct {
-	name          []byte // the only name, a put, range or chunk request's first, or a rebuild's file
-	names         []byte // a put, range or chunk request's validated name list; walk it with nextName
+	name          []byte // a request's first name, or a rebuild's file
+	names         []byte // a request's validated name list; walk it with nextName
 	count         int    // how many names that list holds
 	args          [2]uint32
 	w             int          // a put's stripe record width: CRCs per name
@@ -289,20 +253,22 @@ func nextName(list []byte) (name, rest []byte) {
 	return list[2 : 2+n], list[2+n:]
 }
 
-// parseMeta decodes the meta of a verified request header. A put, range or
-// chunk request's name list is walked name by name against the meta's own
-// length, and a put's stripe records are measured against what is left of
-// it, so a count or a record width that promises more than the meta holds
-// is refused without anything being sized from it.
+// parseMeta decodes the meta of a verified request header. The name list
+// is walked name by name against the meta's own length, and a put's stripe
+// records are measured against what is left of it, so a count or a record
+// width that promises more than the meta holds is refused without anything
+// being sized from it. An unknown op's meta is not read.
 func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 	rest := meta
-	if op == opRebuild {
+	switch {
+	case !known(op):
+		return m, nil
+	case op == opRebuild:
 		if m.rb, rest, err = parseRebuild(meta); err != nil {
 			return m, err
 		}
 		m.name = []byte(m.rb.req.File)
-	}
-	if multiName(op) {
+	default:
 		if len(meta) < 2 {
 			return m, fmt.Errorf("blockserver: %d-byte %s request meta", len(meta), opNames[op])
 		}
@@ -318,10 +284,6 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 		}
 		m.names = list[:len(list)-len(rest)]
 		m.name, _ = nextName(m.names)
-	} else if op != opRebuild {
-		if m.name, rest, err = cutName(meta); err != nil {
-			return m, err
-		}
 	}
 	if op == opPut {
 		if len(rest) == 0 {
@@ -543,8 +505,6 @@ func (e *stripeFailure) Unwrap() error { return e.class }
 
 // appendRebuildAnswer encodes a newcomer's answer to a rebuild of count
 // stripes: the meta, and the payload of their failure texts back to back.
-//
-//	rebuild response := header(kind=statusOK, meta={verdict(1) traffic(4) textLen(2)}×count {chunks(4)}×n) text×count
 func appendRebuildAnswer(meta, texts []byte, traffic []int, errs []error, chunks []int64) ([]byte, []byte) {
 	for i, err := range errs {
 		var text string
@@ -609,15 +569,18 @@ func rebuildResult(meta, texts []byte, res *RebuildResult) {
 }
 
 // cutEntry splits one OK name's entry off the front of what follows the
-// verdicts in a range or chunk answer's meta: its answer's CRC32C and, in a
-// chunk answer, its block's stripe record, 4w bytes (none when w = 0). ok
-// is false when the meta is too short for it.
+// verdicts in an answer's meta: its answer's CRC32C — 0, that of nothing,
+// in a verify answer — and its block's stripe record, 4w bytes, in a chunk
+// or verify answer. ok is false when the meta is too short for the entry.
 func cutEntry(op byte, meta []byte) (crc uint32, rec, rest []byte, ok bool) {
-	if len(meta) < 4 {
-		return 0, nil, nil, false
+	rest = meta
+	if op != opVerify {
+		if len(rest) < 4 {
+			return 0, nil, nil, false
+		}
+		crc, rest = binary.BigEndian.Uint32(rest), rest[4:]
 	}
-	crc, rest = binary.BigEndian.Uint32(meta), meta[4:]
-	if op == opChunk {
+	if op != opRange {
 		if len(rest) == 0 || len(rest)-1 < 4*int(rest[0]) {
 			return 0, nil, nil, false
 		}
@@ -627,8 +590,8 @@ func cutEntry(op byte, meta []byte) (crc uint32, rec, rest []byte, ok bool) {
 	return crc, rec, rest, true
 }
 
-// entriesFit reports whether meta, what follows the verdicts in a range or
-// chunk answer's meta, is exactly ok entries.
+// entriesFit reports whether meta, what follows the verdicts in a range,
+// chunk or verify answer's meta, is exactly ok entries.
 func entriesFit(op byte, meta []byte, ok int) bool {
 	for range ok {
 		var fit bool

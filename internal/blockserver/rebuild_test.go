@@ -127,14 +127,7 @@ func TestRecoverCoordinatorMovesNoBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A server counts its answer's bytes and ends its span once the answer
-	// has left, so the coordinator can be back first: wait for every
-	// handler to return.
-	for _, srv := range servers {
-		for deadline := time.Now().Add(time.Second); srv.inflight.Load() != 0 && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	waitIdle(servers)
 	if rep.BlocksRepaired != stripes {
 		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, stripes)
 	}
@@ -193,6 +186,19 @@ func TestRecoverCoordinatorMovesNoBlock(t *testing.T) {
 	got, _, err := store.ReadFile(ctx, "f", len(data))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
+// waitIdle waits, at most a second, for every server's handlers to
+// return. A server counts its answer's bytes and ends its server.<op> span
+// once the answer has left, so the caller can be back first: a test that
+// counts either waits here before it does.
+func waitIdle(servers []*Server) {
+	deadline := time.Now().Add(time.Second)
+	for _, srv := range servers {
+		for srv.inflight.Load() != 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
@@ -422,11 +428,13 @@ type replyConn struct {
 
 func (c *replyConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 
-// TestRepairRefusedByServerNotServing: a server that was never started, or
-// is closed, answers a well-formed rebuild statusError before it builds a
-// repair engine, so it dials nobody — which is why no input to
-// FuzzServeConn, which drives the loop of a server never started, can make
-// it dial.
+// TestRepairRefusedByServerNotServing: a server that was never started
+// answers a well-formed rebuild statusError before it builds a repair
+// engine, so it dials nobody — which is why no input to FuzzServeConn,
+// which drives the loop of a server never started, can make it dial. A
+// closed one builds none either, but answers nothing: it closes the
+// connection, so the coordinator retries on a fresh one, to whatever
+// server now listens at the address.
 func TestRepairRefusedByServerNotServing(t *testing.T) {
 	code, err := carousel.New(4, 2, 3, 4)
 	if err != nil {
@@ -443,8 +451,12 @@ func TestRepairRefusedByServerNotServing(t *testing.T) {
 	for name, srv := range map[string]*Server{"never started": NewServer(code), "closed": closed} {
 		conn := &replyConn{streamConn: streamConn{r: bytes.NewReader(request)}}
 		srv.serveConn(conn)
+		answered := conn.out.Len()
 		h, err := frame.NewReader(&conn.out, maxPayload).Next()
-		if err != nil || h.Kind != statusError {
+		switch {
+		case srv == closed && answered != 0:
+			t.Errorf("%s: answered %d bytes (status %d), want a closed connection and no answer", name, answered, h.Kind)
+		case srv != closed && (err != nil || h.Kind != statusError):
 			t.Errorf("%s: answered status %d (%v), want statusError", name, h.Kind, err)
 		}
 		if srv.eng != nil {

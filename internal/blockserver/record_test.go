@@ -104,6 +104,7 @@ func (rc *recordCluster) recover(t *testing.T, failed int) (*RecoveryReport, int
 	if rep.BlocksRepaired != rc.stripes {
 		t.Fatalf("repaired %d blocks, want %d", rep.BlocksRepaired, rc.stripes)
 	}
+	waitIdle(rc.servers)
 	verified, chunks := 0, 0
 	for _, tr := range rc.tracers {
 		for _, s := range tr.Spans(sp.TraceID()) {
@@ -441,5 +442,72 @@ func TestRecoverAt256BlocksGoesWithoutRecords(t *testing.T) {
 	got, _, err := store.ReadFile(ctx, "f", len(data))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestScrubReportsTornStripes: one server's block of stripe 7 is put again
+// from another version of the stripe, with that version's record, as a
+// write torn between two versions leaves it, and another block of stripe 7
+// is deleted; elsewhere one block rots and one goes missing. Scrub reports
+// exactly stripe 7 torn, repairs the two other broken blocks byte-identical
+// and leaves stripe 7's missing block alone: rebuilt from helpers of two
+// versions, it would match neither.
+func TestScrubReportsTornStripes(t *testing.T) {
+	rc := newRecordCluster(t, 83)
+	n := rc.code.N()
+	const st, torn, gone = 7, 3, 9
+	other := bytes.Clone(rc.data)
+	rand.New(rand.NewSource(84)).Read(other)
+	newer := rc.encode(t, other, st)
+	rec := make([]uint32, n)
+	for i, b := range newer {
+		rec[i] = Checksum(b)
+	}
+	ctx := context.Background()
+	put := func(i int, f func(c *Client) error) {
+		t.Helper()
+		c, err := Dial(rc.addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := f(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(torn, func(c *Client) error {
+		return c.Puts(ctx, []string{BlockName("f", st, torn)}, [][]byte{newer[torn]}, []uint32{rec[torn]}, [][]uint32{rec})
+	})
+	put(gone, func(c *Client) error { return c.Delete(ctx, BlockName("f", st, gone)) })
+	rotten, missing := BlockRef{Stripe: 2, Block: 4}, BlockRef{Stripe: 5, Block: 0}
+	if err := rc.servers[rotten.Block].CorruptBlock(BlockName("f", rotten.Stripe, rotten.Block), 11); err != nil {
+		t.Fatal(err)
+	}
+	put(missing.Block, func(c *Client) error { return c.Delete(ctx, BlockName("f", missing.Stripe, missing.Block)) })
+
+	rep, err := rc.store.Scrub(ctx, "f", len(rc.data), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Torn, []int{st}) {
+		t.Errorf("torn stripes %v, want [%d]", rep.Torn, st)
+	}
+	if want := []BlockRef{missing, {Stripe: st, Block: gone}}; !slices.Equal(rep.Missing, want) {
+		t.Errorf("missing %v, want %v", rep.Missing, want)
+	}
+	if want := []BlockRef{rotten, missing}; !slices.Equal(rep.Repaired, want) {
+		t.Errorf("repaired %v, want %v", rep.Repaired, want)
+	}
+	for _, ref := range []BlockRef{rotten, missing} {
+		if got, _ := rc.stored(t, ref.Stripe, ref.Block); !bytes.Equal(got, rc.encode(t, rc.data, ref.Stripe)[ref.Block]) {
+			t.Errorf("stripe %d block %d: the repaired block is not the one the code encodes", ref.Stripe, ref.Block)
+		}
+	}
+	srv := rc.servers[gone]
+	srv.mu.RLock()
+	_, held := srv.blocks[BlockName("f", st, gone)]
+	srv.mu.RUnlock()
+	if held {
+		t.Error("the torn stripe's missing block was rebuilt")
 	}
 }

@@ -154,7 +154,9 @@ type repairJob struct {
 // chunk of every stripe in one exchange, so a repair batch is at most
 // batchBytes/(d·chunk) stripes; a read batch is at most
 // batchBytes/(k·blockSize) consecutive stripes, so one source's exchange
-// carries at most batchBytes/k; either is never fewer than one stripe. Why
+// carries at most batchBytes/k; a scrub batch is at most
+// batchBytes/blockSize stripes, so one server checksums at most batchBytes
+// for one verify exchange; none is ever fewer than one stripe. Why
 // 8 MiB: a full lap of the benchmark's 43,680-byte blocks at (12,6,10,10)
 // is 11·87,360 B ≈ 0.9 MiB, so the lap is what binds a repair up to blocks
 // of about 380 KB there, and a read of the benchmark's 8 MiB files (32
@@ -169,14 +171,13 @@ const batchBytes = 8 << 20
 // and Scrub run at once. Why 2: a repair pass is CPU-bound, so more
 // single-stripe repairs in flight bought nothing; what a second batch buys
 // is overlap — one batch's exchanges are on the wire while the other
-// decodes (for a write, encodes) — and a third would only hold more
-// memory. Small batches (a scrub's scattered blocks, each with its own
-// failed index, large blocks cut down by batchBytes, or a cached read's
-// one-stripe misses) get more of them: batchWidth keeps about
-// stripesInFlight stripes in flight, as reads and repairs one stripe at a
-// time did. The batches in flight are also the recovery wave that can meet
-// a dead helper before the newcomer's pool remembers it:
-// batchesInFlight·(n−1) stripes when the batches are full laps.
+// decodes (a write encodes, a scrub's servers checksum) — and a third
+// would only hold more memory. Small batches (a scrub's repairs of
+// scattered blocks, large blocks cut down by batchBytes, or a cached
+// read's one-stripe misses) get more: batchWidth keeps about
+// stripesInFlight stripes in flight. The batches in flight are also the
+// recovery wave that can meet a dead helper before the newcomer's pool
+// remembers it: batchesInFlight·(n−1) stripes when they are full laps.
 const batchesInFlight = 2
 
 // batchWidth is how many of a pass's batches run at once: batchesInFlight,
@@ -571,31 +572,23 @@ func (r *stripeRepair) finish() error {
 }
 
 // recheck is the fallback of a stripe whose rebuilt block does not match
-// its stripe records: it asks every helper to verify its block with
-// opVerify, which is what each would have done before computing its chunk
-// without a record, and which counts rot where it lives. A helper that
-// does not answer intact is struck from the stripe, its chunk dropped;
-// one that does is trusted, as a verified chunk always was. When none is
-// struck the block stands — records that disagree with intact blocks are
-// a stripe torn between two writes — and recheck reports false. Otherwise
-// the stripe is repaired again, as a batch of its own, and the outcome of
-// that, which has already stored the block, is recheck's error.
+// its stripe records: it asks every helper to verify its block, as each
+// would have before computing its chunk without a record. A helper that
+// does not answer intact is struck from the stripe, its chunk dropped.
+// When none is struck the block stands — records that disagree with
+// intact blocks are a stripe torn between two writes, which Scrub reports
+// — and recheck reports false. Otherwise the stripe is repaired again, as
+// a batch of its own, whose outcome, the block stored, is recheck's error.
 func (r *stripeRepair) recheck() (again bool, err error) {
 	s, ctx := r.s, r.ctx
 	_, sp := obs.StartSpan(ctx, "recheck")
 	sp.SetAttr("stripe", r.st).SetAttr("helpers", len(r.helpers))
-	verdicts := make([]error, len(r.helpers))
-	var wg sync.WaitGroup
-	for k, h := range r.helpers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			verdicts[k] = s.pool.WithClient(ctx, s.addrs[h], func(c *Client) error {
-				return c.Verify(ctx, BlockName(r.file, r.st, h))
-			})
-		}()
-	}
-	wg.Wait()
+	verdicts := fanOut(len(r.helpers), func(k int) error {
+		h := r.helpers[k]
+		return s.pool.WithClient(ctx, s.addrs[h], func(c *Client) error {
+			return c.Verify(ctx, BlockName(r.file, r.st, h))
+		})
+	})
 	kept := 0
 	for k, h := range r.helpers {
 		if verdicts[k] == nil {

@@ -717,3 +717,39 @@ func TestRecoverBatchStrikesOnlyTheBadBlock(t *testing.T) {
 		t.Errorf("traffic %d bytes, want stripes·d·chunk = %d and nothing for the failed names", rep.TrafficBytes, want)
 	}
 }
+
+// TestScrubIsOneVerifyPerServerPerBatch is the counted claim behind Scrub
+// riding batches: a 32-stripe file at (12,6,10,10) is one batch, so its
+// scrub is one verify exchange per server — 12, against one per block,
+// 384, before — and no verify answer carries a payload.
+func TestScrubIsOneVerifyPerServerPerBatch(t *testing.T) {
+	const stripes = 32
+	pc := newPlannedCluster(t, 12, 6, 10, 10, stripes)
+	n := pc.code.N()
+	if per := pc.store.scrubBatchSize("f", stripes); per < stripes {
+		t.Fatalf("a scrub batch holds %d stripes, want the file's %d", per, stripes)
+	}
+	var tx0 int64
+	for _, srv := range pc.servers {
+		tx0 += srv.bytesTx.Load()
+	}
+	verifies0 := servedExchanges(opVerify)
+	rep, err := pc.store.Scrub(context.Background(), "f", len(pc.data), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BlocksChecked != stripes*n || len(rep.Corrupt)+len(rep.Missing)+len(rep.Unreachable)+len(rep.Torn) != 0 {
+		t.Fatalf("scrub of a whole file: %+v", *rep)
+	}
+	if got := servedExchanges(opVerify) - verifies0; got != int64(n) {
+		t.Errorf("%d verify exchanges, want one per server: %d", got, n)
+	}
+	waitIdle(pc.servers)
+	var tx int64
+	for _, srv := range pc.servers {
+		tx += srv.bytesTx.Load()
+	}
+	if tx != tx0 {
+		t.Errorf("the verify answers carried %d payload bytes, want none", tx-tx0)
+	}
+}

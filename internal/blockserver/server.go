@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -82,8 +83,8 @@ type connState struct {
 	arr  [][]byte      // gather-list backing for vectored responses, cleared after each
 	iov  net.Buffers   // per-reply view into arr, consumed by the write
 
-	answer []byte        // a range or chunk answer's meta: the verdict vector, then the OK names' CRC32Cs
-	blocks []storedBlock // the blocks a range or chunk answer is served from, cleared after it
+	answer []byte        // a range, chunk or verify answer's meta: the verdict vector, then the OK names' entries
+	blocks []storedBlock // the blocks a range, chunk or verify answer is served from, cleared after it
 	parts  [][]byte      // a range answer's slices of those blocks, or a put's blocks; cleared after it
 	stored []storedBlock // a put's blocks as they are committed, cleared after it
 }
@@ -98,8 +99,9 @@ func (s *Server) reply(cs *connState, op, st byte, payload []byte) error {
 	return s.send(cs, op, frame.Header{Kind: st, Len: len(payload), CRC: Checksum(payload)}, payload)
 }
 
-// send is reply for a header the caller has filled in: a range or chunk
-// answer, whose verdicts and CRCs ride in the meta, or a rebuild answer.
+// send is reply for a header the caller has filled in: a range, chunk or
+// verify answer, whose verdicts and entries ride in the meta, or a rebuild
+// answer.
 // The payload is the concatenation of the parts, which leave after the
 // header in the same vectored write.
 func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte) error {
@@ -125,15 +127,8 @@ func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte)
 // and checked, combined, against that put's frame CRC, and the stripe
 // record that put sent for it, if any: the whole-block CRC32C of every
 // block of its stripe. The granules are all one size, so the grain is
-// len(data)/len(crcs). A range is answered with its CRC combined from
-// these, reading no content to checksum except a granule it covers only in
-// part, which is verified whole first; the reader verifies what lands
-// against that CRC, so bit rot in what is read is caught there, and
-// reported back. A chunk of a block whose record has an entry per block of
-// the server's code is computed without reading the block first and sent
-// with the record, so the newcomer that repairs from it catches rot in
-// what it rebuilds, and asks for a verify. Verify, and chunk of a block
-// with no such record, check the whole block granule by granule.
+// len(data)/len(crcs). Who checks a block against them, and when, is in
+// the package comment.
 type storedBlock struct {
 	data []byte
 	crcs []uint32
@@ -426,21 +421,17 @@ func spanChild(ctx context.Context, name string) *obs.Span {
 }
 
 // handle dispatches one verified request; protocol errors close the
-// connection, application errors are reported in-band. The name is
-// connection scratch, only valid until the next request — arms that retain
-// it (put, delete) convert it to a string.
-//
-// When the request carries a trace context, the whole request runs under a
-// remote-parented "server.<op>" span whose children (verify, decode)
-// record where the server side of the exchange spent its time; the span
-// tree joins the client's via the wire trace ID.
+// connection, application errors are reported in-band. The names are
+// connection scratch, only valid until the next request. A traced request
+// runs under a remote-parented "server.<op>" span whose children (verify,
+// decode) record where the server side of the exchange spent its time.
 func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
-	op, name := h.Kind, m.name
+	op := h.Kind
 	ctx := context.Background()
-	if m.trace != 0 && known(op) {
+	if m.trace != 0 { // an unknown op's meta is not read: it has none
 		var sp *obs.Span
 		ctx, sp = s.tr().StartRemote(ctx, "server."+opNames[op], m.trace, m.parent)
-		sp.SetAttr("block", string(name))
+		sp.SetAttr("block", string(m.name))
 		defer sp.End()
 	}
 	switch op {
@@ -450,7 +441,7 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		}
 		return s.reply(cs, op, statusOK, nil)
 
-	case opRange, opChunk:
+	case opRange, opChunk, opVerify:
 		return s.answerNames(ctx, cs, op, m)
 
 	case opRebuild:
@@ -458,22 +449,12 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 
 	case opDelete:
 		s.mu.Lock()
-		delete(s.blocks, string(name))
-		s.mu.Unlock()
-		return s.reply(cs, op, statusOK, nil)
-
-	case opVerify:
-		// A scrub primitive: re-checksum the block server-side without
-		// shipping its content. statusOK means intact.
-		s.mu.RLock()
-		b, found := s.blocks[string(name)]
-		s.mu.RUnlock()
-		switch {
-		case !found:
-			return s.reply(cs, op, statusNotFound, name)
-		case s.verify(ctx, b.check) != statusOK:
-			return s.reply(cs, op, statusCorrupt, name)
+		for list := m.names; len(list) > 0; {
+			var name []byte
+			name, list = nextName(list)
+			delete(s.blocks, string(name))
 		}
+		s.mu.Unlock()
 		return s.reply(cs, op, statusOK, nil)
 
 	default:
@@ -552,34 +533,36 @@ func granuleCRCs(data []byte, grain int, crcs []uint32) (crc uint32) {
 	return crc
 }
 
-// recorded reports whether a chunk of b for the failed block may be
-// computed without verifying b: its stripe record has an entry for every
-// block of the server's code, failed among them, and goes with the chunk.
-func (s *Server) recorded(b storedBlock, failed int) bool {
-	return len(b.rec) == s.code.N() && failed < len(b.rec)
+// record is the stripe record a chunk or verify answer carries for b: its
+// own, if it has an entry per block of the server's code. A chunk of a
+// block with one is computed without verifying the block.
+func (s *Server) record(b storedBlock) []uint32 {
+	if s.code == nil || len(b.rec) != s.code.N() {
+		return nil
+	}
+	return b.rec
 }
 
-// answerNames answers a range or chunk request, the two ops that name a
-// list of blocks sharing one pair of arguments. The named blocks are looked
-// up first, under one read lock, and what they could cost — for each, the
-// larger of its block, which may be checksummed, and its answer — is
-// checked against maxPayload before any of them is checksummed or anything
-// is sized, so a request that repeats one name cannot make the server
-// checksum, allocate or send more than an answer may carry; nor may it
-// name more blocks than an answer's meta has room for a verdict and an
-// entry each (entryLen). Each block found then earns a verdict: a range
-// outside its block, or a chunk's block whose size differs from the first
-// OK one's, is statusError; a range of length 0 reads to its blocks' end,
-// its length the first OK block's remainder, and a block whose remainder
-// differs is statusError too. A range's CRC is combined from the block's
-// granule CRCs, with a granule it covers only in part verified first; a
-// chunk's block is verified whole before the chunk is computed from it
-// unless its stripe record goes with the chunk instead (recorded), and the
-// chunk is checksummed. The OK answers follow in request order, their
-// entries after the verdicts in the meta and their CRCs' combine the
-// frame's payload CRC: a range answer is the blocks' own slices, sent with
-// the header in one vectored write, and a chunk answer is computed into one
-// pooled payload.
+// appendRecord appends a stripe record to an answer meta: w(1) crc(4)×w.
+func appendRecord(dst []byte, rec []uint32) []byte {
+	dst = append(dst, byte(len(rec)))
+	for _, c := range rec {
+		dst = binary.BigEndian.AppendUint32(dst, c)
+	}
+	return dst
+}
+
+// answerNames answers a range, chunk or verify request, the ops whose
+// answer is a verdict per name (see the package comment). The named blocks
+// are looked up first, under one read lock, and what they could cost — for
+// each, the larger of its block, which may be checksummed, and its answer
+// — is checked against maxPayload before any of them is checksummed or
+// anything is sized, so a request that repeats one name cannot make the
+// server checksum, allocate or send more than an answer may carry; nor may
+// it name more blocks than an answer's meta has room for a verdict and an
+// entry each (entryLen). A range answer is the blocks' own slices, sent
+// with the header in one vectored write, and a chunk answer is computed
+// into one pooled payload.
 func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqMeta) error {
 	if op == opChunk && s.code == nil {
 		return s.reply(cs, op, statusError, []byte("server has no code configured"))
@@ -629,8 +612,10 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		st := statusOK
 		var crc uint32
 		switch {
+		case op == opVerify:
+			st = s.verify(ctx, b.check)
 		case op == opChunk:
-			if !s.recorded(b, int(m.args[1])) {
+			if s.record(b) == nil {
 				st = s.verify(ctx, b.check)
 			}
 			if st == statusOK && ok > 0 && len(b.data) != size {
@@ -652,14 +637,20 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 			}
 			cs.blocks[ok] = b // compacted in place: ok <= i
 			ok++
-			if op == opRange {
+			switch op {
+			case opRange:
 				cs.answer = binary.BigEndian.AppendUint32(cs.answer, crc)
 				payloadCRC = comb.Combine(payloadCRC, crc, length)
+			case opVerify:
+				cs.answer = appendRecord(cs.answer, s.record(b))
 			}
 		}
 		cs.answer[i] = st
 	}
-	if op == opRange {
+	switch op {
+	case opVerify:
+		return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer})
+	case opRange:
 		cs.parts = cs.parts[:0]
 		defer func() { clear(cs.parts) }()
 		for _, b := range cs.blocks[:ok] {
@@ -684,27 +675,28 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		crc := Checksum(out[i*chunkSize : (i+1)*chunkSize])
 		cs.answer = binary.BigEndian.AppendUint32(cs.answer, crc)
 		payloadCRC = comb.Combine(payloadCRC, crc, chunkSize)
-		if !s.recorded(b, failed) {
-			cs.answer = append(cs.answer, 0)
-			continue
-		}
-		cs.answer = append(cs.answer, byte(len(b.rec)))
-		for _, c := range b.rec {
-			cs.answer = binary.BigEndian.AppendUint32(cs.answer, c)
-		}
+		cs.answer = appendRecord(cs.answer, s.record(b))
 	}
 	return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer, Len: len(out), CRC: payloadCRC}, out)
 }
 
-// entryLen is the most an OK name's entry after the verdicts of an answer
-// meta may take: its CRC, and in a chunk answer a record of n CRCs and its
-// width.
+// entryLen is the most an OK name's entry in an answer meta may take: a
+// range's CRC, a verify's record of n CRCs and its width, or a chunk's both.
 func (s *Server) entryLen(op byte) int {
-	if op == opChunk {
-		return 5 + 4*s.code.N()
+	rec := 1
+	if s.code != nil {
+		rec += 4 * s.code.N()
 	}
-	return 4
+	switch op {
+	case opRange:
+		return 4
+	case opVerify:
+		return rec
+	}
+	return 4 + rec
 }
+
+var errClosing = errors.New("blockserver: server is closing")
 
 // repairEngine is a newcomer's Store for the rebuilds it is asked for: a
 // Store over a Pool of its own, for one engine key (the addresses, block
@@ -721,12 +713,15 @@ type repairEngine struct {
 // caller as one of its users: the server's current engine when the key
 // matches, else a new one, which replaces it (the old one closes when its
 // last user is done, or at once if it has none). A server that was never
-// started, or is closing, builds none: it dials nobody.
+// started, or is closing (errClosing), builds none: it dials nobody.
 func (s *Server) engine(rb *rebuildMeta) (*repairEngine, error) {
 	s.lnMu.Lock()
-	serving := s.ln != nil
+	started, closing := s.ln != nil, s.closed
 	s.lnMu.Unlock()
-	if !serving {
+	switch {
+	case closing:
+		return nil, errClosing
+	case !started:
 		return nil, fmt.Errorf("server is not serving")
 	}
 	s.engMu.Lock()
@@ -769,10 +764,11 @@ func rebuildMargin(budget time.Duration) time.Duration {
 // to this server's map, under the request's budget less rebuildMargin and
 // only until the server closes, and answers each stripe's verdict,
 // winning traffic and failure text, and each helper's winning chunks. A
-// server with no code, one not serving, a batch whose answer would
-// overflow a meta, or a request no engine can be built for (a block size
-// the code cannot split) is answered statusError before anything is
-// dialed.
+// server with no code, one never started, a batch whose answer would
+// overflow a meta, or a request no engine can be built for is answered
+// statusError before anything is dialed. A closing server drops the
+// connection instead, so the coordinator retries on a fresh one, with
+// whatever server then listens at the address.
 func (s *Server) rebuild(ctx context.Context, cs *connState, rb *rebuildMeta) error {
 	count, n := len(rb.req.Stripes), len(rb.req.Addrs)
 	if s.code == nil {
@@ -782,6 +778,9 @@ func (s *Server) rebuild(ctx context.Context, cs *connState, rb *rebuildMeta) er
 		return s.reply(cs, opRebuild, statusError, fmt.Appendf(nil, "%d stripes' and %d helpers' answers overflow an answer meta", count, n))
 	}
 	eng, err := s.engine(rb)
+	if errors.Is(err, errClosing) {
+		return err
+	}
 	if err != nil {
 		return s.reply(cs, opRebuild, statusError, []byte(err.Error()))
 	}

@@ -48,9 +48,8 @@ var (
 )
 
 // stripesInFlight is how many stripes a WriteFile batch carries, each
-// server's put exchange carrying a block of every one, and how many
-// stripes Scrub's verify phase hands to pipeline at once (reads and
-// repairs size their batches by bytes instead, and keep at least this many
+// server's put exchange carrying a block of every one (reads, repairs and
+// scrubs size their batches by bytes instead, and keep at least this many
 // stripes in flight: batchWidth). Why 4: enough to hide one stripe's
 // network round trip behind its neighbours' encode or decode,
 // without flooding the peer set — a stripe in flight holds up to n pooled
@@ -228,6 +227,22 @@ func pipeline(ctx context.Context, n, depth int, fn func(ctx context.Context, i 
 	return errs, launched
 }
 
+// fanOut runs fn(i) for each i in [0, n), each on a goroutine of its own,
+// and waits for every call: errs[i] is call i's result.
+func fanOut(n int, fn func(i int) error) (errs []error) {
+	errs = make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
 // pipelineErr picks the failure a pipeline pass reports, and the item it
 // belongs to. A failing item cancels its neighbours, so the lowest-index
 // error is often a knock-on context.Canceled; the root cause is the first
@@ -313,21 +328,14 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 	}()
 	// The batch's stripe records, one slice: stripe j's at j·n.
 	crcs, recs := make([]uint32, m*n), make([][]uint32, m)
-	errs := make([]error, m)
-	var wg sync.WaitGroup
 	for j := range slabs {
 		slabs[j], recs[j] = bufpool.Get(n*bs), crcs[j*n:(j+1)*n:(j+1)*n]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[j] = s.encodeStripe(data, lo+j, slabs[j], recs[j])
-		}()
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	if err := errors.Join(fanOut(m, func(j int) error {
+		return s.encodeStripe(data, lo+j, slabs[j], recs[j])
+	})...); err != nil {
 		return err
 	}
-	errs = make([]error, n)
 	names, blocks, bcrcs := make([]string, n*m), make([][]byte, n*m), make([]uint32, n*m)
 	sent := recs // a put meta's record width is one byte: at n = 256 the blocks go without
 	if n > math.MaxUint8 {
@@ -337,16 +345,12 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 		for j, slab := range slabs {
 			names[i*m+j], blocks[i*m+j], bcrcs[i*m+j] = BlockName(name, lo+j, i), slab[i*bs:(i+1)*bs], recs[j][i]
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
-				return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m], bcrcs[i*m:(i+1)*m], sent)
-			})
-		}()
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return errors.Join(fanOut(n, func(i int) error {
+		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
+			return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m], bcrcs[i*m:(i+1)*m], sent)
+		})
+	})...)
 }
 
 // encodeStripe encodes stripe st of data into slab's n blocks, and
@@ -1236,6 +1240,11 @@ type ScrubReport struct {
 	// (dial failure or timeout); they cannot be verified or repaired in
 	// place until the server returns or is replaced.
 	Unreachable []BlockRef
+	// Torn lists the stripes whose intact blocks carry different stripe
+	// records, as a WriteFile that died between two servers' puts leaves
+	// them. Their broken blocks are listed but not repaired: rebuilt from
+	// helpers of two versions, such a block would match neither.
+	Torn []int
 	// Repaired lists blocks regenerated during the pass.
 	Repaired []BlockRef
 	// TrafficBytes counts repair bytes moved across the network.
@@ -1244,11 +1253,11 @@ type ScrubReport struct {
 
 // Scrub audits every block of the file with server-side checksum probes
 // (no block content crosses the network) and, when repair is true,
-// regenerates each corrupt or missing block from d helper chunks — the
-// route by which read-time corruption detection feeds back into
-// redundancy restoration. Verify probes are pipelined across stripes
-// (stripesInFlight stripes probe concurrently), and the repairs run
-// through the recovery engine's batches, grouped by failed index.
+// regenerates each corrupt or missing block of a stripe that is not torn
+// from d helper chunks, through the recovery engine's batches. Its stripes
+// run in batches (scrubBatch) through the pipeline, each one verify
+// exchange per server. A verdict is data: an unreachable server is a line
+// in the report, and only the caller's context ending fails the scrub.
 func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (*ScrubReport, error) {
 	stripes, err := s.stripesOf(name, size)
 	if err != nil {
@@ -1259,55 +1268,40 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	sp.SetAttr("file", name).SetAttr("stripes", stripes)
 	defer sp.End()
 	rep := &ScrubReport{}
-	// Verify phase: stripe st+1's probes overlap stripe st's. Verdicts land
-	// in a per-stripe slot, so the report below reads them in deterministic
-	// (stripe, block) order no matter how the probes interleaved. A verdict
-	// is data, not a failure of the stage, so the stage only stops early
-	// when the caller's context ends.
-	verdicts := make([][]error, stripes)
-	errs, launched := pipeline(ctx, stripes, stripesInFlight, func(ctx context.Context, st int) error {
-		v := make([]error, n)
-		var wg sync.WaitGroup
-		for i := range v {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Probes ride the shared pool: one parked client per peer
-				// serves the whole scrub instead of a dial per probe.
-				v[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
-					return c.Verify(ctx, BlockName(name, st, i))
-				})
-			}()
-		}
-		wg.Wait()
-		verdicts[st] = v
+	// The report reads the per-block slots in (stripe, block) order.
+	per := s.scrubBatchSize(name, stripes)
+	batches := (stripes + per - 1) / per
+	verdicts, torn := make([]error, stripes*n), make([]bool, stripes)
+	errs, launched := pipeline(ctx, batches, batchWidth(stripes, batches), func(ctx context.Context, b int) error {
+		s.scrubBatch(ctx, name, b*per, min((b+1)*per, stripes), verdicts, torn)
 		return nil
 	})
-	if st, err := pipelineErr(ctx, errs, launched); err != nil {
-		return rep, fmt.Errorf("blockserver: scrub verify stripe %d: %w", st, err)
+	if b, err := pipelineErr(ctx, errs, launched); err != nil {
+		return rep, fmt.Errorf("blockserver: scrub verify stripe %d: %w", b*per, err)
 	}
 	var broken []repairJob
-	for st, vs := range verdicts {
-		for i, v := range vs {
+	for st := range stripes {
+		if torn[st] {
+			rep.Torn = append(rep.Torn, st)
+		}
+		for i, v := range verdicts[st*n : (st+1)*n] {
 			rep.BlocksChecked++
 			ref := BlockRef{Stripe: st, Block: i}
 			switch {
 			case v == nil:
+				continue
 			case errors.Is(v, ErrCorrupt):
 				rep.Corrupt = append(rep.Corrupt, ref)
-				broken = append(broken, repairJob{file: name, ref: ref})
 			case errors.Is(v, ErrNotFound):
 				rep.Missing = append(rep.Missing, ref)
-				broken = append(broken, repairJob{file: name, ref: ref})
-			default:
-				// The overall deadline expiring fails the scrub; one
-				// unreachable server does not — its blocks are recorded
-				// and skipped, since repair needs the home server up to
-				// accept the regenerated block.
-				if ctx.Err() != nil {
-					return rep, fmt.Errorf("blockserver: scrub verify stripe %d block %d: %w", st, i, v)
-				}
+			case ctx.Err() != nil:
+				return rep, fmt.Errorf("blockserver: scrub verify stripe %d block %d: %w", st, i, v)
+			default: // not repaired: its home server must be up to store it
 				rep.Unreachable = append(rep.Unreachable, ref)
+				continue
+			}
+			if !torn[st] {
+				broken = append(broken, repairJob{file: name, ref: ref})
 			}
 		}
 	}
@@ -1323,4 +1317,51 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 		return rep, fmt.Errorf("blockserver: scrub repair %w", err)
 	}
 	return rep, nil
+}
+
+// scrubBatchSize is the most stripes a scrub batch holds: as many as keep
+// each server's checked blocks within batchBytes, its request's names
+// within one meta and its answer's verdicts and stripe records within
+// another, and never fewer than one.
+func (s *Store) scrubBatchSize(file string, stripes int) int {
+	n := s.code.N()
+	name := 2 + len(BlockName(file, stripes-1, n-1)) // the longest of the file's names
+	return max(1, min(batchBytes/s.blockSize, (math.MaxUint16-2-traceLen)/name, math.MaxUint16/(2+4*n)))
+}
+
+// scrubBatch asks each server, in one verify exchange, for the verdicts
+// and stripe records of its blocks of stripes [lo, hi). Block i of stripe
+// st's verdict — or the exchange's own error — lands in verdicts[st·n+i],
+// and torn[st] is set when two intact blocks' records differ.
+func (s *Store) scrubBatch(ctx context.Context, file string, lo, hi int, verdicts []error, torn []bool) {
+	n, m := s.code.N(), hi-lo
+	// Server i's names, records (room for n CRCs each) and verdicts are
+	// slots i·m to (i+1)·m.
+	names, recs, vs, slab := make([]string, n*m), make([][]uint32, n*m), make([]error, n*m), make([]uint32, n*m*n)
+	for k := range names {
+		names[k], recs[k] = BlockName(file, lo+k%m, k/m), slab[k*n:k*n:(k+1)*n]
+	}
+	errs := fanOut(n, func(i int) error {
+		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
+			return c.Verifies(ctx, names[i*m:(i+1)*m], recs[i*m:(i+1)*m], vs[i*m:(i+1)*m])
+		})
+	})
+	for j := range m {
+		st := lo + j
+		var first []uint32
+		for i := range n {
+			v, rec := vs[i*m+j], recs[i*m+j]
+			if errs[i] != nil {
+				v = errs[i]
+			}
+			verdicts[st*n+i] = v
+			switch {
+			case v != nil || len(rec) == 0:
+			case first == nil:
+				first = rec
+			case !slices.Equal(rec, first):
+				torn[st] = true
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -56,9 +57,11 @@ func leastAlloc(runs int, f func()) int64 {
 	return least
 }
 
-// TestPutIngestIsExactSize pins the server's ingest: a warm Put costs the
-// process one payload-sized allocation — the slice the block map retains —
-// and nothing size-classed or pooled on top of it.
+// TestPutIngestIsExactSize pins the server's ingest: a warm Put of a new
+// name, with no spare buffer to land in, costs the process one
+// payload-sized allocation — the slice the block map retains — and nothing
+// size-classed or pooled on top of it; a warm Put that replaces a block
+// lands in the buffer of the block it replaced and allocates none.
 func TestPutIngestIsExactSize(t *testing.T) {
 	servers, addrs := startServers(t, nil, 1)
 	ctx := context.Background()
@@ -72,25 +75,33 @@ func TestPutIngestIsExactSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 32
-	got := totalAlloc(func() {
-		for i := 0; i < rounds; i++ {
-			if err := c.Put(ctx, "blk", payload); err != nil {
-				t.Fatal(err)
+	puts := func(name func(i int) string) int64 {
+		return totalAlloc(func() {
+			for i := 0; i < rounds; i++ {
+				if err := c.Put(ctx, name(i), payload); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	})
-	if per, block := got/rounds, heapSize(benchBlock); per < block || per > block+1024 {
-		t.Errorf("a warm %d-byte Put allocates %d bytes, want one exact-size slice (%d) plus at most 1 KiB", benchBlock, per, block)
+		}) / rounds
 	}
-	if _, stored, _ := servers[0].Stats(); stored != benchBlock {
-		t.Errorf("server holds %d bytes, want %d", stored, benchBlock)
+	if per, block := puts(func(i int) string { return fmt.Sprint("new", i) }), heapSize(benchBlock); per < block || per > block+1024 {
+		t.Errorf("a warm %d-byte Put of a new name allocates %d bytes, want one exact-size slice (%d) plus at most 1 KiB", benchBlock, per, block)
+	}
+	rewrite := func(int) string { return "blk" }
+	puts(rewrite) // its first Put finds no spare
+	if per := puts(rewrite); per > 1024 {
+		t.Errorf("a warm %d-byte Put over a stored block allocates %d bytes, want at most 1 KiB: no block", benchBlock, per)
+	}
+	if _, stored, _ := servers[0].Stats(); stored != (1+rounds)*benchBlock {
+		t.Errorf("server holds %d bytes, want %d", stored, (1+rounds)*benchBlock)
 	}
 }
 
-// TestWriteFileAllocs pins the write path: beyond the n exact-size blocks
-// per stripe the servers must retain, a warm WriteFile of an 8-stripe file
-// allocates at most a tenth of the file's bytes — encode output, padding
-// scratch and wire buffers are all pooled.
+// TestWriteFileAllocs pins the write path: a warm rewrite of an 8-stripe
+// file allocates less than 5% of the block bytes it stores at the servers
+// — encode output, padding scratch and wire buffers are all pooled, and
+// each server lands a put's blocks in the buffers of the blocks they
+// replace. Allocating the blocks afresh cost some 112%.
 func TestWriteFileAllocs(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -113,21 +124,23 @@ func TestWriteFileAllocs(t *testing.T) {
 	}
 	write() // dial, fill the pools
 	write()
-	retained := int64(stripes*code.N()) * heapSize(benchBlock)
-	if extra, limit := totalAlloc(write)-retained, int64(len(data)/10); extra > limit {
-		t.Errorf("a warm WriteFile of %d bytes allocates %d bytes beyond the servers' %d, want at most %d",
-			len(data), extra, retained, limit)
+	stored := int64(stripes * code.N() * benchBlock)
+	if got := totalAlloc(write); got*20 >= stored {
+		t.Errorf("a warm rewrite of %d bytes allocates %d bytes, %.1f%% of the %d block bytes it stores, want under 5%%",
+			len(data), got, 100*float64(got)/float64(stored), stored)
 	}
-	// Per stripe: n blocks on the servers, and some 17 small objects per Put
-	// — spans on both ends of the traced RPC, closures, the block name.
+	// Per stripe: some 17 small objects per Put — spans on both ends of the
+	// traced RPC, closures, the block name.
 	if n := testing.AllocsPerRun(5, write); n > 256*stripes {
 		t.Errorf("a warm WriteFile of %d stripes allocates %.0f times, want at most %d", stripes, n, 256*stripes)
 	}
 }
 
-// TestRepairAllocs pins the rebuild path: helper chunks, the regenerated
-// block and the wire buffers are pooled, so beyond the one exact-size block
-// the home server must retain, a warm Repair allocates less than a block.
+// TestRepairAllocs pins the rebuild path: helper chunks and the wire
+// buffers are pooled, so beyond the one exact-size block the home server
+// rebuilds into, a warm Repair allocates less than a block. That block is
+// allocated afresh, never a spare of a retired one: a spare would already
+// hold the bytes a rebuild that failed to write them is checked against.
 func TestRepairAllocs(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -158,8 +171,8 @@ func TestRepairAllocs(t *testing.T) {
 			repair()
 		}
 	})
-	if extra := got/rounds - heapSize(benchBlock); extra >= benchBlock {
-		t.Errorf("a warm Repair allocates %d bytes beyond the rebuilt block the server keeps, want less than one block (%d)",
+	if extra := got/rounds - heapSize(benchBlock); extra < 0 || extra >= benchBlock {
+		t.Errorf("a warm Repair allocates %d bytes beyond the rebuilt block the server keeps, want from 0 (a fresh block) to less than one block (%d)",
 			extra, benchBlock)
 	}
 }

@@ -127,13 +127,22 @@ func TestBlackholedSourceCostsOneHedgePerBatch(t *testing.T) {
 	}
 }
 
+// dropSpares empties the server's spare list, the one holder of retired
+// blocks' buffers that is meant to keep them.
+func (s *Server) dropSpares() {
+	s.spareMu.Lock()
+	s.spares = nil
+	s.spareMu.Unlock()
+}
+
 // TestBatchScratchRetainsNothing: the scratch a batch exchange leaves on a
 // pooled client (the answer's landing list) and on a server connection
-// (the blocks it served from) is cleared as the exchange filled it. So
-// once a ReadFile's caller lets go of the result, nothing parked keeps it
-// alive, and a block deleted after a batch served it is freed. A deferred
-// clear of the scratch as it stood before the appends kept both: every
-// parked client held a read's output buffer.
+// (the blocks it served from, which it pins) is cleared as the exchange
+// filled it. So once a ReadFile's caller lets go of the result, nothing
+// parked keeps it alive, and a block deleted after a batch served it is
+// freed once the server's spare list lets go of it. A deferred clear of
+// the scratch as it stood before the appends kept both: every parked
+// client held a read's output buffer.
 func TestBatchScratchRetainsNothing(t *testing.T) {
 	pc := newPlannedCluster(t, 12, 6, 10, 10, 4)
 	// freed waits for the finalizer set on an object to run, collecting as
@@ -164,7 +173,9 @@ func TestBatchScratchRetainsNothing(t *testing.T) {
 		runtime.SetFinalizer(&data[0], func(*byte) { close(out) })
 	}()
 	freed("a returned ReadFile's output", out)
+	waitIdle(pc.servers[:1]) // the batch's answer has unpinned the block
 	deleteBlock(t, pc.addrs[0], name)
+	pc.servers[0].dropSpares()
 	freed("a deleted block a batch served", block)
 }
 

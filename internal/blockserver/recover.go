@@ -527,8 +527,11 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 }
 
 // finish decodes the stripe's lost block from its d chunks straight into
-// an exact-size block — the newcomer's map keeps it, as it keeps a put's —
-// and checksums it granule by granule while it is still in cache: its
+// a fresh exact-size block — the newcomer's map keeps it, as it keeps a
+// put's, but never a spare of a retired block: a recovery deletes the very
+// blocks it rebuilds, so a spare could already hold the bytes the rebuild
+// is checked against and hide a decode that failed to write them — and
+// checksums it granule by granule while it is still in cache: its
 // at-rest checksums, whose combine is the block's CRC32C. When a chunk
 // came from a helper that did not verify its block, that CRC must match
 // what each such chunk's stripe record says the block is, or the stripe

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,10 +130,18 @@ func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte)
 // block of its stripe. The granules are all one size, so the grain is
 // len(data)/len(crcs). Who checks a block against them, and when, is in
 // the package comment.
+//
+// hold, shared by every copy of the value, counts the answers reading the
+// block and carries the retired flag, set once the block has left the map
+// (Server.drop). Every read of data outside s.mu happens under a pin
+// (answerNames), because a retired block's buffer is recycled — a later
+// put's payload lands in it — by whichever of the retiring drop and the
+// last unpin sees the block retired with no readers.
 type storedBlock struct {
 	data []byte
 	crcs []uint32
 	rec  []uint32
+	hold *atomic.Int64
 }
 
 // grain is the length of each of the block's granules.
@@ -224,6 +233,10 @@ type Server struct {
 
 	mu     sync.RWMutex
 	blocks map[string]storedBlock
+
+	// spares are the buffers of retired blocks that a put may land in.
+	spareMu sync.Mutex
+	spares  [][]byte
 
 	lnMu   sync.Mutex
 	ln     net.Listener // nil until started, and again once closing
@@ -452,7 +465,7 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		for list := m.names; len(list) > 0; {
 			var name []byte
 			name, list = nextName(list)
-			delete(s.blocks, string(name))
+			s.drop(name)
 		}
 		s.mu.Unlock()
 		return s.reply(cs, op, statusOK, nil)
@@ -463,30 +476,28 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 }
 
 // ingest stores a put's blocks, all or none. A payload that does not split
-// into count equal blocks is refused before anything is allocated. Each
-// block is allocated at exactly its size and never pooled: the block map
-// retains it for as long as the block lives, and a handler serving the
-// block it replaces may still be writing the old slice to its socket. The
-// one pass that lands the blocks checksums each granule by granule, and
-// the frame CRC is checked against their combination before any block is
-// stored; the granule CRCs and the stripe records the meta carried, one
-// slice for the whole put, become the blocks' at-rest checksums, and
-// commit stores them.
+// into count equal blocks is refused before any buffer is taken. Each block
+// lands in a buffer of exactly its size, a spare of a retired block when
+// the server has one (take) — every byte of it is overwritten by the
+// payload read — and a put whose payload fails to land recycles them, as
+// nothing else has seen them. The one pass that lands the blocks checksums
+// each granule by granule, and the frame CRC is checked against their
+// combination before any block is stored; the granule CRCs and the stripe
+// records the meta carried, one slice for the whole put, become the
+// blocks' at-rest checksums, and commit stores them.
 func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	if h.Len%m.count != 0 {
 		return fmt.Errorf("blockserver: %d-byte put payload for %d blocks", h.Len, m.count)
 	}
 	size := h.Len / m.count
-	cs.parts = cs.parts[:0]
+	cs.parts = s.take(cs.parts[:0], m.count, size)
 	defer func() { clear(cs.parts) }()
-	for range m.count {
-		cs.parts = append(cs.parts, make([]byte, size))
-	}
 	grain := s.grain(size)
 	per := frame.Granules(size, grain)
 	crcs := make([]uint32, m.count*(per+m.w))
 	grains, recs := crcs[:m.count*per], crcs[m.count*per:]
 	if err := cs.fr.PayloadCRCs(h, grain, grains, cs.parts...); err != nil {
+		s.recycle(cs.parts...)
 		return err
 	}
 	for i := range recs {
@@ -508,16 +519,78 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 // commit stores each block under its name in list, a validated name list,
 // all under one lock: the one way a block enters the map, for a put's
 // blocks (ingest) and for a block a newcomer rebuilt (stripeRepair.finish).
-// Each block is an exact-size allocation of its own, with its granule CRCs
-// and its stripe record, which the map keeps for as long as it lives.
+// Each block is an exact-size buffer of its own, with its granule CRCs
+// and its stripe record, which the map keeps for as long as it lives; it
+// gets its hold here, and the block it replaces is retired (drop).
 func (s *Server) commit(list []byte, blocks []storedBlock) {
+	holds := make([]atomic.Int64, len(blocks))
 	s.mu.Lock()
-	for _, b := range blocks {
+	for i, b := range blocks {
 		var name []byte
 		name, list = nextName(list)
+		s.drop(name)
+		b.hold = &holds[i]
 		s.blocks[string(name)] = b
 	}
 	s.mu.Unlock()
+}
+
+// drop removes the block stored under name, if any, and retires it: its
+// buffer is recycled now if no answer is reading it, else by the last
+// unpin. s.mu must be held for writing, so no answer pins it after.
+func (s *Server) drop(name []byte) {
+	b, ok := s.blocks[string(name)]
+	if !ok {
+		return
+	}
+	delete(s.blocks, string(name))
+	if b.hold.Add(retired) == retired {
+		s.recycle(b.data)
+	}
+}
+
+// retired is the flag in a storedBlock's hold; the readers count below it.
+const retired = 1 << 32
+
+// unpin ends one answer's read of b, recycling its buffer when b has been
+// retired and this was its last reader. A block not found has no hold.
+func (s *Server) unpin(b storedBlock) {
+	if b.hold != nil && b.hold.Add(-1) == retired {
+		s.recycle(b.data)
+	}
+}
+
+// spareBlocks bounds a server's spare list: about the blocks one WriteFile
+// has in flight at a server, a put of stripesInFlight blocks in each of
+// batchesInFlight batches.
+const spareBlocks = stripesInFlight * batchesInFlight
+
+// recycle puts buffers no block and no answer holds any more on the spare
+// list, which forgets its oldest buffers beyond spareBlocks.
+func (s *Server) recycle(bufs ...[]byte) {
+	s.spareMu.Lock()
+	defer s.spareMu.Unlock()
+	s.spares = append(s.spares, bufs...)
+	if over := len(s.spares) - spareBlocks; over > 0 {
+		s.spares = slices.Delete(s.spares, 0, over)
+	}
+}
+
+// take appends n size-byte buffers to dst, the newest spares of that size
+// first and fresh allocations after them.
+func (s *Server) take(dst [][]byte, n, size int) [][]byte {
+	s.spareMu.Lock()
+	for i := len(s.spares) - 1; i >= 0 && n > 0; i-- {
+		if len(s.spares[i]) == size {
+			dst, n = append(dst, s.spares[i]), n-1
+			s.spares = slices.Delete(s.spares, i, i+1)
+		}
+	}
+	s.spareMu.Unlock()
+	for range n {
+		dst = append(dst, make([]byte, size))
+	}
+	return dst
 }
 
 // granuleCRCs checksums data granule by granule into crcs, one per grain
@@ -571,9 +644,15 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names' verdicts, CRCs and records overflow an answer meta", m.count))
 	}
 	cs.answer, cs.blocks = cs.answer[:0], cs.blocks[:0]
-	// The scratch must not keep deleted blocks alive. The closure clears the
+	// Every block found is pinned until the answer has left. The scratch
+	// must not keep deleted blocks alive: the closure unpins and clears the
 	// slice as the appends below leave it, not as it was when deferred.
-	defer func() { clear(cs.blocks) }()
+	defer func() {
+		for _, b := range cs.blocks {
+			s.unpin(b)
+		}
+		clear(cs.blocks)
+	}()
 	off, length := int(m.args[0]), int(m.args[1])
 	whole := op == opRange && length == 0
 	bound := 0
@@ -585,6 +664,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		st := statusNotFound
 		if found {
 			st = statusOK
+			b.hold.Add(1)
 			// Each block found may be checksummed whole, and no chunk is
 			// larger than its block; a range is at most its length.
 			cost := len(b.data)
@@ -635,7 +715,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 			if ok == 0 {
 				size = len(b.data)
 			}
-			cs.blocks[ok] = b // compacted in place: ok <= i
+			cs.blocks[ok], cs.blocks[i] = b, cs.blocks[ok] // compacted in place, ok <= i, keeping every pin
 			ok++
 			switch op {
 			case opRange:

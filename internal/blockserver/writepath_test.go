@@ -3,9 +3,11 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,5 +289,217 @@ func TestWriteFileCountsEveryBlockOnTheWire(t *testing.T) {
 	}
 	if got, want := cliBytesTx.Value()-tx0, int64(stripes*code.N()*blockSize); got != want {
 		t.Errorf("a %d-stripe write counted %d bytes sent, want stripes·n·blockSize = %d", stripes, got, want)
+	}
+}
+
+// dialClient dials addr for the length of the test.
+func dialClient(t *testing.T, addr string) *Client {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestAnswersPinTheirBlocks: a server recycles the buffer of a block a put
+// replaces or a delete removes into a later put, but only once no answer
+// is reading it. One client overwrites and deletes a few blocks in a loop,
+// each put landing one of a few known contents, while three others read
+// them in range, chunk and verify exchanges. Every name a read lands must
+// hold one whole known content (a range's bytes also match the CRC its
+// server sent, a chunk is that of a known content) and no verdict may be
+// ErrCorrupt: a buffer recycled under an answer would be overwritten while
+// the answer is being computed or sent.
+func TestAnswersPinTheirBlocks(t *testing.T) {
+	code, err := carousel.New(4, 2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every write the server makes waits first, so an answer's blocks
+	// leave over a window in which the writer puts and deletes again. The
+	// race detector sees neither a range answer's writev nor the assembly
+	// CRC and GF kernels, so the content checks below must catch a reuse.
+	in := faultnet.NewInjector()
+	in.SetDefault(faultnet.Policy{DelayWrite: 200 * time.Microsecond})
+	srv := NewServer(code)
+	addr, err := srv.StartListener(in.Wrap(ln))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	const helper, failed, rounds = 1, 0, 200
+	blockSize := code.BlockAlign() * 256
+	names := []string{"a", "b", "c", "d"}
+	contents := make([][]byte, 3)
+	chunks := make([][]byte, len(contents))
+	rng := rand.New(rand.NewSource(95))
+	for g := range contents {
+		contents[g] = make([]byte, blockSize)
+		rng.Read(contents[g])
+		chunks[g] = make([]byte, code.HelperChunkSize(blockSize))
+		if err := code.HelperChunkInto(helper, failed, contents[g], chunks[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	w := dialClient(t, addr)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	read := func(op string, exchange func(c *Client, dst [][]byte, verdicts []error) error, want [][]byte) {
+		c, dst, verdicts := dialClient(t, addr), make([][]byte, len(names)), make([]error, len(names))
+		for i := range dst {
+			dst[i] = make([]byte, len(want[0]))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				if err := exchange(c, dst, verdicts); err != nil {
+					t.Errorf("%s: %v", op, err)
+					return
+				}
+				for i, v := range verdicts {
+					switch {
+					case v == nil && !slices.ContainsFunc(want, func(w []byte) bool { return bytes.Equal(dst[i], w) }):
+						t.Errorf("%s of %s landed bytes of no content put", op, names[i])
+						return
+					case v != nil && !errors.Is(v, ErrNotFound):
+						t.Errorf("%s of %s: %v", op, names[i], v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	read("range", func(c *Client, dst [][]byte, verdicts []error) error {
+		return c.Ranges(ctx, names, 0, dst, verdicts)
+	}, contents)
+	read("chunk", func(c *Client, dst [][]byte, verdicts []error) error {
+		return c.Chunks(ctx, names, helper, failed, dst, nil, verdicts)
+	}, chunks)
+	read("verify", func(c *Client, dst [][]byte, verdicts []error) error {
+		return c.Verifies(ctx, names, nil, verdicts)
+	}, [][]byte{nil}) // a verify lands nothing
+	defer wg.Wait()
+	defer done.Store(true)
+	blocks := make([][]byte, len(names))
+	for r := range rounds {
+		for i := range blocks {
+			blocks[i] = contents[(r+i)%len(contents)]
+		}
+		if err := w.Puts(ctx, names, blocks, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Delete(ctx, names[r%len(names)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// holdListener's connections hold every Write of at least min bytes until
+// release is closed, telling held of the first.
+type holdListener struct {
+	net.Listener
+	min           int
+	held, release chan struct{}
+}
+
+func (l *holdListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdConn{Conn: c, l: l}, nil
+}
+
+type holdConn struct {
+	net.Conn
+	l *holdListener
+}
+
+func (c *holdConn) Write(p []byte) (int, error) {
+	if len(p) >= c.l.min {
+		select {
+		case c.l.held <- struct{}{}:
+		default:
+		}
+		<-c.l.release
+	}
+	return c.Conn.Write(p)
+}
+
+// spared reports whether buf is on the server's spare list.
+func (s *Server) spared(buf []byte) bool {
+	s.spareMu.Lock()
+	defer s.spareMu.Unlock()
+	return slices.ContainsFunc(s.spares, func(b []byte) bool { return &b[0] == &buf[0] })
+}
+
+// TestHeldAnswerKeepsItsBlock: a block deleted while an answer is still
+// writing it to its socket keeps its buffer out of the spare list, so the
+// put that follows lands elsewhere and the answer's bytes arrive intact;
+// once the answer has left, the buffer is spare.
+func TestHeldAnswerKeepsItsBlock(t *testing.T) {
+	const size = 4096
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := &holdListener{Listener: ln, min: size, held: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := NewServer(nil)
+	addr, err := srv.StartListener(hl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	var once sync.Once
+	release := func() { once.Do(func() { close(hl.release) }) }
+	t.Cleanup(release) // before Close, which waits for the held handler
+	ctx := context.Background()
+	w, r := dialClient(t, addr), dialClient(t, addr)
+	old := bytes.Repeat([]byte("o"), size)
+	if err := w.Put(ctx, "x", old); err != nil {
+		t.Fatal(err)
+	}
+	stored := func(name string) []byte {
+		srv.mu.RLock()
+		defer srv.mu.RUnlock()
+		return srv.blocks[name].data
+	}
+	buf := stored("x")
+	var got []byte
+	answered := make(chan error, 1)
+	go func() {
+		var err error
+		got, err = r.Get(ctx, "x")
+		answered <- err
+	}()
+	<-hl.held
+	if err := w.Delete(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put(ctx, "y", bytes.Repeat([]byte("n"), size)); err != nil {
+		t.Fatal(err)
+	}
+	if srv.spared(buf) || &stored("y")[0] == &buf[0] {
+		t.Error("the buffer of a deleted block an answer is writing was recycled")
+	}
+	release()
+	if err := <-answered; err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("held answer: %v, intact %v", err, bytes.Equal(got, old))
+	}
+	// The connection serves its next request only once the answer before
+	// it has unpinned its blocks.
+	if err := r.Verify(ctx, "y"); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.spared(buf) {
+		t.Error("the buffer of a deleted block is not spare once its last answer has left")
 	}
 }

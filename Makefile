@@ -171,11 +171,16 @@ bench-sweep:
 
 # The hot-read stripe cache: the S3-FIFO admission and singleflight unit
 # suites plus the store-level cache e2es (warm-read zero dials, error
-# fan-out, waiter cancellation, invalidation races), race-enabled, then a
-# short open-loop Zipf swarm A/B (cache-off vs cache-on, no JSON refresh).
+# fan-out, waiter cancellation, invalidation races), race-enabled; the
+# buffer-reuse tests ten times under -race (the hold and spare unit tests,
+# the content-checked churn under rewrites, a fetch into a poisoned
+# spare); then a short open-loop Zipf swarm A/B (cache-off vs cache-on,
+# no JSON refresh).
 swarm:
 	$(GO) test -race -count=2 ./internal/stripecache ./internal/workload
 	$(GO) test -race -run 'TestStoreCache' ./internal/blockserver
+	$(GO) test -race -count=10 -run 'TestHeldEntryStaysOffSpares|TestPutBufferNeverReachesAFlight|TestFinishedFlightPinsForItsWaiters|TestAbandonedFlightReleasesPin|TestSpareIsOverwritten' ./internal/stripecache
+	$(GO) test -race -count=10 -run 'TestStoreCacheChurnKeepsBytes|TestStoreCacheFetchOverwritesPoison' ./internal/blockserver
 	$(GO) run ./cmd/clusterbench -fig swarm -swarmdur 1s -swarmobjs 128
 
 # The swarm A/B at full length, rewriting BENCH_clusterbench.json:

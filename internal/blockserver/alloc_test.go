@@ -323,3 +323,82 @@ func TestPlanParallelismAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolCheckoutAllocs pins the checkout of a parked connection: Get
+// probes it for staleness (a MSG_PEEK through the RawConn the client kept
+// from its dial) and Put parks it again, allocating nothing — a small
+// read checks out p connections.
+func TestPoolCheckoutAllocs(t *testing.T) {
+	_, addrs := startServers(t, nil, 1)
+	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
+	t.Cleanup(pool.Close)
+	ctx := context.Background()
+	c, err := pool.Get(ctx, addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(ctx, "blk", []byte("parked")); err != nil { // dial
+		t.Fatal(err)
+	}
+	pool.Put(c)
+	n := testing.AllocsPerRun(100, func() {
+		c, err := pool.Get(ctx, addrs[0])
+		if err != nil || c.conn == nil {
+			t.Fatalf("checkout: err %v, connected %v", err, err == nil && c.conn != nil)
+		}
+		pool.Put(c)
+	})
+	if n != 0 {
+		t.Errorf("a warm checkout and return allocates %.1f times, want 0", n)
+	}
+}
+
+// TestStoreCacheMissAllocs pins the cold cached read: single-stripe
+// objects read round robin through a cache of two stripes a shard, so
+// most reads miss and each miss's flight evicts another stripe, allocate
+// at most 1.5 bytes per byte returned. That is the output buffer the
+// caller keeps, some 8 KB a read of spans, contexts and round bookkeeping
+// (0.34 B/B at this stripe), and no stripe: a miss's flight fetches into
+// the buffer of a stripe the cache evicted. A fresh stripe per miss cost
+// 2.15.
+func TestStoreCacheMissAllocs(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startServers(t, code, code.N())
+	const block, objects = 4095, 128 // the benchmark's swarm objects
+	stripe := code.K() * block
+	store, err := NewStore(code, addrs, block, WithStripeCache(int64(16*2*stripe)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	names := make([]string, objects)
+	data := make([]byte, stripe)
+	for o := range names {
+		names[o] = fmt.Sprint("o", o)
+		rand.New(rand.NewSource(int64(o))).Read(data)
+		if _, err := store.WriteFile(ctx, names[o], data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		for _, name := range names {
+			if _, _, err := store.ReadFile(ctx, name, stripe); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read() // dial, fill the pools and the cache
+	read()
+	hits := store.Cache().Stats().Hits
+	got := leastAlloc(3, read)
+	if h := store.Cache().Stats().Hits - hits; h > 3*objects/2 {
+		t.Fatalf("%d hits in %d reads, want mostly misses", h, 3*objects)
+	}
+	if ratio := float64(got) / float64(objects*stripe); ratio > 1.5 {
+		t.Errorf("a cold cached read allocates %.2f bytes per byte it returns, want at most 1.5", ratio)
+	}
+}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -366,6 +369,148 @@ func TestStoreCacheInvalidationRace(t *testing.T) {
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatalf("version %d pass %d: read served stale bytes after WriteFile returned", version, pass)
+			}
+		}
+	}
+}
+
+// TestStoreCacheChurnKeepsBytes checks buffer reuse by content: readers
+// churn single-stripe objects through a cache of about two stripes a
+// shard — every miss's flight fetches into the buffer of a stripe the
+// cache evicted — while a writer rewrites a few of them, and every
+// ReadFile must return one of its object's versions, by CRC. The race
+// detector flags a socket read into a buffer a hit or a waiter is still
+// copying out of only when nothing orders the copy first, and the stripe
+// cache's own atomic counters order most copies; an assembly kernel's
+// write (a degraded decode) it never sees. A torn or stale copy shows
+// here.
+//
+// A copy outlasts a fetch only when the thread doing it is descheduled, so
+// the test runs more Ps than this host may have cores, 240 KiB stripes,
+// and reads half of its reads from the rewritten objects, whose every
+// rewrite purges their cached stripes under whatever hit is copying them.
+func TestStoreCacheChurnKeepsBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	code := mustCode(t)
+	_, addrs := startServers(t, code, 12)
+	blockSize := code.BlockAlign() * 4096
+	stripe := 6 * blockSize
+	store, err := NewStore(code, addrs, blockSize,
+		WithClientOptions(fastOpts()), WithStripeCache(int64(16*2*stripe)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	ctx := context.Background()
+	const objects, rewritten, readers, reads = 64, 4, 8, 200
+	// A new version is written with its object locked, so no read sees a
+	// torn mid-write file; rewrites of the current bytes are not, so their
+	// purges race the object's readers.
+	type object struct {
+		mu   sync.RWMutex
+		data []byte
+		crcs []uint32
+	}
+	objs := make([]object, objects)
+	write := func(o, version int) {
+		obj := &objs[o]
+		if version%8 != 0 && obj.data != nil {
+			obj.mu.RLock()
+			defer obj.mu.RUnlock()
+		} else {
+			obj.mu.Lock()
+			defer obj.mu.Unlock()
+			obj.data = make([]byte, stripe-o) // the padding differs too
+			rand.New(rand.NewSource(int64(o*1000 + version))).Read(obj.data)
+			obj.crcs = append(obj.crcs, Checksum(obj.data))
+		}
+		if _, err := store.WriteFile(ctx, fmt.Sprint("o", o), obj.data); err != nil {
+			t.Errorf("object %d version %d: %v", o, version, err)
+		}
+	}
+	for o := range objs {
+		write(o, 0)
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for version := 1; ; version++ {
+			select {
+			case <-stop:
+				return
+			default:
+				write(version%rewritten, version/rewritten)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := range reads {
+				o := rng.Intn(objects)
+				if i%2 == 0 {
+					o %= rewritten
+				}
+				objs[o].mu.RLock()
+				got, _, err := store.ReadFile(ctx, fmt.Sprint("o", o), stripe-o)
+				ok := err == nil && slices.Contains(objs[o].crcs, Checksum(got))
+				objs[o].mu.RUnlock()
+				if !ok {
+					t.Errorf("object %d: err %v, or bytes of no version it was written with", o, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+	if st := store.Cache().Stats(); st.Evictions < objects || st.Hits == 0 {
+		t.Errorf("cache stats %+v: want churn (evictions >= %d) and hits", st, objects)
+	}
+}
+
+// TestStoreCacheFetchOverwritesPoison: the fetch a miss's flight runs,
+// readStripeInto, writes every byte of its buffer, which may be a spare
+// holding an evicted stripe — here poisoned with 0xFF — on the healthy
+// path and the degraded one, padding included.
+func TestStoreCacheFetchOverwritesPoison(t *testing.T) {
+	code := mustCode(t)
+	servers, addrs := startServers(t, code, 12)
+	blockSize := code.BlockAlign() * 4
+	stripe := 6 * blockSize
+	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	ctx := context.Background()
+	data := make([]byte, 2*stripe-100) // the second stripe is padded
+	rand.New(rand.NewSource(44)).Read(data)
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	want := append(slices.Clone(data), make([]byte, 100)...)
+	for _, path := range []string{"healthy", "degraded"} {
+		if path == "degraded" {
+			servers[2].Close()
+		}
+		for st := range 2 {
+			buf := bytes.Repeat([]byte{0xFF}, stripe)
+			stats := &ReadStats{mu: new(sync.Mutex)}
+			if err := store.readStripeInto(ctx, "f", st, buf, stats); err != nil {
+				t.Fatalf("%s stripe %d: %v", path, st, err)
+			}
+			if !bytes.Equal(buf, want[st*stripe:(st+1)*stripe]) {
+				t.Errorf("%s stripe %d: the fetch left bytes of the poisoned buffer", path, st)
+			}
+			if path == "degraded" && stats.StripesFallback != 1 {
+				t.Errorf("degraded stripe %d: stats %+v, want one fallback stripe", st, *stats)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"carousel/internal/bufpool"
@@ -22,7 +23,7 @@ import (
 // array indexes instead of an allocating varargs registry lookup; retries
 // and payload bytes each way are flat counters cached here. Latency
 // histograms are per peer, interned once per Client. Dials are counted by
-// the pool, per peer.
+// the pool, per peer, and by the ReadStats of the read they serve.
 var (
 	cliRetries = obs.Default().Counter("blockserver_client_retries_total")
 	cliBytesTx = obs.Default().Counter("blockserver_client_bytes_tx_total")
@@ -132,7 +133,8 @@ type Client struct {
 	addr string
 	opts Options
 	conn net.Conn
-	lat  *obs.Histogram // per-peer RPC latency, interned at construction
+	raw  syscall.RawConn // conn's, kept from the dial for peekStale; nil if conn has none
+	lat  *obs.Histogram  // per-peer RPC latency, interned at construction
 
 	peer *peer // the owning pool's slot set, told of dials and dial failures; nil outside a pool
 
@@ -144,6 +146,9 @@ type Client struct {
 	parts [][]byte      // a range, chunk or verify answer's landing list: the OK names' destinations
 	crcs  []uint32      // the CRC32Cs those landed under, one per OK name
 	one   oneName       // a one-name range, chunk or verify exchange's batch
+
+	probe       func(fd uintptr) bool // peekStale's probe of raw, bound once
+	peekedStale bool                  // the probe's verdict
 
 	// rotten names the blocks whose bytes the last exchange landed unlike
 	// the CRC their server sent for them; do reports them (see report).
@@ -215,8 +220,15 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, error) {
 	}
 	c.conn = conn
 	c.fr = frame.NewReader(conn, maxPayload)
+	c.raw = nil
+	if sc, ok := conn.(syscall.Conn); ok {
+		c.raw, _ = sc.SyscallConn()
+	}
 	if c.peer != nil {
 		c.peer.dialed()
+	}
+	if rs, ok := ctx.Value(readStatsKey{}).(*ReadStats); ok {
+		rs.dialed(c.addr)
 	}
 	return conn, nil
 }

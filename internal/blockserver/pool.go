@@ -215,20 +215,18 @@ func (p *Pool) Put(c *Client) {
 		return
 	}
 	p.mu.Lock()
-	pe := p.peers[c.addr]
-	if p.closed || pe == nil {
-		p.mu.Unlock()
-		c.Close()
-		return
-	}
-	select {
-	case pe.free <- c:
-	default: // foreign client beyond the peer's budget
-		p.mu.Unlock()
-		c.Close()
-		return
+	parked := false
+	if pe := p.peers[c.addr]; !p.closed && pe != nil {
+		select {
+		case pe.free <- c:
+			parked = true
+		default: // foreign client beyond the peer's budget
+		}
 	}
 	p.mu.Unlock()
+	if !parked {
+		c.Close()
+	}
 }
 
 // WithClient checks out a client for addr, runs fn, and returns it — the
@@ -286,7 +284,7 @@ func (p *Pool) reachable(ctx context.Context, addr string) bool {
 	return err == nil
 }
 
-// DialCounts snapshots per-peer dial totals — how tests and ReadStats
+// DialCounts snapshots per-peer dial totals — how tests and the benchmark
 // prove connection reuse.
 func (p *Pool) DialCounts() map[string]int64 {
 	p.mu.Lock()
@@ -329,7 +327,7 @@ func staleIdle(c *Client) bool {
 	if c.conn == nil {
 		return false // nothing to go stale; first call dials
 	}
-	if stale, ok := peekStale(c.conn); ok {
+	if stale, ok := peekStale(c); ok {
 		return stale
 	}
 	c.conn.SetReadDeadline(time.Now().Add(time.Millisecond))

@@ -2,10 +2,8 @@
 
 package blockserver
 
-import "net"
-
 // peekStale is unavailable without unix socket peeking; staleIdle falls
 // back to its deadline-bounded read probe.
-func peekStale(net.Conn) (stale, ok bool) {
+func peekStale(*Client) (stale, ok bool) {
 	return false, false
 }

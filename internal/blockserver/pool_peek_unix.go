@@ -2,40 +2,27 @@
 
 package blockserver
 
-import (
-	"net"
-	"syscall"
-)
+import "syscall"
 
-// peekStale probes conn with a non-blocking MSG_PEEK: nothing consumed,
-// nothing blocked on. ok reports whether the probe ran; when it did, stale
-// is true for readable bytes (the stream desynced while parked) and for
-// EOF or any socket error (the peer dropped the connection).
-func peekStale(conn net.Conn) (stale, ok bool) {
-	sc, isSC := conn.(syscall.Conn)
-	if !isSC {
-		return false, false
+// peekStale probes c's connection with a non-blocking MSG_PEEK through
+// the RawConn kept from its dial: nothing consumed, nothing blocked on,
+// nothing allocated. ok reports whether the probe ran (Read returns nil
+// only once it has); when it did, stale is true for readable bytes (the
+// stream desynced while parked) and for EOF or any socket error (the peer
+// dropped the connection).
+func peekStale(c *Client) (stale, ok bool) {
+	if c.probe == nil {
+		c.probe = c.peek // bound once: a method value per probe escapes into Read
 	}
-	raw, err := sc.SyscallConn()
-	if err != nil {
-		return false, false
-	}
-	probed := false
-	if cerr := raw.Read(func(fd uintptr) bool {
-		var b [1]byte
-		n, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-		probed = true
-		switch {
-		case n > 0:
-			stale = true // bytes nobody asked for: protocol desync
-		case err == syscall.EAGAIN || err == syscall.EWOULDBLOCK:
-			stale = false // healthy idle: nothing to read
-		default:
-			stale = true // EOF (n==0, err==nil) or socket error
-		}
-		return true // never wait for readability
-	}); cerr != nil || !probed {
-		return false, false
-	}
-	return stale, true
+	ok = c.raw != nil && c.raw.Read(c.probe) == nil
+	return ok && c.peekedStale, ok
+}
+
+// peek is the probe, run by RawConn.Read on the connection's descriptor.
+func (c *Client) peek(fd uintptr) bool {
+	var b [1]byte
+	n, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+	// Only "nothing to read" is a healthy idle connection; see peekStale.
+	c.peekedStale = n > 0 || (err != syscall.EAGAIN && err != syscall.EWOULDBLOCK)
+	return true // never wait for readability
 }

@@ -417,7 +417,7 @@ type ReadStats struct {
 	// however much of it had arrived.
 	BytesFetched int64
 	// Dials maps peer address to how many fresh TCP connections this read
-	// opened. A warm pooled read shows an empty map — every fetch reused a
+	// opened. A warm pooled read leaves it nil — every fetch reused a
 	// parked connection — which is what the reuse tests assert.
 	Dials map[string]int64
 	// TraceID identifies the read's span tree in the process tracer; fetch
@@ -427,7 +427,23 @@ type ReadStats struct {
 	// mu serializes the increment methods: with pipelined stripes several
 	// goroutines fold results into one ReadStats. A pointer keeps the
 	// struct copyable (tests format a dereferenced copy with %+v).
-	mu *sync.Mutex
+	mu   *sync.Mutex
+	done bool // set as ReadFile returns: a cache flight may outlive the read
+}
+
+// readStatsKey carries a ReadFile's ReadStats to the clients it dials.
+type readStatsKey struct{}
+
+// dialed charges a fresh connection to addr to the read.
+func (rs *ReadStats) dialed(addr string) {
+	rs.mu.Lock()
+	if !rs.done {
+		if rs.Dials == nil {
+			rs.Dials = make(map[string]int64)
+		}
+		rs.Dials[addr]++
+	}
+	rs.mu.Unlock()
 }
 
 // count bumps one of the per-call tallies above together with its
@@ -496,7 +512,7 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 		sloRead.ObserveSince(t0, rerr)
 	}()
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
-	dialsBefore := s.pool.DialCounts()
+	ctx = context.WithValue(ctx, readStatsKey{}, stats)
 	out := make([]byte, stripes*stripeData)
 	per := 1
 	if s.cache == nil {
@@ -517,7 +533,9 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 		}
 		return nil
 	})
-	stats.Dials = dialDelta(dialsBefore, s.pool.DialCounts())
+	stats.mu.Lock()
+	stats.done = true
+	stats.mu.Unlock()
 	if b, err := pipelineErr(ctx, errs, launched); err != nil {
 		if b == launched { // the caller's context ended before this batch began
 			err = fmt.Errorf("stripe %d: %w", b*per, err)
@@ -532,19 +550,6 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	vsp.End()
 	sp.SetAttr("path", stats.Path())
 	return out[:size], stats, nil
-}
-
-// dialDelta reports the per-peer dials that happened between two pool
-// snapshots, dropping zero entries (peers served entirely from parked
-// connections).
-func dialDelta(before, after map[string]int64) map[string]int64 {
-	d := make(map[string]int64)
-	for addr, v := range after {
-		if n := v - before[addr]; n > 0 {
-			d[addr] = n
-		}
-	}
-	return d
 }
 
 // readStripeCached serves one stripe through the stripe cache: a hit

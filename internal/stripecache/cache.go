@@ -15,7 +15,7 @@
 //     churns the small queue and cannot evict the resident hot set.
 //
 //   - Structural freshness: keys embed a per-file version counter.
-//     Writers bump the version (WriteFile, repair writeback, recovery),
+//     Writers bump the version (WriteFile, recovery's repair batches),
 //     which makes every cached stripe of the prior version unreachable in
 //     one atomic step — a stale hit is impossible by construction rather
 //     than by careful locking.
@@ -25,13 +25,14 @@
 //     out to every waiter, and a waiter whose context is cancelled
 //     detaches without poisoning the flight for the others.
 //
-// Entries are immutable []byte values allocated outside the buffer pool:
-// a hit takes a reference under the shard lock and copies outside it, and
-// eviction just drops the reference, so readers never race recycling and
-// the GC reclaims evicted stripes naturally.
+// Entries are []byte values outside the buffer pool, immutable while
+// resident: a hit pins its entry and copies outside the shard lock, and a
+// miss's flight fetches into the buffer of an entry the shard retired once
+// no reader pins it, so cold churn allocates no stripe bytes.
 package stripecache
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -45,13 +46,26 @@ type Key struct {
 	Version uint64
 }
 
-// entry is one resident stripe. data is immutable after insert; freq is
-// the S3-FIFO access counter (capped, decayed on main-queue laps).
+// entry is one resident stripe. data is immutable while resident; freq is
+// the S3-FIFO access counter (capped, decayed on main-queue laps); hold
+// counts the readers copying out of data (hits, a finished flight's
+// waiters) below its flags.
 type entry struct {
 	key  Key
 	data []byte
 	freq atomic.Int32
+	hold atomic.Int64
 }
+
+// The hold's flags: retired is set by removeLocked, after which no hit
+// pins the entry, and whichever of it and the last unpin sees "retired, no
+// readers" spares the buffer, onto a list of at most maxSpares a shard;
+// foreign marks a caller's buffer (Put), which the cache never reuses.
+const (
+	retired   = 1 << 32
+	foreign   = 1 << 40
+	maxSpares = 2
+)
 
 // maxFreq caps the access counter so one burst of popularity cannot make
 // an entry immortal: it survives at most maxFreq main-queue laps without
@@ -72,6 +86,7 @@ type shard struct {
 	bytes     int64 // resident bytes (small + main)
 
 	flights map[Key]*flight
+	spares  [][]byte // buffers of retired owned entries, for the next flight
 }
 
 // Stats is a point-in-time view of one cache instance.
@@ -211,24 +226,59 @@ func (c *Cache) Get(file string, stripe int, dst []byte) bool {
 	key := Key{File: file, Stripe: stripe, Version: c.Version(file)}
 	s := c.shardFor(key)
 	s.mu.Lock()
-	e := s.items[key]
-	var data []byte
-	if e != nil && len(e.data) == len(dst) {
-		if f := e.freq.Load(); f < maxFreq {
-			e.freq.Store(f + 1)
-		}
-		data = e.data
-	}
+	e := s.pinLocked(key, len(dst))
 	s.mu.Unlock()
-	if data == nil {
+	if e == nil {
 		c.misses.Add(1)
 		return false
 	}
-	// data is immutable and eviction only drops references, so copying
-	// outside the lock is safe and keeps the critical section tiny.
-	copy(dst, data)
+	copy(dst, e.data) // outside the lock: the pin keeps the buffer off the spare list
+	s.unpin(e)
 	c.hits.Add(1)
 	return true
+}
+
+// pinLocked is a hit: it counts the reference and pins the entry.
+func (s *shard) pinLocked(key Key, size int) *entry {
+	e := s.items[key]
+	if e == nil || len(e.data) != size {
+		return nil
+	}
+	if f := e.freq.Load(); f < maxFreq {
+		e.freq.Store(f + 1)
+	}
+	e.hold.Add(1)
+	return e
+}
+
+// unpin ends a copy; the last reader out of a retired entry spares it.
+func (s *shard) unpin(e *entry) {
+	if e.hold.Add(-1) == retired {
+		s.mu.Lock()
+		s.spareLocked(e.data)
+		s.mu.Unlock()
+	}
+}
+
+// spareLocked keeps a buffer the cache made, if the list has room.
+func (s *shard) spareLocked(b []byte) {
+	if len(s.spares) < maxSpares {
+		s.spares = append(s.spares, b)
+	}
+}
+
+// buffer is a flight's: the newest spare of its size, else a fresh one.
+func (s *shard) buffer(size int) []byte {
+	s.mu.Lock()
+	for i := len(s.spares) - 1; i >= 0; i-- {
+		if b := s.spares[i]; len(b) == size {
+			s.spares = slices.Delete(s.spares, i, i+1)
+			s.mu.Unlock()
+			return b
+		}
+	}
+	s.mu.Unlock()
+	return make([]byte, size)
 }
 
 // Put inserts a decoded stripe under the file's current version. The
@@ -236,21 +286,25 @@ func (c *Cache) Get(file string, stripe int, dst []byte) bool {
 // must not be mutated afterwards. Oversized entries (larger than a
 // shard's budget) are not admitted.
 func (c *Cache) Put(file string, stripe int, data []byte) {
-	c.put(Key{File: file, Stripe: stripe, Version: c.Version(file)}, data)
+	c.put(Key{File: file, Stripe: stripe, Version: c.Version(file)}, data, foreign)
 }
 
-func (c *Cache) put(key Key, data []byte) {
+// put inserts data under key with the given hold — a flight's stripe
+// comes in pinned, before eviction can reach it — and returns its entry,
+// nil if it was not admitted.
+func (c *Cache) put(key Key, data []byte, hold int64) *entry {
 	size := int64(len(data))
 	if size == 0 || size > c.perShard {
-		return
+		return nil
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.items[key]; ok {
-		return // raced with another insert of the same stripe
+		return nil // raced with another insert of the same stripe
 	}
 	e := &entry{key: key, data: data}
+	e.hold.Store(hold)
 	s.items[key] = e
 	// S3-FIFO admission: keys remembered by the ghost list earned a main
 	// slot (they were evicted from probation and missed again); everything
@@ -265,6 +319,7 @@ func (c *Cache) put(key Key, data []byte) {
 	c.bytes.Add(size)
 	c.inserts.Add(1)
 	c.evictLocked(s)
+	return e
 }
 
 // evictLocked brings the shard back under budget: probation evicts first
@@ -310,7 +365,7 @@ func (c *Cache) evictLocked(s *shard) {
 }
 
 // removeLocked drops a resident entry from the shard map and the byte
-// accounting; its FIFO slot is skipped lazily when the queue reaches it.
+// accounting, and retires it; its FIFO slot is skipped lazily.
 func (c *Cache) removeLocked(s *shard, key Key) {
 	e, ok := s.items[key]
 	if !ok {
@@ -321,6 +376,9 @@ func (c *Cache) removeLocked(s *shard, key Key) {
 	s.bytes -= size
 	c.bytes.Add(-size)
 	c.evictions.Add(1)
+	if e.hold.Add(retired) == retired {
+		s.spareLocked(e.data)
+	}
 }
 
 // addGhostLocked remembers an evicted probationary key in the bounded

@@ -5,12 +5,15 @@ import (
 )
 
 // flight is one in-progress coalesced fetch+decode. All bookkeeping is
-// guarded by the owning shard's mutex; data and err are published by the
-// close of done and read-only afterwards.
+// guarded by the owning shard's mutex; data, err and entry are published
+// by the close of done and read-only afterwards.
 type flight struct {
 	done chan struct{}
 	data []byte
 	err  error
+	// entry is the stripe the flight inserted (nil if not admitted),
+	// pinned until the last waiter detaches or, with none left, it ends.
+	entry *entry
 
 	// waiters counts callers currently blocked on done (the creator
 	// included). When the last one detaches — result delivered or context
@@ -43,13 +46,10 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 
 	// Fast path: resident entry.
 	s.mu.Lock()
-	if e := s.items[key]; e != nil && len(e.data) == len(dst) {
-		if f := e.freq.Load(); f < maxFreq {
-			e.freq.Store(f + 1)
-		}
-		data := e.data
+	if e := s.pinLocked(key, len(dst)); e != nil {
 		s.mu.Unlock()
-		copy(dst, data)
+		copy(dst, e.data)
+		s.unpin(e)
 		c.hits.Add(1)
 		return true, false, nil
 	}
@@ -73,12 +73,11 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 
 	select {
 	case <-f.done:
-		c.detach(s, key, f)
-		if f.err != nil {
-			return false, coalescedWaiter, f.err
+		if f.err == nil {
+			copy(dst, f.data) // before detaching: the flight's pin covers it
 		}
-		copy(dst, f.data)
-		return false, coalescedWaiter, nil
+		c.detach(s, key, f)
+		return false, coalescedWaiter, f.err
 	case <-ctx.Done():
 		c.detach(s, key, f)
 		return false, coalescedWaiter, ctx.Err()
@@ -89,39 +88,51 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 // and retires the flight so later misses start fresh.
 func (c *Cache) runFlight(fctx context.Context, s *shard, key Key, f *flight,
 	size int, fetch func(ctx context.Context, dst []byte) error) {
-	// The buffer is allocated outside the pool on purpose: on success it
-	// becomes the immutable cache entry, shared by reference.
-	buf := make([]byte, size)
+	// The buffer is outside the pool: on success it becomes the cache
+	// entry. fetch must write all of it: a spare holds an evicted stripe.
+	buf := s.buffer(size)
 	err := fetch(fctx, buf)
+	var e *entry
 	if err == nil {
-		c.put(key, buf)
+		e = c.put(key, buf, 1)
 	}
 	s.mu.Lock()
-	f.data, f.err = buf, err
+	if err != nil {
+		s.spareLocked(buf) // no waiter reads a failed flight's data
+	}
+	f.data, f.err, f.entry = buf, err, e
 	f.finished = true
+	abandoned := f.waiters == 0
 	if s.flights[key] == f {
 		delete(s.flights, key)
 	}
 	s.mu.Unlock()
 	close(f.done)
+	if abandoned && e != nil {
+		s.unpin(e)
+	}
 }
 
 // detach removes one waiter from a flight. The last waiter out cancels
 // the fetch context: if the flight already finished that only releases
-// the context's resources, and if every waiter abandoned a still-running
-// flight it aborts a fetch nobody wants. A dying flight is removed from
-// the shard's flight table under the same lock, so a caller arriving
-// after the abort starts a fresh flight instead of joining a poisoned
-// one.
+// the context's resources and the flight's pin, and if every waiter
+// abandoned a still-running flight it aborts a fetch nobody wants. A
+// dying flight is removed from the shard's flight table under the same
+// lock, so a caller arriving after the abort starts a fresh flight
+// instead of joining a poisoned one.
 func (c *Cache) detach(s *shard, key Key, f *flight) {
 	s.mu.Lock()
 	f.waiters--
 	last := f.waiters == 0
-	if last && !f.finished && s.flights[key] == f {
+	finished := f.finished
+	if last && !finished && s.flights[key] == f {
 		delete(s.flights, key)
 	}
 	s.mu.Unlock()
 	if last {
 		f.cancel()
+		if finished && f.entry != nil {
+			s.unpin(f.entry)
+		}
 	}
 }

@@ -82,12 +82,14 @@ recover:
 # The one read path, repeated under the race detector: batched reads (one
 # range exchange per source per batch round, counted at the servers),
 # per-name verdicts striking one stripe, a slow-everywhere cluster read
-# unhedged, a black-holed source costing one hedge per batch, the one read
+# unhedged, a black-holed source costing one hedge per batch (and no
+# more while every client of it is out: a checkout ends at the hedge), the one read
 # plan on three executors, degraded reads and their trace, the stripe
 # cache's batches of one, server spans stitched under the batch's fetch,
-# cancellation: it interrupts an exchange, races its completion
-# without leaving a deadline on a parked connection, and costs a client
-# no goroutine; the granule checksums: a range's CRC combined from
+# and none anywhere for a read its caller does not trace; cancellation: it
+# interrupts an exchange, and every exchange of a round through the
+# round's one hook, races its completion without leaving a deadline on a
+# parked connection, and costs a client no goroutine; the granule checksums: a range's CRC combined from
 # the stored granule CRCs, rot in every granule caught by the reader (or,
 # in a granule a range covers in part, by the server) and counted at the
 # server, and the counted claim that a unit-aligned read costs the
@@ -97,7 +99,7 @@ recover:
 # nothing in it; and the rot report: every name one exchange lands rotten
 # goes back to its server in one verify exchange.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare

@@ -12,6 +12,7 @@ import (
 	"carousel/internal/blockserver"
 	"carousel/internal/carousel"
 	"carousel/internal/master"
+	"carousel/internal/obs"
 )
 
 // cmdCluster talks to a carouselmaster control plane: status prints the
@@ -146,7 +147,10 @@ func cmdClusterGet(args []string) error {
 	var stats *blockserver.ReadStats
 	cacheHits := 0
 	for i := 0; i < *count; i++ {
-		data, stats, err = st.ReadFile(ctx, fileName, rep.Size)
+		// Each pass roots a trace of its own; the last one's ID is printed.
+		tctx, root := obs.StartSpan(ctx, "carouselctl.get")
+		data, stats, err = st.ReadFile(tctx, fileName, rep.Size)
+		root.End()
 		if err != nil {
 			return fmt.Errorf("reading %q (pass %d of %d): %w", fileName, i+1, *count, err)
 		}

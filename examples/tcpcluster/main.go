@@ -95,9 +95,12 @@ func main() {
 
 	// Kill server 5 and read again: the stripes that meet the dead source
 	// re-plan around it (parity-unit patches: p = n leaves no spare block)
-	// and the pool remembers it for the stripes that follow.
+	// and the pool remembers it for the stripes that follow. The read is
+	// traced: its span tree is on /debug/traces under the printed ID.
 	servers[5].Close()
-	got, stats, err = store.ReadFile(ctx, "demo", len(data))
+	tctx, root := obs.StartSpan(ctx, "tcpcluster.degraded_read")
+	got, stats, err = store.ReadFile(tctx, "demo", len(data))
+	root.End()
 	if err != nil {
 		fatal("degraded read failed", "err", err)
 	}

@@ -88,6 +88,67 @@ func TestCancelInterruptsExchange(t *testing.T) {
 	}
 }
 
+// TestRoundCancelInterruptsEveryExchange is the promise of DESIGN §7 for
+// a Store round, whose exchanges share one cancellation hook: the caller
+// cancels while every source of a read is black-holed, and the read
+// returns context.Canceled at once, long before the hedge and the I/O
+// deadline. Every client the round held comes back without its
+// connection, none parked with its deadline in the past, and the next
+// read, with no retry to hide a bad connection, returns the right bytes.
+func TestRoundCancelInterruptsEveryExchange(t *testing.T) {
+	code := mustCode(t)
+	_, addrs, injectors := startFaultServers(t, code, code.N())
+	blockSize := code.BlockAlign() * 4
+	opts := Options{IOTimeout: 10 * time.Second, Retry: retry.Policy{Attempts: 1}}
+	store, err := NewStore(code, addrs, blockSize, WithClientOptions(opts), WithHedgeDelay(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	bg := context.Background()
+	data := bytes.Repeat([]byte("round"), code.K()*blockSize/5)
+	if _, err := store.WriteFile(bg, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.ReadFile(bg, "f", len(data)); err != nil { // park a connection per source
+		t.Fatal(err)
+	}
+
+	for i := range code.P() {
+		injectors[i].SetDefault(faultnet.Policy{Blackhole: true})
+	}
+	ctx, cancel := context.WithCancel(bg)
+	timer := time.AfterFunc(50*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	_, _, err = store.ReadFile(ctx, "f", len(data))
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled read: err %v, want context.Canceled", err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("canceled read returned after %v, want < 1s (the hedge is 5s, IOTimeout 10s)", elapsed)
+	}
+	for i := range code.P() {
+		injectors[i].SetDefault(faultnet.Policy{})
+		pe := store.pool.peers[addrs[i]]
+		parked := make([]*Client, cap(pe.free))
+		for k := range parked {
+			parked[k] = <-pe.free
+			if c := parked[k]; c != nil && c.conn != nil {
+				t.Errorf("source %d: a client of the canceled round is parked with its connection", i)
+			}
+		}
+		for _, c := range parked {
+			pe.free <- c
+		}
+	}
+	got, _, err := store.ReadFile(bg, "f", len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the canceled one: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
 // TestCancelRacesCompletion checks what a Client costs in goroutines:
 // after calls under a cancellable context, none, even while it is checked
 // out. Then it cancels fast exchanges at about the moment each completes

@@ -127,8 +127,9 @@ func (o Options) withDefaults() Options {
 // the client's own, response headers land in the frame reader's scratch,
 // and answers land in the caller's memory or come from the shared buffer
 // pool (hand them back with Recycle). A cancellable context costs one
-// context.AfterFunc registration per exchange (see attempt). A Client owns
-// no goroutine, checked out or parked.
+// context.AfterFunc registration per exchange, but a Store round's
+// exchanges share one (see attempt). A Client owns no goroutine, checked
+// out or parked.
 type Client struct {
 	addr string
 	opts Options
@@ -254,13 +255,75 @@ func inBand(err error) bool {
 // nothing: the op, its names, the op's integer arguments and the trace
 // context do stages from the caller's span. The names ride in batch, a
 // pointer, so the request every RPC copies down its call chain stays
-// small; a rebuild carries rb instead.
+// small; a rebuild carries rb instead, and a Store round's exchange its
+// round's hook and hedge: no attempt starts, and none runs, past the
+// hedge, which is a deadline value and not a context's, so it costs no
+// timer unless the exchange has to wait (bounded).
 type request struct {
 	op            byte
 	args          [2]uint32
 	trace, parent uint64
 	batch         *nameBatch
 	rb            *rebuildCall
+	hook          *roundHook
+	hedge         time.Time
+}
+
+// err is ctx's error, or context.DeadlineExceeded once r's hedge has
+// passed.
+func (r *request) err(ctx context.Context) error {
+	if err := ctx.Err(); err != nil || r.hedge.IsZero() || time.Now().Before(r.hedge) {
+		return err
+	}
+	return context.DeadlineExceeded
+}
+
+// bounded is ctx ending at r's hedge too, for what waits on ctx — a dial,
+// a retry's backoff, a rot report — none of which a healthy exchange does.
+func (r *request) bounded(ctx context.Context) (context.Context, context.CancelFunc) {
+	if r.hedge.IsZero() {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, r.hedge)
+}
+
+// roundHook is a Store round's one cancellation hook, in place of one per
+// exchange: an attempt holds its connection under it for the exchange, and
+// once the round's context ends (expire), every connection held then or
+// later has its deadline moved into the past.
+type roundHook struct {
+	mu    sync.Mutex
+	fired bool
+	conns []net.Conn
+}
+
+// hold puts conn under the hook for an exchange, expiring its deadline at
+// once if the hook has fired.
+func (h *roundHook) hold(conn net.Conn) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.conns = append(h.conns, conn)
+	if h.fired {
+		conn.SetDeadline(time.Unix(1, 0))
+	}
+}
+
+// drop takes conn off the hook and reports whether the hook has fired.
+func (h *roundHook) drop(conn net.Conn) (fired bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.conns = slices.DeleteFunc(h.conns, func(c net.Conn) bool { return c == conn })
+	return h.fired
+}
+
+// expire is the hook, run once the round's context ends.
+func (h *roundHook) expire() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.fired = true
+	for _, conn := range h.conns {
+		conn.SetDeadline(time.Unix(1, 0))
+	}
 }
 
 // rebuildCall is a rebuild exchange: its request, the budget each attempt
@@ -336,7 +399,7 @@ func (c *Client) do(ctx context.Context, r request) error {
 	}
 	var err error
 	for i := 0; i < attempts; i++ {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := r.err(ctx); cerr != nil {
 			if err == nil {
 				err = cerr
 			}
@@ -346,14 +409,17 @@ func (c *Client) do(ctx context.Context, r request) error {
 		if err == nil || !retryable(err) || i == attempts-1 {
 			break
 		}
-		if !c.opts.Retry.Wait(ctx, i+1) {
+		wctx, cancel := r.bounded(ctx)
+		waited := c.opts.Retry.Wait(wctx, i+1)
+		cancel()
+		if !waited {
 			break
 		}
 		cliRetries.Inc()
 	}
 	if err == nil {
 		cliBytesTx.Add(int64(r.sent()))
-	} else if c.peer != nil && ctx.Err() == nil {
+	} else if c.peer != nil && r.err(ctx) == nil {
 		// The retry policy ended without a connection and the caller is
 		// still waiting: the peer, not the caller's patience, is the cause.
 		var de *dialError
@@ -366,7 +432,9 @@ func (c *Client) do(ctx context.Context, r request) error {
 		c.lat.ObserveSince(start)
 	}
 	if len(c.rotten) > 0 {
-		c.report(ctx)
+		rctx, cancel := r.bounded(ctx)
+		c.report(rctx)
+		cancel()
 	}
 	return err
 }
@@ -386,31 +454,42 @@ func (c *Client) report(ctx context.Context) {
 
 // attempt runs a single guarded exchange. Canceling ctx interrupts its
 // in-flight I/O — per-source cancellation for hedged reads — by expiring
-// the connection deadline from a context.AfterFunc hook. Contexts that can
-// never be canceled need no hook (the I/O deadline still bounds the
-// exchange).
+// the connection deadline from a context.AfterFunc hook, or from r's
+// round hook. Contexts that can never be canceled need no hook (the I/O
+// deadline, or r's hedge, still bounds the exchange).
 func (c *Client) attempt(ctx context.Context, r request) error {
-	conn, err := c.ensure(ctx)
-	if err != nil {
-		return classify(err)
+	conn := c.conn
+	if conn == nil {
+		dctx, cancel := r.bounded(ctx)
+		var err error
+		conn, err = c.ensure(dctx)
+		cancel()
+		if err != nil {
+			return classify(err)
+		}
 	}
 	deadline := time.Now().Add(c.opts.IOTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
+	}
+	if !r.hedge.IsZero() && r.hedge.Before(deadline) {
+		deadline = r.hedge
 	}
 	conn.SetDeadline(deadline)
 	if r.rb != nil {
 		r.rb.budget = time.Until(deadline)
 	}
 	var stop func() bool
-	if ctx.Done() != nil {
+	if r.hook != nil {
+		r.hook.hold(conn)
+	} else if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	}
-	err = c.exchange(conn, r)
+	err := c.exchange(conn, r)
 	// A hook that has started may expire the deadline at any moment from
 	// here on, so its connection is dropped even after a good exchange: a
 	// late deadline never reaches a parked connection.
-	hooked := stop != nil && !stop()
+	hooked := stop != nil && !stop() || r.hook != nil && r.hook.drop(conn)
 	if hooked || (err != nil && !inBand(err)) {
 		// Short read/write, malformed or corrupt frame, timeout, or a
 		// canceled exchange: the stream position or the deadline is
@@ -418,8 +497,8 @@ func (c *Client) attempt(ctx context.Context, r request) error {
 		c.poison()
 	}
 	if err != nil {
-		if ctx.Err() != nil {
-			err = errors.Join(classify(ctx.Err()), err)
+		if cerr := r.err(ctx); cerr != nil {
+			err = errors.Join(classify(cerr), err)
 		}
 		return classify(err)
 	}

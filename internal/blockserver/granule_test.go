@@ -246,7 +246,12 @@ func TestGranuleServerCRCBytes(t *testing.T) {
 		}
 		return bytes, spans, ranges
 	}
-	stats, _ := pc.read(t)
+	rctx, root := obs.StartSpan(context.Background(), "test.read")
+	got, stats, err := pc.store.ReadFile(rctx, "f", len(pc.data))
+	root.End()
+	if err != nil || !bytes.Equal(got, pc.data) {
+		t.Fatalf("read: %v, identical %v", err, bytes.Equal(got, pc.data))
+	}
 	if stats.StripesParallel != stripes {
 		t.Fatalf("%d of %d stripes read in parallel", stats.StripesParallel, stripes)
 	}

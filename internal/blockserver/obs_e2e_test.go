@@ -50,7 +50,9 @@ func TestDegradedReadObservability(t *testing.T) {
 	corrupt0 := mCorruptSources.Value()
 	bytes0 := mBytesFetched.Value()
 
-	got, stats, err := store.ReadFile(ctx, "obsfile", size)
+	rctx, root := obs.StartSpan(ctx, "test.read")
+	got, stats, err := store.ReadFile(rctx, "obsfile", size)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +125,12 @@ func TestDegradedReadObservability(t *testing.T) {
 	}
 	// Parent/child integrity: every non-root span's parent is in the trace.
 	for _, s := range spans {
+		if s.ID == root.ID() {
+			continue
+		}
 		if s.ID == rootID {
-			if s.Parent != 0 {
-				t.Errorf("root span has parent %d", s.Parent)
+			if s.Parent != root.ID() {
+				t.Errorf("store.read hangs off %d, want the caller's root %d", s.Parent, root.ID())
 			}
 			continue
 		}

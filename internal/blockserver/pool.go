@@ -144,6 +144,13 @@ func (p *Pool) peer(addr string) (*peer, error) {
 // is done. The caller owns the client until Put; clients are
 // single-goroutine, so each concurrent fetch checks out its own.
 func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
+	return p.checkout(ctx, addr, time.Time{})
+}
+
+// checkout is Get giving up at hedge as well, unless it is zero: a Store
+// round's hedge is a deadline value, not a context's, and only a checkout
+// that has to wait for a slot pays for a timer.
+func (p *Pool) checkout(ctx context.Context, addr string, hedge time.Time) (*Client, error) {
 	pe, err := p.peer(addr)
 	if err != nil {
 		return nil, err
@@ -152,11 +159,23 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 	var ok bool
 	select {
 	case c, ok = <-pe.free:
-		if !ok {
-			return nil, ErrPoolClosed
+	default:
+		var expired <-chan time.Time
+		if !hedge.IsZero() {
+			t := time.NewTimer(time.Until(hedge))
+			defer t.Stop()
+			expired = t.C
 		}
-	case <-ctx.Done():
-		return nil, classify(ctx.Err())
+		select {
+		case c, ok = <-pe.free:
+		case <-ctx.Done():
+			return nil, classify(ctx.Err())
+		case <-expired:
+			return nil, classify(context.DeadlineExceeded)
+		}
+	}
+	if !ok {
+		return nil, ErrPoolClosed
 	}
 	if c == nil {
 		c = p.newClient(pe)
@@ -173,9 +192,10 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 // slots. Get itself takes the slots in turn, dialing each token it meets,
 // so a peer's connections reach the budget after that many checkouts; a
 // batched read checks out one client per source, and through Get each of
-// its first reads would dial past idle connections.
-func (p *Pool) getParked(ctx context.Context, addr string) (*Client, error) {
-	c, err := p.Get(ctx, addr)
+// its first reads would dial past idle connections. Its checkout ends at
+// hedge, unless that is zero.
+func (p *Pool) getParked(ctx context.Context, addr string, hedge time.Time) (*Client, error) {
+	c, err := p.checkout(ctx, addr, hedge)
 	if err != nil || c.conn != nil {
 		return c, err
 	}

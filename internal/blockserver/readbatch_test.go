@@ -3,6 +3,8 @@ package blockserver
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -124,6 +126,65 @@ func TestBlackholedSourceCostsOneHedgePerBatch(t *testing.T) {
 	}
 	if want := int64(len(pc.data)); stats.BytesFetched != want {
 		t.Errorf("fetched %d bytes, want exactly the file's %d", stats.BytesFetched, want)
+	}
+}
+
+// TestBlackholedSourceCheckoutEndsAtTheHedge: a round that has to wait
+// for a client of a silent source stops waiting at its hedge, as its
+// exchange would, so the source is struck and the stripes re-planned. Other
+// callers' exchanges hold every client of the black-holed source, waiting
+// out its silence under no hedge, while twice as many reads as a peer has
+// clients run at once: each returns its bytes within a few hedges. A
+// checkout that waited on the caller's context alone waited for a holder.
+func TestBlackholedSourceCheckoutEndsAtTheHedge(t *testing.T) {
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 4, WithHedgeDelay(100*time.Millisecond))
+	const dark = 3
+	pc.injectors[dark].SetDefault(faultnet.Policy{Blackhole: true})
+	defer pc.injectors[dark].SetDefault(faultnet.Policy{})
+	bg := context.Background()
+	hold, release := context.WithCancel(bg)
+	var holders sync.WaitGroup
+	defer holders.Wait()
+	defer release()
+	for range DefaultPerPeer {
+		c, err := pc.store.pool.Get(bg, pc.addrs[dark])
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			defer pc.store.pool.Put(c)
+			if got, err := c.Get(hold, BlockName("f", 0, dark)); err == nil {
+				Recycle(got)
+			}
+		}()
+	}
+
+	const readers = 2 * DefaultPerPeer
+	errs := make(chan error, readers)
+	for range readers {
+		go func() {
+			ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+			defer cancel()
+			t0 := time.Now()
+			got, _, err := pc.store.ReadFile(ctx, "f", len(pc.data))
+			switch elapsed := time.Since(t0); {
+			case err != nil:
+				errs <- err
+			case !bytes.Equal(got, pc.data):
+				errs <- errors.New("a read returned different bytes")
+			case elapsed > 500*time.Millisecond:
+				errs <- fmt.Errorf("a read took %v, want under 500ms: one 100ms hedge, then a re-plan", elapsed)
+			default:
+				errs <- nil
+			}
+		}()
+	}
+	for range readers {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -94,7 +94,7 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	ctx, sp := obs.StartSpan(ctx, "store.recover")
+	ctx, sp := obs.ChildSpan(ctx, "store.recover")
 	sp.SetAttr("failed", failed).SetAttr("server", s.addrs[failed]).SetAttr("files", len(files))
 	defer sp.End()
 
@@ -400,7 +400,7 @@ func (r *stripeRepair) release() {
 func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, moved []int, errs []error, ro repairOpts) error {
 	first := jobs[batch[0]]
 	failed := first.ref.Block
-	ctx, sp := obs.StartSpan(ctx, "rebuild")
+	ctx, sp := obs.ChildSpan(ctx, "rebuild")
 	sp.SetAttr("file", first.file).SetAttr("stripe", first.ref.Stripe).SetAttr("stripes", len(batch)).SetAttr("failed", failed).SetAttr("newcomer", s.addrs[failed])
 	defer sp.End()
 
@@ -468,12 +468,12 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, failed int) (traffic []int, errs []error, chunks []int64) {
 	n, d := s.code.N(), s.code.D()
 	chunkSize := s.code.HelperChunkSize(s.blockSize)
-	ctx, sp := obs.StartSpan(ctx, "store.repair")
+	ctx, sp := obs.ChildSpan(ctx, "store.repair")
 	sp.SetAttr("file", file).SetAttr("stripe", stripes[0]).SetAttr("stripes", len(stripes)).SetAttr("failed", failed)
 	defer sp.End()
 	traffic, errs, chunks = make([]int, len(stripes)), make([]error, len(stripes)), make([]int64, n)
 
-	_, wsp := obs.StartSpan(ctx, "warm")
+	_, wsp := obs.ChildSpan(ctx, "warm")
 	for _, st := range stripes {
 		if err := s.code.WarmRepair(failed, rotatedSurvivors(n, failed, st)[:d]); err != nil {
 			wsp.End()
@@ -542,7 +542,7 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 func (r *stripeRepair) finish() error {
 	s, ctx := r.s, r.ctx
 	st, failed := r.job.ref.Stripe, r.job.ref.Block
-	_, dsp := obs.StartSpan(ctx, "decode")
+	_, dsp := obs.ChildSpan(ctx, "decode")
 	block := make([]byte, s.blockSize)
 	err := s.code.RepairBlockInto(failed, r.helpers, r.chunks, block)
 	rec := r.rec
@@ -584,7 +584,7 @@ func (r *stripeRepair) finish() error {
 // a batch of its own, whose outcome, the block stored, is recheck's error.
 func (r *stripeRepair) recheck() (again bool, err error) {
 	s, ctx := r.s, r.ctx
-	_, sp := obs.StartSpan(ctx, "recheck")
+	_, sp := obs.ChildSpan(ctx, "recheck")
 	sp.SetAttr("stripe", r.st).SetAttr("helpers", len(r.helpers))
 	verdicts := fanOut(len(r.helpers), func(k int) error {
 		h := r.helpers[k]

@@ -33,10 +33,12 @@ var (
 
 // opNames and statusNames label the rpcs_total counters, indexed by opcode
 // and status; opcode 0 is never sent, so its slot names unknown opcodes,
-// and so do the retired opcodes' empty slots.
+// and so do the retired opcodes' empty slots. spanNames names a traced
+// request's server span by opcode.
 var (
 	opNames     = [...]string{"unknown", opPut: "put", opRange: "range", opChunk: "chunk", opDelete: "delete", opVerify: "verify", opRebuild: "rebuild"}
 	statusNames = [...]string{"ok", "not_found", "error", "corrupt"}
+	spanNames   = [len(opNames)]string{opPut: "server.put", opRange: "server.range", opChunk: "server.chunk", opDelete: "server.delete", opVerify: "server.verify", opRebuild: "server.rebuild"}
 )
 
 // known reports whether op is an operation this server serves.
@@ -411,26 +413,16 @@ func (s *Server) serveConn(conn net.Conn) {
 // child span with those bytes, so the spans' bytes sum to every stored
 // byte the server checksums to serve a request.
 func (s *Server) verify(ctx context.Context, check func() (n int, intact bool)) byte {
-	vsp := spanChild(ctx, "verify")
+	_, vsp := obs.ChildSpan(ctx, "verify")
 	n, intact := check()
-	vsp.SetAttr("bytes", n).SetAttr("intact", intact)
-	vsp.End()
+	if vsp != nil { // an untraced request boxes no attribute
+		vsp.SetAttr("bytes", n).SetAttr("intact", intact).End()
+	}
 	if !intact {
 		s.corruptServes.Add(1)
 		return statusCorrupt
 	}
 	return statusOK
-}
-
-// spanChild starts a child span when ctx already carries one (a traced
-// request) and returns nil otherwise, so untraced requests pay nothing —
-// nil spans are inert.
-func spanChild(ctx context.Context, name string) *obs.Span {
-	if obs.SpanFromContext(ctx) == nil {
-		return nil
-	}
-	_, sp := obs.StartSpan(ctx, name)
-	return sp
 }
 
 // handle dispatches one verified request; protocol errors close the
@@ -443,7 +435,7 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	ctx := context.Background()
 	if m.trace != 0 { // an unknown op's meta is not read: it has none
 		var sp *obs.Span
-		ctx, sp = s.tr().StartRemote(ctx, "server."+opNames[op], m.trace, m.parent)
+		ctx, sp = s.tr().StartRemote(ctx, spanNames[op], m.trace, m.parent)
 		sp.SetAttr("block", string(m.name))
 		defer sp.End()
 	}
@@ -484,13 +476,16 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 // each granule by granule, and the frame CRC is checked against their
 // combination before any block is stored; the granule CRCs and the stripe
 // records the meta carried, one slice for the whole put, become the
-// blocks' at-rest checksums, and commit stores them.
+// blocks' at-rest checksums, and commit stores them. A put that replaced
+// blocks but found too few spares for them provisions the list with as
+// many again.
 func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	if h.Len%m.count != 0 {
 		return fmt.Errorf("blockserver: %d-byte put payload for %d blocks", h.Len, m.count)
 	}
 	size := h.Len / m.count
-	cs.parts = s.take(cs.parts[:0], m.count, size)
+	var fresh int
+	cs.parts, fresh = s.take(cs.parts[:0], m.count, size)
 	defer func() { clear(cs.parts) }()
 	grain := s.grain(size)
 	per := frame.Granules(size, grain)
@@ -512,7 +507,9 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 			rec:  recs[i*m.w : (i+1)*m.w : (i+1)*m.w],
 		})
 	}
-	s.commit(m.names, cs.stored)
+	if s.commit(m.names, cs.stored) > 0 {
+		s.provision(fresh, size)
+	}
 	return nil
 }
 
@@ -521,32 +518,37 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 // blocks (ingest) and for a block a newcomer rebuilt (stripeRepair.finish).
 // Each block is an exact-size buffer of its own, with its granule CRCs
 // and its stripe record, which the map keeps for as long as it lives; it
-// gets its hold here, and the block it replaces is retired (drop).
-func (s *Server) commit(list []byte, blocks []storedBlock) {
+// gets its hold here, and the block it replaces is retired (drop). It
+// returns how many blocks it replaced.
+func (s *Server) commit(list []byte, blocks []storedBlock) (replaced int) {
 	holds := make([]atomic.Int64, len(blocks))
 	s.mu.Lock()
 	for i, b := range blocks {
 		var name []byte
 		name, list = nextName(list)
-		s.drop(name)
+		if s.drop(name) {
+			replaced++
+		}
 		b.hold = &holds[i]
 		s.blocks[string(name)] = b
 	}
 	s.mu.Unlock()
+	return replaced
 }
 
 // drop removes the block stored under name, if any, and retires it: its
 // buffer is recycled now if no answer is reading it, else by the last
 // unpin. s.mu must be held for writing, so no answer pins it after.
-func (s *Server) drop(name []byte) {
+func (s *Server) drop(name []byte) (found bool) {
 	b, ok := s.blocks[string(name)]
 	if !ok {
-		return
+		return false
 	}
 	delete(s.blocks, string(name))
 	if b.hold.Add(retired) == retired {
 		s.recycle(b.data)
 	}
+	return true
 }
 
 // retired is the flag in a storedBlock's hold; the readers count below it.
@@ -577,8 +579,8 @@ func (s *Server) recycle(bufs ...[]byte) {
 }
 
 // take appends n size-byte buffers to dst, the newest spares of that size
-// first and fresh allocations after them.
-func (s *Server) take(dst [][]byte, n, size int) [][]byte {
+// first and fresh allocations after them, and returns how many were fresh.
+func (s *Server) take(dst [][]byte, n, size int) ([][]byte, int) {
 	s.spareMu.Lock()
 	for i := len(s.spares) - 1; i >= 0 && n > 0; i-- {
 		if len(s.spares[i]) == size {
@@ -590,7 +592,22 @@ func (s *Server) take(dst [][]byte, n, size int) [][]byte {
 	for range n {
 		dst = append(dst, make([]byte, size))
 	}
-	return dst
+	return dst, n
+}
+
+// provision puts up to n fresh size-byte buffers on the spare list, within
+// its bound: what a rewrite's put had to allocate for want of spares. The
+// spares a rewrite leaves would otherwise depend on whether a writer's
+// puts met at the server: one at a time, each lands in what the last one
+// replaced and the list keeps one put's worth; side by side, each needs
+// its own. Provisioned, the list holds both, so a writer's next rewrite
+// allocates no block however its puts fall.
+func (s *Server) provision(n, size int) {
+	s.spareMu.Lock()
+	defer s.spareMu.Unlock()
+	for ; n > 0 && len(s.spares) < spareBlocks; n-- {
+		s.spares = append(s.spares, make([]byte, size))
+	}
 }
 
 // granuleCRCs checksums data granule by granule into crcs, one per grain
@@ -739,7 +756,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 		return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer, Len: ok * length, CRC: payloadCRC}, cs.parts...)
 	}
 	chunkSize := s.code.HelperChunkSize(size)
-	dsp := spanChild(ctx, "decode")
+	_, dsp := obs.ChildSpan(ctx, "decode")
 	out := bufpool.Get(ok * chunkSize)
 	defer bufpool.Put(out) // after the reply has fully written it
 	helper, failed := int(m.args[0]), int(m.args[1])

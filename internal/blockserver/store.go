@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -178,7 +180,9 @@ func (s *Store) Pool() *Pool {
 // given stripe on server idx — exported for tools and tests that address
 // blocks directly through a Client.
 func BlockName(file string, stripe, idx int) string {
-	return fmt.Sprintf("%s/%d/%d", file, stripe, idx)
+	var a [64]byte // the name is built here, and copied once into the string
+	b := strconv.AppendInt(append(append(a[:0], file...), '/'), int64(stripe), 10)
+	return string(strconv.AppendInt(append(b, '/'), int64(idx), 10))
 }
 
 // stripesOf returns how many stripes hold size bytes of the named file.
@@ -197,8 +201,12 @@ func (s *Store) stripesOf(name string, size int) (int, error) {
 // with at most depth calls in flight, and stops launching at the first
 // failure or when ctx ends; calls already in flight see their context
 // cancelled and are waited for. errs[i] is call i's result for
-// i < launched; later slots never ran.
+// i < launched; later slots never ran. A pass of one item runs it on the
+// caller's goroutine, under ctx.
 func pipeline(ctx context.Context, n, depth int, fn func(ctx context.Context, i int) error) (errs []error, launched int) {
+	if n == 1 && ctx.Err() == nil {
+		return []error{fn(ctx, 0)}, 1
+	}
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs = make([]error, n)
@@ -292,7 +300,7 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 		s.cache.Invalidate(name)
 		defer s.cache.Invalidate(name)
 	}
-	ctx, sp := obs.StartSpan(ctx, "store.write")
+	ctx, sp := obs.ChildSpan(ctx, "store.write")
 	sp.SetAttr("file", name).SetAttr("bytes", len(data)).SetAttr("stripes", stripes)
 	defer func() {
 		if rerr != nil {
@@ -389,9 +397,9 @@ func (s *Store) encodeStripe(data []byte, st int, slab []byte, rec []uint32) err
 
 // ReadStats reports how a ReadFile was served — the observability hook the
 // fault tests assert on. Every field increments the matching store_*
-// counter in the process registry as it is recorded, and TraceID links the
-// call to its span tree, so the per-call struct, the scraped metrics, and
-// the trace are one consistent surface.
+// counter in the process registry as it is recorded, and TraceID links a
+// traced call to its span tree, so the per-call struct, the scraped
+// metrics, and the trace are one consistent surface.
 type ReadStats struct {
 	// StripesParallel counts stripes served verbatim by the data prefixes
 	// of all p data-bearing blocks.
@@ -420,8 +428,9 @@ type ReadStats struct {
 	// opened. A warm pooled read leaves it nil — every fetch reused a
 	// parked connection — which is what the reuse tests assert.
 	Dials map[string]int64
-	// TraceID identifies the read's span tree in the process tracer; fetch
-	// it with obs.DefaultTracer().Spans(TraceID) or /debug/traces.
+	// TraceID is the trace of the caller's span the read ran under — fetch
+	// its tree with obs.DefaultTracer().Spans(TraceID) or /debug/traces —
+	// or 0 when the caller traced nothing and the read recorded no span.
 	TraceID uint64
 
 	// mu serializes the increment methods: with pipelined stripes several
@@ -501,8 +510,10 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	}
 	t0 := time.Now()
 	stripeData := s.code.K() * s.blockSize
-	ctx, sp := obs.StartSpan(ctx, "store.read")
-	sp.SetAttr("file", name).SetAttr("size", size).SetAttr("stripes", stripes)
+	ctx, sp := obs.ChildSpan(ctx, "store.read")
+	if sp != nil { // an untraced read boxes no attribute
+		sp.SetAttr("file", name).SetAttr("size", size).SetAttr("stripes", stripes)
+	}
 	defer func() {
 		if rerr != nil {
 			sp.SetAttr("error", rerr.Error())
@@ -545,10 +556,11 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	// The verify stage: the per-block CRC verdicts arrived in-band with the
 	// fetches; here the reassembled file is checked for completeness and the
 	// corruption tally is pinned onto the trace.
-	_, vsp := obs.StartSpan(ctx, "verify")
-	vsp.SetAttr("bytes", size).SetAttr("corrupt_sources", stats.CorruptSources)
-	vsp.End()
-	sp.SetAttr("path", stats.Path())
+	if sp != nil {
+		_, vsp := obs.ChildSpan(ctx, "verify")
+		vsp.SetAttr("bytes", size).SetAttr("corrupt_sources", stats.CorruptSources).End()
+		sp.SetAttr("path", stats.Path())
+	}
 	return out[:size], stats, nil
 }
 
@@ -558,7 +570,7 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 // in-flight stripe (concurrent misses coalesce), inserting the result for
 // the next reader.
 func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
-	cctx, csp := obs.StartSpan(ctx, "cache")
+	cctx, csp := obs.ChildSpan(ctx, "cache")
 	csp.SetAttr("stripe", st)
 	hit, coalesced, err := s.cache.GetOrFetch(cctx, name, st, dst,
 		func(fctx context.Context, out []byte) error {
@@ -856,14 +868,19 @@ func group(tasks []stripeTask, active []int) (exs []batchExchange, mode string) 
 // exchange runs one batch round's exchanges under one hedge deadline —
 // none for an exchange that carries an unhedged stripe — and waits them
 // all out: a failure cancels nobody, so everything that can land does, and
-// nothing writes into a destination after the round returns. The round's
-// fetch span parents the servers' spans of every exchange.
+// nothing writes into a destination after the round returns. The hedge is
+// a deadline value, and one hook on ctx, when ctx can end, interrupts
+// every exchange of the round (roundHook): an exchange costs no context or
+// hook of its own. The round's fetch span parents the servers' spans of
+// every exchange.
 func (s *Store) exchange(ctx context.Context, op byte, tasks []stripeTask, active []int, exs []batchExchange, mode string) {
-	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
+	ctx, fsp := obs.ChildSpan(ctx, "fetch")
 	defer fsp.End()
-	hctx, cancel := context.WithTimeout(fetchCtx, s.hedge)
-	defer cancel()
-	r := &wireRound{s: s, op: op, tasks: tasks, active: active, exs: exs, hedged: hctx, unhedged: fetchCtx}
+	r := &wireRound{s: s, op: op, tasks: tasks, active: active, exs: exs, ctx: ctx, hedge: time.Now().Add(s.hedge)}
+	if ctx.Done() != nil {
+		r.hook = &roundHook{conns: make([]net.Conn, 0, len(exs))}
+		defer context.AfterFunc(ctx, r.hook.expire)()
+	}
 	unhedged := false
 	for x := range exs {
 		unhedged = unhedged || exs[x].unhedged
@@ -876,7 +893,9 @@ func (s *Store) exchange(ctx context.Context, op byte, tasks []stripeTask, activ
 			go r.source(x)
 		}
 	}
-	fsp.SetAttr("mode", mode).SetAttr("sources", len(exs))
+	if fsp != nil {
+		fsp.SetAttr("mode", mode).SetAttr("sources", len(exs))
+	}
 	if unhedged {
 		fsp.SetAttr("unhedged", true)
 	}
@@ -884,15 +903,17 @@ func (s *Store) exchange(ctx context.Context, op byte, tasks []stripeTask, activ
 }
 
 // wireRound is a batch round on the wire: its exchanges, the stripes whose
-// asks they carry, and the contexts they run under.
+// asks they carry, the context they run under, its hedge and its hook.
 type wireRound struct {
-	s                *Store
-	op               byte
-	tasks            []stripeTask
-	active           []int
-	exs              []batchExchange
-	hedged, unhedged context.Context
-	wg               sync.WaitGroup
+	s      *Store
+	op     byte
+	tasks  []stripeTask
+	active []int
+	exs    []batchExchange
+	ctx    context.Context
+	hedge  time.Time
+	hook   *roundHook
+	wg     sync.WaitGroup
 }
 
 // source carries, back to back over one pooled client, every exchange of
@@ -909,15 +930,15 @@ func (r *wireRound) source(x int) {
 		if e.block != block {
 			continue
 		}
-		ctx := r.hedged
+		hedge := r.hedge
 		if e.unhedged {
-			ctx = r.unhedged
+			hedge = time.Time{}
 		}
 		if c == nil && err == nil {
-			c, err = r.s.pool.getParked(ctx, r.s.addrs[block])
+			c, err = r.s.pool.getParked(r.ctx, r.s.addrs[block], hedge)
 		}
 		if e.err = err; err == nil {
-			e.err = r.runNames(ctx, c, y)
+			e.err = r.runNames(c, y, hedge)
 		}
 	}
 	r.s.pool.Put(c)
@@ -928,9 +949,9 @@ func (r *wireRound) source(x int) {
 // round runs each source on a fresh goroutine, so the batch is gathered
 // and dealt out in functions of their own, off the frames stacked up to
 // the socket read: a deeper chain made every exchange copy its stack.
-func (r *wireRound) runNames(ctx context.Context, c *Client, x int) error {
+func (r *wireRound) runNames(c *Client, x int, hedge time.Time) error {
 	b := r.batch(c, x)
-	err := c.do(ctx, request{op: r.op, args: r.exs[x].args, batch: b})
+	err := c.do(r.ctx, request{op: r.op, args: r.exs[x].args, batch: b, hook: r.hook, hedge: hedge})
 	if err == nil {
 		r.deal(x, b)
 	}
@@ -1029,7 +1050,7 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []byte, stats *ReadStats) (int, error) {
 	var bsp *obs.Span
 	if hi-lo > 1 { // a batch of one is traced as its stripe
-		ctx, bsp = obs.StartSpan(ctx, "batch")
+		ctx, bsp = obs.ChildSpan(ctx, "batch")
 		bsp.SetAttr("stripe", lo).SetAttr("stripes", hi-lo)
 		defer bsp.End()
 	}
@@ -1040,7 +1061,10 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 		rd := &reads[i]
 		*rd = stripeRead{stripeOp: stripeOp{s: s, file: name, st: lo + i},
 			dst: dst[i*stripeData : (i+1)*stripeData], stats: stats}
-		rd.ctx, rd.span = obs.StartSpan(ctx, "stripe")
+		tasks[i] = rd
+		if rd.ctx, rd.span = obs.ChildSpan(ctx, "stripe"); rd.span == nil {
+			continue // an untraced read records no stage
+		}
 		rd.span.SetAttr("stripe", lo+i)
 		if bsp == nil {
 			ctx = rd.ctx
@@ -1050,10 +1074,8 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 		// this stage is pure bookkeeping — but it is a real stage of the
 		// paper's read pipeline and carrying it as a span keeps the
 		// decomposition uniform.
-		_, lsp := obs.StartSpan(rd.ctx, "locate")
-		lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource)
-		lsp.End()
-		tasks[i] = rd
+		_, lsp := obs.ChildSpan(rd.ctx, "locate")
+		lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource).End()
 	}
 	s.runBatch(ctx, opRange, tasks)
 	errs := make([]error, len(reads))
@@ -1141,7 +1163,7 @@ func (rd *stripeRead) finish() error {
 	for i, r := range plan.Ranges {
 		fetched[i] = rd.fetched(r)
 	}
-	_, dsp := obs.StartSpan(rd.ctx, "decode")
+	_, dsp := obs.ChildSpan(rd.ctx, "decode")
 	dsp.SetAttr("ranges", len(fetched)).SetAttr("bytes", len(rd.dst))
 	err := plan.Solve(fetched, rd.dst)
 	dsp.End()
@@ -1269,7 +1291,7 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 		return nil, err
 	}
 	n := s.code.N()
-	ctx, sp := obs.StartSpan(ctx, "store.scrub")
+	ctx, sp := obs.ChildSpan(ctx, "store.scrub")
 	sp.SetAttr("file", name).SetAttr("stripes", stripes)
 	defer sp.End()
 	rep := &ScrubReport{}

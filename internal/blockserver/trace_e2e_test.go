@@ -71,7 +71,9 @@ func TestCrossNodeTraceStitching(t *testing.T) {
 		injectors[i].SetDefault(faultnet.Policy{DelayWrite: 400 * time.Millisecond})
 	}
 
-	got, stats, err := store.ReadFile(ctx, "tracefile", size)
+	rctx, root := obs.StartSpan(ctx, "test.read")
+	got, stats, err := store.ReadFile(rctx, "tracefile", size)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +126,9 @@ func TestCrossNodeTraceStitching(t *testing.T) {
 	}
 	if rootID == 0 {
 		t.Fatal("stitched trace has no store.read root")
+	}
+	if p := byID[rootID].Parent; p != root.ID() {
+		t.Fatalf("store.read hangs off %d, want the caller's root %d", p, root.ID())
 	}
 	if len(serverNodes) < 2 {
 		t.Fatalf("server spans from %d nodes, want >= 2 (names: %v)", len(serverNodes), names)
@@ -188,4 +193,66 @@ func TestCrossNodeTraceStitching(t *testing.T) {
 	}
 	hc.CloseIdleConnections()
 	waitGoroutines(t, base)
+}
+
+// TestUntracedReadRecordsNoSpans pins tracing on request: a WriteFile,
+// ReadFile and RecoverServer whose caller roots no trace record no span,
+// neither in the client's tracer nor in any server's — their requests carry
+// no trace context — and the read's TraceID is 0.
+func TestUntracedReadRecordsNoSpans(t *testing.T) {
+	code := mustCode(t)
+	servers, addrs := startServers(t, code, code.N())
+	tracers := make([]*obs.Tracer, len(servers))
+	for i, srv := range servers {
+		tracers[i] = obs.NewTracer(64)
+		srv.SetTracer(tracers[i])
+	}
+	blockSize := code.BlockAlign() * 4
+	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	data := make([]byte, 3*code.K()*blockSize+17)
+	rand.New(rand.NewSource(45)).Read(data)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	t0 := time.Now()
+	_, marker := obs.StartSpan(context.Background(), "test.marker")
+	marker.End()
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := store.ReadFile(ctx, "f", len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read: %v, identical %v", err, bytes.Equal(got, data))
+	}
+	if stats.TraceID != 0 {
+		t.Errorf("an untraced read reports trace %d, want 0", stats.TraceID)
+	}
+	const failed = 3
+	deleteServerBlocks(t, addrs[failed], "f", 4, failed)
+	if _, err := store.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: len(data)}}); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(servers)
+
+	for i, tr := range tracers {
+		if spans := tr.Recent(0); len(spans) != 0 {
+			t.Errorf("server %d recorded %d spans, the first %q, want none", i, len(spans), spans[0].Name)
+		}
+	}
+	// The process tracer is shared: what this test recorded is what started
+	// after it began and ended after its marker.
+	var mine []string
+	recent := obs.DefaultTracer().Recent(0)
+	for i := len(recent) - 1; i >= 0 && recent[i].ID != marker.ID(); i-- {
+		if recent[i].Start.After(t0) {
+			mine = append(mine, recent[i].Name)
+		}
+	}
+	if len(mine) != 0 {
+		t.Errorf("the client recorded %d spans under no caller's trace: %v", len(mine), mine)
+	}
 }

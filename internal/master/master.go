@@ -515,8 +515,13 @@ func (m *Master) scheduleScrub() error {
 
 // runItem executes one task item: build a transient Store over the item's
 // snapshot addrs and run the recovery (or scrub) for that file. The
-// per-task bandwidth budget flows into RecoverServer's token bucket.
+// per-task bandwidth budget flows into RecoverServer's token bucket. Each
+// item roots a trace of its own, so its rebuild tree reaches
+// /debug/traces.
 func (m *Master) runItem(ctx context.Context, t *Task, item TaskItem) (int64, error) {
+	ctx, sp := obs.StartSpan(ctx, "master.item")
+	sp.SetAttr("task", t.ID).SetAttr("file", item.File).SetAttr("failed", item.Failed)
+	defer sp.End()
 	var sopts []blockserver.StoreOption
 	if m.cfg.ClientOptions != nil {
 		sopts = append(sopts, blockserver.WithClientOptions(*m.cfg.ClientOptions))

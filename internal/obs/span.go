@@ -208,6 +208,19 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return defaultTracer.Start(ctx, name)
 }
 
+// ChildSpan begins a span only under a caller's trace: when ctx carries a
+// span it is StartSpan, and otherwise it records nothing and returns ctx
+// and a nil span, which is inert. Every layer below the one that roots a
+// trace opens its spans with it, so an untraced call records no span and
+// sends no trace context to start spans elsewhere.
+func ChildSpan(ctx context.Context, name string) (context.Context, *Span) {
+	p := SpanFromContext(ctx)
+	if p == nil {
+		return ctx, nil
+	}
+	return p.tracer.Start(ctx, name)
+}
+
 // record appends a finished span to the ring.
 func (t *Tracer) record(r SpanRecord) {
 	t.mu.Lock()

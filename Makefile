@@ -61,10 +61,15 @@ master:
 # rule (a put cut mid-payload stores nothing until its retry lands) and
 # the server's recycling rule (a block overwritten or deleted while range,
 # chunk and verify answers read it keeps its buffer until the last of them
-# has left), race-enabled and repeated.
+# has left), race-enabled and repeated; then the one buffer lease both the
+# server and the stripe cache use (bufpool.Hold over bufpool.Spares), ten
+# times: readers pin, copy and check a buffer's fill while its owner
+# retires it and a writer takes and poisons it. That test checks bytes, so
+# it needs no race detector to see a buffer handed on while pinned.
 writepath:
 	$(GO) test -race -count=2 -run 'TestInto|TestEveryOutputOpensWithAnOverwrite' ./internal/carousel ./internal/codeplan
 	$(GO) test -race -count=10 -run 'TestWriteFilePooledBlocksOutliveTheirPuts|TestPutIsAllOrNothing|TestAnswersPinTheirBlocks|TestHeldAnswerKeepsItsBlock' ./internal/blockserver
+	$(GO) test -count=10 -run '^TestLeaseChurn$$' ./internal/bufpool
 
 # The one repair engine, repeated under the race detector: one rebuild
 # exchange per batch from the coordinator to the newcomer, which runs the
@@ -144,22 +149,27 @@ bench:
 
 # The gated benchmark is its own module, so `go test ./...` never reaches
 # it: run its unit tests, then 2-second untraced runs of the four
-# large-file workloads through the entry point BENCHMARK.json names (each
-# run checks every byte it moves and exits non-zero on a mismatch), and
-# compare them with the committed baseline. The spec gates only the counted
-# metrics — wire and allocated bytes per user byte, which repeat to the
-# fourth digit on any host even at smoke length; timed metrics spread too
-# far in 2 s to gate. read_degraded joined the gate when its counted
-# metrics became counts (PR 22: the planned degraded read fetches exactly
-# one byte per byte returned; the any-k race it replaced fetched 2.4 give
-# or take the timing of a cancel). -compare exits 1 on a regression and 2
-# when a workload is missing from either file. After a change that is
-# meant to move a counted metric, re-take that workload's row of
-# results/bench_gate_baseline.jsonl with the same run.
+# large-file workloads and the two swarms through the entry point
+# BENCHMARK.json names (each run checks every byte it moves and exits
+# non-zero on a mismatch), and compare them with the committed baseline.
+# The spec gates only the counted metrics — wire and allocated bytes per
+# user byte, which repeat to the fourth digit for the large-file
+# workloads on any host even at smoke length, and spread at most 0.3 % for
+# the swarms' random draws (EXPERIMENTS.md); timed metrics spread too far
+# in 2 s to gate. read_degraded joined the gate when its counted metrics
+# became counts (PR 22: the planned degraded read fetches exactly one byte
+# per byte returned; the any-k race it replaced fetched 2.4 give or take
+# the timing of a cancel). -compare exits 1 on a regression and 2 when a
+# workload is missing from either file. The baseline's rows must all come
+# from one commit, or the gate refuses it: after a change that is meant to
+# move a counted metric, re-take every row of
+# results/bench_gate_baseline.jsonl with the same runs, at one commit.
 bench-gate:
+	test "$$(jq -r .host.git_sha results/bench_gate_baseline.jsonl | sort -u | wc -l)" -eq 1 || \
+		{ echo "results/bench_gate_baseline.jsonl: rows from more than one commit; re-take them all at one"; exit 1; }
 	cd benchmark && $(GO) test .
 	rm -f .bench_build/gate.jsonl
-	for w in read_large write_large read_degraded recover_node; do \
+	for w in read_large write_large read_degraded recover_node swarm_hot swarm_cold; do \
 		bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 --results .bench_build/gate.jsonl || exit 1; \
 	done
 	.bench_build/carousel-benchmark -compare -spec scripts/bench_gate_spec.json results/bench_gate_baseline.jsonl .bench_build/gate.jsonl

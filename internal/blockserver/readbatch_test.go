@@ -188,12 +188,10 @@ func TestBlackholedSourceCheckoutEndsAtTheHedge(t *testing.T) {
 	}
 }
 
-// dropSpares empties the server's spare list, the one holder of retired
-// blocks' buffers that is meant to keep them.
-func (s *Server) dropSpares() {
-	s.spareMu.Lock()
-	s.spares = nil
-	s.spareMu.Unlock()
+// dropSpares empties the server's spare list of size-byte buffers, the one
+// holder of retired blocks' buffers that is meant to keep them.
+func (s *Server) dropSpares(size int) {
+	s.spares.Take(nil, spareBlocks, size)
 }
 
 // TestBatchScratchRetainsNothing: the scratch a batch exchange leaves on a
@@ -236,7 +234,7 @@ func TestBatchScratchRetainsNothing(t *testing.T) {
 	freed("a returned ReadFile's output", out)
 	waitIdle(pc.servers[:1]) // the batch's answer has unpinned the block
 	deleteBlock(t, pc.addrs[0], name)
-	pc.servers[0].dropSpares()
+	pc.servers[0].dropSpares(pc.blockSize)
 	freed("a deleted block a batch served", block)
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,9 +86,9 @@ type connState struct {
 	iov  net.Buffers   // per-reply view into arr, consumed by the write
 
 	answer []byte        // a range, chunk or verify answer's meta: the verdict vector, then the OK names' entries
-	blocks []storedBlock // the blocks a range, chunk or verify answer is served from, cleared after it
-	parts  [][]byte      // a range answer's slices of those blocks, or a put's blocks; cleared after it
-	stored []storedBlock // a put's blocks as they are committed, cleared after it
+	pinned []storedBlock // the blocks a range, chunk or verify answer is served from, cleared after it
+	parts  [][]byte      // a range answer's slices of those blocks, or the blocks of a put; cleared after it
+	stored []storedBlock // the blocks of a put as they are committed, cleared after it
 }
 
 // reply records the RPC outcome and sends the response: the frame header
@@ -131,19 +130,13 @@ func (s *Server) send(cs *connState, op byte, h frame.Header, payload ...[]byte)
 // record that put sent for it, if any: the whole-block CRC32C of every
 // block of its stripe. The granules are all one size, so the grain is
 // len(data)/len(crcs). Who checks a block against them, and when, is in
-// the package comment.
-//
-// hold, shared by every copy of the value, counts the answers reading the
-// block and carries the retired flag, set once the block has left the map
-// (Server.drop). Every read of data outside s.mu happens under a pin
-// (answerNames), because a retired block's buffer is recycled — a later
-// put's payload lands in it — by whichever of the retiring drop and the
-// last unpin sees the block retired with no readers.
+// the package comment. hold, shared by every copy of the value, leases data
+// to the answers reading it (blockStore).
 type storedBlock struct {
 	data []byte
 	crcs []uint32
 	rec  []uint32
-	hold *atomic.Int64
+	hold *bufpool.Hold
 }
 
 // grain is the length of each of the block's granules.
@@ -220,10 +213,6 @@ type Server struct {
 	// caller that sets the tracer after Start.
 	tracer atomic.Pointer[obs.Tracer]
 
-	// corruptServes counts requests answered with a corrupt verdict —
-	// per-server bit-rot pressure, piggybacked on control-plane heartbeats.
-	corruptServes atomic.Int64
-
 	// inflight counts requests currently being handled — the queue-depth
 	// signal ObsSummary reports to the master.
 	inflight atomic.Int64
@@ -233,12 +222,7 @@ type Server struct {
 	// the member's tx rate.
 	bytesTx atomic.Int64
 
-	mu     sync.RWMutex
-	blocks map[string]storedBlock
-
-	// spares are the buffers of retired blocks that a put may land in.
-	spareMu sync.Mutex
-	spares  [][]byte
+	blockStore
 
 	lnMu   sync.Mutex
 	ln     net.Listener // nil until started, and again once closing
@@ -257,7 +241,8 @@ type Server struct {
 
 // NewServer returns a server; code may be nil for a plain block store.
 func NewServer(code *carousel.Code) *Server {
-	s := &Server{code: code, blocks: make(map[string]storedBlock), conns: make(map[net.Conn]struct{})}
+	s := &Server{code: code, conns: make(map[net.Conn]struct{}),
+		blockStore: blockStore{blocks: make(map[string]storedBlock), spares: bufpool.NewSpares(spareBlocks)}}
 	s.life, s.end = context.WithCancel(context.Background())
 	return s
 }
@@ -453,13 +438,7 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 		return s.rebuild(ctx, cs, m.rb)
 
 	case opDelete:
-		s.mu.Lock()
-		for list := m.names; len(list) > 0; {
-			var name []byte
-			name, list = nextName(list)
-			s.drop(name)
-		}
-		s.mu.Unlock()
+		s.drop(m.names)
 		return s.reply(cs, op, statusOK, nil)
 
 	default:
@@ -467,32 +446,31 @@ func (s *Server) handle(cs *connState, h frame.Header, m reqMeta) error {
 	}
 }
 
-// ingest stores a put's blocks, all or none. A payload that does not split
-// into count equal blocks is refused before any buffer is taken. Each block
-// lands in a buffer of exactly its size, a spare of a retired block when
-// the server has one (take) — every byte of it is overwritten by the
-// payload read — and a put whose payload fails to land recycles them, as
-// nothing else has seen them. The one pass that lands the blocks checksums
-// each granule by granule, and the frame CRC is checked against their
-// combination before any block is stored; the granule CRCs and the stripe
-// records the meta carried, one slice for the whole put, become the
-// blocks' at-rest checksums, and commit stores them. A put that replaced
-// blocks but found too few spares for them provisions the list with as
-// many again.
+// ingest stores the blocks of a put, all or none. A payload that does not
+// split into count equal blocks is refused before any buffer is taken. Each
+// block lands in a buffer of exactly its size, a spare of a retired block
+// when the server has one — the payload read overwrites every byte of it —
+// and a put whose payload fails to land spares them, as nothing else has
+// seen them. The one pass that lands the blocks checksums each granule by
+// granule, and the frame CRC is checked against their combination before
+// any block is stored; the granule CRCs and the stripe records the meta
+// carried, one slice for the whole put, become the blocks' at-rest
+// checksums, and commit stores them. A put that replaced blocks but found
+// too few spares for them provisions the list with as many again.
 func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 	if h.Len%m.count != 0 {
 		return fmt.Errorf("blockserver: %d-byte put payload for %d blocks", h.Len, m.count)
 	}
 	size := h.Len / m.count
 	var fresh int
-	cs.parts, fresh = s.take(cs.parts[:0], m.count, size)
+	cs.parts, fresh = s.spares.Take(cs.parts[:0], m.count, size)
 	defer func() { clear(cs.parts) }()
 	grain := s.grain(size)
 	per := frame.Granules(size, grain)
 	crcs := make([]uint32, m.count*(per+m.w))
 	grains, recs := crcs[:m.count*per], crcs[m.count*per:]
 	if err := cs.fr.PayloadCRCs(h, grain, grains, cs.parts...); err != nil {
-		s.recycle(cs.parts...)
+		s.spares.Give(cs.parts...)
 		return err
 	}
 	for i := range recs {
@@ -507,107 +485,14 @@ func (s *Server) ingest(cs *connState, h frame.Header, m reqMeta) error {
 			rec:  recs[i*m.w : (i+1)*m.w : (i+1)*m.w],
 		})
 	}
+	// Provisioned, the list keeps two puts' worth of a rewrite whether a
+	// writer's puts met at the server (each took its own) or came one at a
+	// time (each took what the last replaced), so its next rewrite
+	// allocates no block however they fall.
 	if s.commit(m.names, cs.stored) > 0 {
-		s.provision(fresh, size)
+		s.spares.Provision(fresh, size)
 	}
 	return nil
-}
-
-// commit stores each block under its name in list, a validated name list,
-// all under one lock: the one way a block enters the map, for a put's
-// blocks (ingest) and for a block a newcomer rebuilt (stripeRepair.finish).
-// Each block is an exact-size buffer of its own, with its granule CRCs
-// and its stripe record, which the map keeps for as long as it lives; it
-// gets its hold here, and the block it replaces is retired (drop). It
-// returns how many blocks it replaced.
-func (s *Server) commit(list []byte, blocks []storedBlock) (replaced int) {
-	holds := make([]atomic.Int64, len(blocks))
-	s.mu.Lock()
-	for i, b := range blocks {
-		var name []byte
-		name, list = nextName(list)
-		if s.drop(name) {
-			replaced++
-		}
-		b.hold = &holds[i]
-		s.blocks[string(name)] = b
-	}
-	s.mu.Unlock()
-	return replaced
-}
-
-// drop removes the block stored under name, if any, and retires it: its
-// buffer is recycled now if no answer is reading it, else by the last
-// unpin. s.mu must be held for writing, so no answer pins it after.
-func (s *Server) drop(name []byte) (found bool) {
-	b, ok := s.blocks[string(name)]
-	if !ok {
-		return false
-	}
-	delete(s.blocks, string(name))
-	if b.hold.Add(retired) == retired {
-		s.recycle(b.data)
-	}
-	return true
-}
-
-// retired is the flag in a storedBlock's hold; the readers count below it.
-const retired = 1 << 32
-
-// unpin ends one answer's read of b, recycling its buffer when b has been
-// retired and this was its last reader. A block not found has no hold.
-func (s *Server) unpin(b storedBlock) {
-	if b.hold != nil && b.hold.Add(-1) == retired {
-		s.recycle(b.data)
-	}
-}
-
-// spareBlocks bounds a server's spare list: about the blocks one WriteFile
-// has in flight at a server, a put of stripesInFlight blocks in each of
-// batchesInFlight batches.
-const spareBlocks = stripesInFlight * batchesInFlight
-
-// recycle puts buffers no block and no answer holds any more on the spare
-// list, which forgets its oldest buffers beyond spareBlocks.
-func (s *Server) recycle(bufs ...[]byte) {
-	s.spareMu.Lock()
-	defer s.spareMu.Unlock()
-	s.spares = append(s.spares, bufs...)
-	if over := len(s.spares) - spareBlocks; over > 0 {
-		s.spares = slices.Delete(s.spares, 0, over)
-	}
-}
-
-// take appends n size-byte buffers to dst, the newest spares of that size
-// first and fresh allocations after them, and returns how many were fresh.
-func (s *Server) take(dst [][]byte, n, size int) ([][]byte, int) {
-	s.spareMu.Lock()
-	for i := len(s.spares) - 1; i >= 0 && n > 0; i-- {
-		if len(s.spares[i]) == size {
-			dst, n = append(dst, s.spares[i]), n-1
-			s.spares = slices.Delete(s.spares, i, i+1)
-		}
-	}
-	s.spareMu.Unlock()
-	for range n {
-		dst = append(dst, make([]byte, size))
-	}
-	return dst, n
-}
-
-// provision puts up to n fresh size-byte buffers on the spare list, within
-// its bound: what a rewrite's put had to allocate for want of spares. The
-// spares a rewrite leaves would otherwise depend on whether a writer's
-// puts met at the server: one at a time, each lands in what the last one
-// replaced and the list keeps one put's worth; side by side, each needs
-// its own. Provisioned, the list holds both, so a writer's next rewrite
-// allocates no block however its puts fall.
-func (s *Server) provision(n, size int) {
-	s.spareMu.Lock()
-	defer s.spareMu.Unlock()
-	for ; n > 0 && len(s.spares) < spareBlocks; n-- {
-		s.spares = append(s.spares, make([]byte, size))
-	}
 }
 
 // granuleCRCs checksums data granule by granule into crcs, one per grain
@@ -660,28 +545,16 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	if m.count*(1+s.entryLen(op)) > math.MaxUint16 {
 		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names' verdicts, CRCs and records overflow an answer meta", m.count))
 	}
-	cs.answer, cs.blocks = cs.answer[:0], cs.blocks[:0]
-	// Every block found is pinned until the answer has left. The scratch
-	// must not keep deleted blocks alive: the closure unpins and clears the
-	// slice as the appends below leave it, not as it was when deferred.
-	defer func() {
-		for _, b := range cs.blocks {
-			s.unpin(b)
-		}
-		clear(cs.blocks)
-	}()
+	// Every block found is pinned until the answer has left.
+	cs.answer, cs.pinned = cs.answer[:0], s.pin(cs.pinned[:0], m.names)
+	defer s.unpin(cs.pinned)
 	off, length := int(m.args[0]), int(m.args[1])
 	whole := op == opRange && length == 0
 	bound := 0
-	s.mu.RLock()
-	for list := m.names; len(list) > 0; {
-		var name []byte
-		name, list = nextName(list)
-		b, found := s.blocks[string(name)]
+	for _, b := range cs.pinned {
 		st := statusNotFound
-		if found {
+		if b.hold != nil {
 			st = statusOK
-			b.hold.Add(1)
 			// Each block found may be checksummed whole, and no chunk is
 			// larger than its block; a range is at most its length.
 			cost := len(b.data)
@@ -690,16 +563,15 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 			}
 			bound += cost
 		}
-		cs.answer, cs.blocks = append(cs.answer, st), append(cs.blocks, b)
+		cs.answer = append(cs.answer, st)
 	}
-	s.mu.RUnlock()
 	if bound > maxPayload {
-		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names could cost %d bytes, over the %d-byte payload limit", len(cs.blocks), bound, maxPayload))
+		return s.reply(cs, op, statusError, fmt.Appendf(nil, "%d names could cost %d bytes, over the %d-byte payload limit", len(cs.pinned), bound, maxPayload))
 	}
 	var comb frame.Combiner
 	var payloadCRC uint32
 	size, ok := 0, 0 // size: the first OK block's
-	for i, b := range cs.blocks {
+	for i, b := range cs.pinned {
 		if cs.answer[i] != statusOK {
 			continue
 		}
@@ -732,7 +604,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 			if ok == 0 {
 				size = len(b.data)
 			}
-			cs.blocks[ok], cs.blocks[i] = b, cs.blocks[ok] // compacted in place, ok <= i, keeping every pin
+			cs.pinned[ok], cs.pinned[i] = b, cs.pinned[ok] // compacted in place, ok <= i, keeping every pin
 			ok++
 			switch op {
 			case opRange:
@@ -750,7 +622,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	case opRange:
 		cs.parts = cs.parts[:0]
 		defer func() { clear(cs.parts) }()
-		for _, b := range cs.blocks[:ok] {
+		for _, b := range cs.pinned[:ok] {
 			cs.parts = append(cs.parts, b.data[off:off+length])
 		}
 		return s.send(cs, op, frame.Header{Kind: statusOK, Meta: cs.answer, Len: ok * length, CRC: payloadCRC}, cs.parts...)
@@ -760,7 +632,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	out := bufpool.Get(ok * chunkSize)
 	defer bufpool.Put(out) // after the reply has fully written it
 	helper, failed := int(m.args[0]), int(m.args[1])
-	for i, b := range cs.blocks[:ok] {
+	for i, b := range cs.pinned[:ok] {
 		if err := s.code.HelperChunkInto(helper, failed, b.data, out[i*chunkSize:(i+1)*chunkSize]); err != nil {
 			dsp.End()
 			return s.reply(cs, op, statusError, []byte(err.Error()))
@@ -768,7 +640,7 @@ func (s *Server) answerNames(ctx context.Context, cs *connState, op byte, m reqM
 	}
 	dsp.SetAttr("chunk_bytes", len(out)).SetAttr("chunks", ok)
 	dsp.End()
-	for i, b := range cs.blocks[:ok] {
+	for i, b := range cs.pinned[:ok] {
 		crc := Checksum(out[i*chunkSize : (i+1)*chunkSize])
 		cs.answer = binary.BigEndian.AppendUint32(cs.answer, crc)
 		payloadCRC = comb.Combine(payloadCRC, crc, chunkSize)
@@ -890,18 +762,6 @@ func (s *Server) rebuild(ctx context.Context, cs *connState, rb *rebuildMeta) er
 	return s.send(cs, opRebuild, frame.Header{Kind: statusOK, Meta: meta, Len: len(texts), CRC: Checksum(texts)}, texts)
 }
 
-// Stats reports this server's stored capacity and corrupt-serve count —
-// the health snapshot the control-plane heartbeat piggybacks.
-func (s *Server) Stats() (blocks int64, bytes int64, corruptServes int64) {
-	s.mu.RLock()
-	blocks = int64(len(s.blocks))
-	for _, b := range s.blocks {
-		bytes += int64(len(b.data))
-	}
-	s.mu.RUnlock()
-	return blocks, bytes, s.corruptServes.Load()
-}
-
 // ObsSummary snapshots the node-health signals a managed daemon piggybacks
 // on control-plane heartbeats: the windowed p99 of server-side RPC latency,
 // the current number of in-flight requests, and the cumulative bytes this
@@ -909,20 +769,4 @@ func (s *Server) Stats() (blocks int64, bytes int64, corruptServes int64) {
 // for the one-server-per-process daemon deployment.
 func (s *Server) ObsSummary() (rpcP99NS, queueDepth, bytesTx int64) {
 	return srvRPCWindow.Snapshot().Quantile(0.99), s.inflight.Load(), s.bytesTx.Load()
-}
-
-// CorruptBlock flips a byte of a stored block without updating its CRC — a
-// fault-injection hook standing in for bit rot on disk.
-func (s *Server) CorruptBlock(name string, offset int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blocks[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if offset < 0 || offset >= len(b.data) {
-		return fmt.Errorf("blockserver: offset %d out of range [0,%d)", offset, len(b.data))
-	}
-	b.data[offset] ^= 0xff
-	return nil
 }

@@ -434,11 +434,14 @@ func (c *holdConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// spared reports whether buf is on the server's spare list.
+// spared reports whether buf is on the server's spare list: it takes every
+// spare of buf's size and gives them back, oldest first.
 func (s *Server) spared(buf []byte) bool {
-	s.spareMu.Lock()
-	defer s.spareMu.Unlock()
-	return slices.ContainsFunc(s.spares, func(b []byte) bool { return &b[0] == &buf[0] })
+	bufs, fresh := s.spares.Take(nil, spareBlocks, len(buf))
+	bufs = bufs[:len(bufs)-fresh]
+	slices.Reverse(bufs)
+	s.spares.Give(bufs...)
+	return slices.ContainsFunc(bufs, func(b []byte) bool { return &b[0] == &buf[0] })
 }
 
 // TestHeldAnswerKeepsItsBlock: a block deleted while an answer is still

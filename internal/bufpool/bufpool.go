@@ -16,6 +16,8 @@
 // and Put must only be called once the caller is done with it. Forgetting
 // to Put is safe (the buffer is garbage collected, the pool just misses a
 // reuse); double-Put is a caller bug that aliases two owners.
+// Buffers shared with readers past a request are leased with a Hold and
+// reused through their owner's exact-size Spares instead (spares.go).
 package bufpool
 
 import (

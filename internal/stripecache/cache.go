@@ -32,9 +32,10 @@
 package stripecache
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
+
+	"carousel/internal/bufpool"
 )
 
 // Key identifies one cached decoded stripe. Version is the per-file
@@ -48,24 +49,19 @@ type Key struct {
 
 // entry is one resident stripe. data is immutable while resident; freq is
 // the S3-FIFO access counter (capped, decayed on main-queue laps); hold
-// counts the readers copying out of data (hits, a finished flight's
-// waiters) below its flags.
+// leases data to the readers copying out of it (hits, a finished flight's
+// waiters) until removeLocked retires it, and home takes data once unread:
+// its shard's spares for a flight's buffer, nil for a Put's, never reused.
 type entry struct {
 	key  Key
 	data []byte
 	freq atomic.Int32
-	hold atomic.Int64
+	hold bufpool.Hold
+	home *bufpool.Spares
 }
 
-// The hold's flags: retired is set by removeLocked, after which no hit
-// pins the entry, and whichever of it and the last unpin sees "retired, no
-// readers" spares the buffer, onto a list of at most maxSpares a shard;
-// foreign marks a caller's buffer (Put), which the cache never reuses.
-const (
-	retired   = 1 << 32
-	foreign   = 1 << 40
-	maxSpares = 2
-)
+// maxSpares bounds a shard's spare list.
+const maxSpares = 2
 
 // maxFreq caps the access counter so one burst of popularity cannot make
 // an entry immortal: it survives at most maxFreq main-queue laps without
@@ -86,7 +82,7 @@ type shard struct {
 	bytes     int64 // resident bytes (small + main)
 
 	flights map[Key]*flight
-	spares  [][]byte // buffers of retired owned entries, for the next flight
+	spares  *bufpool.Spares // buffers of retired flight entries, for the next flight
 }
 
 // Stats is a point-in-time view of one cache instance.
@@ -149,6 +145,7 @@ func New(capacityBytes int64) *Cache {
 		c.shards[i].ghost = make(map[Key]struct{})
 		c.shards[i].ghostRing = make([]Key, 0, ghostEntries)
 		c.shards[i].flights = make(map[Key]*flight)
+		c.shards[i].spares = bufpool.NewSpares(maxSpares)
 	}
 	return c
 }
@@ -233,7 +230,7 @@ func (c *Cache) Get(file string, stripe int, dst []byte) bool {
 		return false
 	}
 	copy(dst, e.data) // outside the lock: the pin keeps the buffer off the spare list
-	s.unpin(e)
+	e.hold.Unpin(e.data, e.home)
 	c.hits.Add(1)
 	return true
 }
@@ -247,38 +244,8 @@ func (s *shard) pinLocked(key Key, size int) *entry {
 	if f := e.freq.Load(); f < maxFreq {
 		e.freq.Store(f + 1)
 	}
-	e.hold.Add(1)
+	e.hold.Pin()
 	return e
-}
-
-// unpin ends a copy; the last reader out of a retired entry spares it.
-func (s *shard) unpin(e *entry) {
-	if e.hold.Add(-1) == retired {
-		s.mu.Lock()
-		s.spareLocked(e.data)
-		s.mu.Unlock()
-	}
-}
-
-// spareLocked keeps a buffer the cache made, if the list has room.
-func (s *shard) spareLocked(b []byte) {
-	if len(s.spares) < maxSpares {
-		s.spares = append(s.spares, b)
-	}
-}
-
-// buffer is a flight's: the newest spare of its size, else a fresh one.
-func (s *shard) buffer(size int) []byte {
-	s.mu.Lock()
-	for i := len(s.spares) - 1; i >= 0; i-- {
-		if b := s.spares[i]; len(b) == size {
-			s.spares = slices.Delete(s.spares, i, i+1)
-			s.mu.Unlock()
-			return b
-		}
-	}
-	s.mu.Unlock()
-	return make([]byte, size)
 }
 
 // Put inserts a decoded stripe under the file's current version. The
@@ -286,13 +253,13 @@ func (s *shard) buffer(size int) []byte {
 // must not be mutated afterwards. Oversized entries (larger than a
 // shard's budget) are not admitted.
 func (c *Cache) Put(file string, stripe int, data []byte) {
-	c.put(Key{File: file, Stripe: stripe, Version: c.Version(file)}, data, foreign)
+	c.put(Key{File: file, Stripe: stripe, Version: c.Version(file)}, data, nil)
 }
 
-// put inserts data under key with the given hold — a flight's stripe
-// comes in pinned, before eviction can reach it — and returns its entry,
-// nil if it was not admitted.
-func (c *Cache) put(key Key, data []byte, hold int64) *entry {
+// put inserts data under key with its home spare list — a flight's stripe
+// (home non-nil) comes in pinned, before eviction can reach it — and
+// returns its entry, nil if it was not admitted.
+func (c *Cache) put(key Key, data []byte, home *bufpool.Spares) *entry {
 	size := int64(len(data))
 	if size == 0 || size > c.perShard {
 		return nil
@@ -303,8 +270,10 @@ func (c *Cache) put(key Key, data []byte, hold int64) *entry {
 	if _, ok := s.items[key]; ok {
 		return nil // raced with another insert of the same stripe
 	}
-	e := &entry{key: key, data: data}
-	e.hold.Store(hold)
+	e := &entry{key: key, data: data, home: home}
+	if home != nil {
+		e.hold.Pin()
+	}
 	s.items[key] = e
 	// S3-FIFO admission: keys remembered by the ghost list earned a main
 	// slot (they were evicted from probation and missed again); everything
@@ -376,9 +345,7 @@ func (c *Cache) removeLocked(s *shard, key Key) {
 	s.bytes -= size
 	c.bytes.Add(-size)
 	c.evictions.Add(1)
-	if e.hold.Add(retired) == retired {
-		s.spareLocked(e.data)
-	}
+	e.hold.Retire(e.data, e.home)
 }
 
 // addGhostLocked remembers an evicted probationary key in the bounded

@@ -3,6 +3,7 @@ package stripecache
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 	"time"
 )
@@ -48,16 +49,14 @@ func fetchInto(t *testing.T, c *Cache, st int) []byte {
 // same reports whether a and b share their first byte: one buffer.
 func same(a, b []byte) bool { return a != nil && b != nil && &a[0] == &b[0] }
 
-// spared reports whether b is on the shard's spare list.
+// spared reports whether b is on the shard's spare list: it takes every
+// spare of b's size and gives them back, oldest first.
 func spared(s *shard, b []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sp := range s.spares {
-		if same(sp, b) {
-			return true
-		}
-	}
-	return false
+	bufs, fresh := s.spares.Take(nil, maxSpares, len(b))
+	bufs = bufs[:len(bufs)-fresh]
+	slices.Reverse(bufs)
+	s.spares.Give(bufs...)
+	return slices.ContainsFunc(bufs, func(sp []byte) bool { return same(sp, b) })
 }
 
 // TestHeldEntryStaysOffSpares: an entry a reader has pinned, evicted by
@@ -96,13 +95,7 @@ func TestHeldEntryStaysOffSpares(t *testing.T) {
 	if spared(s, held) {
 		t.Fatal("an evicted entry's buffer is spare while a reader still pins it")
 	}
-	s.mu.Lock()
-	room := len(s.spares) < maxSpares
-	s.mu.Unlock()
-	if !room {
-		t.Fatal("spare list full before the unpin: nothing to observe")
-	}
-	s.unpin(e)
+	e.hold.Unpin(e.data, e.home)
 	if !spared(s, held) {
 		t.Fatal("the last unpin of an evicted entry did not spare its buffer")
 	}
@@ -184,19 +177,22 @@ func TestAbandonedFlightReleasesPin(t *testing.T) {
 	close(release)
 	key := Key{File: "f", Stripe: 0}
 	s := c.shardFor(key)
-	var e *entry
-	for deadline := time.Now().Add(2 * time.Second); e == nil || e.hold.Load() != 0; {
+	deadline := time.Now().Add(2 * time.Second)
+	for resident := false; !resident; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("abandoned flight: entry %v never became resident and unpinned", e != nil)
+			t.Fatal("abandoned flight: its entry never became resident")
 		}
-		time.Sleep(time.Millisecond)
 		s.mu.Lock()
-		e = s.items[key]
+		resident = s.items[key] != nil
 		s.mu.Unlock()
 	}
+	// The flight may still pin the entry: its buffer is spare once it unpins.
 	c.Invalidate("f")
-	if !spared(s, buf) {
-		t.Fatal("the purged entry of an abandoned flight is not spare")
+	for !spared(s, buf) {
+		if time.Now().After(deadline) {
+			t.Fatal("the purged entry of an abandoned flight is not spare")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -230,10 +226,8 @@ func TestSpareIsOverwritten(t *testing.T) {
 	if !c.Get("f", sts[1], dst) || !bytes.Equal(dst, want) {
 		t.Fatal("a hit on the recycled entry returned other bytes than the fetch wrote")
 	}
-	s.mu.Lock()
-	hold := s.items[Key{File: "f", Stripe: sts[1], Version: c.Version("f")}].hold.Load()
-	s.mu.Unlock()
-	if hold != 0 {
-		t.Fatalf("hold = %d after every reader left, want 0", hold)
+	c.Invalidate("f")
+	if !spared(s, first) {
+		t.Fatal("the recycled entry is still pinned after every reader left")
 	}
 }

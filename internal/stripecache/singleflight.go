@@ -49,7 +49,7 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 	if e := s.pinLocked(key, len(dst)); e != nil {
 		s.mu.Unlock()
 		copy(dst, e.data)
-		s.unpin(e)
+		e.hold.Unpin(e.data, e.home)
 		c.hits.Add(1)
 		return true, false, nil
 	}
@@ -90,16 +90,16 @@ func (c *Cache) runFlight(fctx context.Context, s *shard, key Key, f *flight,
 	size int, fetch func(ctx context.Context, dst []byte) error) {
 	// The buffer is outside the pool: on success it becomes the cache
 	// entry. fetch must write all of it: a spare holds an evicted stripe.
-	buf := s.buffer(size)
+	bufs, _ := s.spares.Take(make([][]byte, 0, 1), 1, size)
+	buf := bufs[0]
 	err := fetch(fctx, buf)
 	var e *entry
 	if err == nil {
-		e = c.put(key, buf, 1)
+		e = c.put(key, buf, s.spares)
+	} else {
+		s.spares.Give(buf) // no waiter reads a failed flight's data
 	}
 	s.mu.Lock()
-	if err != nil {
-		s.spareLocked(buf) // no waiter reads a failed flight's data
-	}
 	f.data, f.err, f.entry = buf, err, e
 	f.finished = true
 	abandoned := f.waiters == 0
@@ -109,7 +109,7 @@ func (c *Cache) runFlight(fctx context.Context, s *shard, key Key, f *flight,
 	s.mu.Unlock()
 	close(f.done)
 	if abandoned && e != nil {
-		s.unpin(e)
+		e.hold.Unpin(e.data, e.home)
 	}
 }
 
@@ -132,7 +132,7 @@ func (c *Cache) detach(s *shard, key Key, f *flight) {
 	if last {
 		f.cancel()
 		if finished && f.entry != nil {
-			s.unpin(f.entry)
+			f.entry.hold.Unpin(f.entry.data, f.entry.home)
 		}
 	}
 }

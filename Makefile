@@ -156,10 +156,10 @@ bench:
 # user byte, which repeat to the fourth digit for the large-file
 # workloads on any host even at smoke length, and spread at most 0.3 % for
 # the swarms' random draws (EXPERIMENTS.md); timed metrics spread too far
-# in 2 s to gate. read_degraded joined the gate when its counted metrics
-# became counts (PR 22: the planned degraded read fetches exactly one byte
-# per byte returned; the any-k race it replaced fetched 2.4 give or take
-# the timing of a cancel). -compare exits 1 on a regression and 2 when a
+# in 2 s to gate. read_degraded is gated because its counted metrics are
+# counts: the planned degraded read fetches exactly one byte per byte
+# returned (the any-k race it replaced fetched 2.4, give or take the
+# timing of a cancel). -compare exits 1 on a regression and 2 when a
 # workload is missing from either file. The baseline's rows must all come
 # from one commit, or the gate refuses it: after a change that is meant to
 # move a counted metric, re-take every row of

@@ -73,7 +73,8 @@ writepath:
 
 # The one repair engine, repeated under the race detector: one rebuild
 # exchange per batch from the coordinator to the newcomer, which runs the
-# batch (batched helper exchanges, one per helper per batch round,
+# batch over the one pool it keeps for its life, dialing each helper once
+# whatever the request's order and settings (batched helper exchanges, one per helper per batch round,
 # per-name verdicts striking one stripe, spares, unhedged repair of a slow
 # cluster) and stores what it rebuilds; the newcomer or a helper killed
 # mid-pass, a black-holed newcomer, the throttle, and Repair, Scrub and

@@ -230,7 +230,7 @@ func TestFaultMatrixRepair(t *testing.T) {
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("read after fault-path repair: %v", err)
 			}
-			// Close the store and the newcomer, whose repair engine parks its
+			// Close the store and the newcomer, whose pool parks its
 			// helper connections until it closes, so pooled connections (and
 			// their in-process server handler goroutines) are released before
 			// the leak check; the newcomer's accept loop goes with it.

@@ -409,13 +409,12 @@ func appendMilli(dst []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint16(dst, uint16(min(max(f*1000, 0), math.MaxUint16)))
 }
 
-// rebuildMeta is a decoded rebuild request: the request, the budget the
-// newcomer has, and its engine key — the meta from the block size through
-// the settings, everything that says how to rebuild rather than what.
+// rebuildMeta is a decoded rebuild request: the request and the budget
+// the newcomer has. The newcomer builds the Store it runs the request on
+// from it, over its own pool (Server.rebuild).
 type rebuildMeta struct {
 	req    RebuildRequest
 	budget time.Duration
-	key    string
 }
 
 // parseRebuild decodes a rebuild request's meta and returns what follows
@@ -435,7 +434,7 @@ func parseRebuild(meta []byte) (*rebuildMeta, []byte, error) {
 		return nil, nil, fmt.Errorf("blockserver: %d stripes run past a rebuild meta", count)
 	}
 	stripes, rest := rest[:4*count], rest[4*count:]
-	failed, key := int(binary.BigEndian.Uint16(rest)), rest[2:]
+	failed := int(binary.BigEndian.Uint16(rest))
 	blockSize, n := int(binary.BigEndian.Uint32(rest[2:])), int(binary.BigEndian.Uint16(rest[6:]))
 	if failed >= n || blockSize == 0 || blockSize > maxPayload {
 		return nil, nil, fmt.Errorf("blockserver: a rebuild of block %d of %d, %d bytes", failed, n, blockSize)
@@ -451,8 +450,7 @@ func parseRebuild(meta []byte) (*rebuildMeta, []byte, error) {
 	if len(rest) < rebuildSettingsLen+4 {
 		return nil, nil, fmt.Errorf("blockserver: rebuild meta ends before its settings")
 	}
-	rb := &rebuildMeta{key: string(key[:len(key)-len(rest)+rebuildSettingsLen])}
-	rb.req = RebuildRequest{File: string(file), Stripes: make([]int, count), Failed: failed, BlockSize: blockSize, Addrs: make([]string, n)}
+	rb := &rebuildMeta{req: RebuildRequest{File: string(file), Stripes: make([]int, count), Failed: failed, BlockSize: blockSize, Addrs: make([]string, n)}}
 	for i := range rb.req.Stripes {
 		rb.req.Stripes[i] = int(binary.BigEndian.Uint32(stripes[4*i:]))
 	}

@@ -429,12 +429,12 @@ type replyConn struct {
 func (c *replyConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 
 // TestRepairRefusedByServerNotServing: a server that was never started
-// answers a well-formed rebuild statusError before it builds a repair
-// engine, so it dials nobody — which is why no input to FuzzServeConn,
-// which drives the loop of a server never started, can make it dial. A
-// closed one builds none either, but answers nothing: it closes the
-// connection, so the coordinator retries on a fresh one, to whatever
-// server now listens at the address.
+// answers a well-formed rebuild statusError before it checks a client out
+// of its pool, so it dials nobody — which is why no input to
+// FuzzServeConn, which drives the loop of a server never started, can make
+// it dial. A closed one checks none out either, but answers nothing: it
+// closes the connection, so the coordinator retries on a fresh one, to
+// whatever server now listens at the address.
 func TestRepairRefusedByServerNotServing(t *testing.T) {
 	code, err := carousel.New(4, 2, 3, 4)
 	if err != nil {
@@ -459,8 +459,8 @@ func TestRepairRefusedByServerNotServing(t *testing.T) {
 		case srv != closed && (err != nil || h.Kind != statusError):
 			t.Errorf("%s: answered status %d (%v), want statusError", name, h.Kind, err)
 		}
-		if srv.eng != nil {
-			t.Errorf("%s: built a repair engine", name)
+		if dials := srv.pool.DialCounts(); len(dials) != 0 {
+			t.Errorf("%s: checked out clients for its helpers: %v", name, dials)
 		}
 	}
 }
@@ -526,12 +526,12 @@ func TestEveryRebuildHeaderBitIsChecked(t *testing.T) {
 	}
 }
 
-// TestRecoverEnginesReplacedWhileInUse: two coordinators with different
-// hedge delays rebuild the same newcomer's blocks at once, so each one's
-// rebuild requests replace the engine the other's are still running on.
-// Both passes rebuild every block, and once the newcomer closes, none of
-// the engines it built has a connection or a goroutine left.
-func TestRecoverEnginesReplacedWhileInUse(t *testing.T) {
+// TestRecoverOneNewcomerForTwoHedgesAtOnce: two coordinators with
+// different hedge delays rebuild the same newcomer's blocks at once, each
+// one's rebuilds running under its own settings over the newcomer's one
+// pool. Both passes rebuild every block, and once the newcomer closes, it
+// has no connection or goroutine left.
+func TestRecoverOneNewcomerForTwoHedgesAtOnce(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -586,4 +586,114 @@ func TestRecoverEnginesReplacedWhileInUse(t *testing.T) {
 	}
 	servers[failed].Close()
 	waitGoroutines(t, base-1)
+}
+
+// startCountingServers starts n servers, each counting the connections it
+// accepts.
+func startCountingServers(t *testing.T, code *carousel.Code, n int) ([]*Server, []string, []*countingListener) {
+	t.Helper()
+	servers, addrs, counts := make([]*Server, n), make([]string, n), make([]*countingListener, n)
+	for i := range servers {
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = &countingListener{Listener: raw}
+		servers[i] = NewServer(code)
+		if addrs[i], err = servers[i].StartListener(counts[i]); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { servers[i].Close() })
+	}
+	return servers, addrs, counts
+}
+
+// TestRecoverNewcomerDialsItsHelpersOnce: a newcomer rebuilds over one
+// pool for its life, so two coordinators that list the same helpers in
+// different orders, with different hedge delays, recover it in turn
+// without its dialing any helper again after the first pass.
+func TestRecoverNewcomerDialsItsHelpersOnce(t *testing.T) {
+	code, err := carousel.New(6, 3, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSize := code.BlockAlign() * 4
+	stripes := code.N() - 1 // one ring lap: one batch, one exchange per helper
+	const failed = 2
+	_, addrs, counts := startCountingServers(t, code, code.N())
+	// The second store keeps the newcomer at its index and lists the
+	// helpers in reverse.
+	reversed := slices.Clone(addrs)
+	slices.Reverse(reversed)
+	i := slices.Index(reversed, addrs[failed])
+	reversed[i], reversed[failed] = reversed[failed], reversed[i]
+	ctx := context.Background()
+	var files [2][]FileSpec
+	stores := make([]*Store, 2)
+	for k, order := range [][]string{addrs, reversed} {
+		if stores[k], err = NewStore(code, order, blockSize, WithHedgeDelay(time.Duration(k+1)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		defer stores[k].Close()
+		data := make([]byte, stripes*code.K()*blockSize)
+		rand.New(rand.NewSource(int64(77 + k))).Read(data)
+		name := fmt.Sprintf("f%d", k)
+		if _, err := stores[k].WriteFile(ctx, name, data); err != nil {
+			t.Fatal(err)
+		}
+		files[k] = []FileSpec{{Name: name, Size: len(data)}}
+	}
+	accepts := func() []int64 {
+		var a []int64
+		for i, l := range counts {
+			if i != failed {
+				a = append(a, l.accepts.Load())
+			}
+		}
+		return a
+	}
+	var after []int64
+	for pass := range 4 {
+		k := pass % 2
+		deleteServerBlocks(t, addrs[failed], files[k][0].Name, stripes, failed)
+		before := accepts()
+		rep, err := stores[k].RecoverServer(ctx, failed, files[k])
+		if err != nil || rep.BlocksRepaired != stripes {
+			t.Fatalf("pass %d: err %v, report %+v", pass, err, rep)
+		}
+		switch now := accepts(); {
+		case pass == 0 && slices.Equal(now, before):
+			t.Fatal("the first pass dialed no helper")
+		case pass > 0 && !slices.Equal(now, after):
+			t.Errorf("pass %d (store %d): helpers had accepted %v connections, %v after the first pass", pass, k, now, after)
+		default:
+			after = now
+		}
+	}
+}
+
+// TestRepairRefusedForMisalignedBlockSize: a rebuild of blocks whose size
+// is not a multiple of the code's BlockAlign, which NewStore refuses, is
+// answered statusError before the newcomer dials any helper.
+func TestRepairRefusedForMisalignedBlockSize(t *testing.T) {
+	code, err := carousel.New(4, 2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code.BlockAlign() == 1 {
+		t.Fatal("every block size is aligned to this code")
+	}
+	const failed = 1
+	_, addrs, counts := startCountingServers(t, code, code.N())
+	c := NewClient(addrs[failed], fastOpts())
+	defer c.Close()
+	req := &RebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: code.BlockAlign()*4 + 1, Addrs: addrs, Client: fastOpts()}
+	if _, err := c.Rebuild(context.Background(), req); !errors.Is(err, ErrRemote) {
+		t.Fatalf("rebuild of %d-byte blocks: %v, want ErrRemote", req.BlockSize, err)
+	}
+	for i, l := range counts {
+		if n := l.accepts.Load(); i != failed && n != 0 {
+			t.Errorf("helper %d accepted %d connections", i, n)
+		}
+	}
 }

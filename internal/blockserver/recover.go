@@ -411,7 +411,7 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 	var res *RebuildResult
 	err := ro.throttle.Wait(ctx, len(batch)*(s.code.D()*s.code.HelperChunkSize(s.blockSize)+s.blockSize))
 	if err == nil {
-		err = s.pool.WithClient(ctx, s.addrs[failed], func(c *Client) (err error) {
+		err = s.withClient(ctx, s.addrs[failed], func(c *Client) (err error) {
 			res, err = c.Rebuild(ctx, req)
 			return err
 		})
@@ -453,9 +453,9 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 }
 
 // rebuildBatch is the one repair engine, run where the lost blocks land:
-// a newcomer runs it on its engine for each rebuild request
-// (Server.rebuild). It rebuilds block failed of each of the file's stripes
-// as one batch of the stripe loop (runBatch), with opChunk for its op:
+// a newcomer runs it for each rebuild request, on a Store over its own
+// pool (Server.rebuild). It rebuilds block failed of each of the file's
+// stripes as one batch of the stripe loop (runBatch), with opChunk for its op:
 // every stripe plans the next d − len(helpers) available survivors in its
 // rotated ring order, so a healthy batch is one round of n−1 exchanges of
 // d chunks each — the paper's optimal traffic in one round trip per block
@@ -588,7 +588,7 @@ func (r *stripeRepair) recheck() (again bool, err error) {
 	sp.SetAttr("stripe", r.st).SetAttr("helpers", len(r.helpers))
 	verdicts := fanOut(len(r.helpers), func(k int) error {
 		h := r.helpers[k]
-		return s.pool.WithClient(ctx, s.addrs[h], func(c *Client) error {
+		return s.withClient(ctx, s.addrs[h], func(c *Client) error {
 			return c.Verify(ctx, BlockName(r.file, r.st, h))
 		})
 	})

@@ -89,7 +89,7 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 
 	servers, addrs := startServers(t, code, code.N())
 	// The baseline is taken before the store exists and checked after it
-	// and the newcomer close (the newcomer's engine parks its helper
+	// and the newcomer close (the newcomer's pool parks its helper
 	// connections until then, and its accept loop goes with it), so a
 	// goroutine the write or the recovery leaves behind shows.
 	base := runtime.NumGoroutine()
@@ -418,7 +418,7 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 
 	servers, addrs := startServers(t, code, code.N())
 	// The baseline is taken before the store exists and checked after it
-	// and the newcomer close (the newcomer's engine parks its helper
+	// and the newcomer close (the newcomer's pool parks its helper
 	// connections until then, and its accept loop goes with it), so a
 	// goroutine the write or the recovery leaves behind shows.
 	base := runtime.NumGoroutine()

@@ -234,15 +234,17 @@ type Server struct {
 	life context.Context
 	end  context.CancelFunc
 
-	// eng is the engine the last rebuild request was run on (see engine).
-	engMu sync.Mutex
-	eng   *repairEngine
+	// pool is what every rebuild the server runs dials its helpers over
+	// (see rebuild), whatever the request's addresses and settings, so a
+	// newcomer dials each helper once for its life.
+	pool *Pool
 }
 
 // NewServer returns a server; code may be nil for a plain block store.
 func NewServer(code *carousel.Code) *Server {
 	s := &Server{code: code, conns: make(map[net.Conn]struct{}),
-		blockStore: blockStore{blocks: make(map[string]storedBlock), spares: bufpool.NewSpares(spareBlocks)}}
+		blockStore: blockStore{blocks: make(map[string]storedBlock), spares: bufpool.NewSpares(spareBlocks)},
+		pool:       NewPool(nil, PoolOptions{})}
 	s.life, s.end = context.WithCancel(context.Background())
 	return s
 }
@@ -328,9 +330,9 @@ func (s *Server) untrack(conn net.Conn) {
 
 // Close shuts down in order: stop accepting, cancel in-flight handler
 // connections and rebuilds, wait for every goroutine to exit, then close
-// the repair engine and the helper connections it parks. A server blocked
-// on an idle or half-open client connection still shuts down promptly
-// because closing the conn unblocks its handler's read.
+// the pool the rebuilds ran on and the helper connections it parks. A
+// server blocked on an idle or half-open client connection still shuts
+// down promptly because closing the conn unblocks its handler's read.
 func (s *Server) Close() error {
 	s.lnMu.Lock()
 	s.closed = true
@@ -350,12 +352,7 @@ func (s *Server) Close() error {
 	}
 	s.end()
 	s.wg.Wait()
-	s.engMu.Lock()
-	if s.eng != nil {
-		s.eng.store.Close()
-		s.eng = nil
-	}
-	s.engMu.Unlock()
+	s.pool.Close()
 	return err
 }
 
@@ -665,62 +662,6 @@ func (s *Server) entryLen(op byte) int {
 	return 4 + rec
 }
 
-var errClosing = errors.New("blockserver: server is closing")
-
-// repairEngine is a newcomer's Store for the rebuilds it is asked for: a
-// Store over a Pool of its own, for one engine key (the addresses, block
-// size and settings of a rebuild request), shared by every rebuild that
-// names that key, so a pass dials its helpers once, not once per batch.
-// users counts the rebuilds running on it.
-type repairEngine struct {
-	key   string
-	store *Store
-	users int
-}
-
-// engine returns the repair engine for a rebuild request and counts the
-// caller as one of its users: the server's current engine when the key
-// matches, else a new one, which replaces it (the old one closes when its
-// last user is done, or at once if it has none). A server that was never
-// started, or is closing (errClosing), builds none: it dials nobody.
-func (s *Server) engine(rb *rebuildMeta) (*repairEngine, error) {
-	s.lnMu.Lock()
-	started, closing := s.ln != nil, s.closed
-	s.lnMu.Unlock()
-	switch {
-	case closing:
-		return nil, errClosing
-	case !started:
-		return nil, fmt.Errorf("server is not serving")
-	}
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if e := s.eng; e != nil && e.key == rb.key {
-		e.users++
-		return e, nil
-	}
-	st, err := NewStore(s.code, rb.req.Addrs, rb.req.BlockSize, WithClientOptions(rb.req.Client), WithHedgeDelay(rb.req.Hedge))
-	if err != nil {
-		return nil, err
-	}
-	st.home = s
-	if old := s.eng; old != nil && old.users == 0 {
-		old.store.Close()
-	}
-	s.eng = &repairEngine{key: rb.key, store: st, users: 1}
-	return s.eng, nil
-}
-
-// release ends a rebuild's use of its engine, closing the engine when it
-// was the last user of one the server has replaced.
-func (s *Server) release(e *repairEngine) {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if e.users--; e.users == 0 && e != s.eng {
-		e.store.Close()
-	}
-}
-
 // rebuildMargin is how much sooner than its coordinator's deadline a
 // newcomer ends a rebuild — an eighth of the budget, at most a second — so
 // that its answer, every stripe's verdict, lands in time.
@@ -728,36 +669,44 @@ func rebuildMargin(budget time.Duration) time.Duration {
 	return min(budget/8, time.Second)
 }
 
-// rebuild answers a rebuild request: the newcomer runs the batch on its
-// repair engine (Store.rebuildBatch), which commits each block it rebuilds
-// to this server's map, under the request's budget less rebuildMargin and
-// only until the server closes, and answers each stripe's verdict,
-// winning traffic and failure text, and each helper's winning chunks. A
-// server with no code, one never started, a batch whose answer would
-// overflow a meta, or a request no engine can be built for is answered
-// statusError before anything is dialed. A closing server drops the
-// connection instead, so the coordinator retries on a fresh one, with
-// whatever server then listens at the address.
+// rebuild answers a rebuild request: the newcomer runs the batch
+// (Store.rebuildBatch) on a Store built for the request over the server's
+// pool, which commits each block it rebuilds to this server's map, under
+// the request's budget less rebuildMargin and only until the server
+// closes, and answers each stripe's verdict, winning traffic and failure
+// text, and each helper's winning chunks. A server with no code, one never
+// started, a batch whose answer would overflow a meta, or a block size
+// NewStore would refuse is answered statusError before anything is
+// dialed. A closing server drops the connection instead, so the
+// coordinator retries on a fresh one, with whatever server then listens at
+// the address.
 func (s *Server) rebuild(ctx context.Context, cs *connState, rb *rebuildMeta) error {
 	count, n := len(rb.req.Stripes), len(rb.req.Addrs)
-	if s.code == nil {
-		return s.reply(cs, opRebuild, statusError, []byte("server has no code configured"))
+	s.lnMu.Lock()
+	started, closing := s.ln != nil, s.closed
+	s.lnMu.Unlock()
+	var refusal []byte
+	switch {
+	case s.code == nil:
+		refusal = []byte("server has no code configured")
+	case 7*count+4*n > math.MaxUint16:
+		refusal = fmt.Appendf(nil, "%d stripes' and %d helpers' answers overflow an answer meta", count, n)
+	case closing:
+		return errors.New("blockserver: server is closing")
+	case !started:
+		refusal = []byte("server is not serving")
+	case rb.req.BlockSize%s.code.BlockAlign() != 0:
+		refusal = fmt.Appendf(nil, "block size %d must be a positive multiple of %d", rb.req.BlockSize, s.code.BlockAlign())
 	}
-	if 7*count+4*n > math.MaxUint16 {
-		return s.reply(cs, opRebuild, statusError, fmt.Appendf(nil, "%d stripes' and %d helpers' answers overflow an answer meta", count, n))
+	if refusal != nil {
+		return s.reply(cs, opRebuild, statusError, refusal)
 	}
-	eng, err := s.engine(rb)
-	if errors.Is(err, errClosing) {
-		return err
-	}
-	if err != nil {
-		return s.reply(cs, opRebuild, statusError, []byte(err.Error()))
-	}
-	defer s.release(eng)
+	st := &Store{code: s.code, addrs: rb.req.Addrs, blockSize: rb.req.BlockSize, client: rb.req.Client.withDefaults(), hedge: defaultHedge, pool: s.pool, home: s}
+	WithHedgeDelay(rb.req.Hedge)(st)
 	ctx, cancel := context.WithTimeout(ctx, rb.budget-rebuildMargin(rb.budget))
 	defer cancel()
 	defer context.AfterFunc(s.life, cancel)()
-	traffic, errs, chunks := eng.store.rebuildBatch(ctx, rb.req.File, rb.req.Stripes, rb.req.Failed)
+	traffic, errs, chunks := st.rebuildBatch(ctx, rb.req.File, rb.req.Stripes, rb.req.Failed)
 	meta, texts := appendRebuildAnswer(make([]byte, 0, 7*count+4*n), nil, traffic, errs, chunks)
 	return s.send(cs, opRebuild, frame.Header{Kind: statusOK, Meta: meta, Len: len(texts), CRC: Checksum(texts)}, texts)
 }

@@ -80,14 +80,15 @@ type Store struct {
 	code      *carousel.Code
 	addrs     []string
 	blockSize int
-	client    Options
+	client    Options // every client the store checks out runs under these (withClient)
 	hedge     time.Duration
 	pool      *Pool              // shared by reads, writes, scrub, and repair
 	healthy   *carousel.ReadPlan // the plan with every block available: what a stripe reads while nothing is known bad
 
-	// home is the newcomer whose repair engine this store is (see
-	// Server.engine): the server each block it rebuilds is committed to.
-	// Nil for every other store, which sends its repairs to their newcomers.
+	// home is the newcomer this store was built for to run one rebuild
+	// request on, over the newcomer's pool (see Server.rebuild): the
+	// server each block it rebuilds is committed to. Nil for every store
+	// NewStore builds, which sends its repairs to their newcomers.
 	home *Server
 
 	// cache, when non-nil, serves hot stripes from memory with singleflight
@@ -103,6 +104,10 @@ type StoreOption func(*Store)
 func WithClientOptions(o Options) StoreOption {
 	return func(s *Store) { s.client = o }
 }
+
+// defaultHedge is how long a stripe waits for straggling sources unless
+// WithHedgeDelay says otherwise.
+const defaultHedge = 500 * time.Millisecond
 
 // WithHedgeDelay sets how long a stripe read waits for straggling sources
 // before striking them and re-planning around them (default 500ms).
@@ -146,7 +151,7 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 		code:      code,
 		addrs:     addrs,
 		blockSize: blockSize,
-		hedge:     500 * time.Millisecond,
+		hedge:     defaultHedge,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -174,6 +179,19 @@ func (s *Store) Close() {
 // adapters, repair tooling) fetch over the same bounded connection set.
 func (s *Store) Pool() *Pool {
 	return s.pool
+}
+
+// withClient checks out a client of the store's pool for addr, runs fn on
+// it under the store's client options and returns it. A newcomer's pool
+// serves rebuilds with different options, so every checkout sets them.
+func (s *Store) withClient(ctx context.Context, addr string, fn func(*Client) error) error {
+	c, err := s.pool.Get(ctx, addr)
+	if err != nil {
+		return err
+	}
+	defer s.pool.Put(c)
+	c.opts = s.client
+	return fn(c)
 }
 
 // BlockName returns the key under which the Store places block idx of the
@@ -355,7 +373,7 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 		}
 	}
 	return errors.Join(fanOut(n, func(i int) error {
-		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
+		return s.withClient(ctx, s.addrs[i], func(c *Client) error {
 			return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m], bcrcs[i*m:(i+1)*m], sent)
 		})
 	})...)
@@ -935,7 +953,9 @@ func (r *wireRound) source(x int) {
 			hedge = time.Time{}
 		}
 		if c == nil && err == nil {
-			c, err = r.s.pool.getParked(r.ctx, r.s.addrs[block], hedge)
+			if c, err = r.s.pool.getParked(r.ctx, r.s.addrs[block], hedge); err == nil {
+				c.opts = r.s.client
+			}
 		}
 		if e.err = err; err == nil {
 			e.err = r.runNames(c, y, hedge)
@@ -1369,7 +1389,7 @@ func (s *Store) scrubBatch(ctx context.Context, file string, lo, hi int, verdict
 		names[k], recs[k] = BlockName(file, lo+k%m, k/m), slab[k*n:k*n:(k+1)*n]
 	}
 	errs := fanOut(n, func(i int) error {
-		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
+		return s.withClient(ctx, s.addrs[i], func(c *Client) error {
 			return c.Verifies(ctx, names[i*m:(i+1)*m], recs[i*m:(i+1)*m], vs[i*m:(i+1)*m])
 		})
 	})

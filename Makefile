@@ -137,12 +137,16 @@ series:
 # build clusterbench once, run the four, and diff them against the
 # committed transcript. Re-take results/sim_figures.txt with the same loop
 # only after a change that is meant to move a figure. Fig. 11 stays out:
-# its one-failure column times the host's decoder.
+# its one-failure column times the host's decoder. Then run the facade's
+# Fig. 6-9 and 11 benchmarks once each (about 1 s): `go test` compiles them
+# but never runs them, and the simulated Fig. 9 and 11 ones drive NewFS,
+# Read and MapReduce through the public API.
 sim:
 	mkdir -p .bench_build
 	$(GO) build -o .bench_build/clusterbench ./cmd/clusterbench
 	for f in 9 10 deg tail; do .bench_build/clusterbench -fig $$f || exit 1; done > .bench_build/sim_figures.txt
 	diff results/sim_figures.txt .bench_build/sim_figures.txt
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Regenerate the coding microbenchmarks and the JSON snapshot.
 bench:

@@ -189,8 +189,6 @@ type (
 	SchemeCarousel = dfs.Carousel
 	// ReadResult reports a completed file retrieval.
 	ReadResult = dfs.ReadResult
-	// RepairResult reports a completed reconstruction.
-	RepairResult = dfs.RepairResult
 
 	// MapReduce is the job engine over the simulated file system.
 	MapReduce = mapreduce.Engine

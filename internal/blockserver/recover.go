@@ -124,13 +124,12 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 		// a quarter second of budget, whichever is more.
 		tb = newTokenBucket(cfg.bandwidth, d*s.code.HelperChunkSize(s.blockSize)+s.blockSize)
 	}
-	var mu sync.Mutex
-	onHelper := func(idx, chunks int) {
-		mu.Lock()
-		report.HelperChunks[s.addrs[idx]] += int64(chunks)
-		mu.Unlock()
+	traffic, chunks, repaired, err := s.repairMany(ctx, jobs, tb)
+	for idx, c := range chunks {
+		if c != 0 {
+			report.HelperChunks[s.addrs[idx]] = c
+		}
 	}
-	traffic, repaired, err := s.repairMany(ctx, jobs, 0, repairOpts{throttle: tb, onHelper: onHelper})
 	report.TrafficBytes = traffic
 	report.BlocksRepaired = len(repaired)
 	report.BytesRecovered = int64(len(repaired)) * int64(s.blockSize)
@@ -213,13 +212,14 @@ func repairBatches(jobs []repairJob, size int) [][]int {
 }
 
 // repairMany runs block repairs batch by batch through the bounded
-// pipeline: up to conc batches are in flight (0: batchWidth), so one
-// batch's helper exchanges overlap another's decode, and the first
-// failure cancels the launch of later batches (in-flight ones drain). A
-// batch is one lap, or fewer stripes if a lap's chunks would pass
-// batchBytes. It reports the helper bytes moved, the jobs that completed
-// (in job order), and the root-cause failure naming its job.
-func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro repairOpts) (traffic int64, repaired []repairJob, err error) {
+// pipeline: batchWidth batches are in flight, so one batch's helper
+// exchanges overlap another's decode, and the first failure cancels the
+// launch of later batches (in-flight ones drain). A batch is one lap, or
+// fewer stripes if a lap's chunks would pass batchBytes; throttle, when
+// set, paces the batches (repairBatch). It reports the helper bytes moved,
+// each helper's winning chunks by block index, the jobs that completed (in
+// job order), and the root-cause failure naming its job.
+func (s *Store) repairMany(ctx context.Context, jobs []repairJob, throttle *tokenBucket) (traffic int64, chunks []int64, repaired []repairJob, err error) {
 	// A batch is at most one lap of the rotated survivor ring: n−1 stripes
 	// of one file with one failed index. Why one lap: over n−1 consecutive
 	// stripes every survivor is among the first d candidates of exactly d
@@ -228,18 +228,21 @@ func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro r
 	// longer batch would only delay its first decode and hold more chunks
 	// at once.
 	batches := repairBatches(jobs, s.repairBatchSize())
-	if conc == 0 {
-		conc = batchWidth(len(jobs), len(batches))
-	}
 	moved, errs := make([]int, len(jobs)), make([]error, len(jobs))
-	berrs, launched := pipeline(ctx, len(batches), conc, func(ctx context.Context, b int) error {
-		return s.repairBatch(ctx, jobs, batches[b], moved, errs, ro)
+	tallies := make([][]int64, len(batches))
+	berrs, launched := pipeline(ctx, len(batches), batchWidth(len(jobs), len(batches)), func(ctx context.Context, b int) (err error) {
+		tallies[b], err = s.repairBatch(ctx, jobs, batches[b], moved, errs, throttle)
+		return err
 	})
 	ran := make([]bool, len(jobs))
-	for _, batch := range batches[:launched] {
+	chunks = make([]int64, s.code.N())
+	for b, batch := range batches[:launched] {
 		for _, j := range batch {
 			ran[j] = true
 			traffic += int64(moved[j])
+		}
+		for idx, c := range tallies[b] {
+			chunks[idx] += c
 		}
 	}
 	for j, job := range jobs {
@@ -251,9 +254,9 @@ func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, ro r
 		if b == launched { // the caller's context ended before this batch began
 			err = jobErr(jobs[batches[b][0]], err)
 		}
-		return traffic, repaired, err
+		return traffic, chunks, repaired, err
 	}
-	return traffic, repaired, nil
+	return traffic, chunks, repaired, nil
 }
 
 // repairBatchSize is the most stripes a repair batch holds: one lap of the
@@ -282,7 +285,6 @@ func jobErr(j repairJob, err error) error {
 type stripeRepair struct {
 	stripeOp
 	job        repairJob
-	ro         repairOpts
 	candidates []int
 	buf        []byte   // d chunk slots, pooled
 	free       [][]byte // slots no landed chunk holds
@@ -341,9 +343,6 @@ func (r *stripeRepair) landed() {
 		}
 		r.helpers, r.chunks = append(r.helpers, a.block), append(r.chunks, a.buf)
 		r.traffic += len(a.buf)
-		if r.ro.onHelper != nil {
-			r.ro.onHelper(a.block, 1)
-		}
 		if len(a.rec) > 0 {
 			r.record(a.rec)
 		}
@@ -391,13 +390,15 @@ func (r *stripeRepair) release() {
 // rebuild exchange (Client.Rebuild): the newcomer fetches the chunks,
 // rebuilds and stores the blocks (rebuildBatch), so what crosses this
 // store's sockets is the request and its answer, and no block or chunk. It
-// is behind Repair, Scrub and RecoverServer. The recovery throttle is
+// is behind Repair, Scrub and RecoverServer. The throttle, when set, is
 // charged the batch's d chunks and rebuilt block per stripe before the
-// request goes out. moved[j] and errs[j] receive job j's winning traffic
-// and outcome as the newcomer answers them — or, when the exchange itself
-// fails, that failure for every job of the batch — and the batch returns
-// its root cause, naming its job.
-func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, moved []int, errs []error, ro repairOpts) error {
+// request goes out, so recovery coexists with foreground reads. moved[j]
+// and errs[j] receive job j's winning traffic and outcome as the newcomer
+// answers them — or, when the exchange itself fails, that failure for
+// every job of the batch — and the batch returns each helper's winning
+// chunks by block index (nil when the exchange failed) and its root cause,
+// naming its job.
+func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, moved []int, errs []error, throttle *tokenBucket) ([]int64, error) {
 	first := jobs[batch[0]]
 	failed := first.ref.Block
 	ctx, sp := obs.ChildSpan(ctx, "rebuild")
@@ -409,7 +410,7 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 		req.Stripes[i] = jobs[j].ref.Stripe
 	}
 	var res *RebuildResult
-	err := ro.throttle.Wait(ctx, len(batch)*(s.code.D()*s.code.HelperChunkSize(s.blockSize)+s.blockSize))
+	err := throttle.Wait(ctx, len(batch)*(s.code.D()*s.code.HelperChunkSize(s.blockSize)+s.blockSize))
 	if err == nil {
 		err = s.withClient(ctx, s.addrs[failed], func(c *Client) (err error) {
 			res, err = c.Rebuild(ctx, req)
@@ -429,27 +430,20 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 		}
 		err = jobErr(first, err)
 		sp.SetAttr("error", err.Error())
-		return err
+		return nil, err
 	}
 	traffic := 0
 	for i, j := range batch {
 		moved[j], errs[j] = res.Traffic[i], res.Errs[i]
 		traffic += moved[j]
 	}
-	if ro.onHelper != nil {
-		for idx, chunks := range res.Chunks {
-			if chunks != 0 {
-				ro.onHelper(idx, int(chunks))
-			}
-		}
-	}
 	sp.SetAttr("traffic_bytes", traffic)
 	if i, err := pipelineErr(ctx, res.Errs, len(res.Errs)); err != nil {
 		err = jobErr(jobs[batch[i]], err)
 		sp.SetAttr("error", err.Error())
-		return err
+		return res.Chunks, err
 	}
-	return nil
+	return res.Chunks, nil
 }
 
 // rebuildBatch is the one repair engine, run where the lost blocks land:
@@ -485,12 +479,6 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 	}
 	wsp.End()
 
-	var mu sync.Mutex
-	ro := repairOpts{onHelper: func(idx, c int) {
-		mu.Lock()
-		chunks[idx] += int64(c)
-		mu.Unlock()
-	}}
 	repairs := make([]stripeRepair, len(stripes))
 	tasks := make([]stripeTask, len(stripes))
 	slots := make([]uint32, len(stripes)*(d+1)*n)
@@ -499,7 +487,6 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 		*r = stripeRepair{
 			stripeOp:   stripeOp{s: s, ctx: ctx, file: file, st: st},
 			job:        repairJob{file: file, ref: BlockRef{Stripe: st, Block: failed}},
-			ro:         ro,
 			candidates: rotatedSurvivors(n, failed, st),
 			buf:        bufpool.Get(d * chunkSize),
 			free:       make([][]byte, d),
@@ -518,6 +505,9 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 	for i := range repairs {
 		traffic[i], errs[i] = repairs[i].traffic, repairs[i].err
 		total += traffic[i]
+		for _, h := range repairs[i].helpers {
+			chunks[h]++
+		}
 	}
 	sp.SetAttr("traffic_bytes", total)
 	if _, err := pipelineErr(ctx, errs, len(errs)); err != nil {
@@ -603,9 +593,6 @@ func (r *stripeRepair) recheck() (again bool, err error) {
 		// nor asked for again, and it is not a winning chunk.
 		r.strike(h, fmt.Errorf("helper %d: its chunk did not rebuild the recorded block, and its verify: %v", h, verdicts[k]))
 		r.free, r.traffic = append(r.free, r.chunks[k]), r.traffic-len(r.chunks[k])
-		if r.ro.onHelper != nil {
-			r.ro.onHelper(h, -1)
-		}
 	}
 	struck := len(r.helpers) - kept
 	r.helpers, r.chunks = r.helpers[:kept], r.chunks[:kept]

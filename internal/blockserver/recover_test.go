@@ -158,12 +158,11 @@ func TestRecoverServerParallelByteIdentical(t *testing.T) {
 	waitGoroutines(t, base-1)
 }
 
-// TestRecoverServerSequentialRotatesHelpers pins that the width of the
-// bounded stage changes only how many batches are in flight: driven one at
-// a time (repairMany at width 1, the way RecoverServer drives it at
-// batchesInFlight), helper selection still rotates with the stripe index,
-// so the pass spreads its chunks over all n-1 survivors instead of the
-// first d, repairs every block and the file reads back identical.
+// TestRecoverServerSequentialRotatesHelpers pins that helper selection
+// rotates with the stripe index inside one batch: its 8 stripes are one lap
+// of the 11-ring, one rebuild exchange, and the pass still spreads its
+// chunks over all n-1 survivors instead of the first d, repairs every block
+// and the file reads back identical.
 func TestRecoverServerSequentialRotatesHelpers(t *testing.T) {
 	code := mustCode(t)
 	blockSize := code.BlockAlign() * 4
@@ -189,10 +188,15 @@ func TestRecoverServerSequentialRotatesHelpers(t *testing.T) {
 	for st := range jobs {
 		jobs[st] = repairJob{file: "f", ref: BlockRef{Stripe: st, Block: failed}}
 	}
-	helpers := make(map[int]int) // one repair at a time: no lock needed
-	traffic, repaired, err := store.repairMany(ctx, jobs, 1, repairOpts{onHelper: func(idx, chunks int) { helpers[idx] += chunks }})
+	traffic, chunks, repaired, err := store.repairMany(ctx, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	helpers := make(map[int]int64)
+	for idx, c := range chunks {
+		if c != 0 {
+			helpers[idx] = c
+		}
 	}
 	if len(repaired) != stripes {
 		t.Fatalf("repaired %d blocks, want %d", len(repaired), stripes)

@@ -1228,21 +1228,8 @@ func (s *Store) Repair(ctx context.Context, name string, st, failed int) (traffi
 	}
 	var moved [1]int
 	var errs [1]error
-	s.repairBatch(ctx, []repairJob{{file: name, ref: BlockRef{Stripe: st, Block: failed}}}, []int{0}, moved[:], errs[:], repairOpts{})
+	s.repairBatch(ctx, []repairJob{{file: name, ref: BlockRef{Stripe: st, Block: failed}}}, []int{0}, moved[:], errs[:], nil)
 	return moved[0], errs[0]
-}
-
-// repairOpts tunes the repairs of a recovery pass.
-type repairOpts struct {
-	// throttle, when set, paces repair bytes (each batch's d helper chunks
-	// and rebuilt block per stripe, charged before the batch is sent) so
-	// recovery coexists with foreground reads.
-	throttle *tokenBucket
-	// onHelper observes, by block index, each helper whose chunk landed
-	// (chunks 1) and each whose landed chunk a recheck dropped (chunks −1),
-	// so the sum is the winning chunks — the engine's per-helper balance
-	// accounting.
-	onHelper func(idx, chunks int)
 }
 
 // rotatedSurvivors lists the n-1 survivor block indexes starting at
@@ -1355,7 +1342,7 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	if !repair || len(broken) == 0 {
 		return rep, nil
 	}
-	traffic, repaired, err := s.repairMany(ctx, broken, 0, repairOpts{})
+	traffic, _, repaired, err := s.repairMany(ctx, broken, nil)
 	rep.TrafficBytes = int(traffic)
 	for _, j := range repaired {
 		rep.Repaired = append(rep.Repaired, j.ref)

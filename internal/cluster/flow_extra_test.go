@@ -131,18 +131,6 @@ func TestSelfNodeTransferUsesDiskOnly(t *testing.T) {
 	almost(t, done, 10, 1e-9, "local read")
 }
 
-func TestSendRemoteSameNodeFree(t *testing.T) {
-	s := NewSim()
-	c := NewCluster(s, 1, NodeSpec{NetOutBW: 1, NetInBW: 1})
-	var done float64
-	s.Go("send", func(p *Proc) {
-		SendRemote(p, c.Node(0), c.Node(0), 1e9)
-		done = p.Now()
-	})
-	s.Run()
-	almost(t, done, 0, 1e-9, "same-node send")
-}
-
 func TestComputeDuration(t *testing.T) {
 	s := NewSim()
 	c := NewCluster(s, 1, NodeSpec{ComputeBW: 50})

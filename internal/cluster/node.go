@@ -112,15 +112,6 @@ func ReadRemote(p *Proc, src, dst *Node, bytes float64) {
 	p.Transfer(bytes, src.diskRead, src.netOut, dst.netIn)
 }
 
-// SendRemote streams in-memory bytes from src to dst (no disk on either
-// side), e.g. a MapReduce shuffle whose spill fits in page cache.
-func SendRemote(p *Proc, src, dst *Node, bytes float64) {
-	if src == dst {
-		return
-	}
-	p.Transfer(bytes, src.netOut, dst.netIn)
-}
-
 // Compute occupies one slot on the node while processing the given number
 // of bytes of CPU work at the node's compute bandwidth, plus a fixed
 // overhead in seconds (task startup, JVM launch, and similar constants the

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"carousel/internal/cluster"
-	"carousel/internal/obs"
 )
 
 // readNumbers is what one simulated file read reports.
@@ -21,16 +20,13 @@ type readNumbers struct {
 // baselineNumbers is everything the simulator reports about one (12,6)
 // baseline file: 100 kB blocks, 850 kB of data (one full stripe and a
 // 2.5-block tail) on 13 datanodes whose disks, NICs and decoder are all
-// finite, so every stage of a read and a repair shows in the seconds.
+// finite, so every stage of a read shows in the seconds.
 type baselineNumbers struct {
-	Splits        []Split
-	Healthy       readNumbers
-	OneLost       readNumbers // stripe 0 block 0 unavailable
-	RepairTraffic int64
-	RepairHelpers int
-	RepairSeconds float64
-	CostSources   map[int]int // DegradedSplitCost of the lost block's split
-	CostDecode    int
+	Splits      []Split
+	Healthy     readNumbers
+	OneLost     readNumbers // stripe 0 block 0 unavailable
+	CostSources map[int]int // DegradedSplitCost of the lost block's split
+	CostDecode  int
 }
 
 // toNanos rounds simulated seconds to the nanosecond, so the pinned
@@ -87,16 +83,6 @@ func simulateBaseline(t *testing.T, scheme Scheme) baselineNumbers {
 		t.Fatal(err)
 	}
 	out.CostSources, out.CostDecode = dc.Sources, dc.DecodeBytes
-	var res *RepairResult
-	rig.sim.Go("repair", func(p *cluster.Proc) {
-		res, err = rig.fs.Reconstruct(p, "f", 0, 0, rig.fs.Datanodes()[12])
-		out.RepairSeconds = toNanos(p.Now())
-	})
-	rig.sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.RepairTraffic, out.RepairHelpers = res.TrafficBytes, res.Helpers
 	return out
 }
 
@@ -104,10 +90,9 @@ func simulateBaseline(t *testing.T, scheme Scheme) baselineNumbers {
 // Reed-Solomon numbers. The literals were captured at commit 8594fcf, the
 // last one with a separate (12,6) RS scheme (its own Write, readRS,
 // Reconstruct, Splits, DegradedSplitCost and SplitData branches); the
-// (12,6,6,6) point of the one coded scheme must keep producing them — in
-// particular the 0.072 s repair: 12 ms streaming six blocks into the
-// newcomer's NIC, 50 ms decode, 10 ms write, with no store-and-forward at
-// the helpers.
+// (12,6,6,6) point of the one coded scheme must keep producing them. The
+// simulator no longer repairs, so the repair numbers captured with them are
+// gone; the live store's repair traffic is checked in blockserver.
 func TestBaselinePointMatchesTheDeletedRSScheme(t *testing.T) {
 	split := func(stripe, block, node, offset, length int) Split {
 		return Split{File: "f", Stripe: stripe, Block: block, Nodes: []int{node}, Offset: offset, Length: length}
@@ -124,13 +109,10 @@ func TestBaselinePointMatchesTheDeletedRSScheme(t *testing.T) {
 			split(1, 1, 0, 700_000, 100_000),
 			split(1, 2, 1, 800_000, 50_000),
 		},
-		Healthy:       readNumbers{Parallelism: 6, BytesFetched: 1_200_000, DecodeBytes: 0, Seconds: 0.016},
-		OneLost:       readNumbers{Parallelism: 6, BytesFetched: 1_200_000, DecodeBytes: 100_000, Seconds: 0.066},
-		RepairTraffic: 600_000,
-		RepairHelpers: 6,
-		RepairSeconds: 0.072,
-		CostSources:   map[int]int{1: 100_000, 2: 100_000, 3: 100_000, 4: 100_000, 5: 100_000, 6: 100_000},
-		CostDecode:    100_000,
+		Healthy:     readNumbers{Parallelism: 6, BytesFetched: 1_200_000, DecodeBytes: 0, Seconds: 0.016},
+		OneLost:     readNumbers{Parallelism: 6, BytesFetched: 1_200_000, DecodeBytes: 100_000, Seconds: 0.066},
+		CostSources: map[int]int{1: 100_000, 2: 100_000, 3: 100_000, 4: 100_000, 5: 100_000, 6: 100_000},
+		CostDecode:  100_000,
 	}
 	got := simulateBaseline(t, rsPoint(t, 12, 6))
 	if !reflect.DeepEqual(got, want) {
@@ -165,38 +147,5 @@ func TestDegradedTailSplitCostsItsLength(t *testing.T) {
 	}
 	if dc.TotalBytes() != 6*50_000 || dc.DecodeBytes != 50_000 {
 		t.Fatalf("tail split costs %d bytes and %d decoded, want k*length = 300000 and 50000", dc.TotalBytes(), dc.DecodeBytes)
-	}
-}
-
-// TestReplicaRebuildIsAccounted: a replica rebuild moves one block between
-// datanodes, and that has to reach the same books a coded repair's traffic
-// does.
-func TestReplicaRebuildIsAccounted(t *testing.T) {
-	const blockSize = 1000
-	scheme := Replication{Copies: 3}
-	repairs := obs.Default().Counter("dfs_repairs_total", "scheme", scheme.Name())
-	before := [3]int64{repairs.Value(), mRepairTraffic.Value(), mRepairHelpers.Value()}
-
-	rig := newRig(t, 6, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-	if _, err := rig.fs.Write("f", randBytes(blockSize, 79), blockSize, scheme); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.fs.FailReplica("f", 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	rig.sim.Go("repair", func(p *cluster.Proc) {
-		_, err = rig.fs.Reconstruct(p, "f", 0, 0, rig.fs.Datanodes()[5])
-	})
-	rig.sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rig.fs.Stats().BytesRepair; got != blockSize {
-		t.Errorf("Stats().BytesRepair = %d after rebuilding one replica, want %d", got, blockSize)
-	}
-	after := [3]int64{repairs.Value(), mRepairTraffic.Value(), mRepairHelpers.Value()}
-	if want := [3]int64{before[0] + 1, before[1] + blockSize, before[2] + 1}; after != want {
-		t.Errorf("repairs/traffic/helpers counters went %v -> %v, want %v", before, after, want)
 	}
 }

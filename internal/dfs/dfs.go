@@ -1,8 +1,9 @@
 // Package dfs models an HDFS-like distributed file system on top of the
 // cluster simulator: a namenode's metadata (files, stripes, block
 // locations), datanode block placement, encoded writes, parallel and
-// degraded reads, replication, and block reconstruction with per-operation
-// network traffic accounting.
+// degraded reads and replication, with per-read network traffic
+// accounting. It does not repair: repair traffic and time are properties of
+// the code, measured by codingbench and by the live block store.
 //
 // It is the substrate for the paper's cluster experiments: Fig. 9/10 run
 // MapReduce over files stored with a Carousel code or replication; Fig. 11
@@ -77,7 +78,7 @@ func (Carousel) scheme() {}
 type block struct {
 	content []byte
 	// crc records the Castagnoli CRC-32 of the content at write time, the
-	// ground truth Scrub checks against.
+	// ground truth a read's integrity gate checks against.
 	crc uint32
 	// locations lists datanode IDs holding replicas; for coded schemes a
 	// block has exactly one location. A lost replica is removed from the
@@ -128,11 +129,8 @@ func (f *File) Stripes() int { return len(f.stripes) }
 type Stats struct {
 	// BytesRead counts bytes transferred from datanodes to clients.
 	BytesRead int64
-	// BytesRepair counts bytes transferred between datanodes during
-	// reconstructions.
-	BytesRepair int64
 	// CorruptDetected counts blocks quarantined by read-time checksum
-	// verification (scrub findings are reported separately).
+	// verification.
 	CorruptDetected int64
 }
 
@@ -141,12 +139,8 @@ type FS struct {
 	cluster   *cluster.Cluster
 	datanodes []*cluster.Node
 	files     map[string]*File
-	next      int     // round-robin placement cursor
-	racks     [][]int // optional rack topology (node IDs per rack)
+	next      int // round-robin placement cursor
 	stats     Stats
-	// recoverConc bounds concurrent reconstructions in RecoverNode;
-	// 0 means DefaultRecoverConcurrency.
-	recoverConc int
 
 	// DecodeBW maps scheme names to the client-side decode throughput in
 	// bytes/second used to charge simulated time for degraded reads.
@@ -180,57 +174,9 @@ func (fs *FS) File(name string) (*File, error) {
 	return f, nil
 }
 
-// SetRacks declares the rack topology: racks[r] lists the datanode IDs of
-// rack r. When set, stripe placement spreads blocks across racks
-// round-robin, so losing one rack removes at most ceil(n/#racks) blocks of
-// any stripe — HDFS's rack-awareness applied to coded stripes. Nodes not
-// listed keep working but are never chosen for new writes.
-func (fs *FS) SetRacks(racks [][]int) error {
-	seen := make(map[int]bool)
-	for r, nodes := range racks {
-		if len(nodes) == 0 {
-			return fmt.Errorf("dfs: rack %d is empty", r)
-		}
-		for _, id := range nodes {
-			if seen[id] {
-				return fmt.Errorf("dfs: node %d appears in two racks", id)
-			}
-			seen[id] = true
-		}
-	}
-	fs.racks = racks
-	return nil
-}
-
-// RackOf returns the rack index of a node, or -1 without a topology.
-func (fs *FS) RackOf(nodeID int) int {
-	for r, nodes := range fs.racks {
-		for _, id := range nodes {
-			if id == nodeID {
-				return r
-			}
-		}
-	}
-	return -1
-}
-
-// FailRack removes every replica on every node of the rack.
-func (fs *FS) FailRack(rack int) error {
-	if rack < 0 || rack >= len(fs.racks) {
-		return fmt.Errorf("dfs: rack %d out of range [0,%d)", rack, len(fs.racks))
-	}
-	for _, id := range fs.racks[rack] {
-		fs.FailNode(id)
-	}
-	return nil
-}
-
 // place returns the next nodes for a stripe, spreading blocks across
-// distinct datanodes — and across racks when a topology is set.
+// distinct datanodes.
 func (fs *FS) place(count int) ([]int, error) {
-	if len(fs.racks) > 0 {
-		return fs.placeRackAware(count)
-	}
 	if count > len(fs.datanodes) {
 		return nil, fmt.Errorf("dfs: stripe needs %d nodes but the cluster has %d datanodes", count, len(fs.datanodes))
 	}
@@ -239,34 +185,6 @@ func (fs *FS) place(count int) ([]int, error) {
 		ids[i] = fs.datanodes[(fs.next+i)%len(fs.datanodes)].ID
 	}
 	fs.next = (fs.next + count) % len(fs.datanodes)
-	return ids, nil
-}
-
-// placeRackAware deals blocks onto racks round-robin, then onto nodes
-// within each rack, so per-rack block counts differ by at most one.
-func (fs *FS) placeRackAware(count int) ([]int, error) {
-	total := 0
-	for _, nodes := range fs.racks {
-		total += len(nodes)
-	}
-	if count > total {
-		return nil, fmt.Errorf("dfs: stripe needs %d nodes but the topology has %d", count, total)
-	}
-	ids := make([]int, 0, count)
-	offsets := make([]int, len(fs.racks))
-	rack := fs.next % len(fs.racks)
-	for len(ids) < count {
-		nodes := fs.racks[rack]
-		if offsets[rack] < len(nodes) {
-			// Rotate the starting node per stripe so load spreads over
-			// time as well as space.
-			idx := (offsets[rack] + fs.next/len(fs.racks)) % len(nodes)
-			ids = append(ids, nodes[idx])
-			offsets[rack]++
-		}
-		rack = (rack + 1) % len(fs.racks)
-	}
-	fs.next++
 	return ids, nil
 }
 
@@ -354,24 +272,6 @@ func (fs *FS) writeCoded(f *File, data []byte, blockSize int, code *carousel.Cod
 		f.stripes = append(f.stripes, st)
 	}
 	return nil
-}
-
-// FailNode removes every replica stored on the given datanode across all
-// files, simulating a machine loss.
-func (fs *FS) FailNode(nodeID int) {
-	for _, f := range fs.files {
-		for _, st := range f.stripes {
-			for _, b := range st.blocks {
-				keep := b.locations[:0]
-				for _, l := range b.locations {
-					if l != nodeID {
-						keep = append(keep, l)
-					}
-				}
-				b.locations = keep
-			}
-		}
-	}
 }
 
 // FailBlock removes all replicas of block idx in the given stripe of the

@@ -8,7 +8,6 @@ import (
 
 	"carousel/internal/carousel"
 	"carousel/internal/cluster"
-	"carousel/internal/reedsolomon"
 )
 
 const mbps = 1e6 / 8 // 1 Mbps in bytes/second
@@ -52,17 +51,8 @@ func randBytes(n int, seed int64) []byte {
 	return b
 }
 
-func mustRS(t *testing.T, n, k int) *reedsolomon.Code {
-	t.Helper()
-	c, err := reedsolomon.New(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // rsPoint is the (n, k) Reed-Solomon baseline as the simulator stores it:
-// the Carousel code at d = k, p = k. mustRS stays as the reference encoder.
+// the Carousel code at d = k, p = k.
 func rsPoint(t *testing.T, n, k int) Carousel {
 	t.Helper()
 	return Carousel{Code: mustCarousel(t, n, k, k, k)}
@@ -261,109 +251,6 @@ func TestCarouselFasterThanRSOnCappedDisks(t *testing.T) {
 	// Ideal ratio is 6/10; allow slack.
 	if ratio := tCar / tRS; ratio > 0.75 {
 		t.Fatalf("carousel/RS time ratio %g, want <= 0.75", ratio)
-	}
-}
-
-func TestReconstructReplication(t *testing.T) {
-	rig := newRig(t, 6, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-	data := randBytes(1000, 8)
-	if _, err := rig.fs.Write("f", data, 1000, Replication{Copies: 2}); err != nil {
-		t.Fatal(err)
-	}
-	var res *RepairResult
-	var err error
-	rig.sim.Go("repair", func(p *cluster.Proc) {
-		res, err = rig.fs.Reconstruct(p, "f", 0, 0, rig.fs.Datanodes()[5])
-	})
-	rig.sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrafficBytes != 1000 || res.Helpers != 1 {
-		t.Fatalf("replication repair: traffic %d helpers %d", res.TrafficBytes, res.Helpers)
-	}
-}
-
-func TestReconstructTrafficRSvsCarousel(t *testing.T) {
-	// Fig. 7: RS moves k blocks; Carousel (d=2k-2 here) moves d/(d-k+1)
-	// blocks = 2 blocks.
-	repair := func(scheme Scheme, blockSize int) *RepairResult {
-		rig := newRig(t, 13, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-		data := randBytes(6*blockSize, 9)
-		if _, err := rig.fs.Write("f", data, blockSize, scheme); err != nil {
-			t.Fatal(err)
-		}
-		if err := rig.fs.FailBlock("f", 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		var res *RepairResult
-		var err error
-		rig.sim.Go("repair", func(p *cluster.Proc) {
-			res, err = rig.fs.Reconstruct(p, "f", 0, 1, rig.fs.Datanodes()[12])
-		})
-		rig.sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	car := mustCarousel(t, 12, 6, 10, 12)
-	blockSize := car.BlockAlign() * car.Alpha() * 20
-	resCar := repair(Carousel{Code: car}, blockSize)
-	if want := int64(2 * blockSize); resCar.TrafficBytes != want {
-		t.Fatalf("carousel repair traffic = %d, want %d", resCar.TrafficBytes, want)
-	}
-	resRS := repair(rsPoint(t, 12, 6), blockSize)
-	if want := int64(6 * blockSize); resRS.TrafficBytes != want {
-		t.Fatalf("RS repair traffic = %d, want %d", resRS.TrafficBytes, want)
-	}
-}
-
-func TestReconstructedBlockServesReads(t *testing.T) {
-	code := mustCarousel(t, 12, 6, 10, 12)
-	blockSize := code.BlockAlign() * code.Alpha() * 4
-	rig := newRig(t, 13, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-	data := randBytes(6*blockSize, 10)
-	if _, err := rig.fs.Write("f", data, blockSize, Carousel{Code: code}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.fs.FailBlock("f", 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	rig.sim.Go("repair-then-read", func(p *cluster.Proc) {
-		if _, err := rig.fs.Reconstruct(p, "f", 0, 3, rig.fs.Datanodes()[12]); err != nil {
-			t.Errorf("reconstruct: %v", err)
-			return
-		}
-		res, err := rig.fs.Read(p, rig.client, "f", ReadParallel)
-		if err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		if !bytes.Equal(res.Data, data) {
-			t.Error("read after reconstruction mismatch")
-		}
-		if res.DecodeBytes != 0 {
-			t.Errorf("read after reconstruction should be pure copy, decoded %d", res.DecodeBytes)
-		}
-	})
-	rig.sim.Run()
-}
-
-func TestFailNode(t *testing.T) {
-	rig := newRig(t, 6, cluster.NodeSpec{})
-	data := randBytes(3000, 11)
-	if _, err := rig.fs.Write("f", data, 1000, Replication{Copies: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rig.fs.FailNode(0)
-	f, _ := rig.fs.File("f")
-	for _, st := range f.stripes {
-		for _, l := range st.blocks[0].locations {
-			if l == 0 {
-				t.Fatal("node 0 still listed after FailNode")
-			}
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"carousel/internal/bufpool"
 	"carousel/internal/cluster"
+	"carousel/internal/frame"
 	"carousel/internal/obs"
 )
 
@@ -56,7 +57,7 @@ func (fs *FS) Read(p *cluster.Proc, client *cluster.Node, name string, mode Read
 	// Datanodes verify each block against its ingest checksum before
 	// serving it: corruption is quarantined here, so the read below sees
 	// the block as unavailable and decodes around it instead of returning
-	// bad data. The quarantined block is then a scrub/Reconstruct target.
+	// bad data.
 	_, vsp := obs.StartSpan(ctx, "verify")
 	quarantined := fs.quarantineCorrupt(f)
 	vsp.SetAttr("quarantined", quarantined)
@@ -223,4 +224,47 @@ func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster
 	}
 	dsp.End()
 	return nil
+}
+
+// CorruptBlock flips a byte of a stored block's content — a test and
+// fault-injection hook standing in for bit rot.
+func (fs *FS) CorruptBlock(name string, stripeIdx, blockIdx, offset int) error {
+	f, err := fs.File(name)
+	if err != nil {
+		return err
+	}
+	if stripeIdx < 0 || stripeIdx >= len(f.stripes) {
+		return fmt.Errorf("dfs: stripe %d out of range", stripeIdx)
+	}
+	st := f.stripes[stripeIdx]
+	if blockIdx < 0 || blockIdx >= len(st.blocks) {
+		return fmt.Errorf("dfs: block %d out of range", blockIdx)
+	}
+	b := st.blocks[blockIdx]
+	if offset < 0 || offset >= len(b.content) {
+		return fmt.Errorf("dfs: offset %d out of range [0,%d)", offset, len(b.content))
+	}
+	b.content[offset] ^= 0xff
+	return nil
+}
+
+// quarantineCorrupt removes the replicas of every block of f whose content
+// no longer matches its ingest checksum — the read-time integrity gate.
+// It returns the number of blocks quarantined and counts them in the FS
+// stats.
+func (fs *FS) quarantineCorrupt(f *File) int {
+	quarantined := 0
+	for _, st := range f.stripes {
+		for _, b := range st.blocks {
+			if len(b.locations) == 0 {
+				continue
+			}
+			if frame.Checksum(b.content) != b.crc {
+				b.locations = nil
+				quarantined++
+			}
+		}
+	}
+	fs.stats.CorruptDetected += int64(quarantined)
+	return quarantined
 }

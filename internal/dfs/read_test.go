@@ -8,90 +8,6 @@ import (
 	"carousel/internal/cluster"
 )
 
-func TestRecoverNodeCarousel(t *testing.T) {
-	code := mustCarousel(t, 12, 6, 10, 12)
-	blockSize := code.BlockAlign() * code.Alpha() * 4
-	rig := newRig(t, 14, cluster.NodeSpec{DiskReadBW: 100 * mbps})
-	data := randBytes(2*6*blockSize, 41) // two stripes
-	if _, err := rig.fs.Write("f", data, blockSize, Carousel{Code: code}); err != nil {
-		t.Fatal(err)
-	}
-	// Kill a node: with 14 datanodes and 24 blocks, node 0 hosts blocks
-	// from both stripes.
-	rig.fs.FailNode(0)
-	var res *RepairResult
-	var err error
-	rig.sim.Go("recover", func(p *cluster.Proc) {
-		res, err = rig.fs.RecoverNode(p, 0)
-	})
-	rig.sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrafficBytes == 0 {
-		t.Fatal("recovery moved no bytes")
-	}
-	// Every block must be reachable again and reads must be exact.
-	rig.sim.Go("read", func(p *cluster.Proc) {
-		out, rerr := rig.fs.Read(p, rig.client, "f", ReadParallel)
-		if rerr != nil {
-			t.Errorf("read after recovery: %v", rerr)
-			return
-		}
-		if !bytes.Equal(out.Data, data) {
-			t.Error("data mismatch after recovery")
-		}
-		if out.DecodeBytes != 0 {
-			t.Errorf("read after recovery should be pure copy, decoded %d", out.DecodeBytes)
-		}
-	})
-	rig.sim.Run()
-	// Traffic should be the optimal 2 blocks per reconstructed block.
-	f, _ := rig.fs.File("f")
-	lost := 0
-	for range f.stripes {
-		lost++ // one block per stripe lived on node 0 with 14 nodes/12-wide stripes
-	}
-	if want := int64(lost * 2 * blockSize); res.TrafficBytes != want {
-		t.Fatalf("recovery traffic = %d, want %d (2 blocks per loss)", res.TrafficBytes, want)
-	}
-}
-
-func TestRecoverNodeReplication(t *testing.T) {
-	rig := newRig(t, 5, cluster.NodeSpec{})
-	data := randBytes(4000, 42)
-	if _, err := rig.fs.Write("f", data, 1000, Replication{Copies: 1}); err != nil {
-		t.Fatal(err)
-	}
-	rig.fs.FailNode(1)
-	var err error
-	rig.sim.Go("recover", func(p *cluster.Proc) {
-		_, err = rig.fs.RecoverNode(p, 1)
-	})
-	rig.sim.Run()
-	// Copies=1 leaves no survivor to copy from: recovery must fail.
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
-	}
-
-	// With 2 copies the data survives and recovery succeeds.
-	rig2 := newRig(t, 5, cluster.NodeSpec{})
-	if _, err := rig2.fs.Write("f", data, 1000, Replication{Copies: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rig2.fs.FailNode(1)
-	rig2.sim.Go("recover", func(p *cluster.Proc) {
-		if _, rerr := rig2.fs.RecoverNode(p, 1); rerr != nil {
-			t.Errorf("recover: %v", rerr)
-		}
-	})
-	rig2.sim.Run()
-	res, _ := rig2.runRead(t, "f", ReadParallel)
-	if !bytes.Equal(res.Data, data) {
-		t.Fatal("replicated data mismatch after recovery")
-	}
-}
-
 func TestFailReplica(t *testing.T) {
 	rig := newRig(t, 6, cluster.NodeSpec{})
 	data := randBytes(1000, 43)
@@ -290,59 +206,73 @@ func TestAccessorsAndDegradedCost(t *testing.T) {
 	}
 }
 
-// TestRecoverNodeConcurrencySpeedsSimTime is the Fig. 11 model check: with
-// bounded sim concurrency, node recovery overlaps reconstructions across
-// stripes, so the simulated completion time drops well below the strictly
-// sequential walk while traffic totals stay identical.
-func TestRecoverNodeConcurrencySpeedsSimTime(t *testing.T) {
-	run := func(conc int) (*RepairResult, float64) {
-		code := mustCarousel(t, 12, 6, 10, 12)
-		blockSize := code.BlockAlign() * code.Alpha() * 4
-		// Fast helper reads, slow newcomer writes: repairs land on distinct
-		// newcomers, so the writeback stage is what cross-stripe
-		// parallelism can overlap (helper disks are shared by every
-		// variant and bound both the same way).
-		rig := newRig(t, 14, cluster.NodeSpec{DiskReadBW: 1000 * mbps, DiskWriteBW: 1 * mbps})
-		data := randBytes(7*6*blockSize, 45) // seven stripes
-		if _, err := rig.fs.Write("f", data, blockSize, Carousel{Code: code}); err != nil {
-			t.Fatal(err)
-		}
-		rig.fs.FailNode(0)
-		rig.fs.SetRecoverConcurrency(conc)
-		var res *RepairResult
-		var err error
-		var done float64
-		rig.sim.Go("recover", func(p *cluster.Proc) {
-			res, err = rig.fs.RecoverNode(p, 0)
-			done = p.Now()
-		})
-		rig.sim.Run()
+// TestReadDetectsCorruptionAndDecodesAround: read-time checksum
+// verification must quarantine a corrupted block and serve the read
+// degraded.
+func TestReadDetectsCorruptionAndDecodesAround(t *testing.T) {
+	code := mustCarousel(t, 12, 6, 10, 12)
+	blockSize := code.BlockAlign() * code.Alpha() * 4
+	rig := newRig(t, 13, cluster.NodeSpec{DiskReadBW: 100 * mbps})
+	data := randBytes(6*blockSize, 63)
+	if _, err := rig.fs.Write("f", data, blockSize, Carousel{Code: code}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.fs.CorruptBlock("f", 0, 2, 5); err != nil {
+		t.Fatal(err)
+	}
+	rig.sim.Go("read", func(p *cluster.Proc) {
+		res, err := rig.fs.Read(p, rig.client, "f", ReadParallel)
 		if err != nil {
-			t.Fatalf("conc %d: %v", conc, err)
+			t.Errorf("read with corrupt block: %v", err)
+			return
 		}
-		// Reads must be exact after either variant.
-		rig.sim.Go("read", func(p *cluster.Proc) {
-			out, rerr := rig.fs.Read(p, rig.client, "f", ReadParallel)
-			if rerr != nil {
-				t.Errorf("conc %d: read after recovery: %v", conc, rerr)
-				return
-			}
-			if !bytes.Equal(out.Data, data) {
-				t.Errorf("conc %d: data mismatch after recovery", conc)
-			}
-		})
-		rig.sim.Run()
-		return res, done
+		if !bytes.Equal(res.Data, data) {
+			t.Error("read served corrupted data")
+		}
+	})
+	rig.sim.Run()
+	if got := rig.fs.Stats().CorruptDetected; got != 1 {
+		t.Fatalf("CorruptDetected = %d, want 1", got)
 	}
-	seqRes, seqTime := run(1)
-	parRes, parTime := run(4)
-	if seqRes.TrafficBytes != parRes.TrafficBytes {
-		t.Fatalf("traffic differs: sequential %d, parallel %d", seqRes.TrafficBytes, parRes.TrafficBytes)
+	if loc := rig.fs.BlockLocation("f", 0, 2); loc != -1 {
+		t.Fatalf("corrupt block still has location %d, want quarantined", loc)
 	}
-	if seqRes.Helpers != parRes.Helpers {
-		t.Fatalf("helper count differs: sequential %d, parallel %d", seqRes.Helpers, parRes.Helpers)
+}
+
+// TestCorruptLastCopySurfacesTypedError: when corruption removes the only
+// copy, the read fails with an error naming both the corruption and the
+// unavailability, checkable with errors.Is.
+func TestCorruptLastCopySurfacesTypedError(t *testing.T) {
+	rig := newRig(t, 4, cluster.NodeSpec{DiskReadBW: 100 * mbps})
+	data := randBytes(1000, 65)
+	if _, err := rig.fs.Write("f", data, 500, Replication{Copies: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if parTime >= 0.75*seqTime {
-		t.Fatalf("parallel recovery took %.3fs of simulated time vs sequential %.3fs — expected < 0.75x", parTime, seqTime)
+	if err := rig.fs.CorruptBlock("f", 0, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	rig.sim.Go("read", func(p *cluster.Proc) {
+		_, err := rig.fs.Read(p, rig.client, "f", ReadParallel)
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrUnavailable) {
+			t.Errorf("read of corrupt sole copy: %v, want ErrCorrupt and ErrUnavailable", err)
+		}
+	})
+	rig.sim.Run()
+}
+
+func TestCorruptBlockValidation(t *testing.T) {
+	rig := newRig(t, 4, cluster.NodeSpec{})
+	if _, err := rig.fs.Write("f", randBytes(100, 62), 100, Replication{Copies: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct{ s, b, off int }{
+		{5, 0, 0}, {0, 3, 0}, {0, 0, 1000}, {0, 0, -1},
+	} {
+		if err := rig.fs.CorruptBlock("f", tt.s, tt.b, tt.off); err == nil {
+			t.Errorf("CorruptBlock(%d,%d,%d) did not error", tt.s, tt.b, tt.off)
+		}
+	}
+	if err := rig.fs.CorruptBlock("missing", 0, 0, 0); err == nil {
+		t.Error("missing file did not error")
 	}
 }

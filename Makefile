@@ -43,7 +43,9 @@ faults:
 
 # The self-healing control plane: membership/journal/scheduler unit
 # tests, the kill-a-node, restart-resume and per-task bandwidth-budget
-# e2e suites, the control-wire suite (TestControlWire: corrupt request
+# e2e suites, the one pool every task item runs over (a recovery of ten
+# files onto one spare dials it at most DefaultPerPeer times), the
+# control-wire suite (TestControlWire: corrupt request
 # and reply, oversize body, unknown route, a refusal keeps the
 # connection, one client under concurrent callers), and the short-mode
 # chaos test (faultnet-partitioned heartbeats walk a member
@@ -74,13 +76,16 @@ writepath:
 # The one repair engine, repeated under the race detector: one rebuild
 # exchange per batch from the coordinator to the newcomer, which runs the
 # batch over the one pool it keeps for its life, dialing each helper once
-# whatever the request's order and settings (batched helper exchanges, one per helper per batch round,
+# whatever the request's order and hedge (batched helper exchanges, one per helper per batch round,
 # per-name verdicts striking one stripe, spares, unhedged repair of a slow
 # cluster) and stores what it rebuilds; the newcomer or a helper killed
 # mid-pass, a black-holed newcomer, the throttle, and Repair, Scrub and
 # RecoverServer over it; Scrub's one verify exchange per server per batch
-# and its torn stripes, reported and left alone; then the master's
-# self-healing and per-task recovery budget, which drive RecoverServer.
+# and its torn stripes, reported and left alone; a store over a borrowed
+# pool, which leaves it open when it closes; then the master's
+# self-healing, per-task recovery budget and one pool (a task's items
+# dial their newcomer at most DefaultPerPeer times), which drive
+# RecoverServer.
 recover:
 	$(GO) test -race -count=5 -run 'Recover|Repair|Scrub|SlowEverywhereIsRepaired' ./internal/blockserver
 	$(GO) test -race -count=5 -run 'Recover|SelfHealing' ./internal/master

@@ -36,7 +36,7 @@ func TestStoreCacheWarmReadZeroDials(t *testing.T) {
 	_, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 8
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithStripeCache(64<<20))
+		withPool(t, fastOpts()), WithStripeCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestStoreCacheDisabledMatchesUncached(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 4
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStoreCacheCoalescedErrorFanOut(t *testing.T) {
 	// along with any flight or waiter goroutine.
 	before := runtime.NumGoroutine()
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(cacheOpts()), WithStripeCache(64<<20))
+		withPool(t, cacheOpts()), WithStripeCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +193,11 @@ func TestStoreCacheCoalescedErrorFanOut(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after lifting the blackhole: %v", err)
 	}
-	// Leak check: with the store closed, every reader, flight, pooled
-	// connection, and server-side handler goroutine must drain.
+	// Leak check: with the store and its pool closed, every reader,
+	// flight, pooled connection, and server-side handler goroutine must
+	// drain.
 	store.Close()
+	store.Pool().Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
@@ -215,7 +217,7 @@ func TestStoreCacheWaiterCancelDoesNotPoison(t *testing.T) {
 	// Generous IO timeouts: the injected write delays slow the flight down
 	// to open a join/cancel window without ever failing the read.
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithStripeCache(64<<20))
+		withPool(t, fastOpts()), WithStripeCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +314,7 @@ func TestStoreCacheInvalidationRace(t *testing.T) {
 	_, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 2
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithStripeCache(64<<20))
+		withPool(t, fastOpts()), WithStripeCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +398,7 @@ func TestStoreCacheChurnKeepsBytes(t *testing.T) {
 	blockSize := code.BlockAlign() * 4096
 	stripe := 6 * blockSize
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithStripeCache(int64(16*2*stripe)))
+		withPool(t, fastOpts()), WithStripeCache(int64(16*2*stripe)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +486,7 @@ func TestStoreCacheFetchOverwritesPoison(t *testing.T) {
 	servers, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 4
 	stripe := 6 * blockSize
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestRoundCancelInterruptsEveryExchange(t *testing.T) {
 	_, addrs, injectors := startFaultServers(t, code, code.N())
 	blockSize := code.BlockAlign() * 4
 	opts := Options{IOTimeout: 10 * time.Second, Retry: retry.Policy{Attempts: 1}}
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(opts), WithHedgeDelay(5*time.Second))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, opts), WithHedgeDelay(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,14 @@ func fastOpts() Options {
 	}
 }
 
+// withPool runs a store over a pool of clients under o, closed when the
+// test ends.
+func withPool(t testing.TB, o Options) StoreOption {
+	p := NewPool(nil, PoolOptions{Client: o})
+	t.Cleanup(p.Close)
+	return WithPool(p)
+}
+
 // startFaultServers spins n servers, each behind its own faultnet
 // injector.
 func startFaultServers(t *testing.T, code *carousel.Code, n int) ([]*Server, []string, []*faultnet.Injector) {
@@ -98,7 +106,7 @@ func TestFaultMatrixHedgedRead(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			servers, addrs, injectors := startFaultServers(t, code, 14)
 			store, err := NewStore(code, addrs, blockSize,
-				WithClientOptions(fastOpts()), WithHedgeDelay(150*time.Millisecond))
+				withPool(t, fastOpts()), WithHedgeDelay(150*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +203,7 @@ func TestFaultMatrixRepair(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			servers, addrs, injectors := startFaultServers(t, code, 14)
 			store, err := NewStore(code, addrs, blockSize,
-				WithClientOptions(fastOpts()), WithHedgeDelay(150*time.Millisecond))
+				withPool(t, fastOpts()), WithHedgeDelay(150*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +265,7 @@ func TestCorruptBlockDetectedExcludedRepaired(t *testing.T) {
 
 	servers, addrs, _ := startFaultServers(t, code, 14)
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithHedgeDelay(150*time.Millisecond))
+		withPool(t, fastOpts()), WithHedgeDelay(150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +344,7 @@ func TestReadFailsFastWhenTooFewSurvivors(t *testing.T) {
 	servers, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 8
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithHedgeDelay(100*time.Millisecond))
+		withPool(t, fastOpts()), WithHedgeDelay(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +374,7 @@ func TestRepairFailsFastWhenTooFewHelpers(t *testing.T) {
 	code := mustCode(t)
 	servers, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 8
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +558,7 @@ func TestDegradedReadAB(t *testing.T) {
 	const hedge = 100 * time.Millisecond
 	const stragglerDelay = 600 * time.Millisecond
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithHedgeDelay(hedge))
+		withPool(t, fastOpts()), WithHedgeDelay(hedge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +623,7 @@ func newPlannedCluster(t *testing.T, n, k, d, p, stripes int, opts ...StoreOptio
 	pc.servers, pc.addrs, pc.injectors = startFaultServers(t, code, n)
 	pc.data = make([]byte, stripes*k*pc.blockSize)
 	rand.New(rand.NewSource(int64(1000*n + 10*p + stripes))).Read(pc.data)
-	opts = append([]StoreOption{WithClientOptions(fastOpts()), WithHedgeDelay(150 * time.Millisecond)}, opts...)
+	opts = append([]StoreOption{withPool(t, fastOpts()), WithHedgeDelay(150 * time.Millisecond)}, opts...)
 	if pc.store, err = NewStore(code, pc.addrs, pc.blockSize, opts...); err != nil {
 		t.Fatal(err)
 	}
@@ -898,6 +906,7 @@ func TestSlowEverywhereIsRepairedSlowly(t *testing.T) {
 	}
 	pc.read(t)
 	pc.store.Close()
+	pc.store.Pool().Close()
 	waitGoroutines(t, base)
 }
 
@@ -907,7 +916,7 @@ func TestSlowEverywhereIsRepairedSlowly(t *testing.T) {
 func TestCancelledReadMarksNobody(t *testing.T) {
 	slowRetry := fastOpts()
 	slowRetry.Retry = retry.Policy{Attempts: 3, Base: 300 * time.Millisecond, Max: 300 * time.Millisecond}
-	pc := newPlannedCluster(t, 12, 6, 10, 10, 4, WithClientOptions(slowRetry))
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 4, withPool(t, slowRetry))
 	pc.servers[2].Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)

@@ -29,7 +29,7 @@ func TestDegradedReadObservability(t *testing.T) {
 
 	servers, addrs, _ := startFaultServers(t, code, 12)
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithHedgeDelay(150*time.Millisecond))
+		withPool(t, fastOpts()), WithHedgeDelay(150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestReadStatsCountsAllCorruptVerdicts(t *testing.T) {
 
 	servers, addrs, injectors := startFaultServers(t, code, 12)
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithHedgeDelay(150*time.Millisecond))
+		withPool(t, fastOpts()), WithHedgeDelay(150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestAnyKReportsItsContext(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, code.N())
 	blockSize := code.BlockAlign()
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAnyKReportsItsContext(t *testing.T) {
 func TestRepairReportsItsContext(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, code.N())
-	store, err := NewStore(code, addrs, code.BlockAlign(), WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, code.BlockAlign(), withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestStoreAtTheBaselinePoints(t *testing.T) {
 			defer cancel()
 
 			open := func() *Store {
-				s, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+				s, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -267,7 +267,7 @@ func TestStoreReadReusesConnections(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 8
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

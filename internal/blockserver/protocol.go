@@ -107,16 +107,16 @@
 // store its block of each of a batch of one file's stripes — a whole
 // repair batch in one exchange, which carries no block:
 //
-//	rebuild request  := header(kind=opRebuild, meta=fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n settings budget(4) [trace]) no payload
+//	rebuild request  := header(kind=opRebuild, meta=fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n hedge(4) budget(4) [trace]) no payload
 //	rebuild response := header(kind=statusOK, meta={verdict(1) traffic(4) textLen(2)}×count {chunks(4)}×n) text×count
 //
 // The addresses are the stripes' n servers, block i on the i-th, and the
-// only ones the newcomer dials. The settings are the coordinator's hedge
-// delay and client options (appendRebuild), so the options a Store is
-// built with govern its repairs at the newcomer; the budget (µs) is what
-// is left of the exchange's deadline, which the newcomer answers within.
-// It runs the batch on a Store over a pool of its own, kept for the next
-// request with the same addresses, block size and settings, and stores
+// only ones the newcomer dials. The hedge (µs) is the coordinator's hedge
+// delay, which bounds the newcomer's wait for straggling helpers;
+// the budget (µs) is what is left of the exchange's deadline, which the
+// newcomer answers within. It runs the batch on a Store over the one pool
+// its Server keeps for its life, whose client options — dial and IO
+// timeouts, retry policy — its helper exchanges run under, and stores
 // each block through the commit a put stores with, its record's entry for
 // the block set to the block's CRC. The answer gives each stripe a verdict
 // — statusOK, or its failure's class (rebuildClasses) — its winning chunk
@@ -313,9 +313,9 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 // its block Failed of each of a file's Stripes from d helper chunks and
 // to store it: one batch of a repair pass. Addrs are the stripes' n
 // servers, block i on Addrs[i] and the newcomer at Addrs[Failed], and they
-// are the only addresses the newcomer dials. Hedge and Client are how the
-// newcomer runs its helper exchanges — the coordinator's own settings, so
-// the options a Store is built with govern its repairs wherever they run.
+// are the only addresses the newcomer dials. Hedge is the coordinator's
+// hedge delay, which the newcomer's helper exchanges run under; how they
+// dial and retry is the newcomer's own pool's business.
 type RebuildRequest struct {
 	File      string
 	Stripes   []int
@@ -323,7 +323,6 @@ type RebuildRequest struct {
 	BlockSize int
 	Addrs     []string
 	Hedge     time.Duration
-	Client    Options
 }
 
 // RebuildResult is a newcomer's answer to a RebuildRequest: each stripe's
@@ -362,14 +361,12 @@ func (req *RebuildRequest) check() error {
 }
 
 // rebuildSettingsLen is the fixed tail of a rebuild meta before its
-// budget: the hedge delay, dial and IO timeouts (µs, 4 bytes each), the
-// retry attempts (1), base and max backoff (µs, 4 each), multiplier and
-// jitter (‰, 2 each).
-const rebuildSettingsLen = 3*4 + 1 + 2*4 + 2*2
+// budget: the hedge delay (µs).
+const rebuildSettingsLen = 4
 
 // appendRebuild encodes a rebuild request's meta:
 //
-//	fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n settings budget(4) [trace]
+//	fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n hedge(4) budget(4) [trace]
 //
 // budget is how long the newcomer has (µs): the exchange's deadline.
 func appendRebuild(dst []byte, req *RebuildRequest, budget time.Duration, traceID, parent uint64) []byte {
@@ -385,12 +382,7 @@ func appendRebuild(dst []byte, req *RebuildRequest, budget time.Duration, traceI
 	for _, a := range req.Addrs {
 		dst = append(append(dst, byte(len(a))), a...)
 	}
-	o := req.Client
-	dst = appendMicros(appendMicros(appendMicros(dst, req.Hedge), o.DialTimeout), o.IOTimeout)
-	dst = append(dst, byte(min(max(o.Retry.Attempts, 0), math.MaxUint8)))
-	dst = appendMicros(appendMicros(dst, o.Retry.Base), o.Retry.Max)
-	dst = appendMilli(appendMilli(dst, o.Retry.Multiplier), o.Retry.Jitter)
-	dst = appendMicros(dst, budget)
+	dst = appendMicros(appendMicros(dst, req.Hedge), budget)
 	if traceID != 0 {
 		dst = binary.BigEndian.AppendUint64(dst, traceID)
 		dst = binary.BigEndian.AppendUint64(dst, parent)
@@ -402,11 +394,6 @@ func appendRebuild(dst []byte, req *RebuildRequest, budget time.Duration, traceI
 // 2³²−1 (71 minutes); a negative one is 0.
 func appendMicros(dst []byte, d time.Duration) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(min(max(d.Microseconds(), 0), math.MaxUint32)))
-}
-
-// appendMilli appends a ratio in thousandths, saturating at 65.535.
-func appendMilli(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint16(dst, uint16(min(max(f*1000, 0), math.MaxUint16)))
 }
 
 // rebuildMeta is a decoded rebuild request: the request and the budget
@@ -448,7 +435,7 @@ func parseRebuild(meta []byte) (*rebuildMeta, []byte, error) {
 		rest = rest[1+int(rest[0]):]
 	}
 	if len(rest) < rebuildSettingsLen+4 {
-		return nil, nil, fmt.Errorf("blockserver: rebuild meta ends before its settings")
+		return nil, nil, fmt.Errorf("blockserver: rebuild meta ends before its hedge and budget")
 	}
 	rb := &rebuildMeta{req: RebuildRequest{File: string(file), Stripes: make([]int, count), Failed: failed, BlockSize: blockSize, Addrs: make([]string, n)}}
 	for i := range rb.req.Stripes {
@@ -458,13 +445,7 @@ func parseRebuild(meta []byte) (*rebuildMeta, []byte, error) {
 		rb.req.Addrs[i], addrs = string(addrs[1:1+addrs[0]]), addrs[1+addrs[0]:]
 	}
 	micros := func(b []byte) time.Duration { return time.Duration(binary.BigEndian.Uint32(b)) * time.Microsecond }
-	milli := func(b []byte) float64 { return float64(binary.BigEndian.Uint16(b)) / 1000 }
-	rb.req.Hedge = micros(rest)
-	o := &rb.req.Client
-	o.DialTimeout, o.IOTimeout, o.Retry.Attempts = micros(rest[4:]), micros(rest[8:]), int(rest[12])
-	o.Retry.Base, o.Retry.Max = micros(rest[13:]), micros(rest[17:])
-	o.Retry.Multiplier, o.Retry.Jitter = milli(rest[21:]), milli(rest[23:])
-	rb.budget = micros(rest[rebuildSettingsLen:])
+	rb.req.Hedge, rb.budget = micros(rest), micros(rest[rebuildSettingsLen:])
 	return rb, rest[rebuildSettingsLen+4:], nil
 }
 

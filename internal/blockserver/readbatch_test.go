@@ -311,7 +311,7 @@ func TestStoreReadsSendNoWholeBlockRange(t *testing.T) {
 		t.Cleanup(func() { servers[i].Close() })
 	}
 	blockSize := code.BlockAlign() * 16
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestRecoverCoordinatorMovesNoBlock(t *testing.T) {
 		}
 		return &byteConn{Conn: c, total: &coordinator}, nil
 	}}
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(opts))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRecoverNewcomerKilledMidPass(t *testing.T) {
 	stripes := 2 * (n - 1)
 	const failed = 3
 	servers, addrs, injectors := startFaultServers(t, code, n)
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()), WithHedgeDelay(time.Second))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()), WithHedgeDelay(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRecoverNewcomerKilledMidPass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	req := &RebuildRequest{File: "f", Stripes: make([]int, n-1), Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second, Client: fastOpts()}
+	req := &RebuildRequest{File: "f", Stripes: make([]int, n-1), Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second}
 	for st := range req.Stripes {
 		req.Stripes[st] = st
 	}
@@ -327,7 +327,7 @@ func TestRepairHelperKilledMidRebuild(t *testing.T) {
 	data := make([]byte, code.K()*blockSize)
 	rand.New(rand.NewSource(73)).Read(data)
 	servers, addrs, injectors := startFaultServers(t, code, code.N())
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()), WithHedgeDelay(time.Second))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()), WithHedgeDelay(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestRecoverBlackholedNewcomer(t *testing.T) {
 	const failed = 5
 	_, addrs, injectors := startFaultServers(t, code, code.N())
 	opts := Options{DialTimeout: time.Second, IOTimeout: 500 * time.Millisecond, Retry: retry.Policy{Attempts: 2, Base: 5 * time.Millisecond, Max: 5 * time.Millisecond}}
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(opts))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestRepairRefusedByServerNotServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &RebuildRequest{File: "f", Stripes: []int{0, 1}, Failed: 1, BlockSize: code.BlockAlign() * 4,
-		Addrs: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}, Client: fastOpts()}
+		Addrs: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}}
 	request := frame.Header{Kind: opRebuild, Meta: appendRebuild(nil, req, time.Second, 0, 0)}.Append(nil)
 	closed := NewServer(code)
 	if _, err := closed.Start("127.0.0.1:0"); err != nil {
@@ -461,6 +461,44 @@ func TestRepairRefusedByServerNotServing(t *testing.T) {
 		}
 		if dials := srv.pool.DialCounts(); len(dials) != 0 {
 			t.Errorf("%s: checked out clients for its helpers: %v", name, dials)
+		}
+	}
+}
+
+// TestRebuildMetaRoundTrip: what appendRebuild encodes, parseMeta decodes
+// to the same request — file, stripes, failed index, block size,
+// addresses and hedge — with the same budget and trace context, and the
+// settings tail is the hedge alone. A meta cut short inside its hedge or
+// its budget is refused, traced or not.
+func TestRebuildMetaRoundTrip(t *testing.T) {
+	req := &RebuildRequest{File: "dir/f", Stripes: []int{0, 7, 1<<32 - 1}, Failed: 2, BlockSize: 4096,
+		Addrs: []string{"127.0.0.1:1", "10.0.0.2:7000", "[::1]:9", "h:4"}, Hedge: 1500 * time.Microsecond}
+	const budget = 3 * time.Second
+	if rebuildSettingsLen != 4 {
+		t.Errorf("the settings tail is %d bytes, want the 4-byte hedge", rebuildSettingsLen)
+	}
+	for _, trace := range [][2]uint64{{0, 0}, {11, 12}} {
+		meta := appendRebuild(nil, req, budget, trace[0], trace[1])
+		m, err := parseMeta(opRebuild, meta)
+		if err != nil {
+			t.Fatalf("trace %v: %v", trace, err)
+		}
+		if got := m.rb.req; got.File != req.File || !slices.Equal(got.Stripes, req.Stripes) || got.Failed != req.Failed ||
+			got.BlockSize != req.BlockSize || !slices.Equal(got.Addrs, req.Addrs) || got.Hedge != req.Hedge {
+			t.Errorf("trace %v: decoded %+v, want %+v", trace, got, *req)
+		}
+		if m.rb.budget != budget || m.trace != trace[0] || m.parent != trace[1] || string(m.name) != req.File {
+			t.Errorf("trace %v: budget %v, trace %d/%d, name %q", trace, m.rb.budget, m.trace, m.parent, m.name)
+		}
+		end := len(meta)
+		if trace[0] != 0 {
+			end -= traceLen
+		}
+		for cut := end - rebuildSettingsLen - 4; cut < end; cut++ {
+			short := slices.Concat(meta[:cut], meta[end:])
+			if _, err := parseMeta(opRebuild, short); err == nil {
+				t.Errorf("trace %v: a meta cut at byte %d of its %d-byte hedge and budget was accepted", trace, cut-(end-8), 8)
+			}
 		}
 	}
 }
@@ -498,7 +536,7 @@ func TestEveryRebuildHeaderBitIsChecked(t *testing.T) {
 	}
 	want, _ := stored()
 	opts := Options{DialTimeout: 2 * time.Second, IOTimeout: 3 * time.Second, Retry: retry.Policy{Attempts: 1}}
-	req := &RebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second, Client: opts}
+	req := &RebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second}
 	hdr := frame.HeaderLen + len(appendRebuild(nil, req, 0, 0, 0))
 	for b := 0; b < 8*hdr; b++ {
 		deleteBlock(t, addrs[failed], name)
@@ -528,7 +566,7 @@ func TestEveryRebuildHeaderBitIsChecked(t *testing.T) {
 
 // TestRecoverOneNewcomerForTwoHedgesAtOnce: two coordinators with
 // different hedge delays rebuild the same newcomer's blocks at once, each
-// one's rebuilds running under its own settings over the newcomer's one
+// one's rebuilds running under its own hedge over the newcomer's one
 // pool. Both passes rebuild every block, and once the newcomer closes, it
 // has no connection or goroutine left.
 func TestRecoverOneNewcomerForTwoHedgesAtOnce(t *testing.T) {
@@ -672,6 +710,64 @@ func TestRecoverNewcomerDialsItsHelpersOnce(t *testing.T) {
 	}
 }
 
+// TestRecoverOverABorrowedPool: a Store given a pool with WithPool runs
+// over it and leaves it open when it closes, so the pool still serves,
+// and a second Store over it reads on the connections the first one
+// parked — no dial — and recovers a server over them.
+func TestRecoverOverABorrowedPool(t *testing.T) {
+	code, err := carousel.New(6, 3, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSize := code.BlockAlign() * 4
+	stripes := code.N() - 1
+	const failed = 2
+	_, addrs := startServers(t, code, code.N())
+	pool := NewPool(addrs, PoolOptions{Client: fastOpts()})
+	defer pool.Close()
+	first, err := NewStore(code, addrs, blockSize, WithPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, stripes*code.K()*blockSize)
+	rand.New(rand.NewSource(78)).Read(data)
+	ctx := context.Background()
+	if _, err := first.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	if first.Pool() != pool {
+		t.Fatal("the store does not run over the pool it was given")
+	}
+	err = pool.WithClient(ctx, addrs[0], func(c *Client) error {
+		_, err := c.Get(ctx, BlockName("f", 0, 0))
+		return err
+	})
+	if err != nil {
+		t.Fatalf("the pool after its borrower closed: %v", err)
+	}
+
+	second, err := NewStore(code, addrs, blockSize, WithPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	got, stats, err := second.ReadFile(ctx, "f", len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read by the second store: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+	if stats.Dials != nil {
+		t.Errorf("the second store's read dialed %v, want the first store's parked connections", stats.Dials)
+	}
+	deleteServerBlocks(t, addrs[failed], "f", stripes, failed)
+	if rep, err := second.RecoverServer(ctx, failed, []FileSpec{{Name: "f", Size: len(data)}}); err != nil || rep.BlocksRepaired != stripes {
+		t.Fatalf("recovery over the borrowed pool: err %v, report %+v", err, rep)
+	}
+	if got, _, err = second.ReadFile(ctx, "f", len(data)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the recovery: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
 // TestRepairRefusedForMisalignedBlockSize: a rebuild of blocks whose size
 // is not a multiple of the code's BlockAlign, which NewStore refuses, is
 // answered statusError before the newcomer dials any helper.
@@ -687,7 +783,7 @@ func TestRepairRefusedForMisalignedBlockSize(t *testing.T) {
 	_, addrs, counts := startCountingServers(t, code, code.N())
 	c := NewClient(addrs[failed], fastOpts())
 	defer c.Close()
-	req := &RebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: code.BlockAlign()*4 + 1, Addrs: addrs, Client: fastOpts()}
+	req := &RebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: code.BlockAlign()*4 + 1, Addrs: addrs}
 	if _, err := c.Rebuild(context.Background(), req); !errors.Is(err, ErrRemote) {
 		t.Fatalf("rebuild of %d-byte blocks: %v, want ErrRemote", req.BlockSize, err)
 	}

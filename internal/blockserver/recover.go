@@ -405,14 +405,14 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 	sp.SetAttr("file", first.file).SetAttr("stripe", first.ref.Stripe).SetAttr("stripes", len(batch)).SetAttr("failed", failed).SetAttr("newcomer", s.addrs[failed])
 	defer sp.End()
 
-	req := &RebuildRequest{File: first.file, Stripes: make([]int, len(batch)), Failed: failed, BlockSize: s.blockSize, Addrs: s.addrs, Hedge: s.hedge, Client: s.client}
+	req := &RebuildRequest{File: first.file, Stripes: make([]int, len(batch)), Failed: failed, BlockSize: s.blockSize, Addrs: s.addrs, Hedge: s.hedge}
 	for i, j := range batch {
 		req.Stripes[i] = jobs[j].ref.Stripe
 	}
 	var res *RebuildResult
 	err := throttle.Wait(ctx, len(batch)*(s.code.D()*s.code.HelperChunkSize(s.blockSize)+s.blockSize))
 	if err == nil {
-		err = s.withClient(ctx, s.addrs[failed], func(c *Client) (err error) {
+		err = s.pool.WithClient(ctx, s.addrs[failed], func(c *Client) (err error) {
 			res, err = c.Rebuild(ctx, req)
 			return err
 		})
@@ -578,7 +578,7 @@ func (r *stripeRepair) recheck() (again bool, err error) {
 	sp.SetAttr("stripe", r.st).SetAttr("helpers", len(r.helpers))
 	verdicts := fanOut(len(r.helpers), func(k int) error {
 		h := r.helpers[k]
-		return s.withClient(ctx, s.addrs[h], func(c *Client) error {
+		return s.pool.WithClient(ctx, s.addrs[h], func(c *Client) error {
 			return c.Verify(ctx, BlockName(r.file, r.st, h))
 		})
 	})

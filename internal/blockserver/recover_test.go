@@ -233,7 +233,7 @@ func TestRecoverServerWithBlackholedHelper(t *testing.T) {
 
 	_, addrs, injectors := startFaultServers(t, code, code.N())
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithHedgeDelay(100*time.Millisecond))
+		withPool(t, fastOpts()), WithHedgeDelay(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 	// connections until then, and its accept loop goes with it), so a
 	// goroutine the write or the recovery leaves behind shows.
 	base := runtime.NumGoroutine()
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +466,7 @@ func TestRecoverServerPlansAroundADeadHelper(t *testing.T) {
 		t.Fatalf("read after recovery: err %v, identical %v", err, bytes.Equal(got, data))
 	}
 	store.Close()
+	store.Pool().Close()
 	servers[failed].Close()
 	waitGoroutines(t, base-1)
 }

@@ -235,8 +235,9 @@ type Server struct {
 	end  context.CancelFunc
 
 	// pool is what every rebuild the server runs dials its helpers over
-	// (see rebuild), whatever the request's addresses and settings, so a
-	// newcomer dials each helper once for its life.
+	// (see rebuild), whatever the request's addresses and hedge, so a
+	// newcomer dials each helper once for its life, under the pool's
+	// client options.
 	pool *Pool
 }
 
@@ -701,7 +702,7 @@ func (s *Server) rebuild(ctx context.Context, cs *connState, rb *rebuildMeta) er
 	if refusal != nil {
 		return s.reply(cs, opRebuild, statusError, refusal)
 	}
-	st := &Store{code: s.code, addrs: rb.req.Addrs, blockSize: rb.req.BlockSize, client: rb.req.Client.withDefaults(), hedge: defaultHedge, pool: s.pool, home: s}
+	st := &Store{code: s.code, addrs: rb.req.Addrs, blockSize: rb.req.BlockSize, hedge: defaultHedge, pool: s.pool, home: s}
 	WithHedgeDelay(rb.req.Hedge)(st)
 	ctx, cancel := context.WithTimeout(ctx, rb.budget-rebuildMargin(rb.budget))
 	defer cancel()

@@ -80,9 +80,9 @@ type Store struct {
 	code      *carousel.Code
 	addrs     []string
 	blockSize int
-	client    Options // every client the store checks out runs under these (withClient)
 	hedge     time.Duration
-	pool      *Pool              // shared by reads, writes, scrub, and repair
+	pool      *Pool              // shared by reads, writes, scrub, and repair; its options are every client's
+	ownsPool  bool               // the pool is NewStore's own, which Close closes
 	healthy   *carousel.ReadPlan // the plan with every block available: what a stripe reads while nothing is known bad
 
 	// home is the newcomer this store was built for to run one rebuild
@@ -100,9 +100,11 @@ type Store struct {
 // StoreOption configures a Store.
 type StoreOption func(*Store)
 
-// WithClientOptions sets the per-RPC client options (timeouts, retry).
-func WithClientOptions(o Options) StoreOption {
-	return func(s *Store) { s.client = o }
+// WithPool runs the store over p, whose client options (timeouts, retry)
+// every exchange it makes runs under, instead of over a default pool of
+// its own. Close leaves p open: it is its owner's to close.
+func WithPool(p *Pool) StoreOption {
+	return func(s *Store) { s.pool = p }
 }
 
 // defaultHedge is how long a stripe waits for straggling sources unless
@@ -164,34 +166,27 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 	if s.healthy, err = code.PlanRead(all, blockSize); err != nil {
 		return nil, err
 	}
-	s.client = s.client.withDefaults()
-	s.pool = NewPool(addrs, PoolOptions{Client: s.client})
+	if s.pool == nil {
+		s.pool, s.ownsPool = NewPool(addrs, PoolOptions{}), true
+	}
 	return s, nil
 }
 
-// Close releases the store's pooled connections. Calls after Close fail
-// with ErrPoolClosed.
+// Close closes the pool NewStore built for the store, and its pooled
+// connections; calls after Close fail with ErrPoolClosed. A store over a
+// pool WithPool gave it leaves that pool open, and serves over it until
+// its owner closes it.
 func (s *Store) Close() {
-	s.pool.Close()
+	if s.ownsPool {
+		s.pool.Close()
+	}
 }
 
-// Pool exposes the store's connection pool so adjacent layers (stream
-// adapters, repair tooling) fetch over the same bounded connection set.
+// Pool exposes the store's connection pool so that code addressing
+// blocks directly (repair tooling, the benchmark's unrolled paths) fetches
+// over the same bounded connection set.
 func (s *Store) Pool() *Pool {
 	return s.pool
-}
-
-// withClient checks out a client of the store's pool for addr, runs fn on
-// it under the store's client options and returns it. A newcomer's pool
-// serves rebuilds with different options, so every checkout sets them.
-func (s *Store) withClient(ctx context.Context, addr string, fn func(*Client) error) error {
-	c, err := s.pool.Get(ctx, addr)
-	if err != nil {
-		return err
-	}
-	defer s.pool.Put(c)
-	c.opts = s.client
-	return fn(c)
 }
 
 // BlockName returns the key under which the Store places block idx of the
@@ -373,7 +368,7 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 		}
 	}
 	return errors.Join(fanOut(n, func(i int) error {
-		return s.withClient(ctx, s.addrs[i], func(c *Client) error {
+		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
 			return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m], bcrcs[i*m:(i+1)*m], sent)
 		})
 	})...)
@@ -953,9 +948,7 @@ func (r *wireRound) source(x int) {
 			hedge = time.Time{}
 		}
 		if c == nil && err == nil {
-			if c, err = r.s.pool.getParked(r.ctx, r.s.addrs[block], hedge); err == nil {
-				c.opts = r.s.client
-			}
+			c, err = r.s.pool.getParked(r.ctx, r.s.addrs[block], hedge)
 		}
 		if e.err = err; err == nil {
 			e.err = r.runNames(c, y, hedge)
@@ -1376,7 +1369,7 @@ func (s *Store) scrubBatch(ctx context.Context, file string, lo, hi int, verdict
 		names[k], recs[k] = BlockName(file, lo+k%m, k/m), slab[k*n:k*n:(k+1)*n]
 	}
 	errs := fanOut(n, func(i int) error {
-		return s.withClient(ctx, s.addrs[i], func(c *Client) error {
+		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
 			return c.Verifies(ctx, names[i*m:(i+1)*m], recs[i*m:(i+1)*m], vs[i*m:(i+1)*m])
 		})
 	})

@@ -54,7 +54,7 @@ func TestCrossNodeTraceStitching(t *testing.T) {
 	endpoints = append(endpoints, clientMux.Listener.Addr().String())
 
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithHedgeDelay(150*time.Millisecond))
+		withPool(t, fastOpts()), WithHedgeDelay(150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestUntracedReadRecordsNoSpans(t *testing.T) {
 		srv.SetTracer(tracers[i])
 	}
 	blockSize := code.BlockAlign() * 4
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestWriteFilePooledBlocksOutliveTheirPuts(t *testing.T) {
 		}
 		t.Cleanup(func() { srv.Close() })
 	}
-	store, err := NewStore(code, addrs, blockSize, WithClientOptions(fastOpts()))
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestChaosHeartbeatPartition(t *testing.T) {
 
 	// Give the partitioned-to-be member real placements, so a spurious
 	// rebuild would be observable as a task.
-	store, err := blockserver.NewStore(code, addrs, blockSize, blockserver.WithClientOptions(fastClientOpts()))
+	store, err := blockserver.NewStore(code, addrs, blockSize, withPool(t, fastClientOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

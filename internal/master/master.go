@@ -48,8 +48,9 @@ type Config struct {
 	// (defaults 2 and 1).
 	RecoverCap int
 	ScrubCap   int
-	// ClientOptions configures the block clients repair stores dial with;
-	// nil uses blockserver defaults.
+	// ClientOptions configures the master's one block-client pool, which
+	// every task item's Store runs over; nil uses blockserver defaults. A
+	// newcomer dials its helpers under its own server's pool options.
 	ClientOptions *blockserver.Options
 	// Logger receives membership transitions and task events; nil uses
 	// slog.Default().
@@ -101,6 +102,12 @@ type Master struct {
 	journal *journal
 	state   *masterState
 
+	// pool is the block-client pool every task item's Store runs over,
+	// from New to Close, so an item reuses the connections the items
+	// before it parked, and a task dials a peer at most its per-peer
+	// budget of times.
+	pool *blockserver.Pool
+
 	ln  net.Listener
 	srv *http.Server
 
@@ -137,6 +144,11 @@ func New(cfg Config) (*Master, error) {
 		}
 		m.journal, m.state = j, st
 	}
+	var copts blockserver.Options
+	if c.ClientOptions != nil {
+		copts = *c.ClientOptions
+	}
+	m.pool = blockserver.NewPool(nil, blockserver.PoolOptions{Client: copts})
 	m.sched = newScheduler(
 		map[TaskClass]int{ClassRecover: c.RecoverCap, ClassScrub: c.ScrubCap},
 		m.runItem,
@@ -247,6 +259,7 @@ func (m *Master) Close() error {
 		m.loopCancel()
 	}
 	m.sched.Close()
+	m.pool.Close()
 	m.wg.Wait()
 	m.mu.Lock()
 	err := m.journal.close()
@@ -514,7 +527,8 @@ func (m *Master) scheduleScrub() error {
 }
 
 // runItem executes one task item: build a transient Store over the item's
-// snapshot addrs and run the recovery (or scrub) for that file. The
+// snapshot addrs and the master's one pool, whose connections outlive it
+// for the next item, and run the recovery (or scrub) for that file. The
 // per-task bandwidth budget flows into RecoverServer's token bucket. Each
 // item roots a trace of its own, so its rebuild tree reaches
 // /debug/traces.
@@ -522,11 +536,7 @@ func (m *Master) runItem(ctx context.Context, t *Task, item TaskItem) (int64, er
 	ctx, sp := obs.StartSpan(ctx, "master.item")
 	sp.SetAttr("task", t.ID).SetAttr("file", item.File).SetAttr("failed", item.Failed)
 	defer sp.End()
-	var sopts []blockserver.StoreOption
-	if m.cfg.ClientOptions != nil {
-		sopts = append(sopts, blockserver.WithClientOptions(*m.cfg.ClientOptions))
-	}
-	st, err := blockserver.NewStore(m.cfg.Code, item.Addrs, item.BlockSize, sopts...)
+	st, err := blockserver.NewStore(m.cfg.Code, item.Addrs, item.BlockSize, blockserver.WithPool(m.pool))
 	if err != nil {
 		return 0, err
 	}

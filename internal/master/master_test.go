@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,6 +35,14 @@ func fastClientOpts() blockserver.Options {
 		IOTimeout:   2 * time.Second,
 		Retry:       retry.Policy{Attempts: 2, Base: 5 * time.Millisecond, Max: 20 * time.Millisecond},
 	}
+}
+
+// withPool runs a store over a pool of clients under o, closed when the
+// test ends.
+func withPool(t testing.TB, o blockserver.Options) blockserver.StoreOption {
+	p := blockserver.NewPool(nil, blockserver.PoolOptions{Client: o})
+	t.Cleanup(p.Close)
+	return blockserver.WithPool(p)
 }
 
 // fastMasterConfig is a detector tuned for test time: beat every 25ms,
@@ -149,7 +159,7 @@ func TestMasterSelfHealing(t *testing.T) {
 	// TCP control protocol.
 	ctl := NewClient(m.Addr(), &ClientOptions{DialTimeout: time.Second, IOTimeout: 2 * time.Second})
 	defer ctl.Close()
-	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, blockserver.WithClientOptions(fastClientOpts()))
+	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, withPool(t, fastClientOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +223,7 @@ func TestMasterSelfHealing(t *testing.T) {
 		if rep.Addrs[failedIdx] != spare {
 			t.Fatalf("%s placement[%d] = %s, want spare %s", name, failedIdx, rep.Addrs[failedIdx], spare)
 		}
-		rs, err := blockserver.NewStore(code, rep.Addrs, rep.BlockSize, blockserver.WithClientOptions(fastClientOpts()))
+		rs, err := blockserver.NewStore(code, rep.Addrs, rep.BlockSize, withPool(t, fastClientOpts()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +284,7 @@ func TestRecoverBudgetIsPerTask(t *testing.T) {
 
 	ctl := NewClient(m.Addr(), &ClientOptions{DialTimeout: time.Second, IOTimeout: 2 * time.Second})
 	defer ctl.Close()
-	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, blockserver.WithClientOptions(fastClientOpts()))
+	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, withPool(t, fastClientOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +314,97 @@ func TestRecoverBudgetIsPerTask(t *testing.T) {
 	}
 	if min := time.Duration(float64(files-1) / repairsPerSec / 2 * float64(time.Second)); elapsed < min {
 		t.Fatalf("%d one-stripe files at %d repairs/s recovered in %v, want >= %v", files, repairsPerSec, elapsed, min)
+	}
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// TestRecoverTaskDialsTheNewcomerOverOnePool: the master runs every item
+// of a recovery task over its one pool, so a pass over ten one-stripe
+// files onto one spare opens at most a pool's per-peer budget of
+// connections to the spare, where a pool per item opened one per file.
+func TestRecoverTaskDialsTheNewcomerOverOnePool(t *testing.T) {
+	code := testCode(t)
+	blockSize := code.BlockAlign() * 8
+	const files = 10
+	m, err := New(fastMasterConfig(code))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	servers, addrs := startServers(t, code, code.N())
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spareLn := &countingListener{Listener: raw}
+	spare := blockserver.NewServer(code)
+	spareAddr, err := spare.StartListener(spareLn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { spare.Close() })
+	servers, addrs = append(servers, spare), append(addrs, spareAddr)
+	hbs := make([]*Heartbeater, len(servers))
+	for i := range servers {
+		hbs[i] = startHeartbeat(t, m.Addr(), servers[i], addrs[i])
+	}
+	defer func() {
+		for _, hb := range hbs[1:] {
+			hb.Abort()
+		}
+	}()
+	waitMembers(t, m, "alive", code.N()+1)
+
+	ctl := NewClient(m.Addr(), &ClientOptions{DialTimeout: time.Second, IOTimeout: 2 * time.Second})
+	defer ctl.Close()
+	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, withPool(t, fastClientOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, code.K()*blockSize) // one stripe
+	rand.New(rand.NewSource(19)).Read(data)
+	for i := range files {
+		name := fmt.Sprintf("one%d", i)
+		if _, err := store.WriteFile(context.Background(), name, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.Place(PlaceRequest{Name: name, Size: len(data), BlockSize: blockSize, Addrs: addrs[:code.N()]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+
+	// A clean stop leaves: the move-off onto the spare is one task of an
+	// item per file.
+	hbs[0].Stop()
+	waitFor(t, 15*time.Second, func() bool {
+		task := findTask(m.Status(), ClassRecover)
+		return task != nil && task.State == TaskDone
+	}, "drain-triggered recovery")
+	if task := findTask(m.Status(), ClassRecover); task.Items != files || task.BlocksRepaired != files {
+		t.Fatalf("recovery task: %+v, want %d items and blocks", task, files)
+	}
+	n := spareLn.accepts.Load()
+	t.Logf("the spare accepted %d connections over %d items", n, files)
+	if n < 1 || n > blockserver.DefaultPerPeer {
+		t.Errorf("the spare accepted %d connections over %d items, want 1..%d: one pool's budget", n, files, blockserver.DefaultPerPeer)
 	}
 }
 
@@ -345,7 +446,7 @@ func TestMasterRestartResume(t *testing.T) {
 
 	ctl := NewClient(masterAddr, &ClientOptions{DialTimeout: time.Second, IOTimeout: 2 * time.Second})
 	defer ctl.Close()
-	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, blockserver.WithClientOptions(fastClientOpts()))
+	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, withPool(t, fastClientOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +534,7 @@ func TestMasterRestartResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := blockserver.NewStore(code, rep.Addrs, rep.BlockSize, blockserver.WithClientOptions(fastClientOpts()))
+		rs, err := blockserver.NewStore(code, rep.Addrs, rep.BlockSize, withPool(t, fastClientOpts()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +578,7 @@ func TestMasterCleanDrain(t *testing.T) {
 
 	ctl := NewClient(m.Addr(), &ClientOptions{DialTimeout: time.Second, IOTimeout: 2 * time.Second})
 	defer ctl.Close()
-	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, blockserver.WithClientOptions(fastClientOpts()))
+	store, err := blockserver.NewStore(code, addrs[:code.N()], blockSize, withPool(t, fastClientOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +614,7 @@ func TestMasterCleanDrain(t *testing.T) {
 	if rep.Addrs[drainIdx] != addrs[code.N()] {
 		t.Fatalf("drained placement[0] = %s, want spare %s", rep.Addrs[drainIdx], addrs[code.N()])
 	}
-	rs, err := blockserver.NewStore(code, rep.Addrs, rep.BlockSize, blockserver.WithClientOptions(fastClientOpts()))
+	rs, err := blockserver.NewStore(code, rep.Addrs, rep.BlockSize, withPool(t, fastClientOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +647,7 @@ func TestMasterPeriodicScrub(t *testing.T) {
 	servers, addrs := startServers(t, code, code.N())
 	ctl := NewClient(m.Addr(), &ClientOptions{DialTimeout: time.Second, IOTimeout: 2 * time.Second})
 	defer ctl.Close()
-	store, err := blockserver.NewStore(code, addrs, blockSize, blockserver.WithClientOptions(fastClientOpts()))
+	store, err := blockserver.NewStore(code, addrs, blockSize, withPool(t, fastClientOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

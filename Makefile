@@ -44,7 +44,7 @@ faults:
 # The self-healing control plane: membership/journal/scheduler unit
 # tests, the kill-a-node, restart-resume and per-task bandwidth-budget
 # e2e suites, the one pool every task item runs over (a recovery of ten
-# files onto one spare dials it at most DefaultPerPeer times), the
+# files onto one spare, one item after another, dials it once), the
 # control-wire suite (TestControlWire: corrupt request
 # and reply, oversize body, unknown route, a refusal keeps the
 # connection, one client under concurrent callers), and the short-mode
@@ -83,8 +83,8 @@ writepath:
 # RecoverServer over it; Scrub's one verify exchange per server per batch
 # and its torn stripes, reported and left alone; a store over a borrowed
 # pool, which leaves it open when it closes; then the master's
-# self-healing, per-task recovery budget and one pool (a task's items
-# dial their newcomer at most DefaultPerPeer times), which drive
+# self-healing, per-task recovery budget and one pool (a task's items,
+# one after another, dial their newcomer once), which drive
 # RecoverServer.
 recover:
 	$(GO) test -race -count=5 -run 'Recover|Repair|Scrub|SlowEverywhereIsRepaired' ./internal/blockserver
@@ -107,10 +107,12 @@ recover:
 # servers no CRC; whole-block reads, ranges of length 0 checked at the
 # reader and never sent by a Store read; the one carrier, whose
 # one-name exchanges ride their pooled client's own batch and leave
-# nothing in it; and the rot report: every name one exchange lands rotten
-# goes back to its server in one verify exchange.
+# nothing in it; the rot report: every name one exchange lands rotten
+# goes back to its server in one verify exchange; and the leased stripe
+# loop, which goes back to its free list holding no pointer after a
+# healthy, a degraded, a cached and a failed read and a repair.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport|LeasedLoop' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare

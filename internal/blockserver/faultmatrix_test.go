@@ -75,6 +75,36 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Errorf("goroutine leak: %d goroutines > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
+// settledGoroutines waits until the goroutine count has held still for
+// 100 ms, for at most 5 s, and returns it: a baseline taken while closed
+// connections' goroutines are still ending would count them.
+func settledGoroutines() int {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for deadline := since.Add(5 * time.Second); time.Now().Before(deadline) && time.Since(since) < 100*time.Millisecond; {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
+// waitGoroutinesExactly waits up to 5 s for the goroutine count to read
+// exactly base. More is a leak; fewer is a goroutine the baseline counted
+// that has since ended, which could stand in for a leaked one.
+func waitGoroutinesExactly(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if runtime.NumGoroutine() == base {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	t.Errorf("%d goroutines, want exactly the baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+}
+
 // TestFaultMatrixHedgedRead is the acceptance matrix for the hedged read
 // path: with carousel(14,10,10,12) over real TCP servers, killing one
 // server mid-read and delaying another beyond the hedge deadline must
@@ -883,12 +913,22 @@ func TestSlowEverywhereIsReadSlowly(t *testing.T) {
 // promote, it forgives its stragglers and waits for d of them unhedged,
 // instead of failing with ErrTooFewSurvivors. The rebuild still moves
 // exactly d chunks, the file reads back identical, and no goroutine
-// outlives the slow fetches.
+// outlives the slow fetches: the count returns to exactly its baseline,
+// which is taken with the write's connections closed, once the repair's
+// and the newcomer's are closed too, so no closed connection can stand in
+// for a leaked goroutine.
 func TestSlowEverywhereIsRepairedSlowly(t *testing.T) {
-	pc := newPlannedCluster(t, 12, 6, 10, 10, 1, WithHedgeDelay(40*time.Millisecond))
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 1)
 	const failed = 3
 	deleteBlock(t, pc.addrs[failed], BlockName("f", 0, failed))
-	base := runtime.NumGoroutine()
+	pc.store.Pool().Close() // the write's connections
+	pool := NewPool(nil, PoolOptions{Client: fastOpts()})
+	store, err := NewStore(pc.code, pc.addrs, pc.blockSize, WithPool(pool), WithHedgeDelay(40*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.store = store
+	base := settledGoroutines()
 	for i, in := range pc.injectors {
 		in.SetDefault(faultnet.Policy{DelayWrite: time.Duration(80+20*i) * time.Millisecond})
 	}
@@ -905,9 +945,10 @@ func TestSlowEverywhereIsRepairedSlowly(t *testing.T) {
 		in.SetDefault(faultnet.Policy{})
 	}
 	pc.read(t)
-	pc.store.Close()
-	pc.store.Pool().Close()
-	waitGoroutines(t, base)
+	store.Close()
+	pool.Close()
+	pc.servers[failed].pool.Close() // the newcomer's helper connections
+	waitGoroutinesExactly(t, base)
 }
 
 // TestCancelledReadMarksNobody: a read cancelled while its fetches are

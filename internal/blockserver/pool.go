@@ -149,7 +149,12 @@ func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
 
 // checkout is Get giving up at hedge as well, unless it is zero: a Store
 // round's hedge is a deadline value, not a context's, and only a checkout
-// that has to wait for a slot pays for a timer.
+// that has to wait for a slot pays for a timer. It prefers a warm
+// connection: a slot that holds none — a nil token, or a client whose
+// connection is gone or stale — is traded for a connected client parked
+// behind it, if one is (warm), so one-at-a-time callers reuse one
+// connection instead of dialing each token they meet, and a batch round,
+// which holds one client per source, dials past no idle connection.
 func (p *Pool) checkout(ctx context.Context, addr string, hedge time.Time) (*Client, error) {
 	pe, err := p.peer(addr)
 	if err != nil {
@@ -177,54 +182,73 @@ func (p *Pool) checkout(ctx context.Context, addr string, hedge time.Time) (*Cli
 	if !ok {
 		return nil, ErrPoolClosed
 	}
+	if c != nil && c.conn != nil {
+		if !staleIdle(c) {
+			return c, nil
+		}
+		c.poison() // redials lazily on first use
+	}
+	if w := p.warm(pe); w != nil {
+		p.park(pe, c) // the slot goes back in the warm client's place
+		return w, nil
+	}
 	if c == nil {
 		c = p.newClient(pe)
-	} else if staleIdle(c) {
-		c.poison() // redials lazily on first use
 	}
 	return c, nil
 }
 
-// getParked is Get for a batch round's exchange, which holds one
-// connection per source for the whole round: a parked connection is worth
-// more to it than the right to dial one, so it trades a token for a client
-// parked behind it, sending the token to the back, at most once round the
-// slots. Get itself takes the slots in turn, dialing each token it meets,
-// so a peer's connections reach the budget after that many checkouts; a
-// batched read checks out one client per source, and through Get each of
-// its first reads would dial past idle connections. Its checkout ends at
-// hedge, unless that is zero.
-func (p *Pool) getParked(ctx context.Context, addr string, hedge time.Time) (*Client, error) {
-	c, err := p.checkout(ctx, addr, hedge)
-	if err != nil || c.conn != nil {
-		return c, err
-	}
-	pe, err := p.peer(addr)
-	if err != nil {
-		return c, nil
-	}
-	for range cap(pe.free) {
-		var next *Client
+// warm takes a connected, fresh client parked behind the slot a checkout
+// holds, if there is one. It passes each slot it looks at first to the
+// back — a token or an unconnected client as it is, a stale connection
+// poisoned, as a checkout would have found it — and looks at each at most
+// once.
+func (p *Pool) warm(pe *peer) *Client {
+	for range cap(pe.free) - 1 {
+		var c *Client
 		select {
-		case n, ok := <-pe.free:
+		case next, ok := <-pe.free:
 			if !ok {
-				return c, nil // closed: the caller's next call says so
+				return nil // closed: the caller's next call says so
 			}
-			next = n
+			c = next
 		default:
-			return c, nil // nothing else is parked
+			return nil // nothing else is parked
 		}
-		if next != nil && next.conn != nil && !staleIdle(next) {
-			p.Put(c) // the unconnected client goes back in the token's place
-			return next, nil
+		if c != nil && c.conn != nil {
+			if !staleIdle(c) {
+				return c
+			}
+			c.poison()
 		}
-		if next == nil {
-			next = p.newClient(pe) // a token, parked as the client Get would make of it
-		}
-		next.poison() // a stale connection redials on its next use, as Get's would
-		p.Put(next)
+		p.park(pe, c)
 	}
-	return c, nil
+	return nil
+}
+
+// park returns a slot to its peer — a client, or a nil token — unless the
+// pool has closed, which closes the client instead.
+func (p *Pool) park(pe *peer, c *Client) {
+	p.mu.Lock()
+	parked := p.parkLocked(pe, c)
+	p.mu.Unlock()
+	if !parked && c != nil {
+		c.Close()
+	}
+}
+
+// parkLocked is park's send, under p.mu, which Close takes to close the
+// slot channels: it reports whether the slot was parked.
+func (p *Pool) parkLocked(pe *peer, c *Client) bool {
+	if p.closed {
+		return false
+	}
+	select {
+	case pe.free <- c:
+		return true
+	default: // a foreign client beyond the peer's budget
+		return false
+	}
 }
 
 // Put returns a checked-out client. With the pool closed the client is
@@ -235,14 +259,8 @@ func (p *Pool) Put(c *Client) {
 		return
 	}
 	p.mu.Lock()
-	parked := false
-	if pe := p.peers[c.addr]; !p.closed && pe != nil {
-		select {
-		case pe.free <- c:
-			parked = true
-		default: // foreign client beyond the peer's budget
-		}
-	}
+	pe := p.peers[c.addr]
+	parked := pe != nil && p.parkLocked(pe, c)
 	p.mu.Unlock()
 	if !parked {
 		c.Close()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"carousel/internal/carousel"
 	"carousel/internal/faultnet"
 	"carousel/internal/frame"
+	"carousel/internal/obs"
 )
 
 // TestReadFileBatchesSourceExchanges counts the round trips a read costs at
@@ -237,6 +239,155 @@ func TestBatchScratchRetainsNothing(t *testing.T) {
 	deleteBlock(t, pc.addrs[0], name)
 	pc.servers[0].dropSpares(pc.blockSize)
 	freed("a deleted block a batch served", block)
+}
+
+// TestLeasedLoopRetainsNothing: a batch gives its leased stripe loop
+// (batchLoop) back to the free list holding no pointer — to a caller's
+// output, ReadStats, context or spans, a pooled buffer, a verdict, an
+// exchange's error or a stripe's — after each kind of batch: a healthy
+// batched read, a degraded read, a repair, whose batch the newcomer runs,
+// a cached miss, and a read that fails. The free list is a sync.Pool, which drops what it holds after two
+// collections, so a finalizer test such as TestBatchScratchRetainsNothing
+// cannot see a lease that keeps a caller's output alive; this one takes
+// the leases back from the free list and looks inside them, with
+// GOMAXPROCS at 1 so that every lease goes back to the one free list the
+// test's takes look in. An operation is repeated until a lease it used
+// comes back: under the race detector a sync.Pool drops a quarter of what
+// it is given.
+func TestLeasedLoopRetainsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pc := newPlannedCluster(t, 12, 6, 10, 10, 4)
+	ctx, root := obs.StartSpan(context.Background(), "test.lease")
+	defer root.End()
+	ctx, cancel := context.WithCancel(ctx) // a round under a context that can end takes a hook
+	defer cancel()
+	cached, err := NewStore(pc.code, pc.addrs, pc.blockSize, withPool(t, fastOpts()), WithStripeCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	read := func(s *Store) func() error {
+		return func() error {
+			got, _, err := s.ReadFile(ctx, "f", len(pc.data))
+			if err == nil && !bytes.Equal(got, pc.data) {
+				err = errors.New("read returned different bytes")
+			}
+			return err
+		}
+	}
+	const gone = 2 // closed before the degraded read: its asks fail, and the repair's ask of it
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"a healthy batched read", read(pc.store)},
+		{"a degraded read", func() error {
+			pc.servers[gone].Close()
+			return read(pc.store)()
+		}},
+		{"a repair", func() error {
+			_, err := pc.store.Repair(ctx, "f", 0, 0)
+			return err
+		}},
+		{"a cached miss", func() error {
+			cached.Cache().Invalidate("f")
+			return read(cached)()
+		}},
+		{"a read that fails", func() error {
+			if _, _, err := pc.store.ReadFile(ctx, "nobody wrote this", len(pc.data)); !errors.Is(err, ErrTooFewSurvivors) {
+				return fmt.Errorf("a read of a missing file: %v, want ErrTooFewSurvivors", err)
+			}
+			return nil
+		}},
+	} {
+		for try := 1; ; try++ {
+			if err := op.run(); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			if takeLeases(t, op.name) > 0 {
+				break
+			}
+			if try == 20 {
+				t.Fatalf("no lease %s used came back in %d tries", op.name, try)
+			}
+		}
+	}
+}
+
+// takeLeases takes every batch loop the free list holds, reports each
+// pointer one holds, puts them back, and returns how many had run a batch.
+func takeLeases(t *testing.T, after string) (used int) {
+	t.Helper()
+	var taken []*batchLoop
+	defer func() {
+		for _, l := range taken {
+			loops.Put(l)
+		}
+	}()
+	for range 64 {
+		l := leaseLoop()
+		taken = append(taken, l)
+		if cap(l.active) == 0 {
+			return used // a new one: the free list is empty
+		}
+		used++
+		for _, path := range heldPointers(reflect.ValueOf(l).Elem(), "batchLoop") {
+			t.Errorf("after %s, a lease on the free list holds %s", after, path)
+		}
+	}
+	return used
+}
+
+// leaseOwned names the slices a lease owns, whose capacity it keeps: the
+// loop's, each stripe read's asks and scratch, and its round hook's
+// connection list. Any other slice a lease holds is borrowed — a caller's
+// output, a pooled buffer, a stripe's strikes — and must be nil.
+var leaseOwned = map[string]bool{"reads": true, "tasks": true, "errs": true, "active": true, "exs": true, "round": true, "scratch": true, "conns": true}
+
+// heldPointers lists the path of every pointer set below v: a pointer,
+// interface, map, channel, function, non-empty string or borrowed slice.
+// It looks into each slice the lease owns up to its capacity, and into the
+// round hook a lease keeps for its next round.
+func heldPointers(v reflect.Value, path string) (held []string) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			f := v.Type().Field(i)
+			if fv := v.Field(i); fv.Kind() == reflect.Slice && !leaseOwned[f.Name] {
+				if !fv.IsNil() {
+					held = append(held, path+"."+f.Name)
+				}
+				continue
+			}
+			held = append(held, heldPointers(v.Field(i), path+"."+f.Name)...)
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			held = append(held, heldPointers(v.Index(i), fmt.Sprintf("%s[%d]", path, i))...)
+		}
+	case reflect.Slice:
+		all := v.Slice3(0, v.Cap(), v.Cap())
+		for i := range all.Len() {
+			held = append(held, heldPointers(all.Index(i), fmt.Sprintf("%s[%d]", path, i))...)
+		}
+	case reflect.Pointer:
+		switch {
+		case v.IsNil():
+		case v.Type() == reflect.TypeFor[*roundHook]():
+			held = append(held, heldPointers(v.Elem(), path)...)
+		default:
+			held = append(held, path)
+		}
+	case reflect.Interface, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		if !v.IsNil() {
+			held = append(held, path)
+		}
+	case reflect.String:
+		if v.Len() > 0 {
+			held = append(held, path)
+		}
+	}
+	return held
 }
 
 // rangeTap counts, as the server reads them, the range requests on its

@@ -480,7 +480,8 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 	wsp.End()
 
 	repairs := make([]stripeRepair, len(stripes))
-	tasks := make([]stripeTask, len(stripes))
+	l := leaseLoop()
+	defer l.release()
 	slots := make([]uint32, len(stripes)*(d+1)*n)
 	for i, st := range stripes {
 		r := &repairs[i]
@@ -498,9 +499,9 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 		for k := range r.free {
 			r.free[k] = r.buf[k*chunkSize : (k+1)*chunkSize : (k+1)*chunkSize]
 		}
-		tasks[i] = r
+		l.tasks = append(l.tasks, r)
 	}
-	s.runBatch(ctx, opChunk, tasks)
+	s.runBatch(ctx, opChunk, l)
 	total := 0
 	for i := range repairs {
 		traffic[i], errs[i] = repairs[i].traffic, repairs[i].err
@@ -602,7 +603,10 @@ func (r *stripeRepair) recheck() (again bool, err error) {
 		return false, nil
 	}
 	r.unchecked, r.disagree = false, false
-	s.runBatch(ctx, opChunk, []stripeTask{rerun{r}})
+	l := leaseLoop()
+	l.tasks = append(l.tasks, rerun{r})
+	s.runBatch(ctx, opChunk, l)
+	l.release()
 	return true, r.err
 }
 

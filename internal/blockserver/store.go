@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"slices"
 	"strconv"
 	"strings"
@@ -779,77 +778,129 @@ type batchExchange struct {
 	err      error
 }
 
+// batchLoop is a batch's stripe-loop state (runBatch): its stripes — as
+// reads, for a read batch, and as tasks — their outcomes, the stripes still
+// active, the round's exchanges, and the round on the wire: its store, op,
+// context, hedge, cancellation hook and sources. A batch leases one from
+// loops and gives it back as it returns (release), so once the free list
+// is warm a batch allocates none of it: the slices, and each stripe read's
+// asks, keep their capacity from batch to batch. The free list is
+// process-wide, not a Store's, because a newcomer builds a Store for each
+// rebuild request it runs.
+type batchLoop struct {
+	reads     []stripeRead
+	tasks     []stripeTask
+	errs      []error
+	active    []int
+	exs       []batchExchange
+	finishing sync.WaitGroup // the stripes finishing on goroutines of their own
+
+	s     *Store
+	op    byte
+	ctx   context.Context // the round's
+	hedge time.Time
+	hook  *roundHook // the round's; nil while its context cannot end
+	idle  *roundHook // a hook no context fired, for the next round that needs one
+	wg    sync.WaitGroup
+}
+
+// loops is the free list of batch loops.
+var loops = sync.Pool{New: func() any { return new(batchLoop) }}
+
+// leaseLoop leases a batch loop, empty, from the free list.
+func leaseLoop() *batchLoop { return loops.Get().(*batchLoop) }
+
+// release clears every pointer the batch left in the loop — a caller's
+// output, stats, context and spans, the asks' buffers and the exchanges'
+// errors, up to each slice's capacity — and gives the loop back to the
+// free list, capacity and all. The idle hook stays: no context fired it,
+// and it holds no connection.
+func (l *batchLoop) release() {
+	reads := l.reads[:cap(l.reads)]
+	for i := range reads {
+		reads[i].reset()
+	}
+	clear(l.tasks[:cap(l.tasks)])
+	clear(l.errs[:cap(l.errs)])
+	clear(l.exs[:cap(l.exs)])
+	l.reads, l.tasks, l.errs, l.active, l.exs = l.reads[:0], l.tasks[:0], l.errs[:0], l.active[:0], l.exs[:0]
+	l.s, l.ctx, l.hedge = nil, nil, time.Time{}
+	loops.Put(l)
+}
+
 // runBatch is the one stripe loop, behind every read and repair: it drives
-// each stripe of a batch through plan, round, strike and re-plan until the
-// stripe finishes or fails, and calls its done exactly once. Every stripe
-// keeps its own stripeOp, so it plans, strikes, unhedges and runs out of
-// survivors for itself alone. What the batch shares is the round: every
-// stripe still short plans, and the asks are grouped by (block, arguments)
-// into one exchange each, all under one hedge deadline (exchange). A name's NotFound or Corrupt verdict strikes
+// each stripe of l's batch (its tasks) through plan, round, strike and
+// re-plan until the stripe finishes or fails, and calls its done exactly
+// once. Every stripe keeps its own stripeOp, so it plans, strikes,
+// unhedges and runs out of survivors for itself alone. What the batch
+// shares is the round: every stripe still short plans, and the asks are
+// grouped by (block, arguments) into one exchange each, all under one
+// hedge deadline (exchange). A name's NotFound or Corrupt verdict strikes
 // its block for that one stripe; a failed or timed-out exchange strikes it
 // for every stripe it carried. A stripe whose asks all landed finishes on
 // its own goroutine while the others' rounds go on (a batch of one, on
-// this one). A round cut short by
-// the caller's context is a victim, not a verdict about the blocks, so the
-// stripe reports the context's error. runBatch returns once every stripe
-// is done, its outcome in its stripeOp's err.
-func (s *Store) runBatch(ctx context.Context, op byte, tasks []stripeTask) {
-	active := make([]int, len(tasks))
-	for i := range active {
-		active[i] = i
+// this one). A round cut short by the caller's context is a victim, not a
+// verdict about the blocks, so the stripe reports the context's error.
+// runBatch returns once every stripe is done, its outcome in its
+// stripeOp's err.
+func (s *Store) runBatch(ctx context.Context, op byte, l *batchLoop) {
+	l.active = l.active[:0]
+	for i := range l.tasks {
+		l.active = append(l.active, i)
 	}
-	end := func(t stripeTask, err error) {
-		t.stripe().err = err
-		t.done()
-	}
-	var finishing sync.WaitGroup
-	for len(active) > 0 {
-		planned := active[:0]
-		for _, i := range active {
-			t := tasks[i]
+	for len(l.active) > 0 {
+		planned := l.active[:0]
+		for _, i := range l.active {
+			t := l.tasks[i]
 			if err := t.stripe().plan(t.stripe().ctx, t.try); err != nil {
-				end(t, err)
+				endStripe(t, err)
 				continue
 			}
 			planned = append(planned, i)
 		}
-		if active = planned; len(active) == 0 {
+		if l.active = planned; len(l.active) == 0 {
 			break
 		}
-		exs, mode := group(tasks, active)
-		s.exchange(ctx, op, tasks, active, exs, mode)
-		next := active[:0]
-		for _, i := range active {
-			t := tasks[i]
-			short := t.stripe().settle(exs)
+		s.exchange(ctx, op, l, l.group())
+		next := l.active[:0]
+		for _, i := range l.active {
+			t := l.tasks[i]
+			short := t.stripe().settle(l.exs)
 			t.landed()
 			switch {
 			case short && ctx.Err() != nil:
-				end(t, classify(ctx.Err()))
+				endStripe(t, classify(ctx.Err()))
 			case short:
 				next = append(next, i)
-			case len(tasks) == 1: // a batch of one starts no goroutine
-				end(t, t.finish())
+			case len(l.tasks) == 1: // a batch of one starts no goroutine
+				endStripe(t, t.finish())
 			default:
-				finishing.Add(1)
+				l.finishing.Add(1)
 				go func() {
-					defer finishing.Done()
-					end(t, t.finish())
+					defer l.finishing.Done()
+					endStripe(t, t.finish())
 				}()
 			}
 		}
-		active = next
+		l.active = next
 	}
-	finishing.Wait()
+	l.finishing.Wait()
 }
 
-// group gathers a round's asks into exchanges, one per (block, arguments),
-// in the order the stripes asked, and records in each ask the exchange it
-// rides. It also returns the round's plan kinds — one, or several joined
-// by "+" when the stripes differ.
-func group(tasks []stripeTask, active []int) (exs []batchExchange, mode string) {
-	for _, i := range active {
-		t := tasks[i]
+// endStripe ends a stripe with its outcome.
+func endStripe(t stripeTask, err error) {
+	t.stripe().err = err
+	t.done()
+}
+
+// group gathers the round's asks into l's exchanges, one per (block,
+// arguments), in the order the stripes asked, and records in each ask the
+// exchange it rides. It returns the round's plan kinds — one, or several
+// joined by "+" when the stripes differ.
+func (l *batchLoop) group() (mode string) {
+	l.exs = l.exs[:0]
+	for _, i := range l.active {
+		t := l.tasks[i]
 		so := t.stripe()
 		var m string
 		m, so.round = t.asks()
@@ -858,115 +909,116 @@ func group(tasks []stripeTask, active []int) (exs []batchExchange, mode string) 
 		} else if m != mode && !slices.Contains(strings.Split(mode, "+"), m) {
 			mode += "+" + m
 		}
-		if exs == nil {
-			exs = make([]batchExchange, 0, len(so.round)) // a healthy batch's stripes all ask the same sources
-		}
 		for k := range so.round {
 			a := &so.round[k]
 			x := 0
-			for x < len(exs) && (exs[x].block != a.block || exs[x].args != a.args) {
+			for x < len(l.exs) && (l.exs[x].block != a.block || l.exs[x].args != a.args) {
 				x++
 			}
-			if x == len(exs) {
-				exs = append(exs, batchExchange{block: a.block, args: a.args})
+			if x == len(l.exs) {
+				l.exs = append(l.exs, batchExchange{block: a.block, args: a.args})
 			}
-			exs[x].n++
-			exs[x].unhedged = exs[x].unhedged || so.unhedged
+			l.exs[x].n++
+			l.exs[x].unhedged = l.exs[x].unhedged || so.unhedged
 			a.ex, a.err = x, nil
 		}
 	}
-	return exs, mode
+	return mode
 }
 
-// exchange runs one batch round's exchanges under one hedge deadline —
+// exchange runs the round's exchanges (l's) under one hedge deadline —
 // none for an exchange that carries an unhedged stripe — and waits them
 // all out: a failure cancels nobody, so everything that can land does, and
-// nothing writes into a destination after the round returns. The hedge is
-// a deadline value, and one hook on ctx, when ctx can end, interrupts
-// every exchange of the round (roundHook): an exchange costs no context or
-// hook of its own. The round's fetch span parents the servers' spans of
+// nothing writes into a destination after the round returns. Each source
+// but the last runs on a goroutine of its own, and the last on this one.
+// The hedge is a deadline value, and one hook on ctx, when ctx can end,
+// interrupts every exchange of the round (roundHook): an exchange costs no
+// context or hook of its own, and a hook no context fired serves the
+// loop's next round. The round's fetch span parents the servers' spans of
 // every exchange.
-func (s *Store) exchange(ctx context.Context, op byte, tasks []stripeTask, active []int, exs []batchExchange, mode string) {
+func (s *Store) exchange(ctx context.Context, op byte, l *batchLoop, mode string) {
 	ctx, fsp := obs.ChildSpan(ctx, "fetch")
 	defer fsp.End()
-	r := &wireRound{s: s, op: op, tasks: tasks, active: active, exs: exs, ctx: ctx, hedge: time.Now().Add(s.hedge)}
+	l.s, l.op, l.ctx, l.hedge = s, op, ctx, time.Now().Add(s.hedge)
 	if ctx.Done() != nil {
-		r.hook = &roundHook{conns: make([]net.Conn, 0, len(exs))}
-		defer context.AfterFunc(ctx, r.hook.expire)()
+		if l.hook, l.idle = l.idle, nil; l.hook == nil {
+			l.hook = new(roundHook)
+		}
+		stop := context.AfterFunc(ctx, l.hook.expire)
+		defer func() {
+			if stop() { // it never ran: nothing can touch the hook from here on
+				l.idle = l.hook
+			}
+			l.hook = nil
+		}()
 	}
-	unhedged := false
-	for x := range exs {
-		unhedged = unhedged || exs[x].unhedged
+	unhedged, last := false, -1
+	for x := range l.exs {
+		unhedged = unhedged || l.exs[x].unhedged
 		first := true
 		for y := range x {
-			first = first && exs[y].block != exs[x].block
+			first = first && l.exs[y].block != l.exs[x].block
 		}
-		if first {
-			r.wg.Add(1)
-			go r.source(x)
+		if !first {
+			continue
 		}
+		if last >= 0 {
+			l.wg.Add(1)
+			go l.source(last)
+		}
+		last = x
 	}
 	if fsp != nil {
-		fsp.SetAttr("mode", mode).SetAttr("sources", len(exs))
+		fsp.SetAttr("mode", mode).SetAttr("sources", len(l.exs))
 	}
 	if unhedged {
 		fsp.SetAttr("unhedged", true)
 	}
-	r.wg.Wait()
-}
-
-// wireRound is a batch round on the wire: its exchanges, the stripes whose
-// asks they carry, the context they run under, its hedge and its hook.
-type wireRound struct {
-	s      *Store
-	op     byte
-	tasks  []stripeTask
-	active []int
-	exs    []batchExchange
-	ctx    context.Context
-	hedge  time.Time
-	hook   *roundHook
-	wg     sync.WaitGroup
+	if last >= 0 {
+		l.wg.Add(1)
+		l.source(last)
+	}
+	l.wg.Wait()
 }
 
 // source carries, back to back over one pooled client, every exchange of
 // the round with exchange x's source, x being its first: a patch plan can
 // ask one source for a prefix and a parity range in the same round, and a
 // round holds one connection per source.
-func (r *wireRound) source(x int) {
-	defer r.wg.Done()
-	block := r.exs[x].block
+func (l *batchLoop) source(x int) {
+	defer l.wg.Done()
+	block := l.exs[x].block
 	var c *Client
 	var err error
-	for y := x; y < len(r.exs); y++ {
-		e := &r.exs[y]
+	for y := x; y < len(l.exs); y++ {
+		e := &l.exs[y]
 		if e.block != block {
 			continue
 		}
-		hedge := r.hedge
+		hedge := l.hedge
 		if e.unhedged {
 			hedge = time.Time{}
 		}
 		if c == nil && err == nil {
-			c, err = r.s.pool.getParked(r.ctx, r.s.addrs[block], hedge)
+			c, err = l.s.pool.checkout(l.ctx, l.s.addrs[block], hedge)
 		}
 		if e.err = err; err == nil {
-			e.err = r.runNames(c, y, hedge)
+			e.err = l.runNames(c, y, hedge)
 		}
 	}
-	r.s.pool.Put(c)
+	l.s.pool.Put(c)
 }
 
 // runNames carries exchange x, of one name or several, over c as one
-// request; the verdicts, and a chunk's stripe records, go to its asks. The
-// round runs each source on a fresh goroutine, so the batch is gathered
-// and dealt out in functions of their own, off the frames stacked up to
-// the socket read: a deeper chain made every exchange copy its stack.
-func (r *wireRound) runNames(c *Client, x int, hedge time.Time) error {
-	b := r.batch(c, x)
-	err := c.do(r.ctx, request{op: r.op, args: r.exs[x].args, batch: b, hook: r.hook, hedge: hedge})
+// request; the verdicts, and a chunk's stripe records, go to its asks. A
+// source may run on a fresh goroutine, so the batch is gathered and dealt
+// out in functions of their own, off the frames stacked up to the socket
+// read: a deeper chain made every exchange copy its stack.
+func (l *batchLoop) runNames(c *Client, x int, hedge time.Time) error {
+	b := l.batch(c, x)
+	err := c.do(l.ctx, request{op: l.op, args: l.exs[x].args, batch: b, hook: l.hook, hedge: hedge})
 	if err == nil {
-		r.deal(x, b)
+		l.deal(x, b)
 	}
 	c.one = oneName{}
 	return err
@@ -975,17 +1027,17 @@ func (r *wireRound) runNames(c *Client, x int, hedge time.Time) error {
 // batch gathers exchange x's names, destinations and, for a chunk, record
 // storage, in the order the stripes asked: for one name into c's own
 // batch, which allocates nothing, and for several into a new one.
-func (r *wireRound) batch(c *Client, x int) *nameBatch {
+func (l *batchLoop) batch(c *Client, x int) *nameBatch {
 	var b *nameBatch
-	if n := r.exs[x].n; n == 1 {
-		b = c.oneBatch(r.op == opChunk)
+	if n := l.exs[x].n; n == 1 {
+		b = c.oneBatch(l.op == opChunk)
 	} else {
 		b = &nameBatch{names: make([]string, 0, n), bufs: make([][]byte, 0, n), verdicts: make([]error, n)}
-		if r.op == opChunk {
+		if l.op == opChunk {
 			b.recs = make([][]uint32, 0, n)
 		}
 	}
-	r.each(x, func(so *stripeOp, a *ask) {
+	l.each(x, func(so *stripeOp, a *ask) {
 		b.names, b.bufs = append(b.names, BlockName(so.file, so.st, a.block)), append(b.bufs, a.buf)
 		if b.recs != nil {
 			b.recs = append(b.recs, a.rec)
@@ -996,9 +1048,9 @@ func (r *wireRound) batch(c *Client, x int) *nameBatch {
 
 // deal hands each ask of exchange x its verdict and, for a chunk, its
 // stripe record from the batch that carried it.
-func (r *wireRound) deal(x int, b *nameBatch) {
+func (l *batchLoop) deal(x int, b *nameBatch) {
 	v, recs := b.verdicts, b.recs
-	r.each(x, func(_ *stripeOp, a *ask) {
+	l.each(x, func(_ *stripeOp, a *ask) {
 		a.err, v = v[0], v[1:]
 		if recs != nil {
 			a.rec, recs = recs[0], recs[1:]
@@ -1008,9 +1060,9 @@ func (r *wireRound) deal(x int, b *nameBatch) {
 
 // each calls fn for every ask exchange x carries, with its stripe, in the
 // order the stripes asked.
-func (r *wireRound) each(x int, fn func(so *stripeOp, a *ask)) {
-	for _, i := range r.active {
-		so := r.tasks[i].stripe()
+func (l *batchLoop) each(x int, fn func(so *stripeOp, a *ask)) {
+	for _, i := range l.active {
+		so := l.tasks[i].stripe()
 		for j := range so.round {
 			if so.round[j].ex == x {
 				fn(so, &so.round[j])
@@ -1068,13 +1120,14 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 		defer bsp.End()
 	}
 	stripeData := s.code.K() * s.blockSize
-	reads := make([]stripeRead, hi-lo)
-	tasks := make([]stripeTask, hi-lo)
-	for i := range reads {
-		rd := &reads[i]
-		*rd = stripeRead{stripeOp: stripeOp{s: s, file: name, st: lo + i},
-			dst: dst[i*stripeData : (i+1)*stripeData], stats: stats}
-		tasks[i] = rd
+	l := leaseLoop()
+	defer l.release()
+	l.reads = slices.Grow(l.reads, hi-lo)[:hi-lo]
+	for i := range l.reads {
+		rd := &l.reads[i] // reset: all but the capacity of its asks and scratch
+		rd.stripeOp = stripeOp{s: s, file: name, st: lo + i, round: rd.round}
+		rd.dst, rd.stats = dst[i*stripeData:(i+1)*stripeData], stats
+		l.tasks = append(l.tasks, rd)
 		if rd.ctx, rd.span = obs.ChildSpan(ctx, "stripe"); rd.span == nil {
 			continue // an untraced read records no stage
 		}
@@ -1090,12 +1143,11 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 		_, lsp := obs.ChildSpan(rd.ctx, "locate")
 		lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource).End()
 	}
-	s.runBatch(ctx, opRange, tasks)
-	errs := make([]error, len(reads))
-	for i := range reads {
-		errs[i] = reads[i].err
+	s.runBatch(ctx, opRange, l)
+	for i := range l.reads {
+		l.errs = append(l.errs, l.reads[i].err)
 	}
-	i, err := pipelineErr(ctx, errs, len(errs))
+	i, err := pipelineErr(ctx, l.errs, len(l.errs))
 	if err != nil {
 		bsp.SetAttr("error", err.Error())
 	}
@@ -1188,8 +1240,17 @@ func (rd *stripeRead) done() {
 	for _, pc := range rd.scratch {
 		Recycle(pc.buf)
 	}
-	rd.scratch = nil
+	rd.scratch = rd.scratch[:0] // its loop's release clears it
 	rd.span.End()
+}
+
+// reset zeroes the stripe read for the next batch its loop runs, keeping
+// only the capacity of its asks and its scratch, cleared.
+func (rd *stripeRead) reset() {
+	round, scratch := rd.round[:cap(rd.round)], rd.scratch[:cap(rd.scratch)]
+	clear(round)
+	clear(scratch)
+	*rd = stripeRead{stripeOp: stripeOp{round: round[:0]}, scratch: scratch[:0]}
 }
 
 // planMode names a plan's kind for the fetch span.

@@ -332,9 +332,11 @@ func (l *countingListener) Accept() (net.Conn, error) {
 }
 
 // TestRecoverTaskDialsTheNewcomerOverOnePool: the master runs every item
-// of a recovery task over its one pool, so a pass over ten one-stripe
-// files onto one spare opens at most a pool's per-peer budget of
-// connections to the spare, where a pool per item opened one per file.
+// of a recovery task over its one pool, whose checkout prefers a parked
+// connection to a token, so a pass over ten one-stripe files onto one
+// spare, one item after another, opens one connection to the spare. A pool
+// per item opened one per file, and a checkout that dialed each token it
+// drew opened the pool's per-peer budget.
 func TestRecoverTaskDialsTheNewcomerOverOnePool(t *testing.T) {
 	code := testCode(t)
 	blockSize := code.BlockAlign() * 8
@@ -403,8 +405,8 @@ func TestRecoverTaskDialsTheNewcomerOverOnePool(t *testing.T) {
 	}
 	n := spareLn.accepts.Load()
 	t.Logf("the spare accepted %d connections over %d items", n, files)
-	if n < 1 || n > blockserver.DefaultPerPeer {
-		t.Errorf("the spare accepted %d connections over %d items, want 1..%d: one pool's budget", n, files, blockserver.DefaultPerPeer)
+	if n != 1 {
+		t.Errorf("the spare accepted %d connections over %d items, want 1", n, files)
 	}
 }
 

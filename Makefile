@@ -3,13 +3,13 @@ GO ?= go
 # Packages whose hot paths share mutable buffers across goroutines — or, for
 # the codecs, share the engine's memo of inverses and plans; these run under
 # the race detector in addition to the normal suite.
-RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/lincode ./internal/reedsolomon ./internal/msr ./internal/lrc ./internal/mbr ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/frame ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/stream ./internal/master ./internal/stripecache ./internal/workload
+RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/lincode ./internal/reedsolomon ./internal/msr ./internal/lrc ./internal/mbr ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/frame ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/master ./internal/stripecache ./internal/workload
 
 # Packages on the fault-tolerant block path: run twice under the race
 # detector to shake out order-dependent leaks and redial races.
 FAULT_PKGS = ./internal/blockserver ./internal/dfs ./internal/faultnet
 
-.PHONY: check fmt vet build test race race-tiers faults master writepath recover readpath fuzz series sim bench bench-gate bench-sweep obs swarm bench-swarm
+.PHONY: check fmt vet build test race race-tiers faults master writepath recover readpath fuzz series sim examples bench bench-gate bench-sweep obs swarm bench-swarm
 
 check: fmt vet build test race
 
@@ -154,6 +154,18 @@ sim:
 	for f in 9 10 deg tail; do .bench_build/clusterbench -fig $$f || exit 1; done > .bench_build/sim_figures.txt
 	diff results/sim_figures.txt .bench_build/sim_figures.txt
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# The examples, run as a user runs them. quickstart, parallelread,
+# reconstruction and mapreduce print the same bytes on every run (fixed
+# seeds, simulated time), so their output is diffed against the committed
+# transcript; re-take results/examples.txt with the same loop only after a
+# change that is meant to move what an example prints. tcpcluster prints
+# ports and trace IDs, so it only has to exit 0.
+examples:
+	mkdir -p .bench_build
+	for e in quickstart parallelread reconstruction mapreduce; do echo "== $$e"; $(GO) run ./examples/$$e || exit 1; done > .bench_build/examples.txt
+	diff results/examples.txt .bench_build/examples.txt
+	$(GO) run ./examples/tcpcluster > .bench_build/tcpcluster.txt
 
 # Regenerate the coding microbenchmarks and the JSON snapshot.
 bench:

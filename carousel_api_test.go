@@ -3,7 +3,6 @@ package carousel_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -162,38 +161,6 @@ func TestFacadeMBRAndLRC(t *testing.T) {
 	}
 	if !bytes.Equal(rep, lb[1]) {
 		t.Fatal("LRC repair mismatch")
-	}
-}
-
-func TestFacadeStreaming(t *testing.T) {
-	code, err := carousel.New(6, 3, 3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockSize := 8 * code.BlockAlign()
-	sink := &carousel.MemSink{}
-	w, err := carousel.NewStreamWriter(code, blockSize, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 5*blockSize)
-	rand.New(rand.NewSource(6)).Read(data)
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := carousel.NewStreamReader(code, blockSize, int64(len(data)), sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("facade streaming round trip mismatch")
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -143,6 +144,47 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 	if err := cmdVerify([]string{outDir}); err != nil {
 		t.Fatalf("verify after repair: %v", err)
+	}
+}
+
+// TestDecodeRejectsBadManifestSizes: a manifest whose sizes do not fit its
+// k blocks is refused when it is loaded, instead of decode slicing the
+// decoded data with them.
+func TestDecodeRejectsBadManifestSizes(t *testing.T) {
+	input, outDir, _ := writeInput(t, 30_000)
+	if err := cmdEncode([]string{input, outDir}); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := loadManifest(outDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name                string
+		blockSize, fileSize int
+	}{
+		{"file size beyond the blocks", m.BlockSize, 99999999},
+		{"negative file size", m.BlockSize, -1},
+		{"one byte past k blocks", m.BlockSize, m.K*m.BlockSize + 1},
+		{"zero block size", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *m
+			bad.BlockSize, bad.FileSize = tc.blockSize, tc.fileSize
+			raw, err := json.Marshal(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(outDir, "manifest.json"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := cmdDecode([]string{outDir, filepath.Join(t.TempDir(), "out.bin")}); err == nil {
+				t.Fatal("decode accepted the manifest")
+			}
+			if _, _, err := loadManifest(outDir); err == nil {
+				t.Fatal("loadManifest accepted the manifest")
+			}
+		})
 	}
 }
 

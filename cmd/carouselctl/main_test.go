@@ -6,10 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"carousel/internal/blockserver"
@@ -272,5 +277,84 @@ func TestStatsPartialMerge(t *testing.T) {
 	}
 	if got := exitCode(err); got != exitFailure {
 		t.Fatalf("all-unreachable exit = %d, want %d", got, exitFailure)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what it printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	return <-out, ferr
+}
+
+// TestStatsMergesNodes: stats over two nodes with different registries
+// prints exact sums of their counters, and -raw prints exactly the
+// exposition of the two snapshots merged by hand — counters, gauges, a
+// histogram and a window's quantile gauges alike.
+func TestStatsMergesNodes(t *testing.T) {
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	regA.Counter("store_reads_total", "path", "parallel").Add(1 << 60)
+	regB.Counter("store_reads_total", "path", "parallel").Add(5)
+	regB.Counter("store_reads_total", "path", "fallback").Add(2)
+	regA.Gauge("blockserver_blocks").Set(7)
+	regB.Gauge("blockserver_blocks").Set(-3)
+	for i, reg := range []*obs.Registry{regA, regB} {
+		h := reg.Histogram("store_read_ns")
+		h.Observe(int64(500 * (i + 1)))
+		h.Observe(70_000)
+		reg.Window("blockserver_rpc_window_ns").Observe(int64(900 * (i + 1)))
+	}
+	srvA := httptest.NewServer(obs.NewMux(regA, obs.NewTracer(16)))
+	defer srvA.Close()
+	srvB := httptest.NewServer(obs.NewMux(regB, obs.NewTracer(16)))
+	defer srvB.Close()
+	addrs := srvA.URL + "," + srvB.URL
+
+	raw, err := captureStdout(t, func() error { return cmdStats([]string{"-addrs", addrs, "-raw"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := regA.Snapshot()
+	merged.Merge(regB.Snapshot())
+	var want bytes.Buffer
+	if err := obs.WriteText(&want, merged); err != nil {
+		t.Fatal(err)
+	}
+	if raw != want.String() {
+		t.Fatalf("stats -raw printed\n%s\nwant the hand-merged exposition\n%s", raw, want.String())
+	}
+
+	summary, err := captureStdout(t, func() error { return cmdStats([]string{"-addrs", addrs}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{
+		{`store_reads_total{path="parallel"}`, 1<<60 + 5},
+		{`store_reads_total{path="fallback"}`, 2},
+		{"blockserver_blocks", 4},
+	} {
+		if !regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(c.name) + ` +` + strconv.FormatInt(c.v, 10) + `$`).MatchString(summary) {
+			t.Errorf("summary lacks %s = %d:\n%s", c.name, c.v, summary)
+		}
+	}
+	if !strings.Contains(summary, "store_read_ns") || !strings.Contains(summary, "count=4 ") {
+		t.Errorf("summary lacks the merged histogram (count=4):\n%s", summary)
 	}
 }

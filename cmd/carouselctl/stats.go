@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,12 +15,13 @@ import (
 	"carousel/internal/obs"
 )
 
-// cmdStats scrapes the /metrics endpoint of every listed node, merges the
-// snapshots into one cluster-wide view, and pretty-prints it grouped by
-// subsystem — the operational companion of the paper's read/repair time
-// decomposition: store_* shows which path served reads and what repairs
-// cost, blockserver_* the RPC traffic underneath, codeplan_*/workpool_*
-// the decode compute.
+// cmdStats scrapes the /debug/vars endpoint of every listed node, decodes
+// each node's carousel_metrics snapshot, merges the snapshots into one
+// cluster-wide view, and pretty-prints it grouped by subsystem — the
+// operational companion of the paper's read/repair time decomposition:
+// store_* shows which path served reads and what repairs cost,
+// blockserver_* the RPC traffic underneath, codeplan_*/workpool_* the
+// decode compute. -raw prints the merged view as /metrics text.
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	addrs := fs.String("addrs", "", "comma-separated observability addresses (host:port) to scrape")
@@ -84,13 +87,14 @@ func cmdStats(args []string) error {
 	return nil
 }
 
-// scrape fetches and parses one node's /metrics page.
+// scrape fetches one node's /debug/vars and decodes its carousel_metrics,
+// the snapshot its /metrics page renders.
 func scrape(client *http.Client, addr string) (*obs.Snapshot, error) {
 	url := addr
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
 	}
-	resp, err := client.Get(url + "/metrics")
+	resp, err := client.Get(url + "/debug/vars")
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +103,16 @@ func scrape(client *http.Client, addr string) (*obs.Snapshot, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	return obs.ParseText(resp.Body)
+	var vars struct {
+		Metrics *obs.Snapshot `json:"carousel_metrics"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		return nil, err
+	}
+	if vars.Metrics == nil {
+		return nil, errors.New("/debug/vars holds no carousel_metrics")
+	}
+	return vars.Metrics, nil
 }
 
 // group buckets a full metric name by its subsystem prefix.

@@ -63,7 +63,7 @@ func leastAlloc(runs int, f func()) int64 {
 // size-classed or pooled on top of it; a warm Put that replaces a block
 // lands in the buffer of the block it replaced and allocates none.
 func TestPutIngestIsExactSize(t *testing.T) {
-	servers, addrs := startServers(t, nil, 1)
+	servers, addrs := startServers(t, mustCode(t), 1)
 	ctx := context.Background()
 	c, err := Dial(addrs[0])
 	if err != nil {
@@ -181,7 +181,7 @@ func TestRepairAllocs(t *testing.T) {
 // GetRangeInto lands the payload in caller memory with no pooled
 // intermediary, and the request is described by value — no closure.
 func TestPooledGetRangeIntoAllocs(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
 	t.Cleanup(pool.Close)
 	ctx := context.Background()
@@ -213,7 +213,7 @@ func TestPooledGetRangeIntoAllocs(t *testing.T) {
 // a pooled buffer the caller recycles — allocates at most once per
 // exchange.
 func TestPooledGetAllocs(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
 	t.Cleanup(pool.Close)
 	ctx := context.Background()
@@ -329,7 +329,7 @@ func TestPlanParallelismAllocs(t *testing.T) {
 // from its dial) and Put parks it again, allocating nothing — a small
 // read checks out p connections.
 func TestPoolCheckoutAllocs(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
 	t.Cleanup(pool.Close)
 	ctx := context.Background()

@@ -47,7 +47,7 @@ func startServers(t *testing.T, code *carousel.Code, n int) ([]*Server, []string
 // destination untouched.
 func TestPutGetRangeDeleteVerify(t *testing.T) {
 	ctx := context.Background()
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	c, err := Dial(addrs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestPutGetRangeDeleteVerify(t *testing.T) {
 // the process sum.
 func TestObsSummaryTxIsPerServer(t *testing.T) {
 	ctx := context.Background()
-	servers, addrs := startServers(t, nil, 2)
+	servers, addrs := startServers(t, mustCode(t), 2)
 	c, err := Dial(addrs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -187,19 +187,6 @@ func TestChunkComputedServerSide(t *testing.T) {
 	}
 	if len(chunk) != blockSize/code.Alpha() {
 		t.Fatalf("chunk size %d, want %d", len(chunk), blockSize/code.Alpha())
-	}
-	// Chunk on a code-less server errors in-band.
-	_, plain := startServers(t, nil, 1)
-	c2, err := Dial(plain[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if err := c2.Put(ctx, "blk", blocks[3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Chunk(ctx, "blk", 3, 0); !errors.Is(err, ErrRemote) {
-		t.Fatalf("chunk on code-less server: %v, want ErrRemote", err)
 	}
 }
 
@@ -365,7 +352,7 @@ func TestStoreValidation(t *testing.T) {
 }
 
 func TestProtocolNameValidation(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	c, err := Dial(addrs[0])
 	if err != nil {
 		t.Fatal(err)

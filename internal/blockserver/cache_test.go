@@ -60,7 +60,7 @@ func TestStoreCacheWarmReadZeroDials(t *testing.T) {
 		t.Errorf("cold read reported %d cache hits, want 0", stats.CacheHits)
 	}
 
-	hitsBefore := mCacheHitStripes.Value()
+	hitsBefore, dials := mCacheHitStripes.Value(), store.Pool().DialCounts()
 	got, stats, err = store.ReadFile(ctx, "f", size)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("warm read: %v", err)
@@ -71,8 +71,8 @@ func TestStoreCacheWarmReadZeroDials(t *testing.T) {
 	if d := mCacheHitStripes.Value() - hitsBefore; d != stripes {
 		t.Errorf("store_cache_hit_stripes_total moved by %d for a warm %d-stripe read, want %d", d, stripes, stripes)
 	}
-	if len(stats.Dials) != 0 {
-		t.Errorf("fully-warm read dialed fresh connections: %v, want none", stats.Dials)
+	if d := dialsSince(store.Pool(), dials); d != nil {
+		t.Errorf("fully-warm read dialed fresh connections: %v, want none", d)
 	}
 	if stats.BytesFetched != 0 {
 		t.Errorf("fully-warm read fetched %d bytes over the network, want 0", stats.BytesFetched)

@@ -26,7 +26,7 @@ func startCancelServer(t *testing.T, opts Options) (*Pool, string, *faultnet.Inj
 	}
 	counting := &countingListener{Listener: raw}
 	in := faultnet.NewInjector()
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.StartListener(in.Wrap(counting))
 	if err != nil {
 		t.Fatal(err)

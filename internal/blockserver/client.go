@@ -23,7 +23,7 @@ import (
 // array indexes instead of an allocating varargs registry lookup; retries
 // and payload bytes each way are flat counters cached here. Latency
 // histograms are per peer, interned once per Client. Dials are counted by
-// the pool, per peer, and by the ReadStats of the read they serve.
+// the pool, per peer (Pool.DialCounts).
 var (
 	cliRetries = obs.Default().Counter("blockserver_client_retries_total")
 	cliBytesTx = obs.Default().Counter("blockserver_client_bytes_tx_total")
@@ -227,9 +227,6 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, error) {
 	}
 	if c.peer != nil {
 		c.peer.dialed()
-	}
-	if rs, ok := ctx.Value(readStatsKey{}).(*ReadStats); ok {
-		rs.dialed(c.addr)
 	}
 	return conn, nil
 }
@@ -897,9 +894,8 @@ func (b *nameBatch) mismatch() error {
 // deadline, which the newcomer answers within, so a live newcomer is never
 // a timeout. A newcomer stores the same blocks however often it is asked,
 // so a retried rebuild is safe. The returned error is the exchange's own
-// (transport, timeout, or a refusal of the whole request: a server with
-// no code, or never started); the stripes' outcomes hold only when it is
-// nil.
+// (transport, timeout, or a refusal of the whole request: a server never
+// started); the stripes' outcomes hold only when it is nil.
 func (c *Client) Rebuild(ctx context.Context, req *RebuildRequest) (*RebuildResult, error) {
 	if err := req.check(); err != nil {
 		return nil, err

@@ -77,14 +77,15 @@ func TestOnePlanThreeExecutors(t *testing.T) {
 				pc.servers[i].Close()
 			}
 			pc.read(t)
-			stats, sent := pc.read(t)
+			dials := pc.store.pool.DialCounts()
+			_, sent := pc.read(t)
 			for b := range sent {
 				if sent[b] != want[b] {
 					t.Errorf("store fetched %d bytes from server %d, PlanRead says %d", sent[b], b, want[b])
 				}
 			}
-			if len(stats.Dials) != 0 {
-				t.Errorf("warm store read dialed %v", stats.Dials)
+			if d := dialsSince(pc.store.pool, dials); d != nil {
+				t.Errorf("warm store read dialed %v", d)
 			}
 		})
 	}

@@ -431,7 +431,7 @@ func TestRepairFailsFastWhenTooFewHelpers(t *testing.T) {
 // and leave no goroutines behind — the shutdown-ordering fix.
 func TestServerCloseCancelsInflightConns(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestClientPoisoningAndRedial(t *testing.T) {
 	}
 	counting := &countingListener{Listener: raw}
 	in := faultnet.NewInjector()
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.StartListener(in.Wrap(counting))
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +544,7 @@ func TestClientTimeoutTyped(t *testing.T) {
 	}
 	in := faultnet.NewInjector()
 	in.SetDefault(faultnet.Policy{Blackhole: true})
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.StartListener(in.Wrap(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -756,6 +756,7 @@ func TestPlannedDegradedRead(t *testing.T) {
 				}
 			}
 
+			dials := pc.store.pool.DialCounts()
 			stats, sent := pc.read(t)
 			want := pc.planBytes(t, tc.down...)
 			var total int64
@@ -768,8 +769,8 @@ func TestPlannedDegradedRead(t *testing.T) {
 			if size := int64(len(pc.data)); total != size || stats.BytesFetched != size {
 				t.Errorf("planned read fetched %d bytes (plan: %d), want exactly the file's %d", stats.BytesFetched, total, size)
 			}
-			if len(stats.Dials) != 0 {
-				t.Errorf("planned read dialed %v, want nobody", stats.Dials)
+			if d := dialsSince(pc.store.pool, dials); d != nil {
+				t.Errorf("planned read dialed %v, want nobody", d)
 			}
 			if dataDown > 0 && (stats.StripesFallback != stripes || stats.StripesParallel != 0) {
 				t.Errorf("planned read: %d fallback, %d parallel stripes; want all %d counted as fallback", stats.StripesFallback, stats.StripesParallel, stripes)
@@ -998,8 +999,9 @@ func TestReturnedPeerIsUsedAgain(t *testing.T) {
 
 	start := time.Now()
 	for time.Since(start) < peerDownWindow*5/4 {
-		if stats, _ := pc.read(t); stats.StripesFallback != stripes || len(stats.Dials) != 0 {
-			t.Fatalf("read with the peer down: %+v", *stats)
+		before := pc.store.pool.DialCounts()
+		if stats, _ := pc.read(t); stats.StripesFallback != stripes || dialsSince(pc.store.pool, before) != nil {
+			t.Fatalf("read with the peer down: %+v, dials %v", *stats, dialsSince(pc.store.pool, before))
 		}
 	}
 	if n := pe.probes.Load(); n < 1 || n > 2 {

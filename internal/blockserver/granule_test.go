@@ -371,7 +371,7 @@ func TestWholeBlockRangeIsCheckedAtTheReader(t *testing.T) {
 // before), and the server counts each as one corrupt serve; the intact
 // name between them lands.
 func TestRotReportIsOneExchange(t *testing.T) {
-	servers, addrs := startServers(t, nil, 1)
+	servers, addrs := startServers(t, mustCode(t), 1)
 	srv := servers[0]
 	c, err := Dial(addrs[0])
 	if err != nil {

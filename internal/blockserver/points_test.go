@@ -55,6 +55,7 @@ func TestStoreAtTheBaselinePoints(t *testing.T) {
 			// A second store has dialed nobody yet, so its first read shows
 			// who a healthy read talks to: the p data-bearing servers.
 			store := open()
+			before := store.Pool().DialCounts()
 			got, stats, err := store.ReadFile(ctx, "f", size)
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("healthy read: err %v, identical %v", err, bytes.Equal(got, data))
@@ -69,13 +70,14 @@ func TestStoreAtTheBaselinePoints(t *testing.T) {
 			for _, a := range addrs[:pt.p] {
 				wantPeers[a] = true
 			}
-			for a := range stats.Dials {
+			dials := dialsSince(store.Pool(), before)
+			for a := range dials {
 				if !wantPeers[a] {
 					t.Errorf("healthy read dialed %s, which holds no original data", a)
 				}
 			}
-			if len(stats.Dials) != pt.p {
-				t.Errorf("cold read dialed %d peers (%v), want p = %d", len(stats.Dials), stats.Dials, pt.p)
+			if len(dials) != pt.p {
+				t.Errorf("cold read dialed %d peers (%v), want p = %d", len(dials), dials, pt.p)
 			}
 
 			traffic, err := store.Repair(ctx, "f", 1, 0)

@@ -20,7 +20,7 @@ import (
 // dial count), every RPC must succeed, and no goroutine may outlive the
 // pool.
 func TestPoolConcurrentCheckoutReturn(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	base := runtime.NumGoroutine()
 	pool := NewPool(addrs, PoolOptions{PerPeer: 4, Client: fastOpts()})
 	ctx := context.Background()
@@ -64,7 +64,7 @@ func TestPoolConcurrentCheckoutReturn(t *testing.T) {
 // must wait for the first client's return, and give up with the caller's
 // context when it never comes.
 func TestPoolExhaustionBlocksUntilReturn(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
 	t.Cleanup(pool.Close)
 	ctx := context.Background()
@@ -98,7 +98,7 @@ func TestPoolExhaustionBlocksUntilReturn(t *testing.T) {
 // exhausted peer, fail future checkouts, and close (not park) busy clients
 // as they come back — with no goroutines left behind.
 func TestPoolCloseWhileBusy(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	base := runtime.NumGoroutine()
 	pool := NewPool(addrs, PoolOptions{PerPeer: 1, Client: fastOpts()})
 	ctx := context.Background()
@@ -144,7 +144,7 @@ func TestPoolPoisonedClientRedials(t *testing.T) {
 	}
 	counting := &countingListener{Listener: raw}
 	in := faultnet.NewInjector()
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.StartListener(in.Wrap(counting))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestPoolPoisonedClientRedials(t *testing.T) {
 // restart, idle timeout) must be detected at checkout and dropped, so the
 // caller's first RPC redials instead of hitting a dead stream.
 func TestPoolStaleIdleDetected(t *testing.T) {
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestPoolStaleIdleDetected(t *testing.T) {
 // checkouts reuse parked connections and concurrent ones stop at
 // DefaultPerPeer.
 func TestPoolPerPeerDefault(t *testing.T) {
-	_, addrs := startServers(t, nil, 1)
+	_, addrs := startServers(t, mustCode(t), 1)
 	ctx := context.Background()
 	for _, per := range []int{0, -1} {
 		pool := NewPool(addrs, PoolOptions{PerPeer: per, Client: fastOpts()})
@@ -281,24 +281,42 @@ func TestStoreReadReusesConnections(t *testing.T) {
 	if _, err := store.WriteFile(ctx, "f", data); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := store.ReadFile(ctx, "f", size)
+	before := store.Pool().DialCounts()
+	got, _, err := store.ReadFile(ctx, "f", size)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("first read: %v", err)
 	}
+	dials := dialsSince(store.Pool(), before)
 	var total int64
-	for _, v := range stats.Dials {
+	for _, v := range dials {
 		total += v
 	}
 	if max := int64(len(addrs) * DefaultPerPeer); total > max {
-		t.Errorf("first read dialed %d connections (%v), want <= %d", total, stats.Dials, max)
+		t.Errorf("first read dialed %d connections (%v), want <= %d", total, dials, max)
 	}
-	got, stats, err = store.ReadFile(ctx, "f", size)
+	before = store.Pool().DialCounts()
+	got, _, err = store.ReadFile(ctx, "f", size)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("warm read: %v", err)
 	}
-	if len(stats.Dials) != 0 {
-		t.Errorf("warm read dialed fresh connections: %v, want none (all fetches reused parked clients)", stats.Dials)
+	if d := dialsSince(store.Pool(), before); d != nil {
+		t.Errorf("warm read dialed fresh connections: %v, want none (all fetches reused parked clients)", d)
 	}
+}
+
+// dialsSince returns, per peer, the dials p has made since it counted
+// before (a DialCounts snapshot): nil when it dialed nobody.
+func dialsSince(p *Pool, before map[string]int64) map[string]int64 {
+	var d map[string]int64
+	for a, n := range p.DialCounts() {
+		if n > before[a] {
+			if d == nil {
+				d = make(map[string]int64)
+			}
+			d[a] = n - before[a]
+		}
+	}
+	return d
 }
 
 // closedAddr returns a loopback address nothing listens on.
@@ -377,7 +395,7 @@ func TestPoolPeerMemory(t *testing.T) {
 	if err != nil {
 		t.Skipf("cannot listen on %s again: %v", addr, err)
 	}
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	if _, err := srv.StartListener(ln); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +437,7 @@ func TestPoolPeerMemoryLearnsFromDialsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := faultnet.NewInjector()
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.StartListener(in.Wrap(raw))
 	if err != nil {
 		t.Fatal(err)

@@ -76,12 +76,12 @@
 // entry each — count·5 bytes for a range, count·(2+4n) for a verify,
 // count·(6+4n) for a chunk — or whose blocks could cost more than
 // maxPayload to checksum or send, before it checksums any; and a chunk
-// request when it has no code or the computation fails.
+// request whose computation fails.
 //
 // At rest a server keeps one CRC32C per granule of each block: the code's
-// unit, len(block)/UnitsPerBlock(), when the server has a code and the
-// block divides into units, and the whole block otherwise; every range a
-// Store asks for is unit-aligned. Who verifies what:
+// unit, len(block)/UnitsPerBlock(), when the block divides into units, and
+// the whole block otherwise; every range a Store asks for is unit-aligned.
+// Who verifies what:
 //
 //   - verify checks each named block whole, granule by granule.
 //   - range sends the range's CRC combined from the granule CRCs and reads
@@ -123,9 +123,9 @@
 // bytes and a failure's root-cause text, in the payload, and each helper
 // its winning chunks. A stripe or address list that runs past the meta, a
 // failed index not below n, or an n other than the server code's closes
-// the connection before anything is sized from it. A server with no code,
-// never started, or whose answer would overflow a meta refuses the
-// rebuild having dialed nobody; a closing one closes the connection.
+// the connection before anything is sized from it. A server never
+// started, or whose answer would overflow a meta, refuses the rebuild
+// having dialed nobody; a closing one closes the connection.
 package blockserver
 
 import (

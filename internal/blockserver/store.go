@@ -420,11 +420,11 @@ type ReadStats struct {
 	// presumed down, failed or straggled, and the stripe was completed
 	// from replacement or patch units. It counts planned degraded stripes
 	// too; what tells those from a rediscovered failure is BytesFetched ==
-	// size and an empty Dials.
+	// size and no new dial in the pool's DialCounts.
 	StripesFallback int
 	// CacheHits counts stripes served straight from the stripe cache — no
 	// network, no decode. A fully-warm read shows CacheHits == stripes and
-	// an empty Dials map.
+	// dials nobody.
 	CacheHits int
 	// CoalescedStripes counts stripes whose miss piggybacked on another
 	// caller's in-flight fetch of the same stripe (singleflight).
@@ -436,10 +436,6 @@ type ReadStats struct {
 	// cut short by the hedge deadline or a cancellation counts nothing,
 	// however much of it had arrived.
 	BytesFetched int64
-	// Dials maps peer address to how many fresh TCP connections this read
-	// opened. A warm pooled read leaves it nil — every fetch reused a
-	// parked connection — which is what the reuse tests assert.
-	Dials map[string]int64
 	// TraceID is the trace of the caller's span the read ran under — fetch
 	// its tree with obs.DefaultTracer().Spans(TraceID) or /debug/traces —
 	// or 0 when the caller traced nothing and the read recorded no span.
@@ -448,23 +444,7 @@ type ReadStats struct {
 	// mu serializes the increment methods: with pipelined stripes several
 	// goroutines fold results into one ReadStats. A pointer keeps the
 	// struct copyable (tests format a dereferenced copy with %+v).
-	mu   *sync.Mutex
-	done bool // set as ReadFile returns: a cache flight may outlive the read
-}
-
-// readStatsKey carries a ReadFile's ReadStats to the clients it dials.
-type readStatsKey struct{}
-
-// dialed charges a fresh connection to addr to the read.
-func (rs *ReadStats) dialed(addr string) {
-	rs.mu.Lock()
-	if !rs.done {
-		if rs.Dials == nil {
-			rs.Dials = make(map[string]int64)
-		}
-		rs.Dials[addr]++
-	}
-	rs.mu.Unlock()
+	mu *sync.Mutex
 }
 
 // count bumps one of the per-call tallies above together with its
@@ -535,7 +515,6 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 		sloRead.ObserveSince(t0, rerr)
 	}()
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
-	ctx = context.WithValue(ctx, readStatsKey{}, stats)
 	out := make([]byte, stripes*stripeData)
 	per := 1
 	if s.cache == nil {
@@ -556,9 +535,6 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 		}
 		return nil
 	})
-	stats.mu.Lock()
-	stats.done = true
-	stats.mu.Unlock()
 	if b, err := pipelineErr(ctx, errs, launched); err != nil {
 		if b == launched { // the caller's context ended before this batch began
 			err = fmt.Errorf("stripe %d: %w", b*per, err)

@@ -125,7 +125,7 @@ func checkPut(t *testing.T, fake *fakeVectoredConn, what string, hdr int, blocks
 // serve it).
 func TestReplyIsSingleVectoredWrite(t *testing.T) {
 	fake := &fakeVectoredConn{}
-	s := NewServer(nil)
+	s := NewServer(mustCode(t))
 	t.Cleanup(func() { s.Close() })
 	block := bytes.Repeat([]byte("b"), 32<<10)
 	cs := &connState{conn: fake}

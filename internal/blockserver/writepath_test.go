@@ -179,7 +179,7 @@ func TestPutIsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cutter := &cutOnceListener{Listener: raw, after: size + size/2}
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	var held []int64 // the server's block count as each connection is accepted
 	var mu sync.Mutex
 	addr, err := srv.StartListener(&acceptHookListener{Listener: cutter, onAccept: func() {
@@ -455,7 +455,7 @@ func TestHeldAnswerKeepsItsBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	hl := &holdListener{Listener: ln, min: size, held: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := NewServer(nil)
+	srv := NewServer(mustCode(t))
 	addr, err := srv.StartListener(hl)
 	if err != nil {
 		t.Fatal(err)

@@ -8,40 +8,36 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 )
-
-// expvarOnce publishes the registry snapshot into expvar exactly once, so
-// /debug/vars carries the same numbers as /metrics alongside the runtime's
-// memstats and cmdline vars.
-var expvarOnce sync.Once
-
-func publishExpvar(r *Registry) {
-	expvarOnce.Do(func() {
-		expvar.Publish("carousel_metrics", expvar.Func(func() any {
-			return r.Snapshot()
-		}))
-	})
-}
 
 // NewMux builds the observability mux over a registry and tracer:
 //
 //	/metrics       — Prometheus-style text exposition
-//	/debug/vars    — expvar JSON (memstats, cmdline, carousel_metrics)
+//	/debug/vars    — expvar JSON: every published var (memstats, cmdline)
+//	                 plus carousel_metrics, this mux's own r.Snapshot(), so
+//	                 muxes over different registries in one process each
+//	                 serve their own numbers
 //	/debug/pprof/  — the standard pprof handlers
 //	/debug/traces  — recent finished spans as JSON (?trace=ID filters one
 //	                 trace, ?tree=1 renders the indented stage tree,
 //	                 ?since=30s keeps only spans that ended within the
 //	                 duration, ?limit=N caps the result to the N newest)
 func NewMux(r *Registry, t *Tracer) *http.ServeMux {
-	publishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteText(w, r.Snapshot())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, req *http.Request) {
+		snap, _ := json.Marshal(r.Snapshot()) // maps of integers: cannot fail
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		fmt.Fprintf(w, "{\n%q: %s", "carousel_metrics", snap)
+		expvar.Do(func(kv expvar.KeyValue) {
+			fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value)
+		})
+		fmt.Fprint(w, "\n}\n")
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

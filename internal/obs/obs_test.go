@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -172,39 +174,46 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// TestTextRoundTrip writes a snapshot and parses it back.
+// TestTextRoundTrip: a snapshot survives the JSON round trip a scrape of
+// /debug/vars makes — quoted label values, values past 2^53, histograms
+// and windows — and the exposition renders histograms cumulatively.
 func TestTextRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reads_total", "path", "fallback").Add(11)
-	r.Counter("reads_total", "path", "parallel").Add(5)
+	r.Counter("reads_total", "path", `a "quoted", odd`).Add(1 << 60)
 	r.Gauge("depth").Set(-2)
 	h := r.Histogram("rpc_ns", "peer", "a:1")
 	h.Observe(500)
 	h.Observe(70_000)
 	h.Observe(70_000)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, r.Snapshot()); err != nil {
+	r.Window("rpc_window_ns").Observe(900)
+	want := r.Snapshot()
+	js, err := json.Marshal(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseText(&buf)
-	if err != nil {
-		t.Fatalf("ParseText: %v\nexposition:\n%s", err, buf.String())
+	var got Snapshot
+	if err := json.Unmarshal(js, &got); err != nil {
+		t.Fatal(err)
 	}
-	if got.Counters[`reads_total{path="fallback"}`] != 11 || got.Counters[`reads_total{path="parallel"}`] != 5 {
-		t.Fatalf("counters: %v", got.Counters)
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("JSON round trip changed the snapshot:\n%+v\nvs\n%+v", got, want)
 	}
-	if got.Gauges["depth"] != -2 {
-		t.Fatalf("gauges: %v", got.Gauges)
+	var buf bytes.Buffer
+	if err := WriteText(&buf, want); err != nil {
+		t.Fatal(err)
 	}
-	hs, ok := got.Histograms[`rpc_ns{peer="a:1"}`]
-	if !ok {
-		t.Fatalf("histograms: %v", got.Histograms)
-	}
-	if hs.Count != 3 || hs.Sum != 140_500 {
-		t.Fatalf("hist count=%d sum=%d, want 3/140500", hs.Count, hs.Sum)
-	}
-	if hs.Buckets[bucketIndex(500)] != 1 || hs.Buckets[bucketIndex(70_000)] != 2 {
-		t.Fatalf("hist buckets wrong: %v", hs.Buckets)
+	for _, line := range []string{
+		`reads_total{path="a \"quoted\", odd"} 1152921504606846976`,
+		"rpc_ns_bucket{peer=\"a:1\",le=\"" + strconv.FormatInt(BucketUpper(bucketIndex(500)), 10) + "\"} 1",
+		"rpc_ns_bucket{peer=\"a:1\",le=\"" + strconv.FormatInt(BucketUpper(bucketIndex(70_000)), 10) + "\"} 3",
+		`rpc_ns_bucket{peer="a:1",le="+Inf"} 3`,
+		`rpc_ns_sum{peer="a:1"} 140500`,
+		"rpc_window_ns_p50 ",
+	} {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("exposition missing %q:\n%s", line, buf.String())
+		}
 	}
 }
 

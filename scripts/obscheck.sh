@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # obscheck boots a 3-node blockserverd cluster plus the instrumented
 # tcpcluster demo (which performs healthy, degraded, corrupt, and
-# post-repair reads), scrapes every /metrics endpoint through
-# `carouselctl stats`, and asserts that the expected metric families are
+# post-repair reads), scrapes every node's /debug/vars through
+# `carouselctl stats -raw` (the merged snapshot as /metrics text), and asserts that the expected metric families are
 # exported and that the degraded-read counters actually moved.
 #
 # A second phase then boots a master-managed cluster (carouselmaster +

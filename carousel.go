@@ -68,17 +68,10 @@ var (
 // original data verbatim. d (k <= d < n) is the number of helpers used to
 // repair a lost block; d == k uses a Reed-Solomon base (k-block repair
 // traffic) and d >= 2k-2 uses a product-matrix MSR base with the optimal
-// d/(d-k+1)-block repair traffic.
-func New(n, k, d, p int, opts ...Option) (*Code, error) {
-	return icarousel.New(n, k, d, p, opts...)
-}
-
-// Option configures a Carousel code at construction.
-type Option = icarousel.Option
-
-// WithEncodeConcurrency sets the number of goroutines Encode uses.
-func WithEncodeConcurrency(workers int) Option {
-	return icarousel.WithEncodeConcurrency(workers)
+// d/(d-k+1)-block repair traffic. Every code stripes large blocks across
+// the process's GOMAXPROCS cores.
+func New(n, k, d, p int) (*Code, error) {
+	return icarousel.New(n, k, d, p)
 }
 
 // ReedSolomon is a systematic (n, k) Reed-Solomon code, the paper's
@@ -225,8 +218,9 @@ type (
 	BlockStore = blockserver.Store
 )
 
-// NewBlockServer returns a TCP block server; a non-nil code enables
-// server-side repair chunks.
+// NewBlockServer returns a TCP block server for blocks of the given code,
+// which must not be nil: the server aligns its per-unit CRCs and computes
+// repair chunks with it.
 func NewBlockServer(code *Code) *BlockServer { return blockserver.NewServer(code) }
 
 // DialBlockServer connects a client to a block server.

@@ -9,15 +9,12 @@
 //
 // Usage:
 //
-//	codingbench [-fig all|5|6a|6b|7|8a|8b|ext|lrc|par|tol] [-ks 2,4,6,8,10] [-mb 16] [-trafficmb 512] [-reps 3] [-maxprocs 1,2,4,8] [-json]
+//	codingbench [-fig all|5|6a|6b|7|8a|8b|ext|lrc|par|tol] [-ks 2,4,6,8,10] [-mb 16] [-trafficmb 512] [-reps 3]
 //
-// With -json the throughput figures (6a, 6b) are also written to
-// BENCH_codingbench.json, one entry per (figure, scheme, k, gomaxprocs).
-//
-// -maxprocs sweeps GOMAXPROCS: the selected figures run once per value,
-// with the runtime resized and the shared worker pool grown before each
-// pass, so one invocation measures the per-core scaling curve. Codes pick
-// up the new GOMAXPROCS because encode/decode concurrency defaults to it.
+// Every code stripes blocks of 64 KiB units or more across the process's
+// GOMAXPROCS cores, so the environment is the procs axis: a scaling curve
+// is one run per value (GOMAXPROCS=4 codingbench -fig par; make
+// bench-sweep runs 1, 2, 4 and 8).
 //
 // The four series of Figs. 6-8 are four parameter points of one code
 // (bench.NewFamily): RS is Carousel(2k,k,k,k) and MSR is
@@ -27,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +37,6 @@ import (
 	"carousel/internal/matrix"
 	"carousel/internal/mbr"
 	"carousel/internal/obs"
-	"carousel/internal/workpool"
 )
 
 func main() {
@@ -50,8 +45,6 @@ func main() {
 	mb := flag.Int("mb", 16, "block size in MiB for throughput and timing figures")
 	trafficMB := flag.Int("trafficmb", 512, "block size in MiB that Fig. 7 traffic is reported for")
 	reps := flag.Int("reps", 3, "timed repetitions per measurement")
-	maxprocs := flag.String("maxprocs", "", "comma-separated GOMAXPROCS values to sweep (default: current value only)")
-	jsonOut := flag.Bool("json", false, "also write throughput results to "+jsonPath)
 	flag.Parse()
 
 	log := obs.SetDefaultLogger(false)
@@ -60,31 +53,14 @@ func main() {
 		log.Error("bad -ks", "err", err)
 		os.Exit(1)
 	}
-	sweep, err := parseMaxprocs(*maxprocs)
-	if err != nil {
-		log.Error("bad -maxprocs", "err", err)
-		os.Exit(1)
-	}
 	sel, err := selectFigures(*fig)
 	if err != nil {
 		log.Error("bad -fig", "err", err)
 		os.Exit(1)
 	}
-	for _, mp := range sweep {
-		setMaxProcs(mp)
-		if len(sweep) > 1 {
-			bench.Section(os.Stdout, fmt.Sprintf("GOMAXPROCS = %d", mp))
-		}
-		for _, f := range sel {
-			if err := f.run(ks, *mb, *trafficMB, *reps); err != nil {
-				log.Error("figure failed", "fig", f.name, "err", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *jsonOut {
-		if err := writeJSON(*mb, *reps); err != nil {
-			log.Error("writing JSON failed", "err", err)
+	for _, f := range sel {
+		if err := f.run(ks, *mb, *trafficMB, *reps); err != nil {
+			log.Error("figure failed", "fig", f.name, "err", err)
 			os.Exit(1)
 		}
 	}
@@ -127,72 +103,6 @@ func selectFigures(name string) ([]figure, error) {
 		valid = append(valid, f.name)
 	}
 	return nil, fmt.Errorf("unknown -fig %q (valid: %s)", name, strings.Join(valid, " "))
-}
-
-// curMaxProcs is the GOMAXPROCS value of the current sweep pass; record
-// stamps it onto every row so the JSON carries the axis per entry rather
-// than as a document-level field.
-var curMaxProcs = runtime.GOMAXPROCS(0)
-
-// setMaxProcs resizes the runtime and grows the shared worker pool for one
-// sweep pass. The pool is grow-only, so sweeping downward still measures
-// the smaller GOMAXPROCS correctly: the runtime schedules that many Ps
-// regardless of how many pool workers are parked.
-func setMaxProcs(n int) {
-	runtime.GOMAXPROCS(n)
-	workpool.Ensure(n)
-	curMaxProcs = n
-}
-
-// parseMaxprocs parses the -maxprocs sweep list; empty means a single pass
-// at the current GOMAXPROCS.
-func parseMaxprocs(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return []int{runtime.GOMAXPROCS(0)}, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid GOMAXPROCS %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// jsonPath is where -json writes the machine-readable snapshot of the
-// throughput figures, one entry per (figure, scheme, k).
-const jsonPath = "BENCH_codingbench.json"
-
-type jsonEntry struct {
-	Figure     string  `json:"figure"` // "6a" (encode) or "6b" (decode)
-	Scheme     string  `json:"scheme"`
-	K          int     `json:"k"`
-	GoMaxProcs int     `json:"gomaxprocs"` // sweep axis, stamped per row
-	MBps       float64 `json:"mb_per_s"`
-}
-
-var jsonResults = []jsonEntry{} // non-nil so -json always emits an array
-
-// record stores one throughput measurement for -json and returns it, so
-// table rows can record in-line.
-func record(fig, scheme string, k int, mbps float64) float64 {
-	jsonResults = append(jsonResults, jsonEntry{Figure: fig, Scheme: scheme, K: k, GoMaxProcs: curMaxProcs, MBps: mbps})
-	return mbps
-}
-
-func writeJSON(mb, reps int) error {
-	doc := struct {
-		BlockMiB int         `json:"block_mib"`
-		Reps     int         `json:"reps"`
-		Results  []jsonEntry `json:"results"`
-	}{mb, reps, jsonResults}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(buf, '\n'), 0o644)
 }
 
 // tolerance enumerates every f-failure pattern and reports the fraction
@@ -277,34 +187,22 @@ func coverage(n, f int, ok func([]bool) bool) float64 {
 	return float64(good) / float64(total)
 }
 
-// parEncode measures multi-core encode scaling (WithEncodeConcurrency), an
-// implementation ablation: the paper's ISA-L prototype used 16 cores; this
-// shows the pure-Go kernel's scaling on this machine.
+// parEncode measures Carousel(2k,k,2k-1,2k) encode throughput at the
+// process's GOMAXPROCS, an implementation ablation: the paper's ISA-L
+// prototype used 16 cores; one run per GOMAXPROCS value shows the pure-Go
+// kernel's scaling on this machine.
 func parEncode(ks []int, mb, reps int) error {
-	bench.Section(os.Stdout, fmt.Sprintf("Ablation: Carousel(2k,k,2k-1,2k) encode throughput vs workers (MB/s), blocks of %d MiB", mb))
-	workers := []int{1, 2, 4, 8}
-	headers := []string{"k"}
-	for _, w := range workers {
-		headers = append(headers, fmt.Sprintf("w=%d", w))
-	}
-	t := bench.NewTable(os.Stdout, headers...)
+	procs := runtime.GOMAXPROCS(0)
+	bench.Section(os.Stdout, fmt.Sprintf("Ablation: Carousel(2k,k,2k-1,2k) encode throughput at GOMAXPROCS %d (MB/s), blocks of %d MiB", procs, mb))
+	t := bench.NewTable(os.Stdout, "k", fmt.Sprintf("procs=%d", procs))
 	for _, k := range ks {
-		n := 2 * k
-		row := []any{k}
-		var size int
-		var data [][]byte
-		for _, w := range workers {
-			c, err := carousel.New(n, k, 2*k-1, n, carousel.WithEncodeConcurrency(w))
-			if err != nil {
-				return err
-			}
-			if data == nil {
-				size = alignUp(mb<<20, c.BlockAlign())
-				data = bench.RandomShards(k, size, int64(k))
-			}
-			row = append(row, bench.Measure(reps, k*size, func() { mustB(c.Encode(data)) }))
+		c, err := carousel.New(2*k, k, 2*k-1, 2*k)
+		if err != nil {
+			return err
 		}
-		t.Row(row...)
+		size := alignUp(mb<<20, c.BlockAlign())
+		data := bench.RandomShards(k, size, int64(k))
+		t.Row(k, bench.Measure(reps, k*size, func() { mustB(c.Encode(data)) }))
 	}
 	t.Flush()
 	return nil
@@ -471,7 +369,7 @@ func seriesFigure(ks []int, blockBytes int, computeOnly bool,
 func fig6a(ks []int, mb, reps int) error {
 	bench.Section(os.Stdout, fmt.Sprintf("Fig. 6a: encoding throughput (MB/s), blocks of %d MiB", mb))
 	return seriesFigure(ks, mb<<20, false, func(s bench.Series, k, size int, data [][]byte) float64 {
-		return record("6a", s.Name, k, bench.Measure(reps, k*size, func() { mustB(s.Code.Encode(data)) }))
+		return bench.Measure(reps, k*size, func() { mustB(s.Code.Encode(data)) })
 	})
 }
 
@@ -483,7 +381,7 @@ func fig6b(ks []int, mb, reps int) error {
 		blocks := mustB(s.Code.Encode(data))
 		avail := make([][]byte, len(blocks))
 		copy(avail[1:k+1], blocks[1:k+1])
-		return record("6b", s.Name, k, bench.Measure(reps, k*size, func() { mustB(s.Code.Decode(avail)) }))
+		return bench.Measure(reps, k*size, func() { mustB(s.Code.Decode(avail)) })
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"carousel/internal/carousel"
@@ -120,6 +121,19 @@ func TestPutGetRangeDeleteVerify(t *testing.T) {
 	if err := c.Verify(ctx, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Verify missing: %v", err)
 	}
+}
+
+// TestNewServerRefusesNilCode: a server reads its code on every put, so
+// NewServer refuses a nil code at construction, before anything listens,
+// with a panic that names the argument.
+func TestNewServerRefusesNilCode(t *testing.T) {
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "code must not be nil") {
+			t.Fatalf("NewServer(nil) recovered %v, want a panic naming the nil code", r)
+		}
+	}()
+	NewServer(nil)
 }
 
 // TestObsSummaryTxIsPerServer: the served-byte total a node heartbeats is

@@ -74,7 +74,7 @@ func (pe *peer) unreachable() {
 
 // Pool is a bounded per-peer client pool shared by every stage of the
 // stripe engine: stripe reads and writes, scrub probes, repair helper
-// fetches, and the stream adapters. Clients own no goroutine and are
+// fetches and rebuilds. Clients own no goroutine and are
 // health-checked on checkout; a client poisoned mid-use (protocol desync,
 // timeout) comes back with no connection and simply redials on its next
 // call, mirroring the single-client behavior.

@@ -240,9 +240,12 @@ type Server struct {
 	pool *Pool
 }
 
-// NewServer returns a server for the blocks of code's stripes; code must
-// not be nil.
+// NewServer returns a server for the blocks of code's stripes. It panics
+// if code is nil: every put reads the code's unit size.
 func NewServer(code *carousel.Code) *Server {
+	if code == nil {
+		panic("blockserver: NewServer: code must not be nil")
+	}
 	s := &Server{code: code, conns: make(map[net.Conn]struct{}),
 		blockStore: blockStore{blocks: make(map[string]storedBlock), spares: bufpool.NewSpares(spareBlocks)},
 		pool:       NewPool(nil, PoolOptions{})}

@@ -31,7 +31,6 @@ package carousel
 
 import (
 	"fmt"
-	"runtime"
 
 	"carousel/internal/lincode"
 	"carousel/internal/matrix"
@@ -92,7 +91,6 @@ type Code struct {
 	toStored [][]int
 
 	structured bool // whether the paper's structured selection was used
-	workers    int  // executors used by Encode and Decode (1 = serial)
 
 	base *msr.Code // repair machinery for d > k; nil when d == k
 
@@ -100,28 +98,11 @@ type Code struct {
 	readSolvers lincode.Memo[*readSolver]
 }
 
-// Option configures a Code at construction.
-type Option func(*Code)
-
-// WithEncodeConcurrency sets the number of executors Encode and Decode
-// spread the unit buffers across. The default is GOMAXPROCS — every core
-// the runtime will schedule — so codecs saturate the machine out of the
-// box; pass 1 to force serial execution (ablation baselines and
-// single-stream fairness tests do).
-func WithEncodeConcurrency(workers int) Option {
-	return func(c *Code) {
-		if workers < 1 {
-			workers = 1
-		}
-		c.workers = workers
-	}
-}
-
 // New constructs an (n, k, d, p) Carousel code.
 //
 // Requirements: 1 <= k < n; k <= p <= n; and either d == k (Reed-Solomon
 // base) or 2 <= k <= d < n with d >= 2k-2 (product-matrix MSR base).
-func New(n, k, d, p int, opts ...Option) (*Code, error) {
+func New(n, k, d, p int) (*Code, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("carousel: k must be positive, got %d", k)
 	}
@@ -134,10 +115,7 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 	if d < k || d >= n {
 		return nil, fmt.Errorf("carousel: d must satisfy k <= d < n, got d=%d", d)
 	}
-	c := &Code{n: n, k: k, d: d, p: p, workers: runtime.GOMAXPROCS(0)}
-	for _, opt := range opts {
-		opt(c)
-	}
+	c := &Code{n: n, k: k, d: d, p: p}
 	var baseGen *matrix.Matrix
 	if d == k {
 		c.alpha = 1
@@ -174,7 +152,7 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 	if err := c.checkSystematicRows(); err != nil {
 		return nil, err
 	}
-	c.Code = lincode.New(n, k, c.units, c.gen, c.toStored, c.workers)
+	c.Code = lincode.New(n, k, c.units, c.gen, c.toStored)
 	return c, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"carousel/internal/workpool"
 )
 
 func TestVerify(t *testing.T) {
@@ -46,50 +48,38 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+// TestEncodeConcurrencyMatchesSerial: Encode runs its plan at the worker
+// pool's width, striping units of 64 KiB or more across the pool's
+// executors, and must write exactly what the generator applied serially
+// writes, with units on both sides of the striping threshold.
 func TestEncodeConcurrencyMatchesSerial(t *testing.T) {
-	serial := mustCode(t, 12, 6, 10, 12)
-	par, err := New(12, 6, 10, 12, WithEncodeConcurrency(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustCode(t, 6, 3, 4, 6)
+	t.Logf("pool width %d", workpool.Width())
 	rng := rand.New(rand.NewSource(22))
-	// Large enough to cross the parallel threshold.
-	size := serial.UnitsPerBlock() * 4096
-	data := randomShards(rng, 6, size)
-	a, err := serial.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("parallel encode differs at block %d", i)
+	for _, usize := range []int{2 << 10, 64 << 10, 96<<10 + 320} {
+		size := c.UnitsPerBlock() * usize
+		data := randomShards(rng, c.K(), size)
+		blocks, err := c.Encode(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Small buffers take the serial path and must also match.
-	small := randomShards(rng, 6, serial.UnitsPerBlock()*2)
-	a, _ = serial.Encode(small)
-	b, err = par.Encode(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("small parallel encode differs at block %d", i)
+		var in, want [][]byte
+		for _, shard := range data {
+			for u := 0; u < c.UnitsPerBlock(); u++ {
+				in = append(in, shard[u*usize:(u+1)*usize])
+			}
 		}
-	}
-}
-
-func TestWithEncodeConcurrencyClamps(t *testing.T) {
-	c, err := New(4, 2, 2, 4, WithEncodeConcurrency(-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.workers != 1 {
-		t.Fatalf("workers = %d, want clamped to 1", c.workers)
+		ref := make([][]byte, c.N())
+		for b := range ref {
+			ref[b] = make([]byte, size)
+			want = c.Units(want, b, ref[b])
+		}
+		c.gen.ApplyToUnits(in, want)
+		for b := range blocks {
+			if !bytes.Equal(blocks[b], ref[b]) {
+				t.Fatalf("unit size %d: block %d differs from the serial generator product", usize, b)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"carousel/internal/gf256"
 	"carousel/internal/lincode"
 	"carousel/internal/matrix"
+	"carousel/internal/workpool"
 )
 
 // ReadPlan describes how a full-file read will be served (Section VII of
@@ -421,7 +422,7 @@ func (s *readSolver) solve(c *Code, fetched [][]byte, out []byte, usize int) {
 	for i, col := range s.unknown {
 		t.dst[i] = out[col*usize : (col+1)*usize : (col+1)*usize]
 	}
-	s.plan.RunParallel(t.rhs, t.dst, c.workers)
+	s.plan.RunParallel(t.rhs, t.dst, workpool.Width())
 	clear(t.rhs) // a parked table must not pin the caller's buffers
 	clear(t.dst)
 	s.tables.Put(t)

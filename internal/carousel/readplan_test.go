@@ -264,7 +264,7 @@ func TestReadPlanSolveRejectsBadArguments(t *testing.T) {
 // eliminated into the fetched scratch itself, a warm planned read's Solve
 // allocates a constant few bytes whatever the block size.
 func TestDegradedSolveAllocatesNothingBlockSized(t *testing.T) {
-	c, err := New(12, 6, 10, 10, WithEncodeConcurrency(1))
+	c, err := New(12, 6, 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ import (
 
 	"carousel/internal/codeplan"
 	"carousel/internal/matrix"
+	"carousel/internal/workpool"
 )
 
 // Argument errors shared by every codec; each codec package re-exports
@@ -67,8 +68,6 @@ type Code struct {
 	// that has them all returns them without touching a byte.
 	systematic bool
 
-	workers int // executors a plan run is striped over (1 = serial)
-
 	encPlan *codeplan.Plan
 	invs    Memo[*matrix.Matrix] // k source blocks -> inverse of their rows
 	plans   Memo[*codeplan.Plan] // k source blocks (+ target blocks) -> schedule
@@ -76,14 +75,14 @@ type Code struct {
 
 // New returns the code with the given generator, which must have n*units
 // rows and k*units columns. toStored is the optional per-block stored-order
-// permutation (nil: canonical order); workers is the number of executors
-// plan runs are striped over.
-func New(n, k, units int, gen *matrix.Matrix, toStored [][]int, workers int) *Code {
+// permutation (nil: canonical order). Plan runs are striped across the
+// shared worker pool (workpool.Width executors).
+func New(n, k, units int, gen *matrix.Matrix, toStored [][]int) *Code {
 	if gen.Rows() != n*units || gen.Cols() != k*units {
 		panic(fmt.Sprintf("lincode: generator is %dx%d, want %dx%d", gen.Rows(), gen.Cols(), n*units, k*units))
 	}
 	return &Code{
-		n: n, k: k, units: units, gen: gen, toStored: toStored, workers: workers,
+		n: n, k: k, units: units, gen: gen, toStored: toStored,
 		systematic: toStored == nil && gen.SubMatrix(0, k*units, 0, k*units).IsIdentity(),
 		encPlan:    codeplan.Compile(gen),
 	}
@@ -261,7 +260,7 @@ func (c *Code) encode(data, blocks [][]byte) {
 	for b, block := range blocks {
 		out = c.Units(out, b, block)
 	}
-	c.encPlan.RunParallel(c.shardUnits(data), out, c.workers)
+	c.encPlan.RunParallel(c.shardUnits(data), out, workpool.Width())
 }
 
 // Decode recovers the k data shards from the first k available blocks.
@@ -366,7 +365,7 @@ func (c *Code) solve(sources []int, in [][]byte, targets []int, out [][]byte) er
 			outU = c.Units(outU, t, out[j])
 		}
 	}
-	plan.RunParallel(inU, outU, c.workers)
+	plan.RunParallel(inU, outU, workpool.Width())
 	return nil
 }
 

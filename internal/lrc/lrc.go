@@ -98,7 +98,7 @@ func New(k, l, g int) (*Code, error) {
 		}
 	}
 	c.gen = gen
-	c.Code = lincode.New(n, k, 1, gen, nil, 1)
+	c.Code = lincode.New(n, k, 1, gen, nil)
 	return c, nil
 }
 

@@ -53,7 +53,7 @@ func New(n, k int) (*Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reedsolomon: building generator: %w", err)
 	}
-	return &Code{lincode.New(n, k, 1, gen, nil, 1)}, nil
+	return &Code{lincode.New(n, k, 1, gen, nil)}, nil
 }
 
 // Reconstruct fills in the missing (nil) entries of blocks, which must have

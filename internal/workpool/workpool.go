@@ -1,10 +1,9 @@
 // Package workpool provides the shared, bounded worker pool behind every
 // parallel GF(2^8) hot path in this repository (codeplan execution, the
 // stripe pipeline). The pool holds
-// GOMAXPROCS goroutines by default, started lazily on first use and
-// growable via Ensure; callers never spawn goroutines of their own, so
-// total fan-out stays bounded no matter how many codecs or stripes run
-// concurrently.
+// GOMAXPROCS goroutines, started lazily on first use and fixed from then
+// on; callers never spawn goroutines of their own, so total fan-out stays
+// bounded no matter how many codecs or stripes run concurrently.
 //
 // The scheduling unit is a run descriptor (recycled through a sync.Pool)
 // holding an atomic task cursor: the calling goroutine and up to workers-1
@@ -44,51 +43,30 @@ type worker struct {
 // Parallel calls the worker itself makes — without any extra state.
 var busyMarker = new(run)
 
+// pool is the set of workers, written once inside startOnce.
 var (
-	startOnce  sync.Once
-	growMu     sync.Mutex                // serializes grow; readers never take it
-	workersPtr atomic.Pointer[[]*worker] // copy-on-write, grow-only
+	startOnce sync.Once
+	pool      []*worker
 )
 
-// mWorkers is the pool's size: 0 until the pool starts, then grow-only.
+// Width returns the pool's size: GOMAXPROCS at the first call of Width or
+// Parallel, fixed for the life of the process. Codecs stripe their plans
+// this wide.
+func Width() int { return width() }
+
+var width = sync.OnceValue(func() int { return max(runtime.GOMAXPROCS(0), 1) })
+
+// mWorkers is the pool's size: 0 until the pool starts.
 var mWorkers = obs.Default().Gauge("workpool_workers")
 
-// start brings the pool up with GOMAXPROCS workers.
+// start brings the pool up with Width workers.
 func start() {
-	empty := make([]*worker, 0)
-	workersPtr.Store(&empty)
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
+	pool = make([]*worker, Width())
+	for i := range pool {
+		pool[i] = &worker{note: make(chan struct{}, 1)}
+		go pool[i].loop()
 	}
-	grow(n)
-}
-
-// Ensure grows the pool to at least n workers. The pool never shrinks:
-// sizing is grow-only so concurrent Parallel calls always see a prefix of
-// the current worker set. Benchmark drivers call this after raising
-// GOMAXPROCS mid-process; steady-state servers never need to.
-func Ensure(n int) {
-	startOnce.Do(start)
-	grow(n)
-}
-
-func grow(n int) {
-	growMu.Lock()
-	defer growMu.Unlock()
-	ws := *workersPtr.Load()
-	if n <= len(ws) {
-		return
-	}
-	nws := make([]*worker, n)
-	copy(nws, ws)
-	for i := len(ws); i < n; i++ {
-		w := &worker{note: make(chan struct{}, 1)}
-		nws[i] = w
-		go w.loop()
-	}
-	workersPtr.Store(&nws)
-	mWorkers.Set(int64(n))
+	mWorkers.Set(int64(len(pool)))
 }
 
 // loop is the worker body: sleep until a note arrives, then swap the
@@ -158,12 +136,11 @@ func Parallel(n, workers int, fn func(int)) {
 	// Offer the run to up to workers-1 idle workers, one CAS each,
 	// starting at a random index so concurrent submitters spread across
 	// the pool instead of all hammering worker 0's cache line.
-	ws := *workersPtr.Load()
 	want := workers - 1
 	placed := 0
-	off := int(rand.Uint32N(uint32(len(ws))))
-	for i := 0; i < len(ws) && placed < want; i++ {
-		w := ws[(off+i)%len(ws)]
+	off := int(rand.Uint32N(uint32(len(pool))))
+	for i := 0; i < len(pool) && placed < want; i++ {
+		w := pool[(off+i)%len(pool)]
 		r.wg.Add(1)
 		if w.slot.CompareAndSwap(nil, r) {
 			placed++

@@ -84,28 +84,6 @@ func TestParallelNestedSaturated(t *testing.T) {
 	}
 }
 
-// TestEnsureGrowsPool verifies Ensure is grow-only and that Parallel keeps
-// running every task exactly once after a grow.
-func TestEnsureGrowsPool(t *testing.T) {
-	Ensure(1)
-	before := len(*workersPtr.Load())
-	Ensure(before + 3)
-	if got := len(*workersPtr.Load()); got != before+3 {
-		t.Fatalf("pool has %d workers after Ensure(%d), want %d", got, before+3, before+3)
-	}
-	Ensure(2) // shrink request: no-op
-	if got := len(*workersPtr.Load()); got != before+3 {
-		t.Fatalf("Ensure(2) shrank the pool to %d workers", got)
-	}
-	hits := make([]int32, 100)
-	Parallel(100, before+3, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("task %d ran %d times after grow", i, h)
-		}
-	}
-}
-
 // BenchmarkParallelNested measures submission overhead under nested
 // saturation: every iteration is an outer run whose tasks each start an
 // inner run, so offers constantly hit busy workers. Run with

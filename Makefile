@@ -110,9 +110,13 @@ recover:
 # nothing in it; the rot report: every name one exchange lands rotten
 # goes back to its server in one verify exchange; and the leased stripe
 # loop, which goes back to its free list holding no pointer after a
-# healthy, a degraded, a cached and a failed read and a repair.
+# healthy, a degraded, a cached and a failed read and a repair, with the
+# cache flights a shard takes back holding nothing. Then, ten times, a
+# cache flight's abort interrupting its round at once, and a cancelled
+# starter's stats that the flight no longer writes.
 readpath:
 	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport|LeasedLoop' ./internal/blockserver
+	$(GO) test -race -count=10 -run 'TestStoreCacheAbortInterruptsTheRound|TestStoreCacheCancelledStarterStatsStayPut' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s
 # each, from the seed corpora under each package's testdata/fuzz: the bare
@@ -219,13 +223,15 @@ bench-sweep:
 # fan-out, waiter cancellation, invalidation races), race-enabled; the
 # buffer-reuse tests ten times under -race (the hold and spare unit tests,
 # the content-checked churn under rewrites, a fetch into a poisoned
-# spare); then a short open-loop Zipf swarm A/B (cache-off vs cache-on,
-# no JSON refresh).
+# spare) and the two tests of a flight with no context of its own (its
+# abort interrupts its round; a cancelled starter's stats stay put); then
+# a short open-loop Zipf swarm A/B (cache-off vs cache-on, no JSON
+# refresh).
 swarm:
 	$(GO) test -race -count=2 ./internal/stripecache ./internal/workload
 	$(GO) test -race -run 'TestStoreCache' ./internal/blockserver
 	$(GO) test -race -count=10 -run 'TestHeldEntryStaysOffSpares|TestPutBufferNeverReachesAFlight|TestFinishedFlightPinsForItsWaiters|TestAbandonedFlightReleasesPin|TestSpareIsOverwritten' ./internal/stripecache
-	$(GO) test -race -count=10 -run 'TestStoreCacheChurnKeepsBytes|TestStoreCacheFetchOverwritesPoison' ./internal/blockserver
+	$(GO) test -race -count=10 -run 'TestStoreCacheChurnKeepsBytes|TestStoreCacheFetchOverwritesPoison|TestStoreCacheAbortInterruptsTheRound|TestStoreCacheCancelledStarterStatsStayPut' ./internal/blockserver
 	$(GO) run ./cmd/clusterbench -fig swarm -swarmdur 1s -swarmobjs 128
 
 # The swarm A/B at full length, rewriting BENCH_clusterbench.json:

@@ -14,6 +14,7 @@ import (
 
 	"carousel/internal/faultnet"
 	"carousel/internal/retry"
+	"carousel/internal/stripecache"
 )
 
 // cacheOpts are tight client timeouts for the fault-injection cache tests:
@@ -477,8 +478,8 @@ func TestStoreCacheChurnKeepsBytes(t *testing.T) {
 	}
 }
 
-// TestStoreCacheFetchOverwritesPoison: the fetch a miss's flight runs,
-// readStripeInto, writes every byte of its buffer, which may be a spare
+// TestStoreCacheFetchOverwritesPoison: the fetch a miss's flight runs, a
+// read batch of one, writes every byte of its buffer, which may be a spare
 // holding an evicted stripe — here poisoned with 0xFF — on the healthy
 // path and the degraded one, padding included.
 func TestStoreCacheFetchOverwritesPoison(t *testing.T) {
@@ -504,16 +505,182 @@ func TestStoreCacheFetchOverwritesPoison(t *testing.T) {
 		}
 		for st := range 2 {
 			buf := bytes.Repeat([]byte{0xFF}, stripe)
-			stats := &ReadStats{mu: new(sync.Mutex)}
-			if err := store.readStripeInto(ctx, "f", st, buf, stats); err != nil {
+			var tally stripecache.Tally
+			if _, err := store.readBatch(ctx, "f", st, st+1, buf, &tally, nil); err != nil {
 				t.Fatalf("%s stripe %d: %v", path, st, err)
 			}
 			if !bytes.Equal(buf, want[st*stripe:(st+1)*stripe]) {
 				t.Errorf("%s stripe %d: the fetch left bytes of the poisoned buffer", path, st)
 			}
-			if path == "degraded" && stats.StripesFallback != 1 {
-				t.Errorf("degraded stripe %d: stats %+v, want one fallback stripe", st, *stats)
+			if path == "degraded" && tally.Fallback != 1 {
+				t.Errorf("degraded stripe %d: tally %+v, want one fallback stripe", st, tally)
 			}
 		}
+	}
+}
+
+// TestStoreCacheCancelledStarterStatsStayPut: the ReadStats a cancelled
+// reader got back are not written after its ReadFile returns, though the
+// flight it started goes on for the reader that joined it. The flight's
+// fetch tallies into the flight, and only a starter that receives the
+// result folds that tally into its stats; the reader that stayed is a
+// coalesced waiter, whose stats count its coalescing alone.
+func TestStoreCacheCancelledStarterStatsStayPut(t *testing.T) {
+	code := mustCode(t)
+	_, addrs, injectors := startFaultServers(t, code, 12)
+	blockSize := code.BlockAlign() * 4
+	store, err := NewStore(code, addrs, blockSize, withPool(t, fastOpts()), WithStripeCache(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	ctx := context.Background()
+	size := 6 * blockSize
+	data := make([]byte, size)
+	rand.New(rand.NewSource(54)).Read(data)
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	// Slow every server down so that the flight stays open while a second
+	// reader joins it and the first cancels.
+	for _, in := range injectors {
+		in.SetDefault(faultnet.Policy{DelayWrite: 100 * time.Millisecond})
+	}
+	t.Cleanup(func() {
+		for _, in := range injectors {
+			in.SetDefault(faultnet.Policy{})
+		}
+	})
+
+	type read struct {
+		got    []byte
+		stats  *ReadStats
+		at     ReadStats // the stats as ReadFile returned them
+		err    error
+		joined bool
+	}
+	missesBefore := store.Cache().Stats().Misses
+	actx, acancel := context.WithCancel(ctx)
+	ares := make(chan read, 1)
+	go func() {
+		_, stats, err := store.ReadFile(actx, "f", size)
+		ares <- read{stats: stats, at: *stats, err: err}
+	}()
+	for opened := time.Now().Add(2 * time.Second); store.Cache().Stats().Misses == missesBefore && time.Now().Before(opened); {
+		time.Sleep(time.Millisecond)
+	}
+	bres := make(chan read, 1)
+	go func() {
+		got, stats, err := store.ReadFile(ctx, "f", size)
+		bres <- read{got: got, stats: stats, err: err}
+	}()
+	for joined := time.Now().Add(2 * time.Second); store.Cache().Stats().CoalescedWaiters == 0 && time.Now().Before(joined); {
+		time.Sleep(time.Millisecond)
+	}
+	acancel()
+	var a, b read
+	select {
+	case a = <-ares:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the cancelled reader did not return")
+	}
+	if !errors.Is(a.err, context.Canceled) {
+		t.Fatalf("cancelled reader: err %v, want context.Canceled (it must leave while the flight runs)", a.err)
+	}
+	select {
+	case b = <-bres:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reader that joined never completed")
+	}
+	if b.err != nil || !bytes.Equal(b.got, data) {
+		t.Fatalf("the reader that joined: err %v, identical %v", b.err, bytes.Equal(b.got, data))
+	}
+	// b has the flight's result, so the fetch is done with whatever it
+	// tallied.
+	if *a.stats != a.at {
+		t.Errorf("the cancelled starter's stats changed after ReadFile returned: %+v, then %+v", a.at, *a.stats)
+	}
+	if a.at.BytesFetched != 0 || a.at.StripesParallel != 0 || a.at.StripesFallback != 0 {
+		t.Errorf("the cancelled starter's stats %+v count a fetch it never received", a.at)
+	}
+	if b.stats.CoalescedStripes != 1 || b.stats.BytesFetched != 0 {
+		t.Errorf("the reader that joined: stats %+v, want one coalesced stripe and no bytes of its own", *b.stats)
+	}
+}
+
+// TestStoreCacheAbortInterruptsTheRound: a cache flight has no context of
+// its own, so when its one reader leaves, the flight's abort must
+// interrupt the round it has on the wire at once, as a cancelled context
+// interrupts an uncached read's (TestRoundCancelInterruptsEveryExchange).
+// Every source is black-holed, the hedge is 5 s and the IO timeout 10 s,
+// so nothing else ends the round: within 1 s of the reader's return, each
+// source's client is back in the pool without its connection, and once
+// the black holes lift the goroutine count is back at its baseline.
+func TestStoreCacheAbortInterruptsTheRound(t *testing.T) {
+	code := mustCode(t)
+	_, addrs, injectors := startFaultServers(t, code, code.N())
+	blockSize := code.BlockAlign() * 4
+	bg := context.Background()
+	data := bytes.Repeat([]byte("abort"), code.K()*blockSize/5)
+	writer, err := NewStore(code, addrs, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.WriteFile(bg, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	writer.Close() // its connections go: the reader below starts with none
+	opts := Options{IOTimeout: 10 * time.Second, Retry: retry.Policy{Attempts: 1}}
+	store, err := NewStore(code, addrs, blockSize, withPool(t, opts), WithHedgeDelay(5*time.Second), WithStripeCache(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	lift := func() {
+		for _, in := range injectors {
+			in.SetDefault(faultnet.Policy{})
+		}
+	}
+	t.Cleanup(lift)
+	base := settledGoroutines() // the writer's connections are gone at the servers too
+	for i := range code.P() {
+		injectors[i].SetDefault(faultnet.Policy{Blackhole: true})
+	}
+
+	ctx, cancel := context.WithCancel(bg)
+	timer := time.AfterFunc(50*time.Millisecond, cancel)
+	defer timer.Stop()
+	_, _, err = store.ReadFile(ctx, "f", len(data))
+	left := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled cached read: err %v, want context.Canceled", err)
+	}
+	for i := range code.P() {
+		pe, err := store.pool.peer(addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(pe.free) < cap(pe.free) {
+			if time.Since(left) > time.Second {
+				t.Fatalf("source %d: the aborted flight's round still holds its client 1 s after its reader left (the hedge is 5s, IOTimeout 10s)", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		parked := make([]*Client, cap(pe.free))
+		for k := range parked {
+			parked[k] = <-pe.free
+			if c := parked[k]; c != nil && c.conn != nil {
+				t.Errorf("source %d: a client of the aborted round is parked with its connection", i)
+			}
+		}
+		for _, c := range parked {
+			pe.free <- c
+		}
+	}
+	lift()
+	waitGoroutinesExactly(t, base)
+	got, _, err := store.ReadFile(bg, "f", len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the aborted one: err %v, identical %v", err, bytes.Equal(got, data))
 	}
 }

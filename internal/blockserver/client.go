@@ -266,11 +266,17 @@ type request struct {
 	hedge         time.Time
 }
 
-// err is ctx's error, or context.DeadlineExceeded once r's hedge has
-// passed.
+// err is ctx's error, context.Canceled once r's round hook has fired, or
+// context.DeadlineExceeded once r's hedge has passed.
 func (r *request) err(ctx context.Context) error {
-	if err := ctx.Err(); err != nil || r.hedge.IsZero() || time.Now().Before(r.hedge) {
+	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if r.hook != nil && r.hook.interrupted() {
+		return context.Canceled
+	}
+	if r.hedge.IsZero() || time.Now().Before(r.hedge) {
+		return nil
 	}
 	return context.DeadlineExceeded
 }
@@ -286,13 +292,18 @@ func (r *request) bounded(ctx context.Context) (context.Context, context.CancelF
 
 // roundHook is a Store round's one cancellation hook, in place of one per
 // exchange: an attempt holds its connection under it for the exchange, and
-// once the round's context ends (expire), every connection held then or
-// later has its deadline moved into the past.
+// once the round's context ends or its cache flight is aborted
+// (Interrupt), every connection held then or later has its deadline moved
+// into the past, a checkout waiting for a client gives up, and no attempt
+// or retry starts.
 type roundHook struct {
 	mu    sync.Mutex
 	fired bool
 	conns []net.Conn
+	done  chan struct{} // closed when the hook fires
 }
+
+func newRoundHook() *roundHook { return &roundHook{done: make(chan struct{})} }
 
 // hold puts conn under the hook for an exchange, expiring its deadline at
 // once if the hook has fired.
@@ -313,11 +324,23 @@ func (h *roundHook) drop(conn net.Conn) (fired bool) {
 	return h.fired
 }
 
-// expire is the hook, run once the round's context ends.
-func (h *roundHook) expire() {
+// interrupted reports whether the hook has fired.
+func (h *roundHook) interrupted() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.fired
+}
+
+// Interrupt fires the hook, once the round's context ends or its flight is
+// aborted; a second call does nothing.
+func (h *roundHook) Interrupt() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.fired {
+		return
+	}
 	h.fired = true
+	close(h.done)
 	for _, conn := range h.conns {
 		conn.SetDeadline(time.Unix(1, 0))
 	}

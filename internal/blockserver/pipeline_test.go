@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"carousel/internal/stripecache"
 )
 
 // TestPipelineBoundsInflight: never more than depth calls at once, and a
@@ -132,22 +133,22 @@ func TestAnyKReportsItsContext(t *testing.T) {
 	}
 	t.Cleanup(store.Close)
 	dst := make([]byte, code.K()*blockSize)
-	stats := &ReadStats{mu: new(sync.Mutex)}
+	var tally stripecache.Tally
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = store.readStripeInto(ctx, "absent", 0, dst, stats)
+	_, err = store.readBatch(ctx, "absent", 0, 1, dst, &tally, nil)
 	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrTooFewSurvivors) {
 		t.Errorf("cancelled stripe read: %v, want context.Canceled and not ErrTooFewSurvivors", err)
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	err = store.readStripeInto(dctx, "absent", 0, dst, stats)
+	_, err = store.readBatch(dctx, "absent", 0, 1, dst, &tally, nil)
 	if !errors.Is(err, ErrTimeout) || errors.Is(err, ErrTooFewSurvivors) {
 		t.Errorf("expired stripe read: %v, want ErrTimeout and not ErrTooFewSurvivors", err)
 	}
 	// A live context and a file nobody wrote is the real shortage.
-	err = store.readStripeInto(context.Background(), "absent", 0, dst, stats)
+	_, err = store.readBatch(context.Background(), "absent", 0, 1, dst, &tally, nil)
 	if !errors.Is(err, ErrTooFewSurvivors) {
 		t.Errorf("absent file: %v, want ErrTooFewSurvivors", err)
 	}

@@ -144,18 +144,19 @@ func (p *Pool) peer(addr string) (*peer, error) {
 // is done. The caller owns the client until Put; clients are
 // single-goroutine, so each concurrent fetch checks out its own.
 func (p *Pool) Get(ctx context.Context, addr string) (*Client, error) {
-	return p.checkout(ctx, addr, time.Time{})
+	return p.checkout(ctx, addr, time.Time{}, nil)
 }
 
-// checkout is Get giving up at hedge as well, unless it is zero: a Store
-// round's hedge is a deadline value, not a context's, and only a checkout
-// that has to wait for a slot pays for a timer. It prefers a warm
+// checkout is Get giving up at hedge as well, unless it is zero, and when
+// hook fires, unless it is nil: a Store round's hedge is a deadline value,
+// not a context's, and only a checkout that has to wait for a slot pays
+// for a timer. It prefers a warm
 // connection: a slot that holds none — a nil token, or a client whose
 // connection is gone or stale — is traded for a connected client parked
 // behind it, if one is (warm), so one-at-a-time callers reuse one
 // connection instead of dialing each token they meet, and a batch round,
 // which holds one client per source, dials past no idle connection.
-func (p *Pool) checkout(ctx context.Context, addr string, hedge time.Time) (*Client, error) {
+func (p *Pool) checkout(ctx context.Context, addr string, hedge time.Time, hook *roundHook) (*Client, error) {
 	pe, err := p.peer(addr)
 	if err != nil {
 		return nil, err
@@ -171,10 +172,16 @@ func (p *Pool) checkout(ctx context.Context, addr string, hedge time.Time) (*Cli
 			defer t.Stop()
 			expired = t.C
 		}
+		var interrupted <-chan struct{}
+		if hook != nil {
+			interrupted = hook.done
+		}
 		select {
 		case c, ok = <-pe.free:
 		case <-ctx.Done():
 			return nil, classify(ctx.Err())
+		case <-interrupted:
+			return nil, classify(context.Canceled)
 		case <-expired:
 			return nil, classify(context.DeadlineExceeded)
 		}

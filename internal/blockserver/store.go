@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"carousel/internal/bufpool"
@@ -94,6 +95,7 @@ type Store struct {
 	// miss coalescing. Nil (the default) keeps the read path byte-identical
 	// to the uncached store — every read hits the network.
 	cache *stripecache.Cache
+	fetch func(ctx context.Context, dst []byte) error // fetchStripe, bound once for the cache's flights
 }
 
 // StoreOption configures a Store.
@@ -167,6 +169,9 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 	}
 	if s.pool == nil {
 		s.pool, s.ownsPool = NewPool(addrs, PoolOptions{}), true
+	}
+	if s.cache != nil {
+		s.fetch = s.fetchStripe
 	}
 	return s, nil
 }
@@ -456,20 +461,14 @@ func (rs *ReadStats) count(field *int, c *obs.Counter) {
 	c.Inc()
 }
 
-// source folds one source stream's outcome into the stats — the single
-// accounting point for every fetch a stripe makes, so no completed
-// stream's bytes and no corruption verdict is ever dropped.
-func (rs *ReadStats) source(bytes int, err error) {
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			rs.count(&rs.CorruptSources, mCorruptSources)
-		}
-		return
-	}
+// fold adds what one read batch, or a flight's fetch, tallied to the stats.
+func (rs *ReadStats) fold(t *stripecache.Tally) {
 	rs.mu.Lock()
-	rs.BytesFetched += int64(bytes)
+	rs.BytesFetched += t.Bytes
+	rs.CorruptSources += t.Corrupt
+	rs.StripesParallel += t.Parallel
+	rs.StripesFallback += t.Fallback
 	rs.mu.Unlock()
-	mBytesFetched.Add(int64(bytes))
 }
 
 // Path summarizes which path served the read.
@@ -501,7 +500,6 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 		return nil, nil, err
 	}
 	t0 := time.Now()
-	stripeData := s.code.K() * s.blockSize
 	ctx, sp := obs.ChildSpan(ctx, "store.read")
 	if sp != nil { // an untraced read boxes no attribute
 		sp.SetAttr("file", name).SetAttr("size", size).SetAttr("stripes", stripes)
@@ -515,30 +513,25 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 		sloRead.ObserveSince(t0, rerr)
 	}()
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
+	stripeData := s.code.K() * s.blockSize
 	out := make([]byte, stripes*stripeData)
 	per := 1
 	if s.cache == nil {
 		per = max(1, batchBytes/stripeData)
 	}
 	batches := (stripes + per - 1) / per
-	errs, launched := pipeline(ctx, batches, batchWidth(stripes, batches), func(ctx context.Context, b int) error {
-		lo, hi := b*per, min((b+1)*per, stripes)
-		dst := out[lo*stripeData : hi*stripeData]
-		st, err := lo, error(nil)
-		if s.cache != nil {
-			err = s.readStripeCached(ctx, name, lo, dst, stats)
-		} else {
-			st, err = s.readBatch(ctx, name, lo, hi, dst, stats)
+	if batches == 1 && ctx.Err() == nil { // a one-stripe cached read, or a small file: no pipeline
+		err = s.readPart(ctx, name, 0, per, stripes, out, stats)
+	} else {
+		errs, launched := pipeline(ctx, batches, batchWidth(stripes, batches), func(ctx context.Context, b int) error {
+			return s.readPart(ctx, name, b, per, stripes, out, stats)
+		})
+		var b int
+		if b, err = pipelineErr(ctx, errs, launched); err != nil && b == launched {
+			err = fmt.Errorf("stripe %d: %w", b*per, err) // the caller's context ended before this batch began
 		}
-		if err != nil {
-			return fmt.Errorf("stripe %d: %w", st, err)
-		}
-		return nil
-	})
-	if b, err := pipelineErr(ctx, errs, launched); err != nil {
-		if b == launched { // the caller's context ended before this batch began
-			err = fmt.Errorf("stripe %d: %w", b*per, err)
-		}
+	}
+	if err != nil {
 		return nil, stats, fmt.Errorf("blockserver: %w", err)
 	}
 	// The verify stage: the per-block CRC verdicts arrived in-band with the
@@ -552,23 +545,41 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	return out[:size], stats, nil
 }
 
+// readPart reads batch b of the file, stripes [b·per, (b+1)·per) short of
+// stripes, into its slots of out: through the stripe cache, whose batches
+// are one stripe each, or as one read batch, whose tally it folds into
+// stats.
+func (s *Store) readPart(ctx context.Context, name string, b, per, stripes int, out []byte, stats *ReadStats) error {
+	stripeData := s.code.K() * s.blockSize
+	lo, hi := b*per, min((b+1)*per, stripes)
+	dst := out[lo*stripeData : hi*stripeData]
+	st, err := lo, error(nil)
+	if s.cache != nil {
+		err = s.readStripeCached(ctx, name, lo, dst, stats)
+	} else {
+		var t stripecache.Tally
+		st, err = s.readBatch(ctx, name, lo, hi, dst, &t, nil)
+		stats.fold(&t)
+	}
+	if err != nil {
+		return fmt.Errorf("stripe %d: %w", st, err)
+	}
+	return nil
+}
+
 // readStripeCached serves one stripe through the stripe cache: a hit
 // copies the decoded stripe into dst with no network traffic, and a miss
-// runs the normal hedged fetch — a read batch of one — exactly once per
-// in-flight stripe (concurrent misses coalesce), inserting the result for
-// the next reader.
+// runs the normal hedged fetch — a read batch of one (fetchStripe) —
+// exactly once per in-flight stripe (concurrent misses coalesce),
+// inserting the result for the next reader. Only the caller that started
+// the flight and received its result folds the fetch's tally into its
+// stats.
 func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
 	cctx, csp := obs.ChildSpan(ctx, "cache")
 	csp.SetAttr("stripe", st)
-	hit, coalesced, err := s.cache.GetOrFetch(cctx, name, st, dst,
-		func(fctx context.Context, out []byte) error {
-			// The flight's fetch: a batch of one, decoding into the
-			// flight-owned buffer. fctx derives from this caller's context
-			// (values like the trace link survive; cancellation is governed
-			// by the flight's waiters), so the fetch spans nest under the
-			// cache span of whichever caller started the flight.
-			return s.readStripeInto(fctx, name, st, out, stats)
-		})
+	var t stripecache.Tally
+	hit, coalesced, err := s.cache.GetOrFetch(cctx, name, st, dst, &t, s.fetch)
+	stats.fold(&t)
 	csp.SetAttr("hit", hit).SetAttr("coalesced", coalesced)
 	if err != nil {
 		csp.SetAttr("error", err.Error())
@@ -771,26 +782,38 @@ type batchLoop struct {
 	exs       []batchExchange
 	finishing sync.WaitGroup // the stripes finishing on goroutines of their own
 
-	s     *Store
-	op    byte
-	ctx   context.Context // the round's
-	hedge time.Time
-	hook  *roundHook // the round's; nil while its context cannot end
-	idle  *roundHook // a hook no context fired, for the next round that needs one
-	wg    sync.WaitGroup
+	s      *Store
+	op     byte
+	flight *stripecache.Flight // the cache flight the batch fetches for, whose abort stops its rounds
+	ctx    context.Context     // the round's
+	hedge  time.Time
+	hook   *roundHook // the round's; nil while neither its context nor a flight can stop it
+	idle   *roundHook // a hook nothing fired, for the next round that needs one
+	wg     sync.WaitGroup
+
+	// The round's sources: the first exchange of each (starts), and how
+	// many of them goroutines have taken (next). Each goroutine runs
+	// sourceNext, bound once for the life of the loop.
+	starts     []int
+	next       atomic.Int32
+	sourceNext func()
 }
 
 // loops is the free list of batch loops.
-var loops = sync.Pool{New: func() any { return new(batchLoop) }}
+var loops = sync.Pool{New: func() any {
+	l := new(batchLoop)
+	l.sourceNext = l.takeSource
+	return l
+}}
 
 // leaseLoop leases a batch loop, empty, from the free list.
 func leaseLoop() *batchLoop { return loops.Get().(*batchLoop) }
 
 // release clears every pointer the batch left in the loop — a caller's
-// output, stats, context and spans, the asks' buffers and the exchanges'
-// errors, up to each slice's capacity — and gives the loop back to the
-// free list, capacity and all. The idle hook stays: no context fired it,
-// and it holds no connection.
+// output, tally, flight, context and spans, the asks' buffers and the
+// exchanges' errors, up to each slice's capacity — and gives the loop back
+// to the free list, capacity and all. The idle hook stays: nothing fired
+// it, and it holds no connection; so does the bound sourceNext.
 func (l *batchLoop) release() {
 	reads := l.reads[:cap(l.reads)]
 	for i := range reads {
@@ -799,8 +822,8 @@ func (l *batchLoop) release() {
 	clear(l.tasks[:cap(l.tasks)])
 	clear(l.errs[:cap(l.errs)])
 	clear(l.exs[:cap(l.exs)])
-	l.reads, l.tasks, l.errs, l.active, l.exs = l.reads[:0], l.tasks[:0], l.errs[:0], l.active[:0], l.exs[:0]
-	l.s, l.ctx, l.hedge = nil, nil, time.Time{}
+	l.reads, l.tasks, l.errs, l.active, l.exs, l.starts = l.reads[:0], l.tasks[:0], l.errs[:0], l.active[:0], l.exs[:0], l.starts[:0]
+	l.s, l.flight, l.ctx, l.hedge = nil, nil, nil, time.Time{}
 	loops.Put(l)
 }
 
@@ -817,8 +840,8 @@ func (l *batchLoop) release() {
 // its own goroutine while the others' rounds go on (a batch of one, on
 // this one). A round cut short by the caller's context is a victim, not a
 // verdict about the blocks, so the stripe reports the context's error.
-// runBatch returns once every stripe is done, its outcome in its
-// stripeOp's err.
+// A flight's abort ends a round the same way. runBatch returns once every
+// stripe is done, its outcome in its stripeOp's err.
 func (s *Store) runBatch(ctx context.Context, op byte, l *batchLoop) {
 	l.active = l.active[:0]
 	for i := range l.tasks {
@@ -844,8 +867,8 @@ func (s *Store) runBatch(ctx context.Context, op byte, l *batchLoop) {
 			short := t.stripe().settle(l.exs)
 			t.landed()
 			switch {
-			case short && ctx.Err() != nil:
-				endStripe(t, classify(ctx.Err()))
+			case short && l.stopped(ctx) != nil:
+				endStripe(t, classify(l.stopped(ctx)))
 			case short:
 				next = append(next, i)
 			case len(l.tasks) == 1: // a batch of one starts no goroutine
@@ -861,6 +884,18 @@ func (s *Store) runBatch(ctx context.Context, op byte, l *batchLoop) {
 		l.active = next
 	}
 	l.finishing.Wait()
+}
+
+// stopped is why the batch's rounds must stop, if they must: its context's
+// error, or context.Canceled once the flight it fetches for is aborted.
+func (l *batchLoop) stopped(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if l.flight != nil && l.flight.Aborted() {
+		return context.Canceled
+	}
+	return nil
 }
 
 // endStripe ends a stripe with its outcome.
@@ -906,43 +941,51 @@ func (l *batchLoop) group() (mode string) {
 // none for an exchange that carries an unhedged stripe — and waits them
 // all out: a failure cancels nobody, so everything that can land does, and
 // nothing writes into a destination after the round returns. Each source
-// but the last runs on a goroutine of its own, and the last on this one.
-// The hedge is a deadline value, and one hook on ctx, when ctx can end,
-// interrupts every exchange of the round (roundHook): an exchange costs no
-// context or hook of its own, and a hook no context fired serves the
-// loop's next round. The round's fetch span parents the servers' spans of
-// every exchange.
+// but the last runs on a goroutine of its own (sourceNext), and the last
+// on this one. The hedge is a deadline value, and one hook interrupts
+// every exchange of the round (roundHook): on ctx, when ctx can end, and
+// armed in the flight's abort, when the batch fetches for a cache flight,
+// whose context never ends. An exchange costs no context or hook of its
+// own, and a hook nothing fired serves the loop's next round. The round's
+// fetch span parents the servers' spans of every exchange.
 func (s *Store) exchange(ctx context.Context, op byte, l *batchLoop, mode string) {
 	ctx, fsp := obs.ChildSpan(ctx, "fetch")
 	defer fsp.End()
 	l.s, l.op, l.ctx, l.hedge = s, op, ctx, time.Now().Add(s.hedge)
-	if ctx.Done() != nil {
+	if ctx.Done() != nil || l.flight != nil {
 		if l.hook, l.idle = l.idle, nil; l.hook == nil {
-			l.hook = new(roundHook)
+			l.hook = newRoundHook()
 		}
-		stop := context.AfterFunc(ctx, l.hook.expire)
+		var stop func() bool
+		if ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, l.hook.Interrupt)
+		}
+		if l.flight != nil {
+			l.flight.Arm(l.hook)
+		}
 		defer func() {
-			if stop() { // it never ran: nothing can touch the hook from here on
+			// A hook that fired, or may have, serves no other round.
+			fired := stop != nil && !stop()
+			if l.flight != nil && l.flight.Disarm() {
+				fired = true
+			}
+			if !fired {
 				l.idle = l.hook
 			}
 			l.hook = nil
 		}()
 	}
-	unhedged, last := false, -1
+	unhedged := false
+	l.starts = l.starts[:0]
 	for x := range l.exs {
 		unhedged = unhedged || l.exs[x].unhedged
 		first := true
 		for y := range x {
 			first = first && l.exs[y].block != l.exs[x].block
 		}
-		if !first {
-			continue
+		if first {
+			l.starts = append(l.starts, x)
 		}
-		if last >= 0 {
-			l.wg.Add(1)
-			go l.source(last)
-		}
-		last = x
 	}
 	if fsp != nil {
 		fsp.SetAttr("mode", mode).SetAttr("sources", len(l.exs))
@@ -950,11 +993,20 @@ func (s *Store) exchange(ctx context.Context, op byte, l *batchLoop, mode string
 	if unhedged {
 		fsp.SetAttr("unhedged", true)
 	}
-	if last >= 0 {
-		l.wg.Add(1)
-		l.source(last)
+	if n := len(l.starts); n > 0 {
+		l.next.Store(0)
+		l.wg.Add(n)
+		for range n - 1 {
+			go l.sourceNext()
+		}
+		l.source(l.starts[n-1])
 	}
 	l.wg.Wait()
+}
+
+// takeSource runs the next source of the round no goroutine has taken.
+func (l *batchLoop) takeSource() {
+	l.source(l.starts[l.next.Add(1)-1])
 }
 
 // source carries, back to back over one pooled client, every exchange of
@@ -976,7 +1028,7 @@ func (l *batchLoop) source(x int) {
 			hedge = time.Time{}
 		}
 		if c == nil && err == nil {
-			c, err = l.s.pool.checkout(l.ctx, l.s.addrs[block], hedge)
+			c, err = l.s.pool.checkout(l.ctx, l.s.addrs[block], hedge, l.hook)
 		}
 		if e.err = err; err == nil {
 			e.err = l.runNames(c, y, hedge)
@@ -1059,18 +1111,23 @@ type piece struct {
 type stripeRead struct {
 	stripeOp
 	dst      []byte
-	stats    *ReadStats
-	span     *obs.Span // the stripe's; ended by done
+	tally    *stripecache.Tally // the batch's, written on the loop's goroutine alone
+	span     *obs.Span          // the stripe's; ended by done
 	plan     *carousel.ReadPlan
 	direct   int     // the round's first direct asks are data prefixes into dst
 	prefixed []bool  // by block: its data prefix sits in dst
 	scratch  []piece // ranges landed in pooled buffers
 }
 
-// readStripeInto reads one stripe's original data into dst (k*blockSize
-// bytes): a read batch of one.
-func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
-	_, err := s.readBatch(ctx, name, st, st+1, dst, stats)
+// fetchStripe is the cache's fetch for a miss: it reads the flight's
+// stripe into dst (k*blockSize bytes), a read batch of one, tallying into
+// the flight and stopped by its abort. ctx carries the starter's values,
+// such as the trace link, so the fetch spans nest under the cache span of
+// whichever caller started the flight.
+func (s *Store) fetchStripe(ctx context.Context, dst []byte) error {
+	f := stripecache.FlightOf(ctx)
+	k := f.Key()
+	_, err := s.readBatch(ctx, k.File, k.Stripe, k.Stripe+1, dst, f.Tally(), f)
 	return err
 }
 
@@ -1086,9 +1143,10 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 // batch is one round of p exchanges, one per source, each carrying every
 // stripe's prefix. Replacement and patch units land in pooled scratch that
 // Solve consumes. A stripe left with nothing to plan on but stragglers
-// forgives them and waits for them unhedged. It returns the first stripe
-// that failed, with its root cause.
-func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []byte, stats *ReadStats) (int, error) {
+// forgives them and waits for them unhedged. The batch counts its work in
+// t, and a batch that fetches for a cache flight f stops when f is
+// aborted. It returns the first stripe that failed, with its root cause.
+func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []byte, t *stripecache.Tally, f *stripecache.Flight) (int, error) {
 	var bsp *obs.Span
 	if hi-lo > 1 { // a batch of one is traced as its stripe
 		ctx, bsp = obs.ChildSpan(ctx, "batch")
@@ -1098,11 +1156,12 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 	stripeData := s.code.K() * s.blockSize
 	l := leaseLoop()
 	defer l.release()
+	l.flight = f
 	l.reads = slices.Grow(l.reads, hi-lo)[:hi-lo]
 	for i := range l.reads {
 		rd := &l.reads[i] // reset: all but the capacity of its asks and scratch
 		rd.stripeOp = stripeOp{s: s, file: name, st: lo + i, round: rd.round}
-		rd.dst, rd.stats = dst[i*stripeData:(i+1)*stripeData], stats
+		rd.dst, rd.tally = dst[i*stripeData:(i+1)*stripeData], t
 		l.tasks = append(l.tasks, rd)
 		if rd.ctx, rd.span = obs.ChildSpan(ctx, "stripe"); rd.span == nil {
 			continue // an untraced read records no stage
@@ -1158,18 +1217,25 @@ func (rd *stripeRead) asks() (string, []ask) {
 	return planMode(rd.plan), round
 }
 
-// landed folds the round into the stats — every fetch's bytes or
-// corruption verdict, none dropped — and keeps what landed: a prefix is
-// marked in place once a re-plan is coming, a range joins the scratch, and
-// a failed range's buffer is recycled.
+// landed folds the round into the tally — every fetch's bytes or
+// corruption verdict, none dropped, and the plan that serves a stripe whose
+// every ask landed, which finishes next — and keeps what landed: a prefix
+// is marked in place once a re-plan is coming, a range joins the scratch,
+// and a failed range's buffer is recycled. Each process-wide counter moves
+// with its tally.
 func (rd *stripeRead) landed() {
 	if rd.struck != nil && rd.prefixed == nil {
 		rd.prefixed = make([]bool, len(rd.s.addrs)) // a re-plan is coming
 	}
+	short := false
 	for k, a := range rd.round {
-		rd.stats.source(len(a.buf), a.err)
 		switch {
 		case a.err != nil:
+			short = true
+			if errors.Is(a.err, ErrCorrupt) {
+				rd.tally.Corrupt++
+				mCorruptSources.Inc()
+			}
 			if k >= rd.direct {
 				Recycle(a.buf)
 			}
@@ -1178,6 +1244,19 @@ func (rd *stripeRead) landed() {
 		case rd.prefixed != nil:
 			rd.prefixed[a.block] = true
 		}
+		if a.err == nil {
+			rd.tally.Bytes += int64(len(a.buf))
+			mBytesFetched.Add(int64(len(a.buf)))
+		}
+	}
+	switch {
+	case short:
+	case len(rd.plan.Ranges) == 0:
+		rd.tally.Parallel++
+		mStripesParallel.Inc()
+	default:
+		rd.tally.Fallback++
+		mStripesFallback.Inc()
 	}
 }
 
@@ -1191,15 +1270,13 @@ func (rd *stripeRead) fetched(r carousel.ReadRange) []byte {
 	return nil
 }
 
-// finish completes the stripe from what has landed and counts how it was
-// served.
+// finish completes the stripe from what has landed (landed counted how it
+// is served).
 func (rd *stripeRead) finish() error {
 	plan := rd.plan
 	if len(plan.Ranges) == 0 {
-		rd.stats.count(&rd.stats.StripesParallel, mStripesParallel)
 		return nil
 	}
-	rd.stats.count(&rd.stats.StripesFallback, mStripesFallback)
 	fetched := make([][]byte, len(plan.Ranges))
 	for i, r := range plan.Ranges {
 		fetched[i] = rd.fetched(r)

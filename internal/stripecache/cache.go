@@ -81,7 +81,8 @@ type shard struct {
 	ghostNext int
 	bytes     int64 // resident bytes (small + main)
 
-	flights map[Key]*flight
+	flights map[Key]*Flight
+	idle    []*Flight       // released flights, for the next miss (leaseLocked)
 	spares  *bufpool.Spares // buffers of retired flight entries, for the next flight
 }
 
@@ -144,7 +145,7 @@ func New(capacityBytes int64) *Cache {
 		c.shards[i].items = make(map[Key]*entry)
 		c.shards[i].ghost = make(map[Key]struct{})
 		c.shards[i].ghostRing = make([]Key, 0, ghostEntries)
-		c.shards[i].flights = make(map[Key]*flight)
+		c.shards[i].flights = make(map[Key]*Flight)
 		c.shards[i].spares = bufpool.NewSpares(maxSpares)
 	}
 	return c

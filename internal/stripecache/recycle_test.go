@@ -34,7 +34,7 @@ func fetchInto(t *testing.T, c *Cache, st int) []byte {
 	t.Helper()
 	var got []byte
 	dst := make([]byte, recycleSize)
-	_, _, err := c.GetOrFetch(context.Background(), "f", st, dst,
+	_, _, err := c.GetOrFetch(context.Background(), "f", st, dst, nil,
 		func(_ context.Context, out []byte) error {
 			got = out
 			copy(out, fill(recycleSize, byte(st)))
@@ -133,23 +133,23 @@ func TestFinishedFlightPinsForItsWaiters(t *testing.T) {
 	c := New(1 << 20)
 	key := Key{File: "f"}
 	s := c.shardFor(key)
-	f := &flight{done: make(chan struct{}), waiters: 1, cancel: func() {}}
 	s.mu.Lock()
-	s.flights[key] = f
-	s.mu.Unlock()
-	c.runFlight(context.Background(), s, key, f, recycleSize, func(_ context.Context, out []byte) error {
+	f := s.leaseLocked(context.Background(), c, key, recycleSize, func(_ context.Context, out []byte) error {
 		copy(out, fill(recycleSize, 2))
 		return nil
 	})
+	s.mu.Unlock()
+	f.fly()
 	if f.entry == nil {
 		t.Fatal("the flight's stripe was not admitted")
 	}
+	data := f.data    // the last detach releases the flight, clearing it
 	c.Invalidate("f") // the waiter has not copied f.data yet
-	if spared(s, f.data) {
+	if spared(s, data) {
 		t.Fatal("a purged flight buffer is spare while a waiter has yet to copy it")
 	}
-	c.detach(s, key, f)
-	if !spared(s, f.data) {
+	c.detach(s, f)
+	if !spared(s, data) {
 		t.Fatal("the last waiter's detach did not spare the purged flight buffer")
 	}
 }
@@ -164,7 +164,7 @@ func TestAbandonedFlightReleasesPin(t *testing.T) {
 	defer cancel()
 	release := make(chan struct{})
 	var buf []byte
-	_, _, err := c.GetOrFetch(ctx, "f", 0, make([]byte, recycleSize),
+	_, _, err := c.GetOrFetch(ctx, "f", 0, make([]byte, recycleSize), nil,
 		func(_ context.Context, out []byte) error {
 			<-release // a fetch that ignores its cancellation and succeeds
 			buf = out
@@ -212,7 +212,7 @@ func TestSpareIsOverwritten(t *testing.T) {
 	}
 	want := fill(recycleSize, 3)
 	dst := make([]byte, recycleSize)
-	_, _, err := c.GetOrFetch(context.Background(), "f", sts[1], dst,
+	_, _, err := c.GetOrFetch(context.Background(), "f", sts[1], dst, nil,
 		func(_ context.Context, out []byte) error {
 			if !same(out, first) || !bytes.Equal(out, bytes.Repeat([]byte{0xFF}, recycleSize)) {
 				t.Error("the flight was not handed the poisoned spare")

@@ -29,7 +29,7 @@ func TestGetOrFetchCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			dst := make([]byte, size)
-			_, co, err := c.GetOrFetch(context.Background(), "f", 3, dst,
+			_, co, err := c.GetOrFetch(context.Background(), "f", 3, dst, nil,
 				func(ctx context.Context, out []byte) error {
 					fetches.Add(1)
 					<-release // hold the flight open until all goroutines join
@@ -71,7 +71,7 @@ func TestGetOrFetchCoalesces(t *testing.T) {
 	}
 	// The flight's result was inserted: the next read is a plain hit.
 	dst := make([]byte, size)
-	hit, _, err := c.GetOrFetch(context.Background(), "f", 3, dst, func(context.Context, []byte) error {
+	hit, _, err := c.GetOrFetch(context.Background(), "f", 3, dst, nil, func(context.Context, []byte) error {
 		t.Fatal("fetch ran on what should be a warm hit")
 		return nil
 	})
@@ -98,7 +98,7 @@ func TestGetOrFetchErrorFansOut(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			dst := make([]byte, 1024)
-			_, _, errs[i] = c.GetOrFetch(context.Background(), "f", 0, dst,
+			_, _, errs[i] = c.GetOrFetch(context.Background(), "f", 0, dst, nil,
 				func(ctx context.Context, out []byte) error {
 					fetches.Add(1)
 					<-release
@@ -123,7 +123,7 @@ func TestGetOrFetchErrorFansOut(t *testing.T) {
 	// Nothing was cached and the flight is gone: a retry runs a new fetch.
 	var retried atomic.Bool
 	dst := make([]byte, 1024)
-	hit, _, err := c.GetOrFetch(context.Background(), "f", 0, dst,
+	hit, _, err := c.GetOrFetch(context.Background(), "f", 0, dst, nil,
 		func(ctx context.Context, out []byte) error { retried.Store(true); return nil })
 	if err != nil || hit || !retried.Load() {
 		t.Fatalf("retry after failed flight: hit=%v err=%v fetched=%v, want fresh fetch", hit, err, retried.Load())
@@ -153,7 +153,7 @@ func TestWaiterCancelDetaches(t *testing.T) {
 	aerr := make(chan error, 1)
 	go func() {
 		dst := make([]byte, size)
-		_, _, err := c.GetOrFetch(actx, "f", 0, dst,
+		_, _, err := c.GetOrFetch(actx, "f", 0, dst, nil,
 			func(ctx context.Context, out []byte) error {
 				close(started)
 				select {
@@ -172,7 +172,7 @@ func TestWaiterCancelDetaches(t *testing.T) {
 	berr := make(chan error, 1)
 	bdst := make([]byte, size)
 	go func() {
-		_, _, err := c.GetOrFetch(context.Background(), "f", 0, bdst,
+		_, _, err := c.GetOrFetch(context.Background(), "f", 0, bdst, nil,
 			func(context.Context, []byte) error {
 				t.Error("second fetch started; B did not coalesce")
 				return nil
@@ -207,9 +207,17 @@ func TestWaiterCancelDetaches(t *testing.T) {
 	}
 }
 
+// interrupter closes its channel when a flight's abort interrupts it.
+type interrupter struct {
+	once sync.Once
+	c    chan struct{}
+}
+
+func (in *interrupter) Interrupt() { in.once.Do(func() { close(in.c) }) }
+
 // TestAllWaitersGoneCancelsFetch: when every waiter abandons a flight,
-// the fetch context is cancelled so the fetch can stop hammering a dead
-// server, and the flight is retired so the next caller starts fresh.
+// the fetch is aborted so it can stop hammering a dead server, and the
+// flight is retired so the next caller starts fresh.
 func TestAllWaitersGoneCancelsFetch(t *testing.T) {
 	c := New(1 << 20)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -217,12 +225,16 @@ func TestAllWaitersGoneCancelsFetch(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		dst := make([]byte, 1024)
-		_, _, err := c.GetOrFetch(ctx, "f", 0, dst,
+		_, _, err := c.GetOrFetch(ctx, "f", 0, dst, nil,
 			func(fctx context.Context, out []byte) error {
+				f := FlightOf(fctx)
+				in := &interrupter{c: make(chan struct{})}
+				f.Arm(in)
 				close(started)
-				<-fctx.Done() // simulate a blackholed fetch that only aborts via ctx
-				fetchDone <- fctx.Err()
-				return fctx.Err()
+				<-in.c // simulate a blackholed fetch that only stops when aborted
+				f.Disarm()
+				fetchDone <- context.Canceled
+				return context.Canceled
 			})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("abandoning waiter got %v", err)
@@ -233,14 +245,14 @@ func TestAllWaitersGoneCancelsFetch(t *testing.T) {
 	select {
 	case <-fetchDone:
 	case <-time.After(2 * time.Second):
-		t.Fatal("fetch context not cancelled after the last waiter left")
+		t.Fatal("fetch not aborted after the last waiter left")
 	}
 	// The poisoned flight must be gone: a new caller runs a fresh fetch.
 	var fresh atomic.Bool
 	deadline := time.Now().Add(2 * time.Second)
 	for !fresh.Load() && time.Now().Before(deadline) {
 		dst := make([]byte, 1024)
-		c.GetOrFetch(context.Background(), "f", 0, dst,
+		c.GetOrFetch(context.Background(), "f", 0, dst, nil,
 			func(context.Context, []byte) error { fresh.Store(true); return nil })
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -275,7 +287,7 @@ func TestGetOrFetchInvalidationConcurrent(t *testing.T) {
 			defer wg.Done()
 			dst := make([]byte, 256)
 			for i := 0; i < 200; i++ {
-				c.GetOrFetch(context.Background(), "f", i%3, dst,
+				c.GetOrFetch(context.Background(), "f", i%3, dst, nil,
 					func(ctx context.Context, out []byte) error {
 						copy(out, fill(len(out), 1))
 						return nil

@@ -43,7 +43,10 @@ import (
 // for construction details; all methods are documented on the type.
 type Code = icarousel.Code
 
-// ReadPlan describes how a Carousel full-file read is served.
+// ReadPlan describes how a Carousel full-file read is served: its fetch
+// list (the Direct blocks' data prefixes plus the Ranges), the scheme that
+// list follows (Mode), and the solve that completes the read (Solve, or
+// ReadInto over in-memory blocks).
 type ReadPlan = icarousel.ReadPlan
 
 // Carousel error values.

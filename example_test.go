@@ -78,7 +78,8 @@ func ExampleCode_PlanRead() {
 		log.Fatal(err)
 	}
 	fmt.Printf("parallel sources: %d\n", plan.Parallelism())
-	fmt.Printf("replacement for block 3: block %d\n", plan.Replacements[3])
+	// One block lost: every range the plan fetches is on its replacement.
+	fmt.Printf("replacement for block 3: block %d\n", plan.Ranges[0].Block)
 	fmt.Printf("total bytes fetched: %d (the original data is %d)\n",
 		plan.TotalBytes, 6*blockSize)
 	// Output:

@@ -294,36 +294,6 @@ func TestDegradedReadAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanParallelismAllocs pins ReadPlan.Parallelism, which every stripe
-// fetch reads for its span, at zero allocations for the healthy plan and
-// the replacement and patch plans alike.
-func TestPlanParallelismAllocs(t *testing.T) {
-	for _, p := range []int{10, 12} {
-		code, err := carousel.New(12, 6, 10, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		avail := make([]bool, 12)
-		for i := range avail {
-			avail[i] = true
-		}
-		healthy, err := code.PlanRead(avail, benchBlock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		avail[2] = false
-		degraded, err := code.PlanRead(avail, benchBlock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, plan := range []*carousel.ReadPlan{healthy, degraded} {
-			if n := testing.AllocsPerRun(100, func() { _ = plan.Parallelism() }); n != 0 {
-				t.Errorf("p=%d: Parallelism allocates %.0f times, want 0", p, n)
-			}
-		}
-	}
-}
-
 // TestPoolCheckoutAllocs pins the checkout of a parked connection: Get
 // probes it for staleness (a MSG_PEEK through the RawConn the client kept
 // from its dial) and Put parks it again, allocating nothing — a small

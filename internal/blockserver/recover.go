@@ -455,10 +455,12 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 // d chunks each — the paper's optimal traffic in one round trip per block
 // — and every struck helper costs its stripe one spare in a later round.
 // A stripe with d chunks decodes and is committed to the newcomer's map
-// (finish) on its own goroutine while the others' rounds go on. The
-// batch's repair plans are warmed first, so no decode stalls on compiling
-// one. It returns each stripe's winning traffic and outcome, in order, and
-// each helper's winning chunks, by block index.
+// (finish) on its own goroutine while the others' rounds go on. Each
+// stripe's rotated ring is built once: the repair plan of its first d
+// entries is warmed before the first round, so no decode stalls on
+// compiling one, and the whole ring is the stripe's candidates. It
+// returns each stripe's winning traffic and outcome, in order, and each
+// helper's winning chunks, by block index.
 func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, failed int) (traffic []int, errs []error, chunks []int64) {
 	n, d := s.code.N(), s.code.D()
 	chunkSize := s.code.HelperChunkSize(s.blockSize)
@@ -467,9 +469,11 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 	defer sp.End()
 	traffic, errs, chunks = make([]int, len(stripes)), make([]error, len(stripes)), make([]int64, n)
 
+	repairs := make([]stripeRepair, len(stripes))
 	_, wsp := obs.ChildSpan(ctx, "warm")
-	for _, st := range stripes {
-		if err := s.code.WarmRepair(failed, rotatedSurvivors(n, failed, st)[:d]); err != nil {
+	for i, st := range stripes {
+		repairs[i].candidates = rotatedSurvivors(n, failed, st)
+		if err := s.code.WarmRepair(failed, repairs[i].candidates[:d]); err != nil {
 			wsp.End()
 			for i := range errs {
 				errs[i] = fmt.Errorf("repair plan warm: %w", err)
@@ -479,7 +483,6 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 	}
 	wsp.End()
 
-	repairs := make([]stripeRepair, len(stripes))
 	l := leaseLoop()
 	defer l.release()
 	slots := make([]uint32, len(stripes)*(d+1)*n)
@@ -488,7 +491,7 @@ func (s *Store) rebuildBatch(ctx context.Context, file string, stripes []int, fa
 		*r = stripeRepair{
 			stripeOp:   stripeOp{s: s, ctx: ctx, file: file, st: st},
 			job:        repairJob{file: file, ref: BlockRef{Stripe: st, Block: failed}},
-			candidates: rotatedSurvivors(n, failed, st),
+			candidates: r.candidates,
 			buf:        bufpool.Get(d * chunkSize),
 			free:       make([][]byte, d),
 			helpers:    make([]int, 0, d),

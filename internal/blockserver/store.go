@@ -1214,7 +1214,7 @@ func (rd *stripeRead) asks() (string, []ask) {
 			round = append(round, ask{block: r.Block, args: [2]uint32{uint32(r.Off), uint32(r.Len)}, buf: bufpool.Get(r.Len)})
 		}
 	}
-	return planMode(rd.plan), round
+	return rd.plan.Mode, round
 }
 
 // landed folds the round into the tally — every fetch's bytes or
@@ -1306,17 +1306,6 @@ func (rd *stripeRead) reset() {
 	*rd = stripeRead{stripeOp: stripeOp{round: round[:0]}, scratch: scratch[:0]}
 }
 
-// planMode names a plan's kind for the fetch span.
-func planMode(plan *carousel.ReadPlan) string {
-	switch {
-	case len(plan.Replacements) > 0:
-		return "replacement"
-	case len(plan.Patch) > 0:
-		return "patch"
-	}
-	return "parallel"
-}
-
 // Repair regenerates block failed of a stripe on its home server, the
 // newcomer, and reports the bytes of the helper chunks that crossed the
 // network. It is a recovery batch of one stripe (repairBatch): one rebuild
@@ -1344,23 +1333,15 @@ func (s *Store) Repair(ctx context.Context, name string, st, failed int) (traffi
 // d survivors are contacted first, so consecutive stripes walk the ring
 // instead of reusing one prefix.
 func rotatedSurvivors(n, failed, rot int) []int {
-	ring := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != failed {
-			ring = append(ring, i)
+	ring := make([]int, n-1)
+	for j := range ring {
+		i := (rot%(n-1) + n - 1 + j) % (n - 1) // the (rot+j)-th survivor, rot < 0 too
+		if i >= failed {
+			i++ // skip the failed index
 		}
+		ring[j] = i
 	}
-	if len(ring) < 2 {
-		return ring
-	}
-	r := rot % len(ring)
-	if r < 0 {
-		r += len(ring)
-	}
-	out := make([]int, 0, len(ring))
-	out = append(out, ring[r:]...)
-	out = append(out, ring[:r]...)
-	return out
+	return ring
 }
 
 // BlockRef names one block of a striped file.

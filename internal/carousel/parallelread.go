@@ -24,24 +24,17 @@ import (
 // missing block. Because the code is MDS, any k available blocks carry
 // enough independent units, so every plan moves exactly k*blockSize bytes.
 //
-// A plan is also executable: fetch the data prefix (BytesPerSource bytes
-// at offset 0) of every Direct block into its DataRange of the output,
-// fetch Ranges, and Solve fills in the rest. That is the whole read for
-// every case above, so an executor over real sockets and ParallelReadInto
-// over in-memory blocks move the same bytes and run the same solve.
+// The plan's fetch list is the Direct prefixes plus the Ranges: fetch the
+// data prefix (BytesPerSource bytes at offset 0) of every Direct block
+// into its DataRange of the output, fetch Ranges, and Solve fills in the
+// rest. That is the whole read for every case above, so the live store
+// over sockets, the simulator charging its links and ReadInto over
+// in-memory blocks move the same bytes and run the same solve.
 type ReadPlan struct {
 	// Direct lists the available data-bearing blocks whose data prefix is
-	// read verbatim.
+	// read verbatim, in ascending order.
 	Direct []int
-	// Replacements maps each missing data-bearing block to the
-	// replacement block serving its unit pattern (the paper's Section VII
-	// scheme).
-	Replacements map[int]int
-	// Patch maps block index -> extra bytes fetched beyond the data
-	// prefix when the extended parity-unit scheme is used.
-	Patch map[int]int
-	// BytesPerSource is the number of bytes fetched from every direct or
-	// replacement source (K units).
+	// BytesPerSource is the length of every Direct prefix (K units).
 	BytesPerSource int
 	// TotalBytes is the total number of bytes fetched from remote blocks:
 	// always k*blockSize.
@@ -51,6 +44,11 @@ type ReadPlan struct {
 	// units of one block coalesced into one range and ordered by block
 	// and offset. Empty when every data-bearing block is Direct.
 	Ranges []ReadRange
+	// Mode names the plan's scheme: "parallel" when every data-bearing
+	// block is Direct, "replacement" when each missing one's units come
+	// from one data-free block (the paper's Section VII scheme), "patch"
+	// when they come from parity units of any available blocks.
+	Mode string
 
 	code      *Code
 	blockSize int
@@ -104,8 +102,8 @@ func (rp *ReadPlan) Parallelism() int {
 }
 
 // PlanRead computes the read plan for the given availability vector
-// (length n) and block size. The simulator charges its transfers, the
-// live store fetches its ranges, and ParallelRead executes it in memory.
+// (length n) and block size. The live store fetches its fetch list, the
+// simulator charges and then runs it, and ReadInto executes it in memory.
 // With at least k blocks available there is always a plan, and it moves
 // exactly k*blockSize bytes; with fewer the error is ErrTooFewBlocks.
 func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
@@ -116,7 +114,7 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 		return nil, err
 	}
 	usize := blockSize / c.units
-	plan := &ReadPlan{BytesPerSource: c.kUnits * usize, TotalBytes: c.k * blockSize, code: c, blockSize: blockSize}
+	plan := &ReadPlan{Mode: "parallel", BytesPerSource: c.kUnits * usize, TotalBytes: c.k * blockSize, code: c, blockSize: blockSize}
 	var missing []int
 	have := 0
 	for i, ok := range available {
@@ -140,18 +138,10 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan.solver, plan.Mode = solver, "patch"
 	if solver.spares != nil {
-		plan.Replacements = make(map[int]int, len(missing))
-		for i, m := range missing {
-			plan.Replacements[m] = solver.spares[i]
-		}
-	} else {
-		plan.Patch = make(map[int]int)
-		for _, rr := range solver.rows {
-			plan.Patch[rr.block] += usize
-		}
+		plan.Mode = "replacement"
 	}
-	plan.solver = solver
 	plan.Ranges = make([]ReadRange, len(solver.ranges))
 	for i, r := range solver.ranges {
 		plan.Ranges[i] = ReadRange{Block: r.block, Off: r.pos * usize, Len: r.n * usize}
@@ -177,19 +167,12 @@ func (c *Code) ParallelRead(blocks [][]byte) ([]byte, error) {
 }
 
 // ParallelReadInto is ParallelRead writing into a caller-provided buffer
-// of exactly k*blockSize bytes. It executes the same plan PlanRead reports
-// for the blocks present, over memory instead of a network. Every byte of
-// out is overwritten (direct prefixes are copied, solved ranges start with
-// a full-overwrite op), so a reused or pooled buffer needs no clearing,
-// and the blocks are only read — this is what keeps the pipelined store's
-// steady-state decode allocation-free.
+// of exactly k*blockSize bytes: it plans the read for the blocks present
+// and executes the plan over them (ReadInto).
 func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 	present, size, err := lincode.Survey(blocks, c.n, c.units, true)
 	if err != nil {
 		return err
-	}
-	if len(out) != c.k*size {
-		return fmt.Errorf("carousel: output buffer holds %d bytes, want %d", len(out), c.k*size)
 	}
 	available := make([]bool, c.n)
 	for _, i := range present {
@@ -199,34 +182,63 @@ func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 	if err != nil {
 		return err
 	}
-	per := plan.BytesPerSource
-	for _, i := range plan.Direct {
+	return plan.ReadInto(blocks, out)
+}
+
+// ReadInto executes the plan over in-memory blocks into out (k*blockSize
+// bytes). blocks has length n; every block the plan reads must hold
+// blockSize bytes, the others are not touched and may be nil. Every byte
+// of out is overwritten (direct prefixes are copied, solved ranges start
+// with a full-overwrite op), so a reused or pooled buffer needs no
+// clearing, and the blocks are only read.
+func (rp *ReadPlan) ReadInto(blocks [][]byte, out []byte) error {
+	c := rp.code
+	if len(blocks) != c.n {
+		return fmt.Errorf("%w: %d blocks, want %d", ErrBlockCount, len(blocks), c.n)
+	}
+	if len(out) != c.k*rp.blockSize {
+		return fmt.Errorf("carousel: output buffer holds %d bytes, want %d", len(out), c.k*rp.blockSize)
+	}
+	short := func(b int) error {
+		return fmt.Errorf("%w: block %d holds %d bytes, the plan reads %d", ErrBlockSizeMismatch, b, len(blocks[b]), rp.blockSize)
+	}
+	for _, i := range rp.Direct {
+		if len(blocks[i]) != rp.blockSize {
+			return short(i)
+		}
+	}
+	for _, r := range rp.Ranges {
+		if len(blocks[r.Block]) != rp.blockSize {
+			return short(r.Block)
+		}
+	}
+	per := rp.BytesPerSource
+	for _, i := range rp.Direct {
 		copy(out[i*per:(i+1)*per], blocks[i][:per])
 	}
-	if len(plan.Ranges) == 0 {
+	if len(rp.Ranges) == 0 {
 		return nil
 	}
-	fetched := make([][]byte, len(plan.Ranges))
+	fetched := make([][]byte, len(rp.Ranges))
 	// The solve consumes its ranges and the caller's blocks are not ours
 	// to overwrite: it gets pooled copies.
 	total := 0
-	for _, r := range plan.Ranges {
+	for _, r := range rp.Ranges {
 		total += r.Len
 	}
 	scratch := bufpool.Get(total)
 	defer bufpool.Put(scratch)
-	for i, r := range plan.Ranges {
+	for i, r := range rp.Ranges {
 		fetched[i] = scratch[:r.Len:r.Len]
 		scratch = scratch[r.Len:]
 		copy(fetched[i], blocks[r.Block][r.Off:r.Off+r.Len])
 	}
-	return plan.Solve(fetched, out)
+	return rp.Solve(fetched, out)
 }
 
 // readSolver solves for the data units of missing data-bearing blocks from
 // a gathered set of unit equations.
 type readSolver struct {
-	missing []int
 	spares  []int // replacement blocks (nil for the extended scheme)
 	rows    []readRow
 	ranges  []unitRange    // what the rows read, coalesced; ordered by block, then position
@@ -400,7 +412,7 @@ func (c *Code) solverFromEquations(missing, spares []int, unknown []int, unknown
 		rows[i].rng, rows[i].off = len(ranges)-1, last.n
 		last.n++
 	}
-	return &readSolver{missing: missing, spares: spares, rows: rows, ranges: ranges, plan: codeplan.Compile(inv), unknown: unknown}, nil
+	return &readSolver{spares: spares, rows: rows, ranges: ranges, plan: codeplan.Compile(inv), unknown: unknown}, nil
 }
 
 // solve fills the unknown data ranges of out from the fetched ranges,

@@ -111,12 +111,10 @@ func TestRSPointIsReedSolomon(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.Direct) != tt.k-1 || len(plan.Replacements) != 1 || plan.Patch != nil {
-			t.Errorf("(%d,%d): degraded plan %+v, want %d direct and 1 replacement", tt.n, tt.k, plan, tt.k-1)
+		if len(plan.Direct) != tt.k-1 || plan.Mode != "replacement" {
+			t.Errorf("(%d,%d): degraded plan %+v (mode %q), want %d direct and 1 replacement", tt.n, tt.k, plan, plan.Mode, tt.k-1)
 		}
-		if repl, ok := plan.Replacements[0]; !ok || repl < tt.k {
-			t.Errorf("(%d,%d): block 0 is replaced by %d (present %v), want a parity block", tt.n, tt.k, repl, ok)
-		}
+		checkScheme(t, plan, tt.k) // block 0's units come from one parity block
 		if plan.TotalBytes != tt.k*blockSize {
 			t.Errorf("(%d,%d): degraded read moves %d bytes, want k blocks = %d", tt.n, tt.k, plan.TotalBytes, tt.k*blockSize)
 		}

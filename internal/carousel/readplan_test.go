@@ -30,33 +30,84 @@ func executePlan(t *testing.T, c *Code, plan *ReadPlan, blocks [][]byte, out []b
 	return took
 }
 
+// rangeBytes sums the plan's Ranges by block.
+func rangeBytes(plan *ReadPlan) map[int]int {
+	by := make(map[int]int)
+	for _, r := range plan.Ranges {
+		by[r.Block] += r.Len
+	}
+	return by
+}
+
+// checkScheme asserts the plan's scheme from its fetch list alone. A
+// parallel plan reads every data-bearing block's prefix and no range. A
+// replacement plan reads each missing data-bearing block's units from one
+// data-free block (index >= p), BytesPerSource bytes of Ranges from each.
+// A patch plan reads parity units only, so never a data prefix, and as
+// many bytes as the missing blocks' prefixes.
+func checkScheme(t *testing.T, plan *ReadPlan, p int) {
+	t.Helper()
+	missing := p - len(plan.Direct)
+	by := rangeBytes(plan)
+	switch plan.Mode {
+	case "parallel":
+		if missing != 0 || len(plan.Ranges) != 0 {
+			t.Errorf("parallel plan with %d data-bearing blocks missing and ranges %v", missing, plan.Ranges)
+		}
+	case "replacement":
+		if len(by) != missing {
+			t.Errorf("replacement plan reads ranges of %d blocks (%v) for %d missing", len(by), by, missing)
+		}
+		for b, n := range by {
+			if b < p || n != plan.BytesPerSource {
+				t.Errorf("replacement block %d serves %d bytes: want a data-free block (>= %d) serving %d", b, n, p, plan.BytesPerSource)
+			}
+		}
+	case "patch":
+		total := 0
+		for _, r := range plan.Ranges {
+			if r.Block < p && r.Off < plan.BytesPerSource {
+				t.Errorf("patch range %+v reads the data prefix of block %d", r, r.Block)
+			}
+			total += r.Len
+		}
+		if total != missing*plan.BytesPerSource {
+			t.Errorf("patch plan reads %d bytes of ranges for %d missing prefixes of %d", total, missing, plan.BytesPerSource)
+		}
+	default:
+		t.Errorf("plan mode %q", plan.Mode)
+	}
+}
+
 // TestReadPlanIsExecutable: for every plan kind PlanRead produces —
 // healthy, replacement (one and two losses), a lost spare, patch (p = n,
 // and p < n with more losses than spares) and the baseline points (p = k)
-// — fetching the Direct prefixes and the Ranges and calling Solve
+// — the plan names its scheme and its fetch list has that scheme's shape,
+// fetching the Direct prefixes and the Ranges and calling Solve
 // reproduces the data from exactly TotalBytes, the ranges are coalesced
-// and ordered, and ParallelReadInto (the same plan over memory) agrees
-// without touching its input blocks.
+// and ordered, and ReadInto and ParallelReadInto (the same plan over
+// memory) agree without touching their input blocks.
 func TestReadPlanIsExecutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, tc := range []struct {
 		name       string
 		n, k, d, p int
 		lost       []int
-		ranges     int // expected len(plan.Ranges); -1 = do not pin
+		ranges     int    // expected len(plan.Ranges); -1 = do not pin
+		mode       string // expected plan.Mode
 	}{
-		{"healthy", 12, 6, 10, 10, nil, 0},
-		{"replacement", 12, 6, 10, 10, []int{2}, 1},
-		{"replacement, wrapped units", 12, 6, 10, 10, []int{9}, -1},
-		{"two replacements", 12, 6, 10, 10, []int{0, 7}, -1},
-		{"spare lost", 12, 6, 10, 10, []int{11}, 0},
-		{"data and spare lost", 12, 6, 10, 10, []int{4, 10}, -1},
-		{"patch", 12, 6, 10, 12, []int{5}, -1},
-		{"patch, two lost", 12, 6, 10, 12, []int{0, 1}, -1},
-		{"RS point", 12, 6, 6, 6, []int{0}, 1},
-		{"MSR point", 12, 6, 10, 6, []int{3}, 1},
-		{"patch once the spares are gone", 12, 6, 10, 10, []int{0, 1, 2, 10, 11}, -1},
-		{"patch at the n-k limit", 12, 6, 10, 10, []int{0, 1, 2, 3, 4, 5}, -1},
+		{"healthy", 12, 6, 10, 10, nil, 0, "parallel"},
+		{"replacement", 12, 6, 10, 10, []int{2}, 1, "replacement"},
+		{"replacement, wrapped units", 12, 6, 10, 10, []int{9}, -1, "replacement"},
+		{"two replacements", 12, 6, 10, 10, []int{0, 7}, -1, "replacement"},
+		{"spare lost", 12, 6, 10, 10, []int{11}, 0, "parallel"},
+		{"data and spare lost", 12, 6, 10, 10, []int{4, 10}, -1, "replacement"},
+		{"patch", 12, 6, 10, 12, []int{5}, -1, "patch"},
+		{"patch, two lost", 12, 6, 10, 12, []int{0, 1}, -1, "patch"},
+		{"RS point", 12, 6, 6, 6, []int{0}, 1, "replacement"},
+		{"MSR point", 12, 6, 10, 6, []int{3}, 1, "replacement"},
+		{"patch once the spares are gone", 12, 6, 10, 10, []int{0, 1, 2, 10, 11}, -1, "patch"},
+		{"patch at the n-k limit", 12, 6, 10, 10, []int{0, 1, 2, 3, 4, 5}, -1, "patch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mustCode(t, tc.n, tc.k, tc.d, tc.p)
@@ -78,6 +129,10 @@ func TestReadPlanIsExecutable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if plan.Mode != tc.mode {
+				t.Errorf("plan mode %q, want %q", plan.Mode, tc.mode)
+			}
+			checkScheme(t, plan, tc.p)
 			if tc.ranges >= 0 && len(plan.Ranges) != tc.ranges {
 				t.Errorf("plan has %d ranges (%v), want %d", len(plan.Ranges), plan.Ranges, tc.ranges)
 			}
@@ -100,22 +155,8 @@ func TestReadPlanIsExecutable(t *testing.T) {
 				t.Fatal("executing the plan does not reproduce the data")
 			}
 			total := 0
-			for b, n := range took {
+			for _, n := range took {
 				total += n
-				want := plan.Patch[b]
-				for _, dir := range plan.Direct {
-					if dir == b {
-						want += plan.BytesPerSource
-					}
-				}
-				for _, repl := range plan.Replacements {
-					if repl == b {
-						want += plan.BytesPerSource
-					}
-				}
-				if n != want {
-					t.Errorf("block %d: the executable plan takes %d bytes, the accounting fields say %d", b, n, want)
-				}
 			}
 			if total != plan.TotalBytes || total != tc.k*size {
 				t.Errorf("the executable plan moves %d bytes, TotalBytes says %d, want k*size = %d", total, plan.TotalBytes, tc.k*size)
@@ -125,15 +166,20 @@ func TestReadPlanIsExecutable(t *testing.T) {
 			for i, b := range have {
 				before[i] = append([]byte(nil), b...)
 			}
-			out = dirty(tc.k * size)
-			if err := c.ParallelReadInto(have, out); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out, flatten(data)) {
-				t.Fatal("ParallelReadInto differs from the data")
-			}
-			if !equalBlocks(have, before) {
-				t.Error("ParallelReadInto wrote into its input blocks")
+			for name, read := range map[string]func([]byte) error{
+				"ReadInto":         func(out []byte) error { return plan.ReadInto(have, out) },
+				"ParallelReadInto": func(out []byte) error { return c.ParallelReadInto(have, out) },
+			} {
+				out = dirty(tc.k * size)
+				if err := read(out); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !bytes.Equal(out, flatten(data)) {
+					t.Fatalf("%s differs from the data", name)
+				}
+				if !equalBlocks(have, before) {
+					t.Errorf("%s wrote into its input blocks", name)
+				}
 			}
 		})
 	}
@@ -297,5 +343,97 @@ func TestDegradedSolveAllocatesNothingBlockSized(t *testing.T) {
 	run()
 	if n := testing.AllocsPerRun(20, run); n > 2 {
 		t.Errorf("a warm degraded Solve allocates %.0f times, want at most 2 small ones", n)
+	}
+}
+
+// TestReadIntoRejectsBadArguments: a wrong block count, a block the plan
+// reads that is missing or short, or a wrong output size is reported
+// before anything is written.
+func TestReadIntoRejectsBadArguments(t *testing.T) {
+	c := mustCode(t, 12, 6, 10, 10)
+	size := c.UnitsPerBlock() * 4
+	blocks, err := c.Encode(randomShards(rand.New(rand.NewSource(73)), 6, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	avail := make([]bool, 12)
+	for i := range avail {
+		avail[i] = i != 2
+	}
+	plan, err := c.PlanRead(avail, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := plan.Ranges[0].Block
+	shortened := func(b int) [][]byte {
+		have := append([][]byte(nil), blocks...)
+		have[b] = have[b][:size-1]
+		return have
+	}
+	out := dirty(6 * size)
+	for name, call := range map[string]func() error{
+		"too few blocks":      func() error { return plan.ReadInto(blocks[:11], out) },
+		"short direct block":  func() error { return plan.ReadInto(shortened(0), out) },
+		"short range block":   func() error { return plan.ReadInto(shortened(spare), out) },
+		"short output":        func() error { return plan.ReadInto(blocks, out[:len(out)-1]) },
+		"missing range block": func() error { have := shortened(spare); have[spare] = nil; return plan.ReadInto(have, out) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: ReadInto accepted it", name)
+		}
+	}
+	if !isDirty(out) {
+		t.Error("a rejected ReadInto wrote into its output")
+	}
+}
+
+// TestDegradedPlanReadAllocs pins what a warm degraded PlanRead allocates
+// at the benchmark's (12,6,10,10) with one data-bearing block lost: the
+// plan, its Direct list as append grows it, the missing list, the solver
+// memo's key and the Ranges. The fetch list is the plan's one description
+// of what it reads; no map restates it.
+func TestDegradedPlanReadAllocs(t *testing.T) {
+	c := mustCode(t, 12, 6, 10, 10)
+	size := c.UnitsPerBlock() * 64
+	avail := make([]bool, 12)
+	for i := range avail {
+		avail[i] = i != 2
+	}
+	plan := func() {
+		if _, err := c.PlanRead(avail, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan() // build and memoize the solver
+	if n := testing.AllocsPerRun(100, plan); n > 9 {
+		t.Errorf("a warm degraded PlanRead allocates %.0f times, want at most 9", n)
+	}
+}
+
+// TestPlanParallelismAllocs pins ReadPlan.Parallelism, which the
+// simulator reads for every stripe it plans, at zero allocations for the
+// healthy plan and the replacement and patch plans alike.
+func TestPlanParallelismAllocs(t *testing.T) {
+	for _, p := range []int{10, 12} {
+		c := mustCode(t, 12, 6, 10, p)
+		size := c.UnitsPerBlock() * 64
+		avail := make([]bool, 12)
+		for i := range avail {
+			avail[i] = true
+		}
+		healthy, err := c.PlanRead(avail, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avail[2] = false
+		degraded, err := c.PlanRead(avail, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range []*ReadPlan{healthy, degraded} {
+			if n := testing.AllocsPerRun(100, func() { _ = plan.Parallelism() }); n != 0 {
+				t.Errorf("p=%d: Parallelism allocates %.0f times, want 0", p, n)
+			}
+		}
 	}
 }

@@ -138,7 +138,8 @@ func (fs *FS) readReplicated(ctx context.Context, p *cluster.Proc, client *clust
 // parallel read: original data from up to p sources, replacement blocks for
 // missing ones, parity units where no spare is left. At p = k that is the
 // systematic read of the k data blocks, a lost one replaced by a parity
-// block.
+// block. Each stripe is planned once: the plan's fetch list is what the
+// links are charged, and the same plan reassembles the stripe.
 func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster.Node, f *File, s Carousel, res *ReadResult) error {
 	_, fsp := obs.StartSpan(ctx, "fetch")
 	defer fsp.End()
@@ -155,12 +156,8 @@ func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster
 	scratch := bufpool.Get(stripeBytes)
 	defer bufpool.Put(scratch)
 	for si, st := range f.stripes {
-		for i := range avail {
-			avail[i] = false
-			blocks[i] = nil
-		}
-		for i := range st.blocks {
-			avail[i] = st.available(i)
+		for i := range avail { // the plan reads only available blocks
+			avail[i], blocks[i] = st.available(i), st.blocks[i].content
 		}
 		plan, err := code.PlanRead(avail, f.blockSize)
 		if err != nil {
@@ -169,7 +166,8 @@ func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster
 		if plan.Parallelism() > res.Parallelism {
 			res.Parallelism = plan.Parallelism()
 		}
-		// Launch one stream per source in the plan.
+		// Launch one stream per source in the plan: a Direct block's
+		// prefix, and every block the Ranges read, in block order.
 		stream := func(blockIdx, bytes int) {
 			wg.Add(1)
 			src := fs.node(st.blocks[blockIdx].locations[0])
@@ -182,22 +180,18 @@ func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster
 		for _, idx := range plan.Direct {
 			stream(idx, plan.BytesPerSource)
 		}
-		for _, repl := range plan.Replacements {
-			stream(repl, plan.BytesPerSource)
-		}
-		for b, bytes := range plan.Patch {
+		for i := 0; i < len(plan.Ranges); {
+			b, bytes := plan.Ranges[i].Block, 0
+			for ; i < len(plan.Ranges) && plan.Ranges[i].Block == b; i++ {
+				bytes += plan.Ranges[i].Len
+			}
 			stream(b, bytes)
 		}
 		missingData := code.P() - len(plan.Direct)
 		decodeWork += int64(missingData) * int64(code.DataBytesPerBlock(0, f.blockSize))
-		// Reassemble with the real decoder on the in-memory blocks. Full
+		// Reassemble by running the plan over the in-memory blocks. Full
 		// stripes decode directly into their slot of the output buffer;
 		// only a short tail stripe goes through the pooled scratch.
-		for i := range st.blocks {
-			if avail[i] {
-				blocks[i] = st.blocks[i].content
-			}
-		}
 		lo := si * f.dataPerStripe
 		hi := lo + f.dataPerStripe
 		if hi > f.size {
@@ -207,7 +201,7 @@ func (fs *FS) readCarousel(ctx context.Context, p *cluster.Proc, client *cluster
 		if hi-lo == stripeBytes {
 			dst = res.Data[lo:hi]
 		}
-		if err := code.ParallelReadInto(blocks, dst); err != nil {
+		if err := plan.ReadInto(blocks, dst); err != nil {
 			return fmt.Errorf("dfs: carousel read of %s stripe %d: %w", f.name, si, err)
 		}
 		if hi-lo != stripeBytes {

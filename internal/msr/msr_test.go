@@ -105,41 +105,6 @@ func TestEncodeValidation(t *testing.T) {
 	}
 }
 
-func TestDecodeFromEveryKSubset(t *testing.T) {
-	for _, cfg := range configs {
-		if cfg.n > 8 {
-			continue // exhaustive only for small n
-		}
-		c := mustCode(t, cfg.n, cfg.k, cfg.d)
-		rng := rand.New(rand.NewSource(2))
-		data := randomData(rng, cfg.k, c.Alpha()*8)
-		blocks, err := c.Encode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mask := 0; mask < 1<<cfg.n; mask++ {
-			if popcount(mask) != cfg.k {
-				continue
-			}
-			avail := make([][]byte, cfg.n)
-			for i := 0; i < cfg.n; i++ {
-				if mask&(1<<i) != 0 {
-					avail[i] = blocks[i]
-				}
-			}
-			got, err := c.Decode(avail)
-			if err != nil {
-				t.Fatalf("(%d,%d,%d) mask %b: %v", cfg.n, cfg.k, cfg.d, mask, err)
-			}
-			for i := range data {
-				if !bytes.Equal(got[i], data[i]) {
-					t.Fatalf("(%d,%d,%d) mask %b: block %d mismatch", cfg.n, cfg.k, cfg.d, mask, i)
-				}
-			}
-		}
-	}
-}
-
 func TestDecodeRandomSubsetsLargeConfigs(t *testing.T) {
 	for _, cfg := range configs {
 		if cfg.n <= 8 {
@@ -379,13 +344,4 @@ func TestRepairHelperVectorValidation(t *testing.T) {
 	if len(v) != c.Alpha() {
 		t.Fatalf("helper vector length %d, want alpha=%d", len(v), c.Alpha())
 	}
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		n += x & 1
-		x >>= 1
-	}
-	return n
 }

@@ -102,37 +102,6 @@ func TestEncodeInto(t *testing.T) {
 	}
 }
 
-func TestDecodeFromEveryKSubset(t *testing.T) {
-	c := mustCode(t, 6, 4)
-	rng := rand.New(rand.NewSource(3))
-	data := randomData(rng, 4, 96)
-	blocks, err := c.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Iterate over all 4-subsets of 6 blocks.
-	for mask := 0; mask < 64; mask++ {
-		if popcount(mask) != 4 {
-			continue
-		}
-		avail := make([][]byte, 6)
-		for i := 0; i < 6; i++ {
-			if mask&(1<<i) != 0 {
-				avail[i] = blocks[i]
-			}
-		}
-		got, err := c.Decode(avail)
-		if err != nil {
-			t.Fatalf("mask %06b: %v", mask, err)
-		}
-		for i := range data {
-			if !bytes.Equal(got[i], data[i]) {
-				t.Fatalf("mask %06b: data block %d mismatch", mask, i)
-			}
-		}
-	}
-}
-
 func TestDecodeFastPath(t *testing.T) {
 	c := mustCode(t, 6, 4)
 	rng := rand.New(rand.NewSource(4))
@@ -146,20 +115,6 @@ func TestDecodeFastPath(t *testing.T) {
 		if &got[i][0] != &blocks[i][0] {
 			t.Fatal("fast path should return data blocks without copying")
 		}
-	}
-}
-
-func TestDecodeTooFew(t *testing.T) {
-	c := mustCode(t, 6, 4)
-	avail := make([][]byte, 6)
-	avail[0] = make([]byte, 8)
-	avail[3] = make([]byte, 8)
-	avail[5] = make([]byte, 8)
-	if _, err := c.Decode(avail); !errors.Is(err, ErrTooFewBlocks) {
-		t.Fatalf("err = %v, want ErrTooFewBlocks", err)
-	}
-	if _, err := c.Decode(make([][]byte, 6)); !errors.Is(err, ErrTooFewBlocks) {
-		t.Fatalf("all-nil: err = %v, want ErrTooFewBlocks", err)
 	}
 }
 
@@ -307,13 +262,4 @@ func TestJoinTooShort(t *testing.T) {
 	if _, err := Join([][]byte{{1, 2}}, 5); err == nil {
 		t.Error("short join did not error")
 	}
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		n += x & 1
-		x >>= 1
-	}
-	return n
 }

@@ -95,7 +95,8 @@ recover:
 # per-name verdicts striking one stripe, a slow-everywhere cluster read
 # unhedged, a black-holed source costing one hedge per batch (and no
 # more while every client of it is out: a checkout ends at the hedge), the one read
-# plan on three executors, degraded reads and their trace, the stripe
+# plan on three executors, degraded reads and their trace, the half-open
+# probe of a peer whose down window lapsed, bounded by the hedge, the stripe
 # cache's batches of one, server spans stitched under the batch's fetch,
 # and none anywhere for a read its caller does not trace; cancellation: it
 # interrupts an exchange, and every exchange of a round through the
@@ -110,12 +111,13 @@ recover:
 # nothing in it; the rot report: every name one exchange lands rotten
 # goes back to its server in one verify exchange; and the leased stripe
 # loop, which goes back to its free list holding no pointer after a
-# healthy, a degraded, a cached and a failed read and a repair, with the
+# healthy, a degraded, a cached and a failed read and a repair of one
+# stripe and of several, with the
 # cache flights a shard takes back holding nothing. Then, ten times, a
 # cache flight's abort interrupting its round at once, and a cancelled
 # starter's stats that the flight no longer writes.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport|LeasedLoop' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport|LeasedLoop|HalfOpenProbe' ./internal/blockserver
 	$(GO) test -race -count=10 -run 'TestStoreCacheAbortInterruptsTheRound|TestStoreCacheCancelledStarterStatsStayPut' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s

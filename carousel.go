@@ -47,6 +47,8 @@ type Code = icarousel.Code
 // list (the Direct blocks' data prefixes plus the Ranges), the scheme that
 // list follows (Mode), and the solve that completes the read (Solve, or
 // ReadInto over in-memory blocks).
+// Code.PlanRead memoizes its plans: a plan is shared by every caller that
+// planned the same availability and block size, and must not be modified.
 type ReadPlan = icarousel.ReadPlan
 
 // Carousel error values.

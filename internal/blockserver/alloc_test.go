@@ -248,7 +248,12 @@ func TestPooledGetAllocs(t *testing.T) {
 // sources down and the pool's memory warm, ReadFile allocates what the
 // healthy read does — the output buffer and the per-stripe bookkeeping —
 // plus at most 2% of the file: replacement units land in pooled scratch
-// and the solve allocates nothing block-sized.
+// and the solve allocates nothing block-sized. Counted in objects, a
+// degraded stripe makes at most 2 more than a healthy one, servers
+// included: its plan is memoized, only a half-open probe builds a context,
+// and the stripe loop owns the availability and solve lists it plans and
+// solves with. It makes none more at (12,6,10,10); a fresh plan, probe
+// context and solve list per stripe made 16 more.
 //
 // Each side is the least of five warm reads (see leastAlloc). Besides the
 // unexplained 80 KB, a single read picks up a few KB when the runtime
@@ -283,15 +288,57 @@ func TestDegradedReadAllocs(t *testing.T) {
 	}
 	read() // dial, fill the pools
 	read()
-	healthy := leastAlloc(5, read)
+	healthy, healthyObjs := leastAlloc(5, read), testing.AllocsPerRun(5, read)
 	servers[2].Close()
 	read() // find the dead peer, compile the solver
 	read()
-	degraded := leastAlloc(5, read)
+	degraded, degradedObjs := leastAlloc(5, read), testing.AllocsPerRun(5, read)
 	if limit := healthy + int64(len(data))/50; degraded > limit {
 		t.Errorf("a warm degraded read of %d bytes allocates %d bytes, the healthy read %d: want at most %d (healthy + 2%%)",
 			len(data), degraded, healthy, limit)
 	}
+	if limit := healthyObjs + 2*stripes; degradedObjs > limit {
+		t.Errorf("a warm degraded read of %d stripes allocates %.0f objects, the healthy read %.0f: want at most %.0f (healthy + 2 a stripe)",
+			stripes, degradedObjs, healthyObjs, limit)
+	}
+}
+
+// TestHealthyReadAllocs pins a warm healthy read of the benchmark's 8 MiB
+// file, one batch of 32 stripes: beyond its output it allocates at most
+// 400 bytes a stripe, servers included (about 115). Each source's exchange
+// carries its block of every stripe in the loop's own name list; one
+// built fresh per exchange made it about 750.
+func TestHealthyReadAllocs(t *testing.T) {
+	code, err := carousel.New(12, 6, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startServers(t, code, code.N())
+	store, err := NewStore(code, addrs, benchBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	const stripes = 32
+	data := make([]byte, stripes*code.K()*benchBlock)
+	rand.New(rand.NewSource(89)).Read(data)
+	if _, err := store.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		got, _, err := store.ReadFile(ctx, "f", len(data))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read: err %v, identical %v", err, bytes.Equal(got, data))
+		}
+	}
+	read() // dial, fill the pools
+	read()
+	perStripe := (leastAlloc(5, read) - heapSize(len(data))) / stripes
+	if perStripe > 400 {
+		t.Errorf("a warm healthy read allocates %d bytes a stripe beyond its output, want at most 400", perStripe)
+	}
+	t.Logf("a warm healthy read: %d bytes a stripe beyond its output", perStripe)
 }
 
 // TestPoolCheckoutAllocs pins the checkout of a parked connection: Get

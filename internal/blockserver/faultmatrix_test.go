@@ -751,7 +751,7 @@ func TestPlannedDegradedRead(t *testing.T) {
 				t.Errorf("discovering read: %d of %d stripes degraded", stats.StripesFallback, stripes)
 			}
 			for _, i := range tc.down {
-				if i < tc.p && pc.store.pool.reachable(context.Background(), pc.addrs[i]) {
+				if i < tc.p && pc.store.pool.reachable(context.Background(), pc.addrs[i], time.Second) {
 					t.Errorf("server %d refused a whole retry policy and is not presumed down", i)
 				}
 			}

@@ -296,11 +296,14 @@ func (p *Pool) anyDown() bool { return p.down.Load() != 0 }
 // or a cancellation — and any successful dial clears that. While the
 // window runs the answer is no, without touching the network. Once it has
 // lapsed, the one caller whose compare-and-swap opens the next window is
-// the half-open probe: a single dial, no retries, bounded by ctx, which
-// parks the fresh connection and answers yes, or leaves the new window
-// standing; everyone else keeps hearing no. There is no background
-// goroutine: a peer nobody asks about is never dialed.
-func (p *Pool) reachable(ctx context.Context, addr string) bool {
+// the half-open probe: a single dial, no retries, bounded by ctx and by
+// within — a source that does not connect within a stripe's hedge is not
+// worth planning on — which parks the fresh connection and answers yes, or
+// leaves the new window standing; everyone else keeps hearing no. Only the
+// probe builds a context for that bound, so the question costs a caller
+// that does not dial nothing. There is no background goroutine: a peer
+// nobody asks about is never dialed.
+func (p *Pool) reachable(ctx context.Context, addr string, within time.Duration) bool {
 	pe, err := p.peer(addr)
 	if err != nil {
 		return true // closed: Get says so
@@ -325,6 +328,8 @@ func (p *Pool) reachable(ctx context.Context, addr string) bool {
 	defer p.Put(c) // parks it, or closes it if the pool was closed meanwhile
 	c.poison()
 	pe.probes.Add(1)
+	ctx, cancel := context.WithTimeout(ctx, within)
+	defer cancel()
 	_, err = c.ensure(ctx)
 	return err == nil
 }

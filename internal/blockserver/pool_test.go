@@ -345,14 +345,14 @@ func TestPoolPeerMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.anyDown() || !pool.reachable(ctx, addr) {
+	if pool.anyDown() || !pool.reachable(ctx, addr, time.Second) {
 		t.Fatal("a peer nobody has dialed is presumed down")
 	}
 	err = pool.WithClient(ctx, addr, func(c *Client) error { return c.Verify(ctx, "b") })
 	if err == nil {
 		t.Fatal("an RPC to a closed port succeeded")
 	}
-	if !pool.anyDown() || pool.reachable(ctx, addr) {
+	if !pool.anyDown() || pool.reachable(ctx, addr, time.Second) {
 		t.Fatal("a peer that refused a whole retry policy is not presumed down")
 	}
 	if n := pe.probes.Load(); n != 0 {
@@ -367,7 +367,7 @@ func TestPoolPeerMemory(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if pool.reachable(ctx, addr) {
+				if pool.reachable(ctx, addr, time.Second) {
 					n.Add(1)
 				}
 			}()
@@ -400,14 +400,14 @@ func TestPoolPeerMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	if pool.reachable(ctx, addr) {
+	if pool.reachable(ctx, addr, time.Second) {
 		t.Error("inside the window the returned peer is already reachable: somebody dialed")
 	}
 	pe.downUntil.Store(time.Now().Add(-time.Millisecond).UnixNano())
 	if yes := ask(); yes < 1 {
 		t.Error("nobody was told the returned peer is reachable")
 	}
-	if pool.anyDown() || !pool.reachable(ctx, addr) {
+	if pool.anyDown() || !pool.reachable(ctx, addr, time.Second) {
 		t.Error("a successful probe did not clear the mark")
 	}
 	if n, d := pe.probes.Load(), pool.DialCounts()[addr]; n != 2 || d != 1 {
@@ -491,7 +491,71 @@ func TestPoolPeerMemoryLearnsFromDialsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pool.down.Load() != 1 || !pool.reachable(ctx, addr) {
+	if pool.down.Load() != 1 || !pool.reachable(ctx, addr, time.Second) {
 		t.Fatal("a successful dial did not clear the mark")
+	}
+}
+
+// TestHalfOpenProbeIsHedged: the half-open probe of a peer whose down
+// window has lapsed is bounded by the store's hedge. The peer's dial
+// blocks until its context ends, so a probe without that bound would hold
+// a degraded read until the read's own context ended; with it, the read
+// plans around the peer and returns within the hedge plus slack.
+func TestHalfOpenProbeIsHedged(t *testing.T) {
+	code := mustCode(t)
+	_, addrs := startServers(t, code, code.N())
+	block := 64 * code.BlockAlign()
+	writer, err := NewStore(code, addrs, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	data := make([]byte, 4*code.K()*block)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := writer.WriteFile(ctx, "f", data); err != nil {
+		t.Fatal(err)
+	}
+
+	silent := addrs[2]
+	opts := fastOpts()
+	opts.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		if addr == silent {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	const hedge = 100 * time.Millisecond
+	store, err := NewStore(code, addrs, block, withPool(t, opts), WithHedgeDelay(hedge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	pe, err := store.pool.peer(silent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe.unreachable()
+	pe.downUntil.Store(time.Now().Add(-time.Millisecond).UnixNano()) // the window has lapsed
+
+	t0 := time.Now()
+	got, stats, err := store.ReadFile(ctx, "f", len(data))
+	elapsed := time.Since(t0)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("degraded read: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+	if n := pe.probes.Load(); n != 1 {
+		t.Errorf("%d probe dials, want 1", n)
+	}
+	if stats.StripesFallback != 4 {
+		t.Errorf("%d of 4 stripes planned around the silent peer", stats.StripesFallback)
+	}
+	if limit := hedge + time.Second; elapsed > limit {
+		t.Errorf("the read took %v with a silent peer's probe: want at most %v, the hedge plus slack", elapsed, limit)
 	}
 }

@@ -247,8 +247,9 @@ func TestBatchScratchRetainsNothing(t *testing.T) {
 // (batchLoop) back to the free list holding no pointer — to a caller's
 // output, tally, flight, context or spans, a pooled buffer, a verdict, an
 // exchange's error or a stripe's — after each kind of batch: a healthy
-// batched read, a degraded read, a repair, whose batch the newcomer runs,
-// a cached miss, a cached read that fails, and a read that fails. A cache
+// batched read, a degraded read, a repair of one stripe and one of every
+// stripe, whose batches the newcomer runs, a cached miss, a cached read
+// that fails, and a read that fails. A cache
 // flight a shard takes back for its next miss (stripecache's free list of
 // flights) holds nothing at all but the run func it was bound with: no
 // result, entry, tally, abort, fetch, key or context, checked by content
@@ -295,6 +296,14 @@ func TestLeasedLoopRetainsNothing(t *testing.T) {
 		}},
 		{"a repair", func() error {
 			_, err := pc.store.Repair(ctx, "f", 0, 0)
+			return err
+		}},
+		{"a batched repair", func() error { // its helpers' exchanges carry several names
+			jobs := make([]repairJob, pc.stripes)
+			for st := range jobs {
+				jobs[st] = repairJob{file: "f", ref: BlockRef{Stripe: st, Block: 0}}
+			}
+			_, _, _, err := pc.store.repairMany(ctx, jobs, nil)
 			return err
 		}},
 		{"a cached miss", func() error {
@@ -389,17 +398,20 @@ func takeLeases(t *testing.T, after string) (used int) {
 }
 
 // leaseOwned names the slices a lease owns, whose capacity it keeps: the
-// loop's, each stripe read's asks and scratch, and its round hook's
-// connection list. Any other slice a lease holds is borrowed — a caller's
-// output, a pooled buffer, a stripe's strikes — and must be nil.
-var leaseOwned = map[string]bool{"reads": true, "tasks": true, "errs": true, "active": true, "exs": true, "starts": true, "round": true, "scratch": true, "conns": true}
+// loop's, its availability and its exchanges' name lists (names,
+// destinations, verdicts and records), each stripe read's asks, scratch
+// and solve list, and its round hook's connection list. Any other slice a
+// lease holds is borrowed — a caller's output, a pooled buffer, a stripe's
+// strikes — and must be nil.
+var leaseOwned = map[string]bool{"reads": true, "tasks": true, "errs": true, "active": true, "avail": true, "exs": true, "lists": true, "names": true, "bufs": true, "verdicts": true, "recs": true, "starts": true, "round": true, "scratch": true, "fetched": true, "conns": true}
 
 // leaseBound names what a lease makes once for its life and keeps: the
 // loop's bound source starter and its idle round hook's done channel.
 var leaseBound = map[string]bool{"sourceNext": true, "done": true}
 
 // heldPointers lists the path of every pointer set below v: a pointer,
-// interface, map, channel, function, non-empty string or borrowed slice.
+// interface, map, channel, function, non-empty string or borrowed slice —
+// a slice field the lease does not own, or a slice held in one it does.
 // It looks into each slice the lease owns up to its capacity, and into the
 // round hook a lease keeps for its next round.
 func heldPointers(v reflect.Value, path string) (held []string) {
@@ -425,7 +437,14 @@ func heldPointers(v reflect.Value, path string) (held []string) {
 	case reflect.Slice:
 		all := v.Slice3(0, v.Cap(), v.Cap())
 		for i := range all.Len() {
-			held = append(held, heldPointers(all.Index(i), fmt.Sprintf("%s[%d]", path, i))...)
+			e, at := all.Index(i), fmt.Sprintf("%s[%d]", path, i)
+			if e.Kind() == reflect.Slice { // a buffer or a record in an owned list is borrowed
+				if !e.IsNil() {
+					held = append(held, at)
+				}
+				continue
+			}
+			held = append(held, heldPointers(e, at)...)
 		}
 	case reflect.Pointer:
 		switch {

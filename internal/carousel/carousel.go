@@ -94,8 +94,8 @@ type Code struct {
 
 	base *msr.Code // repair machinery for d > k; nil when d == k
 
-	// readSolvers: missing data-bearing blocks + availability -> solver.
-	readSolvers lincode.Memo[*readSolver]
+	// readPlans: availability + block size -> read plan, with its solver.
+	readPlans lincode.Memo[*ReadPlan]
 }
 
 // New constructs an (n, k, d, p) Carousel code.

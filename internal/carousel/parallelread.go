@@ -1,6 +1,7 @@
 package carousel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,6 +31,10 @@ import (
 // rest. That is the whole read for every case above, so the live store
 // over sockets, the simulator charging its links and ReadInto over
 // in-memory blocks move the same bytes and run the same solve.
+//
+// PlanRead memoizes its plans, so a plan is shared by every caller that
+// planned the same availability and block size: it is read-only, and must
+// not be modified.
 type ReadPlan struct {
 	// Direct lists the available data-bearing blocks whose data prefix is
 	// read verbatim, in ascending order.
@@ -101,11 +106,16 @@ func (rp *ReadPlan) Parallelism() int {
 	return n
 }
 
-// PlanRead computes the read plan for the given availability vector
+// PlanRead returns the read plan for the given availability vector
 // (length n) and block size. The live store fetches its fetch list, the
 // simulator charges and then runs it, and ReadInto executes it in memory.
 // With at least k blocks available there is always a plan, and it moves
 // exactly k*blockSize bytes; with fewer the error is ErrTooFewBlocks.
+//
+// Plans are memoized per (availability, block size): the first call for a
+// pair builds the plan and its solver, and every later one returns the
+// same plan, allocating nothing. A plan is shared and read-only; callers
+// must not modify it. A call that fails is not memoized.
 func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 	if len(available) != c.n {
 		return nil, fmt.Errorf("%w: availability vector has %d entries, want %d", ErrBlockCount, len(available), c.n)
@@ -113,28 +123,46 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 	if err := lincode.CheckSize(blockSize, c.units); err != nil {
 		return nil, err
 	}
-	usize := blockSize / c.units
-	plan := &ReadPlan{Mode: "parallel", BytesPerSource: c.kUnits * usize, TotalBytes: c.k * blockSize, code: c, blockSize: blockSize}
-	var missing []int
-	have := 0
+	// The key: the availability bits (at most 32 bytes: n <= 256), then
+	// the block size.
+	var buf [48]byte
+	key, bits, have := buf[:0], byte(0), 0
 	for i, ok := range available {
-		switch {
-		case ok:
+		if ok {
 			have++
-			if i < c.p {
-				plan.Direct = append(plan.Direct, i)
-			}
-		case i < c.p:
-			missing = append(missing, i)
+			bits |= 1 << (i % 8)
+		}
+		if i%8 == 7 || i == c.n-1 {
+			key, bits = append(key, bits), 0
 		}
 	}
 	if have < c.k {
 		return nil, fmt.Errorf("%w: %d available, need %d", ErrTooFewBlocks, have, c.k)
 	}
+	key = binary.BigEndian.AppendUint64(key, uint64(blockSize))
+	return c.readPlans.Get(key, func() (*ReadPlan, error) {
+		return c.buildReadPlan(available, blockSize)
+	})
+}
+
+// buildReadPlan builds the plan PlanRead memoizes: every available
+// data-bearing block Direct, and for the missing ones, if any, their
+// solver and the ranges it reads.
+func (c *Code) buildReadPlan(available []bool, blockSize int) (*ReadPlan, error) {
+	usize := blockSize / c.units
+	plan := &ReadPlan{Mode: "parallel", Direct: make([]int, 0, c.p), BytesPerSource: c.kUnits * usize, TotalBytes: c.k * blockSize, code: c, blockSize: blockSize}
+	var missing []int
+	for i, ok := range available[:c.p] {
+		if ok {
+			plan.Direct = append(plan.Direct, i)
+		} else {
+			missing = append(missing, i)
+		}
+	}
 	if len(missing) == 0 {
 		return plan, nil
 	}
-	solver, err := c.degradedSolver(missing, available)
+	solver, err := c.buildDegradedSolver(missing, available)
 	if err != nil {
 		return nil, err
 	}
@@ -276,27 +304,9 @@ type colCoef struct {
 	coef byte
 }
 
-// degradedSolver returns the memoized solver for the given missing
+// buildDegradedSolver builds the solver for the given missing
 // data-bearing blocks: the paper's replacement-block scheme when spare
 // blocks without data exist, the parity-unit extension otherwise.
-func (c *Code) degradedSolver(missing []int, available []bool) (*readSolver, error) {
-	key := lincode.AppendIndices(make([]byte, 0, len(missing)+1+(c.n+7)/8), missing)
-	key = append(key, 0xff)
-	var bits byte
-	for i := 0; i < c.n; i++ {
-		if available[i] {
-			bits |= 1 << (i % 8)
-		}
-		if i%8 == 7 || i == c.n-1 {
-			key = append(key, bits)
-			bits = 0
-		}
-	}
-	return c.readSolvers.Get(key, func() (*readSolver, error) {
-		return c.buildDegradedSolver(missing, available)
-	})
-}
-
 func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver, error) {
 	unknown := make([]int, 0, len(missing)*c.kUnits)
 	unknownAt := make(map[int]int, len(missing)*c.kUnits)

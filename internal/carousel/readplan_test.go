@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -388,10 +389,9 @@ func TestReadIntoRejectsBadArguments(t *testing.T) {
 }
 
 // TestDegradedPlanReadAllocs pins what a warm degraded PlanRead allocates
-// at the benchmark's (12,6,10,10) with one data-bearing block lost: the
-// plan, its Direct list as append grows it, the missing list, the solver
-// memo's key and the Ranges. The fetch list is the plan's one description
-// of what it reads; no map restates it.
+// at the benchmark's (12,6,10,10) with one data-bearing block lost:
+// nothing. Its plan was memoized by the first call, and a hit builds its
+// key on the stack.
 func TestDegradedPlanReadAllocs(t *testing.T) {
 	c := mustCode(t, 12, 6, 10, 10)
 	size := c.UnitsPerBlock() * 64
@@ -404,9 +404,51 @@ func TestDegradedPlanReadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan() // build and memoize the solver
-	if n := testing.AllocsPerRun(100, plan); n > 9 {
-		t.Errorf("a warm degraded PlanRead allocates %.0f times, want at most 9", n)
+	plan() // build and memoize the plan
+	if n := testing.AllocsPerRun(100, plan); n != 0 {
+		t.Errorf("a warm degraded PlanRead allocates %.0f times, want 0", n)
+	}
+}
+
+// TestPlanReadIsMemoized: PlanRead hands every caller that plans the same
+// availability and block size the same plan, a different block size a
+// plan of its own, and an availability of fewer than k blocks
+// ErrTooFewBlocks however often it is asked.
+func TestPlanReadIsMemoized(t *testing.T) {
+	c := mustCode(t, 12, 6, 10, 10)
+	size := c.UnitsPerBlock() * 64
+	avail := make([]bool, 12)
+	for i := range avail {
+		avail[i] = i != 2
+	}
+	plan := func(avail []bool, size int) *ReadPlan {
+		t.Helper()
+		p, err := c.PlanRead(avail, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first := plan(avail, size)
+	if again := plan(slices.Clone(avail), size); again != first {
+		t.Error("two plans of one availability and block size are different plans")
+	}
+	other := plan(avail, 2*size)
+	if other == first {
+		t.Fatal("a plan for another block size is the same plan")
+	}
+	if other.TotalBytes != 2*first.TotalBytes || other.Ranges[0].Len != 2*first.Ranges[0].Len {
+		t.Errorf("a plan for twice the block size moves %d bytes in ranges of %d, want twice %d and %d",
+			other.TotalBytes, other.Ranges[0].Len, first.TotalBytes, first.Ranges[0].Len)
+	}
+	few := make([]bool, 12)
+	for i := range 5 {
+		few[i] = true
+	}
+	for range 2 {
+		if p, err := c.PlanRead(few, size); !errors.Is(err, ErrTooFewBlocks) || p != nil {
+			t.Fatalf("a plan on 5 of 12 blocks: %v, %v; want ErrTooFewBlocks", p, err)
+		}
 	}
 }
 

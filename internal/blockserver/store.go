@@ -1171,7 +1171,7 @@ func (s *Store) fetchStripe(ctx context.Context, dst []byte) error {
 // intermediary, no copy) — at the cost of one atomic load, and a healthy
 // batch is one round of p exchanges, one per source, each carrying every
 // stripe's prefix. Replacement and patch units land in pooled scratch that
-// Solve consumes. A stripe left with nothing to plan on but stragglers
+// Solve reads. A stripe left with nothing to plan on but stragglers
 // forgives them and waits for them unhedged. The batch counts its work in
 // t, and a batch that fetches for a cache flight f stops when f is
 // aborted. It returns the first stripe that failed, with its root cause.

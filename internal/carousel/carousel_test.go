@@ -424,22 +424,6 @@ func TestRepairValidation(t *testing.T) {
 	}
 }
 
-func TestEncodeValidation(t *testing.T) {
-	c := mustCode(t, 6, 3, 3, 6)
-	if _, err := c.Encode(make([][]byte, 2)); !errors.Is(err, ErrBlockCount) {
-		t.Fatalf("wrong shard count: %v", err)
-	}
-	u := c.UnitsPerBlock()
-	bad := [][]byte{make([]byte, u+1), make([]byte, u+1), make([]byte, u+1)}
-	if _, err := c.Encode(bad); !errors.Is(err, ErrBlockSizeMismatch) {
-		t.Fatalf("misaligned size: %v", err)
-	}
-	mixed := [][]byte{make([]byte, u), make([]byte, 2*u), make([]byte, u)}
-	if _, err := c.Encode(mixed); !errors.Is(err, ErrBlockSizeMismatch) {
-		t.Fatalf("mixed sizes: %v", err)
-	}
-}
-
 func TestGeneratorSparsity(t *testing.T) {
 	// The paper's encoding optimization (Fig. 5): every parity-unit row of
 	// the remapped generator is a combination of at most k*alpha chosen

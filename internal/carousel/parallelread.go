@@ -6,9 +6,7 @@ import (
 	"sort"
 	"sync"
 
-	"carousel/internal/bufpool"
 	"carousel/internal/codeplan"
-	"carousel/internal/gf256"
 	"carousel/internal/lincode"
 	"carousel/internal/matrix"
 	"carousel/internal/workpool"
@@ -67,9 +65,8 @@ type ReadRange struct {
 
 // Solve completes the read in out (k*blockSize bytes), which must already
 // hold the Direct blocks' data prefixes at their DataRange: fetched[i]
-// holds the bytes of Ranges[i], which the solve consumes: it eliminates
-// the known data from them in place. It allocates nothing in proportion to
-// the block size.
+// holds the bytes of Ranges[i], which Solve only reads. It allocates
+// nothing in proportion to the block size.
 func (rp *ReadPlan) Solve(fetched [][]byte, out []byte) error {
 	c := rp.code
 	if len(out) != c.k*rp.blockSize {
@@ -84,7 +81,7 @@ func (rp *ReadPlan) Solve(fetched [][]byte, out []byte) error {
 		}
 	}
 	if rp.solver != nil {
-		rp.solver.solve(c, fetched, out, rp.blockSize/c.units)
+		rp.solver.solve(fetched, out, rp.blockSize/c.units)
 	}
 	return nil
 }
@@ -248,32 +245,25 @@ func (rp *ReadPlan) ReadInto(blocks [][]byte, out []byte) error {
 		return nil
 	}
 	fetched := make([][]byte, len(rp.Ranges))
-	// The solve consumes its ranges and the caller's blocks are not ours
-	// to overwrite: it gets pooled copies.
-	total := 0
-	for _, r := range rp.Ranges {
-		total += r.Len
-	}
-	scratch := bufpool.Get(total)
-	defer bufpool.Put(scratch)
 	for i, r := range rp.Ranges {
-		fetched[i] = scratch[:r.Len:r.Len]
-		scratch = scratch[r.Len:]
-		copy(fetched[i], blocks[r.Block][r.Off:r.Off+r.Len])
+		fetched[i] = blocks[r.Block][r.Off : r.Off+r.Len : r.Off+r.Len]
 	}
 	return rp.Solve(fetched, out)
 }
 
 // readSolver solves for the data units of missing data-bearing blocks from
-// a gathered set of unit equations.
+// a gathered set of unit equations. The gathered units v satisfy
+// A·x = v + K·y, where x are the missing data units and y the data units
+// already in the output, so x = [A⁻¹ | A⁻¹K]·[v; y]: one compiled map.
 type readSolver struct {
 	spares  []int // replacement blocks (nil for the extended scheme)
 	rows    []readRow
 	ranges  []unitRange    // what the rows read, coalesced; ordered by block, then position
-	plan    *codeplan.Plan // compiled inverse over the unknown columns
-	unknown []int          // global data-unit columns being solved for
+	plan    *codeplan.Plan // [A⁻¹ | A⁻¹K]: the gathered units, then the known ones, to the unknown ones
+	unknown []int          // global data-unit columns being solved for (x)
+	known   []int          // global data-unit columns some gathered row uses (y)
 
-	tables sync.Pool // *solveTables, so a solve allocates no row tables
+	tables sync.Pool // *solveTables, so a solve allocates no unit tables
 }
 
 // unitRange is a run of n adjacent stored units of one block, starting at
@@ -283,25 +273,18 @@ type unitRange struct {
 }
 
 // solveTables are the unit views one solve hands its compiled plan: the
-// right-hand sides and the unknown ranges of the output.
+// gathered and the known units, and the unknown ranges of the output.
 type solveTables struct {
-	rhs, dst [][]byte
+	in, dst [][]byte
 }
 
-// readRow is one gathered equation: the generator row of a source block's
-// unit, split into its unknown-column coefficients (handled by inv) and
-// its known-column terms (subtracted into the right-hand side).
+// readRow is one gathered equation: a source block's unit and where the
+// fetched ranges hold it.
 type readRow struct {
 	block int // source block
 	unit  int // canonical unit within the block
 	rng   int // the entry of readSolver.ranges holding the unit ...
 	off   int // ... and its position within that range, in units
-	known []colCoef
-}
-
-type colCoef struct {
-	col  int // global data unit index
-	coef byte
 }
 
 // buildDegradedSolver builds the solver for the given missing
@@ -309,10 +292,8 @@ type colCoef struct {
 // blocks without data exist, the parity-unit extension otherwise.
 func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver, error) {
 	unknown := make([]int, 0, len(missing)*c.kUnits)
-	unknownAt := make(map[int]int, len(missing)*c.kUnits)
 	for _, m := range missing {
 		for j := 0; j < c.kUnits; j++ {
-			unknownAt[m*c.kUnits+j] = len(unknown)
 			unknown = append(unknown, m*c.kUnits+j)
 		}
 	}
@@ -332,7 +313,7 @@ func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver
 				eqs = append(eqs, [2]int{spares[mi], u})
 			}
 		}
-		if s, err := c.solverFromEquations(missing, spares, unknown, unknownAt, eqs); err == nil {
+		if s, err := c.solverFromEquations(missing, spares, unknown, eqs); err == nil {
 			return s, nil
 		}
 	}
@@ -369,30 +350,39 @@ func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver
 	if len(eqs) < len(unknown) {
 		return nil, fmt.Errorf("carousel: cannot gather %d independent parity units for missing %v", len(unknown), missing)
 	}
-	return c.solverFromEquations(missing, nil, unknown, unknownAt, eqs)
+	return c.solverFromEquations(missing, nil, unknown, eqs)
 }
 
-// solverFromEquations assembles and inverts the system for the given
-// (block, canonical unit) equations.
-func (c *Code) solverFromEquations(missing, spares []int, unknown []int, unknownAt map[int]int, eqs [][2]int) (*readSolver, error) {
-	a := matrix.New(len(unknown), len(unknown))
-	rows := make([]readRow, 0, len(eqs))
-	for _, eq := range eqs {
-		b, u := eq[0], eq[1]
-		genRow := c.gen.Row(b*c.units + u)
-		rr := readRow{block: b, unit: u}
-		arow := a.Row(len(rows))
-		for col, coef := range genRow {
-			if coef == 0 {
-				continue
-			}
-			if x, ok := unknownAt[col]; ok {
-				arow[x] = coef
-			} else {
-				rr.known = append(rr.known, colCoef{col: col, coef: coef})
-			}
+// solverFromEquations assembles the system for the given (block, canonical
+// unit) equations, splits each generator row into its unknown columns (A)
+// and the known columns it uses (K), and compiles [A⁻¹ | A⁻¹K].
+func (c *Code) solverFromEquations(missing, spares, unknown []int, eqs [][2]int) (*readSolver, error) {
+	used := make([]bool, c.gen.Cols()) // the known columns some gathered row uses
+	rows := make([]readRow, len(eqs))
+	for i, eq := range eqs {
+		rows[i] = readRow{block: eq[0], unit: eq[1]}
+		for col, coef := range c.gen.Row(eq[0]*c.units + eq[1]) {
+			used[col] = used[col] || coef != 0
 		}
-		rows = append(rows, rr)
+	}
+	for _, col := range unknown {
+		used[col] = false
+	}
+	var known []int
+	for col, ok := range used {
+		if ok {
+			known = append(known, col)
+		}
+	}
+	a, kn := matrix.New(len(eqs), len(unknown)), matrix.New(len(eqs), len(known))
+	for i, rr := range rows {
+		genRow := c.gen.Row(rr.block*c.units + rr.unit)
+		for x, col := range unknown {
+			a.Set(i, x, genRow[col])
+		}
+		for y, col := range known {
+			kn.Set(i, y, genRow[col])
+		}
 	}
 	inv, err := a.Inverse()
 	if err != nil {
@@ -422,30 +412,29 @@ func (c *Code) solverFromEquations(missing, spares []int, unknown []int, unknown
 		rows[i].rng, rows[i].off = len(ranges)-1, last.n
 		last.n++
 	}
-	return &readSolver{spares: spares, rows: rows, ranges: ranges, plan: codeplan.Compile(inv), unknown: unknown}, nil
+	plan := codeplan.Compile(inv.HStack(inv.Mul(kn)))
+	return &readSolver{spares: spares, rows: rows, ranges: ranges, plan: plan, unknown: unknown, known: known}, nil
 }
 
-// solve fills the unknown data ranges of out from the fetched ranges,
-// which it consumes: each gathered unit has its known-column contributions
-// (data units already present in out) eliminated in place and is then the
-// right-hand side the compiled inverse runs over.
-func (s *readSolver) solve(c *Code, fetched [][]byte, out []byte, usize int) {
+// solve fills the unknown data units of out in one run of the compiled
+// map, whose inputs are the gathered units of fetched, which it only
+// reads, followed by the known data units of out.
+func (s *readSolver) solve(fetched [][]byte, out []byte, usize int) {
 	t, _ := s.tables.Get().(*solveTables)
 	if t == nil {
-		t = &solveTables{rhs: make([][]byte, len(s.rows)), dst: make([][]byte, len(s.unknown))}
+		t = &solveTables{in: make([][]byte, len(s.rows)+len(s.known)), dst: make([][]byte, len(s.unknown))}
 	}
 	for i, rr := range s.rows {
-		val := fetched[rr.rng][rr.off*usize : (rr.off+1)*usize : (rr.off+1)*usize]
-		for _, kc := range rr.known {
-			gf256.MulAddSlice(kc.coef, out[kc.col*usize:(kc.col+1)*usize], val)
-		}
-		t.rhs[i] = val
+		t.in[i] = fetched[rr.rng][rr.off*usize : (rr.off+1)*usize : (rr.off+1)*usize]
+	}
+	for i, col := range s.known {
+		t.in[len(s.rows)+i] = out[col*usize : (col+1)*usize : (col+1)*usize]
 	}
 	for i, col := range s.unknown {
 		t.dst[i] = out[col*usize : (col+1)*usize : (col+1)*usize]
 	}
-	s.plan.RunParallel(t.rhs, t.dst, workpool.Width())
-	clear(t.rhs) // a parked table must not pin the caller's buffers
+	s.plan.RunParallel(t.in, t.dst, workpool.Width())
+	clear(t.in) // a parked table must not pin the caller's buffers
 	clear(t.dst)
 	s.tables.Put(t)
 }

@@ -159,9 +159,6 @@ func New(c *cluster.Cluster, datanodes []*cluster.Node) *FS {
 	}
 }
 
-// Datanodes returns the datanode list.
-func (fs *FS) Datanodes() []*cluster.Node { return fs.datanodes }
-
 // Stats returns a copy of the accumulated traffic counters.
 func (fs *FS) Stats() Stats { return fs.stats }
 

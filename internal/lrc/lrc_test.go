@@ -288,21 +288,6 @@ func TestReconstructionTraffic(t *testing.T) {
 	}
 }
 
-func TestEncodeValidation(t *testing.T) {
-	c := mustCode(t, 4, 2, 1)
-	if _, err := c.Encode(make([][]byte, 3)); !errors.Is(err, ErrBlockCount) {
-		t.Fatalf("short data: %v", err)
-	}
-	mixed := [][]byte{{1}, {1, 2}, {1}, {1}}
-	if _, err := c.Encode(mixed); !errors.Is(err, ErrBlockSizeMismatch) {
-		t.Fatalf("mixed sizes: %v", err)
-	}
-	empty := [][]byte{{}, {}, {}, {}}
-	if _, err := c.Encode(empty); !errors.Is(err, ErrBlockSizeMismatch) {
-		t.Fatalf("empty blocks: %v", err)
-	}
-}
-
 // Property: any failure pattern that IsDecodable accepts really decodes to
 // the original data, for a couple of shapes.
 func TestDecodableProperty(t *testing.T) {

@@ -119,18 +119,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns m * v for a column vector v given as a slice.
-func (m *Matrix) MulVec(v []byte) []byte {
-	if m.cols != len(v) {
-		panic(fmt.Sprintf("matrix: cannot multiply %dx%d by vector of length %d", m.rows, m.cols, len(v)))
-	}
-	out := make([]byte, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = gf256.DotProduct(m.Row(i), v)
-	}
-	return out
-}
-
 // SelectRows returns a new matrix formed from the given row indices, in
 // order. Indices may repeat.
 func (m *Matrix) SelectRows(idx []int) *Matrix {
@@ -144,23 +132,6 @@ func (m *Matrix) SelectRows(idx []int) *Matrix {
 	return out
 }
 
-// SelectCols returns a new matrix formed from the given column indices, in
-// order.
-func (m *Matrix) SelectCols(idx []int) *Matrix {
-	out := New(m.rows, len(idx))
-	for i := 0; i < m.rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		for j, c := range idx {
-			if c < 0 || c >= m.cols {
-				panic(fmt.Sprintf("matrix: column index %d out of range [0,%d)", c, m.cols))
-			}
-			dst[j] = src[c]
-		}
-	}
-	return out
-}
-
 // SubMatrix returns the rectangle [r0, r1) x [c0, c1) as a new matrix.
 func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
 	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 > r1 || c0 > c1 {
@@ -170,17 +141,6 @@ func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
 	for i := r0; i < r1; i++ {
 		copy(out.Row(i-r0), m.Row(i)[c0:c1])
 	}
-	return out
-}
-
-// VStack returns the vertical concatenation [m; o]. Column counts must match.
-func (m *Matrix) VStack(o *Matrix) *Matrix {
-	if m.cols != o.cols {
-		panic(fmt.Sprintf("matrix: cannot vstack %dx%d with %dx%d", m.rows, m.cols, o.rows, o.cols))
-	}
-	out := New(m.rows+o.rows, m.cols)
-	copy(out.data, m.data)
-	copy(out.data[m.rows*m.cols:], o.data)
 	return out
 }
 

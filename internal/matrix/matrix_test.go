@@ -102,20 +102,6 @@ func TestMulShapePanics(t *testing.T) {
 	New(2, 3).Mul(New(2, 3))
 }
 
-func TestMulVec(t *testing.T) {
-	m, err := NewFromSlices([][]byte{{1, 0}, {0, 1}, {1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.MulVec([]byte{5, 7})
-	want := []byte{5, 7, 5 ^ 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MulVec = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 2, 3, 5, 8, 16, 33} {
@@ -196,17 +182,6 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
-func TestSelectCols(t *testing.T) {
-	m, err := NewFromSlices([][]byte{{1, 2, 3}, {4, 5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m.SelectCols([]int{2, 0})
-	if s.At(0, 0) != 3 || s.At(0, 1) != 1 || s.At(1, 0) != 6 || s.At(1, 1) != 4 {
-		t.Fatalf("SelectCols mismatch: %v", s)
-	}
-}
-
 func TestSubMatrix(t *testing.T) {
 	m, err := NewFromSlices([][]byte{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	if err != nil {
@@ -221,10 +196,6 @@ func TestSubMatrix(t *testing.T) {
 func TestStacking(t *testing.T) {
 	a, _ := NewFromSlices([][]byte{{1, 2}})
 	b, _ := NewFromSlices([][]byte{{3, 4}})
-	v := a.VStack(b)
-	if v.Rows() != 2 || v.At(1, 0) != 3 {
-		t.Fatalf("VStack mismatch: %v", v)
-	}
 	h := a.HStack(b)
 	if h.Cols() != 4 || h.At(0, 2) != 3 {
 		t.Fatalf("HStack mismatch: %v", h)

@@ -83,28 +83,6 @@ func TestEncodeSystematic(t *testing.T) {
 	}
 }
 
-func TestEncodeValidation(t *testing.T) {
-	c := mustCode(t, 6, 3, 5)
-	if _, err := c.Encode(make([][]byte, 2)); !errors.Is(err, ErrBlockCount) {
-		t.Fatalf("short data: %v", err)
-	}
-	bad := [][]byte{make([]byte, 3), make([]byte, 3), make([]byte, 3)}
-	// 3 bytes is not a multiple of alpha=3... it is; use 4.
-	bad2 := [][]byte{make([]byte, 4), make([]byte, 4), make([]byte, 4)}
-	if _, err := c.Encode(bad2); !errors.Is(err, ErrBlockSizeMismatch) {
-		t.Fatalf("unaligned size: %v", err)
-	}
-	_ = bad
-	mixed := [][]byte{make([]byte, 3), make([]byte, 6), make([]byte, 3)}
-	if _, err := c.Encode(mixed); !errors.Is(err, ErrBlockSizeMismatch) {
-		t.Fatalf("mixed sizes: %v", err)
-	}
-	withNil := [][]byte{make([]byte, 3), nil, make([]byte, 3)}
-	if _, err := c.Encode(withNil); !errors.Is(err, ErrBlockCount) {
-		t.Fatalf("nil block: %v", err)
-	}
-}
-
 func TestDecodeRandomSubsetsLargeConfigs(t *testing.T) {
 	for _, cfg := range configs {
 		if cfg.n <= 8 {
@@ -133,16 +111,6 @@ func TestDecodeRandomSubsetsLargeConfigs(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDecodeTooFew(t *testing.T) {
-	c := mustCode(t, 6, 3, 4)
-	avail := make([][]byte, 6)
-	avail[1] = make([]byte, 8)
-	avail[4] = make([]byte, 8)
-	if _, err := c.Decode(avail); !errors.Is(err, ErrTooFewBlocks) {
-		t.Fatalf("err = %v, want ErrTooFewBlocks", err)
 	}
 }
 

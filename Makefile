@@ -31,10 +31,12 @@ race:
 # Re-run the kernel-heavy race packages with the GFNI tier disabled, so the
 # AVX2 and scalar rungs of the gf256 tier ladder get the same race coverage
 # the default (fastest) tier does, then every codec test on the scalar
-# rung alone (MulSum's MulSlice/MulAddSlice reference).
+# rung alone (MulSum's MulSlice/MulAddSlice reference). GF256_DISABLE is
+# read at package init, which go test's result cache does not key on, so
+# both lines run with -count=1: a cached result may be another tier's.
 race-tiers:
-	GF256_DISABLE=gfni $(GO) test -race ./internal/gf256 ./internal/lincode ./internal/carousel ./internal/codeplan
-	GF256_DISABLE=all $(GO) test ./internal/gf256 ./internal/codeplan ./internal/lincode ./internal/carousel
+	GF256_DISABLE=gfni $(GO) test -race -count=1 ./internal/gf256 ./internal/lincode ./internal/carousel ./internal/codeplan
+	GF256_DISABLE=all $(GO) test -count=1 ./internal/gf256 ./internal/codeplan ./internal/lincode ./internal/carousel
 
 # Exercise the fault matrix: injected stragglers, partitions, corruption,
 # and crash-mid-read over real TCP, twice, race-enabled.

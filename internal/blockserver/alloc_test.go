@@ -246,14 +246,17 @@ func TestPooledGetAllocs(t *testing.T) {
 
 // TestDegradedReadAllocs pins the planned degraded read: with one of the p
 // sources down and the pool's memory warm, ReadFile allocates what the
-// healthy read does — the output buffer and the per-stripe bookkeeping —
-// plus at most 2% of the file: replacement units land in pooled scratch
-// and the solve allocates nothing block-sized. Counted in objects, a
-// degraded stripe makes at most 2 more than a healthy one, servers
-// included: its plan is memoized, only a half-open probe builds a context,
-// and the stripe loop owns the availability and solve lists it plans and
-// solves with. It makes none more at (12,6,10,10); a fresh plan, probe
-// context and solve list per stripe made 16 more.
+// healthy read does — the output buffer and its stats — plus at most 2% of
+// the file: replacement units land in pooled scratch and the solve
+// allocates nothing block-sized. Counted in objects, a degraded read makes
+// at most 2 more than a healthy one, servers included, whose 8 stripes
+// make about 3 in all: its plan is memoized, only a half-open probe builds
+// a context, the stripe loop owns the availability and solve lists it
+// plans and solves with, each name is written straight into its request,
+// and a stripe finishes on a goroutine started from the loop's bound
+// starter. It makes about 1 more at (12,6,10,10); a fresh plan, probe
+// context and solve list per stripe made 16 more a stripe, and a block
+// name per ask and a closure per finished stripe about 10 a stripe.
 //
 // Each side is the least of five warm reads (see leastAlloc). Besides the
 // unexplained 80 KB, a single read picks up a few KB when the runtime
@@ -297,17 +300,21 @@ func TestDegradedReadAllocs(t *testing.T) {
 		t.Errorf("a warm degraded read of %d bytes allocates %d bytes, the healthy read %d: want at most %d (healthy + 2%%)",
 			len(data), degraded, healthy, limit)
 	}
-	if limit := healthyObjs + 2*stripes; degradedObjs > limit {
-		t.Errorf("a warm degraded read of %d stripes allocates %.0f objects, the healthy read %.0f: want at most %.0f (healthy + 2 a stripe)",
+	t.Logf("a warm read of %d stripes: %.0f objects healthy, %.0f degraded", stripes, healthyObjs, degradedObjs)
+	if limit := healthyObjs + 2; degradedObjs > limit {
+		t.Errorf("a warm degraded read of %d stripes allocates %.0f objects, the healthy read %.0f: want at most %.0f (healthy + 2)",
 			stripes, degradedObjs, healthyObjs, limit)
 	}
 }
 
 // TestHealthyReadAllocs pins a warm healthy read of the benchmark's 8 MiB
-// file, one batch of 32 stripes: beyond its output it allocates at most
-// 400 bytes a stripe, servers included (about 115). Each source's exchange
-// carries its block of every stripe in the loop's own name list; one
-// built fresh per exchange made it about 750.
+// file, one batch of 32 stripes: beyond its output it allocates at most 64
+// bytes a stripe, servers included (about 11: its stats). Each source's
+// exchange carries its block of every stripe in the loop's own name list,
+// the names written straight into its wire bytes, and each stripe
+// finishes on a goroutine started from the loop's bound starter; one list
+// built fresh per exchange made it about 750, and a block name per ask and
+// a closure per finished stripe about 115.
 func TestHealthyReadAllocs(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -335,8 +342,8 @@ func TestHealthyReadAllocs(t *testing.T) {
 	read() // dial, fill the pools
 	read()
 	perStripe := (leastAlloc(5, read) - heapSize(len(data))) / stripes
-	if perStripe > 400 {
-		t.Errorf("a warm healthy read allocates %d bytes a stripe beyond its output, want at most 400", perStripe)
+	if perStripe > 64 {
+		t.Errorf("a warm healthy read allocates %d bytes a stripe beyond its output, want at most 64", perStripe)
 	}
 	t.Logf("a warm healthy read: %d bytes a stripe beyond its output", perStripe)
 }
@@ -373,20 +380,24 @@ func TestPoolCheckoutAllocs(t *testing.T) {
 // TestStoreCacheMissAllocs pins the cold cached read: single-stripe
 // objects read round robin through a cache of two stripes a shard, so
 // most reads miss and each miss's flight evicts another stripe, allocate
-// at most 1.05 bytes per byte returned, and at most 16 objects a read,
-// servers included (it logs about 1.012 and 13.7). That is the output
-// buffer the caller keeps and its ReadStats, the miss's flight's done
-// channel and cache entry, and each exchange's block name — no span while
-// the caller traces nothing — and no stripe: a miss's flight fetches into
-// the buffer of a stripe the cache evicted, the flight is leased from its
-// shard's free list and has no context of its own, so its round arms the
-// flight's abort instead of registering a context.AfterFunc, the round's
-// sources start from the loop's bound starter, and the batch runs on a
-// leased loop (batchLoop), whose asks, exchanges and round hook served an
-// earlier batch. A fresh stripe per miss cost 2.15; a span tree per read,
-// a context and a hook per exchange, 1.42 and 171 objects; a stripe loop
+// at most 1.005 bytes per byte returned, and at most 3 objects a read,
+// servers included (it logs about 1.003 and 2.0). That is the output
+// buffer the caller keeps and its ReadStats — no span while the caller
+// traces nothing, no lock in the stats of a read of one batch — and no
+// stripe, entry or name: a miss's flight fetches into an entry the cache
+// retired, buffer and all, the flight is leased from its shard's free
+// list with the done channel it keeps for its life and has no context of
+// its own, so its round arms the flight's abort instead of registering a
+// context.AfterFunc, the round's sources start from the loop's bound
+// starter, each exchange's block name is written straight into the
+// client's own name list, and the batch runs on a leased loop
+// (batchLoop), whose asks, exchanges and round hook served an earlier
+// batch. A fresh stripe per miss cost 2.15; a span tree per read, a
+// context and a hook per exchange, 1.42 and 171 objects; a stripe loop
 // allocated per batch, 1.12 and 45; a flight, its cancel context, the
-// round's AfterFunc and a closure per source, 1.05 and 34.3.
+// round's AfterFunc and a closure per source, 1.05 and 34.3; a done
+// channel and an entry per miss, a block name per exchange and a lock per
+// read, 1.012 and 13.7.
 func TestStoreCacheMissAllocs(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
@@ -425,12 +436,12 @@ func TestStoreCacheMissAllocs(t *testing.T) {
 		t.Fatalf("%d hits in %d reads, want mostly misses", h, 3*objects)
 	}
 	ratio := float64(got) / float64(objects*stripe)
-	if ratio > 1.05 {
-		t.Errorf("a cold cached read allocates %.3f bytes per byte it returns, want at most 1.05", ratio)
+	if ratio > 1.005 {
+		t.Errorf("a cold cached read allocates %.4f bytes per byte it returns, want at most 1.005", ratio)
 	}
 	perRead := testing.AllocsPerRun(3, read) / objects
-	if perRead > 16 {
-		t.Errorf("a cold cached read allocates %.1f objects, want at most 16", perRead)
+	if perRead > 3 {
+		t.Errorf("a cold cached read allocates %.1f objects, want at most 3", perRead)
 	}
 	t.Logf("a cold cached read: %.3f B per byte returned, %.1f objects", ratio, perRead)
 }

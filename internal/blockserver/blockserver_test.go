@@ -95,7 +95,7 @@ func TestPutGetRangeDeleteVerify(t *testing.T) {
 		dst[i] = make([]byte, 11)
 	}
 	verdicts := make([]error, len(names))
-	err = c.do(ctx, request{op: opRange, args: [2]uint32{6, 0}, batch: &nameBatch{names: names, bufs: dst, verdicts: verdicts}})
+	err = c.do(ctx, request{op: opRange, args: [2]uint32{6, 0}, batch: &nameBatch{names: listOf(names...), bufs: dst, verdicts: verdicts}})
 	if err != nil {
 		t.Fatalf("length-0 range: %v", err)
 	}
@@ -106,11 +106,11 @@ func TestPutGetRangeDeleteVerify(t *testing.T) {
 		t.Fatalf("length-0 range landed %q", dst)
 	}
 	exchanges0 := servedExchanges(opRange)
-	if err := c.Ranges(ctx, names, 6, make([][]byte, len(names)), verdicts); err != nil || verdicts[0] != nil {
-		t.Fatalf("Ranges with zero-length destinations: %v, verdicts %v, want nil", err, verdicts)
+	if err := c.ranges(ctx, listOf(names...), 6, make([][]byte, len(names)), verdicts); err != nil || verdicts[0] != nil {
+		t.Fatalf("ranges with zero-length destinations: %v, verdicts %v, want nil", err, verdicts)
 	}
 	if n := servedExchanges(opRange) - exchanges0; n != 0 {
-		t.Fatalf("Ranges with zero-length destinations made %d range exchanges, want 0", n)
+		t.Fatalf("ranges with zero-length destinations made %d range exchanges, want 0", n)
 	}
 	if err := c.Delete(ctx, "b1"); err != nil {
 		t.Fatal(err)
@@ -399,13 +399,13 @@ func TestVerifiesAnswersPerName(t *testing.T) {
 	for i := range rec {
 		rec[i] = uint32(1000 + i)
 	}
-	if err := c.Puts(ctx, []string{"intact", "rotten"}, [][]byte{block, block}, nil, [][]uint32{rec, rec}); err != nil {
+	if err := c.puts(ctx, listOf("intact", "rotten"), [][]byte{block, block}, nil, [][]uint32{rec, rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put(ctx, "plain", block); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Puts(ctx, []string{"narrow"}, [][]byte{block}, nil, [][]uint32{rec[:3]}); err != nil {
+	if err := c.puts(ctx, listOf("narrow"), [][]byte{block}, nil, [][]uint32{rec[:3]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.CorruptBlock("rotten", 7); err != nil {
@@ -418,7 +418,7 @@ func TestVerifiesAnswersPerName(t *testing.T) {
 	}
 	verdicts := make([]error, len(names))
 	verifies0, corrupt0, tx0 := servedExchanges(opVerify), srv.corruptServes.Load(), srv.bytesTx.Load()
-	if err := c.Verifies(ctx, names, recs, verdicts); err != nil {
+	if err := c.verifies(ctx, listOf(names...), recs, verdicts); err != nil {
 		t.Fatal(err)
 	}
 	if verdicts[0] != nil || !errors.Is(verdicts[1], ErrNotFound) || !errors.Is(verdicts[2], ErrCorrupt) || verdicts[3] != nil || verdicts[4] != nil {

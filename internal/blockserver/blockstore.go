@@ -41,7 +41,9 @@ func (bs *blockStore) commit(list []byte, blocks []storedBlock) (retired int) {
 		name, list = nextName(list)
 		if b, ok := bs.blocks[string(name)]; ok {
 			delete(bs.blocks, string(name))
-			b.hold.Retire(b.data, bs.spares)
+			if b.hold.Retire() {
+				bs.spares.Give(b.data)
+			}
 			retired++
 		}
 		if i < len(blocks) {
@@ -76,8 +78,8 @@ func (bs *blockStore) pin(dst []storedBlock, list []byte) []storedBlock {
 // from the answer's scratch, which must not keep a deleted block alive.
 func (bs *blockStore) unpin(blocks []storedBlock) {
 	for _, b := range blocks {
-		if b.hold != nil {
-			b.hold.Unpin(b.data, bs.spares)
+		if b.hold != nil && b.hold.Unpin() {
+			bs.spares.Give(b.data)
 		}
 	}
 	clear(blocks)

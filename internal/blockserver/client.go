@@ -123,13 +123,13 @@ func (o Options) withDefaults() Options {
 //
 // A steady-state exchange under a context that can never be canceled is
 // allocation-free: a request is a by-value description built into a reused
-// scratch buffer and sent in a single write, a one-name read's batch is
-// the client's own, response headers land in the frame reader's scratch,
-// and answers land in the caller's memory or come from the shared buffer
-// pool (hand them back with Recycle). A cancellable context costs one
-// context.AfterFunc registration per exchange, but a Store round's
-// exchanges share one (see attempt). A Client owns no goroutine, checked
-// out or parked.
+// scratch buffer and sent in a single write, a one-name exchange's batch,
+// its name list included, is the client's own, response headers land in
+// the frame reader's scratch, and answers land in the caller's memory or
+// come from the shared buffer pool (hand them back with Recycle). A
+// cancellable context costs one context.AfterFunc registration per
+// exchange, but a Store round's exchanges share one (see attempt). A
+// Client owns no goroutine, checked out or parked.
 type Client struct {
 	addr string
 	opts Options
@@ -146,14 +146,14 @@ type Client struct {
 	iov   net.Buffers   // per-send view into arr, consumed by the write
 	parts [][]byte      // a range, chunk or verify answer's landing list: the OK names' destinations
 	crcs  []uint32      // the CRC32Cs those landed under, one per OK name
-	one   oneName       // a one-name range, chunk or verify exchange's batch
+	one   oneName       // a one-name exchange's batch
 
 	probe       func(fd uintptr) bool // peekStale's probe of raw, bound once
 	peekedStale bool                  // the probe's verdict
 
 	// rotten names the blocks whose bytes the last exchange landed unlike
 	// the CRC their server sent for them; do reports them (see report).
-	rotten []string
+	rotten nameList
 }
 
 // Dial connects to a server with default options.
@@ -355,27 +355,26 @@ type rebuildCall struct {
 	res    *RebuildResult
 }
 
-// nameBatch is a request's block names and, for a put, range, chunk or
-// verify, each name's buffer: the block a put sends, or where an OK answer
-// lands — nil for a verify, whose answers are empty. A range, chunk or
-// verify writes each name's verdict into verdicts. A put may carry its
-// blocks' CRC32Cs and stripe records; a chunk or verify request may take
-// each OK name's stripe record into recs. A one-name range or chunk batch
-// whose buffer is nil lands its answer in a pooled buffer sized by the
-// answer.
+// nameBatch is a request's block names, in their wire form, and, for a
+// put, range, chunk or verify, each name's buffer: the block a put sends,
+// or where an OK answer lands — nil for a verify, whose answers are empty.
+// A range, chunk or verify writes each name's verdict into verdicts. A put
+// may carry its blocks' CRC32Cs and stripe records; a chunk or verify
+// request may take each OK name's stripe record into recs. A one-name
+// range or chunk batch whose buffer is nil lands its answer in a pooled
+// buffer sized by the answer.
 type nameBatch struct {
-	names    []string
+	names    nameList
 	bufs     [][]byte
 	verdicts []error
 	crcs     []uint32   // a put's blocks' CRC32Cs; nil: checksum the blocks
 	recs     [][]uint32 // a put's stripe records, or where a chunk's or verify's answers' land; nil: none
 }
 
-// oneName is the client's batch for a one-name range, chunk or verify
-// exchange, over arrays of its own: such an exchange allocates no batch.
+// oneName is the client's batch for a one-name exchange, over arrays and a
+// name list of its own: such an exchange allocates no batch.
 type oneName struct {
 	b       nameBatch
-	name    [1]string
 	buf     [1][]byte
 	verdict [1]error
 	rec     [1][]uint32
@@ -383,15 +382,22 @@ type oneName struct {
 
 // oneBatch returns the client's one-name batch, empty, taking a chunk's
 // stripe record when recs is set. The caller appends a name and a buffer,
-// and zeroes c.one once it has read the outcome: a parked client keeps
-// nothing alive.
+// and empties c.one (clearOne) once it has read the outcome: a parked
+// client keeps nothing alive but its name list's bytes.
 func (c *Client) oneBatch(recs bool) *nameBatch {
 	o := &c.one
-	o.b = nameBatch{names: o.name[:0], bufs: o.buf[:0], verdicts: o.verdict[:]}
+	o.b.names.reset()
+	o.b.bufs, o.b.verdicts = o.buf[:0], o.verdict[:]
 	if recs {
 		o.b.recs = o.rec[:0]
 	}
 	return &o.b
+}
+
+// clearOne empties the client's one-name batch, keeping its name list's
+// capacity.
+func (c *Client) clearOne() {
+	c.one = oneName{b: nameBatch{names: nameList{wire: c.one.b.names.wire[:0]}}}
 }
 
 // sent is how many payload bytes the request carries: a put's blocks.
@@ -405,8 +411,12 @@ func (r *request) sent() (n int) {
 }
 
 // do runs one idempotent exchange with deadline enforcement, poisoning,
-// and retry, and accounts its bytes and outcome.
+// and retry, and accounts its bytes and outcome. A request whose name list
+// refused a name fails before anything is dialed or sent.
 func (c *Client) do(ctx context.Context, r request) error {
+	if r.batch != nil && r.batch.names.err != nil {
+		return r.batch.names.err
+	}
 	start := time.Now()
 	// When the context carries a span, its IDs ride in the request's meta
 	// so the server's spans join the caller's trace.
@@ -451,7 +461,7 @@ func (c *Client) do(ctx context.Context, r request) error {
 	if c.lat != nil {
 		c.lat.ObserveSince(start)
 	}
-	if len(c.rotten) > 0 {
+	if c.rotten.count > 0 {
 		rctx, cancel := r.bounded(ctx)
 		c.report(rctx)
 		cancel()
@@ -465,11 +475,11 @@ func (c *Client) do(ctx context.Context, r request) error {
 // can, and counts rot as a corrupt serve where it lives.
 func (c *Client) report(ctx context.Context) {
 	rotten := c.rotten
-	c.rotten = nil // the verify exchange below lands nothing
+	c.rotten = nameList{} // the verify exchange below lands nothing
 	// The verdicts change nothing: the bytes that landed were bad either way.
-	_ = c.Verifies(ctx, rotten, nil, make([]error, len(rotten)))
-	clear(rotten)
-	c.rotten = rotten[:0]
+	_ = c.verifies(ctx, rotten, nil, make([]error, rotten.count))
+	rotten.reset()
+	c.rotten = rotten
 }
 
 // attempt runs a single guarded exchange. Canceling ctx interrupts its
@@ -576,11 +586,10 @@ func (c *Client) header(r *request) error {
 	return nil
 }
 
-// meta validates the request's names and appends its meta to dst. It is
-// kept out of exchange so that the frames every RPC stacks up to its
-// socket read stay small: each put exchange runs on a fresh goroutine,
-// whose stack would otherwise outgrow its starting size and be copied per
-// call.
+// meta appends the request's meta to dst. It is kept out of exchange so
+// that the frames every RPC stacks up to its socket read stay small: each
+// put exchange runs on a fresh goroutine, whose stack would otherwise
+// outgrow its starting size and be copied per call.
 func (r *request) meta(dst []byte) ([]byte, error) {
 	if r.rb != nil {
 		dst = appendRebuild(dst, r.rb.req, r.rb.budget, r.trace, r.parent)
@@ -590,17 +599,12 @@ func (r *request) meta(dst []byte) ([]byte, error) {
 		return dst, nil
 	}
 	names, recs := r.batch.names, [][]uint32(nil)
-	for _, name := range names {
-		if len(name) == 0 || len(name) > maxNameLen {
-			return nil, fmt.Errorf("blockserver: invalid name length %d", len(name))
-		}
-	}
 	if r.op == opPut {
 		recs = r.batch.recs
 	}
 	dst = appendMeta(dst, r.op, names, r.args[:nargs(r.op)], recs, r.trace, r.parent)
 	if len(dst) > math.MaxUint16 {
-		return nil, fmt.Errorf("blockserver: %d names make a %d-byte request meta", len(names), len(dst))
+		return nil, fmt.Errorf("blockserver: %d names make a %d-byte request meta", names.count, len(dst))
 	}
 	return dst, nil
 }
@@ -643,11 +647,12 @@ func (c *Client) readResponse(r *request) error {
 // exchange on a fresh goroutine.
 func (c *Client) readVerdicts(h frame.Header, r *request) (err error) {
 	b := r.batch
-	if len(h.Meta) < len(b.names) {
+	count := b.names.count
+	if len(h.Meta) < count {
 		return badMeta(h, r, 0)
 	}
 	c.parts = c.parts[:0]
-	pooled := r.op != opVerify && len(b.names) == 1 && b.bufs[0] == nil
+	pooled := r.op != opVerify && count == 1 && b.bufs[0] == nil
 	// The scratch must not keep the caller's buffers alive once parked. A
 	// plain defer clear(c.parts) would clear the slice as it was before the
 	// appends below.
@@ -659,8 +664,8 @@ func (c *Client) readVerdicts(h frame.Header, r *request) (err error) {
 		}
 	}()
 	want := 0
-	for i, v := range h.Meta[:len(b.names)] {
-		if b.verdicts[i] = verdict(r.op, v, b.names[i]); b.verdicts[i] == nil {
+	for i, v := range h.Meta[:count] {
+		if b.verdicts[i] = verdict(r.op, v, &b.names, i); b.verdicts[i] == nil {
 			if pooled {
 				b.bufs[i] = bufpool.Get(h.Len)
 			}
@@ -670,7 +675,7 @@ func (c *Client) readVerdicts(h frame.Header, r *request) (err error) {
 			return b.verdicts[i]
 		}
 	}
-	if !entriesFit(r.op, h.Meta[len(b.names):], len(c.parts)) {
+	if !entriesFit(r.op, h.Meta[count:], len(c.parts)) {
 		return badMeta(h, r, len(c.parts))
 	}
 	if h.Len != want {
@@ -698,8 +703,8 @@ func (c *Client) readVerdicts(h frame.Header, r *request) (err error) {
 // stay small.
 func (c *Client) entries(h frame.Header, r *request) (landed int, rotten bool) {
 	b := r.batch
-	entries := h.Meta[len(b.names):]
-	for i, j := 0, 0; i < len(b.names); i++ {
+	entries := h.Meta[b.names.count:]
+	for i, j := 0, 0; i < b.names.count; i++ {
 		if b.recs != nil {
 			b.recs[i] = b.recs[i][:0]
 		}
@@ -709,9 +714,9 @@ func (c *Client) entries(h frame.Header, r *request) (landed int, rotten bool) {
 		crc, rec, rest, _ := cutEntry(r.op, entries)
 		entries = rest
 		if c.crcs[j] != crc {
-			// Reported by do; see report.
-			c.rotten = append(c.rotten, b.names[i])
-			b.verdicts[i], rotten = fmt.Errorf("%w: %s: checksum mismatch at the reader", ErrCorrupt, b.names[i]), true
+			name := b.names.at(i)
+			c.rotten.add(string(name)) // reported by do; see report
+			b.verdicts[i], rotten = fmt.Errorf("%w: %s: checksum mismatch at the reader", ErrCorrupt, name), true
 		} else {
 			landed += len(b.bufs[i])
 			for ; b.recs != nil && len(rec) > 0; rec = rec[4:] {
@@ -726,7 +731,7 @@ func (c *Client) entries(h frame.Header, r *request) (landed int, rotten bool) {
 // badMeta is the protocol violation of an answer whose meta does not hold
 // a verdict per name asked and an entry per one of its ok OK verdicts.
 func badMeta(h frame.Header, r *request, ok int) error {
-	return fmt.Errorf("blockserver: %d-byte %s answer meta for %d names, %d of them OK", len(h.Meta), opNames[r.op], len(r.batch.names), ok)
+	return fmt.Errorf("blockserver: %d-byte %s answer meta for %d names, %d of them OK", len(h.Meta), opNames[r.op], r.batch.names.count, ok)
 }
 
 // badLength is the protocol violation of an answer whose
@@ -735,46 +740,48 @@ func badLength(h frame.Header, r *request, want int) error {
 	return fmt.Errorf("blockserver: %d-byte %s answer for %d bytes of destinations", h.Len, opNames[r.op], want)
 }
 
-// verdict maps one name's verdict byte in a range, chunk or verify answer
-// onto its error.
-func verdict(op, v byte, name string) error {
+// verdict maps the verdict byte of the i-th of names in a range, chunk or
+// verify answer onto its error.
+func verdict(op, v byte, names *nameList, i int) error {
 	switch v {
 	case statusOK:
 		return nil
 	case statusNotFound:
 		return ErrNotFound
 	case statusCorrupt:
-		return fmt.Errorf("%w: %s", ErrCorrupt, name)
+		return fmt.Errorf("%w: %s", ErrCorrupt, names.at(i))
 	case statusError:
 		if op == opRange {
-			return fmt.Errorf("%w: %s: range outside the block, or its end unlike the first OK block's", ErrRemote, name)
+			return fmt.Errorf("%w: %s: range outside the block, or its end unlike the first OK block's", ErrRemote, names.at(i))
 		}
-		return fmt.Errorf("%w: %s: block size differs from the request's first block", ErrRemote, name)
+		return fmt.Errorf("%w: %s: block size differs from the request's first block", ErrRemote, names.at(i))
 	}
-	return fmt.Errorf("blockserver: unknown verdict %d for %s", v, name)
+	return fmt.Errorf("blockserver: unknown verdict %d for %s", v, names.at(i))
 }
 
-// Put stores a block under name, with no stripe record: it is Puts for one
+// Put stores a block under name, with no stripe record: it is puts for one
 // name, which checksums the block itself.
 func (c *Client) Put(ctx context.Context, name string, data []byte) error {
-	return c.Puts(ctx, []string{name}, [][]byte{data}, nil, nil)
+	c.oneBatch(false).names.add(name)
+	_, err := c.single(ctx, opPut, [2]uint32{}, data)
+	return err
 }
 
-// Puts stores, in one exchange, blocks[i] under names[i] for every i — a
-// write's blocks of a batch of stripes for one server, say. The blocks
-// must all be one size. The server stores all of them or none, so on an
-// error the caller may simply put them again. The blocks leave as they
-// are, with no copy, and the client keeps no reference to them once Puts
-// returns.
+// puts stores, in one exchange, blocks[i] under the i-th name of names for
+// every i — a write's blocks of a batch of stripes for one server, say.
+// The blocks must all be one size. The server stores all of them or none,
+// so on an error the caller may simply put them again. The blocks leave as
+// they are, with no copy, and the client keeps no reference to them once
+// puts returns.
 //
 // crcs[i], when crcs is not nil, is the CRC32C of blocks[i], which a
 // writer has from its encode: the frame's CRC is combined from them, so
-// the blocks are not read again to send them (nil: Puts checksums them).
+// the blocks are not read again to send them (nil: puts checksums them).
 // recs[i], when recs is not nil, is the stripe record stored with
 // blocks[i] — the whole-block CRC32C of every block of its stripe, fewer
 // than 256 and as many for every name — which the server sends with each
 // chunk of the block instead of verifying it first.
-func (c *Client) Puts(ctx context.Context, names []string, blocks [][]byte, crcs []uint32, recs [][]uint32) error {
+func (c *Client) puts(ctx context.Context, names nameList, blocks [][]byte, crcs []uint32, recs [][]uint32) error {
 	b := &nameBatch{names: names, bufs: blocks, crcs: crcs, recs: recs}
 	if err := b.checkPut(); err != nil {
 		return err
@@ -784,11 +791,12 @@ func (c *Client) Puts(ctx context.Context, names []string, blocks [][]byte, crcs
 
 // checkPut refuses a put whose lists differ in length, whose blocks differ
 // in size, or whose records differ in width or are too wide for the meta.
-// It is kept out of Puts so the frames a put stacks up to its socket read
+// It is kept out of puts so the frames a put stacks up to its socket read
 // stay small: each of a write's put exchanges runs on a fresh goroutine.
 func (b *nameBatch) checkPut() error {
-	if len(b.names) == 0 || len(b.bufs) != len(b.names) || b.crcs != nil && len(b.crcs) != len(b.names) || b.recs != nil && len(b.recs) != len(b.names) {
-		return fmt.Errorf("blockserver: %d names, %d blocks, %d CRCs and %d records to put", len(b.names), len(b.bufs), len(b.crcs), len(b.recs))
+	n := b.names.count
+	if n == 0 || len(b.bufs) != n || b.crcs != nil && len(b.crcs) != n || b.recs != nil && len(b.recs) != n {
+		return fmt.Errorf("blockserver: %d names, %d blocks, %d CRCs and %d records to put", n, len(b.bufs), len(b.crcs), len(b.recs))
 	}
 	for i, blk := range b.bufs {
 		if len(blk) != len(b.bufs[0]) {
@@ -810,33 +818,35 @@ func (b *nameBatch) checkPut() error {
 // one name. The returned slice is pool-backed: pass it to Recycle once
 // consumed to keep the read path allocation-free.
 func (c *Client) Get(ctx context.Context, name string) ([]byte, error) {
-	return c.single(ctx, opRange, name, [2]uint32{}, nil)
+	c.oneBatch(false).names.add(name)
+	return c.single(ctx, opRange, [2]uint32{}, nil)
 }
 
 // GetRangeInto fetches len(dst) bytes starting at off directly into dst —
 // how a parallel reader pulls only the data prefix of a Carousel block,
 // scattered straight into its slot of the decode buffer. dst is fully
 // overwritten on success; on error its contents are unspecified. It is
-// Ranges for one name.
+// ranges for one name.
 func (c *Client) GetRangeInto(ctx context.Context, name string, off int, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	_, err := c.single(ctx, opRange, name, [2]uint32{uint32(off), uint32(len(dst))}, dst)
+	c.oneBatch(false).names.add(name)
+	_, err := c.single(ctx, opRange, [2]uint32{uint32(off), uint32(len(dst))}, dst)
 	return err
 }
 
-// Ranges reads, in one exchange, the same range of several blocks — a
+// ranges reads, in one exchange, the same range of several blocks — a
 // batch of stripes' data prefixes from one source, say: len(dst[0]) bytes
-// from off of block names[i] land in dst[i], and every dst[i] must be that
-// long. verdicts[i] receives that block's verdict — nil, ErrNotFound,
-// ErrCorrupt, or ErrRemote for a range outside the block. The returned
-// error is the exchange's own (transport, timeout, or a refusal of the
-// whole request); the verdicts hold only when it is nil, and a dst whose
-// verdict is not nil holds nothing useful. Zero-length destinations read
-// nothing and return at once, every verdict nil: on the wire, a range of
-// length 0 reads to the block's end.
-func (c *Client) Ranges(ctx context.Context, names []string, off int, dst [][]byte, verdicts []error) error {
+// from off of the i-th block of names land in dst[i], and every dst[i]
+// must be that long. verdicts[i] receives that block's verdict — nil,
+// ErrNotFound, ErrCorrupt, or ErrRemote for a range outside the block.
+// The returned error is the exchange's own (transport, timeout, or a
+// refusal of the whole request); the verdicts hold only when it is nil,
+// and a dst whose verdict is not nil holds nothing useful. Zero-length
+// destinations read nothing and return at once, every verdict nil: on the
+// wire, a range of length 0 reads to the block's end.
+func (c *Client) ranges(ctx context.Context, names nameList, off int, dst [][]byte, verdicts []error) error {
 	var length int
 	for i, d := range dst {
 		if length = len(dst[0]); len(d) != length {
@@ -853,47 +863,51 @@ func (c *Client) Ranges(ctx context.Context, names []string, off int, dst [][]by
 
 // Chunk asks the server to compute its repair contribution for the failed
 // block index; only blockSize/alpha bytes come back. The returned slice is
-// pool-backed: pass it to Recycle once consumed. It is Chunks for one name,
-// dropping the block's stripe record: the server may not have verified the
-// block, so a caller that cannot check what it rebuilds asks Verify too.
+// pool-backed: pass it to Recycle once consumed. It is chunks for one
+// name, dropping the block's stripe record: the server may not have
+// verified the block, so a caller that cannot check what it rebuilds asks
+// Verify too.
 func (c *Client) Chunk(ctx context.Context, name string, helper, failed int) ([]byte, error) {
-	return c.single(ctx, opChunk, name, [2]uint32{uint32(helper), uint32(failed)}, nil)
+	c.oneBatch(false).names.add(name)
+	return c.single(ctx, opChunk, [2]uint32{uint32(helper), uint32(failed)}, nil)
 }
 
-// single runs a one-name range, chunk or verify exchange on the client's
-// own batch, whose verdict is its error. A range's or chunk's answer lands
-// in dst or, when dst is nil, in a pooled buffer sized by the answer,
-// which it returns when the verdict is OK (readVerdicts pools it again
-// otherwise).
-func (c *Client) single(ctx context.Context, op byte, name string, args [2]uint32, dst []byte) ([]byte, error) {
-	b := c.oneBatch(false)
-	b.names, b.bufs = append(b.names, name), append(b.bufs, dst)
+// single runs an exchange of the client's one-name batch, whose name the
+// caller has added (oneBatch), and whose verdict is its error: a put of
+// dst, or a delete, range, chunk or verify. A range's or chunk's answer
+// lands in dst or, when dst is nil, in a pooled buffer sized by the
+// answer, which it returns when the verdict is OK (readVerdicts pools it
+// again otherwise).
+func (c *Client) single(ctx context.Context, op byte, args [2]uint32, dst []byte) ([]byte, error) {
+	b := &c.one.b
+	b.bufs = append(b.bufs, dst)
 	err := c.do(ctx, request{op: op, args: args, batch: b})
 	buf, verdict := b.bufs[0], b.verdicts[0]
-	c.one = oneName{}
+	c.clearOne()
 	if err != nil {
 		return nil, err
 	}
 	return buf, verdict
 }
 
-// Chunks asks the server, in one exchange, for its repair contributions to
+// chunks asks the server, in one exchange, for its repair contributions to
 // several blocks that share one (helper, failed) pair and one block size:
-// the chunk of block names[i] lands in dst[i], which must be exactly the
-// chunk size, and verdicts[i] receives that block's verdict — nil,
-// ErrNotFound, ErrCorrupt, or ErrRemote for a block whose size differs from
-// the first OK one's. The returned error is the exchange's own (transport,
-// timeout, or a refusal of the whole request); the verdicts hold only when
-// it is nil, and a dst whose verdict is not nil holds nothing useful.
+// the chunk of the i-th block of names lands in dst[i], which must be
+// exactly the chunk size, and verdicts[i] receives that block's verdict —
+// nil, ErrNotFound, ErrCorrupt, or ErrRemote for a block whose size
+// differs from the first OK one's. The returned error is the exchange's
+// own (transport, timeout, or a refusal of the whole request); the
+// verdicts hold only when it is nil, and a dst whose verdict is not nil
+// holds nothing useful.
 //
 // A chunk whose block the server did not verify first comes with the
-// block's stripe record (see Puts), which lands in recs[i], reusing its
+// block's stripe record (see puts), which lands in recs[i], reusing its
 // storage; recs[i] is left empty for a chunk of a verified block and for
 // a name whose verdict is not nil. Whoever rebuilds the failed block from
 // such chunks checks it against entry failed of their records, and asks
 // their servers to Verify when it does not match. recs may be nil when the
 // caller will not.
-func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int, dst [][]byte, recs [][]uint32, verdicts []error) error {
+func (c *Client) chunks(ctx context.Context, names nameList, helper, failed int, dst [][]byte, recs [][]uint32, verdicts []error) error {
 	b := &nameBatch{names: names, bufs: dst, verdicts: verdicts, recs: recs}
 	if err := b.mismatch(); err != nil {
 		return err
@@ -903,8 +917,9 @@ func (c *Client) Chunks(ctx context.Context, names []string, helper, failed int,
 
 // mismatch is the error of a batch whose lists differ in length, or nil.
 func (b *nameBatch) mismatch() error {
-	if len(b.names) == 0 || len(b.bufs) != len(b.names) || len(b.verdicts) != len(b.names) || b.recs != nil && len(b.recs) != len(b.names) {
-		return fmt.Errorf("blockserver: %d names, %d destinations, %d record slots and %d verdict slots", len(b.names), len(b.bufs), len(b.recs), len(b.verdicts))
+	n := b.names.count
+	if n == 0 || len(b.bufs) != n || len(b.verdicts) != n || b.recs != nil && len(b.recs) != n {
+		return fmt.Errorf("blockserver: %d names, %d destinations, %d record slots and %d verdict slots", n, len(b.bufs), len(b.recs), len(b.verdicts))
 	}
 	return nil
 }
@@ -952,26 +967,29 @@ func (c *Client) readRebuild(h frame.Header, rb *rebuildCall) error {
 
 // Delete removes a block.
 func (c *Client) Delete(ctx context.Context, name string) error {
-	return c.do(ctx, request{op: opDelete, batch: &nameBatch{names: []string{name}}})
+	c.oneBatch(false).names.add(name)
+	_, err := c.single(ctx, opDelete, [2]uint32{}, nil)
+	return err
 }
 
 // Verify asks the server to re-checksum a block in place; it returns nil
 // for an intact block, ErrCorrupt for detected bit rot, ErrNotFound for a
-// missing block. It is Verifies for one name, dropping the block's stripe
+// missing block. It is verifies for one name, dropping the block's stripe
 // record.
 func (c *Client) Verify(ctx context.Context, name string) error {
-	_, err := c.single(ctx, opVerify, name, [2]uint32{}, nil)
+	c.oneBatch(false).names.add(name)
+	_, err := c.single(ctx, opVerify, [2]uint32{}, nil)
 	return err
 }
 
-// Verifies is Verify for several blocks in one exchange — a scrub's blocks
-// of a batch of stripes on one server, say: verdicts[i] receives block
-// names[i]'s verdict and recs[i] (recs may be nil), reusing its storage,
-// the stripe record an intact block was put with (see Puts), if it has one
-// of the server's code's width. The returned error is the exchange's own;
-// the verdicts hold only when it is nil.
-func (c *Client) Verifies(ctx context.Context, names []string, recs [][]uint32, verdicts []error) error {
-	b := &nameBatch{names: names, bufs: make([][]byte, len(names)), verdicts: verdicts, recs: recs}
+// verifies is Verify for several blocks in one exchange — a scrub's blocks
+// of a batch of stripes on one server, say: verdicts[i] receives the i-th
+// block of names' verdict and recs[i] (recs may be nil), reusing its
+// storage, the stripe record an intact block was put with (see puts), if
+// it has one of the server's code's width. The returned error is the
+// exchange's own; the verdicts hold only when it is nil.
+func (c *Client) verifies(ctx context.Context, names nameList, recs [][]uint32, verdicts []error) error {
+	b := &nameBatch{names: names, bufs: make([][]byte, names.count), verdicts: verdicts, recs: recs}
 	if err := b.mismatch(); err != nil {
 		return err
 	}

@@ -170,10 +170,10 @@ func TestEveryHeaderBitIsChecked(t *testing.T) {
 	for b := 0; b < 8*rangesHdr; b++ {
 		c := flipped(b)
 		dst, verdicts := [][]byte{make([]byte, n), make([]byte, n)}, make([]error, 2)
-		if err := c.Ranges(ctx, names, off, dst, verdicts); err == nil && !intact(dst, verdicts) {
+		if err := c.ranges(ctx, listOf(names...), off, dst, verdicts); err == nil && !intact(dst, verdicts) {
 			t.Fatalf("two-name range, bit %d: succeeded with other bytes or verdicts %v", b, verdicts)
 		}
-		if err := c.Ranges(ctx, names, off, dst, verdicts); err != nil || !intact(dst, verdicts) {
+		if err := c.ranges(ctx, listOf(names...), off, dst, verdicts); err != nil || !intact(dst, verdicts) {
 			t.Fatalf("two-name range, bit %d: retry: %v, verdicts %v", b, err, verdicts)
 		}
 		c.Close()
@@ -244,13 +244,13 @@ func TestEveryPutHeaderBitIsChecked(t *testing.T) {
 		c := NewClient(addr, opts)
 		fc := &flipConn{Conn: conn, bit: b}
 		c.conn, c.fr = fc, frame.NewReader(fc, maxPayload)
-		if err := c.Puts(ctx, names, blocks, crcs, recs); err == nil {
+		if err := c.puts(ctx, listOf(names...), blocks, crcs, recs); err == nil {
 			t.Errorf("bit %d: a damaged put header was acted on", b)
 		}
 		if n := held(); n != 0 {
 			t.Fatalf("bit %d: a refused put left %d blocks", b, n)
 		}
-		if err := c.Puts(ctx, names, blocks, crcs, recs); err != nil {
+		if err := c.puts(ctx, listOf(names...), blocks, crcs, recs); err != nil {
 			t.Fatalf("bit %d: retry: %v", b, err)
 		}
 		for i, name := range names {
@@ -279,9 +279,18 @@ func listFrame(op byte, meta []byte) []byte {
 	return frame.Header{Kind: op, Meta: meta}.Append(nil)
 }
 
-// nameList encodes a range or chunk request meta: count, the names, and
+// listOf is a name list of names, as a Store's lists are built.
+func listOf(names ...string) nameList {
+	var l nameList
+	for _, name := range names {
+		l.add(name)
+	}
+	return l
+}
+
+// listMeta encodes a range or chunk request meta: count, the names, and
 // the two arguments (offset and length, or helper and failed).
-func nameList(count int, names []string, arg0, arg1 uint32) []byte {
+func listMeta(count int, names []string, arg0, arg1 uint32) []byte {
 	meta := binary.BigEndian.AppendUint16(nil, uint16(count))
 	for _, n := range names {
 		meta = binary.BigEndian.AppendUint16(meta, uint16(len(n)))
@@ -305,8 +314,8 @@ func oversizedChunkRequest(align, alpha int) []byte {
 	for i := range names {
 		names[i] = "o"
 	}
-	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{"o"}, nil, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
-	return append(append(put, block...), listFrame(opChunk, nameList(count, names, helper, failed))...)
+	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, listOf("o"), nil, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
+	return append(append(put, block...), listFrame(opChunk, listMeta(count, names, helper, failed))...)
 }
 
 // TestChunkNameListsAreChecked: a chunk request's name list is refused
@@ -345,11 +354,11 @@ func TestChunkNameListsAreChecked(t *testing.T) {
 		name string
 		meta []byte
 	}{
-		{"no names", nameList(0, nil, 0, 1)},
-		{"count past the meta", nameList(3, []string{"a", "b"}, 0, 1)},
-		{"count far past the meta", nameList(math.MaxUint16, []string{"a"}, 0, 1)},
-		{"empty name", nameList(2, []string{"a", ""}, 0, 1)},
-		{"name over maxNameLen", nameList(1, []string{long}, 0, 1)},
+		{"no names", listMeta(0, nil, 0, 1)},
+		{"count past the meta", listMeta(3, []string{"a", "b"}, 0, 1)},
+		{"count far past the meta", listMeta(math.MaxUint16, []string{"a"}, 0, 1)},
+		{"empty name", listMeta(2, []string{"a", ""}, 0, 1)},
+		{"name over maxNameLen", listMeta(1, []string{long}, 0, 1)},
 	} {
 		h, alloc, err := send(listFrame(opChunk, tc.meta))
 		if !errors.Is(err, io.EOF) {
@@ -434,7 +443,7 @@ func TestChunkNameListsAreChecked(t *testing.T) {
 		dst[i] = make([]byte, len(want))
 	}
 	exchanges0 := servedExchanges(opChunk)
-	if err := c.Chunks(ctx, names, helper, failed, dst, nil, verdicts); err != nil {
+	if err := c.chunks(ctx, listOf(names...), helper, failed, dst, nil, verdicts); err != nil {
 		t.Fatalf("n−1-name chunk request: %v", err)
 	}
 	if got := servedExchanges(opChunk) - exchanges0; got != 1 {
@@ -500,11 +509,11 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 		name string
 		meta []byte
 	}{
-		{"no names", nameList(0, nil, 0, 8)},
-		{"count past the meta", nameList(3, []string{"o", "o"}, 0, 8)},
-		{"count far past the meta", nameList(math.MaxUint16, []string{"o"}, 0, 8)},
-		{"empty name", nameList(2, []string{"o", ""}, 0, 8)},
-		{"name over maxNameLen", nameList(1, []string{long}, 0, 8)},
+		{"no names", listMeta(0, nil, 0, 8)},
+		{"count past the meta", listMeta(3, []string{"o", "o"}, 0, 8)},
+		{"count far past the meta", listMeta(math.MaxUint16, []string{"o"}, 0, 8)},
+		{"empty name", listMeta(2, []string{"o", ""}, 0, 8)},
+		{"name over maxNameLen", listMeta(1, []string{long}, 0, 8)},
 	} {
 		h, alloc, err := send(listFrame(opRange, tc.meta))
 		if !errors.Is(err, io.EOF) {
@@ -516,7 +525,7 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 	}
 	// Two names of a found block, each asking for over half of maxPayload:
 	// refused whole, with no verdicts, and nothing sized from the length.
-	h, alloc, err := send(listFrame(opRange, nameList(2, []string{"o", "o"}, 0, maxPayload/2+1)))
+	h, alloc, err := send(listFrame(opRange, listMeta(2, []string{"o", "o"}, 0, maxPayload/2+1)))
 	if err != nil || h.Kind != statusError || len(h.Meta) != 0 {
 		t.Errorf("ranges over maxPayload: status %d, %d verdicts (%v), want statusError and none", h.Kind, len(h.Meta), err)
 	}
@@ -529,7 +538,7 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 	for i := range many {
 		many[i] = "o"
 	}
-	if h, _, err := send(listFrame(opRange, nameList(len(many), many, 0, 1))); err != nil || h.Kind != statusError {
+	if h, _, err := send(listFrame(opRange, listMeta(len(many), many, 0, 1))); err != nil || h.Kind != statusError {
 		t.Errorf("%d names of one %d-byte block: status %d (%v), want statusError", len(many), len(block), h.Kind, err)
 	}
 	if n := srv.corruptServes.Load() - verified0; n != 0 {
@@ -561,7 +570,7 @@ func TestRangeNameListsAreChecked(t *testing.T) {
 		dst[i] = make([]byte, length)
 	}
 	exchanges0 := servedExchanges(opRange)
-	if err := c.Ranges(ctx, names, off, dst, verdicts); err != nil {
+	if err := c.ranges(ctx, listOf(names...), off, dst, verdicts); err != nil {
 		t.Fatalf("32-name range request: %v", err)
 	}
 	if got := servedExchanges(opRange) - exchanges0; got != 1 {
@@ -710,7 +719,7 @@ func TestRetiredOpsAreUnknown(t *testing.T) {
 	if n := srvRPCCounter(0, statusError).Value() - unknown0; n != 2 {
 		t.Errorf("the server counted %d unknown ops, want 2", n)
 	}
-	h, got := exchange(opRange, appendMeta(nil, opRange, []string{"b"}, []uint32{0, 0}, nil, 0, 0))
+	h, got := exchange(opRange, appendMeta(nil, opRange, listOf("b"), []uint32{0, 0}, nil, 0, 0))
 	if h.Kind != statusOK || len(h.Meta) != 5 || h.Meta[0] != statusOK || !bytes.Equal(got, data) {
 		t.Fatalf("whole-block range after the retired ops: status %d, meta %x, %q", h.Kind, h.Meta, got)
 	}
@@ -726,10 +735,10 @@ func TestRetiredOpsAreUnknown(t *testing.T) {
 // acted on, and the block stays.
 func TestOneNameFormIsRefused(t *testing.T) {
 	block := []byte("kept")
-	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, []string{"present"}, nil, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
+	put := frame.Header{Kind: opPut, Meta: appendMeta(nil, opPut, listOf("present"), nil, nil, 0, 0), Len: len(block), CRC: Checksum(block)}.Append(nil)
 	put = append(put, block...)
 	oneName := append(binary.BigEndian.AppendUint16(nil, uint16(len("present"))), "present"...)
-	deleteList := frame.Header{Kind: opDelete, Meta: appendMeta(nil, opDelete, []string{"present"}, nil, nil, 0, 0)}.Append(nil)
+	deleteList := frame.Header{Kind: opDelete, Meta: appendMeta(nil, opDelete, listOf("present"), nil, nil, 0, 0)}.Append(nil)
 	for _, op := range []byte{opDelete, opVerify} {
 		stream := append(append(bytes.Clone(put), frame.Header{Kind: op, Meta: oneName}.Append(nil)...), deleteList...)
 		srv := NewServer(mustCode(t))
@@ -757,7 +766,7 @@ func serveConnSeeds() [][]byte {
 		return append(h.Append(nil), data...)
 	}
 	req := func(op byte, name string, args ...uint32) []byte {
-		return frame.Header{Kind: op, Meta: appendMeta(nil, op, []string{name}, args, nil, 7, 9)}.Append(nil)
+		return frame.Header{Kind: op, Meta: appendMeta(nil, op, listOf(name), args, nil, 7, 9)}.Append(nil)
 	}
 	return [][]byte{
 		put("a", []byte("hello")),

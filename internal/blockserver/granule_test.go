@@ -117,7 +117,7 @@ func TestGranuleRot(t *testing.T) {
 	}
 	const rotten = 2
 	for g := range code.UnitsPerBlock() {
-		if err := c.Puts(ctx, names, blocks, nil, nil); err != nil {
+		if err := c.puts(ctx, listOf(names...), blocks, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := srv.CorruptBlock(names[rotten], g*grain+grain/2); err != nil {
@@ -138,7 +138,7 @@ func TestGranuleRot(t *testing.T) {
 				dst[i] = make([]byte, r.length)
 			}
 			corrupt0, reports0 := srv.corruptServes.Load(), servedExchanges(opVerify)
-			if err := c.Ranges(ctx, names, r.off, dst, verdicts); err != nil {
+			if err := c.ranges(ctx, listOf(names...), r.off, dst, verdicts); err != nil {
 				t.Fatalf("granule %d, %s: %v", g, r.what, err)
 			}
 			for i := range names {
@@ -285,7 +285,7 @@ func TestGranuleServerCRCBytes(t *testing.T) {
 		for i := range dst {
 			dst[i] = dst[i][:r.length]
 		}
-		err := c.Ranges(ctx, names, r.off, dst, verdicts)
+		err := c.ranges(ctx, listOf(names...), r.off, dst, verdicts)
 		sp.End()
 		if err != nil {
 			t.Fatal(err)
@@ -361,12 +361,12 @@ func TestWholeBlockRangeIsCheckedAtTheReader(t *testing.T) {
 	if got, err := c.Get(ctx, "good"); err != nil || !bytes.Equal(got, block) {
 		t.Fatalf("Get after the rotten one: err %v", err)
 	}
-	if o := c.one; o.name[0] != "" || o.buf[0] != nil || o.verdict[0] != nil || o.b.names != nil {
-		t.Errorf("the client keeps its one-name batch after the Gets: %+v", o)
+	if holdsOneBatch(c) {
+		t.Errorf("the client keeps its one-name batch after the Gets: %+v", c.one)
 	}
 }
 
-// TestRotReportIsOneExchange: one Ranges exchange that lands two rotten
+// TestRotReportIsOneExchange: one ranges exchange that lands two rotten
 // names reports both to their server in one verify exchange (one per name
 // before), and the server counts each as one corrupt serve; the intact
 // name between them lands.
@@ -382,7 +382,7 @@ func TestRotReportIsOneExchange(t *testing.T) {
 	block := make([]byte, 256)
 	rand.New(rand.NewSource(82)).Read(block)
 	names := []string{"a", "b", "c"}
-	if err := c.Puts(ctx, names, [][]byte{block, block, block}, nil, nil); err != nil {
+	if err := c.puts(ctx, listOf(names...), [][]byte{block, block, block}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a", "c"} {
@@ -392,7 +392,7 @@ func TestRotReportIsOneExchange(t *testing.T) {
 	}
 	dst, verdicts := [][]byte{make([]byte, len(block)), make([]byte, len(block)), make([]byte, len(block))}, make([]error, 3)
 	verifies0, corrupt0 := servedExchanges(opVerify), srv.corruptServes.Load()
-	if err := c.Ranges(ctx, names, 0, dst, verdicts); err != nil {
+	if err := c.ranges(ctx, listOf(names...), 0, dst, verdicts); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(verdicts[0], ErrCorrupt) || verdicts[1] != nil || !errors.Is(verdicts[2], ErrCorrupt) || !bytes.Equal(dst[1], block) {

@@ -190,16 +190,61 @@ func nargs(op byte) int {
 	return 0
 }
 
-// appendMeta encodes a request's meta: the count of names and each,
-// length-prefixed, the op's arguments, a put's stripe records (one per
-// name, all of one width, or nil for none) and, when traceID is nonzero,
-// the trace context.
-func appendMeta(dst []byte, op byte, names []string, args []uint32, recs [][]uint32, traceID, parent uint64) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(names)))
-	for _, name := range names {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
-		dst = append(dst, name...)
+// nameList is a request's block names as they go on the wire,
+// {nameLen(2) name}×count, with their count: add and addBlock append a
+// name in place, and refuse one that is empty or over maxNameLen — err is
+// the first refusal, which fails the request before anything is sent. The
+// lists a client or a Store keeps keep their capacity, so a warm list
+// allocates nothing.
+type nameList struct {
+	wire  []byte
+	count int
+	err   error
+}
+
+// add appends name to the list.
+func (l *nameList) add(name string) {
+	l.wire = append(binary.BigEndian.AppendUint16(l.wire, uint16(len(name))), name...)
+	l.added(len(name))
+}
+
+// addBlock appends the name of block idx of a stripe of file (BlockName),
+// built in place.
+func (l *nameList) addBlock(file string, stripe, idx int) {
+	at := len(l.wire)
+	l.wire = appendBlockName(append(l.wire, 0, 0), file, stripe, idx)
+	n := len(l.wire) - at - 2
+	binary.BigEndian.PutUint16(l.wire[at:], uint16(n))
+	l.added(n)
+}
+
+// added counts a name of n bytes just appended, refusing it if it is empty
+// or over maxNameLen.
+func (l *nameList) added(n int) {
+	if l.count++; (n == 0 || n > maxNameLen) && l.err == nil {
+		l.err = fmt.Errorf("blockserver: invalid name length %d", n)
 	}
+}
+
+// at returns the i-th name of the list.
+func (l *nameList) at(i int) (name []byte) {
+	list := l.wire
+	for range i + 1 {
+		name, list = nextName(list)
+	}
+	return name
+}
+
+// reset empties the list, keeping its capacity.
+func (l *nameList) reset() { *l = nameList{wire: l.wire[:0]} }
+
+// appendMeta encodes a request's meta: the count of names and the list as
+// it is, the op's arguments, a put's stripe records (one per name, all of
+// one width, or nil for none) and, when traceID is nonzero, the trace
+// context.
+func appendMeta(dst []byte, op byte, names nameList, args []uint32, recs [][]uint32, traceID, parent uint64) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(names.count))
+	dst = append(dst, names.wire...)
 	for _, a := range args {
 		dst = binary.BigEndian.AppendUint32(dst, a)
 	}

@@ -251,9 +251,9 @@ func TestBatchScratchRetainsNothing(t *testing.T) {
 // stripe, whose batches the newcomer runs, a cached miss, a cached read
 // that fails, and a read that fails. A cache
 // flight a shard takes back for its next miss (stripecache's free list of
-// flights) holds nothing at all but the run func it was bound with: no
-// result, entry, tally, abort, fetch, key or context, checked by content
-// after every operation. The loops' free list is a sync.Pool, which
+// flights) holds nothing at all but the run func it was bound with and
+// the done channel it keeps for its life: no result, entry, tally, abort,
+// fetch, key or context, checked by content after every operation. The loops' free list is a sync.Pool, which
 // drops what it holds after two collections, so a finalizer test such as
 // TestBatchScratchRetainsNothing cannot see a lease that keeps a caller's
 // output alive; this one takes
@@ -343,8 +343,9 @@ func TestLeasedLoopRetainsNothing(t *testing.T) {
 
 // idleFlights walks, under each shard's lock, the flights c's shards keep
 // for their next misses, reports every field one has set but the run func
-// it was bound with, and every slot past the free list's length that still
-// points at a flight, and returns how many flights it walked.
+// it was bound with and its done channel, and every slot past the free
+// list's length that still points at a flight, and returns how many
+// flights it walked.
 func idleFlights(t *testing.T, c *stripecache.Cache, after string) (n int) {
 	t.Helper()
 	shards := reflect.ValueOf(c).Elem().FieldByName("shards")
@@ -364,7 +365,7 @@ func idleFlights(t *testing.T, c *stripecache.Cache, after string) (n int) {
 			n++
 			f := all.Index(j).Elem()
 			for k := range f.NumField() {
-				if name := f.Type().Field(k).Name; name != "run" && !f.Field(k).IsZero() {
+				if name := f.Type().Field(k).Name; name != "run" && name != "done" && !f.Field(k).IsZero() {
 					t.Errorf("after %s, a flight on shard %d's free list holds its %s", after, i, name)
 				}
 			}
@@ -398,16 +399,18 @@ func takeLeases(t *testing.T, after string) (used int) {
 }
 
 // leaseOwned names the slices a lease owns, whose capacity it keeps: the
-// loop's, its availability and its exchanges' name lists (names,
-// destinations, verdicts and records), each stripe read's asks, scratch
-// and solve list, and its round hook's connection list. Any other slice a
+// loop's, its availability, its finished stripes and its exchanges' name
+// lists (the names' wire bytes, destinations, verdicts and records), each
+// stripe read's asks, scratch and solve list, and its round hook's
+// connection list. Any other slice a
 // lease holds is borrowed — a caller's output, a pooled buffer, a stripe's
 // strikes — and must be nil.
-var leaseOwned = map[string]bool{"reads": true, "tasks": true, "errs": true, "active": true, "avail": true, "exs": true, "lists": true, "names": true, "bufs": true, "verdicts": true, "recs": true, "starts": true, "round": true, "scratch": true, "fetched": true, "conns": true}
+var leaseOwned = map[string]bool{"reads": true, "tasks": true, "errs": true, "active": true, "avail": true, "exs": true, "lists": true, "wire": true, "bufs": true, "verdicts": true, "recs": true, "starts": true, "finished": true, "round": true, "scratch": true, "fetched": true, "conns": true}
 
 // leaseBound names what a lease makes once for its life and keeps: the
-// loop's bound source starter and its idle round hook's done channel.
-var leaseBound = map[string]bool{"sourceNext": true, "done": true}
+// loop's bound source and finish starters and its idle round hook's done
+// channel.
+var leaseBound = map[string]bool{"sourceNext": true, "finishNext": true, "done": true}
 
 // heldPointers lists the path of every pointer set below v: a pointer,
 // interface, map, channel, function, non-empty string or borrowed slice —
@@ -626,7 +629,7 @@ func TestOneCarrierScratchIsPerClient(t *testing.T) {
 				c := <-pe.free
 				if c != nil {
 					parked[i]++
-					if c.one.name[0] != "" || c.one.buf[0] != nil || c.one.verdict[0] != nil || c.one.rec[0] != nil || c.one.b.names != nil {
+					if holdsOneBatch(c) {
 						t.Errorf("a client parked for %s keeps its one-name batch: %+v", addr, c.one)
 					}
 				}
@@ -641,4 +644,12 @@ func TestOneCarrierScratchIsPerClient(t *testing.T) {
 	if slices.Max(parked[1:]) == 0 {
 		t.Fatal("no newcomer parked a helper client")
 	}
+}
+
+// holdsOneBatch reports whether c's one-name batch holds anything but its
+// name list's bytes, which the client keeps for its next exchange: a
+// buffer, a verdict, a record or a name.
+func holdsOneBatch(c *Client) bool {
+	o := c.one
+	return o.buf[0] != nil || o.verdict[0] != nil || o.rec[0] != nil || o.b.names.count != 0 || o.b.bufs != nil || o.b.verdicts != nil || o.b.recs != nil
 }

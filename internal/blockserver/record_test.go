@@ -270,7 +270,7 @@ func TestRecoverTornRecordsFallBack(t *testing.T) {
 	}
 	defer c.Close()
 	name := BlockName("f", st, torn)
-	if err := c.Puts(context.Background(), []string{name}, [][]byte{newer[torn]}, []uint32{rec[torn]}, [][]uint32{rec}); err != nil {
+	if err := c.puts(context.Background(), listOf(name), [][]byte{newer[torn]}, []uint32{rec[torn]}, [][]uint32{rec}); err != nil {
 		t.Fatal(err)
 	}
 	// What the helper-verified path rebuilds from these helpers' blocks.
@@ -383,7 +383,7 @@ func TestRepairBatchesFitAWideAnswerMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Write(listFrame(opChunk, nameList(count, names, helper, failed))); err != nil {
+		if _, err := conn.Write(listFrame(opChunk, listMeta(count, names, helper, failed))); err != nil {
 			t.Fatal(err)
 		}
 		h, err := frame.NewReader(conn, maxPayload).Next()
@@ -476,7 +476,7 @@ func TestScrubReportsTornStripes(t *testing.T) {
 		}
 	}
 	put(torn, func(c *Client) error {
-		return c.Puts(ctx, []string{BlockName("f", st, torn)}, [][]byte{newer[torn]}, []uint32{rec[torn]}, [][]uint32{rec})
+		return c.puts(ctx, listOf(BlockName("f", st, torn)), [][]byte{newer[torn]}, []uint32{rec[torn]}, [][]uint32{rec})
 	})
 	put(gone, func(c *Client) error { return c.Delete(ctx, BlockName("f", st, gone)) })
 	rotten, missing := BlockRef{Stripe: 2, Block: 4}, BlockRef{Stripe: 5, Block: 0}

@@ -2,7 +2,6 @@ package blockserver
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -562,9 +561,11 @@ func (r *stripeRepair) finish() error {
 		copy(at[per:], rec)
 		at[per+failed] = crc
 	}
-	name := BlockName(r.job.file, st, failed)
-	list := append(binary.BigEndian.AppendUint16(make([]byte, 0, 2+len(name)), uint16(len(name))), name...)
-	s.home.commit(list, []storedBlock{{data: block, crcs: at[:per:per], rec: at[per:]}})
+	var name nameList
+	if name.addBlock(r.job.file, st, failed); name.err != nil {
+		return name.err
+	}
+	s.home.commit(name.wire, []storedBlock{{data: block, crcs: at[:per:per], rec: at[per:]}})
 	return nil
 }
 
@@ -583,7 +584,9 @@ func (r *stripeRepair) recheck() (again bool, err error) {
 	verdicts := fanOut(len(r.helpers), func(k int) error {
 		h := r.helpers[k]
 		return s.pool.WithClient(ctx, s.addrs[h], func(c *Client) error {
-			return c.Verify(ctx, BlockName(r.file, r.st, h))
+			c.oneBatch(false).names.addBlock(r.file, r.st, h)
+			_, err := c.single(ctx, opVerify, [2]uint32{}, nil)
+			return err
 		})
 	})
 	kept := 0

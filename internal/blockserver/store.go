@@ -195,11 +195,17 @@ func (s *Store) Pool() *Pool {
 
 // BlockName returns the key under which the Store places block idx of the
 // given stripe on server idx — exported for tools and tests that address
-// blocks directly through a Client.
+// blocks directly through a Client. The Store itself writes each name
+// straight into its request (nameList.addBlock).
 func BlockName(file string, stripe, idx int) string {
 	var a [64]byte // the name is built here, and copied once into the string
-	b := strconv.AppendInt(append(append(a[:0], file...), '/'), int64(stripe), 10)
-	return string(strconv.AppendInt(append(b, '/'), int64(idx), 10))
+	return string(appendBlockName(a[:0], file, stripe, idx))
+}
+
+// appendBlockName appends BlockName(file, stripe, idx) to dst.
+func appendBlockName(dst []byte, file string, stripe, idx int) []byte {
+	dst = strconv.AppendInt(append(append(dst, file...), '/'), int64(stripe), 10)
+	return strconv.AppendInt(append(dst, '/'), int64(idx), 10)
 }
 
 // stripesOf returns how many stripes hold size bytes of the named file.
@@ -361,21 +367,47 @@ func (s *Store) writeBatch(ctx context.Context, name string, data []byte, lo, hi
 	})...); err != nil {
 		return err
 	}
-	names, blocks, bcrcs := make([]string, n*m), make([][]byte, n*m), make([]uint32, n*m)
+	names, blocks, bcrcs := serverLists(name, n, lo, hi), make([][]byte, n*m), make([]uint32, n*m)
 	sent := recs // a put meta's record width is one byte: at n = 256 the blocks go without
 	if n > math.MaxUint8 {
 		sent = nil
 	}
 	for i := range n {
 		for j, slab := range slabs {
-			names[i*m+j], blocks[i*m+j], bcrcs[i*m+j] = BlockName(name, lo+j, i), slab[i*bs:(i+1)*bs], recs[j][i]
+			blocks[i*m+j], bcrcs[i*m+j] = slab[i*bs:(i+1)*bs], recs[j][i]
 		}
 	}
 	return errors.Join(fanOut(n, func(i int) error {
 		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
-			return c.Puts(ctx, names[i*m:(i+1)*m], blocks[i*m:(i+1)*m], bcrcs[i*m:(i+1)*m], sent)
+			return c.puts(ctx, names[i], blocks[i*m:(i+1)*m], bcrcs[i*m:(i+1)*m], sent)
 		})
 	})...)
+}
+
+// serverLists returns the name lists of stripes [lo, hi) of file by
+// server: list i names block i of each stripe, in stripe order. The lists
+// share one buffer of exactly their size.
+func serverLists(file string, n, lo, hi int) []nameList {
+	var a [20]byte
+	digits := func(x int) int { return len(strconv.AppendInt(a[:0], int64(x), 10)) }
+	m, size := hi-lo, 0
+	for st := lo; st < hi; st++ {
+		size += n * (4 + len(file) + digits(st)) // nameLen(2) file '/' st '/'
+	}
+	for i := range n {
+		size += m * digits(i)
+	}
+	buf, lists := make([]byte, 0, size), make([]nameList, n)
+	for i := range lists {
+		l := &lists[i]
+		l.wire = buf[len(buf):] // appends land in buf, which has room for every list
+		for st := lo; st < hi; st++ {
+			l.addBlock(file, st, i)
+		}
+		buf = buf[:len(buf)+len(l.wire)]
+		l.wire = l.wire[:len(l.wire):len(l.wire)]
+	}
+	return lists
 }
 
 // encodeStripe encodes stripe st of data into slab's n blocks, and
@@ -446,29 +478,43 @@ type ReadStats struct {
 	// or 0 when the caller traced nothing and the read recorded no span.
 	TraceID uint64
 
-	// mu serializes the increment methods: with pipelined stripes several
-	// goroutines fold results into one ReadStats. A pointer keeps the
-	// struct copyable (tests format a dereferenced copy with %+v).
+	// mu serializes the increment methods when the read's batches run
+	// through the pipeline, whose goroutines fold results into one
+	// ReadStats; a read of one batch, folded on the caller's goroutine
+	// alone, has none. A pointer keeps the struct copyable (tests format a
+	// dereferenced copy with %+v).
 	mu *sync.Mutex
 }
 
 // count bumps one of the per-call tallies above together with its
 // process-wide counter, so the struct and the scrape cannot drift apart.
 func (rs *ReadStats) count(field *int, c *obs.Counter) {
-	rs.mu.Lock()
+	rs.lock()
 	*field++
-	rs.mu.Unlock()
+	rs.unlock()
 	c.Inc()
 }
 
 // fold adds what one read batch, or a flight's fetch, tallied to the stats.
 func (rs *ReadStats) fold(t *stripecache.Tally) {
-	rs.mu.Lock()
+	rs.lock()
 	rs.BytesFetched += t.Bytes
 	rs.CorruptSources += t.Corrupt
 	rs.StripesParallel += t.Parallel
 	rs.StripesFallback += t.Fallback
-	rs.mu.Unlock()
+	rs.unlock()
+}
+
+func (rs *ReadStats) lock() {
+	if rs.mu != nil {
+		rs.mu.Lock()
+	}
+}
+
+func (rs *ReadStats) unlock() {
+	if rs.mu != nil {
+		rs.mu.Unlock()
+	}
 }
 
 // Path summarizes which path served the read.
@@ -512,7 +558,7 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 		mReadNS.ObserveSince(t0)
 		sloRead.ObserveSince(t0, rerr)
 	}()
-	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
+	stats := &ReadStats{TraceID: sp.TraceID()}
 	stripeData := s.code.K() * s.blockSize
 	out := make([]byte, stripes*stripeData)
 	per := 1
@@ -523,6 +569,7 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	if batches == 1 && ctx.Err() == nil { // a one-stripe cached read, or a small file: no pipeline
 		err = s.readPart(ctx, name, 0, per, stripes, out, stats)
 	} else {
+		stats.mu = new(sync.Mutex)
 		errs, launched := pipeline(ctx, batches, batchWidth(stripes, batches), func(ctx context.Context, b int) error {
 			return s.readPart(ctx, name, b, per, stripes, out, stats)
 		})
@@ -784,6 +831,13 @@ type batchLoop struct {
 	lists     []nameBatch    // by exchange: the names, destinations, verdicts and records of one carrying several
 	finishing sync.WaitGroup // the stripes finishing on goroutines of their own
 
+	// The stripes whose asks all landed, by task, in the order they did
+	// (finished), and how many of them goroutines have taken (finNext).
+	// Each goroutine runs finishNext, bound once for the life of the loop.
+	finished   []int
+	finNext    atomic.Int32
+	finishNext func()
+
 	s      *Store
 	op     byte
 	flight *stripecache.Flight // the cache flight the batch fetches for, whose abort stops its rounds
@@ -804,7 +858,7 @@ type batchLoop struct {
 // loops is the free list of batch loops.
 var loops = sync.Pool{New: func() any {
 	l := new(batchLoop)
-	l.sourceNext = l.takeSource
+	l.sourceNext, l.finishNext = l.takeSource, l.takeFinish
 	return l
 }}
 
@@ -815,8 +869,8 @@ func leaseLoop() *batchLoop { return loops.Get().(*batchLoop) }
 // output, tally, flight, context and spans, the asks' buffers, the
 // exchanges' errors and their name lists — up to each slice's capacity,
 // and gives the loop back to the free list, capacity and all. The idle
-// hook stays: nothing fired it, and it holds no connection; so does the
-// bound sourceNext.
+// hook stays: nothing fired it, and it holds no connection; so do the
+// bound sourceNext and finishNext.
 func (l *batchLoop) release() {
 	reads := l.reads[:cap(l.reads)]
 	for i := range reads {
@@ -829,7 +883,7 @@ func (l *batchLoop) release() {
 	clear(l.tasks[:cap(l.tasks)])
 	clear(l.errs[:cap(l.errs)])
 	clear(l.exs[:cap(l.exs)])
-	l.reads, l.tasks, l.errs, l.active, l.exs, l.lists, l.starts = l.reads[:0], l.tasks[:0], l.errs[:0], l.active[:0], l.exs[:0], l.lists[:0], l.starts[:0]
+	l.reads, l.tasks, l.errs, l.active, l.exs, l.lists, l.starts, l.finished = l.reads[:0], l.tasks[:0], l.errs[:0], l.active[:0], l.exs[:0], l.lists[:0], l.starts[:0], l.finished[:0]
 	l.s, l.flight, l.ctx, l.hedge = nil, nil, nil, time.Time{}
 	loops.Put(l)
 }
@@ -844,9 +898,10 @@ func (l *batchLoop) release() {
 // hedge deadline (exchange). A name's NotFound or Corrupt verdict strikes
 // its block for that one stripe; a failed or timed-out exchange strikes it
 // for every stripe it carried. A stripe whose asks all landed finishes on
-// its own goroutine while the others' rounds go on (a batch of one, on
-// this one). A round cut short by the caller's context is a victim, not a
-// verdict about the blocks, so the stripe reports the context's error.
+// a goroutine of its own, started from the loop's bound finishNext, while
+// the others' rounds go on (a batch of one, on this one). A round cut
+// short by the caller's context is a victim, not a verdict about the
+// blocks, so the stripe reports the context's error.
 // A flight's abort ends a round the same way. runBatch returns once every
 // stripe is done, its outcome in its stripeOp's err.
 func (s *Store) runBatch(ctx context.Context, op byte, l *batchLoop) {
@@ -855,6 +910,11 @@ func (s *Store) runBatch(ctx context.Context, op byte, l *batchLoop) {
 		l.active = append(l.active, i)
 	}
 	l.avail = slices.Grow(l.avail[:0], len(s.addrs))[:len(s.addrs)]
+	// Every task has a slot before a finisher starts, so the slice itself
+	// is not written while finishers read it.
+	l.finished = slices.Grow(l.finished[:0], len(l.tasks))[:len(l.tasks)]
+	l.finNext.Store(0)
+	finished := 0
 	for len(l.active) > 0 {
 		planned := l.active[:0]
 		for _, i := range l.active {
@@ -882,16 +942,23 @@ func (s *Store) runBatch(ctx context.Context, op byte, l *batchLoop) {
 			case len(l.tasks) == 1: // a batch of one starts no goroutine
 				endStripe(t, t.finish())
 			default:
+				l.finished[finished] = i
+				finished++
 				l.finishing.Add(1)
-				go func() {
-					defer l.finishing.Done()
-					endStripe(t, t.finish())
-				}()
+				go l.finishNext()
 			}
 		}
 		l.active = next
 	}
 	l.finishing.Wait()
+}
+
+// takeFinish finishes the next stripe whose asks all landed that no
+// goroutine has taken.
+func (l *batchLoop) takeFinish() {
+	defer l.finishing.Done()
+	t := l.tasks[l.finished[l.finNext.Add(1)-1]]
+	endStripe(t, t.finish())
 }
 
 // stopped is why the batch's rounds must stop, if they must: its context's
@@ -1064,27 +1131,30 @@ func (l *batchLoop) runNames(c *Client, x int, hedge time.Time) error {
 	if err == nil {
 		l.deal(x, b)
 	}
-	c.one = oneName{}
+	c.clearOne()
 	return err
 }
 
 // batch gathers exchange x's names, destinations and, for a chunk, record
 // storage, in the order the stripes asked: for one name into c's own
 // batch, and for several into the loop's list for x, which keeps its
-// capacity from round to round and batch to batch; neither allocates once
-// warm. A range ask's record storage is nil, and a range answer carries no
-// record, so a range list's records stay nil.
+// capacity from round to round and batch to batch; each name is written
+// straight into the batch's wire list, so neither allocates once warm. A
+// range ask's record storage is nil, and a range answer carries no record,
+// so a range list's records stay nil.
 func (l *batchLoop) batch(c *Client, x int) *nameBatch {
 	var b *nameBatch
 	if n := l.exs[x].n; n == 1 {
 		b = c.oneBatch(l.op == opChunk)
 	} else {
 		b = &l.lists[x]
-		b.names, b.bufs, b.recs = slices.Grow(b.names[:0], n), slices.Grow(b.bufs[:0], n), slices.Grow(b.recs[:0], n)
+		b.names.reset()
+		b.bufs, b.recs = slices.Grow(b.bufs[:0], n), slices.Grow(b.recs[:0], n)
 		b.verdicts = slices.Grow(b.verdicts[:0], n)[:n]
 	}
 	l.each(x, func(so *stripeOp, a *ask) {
-		b.names, b.bufs = append(b.names, BlockName(so.file, so.st, a.block)), append(b.bufs, a.buf)
+		b.names.addBlock(so.file, so.st, a.block)
+		b.bufs = append(b.bufs, a.buf)
 		if b.recs != nil {
 			b.recs = append(b.recs, a.rec)
 		}
@@ -1095,11 +1165,11 @@ func (l *batchLoop) batch(c *Client, x int) *nameBatch {
 // reset clears a loop's name list up to its capacity, keeping the
 // capacity.
 func (b *nameBatch) reset() {
-	clear(b.names[:cap(b.names)])
+	b.names.reset()
 	clear(b.bufs[:cap(b.bufs)])
 	clear(b.verdicts[:cap(b.verdicts)])
 	clear(b.recs[:cap(b.recs)])
-	b.names, b.bufs, b.verdicts, b.recs = b.names[:0], b.bufs[:0], b.verdicts[:0], b.recs[:0]
+	b.bufs, b.verdicts, b.recs = b.bufs[:0], b.verdicts[:0], b.recs[:0]
 }
 
 // deal hands each ask of exchange x its verdict and, for a chunk, its
@@ -1489,15 +1559,15 @@ func (s *Store) scrubBatchSize(file string, stripes int) int {
 // and torn[st] is set when two intact blocks' records differ.
 func (s *Store) scrubBatch(ctx context.Context, file string, lo, hi int, verdicts []error, torn []bool) {
 	n, m := s.code.N(), hi-lo
-	// Server i's names, records (room for n CRCs each) and verdicts are
-	// slots i·m to (i+1)·m.
-	names, recs, vs, slab := make([]string, n*m), make([][]uint32, n*m), make([]error, n*m), make([]uint32, n*m*n)
-	for k := range names {
-		names[k], recs[k] = BlockName(file, lo+k%m, k/m), slab[k*n:k*n:(k+1)*n]
+	// Server i's records (room for n CRCs each) and verdicts are slots i·m
+	// to (i+1)·m.
+	names, recs, vs, slab := serverLists(file, n, lo, hi), make([][]uint32, n*m), make([]error, n*m), make([]uint32, n*m*n)
+	for k := range recs {
+		recs[k] = slab[k*n : k*n : (k+1)*n]
 	}
 	errs := fanOut(n, func(i int) error {
 		return s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
-			return c.Verifies(ctx, names[i*m:(i+1)*m], recs[i*m:(i+1)*m], vs[i*m:(i+1)*m])
+			return c.verifies(ctx, names[i], recs[i*m:(i+1)*m], vs[i*m:(i+1)*m])
 		})
 	})
 	for j := range m {

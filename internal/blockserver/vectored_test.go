@@ -80,7 +80,7 @@ func TestPutIsSingleVectoredWrite(t *testing.T) {
 		recs[i] = []uint32{crcs[i], 1, 2}
 	}
 	fake.vectoredCalls = nil
-	if err := c.Puts(context.Background(), names, blocks, crcs, recs); err != nil {
+	if err := c.puts(context.Background(), listOf(names...), blocks, crcs, recs); err != nil {
 		t.Fatal(err)
 	}
 	// header = frame header + count(2) + names + w(1) + a 3-CRC record each

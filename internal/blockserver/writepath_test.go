@@ -203,8 +203,8 @@ func TestPutIsAllOrNothing(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	puts0 := servedExchanges(opPut)
-	if err := c.Puts(ctx, names, blocks, nil, nil); err != nil {
-		t.Fatalf("Puts with one cut connection: %v", err)
+	if err := c.puts(ctx, listOf(names...), blocks, nil, nil); err != nil {
+		t.Fatalf("puts with one cut connection: %v", err)
 	}
 	if !cutter.cut.Load() {
 		t.Fatal("the put was not cut: the retry went unexercised")
@@ -378,13 +378,13 @@ func TestAnswersPinTheirBlocks(t *testing.T) {
 		}()
 	}
 	read("range", func(c *Client, dst [][]byte, verdicts []error) error {
-		return c.Ranges(ctx, names, 0, dst, verdicts)
+		return c.ranges(ctx, listOf(names...), 0, dst, verdicts)
 	}, contents)
 	read("chunk", func(c *Client, dst [][]byte, verdicts []error) error {
-		return c.Chunks(ctx, names, helper, failed, dst, nil, verdicts)
+		return c.chunks(ctx, listOf(names...), helper, failed, dst, nil, verdicts)
 	}, chunks)
 	read("verify", func(c *Client, dst [][]byte, verdicts []error) error {
-		return c.Verifies(ctx, names, nil, verdicts)
+		return c.verifies(ctx, listOf(names...), nil, verdicts)
 	}, [][]byte{nil}) // a verify lands nothing
 	defer wg.Wait()
 	defer done.Store(true)
@@ -393,7 +393,7 @@ func TestAnswersPinTheirBlocks(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = contents[(r+i)%len(contents)]
 		}
-		if err := w.Puts(ctx, names, blocks, nil, nil); err != nil {
+		if err := w.puts(ctx, listOf(names...), blocks, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Delete(ctx, names[r%len(names)]); err != nil {

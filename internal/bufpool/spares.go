@@ -10,7 +10,7 @@ import (
 // long-lived buffers lands new contents in, so the memory it retires is
 // reused, not reallocated. The size classes cannot stand in for it: they
 // round a buffer up to a power of two, so a store of odd-sized blocks would
-// hold up to half as much again. Give on a nil *Spares keeps nothing.
+// hold up to half as much again.
 type Spares struct {
 	mu   sync.Mutex
 	max  int
@@ -23,9 +23,6 @@ func NewSpares(max int) *Spares { return &Spares{max: max} }
 // Give puts buffers no one holds any more on the list, which forgets its
 // oldest beyond its bound.
 func (sp *Spares) Give(bufs ...[]byte) {
-	if sp == nil {
-		return
-	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.bufs = append(sp.bufs, bufs...); len(sp.bufs) > sp.max {
@@ -65,8 +62,9 @@ func (sp *Spares) Provision(n, size int) {
 // Hold leases one buffer to its owner's readers: it counts the readers
 // below a retired flag, which the owner sets once no new reader can find
 // the buffer. Whichever of Retire and the last Unpin sees "retired, no
-// readers" gives the buffer to the owner's Spares, so no spare is a buffer
-// a reader still copies out of. The zero Hold has no readers.
+// readers" reports it, and its caller gives the buffer (with whatever it
+// belongs to) to the owner's spares, so no spare is a buffer a reader
+// still copies out of. The zero Hold has no readers.
 type Hold struct{ n atomic.Int64 }
 
 const retired = 1 << 32
@@ -74,15 +72,10 @@ const retired = 1 << 32
 // Pin counts a reader in; the owner must not have retired the buffer.
 func (h *Hold) Pin() { h.n.Add(1) }
 
-// Unpin counts a reader out, giving buf to sp if it was the last reader of
-// a retired buffer.
-func (h *Hold) Unpin(buf []byte, sp *Spares) { h.add(-1, buf, sp) }
+// Unpin counts a reader out and reports whether it was the last reader of
+// a retired buffer, which is then the caller's to spare.
+func (h *Hold) Unpin() (spare bool) { return h.n.Add(-1) == retired }
 
-// Retire sets the flag, giving buf to sp at once if no reader holds it.
-func (h *Hold) Retire(buf []byte, sp *Spares) { h.add(retired, buf, sp) }
-
-func (h *Hold) add(d int64, buf []byte, sp *Spares) {
-	if h.n.Add(d) == retired {
-		sp.Give(buf)
-	}
-}
+// Retire sets the flag and reports whether no reader holds the buffer,
+// which is then the caller's to spare.
+func (h *Hold) Retire() (spare bool) { return h.n.Add(retired) == retired }

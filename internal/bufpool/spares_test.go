@@ -25,8 +25,6 @@ func TestSparesKeepExactSizesNewestFirst(t *testing.T) {
 	if got, fresh = sp.Take(nil, 4, 16); fresh != 1 || &got[0][0] == &b[0] || &got[2][0] != &b[0] {
 		t.Fatalf("Take(4, 16) after Provision: %d fresh; want two provisioned, then b, then one fresh", fresh)
 	}
-	var none *Spares
-	none.Give(a) // keeps nothing, as a Put entry's home in the stripe cache
 }
 
 // TestLeaseChurn: a buffer leased through a Hold reaches a writer only once
@@ -70,7 +68,9 @@ func TestLeaseChurn(t *testing.T) {
 				pins.Add(1)
 				runtime.Gosched() // pinned, so the owner retires and the writer takes meanwhile
 				copy(dst, l.buf)
-				l.hold.Unpin(l.buf, sp)
+				if l.hold.Unpin() {
+					sp.Give(l.buf)
+				}
 				if n := bytes.Count(dst, []byte{l.fill}); n != size {
 					t.Errorf("a reader of fill %#x copied %d other bytes: a writer took its buffer while it was pinned", l.fill, size-n)
 					return
@@ -86,13 +86,17 @@ func TestLeaseChurn(t *testing.T) {
 		mu.Lock()
 		old := cur
 		cur = next
-		old.hold.Retire(old.buf, sp)
+		if old.hold.Retire() {
+			sp.Give(old.buf)
+		}
 		mu.Unlock()
 		next = publish(r) // at once, while readers may still pin old
 	}
 	done.Store(true)
 	wg.Wait()
-	cur.hold.Retire(cur.buf, sp)
+	if cur.hold.Retire() {
+		sp.Give(cur.buf)
+	}
 	if got, _ := sp.Take(nil, 1, size); &got[0][0] != &cur.buf[0] {
 		t.Fatal("the last buffer, retired once every reader stopped, is not spare")
 	}

@@ -267,16 +267,3 @@ func AddSlice(in, out []byte) {
 		out[i] ^= in[i]
 	}
 }
-
-// DotProduct returns the inner product sum_i a[i]*b[i] of two coefficient
-// vectors. It panics if the lengths differ.
-func DotProduct(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("gf256: DotProduct length mismatch %d != %d", len(a), len(b)))
-	}
-	var s byte
-	for i := range a {
-		s ^= mulTable[a[i]][b[i]]
-	}
-	return s
-}

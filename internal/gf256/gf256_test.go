@@ -249,7 +249,6 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 		"MulSlice":    func() { MulSlice(2, make([]byte, 3), make([]byte, 4)) },
 		"MulAddSlice": func() { MulAddSlice(2, make([]byte, 3), make([]byte, 4)) },
 		"AddSlice":    func() { AddSlice(make([]byte, 3), make([]byte, 4)) },
-		"DotProduct":  func() { DotProduct(make([]byte, 3), make([]byte, 4)) },
 	} {
 		func() {
 			defer func() {
@@ -259,18 +258,6 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestDotProduct(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	want := Mul(1, 4) ^ Mul(2, 5) ^ Mul(3, 6)
-	if got := DotProduct(a, b); got != want {
-		t.Fatalf("DotProduct = %d, want %d", got, want)
-	}
-	if got := DotProduct(nil, nil); got != 0 {
-		t.Fatalf("DotProduct(nil, nil) = %d, want 0", got)
 	}
 }
 

@@ -27,11 +27,12 @@
 //
 // Entries are []byte values outside the buffer pool, immutable while
 // resident: a hit pins its entry and copies outside the shard lock, and a
-// miss's flight fetches into the buffer of an entry the shard retired once
-// no reader pins it, so cold churn allocates no stripe bytes.
+// miss's flight fetches into an entry the shard retired once no reader
+// pins it, buffer and all, so cold churn allocates no stripe and no entry.
 package stripecache
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,21 +48,65 @@ type Key struct {
 	Version uint64
 }
 
-// entry is one resident stripe. data is immutable while resident; freq is
-// the S3-FIFO access counter (capped, decayed on main-queue laps); hold
-// leases data to the readers copying out of it (hits, a finished flight's
-// waiters) until removeLocked retires it, and home takes data once unread:
-// its shard's spares for a flight's buffer, nil for a Put's, never reused.
+// entry is one stripe. data is immutable while resident; freq is the
+// S3-FIFO access counter (capped, decayed on main-queue laps); hold leases
+// data to the readers copying out of it (hits, a flight's waiters) until
+// the shard retires it. A flight's entry (spare set) then goes, buffer and
+// all, to its shard's spares once unread, for a later flight to fetch
+// into; a Put's is never reused.
 type entry struct {
-	key  Key
-	data []byte
-	freq atomic.Int32
-	hold bufpool.Hold
-	home *bufpool.Spares
+	key   Key
+	data  []byte
+	freq  atomic.Int32
+	hold  bufpool.Hold
+	spare bool
 }
 
 // maxSpares bounds a shard's spare list.
 const maxSpares = 2
+
+// fifo is a queue of entries that keeps its capacity: pop advances its
+// head, and a push into a full slice first slides the queue to its front.
+// Every entry in it is resident (Invalidate compacts it after a purge).
+type fifo struct {
+	q    []*entry
+	head int
+}
+
+func (f *fifo) len() int { return len(f.q) - f.head }
+
+func (f *fifo) push(e *entry) {
+	if f.head > 0 && len(f.q) == cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, e)
+}
+
+func (f *fifo) pop() *entry {
+	e := f.q[f.head]
+	f.q[f.head] = nil
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return e
+}
+
+// keep drops the entries keep refuses, in place, and returns their bytes.
+func (f *fifo) keep(keep func(e *entry) bool) (dropped int64) {
+	live := f.q[:0]
+	for _, e := range f.q[f.head:] {
+		if keep(e) {
+			live = append(live, e)
+		} else {
+			dropped += int64(len(e.data))
+		}
+	}
+	clear(f.q[len(live):])
+	f.q, f.head = live, 0
+	return dropped
+}
 
 // maxFreq caps the access counter so one burst of popularity cannot make
 // an entry immortal: it survives at most maxFreq main-queue laps without
@@ -70,10 +115,11 @@ const maxFreq = 3
 
 // shard is one lock domain of the cache.
 type shard struct {
-	mu    sync.Mutex
-	items map[Key]*entry
-	small []*entry // probationary FIFO, append = tail
-	main  []*entry // resident FIFO
+	mu         sync.Mutex
+	items      map[Key]*entry
+	small      fifo  // probationary
+	main       fifo  // resident
+	smallBytes int64 // the probationary queue's bytes
 	// ghost remembers keys recently evicted from the probationary queue
 	// (bounded ring): a re-miss on a ghost key goes straight to main.
 	ghost     map[Key]struct{}
@@ -82,8 +128,8 @@ type shard struct {
 	bytes     int64 // resident bytes (small + main)
 
 	flights map[Key]*Flight
-	idle    []*Flight       // released flights, for the next miss (leaseLocked)
-	spares  *bufpool.Spares // buffers of retired flight entries, for the next flight
+	idle    []*Flight // released flights, for the next miss (leaseLocked)
+	spares  []*entry  // retired flight entries, unread, for the next flight, newest last
 }
 
 // Stats is a point-in-time view of one cache instance.
@@ -146,7 +192,7 @@ func New(capacityBytes int64) *Cache {
 		c.shards[i].ghost = make(map[Key]struct{})
 		c.shards[i].ghostRing = make([]Key, 0, ghostEntries)
 		c.shards[i].flights = make(map[Key]*Flight)
-		c.shards[i].spares = bufpool.NewSpares(maxSpares)
+		c.shards[i].spares = make([]*entry, 0, maxSpares+1)
 	}
 	return c
 }
@@ -190,10 +236,17 @@ func (c *Cache) Invalidate(file string) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k := range s.items {
+		purged := false
+		for k, e := range s.items {
 			if k.File == file && k.Version < cur {
-				c.removeLocked(s, k)
+				c.removeLocked(s, e)
+				purged = true
 			}
+		}
+		if purged { // the queues hold resident entries alone: a retired one may be reused
+			resident := func(e *entry) bool { return s.items[e.key] == e }
+			s.smallBytes -= s.small.keep(resident)
+			s.main.keep(resident)
 		}
 		s.mu.Unlock()
 	}
@@ -230,8 +283,8 @@ func (c *Cache) Get(file string, stripe int, dst []byte) bool {
 		c.misses.Add(1)
 		return false
 	}
-	copy(dst, e.data) // outside the lock: the pin keeps the buffer off the spare list
-	e.hold.Unpin(e.data, e.home)
+	copy(dst, e.data) // outside the lock: the pin keeps the entry off the spare list
+	s.unpin(e)
 	c.hits.Add(1)
 	return true
 }
@@ -249,47 +302,90 @@ func (s *shard) pinLocked(key Key, size int) *entry {
 	return e
 }
 
+// unpin ends a reader's copy out of e, outside the shard's lock, and
+// spares e if it was the last reader of a retired flight entry.
+func (s *shard) unpin(e *entry) {
+	if e.hold.Unpin() && e.spare {
+		s.mu.Lock()
+		s.spareLocked(e)
+		s.mu.Unlock()
+	}
+}
+
+// retireLocked retires e, which no new reader can find any more, and
+// spares it if it is a flight's entry that no reader holds.
+func (s *shard) retireLocked(e *entry) {
+	if e.hold.Retire() && e.spare {
+		s.spareLocked(e)
+	}
+}
+
+// spareLocked puts a retired, unread flight entry on the spare list,
+// keeping its buffer and forgetting its key and history, and forgets the
+// oldest spare beyond maxSpares.
+func (s *shard) spareLocked(e *entry) {
+	*e = entry{data: e.data, spare: true}
+	if s.spares = append(s.spares, e); len(s.spares) > maxSpares {
+		s.spares = slices.Delete(s.spares, 0, 1)
+	}
+}
+
+// takeSpareLocked takes the newest spare entry of size bytes for a
+// flight, or makes one. A spare keeps the stripe it last held: the fetch
+// overwrites all of it.
+func (s *shard) takeSpareLocked(size int) *entry {
+	for i := len(s.spares) - 1; i >= 0; i-- {
+		if e := s.spares[i]; len(e.data) == size {
+			s.spares = slices.Delete(s.spares, i, i+1)
+			return e
+		}
+	}
+	return &entry{data: make([]byte, size), spare: true}
+}
+
 // Put inserts a decoded stripe under the file's current version. The
 // cache takes ownership of data, which must not be a pooled buffer and
 // must not be mutated afterwards. Oversized entries (larger than a
 // shard's budget) are not admitted.
 func (c *Cache) Put(file string, stripe int, data []byte) {
-	c.put(Key{File: file, Stripe: stripe, Version: c.Version(file)}, data, nil)
-}
-
-// put inserts data under key with its home spare list — a flight's stripe
-// (home non-nil) comes in pinned, before eviction can reach it — and
-// returns its entry, nil if it was not admitted.
-func (c *Cache) put(key Key, data []byte, home *bufpool.Spares) *entry {
-	size := int64(len(data))
-	if size == 0 || size > c.perShard {
-		return nil
+	key := Key{File: file, Stripe: stripe, Version: c.Version(file)}
+	if !c.admits(len(data)) {
+		return
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c.putLocked(s, key, &entry{data: data})
+}
+
+// admits reports whether an entry of size bytes may be admitted.
+func (c *Cache) admits(size int) bool { return size > 0 && int64(size) <= c.perShard }
+
+// putLocked inserts e under key, unless the key is resident already (a
+// race with another insert of the same stripe), and reports whether it
+// did. A flight's entry comes in pinned, before eviction can reach it.
+func (c *Cache) putLocked(s *shard, key Key, e *entry) bool {
 	if _, ok := s.items[key]; ok {
-		return nil // raced with another insert of the same stripe
+		return false
 	}
-	e := &entry{key: key, data: data, home: home}
-	if home != nil {
-		e.hold.Pin()
-	}
+	size := int64(len(e.data))
+	e.key = key
 	s.items[key] = e
 	// S3-FIFO admission: keys remembered by the ghost list earned a main
 	// slot (they were evicted from probation and missed again); everything
 	// else starts probationary.
 	if _, ok := s.ghost[key]; ok {
 		delete(s.ghost, key)
-		s.main = append(s.main, e)
+		s.main.push(e)
 	} else {
-		s.small = append(s.small, e)
+		s.small.push(e)
+		s.smallBytes += size
 	}
 	s.bytes += size
 	c.bytes.Add(size)
 	c.inserts.Add(1)
 	c.evictLocked(s)
-	return e
+	return true
 }
 
 // evictLocked brings the shard back under budget: probation evicts first
@@ -298,55 +394,41 @@ func (c *Cache) put(key Key, data []byte, home *bufpool.Spares) *entry {
 // resident survives cold churn.
 func (c *Cache) evictLocked(s *shard) {
 	for s.bytes > c.perShard {
-		var smallBytes int64
-		for _, e := range s.small {
-			smallBytes += int64(len(e.data))
-		}
-		if len(s.small) > 0 && (smallBytes > c.smallCap || len(s.main) == 0) {
-			e := s.small[0]
-			s.small = s.small[1:]
-			if s.items[e.key] != e {
-				continue // removed by a purge (slot skipped lazily)
-			}
+		if s.small.len() > 0 && (s.smallBytes > c.smallCap || s.main.len() == 0) {
+			e := s.small.pop()
+			s.smallBytes -= int64(len(e.data))
 			if e.freq.Load() > 0 {
 				// Re-referenced while probationary: graduate.
-				s.main = append(s.main, e)
+				s.main.push(e)
 				continue
 			}
-			c.removeLocked(s, e.key)
-			s.addGhostLocked(e.key)
+			key := e.key // a spared entry forgets it
+			c.removeLocked(s, e)
+			s.addGhostLocked(key)
 			continue
 		}
-		if len(s.main) == 0 {
+		if s.main.len() == 0 {
 			return
 		}
-		e := s.main[0]
-		s.main = s.main[1:]
-		if s.items[e.key] != e {
-			continue
-		}
+		e := s.main.pop()
 		if f := e.freq.Load(); f > 0 {
 			e.freq.Store(f - 1)
-			s.main = append(s.main, e) // second chance
+			s.main.push(e) // second chance
 			continue
 		}
-		c.removeLocked(s, e.key)
+		c.removeLocked(s, e)
 	}
 }
 
 // removeLocked drops a resident entry from the shard map and the byte
-// accounting, and retires it; its FIFO slot is skipped lazily.
-func (c *Cache) removeLocked(s *shard, key Key) {
-	e, ok := s.items[key]
-	if !ok {
-		return
-	}
-	delete(s.items, key)
+// accounting, and retires it. Its caller takes it off its queue.
+func (c *Cache) removeLocked(s *shard, e *entry) {
+	delete(s.items, e.key)
 	size := int64(len(e.data))
 	s.bytes -= size
 	c.bytes.Add(-size)
 	c.evictions.Add(1)
-	e.hold.Retire(e.data, e.home)
+	s.retireLocked(e)
 }
 
 // addGhostLocked remembers an evicted probationary key in the bounded

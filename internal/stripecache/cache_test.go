@@ -135,14 +135,15 @@ func TestGhostReadmission(t *testing.T) {
 	c.Put("g", 7, fill(1024, 1))
 	s.mu.Lock()
 	s.addGhostLocked(key)
-	c.removeLocked(s, key)
-	s.small = s.small[:0]
+	s.small.pop()
+	s.smallBytes = 0
+	c.removeLocked(s, s.items[key])
 	s.mu.Unlock()
 	c.Put("g", 7, fill(1024, 2))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.main) != 1 || s.main[0].key != key {
-		t.Fatalf("ghost re-miss landed in main=%d small=%d, want straight to main", len(s.main), len(s.small))
+	if s.main.len() != 1 || s.main.q[s.main.head].key != key {
+		t.Fatalf("ghost re-miss landed in main=%d small=%d, want straight to main", s.main.len(), s.small.len())
 	}
 }
 

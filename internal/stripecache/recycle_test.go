@@ -49,22 +49,22 @@ func fetchInto(t *testing.T, c *Cache, st int) []byte {
 // same reports whether a and b share their first byte: one buffer.
 func same(a, b []byte) bool { return a != nil && b != nil && &a[0] == &b[0] }
 
-// spared reports whether b is on the shard's spare list: it takes every
-// spare of b's size and gives them back, oldest first.
+// spared reports whether b is the buffer of an entry on the shard's spare
+// list.
 func spared(s *shard, b []byte) bool {
-	bufs, fresh := s.spares.Take(nil, maxSpares, len(b))
-	bufs = bufs[:len(bufs)-fresh]
-	slices.Reverse(bufs)
-	s.spares.Give(bufs...)
-	return slices.ContainsFunc(bufs, func(sp []byte) bool { return same(sp, b) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.ContainsFunc(s.spares, func(e *entry) bool { return same(e.data, b) })
 }
 
 // TestHeldEntryStaysOffSpares: an entry a reader has pinned, evicted by
 // later misses, keeps its buffer off the spare list — no flight fetches
-// into it — until the reader unpins, and then it is spare.
+// into it — until the reader unpins, and then it is spare. The reader's
+// copy, taken after the eviction, holds the stripe intact, and the next
+// miss of the shard fetches into that same entry, buffer and all.
 func TestHeldEntryStaysOffSpares(t *testing.T) {
 	c := New(numShards * 2 * recycleSize) // two stripes a shard
-	sts, s := shardStripes(c, "f", 8)
+	sts, s := shardStripes(c, "f", 9)
 	held := fetchInto(t, c, sts[0])
 	key := Key{File: "f", Stripe: sts[0]}
 	s.mu.Lock()
@@ -77,7 +77,7 @@ func TestHeldEntryStaysOffSpares(t *testing.T) {
 	// ghosts of the first pass, re-missed, to evict it.
 	evicted := false
 	for pass := 0; pass < 4 && !evicted; pass++ {
-		for _, st := range sts[1:] {
+		for _, st := range sts[1:8] {
 			if same(fetchInto(t, c, st), held) {
 				t.Fatalf("stripe %d's flight fetched into the buffer of a pinned entry", st)
 			}
@@ -95,9 +95,25 @@ func TestHeldEntryStaysOffSpares(t *testing.T) {
 	if spared(s, held) {
 		t.Fatal("an evicted entry's buffer is spare while a reader still pins it")
 	}
-	e.hold.Unpin(e.data, e.home)
+	dst := make([]byte, recycleSize)
+	if copy(dst, e.data); !bytes.Equal(dst, fill(recycleSize, byte(sts[0]))) {
+		t.Fatal("a hit pinned across an eviction copied other bytes than its stripe's")
+	}
+	s.unpin(e)
 	if !spared(s, held) {
 		t.Fatal("the last unpin of an evicted entry did not spare its buffer")
+	}
+	if !same(fetchInto(t, c, sts[8]), held) {
+		t.Fatal("the next miss did not fetch into the spared buffer")
+	}
+	s.mu.Lock() // the stripe may have been evicted at once, and its entry spared again
+	reused := s.items[Key{File: "f", Stripe: sts[8]}] == e || slices.Contains(s.spares, e)
+	s.mu.Unlock()
+	if !reused {
+		t.Fatal("the next miss's stripe was admitted in another entry than the spared one")
+	}
+	if !bytes.Equal(dst, fill(recycleSize, byte(sts[0]))) {
+		t.Fatal("the pinned hit's copy changed once its entry was reused")
 	}
 }
 
@@ -143,8 +159,8 @@ func TestFinishedFlightPinsForItsWaiters(t *testing.T) {
 	if f.entry == nil {
 		t.Fatal("the flight's stripe was not admitted")
 	}
-	data := f.data    // the last detach releases the flight, clearing it
-	c.Invalidate("f") // the waiter has not copied f.data yet
+	data := f.entry.data // the last detach releases the flight, clearing it
+	c.Invalidate("f")    // the waiter has not copied the stripe yet
 	if spared(s, data) {
 		t.Fatal("a purged flight buffer is spare while a waiter has yet to copy it")
 	}

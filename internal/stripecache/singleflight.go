@@ -9,8 +9,14 @@ import (
 // Flight is one in-progress coalesced fetch+decode. A shard leases it from
 // its free list for a miss and takes it back (releaseLocked) once the fetch
 // has finished and its last waiter has detached. Its bookkeeping is guarded
-// by the shard's mutex; data, err, entry and tally are published by the
-// close of done, under that mutex, and read-only afterwards.
+// by the shard's mutex; err and tally are published with the token the
+// finished fetch sends on done, under that mutex, and read-only afterwards.
+//
+// done is the flight's one signal for its life: a channel of one slot that
+// a finished fetch puts a token in. A waiter that takes the token puts it
+// back before it reads the result, so the next waiter wakes too, and the
+// release drains it, so the next lease's waiters block until their own
+// fetch finishes. A waiter that leaves on its context takes no token.
 //
 // A flight has no cancel context of its own. Its fetch runs under ctx, which
 // carries the starter's values and never ends, and finds the flight there
@@ -19,9 +25,8 @@ import (
 // able to stop.
 type Flight struct {
 	done  chan struct{}
-	data  []byte
 	err   error
-	entry *entry // the stripe the flight inserted (nil if not admitted), pinned until the last waiter detaches
+	entry *entry // the stripe the fetch lands in, a spare or fresh one: pinned for the waiters once fetched, until the last detaches
 	tally Tally
 
 	// waiters counts callers currently blocked on done (the creator
@@ -141,8 +146,8 @@ const maxIdleFlights = 8
 
 // leaseLocked takes a flight from the shard's free list, or makes one, for
 // a miss on key by a caller that waits on it, and enters it in the shard's
-// flight table: a fetch of size bytes under ctx's values. The caller starts
-// it (run).
+// flight table: a fetch of size bytes under ctx's values, into a spare
+// entry or a fresh one. The caller starts it (run).
 func (s *shard) leaseLocked(ctx context.Context, c *Cache, key Key, size int,
 	fetch func(ctx context.Context, dst []byte) error) *Flight {
 	var f *Flight
@@ -151,10 +156,10 @@ func (s *shard) leaseLocked(ctx context.Context, c *Cache, key Key, size int,
 		s.idle[n-1] = nil
 		s.idle = s.idle[:n-1]
 	} else {
-		f = new(Flight)
+		f = &Flight{done: make(chan struct{}, 1)}
 		f.run = f.fly
 	}
-	f.done, f.waiters = make(chan struct{}), 1
+	f.waiters, f.entry = 1, s.takeSpareLocked(size)
 	f.c, f.s, f.key, f.size, f.fetch, f.ctx = c, s, key, size, fetch, flightCtx{ctx, f}
 	s.flights[key] = f
 	return f
@@ -162,9 +167,10 @@ func (s *shard) leaseLocked(ctx context.Context, c *Cache, key Key, size int,
 
 // releaseLocked clears every field of a finished flight whose last waiter
 // has detached — its result, entry, tally, abort, fetch, key and context —
-// and keeps it for the shard's next miss.
+// drains its done token, and keeps it for the shard's next miss.
 func (s *shard) releaseLocked(f *Flight) {
-	f.done, f.data, f.err, f.entry, f.tally = nil, nil, nil, nil, Tally{}
+	<-f.done
+	f.err, f.entry, f.tally = nil, nil, Tally{}
 	f.finished, f.aborted, f.armed = false, false, nil // waiters is 0 already
 	f.c, f.s, f.key, f.size, f.fetch, f.ctx = nil, nil, Key{}, 0, nil, flightCtx{}
 	if len(s.idle) < maxIdleFlights {
@@ -199,7 +205,7 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 	if e := s.pinLocked(key, len(dst)); e != nil {
 		s.mu.Unlock()
 		copy(dst, e.data)
-		e.hold.Unpin(e.data, e.home)
+		s.unpin(e)
 		c.hits.Add(1)
 		return true, false, nil
 	}
@@ -221,9 +227,10 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 
 	select {
 	case <-f.done:
+		f.done <- struct{}{} // for the next waiter
 		err = f.err
 		if err == nil {
-			copy(dst, f.data) // before detaching: the flight's pin covers it
+			copy(dst, f.entry.data) // before detaching: the flight's pin covers it
 		}
 		if tally != nil && !coalescedWaiter {
 			*tally = f.tally
@@ -238,24 +245,26 @@ func (c *Cache) GetOrFetch(ctx context.Context, file string, stripe int, dst []b
 
 // fly executes the coalesced fetch+decode, publishes the result, and
 // retires the flight so later misses start fresh; a flight every waiter
-// has left is released here.
+// has left is released here. The fetch lands in the flight's entry, which
+// on success the cache admits, pinned for the waiters' copies; an entry
+// not admitted is retired at once, so it is spare once its waiters have
+// copied out of it, and a failed fetch's, which no waiter reads, at once.
 func (f *Flight) fly() {
-	c, s, key := f.c, f.s, f.key
-	// The buffer is outside the pool: on success it becomes the cache
-	// entry. fetch must write all of it: a spare holds an evicted stripe.
-	bufs, _ := s.spares.Take(make([][]byte, 0, 1), 1, f.size)
-	buf := bufs[0]
-	err := f.fetch(&f.ctx, buf)
-	var e *entry
+	c, s, key, e := f.c, f.s, f.key, f.entry
+	err := f.fetch(&f.ctx, e.data) // it must write all of it: a spare holds an evicted stripe
 	if err == nil {
-		e = c.put(key, buf, s.spares)
-	} else {
-		s.spares.Give(buf) // no waiter reads a failed flight's data
+		e.hold.Pin()
 	}
 	s.mu.Lock()
-	f.data, f.err, f.entry = buf, err, e
-	f.finished = true
-	close(f.done) // under the lock: a waiter that detaches after it cannot release the flight before
+	switch {
+	case err != nil:
+		f.entry = nil // no waiter reads it
+		s.retireLocked(e)
+	case !c.admits(len(e.data)) || !c.putLocked(s, key, e):
+		s.retireLocked(e) // spare once its waiters have copied out of it
+	}
+	f.err, f.finished = err, true
+	f.done <- struct{}{} // under the lock: a waiter that detaches after it cannot release the flight before
 	if s.flights[key] == f {
 		delete(s.flights, key)
 	}
@@ -264,8 +273,8 @@ func (f *Flight) fly() {
 		s.releaseLocked(f)
 	}
 	s.mu.Unlock()
-	if abandoned && e != nil {
-		e.hold.Unpin(e.data, e.home)
+	if abandoned && err == nil {
+		s.unpin(e)
 	}
 }
 
@@ -292,6 +301,6 @@ func (c *Cache) detach(s *shard, f *Flight) {
 	}
 	s.mu.Unlock()
 	if pinned != nil {
-		pinned.hold.Unpin(pinned.data, pinned.home)
+		s.unpin(pinned)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -298,4 +299,85 @@ func TestGetOrFetchInvalidationConcurrent(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestReleasedFlightWakesOnlyItsOwnLease: a flight's one done channel
+// serves lease after lease. Every waiter of a lease — its starter and the
+// ones that coalesced onto it — wakes once its fetch finishes, a waiter
+// cancelled before the finish leaves no token behind, and the waiters of
+// the flight's next lease, on another stripe, sleep until their own fetch
+// finishes.
+func TestReleasedFlightWakesOnlyItsOwnLease(t *testing.T) {
+	c := New(1 << 20)
+	sts, s := shardStripes(c, "f", 2)
+	const waiters = 8
+	// lease starts waiters readers of stripe st, whose fetch waits for
+	// release, and one more reader, cancelled before the fetch finishes,
+	// and returns once all of them are on the flight and the cancelled one
+	// has left it, with the flight and a channel of the readers' errors.
+	lease := func(st int, release chan struct{}) (*Flight, chan error) {
+		want := fill(recycleSize, byte(st))
+		errs := make(chan error, waiters)
+		read := func(ctx context.Context) error {
+			dst := make([]byte, recycleSize)
+			_, _, err := c.GetOrFetch(ctx, "f", st, dst, nil, func(_ context.Context, out []byte) error {
+				<-release
+				copy(out, want)
+				return nil
+			})
+			if err == nil && !bytes.Equal(dst, want) {
+				err = errors.New("a waiter copied other bytes than its lease's fetch wrote")
+			}
+			return err
+		}
+		for range waiters {
+			go func() { errs <- read(context.Background()) }()
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := make(chan error, 1)
+		go func() { cancelled <- read(ctx) }()
+		key := Key{File: "f", Stripe: st}
+		var f *Flight
+		for joined := false; !joined; runtime.Gosched() {
+			s.mu.Lock()
+			f = s.flights[key]
+			joined = f != nil && f.waiters == waiters+1
+			s.mu.Unlock()
+		}
+		cancel()
+		if err := <-cancelled; !errors.Is(err, context.Canceled) {
+			t.Fatalf("stripe %d: the cancelled waiter returned %v, want context.Canceled", st, err)
+		}
+		return f, errs
+	}
+	release := make(chan struct{})
+	first, errs := lease(sts[0], release)
+	close(release)
+	for range waiters {
+		if err := <-errs; err != nil {
+			t.Fatalf("first lease: %v", err)
+		}
+	}
+	s.mu.Lock()
+	idle, tokens := slices.Contains(s.idle, first), len(first.done)
+	s.mu.Unlock()
+	if !idle || tokens != 0 {
+		t.Fatalf("after its last waiter: the flight is idle %v with %d tokens on done; want idle, none", idle, tokens)
+	}
+	release = make(chan struct{})
+	second, errs := lease(sts[1], release)
+	if second != first {
+		t.Fatal("the next miss on the shard did not lease the released flight")
+	}
+	select {
+	case err := <-errs:
+		t.Fatalf("a waiter of the next lease woke before its fetch finished: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for range waiters {
+		if err := <-errs; err != nil {
+			t.Fatalf("second lease: %v", err)
+		}
+	}
 }

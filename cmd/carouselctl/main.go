@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -189,7 +190,7 @@ func cmdVerify(args []string) error {
 		}
 		bad := 0
 		for _, i := range avail {
-			if !bytesEqual(blocks[i], expect[i]) {
+			if !bytes.Equal(blocks[i], expect[i]) {
 				bad++
 			}
 		}
@@ -207,7 +208,7 @@ func cmdVerify(args []string) error {
 		switch {
 		case !ok:
 			fmt.Printf("block %2d: missing\n", i)
-		case !bytesEqual(blocks[i], bestExpect[i]):
+		case !bytes.Equal(blocks[i], bestExpect[i]):
 			fmt.Printf("block %2d: CORRUPT\n", i)
 		}
 	}
@@ -217,18 +218,6 @@ func cmdVerify(args []string) error {
 	}
 	fmt.Println("all present blocks verify")
 	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func blockPath(dir string, i int) string {

@@ -350,9 +350,9 @@ func (h *roundHook) Interrupt() {
 // gives the newcomer — the attempt's deadline, less now — and where the
 // answer lands.
 type rebuildCall struct {
-	req    *RebuildRequest
+	req    *rebuildRequest
 	budget time.Duration
-	res    *RebuildResult
+	res    *rebuildResult
 }
 
 // nameBatch is a request's block names, in their wire form, and, for a
@@ -924,7 +924,7 @@ func (b *nameBatch) mismatch() error {
 	return nil
 }
 
-// Rebuild asks the server at req.Addrs[req.Failed], the newcomer, to
+// rebuild asks the server at req.Addrs[req.Failed], the newcomer, to
 // rebuild its block of each of the request's stripes from d helper chunks
 // it fetches itself, and to store it: one exchange for a batch of
 // repairs, whose answer is every stripe's outcome and winning traffic and
@@ -934,11 +934,11 @@ func (b *nameBatch) mismatch() error {
 // so a retried rebuild is safe. The returned error is the exchange's own
 // (transport, timeout, or a refusal of the whole request: a server never
 // started); the stripes' outcomes hold only when it is nil.
-func (c *Client) Rebuild(ctx context.Context, req *RebuildRequest) (*RebuildResult, error) {
+func (c *Client) rebuild(ctx context.Context, req *rebuildRequest) (*rebuildResult, error) {
 	if err := req.check(); err != nil {
 		return nil, err
 	}
-	res := &RebuildResult{Errs: make([]error, len(req.Stripes)), Traffic: make([]int, len(req.Stripes)), Chunks: make([]int64, len(req.Addrs))}
+	res := &rebuildResult{Errs: make([]error, len(req.Stripes)), Traffic: make([]int, len(req.Stripes)), Chunks: make([]int64, len(req.Addrs))}
 	if err := c.do(ctx, request{op: opRebuild, rb: &rebuildCall{req: req, res: res}}); err != nil {
 		return nil, err
 	}
@@ -961,7 +961,7 @@ func (c *Client) readRebuild(h frame.Header, rb *rebuildCall) error {
 	if err := c.fr.Payload(h, texts); err != nil {
 		return err
 	}
-	rebuildResult(h.Meta, texts, rb.res)
+	fillRebuildResult(h.Meta, texts, rb.res)
 	return nil
 }
 

@@ -354,14 +354,14 @@ func parseMeta(op byte, meta []byte) (m reqMeta, err error) {
 	return m, nil
 }
 
-// RebuildRequest asks a newcomer, in one opRebuild exchange, to rebuild
+// rebuildRequest asks a newcomer, in one opRebuild exchange, to rebuild
 // its block Failed of each of a file's Stripes from d helper chunks and
 // to store it: one batch of a repair pass. Addrs are the stripes' n
 // servers, block i on Addrs[i] and the newcomer at Addrs[Failed], and they
 // are the only addresses the newcomer dials. Hedge is the coordinator's
 // hedge delay, which the newcomer's helper exchanges run under; how they
 // dial and retry is the newcomer's own pool's business.
-type RebuildRequest struct {
+type rebuildRequest struct {
 	File      string
 	Stripes   []int
 	Failed    int
@@ -370,18 +370,18 @@ type RebuildRequest struct {
 	Hedge     time.Duration
 }
 
-// RebuildResult is a newcomer's answer to a RebuildRequest: each stripe's
+// rebuildResult is a newcomer's answer to a rebuildRequest: each stripe's
 // failure (nil when its block is stored) and the bytes of its winning
 // helper chunks, in request order, and how many winning chunks each helper
 // served, by block index.
-type RebuildResult struct {
+type rebuildResult struct {
 	Errs    []error
 	Traffic []int
 	Chunks  []int64
 }
 
 // check refuses a request its meta cannot carry.
-func (req *RebuildRequest) check() error {
+func (req *rebuildRequest) check() error {
 	switch n := len(req.Addrs); {
 	case len(req.File) == 0 || len(req.File) > maxNameLen:
 		return fmt.Errorf("blockserver: invalid name length %d", len(req.File))
@@ -414,7 +414,7 @@ const rebuildSettingsLen = 4
 //	fileLen(2) file count(2) stripe(4)×count failed(2) blockSize(4) n(2) {addrLen(1) addr}×n hedge(4) budget(4) [trace]
 //
 // budget is how long the newcomer has (µs): the exchange's deadline.
-func appendRebuild(dst []byte, req *RebuildRequest, budget time.Duration, traceID, parent uint64) []byte {
+func appendRebuild(dst []byte, req *rebuildRequest, budget time.Duration, traceID, parent uint64) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.File)))
 	dst = append(dst, req.File...)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Stripes)))
@@ -445,7 +445,7 @@ func appendMicros(dst []byte, d time.Duration) []byte {
 // the newcomer has. The newcomer builds the Store it runs the request on
 // from it, over its own pool (Server.rebuild).
 type rebuildMeta struct {
-	req    RebuildRequest
+	req    rebuildRequest
 	budget time.Duration
 }
 
@@ -482,7 +482,7 @@ func parseRebuild(meta []byte) (*rebuildMeta, []byte, error) {
 	if len(rest) < rebuildSettingsLen+4 {
 		return nil, nil, fmt.Errorf("blockserver: rebuild meta ends before its hedge and budget")
 	}
-	rb := &rebuildMeta{req: RebuildRequest{File: string(file), Stripes: make([]int, count), Failed: failed, BlockSize: blockSize, Addrs: make([]string, n)}}
+	rb := &rebuildMeta{req: rebuildRequest{File: string(file), Stripes: make([]int, count), Failed: failed, BlockSize: blockSize, Addrs: make([]string, n)}}
 	for i := range rb.req.Stripes {
 		rb.req.Stripes[i] = int(binary.BigEndian.Uint32(stripes[4*i:]))
 	}
@@ -570,9 +570,9 @@ func parseRebuildAnswer(meta []byte, count, n int) (textLen int, err error) {
 	return textLen, nil
 }
 
-// rebuildResult fills res from a rebuild answer parseRebuildAnswer has
+// fillRebuildResult fills res from a rebuild answer parseRebuildAnswer has
 // measured and its failure texts.
-func rebuildResult(meta, texts []byte, res *RebuildResult) {
+func fillRebuildResult(meta, texts []byte, res *rebuildResult) {
 	for i := range res.Errs {
 		e := meta[7*i:]
 		res.Traffic[i] = int(binary.BigEndian.Uint32(e[1:]))

@@ -281,12 +281,12 @@ func TestRecoverNewcomerKilledMidPass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	req := &RebuildRequest{File: "f", Stripes: make([]int, n-1), Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second}
+	req := &rebuildRequest{File: "f", Stripes: make([]int, n-1), Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second}
 	for st := range req.Stripes {
 		req.Stripes[st] = st
 	}
 	for round := range 2 {
-		res, err := c.Rebuild(ctx, req)
+		res, err := c.rebuild(ctx, req)
 		if err != nil {
 			t.Fatalf("rebuild %d: %v", round, err)
 		}
@@ -420,7 +420,7 @@ func TestRepairRefusedByServerNotServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &RebuildRequest{File: "f", Stripes: []int{0, 1}, Failed: 1, BlockSize: code.BlockAlign() * 4,
+	req := &rebuildRequest{File: "f", Stripes: []int{0, 1}, Failed: 1, BlockSize: code.BlockAlign() * 4,
 		Addrs: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}}
 	request := frame.Header{Kind: opRebuild, Meta: appendRebuild(nil, req, time.Second, 0, 0)}.Append(nil)
 	closed := NewServer(code)
@@ -451,7 +451,7 @@ func TestRepairRefusedByServerNotServing(t *testing.T) {
 // settings tail is the hedge alone. A meta cut short inside its hedge or
 // its budget is refused, traced or not.
 func TestRebuildMetaRoundTrip(t *testing.T) {
-	req := &RebuildRequest{File: "dir/f", Stripes: []int{0, 7, 1<<32 - 1}, Failed: 2, BlockSize: 4096,
+	req := &rebuildRequest{File: "dir/f", Stripes: []int{0, 7, 1<<32 - 1}, Failed: 2, BlockSize: 4096,
 		Addrs: []string{"127.0.0.1:1", "10.0.0.2:7000", "[::1]:9", "h:4"}, Hedge: 1500 * time.Microsecond}
 	const budget = 3 * time.Second
 	if rebuildSettingsLen != 4 {
@@ -516,7 +516,7 @@ func TestEveryRebuildHeaderBitIsChecked(t *testing.T) {
 	}
 	want, _ := stored()
 	opts := Options{DialTimeout: 2 * time.Second, IOTimeout: 3 * time.Second, Retry: retry.Policy{Attempts: 1}}
-	req := &RebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second}
+	req := &rebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: blockSize, Addrs: addrs, Hedge: time.Second}
 	hdr := frame.HeaderLen + len(appendRebuild(nil, req, 0, 0, 0))
 	for b := 0; b < 8*hdr; b++ {
 		deleteBlock(t, addrs[failed], name)
@@ -527,13 +527,13 @@ func TestEveryRebuildHeaderBitIsChecked(t *testing.T) {
 		c := NewClient(addrs[failed], opts)
 		fc := &flipConn{Conn: conn, bit: b}
 		c.conn, c.fr = fc, frame.NewReader(fc, maxPayload)
-		if _, err := c.Rebuild(ctx, req); err == nil {
+		if _, err := c.rebuild(ctx, req); err == nil {
 			t.Errorf("bit %d: a damaged rebuild header was acted on", b)
 		}
 		if _, ok := stored(); ok {
 			t.Fatalf("bit %d: a refused rebuild stored the block", b)
 		}
-		res, err := c.Rebuild(ctx, req)
+		res, err := c.rebuild(ctx, req)
 		if err != nil || res.Errs[0] != nil {
 			t.Fatalf("bit %d: retry: %v, %v", b, err, res)
 		}
@@ -765,9 +765,9 @@ func TestRepairRefusedForMisalignedBlockSize(t *testing.T) {
 	_, addrs, counts := startCountingServers(t, code, code.N())
 	c := NewClient(addrs[failed], fastOpts())
 	defer c.Close()
-	req := &RebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: code.BlockAlign()*4 + 1, Addrs: addrs}
+	req := &rebuildRequest{File: "f", Stripes: []int{0}, Failed: failed, BlockSize: code.BlockAlign()*4 + 1, Addrs: addrs}
 	refused0 := srvRPCCounter(opRebuild, statusError).Value()
-	if _, err := c.Rebuild(context.Background(), req); !errors.Is(err, ErrRemote) {
+	if _, err := c.rebuild(context.Background(), req); !errors.Is(err, ErrRemote) {
 		t.Fatalf("rebuild of %d-byte blocks: %v, want ErrRemote", req.BlockSize, err)
 	}
 	if got := srvRPCCounter(opRebuild, statusError).Value() - refused0; got != 1 {

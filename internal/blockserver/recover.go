@@ -386,7 +386,7 @@ func (r *stripeRepair) release() {
 
 // repairBatch sends one batch of repairs — stripes of one file with one
 // failed index — to its newcomer, the failed index's home server, as one
-// rebuild exchange (Client.Rebuild): the newcomer fetches the chunks,
+// rebuild exchange (Client.rebuild): the newcomer fetches the chunks,
 // rebuilds and stores the blocks (rebuildBatch), so what crosses this
 // store's sockets is the request and its answer, and no block or chunk. It
 // is behind Repair, Scrub and RecoverServer. The throttle, when set, is
@@ -404,15 +404,15 @@ func (s *Store) repairBatch(ctx context.Context, jobs []repairJob, batch []int, 
 	sp.SetAttr("file", first.file).SetAttr("stripe", first.ref.Stripe).SetAttr("stripes", len(batch)).SetAttr("failed", failed).SetAttr("newcomer", s.addrs[failed])
 	defer sp.End()
 
-	req := &RebuildRequest{File: first.file, Stripes: make([]int, len(batch)), Failed: failed, BlockSize: s.blockSize, Addrs: s.addrs, Hedge: s.hedge}
+	req := &rebuildRequest{File: first.file, Stripes: make([]int, len(batch)), Failed: failed, BlockSize: s.blockSize, Addrs: s.addrs, Hedge: s.hedge}
 	for i, j := range batch {
 		req.Stripes[i] = jobs[j].ref.Stripe
 	}
-	var res *RebuildResult
+	var res *rebuildResult
 	err := throttle.Wait(ctx, len(batch)*(s.code.D()*s.code.HelperChunkSize(s.blockSize)+s.blockSize))
 	if err == nil {
 		err = s.pool.WithClient(ctx, s.addrs[failed], func(c *Client) (err error) {
-			res, err = c.Rebuild(ctx, req)
+			res, err = c.rebuild(ctx, req)
 			return err
 		})
 		// The rebuilt blocks are byte-identical to what the code first

@@ -20,8 +20,8 @@
 // every move and group per tile, with the tile sized from the groups'
 // shape so one step's source and destination tiles fit in L1. Each source
 // tile is loaded from memory once per step and re-read from L1 by every
-// group. RunParallel stripes the byte range over the shared bounded pool in
-// internal/workpool without allocating per-stripe slice headers.
+// group. RunParallel stripes the byte range over the caller and the bounded
+// helpers of internal/workpool without allocating per-stripe slice headers.
 //
 // Output buffers may be dirty. Every output unit is written by a COPY, a
 // CLEAR or a MulSum — all overwrites — so an execution never reads what
@@ -335,7 +335,7 @@ func (p *Plan) Run(in, out [][]byte) {
 }
 
 // RunParallel executes the plan with the byte range striped across up to
-// workers executors on the shared pool. Each stripe replays the full
+// workers executors (workpool.Parallel). Each stripe replays the full
 // schedule over its range, so stripes never write the same bytes.
 // workers <= 1 or small buffers fall back to the serial path.
 func (p *Plan) RunParallel(in, out [][]byte, workers int) {

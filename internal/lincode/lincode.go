@@ -75,8 +75,8 @@ type Code struct {
 
 // New returns the code with the given generator, which must have n*units
 // rows and k*units columns. toStored is the optional per-block stored-order
-// permutation (nil: canonical order). Plan runs are striped across the
-// shared worker pool (workpool.Width executors).
+// permutation (nil: canonical order). Plan runs are striped across
+// workpool.Width executors.
 func New(n, k, units int, gen *matrix.Matrix, toStored [][]int) *Code {
 	if gen.Rows() != n*units || gen.Cols() != k*units {
 		panic(fmt.Sprintf("lincode: generator is %dx%d, want %dx%d", gen.Rows(), gen.Cols(), n*units, k*units))

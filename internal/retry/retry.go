@@ -69,46 +69,11 @@ func (p Policy) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// Do runs op up to p.Attempts times, sleeping the jittered backoff between
-// tries. It stops early when op succeeds, when retryable reports the error
-// as permanent, or when ctx is done (returning the last error wrapped with
-// the context cause when no attempt ran). A nil retryable retries every
-// error.
-func Do(ctx context.Context, p Policy, retryable func(error) bool, op func(context.Context) error) error {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if err == nil {
-				err = cerr
-			}
-			return err
-		}
-		err = op(ctx)
-		if err == nil {
-			return nil
-		}
-		if retryable != nil && !retryable(err) {
-			return err
-		}
-		if i == attempts-1 {
-			break
-		}
-		if !sleep(ctx, p.jittered(p.Backoff(i+1))) {
-			return err
-		}
-	}
-	return err
-}
-
 // Wait sleeps the jittered backoff that follows the attempt-th failure
 // (1-based), or returns early when ctx is done; it reports whether the
-// full wait elapsed. Callers that cannot afford Do's per-call closure on
-// an allocation-pinned hot path inline the attempt loop themselves and
-// use Wait between tries.
+// full wait elapsed. Callers write their own attempt loop, which decides
+// what is retryable and what each attempt tallies, and call Wait between
+// tries.
 func (p Policy) Wait(ctx context.Context, attempt int) bool {
 	return sleep(ctx, p.jittered(p.Backoff(attempt)))
 }

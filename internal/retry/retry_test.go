@@ -2,7 +2,6 @@ package retry
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 )
@@ -35,63 +34,20 @@ func TestJitterBounds(t *testing.T) {
 	}
 }
 
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	calls := 0
-	err := Do(context.Background(), Policy{Attempts: 4, Base: time.Microsecond}, nil, func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Do: err=%v calls=%d, want nil/3", err, calls)
+// TestWaitHonorsContextCancel checks that a backoff ends when its context
+// does: an hour's wait under a cancelled context returns false at once.
+func TestWaitHonorsContextCancel(t *testing.T) {
+	p := Policy{Base: time.Hour}
+	if !p.Wait(context.Background(), 0) {
+		t.Fatal("Wait(0) under a live context = false, want true")
 	}
-}
-
-func TestDoStopsOnPermanentError(t *testing.T) {
-	permanent := errors.New("permanent")
-	calls := 0
-	err := Do(context.Background(), Policy{Attempts: 5, Base: time.Microsecond},
-		func(err error) bool { return !errors.Is(err, permanent) },
-		func(context.Context) error { calls++; return permanent })
-	if !errors.Is(err, permanent) || calls != 1 {
-		t.Fatalf("Do: err=%v calls=%d, want permanent after 1 call", err, calls)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	transient := errors.New("transient")
-	calls := 0
-	err := Do(context.Background(), Policy{Attempts: 3, Base: time.Microsecond}, nil,
-		func(context.Context) error { calls++; return transient })
-	if !errors.Is(err, transient) || calls != 3 {
-		t.Fatalf("Do: err=%v calls=%d, want transient after 3 calls", err, calls)
-	}
-}
-
-func TestDoHonorsContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	transient := errors.New("transient")
-	err := Do(ctx, Policy{Attempts: 10, Base: time.Hour}, nil, func(context.Context) error {
-		calls++
-		cancel() // cancel during the first attempt: the backoff sleep must abort
-		return transient
-	})
-	if !errors.Is(err, transient) || calls != 1 {
-		t.Fatalf("Do: err=%v calls=%d, want transient after 1 call", err, calls)
-	}
-}
-
-func TestDoCancelledBeforeFirstAttempt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Do(ctx, Policy{Attempts: 3}, nil, func(context.Context) error {
-		t.Fatal("op ran under a dead context")
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Do: %v, want context.Canceled", err)
+	start := time.Now()
+	if p.Wait(ctx, 1) {
+		t.Fatal("Wait under a cancelled context = true, want false")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Wait under a cancelled context took %v", d)
 	}
 }

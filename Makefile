@@ -222,19 +222,20 @@ bench-sweep:
 	$(GO) build -o .bench_build/codingbench ./cmd/codingbench
 	for p in 1 2 4 8; do GOMAXPROCS=$$p .bench_build/codingbench || exit 1; done
 
-# The hot-read stripe cache: the S3-FIFO admission and singleflight unit
+# The hot-read stripe cache: the TinyLFU admission and singleflight unit
 # suites plus the store-level cache e2es (warm-read zero dials, error
 # fan-out, waiter cancellation, invalidation races), race-enabled; the
-# buffer-reuse tests ten times under -race (the hold and spare unit tests,
-# the content-checked churn under rewrites, a fetch into a poisoned
-# spare) and the two tests of a flight with no context of its own (its
+# buffer-reuse tests and the admission tests (the swarm_hot hit ratio
+# replayed offline, frequency beats recency) ten times under -race (the
+# hold and spare unit tests, the content-checked churn under rewrites, a
+# fetch into a poisoned spare) and the two tests of a flight with no context of its own (its
 # abort interrupts its round; a cancelled starter's stats stay put); then
 # a short open-loop Zipf swarm A/B (cache-off vs cache-on, no JSON
 # refresh).
 swarm:
 	$(GO) test -race -count=2 ./internal/stripecache ./internal/workload
 	$(GO) test -race -run 'TestStoreCache' ./internal/blockserver
-	$(GO) test -race -count=10 -run 'TestHeldEntryStaysOffSpares|TestPutBufferNeverReachesAFlight|TestFinishedFlightPinsForItsWaiters|TestAbandonedFlightReleasesPin|TestSpareIsOverwritten' ./internal/stripecache
+	$(GO) test -race -count=10 -run 'TestHeldEntryStaysOffSpares|TestPutBufferNeverReachesAFlight|TestFinishedFlightPinsForItsWaiters|TestAbandonedFlightReleasesPin|TestSpareIsOverwritten|TestZipfHitRatio|TestAdmissionPrefersFrequentKeys' ./internal/stripecache
 	$(GO) test -race -count=10 -run 'TestStoreCacheChurnKeepsBytes|TestStoreCacheFetchOverwritesPoison|TestStoreCacheAbortInterruptsTheRound|TestStoreCacheCancelledStarterStatsStayPut' ./internal/blockserver
 	$(GO) run ./cmd/clusterbench -fig swarm -swarmdur 1s -swarmobjs 128
 

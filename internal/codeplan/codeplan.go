@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"carousel/internal/gf256"
@@ -348,16 +349,34 @@ func (p *Plan) RunParallel(in, out [][]byte, workers int) {
 	}
 	stripe := (size + workers - 1) / workers
 	stripe = (stripe + 63) / 64 * 64
-	stripes := (size + stripe - 1) / stripe
-	workpool.Parallel(stripes, workers, func(i int) {
-		lo := i * stripe
-		hi := lo + stripe
-		if hi > size {
-			hi = size
-		}
-		p.runRange(in, out, lo, hi)
-	})
+	r := stripeRunPool.Get().(*stripeRun)
+	r.p, r.in, r.out, r.stripe, r.size = p, in, out, stripe, size
+	workpool.Parallel((size+stripe-1)/stripe, workers, r.do)
+	r.p, r.in, r.out = nil, nil, nil
+	stripeRunPool.Put(r)
 	mRunNS.ObserveSince(t0)
+}
+
+// stripeRun is one RunParallel call's arguments. stripeRunPool recycles
+// it with do bound, so handing Parallel the stripe function allocates
+// nothing.
+type stripeRun struct {
+	p            *Plan
+	in, out      [][]byte
+	stripe, size int
+	do           func(i int)
+}
+
+var stripeRunPool = sync.Pool{New: func() any {
+	r := new(stripeRun)
+	r.do = r.runStripe
+	return r
+}}
+
+// runStripe runs the plan over stripe i of the call's byte range.
+func (r *stripeRun) runStripe(i int) {
+	lo := i * r.stripe
+	r.p.runRange(r.in, r.out, lo, min(lo+r.stripe, r.size))
 }
 
 // runRange executes the plan over [lo, hi) one tile at a time: the moves,

@@ -84,11 +84,13 @@ func TestCollectTrace(t *testing.T) {
 func TestTraceEndpointFilters(t *testing.T) {
 	tr := NewTracer(64)
 	reg := NewRegistry()
+	// The old spans ended an hour ago and mark lies between the two groups,
+	// so a ?since of time.Since(mark), taken at query time, tells them apart
+	// however late the request reaches the mux.
 	for i := 0; i < 5; i++ {
-		_, s := tr.Start(nil, "old")
-		s.End()
+		tr.record(SpanRecord{Name: "old", Start: time.Now().Add(-time.Hour), Duration: time.Millisecond})
 	}
-	time.Sleep(30 * time.Millisecond)
+	mark := time.Now().Add(-30 * time.Minute)
 	for i := 0; i < 3; i++ {
 		_, s := tr.Start(nil, "new")
 		s.End()
@@ -110,16 +112,17 @@ func TestTraceEndpointFilters(t *testing.T) {
 	if spans := get("?limit=2"); len(spans) != 2 || spans[0].Name != "new" {
 		t.Fatalf("limit=2 returned %v", spans)
 	}
-	spans := get("?since=25ms")
+	since := func() string { return "?since=" + time.Since(mark).String() }
+	spans := get(since())
 	if len(spans) != 3 {
-		t.Fatalf("since=25ms returned %d spans, want 3: %v", len(spans), spans)
+		t.Fatalf("since mark returned %d spans, want 3: %v", len(spans), spans)
 	}
 	for _, s := range spans {
 		if s.Name != "new" {
 			t.Fatalf("since filter leaked old span: %v", spans)
 		}
 	}
-	if spans := get("?since=25ms&limit=1"); len(spans) != 1 || spans[0].Name != "new" {
+	if spans := get(since() + "&limit=1"); len(spans) != 1 || spans[0].Name != "new" {
 		t.Fatalf("since+limit returned %v", spans)
 	}
 	if spans := get("?since=10h"); len(spans) != 8 {

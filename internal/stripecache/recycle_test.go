@@ -73,8 +73,10 @@ func TestHeldEntryStaysOffSpares(t *testing.T) {
 	if e == nil {
 		t.Fatal("the fetched stripe is not resident")
 	}
-	// The hit graduated the entry to the main queue, so it takes the
-	// ghosts of the first pass, re-missed, to evict it.
+	// The fetch and the hit count two lookups of the entry in the sketch,
+	// so it takes a key looked up three times, in the third pass, to evict
+	// it: the misses of the first two passes are refused admission, but
+	// for the first, which takes the shard's free room.
 	evicted := false
 	for pass := 0; pass < 4 && !evicted; pass++ {
 		for _, st := range sts[1:8] {

@@ -123,11 +123,13 @@ func WithHedgeDelay(d time.Duration) StoreOption {
 }
 
 // WithStripeCache enables the hot-read stripe cache with the given byte
-// budget: decoded stripes are kept in memory (S3-FIFO admission, per-file
-// version invalidation) and N concurrent misses on one stripe coalesce
-// into a single fetch+decode. Zero or negative leaves the cache off. The
-// cache is per-Store and deliberately opt-in — fault-injection tests and
-// repair tooling want every read to exercise the network.
+// budget: decoded stripes are kept in memory (CLOCK eviction behind a
+// TinyLFU admission filter, per-file version invalidation) and N
+// concurrent misses on one stripe coalesce into a single fetch+decode. A
+// stripe larger than budget/16, one shard's share, is never cached. Zero
+// or negative leaves the cache off. The cache is per-Store and
+// deliberately opt-in — fault-injection tests and repair tooling want
+// every read to exercise the network.
 func WithStripeCache(bytes int64) StoreOption {
 	return func(s *Store) {
 		if bytes > 0 {

@@ -3,7 +3,7 @@ GO ?= go
 # Packages whose hot paths share mutable buffers across goroutines — or, for
 # the codecs, share the engine's memo of inverses and plans; these run under
 # the race detector in addition to the normal suite.
-RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/lincode ./internal/reedsolomon ./internal/msr ./internal/lrc ./internal/mbr ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/frame ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/master ./internal/stripecache ./internal/workload
+RACE_PKGS = ./internal/codeplan ./internal/workpool ./internal/matrix ./internal/lincode ./internal/reedsolomon ./internal/msr ./internal/lrc ./internal/carousel ./internal/blockserver ./internal/faultnet ./internal/frame ./internal/dfs ./internal/retry ./internal/obs ./internal/bufpool ./internal/master ./internal/stripecache ./internal/workload
 
 # Packages on the fault-tolerant block path: run twice under the race
 # detector to shake out order-dependent leaks and redial races.
@@ -34,9 +34,13 @@ race:
 # rung alone (MulSum's MulSlice/MulAddSlice reference). GF256_DISABLE is
 # read at package init, which go test's result cache does not key on, so
 # both lines run with -count=1: a cached result may be another tier's.
+# Then, on the AVX2 and the portable rungs, the one-stripe read from k
+# whole blocks, whose solve runs on every read, and its re-plans.
 race-tiers:
 	GF256_DISABLE=gfni $(GO) test -race -count=1 ./internal/gf256 ./internal/lincode ./internal/carousel ./internal/codeplan
 	GF256_DISABLE=all $(GO) test -count=1 ./internal/gf256 ./internal/codeplan ./internal/lincode ./internal/carousel
+	GF256_DISABLE=gfni $(GO) test -race -count=1 -run 'OneStripeRead|WholePlan|PatchSource' ./internal/blockserver
+	GF256_DISABLE=avx2,gfni $(GO) test -race -count=1 -run 'OneStripeRead|WholePlan|PatchSource' ./internal/blockserver
 
 # Exercise the fault matrix: injected stragglers, partitions, corruption,
 # and crash-mid-read over real TCP, twice, race-enabled.
@@ -93,7 +97,11 @@ recover:
 	$(GO) test -race -count=5 -run 'Recover|SelfHealing' ./internal/master
 
 # The one read path, repeated under the race detector: batched reads (one
-# range exchange per source per batch round, counted at the servers),
+# range exchange per source per batch round, counted at the servers), a
+# small stripe read whole from k rotating sources (k exchanges, each
+# data-bearing server k of every p reads) and re-planned around a closed,
+# black-holed or corrupt one, a patch source asked once for its prefix
+# and parity range,
 # per-name verdicts striking one stripe, a slow-everywhere cluster read
 # unhedged, a black-holed source costing one hedge per batch (and no
 # more while every client of it is out: a checkout ends at the hedge), the one read
@@ -119,7 +127,7 @@ recover:
 # cache flight's abort interrupting its round at once, and a cancelled
 # starter's stats that the flight no longer writes.
 readpath:
-	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport|LeasedLoop|HalfOpenProbe' ./internal/blockserver
+	$(GO) test -race -count=5 -run 'ReadFile|Strikes|SlowEverywhereIsRead|OnePlan|Degraded|StoreCache|Blackholed|TraceStitching|Untraced|Cancel|Granule|WholeBlockRange|OneCarrier|RotReport|LeasedLoop|HalfOpenProbe|OneStripeRead|WholePlan|PatchSource' ./internal/blockserver
 	$(GO) test -race -count=10 -run 'TestStoreCacheAbortInterruptsTheRound|TestStoreCacheCancelledStarterStatsStayPut' ./internal/blockserver
 
 # Fuzz the three decoders of the one record frame (internal/frame), 10 s

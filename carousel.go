@@ -34,7 +34,6 @@ import (
 	"carousel/internal/dfs"
 	"carousel/internal/lrc"
 	"carousel/internal/mapreduce"
-	"carousel/internal/mbr"
 	"carousel/internal/msr"
 	"carousel/internal/reedsolomon"
 )
@@ -95,17 +94,6 @@ type MSR = msr.Code
 // NewMSR constructs an (n, k, d) MSR code; requires d >= 2k-2.
 func NewMSR(n, k, d int) (*MSR, error) {
 	return msr.New(n, k, d)
-}
-
-// MBR is an (n, k, d) product-matrix minimum-bandwidth regenerating code
-// (Rashmi et al.): repairs a lost block by moving exactly one block's
-// worth of bytes, at a storage overhead above the MDS point. The other
-// extreme of the trade-off Carousel codes sit in.
-type MBR = mbr.Code
-
-// NewMBR constructs an (n, k, d) MBR code with k <= d < n.
-func NewMBR(n, k, d int) (*MBR, error) {
-	return mbr.New(n, k, d)
 }
 
 // LRC is an Azure-style locally repairable code LRC(k, l, g): k data

@@ -119,26 +119,7 @@ func TestFacadeSimulation(t *testing.T) {
 	}
 }
 
-func TestFacadeMBRAndLRC(t *testing.T) {
-	m, err := carousel.NewMBR(12, 6, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := make([]byte, m.MessageUnits()*8)
-	rand.New(rand.NewSource(5)).Read(msg)
-	blocks, err := m.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks[0], blocks[5] = nil, nil
-	got, err := m.Decode(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("MBR round trip mismatch")
-	}
-
+func TestFacadeLRC(t *testing.T) {
 	l, err := carousel.NewLRC(6, 2, 2)
 	if err != nil {
 		t.Fatal(err)

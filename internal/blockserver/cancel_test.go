@@ -92,9 +92,10 @@ func TestCancelInterruptsExchange(t *testing.T) {
 // a Store round, whose exchanges share one cancellation hook: the caller
 // cancels while every source of a read is black-holed, and the read
 // returns context.Canceled at once, long before the hedge and the I/O
-// deadline. Every client the round held comes back without its
-// connection, none parked with its deadline in the past, and the next
-// read, with no retry to hide a bad connection, returns the right bytes.
+// deadline. Every client the round held — one per source of the stripe's
+// whole plan — comes back without its connection, none parked with its
+// deadline in the past, and the next read, with no retry to hide a bad
+// connection, returns the right bytes.
 func TestRoundCancelInterruptsEveryExchange(t *testing.T) {
 	code := mustCode(t)
 	_, addrs, injectors := startFaultServers(t, code, code.N())
@@ -117,6 +118,7 @@ func TestRoundCancelInterruptsEveryExchange(t *testing.T) {
 	for i := range code.P() {
 		injectors[i].SetDefault(faultnet.Policy{Blackhole: true})
 	}
+	asked := nextPlan(store).Direct
 	ctx, cancel := context.WithCancel(bg)
 	timer := time.AfterFunc(50*time.Millisecond, cancel)
 	defer timer.Stop()
@@ -131,6 +133,8 @@ func TestRoundCancelInterruptsEveryExchange(t *testing.T) {
 	}
 	for i := range code.P() {
 		injectors[i].SetDefault(faultnet.Policy{})
+	}
+	for _, i := range asked {
 		pe := store.pool.peers[addrs[i]]
 		parked := make([]*Client, cap(pe.free))
 		for k := range parked {

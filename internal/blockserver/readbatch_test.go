@@ -29,20 +29,23 @@ import (
 // stripe's data prefix, so a 32-stripe ReadFile at (12,6,10,10) makes p = 10
 // range exchanges, not one per source per stripe (320), and still fetches
 // exactly the file's bytes. A file too large for one batch makes p per
-// batch. A one-stripe read is a batch of one (p exchanges), and so is each
-// miss of a stripe cache, which coalesces misses stripe by stripe: a cold
-// cached read makes p per stripe and a warm one none.
+// batch. A one-stripe read is a batch of one, and so is each miss of a
+// stripe cache, which coalesces misses stripe by stripe: below wholeBelow
+// such a batch reads k whole blocks (k exchanges), so a cold cached read
+// makes k per stripe and a warm one none; above it, p.
 func TestReadFileBatchesSourceExchanges(t *testing.T) {
 	code, err := carousel.New(12, 6, 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := int64(code.P())
+	k, p := int64(code.K()), int64(code.P())
 	_, addrs := startServers(t, code, code.N())
 	ctx := context.Background()
 	// read writes a file of the given stripes through store and reads it
-	// back, reporting the range exchanges the servers answered meanwhile.
-	read := func(store *Store, name string, stripes, blockSize int) (int64, *ReadStats) {
+	// back, reporting the range exchanges the servers answered meanwhile;
+	// whole of its stripes are read from k whole blocks, the rest from p
+	// prefixes.
+	read := func(store *Store, name string, stripes, whole, blockSize int) (int64, *ReadStats) {
 		t.Helper()
 		data := make([]byte, stripes*code.K()*blockSize)
 		rand.New(rand.NewSource(int64(stripes))).Read(data)
@@ -54,8 +57,8 @@ func TestReadFileBatchesSourceExchanges(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: err %v, identical %v", name, err, bytes.Equal(got, data))
 		}
-		if stats.BytesFetched != int64(len(data)) || stats.StripesParallel != stripes {
-			t.Errorf("%s: fetched %d bytes over %d parallel stripes, want %d over %d", name, stats.BytesFetched, stats.StripesParallel, len(data), stripes)
+		if stats.BytesFetched != int64(len(data)) || stats.StripesParallel != stripes-whole || stats.StripesWhole != whole || stats.StripesFallback != 0 {
+			t.Errorf("%s: fetched %d bytes over %d parallel and %d whole stripes, want %d over %d and %d", name, stats.BytesFetched, stats.StripesParallel, stats.StripesWhole, len(data), stripes-whole, whole)
 		}
 		return servedExchanges(opRange) - exchanges0, stats
 	}
@@ -66,15 +69,16 @@ func TestReadFileBatchesSourceExchanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
-	if got, _ := read(store, "f", 32, blockSize); got != p {
+	if got, _ := read(store, "f", 32, 0, blockSize); got != p {
 		t.Errorf("a 32-stripe read made %d range exchanges, want p = %d: one per source", got, p)
 	}
-	if got, _ := read(store, "one", 1, blockSize); got != p {
-		t.Errorf("a one-stripe read made %d range exchanges, want p = %d", got, p)
+	if got, _ := read(store, "one", 1, 1, blockSize); got != k {
+		t.Errorf("a one-stripe read made %d range exchanges, want k = %d", got, k)
 	}
 
 	// Blocks large enough that two stripes fill batchBytes: three stripes
-	// are two batches.
+	// are two batches, the second of one stripe whose prefixes are far
+	// above wholeBelow.
 	large := batchBytes / (2 * code.K()) / code.BlockAlign() * code.BlockAlign()
 	bigStore, err := NewStore(code, addrs, large)
 	if err != nil {
@@ -84,7 +88,7 @@ func TestReadFileBatchesSourceExchanges(t *testing.T) {
 	if per := batchBytes / (code.K() * large); per != 2 {
 		t.Fatalf("%d-byte blocks make batches of %d stripes, want 2", large, per)
 	}
-	if got, _ := read(bigStore, "big", 3, large); got != 2*p {
+	if got, _ := read(bigStore, "big", 3, 0, large); got != 2*p {
 		t.Errorf("a 3-stripe read in batches of 2 made %d range exchanges, want 2p = %d", got, 2*p)
 	}
 
@@ -93,11 +97,11 @@ func TestReadFileBatchesSourceExchanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cached.Close)
-	if got, _ := read(cached, "cold", 1, blockSize); got != p {
-		t.Errorf("a cached read's one miss made %d range exchanges, want p = %d", got, p)
+	if got, _ := read(cached, "cold", 1, 1, blockSize); got != k {
+		t.Errorf("a cached read's one miss made %d range exchanges, want k = %d", got, k)
 	}
-	if got, _ := read(cached, "cold32", 32, blockSize); got != 32*p {
-		t.Errorf("a cold cached 32-stripe read made %d range exchanges, want p per miss = %d", got, 32*p)
+	if got, _ := read(cached, "cold32", 32, 32, blockSize); got != 32*k {
+		t.Errorf("a cold cached 32-stripe read made %d range exchanges, want k per miss = %d", got, 32*k)
 	}
 	exchanges0 := servedExchanges(opRange)
 	if _, stats, err := cached.ReadFile(ctx, "cold32", 32*code.K()*blockSize); err != nil || stats.CacheHits != 32 {

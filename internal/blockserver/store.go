@@ -23,6 +23,7 @@ import (
 // a single scrape reflects the same taxonomy the fault tests assert on.
 var (
 	mStripesParallel = obs.Default().Counter("store_parallel_stripes_total")
+	mStripesWhole    = obs.Default().Counter("store_whole_stripes_total")
 	mStripesFallback = obs.Default().Counter("store_fallback_stripes_total")
 	// Cache-path counterparts: stripes served straight from the stripe
 	// cache (no network) and stripes whose miss coalesced onto another
@@ -58,6 +59,15 @@ var (
 // blocks.
 const stripesInFlight = 4
 
+// wholeBelow is the data prefix, in bytes, below which a read batch of one
+// stripe reads k whole blocks instead of p prefixes: k exchanges and one
+// solve for the stripe's k·blockSize bytes, where the p-source plan makes p
+// exchanges for the same bytes. A batch of several stripes amortizes its
+// exchanges over them and keeps the p-source plan. The value is the
+// crossover of BenchmarkOneStripeRead (EXPERIMENTS.md, "A small stripe
+// reads k whole blocks"): below it the exchanges saved outweigh the solve.
+const wholeBelow = 16 << 10
+
 // Store stripes files across n block servers with a Carousel code: block i
 // of every stripe lives on server i. Reads pull original data from up to p
 // servers in parallel over TCP; repairs move only the optimal chunk from
@@ -84,6 +94,13 @@ type Store struct {
 	pool      *Pool              // shared by reads, writes, scrub, and repair; its options are every client's
 	ownsPool  bool               // the pool is NewStore's own, which Close closes
 	healthy   *carousel.ReadPlan // the plan with every block available: what a stripe reads while nothing is known bad
+	// whole holds, when a stripe's data prefixes are below wholeBelow, the
+	// plan on k consecutive data-bearing blocks starting at each of the p,
+	// which a read batch of one stripe takes in turn (wholeTurn) while
+	// nothing is known bad, so each data-bearing server serves k of every
+	// p such reads; nil when the p-source plan is the only one.
+	whole     []*carousel.ReadPlan
+	wholeTurn atomic.Uint32
 
 	// home is the newcomer this store was built for to run one rebuild
 	// request on, over the newcomer's pool (see Server.rebuild): the
@@ -169,6 +186,9 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 	if s.healthy, err = code.PlanRead(all, blockSize); err != nil {
 		return nil, err
 	}
+	if s.whole, err = wholePlans(code, blockSize, s.healthy); err != nil {
+		return nil, err
+	}
 	if s.pool == nil {
 		s.pool, s.ownsPool = NewPool(addrs, PoolOptions{}), true
 	}
@@ -176,6 +196,35 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 		s.fetch = s.fetchStripe
 	}
 	return s, nil
+}
+
+// wholePlans returns the p plans a read batch of one stripe takes turns
+// on, plan r reading the k data-bearing blocks r, r+1, … (mod p) whole —
+// their data prefixes and the parity units PlanRead gathers from them —
+// or nil when the healthy plan's prefixes are not below wholeBelow or p
+// is k, whose prefixes are whole blocks already.
+func wholePlans(code *carousel.Code, blockSize int, healthy *carousel.ReadPlan) ([]*carousel.ReadPlan, error) {
+	if code.P() == code.K() || healthy.BytesPerSource >= wholeBelow {
+		return nil, nil
+	}
+	return rotatedPlans(code, blockSize)
+}
+
+// rotatedPlans returns the p plans on k consecutive data-bearing blocks.
+func rotatedPlans(code *carousel.Code, blockSize int) ([]*carousel.ReadPlan, error) {
+	k, p := code.K(), code.P()
+	plans, avail := make([]*carousel.ReadPlan, p), make([]bool, code.N())
+	for r := range plans {
+		clear(avail)
+		for j := range k {
+			avail[(r+j)%p] = true
+		}
+		var err error
+		if plans[r], err = code.PlanRead(avail, blockSize); err != nil {
+			return nil, err
+		}
+	}
+	return plans, nil
 }
 
 // Close closes the pool NewStore built for the store, and its pooled
@@ -455,6 +504,11 @@ type ReadStats struct {
 	// StripesParallel counts stripes served verbatim by the data prefixes
 	// of all p data-bearing blocks.
 	StripesParallel int
+	// StripesWhole counts stripes read, with nothing known bad, whole from
+	// k consecutive data-bearing blocks — k exchanges, k·blockSize bytes and
+	// one solve — the plan of a read batch of one stripe whose data prefixes
+	// are below wholeBelow (a stripe-cache miss, a one-stripe file).
+	StripesWhole int
 	// StripesFallback counts every other stripe: a data-bearing block was
 	// presumed down, failed or straggled, and the stripe was completed
 	// from replacement or patch units. It counts planned degraded stripes
@@ -503,6 +557,7 @@ func (rs *ReadStats) fold(t *stripecache.Tally) {
 	rs.BytesFetched += t.Bytes
 	rs.CorruptSources += t.Corrupt
 	rs.StripesParallel += t.Parallel
+	rs.StripesWhole += t.Whole
 	rs.StripesFallback += t.Fallback
 	rs.unlock()
 }
@@ -519,12 +574,16 @@ func (rs *ReadStats) unlock() {
 	}
 }
 
-// Path summarizes which path served the read.
+// Path summarizes which path served the read: "parallel", "whole" or
+// "fallback" when every stripe that touched the network took that one,
+// "mixed" otherwise.
 func (rs *ReadStats) Path() string {
 	switch {
-	case rs.StripesFallback == 0:
+	case rs.StripesFallback == 0 && rs.StripesWhole == 0:
 		return "parallel"
-	case rs.StripesParallel == 0:
+	case rs.StripesFallback == 0 && rs.StripesParallel == 0:
+		return "whole"
+	case rs.StripesParallel == 0 && rs.StripesWhole == 0:
 		return "fallback"
 	default:
 		return "mixed"
@@ -1213,7 +1272,9 @@ type stripeRead struct {
 	dst      []byte
 	tally    *stripecache.Tally // the batch's, written on the loop's goroutine alone
 	span     *obs.Span          // the stripe's; ended by done
+	first    *carousel.ReadPlan // what the stripe reads while nothing is known bad: the healthy plan, or a whole one
 	plan     *carousel.ReadPlan // shared, read-only (PlanRead memoizes it)
+	chosen   bool               // plan is first, planned on no availability
 	direct   int                // the round's first direct asks are data prefixes into dst
 	prefixed []bool             // by block: its data prefix sits in dst
 	scratch  []piece            // ranges landed in pooled buffers
@@ -1255,6 +1316,10 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 		defer bsp.End()
 	}
 	stripeData := s.code.K() * s.blockSize
+	first := s.healthy
+	if hi-lo == 1 && s.whole != nil {
+		first = s.whole[(s.wholeTurn.Add(1)-1)%uint32(len(s.whole))]
+	}
 	l := leaseLoop()
 	defer l.release()
 	l.flight = f
@@ -1262,7 +1327,7 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 	for i := range l.reads {
 		rd := &l.reads[i] // reset: all but the capacity of its asks and scratch
 		rd.stripeOp = stripeOp{s: s, file: name, st: lo + i, round: rd.round}
-		rd.dst, rd.tally = dst[i*stripeData:(i+1)*stripeData], t
+		rd.dst, rd.tally, rd.first = dst[i*stripeData:(i+1)*stripeData], t, first
 		l.tasks = append(l.tasks, rd)
 		if rd.ctx, rd.span = obs.ChildSpan(ctx, "stripe"); rd.span == nil {
 			continue // an untraced read records no stage
@@ -1277,7 +1342,8 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 		// paper's read pipeline and carrying it as a span keeps the
 		// decomposition uniform.
 		_, lsp := obs.ChildSpan(rd.ctx, "locate")
-		lsp.SetAttr("sources", s.code.P()).SetAttr("bytes_per_source", s.healthy.BytesPerSource).End()
+		sources := first.Parallelism()
+		lsp.SetAttr("sources", sources).SetAttr("bytes_per_source", first.TotalBytes/sources).End()
 	}
 	s.runBatch(ctx, opRange, l)
 	for i := range l.reads {
@@ -1290,40 +1356,70 @@ func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []by
 	return lo + i, err
 }
 
-// try plans the stripe: the healthy plan on every block, else PlanRead.
+// try plans the stripe: its first plan while nothing is known bad, else
+// PlanRead on what is available.
 func (rd *stripeRead) try(avail []bool) (err error) {
-	rd.plan = rd.s.healthy
+	rd.plan, rd.chosen = rd.first, avail == nil
 	if avail != nil {
 		rd.plan, err = rd.s.code.PlanRead(avail, rd.s.blockSize)
 	}
 	return err
 }
 
-// asks lists every piece of the plan that has not landed yet: a data
-// prefix straight into its slot of dst, a range into pooled scratch.
+// asks lists every piece of the plan that has not landed yet, one ask per
+// source wherever the plan allows: a data prefix straight into its slot of
+// dst, a range into pooled scratch, and a prefix together with the range
+// of its block that starts where it ends as one range from offset 0 into
+// scratch, whose prefix landed copies into dst — a whole plan's block, or
+// a patch plan's source of a prefix and a parity range. A source asked
+// twice in a round is asked back to back over one connection, which costs
+// more than the copy.
 func (rd *stripeRead) asks() (string, []ask) {
-	per := rd.plan.BytesPerSource
-	round := slices.Grow(rd.round[:0], len(rd.plan.Direct)+len(rd.plan.Ranges))
-	for _, b := range rd.plan.Direct {
-		if rd.prefixed == nil || !rd.prefixed[b] {
+	plan := rd.plan
+	round := slices.Grow(rd.round[:0], len(plan.Direct)+len(plan.Ranges))
+	for _, b := range plan.Direct {
+		if rd.wantsPrefix(b) && !rd.rides(b) {
+			per := plan.BytesPerSource
 			round = append(round, ask{block: b, args: [2]uint32{0, uint32(per)}, buf: rd.dst[b*per : (b+1)*per]})
 		}
 	}
 	rd.direct = len(round)
+	for _, r := range plan.Ranges {
+		if rd.landedIn(r) != nil {
+			continue
+		}
+		if r.Off == plan.BytesPerSource && rd.wantsPrefix(r.Block) {
+			r.Off, r.Len = 0, r.Off+r.Len // the prefix rides along
+		}
+		round = append(round, ask{block: r.Block, args: [2]uint32{uint32(r.Off), uint32(r.Len)}, buf: bufpool.Get(r.Len)})
+	}
+	return plan.Mode, round
+}
+
+// wantsPrefix reports whether data-bearing block b's prefix, which the
+// plan reads, is not in dst yet.
+func (rd *stripeRead) wantsPrefix(b int) bool {
+	return b < rd.s.code.P() && (rd.prefixed == nil || !rd.prefixed[b])
+}
+
+// rides reports whether block b's prefix rides a range of the plan this
+// round: one that starts where the prefix ends, and has not landed.
+func (rd *stripeRead) rides(b int) bool {
 	for _, r := range rd.plan.Ranges {
-		if rd.landedIn(r) == nil {
-			round = append(round, ask{block: r.Block, args: [2]uint32{uint32(r.Off), uint32(r.Len)}, buf: bufpool.Get(r.Len)})
+		if r.Block == b && r.Off == rd.plan.BytesPerSource {
+			return rd.landedIn(r) == nil
 		}
 	}
-	return rd.plan.Mode, round
+	return false
 }
 
 // landed folds the round into the tally — every fetch's bytes or
 // corruption verdict, none dropped, and the plan that serves a stripe whose
 // every ask landed, which finishes next — and keeps what landed: a prefix
 // is marked in place once a re-plan is coming, a range joins the scratch,
-// and a failed range's buffer is recycled. Each process-wide counter moves
-// with its tally.
+// a range from offset 0 of a data-bearing block copies the prefix it
+// carries into dst, and a failed range's buffer is recycled. Each
+// process-wide counter moves with its tally.
 func (rd *stripeRead) landed() {
 	if rd.struck != nil && rd.prefixed == nil {
 		rd.prefixed = make([]bool, len(rd.s.addrs)) // a re-plan is coming
@@ -1342,6 +1438,13 @@ func (rd *stripeRead) landed() {
 			}
 		case k >= rd.direct:
 			rd.scratch = append(rd.scratch, piece{carousel.ReadRange{Block: a.block, Off: int(a.args[0]), Len: int(a.args[1])}, a.buf})
+			if a.args[0] == 0 && a.block < rd.s.code.P() { // a data-bearing block's ranges start past its prefix, unless it rode along
+				per := rd.plan.BytesPerSource
+				copy(rd.dst[a.block*per:(a.block+1)*per], a.buf)
+				if rd.prefixed != nil {
+					rd.prefixed[a.block] = true
+				}
+			}
 		case rd.prefixed != nil:
 			rd.prefixed[a.block] = true
 		}
@@ -1355,17 +1458,21 @@ func (rd *stripeRead) landed() {
 	case len(rd.plan.Ranges) == 0:
 		rd.tally.Parallel++
 		mStripesParallel.Inc()
+	case rd.chosen:
+		rd.tally.Whole++
+		mStripesWhole.Inc()
 	default:
 		rd.tally.Fallback++
 		mStripesFallback.Inc()
 	}
 }
 
-// landedIn returns the pooled buffer range r was fetched into, if it was.
+// landedIn returns the bytes of range r in the pooled buffer of a range
+// that landed holding it, if one did.
 func (rd *stripeRead) landedIn(r carousel.ReadRange) []byte {
 	for _, pc := range rd.scratch {
-		if pc.ReadRange == r {
-			return pc.buf
+		if o := r.Off - pc.Off; pc.Block == r.Block && o >= 0 && o+r.Len <= pc.Len {
+			return pc.buf[o : o+r.Len : o+r.Len]
 		}
 	}
 	return nil

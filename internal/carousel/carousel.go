@@ -93,6 +93,7 @@ type Code struct {
 	structured bool // whether the paper's structured selection was used
 
 	base *msr.Code // repair machinery for d > k; nil when d == k
+	phis [][]byte  // by failed block: the helpers' repair vector, phi_failed (d > k)
 
 	// readPlans: availability + block size -> read plan, with its solver.
 	readPlans lincode.Memo[*ReadPlan]
@@ -132,6 +133,12 @@ func New(n, k, d, p int) (*Code, error) {
 		c.base = base
 		c.alpha = base.Alpha()
 		baseGen = base.EffectiveGenerator()
+		c.phis = make([][]byte, n)
+		for f := range c.phis {
+			if c.phis[f], err = base.RepairHelperVector(f); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	c.kUnits, c.expand, c.units = unitParams(k, c.alpha, p)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"carousel/internal/codeplan"
 	"carousel/internal/lincode"
@@ -263,8 +262,15 @@ type readSolver struct {
 	unknown []int          // global data-unit columns being solved for (x)
 	known   []int          // global data-unit columns some gathered row uses (y)
 
-	tables sync.Pool // *solveTables, so a solve allocates no unit tables
+	// tables is a free list of unit tables, so a solve allocates none. A
+	// sync.Pool would not do: every GC empties it, and drops its per-P
+	// arrays, which a small read's solve then allocated anew.
+	tables chan *solveTables
 }
+
+// tablesKept is how many solves of one plan at once find their unit
+// tables on its free list; a solve beyond them allocates its own.
+const tablesKept = 8
 
 // unitRange is a run of n adjacent stored units of one block, starting at
 // stored position pos.
@@ -413,15 +419,17 @@ func (c *Code) solverFromEquations(missing, spares, unknown []int, eqs [][2]int)
 		last.n++
 	}
 	plan := codeplan.Compile(inv.HStack(inv.Mul(kn)))
-	return &readSolver{spares: spares, rows: rows, ranges: ranges, plan: plan, unknown: unknown, known: known}, nil
+	return &readSolver{spares: spares, rows: rows, ranges: ranges, plan: plan, unknown: unknown, known: known, tables: make(chan *solveTables, tablesKept)}, nil
 }
 
 // solve fills the unknown data units of out in one run of the compiled
 // map, whose inputs are the gathered units of fetched, which it only
 // reads, followed by the known data units of out.
 func (s *readSolver) solve(fetched [][]byte, out []byte, usize int) {
-	t, _ := s.tables.Get().(*solveTables)
-	if t == nil {
+	var t *solveTables
+	select {
+	case t = <-s.tables:
+	default:
 		t = &solveTables{in: make([][]byte, len(s.rows)+len(s.known)), dst: make([][]byte, len(s.unknown))}
 	}
 	for i, rr := range s.rows {
@@ -436,5 +444,8 @@ func (s *readSolver) solve(fetched [][]byte, out []byte, usize int) {
 	s.plan.RunParallel(t.in, t.dst, workpool.Width())
 	clear(t.in) // a parked table must not pin the caller's buffers
 	clear(t.dst)
-	s.tables.Put(t)
+	select {
+	case s.tables <- t:
+	default:
+	}
 }

@@ -53,15 +53,12 @@ func (c *Code) HelperChunkInto(helper, failed int, block, dst []byte) error {
 		copy(dst, block)
 		return nil
 	}
-	phi, err := c.base.RepairHelperVector(failed)
-	if err != nil {
-		return err
-	}
 	usize := len(block) / c.units
-	canon := c.Units(make([][]byte, 0, c.units), helper, block)
+	var canonArr, segsArr [unitsOnStack][]byte
+	canon := c.Units(unitViews(canonArr[:], c.units)[:0], helper, block)
 	// Sub-index t of the expansion is an independent copy of the base MSR
 	// code; combine the alpha segments at each t with phi.
-	segs := make([][]byte, c.alpha)
+	phi, segs := c.phis[failed], unitViews(segsArr[:], c.alpha)
 	for t := 0; t < c.expand; t++ {
 		for s := 0; s < c.alpha; s++ {
 			segs[s] = canon[s*c.expand+t]
@@ -69,6 +66,20 @@ func (c *Code) HelperChunkInto(helper, failed int, block, dst []byte) error {
 		matrix.ApplyRowToUnits(phi, segs, dst[t*usize:(t+1)*usize])
 	}
 	return nil
+}
+
+// unitsOnStack is how many unit views a helper chunk or a repair keeps in
+// an array on its own stack; a code with more units per block, helpers or
+// segments than that allocates its views.
+const unitsOnStack = 64
+
+// unitViews returns n unit views: arr's first n when it has room for them,
+// else a fresh slice.
+func unitViews(arr [][]byte, n int) [][]byte {
+	if n <= len(arr) {
+		return arr[:n]
+	}
+	return make([][]byte, n)
 }
 
 // RepairBlock regenerates the failed block, freshly allocated, from the d
@@ -112,8 +123,9 @@ func (c *Code) RepairBlockInto(failed int, helpers []int, chunks [][]byte, dst [
 		return err
 	}
 	usize := chunkSize / c.expand
-	canon := c.Units(make([][]byte, 0, c.units), failed, dst)
-	in, outs := make([][]byte, c.d), make([][]byte, c.alpha)
+	var canonArr, inArr, outsArr [unitsOnStack][]byte
+	canon := c.Units(unitViews(canonArr[:], c.units)[:0], failed, dst)
+	in, outs := unitViews(inArr[:], c.d), unitViews(outsArr[:], c.alpha)
 	for t := 0; t < c.expand; t++ {
 		for j, ch := range chunks {
 			in[j] = ch[t*usize : (t+1)*usize : (t+1)*usize]

@@ -57,11 +57,13 @@ type Flight struct {
 // and handed, once the flight has finished, to the caller that started it
 // and received its result; a flight nobody waited out keeps it to itself.
 // It counts the payload bytes that landed, the sources rejected as corrupt,
-// and the stripes the fetch served from data prefixes alone or rebuilt.
+// and the stripes the fetch served from data prefixes alone, from k whole
+// blocks with nothing known bad, or rebuilt around a fault.
 type Tally struct {
 	Bytes    int64
 	Corrupt  int
 	Parallel int
+	Whole    int
 	Fallback int
 }
 

@@ -159,8 +159,8 @@ func cmdClusterGet(args []string) error {
 	if err := os.WriteFile(outPath, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("got %s: %d bytes -> %s (%d stripes parallel, %d fallback)\n",
-		fileName, len(data), outPath, stats.StripesParallel, stats.StripesFallback)
+	fmt.Printf("got %s: %d bytes -> %s (%d stripes parallel, %d whole, %d fallback)\n",
+		fileName, len(data), outPath, stats.StripesParallel, stats.StripesWhole, stats.StripesFallback)
 	if *cacheMiB > 0 {
 		cst := st.Cache().Stats()
 		fmt.Printf("cache: %d stripe hits over %d read(s), %s resident, %d inserts, %d evictions\n",

@@ -142,7 +142,9 @@ func WithHedgeDelay(d time.Duration) StoreOption {
 // WithStripeCache enables the hot-read stripe cache with the given byte
 // budget: decoded stripes are kept in memory (CLOCK eviction behind a
 // TinyLFU admission filter, per-file version invalidation) and N
-// concurrent misses on one stripe coalesce into a single fetch+decode. A
+// concurrent misses on one stripe coalesce into a single fetch+decode: a
+// read batch of one stripe, which below wholeBelow makes k exchanges of
+// one whole block each, and above it p of one prefix each. A
 // stripe larger than budget/16, one shard's share, is never cached. Zero
 // or negative leaves the cache off. The cache is per-Store and
 // deliberately opt-in — fault-injection tests and repair tooling want
@@ -186,8 +188,10 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 	if s.healthy, err = code.PlanRead(all, blockSize); err != nil {
 		return nil, err
 	}
-	if s.whole, err = wholePlans(code, blockSize, s.healthy); err != nil {
-		return nil, err
+	if code.P() > code.K() && s.healthy.BytesPerSource < wholeBelow { // at p = k a prefix is a whole block
+		if s.whole, err = wholePlans(code, blockSize); err != nil {
+			return nil, err
+		}
 	}
 	if s.pool == nil {
 		s.pool, s.ownsPool = NewPool(addrs, PoolOptions{}), true
@@ -198,20 +202,11 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 	return s, nil
 }
 
-// wholePlans returns the p plans a read batch of one stripe takes turns
-// on, plan r reading the k data-bearing blocks r, r+1, … (mod p) whole —
-// their data prefixes and the parity units PlanRead gathers from them —
-// or nil when the healthy plan's prefixes are not below wholeBelow or p
-// is k, whose prefixes are whole blocks already.
-func wholePlans(code *carousel.Code, blockSize int, healthy *carousel.ReadPlan) ([]*carousel.ReadPlan, error) {
-	if code.P() == code.K() || healthy.BytesPerSource >= wholeBelow {
-		return nil, nil
-	}
-	return rotatedPlans(code, blockSize)
-}
-
-// rotatedPlans returns the p plans on k consecutive data-bearing blocks.
-func rotatedPlans(code *carousel.Code, blockSize int) ([]*carousel.ReadPlan, error) {
+// wholePlans returns the p plans a read batch of one small stripe takes
+// turns on, plan r reading the k data-bearing blocks r, r+1, … (mod p)
+// whole: their data prefixes and the parity units PlanRead gathers from
+// them.
+func wholePlans(code *carousel.Code, blockSize int) ([]*carousel.ReadPlan, error) {
 	k, p := code.K(), code.P()
 	plans, avail := make([]*carousel.ReadPlan, p), make([]bool, code.N())
 	for r := range plans {
@@ -533,44 +528,43 @@ type ReadStats struct {
 	// its tree with obs.DefaultTracer().Spans(TraceID) or /debug/traces —
 	// or 0 when the caller traced nothing and the read recorded no span.
 	TraceID uint64
-
-	// mu serializes the increment methods when the read's batches run
-	// through the pipeline, whose goroutines fold results into one
-	// ReadStats; a read of one batch, folded on the caller's goroutine
-	// alone, has none. A pointer keeps the struct copyable (tests format a
-	// dereferenced copy with %+v).
-	mu *sync.Mutex
 }
 
 // count bumps one of the per-call tallies above together with its
 // process-wide counter, so the struct and the scrape cannot drift apart.
-func (rs *ReadStats) count(field *int, c *obs.Counter) {
-	rs.lock()
+// mu serializes the increments when the read's batches run through the
+// pipeline, whose goroutines fold into one ReadStats; a read of one
+// batch, folded on the caller's goroutine alone, passes nil. The lock is
+// the read's, not the struct's, so a ReadStats is plain data: 64 bytes,
+// which a cold cached read allocates beside its output.
+func (rs *ReadStats) count(mu *sync.Mutex, field *int, c *obs.Counter) {
+	lock(mu)
 	*field++
-	rs.unlock()
+	unlock(mu)
 	c.Inc()
 }
 
-// fold adds what one read batch, or a flight's fetch, tallied to the stats.
-func (rs *ReadStats) fold(t *stripecache.Tally) {
-	rs.lock()
+// fold adds what one read batch, or a flight's fetch, tallied to the
+// stats, under mu as count does.
+func (rs *ReadStats) fold(mu *sync.Mutex, t *stripecache.Tally) {
+	lock(mu)
 	rs.BytesFetched += t.Bytes
 	rs.CorruptSources += t.Corrupt
 	rs.StripesParallel += t.Parallel
 	rs.StripesWhole += t.Whole
 	rs.StripesFallback += t.Fallback
-	rs.unlock()
+	unlock(mu)
 }
 
-func (rs *ReadStats) lock() {
-	if rs.mu != nil {
-		rs.mu.Lock()
+func lock(mu *sync.Mutex) {
+	if mu != nil {
+		mu.Lock()
 	}
 }
 
-func (rs *ReadStats) unlock() {
-	if rs.mu != nil {
-		rs.mu.Unlock()
+func unlock(mu *sync.Mutex) {
+	if mu != nil {
+		mu.Unlock()
 	}
 }
 
@@ -597,7 +591,8 @@ func (rs *ReadStats) Path() string {
 // so one batch's exchanges overlap another's decode. Each stripe decodes
 // directly into its slot of a single presized output buffer (no append
 // growth, no final copy). With a stripe cache each stripe is a batch of
-// its own, because the cache coalesces misses stripe by stripe. The
+// its own, because the cache coalesces misses stripe by stripe; a batch of
+// one small stripe reads k whole blocks (readBatch). The
 // returned stats report how each stripe was served and how many fresh
 // connections the read cost; they are nil only when size is refused (a
 // non-positive size names no file WriteFile could have created).
@@ -628,11 +623,11 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	}
 	batches := (stripes + per - 1) / per
 	if batches == 1 && ctx.Err() == nil { // a one-stripe cached read, or a small file: no pipeline
-		err = s.readPart(ctx, name, 0, per, stripes, out, stats)
+		err = s.readPart(ctx, name, 0, per, stripes, out, stats, nil)
 	} else {
-		stats.mu = new(sync.Mutex)
+		mu := new(sync.Mutex)
 		errs, launched := pipeline(ctx, batches, batchWidth(stripes, batches), func(ctx context.Context, b int) error {
-			return s.readPart(ctx, name, b, per, stripes, out, stats)
+			return s.readPart(ctx, name, b, per, stripes, out, stats, mu)
 		})
 		var b int
 		if b, err = pipelineErr(ctx, errs, launched); err != nil && b == launched {
@@ -656,18 +651,18 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 // readPart reads batch b of the file, stripes [b·per, (b+1)·per) short of
 // stripes, into its slots of out: through the stripe cache, whose batches
 // are one stripe each, or as one read batch, whose tally it folds into
-// stats.
-func (s *Store) readPart(ctx context.Context, name string, b, per, stripes int, out []byte, stats *ReadStats) error {
+// stats under mu (ReadStats.count).
+func (s *Store) readPart(ctx context.Context, name string, b, per, stripes int, out []byte, stats *ReadStats, mu *sync.Mutex) error {
 	stripeData := s.code.K() * s.blockSize
 	lo, hi := b*per, min((b+1)*per, stripes)
 	dst := out[lo*stripeData : hi*stripeData]
 	st, err := lo, error(nil)
 	if s.cache != nil {
-		err = s.readStripeCached(ctx, name, lo, dst, stats)
+		err = s.readStripeCached(ctx, name, lo, dst, stats, mu)
 	} else {
 		var t stripecache.Tally
 		st, err = s.readBatch(ctx, name, lo, hi, dst, &t, nil)
-		stats.fold(&t)
+		stats.fold(mu, &t)
 	}
 	if err != nil {
 		return fmt.Errorf("stripe %d: %w", st, err)
@@ -682,12 +677,12 @@ func (s *Store) readPart(ctx context.Context, name string, b, per, stripes int, 
 // inserting the result for the next reader. Only the caller that started
 // the flight and received its result folds the fetch's tally into its
 // stats.
-func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
+func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst []byte, stats *ReadStats, mu *sync.Mutex) error {
 	cctx, csp := obs.ChildSpan(ctx, "cache")
 	csp.SetAttr("stripe", st)
 	var t stripecache.Tally
 	hit, coalesced, err := s.cache.GetOrFetch(cctx, name, st, dst, &t, s.fetch)
-	stats.fold(&t)
+	stats.fold(mu, &t)
 	csp.SetAttr("hit", hit).SetAttr("coalesced", coalesced)
 	if err != nil {
 		csp.SetAttr("error", err.Error())
@@ -697,9 +692,9 @@ func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst [
 	case err != nil:
 		return err
 	case hit:
-		stats.count(&stats.CacheHits, mCacheHitStripes)
+		stats.count(mu, &stats.CacheHits, mCacheHitStripes)
 	case coalesced:
-		stats.count(&stats.CoalescedStripes, mCoalescedStripes)
+		stats.count(mu, &stats.CoalescedStripes, mCoalescedStripes)
 	}
 	return nil
 }
@@ -1303,9 +1298,12 @@ func (s *Store) fetchStripe(ctx context.Context, dst []byte) error {
 // slots are disjoint, the socket fills the output buffer, no pooled
 // intermediary, no copy) — at the cost of one atomic load, and a healthy
 // batch is one round of p exchanges, one per source, each carrying every
-// stripe's prefix. Replacement and patch units land in pooled scratch that
-// Solve reads. A stripe left with nothing to plan on but stragglers
-// forgives them and waits for them unhedged. The batch counts its work in
+// stripe's prefix. A batch of one stripe whose prefixes are below
+// wholeBelow (a stripe-cache miss, a one-stripe file) starts instead from
+// the store's next whole plan: k whole blocks in k exchanges, landed in
+// pooled scratch and solved. Replacement and patch units land in pooled
+// scratch that Solve reads. A stripe left with nothing to plan on but
+// stragglers forgives them and waits for them unhedged. The batch counts its work in
 // t, and a batch that fetches for a cache flight f stops when f is
 // aborted. It returns the first stripe that failed, with its root cause.
 func (s *Store) readBatch(ctx context.Context, name string, lo, hi int, dst []byte, t *stripecache.Tally, f *stripecache.Flight) (int, error) {

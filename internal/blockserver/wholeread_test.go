@@ -234,7 +234,7 @@ func BenchmarkOneStripeRead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		whole, err := rotatedPlans(code, bs)
+		whole, err := wholePlans(code, bs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -50,9 +50,10 @@ type ReadPlan struct {
 	// block is Direct, "replacement" when each missing one's units come
 	// from one data-free block (the paper's Section VII scheme), "patch"
 	// when they come from parity units of any available blocks. The plan
-	// on exactly k data-bearing blocks is a patch that reads them whole —
-	// each one's prefix and every parity unit after it — which the live
-	// store reads a small stripe with while nothing is known bad.
+	// whose available blocks are exactly k data-bearing ones is a patch
+	// that reads them whole — each one's prefix and every parity unit
+	// after it — which the live store reads a small stripe with while
+	// nothing is known bad.
 	Mode string
 
 	code      *Code
